@@ -57,39 +57,6 @@ fn main() {
         });
     }
 
-    // Old vs new greedy kernel over the *same* contact table: the
-    // slice-based reference vs the chunked key-aligned SoA lanes (the
-    // scale sweep E20 measures this at n up to 10⁷; here it rides the
-    // perf trajectory at bench scale). Identical hop sequences.
-    {
-        let mut wrng = Rng::new(99);
-        let workload = survey_queries(
-            sw_skewed.placement(),
-            queries,
-            TargetModel::MemberKeys,
-            &mut wrng,
-        );
-        let (p, topo, table) = (
-            sw_skewed.placement(),
-            sw_skewed.topology(),
-            sw_skewed.route_table(),
-        );
-        b.bench_with_items(&format!("kernel/reference/{n}"), queries as f64, || {
-            let mut hops = 0u64;
-            for &(from, t) in &workload {
-                hops += sw_overlay::greedy_route(p, topo, from, t, &opts).hops as u64;
-            }
-            black_box(hops)
-        });
-        b.bench_with_items(&format!("kernel/soa/{n}"), queries as f64, || {
-            let mut hops = 0u64;
-            for &(from, t) in &workload {
-                hops += sw_overlay::greedy_route_on(p, table, from, t, &opts).hops as u64;
-            }
-            black_box(hops)
-        });
-    }
-
     for (name, mode) in [
         ("key-space", DistanceMode::KeySpace),
         ("mass-space", DistanceMode::MassSpace),

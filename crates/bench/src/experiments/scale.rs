@@ -1,20 +1,19 @@
-//! E20 — scaling the CSR substrate: construction throughput, old-vs-new
-//! routing kernel throughput, resident bytes/peer, and the
-//! freeze → reopen path, swept over n × {uniform, Pareto}.
+//! E20 — scaling the CSR substrate: construction throughput, reference
+//! routing throughput, resident bytes/peer, and the freeze → reopen
+//! path, swept over n × {uniform, Pareto}.
 //!
 //! This is the experiment behind the ROADMAP's ">10⁷ peers" open item:
 //! the overlay is built once through the allocation-free arena pipeline
 //! (`build_frozen` on unix — per-peer sampling with the harmonic rule
 //! straight into write-through mappings of the destination files, so
 //! `construct_secs` covers the whole pipeline and `freeze_secs` ≈ 0;
-//! E21 compares this against the old heap path), then routed with **both** greedy
-//! kernels over the same workload — the slice-based reference and the
-//! chunked key-aligned SoA kernel — with the hop sequences asserted
-//! bit-identical, reopened *trusted* (no O(m) validation scans; we froze
-//! the file ourselves) and routed again. Each row also records which
-//! kernel `route()` auto-selects at that scale (`kernel_used`). Writes
-//! `BENCH_scale.json` (repo root, CI artifact) alongside the table and
-//! CSV; rows merge by id so E21's `shard/*` rows persist.
+//! E21 compares this against the old heap path), then routed with the
+//! looped slice-based reference walk (timed), reopened *trusted* (no
+//! O(m) validation scans; we froze the file ourselves) and routed again
+//! through `route_batch` — the interleaved kernel over the arena — with
+//! the two result sequences asserted bit-identical (E25 times that
+//! kernel). Writes `BENCH_scale.json` (repo root, CI artifact) alongside
+//! the table and CSV; rows merge by id so E21's `shard/*` rows persist.
 //!
 //! The full sweep is n ∈ {10⁵, 10⁶, 10⁷}; `--quick` (CI smoke) runs
 //! {10⁴, 4·10⁴}. Set `SW_E20_MAX_N` to cap the sweep (e.g.
@@ -32,9 +31,9 @@ use sw_keyspace::Rng;
 use sw_overlay::route::{route_batch, survey_queries, RouteOptions, TargetModel};
 use sw_overlay::{Overlay, Placement};
 
-/// Routes a [`SmallWorldNetwork`]'s contact table through the
-/// *slice-based reference* kernel (the `Overlay` default), so the
-/// old-vs-new comparison runs the two kernels over the same rows.
+/// Routes a [`SmallWorldNetwork`]'s contact table through the looped
+/// *slice-based reference* walk (the `Overlay` defaults) even for
+/// batches, which the network itself hands to the interleaved kernel.
 struct ReferenceKernel<'a>(&'a SmallWorldNetwork);
 
 impl Overlay for ReferenceKernel<'_> {
@@ -47,33 +46,8 @@ impl Overlay for ReferenceKernel<'_> {
     fn topology(&self) -> &sw_graph::Topology {
         self.0.topology()
     }
-    // No `route` override: the trait default is `greedy_route`, the
-    // slice-based reference engine.
-}
-
-/// Forces the chunked SoA kernel regardless of the size-based default
-/// (`SmallWorldNetwork::route` picks the measured winner per size; this
-/// sweep is the measurement, so it pins each kernel explicitly).
-struct SoaKernel<'a>(&'a SmallWorldNetwork);
-
-impl Overlay for SoaKernel<'_> {
-    fn name(&self) -> String {
-        format!("{}+soa", self.0.name())
-    }
-    fn placement(&self) -> &Placement {
-        self.0.placement()
-    }
-    fn topology(&self) -> &sw_graph::Topology {
-        self.0.topology()
-    }
-    fn route(
-        &self,
-        from: sw_graph::NodeId,
-        target: sw_keyspace::Key,
-        opts: &RouteOptions,
-    ) -> sw_overlay::RouteResult {
-        sw_overlay::greedy_route_on(self.0.placement(), self.0.route_table(), from, target, opts)
-    }
+    // No `route` / `route_chunk` override: the trait defaults loop
+    // `greedy_route`'s walk, the slice-based reference engine.
 }
 
 struct ScaleRow {
@@ -82,10 +56,6 @@ struct ScaleRow {
     construct_s: f64,
     peers_per_s: f64,
     routes_per_s_ref: f64,
-    routes_per_s_soa: f64,
-    kernel_speedup: f64,
-    /// Which kernel `SmallWorldNetwork::route` picks at this scale.
-    kernel_used: &'static str,
     bytes_per_peer: f64,
     freeze_s: f64,
     open_s: f64,
@@ -117,9 +87,6 @@ pub fn e20_scale(ctx: &Ctx) {
             "construct (s)",
             "peers/s",
             "routes/s (ref)",
-            "routes/s (SoA)",
-            "kernel speedup",
-            "kernel used",
             "bytes/peer",
             "freeze (s)",
             "open (s)",
@@ -146,9 +113,6 @@ pub fn e20_scale(ctx: &Ctx) {
                 f2(row.construct_s),
                 format!("{:.0}", row.peers_per_s),
                 format!("{:.0}", row.routes_per_s_ref),
-                format!("{:.0}", row.routes_per_s_soa),
-                f2(row.kernel_speedup),
-                row.kernel_used.to_string(),
                 format!("{:.1}", row.bytes_per_peer),
                 f2(row.freeze_s),
                 f2(row.open_s),
@@ -162,19 +126,17 @@ pub fn e20_scale(ctx: &Ctx) {
     write_snapshot(&rows);
     println!(
         "  expected shape: construction peers/s decays slowly in n (per-peer \
-         sampling is O(log n)); the two kernels produce identical hop sequences \
-         (asserted) and cross over with n — at small n the reference's key \
-         gathers hit a cache-resident key array and win, while at large n the \
-         keys spill out of cache and the SoA kernel's contiguous position lanes \
-         (1-2 sequential lines per hop instead of ~degree scattered gathers) \
-         pull ahead; bytes/peer ~8·(2 + avg degree) + lanes, growing with log n \
-         via the out-degree; reopening a frozen overlay costs a read, not a \
+         sampling is O(log n)); reference routes/s falls with n as the key \
+         array and the rows spill out of cache; the reopened arena routes the \
+         same hop sequences through the interleaved kernel (asserted); \
+         bytes/peer ~8·(2 + avg degree) + lanes, growing with log n via the \
+         out-degree; reopening a frozen overlay costs a read, not a \
          rebuild (open (s) ≪ construct (s))"
     );
 }
 
 /// One (n, distribution) cell: build straight into the arena (the
-/// pipeline E21 dissects), route both kernels, freeze, reopen
+/// pipeline E21 dissects), route the reference, freeze, reopen
 /// *trusted*, route again, verify bit-identity throughout.
 fn run_cell(
     ctx: &Ctx,
@@ -219,27 +181,15 @@ fn run_cell(
         ..RouteOptions::for_n(n)
     };
 
-    // Old kernel: the slice-based reference over the same contact table.
-    // The arena-backed network materializes its heap CSR lazily — warm
-    // it here so the timing below measures routing, not unpacking.
+    // The slice-based reference over the heap CSR. The arena-backed
+    // network materializes that CSR lazily — warm it here so the timing
+    // below measures routing, not unpacking.
     let _ = net.topology();
     let t0 = Instant::now();
     let ref_results = route_batch(&ReferenceKernel(&net), &workload, &opts, 0);
     let ref_s = t0.elapsed().as_secs_f64();
-    // New kernel: the chunked SoA lanes, pinned explicitly.
-    let t0 = Instant::now();
-    let soa_results = route_batch(&SoaKernel(&net), &workload, &opts, 0);
-    let soa_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        ref_results, soa_results,
-        "chunked SoA kernel must produce bit-identical hop sequences"
-    );
     let hops_mean =
-        soa_results.iter().map(|r| r.hops as f64).sum::<f64>() / soa_results.len().max(1) as f64;
-
-    // Which of the three tiers `route_batch` over this network would
-    // pick for this workload (reference / soa / interleaved).
-    let kernel_used = net.route_table().kernel_tier(workload.len()).label();
+        ref_results.iter().map(|r| r.hops as f64).sum::<f64>() / ref_results.len().max(1) as f64;
     let bytes_per_peer = net.resident_bytes() as f64 / n as f64;
 
     // Reopen the frozen dir without the O(m) validation scans (we froze
@@ -253,8 +203,8 @@ fn run_cell(
     let open_s = t0.elapsed().as_secs_f64();
     let reopened_results = route_batch(&reopened, &workload, &opts, 0);
     assert_eq!(
-        soa_results, reopened_results,
-        "reopened overlay must route bit-identically"
+        ref_results, reopened_results,
+        "reopened overlay must route bit-identically to the reference"
     );
     std::fs::remove_dir_all(&dir).ok();
 
@@ -264,9 +214,6 @@ fn run_cell(
         construct_s,
         peers_per_s: n as f64 / construct_s,
         routes_per_s_ref: queries as f64 / ref_s,
-        routes_per_s_soa: queries as f64 / soa_s,
-        kernel_speedup: ref_s / soa_s,
-        kernel_used,
         bytes_per_peer,
         freeze_s,
         open_s,
@@ -284,8 +231,7 @@ fn write_snapshot(rows: &[ScaleRow]) {
             let obj = format!(
                 "{{\"id\": \"{}\", \"n\": {}, \"construct_secs\": {:.4}, \
                  \"peers_per_sec\": {:.1}, \"routes_per_sec_reference\": {:.1}, \
-                 \"routes_per_sec_soa\": {:.1}, \"kernel_speedup\": {:.4}, \
-                 \"kernel_used\": \"{}\", \"bytes_per_peer\": {:.1}, \
+                 \"bytes_per_peer\": {:.1}, \
                  \"freeze_secs\": {:.4}, \"open_secs\": {:.4}, \"hops_mean\": {:.4}, \
                  \"unit\": \"wall_secs\"}}",
                 r.id,
@@ -293,9 +239,6 @@ fn write_snapshot(rows: &[ScaleRow]) {
                 r.construct_s,
                 r.peers_per_s,
                 r.routes_per_s_ref,
-                r.routes_per_s_soa,
-                r.kernel_speedup,
-                r.kernel_used,
                 r.bytes_per_peer,
                 r.freeze_s,
                 r.open_s,

@@ -1,6 +1,6 @@
 //! E22 — scaling the deterministic simulator: event throughput and peak
 //! memory at n ∈ {10⁴, 10⁵, 10⁶} peers (opt-in 10⁷), under churn and
-//! under churn + storage, for **both** message-plane backends.
+//! under churn + storage.
 //!
 //! This is the experiment behind the PR-7 perf work: the initial overlay
 //! is drawn once per size through the shared harmonic sampler
@@ -8,18 +8,14 @@
 //! frozen to a scratch arena image with its key lane; every cell then
 //! *preloads* the simulator from that image (`Simulator::from_frozen` —
 //! the delta-overlay path, where churn writes land in per-peer logs over
-//! the immutable base) and runs the identical seeded workload twice:
-//!
-//! * once on the **hierarchical timing wheel** (`PlaneBackend::Wheel`,
-//!   the default), and
-//! * once on the **reference binary heap** (`PlaneBackend::Heap`, the
-//!   honest baseline).
-//!
-//! The two runs must produce bit-identical metric digests (asserted) —
-//! the speedup column is therefore a pure scheduler-cost measurement
-//! over the exact same delivered envelope sequence. Peak RSS is the
-//! process high-water mark (`VmHWM`, monotone across cells), so sizes
-//! run ascending and each row reports the mark *after* its runs.
+//! the immutable base) and runs the seeded workload on the default
+//! message plane, the hierarchical timing wheel. (That the reference
+//! binary heap delivers the identical envelope sequence is pinned in
+//! `cargo test` — `wheel_and_heap_planes_run_bit_identical`,
+//! `crates/sim/tests/traffic.rs` and the plane proptest — not re-proved
+//! per cell here.) Peak RSS is the process high-water mark (`VmHWM`,
+//! monotone across cells), so sizes run ascending and each row reports
+//! the mark *after* its run.
 //!
 //! Writes `BENCH_sim.json` rows (merged by id, so the simulator bench's
 //! `sim/*` rows survive) alongside the table and CSV. The full sweep is
@@ -39,9 +35,7 @@ use sw_keyspace::distribution::{KeyDistribution, Uniform};
 use sw_keyspace::Topology as Metric;
 use sw_keyspace::{Key, Rng};
 use sw_overlay::Placement;
-use sw_sim::{
-    ChurnConfig, PlaneBackend, SimConfig, SimTime, Simulator, StorageConfig, WorkloadConfig,
-};
+use sw_sim::{ChurnConfig, SimConfig, SimTime, Simulator, StorageConfig, WorkloadConfig};
 
 /// Virtual horizon per size: shorter at larger n so the per-node
 /// maintenance timers (the event-count driver) keep wall time bounded.
@@ -65,10 +59,9 @@ fn horizon_secs(n: usize, quick: bool) -> u64 {
 /// The seeded workload every cell runs: network-wide churn and lookup
 /// rates (constant in n — the n-driver is the per-node timer plane),
 /// with an optional storage layer whose preload scales with n.
-fn cell_config(seed: u64, storage: bool, preload: usize, plane: PlaneBackend) -> SimConfig {
+fn cell_config(seed: u64, storage: bool, preload: usize) -> SimConfig {
     SimConfig {
         seed,
-        plane,
         parallelism: 0,
         churn: ChurnConfig::symmetric(8.0),
         workload: WorkloadConfig { lookup_rate: 50.0 },
@@ -99,9 +92,7 @@ struct SimScaleRow {
     n: usize,
     horizon: u64,
     events: u64,
-    wheel_events_per_sec: f64,
-    heap_events_per_sec: f64,
-    speedup: f64,
+    events_per_sec: f64,
     build_secs: f64,
     open_secs: f64,
     peak_rss_bytes: Option<u64>,
@@ -132,16 +123,13 @@ pub fn e22_sim_scale(ctx: &Ctx) {
         return;
     }
     let mut table = Table::new(
-        "E22: simulator at scale — timing wheel vs reference heap over identical event sequences"
-            .to_string(),
+        "E22: simulator at scale — event throughput and peak memory".to_string(),
         &[
             "variant",
             "n",
             "horizon (sim s)",
             "events",
-            "wheel ev/s",
-            "heap ev/s",
-            "speedup",
+            "events/s",
             "build (s)",
             "open (s)",
             "peak RSS (MB)",
@@ -150,9 +138,9 @@ pub fn e22_sim_scale(ctx: &Ctx) {
     );
     let mut rows: Vec<SimScaleRow> = Vec::new();
     for &n in &sizes {
-        // One frozen overlay image per size, shared by every variant and
-        // both backends — construction cost is paid once and the runs
-        // measure the event loop, not the build.
+        // One frozen overlay image per size, shared by both variants —
+        // construction cost is paid once and the runs measure the event
+        // loop, not the build.
         println!("  [e22] n={n}: drawing + freezing the initial overlay…");
         let t0 = Instant::now();
         let path = ctx::scratch_dir().join(format!("sw-e22-{n}-{}.arena", std::process::id()));
@@ -166,9 +154,7 @@ pub fn e22_sim_scale(ctx: &Ctx) {
                 row.n.to_string(),
                 row.horizon.to_string(),
                 row.events.to_string(),
-                format!("{:.0}", row.wheel_events_per_sec),
-                format!("{:.0}", row.heap_events_per_sec),
-                f2(row.speedup),
+                format!("{:.0}", row.events_per_sec),
                 f2(row.build_secs),
                 f2(row.open_secs),
                 match row.peak_rss_bytes {
@@ -185,14 +171,11 @@ pub fn e22_sim_scale(ctx: &Ctx) {
     ctx.write_csv(&table, "e22_sim_scale.csv");
     write_snapshot(&rows);
     println!(
-        "  expected shape: the digests of the two backends are asserted \
-         bit-identical, so speedup isolates scheduler cost — it grows with \
-         the pending-event population (per-node timers make that ~n), as the \
-         heap pays O(log pending) per operation against the wheel's O(1) \
-         buckets; events/s decays slowly in n (bigger working set, longer \
-         rows); peak RSS is a process-lifetime high-water mark, so read each \
-         row as 'the sweep up to and including this cell fit in this much \
-         memory'"
+        "  expected shape: events/s decays slowly in n (bigger working set, \
+         longer rows — the wheel's O(1) buckets keep the pending-event \
+         population, ~n per-node timers, out of the per-event cost); peak RSS \
+         is a process-lifetime high-water mark, so read each row as 'the sweep \
+         up to and including this cell fit in this much memory'"
     );
 }
 
@@ -227,7 +210,7 @@ pub(crate) fn build_frozen_overlay(seed: u64, n: usize, path: &std::path::Path) 
 }
 
 /// One (n, variant) cell: preload from the frozen image and run the
-/// identical seeded workload on both plane backends.
+/// seeded workload.
 fn run_cell(
     ctx: &Ctx,
     n: usize,
@@ -239,56 +222,28 @@ fn run_cell(
     let horizon = horizon_secs(n, ctx.quick);
     let preload = (n / 5).clamp(2_000, 200_000);
     let seed = ctx.seed ^ 0xE22 ^ n as u64 ^ ((storage as u64) << 32);
-    let mut open_secs = 0.0;
-    let mut run = |plane: PlaneBackend| {
-        let t0 = Instant::now();
-        let mut sim = Simulator::from_frozen(
-            cell_config(seed, storage, preload, plane),
-            Arc::new(Uniform),
-            path,
-        )
-        .expect("preload simulator from frozen image");
-        open_secs = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        sim.run_until(SimTime::from_secs(horizon));
-        let wall = t0.elapsed().as_secs_f64();
-        let m = sim.metrics();
-        let digest = (
-            m.events,
-            m.lookups,
-            m.lookups_ok,
-            m.hops.mean().to_bits(),
-            m.latency_secs.mean().to_bits(),
-            m.joins,
-            m.failures,
-            m.puts_ok,
-            m.gets_ok,
-            sim.alive_count(),
-        );
-        (digest, m.events, m.lookups, m.lookups_ok, wall)
-    };
-    println!("  [e22] {variant} n={n}: wheel run…");
-    let (wheel_digest, events, lookups, lookups_ok, wheel_wall) = run(PlaneBackend::Wheel);
-    println!("  [e22] {variant} n={n}: heap run…");
-    let (heap_digest, _, _, _, heap_wall) = run(PlaneBackend::Heap);
-    assert_eq!(
-        wheel_digest, heap_digest,
-        "plane backends diverged at {variant} n={n}"
-    );
+    println!("  [e22] {variant} n={n}: running…");
+    let t0 = Instant::now();
+    let mut sim =
+        Simulator::from_frozen(cell_config(seed, storage, preload), Arc::new(Uniform), path)
+            .expect("preload simulator from frozen image");
+    let open_secs = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    sim.run_until(SimTime::from_secs(horizon));
+    let wall = t0.elapsed().as_secs_f64();
+    let m = sim.metrics();
     SimScaleRow {
         id: format!("sim-scale/{variant}/{n}"),
         variant,
         n,
         horizon,
-        events,
-        wheel_events_per_sec: events as f64 / wheel_wall,
-        heap_events_per_sec: events as f64 / heap_wall,
-        speedup: heap_wall / wheel_wall,
+        events: m.events,
+        events_per_sec: m.events as f64 / wall,
         build_secs,
         open_secs,
         peak_rss_bytes: ctx::peak_rss_bytes(),
-        lookups_ok,
-        lookups,
+        lookups_ok: m.lookups_ok,
+        lookups: m.lookups,
     }
 }
 
@@ -306,8 +261,7 @@ fn write_snapshot(rows: &[SimScaleRow]) {
             let obj = format!(
                 "{{\"id\": \"{}\", \"n\": {}, \"variant\": \"{}\", \
                  \"horizon_sim_secs\": {}, \"events\": {}, \
-                 \"wheel_events_per_sec\": {:.1}, \"heap_events_per_sec\": {:.1}, \
-                 \"wheel_speedup\": {:.4}, \"build_secs\": {:.4}, \
+                 \"wheel_events_per_sec\": {:.1}, \"build_secs\": {:.4}, \
                  \"open_secs\": {:.4}, \"peak_rss_bytes\": {}, \
                  \"lookups\": {}, \"lookups_ok\": {}, \"unit\": \"wall_secs\"}}",
                 r.id,
@@ -315,9 +269,7 @@ fn write_snapshot(rows: &[SimScaleRow]) {
                 r.variant,
                 r.horizon,
                 r.events,
-                r.wheel_events_per_sec,
-                r.heap_events_per_sec,
-                r.speedup,
+                r.events_per_sec,
                 r.build_secs,
                 r.open_secs,
                 rss,

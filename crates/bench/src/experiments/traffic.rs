@@ -14,10 +14,9 @@
 //! The overlay is drawn once per size through the shared harmonic
 //! sampler and frozen to a scratch arena image; every point preloads
 //! from that image, so the ladder measures congestion, not repeated
-//! construction. At the lowest rung of every cell the identical run is
-//! repeated on the reference heap plane and the full metric digest
-//! (histogram fingerprints included) is asserted bit-identical to the
-//! timing wheel's — the latency curves are backend-independent facts.
+//! construction. (That the latency curves are independent of the plane
+//! backend is pinned in `cargo test` by `crates/sim/tests/traffic.rs`,
+//! which compares full metric digests across wheel and heap.)
 //!
 //! Writes `BENCH_traffic.json`: one row per ladder point plus one
 //! `/knee` summary row per cell, merged by id so CI smoke cells never
@@ -30,8 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use sw_keyspace::distribution::Uniform;
 use sw_sim::{
-    CacheConfig, CongestionConfig, PlaneBackend, SimConfig, SimTime, Simulator, TrafficConfig,
-    WorkloadConfig,
+    CacheConfig, CongestionConfig, SimConfig, SimTime, Simulator, TrafficConfig, WorkloadConfig,
 };
 
 /// Service capacity per node: 10 ms per message = 100 msgs/s.
@@ -177,8 +175,7 @@ pub fn e23_traffic(ctx: &Ctx) {
          re-references at the gateways before they reach the network, so \
          the cache-on knee at s ≥ 0.9 sits measurably above cache-off \
          (the headline claim), while at s=0 the cache barely moves it \
-         (few re-references inside the TTL); every cell's lowest rung is \
-         asserted digest-identical across wheel and heap planes"
+         (few re-references inside the TTL)"
     );
 }
 
@@ -204,11 +201,9 @@ fn run_cell(
     let mut base_p99 = 0.0f64;
     let mut consecutive_saturated = 0u32;
     let mut rate = 250.0f64;
-    let mut first = true;
     while rate <= rate_cap {
         // Longer horizon at low rates for tail resolution; shorter at
-        // high rates to bound the event count. Both backends of the
-        // digest-checked rung use the identical horizon.
+        // high rates to bound the event count.
         let horizon = if ctx.quick {
             5
         } else if rate <= 8_000.0 {
@@ -217,27 +212,11 @@ fn run_cell(
             5
         };
         let seed = ctx.seed ^ 0xE23 ^ (n as u64) << 1 ^ zipf_s.to_bits() ^ cache as u64;
-        let run = |plane: PlaneBackend| {
-            let cfg = cell_config(seed, n, rate, zipf_s, cache, plane);
-            let mut sim = Simulator::from_frozen(cfg, Arc::new(Uniform), path)
-                .expect("preload e23 simulator from frozen image");
-            sim.run_until(SimTime::from_secs(horizon));
-            sim
-        };
         let t0 = Instant::now();
-        let sim = run(PlaneBackend::Wheel);
-        if first {
-            // The cheapest rung doubles as the backend-equivalence
-            // gate: heap must reproduce the wheel's digest bit for bit,
-            // histogram fingerprints and congestion counters included.
-            let heap = run(PlaneBackend::Heap);
-            assert_eq!(
-                digest(&sim),
-                digest(&heap),
-                "plane backends diverged at e23 n={n} s={zipf_s} cache={cache}"
-            );
-            first = false;
-        }
+        let cfg = cell_config(seed, n, rate, zipf_s, cache);
+        let mut sim = Simulator::from_frozen(cfg, Arc::new(Uniform), path)
+            .expect("preload e23 simulator from frozen image");
+        sim.run_until(SimTime::from_secs(horizon));
         let m = sim.metrics();
         let secs = horizon as f64;
         let p99 = m.lookup_latency.quantile(0.99) * 1e3;
@@ -294,17 +273,9 @@ fn run_cell(
 
 /// Pure-traffic cell: no churn, no background workload, no maintenance
 /// timers — the ladder measures congestion and nothing else.
-fn cell_config(
-    seed: u64,
-    _n: usize,
-    rate: f64,
-    zipf_s: f64,
-    cache: bool,
-    plane: PlaneBackend,
-) -> SimConfig {
+fn cell_config(seed: u64, _n: usize, rate: f64, zipf_s: f64, cache: bool) -> SimConfig {
     SimConfig {
         seed,
-        plane,
         parallelism: 0,
         stabilize_interval: None,
         refresh_interval: None,
@@ -326,37 +297,6 @@ fn cell_config(
             }),
         },
         ..SimConfig::default()
-    }
-}
-
-/// The full cross-backend equivalence digest: event/lookup counters,
-/// congestion accounting, the network-message conservation ledger, and
-/// bit-exact histogram fingerprints.
-#[derive(Debug, PartialEq, Eq)]
-struct Digest {
-    events: u64,
-    lookups: u64,
-    lookups_ok: u64,
-    cache_hits: u64,
-    drops: u64,
-    depth_peak: u64,
-    queue_wait_fp: u64,
-    latency_fp: u64,
-    net: (u64, u64, u64, u64),
-}
-
-fn digest(sim: &Simulator) -> Digest {
-    let m = sim.metrics();
-    Digest {
-        events: m.events,
-        lookups: m.lookups,
-        lookups_ok: m.lookups_ok,
-        cache_hits: m.cache_hits,
-        drops: m.msgs_dropped_overload,
-        depth_peak: m.queue_depth_peak,
-        queue_wait_fp: m.queue_wait.fingerprint(),
-        latency_fp: m.lookup_latency.fingerprint(),
-        net: sim.net_counters(),
     }
 }
 

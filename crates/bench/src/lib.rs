@@ -129,7 +129,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
         ),
         (
             "e20",
-            "Scale: construction + old-vs-new routing kernels + freeze/reopen at n up to 10^7 (writes BENCH_scale.json)",
+            "Scale: construction + reference routing + freeze/reopen at n up to 10^7 (writes BENCH_scale.json)",
             experiments::scale::e20_scale,
         ),
         (
@@ -139,7 +139,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
         ),
         (
             "e22",
-            "Simulator at scale: timing-wheel vs heap plane events/s + peak RSS from frozen preloads at n up to 10^6 (writes BENCH_sim.json)",
+            "Simulator at scale: events/s + peak RSS from frozen preloads at n up to 10^6 (writes BENCH_sim.json)",
             experiments::sim_scale::e22_sim_scale,
         ),
         (
@@ -154,7 +154,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
         ),
         (
             "e25",
-            "Interleaved AMAC routing kernel: single-thread routes/s vs interleave width K over heap and mmap-arena tables, bit-identity asserted per cell (merges BENCH_routing.json)",
+            "Interleaved AMAC routing kernel: single-thread routes/s vs interleave width K against the looped reference, over heap and mmap-arena tables, bit-identity asserted per cell (merges BENCH_routing.json)",
             experiments::interleave::e25_interleave,
         ),
     ]

@@ -12,7 +12,7 @@ use sw_graph::{LinkTable, NodeId};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::{Key, Rng, Topology};
 use sw_overlay::route::{RouteOptions, RouteResult, RoutingSurvey, TargetModel};
-use sw_overlay::soa::{greedy_route_on, KernelTier, RouteTable};
+use sw_overlay::soa::RouteTable;
 use sw_overlay::{Overlay, Placement};
 
 /// File holding the frozen contact CSR + per-edge ring-position lane +
@@ -28,12 +28,14 @@ pub(crate) const LONG_FILE: &str = "long.swt";
 /// The full contact table (neighbour edges + long links, the rows greedy
 /// routing reads) lives in a key-aligned SoA
 /// [`RouteTable`](sw_overlay::RouteTable): one flat CSR plus a per-edge
-/// ring-position lane, built once during construction and scanned by the
-/// chunked greedy kernels. A freshly built network keeps it on the heap;
-/// [`SmallWorldNetwork::open_from`] reopens a frozen network with the
-/// table backed by a flat file arena instead — same routing code, and
-/// the whole routing table loads as one allocation (or an mmap). The long-link CSR is kept separately (with its
-/// incoming transpose) for the maintenance/refresh APIs.
+/// ring-position lane, built once during construction. A freshly built
+/// network keeps it on the heap; [`SmallWorldNetwork::open_from`]
+/// reopens a frozen network with the table backed by a flat file arena
+/// instead — same routing code at every size (one lookup walks the id
+/// rows with the reference walk, a batch goes through the interleaved
+/// kernel over the lanes), and the whole routing table loads as one
+/// allocation (or an mmap). The long-link CSR is kept separately (with
+/// its incoming transpose) for the maintenance/refresh APIs.
 pub struct SmallWorldNetwork {
     placement: Placement,
     /// The density used for link construction (the *assumed* `f̂`).
@@ -48,7 +50,7 @@ pub struct SmallWorldNetwork {
     route_table: RouteTable,
     /// Lazily materialized heap view of the contact CSR for arena-backed
     /// (reopened) networks — [`Overlay::topology`] hands out a
-    /// `&CsrTopology`, and metrics consumers are not on the hot path.
+    /// `&CsrTopology` for metrics consumers. Routing never asks for it.
     contact_heap: OnceLock<CsrTopology>,
     /// Display label, e.g. `"sw(uniform,exact)"`.
     label: String,
@@ -473,38 +475,26 @@ impl Overlay for SmallWorldNetwork {
         self.contact_csr()
     }
 
-    /// Routes through whichever greedy kernel wins at this network's
-    /// size (the two are bit-identical, so this is pure perf policy —
-    /// see [`RouteTable::prefers_soa`]): the chunked SoA lanes for
-    /// arena-backed or ≥10⁶-peer tables, the slice-based reference
-    /// while the key array is still cache-resident.
-    fn route(&self, from: NodeId, target: Key, opts: &RouteOptions) -> RouteResult {
-        if self.route_table.prefers_soa() {
-            greedy_route_on(&self.placement, &self.route_table, from, target, opts)
-        } else {
-            sw_overlay::greedy_route(&self.placement, self.contact_csr(), from, target, opts)
-        }
+    /// Contact rows straight out of the route table's store, so single
+    /// lookups ([`Overlay::route`]'s reference walk) over a reopened
+    /// arena never unpack the heap CSR.
+    #[inline]
+    fn contacts(&self, u: NodeId) -> &[NodeId] {
+        self.route_table.store().neighbors(u)
     }
 
-    /// Batched tier dispatch ([`RouteTable::kernel_tier`]): chunks wide
-    /// enough to fill the AMAC pipeline route through the interleaved
-    /// kernel, narrower ones fall back to the per-route policy above.
-    /// All tiers are bit-identical, so `route_batch` results do not
-    /// depend on how the workload was chunked.
+    /// A batch is always the interleaved AMAC kernel over the table's
+    /// position lanes. It is bit-identical to looping
+    /// [`Overlay::route`], so `route_batch` results do not depend on how
+    /// the workload was chunked.
     fn route_chunk(&self, queries: &[(NodeId, Key)], opts: &RouteOptions) -> Vec<RouteResult> {
-        match self.route_table.kernel_tier(queries.len()) {
-            KernelTier::Interleaved => sw_overlay::route_interleaved(
-                &self.placement,
-                &self.route_table,
-                queries,
-                opts,
-                sw_overlay::DEFAULT_INTERLEAVE,
-            ),
-            _ => queries
-                .iter()
-                .map(|&(from, target)| self.route(from, target, opts))
-                .collect(),
-        }
+        sw_overlay::route_interleaved(
+            &self.placement,
+            &self.route_table,
+            queries,
+            opts,
+            sw_overlay::DEFAULT_INTERLEAVE,
+        )
     }
 }
 
@@ -654,20 +644,14 @@ mod tests {
     }
 
     #[test]
-    fn route_chunk_interleaved_tier_matches_looped_routes() {
+    fn route_chunk_matches_looped_routes_on_heap_and_arena() {
         use sw_overlay::route::{route_batch, RouteOptions};
         let mut rng = Rng::new(47);
         let net = SmallWorldBuilder::new(384).build(&mut rng).unwrap();
         let dir = std::env::temp_dir().join("sw-core-interleave-tier-test");
         net.freeze_to(&dir).unwrap();
-        // Arena-backed reopen → prefers_soa → wide chunks hit the
-        // interleaved tier.
         let reopened =
             SmallWorldNetwork::open_from(&dir, *net.config(), net.assumed().clone()).unwrap();
-        assert_eq!(
-            reopened.route_table().kernel_tier(256),
-            sw_overlay::KernelTier::Interleaved
-        );
         let workload = sw_overlay::route::survey_queries(
             net.placement(),
             256,
@@ -675,17 +659,30 @@ mod tests {
             &mut rng,
         );
         let opts = RouteOptions::for_n(384);
-        let looped: Vec<_> = workload
+        let reference: Vec<_> = workload
             .iter()
-            .map(|&(from, t)| reopened.route(from, t, &opts))
+            .map(|&(from, t)| {
+                sw_overlay::greedy_route(net.placement(), net.topology(), from, t, &opts)
+            })
             .collect();
-        assert_eq!(reopened.route_chunk(&workload, &opts), looped);
-        for threads in [1, 3] {
-            assert_eq!(route_batch(&reopened, &workload, &opts, threads), looped);
+        for owner in [&net, &reopened] {
+            let looped: Vec<_> = workload
+                .iter()
+                .map(|&(from, t)| owner.route(from, t, &opts))
+                .collect();
+            assert_eq!(looped, reference);
+            assert_eq!(owner.route_chunk(&workload, &opts), reference);
+            // A chunk narrower than the interleave width is still a batch.
+            assert_eq!(owner.route_chunk(&workload[..3], &opts), reference[..3]);
+            for threads in [1, 3] {
+                assert_eq!(route_batch(owner, &workload, &opts, threads), reference);
+            }
         }
-        // The heap-backed original takes the non-interleaved arm and
-        // must agree too.
-        assert_eq!(net.route_chunk(&workload, &opts), looped);
+        // Routing read the arena's rows in place: only `topology()`
+        // unpacks the heap CSR.
+        assert!(reopened.contact_heap.get().is_none());
+        assert_eq!(reopened.topology(), net.topology());
+        assert!(reopened.contact_heap.get().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

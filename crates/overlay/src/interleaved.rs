@@ -2,15 +2,15 @@
 //! (Asynchronous Memory Access Chaining) batch execution of independent
 //! greedy walks.
 //!
-//! # Why a third kernel
+//! # Why batches get their own kernel
 //!
 //! A single greedy walk is a dependent pointer chase: the CSR offset
 //! pair of the current peer must arrive before its edge row can be
 //! fetched, and the row must arrive before the next peer is known. At
 //! n ≥ 10⁷ the arena is multiple GB, every one of those loads is a DRAM
-//! miss, and the walk advances at *memory latency* — the chunked SoA
-//! kernel ([`crate::route::greedy_step_soa`]) only reduces how many
-//! lines a hop touches, not how long each line takes to arrive.
+//! miss, and the walk advances at *memory latency* — nothing a single
+//! walk does to its own row scan changes how long each line takes to
+//! arrive.
 //!
 //! Batched workloads (routing surveys, simulator probes, the experiment
 //! harness) route thousands of *independent* walks, and independence is
@@ -28,29 +28,35 @@
 //!    when the walk hopped to `cur`) is loaded, and the edge row
 //!    `edges[a..b]` plus its aligned SoA position lane `pos[a..b]` are
 //!    prefetched for the next round.
-//! 2. **Scan** — the row (now resident) is scanned by the same chunked
-//!    [`greedy_step_soa`] the SoA kernel uses; the walk hops, retires
-//!    (delivered / local minimum / hop budget), or continues, and the
-//!    *next* peer's offset pair is prefetched.
+//! 2. **Scan** — the row (now resident) is scanned by the chunked
+//!    [`greedy_step_soa`]; the walk hops, retires (arrived / local
+//!    minimum / hop budget), or continues, and the *next* peer's offset
+//!    pair is prefetched.
 //!
 //! Retired walks refill their slot from the pending workload in input
 //! order, so the pipeline stays full until the tail drains; slots that
 //! cannot refill are removed and the remaining walks finish at a
 //! narrower width (the "uneven drain" the equivalence proptest covers).
 //!
+//! There is one round loop. Its two entry points —
+//! [`route_interleaved`] (walk to the placement's goal peer, report a
+//! [`RouteResult`]) and [`probe_interleaved`] (walk to an exact key,
+//! report a [`ProbeOutcome`]) — differ only in how a walk opens and
+//! closes, which the private [`Walks`] policy supplies at compile time.
+//!
 //! # Bit-identity
 //!
 //! Results are **bit-identical** to a sequential loop of
-//! [`crate::route::greedy_route`] / [`crate::soa::greedy_route_on`] over
-//! the same queries, for every interleave width: the per-hop decision is
-//! the same `greedy_step_soa` scan over the same lanes, and the carried
-//! distance equals the recomputed `placement.distance_to(cur, target)`
-//! bit-for-bit because both evaluate `|t − p|` (ring-folded) on the same
-//! `f64`s — debug builds assert this on every hop. Interleaving order
-//! affects only *when* each walk's loads issue, never what they return.
+//! [`crate::route::greedy_route`] over the same queries, for every
+//! interleave width: debug builds check every Scan against the
+//! slice-based [`greedy_step`] over the gathered keys of the same row,
+//! and the carried distance against the one recomputed from the peer's
+//! key (both evaluate `|t − p|`, ring-folded, on the same `f64`s).
+//! Interleaving order affects only *when* each walk's loads issue, never
+//! what they return.
 
 use crate::placement::Placement;
-use crate::route::{finish_route, greedy_step_soa, RouteOptions, RouteResult};
+use crate::route::{finish_route, greedy_step, greedy_step_soa, RouteOptions, RouteResult};
 use crate::soa::RouteTable;
 use sw_graph::prefetch::{prefetch_read, prefetch_span};
 use sw_graph::NodeId;
@@ -83,75 +89,151 @@ struct Walk {
     query: usize,
     from: NodeId,
     cur: NodeId,
+    /// The peer the walk must reach ([`ToGoal`] only).
     goal: NodeId,
     target: Key,
     /// Distance of `cur` to the target — carried from the winning
-    /// lane's distance, bit-equal to recomputing via the placement.
+    /// lane's distance, bit-equal to recomputing it from `cur`'s key.
     cur_d: f64,
     hops: u32,
     /// Row bounds of `cur` once `FetchRow` has run.
     row: (usize, usize),
     stage: Stage,
+    /// Visited peers, when the options ask for the path.
     path: Vec<NodeId>,
 }
 
-/// Routes a batch of independent greedy lookups through the interleaved
-/// kernel, keeping up to `width` walks in flight (clamped to
-/// `1..=`[`MAX_INTERLEAVE`]). Results come back in input order and are
-/// bit-identical to a sequential `greedy_route_on` loop — and therefore
-/// to the slice-based [`crate::route::greedy_route`] reference — for
-/// every width.
-///
-/// This is a *single-threaded* kernel by design: [`crate::route_batch`]
-/// hands each worker thread a contiguous chunk and the kernel extracts
-/// memory-level parallelism within the chunk, so the two axes (threads ×
-/// in-flight walks) compose.
-pub fn route_interleaved(
-    placement: &Placement,
+/// How a walk opens and closes — all the two entry points disagree on.
+/// [`interleave`] is monomorphised per policy, so neither walk pays a
+/// per-hop branch for the other.
+trait Walks {
+    /// What a retired walk reports.
+    type Outcome;
+
+    /// The goal peer of a walk starting `from_d` away from its target,
+    /// or `Err` with its outcome when it ends before the first hop.
+    fn open(
+        &self,
+        from: NodeId,
+        target: Key,
+        from_d: f64,
+        opts: &RouteOptions,
+    ) -> Result<NodeId, Self::Outcome>;
+
+    /// True once the walk stands where it was headed.
+    fn arrived(w: &Walk) -> bool;
+
+    /// The outcome of a walk that stops at `w.cur`.
+    fn close(w: &mut Walk, arrived: bool, opts: &RouteOptions) -> Self::Outcome;
+}
+
+/// The routing walk: ends at the placement-wide nearest peer to the
+/// target, like [`crate::route::greedy_route`].
+struct ToGoal<'a>(&'a Placement);
+
+impl Walks for ToGoal<'_> {
+    type Outcome = RouteResult;
+
+    fn open(
+        &self,
+        from: NodeId,
+        target: Key,
+        _: f64,
+        opts: &RouteOptions,
+    ) -> Result<NodeId, RouteResult> {
+        let goal = self.0.nearest(target);
+        if from == goal || opts.max_hops == 0 {
+            return Err(finish_route(from == goal, 0, vec![from], from, from, opts));
+        }
+        Ok(goal)
+    }
+
+    fn arrived(w: &Walk) -> bool {
+        w.cur == w.goal
+    }
+
+    fn close(w: &mut Walk, arrived: bool, opts: &RouteOptions) -> RouteResult {
+        let path = std::mem::take(&mut w.path);
+        finish_route(arrived, w.hops, path, w.from, w.cur, opts)
+    }
+}
+
+/// The measurement probe: ends on *exact arrival* (distance `0.0` to
+/// the target key), like the simulator's scalar `probe_walk`. There is
+/// no goal peer to resolve; arrival is read off the carried distance.
+struct ToKey;
+
+impl Walks for ToKey {
+    type Outcome = ProbeOutcome;
+
+    fn open(
+        &self,
+        from: NodeId,
+        _: Key,
+        from_d: f64,
+        _: &RouteOptions,
+    ) -> Result<NodeId, ProbeOutcome> {
+        if from_d == 0.0 {
+            return Err(ProbeOutcome {
+                final_node: from,
+                hops: 0,
+            });
+        }
+        Ok(from)
+    }
+
+    fn arrived(w: &Walk) -> bool {
+        w.cur_d == 0.0
+    }
+
+    fn close(w: &mut Walk, _: bool, _: &RouteOptions) -> ProbeOutcome {
+        ProbeOutcome {
+            final_node: w.cur,
+            hops: w.hops,
+        }
+    }
+}
+
+/// The round loop: keeps up to `width` walks of `queries` in flight
+/// over `table` (clamped to `1..=`[`MAX_INTERLEAVE`]) and returns their
+/// outcomes in input order. `key_of` resolves a peer's key: each walk's
+/// start distance, and the debug-build checks of every hop against the
+/// slice reference.
+fn interleave<P: Walks, K: FnMut(NodeId) -> Key>(
     table: &RouteTable,
+    metric: sw_keyspace::Topology,
     queries: &[(NodeId, Key)],
     opts: &RouteOptions,
     width: usize,
-) -> Vec<RouteResult> {
-    let metric = placement.topology();
+    mut key_of: K,
+    policy: P,
+) -> Vec<P::Outcome> {
     // Hoist the flat arrays once — the round loop indexes raw slices
-    // with zero backend dispatch, exactly like `greedy_route_on`.
+    // with zero backend dispatch.
     let store = table.store();
     let offsets = store.offsets();
     let edges = store.edges();
     let pos = store.edge_pos().expect("route table carries lanes");
     let width = width.clamp(1, MAX_INTERLEAVE);
 
-    let mut results: Vec<Option<RouteResult>> = Vec::with_capacity(queries.len());
+    let mut results: Vec<Option<P::Outcome>> = Vec::with_capacity(queries.len());
     results.resize_with(queries.len(), || None);
     let mut next_query = 0usize;
     let mut slots: Vec<Walk> = Vec::with_capacity(width);
 
-    // Starts the walk for query `q`: either an immediately-finished
-    // result (already at the goal, or a zero hop budget) written in
-    // place, or an in-flight walk with its offset pair prefetched.
-    let start = |q: usize, results: &mut Vec<Option<RouteResult>>| -> Option<Walk> {
+    // Starts the walk for query `q`: either an outcome written in place
+    // (the walk ended before its first hop), or an in-flight walk with
+    // its offset pair prefetched.
+    let start = |q: usize, key_of: &mut K, results: &mut [Option<P::Outcome>]| -> Option<Walk> {
         let (from, target) = queries[q];
-        let goal = placement.nearest(target);
-        if from == goal {
-            let path = if opts.record_path {
-                vec![from]
-            } else {
-                Vec::new()
-            };
-            results[q] = Some(finish_route(true, 0, path, from, from, opts));
-            return None;
-        }
-        if opts.max_hops == 0 {
-            let path = if opts.record_path {
-                vec![from]
-            } else {
-                Vec::new()
-            };
-            results[q] = Some(finish_route(false, 0, path, from, from, opts));
-            return None;
-        }
-        let cur_d = placement.distance_to(from, target);
+        let cur_d = metric.distance(key_of(from), target);
+        let goal = match policy.open(from, target, cur_d, opts) {
+            Ok(goal) => goal,
+            Err(outcome) => {
+                results[q] = Some(outcome);
+                return None;
+            }
+        };
         prefetch_read(&offsets[from as usize]);
         prefetch_read(&offsets[from as usize + 1]);
         let path = if opts.record_path {
@@ -175,7 +257,7 @@ pub fn route_interleaved(
 
     // Prime the pipeline.
     while slots.len() < width && next_query < queries.len() {
-        if let Some(w) = start(next_query, &mut results) {
+        if let Some(w) = start(next_query, &mut key_of, &mut results) {
             slots.push(w);
         }
         next_query += 1;
@@ -187,7 +269,7 @@ pub fn route_interleaved(
         let mut i = 0;
         while i < slots.len() {
             let w = &mut slots[i];
-            let finished: Option<RouteResult> = match w.stage {
+            let finished: Option<P::Outcome> = match w.stage {
                 Stage::FetchRow => {
                     let a = offsets[w.cur as usize] as usize;
                     let b = offsets[w.cur as usize + 1] as usize;
@@ -200,17 +282,26 @@ pub fn route_interleaved(
                 Stage::Scan => {
                     debug_assert_eq!(
                         w.cur_d.to_bits(),
-                        placement.distance_to(w.cur, w.target).to_bits(),
+                        metric.distance(key_of(w.cur), w.target).to_bits(),
                         "carried distance must equal the recomputed one at node {}",
                         w.cur
                     );
-                    let (a, b) = w.row;
-                    match greedy_step_soa(metric, w.target, w.cur_d, &edges[a..b], &pos[a..b]) {
-                        None => {
-                            // Local minimum away from the goal.
-                            let path = std::mem::take(&mut w.path);
-                            Some(finish_route(false, w.hops, path, w.from, w.cur, opts))
-                        }
+                    let (ids, lane) = (&edges[w.row.0..w.row.1], &pos[w.row.0..w.row.1]);
+                    let step = greedy_step_soa(metric, w.target, w.cur_d, ids, lane);
+                    debug_assert_eq!(
+                        step,
+                        greedy_step(
+                            metric,
+                            w.target,
+                            w.cur_d,
+                            ids.iter().map(|&v| (v, key_of(v))),
+                        ),
+                        "chunked scan must agree with the slice reference at node {}",
+                        w.cur
+                    );
+                    match step {
+                        // Local minimum short of arrival.
+                        None => Some(P::close(w, false, opts)),
                         Some((next, d)) => {
                             w.cur = next;
                             w.cur_d = d;
@@ -218,12 +309,9 @@ pub fn route_interleaved(
                             if opts.record_path {
                                 w.path.push(next);
                             }
-                            if next == w.goal {
-                                let path = std::mem::take(&mut w.path);
-                                Some(finish_route(true, w.hops, path, w.from, next, opts))
-                            } else if w.hops >= opts.max_hops {
-                                let path = std::mem::take(&mut w.path);
-                                Some(finish_route(false, w.hops, path, w.from, next, opts))
+                            let arrived = P::arrived(w);
+                            if arrived || w.hops >= opts.max_hops {
+                                Some(P::close(w, arrived, opts))
                             } else {
                                 prefetch_read(&offsets[next as usize]);
                                 prefetch_read(&offsets[next as usize + 1]);
@@ -247,7 +335,7 @@ pub fn route_interleaved(
                         }
                         let q = next_query;
                         next_query += 1;
-                        if let Some(w) = start(q, &mut results) {
+                        if let Some(w) = start(q, &mut key_of, &mut results) {
                             slots[i] = w;
                             i += 1;
                             break;
@@ -262,6 +350,35 @@ pub fn route_interleaved(
         .into_iter()
         .map(|r| r.expect("every query retires exactly once"))
         .collect()
+}
+
+/// Routes a batch of independent greedy lookups through the interleaved
+/// kernel, keeping up to `width` walks in flight (clamped to
+/// `1..=`[`MAX_INTERLEAVE`]). Results come back in input order and are
+/// bit-identical to a sequential [`crate::route::greedy_route`] loop for
+/// every width.
+///
+/// This is a *single-threaded* kernel by design: [`crate::route::route_batch`]
+/// hands each worker thread a contiguous chunk and the kernel extracts
+/// memory-level parallelism within the chunk, so the two axes (threads ×
+/// in-flight walks) compose.
+pub fn route_interleaved(
+    placement: &Placement,
+    table: &RouteTable,
+    queries: &[(NodeId, Key)],
+    opts: &RouteOptions,
+    width: usize,
+) -> Vec<RouteResult> {
+    let (metric, key_of) = (placement.topology(), |v| placement.key(v));
+    interleave(
+        table,
+        metric,
+        queries,
+        opts,
+        width,
+        key_of,
+        ToGoal(placement),
+    )
 }
 
 /// Outcome of one interleaved measurement probe: where the walk ended
@@ -290,121 +407,13 @@ pub fn probe_interleaved(
     queries: &[(NodeId, Key)],
     max_hops: u32,
     width: usize,
-    mut key_of: impl FnMut(NodeId) -> Key,
+    key_of: impl FnMut(NodeId) -> Key,
 ) -> Vec<ProbeOutcome> {
-    let store = table.store();
-    let offsets = store.offsets();
-    let edges = store.edges();
-    let pos = store.edge_pos().expect("route table carries lanes");
-    let width = width.clamp(1, MAX_INTERLEAVE);
-
-    let mut results: Vec<Option<ProbeOutcome>> = Vec::with_capacity(queries.len());
-    results.resize_with(queries.len(), || None);
-    let mut next_query = 0usize;
-    let mut slots: Vec<Walk> = Vec::with_capacity(width);
-
-    let mut start = |q: usize, results: &mut Vec<Option<ProbeOutcome>>| -> Option<Walk> {
-        let (from, target) = queries[q];
-        let cur_d = metric.distance(key_of(from), target);
-        if cur_d == 0.0 {
-            results[q] = Some(ProbeOutcome {
-                final_node: from,
-                hops: 0,
-            });
-            return None;
-        }
-        prefetch_read(&offsets[from as usize]);
-        prefetch_read(&offsets[from as usize + 1]);
-        Some(Walk {
-            query: q,
-            from,
-            cur: from,
-            goal: from, // unused in probe mode
-            target,
-            cur_d,
-            hops: 0,
-            row: (0, 0),
-            stage: Stage::FetchRow,
-            path: Vec::new(),
-        })
+    let opts = RouteOptions {
+        max_hops,
+        record_path: false,
     };
-
-    while slots.len() < width && next_query < queries.len() {
-        if let Some(w) = start(next_query, &mut results) {
-            slots.push(w);
-        }
-        next_query += 1;
-    }
-
-    while !slots.is_empty() {
-        let mut i = 0;
-        while i < slots.len() {
-            let w = &mut slots[i];
-            let finished: Option<ProbeOutcome> = match w.stage {
-                Stage::FetchRow => {
-                    let a = offsets[w.cur as usize] as usize;
-                    let b = offsets[w.cur as usize + 1] as usize;
-                    w.row = (a, b);
-                    prefetch_span(&edges[a..b]);
-                    prefetch_span(&pos[a..b]);
-                    w.stage = Stage::Scan;
-                    None
-                }
-                Stage::Scan => {
-                    let (a, b) = w.row;
-                    match greedy_step_soa(metric, w.target, w.cur_d, &edges[a..b], &pos[a..b]) {
-                        None => Some(ProbeOutcome {
-                            final_node: w.cur,
-                            hops: w.hops,
-                        }),
-                        Some((next, d)) => {
-                            w.cur = next;
-                            w.cur_d = d;
-                            w.hops += 1;
-                            // Budget and exact-arrival checks both stop
-                            // the walk with the same (node, hops) the
-                            // scalar loop reports.
-                            if w.hops >= max_hops || d == 0.0 {
-                                Some(ProbeOutcome {
-                                    final_node: next,
-                                    hops: w.hops,
-                                })
-                            } else {
-                                prefetch_read(&offsets[next as usize]);
-                                prefetch_read(&offsets[next as usize + 1]);
-                                w.stage = Stage::FetchRow;
-                                None
-                            }
-                        }
-                    }
-                }
-            };
-            match finished {
-                None => i += 1,
-                Some(res) => {
-                    results[slots[i].query] = Some(res);
-                    loop {
-                        if next_query >= queries.len() {
-                            slots.swap_remove(i);
-                            break;
-                        }
-                        let q = next_query;
-                        next_query += 1;
-                        if let Some(w) = start(q, &mut results) {
-                            slots[i] = w;
-                            i += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every probe retires exactly once"))
-        .collect()
+    interleave(table, metric, queries, &opts, width, key_of, ToKey)
 }
 
 #[cfg(test)]

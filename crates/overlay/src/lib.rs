@@ -26,8 +26,8 @@
 //!
 //! The framework lives in [`placement`], [`route`], [`soa`],
 //! [`interleaved`] and [`degraded`]; `route`'s module docs tell the
-//! three-tier kernel story (slice reference → chunked SoA →
-//! interleaved AMAC batches).
+//! two-kernel story (the reference walk for one lookup, interleaved
+//! AMAC batches for many).
 
 pub mod chord;
 pub mod degraded;
@@ -43,10 +43,10 @@ pub mod symphony;
 pub use interleaved::{probe_interleaved, route_interleaved, ProbeOutcome, DEFAULT_INTERLEAVE};
 pub use placement::{Placement, PlacementError};
 pub use route::{
-    greedy_candidates, greedy_candidates_into, greedy_candidates_soa, greedy_route, greedy_step,
-    greedy_step_soa, Overlay, RingView, RouteOptions, RouteResult, RoutingSurvey,
+    greedy_candidates, greedy_candidates_into, greedy_route, greedy_step, greedy_step_soa, Overlay,
+    RingView, RouteOptions, RouteResult, RoutingSurvey,
 };
-pub use soa::{greedy_route_batch_on, greedy_route_on, KernelTier, RouteTable};
+pub use soa::RouteTable;
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {

@@ -12,53 +12,48 @@
 //! independent lookups across threads — the batched path that feeds
 //! [`RoutingSurvey`] and the experiment harness.
 //!
-//! # Three kernel tiers, one semantics
+//! # Two kernels, one semantics, one dispatch rule
 //!
-//! Greedy routing exists in three implementations that must be (and are
-//! tested to be) **bit-identical**, each owning a different regime:
+//! Table-backed greedy routing has two implementations that must be
+//! (and are tested to be) **bit-identical**. Which one runs is decided
+//! by the *shape of the call*, never by table size, backing store or a
+//! setting:
 //!
-//! 1. the **slice-based reference** — [`greedy_step`] /
-//!    [`greedy_candidates`] over `(id, key)` pairs, used by [`RingView`]
-//!    (dynamic protocols route over borrowed per-peer views that mutate
-//!    under churn, so there is nothing contiguous to scan), and kept as
-//!    the readable spec of the tie-break rule: *strict* improvement over
-//!    the running best, earliest candidate wins exact distance ties.
-//!    While the key array is cache-resident (below the
-//!    [`kernel_crossover`](crate::soa::kernel_crossover), default
-//!    `2²⁰` peers, overridable via `SW_KERNEL_CROSSOVER`), its gathers
-//!    are cheap and it wins outright.
-//! 2. the **chunked SoA kernel** — [`greedy_step_soa`] /
-//!    [`greedy_candidates_soa`], scanning the key-aligned per-edge
-//!    position lanes of a [`RouteTable`](crate::soa::RouteTable) in
-//!    fixed-width [`LANES`]-wide chunks (constant-trip-count inner
+//! 1. **One lookup → the reference walk.** [`Overlay::route`] runs
+//!    [`greedy_route`]'s loop: [`greedy_step`] over the `(id, key)`
+//!    pairs of the current peer's contact row, keys gathered through
+//!    the placement. It is the readable spec of the tie-break rule —
+//!    *strict* improvement over the running best, earliest candidate
+//!    wins exact distance ties — and the oracle everything else is
+//!    compared against. The id rows come from [`Overlay::contacts`]: a
+//!    heap CSR for most overlays, or straight out of a
+//!    [`RouteTable`](crate::soa::RouteTable)'s store, so a network
+//!    reopened from a frozen arena routes single lookups without
+//!    unpacking anything. A lone walk is a dependent pointer chase
+//!    whichever way its rows are scanned, and the gathers are what
+//!    measured fastest for it at every size from 10³ to 10⁷ peers.
+//! 2. **A batch → the interleaved AMAC loop.** [`Overlay::route_chunk`]
+//!    — which [`route_batch`] feeds one contiguous chunk per worker
+//!    thread — hands a table-backed overlay's chunk to
+//!    [`route_interleaved`](crate::interleaved::route_interleaved) at
+//!    [`DEFAULT_INTERLEAVE`](crate::interleaved::DEFAULT_INTERLEAVE)
+//!    walks in flight, each walk's next offset pair / edge row /
+//!    position lane software-prefetched one round ahead so dependent
+//!    misses overlap (memory-*bandwidth*-bound instead of
+//!    latency-bound; E25 sweeps the width). Its per-hop decision is
+//!    [`greedy_step_soa`]: the row's key-aligned position lane scanned
+//!    in fixed-width [`LANES`]-wide chunks (constant-trip-count inner
 //!    loops, no bounds checks, distance arithmetic branch-free on the
-//!    data), with the strict-`<` left-to-right fold preserving the
-//!    reference tie-break exactly. Above the crossover a hop touches one
-//!    or two *sequential* cache lines instead of gathering
-//!    `placement.key(v)` per candidate (measured in E20's old-vs-new
-//!    sweep). This is the tier for *single* routes over big tables —
-//!    each hop still pays full DRAM latency for its row.
-//! 3. the **interleaved AMAC kernel** —
-//!    [`route_interleaved`](crate::interleaved::route_interleaved),
-//!    which takes a *batch* of independent walks and keeps
-//!    `K` ≈ [`DEFAULT_INTERLEAVE`](crate::interleaved::DEFAULT_INTERLEAVE)
-//!    of them in flight per thread as explicit state machines,
-//!    software-prefetching each walk's next offset pair / edge row /
-//!    position lane one round ahead so dependent misses overlap
-//!    (memory-*bandwidth*-bound instead of latency-bound). Per-hop
-//!    decisions go through the same [`greedy_step_soa`], so this tier is
-//!    the batched form of tier 2, not a fourth semantics. E25 sweeps the
-//!    interleave width and measures the win at 10⁷ peers.
+//!    data), the strict-`<` left-to-right fold preserving the reference
+//!    tie-break exactly. The same primitive is the simulator's per-hop
+//!    step ([`RouteTable::step`](crate::soa::RouteTable::step)).
 //!
-//! Dispatch: [`Overlay::route`] picks tier 1 or 2 per route
-//! ([`RouteTable::prefers_soa`](crate::soa::RouteTable::prefers_soa));
-//! [`Overlay::route_chunk`] — which [`route_batch`] feeds one contiguous
-//! chunk per worker thread — lets an overlay escalate wide chunks to
-//! tier 3 ([`RouteTable::kernel_tier`](crate::soa::RouteTable::kernel_tier)
-//! is the policy). [`crate::soa::greedy_route_on`] debug-asserts
-//! tier-1/tier-2 agreement on every hop, the interleaved kernel
-//! debug-asserts its carried distances against the placement, and the
-//! equivalence proptest drives all three tiers over the same workloads.
+//! [`RingView`] — dynamic protocols route over borrowed per-peer views
+//! that mutate under churn, so there is nothing contiguous to scan —
+//! always goes through the slice-based [`greedy_step`] /
+//! [`greedy_candidates`]. Debug builds check every interleaved hop
+//! against [`greedy_step`] over the same row, and the equivalence
+//! proptests drive both kernels over the same workloads.
 
 use crate::placement::Placement;
 use sw_graph::csr::Topology as CsrTopology;
@@ -122,18 +117,20 @@ pub trait Overlay: Sync {
         self.topology().neighbors(u)
     }
 
-    /// Greedy distance-minimizing route from `from` toward `target`.
+    /// Greedy distance-minimizing route from `from` toward `target`:
+    /// the reference walk ([`greedy_route`]'s loop) over
+    /// [`Overlay::contacts`] rows.
     fn route(&self, from: NodeId, target: Key, opts: &RouteOptions) -> RouteResult {
-        greedy_route(self.placement(), self.topology(), from, target, opts)
+        greedy_walk(self.placement(), |u| self.contacts(u), from, target, opts)
     }
 
     /// Routes a contiguous chunk of independent queries — the unit
     /// [`route_batch`] hands each worker thread. The default loops
     /// [`Overlay::route`]; overlays backed by a
-    /// [`RouteTable`](crate::soa::RouteTable) override this to escalate
-    /// wide chunks to the interleaved AMAC kernel. Overrides must stay
-    /// bit-identical to the default (the contract [`route_batch`]'s
-    /// determinism rests on).
+    /// [`RouteTable`](crate::soa::RouteTable) override this with the
+    /// interleaved AMAC kernel. Overrides must stay bit-identical to
+    /// the default (the contract [`route_batch`]'s determinism rests
+    /// on).
     fn route_chunk(&self, queries: &[(NodeId, Key)], opts: &RouteOptions) -> Vec<RouteResult> {
         queries
             .iter()
@@ -232,7 +229,7 @@ pub fn greedy_candidates_into(
     out.sort_by(|a, b| a.1.total_cmp(&b.1));
 }
 
-/// Lane width of the chunked SoA kernels: 8 `f64`s — one 64-byte cache
+/// Lane width of the chunked SoA row scan: 8 `f64`s — one 64-byte cache
 /// line per chunk, and wide enough for the autovectorizer to use full
 /// vector registers on the distance arithmetic.
 pub const LANES: usize = 8;
@@ -300,31 +297,6 @@ pub fn greedy_step_soa(
         }
     }
     (best_i != usize::MAX).then(|| (ids[best_i], best_d))
-}
-
-/// The SoA twin of [`greedy_candidates`]: the full ranked failover
-/// ladder over a CSR row's aligned lanes (every strict improver, sorted
-/// closest-first, duplicates kept at first position). Not a hot path —
-/// only iterative requesters ask for the whole ladder — so the scan is
-/// scalar; identical output to the reference by construction.
-pub fn greedy_candidates_soa(
-    metric: sw_keyspace::Topology,
-    target: Key,
-    cur_d: f64,
-    ids: &[NodeId],
-    pos: &[f64],
-) -> Vec<(NodeId, f64)> {
-    debug_assert_eq!(ids.len(), pos.len(), "SoA lanes must align with ids");
-    let t = target.get();
-    let mut out: Vec<(NodeId, f64)> = Vec::new();
-    for (&v, &p) in ids.iter().zip(pos) {
-        let d = lane_distance(metric, t, p);
-        if d < cur_d && !out.iter().any(|&(u, _)| u == v) {
-            out.push((v, d));
-        }
-    }
-    out.sort_by(|a, b| a.1.total_cmp(&b.1));
-    out
 }
 
 /// A peer's *local* ring view: predecessor, successor list and long-range
@@ -415,7 +387,8 @@ impl RingView<'_> {
     }
 }
 
-/// The greedy engine itself, reading neighbour slices from the CSR.
+/// The greedy engine itself — the reference walk — reading neighbour
+/// slices from the CSR.
 ///
 /// The goal peer is the placement-wide nearest peer to `target`; success
 /// means reaching exactly that peer. A hop is taken only if it *strictly*
@@ -426,6 +399,19 @@ impl RingView<'_> {
 pub fn greedy_route(
     placement: &Placement,
     topo: &CsrTopology,
+    from: NodeId,
+    target: Key,
+    opts: &RouteOptions,
+) -> RouteResult {
+    greedy_walk(placement, |u| topo.neighbors(u), from, target, opts)
+}
+
+/// [`greedy_route`]'s loop over any source of contact-id rows: `row_of`
+/// is a heap CSR for [`greedy_route`] itself and [`Overlay::contacts`]
+/// for [`Overlay::route`].
+fn greedy_walk<'a>(
+    placement: &Placement,
+    row_of: impl Fn(NodeId) -> &'a [NodeId],
     from: NodeId,
     target: Key,
     opts: &RouteOptions,
@@ -446,7 +432,7 @@ pub fn greedy_route(
             placement.topology(),
             target,
             cur_d,
-            topo.neighbors(cur).iter().map(|&v| (v, placement.key(v))),
+            row_of(cur).iter().map(|&v| (v, placement.key(v))),
         );
         let Some((best, _)) = step else {
             // Local minimum away from the goal: routing failure.
@@ -461,7 +447,7 @@ pub fn greedy_route(
     finish_route(true, hops, path, from, cur, opts)
 }
 
-/// Assembles a [`RouteResult`], shared by both greedy engines.
+/// Assembles a [`RouteResult`], shared by every walk in the crate.
 pub(crate) fn finish_route(
     success: bool,
     hops: u32,
@@ -866,12 +852,8 @@ mod tests {
                 let cur_d = rng.f64();
                 let pairs = ids.iter().copied().zip(keys.iter().copied());
                 assert_eq!(
-                    greedy_step(metric, target, cur_d, pairs.clone()),
+                    greedy_step(metric, target, cur_d, pairs),
                     greedy_step_soa(metric, target, cur_d, &ids, &pos),
-                );
-                assert_eq!(
-                    greedy_candidates(metric, target, cur_d, pairs),
-                    greedy_candidates_soa(metric, target, cur_d, &ids, &pos),
                 );
             }
         }

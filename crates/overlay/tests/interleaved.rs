@@ -47,8 +47,8 @@ fn reference_loop(
 }
 
 /// Overlay wrapper whose `route_chunk` goes through the interleaved
-/// kernel at a fixed width — what a table-backed network does for wide
-/// chunks — so `route_batch` exercises tier 3 across thread counts.
+/// kernel at a chosen width — what a table-backed network does for
+/// every chunk — so `route_batch` exercises it across thread counts.
 struct InterleavedOverlay<'a> {
     inner: &'a Symphony,
     table: &'a RouteTable,

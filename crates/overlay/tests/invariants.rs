@@ -220,16 +220,18 @@ proptest! {
         let dt = sw_overlay::RouteTable::build(d.topology().clone(), |v| p.key(v).get());
         assert_lanes_aligned(&dt, d.topology(), &p);
 
-        // And the chunked kernel agrees with the reference over the
-        // degraded rows (the bit-identity contract under degradation).
+        // And the lane-scanning kernel agrees with the reference over
+        // the degraded rows (the bit-identity contract under degradation).
         let opts = RouteOptions { max_hops: n as u32, record_path: true };
-        for _ in 0..16 {
-            let from = d.random_alive(&mut rng);
-            let target = p.key(d.random_alive(&mut rng));
-            let a = sw_overlay::greedy_route(&p, d.topology(), from, target, &opts);
-            let b = sw_overlay::greedy_route_on(&p, &dt, from, target, &opts);
-            prop_assert_eq!(a, b);
-        }
+        let queries: Vec<(u32, sw_keyspace::Key)> = (0..16)
+            .map(|_| (d.random_alive(&mut rng), p.key(d.random_alive(&mut rng))))
+            .collect();
+        let a: Vec<_> = queries
+            .iter()
+            .map(|&(from, target)| sw_overlay::greedy_route(&p, d.topology(), from, target, &opts))
+            .collect();
+        let b = sw_overlay::route_interleaved(&p, &dt, &queries, &opts, sw_overlay::DEFAULT_INTERLEAVE);
+        prop_assert_eq!(a, b);
     }
 
     /// `freeze_to` → `open_from` round-trips the whole routing table —

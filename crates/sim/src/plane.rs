@@ -34,11 +34,9 @@
 //!   millions of envelopes in flight.
 //! * [`PlaneBackend::Heap`] — the original
 //!   `BinaryHeap<Reverse<Envelope>>`. It stays compiled both as the
-//!   oracle the wheel is property-tested against and as the honest
-//!   baseline E22's scale rows measure. Building `sw-sim` with the
-//!   `heap-plane` cfg feature flips [`MessagePlane::new`]'s default
-//!   back to the heap, so any seeded run can be replayed on the
-//!   reference backend without code changes.
+//!   oracle the wheel is property-tested against; any seeded run can
+//!   be replayed on it through [`MessagePlane::with_backend`] /
+//!   `SimConfig::plane`.
 //!
 //! ## How the wheel preserves the exact heap order
 //!
@@ -99,19 +97,14 @@ pub enum PlaneBackend {
     /// Hierarchical timing wheel — O(1) amortized send/deliver.
     Wheel,
     /// `BinaryHeap` reference — O(log n) per operation; the oracle the
-    /// wheel is property-tested against and E22's measured baseline.
+    /// wheel is property-tested against.
     Heap,
 }
 
 impl PlaneBackend {
-    /// The build's default backend: the wheel, unless the `heap-plane`
-    /// cfg feature pins the reference implementation.
+    /// The default backend: the wheel.
     pub fn default_backend() -> PlaneBackend {
-        if cfg!(feature = "heap-plane") {
-            PlaneBackend::Heap
-        } else {
-            PlaneBackend::Wheel
-        }
+        PlaneBackend::Wheel
     }
 }
 
@@ -418,8 +411,7 @@ impl<M> Default for MessagePlane<M> {
 }
 
 impl<M> MessagePlane<M> {
-    /// An empty plane at time zero, on the build's default backend
-    /// (the wheel; the `heap-plane` cfg feature flips it).
+    /// An empty plane at time zero, on the default backend (the wheel).
     pub fn new() -> MessagePlane<M> {
         Self::with_backend(PlaneBackend::default_backend())
     }

@@ -43,6 +43,11 @@
 //! with no window clamping) is compared against the windowed driver in
 //! the property tests below.
 //!
+//! The key's two halves are 32 bits each, which bounds a run: peer ids
+//! are `u32`, and one peer may send fewer than 2³² messages. A wrapped
+//! sequence would reuse keys and silently break the merge order, so the
+//! engine panics on the 2³²-th send of any one peer instead.
+//!
 //! Floating-point *accumulator* lanes ([`OnlineStats`]) are excluded
 //! from the parity fingerprint: per-shard accumulation then merge folds
 //! the same samples in a different order than one serial accumulator,
@@ -923,7 +928,10 @@ impl Shard {
         let key = {
             let n = &mut self.nodes[li];
             let key = ((from as u64) << 32) | n.send_ctr as u64;
-            n.send_ctr = n.send_ctr.wrapping_add(1);
+            n.send_ctr = n
+                .send_ctr
+                .checked_add(1)
+                .expect("per-sender sequence exhausted: 2^32 sends");
             key
         };
         let dst = (to % g.shards) as usize;
@@ -2062,6 +2070,14 @@ mod tests {
             lookahead(&LatencyModel::Constant(SimTime::ZERO)),
             SimTime(1)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "per-sender sequence exhausted")]
+    fn exhausted_sender_sequence_panics_instead_of_wrapping() {
+        let mut sim = ShardedSimulator::new(base_cfg(3), Arc::new(Uniform), 1, HORIZON);
+        sim.shards[0].nodes[0].send_ctr = u32::MAX;
+        sim.shards[0].send_ev(&sim.global, 0, 0, SimTime(1), Ev::JoinWake);
     }
 
     #[test]

@@ -283,6 +283,69 @@ fn parallel_refactor_preserves_routing_exactly() {
     }
 }
 
+/// Both routing kernels, on both backing stores, against the looped
+/// reference: `route` (one lookup → the reference walk over the table's
+/// own id rows) and `route_batch` (chunks → the interleaved kernel) must
+/// return `greedy_route`'s `RouteResult`s exactly, for a freshly built
+/// (heap) network and for the same network frozen and reopened (arena),
+/// whatever the batch length, chunking, hop budget or path recording.
+#[test]
+fn reopened_overlay_routes_like_the_reference() {
+    use smallworld::overlay::route::{route_batch, survey_queries, RouteOptions, TargetModel};
+    use smallworld::overlay::{greedy_route, RouteResult};
+
+    let n = 8192;
+    let dist = || TruncatedPareto::new(1.5, 0.01).unwrap();
+    let mut rng = Rng::new(51);
+    let heap = SmallWorldBuilder::new(n)
+        .distribution(Box::new(dist()))
+        .sampler(LinkSampler::Harmonic)
+        .build(&mut rng)
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!("smallworld-e2e-reopen-{}", std::process::id()));
+    heap.freeze_to(&dir).unwrap();
+    let reopened = SmallWorldNetwork::open_from(&dir, *heap.config(), Arc::new(dist())).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Member lookups with a self-route (retires before its first hop)
+    // in every fifth slot, first one included.
+    let placement = heap.placement();
+    let mut workload = survey_queries(placement, 600, TargetModel::MemberKeys, &mut rng);
+    for q in workload.iter_mut().step_by(5) {
+        q.1 = placement.key(q.0);
+    }
+    let generous = RouteOptions::for_n(n);
+    assert!(generous.record_path);
+    let tight = RouteOptions {
+        max_hops: 2,
+        record_path: false,
+    };
+    for opts in [generous, tight] {
+        let reference: Vec<RouteResult> = workload
+            .iter()
+            .map(|&(from, t)| greedy_route(placement, heap.topology(), from, t, &opts))
+            .collect();
+        let failed = reference.iter().filter(|r| !r.success).count();
+        assert_eq!(failed > 0, opts.max_hops == 2, "budget {}", opts.max_hops);
+        for (store, net) in [("heap", &heap), ("arena", &reopened)] {
+            let single: Vec<RouteResult> = workload
+                .iter()
+                .map(|&(from, t)| net.route(from, t, &opts))
+                .collect();
+            assert_eq!(single, reference, "{store} route");
+            for len in [1, 7, 8, 600] {
+                for threads in [1, 3] {
+                    assert_eq!(
+                        route_batch(net, &workload[..len], &opts, threads),
+                        reference[..len],
+                        "{store} route_batch len={len} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Determinism across the whole stack: same seed, same everything.
 #[test]
 fn cross_crate_determinism() {
