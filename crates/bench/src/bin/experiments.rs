@@ -15,17 +15,6 @@ use sw_bench::{registry, Ctx};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden subcommand: E21's multi-process cell re-invokes this binary
-    // as a shard worker. Must dispatch before normal flag parsing.
-    if args.first().map(String::as_str) == Some("e21-worker") {
-        return match sw_bench::experiments::shard::e21_worker(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("e21-worker: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     let mut ctx = Ctx::default();
     let mut selected: Vec<String> = Vec::new();
     let mut iter = args.into_iter();

@@ -142,10 +142,11 @@ fn run_size(ctx: &Ctx, n: usize, queries: usize, rows: &mut Vec<InterleaveRow>) 
     let topo = net.topology();
 
     // Heap-backed table (same CSR, lanes on the heap) vs the frozen
-    // arena reopened from disk (mmap-backed under sw-bench).
+    // arena reopened from disk (validated reopen, mmap-backed under
+    // sw-bench).
     let keys: Vec<f64> = net.placement().keys().iter().map(|k| k.get()).collect();
     let heap_table = RouteTable::build_parallel(topo.clone(), &keys, 0);
-    let reopened = SmallWorldNetwork::open_from_trusted(&dir, *net.config(), Arc::new(Uniform))
+    let reopened = SmallWorldNetwork::open_from(&dir, *net.config(), Arc::new(Uniform))
         .expect("reopen overlay");
 
     // One-at-a-time baseline per backend: the reference walk over the

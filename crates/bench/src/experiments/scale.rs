@@ -7,12 +7,13 @@
 //! (`build_frozen` on unix — per-peer sampling with the harmonic rule
 //! straight into write-through mappings of the destination files, so
 //! `construct_secs` covers the whole pipeline and `freeze_secs` ≈ 0;
-//! E21 compares this against the old heap path), then routed with the
-//! looped slice-based reference walk (timed), reopened *trusted* (no
-//! O(m) validation scans; we froze the file ourselves) and routed again
-//! through `route_batch` — the interleaved kernel over the arena — with
-//! the two result sequences asserted bit-identical (E25 times that
-//! kernel). Writes `BENCH_scale.json` (repo root, CI artifact) alongside
+//! E21 compares this against the heap path), then routed with the
+//! looped slice-based reference walk (timed), reopened through
+//! `open_from` — the validated reopen, so `open_secs` includes the O(m)
+//! structural scans (the committed 10⁷ rows predate that and timed a
+//! scan-free reopen) — and routed again through `route_batch` — the
+//! interleaved kernel over the arena — with the two result sequences
+//! asserted bit-identical (E25 times that kernel). Writes `BENCH_scale.json` (repo root, CI artifact) alongside
 //! the table and CSV; rows merge by id so E21's `shard/*` rows persist.
 //!
 //! The full sweep is n ∈ {10⁵, 10⁶, 10⁷}; `--quick` (CI smoke) runs
@@ -137,7 +138,7 @@ pub fn e20_scale(ctx: &Ctx) {
 
 /// One (n, distribution) cell: build straight into the arena (the
 /// pipeline E21 dissects), route the reference, freeze, reopen
-/// *trusted*, route again, verify bit-identity throughout.
+/// (validated), route again, verify bit-identity throughout.
 fn run_cell(
     ctx: &Ctx,
     n: usize,
@@ -192,14 +193,14 @@ fn run_cell(
         ref_results.iter().map(|r| r.hops as f64).sum::<f64>() / ref_results.len().max(1) as f64;
     let bytes_per_peer = net.resident_bytes() as f64 / n as f64;
 
-    // Reopen the frozen dir without the O(m) validation scans (we froze
-    // it ourselves two steps ago) and route the same workload over the
+    // Validated reopen of the frozen dir (`open_secs` includes the O(m)
+    // structural scans), then route the same workload over the
     // arena-backed table; results must not change.
     let config = *net.config();
     drop(net);
     let t0 = Instant::now();
-    let reopened = SmallWorldNetwork::open_from_trusted(&dir, config, Arc::from(make_dist()))
-        .expect("reopen overlay");
+    let reopened =
+        SmallWorldNetwork::open_from(&dir, config, Arc::from(make_dist())).expect("reopen overlay");
     let open_s = t0.elapsed().as_secs_f64();
     let reopened_results = route_batch(&reopened, &workload, &opts, 0);
     assert_eq!(

@@ -1,104 +1,119 @@
-//! E21 — the sharded zero-copy construction pipeline, dissected.
+//! E21 — the construction pipeline, dissected: heap vs arena vs
+//! write-through.
 //!
-//! Four cells over the same `(n, seed)`:
+//! Three cells over the same `(n, seed)`, asserted **byte-identical**
+//! to one another:
 //!
-//! 1. **heap** — the old path: `build()` through the heap CSR +
+//! 1. **heap** — the oracle path: `build()` through the heap CSR +
 //!    `LinkTable`, then `freeze_to` re-packs everything into the arena
 //!    images. The honest same-machine reference for the speedup claims.
 //! 2. **fast** — `build_to_arena()`: one sampling pass, links written
-//!    straight into the final arena image, freeze is a write-back.
-//!    2b. **frozen** (unix) — `build_frozen()`: the same pipeline, but
-//!    the image is assembled *inside a write-through mapping of the
-//!    destination file*, so the freeze column is ~0 by construction;
-//!    asserted byte-identical to the fast cell.
-//! 3. **inproc** — `build_sharded(seed, K)`: K consecutive sections
-//!    built in-process and stitched; asserted **byte-identical** to the
-//!    fast cell's arenas.
-//! 4. **multiproc** — K spawned worker processes (this same binary with
-//!    the hidden `e21-worker` subcommand), each independently
-//!    re-deriving the placement from the root seed, building one shard
-//!    and writing section files; the driver stitches the files and
-//!    asserts byte-identity again. This is the distributed-construction
-//!    story end to end: no shared memory, only the seed and a directory.
+//!    straight into the final arena image in a heap buffer, freeze is a
+//!    write-back. Its images are compared with the files the heap cell
+//!    froze.
+//! 3. **frozen** (unix) — `build_frozen()`: the same pipeline, but the
+//!    image is assembled *inside a write-through mapping of the
+//!    destination file*, so the freeze column is 0 by construction;
+//!    compared with the fast cell.
 //!
-//! With `SW_E21_HUGE=1` (full mode only) a fifth cell builds a
+//! The fast and frozen cells print their [`BuildProfile`] — where the
+//! build's wall-clock went, stage by stage.
+//!
+//! With `SW_E21_HUGE=1` (full mode, unix only) a fourth cell builds a
 //! **10⁸-peer** overlay (uniform keys, constant out-degree 8 to respect
-//! the arena's `u32` edge space) through the sharded path and freezes
-//! it, recording peers/s, bytes/peer and peak RSS.
+//! the arena's `u32` edge space) through `build_frozen`, recording
+//! peers/s, bytes/peer and peak RSS.
 //!
-//! `--quick` (the CI smoke) runs n = 20 000 with K = 2, in-process
-//! cells only. `SW_E21_MAX_N` caps the full-mode n like E20's knob.
-//! Rows merge into `BENCH_scale.json` under `shard/*` ids.
+//! `--quick` (the CI smoke) runs n = 20 000. `SW_E21_MAX_N` caps the
+//! full-mode n like E20's knob. Rows merge into `BENCH_scale.json` under
+//! the `shard/*` ids the committed snapshot already uses.
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, Table};
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::Path;
 use std::time::Instant;
-use sw_core::config::{LinkSampler, OutDegree};
-use sw_core::{shard_ranges, ArenaBuild, ShardSections, SmallWorldBuilder};
-use sw_graph::writer::stitch_files;
-use sw_keyspace::distribution::{KeyDistribution, TruncatedPareto, Uniform};
+use sw_core::config::LinkSampler;
+use sw_core::{ArenaBuild, BuildProfile, SmallWorldBuilder};
+use sw_keyspace::distribution::Uniform;
 use sw_keyspace::Rng;
 
-/// The one place the builder for a given `(n, dist)` cell is defined —
-/// driver and spawned workers both call this, so their configurations
-/// cannot diverge.
-fn cell_builder(n: usize, dist: &str) -> SmallWorldBuilder {
-    let b = SmallWorldBuilder::new(n)
+fn cell_builder(n: usize) -> SmallWorldBuilder {
+    SmallWorldBuilder::new(n)
+        .distribution(Box::new(Uniform))
         .sampler(LinkSampler::Harmonic)
-        .parallelism(0);
-    match dist {
-        "uniform" => b.distribution(Box::new(Uniform)),
-        "pareto" => b.distribution(Box::new(TruncatedPareto::new(1.5, 0.01).expect("valid"))),
-        other => panic!("unknown e21 distribution {other:?}"),
-    }
-}
-
-fn assumed_for(dist: &str) -> Arc<dyn KeyDistribution> {
-    match dist {
-        "uniform" => Arc::new(Uniform),
-        "pareto" => Arc::new(TruncatedPareto::new(1.5, 0.01).expect("valid")),
-        other => panic!("unknown e21 distribution {other:?}"),
-    }
+        .parallelism(0)
 }
 
 fn arena_bytes(build: &ArenaBuild) -> usize {
     build.contacts().as_bytes().len() + build.long().as_bytes().len()
 }
 
-/// E21 — sharded construction pipeline (see module docs).
+fn print_profile(cell: &str, p: BuildProfile) {
+    println!(
+        "  [e21] {cell} profile (s): placement {:.3}, sample {:.3}, long fill {:.3}, \
+         long finish {:.3}, degree count {:.3}, contact fill {:.3}, contact finish {:.3}",
+        p.placement_s,
+        p.sample_s,
+        p.long_fill_s,
+        p.long_finish_s,
+        p.degree_count_s,
+        p.contact_fill_s,
+        p.contact_finish_s
+    );
+}
+
+/// Asserts the file at `path` holds exactly `image`, streaming it in
+/// 1 MiB reads so a 10⁷-peer comparison costs no resident memory.
+fn assert_file_is(path: &Path, image: &[u8], what: &str) {
+    use std::io::Read as _;
+    let mut file = std::fs::File::open(path).expect("open frozen image");
+    let mut chunk = vec![0u8; 1 << 20];
+    let mut at = 0usize;
+    loop {
+        let k = file.read(&mut chunk).expect("read frozen image");
+        if k == 0 {
+            break;
+        }
+        assert!(
+            image.get(at..at + k) == Some(&chunk[..k]),
+            "{what}: heap-frozen file differs from the arena image near byte {at}"
+        );
+        at += k;
+    }
+    assert_eq!(at, image.len(), "{what}: image length differs");
+}
+
+/// E21 — construction pipeline (see module docs).
 pub fn e21_shard(ctx: &Ctx) {
     let max_n: usize = std::env::var("SW_E21_MAX_N")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(usize::MAX);
-    let (n, shards) = if ctx.quick {
-        (20_000, 2)
+    let n = if ctx.quick {
+        20_000
     } else {
-        (10_000_000.min(max_n), 4)
+        10_000_000.min(max_n)
     };
-    let dist = "uniform";
     let seed = ctx.seed ^ 21 ^ n as u64;
-    let builder = cell_builder(n, dist);
+    let builder = cell_builder(n);
     let mut table = Table::new(
-        format!("E21: sharded zero-copy construction (n={n}, {shards} shards, {dist} keys)"),
+        format!("E21: construction pipeline, heap vs arena vs write-through (n={n}, uniform keys)"),
         &["cell", "n", "build (s)", "freeze (s)", "peers/s", "detail"],
     );
     let mut rows: Vec<(String, String)> = Vec::new();
 
     // 1. Heap-path reference: build through the intermediate CSR +
-    //    LinkTable, then re-pack into arenas at freeze time.
+    //    LinkTable, then re-pack into arenas at freeze time. The frozen
+    //    files stay until the fast cell has been compared with them.
     println!("  [e21] heap reference: building…");
     let t0 = Instant::now();
     let net = builder.build(&mut Rng::new(seed)).expect("n >= 4");
     let heap_build_s = t0.elapsed().as_secs_f64();
-    let dir = ctx::scratch_dir().join(format!("sw-e21-heap-{n}"));
+    let heap_dir = ctx::scratch_dir().join(format!("sw-e21-heap-{n}"));
     let t0 = Instant::now();
-    net.freeze_to(&dir).expect("freeze heap-built overlay");
+    net.freeze_to(&heap_dir).expect("freeze heap-built overlay");
     let heap_freeze_s = t0.elapsed().as_secs_f64();
     drop(net);
-    std::fs::remove_dir_all(&dir).ok();
     let heap_total = heap_build_s + heap_freeze_s;
     table.row(vec![
         "heap".into(),
@@ -106,7 +121,7 @@ pub fn e21_shard(ctx: &Ctx) {
         f2(heap_build_s),
         f2(heap_freeze_s),
         format!("{:.0}", n as f64 / heap_total),
-        "old path: heap CSR + LinkTable, re-pack at freeze".into(),
+        "oracle path: heap CSR + LinkTable, re-pack at freeze".into(),
     ]);
     rows.push((
         format!("shard/heap/{n}"),
@@ -121,6 +136,15 @@ pub fn e21_shard(ctx: &Ctx) {
     let t0 = Instant::now();
     let fast = builder.build_to_arena(&mut Rng::new(seed)).expect("n >= 4");
     let fast_build_s = t0.elapsed().as_secs_f64();
+    // The heap cell's files go before the fast cell freezes its own, so
+    // at most one extra image set is on disk at a time.
+    assert_file_is(
+        &heap_dir.join("contacts.swt"),
+        fast.contacts().as_bytes(),
+        "contacts",
+    );
+    assert_file_is(&heap_dir.join("long.swt"), fast.long().as_bytes(), "long");
+    std::fs::remove_dir_all(&heap_dir).ok();
     let dir = ctx::scratch_dir().join(format!("sw-e21-fast-{n}"));
     let t0 = Instant::now();
     fast.freeze_to(&dir).expect("freeze arena build");
@@ -130,13 +154,14 @@ pub fn e21_shard(ctx: &Ctx) {
     let speedup = heap_total / fast_total;
     let bytes_per_peer = arena_bytes(&fast) as f64 / n as f64;
     let rss = ctx::peak_rss_bytes().unwrap_or(0);
+    print_profile("fast", fast.profile());
     table.row(vec![
         "fast".into(),
         n.to_string(),
         f2(fast_build_s),
         f2(fast_freeze_s),
         format!("{:.0}", n as f64 / fast_total),
-        format!("{speedup:.2}x vs heap, {bytes_per_peer:.1} B/peer"),
+        format!("{speedup:.2}x vs heap, {bytes_per_peer:.1} B/peer; == heap-frozen files"),
     ]);
     rows.push((
         format!("shard/fast/{n}"),
@@ -149,8 +174,8 @@ pub fn e21_shard(ctx: &Ctx) {
         ),
     ));
 
-    // 2b. Write-through build: seal the arenas inside mappings of the
-    //     destination files — freezing costs nothing extra.
+    // 3. Write-through build: seal the arenas inside mappings of the
+    //    destination files — freezing costs nothing extra.
     #[cfg(all(unix, target_pointer_width = "64"))]
     {
         println!("  [e21] write-through frozen: building…");
@@ -170,6 +195,7 @@ pub fn e21_shard(ctx: &Ctx) {
             frozen.long().as_bytes(),
             "write-through long links must equal the heap-buffered image"
         );
+        print_profile("frozen", frozen.profile());
         drop(frozen);
         std::fs::remove_dir_all(&dir).ok();
         let speedup = heap_total / frozen_s;
@@ -179,7 +205,7 @@ pub fn e21_shard(ctx: &Ctx) {
             f2(frozen_s),
             "0.00".into(),
             format!("{:.0}", n as f64 / frozen_s),
-            format!("{speedup:.2}x vs heap; freeze folded into the build"),
+            format!("{speedup:.2}x vs heap; freeze folded into the build; == fast"),
         ]);
         rows.push((
             format!("shard/frozen/{n}"),
@@ -193,99 +219,42 @@ pub fn e21_shard(ctx: &Ctx) {
         ));
     }
 
-    // 3. In-process sharded build: K sections, stitched, byte-compared.
-    println!("  [e21] in-process sharded: building…");
-    let t0 = Instant::now();
-    let sharded = builder.build_sharded(seed, shards).expect("shardable");
-    let inproc_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        fast.contacts().as_bytes(),
-        sharded.contacts().as_bytes(),
-        "stitched contacts must equal the monolithic image byte for byte"
-    );
-    assert_eq!(
-        fast.long().as_bytes(),
-        sharded.long().as_bytes(),
-        "stitched long links must equal the monolithic image byte for byte"
-    );
-    drop(sharded);
-    table.row(vec![
-        format!("inproc x{shards}"),
-        n.to_string(),
-        f2(inproc_s),
-        "-".into(),
-        format!("{:.0}", n as f64 / inproc_s),
-        "stitched == monolithic (asserted, every byte)".into(),
-    ]);
-    rows.push((
-        format!("shard/inproc/{n}/k{shards}"),
-        format!(
-            "{{\"id\": \"shard/inproc/{n}/k{shards}\", \"n\": {n}, \"shards\": {shards}, \
-             \"build_secs\": {inproc_s:.4}, \"byte_identical\": true, \"unit\": \"wall_secs\"}}"
-        ),
-    ));
-
-    // 4. Multi-process sharded build (full mode): spawned workers share
-    //    nothing but the root seed and a scratch directory.
-    if !ctx.quick {
-        match run_multiprocess(n, shards, dist, seed, &fast) {
-            Ok((build_s, stitch_s)) => {
-                table.row(vec![
-                    format!("multiproc x{shards}"),
-                    n.to_string(),
-                    f2(build_s),
-                    f2(stitch_s),
-                    format!("{:.0}", n as f64 / (build_s + stitch_s)),
-                    "spawned workers; stitched files == monolithic".into(),
-                ]);
-                rows.push((
-                    format!("shard/multiproc/{n}/k{shards}"),
-                    format!(
-                        "{{\"id\": \"shard/multiproc/{n}/k{shards}\", \"n\": {n}, \
-                         \"shards\": {shards}, \"build_secs\": {build_s:.4}, \
-                         \"stitch_secs\": {stitch_s:.4}, \"byte_identical\": true, \"unit\": \"wall_secs\"}}"
-                    ),
-                ));
-            }
-            Err(e) => println!("  [e21] multi-process cell skipped: {e}"),
-        }
-    }
     drop(fast);
 
-    // 5. The 10⁸-peer demonstration, opt-in: constant out-degree 8 keeps
+    // 4. The 10⁸-peer demonstration, opt-in: constant out-degree 8 keeps
     //    the contact-edge total inside the arena's u32 id space.
+    #[cfg(all(unix, target_pointer_width = "64"))]
     if !ctx.quick && std::env::var("SW_E21_HUGE").as_deref() == Ok("1") {
         let n = 100_000_000usize;
-        let shards = 8usize;
-        println!("  [e21] huge: building 10^8 peers in {shards} shards…");
-        let builder = cell_builder(n, "uniform").out_degree(OutDegree::Const(8));
-        let t0 = Instant::now();
-        let huge = builder.build_sharded(seed, shards).expect("shardable");
-        let build_s = t0.elapsed().as_secs_f64();
+        println!("  [e21] huge: building 10^8 peers write-through…");
+        let builder = cell_builder(n).out_degree(sw_core::config::OutDegree::Const(8));
         let dir = ctx::scratch_dir().join(format!("sw-e21-huge-{n}"));
         let t0 = Instant::now();
-        huge.freeze_to(&dir).expect("freeze huge overlay");
-        let freeze_s = t0.elapsed().as_secs_f64();
+        let huge = builder
+            .build_frozen(&mut Rng::new(seed), &dir)
+            .expect("n >= 4");
+        let build_s = t0.elapsed().as_secs_f64();
+        print_profile("huge", huge.profile());
         let bytes_per_peer = arena_bytes(&huge) as f64 / n as f64;
         drop(huge);
         std::fs::remove_dir_all(&dir).ok();
         let rss = ctx::peak_rss_bytes().unwrap_or(0);
         table.row(vec![
-            format!("huge x{shards}"),
+            "huge".into(),
             n.to_string(),
             f2(build_s),
-            f2(freeze_s),
-            format!("{:.0}", n as f64 / (build_s + freeze_s)),
+            "0.00".into(),
+            format!("{:.0}", n as f64 / build_s),
             format!("out-degree 8, {bytes_per_peer:.1} B/peer, peak RSS {rss}"),
         ]);
         rows.push((
             format!("shard/huge/{n}"),
             format!(
-                "{{\"id\": \"shard/huge/{n}\", \"n\": {n}, \"shards\": {shards}, \
-                 \"build_secs\": {build_s:.4}, \"freeze_secs\": {freeze_s:.4}, \
+                "{{\"id\": \"shard/huge/{n}\", \"n\": {n}, \
+                 \"build_secs\": {build_s:.4}, \"freeze_secs\": 0.0, \
                  \"peers_per_sec\": {:.1}, \"bytes_per_peer\": {bytes_per_peer:.1}, \
                  \"peak_rss_bytes\": {rss}, \"unit\": \"wall_secs\"}}",
-                n as f64 / (build_s + freeze_s)
+                n as f64 / build_s
             ),
         ));
     }
@@ -294,107 +263,9 @@ pub fn e21_shard(ctx: &Ctx) {
     ctx.write_csv(&table, "e21_shard.csv");
     ctx::merge_snapshot("BENCH_scale.json", &rows);
     println!(
-        "  expected shape: fast ≥ 3x the heap path end-to-end (no intermediate \
-         CSR/LinkTable, freeze is a write-back instead of a re-pack); the sharded \
-         cells cost slightly more than fast (section copies + stitch) but prove \
-         the byte-identity contract that makes construction distributable"
+        "  expected shape: fast beats the heap path end to end (no intermediate \
+         CSR/LinkTable, freeze is a write-back instead of a re-pack) and frozen \
+         beats fast by the freeze column (the image is sealed inside the \
+         destination file); all three write the same bytes (asserted)"
     );
-}
-
-/// Spawns one worker process per shard, waits for all, stitches their
-/// section files and asserts byte-identity against the monolithic
-/// arenas. Returns `(worker_wall_secs, stitch_secs)`.
-fn run_multiprocess(
-    n: usize,
-    shards: usize,
-    dist: &str,
-    seed: u64,
-    fast: &ArenaBuild,
-) -> Result<(f64, f64), String> {
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let dir = ctx::scratch_dir().join(format!("sw-e21-mp-{n}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    println!("  [e21] multi-process sharded: spawning {shards} workers…");
-    let t0 = Instant::now();
-    let mut children = Vec::new();
-    for index in 0..shards {
-        let child = std::process::Command::new(&exe)
-            .args([
-                "e21-worker",
-                &n.to_string(),
-                &shards.to_string(),
-                &index.to_string(),
-                dir.to_str().ok_or("non-utf8 scratch dir")?,
-                dist,
-                &seed.to_string(),
-            ])
-            .spawn()
-            .map_err(|e| format!("spawn worker {index}: {e}"))?;
-        children.push(child);
-    }
-    for (index, mut child) in children.into_iter().enumerate() {
-        let status = child.wait().map_err(|e| e.to_string())?;
-        if !status.success() {
-            return Err(format!("worker {index} failed: {status}"));
-        }
-    }
-    let build_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let mut contact_paths: Vec<PathBuf> = Vec::new();
-    let mut long_paths: Vec<PathBuf> = Vec::new();
-    for range in shard_ranges(n, shards) {
-        let (c, l) = ShardSections::file_names(&range);
-        contact_paths.push(dir.join(c));
-        long_paths.push(dir.join(l));
-    }
-    let contacts = stitch_files(&contact_paths, 0).map_err(|e| e.to_string())?;
-    let long = stitch_files(&long_paths, 0).map_err(|e| e.to_string())?;
-    let stitch_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        fast.contacts().as_bytes(),
-        contacts.as_bytes(),
-        "multi-process stitched contacts must equal the monolithic image"
-    );
-    assert_eq!(
-        fast.long().as_bytes(),
-        long.as_bytes(),
-        "multi-process stitched long links must equal the monolithic image"
-    );
-    // The driver's normal last step (exercised, then discarded): rebuild
-    // the placement from the stitched lanes.
-    let config = *cell_builder(n, dist).config_ref();
-    let rebuilt = ArenaBuild::from_stitched(config, assumed_for(dist), contacts, long)
-        .map_err(|e| e.to_string())?;
-    assert_eq!(
-        rebuilt.placement().keys(),
-        fast.placement().keys(),
-        "placement re-derived from stitched lanes must match the sampled one"
-    );
-    drop(rebuilt);
-    std::fs::remove_dir_all(&dir).ok();
-    Ok((build_s, stitch_s))
-}
-
-/// The hidden `e21-worker` subcommand: builds one shard of the cell and
-/// writes its section files into the driver's scratch directory.
-/// Arguments: `n shards index dir dist seed`.
-pub fn e21_worker(args: &[String]) -> Result<(), String> {
-    let [n, shards, index, dir, dist, seed] = args else {
-        return Err("usage: e21-worker <n> <shards> <index> <dir> <dist> <seed>".into());
-    };
-    let n: usize = n.parse().map_err(|_| "bad n")?;
-    let shards: usize = shards.parse().map_err(|_| "bad shards")?;
-    let index: usize = index.parse().map_err(|_| "bad index")?;
-    let seed: u64 = seed.parse().map_err(|_| "bad seed")?;
-    let ranges = shard_ranges(n, shards);
-    let range = ranges
-        .get(index)
-        .ok_or_else(|| format!("shard index {index} out of range (have {})", ranges.len()))?
-        .clone();
-    let sections = cell_builder(n, dist)
-        .build_shard(seed, range)
-        .map_err(|e| e.to_string())?;
-    sections.write_to(dir).map_err(|e| e.to_string())?;
-    Ok(())
 }

@@ -134,7 +134,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
         ),
         (
             "e21",
-            "Sharded zero-copy construction: heap vs arena pipeline, in-process and multi-process shards stitched byte-identically (writes BENCH_scale.json)",
+            "Construction pipeline: heap vs arena vs write-through, byte-identity asserted between all three (writes BENCH_scale.json)",
             experiments::shard::e21_shard,
         ),
         (

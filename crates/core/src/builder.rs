@@ -31,38 +31,40 @@
 //! - **Heap path** ([`SmallWorldBuilder::build`]): per-peer long rows →
 //!   heap CSR → `LinkTable` union with ring/interval neighbours →
 //!   contact CSR → SoA lanes. Flexible (supports `bidirectional`, feeds
-//!   the maintenance APIs) but allocates every intermediate.
-//! - **Arena path** ([`SmallWorldBuilder::build_to_arena`]): one
-//!   sampling pass into flat scratch, then count-then-fill writes
-//!   straight into the final [`TopologyArena`] images via
-//!   [`sw_graph::writer::ArenaWriter`] — no intermediate CSR, no
-//!   `LinkTable`, no per-row `Vec`s. The images equal what the heap
-//!   path's [`SmallWorldNetwork::freeze_to`] writes, byte for byte.
+//!   the maintenance APIs) but allocates every intermediate. With
+//!   [`SmallWorldNetwork::freeze_to`] it is the byte-identity oracle for
+//!   the arena path.
+//! - **Arena path** ([`SmallWorldBuilder::build_to_arena`], and
+//!   `build_frozen` under the `mmap` feature): one sampling pass into
+//!   flat scratch, then count-then-fill writes straight into the final
+//!   [`TopologyArena`] images via [`sw_graph::writer::ArenaWriter`] — no
+//!   intermediate CSR, no `LinkTable`, no per-row `Vec`s. The writer's
+//!   buffer is a heap allocation (`build_to_arena`) or a write-through
+//!   mapping of the destination files (`build_frozen`, where sealing the
+//!   writer is the freeze). The images equal what the heap path's
+//!   `freeze_to` writes, byte for byte.
 //!
 //! Identity holds because both paths draw peer `u`'s links from RNG
 //! stream `u` of one build seed, and both emit contact rows as the
-//! sorted deduplicated union of neighbours and long links. That same
-//! per-peer stream discipline makes construction *shardable*:
-//! [`SmallWorldBuilder::build_shard`] builds any peer range — in this
-//! process or another machine — into portable
-//! [`sw_graph::writer::ArenaSection`]s, and
-//! [`sw_graph::writer::stitch`] reassembles the monolithic image from
-//! any shard partition, in any completion order.
+//! sorted deduplicated union of neighbours and long links — so the image
+//! does not depend on how peers are partitioned across fill ranges or
+//! worker threads.
 
 use crate::config::{LinkSampler, MassThreshold, OutDegree, SmallWorldConfig};
 use crate::links::LinkSelector;
 use crate::network::{SmallWorldNetwork, CONTACTS_FILE, LONG_FILE};
 use std::io;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 use sw_graph::csr::Topology as CsrTopology;
 use sw_graph::par;
 use sw_graph::store::TopologyArena;
-use sw_graph::writer::{stitch, ArenaSection, ArenaWriter};
+use sw_graph::writer::ArenaWriter;
 use sw_graph::NodeId;
 use sw_keyspace::distribution::{KeyDistribution, Uniform};
-use sw_keyspace::{Key, Rng, Topology};
+use sw_keyspace::{Rng, Topology};
 use sw_overlay::Placement;
 
 /// Errors from [`SmallWorldBuilder::build`].
@@ -71,12 +73,8 @@ pub enum BuildError {
     /// Fewer than four peers: the `1/N` threshold leaves no admissible
     /// long-range candidates.
     TooFewNodes(usize),
-    /// The requested configuration cannot be built shard-by-shard
-    /// (currently: `bidirectional` contact tables, which need the global
-    /// long-link transpose before any contact row is final).
-    Unshardable(&'static str),
     /// Assembling the arena image failed (edge totals past the `u32` id
-    /// space, or stitched sections that do not tile the peer range).
+    /// space, or the destination files could not be created).
     Arena(String),
 }
 
@@ -86,7 +84,6 @@ impl std::fmt::Display for BuildError {
             BuildError::TooFewNodes(n) => {
                 write!(f, "small-world network needs at least 4 peers, got {n}")
             }
-            BuildError::Unshardable(what) => write!(f, "cannot build in shards: {what}"),
             BuildError::Arena(what) => write!(f, "arena construction failed: {what}"),
         }
     }
@@ -133,8 +130,7 @@ impl SmallWorldBuilder {
     }
 
     /// The configuration this builder will use — for drivers that must
-    /// hand the *same* config to [`ArenaBuild::from_stitched`] or
-    /// [`SmallWorldNetwork::open_from`].
+    /// hand the *same* config to [`SmallWorldNetwork::open_from`].
     pub fn config_ref(&self) -> &SmallWorldConfig {
         &self.config
     }
@@ -309,14 +305,17 @@ impl SmallWorldBuilder {
             .distribution
             .clone()
             .unwrap_or_else(|| Arc::new(Uniform));
-        let mut t = std::time::Instant::now();
+        let mut t = Instant::now();
         let placement = Placement::sample(self.n, dist.as_ref(), self.config.topology, rng);
-        profile_stage("placement sample", &mut t);
+        let mut profile = BuildProfile {
+            placement_s: lap(&mut t),
+            ..BuildProfile::default()
+        };
         if self.config.bidirectional {
             // The transpose needs every row before any is final, so the
             // bidirectional case assembles on the heap and freezes after.
             let net = self.build_on_with(placement, dist, rng)?;
-            let build = ArenaBuild::from_network(&net);
+            let build = ArenaBuild::from_network(&net, profile);
             if let Some(d) = dir {
                 build.freeze_to(d)?;
             }
@@ -338,6 +337,7 @@ impl SmallWorldBuilder {
             budget,
             self.parallelism,
             dir,
+            &mut profile,
         )?;
         drop(selector);
         let label = format!("sw({},{})", assumed.name(), self.config.sampler.label());
@@ -348,103 +348,31 @@ impl SmallWorldBuilder {
             label,
             contacts,
             long,
+            profile,
         })
     }
+}
 
-    /// Builds only the peers in `range` and packs their rows into
-    /// portable [`ArenaSection`]s — the unit of *distributed*
-    /// construction. `seed` is the root seed a monolithic
-    /// `build_to_arena(&mut Rng::new(seed))` would consume: the shard
-    /// re-derives the placement and the build seed from it, so any
-    /// process on any machine producing shard `[lo, hi)` writes exactly
-    /// the rows the monolithic build would have written for those peers.
-    /// Stitching every shard of a partition (in any completion order)
-    /// therefore reproduces the monolithic arena byte for byte.
-    pub fn build_shard(&self, seed: u64, range: Range<usize>) -> Result<ShardSections, BuildError> {
-        let (placement, assumed, build_seed) = self.derive_shard_inputs(seed)?;
-        let min_mass = self.config.threshold.min_mass(placement.len());
-        let budget = self.config.out_degree.links_for(placement.len());
-        let selector =
-            LinkSelector::new(&placement, assumed.as_ref(), min_mass, self.config.sampler);
-        shard_sections(
-            &placement,
-            &selector,
-            build_seed,
-            budget,
-            range,
-            self.parallelism,
-        )
-    }
-
-    /// In-process sharded build: derives the placement once, builds
-    /// `shards` consecutive sections, and stitches them back into one
-    /// [`ArenaBuild`]. Exists mostly to *prove* the sharding contract
-    /// (the result is byte-identical to [`SmallWorldBuilder::build_to_arena`]
-    /// with `Rng::new(seed)` for every shard count) and as the template
-    /// for multi-process drivers, which run [`SmallWorldBuilder::build_shard`]
-    /// per worker and stitch the section files.
-    pub fn build_sharded(&self, seed: u64, shards: usize) -> Result<ArenaBuild, BuildError> {
-        let (placement, assumed, build_seed) = self.derive_shard_inputs(seed)?;
-        let n = placement.len();
-        let min_mass = self.config.threshold.min_mass(n);
-        let budget = self.config.out_degree.links_for(n);
-        let selector =
-            LinkSelector::new(&placement, assumed.as_ref(), min_mass, self.config.sampler);
-        let mut contact_secs = Vec::new();
-        let mut long_secs = Vec::new();
-        for range in shard_ranges(n, shards) {
-            let s = shard_sections(
-                &placement,
-                &selector,
-                build_seed,
-                budget,
-                range,
-                self.parallelism,
-            )?;
-            contact_secs.push(s.contacts);
-            long_secs.push(s.long);
-        }
-        drop(selector);
-        let contacts = stitch(&contact_secs, self.parallelism)?;
-        drop(contact_secs);
-        let long = stitch(&long_secs, self.parallelism)?;
-        drop(long_secs);
-        let label = format!("sw({},{})", assumed.name(), self.config.sampler.label());
-        Ok(ArenaBuild {
-            placement,
-            assumed,
-            config: self.config,
-            label,
-            contacts,
-            long,
-        })
-    }
-
-    /// The deterministic preamble every shard repeats: `Rng::new(seed)`,
-    /// placement sample, then the build-seed draw — the exact RNG
-    /// consumption order of `build`/`build_to_arena`.
-    fn derive_shard_inputs(
-        &self,
-        seed: u64,
-    ) -> Result<(Placement, Arc<dyn KeyDistribution>, u64), BuildError> {
-        if self.n < 4 {
-            return Err(BuildError::TooFewNodes(self.n));
-        }
-        if self.config.bidirectional {
-            return Err(BuildError::Unshardable(
-                "bidirectional contact tables need the global long-link transpose",
-            ));
-        }
-        let mut rng = Rng::new(seed);
-        let dist = self
-            .distribution
-            .clone()
-            .unwrap_or_else(|| Arc::new(Uniform));
-        let placement = Placement::sample(self.n, dist.as_ref(), self.config.topology, &mut rng);
-        let assumed = self.assumed.clone().unwrap_or(dist);
-        let build_seed = rng.next_u64();
-        Ok((placement, assumed, build_seed))
-    }
+/// Wall-clock seconds of each stage of one arena-path build
+/// ([`SmallWorldBuilder::build_to_arena`] / `build_frozen`), in pipeline
+/// order. Always measured; the `bidirectional` fallback assembles on the
+/// heap and reports `placement_s` only.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BuildProfile {
+    /// Sampling the placement (keys drawn and ranked).
+    pub placement_s: f64,
+    /// Sampling every peer's long links into flat scratch.
+    pub sample_s: f64,
+    /// Copying the scratch rows into the long-link image.
+    pub long_fill_s: f64,
+    /// Sealing the long-link image (transpose + sorted scan).
+    pub long_finish_s: f64,
+    /// Counting each peer's merged contact-row degree.
+    pub degree_count_s: f64,
+    /// Merging neighbours into the contact image and gathering key lanes.
+    pub contact_fill_s: f64,
+    /// Sealing the contact image (transpose + sorted scan).
+    pub contact_finish_s: f64,
 }
 
 /// A network frozen at birth: the two arena images the construction
@@ -459,6 +387,7 @@ pub struct ArenaBuild {
     label: String,
     contacts: TopologyArena,
     long: TopologyArena,
+    profile: BuildProfile,
 }
 
 impl ArenaBuild {
@@ -482,9 +411,14 @@ impl ArenaBuild {
         &self.long
     }
 
-    /// The placement the build sampled (or re-derived from the lanes).
+    /// The placement the build sampled.
     pub fn placement(&self) -> &Placement {
         &self.placement
+    }
+
+    /// Where this build's wall-clock went, stage by stage.
+    pub fn profile(&self) -> BuildProfile {
+        self.profile
     }
 
     /// Writes both images into `dir` under the same file names — and
@@ -513,41 +447,10 @@ impl ArenaBuild {
         )
     }
 
-    /// Reassembles an [`ArenaBuild`] from stitched arenas (the
-    /// multi-process driver's last step, after
-    /// [`sw_graph::writer::stitch_files`]). The placement is rebuilt
-    /// from the contact arena's per-node key lane — bit-identical to the
-    /// sampled one, exactly as [`SmallWorldNetwork::open_from`] does.
-    pub fn from_stitched(
-        config: SmallWorldConfig,
-        assumed: Arc<dyn KeyDistribution>,
-        contacts: TopologyArena,
-        long: TopologyArena,
-    ) -> io::Result<ArenaBuild> {
-        let node_pos = contacts.node_pos().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stitched contact arena carries no per-node keys",
-            )
-        })?;
-        let keys: Vec<Key> = node_pos.iter().map(|&p| Key::clamped(p)).collect();
-        let placement = Placement::from_keys(keys, config.topology, assumed.name())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let label = format!("sw({},{})", assumed.name(), config.sampler.label());
-        Ok(ArenaBuild {
-            placement,
-            assumed,
-            config,
-            label,
-            contacts,
-            long,
-        })
-    }
-
     /// Freezes an already-assembled network's tables into arenas — the
     /// `bidirectional` fallback. Writes the same bytes
     /// [`SmallWorldNetwork::freeze_to`] would.
-    fn from_network(net: &SmallWorldNetwork) -> ArenaBuild {
+    fn from_network(net: &SmallWorldNetwork, profile: BuildProfile) -> ArenaBuild {
         use sw_overlay::Overlay;
         let keys: Vec<f64> = net.placement().keys().iter().map(|k| k.get()).collect();
         let store = net.route_table().store();
@@ -565,53 +468,14 @@ impl ArenaBuild {
             label,
             contacts,
             long,
+            profile,
         }
     }
 }
 
-/// One shard's output: matching contact and long-link sections covering
-/// the same peer range, ready to ship to the stitcher.
-pub struct ShardSections {
-    /// Contact rows (with key lanes) for the shard's peers.
-    pub contacts: ArenaSection,
-    /// Long-link rows (no lanes) for the shard's peers.
-    pub long: ArenaSection,
-}
-
-impl ShardSections {
-    /// The peer range both sections cover.
-    pub fn range(&self) -> Range<usize> {
-        self.contacts.range()
-    }
-
-    /// The canonical on-disk names for a shard covering `range`
-    /// (`(contacts, long)`), zero-padded so lexicographic order is range
-    /// order. Drivers and workers agree on file names through this.
-    pub fn file_names(range: &Range<usize>) -> (String, String) {
-        (
-            format!("shard-{:010}-{:010}-contacts.sws", range.start, range.end),
-            format!("shard-{:010}-{:010}-long.sws", range.start, range.end),
-        )
-    }
-
-    /// Writes both sections into `dir` under their canonical names and
-    /// returns the paths (`(contacts, long)`).
-    pub fn write_to(&self, dir: impl AsRef<Path>) -> io::Result<(PathBuf, PathBuf)> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let (c, l) = Self::file_names(&self.range());
-        let contacts_path = dir.join(c);
-        let long_path = dir.join(l);
-        self.contacts.write_to(&contacts_path)?;
-        self.long.write_to(&long_path)?;
-        Ok((contacts_path, long_path))
-    }
-}
-
 /// Splits `0..n` into `shards` contiguous ranges (the last may be
-/// shorter). Every sharded driver — in-process, multi-process, or remote
-/// — derives its partition from this so shard boundaries always agree.
-pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
+/// shorter) — the fill partition of [`build_arena_parts`].
+fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
     let shards = shards.max(1).min(n.max(1));
     let chunk = n.div_ceil(shards);
     (0..shards)
@@ -627,25 +491,23 @@ struct SampledRows {
     links: Vec<NodeId>,
 }
 
-/// Samples the long rows for peers in `range`, fanning peers across
+/// Samples the long rows of all `n` peers, fanning peers across
 /// workers. Peer `u` always draws from stream `u` of `build_seed`, so
-/// the output is a pure function of `(build_seed, range)` — independent
-/// of thread count, chunking, or which process runs it.
+/// the output is a pure function of `build_seed` — independent of thread
+/// count and chunking.
 fn sample_rows(
     selector: &LinkSelector<'_>,
     build_seed: u64,
     budget: usize,
-    range: Range<usize>,
+    n: usize,
     threads: usize,
 ) -> SampledRows {
-    let span = range.len();
-    let base = range.start;
-    let parts = par::par_chunks(span, threads, |r| {
+    let parts = par::par_chunks(n, threads, |r| {
         let mut degrees = Vec::with_capacity(r.len());
         let mut links = Vec::with_capacity(r.len() * budget);
         let mut row: Vec<NodeId> = Vec::with_capacity(budget);
-        for i in r {
-            let u = (base + i) as NodeId;
+        for u in r {
+            let u = u as NodeId;
             let mut peer_rng = Rng::stream(build_seed, u as u64);
             selector.sample_links_into(u, budget, &mut peer_rng, &mut row);
             degrees.push(row.len() as u32);
@@ -654,7 +516,7 @@ fn sample_rows(
         (degrees, links)
     });
     let total: usize = parts.iter().map(|(_, l)| l.len()).sum();
-    let mut degrees = Vec::with_capacity(span);
+    let mut degrees = Vec::with_capacity(n);
     let mut links = Vec::with_capacity(total);
     for (d, l) in parts {
         degrees.extend_from_slice(&d);
@@ -674,17 +536,11 @@ fn merge_contact_row(placement: &Placement, u: NodeId, row: &[NodeId], out: &mut
     out.dedup();
 }
 
-/// Prints per-stage wall-clock when `SW_BUILD_PROFILE` is set, and
-/// resets the stopwatch either way. Costs one env lookup per stage —
-/// nothing on the per-peer paths.
-fn profile_stage(label: &str, t: &mut std::time::Instant) {
-    if std::env::var_os("SW_BUILD_PROFILE").is_some() {
-        eprintln!(
-            "  [build profile] {label}: {:.2}s",
-            t.elapsed().as_secs_f64()
-        );
-    }
-    *t = std::time::Instant::now();
+/// Reads the stopwatch in seconds and restarts it.
+fn lap(t: &mut Instant) -> f64 {
+    let secs = t.elapsed().as_secs_f64();
+    *t = Instant::now();
+    secs
 }
 
 /// Opens an [`ArenaWriter`] over a heap buffer (`dir: None`) or over a
@@ -709,9 +565,10 @@ fn writer_at(
     }
 }
 
-/// The monolithic fast path: one sampling pass into flat scratch, then
-/// two count-then-fill arena writes (long by straight copy, contacts by
-/// per-peer neighbour merge with key lanes gathered in place).
+/// The arena path: one sampling pass into flat scratch, then two
+/// count-then-fill arena writes (long by straight copy, contacts by
+/// per-peer neighbour merge with key lanes gathered in place). Stage
+/// timings land in `profile`.
 fn build_arena_parts(
     placement: &Placement,
     selector: &LinkSelector<'_>,
@@ -719,12 +576,13 @@ fn build_arena_parts(
     budget: usize,
     threads: usize,
     dir: Option<&Path>,
+    profile: &mut BuildProfile,
 ) -> io::Result<(TopologyArena, TopologyArena)> {
     let n = placement.len();
     let keys = placement.keys();
-    let mut t = std::time::Instant::now();
-    let sampled = sample_rows(selector, build_seed, budget, 0..n, threads);
-    profile_stage("sample long rows", &mut t);
+    let mut t = Instant::now();
+    let sampled = sample_rows(selector, build_seed, budget, n, threads);
+    profile.sample_s = lap(&mut t);
     let fill_ranges = shard_ranges(n, par::effective_threads(n, threads, 1024));
     // The scratch is rows concatenated in peer order — the long arena's
     // own edge layout — so the long fill is a straight copy.
@@ -735,9 +593,9 @@ fn build_arena_parts(
             .edges
             .copy_from_slice(&sampled.links[lo..lo + slots.edges.len()]);
     });
-    profile_stage("long fill", &mut t);
+    profile.long_fill_s = lap(&mut t);
     let long = writer.finish(threads)?;
-    profile_stage("long finish", &mut t);
+    profile.long_finish_s = lap(&mut t);
     // The finished arena's offset table doubles as the scratch row
     // index for the contact pass — no separate prefix sum.
     let offs = long.offsets();
@@ -751,7 +609,7 @@ fn build_arena_parts(
         }
         deg
     });
-    profile_stage("contact degree count", &mut t);
+    profile.degree_count_s = lap(&mut t);
     let mut writer = writer_at(dir, CONTACTS_FILE, &contact_degrees, true, true)?;
     drop(contact_degrees);
     writer.fill_shards(&fill_ranges, threads, |_, mut slots| {
@@ -779,68 +637,10 @@ fn build_arena_parts(
             node_pos[u - slots.range.start] = keys[u].get();
         }
     });
-    profile_stage("contact fill", &mut t);
+    profile.contact_fill_s = lap(&mut t);
     let contacts = writer.finish(threads)?;
-    profile_stage("contact finish", &mut t);
+    profile.contact_finish_s = lap(&mut t);
     Ok((contacts, long))
-}
-
-/// One shard of the distributed build: sample the range's long rows,
-/// pack them into a long section, and derive the contact section by the
-/// same neighbour merge the monolithic fill uses.
-fn shard_sections(
-    placement: &Placement,
-    selector: &LinkSelector<'_>,
-    build_seed: u64,
-    budget: usize,
-    range: Range<usize>,
-    threads: usize,
-) -> Result<ShardSections, BuildError> {
-    let n = placement.len();
-    if range.start > range.end || range.end > n {
-        return Err(BuildError::Arena(format!(
-            "shard range {}..{} outside 0..{n}",
-            range.start, range.end
-        )));
-    }
-    let keys = placement.keys();
-    let sampled = sample_rows(selector, build_seed, budget, range.clone(), threads);
-    let long = ArenaSection::build(
-        n,
-        range.clone(),
-        &sampled.degrees,
-        &sampled.links,
-        None,
-        None,
-    );
-    let span = range.len();
-    let mut contact_degrees: Vec<u32> = Vec::with_capacity(span);
-    let mut edges: Vec<NodeId> = Vec::with_capacity(sampled.links.len() + 2 * span);
-    let mut edge_pos: Vec<f64> = Vec::with_capacity(sampled.links.len() + 2 * span);
-    let mut node_pos: Vec<f64> = Vec::with_capacity(span);
-    let mut merged: Vec<NodeId> = Vec::with_capacity(budget + 2);
-    let mut off = 0usize;
-    for (i, &d) in sampled.degrees.iter().enumerate() {
-        let u = (range.start + i) as NodeId;
-        let row = &sampled.links[off..off + d as usize];
-        off += d as usize;
-        merge_contact_row(placement, u, row, &mut merged);
-        contact_degrees.push(merged.len() as u32);
-        for &v in &merged {
-            edges.push(v);
-            edge_pos.push(keys[v as usize].get());
-        }
-        node_pos.push(keys[u as usize].get());
-    }
-    let contacts = ArenaSection::build(
-        n,
-        range,
-        &contact_degrees,
-        &edges,
-        Some(&edge_pos),
-        Some(&node_pos),
-    );
-    Ok(ShardSections { contacts, long })
 }
 
 #[cfg(test)]
@@ -1055,81 +855,70 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_is_bit_identical_to_monolithic() {
-        let builder = SmallWorldBuilder::new(2048)
-            .distribution(Box::new(TruncatedPareto::new(1.5, 0.02).unwrap()))
-            .sampler(LinkSampler::Harmonic);
-        let mono = builder.build_to_arena(&mut Rng::new(1234)).unwrap();
-        for shards in [1, 2, 3, 7] {
-            let sharded = builder.build_sharded(1234, shards).unwrap();
-            assert_eq!(
-                mono.contacts().as_bytes(),
-                sharded.contacts().as_bytes(),
-                "contacts, shards={shards}"
-            );
-            assert_eq!(
-                mono.long().as_bytes(),
-                sharded.long().as_bytes(),
-                "long, shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn shards_stitch_in_any_order_through_files() {
-        use sw_graph::writer::stitch_files;
-        let builder = SmallWorldBuilder::new(1000)
-            .distribution(Box::new(TruncatedPareto::new(1.5, 0.02).unwrap()))
-            .sampler(LinkSampler::Harmonic);
-        let mono = builder.build_to_arena(&mut Rng::new(7)).unwrap();
-        let dir = std::env::temp_dir().join("sw-core-shard-files-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        // Build and land the shards in *reverse* range order, as if the
-        // last worker finished first; stitch_files must not care.
-        let mut contact_paths = Vec::new();
-        let mut long_paths = Vec::new();
-        for range in shard_ranges(1000, 3).into_iter().rev() {
-            let s = builder.build_shard(7, range).unwrap();
-            let (c, l) = s.write_to(&dir).unwrap();
-            contact_paths.push(c);
-            long_paths.push(l);
-        }
-        let contacts = stitch_files(&contact_paths, 0).unwrap();
-        let long = stitch_files(&long_paths, 0).unwrap();
-        assert_eq!(mono.contacts().as_bytes(), contacts.as_bytes());
-        assert_eq!(mono.long().as_bytes(), long.as_bytes());
-        // The driver's last step: placement re-derived from the lanes.
-        let rebuilt = ArenaBuild::from_stitched(
-            builder.config,
-            Arc::new(TruncatedPareto::new(1.5, 0.02).unwrap()),
-            contacts,
-            long,
-        )
-        .unwrap();
-        assert_eq!(
-            rebuilt.placement().keys(),
-            mono.placement().keys(),
-            "placement survives the stitch bit-for-bit"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bidirectional_falls_back_and_cannot_shard() {
+    fn bidirectional_falls_back_to_heap_assembly() {
         let builder = SmallWorldBuilder::new(512).bidirectional(true);
         let net = builder.build(&mut Rng::new(11)).unwrap();
         let fast = builder.build_to_arena(&mut Rng::new(11)).unwrap();
         let (contacts, long) = heap_freeze_images(&net);
         assert_eq!(contacts.as_bytes(), fast.contacts().as_bytes());
         assert_eq!(long.as_bytes(), fast.long().as_bytes());
-        assert!(matches!(
-            builder.build_shard(11, 0..10),
-            Err(BuildError::Unshardable(_))
-        ));
-        assert!(matches!(
-            builder.build_sharded(11, 2),
-            Err(BuildError::Unshardable(_))
-        ));
+        // No arena stage ran: only the placement reading is set.
+        assert_eq!(
+            fast.profile(),
+            BuildProfile {
+                placement_s: fast.profile().placement_s,
+                ..BuildProfile::default()
+            }
+        );
+    }
+
+    /// The arena image must not depend on its fill partition: the fill
+    /// ranges follow the worker count (1 024-peer grain, so 8 192 peers
+    /// really split 1 / 2 / 3 / 7 ways), and every partition must write
+    /// the bytes the heap oracle freezes.
+    #[test]
+    fn arena_build_is_bit_identical_at_any_parallelism() {
+        let builder = |threads: usize| {
+            SmallWorldBuilder::new(8192)
+                .distribution(Box::new(TruncatedPareto::new(1.5, 0.02).unwrap()))
+                .sampler(LinkSampler::Harmonic)
+                .parallelism(threads)
+        };
+        let net = builder(1).build(&mut Rng::new(606)).unwrap();
+        let (contacts, long) = heap_freeze_images(&net);
+        for threads in [1, 2, 3, 7] {
+            let fast = builder(threads).build_to_arena(&mut Rng::new(606)).unwrap();
+            assert_eq!(
+                contacts.as_bytes(),
+                fast.contacts().as_bytes(),
+                "contacts, threads={threads}"
+            );
+            assert_eq!(
+                long.as_bytes(),
+                fast.long().as_bytes(),
+                "long, threads={threads}"
+            );
+            assert!(fast.profile().sample_s > 0.0 && fast.profile().contact_fill_s > 0.0);
+            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+            {
+                let dir = std::env::temp_dir().join(format!("sw-core-any-parallelism-{threads}"));
+                let frozen = builder(threads)
+                    .build_frozen(&mut Rng::new(606), &dir)
+                    .unwrap();
+                assert_eq!(
+                    contacts.as_bytes(),
+                    frozen.contacts().as_bytes(),
+                    "frozen contacts, threads={threads}"
+                );
+                assert_eq!(
+                    long.as_bytes(),
+                    frozen.long().as_bytes(),
+                    "frozen long, threads={threads}"
+                );
+                drop(frozen);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]
@@ -1162,11 +951,9 @@ mod tests {
             let b = std::fs::read(fast_dir.join(file)).unwrap();
             assert_eq!(a, b, "{file} differs between freeze paths");
         }
-        // And the frozen dir reopens — validated or trusted — into a
-        // network with the same tables.
+        // And the frozen dir reopens into a network with the same tables.
         let reopened =
-            SmallWorldNetwork::open_from_trusted(&fast_dir, *net.config(), net.assumed().clone())
-                .unwrap();
+            SmallWorldNetwork::open_from(&fast_dir, *net.config(), net.assumed().clone()).unwrap();
         for u in (0..800u32).step_by(41) {
             assert_eq!(net.contacts(u), reopened.contacts(u));
         }

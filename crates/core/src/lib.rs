@@ -53,16 +53,14 @@ pub mod partition;
 pub mod routing;
 pub mod theory;
 
-pub use builder::{shard_ranges, ArenaBuild, BuildError, ShardSections, SmallWorldBuilder};
+pub use builder::{ArenaBuild, BuildError, BuildProfile, SmallWorldBuilder};
 pub use config::{LinkSampler, MassThreshold, OutDegree, SmallWorldConfig};
 pub use network::SmallWorldNetwork;
 pub use routing::DistanceMode;
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
-    pub use crate::builder::{
-        shard_ranges, ArenaBuild, BuildError, ShardSections, SmallWorldBuilder,
-    };
+    pub use crate::builder::{ArenaBuild, BuildError, BuildProfile, SmallWorldBuilder};
     pub use crate::config::{LinkSampler, MassThreshold, OutDegree, SmallWorldConfig};
     pub use crate::join::GrowingNetwork;
     pub use crate::network::SmallWorldNetwork;

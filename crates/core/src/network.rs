@@ -355,38 +355,9 @@ impl SmallWorldNetwork {
         config: SmallWorldConfig,
         assumed: Arc<dyn KeyDistribution>,
     ) -> io::Result<SmallWorldNetwork> {
-        Self::open_from_opts(dir, config, assumed, true)
-    }
-
-    /// [`open_from`] for *trusted* directories (ones this process — or a
-    /// pipeline step it controls — froze itself): skips the `O(m)`
-    /// structural validation scans on the contact arena, so reopening a
-    /// 10⁷-peer overlay costs one read/mapping. See
-    /// [`sw_graph::store::TopologyArena::open_unvalidated`] for the exact
-    /// trust contract.
-    ///
-    /// [`open_from`]: SmallWorldNetwork::open_from
-    pub fn open_from_trusted(
-        dir: impl AsRef<Path>,
-        config: SmallWorldConfig,
-        assumed: Arc<dyn KeyDistribution>,
-    ) -> io::Result<SmallWorldNetwork> {
-        Self::open_from_opts(dir, config, assumed, false)
-    }
-
-    fn open_from_opts(
-        dir: impl AsRef<Path>,
-        config: SmallWorldConfig,
-        assumed: Arc<dyn KeyDistribution>,
-        validate: bool,
-    ) -> io::Result<SmallWorldNetwork> {
         let dir = dir.as_ref();
         // TopologyStore::open picks mmap when the feature is enabled.
-        let contacts = Arc::new(if validate {
-            TopologyStore::open(dir.join(CONTACTS_FILE))?
-        } else {
-            TopologyStore::open_unvalidated(dir.join(CONTACTS_FILE))?
-        });
+        let contacts = Arc::new(TopologyStore::open(dir.join(CONTACTS_FILE))?);
         let node_pos = contacts.node_pos().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -398,12 +369,7 @@ impl SmallWorldNetwork {
         let keys: Vec<Key> = node_pos.iter().map(|&p| Key::clamped(p)).collect();
         let placement = Placement::from_keys(keys, config.topology, assumed.name())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let long = if validate {
-            TopologyArena::open(dir.join(LONG_FILE))?
-        } else {
-            TopologyArena::open_unvalidated(dir.join(LONG_FILE))?
-        }
-        .to_topology();
+        let long = TopologyArena::open(dir.join(LONG_FILE))?.to_topology();
         let cdf = placement
             .keys()
             .iter()
@@ -626,6 +592,38 @@ mod tests {
             Arc::new(sw_keyspace::distribution::Uniform),
         );
         assert!(err.is_err());
+    }
+
+    /// The frozen directory is outside input: a damaged image in either
+    /// file is an `Err` from `open_from`, never a panic.
+    #[test]
+    fn open_from_rejects_corrupt_images() {
+        let n = 256usize;
+        let net = small_net(n, 44);
+        let dir = std::env::temp_dir().join("sw-core-freeze-corrupt-test");
+        let open = || SmallWorldNetwork::open_from(&dir, *net.config(), net.assumed().clone());
+        // SWTOPO v1: 4 header words, then `n + 1` u32 offsets padded to
+        // whole words, then the edge rows.
+        let offsets_byte = 4 * 8;
+        let edges_byte = (4 + (n + 1).div_ceil(2)) * 8;
+        for file in [CONTACTS_FILE, LONG_FILE] {
+            net.freeze_to(&dir).unwrap();
+            assert!(open().is_ok(), "the untouched directory opens");
+            let path = dir.join(file);
+            let good = std::fs::read(&path).unwrap();
+            let mut bad_offset = good.clone();
+            let at = offsets_byte + 4 * (n / 2);
+            bad_offset[at..at + 4].copy_from_slice(&u32::MAX.to_ne_bytes());
+            std::fs::write(&path, &bad_offset).unwrap();
+            assert!(open().is_err(), "{file}: one offset word past m");
+            let mut bad_target = good.clone();
+            bad_target[edges_byte..edges_byte + 4].copy_from_slice(&(n as u32).to_ne_bytes());
+            std::fs::write(&path, &bad_target).unwrap();
+            assert!(open().is_err(), "{file}: one edge target >= n");
+            std::fs::write(&path, &good[..good.len() - 8]).unwrap();
+            assert!(open().is_err(), "{file}: truncated");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //!   fresh arena; what lets the simulator churn a frozen 10⁷-peer image.
 //! * [`writer`] — build-direct-to-arena construction: [`ArenaWriter`]
 //!   fills the final arena image in place (count-then-fill, disjoint
-//!   peer-range shards concurrently), [`ArenaSection`] + [`writer::stitch`]
-//!   let independent processes each build a shard file and concatenate
-//!   them into one valid arena, byte-identical to a monolithic freeze.
+//!   peer-range shards concurrently), in a heap buffer or inside a
+//!   mapping of the destination file; byte-identical to a monolithic
+//!   freeze at any partition and thread count.
 //! * [`par`] — deterministic fork/join helpers over scoped std threads
 //!   (the workspace builds offline, so no `rayon`): parallel per-peer
 //!   construction and batched routing build on these.
@@ -79,4 +79,4 @@ pub use delta::DeltaStore;
 pub use digraph::{DiGraph, NodeId};
 pub use metrics::GraphMetrics;
 pub use store::{TopologyArena, TopologyStore};
-pub use writer::{ArenaSection, ArenaWriter};
+pub use writer::ArenaWriter;

@@ -34,14 +34,13 @@
 //! without ever materializing per-peer link `Vec`s for the whole
 //! network.
 //!
-//! Arenas do not have to be built whole: [`crate::writer`] defines the
-//! companion *section* format (`ArenaSection`, magic `SWSECT`) carrying
-//! one contiguous peer-range's rows and lanes as a standalone file, plus
-//! `stitch`/`stitch_files` to rebase any number of sections — built in
-//! any order, by any mix of threads and processes — into one arena
-//! byte-identical to a monolithic [`TopologyArena::build`] image. The
-//! `ArenaWriter` in the same module fills a single image in place
-//! (count-then-fill) without an intermediate heap CSR.
+//! An arena is produced one of two ways, byte-identical for the same
+//! topology: [`TopologyArena::build`] packs a finished heap CSR (the
+//! reference), and [`crate::writer`]'s `ArenaWriter` fills a single
+//! image in place (count-then-fill, no intermediate heap CSR), in a heap
+//! buffer or directly inside a mapping of the destination file. Either
+//! way there is one file format and one reader: every `open*` below
+//! validates the image it is handed before any accessor can index it.
 
 use crate::csr::Topology;
 use crate::digraph::NodeId;
@@ -222,25 +221,10 @@ impl TopologyArena {
     }
 
     /// Reopens a frozen arena: the whole file lands in **one** bump
-    /// allocation and every section is a zero-copy view into it.
+    /// allocation and every section is a zero-copy view into it. The
+    /// image is validated (header, length, offset monotonicity,
+    /// edge-target range) before it is returned.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_opts(path, true)
-    }
-
-    /// [`open`] minus the `O(m)` structural scans (offset monotonicity,
-    /// edge-target range checks): only the constant-size header and file
-    /// length are verified. For trusted inputs — typically a file this
-    /// process just wrote — where the 10⁷-peer validation pass costs
-    /// whole seconds. Malformed *untrusted* files opened this way can
-    /// make accessors panic on out-of-bounds rows; they cannot read
-    /// outside the arena allocation.
-    ///
-    /// [`open`]: TopologyArena::open
-    pub fn open_unvalidated(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_opts(path, false)
-    }
-
-    fn open_opts(path: impl AsRef<Path>, validate: bool) -> io::Result<Self> {
         use std::io::Read as _;
         let mut file = std::fs::File::open(path)?;
         let len = file.metadata()?.len() as usize;
@@ -256,36 +240,22 @@ impl TopologyArena {
             )
         };
         file.read_exact(bytes)?;
-        Self::from_buf_opts(ArenaBuf::Owned(buf), validate)
+        Self::from_buf_opts(ArenaBuf::Owned(buf), true)
     }
 
     /// Memory-maps a frozen arena read-only instead of reading it
-    /// (`mmap` feature, unix only): open cost is independent of file
-    /// size and cold edge rows are paged in on first touch.
+    /// (`mmap` feature, unix only): no copy of the file is made and the
+    /// pages stay backed by the file. Validated exactly as
+    /// [`TopologyArena::open`] validates.
     #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
     pub fn open_mmap(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_mmap_opts(path, true)
-    }
-
-    /// [`open_mmap`] without the `O(m)` structural scans (which would
-    /// also fault every page in, defeating the lazy mapping). Same trust
-    /// contract as [`TopologyArena::open_unvalidated`].
-    ///
-    /// [`open_mmap`]: TopologyArena::open_mmap
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-    pub fn open_mmap_unvalidated(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_mmap_opts(path, false)
-    }
-
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-    fn open_mmap_opts(path: impl AsRef<Path>, validate: bool) -> io::Result<Self> {
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len() as usize;
         if !len.is_multiple_of(8) || len < HEADER_WORDS * 8 {
             return Err(bad_format("file length is not a whole arena"));
         }
         let map = mapping::Mapping::map(&file, len)?;
-        Self::from_buf_opts(ArenaBuf::Mapped(map), validate)
+        Self::from_buf_opts(ArenaBuf::Mapped(map), true)
     }
 
     /// Assembles an arena around an image built in place by
@@ -400,7 +370,7 @@ impl TopologyArena {
 
     /// The raw arena image — exactly the bytes [`TopologyArena::write_to`]
     /// puts on disk, so two arenas are interchangeable iff their
-    /// `as_bytes` agree (the sharded-build identity tests compare this).
+    /// `as_bytes` agree (the construction byte-identity tests compare this).
     pub fn as_bytes(&self) -> &[u8] {
         let words: &[u64] = &self.buf;
         // Safety: any initialized &[u64] is valid as bytes.
@@ -641,9 +611,9 @@ impl TopologyStore {
     /// Reopens a store frozen with [`TopologyStore::freeze_to`].
     ///
     /// With the `mmap` feature (64-bit unix) the file is memory-mapped
-    /// instead of read, so reopening a 10⁷-peer overlay is O(1) work
-    /// and cold rows page in on first touch; otherwise it is one read
-    /// into one allocation. Every product reopen path
+    /// instead of read (no copy; the validation scans fault each page in
+    /// once); otherwise it is one read into one allocation. Either way
+    /// the image is validated. Every product reopen path
     /// (`RouteTable::open_from`, `SmallWorldNetwork::open_from`) goes
     /// through here, so enabling the feature switches them all.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
@@ -654,25 +624,6 @@ impl TopologyStore {
         #[cfg(not(all(feature = "mmap", unix, target_pointer_width = "64")))]
         {
             Ok(TopologyStore::Arena(TopologyArena::open(path)?))
-        }
-    }
-
-    /// [`open`] for *trusted* files (ones this process wrote): skips the
-    /// `O(m)` structural scans, so reopening a 10⁷-peer overlay costs
-    /// one read — see [`TopologyArena::open_unvalidated`] for the exact
-    /// contract.
-    ///
-    /// [`open`]: TopologyStore::open
-    pub fn open_unvalidated(path: impl AsRef<Path>) -> io::Result<Self> {
-        #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-        {
-            Ok(TopologyStore::Arena(TopologyArena::open_mmap_unvalidated(
-                path,
-            )?))
-        }
-        #[cfg(not(all(feature = "mmap", unix, target_pointer_width = "64")))]
-        {
-            Ok(TopologyStore::Arena(TopologyArena::open_unvalidated(path)?))
         }
     }
 

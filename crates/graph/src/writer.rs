@@ -1,8 +1,7 @@
 //! Build-direct-to-arena construction: [`ArenaWriter`] fills the final
 //! [`TopologyArena`] image in place (count-then-fill, no intermediate
-//! heap CSR), and [`ArenaSection`] carries one peer-range's slice of
-//! that image as a standalone file so independent processes can each
-//! build a shard and [`stitch`] them into one valid arena.
+//! heap CSR) — in a heap buffer, or inside a write-through mapping of
+//! the destination file so that sealing the writer is the freeze.
 //!
 //! ## Why write into the image directly
 //!
@@ -23,24 +22,21 @@
 //! Disjoint peer ranges own disjoint byte ranges of the `edges` /
 //! `edge_pos` / `node_pos` sections (rows are contiguous in peer order),
 //! so [`ArenaWriter::fill_shards`] can hand every shard its own mutable
-//! slice and fill them concurrently. A shard built in *another process*
-//! writes the same bytes into an [`ArenaSection`] file instead;
-//! [`stitch`] rebases each section's rows onto the global offset table
-//! (wide-arithmetic sums, re-validated headers) and finishes the arena
-//! exactly as the in-process path does. Either way the resulting image
-//! is byte-identical to a monolithic [`TopologyArena::build`] +
-//! [`TopologyArena::write_to`] of the same topology.
+//! slice and fill them concurrently. Shards exist only inside one
+//! process, as the unit of fill parallelism: the image is a pure
+//! function of what each peer's row receives, so it is byte-identical to
+//! a monolithic [`TopologyArena::build`] + [`TopologyArena::write_to`]
+//! of the same topology for every partition and thread count.
 
 use crate::csr::transpose_into;
 use crate::digraph::NodeId;
 use crate::par;
 use crate::store::{
-    self, bad_format, f64_section, f64_section_mut, u32_section, u32_section_mut, u32_words,
-    TopologyArena, FLAG_EDGE_POS, FLAG_NODE_POS, FLAG_SORTED,
+    self, bad_format, f64_section_mut, u32_section, u32_section_mut, TopologyArena, FLAG_EDGE_POS,
+    FLAG_NODE_POS, FLAG_SORTED,
 };
 use std::io;
 use std::ops::Range;
-use std::path::Path;
 
 /// The image under construction: a heap allocation, or (with the `mmap`
 /// feature) a write-through mapping of the destination file itself — in
@@ -140,7 +136,7 @@ impl ArenaWriter {
     /// [`from_degrees`]: ArenaWriter::from_degrees
     #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
     pub fn create_at(
-        path: impl AsRef<Path>,
+        path: impl AsRef<std::path::Path>,
         degrees: &[u32],
         with_edge_pos: bool,
         with_node_pos: bool,
@@ -389,333 +385,6 @@ impl ArenaWriter {
     }
 }
 
-/// Magic-plus-version word of a section file (see [`ArenaSection`]).
-const SECTION_MAGIC: u64 = 0x5357_5345_4354_0001; // "SWSECT" + version 1
-
-/// Header words before a section's first array.
-const SECTION_HEADER_WORDS: usize = 6; // magic, n_total, lo, hi, m, flags
-
-/// Word offsets of a section file's arrays for `(span, m, flags)`.
-#[derive(Debug, Clone, Copy)]
-struct SectionLayout {
-    degrees: usize,
-    edges: usize,
-    edge_pos: usize,
-    node_pos: usize,
-    total_words: usize,
-}
-
-fn section_layout(span: usize, m: usize, flags: u64) -> SectionLayout {
-    let degrees = SECTION_HEADER_WORDS;
-    let edges = degrees + u32_words(span);
-    let edge_pos = edges + u32_words(m);
-    let node_pos = edge_pos + if flags & FLAG_EDGE_POS != 0 { m } else { 0 };
-    let total_words = node_pos + if flags & FLAG_NODE_POS != 0 { span } else { 0 };
-    SectionLayout {
-        degrees,
-        edges,
-        edge_pos,
-        node_pos,
-        total_words,
-    }
-}
-
-/// One peer-range's share of an arena under construction, as a flat
-/// native-endian file image (same image-is-the-file trick as the arena):
-///
-/// ```text
-/// word 0      SECTION_MAGIC ("SWSECT" + version, endianness check)
-/// word 1      n_total — peer count of the final arena
-/// word 2..4   lo, hi  — the peer range [lo, hi) this section owns
-/// word 4      m       — out-edges in this section
-/// word 5      flags   — lane bits (FLAG_EDGE_POS / FLAG_NODE_POS)
-/// then        degrees  u32 × (hi − lo), padded to whole words
-/// then        edges    u32 × m, rows in peer order, padded
-/// then        edge_pos f64 × m         (iff FLAG_EDGE_POS)
-/// then        node_pos f64 × (hi − lo) (iff FLAG_NODE_POS)
-/// ```
-///
-/// Sections carry **local** row extents (degrees, not offsets) so a
-/// section knows nothing about its siblings; [`stitch`] rebases rows
-/// onto the global offset table when all sections are present.
-pub struct ArenaSection {
-    n_total: usize,
-    lo: usize,
-    hi: usize,
-    m: usize,
-    flags: u64,
-    layout: SectionLayout,
-    buf: Box<[u64]>,
-}
-
-impl std::fmt::Debug for ArenaSection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArenaSection")
-            .field("n_total", &self.n_total)
-            .field("range", &(self.lo..self.hi))
-            .field("m", &self.m)
-            .field("flags", &self.flags)
-            .finish()
-    }
-}
-
-impl ArenaSection {
-    /// Packs one shard's rows into a section image. `degrees[i]` is the
-    /// out-degree of peer `range.start + i`; `edges` holds the rows
-    /// concatenated in peer order; lanes, when given, align with `edges`
-    /// (per edge) and `range` (per node).
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches or a range outside `0..n_total`.
-    pub fn build(
-        n_total: usize,
-        range: Range<usize>,
-        degrees: &[u32],
-        edges: &[NodeId],
-        edge_pos: Option<&[f64]>,
-        node_pos: Option<&[f64]>,
-    ) -> ArenaSection {
-        assert!(
-            range.start <= range.end && range.end <= n_total,
-            "shard range within 0..n_total"
-        );
-        assert_eq!(degrees.len(), range.len(), "one degree per peer in range");
-        let total: u64 = degrees.iter().map(|&d| d as u64).sum();
-        assert_eq!(total, edges.len() as u64, "degrees must sum to edge count");
-        assert!(edges.len() <= u32::MAX as usize, "section edges fit u32");
-        let m = edges.len();
-        let mut flags = 0u64;
-        if let Some(p) = edge_pos {
-            assert_eq!(p.len(), m, "edge_pos must have one lane per edge");
-            flags |= FLAG_EDGE_POS;
-        }
-        if let Some(p) = node_pos {
-            assert_eq!(p.len(), range.len(), "node_pos must cover the range");
-            flags |= FLAG_NODE_POS;
-        }
-        let layout = section_layout(range.len(), m, flags);
-        let mut buf = vec![0u64; layout.total_words].into_boxed_slice();
-        buf[0] = SECTION_MAGIC;
-        buf[1] = n_total as u64;
-        buf[2] = range.start as u64;
-        buf[3] = range.end as u64;
-        buf[4] = m as u64;
-        buf[5] = flags;
-        u32_section_mut(&mut buf, layout.degrees, range.len()).copy_from_slice(degrees);
-        u32_section_mut(&mut buf, layout.edges, m).copy_from_slice(edges);
-        if let Some(p) = edge_pos {
-            f64_section_mut(&mut buf, layout.edge_pos, m).copy_from_slice(p);
-        }
-        if let Some(p) = node_pos {
-            f64_section_mut(&mut buf, layout.node_pos, range.len()).copy_from_slice(p);
-        }
-        ArenaSection {
-            n_total,
-            lo: range.start,
-            hi: range.end,
-            m,
-            flags,
-            layout,
-            buf,
-        }
-    }
-
-    /// Writes the section image to `path` (one `write`).
-    pub fn write_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let words: &[u64] = &self.buf;
-        // Safety: any initialized &[u64] is valid as bytes.
-        let bytes = unsafe {
-            std::slice::from_raw_parts(words.as_ptr() as *const u8, std::mem::size_of_val(words))
-        };
-        std::fs::write(path, bytes)
-    }
-
-    /// Reads a section file back, re-validating the header (magic,
-    /// range, wide-arithmetic length), the degree sum, and edge-target
-    /// range — a section crosses process boundaries, so it is never
-    /// trusted on open.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<ArenaSection> {
-        use std::io::Read as _;
-        let mut file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len() as usize;
-        if !len.is_multiple_of(8) || len < SECTION_HEADER_WORDS * 8 {
-            return Err(bad_format("file length is not a whole section"));
-        }
-        let mut buf = vec![0u64; len / 8].into_boxed_slice();
-        // Safety: &mut [u64] is valid as a byte buffer of the same size.
-        let bytes = unsafe {
-            std::slice::from_raw_parts_mut(
-                buf.as_mut_ptr() as *mut u8,
-                std::mem::size_of_val(&*buf),
-            )
-        };
-        file.read_exact(bytes)?;
-        if buf[0] != SECTION_MAGIC {
-            return Err(bad_format(
-                "bad magic (not an arena section, or foreign endianness)",
-            ));
-        }
-        let (n_total, lo, hi, m, flags) = (
-            buf[1] as usize,
-            buf[2] as usize,
-            buf[3] as usize,
-            buf[4] as usize,
-            buf[5],
-        );
-        if n_total > u32::MAX as usize || m > u32::MAX as usize {
-            return Err(bad_format("peer/edge count exceeds the u32 id space"));
-        }
-        if lo > hi || hi > n_total {
-            return Err(bad_format("section range outside 0..n_total"));
-        }
-        let span = hi - lo;
-        let wide_words = {
-            let u32s = |len: u128| len.div_ceil(2);
-            let mut w = SECTION_HEADER_WORDS as u128 + u32s(span as u128) + u32s(m as u128);
-            if flags & FLAG_EDGE_POS != 0 {
-                w += m as u128;
-            }
-            if flags & FLAG_NODE_POS != 0 {
-                w += span as u128;
-            }
-            w
-        };
-        if buf.len() as u128 != wide_words {
-            return Err(bad_format("file length does not match section header"));
-        }
-        let layout = section_layout(span, m, flags);
-        let section = ArenaSection {
-            n_total,
-            lo,
-            hi,
-            m,
-            flags,
-            layout,
-            buf,
-        };
-        let degree_sum: u64 = section.degrees().iter().map(|&d| d as u64).sum();
-        if degree_sum != m as u64 {
-            return Err(bad_format("section degrees do not sum to edge count"));
-        }
-        if section.edges().iter().any(|&v| (v as usize) >= n_total) {
-            return Err(bad_format("edge target out of range"));
-        }
-        Ok(section)
-    }
-
-    /// The peer range this section owns.
-    pub fn range(&self) -> Range<usize> {
-        self.lo..self.hi
-    }
-
-    /// Peer count of the final arena this section belongs to.
-    pub fn n_total(&self) -> usize {
-        self.n_total
-    }
-
-    /// Out-edges held by this section.
-    pub fn edge_count(&self) -> usize {
-        self.m
-    }
-
-    /// Per-peer out-degrees over the section's range.
-    pub fn degrees(&self) -> &[u32] {
-        u32_section(&self.buf, self.layout.degrees, self.hi - self.lo)
-    }
-
-    /// The section's edge rows, concatenated in peer order.
-    pub fn edges(&self) -> &[NodeId] {
-        u32_section(&self.buf, self.layout.edges, self.m)
-    }
-
-    /// The per-edge `f64` lane, if carried.
-    pub fn edge_pos(&self) -> Option<&[f64]> {
-        (self.flags & FLAG_EDGE_POS != 0)
-            .then(|| f64_section(&self.buf, self.layout.edge_pos, self.m))
-    }
-
-    /// The per-node `f64` lane over the range, if carried.
-    pub fn node_pos(&self) -> Option<&[f64]> {
-        (self.flags & FLAG_NODE_POS != 0)
-            .then(|| f64_section(&self.buf, self.layout.node_pos, self.hi - self.lo))
-    }
-}
-
-/// Stitches independently-built sections into one [`TopologyArena`].
-///
-/// Sections may arrive in **any order**; they are sorted by range and
-/// must tile `0..n_total` exactly, agree on `n_total` and lane flags,
-/// and their edge counts must sum within the `u32` id space (summed in
-/// wide arithmetic before any offset is rebased). The result is
-/// byte-identical to building the same topology monolithically: global
-/// offsets are the prefix sums of the concatenated degrees, each
-/// section's rows land at their rebased extents, and the transpose and
-/// sorted flag are derived exactly as [`ArenaWriter::finish`] does.
-pub fn stitch(sections: &[ArenaSection], threads: usize) -> io::Result<TopologyArena> {
-    let first = sections
-        .first()
-        .ok_or_else(|| bad_format("cannot stitch zero sections"))?;
-    let (n_total, flags) = (first.n_total, first.flags);
-    let mut order: Vec<usize> = (0..sections.len()).collect();
-    order.sort_by_key(|&i| sections[i].lo);
-    let mut expect = 0usize;
-    let mut wide_m = 0u128;
-    for &i in &order {
-        let s = &sections[i];
-        if s.n_total != n_total {
-            return Err(bad_format("sections disagree on the peer count"));
-        }
-        if s.flags != flags {
-            return Err(bad_format("sections disagree on lane flags"));
-        }
-        if s.lo != expect {
-            return Err(bad_format("sections do not tile the peer range"));
-        }
-        expect = s.hi;
-        wide_m += s.m as u128;
-    }
-    if expect != n_total {
-        return Err(bad_format("sections do not tile the peer range"));
-    }
-    if wide_m > u32::MAX as u128 {
-        return Err(bad_format("stitched edge count exceeds the u32 id space"));
-    }
-    let mut degrees = Vec::with_capacity(n_total);
-    for &i in &order {
-        degrees.extend_from_slice(sections[i].degrees());
-    }
-    let mut writer = ArenaWriter::from_degrees(
-        &degrees,
-        flags & FLAG_EDGE_POS != 0,
-        flags & FLAG_NODE_POS != 0,
-    )?;
-    drop(degrees);
-    let ranges: Vec<Range<usize>> = order.iter().map(|&i| sections[i].range()).collect();
-    writer.fill_shards(&ranges, threads, |k, mut slots| {
-        let s = &sections[order[k]];
-        slots.edges.copy_from_slice(s.edges());
-        if let Some(lane) = slots.edge_pos.as_deref_mut() {
-            lane.copy_from_slice(s.edge_pos().expect("flags agree"));
-        }
-        if let Some(lane) = slots.node_pos.as_deref_mut() {
-            lane.copy_from_slice(s.node_pos().expect("flags agree"));
-        }
-    });
-    writer.finish(threads)
-}
-
-/// [`stitch`] over section *files*: opens (and re-validates) each path,
-/// then stitches. The multi-process build path — every worker wrote its
-/// section with [`ArenaSection::write_to`] — funnels through here.
-pub fn stitch_files<P: AsRef<Path>>(paths: &[P], threads: usize) -> io::Result<TopologyArena> {
-    let sections: Vec<ArenaSection> = paths
-        .iter()
-        .map(ArenaSection::open)
-        .collect::<io::Result<_>>()?;
-    stitch(&sections, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,119 +513,6 @@ mod tests {
         let reference = TopologyArena::build(&topo, None, None);
         let built = write_via_writer(&topo, false, 2, 1);
         assert_eq!(built.as_bytes(), reference.as_bytes());
-    }
-
-    fn sections_of(topo: &Topology, lanes: bool, cuts: &[usize]) -> Vec<ArenaSection> {
-        let n = topo.len();
-        let mut bounds = vec![0usize];
-        bounds.extend_from_slice(cuts);
-        bounds.push(n);
-        bounds
-            .windows(2)
-            .map(|w| {
-                let (lo, hi) = (w[0], w[1]);
-                let degrees: Vec<u32> = (lo..hi)
-                    .map(|u| topo.out_degree(u as NodeId) as u32)
-                    .collect();
-                let mut edges = Vec::new();
-                for u in lo..hi {
-                    edges.extend_from_slice(topo.neighbors(u as NodeId));
-                }
-                let edge_pos: Vec<f64> = edges.iter().map(|&v| v as f64 / 100.0).collect();
-                let node_pos: Vec<f64> = (lo..hi).map(|u| u as f64 / 10.0).collect();
-                ArenaSection::build(
-                    n,
-                    lo..hi,
-                    &degrees,
-                    &edges,
-                    lanes.then_some(edge_pos.as_slice()),
-                    lanes.then_some(node_pos.as_slice()),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn stitch_matches_monolithic_any_order() {
-        let topo = scrambled_topology(400, 5);
-        for lanes in [false, true] {
-            let reference = arena_of(&topo, lanes);
-            let mut sections = sections_of(&topo, lanes, &[57, 111, 350]);
-            // Shuffle completion order deterministically.
-            sections.reverse();
-            sections.swap(0, 2);
-            let stitched = stitch(&sections, 2).unwrap();
-            assert_eq!(stitched.as_bytes(), reference.as_bytes(), "lanes={lanes}");
-        }
-    }
-
-    #[test]
-    fn section_file_round_trip() {
-        let topo = scrambled_topology(200, 4);
-        let dir = std::env::temp_dir().join("sw-graph-writer-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let reference = arena_of(&topo, true);
-        let sections = sections_of(&topo, true, &[90]);
-        let paths: Vec<_> = sections
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let p = dir.join(format!("part-{i}.sws"));
-                s.write_to(&p).unwrap();
-                p
-            })
-            .collect();
-        let stitched = stitch_files(&paths, 1).unwrap();
-        assert_eq!(stitched.as_bytes(), reference.as_bytes());
-        for p in paths {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn section_open_rejects_corruption() {
-        let topo = scrambled_topology(50, 3);
-        let sections = sections_of(&topo, false, &[]);
-        let dir = std::env::temp_dir().join("sw-graph-writer-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corrupt.sws");
-        sections[0].write_to(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Flip an edge target into an out-of-range id.
-        let edges_byte = sections[0].layout.edges * 8;
-        bytes[edges_byte..edges_byte + 4].copy_from_slice(&u32::MAX.to_ne_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(ArenaSection::open(&path).is_err());
-        // Truncation and bad magic also reject.
-        std::fs::write(&path, &bytes[..bytes.len() - 8]).unwrap();
-        assert!(ArenaSection::open(&path).is_err());
-        std::fs::write(&path, vec![0u8; 64]).unwrap();
-        assert!(ArenaSection::open(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn stitch_rejects_mismatched_sections() {
-        let topo = scrambled_topology(60, 3);
-        let whole = sections_of(&topo, false, &[]);
-        assert!(stitch(&[], 1).is_err(), "zero sections");
-        // A gap in coverage.
-        let gappy = sections_of(&topo, false, &[20, 40]);
-        assert!(stitch(&gappy[..2], 1).is_err(), "gap rejected");
-        // Disagreeing n_total.
-        let small = scrambled_topology(30, 3);
-        let mut mixed = sections_of(&small, false, &[]);
-        mixed.extend(sections_of(&topo, false, &[]));
-        assert!(stitch(&mixed, 1).is_err(), "n_total mismatch rejected");
-        // Disagreeing lane flags.
-        let mut flagged = sections_of(&topo, true, &[30]);
-        flagged.remove(0);
-        let mut plain = sections_of(&topo, false, &[30]);
-        plain.remove(1);
-        plain.extend(flagged);
-        assert!(stitch(&plain, 1).is_err(), "flag mismatch rejected");
-        // The untouched whole still stitches.
-        assert!(stitch(&whole, 1).is_ok());
     }
 
     #[test]

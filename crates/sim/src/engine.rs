@@ -496,13 +496,15 @@ impl Simulator {
     }
 
     /// [`Simulator::with_store`] from a frozen image on disk: peer keys
-    /// come from the arena's per-node position lane.
+    /// come from the arena's per-node position lane. `path` is outside
+    /// input, so the image is validated on open — a truncated or
+    /// corrupted file is an `Err`, never an out-of-bounds row later.
     pub fn from_frozen(
         cfg: SimConfig,
         dist: Arc<dyn KeyDistribution>,
         path: impl AsRef<std::path::Path>,
     ) -> std::io::Result<Simulator> {
-        let store = TopologyStore::open_unvalidated(path)?;
+        let store = TopologyStore::open(path)?;
         let keys: Vec<Key> = store
             .node_pos()
             .ok_or_else(|| {
@@ -4244,13 +4246,9 @@ mod tests {
         );
     }
 
-    /// The seeded run is bit-identical across *storage backends*: the
-    /// same converged rows behind the heap CSR and behind a frozen
-    /// arena image round-tripped through disk (keys read back from the
-    /// arena's per-node lane) produce the same simulation — including
-    /// churn layered onto the delta overlay above the immutable base.
-    #[test]
-    fn heap_and_arena_stores_preload_bit_identical() {
+    /// A 64-peer ring with six harmonic long links per peer, frozen to a
+    /// fresh temp file: `(keys, heap topology, image path)`.
+    fn freeze_small_ring(tag: &str) -> (Vec<Key>, sw_graph::Topology, std::path::PathBuf) {
         let n = 64usize;
         let keys: Vec<Key> = (0..n)
             .map(|i| Key::clamped((i as f64 + 0.5) / n as f64))
@@ -4264,14 +4262,23 @@ mod tests {
             lt.add_all(u, selector.sample_links(u, 6, &mut rng));
         }
         let topo = lt.build();
-        let path = std::env::temp_dir().join(format!(
-            "sw-sim-store-identity-{}.arena",
-            std::process::id()
-        ));
+        let path = std::env::temp_dir().join(format!("sw-sim-{tag}-{}.arena", std::process::id()));
         let pos: Vec<f64> = keys.iter().map(|k| k.get()).collect();
         TopologyStore::heap(topo.clone())
             .freeze_to(&path, Some(&pos))
             .unwrap();
+        (keys, topo, path)
+    }
+
+    /// The seeded run is bit-identical across *storage backends*: the
+    /// same converged rows behind the heap CSR and behind a frozen
+    /// arena image round-tripped through disk (keys read back from the
+    /// arena's per-node lane) produce the same simulation — including
+    /// churn layered onto the delta overlay above the immutable base.
+    #[test]
+    fn heap_and_arena_stores_preload_bit_identical() {
+        let (keys, topo, path) = freeze_small_ring("store-identity");
+        let n = keys.len();
         let cfg_for = |parallelism: usize| SimConfig {
             churn: ChurnConfig::symmetric(2.0),
             parallelism,
@@ -4293,11 +4300,39 @@ mod tests {
         let heap = digest(Simulator::with_store(
             cfg_for(1),
             Arc::new(Uniform),
-            keys.clone(),
+            keys,
             TopologyStore::heap(topo),
         ));
         let arena = digest(Simulator::from_frozen(cfg_for(4), Arc::new(Uniform), &path).unwrap());
         std::fs::remove_file(&path).ok();
         assert_eq!(heap, arena, "storage backends diverged");
+    }
+
+    /// `from_frozen` takes an arbitrary path, so a damaged image must
+    /// come back as `Err` — not as a simulator that panics on an
+    /// out-of-bounds row once a walk reads it.
+    #[test]
+    fn from_frozen_rejects_corrupt_images() {
+        let (keys, _, path) = freeze_small_ring("corrupt");
+        let n = keys.len();
+        let good = std::fs::read(&path).unwrap();
+        // SWTOPO v1: 4 header words, then `n + 1` u32 offsets padded to
+        // whole words, then the edge rows.
+        let offsets_byte = 4 * 8;
+        let edges_byte = (4 + (n + 1).div_ceil(2)) * 8;
+        let open = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            Simulator::from_frozen(quiet_config(23, n), Arc::new(Uniform), &path).map(|_| ())
+        };
+        assert!(open(&good).is_ok(), "the untouched image opens");
+        let mut bad_offset = good.clone();
+        let at = offsets_byte + 4 * (n / 2);
+        bad_offset[at..at + 4].copy_from_slice(&u32::MAX.to_ne_bytes());
+        assert!(open(&bad_offset).is_err(), "one offset word past m");
+        let mut bad_target = good.clone();
+        bad_target[edges_byte..edges_byte + 4].copy_from_slice(&(n as u32).to_ne_bytes());
+        assert!(open(&bad_target).is_err(), "one edge target >= n");
+        assert!(open(&good[..good.len() - 8]).is_err(), "truncated");
+        std::fs::remove_file(&path).ok();
     }
 }

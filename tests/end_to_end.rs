@@ -346,6 +346,51 @@ fn reopened_overlay_routes_like_the_reference() {
     }
 }
 
+/// The simulate half of the headline path: build → freeze → validated
+/// reopen → simulate. A simulator preloaded from the frozen contact
+/// image (`from_frozen` reads the peer keys back from its per-node
+/// lane) must run churn + lookups to the same `SimMetrics` fingerprint
+/// as one preloaded from the same network's heap rows, run after run.
+#[test]
+fn frozen_image_simulates_like_the_heap_store() {
+    use smallworld::graph::TopologyStore;
+
+    let dist = || TruncatedPareto::new(1.5, 0.01).unwrap();
+    let net = SmallWorldBuilder::new(2048)
+        .distribution(Box::new(dist()))
+        .sampler(LinkSampler::Harmonic)
+        .build(&mut Rng::new(52))
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!("smallworld-e2e-sim-{}", std::process::id()));
+    net.freeze_to(&dir).unwrap();
+    let cfg = || SimConfig {
+        seed: 9,
+        churn: ChurnConfig::symmetric(2.0),
+        workload: WorkloadConfig { lookup_rate: 20.0 },
+        stabilize_interval: Some(SimTime::from_secs(5)),
+        ..SimConfig::default()
+    };
+    let run = |mut sim: Simulator| {
+        sim.run_until(SimTime::from_secs(30));
+        let m = sim.metrics();
+        assert!(m.lookups > 300 && m.joins > 20 && m.failures > 20);
+        assert!(m.success_rate() > 0.9, "success {}", m.success_rate());
+        m.fingerprint()
+    };
+    let frozen =
+        || run(Simulator::from_frozen(cfg(), Arc::new(dist()), dir.join("contacts.swt")).unwrap());
+    let heap = run(Simulator::with_store(
+        cfg(),
+        Arc::new(dist()),
+        net.placement().keys().to_vec(),
+        TopologyStore::heap(net.topology().clone()),
+    ));
+    let first = frozen();
+    assert_eq!(first, heap, "arena-backed run diverged from the heap store");
+    assert_eq!(first, frozen(), "frozen run is not repeatable");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Determinism across the whole stack: same seed, same everything.
 #[test]
 fn cross_crate_determinism() {
