@@ -1,12 +1,12 @@
 //! Execution context shared by all experiments, and the one place that
 //! owns the experiment output paths.
 //!
-//! Every artifact an experiment or bench binary produces goes through
-//! the helpers here: per-experiment CSVs land in the context's
-//! `results/` directory ([`Ctx::write_csv`]), and the repo-root
-//! `BENCH_*.json` perf-trajectory snapshots CI uploads go through
-//! [`write_snapshot`] / [`snapshot_path`]. No experiment hand-rolls a
-//! `CARGO_MANIFEST_DIR` path of its own.
+//! Every artifact an experiment produces goes through the helpers here:
+//! per-experiment CSVs land in the context's `results/` directory
+//! ([`Ctx::write_csv`]), and rows for the repo-root `BENCH_*.json`
+//! snapshots go through [`Ctx::merge_snapshot`], which writes only in
+//! the full profile — so every committed row is a full-profile row. No
+//! experiment hand-rolls a `CARGO_MANIFEST_DIR` path of its own.
 
 use crate::table::Table;
 use std::path::{Path, PathBuf};
@@ -56,49 +56,42 @@ impl Ctx {
     pub fn write_csv(&self, table: &Table, file: &str) {
         table.write_csv(&self.out_dir, file);
     }
+
+    /// Merges an experiment's rows by id into the repo-root snapshot
+    /// `file` (`BENCH_*.json`), so experiments that share a file (E20's
+    /// `scale/*` rows, E21's `shard/*` rows) keep each other's cells.
+    /// `rows` pairs each id with its full object literal (one line, no
+    /// trailing comma). A `--quick` run returns without writing: the
+    /// committed snapshots hold full-profile rows only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the write fails — a missing snapshot must fail the run
+    /// loudly, not silently skip the rows.
+    pub fn merge_snapshot(&self, file: &str, rows: &[(String, String)]) {
+        if self.quick {
+            return;
+        }
+        merge_rows_into(&snapshot_path(file), rows).unwrap_or_else(|e| panic!("write {file}: {e}"));
+        println!("  wrote {file}");
+    }
 }
 
-/// The repository root (where the `BENCH_*.json` snapshots live),
-/// resolved from this crate's manifest.
-pub fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+/// Absolute path of a repo-root perf snapshot (resolved from this
+/// crate's manifest), e.g. `snapshot_path("BENCH_scale.json")`.
+fn snapshot_path(file: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file)
 }
 
-/// Absolute path of a repo-root perf snapshot, e.g.
-/// `snapshot_path("BENCH_scale.json")`.
-pub fn snapshot_path(file: &str) -> PathBuf {
-    repo_root().join(file)
-}
-
-/// Writes a repo-root `BENCH_*.json` perf-trajectory snapshot (the files
-/// CI uploads as artifacts) and prints a one-line receipt.
-///
-/// # Panics
-///
-/// Panics if the write fails — a missing snapshot must fail the bench
-/// run loudly, not silently skip the artifact.
-pub fn write_snapshot(file: &str, contents: &str) {
-    let path = snapshot_path(file);
-    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {file}: {e}"));
-    println!("  wrote {file}");
-}
-
-/// Merges rows into a repo-root snapshot that is a JSON array with one
-/// `{...}` object per line, each carrying an `"id"` field. Rows whose id
-/// already exists replace the old line in place (keeping the file's
-/// order); new ids append. This lets independent experiments (E20's
-/// `scale/*` rows, E21's `shard/*` rows) share one `BENCH_scale.json`
-/// without clobbering each other's cells.
-///
-/// `rows` pairs each id with its full object literal (no trailing
-/// comma, one line).
-///
-/// # Panics
-///
-/// Panics if the final write fails, like [`write_snapshot`].
-pub fn merge_snapshot(file: &str, rows: &[(String, String)]) {
+/// Merges `rows` by id into the snapshot at `path`: a JSON array with
+/// one `{...}` object per line, each carrying an `"id"` field. A row
+/// whose id already exists replaces the old line in place (keeping the
+/// file's order); new ids append; a missing file starts empty.
+fn merge_rows_into(path: &Path, rows: &[(String, String)]) -> std::io::Result<()> {
     let mut kept: Vec<(String, String)> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(snapshot_path(file)) {
+    if let Ok(existing) = std::fs::read_to_string(path) {
         for line in existing.lines() {
             let obj = line.trim().trim_end_matches(',');
             if !obj.starts_with('{') {
@@ -122,7 +115,7 @@ pub fn merge_snapshot(file: &str, rows: &[(String, String)]) {
         out.push_str(if i + 1 < kept.len() { ",\n" } else { "\n" });
     }
     out.push_str("]\n");
-    write_snapshot(file, &out);
+    std::fs::write(path, out)
 }
 
 /// Pulls the `"id"` value out of a single-line JSON object literal.
@@ -170,6 +163,34 @@ mod tests {
             Some("scale/uniform/100")
         );
         assert_eq!(extract_id("{\"n\": 100}"), None);
+    }
+
+    fn row(id: &str, v: u32) -> (String, String) {
+        (id.to_string(), format!("{{\"id\": \"{id}\", \"v\": {v}}}"))
+    }
+
+    #[test]
+    fn quick_run_writes_no_snapshot() {
+        let file = "BENCH_quick_run_writes_no_snapshot.json";
+        let ctx = Ctx {
+            quick: true,
+            ..Ctx::default()
+        };
+        ctx.merge_snapshot(file, &[row("a", 1)]);
+        assert!(!snapshot_path(file).exists());
+    }
+
+    #[test]
+    fn merge_replaces_in_place_appends_and_keeps_order() {
+        let path = std::env::temp_dir().join(format!("sw-ctx-merge-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        merge_rows_into(&path, &[row("a", 1), row("b", 2), row("c", 3)]).expect("write");
+        merge_rows_into(&path, &[row("d", 5), row("b", 4)]).expect("write");
+        let got = std::fs::read_to_string(&path).expect("read back");
+        std::fs::remove_file(&path).expect("clean up");
+        let want = [row("a", 1), row("b", 4), row("c", 3), row("d", 5)];
+        let lines: Vec<String> = want.iter().map(|(_, obj)| format!("  {obj}")).collect();
+        assert_eq!(got, format!("[\n{}\n]\n", lines.join(",\n")));
     }
 
     #[test]

@@ -22,11 +22,10 @@
 //! bit-identical to the reference, so the sweep doubles as an
 //! equivalence test at scale.
 //!
-//! The full sweep is n ∈ {10⁵, 10⁶, 10⁷}; `--quick` (CI smoke) runs
-//! {10⁴, 4·10⁴}. Set `SW_E25_MAX_N` to cap the sweep on small machines
-//! (the 10⁷ build needs ~2 GB and a couple of minutes). Rows merge by
-//! id (`interleave/*`) into `BENCH_routing.json` alongside E19's
-//! `routing/*` rows.
+//! The full sweep is n ∈ {10⁵, 10⁶, 10⁷} (the 10⁷ build needs ~2 GB
+//! and a couple of minutes); its rows merge by id (`interleave/*`) into
+//! `BENCH_routing.json` alongside E19's `routing/*` rows. `--quick`
+//! (CI smoke) runs {10⁴, 4·10⁴}.
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, Table};
@@ -60,15 +59,6 @@ pub fn e25_interleave(ctx: &Ctx) {
     } else {
         vec![100_000, 1_000_000, 10_000_000]
     };
-    let max_n: usize = std::env::var("SW_E25_MAX_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX);
-    let sizes: Vec<usize> = sizes.into_iter().filter(|&n| n <= max_n).collect();
-    if sizes.is_empty() {
-        println!("E25: SW_E25_MAX_N filtered out every size — nothing to run");
-        return;
-    }
     let queries = ctx.queries(4096);
     let mut table = Table::new(
         format!(
@@ -100,7 +90,7 @@ pub fn e25_interleave(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e25_interleave.csv");
-    write_snapshot(&rows);
+    write_snapshot(ctx, &rows);
     println!(
         "  expected shape: K=1 is the pipeline overhead alone and trails the \
          looped reference; from K=2 the interleaved kernel is ahead at every \
@@ -204,7 +194,7 @@ fn run_size(ctx: &Ctx, n: usize, queries: usize, rows: &mut Vec<InterleaveRow>) 
 /// Hand-rolled JSON rows (offline workspace — no serde), merged by id
 /// into `BENCH_routing.json` so E19's `routing/*` rows survive an E25
 /// run and vice versa.
-fn write_snapshot(rows: &[InterleaveRow]) {
+fn write_snapshot(ctx: &Ctx, rows: &[InterleaveRow]) {
     let merged: Vec<(String, String)> = rows
         .iter()
         .map(|r| {
@@ -225,5 +215,5 @@ fn write_snapshot(rows: &[InterleaveRow]) {
             (r.id.clone(), obj)
         })
         .collect();
-    ctx::merge_snapshot("BENCH_routing.json", &merged);
+    ctx.merge_snapshot("BENCH_routing.json", &merged);
 }

@@ -1,7 +1,8 @@
 //! E18 — message-driven replica repair: the durability / bandwidth
 //! trade-off under churn, swept over `repair_interval × replication ×
-//! churn rate` for uniform and Pareto key densities. Writes
-//! `BENCH_repair.json` (repo root) alongside the table and CSV.
+//! churn rate` for uniform and Pareto key densities. The full profile
+//! merges its rows into `BENCH_repair.json` (repo root) alongside the
+//! table and CSV.
 
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, Table};
@@ -124,7 +125,7 @@ pub fn e18_repair(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e18_repair.csv");
-    write_snapshot(&rows);
+    write_snapshot(ctx, &rows);
     println!(
         "  expected shape: with repair off, keys are permanently lost and losses grow \
          with churn and shrink with replication; with repair on, losses collapse while \
@@ -135,10 +136,9 @@ pub fn e18_repair(ctx: &Ctx) {
 }
 
 /// Hand-rolled JSON rows (the workspace builds offline — no serde),
-/// merged by id so partial sweeps (CI smoke cells) never clobber
-/// full-run cells. `ttr_mean_secs` is simulator-clock time, hence the
+/// merged by id. `ttr_mean_secs` is simulator-clock time, hence the
 /// `sim_secs` unit stamp.
-fn write_snapshot(rows: &[RepairRow]) {
+fn write_snapshot(ctx: &Ctx, rows: &[RepairRow]) {
     let merged: Vec<(String, String)> = rows
         .iter()
         .map(|r| {
@@ -158,5 +158,5 @@ fn write_snapshot(rows: &[RepairRow]) {
             (r.id.clone(), obj)
         })
         .collect();
-    crate::ctx::merge_snapshot("BENCH_repair.json", &merged);
+    ctx.merge_snapshot("BENCH_repair.json", &merged);
 }

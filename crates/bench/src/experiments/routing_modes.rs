@@ -1,7 +1,8 @@
 //! E19 — pluggable routing modes: recursive hand-off vs requester-driven
 //! iterative lookups (with failover) vs semi-recursive with stranded-walk
 //! recovery, swept over churn rate for uniform and Pareto key densities.
-//! Writes `BENCH_routing.json` (repo root) alongside the table and CSV.
+//! The full profile merges its rows into `BENCH_routing.json` (repo
+//! root) alongside the table and CSV.
 
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, Table};
@@ -130,7 +131,7 @@ pub fn e19_routing_modes(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e19_routing_modes.csv");
-    write_snapshot(&rows);
+    write_snapshot(ctx, &rows);
     println!(
         "  expected shape: at churn 0 all modes deliver 100% with identical hop \
          counts, and iterative p50/p99 sits one RTT-per-hop above recursive (the \
@@ -143,10 +144,9 @@ pub fn e19_routing_modes(ctx: &Ctx) {
 }
 
 /// Hand-rolled JSON rows (the workspace builds offline — no serde),
-/// merged by id so partial sweeps (CI smoke cells) never clobber
-/// full-run cells. Latency quantiles are simulator-clock time, hence
-/// the `sim_secs` unit stamp.
-fn write_snapshot(rows: &[RoutingRow]) {
+/// merged by id. Latency quantiles are simulator-clock time, hence the
+/// `sim_secs` unit stamp.
+fn write_snapshot(ctx: &Ctx, rows: &[RoutingRow]) {
     let merged: Vec<(String, String)> = rows
         .iter()
         .map(|r| {
@@ -172,5 +172,5 @@ fn write_snapshot(rows: &[RoutingRow]) {
             (r.id.clone(), obj)
         })
         .collect();
-    crate::ctx::merge_snapshot("BENCH_routing.json", &merged);
+    ctx.merge_snapshot("BENCH_routing.json", &merged);
 }

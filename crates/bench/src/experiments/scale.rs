@@ -13,13 +13,13 @@
 //! structural scans (the committed 10⁷ rows predate that and timed a
 //! scan-free reopen) — and routed again through `route_batch` — the
 //! interleaved kernel over the arena — with the two result sequences
-//! asserted bit-identical (E25 times that kernel). Writes `BENCH_scale.json` (repo root, CI artifact) alongside
-//! the table and CSV; rows merge by id so E21's `shard/*` rows persist.
+//! asserted bit-identical (E25 times that kernel).
 //!
-//! The full sweep is n ∈ {10⁵, 10⁶, 10⁷}; `--quick` (CI smoke) runs
-//! {10⁴, 4·10⁴}. Set `SW_E20_MAX_N` to cap the sweep (e.g.
-//! `SW_E20_MAX_N=1000000` skips the 10⁷ cell on small machines: that
-//! cell needs ~10 GB of RAM and, single-threaded, tens of minutes).
+//! The full sweep, n ∈ {10⁵, 10⁶, 10⁷}, merges its rows by id into
+//! `BENCH_scale.json` (so E21's `shard/*` rows persist) alongside the
+//! table and CSV; the 10⁷ cell needs ~10 GB of RAM and,
+//! single-threaded, tens of minutes. `--quick` (CI smoke) runs
+//! {10⁴, 4·10⁴}.
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, Table};
@@ -70,15 +70,6 @@ pub fn e20_scale(ctx: &Ctx) {
     } else {
         vec![100_000, 1_000_000, 10_000_000]
     };
-    let max_n: usize = std::env::var("SW_E20_MAX_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX);
-    let sizes: Vec<usize> = sizes.into_iter().filter(|&n| n <= max_n).collect();
-    if sizes.is_empty() {
-        println!("E20: SW_E20_MAX_N filtered out every size — nothing to run");
-        return;
-    }
     let queries = ctx.queries(4096);
     let mut table = Table::new(
         format!("E20: CSR substrate at scale (harmonic sampler, {queries} member lookups/cell)"),
@@ -124,7 +115,7 @@ pub fn e20_scale(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e20_scale.csv");
-    write_snapshot(&rows);
+    write_snapshot(ctx, &rows);
     println!(
         "  expected shape: construction peers/s decays slowly in n (per-peer \
          sampling is O(log n)); reference routes/s falls with n as the key \
@@ -225,7 +216,7 @@ fn run_cell(
 /// Hand-rolled JSON rows (the workspace builds offline — no serde),
 /// merged by id into the shared snapshot so E21's `shard/*` rows
 /// survive an E20 run and vice versa.
-fn write_snapshot(rows: &[ScaleRow]) {
+fn write_snapshot(ctx: &Ctx, rows: &[ScaleRow]) {
     let merged: Vec<(String, String)> = rows
         .iter()
         .map(|r| {
@@ -248,5 +239,5 @@ fn write_snapshot(rows: &[ScaleRow]) {
             (r.id.clone(), obj)
         })
         .collect();
-    ctx::merge_snapshot("BENCH_scale.json", &merged);
+    ctx.merge_snapshot("BENCH_scale.json", &merged);
 }

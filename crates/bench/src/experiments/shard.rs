@@ -24,9 +24,8 @@
 //! the arena's `u32` edge space) through `build_frozen`, recording
 //! peers/s, bytes/peer and peak RSS.
 //!
-//! `--quick` (the CI smoke) runs n = 20 000. `SW_E21_MAX_N` caps the
-//! full-mode n like E20's knob. Rows merge into `BENCH_scale.json` under
-//! the `shard/*` ids the committed snapshot already uses.
+//! The full run is n = 10⁷; its rows merge into `BENCH_scale.json`
+//! under the `shard/*` ids. `--quick` (the CI smoke) runs n = 20 000.
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, Table};
@@ -85,15 +84,7 @@ fn assert_file_is(path: &Path, image: &[u8], what: &str) {
 
 /// E21 — construction pipeline (see module docs).
 pub fn e21_shard(ctx: &Ctx) {
-    let max_n: usize = std::env::var("SW_E21_MAX_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX);
-    let n = if ctx.quick {
-        20_000
-    } else {
-        10_000_000.min(max_n)
-    };
+    let n = if ctx.quick { 20_000 } else { 10_000_000 };
     let seed = ctx.seed ^ 21 ^ n as u64;
     let builder = cell_builder(n);
     let mut table = Table::new(
@@ -261,7 +252,7 @@ pub fn e21_shard(ctx: &Ctx) {
 
     table.print();
     ctx.write_csv(&table, "e21_shard.csv");
-    ctx::merge_snapshot("BENCH_scale.json", &rows);
+    ctx.merge_snapshot("BENCH_scale.json", &rows);
     println!(
         "  expected shape: fast beats the heap path end to end (no intermediate \
          CSR/LinkTable, freeze is a write-back instead of a re-pack) and frozen \

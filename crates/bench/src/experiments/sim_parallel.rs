@@ -23,10 +23,10 @@
 //! monotone across cells), so sizes run ascending and each row reports
 //! the mark *after* its runs.
 //!
-//! Writes `BENCH_sim.json` rows (merged by id, so E22's `sim-scale/*`
-//! rows survive) with a `workers` stamp on every row. The full sweep
-//! is n ∈ {10⁵, 10⁶}; `--quick` (CI smoke) runs {2·10³, 2·10⁴}. Set
-//! `SW_E24_MAX_N` to cap the sweep on small machines.
+//! The full sweep, n ∈ {10⁵, 10⁶}, merges its rows by id into
+//! `BENCH_sim.json` (so E22's `sim-scale/*` rows survive) with a
+//! `workers` stamp on every row; `--quick` (CI smoke) runs
+//! {2·10³, 2·10⁴}.
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, Table};
@@ -134,22 +134,11 @@ struct SimParRow {
 
 /// E24 — parallel simulator scaling (see module docs).
 pub fn e24_sim_parallel(ctx: &Ctx) {
-    // Quick sizes are disjoint from the full sweep, so a CI smoke run
-    // never overwrites a full run's rows in the merged snapshot.
     let sizes: Vec<usize> = if ctx.quick {
         vec![2_000, 20_000]
     } else {
         vec![100_000, 1_000_000]
     };
-    let max_n: usize = std::env::var("SW_E24_MAX_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX);
-    let sizes: Vec<usize> = sizes.into_iter().filter(|&n| n <= max_n).collect();
-    if sizes.is_empty() {
-        println!("E24: SW_E24_MAX_N filtered out every size — nothing to run");
-        return;
-    }
     let mut table = Table::new(
         "E24: parallel simulator — sharded conservative windows vs serial oracle, bit-identical \
          digests asserted"
@@ -197,7 +186,7 @@ pub fn e24_sim_parallel(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e24_sim_parallel.csv");
-    write_snapshot(&rows);
+    write_snapshot(ctx, &rows);
     let cores = par::default_parallelism();
     println!(
         "  expected shape: every sharded row's digest tuple is asserted equal \
@@ -292,9 +281,9 @@ fn run_cell(ctx: &Ctx, n: usize, variant: &'static str, traffic: bool, rows: &mu
 }
 
 /// Hand-rolled JSON rows (no serde offline), merged by id into the
-/// snapshot E22 and the simulator bench also write — each producer's
-/// rows survive the others' runs.
-fn write_snapshot(rows: &[SimParRow]) {
+/// snapshot E22 also writes — each producer's rows survive the other's
+/// runs.
+fn write_snapshot(ctx: &Ctx, rows: &[SimParRow]) {
     let merged: Vec<(String, String)> = rows
         .iter()
         .map(|r| {
@@ -329,5 +318,5 @@ fn write_snapshot(rows: &[SimParRow]) {
             (r.id.clone(), obj)
         })
         .collect();
-    ctx::merge_snapshot("BENCH_sim.json", &merged);
+    ctx.merge_snapshot("BENCH_sim.json", &merged);
 }

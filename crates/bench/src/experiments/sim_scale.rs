@@ -8,20 +8,14 @@
 //! frozen to a scratch arena image with its key lane; every cell then
 //! *preloads* the simulator from that image (`Simulator::from_frozen` —
 //! the delta-overlay path, where churn writes land in per-peer logs over
-//! the immutable base) and runs the seeded workload on the default
-//! message plane, the hierarchical timing wheel. (That the reference
-//! binary heap delivers the identical envelope sequence is pinned in
-//! `cargo test` — `wheel_and_heap_planes_run_bit_identical`,
-//! `crates/sim/tests/traffic.rs` and the plane proptest — not re-proved
-//! per cell here.) Peak RSS is the process high-water mark (`VmHWM`,
-//! monotone across cells), so sizes run ascending and each row reports
-//! the mark *after* its run.
+//! the immutable base) and runs the seeded workload. Peak RSS is the
+//! process high-water mark (`VmHWM`, monotone across cells), so sizes
+//! run ascending and each row reports the mark *after* its run.
 //!
-//! Writes `BENCH_sim.json` rows (merged by id, so the simulator bench's
-//! `sim/*` rows survive) alongside the table and CSV. The full sweep is
-//! n ∈ {10⁴, 10⁵, 10⁶}; `--quick` (CI smoke) runs {2·10³, 2·10⁴}. Set
-//! `SW_E22_TEN_MILLION=1` to append the 10⁷ cell (needs several GB of
-//! RAM), and `SW_E22_MAX_N` to cap the sweep on small machines.
+//! The full sweep, n ∈ {10⁴, 10⁵, 10⁶}, merges its rows by id into
+//! `BENCH_sim.json` (which E24 shares) alongside the table and CSV;
+//! `--quick` (CI smoke) runs {2·10³, 2·10⁴}. Set `SW_E22_TEN_MILLION=1`
+//! to append the 10⁷ cell (needs several GB of RAM).
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, Table};
@@ -102,9 +96,6 @@ struct SimScaleRow {
 
 /// E22 — simulator throughput at scale (see module docs).
 pub fn e22_sim_scale(ctx: &Ctx) {
-    // Quick sizes are disjoint from the full sweep (like E20's), so a CI
-    // smoke run never overwrites a full run's rows in the merged
-    // snapshot.
     let mut sizes: Vec<usize> = if ctx.quick {
         vec![2_000, 20_000]
     } else {
@@ -112,15 +103,6 @@ pub fn e22_sim_scale(ctx: &Ctx) {
     };
     if std::env::var("SW_E22_TEN_MILLION").as_deref() == Ok("1") {
         sizes.push(10_000_000);
-    }
-    let max_n: usize = std::env::var("SW_E22_MAX_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX);
-    let sizes: Vec<usize> = sizes.into_iter().filter(|&n| n <= max_n).collect();
-    if sizes.is_empty() {
-        println!("E22: SW_E22_MAX_N filtered out every size — nothing to run");
-        return;
     }
     let mut table = Table::new(
         "E22: simulator at scale — event throughput and peak memory".to_string(),
@@ -169,7 +151,7 @@ pub fn e22_sim_scale(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e22_sim_scale.csv");
-    write_snapshot(&rows);
+    write_snapshot(ctx, &rows);
     println!(
         "  expected shape: events/s decays slowly in n (bigger working set, \
          longer rows — the wheel's O(1) buckets keep the pending-event \
@@ -248,9 +230,9 @@ fn run_cell(
 }
 
 /// Hand-rolled JSON rows (no serde offline), merged by id into the
-/// snapshot the simulator bench also writes — each producer's rows
-/// survive the other's runs.
-fn write_snapshot(rows: &[SimScaleRow]) {
+/// snapshot E24 also writes — each producer's rows survive the other's
+/// runs.
+fn write_snapshot(ctx: &Ctx, rows: &[SimScaleRow]) {
     let merged: Vec<(String, String)> = rows
         .iter()
         .map(|r| {
@@ -279,5 +261,5 @@ fn write_snapshot(rows: &[SimScaleRow]) {
             (r.id.clone(), obj)
         })
         .collect();
-    ctx::merge_snapshot("BENCH_sim.json", &merged);
+    ctx.merge_snapshot("BENCH_sim.json", &merged);
 }

@@ -14,14 +14,11 @@
 //! The overlay is drawn once per size through the shared harmonic
 //! sampler and frozen to a scratch arena image; every point preloads
 //! from that image, so the ladder measures congestion, not repeated
-//! construction. (That the latency curves are independent of the plane
-//! backend is pinned in `cargo test` by `crates/sim/tests/traffic.rs`,
-//! which compares full metric digests across wheel and heap.)
+//! construction.
 //!
-//! Writes `BENCH_traffic.json`: one row per ladder point plus one
-//! `/knee` summary row per cell, merged by id so CI smoke cells never
-//! clobber full-run cells. `--quick` runs a disjoint size (2·10³) with
-//! a reduced grid; `SW_E23_MAX_N` caps the sizes on small machines.
+//! The full sweep merges its rows by id into `BENCH_traffic.json`: one
+//! row per ladder point plus one `/knee` summary row per cell.
+//! `--quick` runs one small size (2·10³) with a reduced grid.
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, f3, Table};
@@ -68,22 +65,11 @@ struct TrafficPoint {
 
 /// E23 — offered load vs latency to saturation (see module docs).
 pub fn e23_traffic(ctx: &Ctx) {
-    // Quick sizes are disjoint from the full sweep so a CI smoke run
-    // never overwrites a full run's rows in the merged snapshot.
     let sizes: Vec<usize> = if ctx.quick {
         vec![2_000]
     } else {
         vec![10_000, 100_000]
     };
-    let max_n: usize = std::env::var("SW_E23_MAX_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX);
-    let sizes: Vec<usize> = sizes.into_iter().filter(|&n| n <= max_n).collect();
-    if sizes.is_empty() {
-        println!("E23: SW_E23_MAX_N filtered out every size — nothing to run");
-        return;
-    }
     let skews: &[f64] = if ctx.quick {
         &[0.0, 1.2]
     } else {
@@ -165,7 +151,7 @@ pub fn e23_traffic(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e23_traffic.csv");
-    write_snapshot(&points, &knees);
+    write_snapshot(ctx, &points, &knees);
     println!(
         "  expected shape: at s=0 load spreads over the whole hot-key \
          universe and the knee sits where transit + gateway-report traffic \
@@ -301,9 +287,13 @@ fn cell_config(seed: u64, _n: usize, rate: f64, zipf_s: f64, cache: bool) -> Sim
 }
 
 /// Hand-rolled JSON rows (the workspace builds offline — no serde),
-/// merged by id so partial sweeps never clobber full-run cells. All
-/// latencies are simulator-clock time, hence the `sim_secs` stamp.
-fn write_snapshot(points: &[TrafficPoint], knees: &[(String, usize, f64, bool, f64, f64)]) {
+/// merged by id. All latencies are simulator-clock time, hence the
+/// `sim_secs` stamp.
+fn write_snapshot(
+    ctx: &Ctx,
+    points: &[TrafficPoint],
+    knees: &[(String, usize, f64, bool, f64, f64)],
+) {
     let mut merged: Vec<(String, String)> = points
         .iter()
         .map(|p| {
@@ -343,5 +333,5 @@ fn write_snapshot(points: &[TrafficPoint], knees: &[(String, usize, f64, bool, f
         );
         merged.push((id.clone(), obj));
     }
-    ctx::merge_snapshot("BENCH_traffic.json", &merged);
+    ctx.merge_snapshot("BENCH_traffic.json", &merged);
 }

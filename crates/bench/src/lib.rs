@@ -10,17 +10,13 @@
 //! cargo run -p sw-bench --release --bin experiments -- --quick all
 //! ```
 //!
-//! Micro-benchmarks live in `benches/` (construction, routing,
-//! distribution math, simulator throughput), driven by the in-tree
-//! [`microbench`] harness (`harness = false` — the workspace builds
-//! offline, so criterion is not available). `benches/construction.rs`
-//! additionally writes the `BENCH_construction.json` perf-trajectory
-//! snapshot comparing sequential vs parallel construction and looped vs
-//! batched routing.
+//! Full-profile runs of E18–E25 also merge their rows into the repo-root
+//! `BENCH_*.json` snapshots ([`Ctx::merge_snapshot`]); `--quick` runs
+//! never do. Timing the code layer by layer is `benchmark/`'s job, not
+//! this crate's.
 
 pub mod ctx;
 pub mod experiments;
-pub mod microbench;
 pub mod table;
 
 pub use ctx::Ctx;
@@ -119,42 +115,42 @@ pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
         ),
         (
             "e18",
-            "Replica repair: anti-entropy durability vs bandwidth (writes BENCH_repair.json)",
+            "Replica repair: anti-entropy durability vs bandwidth (full profile: BENCH_repair.json)",
             experiments::repair::e18_repair,
         ),
         (
             "e19",
-            "Routing modes: recursive vs iterative vs semi-recursive under churn (writes BENCH_routing.json)",
+            "Routing modes: recursive vs iterative vs semi-recursive under churn (full profile: BENCH_routing.json)",
             experiments::routing_modes::e19_routing_modes,
         ),
         (
             "e20",
-            "Scale: construction + reference routing + freeze/reopen at n up to 10^7 (writes BENCH_scale.json)",
+            "Scale: construction + reference routing + freeze/reopen at n up to 10^7 (full profile: BENCH_scale.json)",
             experiments::scale::e20_scale,
         ),
         (
             "e21",
-            "Construction pipeline: heap vs arena vs write-through, byte-identity asserted between all three (writes BENCH_scale.json)",
+            "Construction pipeline: heap vs arena vs write-through, byte-identity asserted between all three (full profile: BENCH_scale.json)",
             experiments::shard::e21_shard,
         ),
         (
             "e22",
-            "Simulator at scale: events/s + peak RSS from frozen preloads at n up to 10^6 (writes BENCH_sim.json)",
+            "Simulator at scale: events/s + peak RSS from frozen preloads at n up to 10^6 (full profile: BENCH_sim.json)",
             experiments::sim_scale::e22_sim_scale,
         ),
         (
             "e23",
-            "Open-loop traffic to saturation: offered load vs latency knee, hot-key cache on/off (writes BENCH_traffic.json)",
+            "Open-loop traffic to saturation: offered load vs latency knee, hot-key cache on/off (full profile: BENCH_traffic.json)",
             experiments::traffic::e23_traffic,
         ),
         (
             "e24",
-            "Parallel simulator: sharded conservative windows vs serial oracle, ev/s + peak RSS vs workers, digests asserted bit-identical (merges BENCH_sim.json)",
+            "Parallel simulator: sharded conservative windows vs serial oracle, ev/s + peak RSS vs workers, digests asserted bit-identical (full profile: BENCH_sim.json)",
             experiments::sim_parallel::e24_sim_parallel,
         ),
         (
             "e25",
-            "Interleaved AMAC routing kernel: single-thread routes/s vs interleave width K against the looped reference, over heap and mmap-arena tables, bit-identity asserted per cell (merges BENCH_routing.json)",
+            "Interleaved AMAC routing kernel: single-thread routes/s vs interleave width K against the looped reference, over heap and mmap-arena tables, bit-identity asserted per cell (full profile: BENCH_routing.json)",
             experiments::interleave::e25_interleave,
         ),
     ]

@@ -25,26 +25,10 @@
 //!
 //! Peers past the base's length (joins) are implicit empty rows until
 //! written.
-//!
-//! ## Compaction
-//!
-//! [`DeltaStore::compact`] folds the delta back into a fresh
-//! [`TopologyArena`](crate::store::TopologyArena) base (built in place with [`ArenaWriter`] — one
-//! count-then-fill pass, no intermediate heap CSR) and clears the side
-//! table. Compaction **canonicalizes rows to ascending order** — the
-//! same order [`LinkTable::build`](crate::csr::LinkTable::build)
-//! freezes — so a compacted store is bit-identical to the heap CSR
-//! built from the same final edge set (property-tested in
-//! `tests/invariants.rs`). Stale per-edge lanes are dropped (mutations
-//! invalidate them); the per-node lane is carried over when the peer
-//! count is unchanged.
 
 use crate::digraph::NodeId;
-use crate::par;
 use crate::store::TopologyStore;
-use crate::writer::ArenaWriter;
 use std::collections::HashMap;
-use std::io;
 
 /// One touched row: a full replacement, or add/remove logs against the
 /// base row (see module docs for the exact read semantics).
@@ -85,11 +69,6 @@ impl DeltaStore {
     /// True if the store covers no peers.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The immutable base layer.
-    pub fn base(&self) -> &TopologyStore {
-        &self.base
     }
 
     /// Number of touched rows in the delta layer.
@@ -166,8 +145,7 @@ impl DeltaStore {
     }
 
     /// Replaces peer `u`'s row outright. `row` must be duplicate-free
-    /// (the link samplers never draw duplicates); duplicates would
-    /// survive until compaction dedups them.
+    /// (the link samplers never draw duplicates): nothing dedups it.
     ///
     /// # Panics
     ///
@@ -282,65 +260,13 @@ impl DeltaStore {
     }
 
     /// Appends a joined peer with the given row and returns its id. The
-    /// base is untouched; the new row lives in the delta until
-    /// compaction.
+    /// base is untouched; the new row lives in the delta.
     pub fn push_node(&mut self, row: Vec<NodeId>) -> NodeId {
         assert!(self.n < u32::MAX as usize, "peer count exceeds u32 ids");
         let u = self.n as NodeId;
         self.n += 1;
         self.delta.insert(u, DeltaRow::Replaced(row));
         u
-    }
-
-    /// Folds the delta into a fresh arena base and clears it. Rows come
-    /// out sorted ascending and deduped — the canonical
-    /// [`LinkTable::build`](crate::csr::LinkTable::build) order — so a
-    /// compacted store equals the heap CSR frozen from the same final
-    /// edge set. `threads = 0` means auto.
-    pub fn compact(&mut self, threads: usize) -> io::Result<()> {
-        let n = self.n;
-        let degrees: Vec<u32> = (0..n).map(|u| self.degree(u as NodeId) as u32).collect();
-        // Carry the per-node lane (peer keys) when it still lines up;
-        // per-edge lanes are stale after any mutation and are dropped.
-        let node_pos = (n == self.base.len())
-            .then(|| self.base.node_pos())
-            .flatten();
-        let mut w = ArenaWriter::from_degrees(&degrees, false, node_pos.is_some())?;
-        let workers = par::effective_threads(n, threads, 4096);
-        let per = n.div_ceil(workers.max(1)).max(1);
-        let ranges: Vec<std::ops::Range<usize>> = (0..n)
-            .step_by(per)
-            .map(|lo| lo..(lo + per).min(n))
-            .collect();
-        w.fill_shards(&ranges, threads, |_i, mut slots| {
-            for u in slots.range.clone() {
-                let r = slots.row_bounds(u);
-                let row = &mut slots.edges[r];
-                match self.delta.get(&(u as NodeId)) {
-                    None => row.copy_from_slice(self.base_row(u as NodeId)),
-                    Some(DeltaRow::Replaced(src)) => row.copy_from_slice(src),
-                    Some(DeltaRow::Patched { removed, added }) => {
-                        let mut k = 0;
-                        for &v in self.base_row(u as NodeId) {
-                            if !removed.contains(&v) {
-                                row[k] = v;
-                                k += 1;
-                            }
-                        }
-                        row[k..].copy_from_slice(added);
-                    }
-                }
-                row.sort_unstable();
-                debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "duplicate edge");
-            }
-            if let (Some(dst), Some(src)) = (slots.node_pos.as_deref_mut(), node_pos) {
-                dst.copy_from_slice(&src[slots.range.clone()]);
-            }
-        });
-        let arena = w.finish(threads)?;
-        self.base = TopologyStore::Arena(arena);
-        self.delta.clear();
-        Ok(())
     }
 
     /// Approximate resident bytes: the base image plus the delta rows'
@@ -420,32 +346,5 @@ mod tests {
         assert!(store.remove_edge(0, 2));
         store.row_into(0, &mut row);
         assert_eq!(row, vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn compaction_folds_delta_into_fresh_base() {
-        let mut store = DeltaStore::new(base_store());
-        store.set_row(0, vec![4, 2]);
-        store.remove_edge(4, 1);
-        store.add_edge(2, 0);
-        let joined = store.push_node(vec![1, 0]);
-        let before_edges = store.edge_count();
-        store.compact(1).unwrap();
-        assert_eq!(store.delta_rows(), 0, "delta folded away");
-        assert_eq!(store.len(), 6);
-        assert_eq!(store.edge_count(), before_edges);
-        assert!(matches!(store.base(), TopologyStore::Arena(_)));
-        // Rows are canonical: what LinkTable::build would freeze.
-        let mut lt = LinkTable::new(6);
-        lt.add_all(0, [4, 2]);
-        lt.add_all(1, [2]);
-        lt.add_all(2, [0]);
-        lt.add_all(3, [0, 2]);
-        lt.add_all(4, [0, 2, 3]);
-        lt.add_all(joined, [1, 0]);
-        assert_eq!(store.base().to_topology(), lt.build());
-        // Mutations keep working against the new base.
-        assert!(store.add_edge(0, 1));
-        assert_eq!(store.degree(0), 3);
     }
 }

@@ -34,8 +34,8 @@
 //! * [`store`] — pluggable topology storage: [`TopologyStore`] over the
 //!   heap CSR and the frozen [`TopologyArena`] file format.
 //! * [`delta`] — [`DeltaStore`]: per-peer edge mutations layered over an
-//!   immutable base store (LSM-style), with compaction back into a
-//!   fresh arena; what lets the simulator churn a frozen 10⁷-peer image.
+//!   immutable base store (LSM-style); what lets the simulator churn a
+//!   frozen 10⁷-peer image.
 //! * [`writer`] — build-direct-to-arena construction: [`ArenaWriter`]
 //!   fills the final arena image in place (count-then-fill, disjoint
 //!   peer-range shards concurrently), in a heap buffer or inside a

@@ -26,13 +26,11 @@
 //! Frozen does not mean static: [`crate::delta::DeltaStore`] layers
 //! per-peer edge mutations over an immutable `TopologyStore` base,
 //! LSM-style — untouched rows read straight out of the base (arena or
-//! heap), touched rows live in a small side table, and compaction folds
-//! the delta back into a fresh arena built in place by the
-//! `ArenaWriter`. That lifecycle — `build_frozen` image → `open` →
-//! wrap in a `DeltaStore` → churn mutates the delta → compact — is how
-//! the simulator runs dynamic scenarios over 10⁶–10⁷-peer overlays
-//! without ever materializing per-peer link `Vec`s for the whole
-//! network.
+//! heap), touched rows live in a small side table. That lifecycle —
+//! `build_frozen` image → `open` → wrap in a `DeltaStore` → churn
+//! mutates the delta — is how the simulator runs dynamic scenarios over
+//! 10⁶–10⁷-peer overlays without ever materializing per-peer link
+//! `Vec`s for the whole network.
 //!
 //! An arena is produced one of two ways, byte-identical for the same
 //! topology: [`TopologyArena::build`] packs a finished heap CSR (the

@@ -9,7 +9,7 @@
 
 use crate::latency::LatencyModel;
 use crate::metrics::SimMetrics;
-use crate::plane::{MessagePlane, PlaneBackend};
+use crate::plane::MessagePlane;
 use crate::protocol::{
     LookupRecord, Msg, Purpose, QueryId, RoutingMode, StorageOp, Walk, WalkEnd, WalkScratch,
 };
@@ -29,30 +29,15 @@ use sw_keyspace::Topology as Metric;
 use sw_keyspace::{Key, Rng};
 use sw_overlay::Placement;
 
-/// How churn failure victims are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VictimSampling {
-    /// Uniform over alive *peers* — every peer is equally likely to
-    /// fail, regardless of how much key space it owns. The physically
-    /// honest default: machines do not crash more often for owning a
-    /// longer arc.
-    #[default]
-    UniformPeers,
-    /// Uniform over the *key space* (successor lookup of a random key):
-    /// density-weighted by arc ownership, so peers owning large arcs
-    /// fail more often. Kept for modeling load-correlated failures.
-    DensityWeighted,
-}
-
 /// Churn intensity: Poisson arrival rates (events per virtual second).
+/// Failure victims are drawn uniformly over alive *peers*: machines do
+/// not crash more often for owning a longer arc.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnConfig {
     /// Node joins per second (`0` disables).
     pub join_rate: f64,
     /// Silent node failures per second (`0` disables).
     pub fail_rate: f64,
-    /// How failure victims are drawn.
-    pub victims: VictimSampling,
 }
 
 impl ChurnConfig {
@@ -60,7 +45,6 @@ impl ChurnConfig {
     pub const NONE: ChurnConfig = ChurnConfig {
         join_rate: 0.0,
         fail_rate: 0.0,
-        victims: VictimSampling::UniformPeers,
     };
 
     /// Symmetric churn: equal join and failure rates keep the population
@@ -69,7 +53,6 @@ impl ChurnConfig {
         ChurnConfig {
             join_rate: rate,
             fail_rate: rate,
-            ..ChurnConfig::NONE
         }
     }
 }
@@ -181,11 +164,6 @@ pub struct SimConfig {
     /// Worker threads for the parallel paths (probe batches, bulk
     /// loads); `0` = auto. Results are bit-identical for every value.
     pub parallelism: usize,
-    /// Event-plane backend: the hierarchical timing wheel (default) or
-    /// the reference binary heap. Both deliver the exact same envelope
-    /// sequence — the heap is kept as the property-test oracle and the
-    /// honest baseline for the scale benchmarks.
-    pub plane: PlaneBackend,
     /// Congestion model: per-node service queues and per-link token
     /// buckets (disabled by default — infinite capacity reproduces the
     /// pre-congestion simulator bit-for-bit). Maintenance rounds
@@ -216,7 +194,6 @@ impl Default for SimConfig {
             record_lookups: false,
             record_paths: false,
             parallelism: 0,
-            plane: PlaneBackend::default_backend(),
             congestion: CongestionConfig::NONE,
             traffic: TrafficConfig::NONE,
         }
@@ -526,7 +503,7 @@ impl Simulator {
         Simulator {
             dist,
             rng: rng.fork(),
-            plane: MessagePlane::with_backend(cfg.plane),
+            plane: MessagePlane::new(),
             nodes: Vec::new(),
             links: DeltaStore::new(TopologyStore::heap(LinkTable::new(0).build())),
             alive: BTreeMap::new(),
@@ -1952,15 +1929,7 @@ impl Simulator {
         if self.alive.len() <= 8 {
             return;
         }
-        let mut rng = std::mem::replace(&mut self.fail_rng, Rng::new(0));
-        let victim = match self.cfg.churn.victims {
-            VictimSampling::UniformPeers => Some(self.alive_ids[rng.index(self.alive_ids.len())]),
-            VictimSampling::DensityWeighted => self.random_alive(&mut rng),
-        };
-        self.fail_rng = rng;
-        let Some(victim) = victim else {
-            return;
-        };
+        let victim = self.alive_ids[self.fail_rng.index(self.alive_ids.len())];
         let key = self.nodes[victim as usize].key;
         self.alive.remove(&key);
         let pos = self.alive_pos[victim as usize];
@@ -3323,7 +3292,6 @@ mod tests {
             churn: ChurnConfig {
                 join_rate: 10.0,
                 fail_rate: 2.0,
-                ..ChurnConfig::NONE
             },
             ..quiet_config(4, 128)
         };
@@ -3428,7 +3396,6 @@ mod tests {
             churn: ChurnConfig {
                 join_rate: 0.0,
                 fail_rate: 50.0,
-                ..ChurnConfig::NONE
             },
             ..quiet_config(8, 64)
         };
@@ -3449,7 +3416,6 @@ mod tests {
             churn: ChurnConfig {
                 join_rate: 2.0,
                 fail_rate: 12.0,
-                ..ChurnConfig::NONE
             },
             workload: WorkloadConfig { lookup_rate: 50.0 },
             record_lookups: true,
@@ -3518,44 +3484,6 @@ mod tests {
         assert!(m.lookups_ok < m.lookups, "some lookups must fail here");
         assert_eq!(m.latency_secs.count(), m.lookups_ok);
         assert_eq!(m.hops.count(), m.lookups_ok);
-    }
-
-    /// Satellite: `do_fail` victim sampling. Uniform-over-peers is the
-    /// default; the density-weighted draw preferentially kills peers
-    /// owning large arcs (high keys under a Pareto density).
-    #[test]
-    fn victim_sampling_modes_differ_as_designed() {
-        let dead_key_mean = |victims: VictimSampling| {
-            let cfg = SimConfig {
-                churn: ChurnConfig {
-                    join_rate: 0.0,
-                    fail_rate: 3.0,
-                    victims,
-                },
-                workload: WorkloadConfig { lookup_rate: 1.0 },
-                ..quiet_config(12, 512)
-            };
-            let mut sim = Simulator::new(cfg, Arc::new(TruncatedPareto::new(1.5, 0.01).unwrap()));
-            sim.run_until(SimTime::from_secs(60));
-            let dead: Vec<f64> = sim
-                .nodes
-                .iter()
-                .filter(|n| !n.alive)
-                .map(|n| n.key.get())
-                .collect();
-            assert!(dead.len() > 100, "failures {}", dead.len());
-            dead.iter().sum::<f64>() / dead.len() as f64
-        };
-        assert_eq!(ChurnConfig::NONE.victims, VictimSampling::UniformPeers);
-        let uniform = dead_key_mean(VictimSampling::UniformPeers);
-        let weighted = dead_key_mean(VictimSampling::DensityWeighted);
-        // Pareto(1.5, 0.01) packs most peers near the low keys; peers
-        // with high keys own the big arcs. Density weighting must pull
-        // the victim distribution toward them.
-        assert!(
-            weighted > 1.5 * uniform,
-            "density-weighted {weighted} vs uniform {uniform}"
-        );
     }
 
     fn storage_config(seed: u64) -> SimConfig {
@@ -3652,7 +3580,6 @@ mod tests {
             churn: ChurnConfig {
                 join_rate: 1.0,
                 fail_rate: 3.0,
-                ..ChurnConfig::NONE
             },
             workload: WorkloadConfig { lookup_rate: 2.0 },
             storage: StorageConfig {
@@ -3724,7 +3651,6 @@ mod tests {
             churn: ChurnConfig {
                 join_rate: 0.0,
                 fail_rate: 4.0,
-                ..ChurnConfig::NONE
             },
             workload: WorkloadConfig { lookup_rate: 2.0 },
             storage: StorageConfig {
@@ -4197,15 +4123,13 @@ mod tests {
         assert!(sim.metrics().inflight_peak >= 2);
     }
 
-    // ----- plane and store backends ----------------------------------
+    // ----- thread counts and store backends --------------------------
 
-    /// The seeded run is bit-identical across *event-plane backends*
-    /// (timing wheel vs reference heap) at every thread count, under
-    /// the full mix: churn, maintenance, storage and semi-recursive
-    /// routing.
+    /// The seeded run is bit-identical at every thread count, under the
+    /// full mix: churn, maintenance, storage and semi-recursive routing.
     #[test]
-    fn wheel_and_heap_planes_run_bit_identical() {
-        let digest = |backend: PlaneBackend, parallelism: usize| {
+    fn thread_counts_run_bit_identical() {
+        let digest = |parallelism: usize| {
             let cfg = SimConfig {
                 churn: ChurnConfig::symmetric(4.0),
                 storage: StorageConfig {
@@ -4217,7 +4141,6 @@ mod tests {
                 },
                 routing_mode: RoutingMode::SemiRecursive,
                 parallelism,
-                plane: backend,
                 ..quiet_config(21, 128)
             };
             let mut sim = Simulator::new(cfg, Arc::new(Uniform));
@@ -4236,14 +4159,9 @@ mod tests {
                 sim.alive_count(),
             )
         };
-        let wheel = digest(PlaneBackend::Wheel, 1);
-        assert_eq!(wheel, digest(PlaneBackend::Heap, 1), "backends diverged");
-        assert_eq!(wheel, digest(PlaneBackend::Heap, 4), "heap plane x threads");
-        assert_eq!(
-            wheel,
-            digest(PlaneBackend::Wheel, 3),
-            "wheel plane x threads"
-        );
+        let serial = digest(1);
+        assert_eq!(serial, digest(3), "3 threads diverged");
+        assert_eq!(serial, digest(4), "4 threads diverged");
     }
 
     /// A 64-peer ring with six harmonic long links per peer, frozen to a

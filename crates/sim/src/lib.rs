@@ -23,11 +23,9 @@
 //!   [`plane::Envelope`] is delivered in ascending `(time, seq)` order;
 //!   `seq` is the global send counter, so messages scheduled for the
 //!   same instant are delivered **FIFO in send order**. The plane draws
-//!   no randomness and never rewinds the clock. Two interchangeable
-//!   backends ([`plane::PlaneBackend`]) deliver the exact same envelope
-//!   sequence: a hierarchical timing wheel (default — O(1) schedule/pop
-//!   against millions of pending timers) and the reference binary heap
-//!   (the property-test oracle and scale-benchmark baseline).
+//!   no randomness and never rewinds the clock. It is a hierarchical
+//!   timing wheel — O(1) schedule/pop against millions of pending
+//!   timers.
 //! * [`protocol`] — the message vocabulary ([`protocol::Msg`]) and the
 //!   per-operation state machines: a [`protocol::Walk`] for every routed
 //!   query (lookup / join-point search / long-link probe / storage
@@ -250,12 +248,11 @@ pub mod time;
 pub mod traffic;
 
 pub use engine::{
-    ChurnConfig, DurabilityCensus, SimConfig, Simulator, StorageConfig, VictimSampling,
-    WorkloadConfig,
+    ChurnConfig, DurabilityCensus, SimConfig, Simulator, StorageConfig, WorkloadConfig,
 };
 pub use latency::LatencyModel;
 pub use metrics::{Histogram, SimMetrics};
-pub use plane::{Envelope, MessagePlane, PlaneBackend};
+pub use plane::{Envelope, MessagePlane};
 pub use protocol::{
     LookupRecord, Msg, Purpose, QueryId, RoutingMode, StorageOp, Walk, WalkEnd, WalkScratch,
 };

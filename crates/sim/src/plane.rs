@@ -1,5 +1,5 @@
 //! The deterministic in-memory message plane: a hierarchical timing
-//! wheel with the old binary heap kept as the property-test reference.
+//! wheel, property-tested against a binary-heap reference model.
 //!
 //! Every protocol action in the simulator — a lookup hop, a replica
 //! write, a stabilize ping round, a churn/workload generator tick — is
@@ -17,26 +17,18 @@
 //!   their own RNG streams, so the schedule is a pure function of the
 //!   seed.
 //!
-//! ## Backends
+//! ## The wheel
 //!
-//! Two queue implementations sit behind one API, selected by
-//! [`PlaneBackend`] and required to deliver **byte-identical** envelope
-//! sequences (property-tested under randomized schedules):
-//!
-//! * [`PlaneBackend::Wheel`] (the default) — a hierarchical timing
-//!   wheel: [`WHEEL_LEVELS`] levels of 64 one-µs-granule slots, level
-//!   `k` spanning `64^(k+1)` µs, plus a far-future overflow list beyond
-//!   the wheel's ~51-day range. `send` is O(1) (a shift/xor level pick
-//!   and a push); `deliver` advances a cursor through occupancy
-//!   bitmasks, cascading a higher-level slot down at most once per
-//!   level per event — O(levels) ≈ O(1) amortized, against the heap's
-//!   O(log n) comparisons (and cache misses) per operation with
-//!   millions of envelopes in flight.
-//! * [`PlaneBackend::Heap`] — the original
-//!   `BinaryHeap<Reverse<Envelope>>`. It stays compiled both as the
-//!   oracle the wheel is property-tested against; any seeded run can
-//!   be replayed on it through [`MessagePlane::with_backend`] /
-//!   `SimConfig::plane`.
+//! [`WHEEL_LEVELS`] levels of 64 one-µs-granule slots, level `k`
+//! spanning `64^(k+1)` µs, plus a far-future overflow list beyond the
+//! wheel's ~51-day range. `send` is O(1) (a shift/xor level pick and a
+//! push); `deliver` advances a cursor through occupancy bitmasks,
+//! cascading a higher-level slot down at most once per level per event
+//! — O(levels) ≈ O(1) amortized, against a heap's O(log n) comparisons
+//! (and cache misses) per operation with millions of envelopes in
+//! flight. The `BinaryHeap<Reverse<Envelope>>` it replaced is the
+//! test-only model at the bottom of this file: randomized schedules
+//! must come out of both as **byte-identical** envelope sequences.
 //!
 //! ## How the wheel preserves the exact heap order
 //!
@@ -87,30 +79,6 @@ impl<M> Ord for Envelope<M> {
 impl<M> PartialOrd for Envelope<M> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// Which queue implementation a [`MessagePlane`] runs on. Both deliver
-/// byte-identical sequences; they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlaneBackend {
-    /// Hierarchical timing wheel — O(1) amortized send/deliver.
-    Wheel,
-    /// `BinaryHeap` reference — O(log n) per operation; the oracle the
-    /// wheel is property-tested against.
-    Heap,
-}
-
-impl PlaneBackend {
-    /// The default backend: the wheel.
-    pub fn default_backend() -> PlaneBackend {
-        PlaneBackend::Wheel
-    }
-}
-
-impl Default for PlaneBackend {
-    fn default() -> Self {
-        PlaneBackend::default_backend()
     }
 }
 
@@ -170,7 +138,7 @@ enum Front {
     Empty,
 }
 
-/// The hierarchical timing wheel backend.
+/// The hierarchical timing wheel.
 #[derive(Debug)]
 struct Wheel<M> {
     levels: Vec<Level<M>>,
@@ -386,18 +354,11 @@ impl<M> Wheel<M> {
     }
 }
 
-/// The backend storage of a [`MessagePlane`].
-#[derive(Debug)]
-enum Queue<M> {
-    Wheel(Box<Wheel<M>>),
-    Heap(BinaryHeap<Reverse<Envelope<M>>>),
-}
-
 /// The queue + clock. Generic in the message type so it can be tested
 /// (and reused) independently of the protocol.
 #[derive(Debug)]
 pub struct MessagePlane<M> {
-    queue: Queue<M>,
+    wheel: Wheel<M>,
     clock: SimTime,
     seq: u64,
     delivered: u64,
@@ -411,30 +372,14 @@ impl<M> Default for MessagePlane<M> {
 }
 
 impl<M> MessagePlane<M> {
-    /// An empty plane at time zero, on the default backend (the wheel).
+    /// An empty plane at time zero.
     pub fn new() -> MessagePlane<M> {
-        Self::with_backend(PlaneBackend::default_backend())
-    }
-
-    /// An empty plane at time zero on an explicit backend.
-    pub fn with_backend(backend: PlaneBackend) -> MessagePlane<M> {
         MessagePlane {
-            queue: match backend {
-                PlaneBackend::Wheel => Queue::Wheel(Box::new(Wheel::new())),
-                PlaneBackend::Heap => Queue::Heap(BinaryHeap::new()),
-            },
+            wheel: Wheel::new(),
             clock: SimTime::ZERO,
             seq: 0,
             delivered: 0,
             in_flight: 0,
-        }
-    }
-
-    /// Which backend this plane runs on.
-    pub fn backend(&self) -> PlaneBackend {
-        match self.queue {
-            Queue::Wheel(_) => PlaneBackend::Wheel,
-            Queue::Heap(_) => PlaneBackend::Heap,
         }
     }
 
@@ -475,10 +420,7 @@ impl<M> MessagePlane<M> {
         };
         self.seq += 1;
         self.in_flight += 1;
-        match &mut self.queue {
-            Queue::Wheel(w) => w.push(env),
-            Queue::Heap(h) => h.push(Reverse(env)),
-        }
+        self.wheel.push(env);
     }
 
     /// Sends `msg` for delivery at absolute `at` (clamped to `now`)
@@ -502,10 +444,7 @@ impl<M> MessagePlane<M> {
         };
         self.seq += 1;
         self.in_flight += 1;
-        match &mut self.queue {
-            Queue::Wheel(w) => w.push(env),
-            Queue::Heap(h) => h.push(Reverse(env)),
-        }
+        self.wheel.push(env);
     }
 
     /// Earliest pending delivery time, or `None` when the queue is
@@ -514,26 +453,13 @@ impl<M> MessagePlane<M> {
     /// anyway). The window driver uses this to pick each conservative
     /// window's start across shard planes.
     pub fn next_due(&mut self) -> Option<SimTime> {
-        match &mut self.queue {
-            Queue::Wheel(w) => w.next_due(),
-            Queue::Heap(h) => h.peek().map(|Reverse(e)| e.at),
-        }
+        self.wheel.next_due()
     }
 
     /// Delivers the next envelope due at or before `until`, advancing
     /// the clock to its delivery time. `None` once nothing is due.
     pub fn deliver_before(&mut self, until: SimTime) -> Option<Envelope<M>> {
-        let env = match &mut self.queue {
-            Queue::Wheel(w) => w.pop_before(until)?,
-            Queue::Heap(h) => {
-                let due = h.peek().is_some_and(|Reverse(e)| e.at <= until);
-                if !due {
-                    return None;
-                }
-                let Reverse(env) = h.pop().expect("peeked");
-                env
-            }
-        };
+        let env = self.wheel.pop_before(until)?;
         debug_assert!(env.at >= self.clock, "plane clock must be monotone");
         self.clock = env.at;
         self.delivered += 1;
@@ -566,18 +492,7 @@ impl<M> MessagePlane<M> {
         };
         let at = first.at;
         out.push(first);
-        loop {
-            let env = match &mut self.queue {
-                Queue::Wheel(w) => w.pop_at(at),
-                Queue::Heap(h) => {
-                    if h.peek().is_some_and(|Reverse(e)| e.at == at) {
-                        h.pop().map(|Reverse(e)| e)
-                    } else {
-                        None
-                    }
-                }
-            };
-            let Some(env) = env else { break };
+        while let Some(env) = self.wheel.pop_at(at) {
             debug_assert_eq!(env.at, at, "same-instant batch only");
             self.delivered += 1;
             self.in_flight -= 1;
@@ -598,110 +513,145 @@ mod tests {
     use proptest::prelude::*;
     use sw_keyspace::Rng;
 
-    fn both() -> [MessagePlane<u32>; 2] {
-        [
-            MessagePlane::with_backend(PlaneBackend::Wheel),
-            MessagePlane::with_backend(PlaneBackend::Heap),
-        ]
+    /// The reference model: the `BinaryHeap` plane the wheel replaced.
+    /// `(at, seq)` order is the heap's own, so there is nothing here to
+    /// get wrong; the two proptests below hold the wheel to it.
+    struct HeapPlane<M> {
+        heap: BinaryHeap<Reverse<Envelope<M>>>,
+        clock: SimTime,
+        seq: u64,
+    }
+
+    impl<M> HeapPlane<M> {
+        fn new() -> HeapPlane<M> {
+            HeapPlane {
+                heap: BinaryHeap::new(),
+                clock: SimTime::ZERO,
+                seq: 0,
+            }
+        }
+
+        fn now(&self) -> SimTime {
+            self.clock
+        }
+
+        fn in_flight(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn send(&mut self, delay: SimTime, msg: M) {
+            self.send_at(self.clock + delay, msg);
+        }
+
+        fn send_at(&mut self, at: SimTime, msg: M) {
+            self.send_keyed(at, self.seq, msg);
+        }
+
+        fn send_keyed(&mut self, at: SimTime, key: u64, msg: M) {
+            self.seq += 1;
+            self.heap.push(Reverse(Envelope {
+                at: at.max(self.clock),
+                seq: key,
+                msg,
+            }));
+        }
+
+        fn deliver_before(&mut self, until: SimTime) -> Option<Envelope<M>> {
+            if self.heap.peek()?.0.at > until {
+                return None;
+            }
+            let Reverse(env) = self.heap.pop()?;
+            self.clock = env.at;
+            Some(env)
+        }
+
+        fn advance_to(&mut self, until: SimTime) {
+            self.clock = self.clock.max(until);
+        }
     }
 
     #[test]
     fn delivers_in_time_order() {
-        for mut p in [
-            MessagePlane::<&str>::with_backend(PlaneBackend::Wheel),
-            MessagePlane::<&str>::with_backend(PlaneBackend::Heap),
-        ] {
-            p.send(SimTime::from_millis(30), "c");
-            p.send(SimTime::from_millis(10), "a");
-            p.send(SimTime::from_millis(20), "b");
-            let mut got = Vec::new();
-            while let Some(e) = p.deliver_before(SimTime::from_secs(1)) {
-                got.push(e.msg);
-            }
-            assert_eq!(got, vec!["a", "b", "c"]);
-            assert_eq!(p.now(), SimTime::from_millis(30));
-            assert_eq!(p.delivered(), 3);
+        let mut p = MessagePlane::new();
+        p.send(SimTime::from_millis(30), "c");
+        p.send(SimTime::from_millis(10), "a");
+        p.send(SimTime::from_millis(20), "b");
+        let mut got = Vec::new();
+        while let Some(e) = p.deliver_before(SimTime::from_secs(1)) {
+            got.push(e.msg);
         }
+        assert_eq!(got, vec!["a", "b", "c"]);
+        assert_eq!(p.now(), SimTime::from_millis(30));
+        assert_eq!(p.delivered(), 3);
     }
 
     #[test]
     fn equal_times_deliver_fifo_in_send_order() {
-        for mut p in both() {
-            for i in 0..100 {
-                p.send(SimTime::from_millis(5), i);
-            }
-            let mut got = Vec::new();
-            while let Some(e) = p.deliver_before(SimTime::from_secs(1)) {
-                got.push(e.msg);
-            }
-            assert_eq!(got, (0..100).collect::<Vec<_>>());
+        let mut p = MessagePlane::new();
+        for i in 0..100 {
+            p.send(SimTime::from_millis(5), i);
         }
+        let mut got = Vec::new();
+        while let Some(e) = p.deliver_before(SimTime::from_secs(1)) {
+            got.push(e.msg);
+        }
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn past_sends_clamp_to_now() {
-        for mut p in [
-            MessagePlane::<&str>::with_backend(PlaneBackend::Wheel),
-            MessagePlane::<&str>::with_backend(PlaneBackend::Heap),
-        ] {
-            p.send(SimTime::from_millis(50), "later");
-            p.deliver_before(SimTime::from_secs(1)).unwrap();
-            p.send_at(SimTime::from_millis(10), "expired timeout");
-            let e = p.deliver_before(SimTime::from_secs(1)).unwrap();
-            assert_eq!(e.at, SimTime::from_millis(50), "clamped to now");
-        }
+        let mut p = MessagePlane::new();
+        p.send(SimTime::from_millis(50), "later");
+        p.deliver_before(SimTime::from_secs(1)).unwrap();
+        p.send_at(SimTime::from_millis(10), "expired timeout");
+        let e = p.deliver_before(SimTime::from_secs(1)).unwrap();
+        assert_eq!(e.at, SimTime::from_millis(50), "clamped to now");
     }
 
     #[test]
     fn horizon_is_respected() {
-        for mut p in [
-            MessagePlane::<&str>::with_backend(PlaneBackend::Wheel),
-            MessagePlane::<&str>::with_backend(PlaneBackend::Heap),
-        ] {
-            p.send(SimTime::from_millis(100), "beyond");
-            assert!(p.deliver_before(SimTime::from_millis(99)).is_none());
-            assert_eq!(p.in_flight(), 1);
-            p.advance_to(SimTime::from_millis(99));
-            assert_eq!(p.now(), SimTime::from_millis(99));
-            assert!(p.deliver_before(SimTime::from_millis(100)).is_some());
-        }
+        let mut p = MessagePlane::new();
+        p.send(SimTime::from_millis(100), "beyond");
+        assert!(p.deliver_before(SimTime::from_millis(99)).is_none());
+        assert_eq!(p.in_flight(), 1);
+        p.advance_to(SimTime::from_millis(99));
+        assert_eq!(p.now(), SimTime::from_millis(99));
+        assert!(p.deliver_before(SimTime::from_millis(100)).is_some());
     }
 
     #[test]
     fn far_future_sends_cross_the_overflow_level() {
-        for mut p in both() {
-            // Beyond the wheel's 64^WHEEL_LEVELS µs range from time 0.
-            let far = SimTime(1 << (SLOT_BITS as u64 * WHEEL_LEVELS as u64 + 3));
-            p.send_at(far, 1);
-            p.send_at(far, 2);
-            p.send_at(far + SimTime(1), 3);
-            p.send(SimTime::from_millis(1), 0);
-            let mut got = Vec::new();
-            while let Some(e) = p.deliver_before(SimTime(u64::MAX)) {
-                got.push(e.msg);
-            }
-            assert_eq!(got, vec![0, 1, 2, 3]);
-            assert_eq!(p.now(), far + SimTime(1));
+        let mut p = MessagePlane::new();
+        // Beyond the wheel's 64^WHEEL_LEVELS µs range from time 0.
+        let far = SimTime(1 << (SLOT_BITS as u64 * WHEEL_LEVELS as u64 + 3));
+        p.send_at(far, 1);
+        p.send_at(far, 2);
+        p.send_at(far + SimTime(1), 3);
+        p.send(SimTime::from_millis(1), 0);
+        let mut got = Vec::new();
+        while let Some(e) = p.deliver_before(SimTime(u64::MAX)) {
+            got.push(e.msg);
         }
+        assert_eq!(got, vec![0, 1, 2, 3]);
+        assert_eq!(p.now(), far + SimTime(1));
     }
 
     #[test]
     fn deliver_window_drains_one_instant_at_a_time() {
-        for mut p in both() {
-            p.send(SimTime::from_millis(5), 1);
-            p.send(SimTime::from_millis(5), 2);
-            p.send(SimTime::from_millis(7), 3);
-            let mut batch = Vec::new();
-            assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 2);
-            assert_eq!(batch.iter().map(|e| e.msg).collect::<Vec<_>>(), [1, 2]);
-            assert_eq!(p.now(), SimTime::from_millis(5));
-            assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 1);
-            assert_eq!(batch[0].msg, 3);
-            assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 0);
-            assert!(batch.is_empty());
-            assert_eq!(p.delivered(), 3);
-            assert_eq!(p.in_flight(), 0);
-        }
+        let mut p = MessagePlane::new();
+        p.send(SimTime::from_millis(5), 1);
+        p.send(SimTime::from_millis(5), 2);
+        p.send(SimTime::from_millis(7), 3);
+        let mut batch = Vec::new();
+        assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 2);
+        assert_eq!(batch.iter().map(|e| e.msg).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(p.now(), SimTime::from_millis(5));
+        assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 1);
+        assert_eq!(batch[0].msg, 3);
+        assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 0);
+        assert!(batch.is_empty());
+        assert_eq!(p.delivered(), 3);
+        assert_eq!(p.in_flight(), 0);
     }
 
     #[test]
@@ -709,62 +659,58 @@ mod tests {
         // The engine pattern: handlers run after the batch is drained
         // and may send at the batch instant; the next call delivers
         // them at the same instant, after the original batch.
-        for mut p in both() {
-            p.send(SimTime::from_millis(5), 1);
-            let mut batch = Vec::new();
-            assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 1);
-            p.send(SimTime::ZERO, 2); // handler send at t
-            assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 1);
-            assert_eq!(batch[0].msg, 2);
-            assert_eq!(batch[0].at, SimTime::from_millis(5));
-        }
+        let mut p = MessagePlane::new();
+        p.send(SimTime::from_millis(5), 1);
+        let mut batch = Vec::new();
+        assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 1);
+        p.send(SimTime::ZERO, 2); // handler send at t
+        assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 1);
+        assert_eq!(batch[0].msg, 2);
+        assert_eq!(batch[0].at, SimTime::from_millis(5));
     }
 
     #[test]
     fn send_keyed_orders_ties_by_key() {
-        for mut p in both() {
-            let at = SimTime::from_millis(3);
-            p.send_keyed(at, (7u64 << 32) | 1, 71);
-            p.send_keyed(at, 2u64 << 32, 20);
-            p.send_keyed(at, (7u64 << 32) | 2, 72);
-            p.send_keyed(at, 5u64 << 32, 50);
-            let mut got = Vec::new();
-            while let Some(e) = p.deliver_before(SimTime::from_secs(1)) {
-                got.push(e.msg);
-            }
-            assert_eq!(got, vec![20, 50, 71, 72]);
+        let mut p = MessagePlane::new();
+        let at = SimTime::from_millis(3);
+        p.send_keyed(at, (7u64 << 32) | 1, 71);
+        p.send_keyed(at, 2u64 << 32, 20);
+        p.send_keyed(at, (7u64 << 32) | 2, 72);
+        p.send_keyed(at, 5u64 << 32, 50);
+        let mut got = Vec::new();
+        while let Some(e) = p.deliver_before(SimTime::from_secs(1)) {
+            got.push(e.msg);
         }
+        assert_eq!(got, vec![20, 50, 71, 72]);
     }
 
     #[test]
     fn next_due_reports_without_delivering() {
-        for mut p in both() {
-            assert_eq!(p.next_due(), None);
-            p.send(SimTime::from_millis(9), 1);
-            p.send(SimTime::from_millis(4), 2);
-            // Far-future overflow entry must not mask the near one.
-            p.send_at(SimTime(1 << 45), 3);
-            assert_eq!(p.next_due(), Some(SimTime::from_millis(4)));
-            assert_eq!(p.in_flight(), 3);
-            assert_eq!(p.now(), SimTime::ZERO);
-            let e = p.deliver_before(SimTime::from_secs(1)).unwrap();
-            assert_eq!(e.msg, 2);
-            assert_eq!(p.next_due(), Some(SimTime::from_millis(9)));
-            p.deliver_before(SimTime::from_secs(1)).unwrap();
-            assert_eq!(p.next_due(), Some(SimTime(1 << 45)));
-        }
+        let mut p = MessagePlane::new();
+        assert_eq!(p.next_due(), None);
+        p.send(SimTime::from_millis(9), 1);
+        p.send(SimTime::from_millis(4), 2);
+        // Far-future overflow entry must not mask the near one.
+        p.send_at(SimTime(1 << 45), 3);
+        assert_eq!(p.next_due(), Some(SimTime::from_millis(4)));
+        assert_eq!(p.in_flight(), 3);
+        assert_eq!(p.now(), SimTime::ZERO);
+        let e = p.deliver_before(SimTime::from_secs(1)).unwrap();
+        assert_eq!(e.msg, 2);
+        assert_eq!(p.next_due(), Some(SimTime::from_millis(9)));
+        p.deliver_before(SimTime::from_secs(1)).unwrap();
+        assert_eq!(p.next_due(), Some(SimTime(1 << 45)));
     }
 
-    // Satellite contract: the batched drain is equivalent to the
-    // pop-one loop, and byte-identical across backends, under
-    // randomized schedules with ties, keyed sends and mid-run
+    // The batched drain is equivalent to the pop-one loop on the heap
+    // model, under randomized keyed schedules with ties and mid-run
     // re-sends at the batch instant.
     proptest! {
         #[test]
         fn deliver_window_matches_pop_one_across_backends(seed in 0u64..48) {
             let mut rng = Rng::new(seed ^ 0xBA7C_4D12);
-            let [mut wheel, mut heap] = both();
-            let mut oracle = MessagePlane::<u32>::with_backend(PlaneBackend::Heap);
+            let mut wheel = MessagePlane::<u32>::new();
+            let mut heap = HeapPlane::<u32>::new();
             let mut tag = 0u32;
             let mut windowed: Vec<(SimTime, u64, u32)> = Vec::new();
             let mut popped: Vec<(SimTime, u64, u32)> = Vec::new();
@@ -776,58 +722,44 @@ mod tests {
                     let at = wheel.now() + SimTime(rng.bounded_u64(1 << 14));
                     wheel.send_keyed(at, key, tag);
                     heap.send_keyed(at, key, tag);
-                    oracle.send_keyed(at, key, tag);
                 }
                 let horizon = wheel.now() + SimTime(rng.bounded_u64(1 << 15));
-                loop {
-                    let nw = wheel.deliver_window(horizon, &mut batch);
-                    let at_instant = batch.first().map(|e| e.at);
-                    for e in &batch {
-                        windowed.push((e.at, e.seq, e.msg));
-                    }
-                    let nh = heap.deliver_window(horizon, &mut batch);
-                    prop_assert_eq!(nw, nh);
-                    for (w, e) in windowed[windowed.len() - nh..].iter().zip(&batch) {
-                        prop_assert_eq!(*w, (e.at, e.seq, e.msg));
-                    }
-                    if nw == 0 {
-                        break;
-                    }
+                while wheel.deliver_window(horizon, &mut batch) > 0 {
+                    windowed.extend(batch.iter().map(|e| (e.at, e.seq, e.msg)));
                     // Handler pattern: occasionally send at the batch
                     // instant; must arrive within this same instant,
                     // after the already-drained batch.
                     if rng.chance(0.3) {
                         tag += 1;
                         let key = (9u64 << 32) | tag as u64;
-                        let at = at_instant.unwrap();
+                        let at = batch[0].at;
                         wheel.send_keyed(at, key, tag);
                         heap.send_keyed(at, key, tag);
-                        oracle.send_keyed(at, key, tag);
                     }
                 }
-                while let Some(e) = oracle.deliver_before(horizon) {
+                while let Some(e) = heap.deliver_before(horizon) {
                     popped.push((e.at, e.seq, e.msg));
                 }
                 prop_assert_eq!(&windowed, &popped);
                 prop_assert_eq!(wheel.now(), heap.now());
                 wheel.advance_to(horizon);
                 heap.advance_to(horizon);
-                oracle.advance_to(horizon);
             }
             prop_assert!(!windowed.is_empty(), "schedule exercised nothing");
         }
     }
 
-    // The backend contract, stated as code: a randomized schedule of
+    // The plane's contract, stated as code: a randomized schedule of
     // sends (including same-instant ties, past sends that clamp, and
     // far-future overflow hits), horizon-bounded delivery slices, and
     // idle advances produces byte-identical envelope sequences on the
-    // wheel and on the heap reference.
+    // wheel and on the heap model.
     proptest! {
         #[test]
         fn wheel_matches_heap_reference(seed in 0u64..64) {
             let mut rng = Rng::new(seed ^ 0x57EE_1CA5);
-            let [mut wheel, mut heap] = both();
+            let mut wheel = MessagePlane::<u32>::new();
+            let mut heap = HeapPlane::<u32>::new();
             let mut tag = 0u32;
             let mut delivered = 0usize;
             for _round in 0..40 {
@@ -871,7 +803,7 @@ mod tests {
                         (None, None) => break,
                         (a, b) => prop_assert!(
                             false,
-                            "backends disagree on due envelopes: wheel={:?} heap={:?}",
+                            "wheel and model disagree on due envelopes: wheel={:?} heap={:?}",
                             a.map(|e| (e.at, e.seq)),
                             b.map(|e| (e.at, e.seq))
                         ),
@@ -897,7 +829,7 @@ mod tests {
                         delivered += 1;
                     }
                     (None, None) => break,
-                    _ => prop_assert!(false, "backends disagree while draining"),
+                    _ => prop_assert!(false, "wheel and model disagree while draining"),
                 }
             }
             prop_assert_eq!(wheel.in_flight(), 0);

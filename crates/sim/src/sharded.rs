@@ -16,11 +16,11 @@
 //! # Execution model
 //!
 //! Peers are partitioned into `P` shards by `id % P`. Each shard owns
-//! its own [`MessagePlane`] (wheel or heap backend), its slice of node
-//! state, and its own mergeable [`SimMetrics`]. The driver advances
-//! virtual time in **conservative windows** of width δ, the *lookahead*:
-//! the minimum possible cross-peer message delay, derived from the
-//! latency model (see [`lookahead`]). Every cross-peer send clamps its
+//! its own [`MessagePlane`], its slice of node state, and its own
+//! mergeable [`SimMetrics`]. The driver advances virtual time in
+//! **conservative windows** of width δ, the *lookahead*: the minimum
+//! possible cross-peer message delay, derived from the latency model
+//! (see [`lookahead`]). Every cross-peer send clamps its
 //! delivery to `now + δ` or later, so all events inside the window
 //! `[T, T + δ)` are causally independent **across** shards and the
 //! shards can execute the window in parallel (via the
@@ -68,8 +68,7 @@
 //! and leases are not modeled, and a get probe lost to a dead replica
 //! is re-forwarded from the dead peer's shard (modeling the requester's
 //! timeout without a requester round-trip). Failure victims are drawn
-//! as per-peer exponential lifetimes (uniform hazard), not via
-//! [`VictimSampling`](crate::VictimSampling).
+//! as per-peer exponential lifetimes (uniform hazard).
 //!
 //! [`OnlineStats`]: sw_keyspace::stats::OnlineStats
 
@@ -537,7 +536,7 @@ impl ShardedSimulator {
         let mut shard_vec: Vec<Shard> = (0..shards)
             .map(|i| Shard {
                 index: i as u32,
-                plane: MessagePlane::with_backend(cfg.plane),
+                plane: MessagePlane::new(),
                 nodes: Vec::new(),
                 metrics: SimMetrics::default(),
                 outbox: (0..shards).map(|_| Vec::new()).collect(),
@@ -853,7 +852,7 @@ impl ShardedSimulator {
     /// Order-fixed digest over every peer's full state: liveness,
     /// views, stored items, and send counters (the latter pin the
     /// complete per-peer send history). Bit-equal digests across
-    /// `P`/worker/backends are the tentpole's acceptance criterion.
+    /// `P` and worker counts are the engine's acceptance criterion.
     pub fn topology_digest(&self) -> u64 {
         let g = &self.global;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -1986,7 +1985,6 @@ impl Shard {
 mod tests {
     use super::*;
     use crate::engine::{ChurnConfig, StorageConfig, WorkloadConfig};
-    use crate::plane::PlaneBackend;
     use crate::traffic::{CacheConfig, CongestionConfig, TrafficConfig};
     use sw_keyspace::distribution::Uniform;
 
@@ -2091,20 +2089,12 @@ mod tests {
     }
 
     #[test]
-    fn storage_workload_parity_across_backends() {
-        let mut digests = Vec::new();
-        for backend in [PlaneBackend::Wheel, PlaneBackend::Heap] {
-            let cfg = SimConfig {
-                plane: backend,
-                ..storage_cfg(23)
-            };
-            let oracle = run(&cfg, 1, 1, true);
-            for p in [2, 8] {
-                assert_eq!(run(&cfg, p, 2, false), oracle, "{backend:?} P={p}");
-            }
-            digests.push(oracle);
+    fn storage_workload_parity_across_shard_counts() {
+        let cfg = storage_cfg(23);
+        let oracle = run(&cfg, 1, 1, true);
+        for p in [2, 8] {
+            assert_eq!(run(&cfg, p, 2, false), oracle, "P={p}");
         }
-        assert_eq!(digests[0], digests[1], "wheel and heap backends diverged");
     }
 
     #[test]

@@ -37,7 +37,6 @@ proptest! {
             churn: ChurnConfig {
                 join_rate,
                 fail_rate,
-                ..ChurnConfig::NONE
             },
             workload: WorkloadConfig { lookup_rate: 2.0 },
             ..SimConfig::default()

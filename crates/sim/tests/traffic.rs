@@ -6,9 +6,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use sw_keyspace::distribution::{KeyDistribution, TruncatedPareto, Uniform};
 use sw_sim::traffic::{CacheConfig, CongestionConfig, TrafficConfig};
-use sw_sim::{
-    ChurnConfig, PlaneBackend, RoutingMode, SimConfig, SimTime, Simulator, WorkloadConfig,
-};
+use sw_sim::{ChurnConfig, RoutingMode, SimConfig, SimTime, Simulator, WorkloadConfig};
 
 fn dist_for(choice: u8) -> Arc<dyn KeyDistribution> {
     match choice % 2 {
@@ -109,16 +107,15 @@ struct Digest {
     alive: usize,
 }
 
-/// Bit-identity across plane backends *and* worker-thread counts for a
-/// queued, rate-limited, cached, churning run: the congestion layer is
+/// Bit-identity across worker-thread counts for a queued,
+/// rate-limited, cached, churning run: the congestion layer is
 /// evaluated at send time from plane-ordered state, so the full metric
 /// digest — histogram fingerprints included — must be invariant.
 #[test]
-fn backends_and_threads_agree_under_congestion() {
+fn thread_counts_agree_under_congestion() {
     for seed in [7u64, 0x5EED_2005] {
-        let run = |plane: PlaneBackend, parallelism: usize| {
+        let run = |parallelism: usize| {
             let cfg = SimConfig {
-                plane,
                 parallelism,
                 ..traffic_cfg(seed, 700.0, 1.2, 4, 2.0)
             };
@@ -141,20 +138,18 @@ fn backends_and_threads_agree_under_congestion() {
                 alive: sim.alive_count(),
             }
         };
-        let reference = run(PlaneBackend::Wheel, 1);
+        let reference = run(1);
         assert!(reference.drops > 0, "this load point must overflow queues");
         assert!(
             reference.cache_hits > 0,
             "this load point must hit the cache"
         );
-        for plane in [PlaneBackend::Wheel, PlaneBackend::Heap] {
-            for parallelism in [1usize, 2, 4] {
-                assert_eq!(
-                    run(plane, parallelism),
-                    reference,
-                    "digest diverged: seed={seed} plane={plane:?} threads={parallelism}"
-                );
-            }
+        for parallelism in [1usize, 2, 4] {
+            assert_eq!(
+                run(parallelism),
+                reference,
+                "digest diverged: seed={seed} threads={parallelism}"
+            );
         }
     }
 }
