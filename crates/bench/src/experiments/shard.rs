@@ -49,9 +49,11 @@ fn arena_bytes(build: &ArenaBuild) -> usize {
 
 fn print_profile(cell: &str, p: BuildProfile) {
     println!(
-        "  [e21] {cell} profile (s): placement {:.3}, sample {:.3}, long fill {:.3}, \
-         long finish {:.3}, degree count {:.3}, contact fill {:.3}, contact finish {:.3}",
+        "  [e21] {cell} profile (s): placement {:.3}, selector {:.3}, sample {:.3}, \
+         long fill {:.3}, long finish {:.3}, degree count {:.3}, contact fill {:.3}, \
+         contact finish {:.3}",
         p.placement_s,
+        p.selector_s,
         p.sample_s,
         p.long_fill_s,
         p.long_finish_s,

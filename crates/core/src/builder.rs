@@ -241,11 +241,13 @@ impl SmallWorldBuilder {
             let mut peer_rng = Rng::stream(build_seed, u as u64);
             selector.sample_links(u as u32, budget, &mut peer_rng)
         });
+        let cdf = selector.into_cdf();
         let long = CsrTopology::from_rows_with_threads(&rows, self.parallelism);
         let label = format!("sw({},{})", assumed.name(), self.config.sampler.label());
         Ok(SmallWorldNetwork::assemble_with_threads(
             placement,
             assumed,
+            cdf,
             self.config,
             long,
             label,
@@ -327,6 +329,7 @@ impl SmallWorldBuilder {
         let budget = self.config.out_degree.links_for(n);
         let selector =
             LinkSelector::new(&placement, assumed.as_ref(), min_mass, self.config.sampler);
+        profile.selector_s = lap(&mut t);
         // Same RNG discipline as `build`: one seed draw, then per-peer
         // streams — bit-identical links at any parallelism.
         let build_seed = rng.next_u64();
@@ -337,13 +340,14 @@ impl SmallWorldBuilder {
             budget,
             self.parallelism,
             dir,
-            &mut profile,
+            (&mut t, &mut profile),
         )?;
-        drop(selector);
+        let cdf = selector.into_cdf();
         let label = format!("sw({},{})", assumed.name(), self.config.sampler.label());
         Ok(ArenaBuild {
             placement,
             assumed,
+            cdf,
             config: self.config,
             label,
             contacts,
@@ -355,12 +359,17 @@ impl SmallWorldBuilder {
 
 /// Wall-clock seconds of each stage of one arena-path build
 /// ([`SmallWorldBuilder::build_to_arena`] / `build_frozen`), in pipeline
-/// order. Always measured; the `bidirectional` fallback assembles on the
-/// heap and reports `placement_s` only.
+/// order. Always measured, on one stopwatch restarted at each stage
+/// boundary, so the stages add up to the build's wall time; the
+/// `bidirectional` fallback assembles on the heap and reports
+/// `placement_s` only.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BuildProfile {
     /// Sampling the placement (keys drawn and ranked).
     pub placement_s: f64,
+    /// Building the link selector (one assumed-CDF evaluation per peer
+    /// and the bucket rank index over them).
+    pub selector_s: f64,
     /// Sampling every peer's long links into flat scratch.
     pub sample_s: f64,
     /// Copying the scratch rows into the long-link image.
@@ -383,6 +392,8 @@ pub struct BuildProfile {
 pub struct ArenaBuild {
     placement: Placement,
     assumed: Arc<dyn KeyDistribution>,
+    /// `F̂(key_i)` per peer, as the selector computed it.
+    cdf: Vec<f64>,
     config: SmallWorldConfig,
     label: String,
     contacts: TopologyArena,
@@ -440,6 +451,7 @@ impl ArenaBuild {
         SmallWorldNetwork::from_contact_arena(
             self.placement,
             self.assumed,
+            self.cdf,
             self.config,
             self.contacts,
             long,
@@ -464,6 +476,7 @@ impl ArenaBuild {
         ArenaBuild {
             placement: net.placement().clone(),
             assumed: net.assumed().clone(),
+            cdf: net.normalized_positions().to_vec(),
             config: *net.config(),
             label,
             contacts,
@@ -568,7 +581,7 @@ fn writer_at(
 /// The arena path: one sampling pass into flat scratch, then two
 /// count-then-fill arena writes (long by straight copy, contacts by
 /// per-peer neighbour merge with key lanes gathered in place). Stage
-/// timings land in `profile`.
+/// timings land in `profile`, read off the caller's running stopwatch.
 fn build_arena_parts(
     placement: &Placement,
     selector: &LinkSelector<'_>,
@@ -576,13 +589,12 @@ fn build_arena_parts(
     budget: usize,
     threads: usize,
     dir: Option<&Path>,
-    profile: &mut BuildProfile,
+    (t, profile): (&mut Instant, &mut BuildProfile),
 ) -> io::Result<(TopologyArena, TopologyArena)> {
     let n = placement.len();
     let keys = placement.keys();
-    let mut t = Instant::now();
     let sampled = sample_rows(selector, build_seed, budget, n, threads);
-    profile.sample_s = lap(&mut t);
+    profile.sample_s = lap(t);
     let fill_ranges = shard_ranges(n, par::effective_threads(n, threads, 1024));
     // The scratch is rows concatenated in peer order — the long arena's
     // own edge layout — so the long fill is a straight copy.
@@ -593,9 +605,9 @@ fn build_arena_parts(
             .edges
             .copy_from_slice(&sampled.links[lo..lo + slots.edges.len()]);
     });
-    profile.long_fill_s = lap(&mut t);
+    profile.long_fill_s = lap(t);
     let long = writer.finish(threads)?;
-    profile.long_finish_s = lap(&mut t);
+    profile.long_finish_s = lap(t);
     // The finished arena's offset table doubles as the scratch row
     // index for the contact pass — no separate prefix sum.
     let offs = long.offsets();
@@ -609,7 +621,7 @@ fn build_arena_parts(
         }
         deg
     });
-    profile.degree_count_s = lap(&mut t);
+    profile.degree_count_s = lap(t);
     let mut writer = writer_at(dir, CONTACTS_FILE, &contact_degrees, true, true)?;
     drop(contact_degrees);
     writer.fill_shards(&fill_ranges, threads, |_, mut slots| {
@@ -637,9 +649,11 @@ fn build_arena_parts(
             node_pos[u - slots.range.start] = keys[u].get();
         }
     });
-    profile.contact_fill_s = lap(&mut t);
+    // Freeing the scratch rows is part of the stage that last read them.
+    drop(sampled);
+    profile.contact_fill_s = lap(t);
     let contacts = writer.finish(threads)?;
-    profile.contact_finish_s = lap(&mut t);
+    profile.contact_finish_s = lap(t);
     Ok((contacts, long))
 }
 
@@ -852,6 +866,35 @@ mod tests {
         .unwrap();
         assert_eq!(net.len(), 3000);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every stage reads one stopwatch that restarts at the stage
+    /// boundary, so the profile accounts for the build's whole wall time.
+    #[test]
+    fn build_profile_stages_add_up_to_the_wall_time() {
+        let builder = SmallWorldBuilder::new(20_000)
+            .distribution(Box::new(TruncatedPareto::new(1.5, 0.01).unwrap()))
+            .sampler(LinkSampler::Harmonic);
+        let started = Instant::now();
+        let build = builder.build_to_arena(&mut Rng::new(15)).unwrap();
+        let wall = started.elapsed().as_secs_f64();
+        let p = build.profile();
+        let stages = [
+            p.placement_s,
+            p.selector_s,
+            p.sample_s,
+            p.long_fill_s,
+            p.long_finish_s,
+            p.degree_count_s,
+            p.contact_fill_s,
+            p.contact_finish_s,
+        ];
+        assert!(stages.iter().all(|&s| s > 0.0), "{p:?}");
+        let sum: f64 = stages.iter().sum();
+        assert!(
+            sum <= wall && sum >= 0.98 * wall,
+            "stages sum to {sum:.6} s of a {wall:.6} s build: {p:?}"
+        );
     }
 
     #[test]

@@ -242,13 +242,14 @@ impl GrowingNetwork {
         let mut tries = 0;
         while links.len() < budget && tries < 16 * budget + 32 {
             tries += 1;
-            let go_left = rng.f64() * (wl + wr) < wl;
-            let (side_mass, sign) = if go_left {
-                (left_mass, -1.0)
+            // A chosen side has positive weight, which is its
+            // `ln(side_mass / tau)` (as in `links.rs::sample_harmonic`).
+            let (side_weight, sign) = if rng.f64() * (wl + wr) < wl {
+                (wl, -1.0)
             } else {
-                (right_mass, 1.0)
+                (wr, 1.0)
             };
-            let m = tau * ((side_mass / tau).ln() * rng.f64()).exp();
+            let m = tau * (side_weight * rng.f64()).exp();
             let target_pos = match self.topology {
                 Topology::Interval => (pos + sign * m).clamp(0.0, 1.0),
                 Topology::Ring => (pos + sign * m).rem_euclid(1.0),

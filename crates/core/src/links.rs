@@ -8,13 +8,28 @@
 //!
 //! Two interchangeable samplers implement the rule (see
 //! [`crate::config::LinkSampler`]); experiments E1/E3 verify they agree.
+//! The harmonic draw is written here and in the join protocol
+//! (`join.rs::draw_long_links`, which resolves targets by routing);
+//! the only other copy is this module's `#[cfg(test)]` reference oracle.
 
 use crate::config::LinkSampler;
+use sw_graph::par;
 use sw_graph::prefetch::prefetch_read;
 use sw_graph::NodeId;
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::{Key, Rng, Topology};
 use sw_overlay::Placement;
+
+/// `F̂(key_i)` of every peer under the assumed density: the one pass
+/// behind the selector's and the network's position caches (a pure
+/// per-key map, so the same at any worker count).
+pub(crate) fn normalized_positions(
+    placement: &Placement,
+    assumed: &dyn KeyDistribution,
+) -> Vec<f64> {
+    let keys = placement.keys();
+    par::par_map(keys.len(), 0, |i| assumed.cdf(keys[i].get()))
+}
 
 /// Precomputed link-sampling context for one network build.
 pub struct LinkSelector<'a> {
@@ -45,11 +60,7 @@ impl<'a> LinkSelector<'a> {
         min_mass: f64,
         sampler: LinkSampler,
     ) -> Self {
-        let cdf: Vec<f64> = placement
-            .keys()
-            .iter()
-            .map(|k| assumed.cdf(k.get()))
-            .collect();
+        let cdf = normalized_positions(placement, assumed);
         // One bucket per peer; one ascending pass fills the bounds.
         let n = cdf.len();
         let buckets = n.max(1);
@@ -82,6 +93,11 @@ impl<'a> LinkSelector<'a> {
     fn bucket_of(&self, target_pos: f64) -> usize {
         let buckets = self.bounds.len() - 1;
         ((target_pos * buckets as f64) as usize).min(buckets - 1)
+    }
+
+    /// Hands the `F̂(key_i)` vector on to the network being built.
+    pub(crate) fn into_cdf(self) -> Vec<f64> {
+        self.cdf
     }
 
     /// Mass distance between two peers in the assumed normalized space,
@@ -156,14 +172,16 @@ impl<'a> LinkSelector<'a> {
 
     /// Continuous harmonic sampling in the normalized space.
     ///
-    /// Candidates are drawn in small batches from a *clone* of the
-    /// caller's generator so the bucket/key/cdf cache lines they will
-    /// touch can all be prefetched before the sequential accept loop
-    /// runs — at 10⁷ peers those three dependent misses per candidate
-    /// dominate construction. The caller's generator is then advanced by
-    /// exactly the draws the accept loop consumed, so the draw sequence
-    /// (and therefore every sampled link and the generator's final
-    /// state) is bit-identical to the one-candidate-at-a-time loop.
+    /// Candidates are drawn in rounds so the bucket/key/cdf cache lines
+    /// they will touch can all be prefetched before the accept loop runs
+    /// — at 10⁷ peers those three dependent misses per candidate
+    /// dominate construction. A round draws exactly as many candidates
+    /// as links are still outstanding (capped by `BATCH` and the retry
+    /// cap): the whole budget first, then top-ups for the rejections. It
+    /// can complete the row only with its last candidate, so no `exp` or
+    /// `quantile` is ever drawn and discarded, and with accepts in draw
+    /// order every link and the generator's final state are bit-identical
+    /// to the one-candidate-at-a-time loop.
     fn sample_harmonic(&self, u: NodeId, count: usize, rng: &mut Rng, links: &mut Vec<NodeId>) {
         let pos = self.cdf[u as usize];
         // Available mass on each side of u in normalized space.
@@ -193,19 +211,18 @@ impl<'a> LinkSelector<'a> {
         let mut tries = 0;
         let mut target_key = [Key::clamped(0.0); BATCH];
         let mut bucket = [0usize; BATCH];
-        let mut bracket = [(0usize, 0usize); BATCH];
         while links.len() < count && tries < cap {
-            let want = BATCH.min(cap - tries);
-            let mut probe = rng.clone();
+            let want = (count - links.len()).min(BATCH).min(cap - tries);
             for i in 0..want {
-                let go_left = probe.f64() * (wl + wr) < wl;
-                let (side_mass, sign) = if go_left {
-                    (left_mass, -1.0)
+                // A side is only ever chosen when its weight is positive,
+                // and then the weight *is* `ln(side_mass / tau)`.
+                let (side_weight, sign) = if rng.f64() * (wl + wr) < wl {
+                    (wl, -1.0)
                 } else {
-                    (right_mass, 1.0)
+                    (wr, 1.0)
                 };
                 // Log-uniform mass offset in [tau, side_mass].
-                let m = tau * ((side_mass / tau).ln() * probe.f64()).exp();
+                let m = tau * (side_weight * rng.f64()).exp();
                 let target_pos = match self.placement.topology() {
                     Topology::Interval => (pos + sign * m).clamp(0.0, 1.0),
                     Topology::Ring => (pos + sign * m).rem_euclid(1.0),
@@ -215,19 +232,17 @@ impl<'a> LinkSelector<'a> {
                 prefetch_read(&self.bounds[j]);
                 target_key[i] = Key::clamped(self.assumed.quantile(target_pos));
             }
-            for i in 0..want {
-                let j = bucket[i];
-                let (blo, bhi) = (self.bounds[j] as usize, self.bounds[j + 1] as usize);
-                bracket[i] = (blo, bhi);
+            for &j in &bucket[..want] {
+                let blo = self.bounds[j] as usize;
                 if blo < keys.len() {
                     prefetch_read(&keys[blo]);
                     prefetch_read(&self.cdf[blo]);
                 }
             }
-            let mut consumed = want;
-            for (i, &(blo, bhi)) in bracket.iter().enumerate().take(want) {
-                tries += 1;
-                let v = self.placement.nearest_bracketed(target_key[i], blo, bhi);
+            tries += want;
+            for (&j, &target) in bucket[..want].iter().zip(&target_key) {
+                let (blo, bhi) = (self.bounds[j] as usize, self.bounds[j + 1] as usize);
+                let v = self.placement.nearest_bracketed(target, blo, bhi);
                 if v == u || links.contains(&v) {
                     continue;
                 }
@@ -237,18 +252,6 @@ impl<'a> LinkSelector<'a> {
                     continue;
                 }
                 links.push(v);
-                if links.len() == count {
-                    consumed = i + 1;
-                    break;
-                }
-            }
-            if consumed == want {
-                // The probe consumed exactly the batch — adopt its state.
-                *rng = probe;
-            } else {
-                for _ in 0..2 * consumed {
-                    rng.f64();
-                }
             }
         }
     }
@@ -389,25 +392,35 @@ mod tests {
     #[test]
     fn bracketed_harmonic_sampling_is_bit_identical() {
         // Matched and mis-specified densities, both topologies: the rank
-        // index may bracket well or terribly, but results (and the rng
-        // draw sequence) must equal the reference loop exactly.
+        // index may bracket well or terribly, but results and the
+        // generator's final state must equal the reference loop exactly.
+        // The budgets cover every shape of the round sizing: one link
+        // (single-candidate rounds), the usual budget (one full round
+        // plus top-ups for its rejections) and 40 links (a first round
+        // capped at BATCH); with 8 peers the larger two run the retry
+        // cap dry, its last round cut short by `cap - tries`.
         let pareto = TruncatedPareto::new(1.5, 0.01).unwrap();
         let uni = Uniform;
-        let cases: [(
-            &dyn sw_keyspace::distribution::KeyDistribution,
-            &dyn sw_keyspace::distribution::KeyDistribution,
-        ); 3] = [(&uni, &uni), (&pareto, &pareto), (&pareto, &uni)];
+        let cases: [(&dyn KeyDistribution, &dyn KeyDistribution); 3] =
+            [(&uni, &uni), (&pareto, &pareto), (&pareto, &uni)];
         for topology in [Topology::Interval, Topology::Ring] {
             for (actual, assumed) in cases {
-                let mut rng = Rng::new(21);
-                let p = Placement::sample(700, actual, topology, &mut rng);
-                let sel = LinkSelector::new(&p, assumed, 1.0 / 700.0, LinkSampler::Harmonic);
-                for u in (0..700).step_by(13) {
-                    let mut a = Rng::stream(99, u as u64);
-                    let mut b = Rng::stream(99, u as u64);
-                    let fast = sel.sample_links(u as NodeId, 10, &mut a);
-                    let refr = sample_harmonic_reference(&sel, u as NodeId, 10, &mut b);
-                    assert_eq!(fast, refr, "topology={topology:?} u={u}");
+                for n in [8usize, 700] {
+                    let mut rng = Rng::new(21);
+                    let p = Placement::sample(n, actual, topology, &mut rng);
+                    let sel = LinkSelector::new(&p, assumed, 1.0 / n as f64, LinkSampler::Harmonic);
+                    for count in [1usize, 10, 40] {
+                        for u in (0..n).step_by(n / 8 + 5) {
+                            let mut a = Rng::stream(99, u as u64);
+                            let mut b = Rng::stream(99, u as u64);
+                            let fast = sel.sample_links(u as NodeId, count, &mut a);
+                            let refr = sample_harmonic_reference(&sel, u as NodeId, count, &mut b);
+                            let at = format!("topology={topology:?} n={n} count={count} u={u}");
+                            assert_eq!(fast, refr, "{at}");
+                            assert_eq!(a.next_u64(), b.next_u64(), "generator state, {at}");
+                            assert_eq!(fast.len() < count, n == 8 && count > 1, "{at}");
+                        }
+                    }
                 }
             }
         }

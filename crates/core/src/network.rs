@@ -3,6 +3,7 @@
 //! storage backends.
 
 use crate::config::SmallWorldConfig;
+use crate::links::normalized_positions;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -92,26 +93,23 @@ impl SmallWorldNetwork {
         long: CsrTopology,
         label: String,
     ) -> Self {
-        Self::assemble_with_threads(placement, assumed, config, long, label, 0)
+        let cdf = normalized_positions(&placement, assumed.as_ref());
+        Self::assemble_with_threads(placement, assumed, cdf, config, long, label, 0)
     }
 
-    /// [`SmallWorldNetwork::assemble`] with an explicit worker-thread
-    /// count for the freeze-time SoA position gather (`0` = auto; the
-    /// gather is a pure per-edge function, so the table is bit-identical
-    /// for every thread count).
+    /// [`SmallWorldNetwork::assemble`] over the builder's own `cdf`
+    /// (`F̂(key_i)` per peer), with an explicit worker-thread count for
+    /// the freeze-time SoA position gather (`0` = auto; the gather is a
+    /// pure per-edge function, so the table is the same at any count).
     pub(crate) fn assemble_with_threads(
         placement: Placement,
         assumed: Arc<dyn KeyDistribution>,
+        cdf: Vec<f64>,
         config: SmallWorldConfig,
         long: CsrTopology,
         label: String,
         threads: usize,
     ) -> Self {
-        let cdf = placement
-            .keys()
-            .iter()
-            .map(|k| assumed.cdf(k.get()))
-            .collect();
         let contact_table = build_contact_table(&placement, &long, config.bidirectional, threads);
         let route_table = build_route_table(&placement, contact_table, threads);
         SmallWorldNetwork {
@@ -128,8 +126,9 @@ impl SmallWorldNetwork {
 
     /// Assembles a network whose contact table is *already* a frozen
     /// arena (the [`crate::builder::ArenaBuild`] fast path): no per-edge
-    /// work happens here — the arena carries the position lanes — and
-    /// routing is bit-identical to a heap-assembled network.
+    /// work happens here — the arena carries the position lanes, `cdf`
+    /// comes from the build's selector — and routing is bit-identical to
+    /// a heap-assembled network.
     ///
     /// # Panics
     ///
@@ -138,16 +137,12 @@ impl SmallWorldNetwork {
     pub(crate) fn from_contact_arena(
         placement: Placement,
         assumed: Arc<dyn KeyDistribution>,
+        cdf: Vec<f64>,
         config: SmallWorldConfig,
         contacts: TopologyArena,
         long: CsrTopology,
         label: String,
     ) -> Self {
-        let cdf = placement
-            .keys()
-            .iter()
-            .map(|k| assumed.cdf(k.get()))
-            .collect();
         let route_table = RouteTable::from_store(Arc::new(TopologyStore::Arena(contacts)))
             .unwrap_or_else(|_| panic!("contact arena carries no per-edge position lane"));
         SmallWorldNetwork {
@@ -244,6 +239,11 @@ impl SmallWorldNetwork {
     #[inline]
     pub fn normalized_position(&self, u: NodeId) -> f64 {
         self.cdf[u as usize]
+    }
+
+    /// Every peer's normalized-space position, in id order.
+    pub(crate) fn normalized_positions(&self) -> &[f64] {
+        &self.cdf
     }
 
     /// Mass distance between two peers in the assumed normalized space
@@ -370,11 +370,7 @@ impl SmallWorldNetwork {
         let placement = Placement::from_keys(keys, config.topology, assumed.name())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let long = TopologyArena::open(dir.join(LONG_FILE))?.to_topology();
-        let cdf = placement
-            .keys()
-            .iter()
-            .map(|k| assumed.cdf(k.get()))
-            .collect();
+        let cdf = normalized_positions(&placement, assumed.as_ref());
         let label = format!("sw({},{})", assumed.name(), config.sampler.label());
         let route_table = RouteTable::from_store(contacts).map_err(|_| {
             io::Error::new(

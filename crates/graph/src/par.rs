@@ -321,22 +321,25 @@ where
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
+    // Workers write their chunk of the one output allocation in place —
+    // no per-chunk vectors to concatenate, so a large map never holds
+    // its result twice.
     let chunk = n.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
+    let mut out: Vec<T> = Vec::with_capacity(n);
     pool().scope(|s| {
-        for (t, slot) in chunks.iter_mut().enumerate() {
+        for (t, part) in out.spare_capacity_mut()[..n].chunks_mut(chunk).enumerate() {
             let f = &f;
             s.spawn(move || {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                *slot = (lo..hi).map(f).collect();
+                for (i, slot) in part.iter_mut().enumerate() {
+                    slot.write(f(t * chunk + i));
+                }
             });
         }
     });
-    let mut out = Vec::with_capacity(n);
-    for c in chunks {
-        out.extend(c);
-    }
+    // SAFETY: the chunks tile `0..n` of the spare capacity, every job
+    // initialises each slot of its chunk, and `scope` returns only after
+    // all jobs completed (it panics instead if one of them did).
+    unsafe { out.set_len(n) };
     out
 }
 
@@ -417,6 +420,12 @@ mod tests {
         for threads in [1, 2, 3, 7, 16] {
             let par = par_map(n, threads, |i| (i as u64).wrapping_mul(2654435761));
             assert_eq!(par, seq, "threads={threads}");
+            // Owned items, a count the chunks do not divide: every slot
+            // of the shared output is written exactly once.
+            let owned = par_map_grained(1001, threads, 1, |i| vec![i; i % 3]);
+            assert!(
+                owned.len() == 1001 && owned.iter().enumerate().all(|(i, v)| *v == vec![i; i % 3])
+            );
         }
     }
 

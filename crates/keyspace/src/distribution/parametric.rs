@@ -206,6 +206,10 @@ impl KeyDistribution for TruncatedExponential {
 pub struct TruncatedPareto {
     alpha: f64,
     x0: f64,
+    /// Precomputed `x0^(1−α)` (unused on the `α = 1` log branch).
+    x0_pow: f64,
+    /// Precomputed normaliser: the raw integral over `[0, 1]`.
+    total: f64,
 }
 
 impl TruncatedPareto {
@@ -219,21 +223,29 @@ impl TruncatedPareto {
             "finite > 0",
         )?;
         check_param("x0", x0, x0.is_finite() && x0 > 0.0, "finite > 0")?;
-        Ok(TruncatedPareto { alpha, x0 })
+        let mut d = TruncatedPareto {
+            alpha,
+            x0,
+            x0_pow: x0.powf(1.0 - alpha),
+            total: 0.0,
+        };
+        d.total = d.raw_integral(1.0);
+        Ok(d)
+    }
+
+    /// True on the `α = 1` branch, where the antiderivative is a log.
+    fn is_log(&self) -> bool {
+        (self.alpha - 1.0).abs() < 1e-9
     }
 
     /// Antiderivative of the *unnormalized* density on `[0, x]`.
     fn raw_integral(&self, x: f64) -> f64 {
-        if (self.alpha - 1.0).abs() < 1e-9 {
+        if self.is_log() {
             ((x + self.x0) / self.x0).ln()
         } else {
             let e = 1.0 - self.alpha;
-            ((x + self.x0).powf(e) - self.x0.powf(e)) / e
+            ((x + self.x0).powf(e) - self.x0_pow) / e
         }
-    }
-
-    fn total(&self) -> f64 {
-        self.raw_integral(1.0)
     }
 }
 
@@ -246,7 +258,7 @@ impl KeyDistribution for TruncatedPareto {
         if !(0.0..1.0).contains(&x) {
             return 0.0;
         }
-        (x + self.x0).powf(-self.alpha) / self.total()
+        (x + self.x0).powf(-self.alpha) / self.total
     }
 
     fn cdf(&self, x: f64) -> f64 {
@@ -255,18 +267,18 @@ impl KeyDistribution for TruncatedPareto {
         } else if x >= 1.0 {
             1.0
         } else {
-            (self.raw_integral(x) / self.total()).clamp(0.0, 1.0)
+            (self.raw_integral(x) / self.total).clamp(0.0, 1.0)
         }
     }
 
     fn quantile(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
-        let target = p * self.total();
-        let x = if (self.alpha - 1.0).abs() < 1e-9 {
+        let target = p * self.total;
+        let x = if self.is_log() {
             self.x0 * target.exp() - self.x0
         } else {
             let e = 1.0 - self.alpha;
-            (target * e + self.x0.powf(e)).powf(1.0 / e) - self.x0
+            (target * e + self.x0_pow).powf(1.0 / e) - self.x0
         };
         x.clamp(0.0, 1.0)
     }
@@ -430,6 +442,86 @@ mod tests {
                 let x = d.quantile(q);
                 let emp = xs.partition_point(|&s| s <= x) as f64 / n as f64;
                 assert!((emp - q).abs() < 0.02, "{}: q={q} emp={emp}", d.name());
+            }
+        }
+    }
+
+    /// Points at which [`PARETO_BITS`] pins the density.
+    const GOLDEN_XS: [f64; 12] = [
+        1e-9,
+        0.001,
+        0.01,
+        0.05,
+        0.1,
+        0.25,
+        0.5,
+        0.618_033_988_7,
+        0.75,
+        0.9,
+        0.99,
+        0.999_999,
+    ];
+
+    /// `(α, x0, [cdf, quantile, pdf] bits at each of GOLDEN_XS)`, recorded
+    /// at commit abf6b81 — before the normaliser was cached — on x86-64
+    /// Linux. Link sampling feeds these values straight into arena
+    /// images, so a one-ulp move here is a different network.
+    #[rustfmt::skip]
+    const PARETO_BITS: [(f64, f64, [[u64; 3]; 12]); 3] = [
+        (1.5, 0.01, [
+            [0x3e6dcf49edab0d09, 0x3db3cd57c0000000, 0x404bc330e3a69036],
+            [0x3faa75c436802d68, 0x3ef2e90a6644d600, 0x40481066cd244e64],
+            [0x3fd4d1051095bbf2, 0x3f27edbf268cd840, 0x4033a18b2f09e7d4],
+            [0x3fe507497ec4de10, 0x3f4fa0878e5c3920, 0x400e3954a69c3f59],
+            [0x3fe8d24b88b8807a, 0x3f61041b4bca3a20, 0x3ff859e359523116],
+            [0x3fec9118d2cf316e, 0x3f7b41e989ca36a6, 0x3fdacdf5040c6f68],
+            [0x3fee8f579a5d1f24, 0x3f97a44d5a513bd4, 0x3fc3838b27c1fa8f],
+            [0x3fef0d45e75adb0e, 0x3fa4ea365fe52169, 0x3fbc8f4721eb9447],
+            [0x3fef75af4af0a844, 0x3fb5bb77cbfaa9fb, 0x3fb574375760e3a4],
+            [0x3fefcf8f3cb52184, 0x3fd12c13f1c85576, 0x3fb05fda1161d353],
+            [0x3feffb7c38051048, 0x3feadbb4471f004e, 0x3fac6dc3c0048040],
+            [0x3fefffffe2a1c294, 0x3fefffd9a9bb20e8, 0x3fac01f5298e3c44],
+        ]),
+        (1.0, 0.05, [
+            [0x3e3c36e2497ec0cc, 0x3de4ebfb00000000, 0x401a46d5b7c13ad0],
+            [0x3f7aa44d14a5af03, 0x3f23fba4fac03000, 0x4019c2efadbcafed],
+            [0x3faea942cdd7245e, 0x3f595303937fb540, 0x4015e5b22079fbf0],
+            [0x3fcd244c78367a0d, 0x3f80d6437c5886f4, 0x400a46d5c0926187],
+            [0x3fd7182597e8ee19, 0x3f92389e31e575f0, 0x4001848e8061965a],
+            [0x3fe2d525ea021590, 0x3fad33a8e15bb3c4, 0x3ff1848e8061965b],
+            [0x3fe934192ad5bee8, 0x3fc6edb12821ca6e, 0x3fe31c3e5d81bb4b],
+            [0x3feb3f3b9f329e94, 0x3fd1ce206392990b, 0x3fdf77ae0df845f5],
+            [0x3fed244c78367a0d, 0x3fdc31116c47612c, 0x3fda46d5c0926187],
+            [0x3feef2b3b8a8f44d, 0x3fe72e507b7c70e2, 0x3fd620b4007b44a8],
+            [0x3fefe6404b8e8bff, 0x3feefe119454b65e, 0x3fd4367d0a493754],
+            [0x3fefffff580e9f40, 0x3feffff94bc2e46c, 0x3fd4053664e60061],
+        ]),
+        (0.8, 0.1, [
+            [0x3e2beab6a6268a34, 0x3df52510d0000000, 0x4009ffe543c1ea08],
+            [0x3f6a84897912b95a, 0x3f3430a8ac2a9700, 0x4009cb1f8d21d9f7],
+            [0x3fa002f0c17185b3, 0x3f6984c9c1463a00, 0x40081742e92cba67],
+            [0x3fc191e1e0a9d762, 0x3f90c0fe8b13d05c, 0x4002cc16578da7db],
+            [0x3fceedc40dd24611, 0x3fa1d0edec0c3db8, 0x3ffddd9dc8f9899e],
+            [0x3fdd9cab811c0029, 0x3fbac2141ddcb926, 0x3ff316525fba6e3b],
+            [0x3fe668f86e923ed5, 0x3fd21319d54035d8, 0x3fe8cd96545aeada],
+            [0x3fe92196c08a6c16, 0x3fd9ab92e106e80c, 0x3fe57bd8749737d8],
+            [0x3febc73e6c660b75, 0x3fe2240f9713ab8f, 0x3fe2c56b8653e4fc],
+            [0x3fee69f9dff9ffbc, 0x3fe9c97428a3127a, 0x3fe07b8dafb1b37e],
+            [0x3fefd8c25dc78f20, 0x3fef55a8c345167d, 0x3fdec4e635d340e6],
+            [0x3feffffeffc4bfb0, 0x3feffffb9b1e17b1, 0x3fde8b90ee55af16],
+        ]),
+    ];
+
+    #[test]
+    fn pareto_bits_match_the_pinned_values() {
+        for (alpha, x0, rows) in PARETO_BITS {
+            let d = TruncatedPareto::new(alpha, x0).unwrap();
+            for (x, want) in GOLDEN_XS.into_iter().zip(rows) {
+                let got = [d.cdf(x), d.quantile(x), d.pdf(x)].map(f64::to_bits);
+                assert_eq!(
+                    got, want,
+                    "pareto({alpha},{x0}) [cdf, quantile, pdf] at {x}: {got:#018x?}"
+                );
             }
         }
     }

@@ -391,6 +391,36 @@ fn frozen_image_simulates_like_the_heap_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Golden bits against the parent commit, not against ourselves: the
+/// FNV-1a digests of the two arena images of a fixed-seed 4 096-peer
+/// Pareto(1.5, 0.01) harmonic build, recorded at commit abf6b81 (x86-64
+/// Linux) before the density cached its normaliser and the sampler
+/// resized its speculative rounds. Every same-commit identity test
+/// would still pass if a "faster" density or sampler moved one ulp or
+/// one draw; this one would not.
+#[test]
+fn harmonic_pareto_images_match_the_pinned_digests() {
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+    let build = SmallWorldBuilder::new(4096)
+        .distribution(Box::new(TruncatedPareto::new(1.5, 0.01).unwrap()))
+        .sampler(LinkSampler::Harmonic)
+        .build_to_arena(&mut Rng::new(2005))
+        .unwrap();
+    let got = (
+        fnv1a(build.contacts().as_bytes()),
+        fnv1a(build.long().as_bytes()),
+    );
+    assert_eq!(
+        got,
+        (0xb5f5_6358_8263_13c5, 0x13eb_524b_cbbe_4d68),
+        "(contacts, long) digests: {got:#018x?}"
+    );
+}
+
 /// Determinism across the whole stack: same seed, same everything.
 #[test]
 fn cross_crate_determinism() {
