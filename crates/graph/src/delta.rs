@@ -27,8 +27,8 @@
 //! written.
 
 use crate::digraph::NodeId;
+use crate::idhash::IdMap;
 use crate::store::TopologyStore;
-use std::collections::HashMap;
 
 /// One touched row: a full replacement, or add/remove logs against the
 /// base row (see module docs for the exact read semantics).
@@ -45,7 +45,7 @@ enum DeltaRow {
 #[derive(Debug)]
 pub struct DeltaStore {
     base: TopologyStore,
-    delta: HashMap<NodeId, DeltaRow>,
+    delta: IdMap<NodeId, DeltaRow>,
     n: usize,
 }
 
@@ -55,7 +55,7 @@ impl DeltaStore {
         let n = base.len();
         DeltaStore {
             base,
-            delta: HashMap::new(),
+            delta: IdMap::default(),
             n,
         }
     }

@@ -47,6 +47,9 @@
 //! * [`prefetch`] — software-prefetch hints shared by every
 //!   latency-hiding kernel (CSR transpose, harmonic sampling,
 //!   `sw-overlay`'s interleaved AMAC routing); no-ops off x86-64.
+//! * [`idhash`] — [`IdMap`] / [`IdSet`]: `std` hash tables over a
+//!   one-multiply hasher, for maps keyed by ids the program generated
+//!   itself (engine walk tables, link buckets, the delta layer).
 //! * [`digraph`] — a mutable adjacency-list digraph used while *editing*
 //!   graphs; frozen overlays use [`Topology`] instead.
 //! * [`bfs`] — breadth-first distances, sampled average path length and
@@ -66,6 +69,7 @@ pub mod components;
 pub mod csr;
 pub mod delta;
 pub mod digraph;
+pub mod idhash;
 pub mod kleinberg;
 pub mod metrics;
 pub mod par;
@@ -77,6 +81,7 @@ pub mod writer;
 pub use csr::{LinkTable, Topology};
 pub use delta::DeltaStore;
 pub use digraph::{DiGraph, NodeId};
+pub use idhash::{IdMap, IdSet};
 pub use metrics::GraphMetrics;
 pub use store::{TopologyArena, TopologyStore};
 pub use writer::ArenaWriter;

@@ -51,9 +51,10 @@
 //! [`RingView`] — dynamic protocols route over borrowed per-peer views
 //! that mutate under churn, so there is nothing contiguous to scan —
 //! always goes through the slice-based [`greedy_step`] /
-//! [`greedy_candidates`]. Debug builds check every interleaved hop
-//! against [`greedy_step`] over the same row, and the equivalence
-//! proptests drive both kernels over the same workloads.
+//! [`greedy_candidates`] ([`RingView::step`] as its flat three-loop
+//! form). Debug builds check every interleaved hop and every flat
+//! `RingView` step against [`greedy_step`] over the same row, and the
+//! equivalence proptests drive both kernels over the same workloads.
 
 use crate::placement::Placement;
 use sw_graph::csr::Topology as CsrTopology;
@@ -322,25 +323,80 @@ impl RingView<'_> {
             .chain(self.long.iter().copied())
     }
 
-    /// [`greedy_step`] over this view, skipping contacts rejected by
-    /// `skip` (self-loops, contacts already timed out this walk) and
-    /// resolving contact keys through `key_of`.
+    /// [`greedy_step`] over this view, skipping `me` (self-loops) and the
+    /// contacts in `excluded` (already timed out this walk) and resolving
+    /// contact keys through `key_of`.
+    ///
+    /// This is the simulator's per-hop decision, so it is written as
+    /// three plain loops in view order rather than as the
+    /// `contacts().filter().map()` chain it is defined by: same strict
+    /// `<`, same order, same ties — debug builds check every call
+    /// against [`greedy_step`] over that chain — and a walk with nothing
+    /// excluded (almost every hop) scans no exclusion list at all.
     pub fn step(
         &self,
         metric: sw_keyspace::Topology,
         target: Key,
         cur_d: f64,
-        mut skip: impl FnMut(NodeId) -> bool,
-        mut key_of: impl FnMut(NodeId) -> Key,
+        me: NodeId,
+        excluded: &[NodeId],
+        key_of: impl Fn(NodeId) -> Key,
     ) -> Option<(NodeId, f64)> {
-        greedy_step(
-            metric,
-            target,
-            cur_d,
-            self.contacts()
-                .filter(|&v| !skip(v))
-                .map(|v| (v, key_of(v))),
-        )
+        let best = if excluded.is_empty() {
+            self.scan(metric, target, cur_d, &key_of, |v| v == me)
+        } else {
+            self.scan(metric, target, cur_d, &key_of, |v| {
+                v == me || excluded.contains(&v)
+            })
+        };
+        debug_assert_eq!(
+            best,
+            greedy_step(
+                metric,
+                target,
+                cur_d,
+                self.contacts()
+                    .filter(|&v| v != me && !excluded.contains(&v))
+                    .map(|v| (v, key_of(v))),
+            ),
+            "the flat scan must agree with greedy_step over the same view"
+        );
+        best
+    }
+
+    /// The strict-`<` fold of [`greedy_step`] over `pred`, `succ`,
+    /// `long`, in that order.
+    #[inline(always)]
+    fn scan(
+        &self,
+        metric: sw_keyspace::Topology,
+        target: Key,
+        cur_d: f64,
+        key_of: &impl Fn(NodeId) -> Key,
+        skip: impl Fn(NodeId) -> bool,
+    ) -> Option<(NodeId, f64)> {
+        let mut best = None;
+        let mut best_d = cur_d;
+        let mut offer = |v: NodeId| {
+            if skip(v) {
+                return;
+            }
+            let d = metric.distance(key_of(v), target);
+            if d < best_d {
+                best_d = d;
+                best = Some((v, d));
+            }
+        };
+        if let Some(p) = self.pred {
+            offer(p);
+        }
+        for &v in self.succ {
+            offer(v);
+        }
+        for &v in self.long {
+            offer(v);
+        }
+        best
     }
 
     /// [`greedy_candidates`] over this view: the full failover ladder a
@@ -883,10 +939,15 @@ mod tests {
         let target = keys[6];
         let cur_d = Topology::Ring.distance(keys[0], target);
         let key_of = |v: NodeId| keys[v as usize];
-        let step = view.step(Topology::Ring, target, cur_d, |v| v == 0, key_of);
+        let step = view.step(Topology::Ring, target, cur_d, 0, &[], key_of);
         let ranked = view.candidates(Topology::Ring, target, cur_d, |v| v == 0, key_of);
         assert_eq!(step, ranked.first().copied());
         assert_eq!(ranked[0].0, 6, "the long link straight to the target wins");
+        // Excluding the winner hands the step to the runner-up: 7 and 5
+        // tie at distance 1/8, and view order (pred before long) decides.
+        let step = view.step(Topology::Ring, target, cur_d, 0, &[6], key_of);
+        assert_eq!(step, ranked.get(1).copied());
+        assert_eq!(step.map(|(v, _)| v), Some(7));
     }
 
     #[test]

@@ -15,14 +15,14 @@ use crate::protocol::{
 };
 use crate::time::SimTime;
 use crate::traffic::{
-    CongestionConfig, HotCache, ServiceQueue, TokenBucket, TrafficConfig, ZipfSampler,
+    CongestionConfig, HotCache, LinkBuckets, ServiceQueue, TrafficConfig, ZipfSampler,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use sw_core::config::{LinkSampler, MassThreshold, OutDegree};
 use sw_core::links::LinkSelector;
 use sw_dht::{item_bytes, ShardMap, KEY_BYTES};
-use sw_graph::{par, DeltaStore, LinkTable, Topology, TopologyStore};
+use sw_graph::{par, DeltaStore, IdMap, IdSet, LinkTable, Topology, TopologyStore};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::stats::OnlineStats;
 use sw_keyspace::Topology as Metric;
@@ -217,7 +217,6 @@ struct RepairLease {
 /// stale under churn; the simulator's `alive` index is ground truth.
 #[derive(Debug, Clone)]
 struct SimNode {
-    key: Key,
     alive: bool,
     /// Clockwise successor list (nearest first).
     succ: Vec<u32>,
@@ -294,6 +293,11 @@ pub struct Simulator {
     rng: Rng,
     plane: MessagePlane<Msg>,
     nodes: Vec<SimNode>,
+    /// `keys[id]` is peer `id`'s key (dead peers keep theirs): the dense
+    /// lane every hop decision reads. A greedy step gathers ~25 contact
+    /// keys at arbitrary ids; out of 8-byte slots that is an 800 KB
+    /// working set at 10⁵ peers, out of the node records ten times that.
+    keys: Vec<Key>,
     /// Per-peer long-link rows over a pluggable base store: the delta
     /// overlay lets churn mutate rows while the converged bulk — a heap
     /// CSR, or a 10⁷-peer frozen arena preloaded straight from disk —
@@ -307,9 +311,9 @@ pub struct Simulator {
     alive_pos: Vec<usize>,
     metrics: SimMetrics,
     /// In-flight walks by query id.
-    walks: HashMap<QueryId, Walk>,
+    walks: IdMap<QueryId, Walk>,
     /// Storage ops in their post-routing phase.
-    ops: HashMap<QueryId, StorageOp>,
+    ops: IdMap<QueryId, StorageOp>,
     next_qid: QueryId,
     walk_seed: u64,
     // Dedicated generator streams (event-order deterministic).
@@ -327,14 +331,14 @@ pub struct Simulator {
     replica: ShardMap,
     /// Ground-truth live-copy counts per stored key (durability
     /// bookkeeping only — never read by the protocol).
-    copies: HashMap<Key, CopyState>,
+    copies: IdMap<Key, CopyState>,
     /// Recovery keys an owner has already requested this repair round
     /// (cleared when its next round starts): with several replicas
     /// diffing concurrently, only the first mismatch requests a key, so
     /// recovery payloads are not streamed — and byte-billed —
     /// `replication - 1` times over. Membership-only (never iterated):
     /// safe for determinism.
-    pending_wants: HashMap<u32, HashSet<Key>>,
+    pending_wants: IdMap<u32, IdSet<Key>>,
     /// Keys known to be stored (get targets).
     put_keys: Vec<Key>,
     put_counter: u64,
@@ -347,13 +351,12 @@ pub struct Simulator {
     /// Reusable buffer behind [`Simulator::ranked_candidates`].
     cand_scratch: Vec<(u32, f64)>,
     // --- congestion + traffic plane ---
-    /// Per-node inbound service queues (lazily grown; all state is one
-    /// `busy_until` per node, updated in event order).
+    /// Per-node inbound service queues, one slot per peer (all state is
+    /// one `busy_until` per node, updated in event order).
     node_q: Vec<ServiceQueue>,
-    /// Per-directed-link token buckets, allocated lazily for links that
-    /// actually carry traffic. Keyed `(from << 32) | to`; accessed only
-    /// by key (never iterated), so the map is determinism-safe.
-    link_buckets: HashMap<u64, TokenBucket>,
+    /// Per-directed-link token buckets, for the links that carried
+    /// traffic within the last refill period.
+    link_buckets: LinkBuckets,
     /// Per-message service time (`SimTime`-converted once at boot).
     service_time: SimTime,
     /// Open-loop generator stream (gateway, Zipf rank and inter-arrival
@@ -367,7 +370,7 @@ pub struct Simulator {
     zipf: Option<ZipfSampler>,
     /// Requester-side hot-key caches, one per gateway that has issued
     /// traffic (keyed access only — determinism-safe).
-    caches: HashMap<u32, HotCache>,
+    caches: IdMap<u32, HotCache>,
     // Network-message conservation ledger (see `net_counters`).
     net_offered: u64,
     net_dropped: u64,
@@ -399,7 +402,7 @@ impl Simulator {
             keys.insert(sim.dist.sample_key(&mut rng));
         }
         for key in keys {
-            sim.add_initial_node(key);
+            sim.push_node(key);
         }
         // Converged long links for everyone, through the *shared*
         // construction sampler (`sw_core::links::LinkSelector`, the same
@@ -410,12 +413,8 @@ impl Simulator {
         // over the placement equals sampling over the alive set.
         let n = sim.nodes.len();
         let budget = sim.cfg.out_degree.links_for(n);
-        let placement = Placement::from_keys(
-            sim.nodes.iter().map(|node| node.key).collect::<Vec<_>>(),
-            Metric::Ring,
-            "sim",
-        )
-        .expect("initial population keys are distinct");
+        let placement = Placement::from_keys(sim.keys.clone(), Metric::Ring, "sim")
+            .expect("initial population keys are distinct");
         let min_mass = MassThreshold::OneOverN.min_mass(n);
         let dist = Arc::clone(&sim.dist);
         let selector = LinkSelector::new(&placement, &*dist, min_mass, LinkSampler::Harmonic);
@@ -465,7 +464,7 @@ impl Simulator {
         let mut rng = Rng::new(cfg.seed);
         let mut sim = Simulator::empty(cfg, dist, &mut rng);
         for key in keys {
-            sim.add_initial_node(key);
+            sim.push_node(key);
         }
         sim.links = DeltaStore::new(store);
         sim.boot();
@@ -505,13 +504,14 @@ impl Simulator {
             rng: rng.fork(),
             plane: MessagePlane::new(),
             nodes: Vec::new(),
+            keys: Vec::new(),
             links: DeltaStore::new(TopologyStore::heap(LinkTable::new(0).build())),
             alive: BTreeMap::new(),
             alive_ids: Vec::new(),
             alive_pos: Vec::new(),
             metrics: SimMetrics::default(),
-            walks: HashMap::new(),
-            ops: HashMap::new(),
+            walks: IdMap::default(),
+            ops: IdMap::default(),
             next_qid: 0,
             walk_seed: seed ^ stream::WALK_SALT,
             join_rng: Rng::stream(seed, stream::JOIN),
@@ -525,8 +525,8 @@ impl Simulator {
             repair_rng: Rng::stream(seed, stream::REPAIR),
             primary: ShardMap::new(cfg.initial_n),
             replica: ShardMap::new(cfg.initial_n),
-            copies: HashMap::new(),
-            pending_wants: HashMap::new(),
+            copies: IdMap::default(),
+            pending_wants: IdMap::default(),
             put_keys: Vec::new(),
             put_counter: 0,
             inflight_lookups: 0,
@@ -534,13 +534,13 @@ impl Simulator {
             walk_scratch: Vec::new(),
             cand_scratch: Vec::new(),
             node_q: Vec::new(),
-            link_buckets: HashMap::new(),
+            link_buckets: LinkBuckets::new(),
             service_time: SimTime::from_secs_f64(cfg.congestion.service_secs_per_msg.max(0.0)),
             traffic_rng: Rng::stream(seed, stream::TRAFFIC),
             gateways: Vec::new(),
             traffic_targets: Vec::new(),
             zipf: None,
-            caches: HashMap::new(),
+            caches: IdMap::default(),
             net_offered: 0,
             net_dropped: 0,
             net_delivered: 0,
@@ -549,20 +549,24 @@ impl Simulator {
         }
     }
 
-    /// Registers one t = 0 peer (alive, ring state repaired in `boot`).
-    fn add_initial_node(&mut self, key: Key) {
+    /// Registers one alive peer with empty ring state and returns its
+    /// id: one slot in every per-peer lane (`nodes`, `keys`, `node_q`,
+    /// `alive_pos`), so handlers index them without growing them.
+    fn push_node(&mut self, key: Key) -> u32 {
         let id = self.nodes.len() as u32;
         self.nodes.push(SimNode {
-            key,
             alive: true,
             succ: Vec::new(),
             pred: None,
             refreshing: false,
             leases: Vec::new(),
         });
+        self.keys.push(key);
+        self.node_q.push(ServiceQueue::default());
         self.alive.insert(key, id);
         self.alive_pos.push(self.alive_ids.len());
         self.alive_ids.push(id);
+        id
     }
 
     /// Shared constructor tail: converged ring state, storage preload,
@@ -579,8 +583,7 @@ impl Simulator {
         // before real digests establish per-arc leases.
         if sim.cfg.storage.enabled() && sim.cfg.storage.repair_interval.is_some() {
             let ttl = sim.lease_ttl();
-            for node in &mut sim.nodes {
-                let k = node.key;
+            for (node, &k) in sim.nodes.iter_mut().zip(&sim.keys) {
                 node.leases.push(RepairLease {
                     lo: k,
                     hi: k,
@@ -722,7 +725,7 @@ impl Simulator {
         let this = &*self;
         let queries: Vec<(u32, Key)> = pairs
             .iter()
-            .map(|&(from, target_id)| (from, this.nodes[target_id as usize].key))
+            .map(|&(from, target_id)| (from, this.keys[target_id as usize]))
             .collect();
         // Each worker drives its contiguous chunk through the AMAC
         // interleaved probe kernel; the scalar probe_walk stays as the
@@ -734,7 +737,7 @@ impl Simulator {
                 &queries[r.clone()],
                 max_hops,
                 sw_overlay::DEFAULT_INTERLEAVE,
-                |v| this.nodes[v as usize].key,
+                |v| this.keys[v as usize],
             );
             debug_assert!(
                 r.clone().zip(outcomes.iter()).all(|(i, o)| {
@@ -805,8 +808,8 @@ impl Simulator {
     /// lanes, none re-freezes its own copy.
     pub fn route_table_snapshot(&self) -> sw_overlay::RouteTable {
         let topo = self.topology_snapshot();
-        let nodes = &self.nodes;
-        sw_overlay::RouteTable::build(topo, |v| nodes[v as usize].key.get())
+        let keys = &self.keys;
+        sw_overlay::RouteTable::build(topo, |v| keys[v as usize].get())
     }
 
     // ----- event dispatch -------------------------------------------
@@ -973,23 +976,23 @@ impl Simulator {
         msg: Msg,
     ) -> Option<SimTime> {
         self.net_offered += 1;
-        let mut depart = depart;
+        // A retry armed at `sent_at + penalty` may name an instant the
+        // clock has already passed (the sampled flight, or the queue
+        // wait, outlasted the penalty). Nothing departs in the past:
+        // a link bucket charged there would rewind its refill clock and
+        // over-credit the next departure.
+        let now = self.plane.now();
+        let mut depart = depart.max(now);
         let cg = self.cfg.congestion;
         if cg.shaping_enabled() {
-            let key = (u64::from(from) << 32) | u64::from(to);
-            let bucket = self
+            depart += self
                 .link_buckets
-                .entry(key)
-                .or_insert_with(|| TokenBucket::full(depart, cg.link_burst));
-            depart += bucket.delay(depart, cg.link_rate, cg.link_burst);
+                .delay(from, to, now, depart, cg.link_rate, cg.link_burst);
         }
         let arrive = depart + flight;
         if !cg.queueing_enabled() {
             self.plane.send_at(arrive, msg);
             return Some(SimTime::ZERO);
-        }
-        if to as usize >= self.node_q.len() {
-            self.node_q.resize(to as usize + 1, ServiceQueue::default());
         }
         match self.node_q[to as usize].offer(arrive, self.service_time, cg.queue_cap) {
             Some((done, wait, depth)) => {
@@ -1092,7 +1095,7 @@ impl Simulator {
                 return;
             }
         }
-        let target = self.nodes[target_id as usize].key;
+        let target = self.keys[target_id as usize];
         self.spawn_walk(Purpose::Lookup { target_id }, target, gw);
     }
 
@@ -1194,19 +1197,19 @@ impl Simulator {
     fn ranked_candidates(&mut self, at: u32, target: Key, excluded: &[u32]) -> Vec<u32> {
         let mut buf = std::mem::take(&mut self.cand_scratch);
         let node = &self.nodes[at as usize];
-        let cur_d = Metric::Ring.distance(node.key, target);
+        let cur_d = Metric::Ring.distance(self.keys[at as usize], target);
         let view = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
             long: self.long_links(at),
         };
-        let nodes = &self.nodes;
+        let keys = &self.keys;
         view.candidates_into(
             Metric::Ring,
             target,
             cur_d,
             |v| v == at || excluded.contains(&v),
-            |v| nodes[v as usize].key,
+            |v| keys[v as usize],
             &mut buf,
         );
         let out = buf.iter().map(|&(v, _)| v).collect();
@@ -1234,7 +1237,7 @@ impl Simulator {
             }
             return;
         }
-        let cur_key = self.nodes[cur as usize].key;
+        let cur_key = self.keys[cur as usize];
         let cur_d = Metric::Ring.distance(cur_key, walk.target);
         if cur_d == 0.0 {
             self.finish_walk(qid, WalkEnd::Arrived);
@@ -1250,15 +1253,10 @@ impl Simulator {
             succ: &node.succ,
             long: self.long_links(cur),
         };
-        let excluded = &walk.excluded;
-        let nodes = &self.nodes;
-        let step = view.step(
-            Metric::Ring,
-            walk.target,
-            cur_d,
-            |v| v == cur || excluded.contains(&v),
-            |v| nodes[v as usize].key,
-        );
+        let keys = &self.keys;
+        let step = view.step(Metric::Ring, walk.target, cur_d, cur, &walk.excluded, |v| {
+            keys[v as usize]
+        });
         match step {
             None => self.finish_walk(qid, WalkEnd::LocalMinimum),
             Some((next, _)) => {
@@ -1424,7 +1422,7 @@ impl Simulator {
             self.finish_walk(qid, WalkEnd::Stranded);
             return;
         }
-        let cur_d = Metric::Ring.distance(self.nodes[requester as usize].key, target);
+        let cur_d = Metric::Ring.distance(self.keys[requester as usize], target);
         if cur_d == 0.0 {
             self.finish_walk(qid, WalkEnd::Arrived);
             return;
@@ -1505,8 +1503,8 @@ impl Simulator {
             let walk = self.walks.get(&qid).expect("walk present");
             walk.target
         };
-        let nodes = &self.nodes;
-        let d_of = |v: u32| Metric::Ring.distance(nodes[v as usize].key, target);
+        let keys = &self.keys;
+        let d_of = |v: u32| Metric::Ring.distance(keys[v as usize], target);
         let walk = self.walks.get_mut(&qid).expect("walk present");
         let mut pool: Vec<(u32, f64)> = walk
             .pending_alternates()
@@ -1585,7 +1583,7 @@ impl Simulator {
         walk.latency += now - sent_at;
         let target = walk.target;
         let excluded = std::mem::take(&mut walk.excluded);
-        let at_target = Metric::Ring.distance(self.nodes[to as usize].key, target) == 0.0;
+        let at_target = Metric::Ring.distance(self.keys[to as usize], target) == 0.0;
         let candidates = self.ranked_candidates(to, target, &excluded);
         let walk = self.walks.get_mut(&qid).expect("walk present");
         walk.excluded = excluded;
@@ -1845,7 +1843,7 @@ impl Simulator {
         };
         self.lookup_rng = rng;
         if let Some((from, target_id)) = pair {
-            let target = self.nodes[target_id as usize].key;
+            let target = self.keys[target_id as usize];
             self.spawn_walk(Purpose::Lookup { target_id }, target, from);
         }
     }
@@ -1870,20 +1868,9 @@ impl Simulator {
     /// The join-point walk completed: create and splice the node, move
     /// its shard slice over, and start its long-link probe chain.
     fn complete_join(&mut self, key: Key) {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(SimNode {
-            key,
-            alive: true,
-            succ: Vec::new(),
-            pred: None,
-            refreshing: false,
-            leases: Vec::new(),
-        });
+        let id = self.push_node(key);
         let row_id = self.links.push_node(Vec::new());
         debug_assert_eq!(row_id, id, "link rows track node ids");
-        self.alive.insert(key, id);
-        self.alive_pos.push(self.alive_ids.len());
-        self.alive_ids.push(id);
         self.repair_ring_state(id);
         // Splice: the new peer's ring neighbours learn about it.
         if let Some(p) = self.nodes[id as usize].pred {
@@ -1902,7 +1889,7 @@ impl Simulator {
                 self.nodes[id as usize].succ.first(),
                 self.nodes[id as usize].pred,
             ) {
-                let pred_key = self.nodes[p as usize].key;
+                let pred_key = self.keys[p as usize];
                 self.primary.split_to(succ0, id, pred_key, key);
             }
             // Same grace lease the t=0 population gets: replica copies
@@ -1930,7 +1917,7 @@ impl Simulator {
             return;
         }
         let victim = self.alive_ids[self.fail_rng.index(self.alive_ids.len())];
-        let key = self.nodes[victim as usize].key;
+        let key = self.keys[victim as usize];
         self.alive.remove(&key);
         let pos = self.alive_pos[victim as usize];
         self.alive_ids.swap_remove(pos);
@@ -2055,7 +2042,7 @@ impl Simulator {
         }
         // Target draws come from the dedicated link stream — chains are
         // spawned in event order, so the draws are deterministic.
-        let pos = self.dist.cdf(self.nodes[node as usize].key.get());
+        let pos = self.dist.cdf(self.keys[node as usize].get());
         let sign = if self.link_rng.chance(0.5) { 1.0 } else { -1.0 };
         let m = tau * (side_weight * self.link_rng.f64()).exp();
         let target_pos = (pos + sign * m).rem_euclid(1.0);
@@ -2130,7 +2117,7 @@ impl Simulator {
     /// repair plane. Do not call this from any handler that runs after
     /// time zero.
     fn ground_replica_chain(&self, owner: u32, count: usize) -> Vec<u32> {
-        let key = self.nodes[owner as usize].key;
+        let key = self.keys[owner as usize];
         let mut chain = Vec::with_capacity(count);
         for (_, &v) in self
             .alive
@@ -2188,7 +2175,7 @@ impl Simulator {
     /// one extra forwarding message at most, charged to the op (exactly
     /// the adjustment `sw_dht::Dht::route_to_owner` makes statically).
     fn shift_to_owner(&mut self, at: u32, key: Key) -> u32 {
-        if self.nodes[at as usize].key >= key {
+        if self.keys[at as usize] >= key {
             return at;
         }
         match self.nodes[at as usize].succ.first() {
@@ -2508,7 +2495,7 @@ impl Simulator {
             _ => return,
         };
         let served = self.primary.shard_range_count(at, lo, hi) as u64;
-        let at_key = self.nodes[at as usize].key;
+        let at_key = self.keys[at as usize];
         let next_peer = self.nodes[at as usize].succ.first().copied();
         let now = self.plane.now();
         let latency_model = self.cfg.latency;
@@ -2692,11 +2679,11 @@ impl Simulator {
         // A fresh round re-requests anything still missing; pulls lost
         // to a dead replica stop blocking here.
         self.pending_wants.remove(&id);
-        let key = self.nodes[id as usize].key;
+        let key = self.keys[id as usize];
         let Some(pred) = self.nodes[id as usize].pred else {
             return;
         };
-        let pred_key = self.nodes[pred as usize].key;
+        let pred_key = self.keys[pred as usize];
         let now = self.plane.now();
         self.promote_owned(id, pred_key, key);
         self.gc_replica_leases(id, now);
@@ -3056,7 +3043,7 @@ impl Simulator {
             }
             keys
         });
-        let mut counts: HashMap<Key, usize> = HashMap::new();
+        let mut counts: IdMap<Key, usize> = IdMap::default();
         for keys in per_peer {
             for k in keys {
                 *counts.entry(k).or_insert(0) += 1;
@@ -3114,7 +3101,7 @@ impl Simulator {
     /// Rebuilds `id`'s ring state from ground truth (used for the initial
     /// converged network and by stabilization).
     fn repair_ring_state(&mut self, id: u32) {
-        let key = self.nodes[id as usize].key;
+        let key = self.keys[id as usize];
         let s = self.cfg.successor_list.max(1);
         let mut succ = Vec::with_capacity(s);
         for (_, &v) in self
@@ -3157,7 +3144,7 @@ impl Simulator {
         let mut hops = 0u32;
         let max_hops = 64 + 8 * (self.alive.len().max(2) as f64).log2().ceil() as u32;
         loop {
-            let cur_d = Metric::Ring.distance(self.nodes[cur as usize].key, target);
+            let cur_d = Metric::Ring.distance(self.keys[cur as usize], target);
             if cur_d == 0.0 {
                 break;
             }
@@ -3340,7 +3327,7 @@ mod tests {
             let (ids, pos) = table.row(u);
             assert_eq!(ids, topo.neighbors(u));
             for (&v, &p) in ids.iter().zip(pos) {
-                assert_eq!(p.to_bits(), sim.nodes[v as usize].key.get().to_bits());
+                assert_eq!(p.to_bits(), sim.keys[v as usize].get().to_bits());
             }
         }
     }
@@ -4252,5 +4239,59 @@ mod tests {
         assert!(open(&bad_target).is_err(), "one edge target >= n");
         assert!(open(&good[..good.len() - 8]).is_err(), "truncated");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The token-bucket clock must not rewind. A replica-probe or
+    /// range-fragment retry is armed at `sent_at + penalty`, which the
+    /// clock has already passed whenever flight plus queue wait
+    /// outlasted the penalty; charging the link bucket at that instant
+    /// used to set its `last` backwards, and the next send on the link
+    /// was then credited the rewound interval a second time. (The bucket
+    /// arithmetic itself is `token_bucket_enforces_rate_after_burst` in
+    /// `traffic.rs`; the clamp lives in `send_net`, so the regression
+    /// is pinned here.)
+    #[test]
+    fn a_retry_armed_in_the_past_departs_now_and_rewinds_no_bucket() {
+        let mut sim = Simulator::new(
+            SimConfig {
+                initial_n: 16,
+                workload: WorkloadConfig { lookup_rate: 0.0 },
+                stabilize_interval: None,
+                refresh_interval: None,
+                congestion: CongestionConfig {
+                    link_rate: 100.0,
+                    link_burst: 2.0,
+                    ..CongestionConfig::NONE
+                },
+                ..SimConfig::default()
+            },
+            Arc::new(Uniform),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        let now = sim.now();
+        let flight = SimTime::from_millis(1);
+        // Fire-and-forget reports for a walk that does not exist: only
+        // their delivery instants matter.
+        let mut send = |depart: SimTime| {
+            let report = Msg::WalkReport {
+                qid: u64::MAX,
+                at: 0,
+            };
+            sim.send_net(0, 1, depart, flight, report);
+        };
+        // The burst of 2 departs at once, the third owes 10 ms.
+        for _ in 0..3 {
+            send(now);
+        }
+        // The retry "departs" half a second ago — it owes 20 ms from
+        // *now* — and the send after it owes 30 ms, not nothing.
+        send(now - SimTime::from_millis(500));
+        send(now);
+        let mut arrivals = Vec::new();
+        while let Some(env) = sim.plane.deliver_before(SimTime::from_secs(2)) {
+            arrivals.push(env.at - now);
+        }
+        let ms = SimTime::from_millis;
+        assert_eq!(arrivals, [ms(1), ms(1), ms(11), ms(21), ms(31)]);
     }
 }

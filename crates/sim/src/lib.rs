@@ -151,6 +151,16 @@
 //! * every directed link is a **deficit token bucket** (`link_rate`,
 //!   `link_burst`): a negative balance is owed refill time added to the
 //!   departure instant, modeling serialization without per-token events.
+//!   Queue state lives in a per-peer lane sized with the population
+//!   (one `busy_until` per peer, forever). Bucket state lives in one
+//!   table keyed by directed link, created full on a link's first send
+//!   and **forgotten once it has refilled** to `link_burst`: from then
+//!   on it is bit-for-bit the bucket a first send would create, because
+//!   no message departs before the plane clock (`send_net` clamps a
+//!   retry armed at an instant already past). The table is swept each
+//!   time it doubles, so it holds the links used in the last
+//!   `link_burst / link_rate` seconds — thousands at 10⁵ peers, where
+//!   remembering every link ever used held a million.
 //!
 //! Measured wait feeds back into patience:
 //! [`protocol::Walk::adaptive_timeout`] is `min(penalty, 3·max RTT +

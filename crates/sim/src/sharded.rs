@@ -82,7 +82,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use sw_core::config::{LinkSampler, MassThreshold};
 use sw_core::links::LinkSelector;
-use sw_graph::par;
+use sw_graph::{par, IdMap};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::Topology as Metric;
 use sw_keyspace::{Key, Rng};
@@ -334,7 +334,7 @@ struct SNode {
     queue: ServiceQueue,
     /// Lazily allocated per-destination token buckets (never iterated,
     /// so map order cannot leak into behavior).
-    buckets: HashMap<u32, TokenBucket>,
+    buckets: IdMap<u32, TokenBucket>,
     /// Gateway hot-key cache (traffic generator only).
     cache: Option<HotCache>,
 }
@@ -571,7 +571,7 @@ impl ShardedSimulator {
                 primary: BTreeMap::new(),
                 replica: BTreeMap::new(),
                 queue: ServiceQueue::default(),
-                buckets: HashMap::new(),
+                buckets: IdMap::default(),
                 cache: if gateways.contains(&id) {
                     cfg.traffic.cache.map(|cc| HotCache::new(cc.capacity))
                 } else {
@@ -1588,7 +1588,7 @@ impl Shard {
         let copies = (n.primary.len() + n.replica.len()) as u64;
         n.primary = BTreeMap::new();
         n.replica = BTreeMap::new();
-        n.buckets = HashMap::new();
+        n.buckets = IdMap::default();
         n.cache = None;
         self.metrics.failures += 1;
         self.metrics.stored_bytes -= copies * ITEM_BYTES;

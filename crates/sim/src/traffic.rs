@@ -28,6 +28,7 @@
 //!   the crate docs).
 
 use crate::time::SimTime;
+use sw_graph::IdMap;
 use sw_keyspace::Rng;
 
 /// Per-node service-queue and per-link rate-limit parameters. The
@@ -251,6 +252,65 @@ impl TokenBucket {
     }
 }
 
+/// The engine's per-directed-link [`TokenBucket`]s: created full on a
+/// link's first send, and *forgotten* once refilled.
+///
+/// A bucket whose balance has climbed back to `burst` is, for every
+/// later departure, bit-for-bit the [`TokenBucket::full`] a first touch
+/// would create — `delay` caps the refilled balance at `burst` and
+/// overwrites `last` before it charges — so dropping it changes no
+/// delay, provided no departure ever precedes the sweep instant. The
+/// engine guarantees that (`send_net` clamps departures to the plane
+/// clock, which never rewinds). The table therefore holds the links
+/// used in the last `burst / rate` seconds, not every link ever used;
+/// it is swept each time it doubles, which keeps the sweep O(1) per
+/// send amortised.
+#[derive(Debug)]
+pub(crate) struct LinkBuckets {
+    /// Keyed `(from << 32) | to`. Accessed by key, and swept by a
+    /// per-entry predicate — iteration order never reaches a result.
+    table: IdMap<u64, TokenBucket>,
+    /// Table size that triggers the next sweep.
+    sweep_at: usize,
+}
+
+impl LinkBuckets {
+    pub(crate) fn new() -> LinkBuckets {
+        LinkBuckets {
+            table: IdMap::default(),
+            sweep_at: 16,
+        }
+    }
+
+    /// Charges one message on `from → to` departing at `depart` (at or
+    /// after the plane clock `now`); returns the shaping delay.
+    pub(crate) fn delay(
+        &mut self,
+        from: u32,
+        to: u32,
+        now: SimTime,
+        depart: SimTime,
+        rate: f64,
+        burst: f64,
+    ) -> SimTime {
+        debug_assert!(depart >= now, "departures never precede the clock");
+        if self.table.len() >= self.sweep_at {
+            // The refill expression is `TokenBucket::delay`'s own, and
+            // float addition and multiplication are monotone: a balance
+            // that reaches `burst` by `now` reaches it by any later
+            // departure. (A bucket charged for a future departure has
+            // `last > now`, refills by zero here and stays.)
+            self.table
+                .retain(|_, b| b.available + (now - b.last).as_secs_f64() * rate < burst);
+            self.sweep_at = 2 * self.table.len().max(8);
+        }
+        self.table
+            .entry((u64::from(from) << 32) | u64::from(to))
+            .or_insert_with(|| TokenBucket::full(depart, burst))
+            .delay(depart, rate, burst)
+    }
+}
+
 /// Bounded LRU of `(key, expires)` pairs with TTL invalidation. Sized
 /// for gateway hot sets (hundreds of entries), so the O(capacity)
 /// vector scan is cheaper than hashing at every lookup.
@@ -309,6 +369,8 @@ impl HotCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn zipf_zero_is_uniform_and_s_skews() {
@@ -384,6 +446,46 @@ mod tests {
         assert_eq!(b.delay(later, 100.0, 2.0), SimTime::ZERO);
         assert_eq!(b.delay(later, 100.0, 2.0), SimTime::ZERO);
         assert!(b.delay(later, 100.0, 2.0) > SimTime::ZERO);
+    }
+
+    proptest! {
+        /// The forgetting table against today's semantics — a map that
+        /// keeps every link ever used, as `HeapPlane` sits beside the
+        /// wheel: every delay equal, bit for bit, over schedules whose
+        /// clock is monotone and whose departures are at or (retries
+        /// armed for a later instant) after it. 12 × 12 links against a
+        /// first sweep at 16 entries force sweeps throughout.
+        #[test]
+        fn forgetting_refilled_buckets_changes_no_delay(seed in 0u64..64) {
+            let mut rng = Rng::new(seed ^ 0x70CE_B0C7);
+            let (rate, burst) = [(100.0, 2.0), (2_000.0, 64.0), (37.0, 1.0)][seed as usize % 3];
+            let refill = SimTime::from_secs_f64(burst / rate);
+            let mut forgetting = LinkBuckets::new();
+            let mut model: HashMap<u64, TokenBucket> = HashMap::new();
+            let mut now = SimTime::ZERO;
+            for _ in 0..4_000 {
+                // Mostly bursts within a refill period, sometimes idle
+                // stretches that let every bucket refill.
+                now += match rng.bounded_u64(8) {
+                    0 => SimTime(rng.bounded_u64(4 * refill.0 + 1)),
+                    1..=3 => SimTime(rng.bounded_u64(refill.0 / 16 + 1)),
+                    _ => SimTime::ZERO,
+                };
+                let depart = match rng.bounded_u64(6) {
+                    0 => now + SimTime(rng.bounded_u64(2 * refill.0 + 1)),
+                    _ => now,
+                };
+                let (from, to) = (rng.bounded_u64(12) as u32, rng.bounded_u64(12) as u32);
+                let want = model
+                    .entry((u64::from(from) << 32) | u64::from(to))
+                    .or_insert_with(|| TokenBucket::full(depart, burst))
+                    .delay(depart, rate, burst);
+                let got = forgetting.delay(from, to, now, depart, rate, burst);
+                prop_assert_eq!(got, want);
+            }
+            prop_assert!(model.len() > 100, "schedule exercised few links");
+            prop_assert!(forgetting.table.len() < model.len(), "nothing was ever forgotten");
+        }
     }
 
     #[test]

@@ -421,6 +421,118 @@ fn harmonic_pareto_images_match_the_pinned_digests() {
     );
 }
 
+/// A `Simulator` over the reopened long-link image of a fixed-seed
+/// 2 048-peer Pareto(1.5, 0.01) harmonic build — the benchmark's boot
+/// path (`TopologyStore::open(long.swt)` → `Simulator::with_store`).
+fn simulator_over_frozen_image(tag: &str, cfg: SimConfig) -> Simulator {
+    use smallworld::graph::TopologyStore;
+
+    let dist = || TruncatedPareto::new(1.5, 0.01).unwrap();
+    let net = SmallWorldBuilder::new(2048)
+        .distribution(Box::new(dist()))
+        .sampler(LinkSampler::Harmonic)
+        .build(&mut Rng::new(2005))
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!("smallworld-e2e-{tag}-{}", std::process::id()));
+    net.freeze_to(&dir).unwrap();
+    let store = TopologyStore::open(dir.join("long.swt")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    Simulator::with_store(
+        cfg,
+        Arc::new(dist()),
+        net.placement().keys().to_vec(),
+        store,
+    )
+}
+
+/// Golden `SimMetrics::fingerprint` against the parent commit, not
+/// against ourselves: open-loop Zipf traffic through service queues,
+/// link token buckets (tight enough to delay, idle long enough to
+/// refill) and gateway caches, recorded at commit 5171cee (x86-64
+/// Linux) before the engine's maps left SipHash, peer keys moved into
+/// their own lane, `RingView::step` became flat loops and the
+/// link-bucket table started forgetting refilled buckets. A hot-path
+/// change that moves one hop, one delay or one drop fails here, not
+/// only in the benchmark's `compare`.
+#[test]
+fn traffic_fingerprint_matches_the_pinned_value() {
+    use smallworld::sim::{CacheConfig, CongestionConfig, TrafficConfig};
+
+    let mut sim = simulator_over_frozen_image(
+        "traffic",
+        SimConfig {
+            seed: 11,
+            stabilize_interval: None,
+            refresh_interval: None,
+            workload: WorkloadConfig { lookup_rate: 0.0 },
+            congestion: CongestionConfig {
+                service_secs_per_msg: 5e-3,
+                queue_cap: 2,
+                link_rate: 100.0,
+                link_burst: 2.0,
+            },
+            traffic: TrafficConfig {
+                rate: 2_000.0,
+                zipf_s: 0.9,
+                hot_keys: 128,
+                gateways: 8,
+                cache: Some(CacheConfig {
+                    capacity: 32,
+                    ttl: SimTime::from_secs(1),
+                }),
+            },
+            ..SimConfig::default()
+        },
+    );
+    sim.run_until(SimTime::from_secs(8));
+    let m = sim.metrics();
+    // The run reaches every mechanism the digest is meant to pin.
+    assert!(m.lookups > 10_000 && m.cache_hits > 500);
+    assert!(m.msgs_dropped_overload > 0 && m.timeouts > 0 && m.queue_depth_peak > 1);
+    let got = m.fingerprint();
+    assert_eq!(got, 0xaff6_e5f1_8a7b_decf, "fingerprint {got:#018x}");
+}
+
+/// The other golden: churn, storage and repair beside lookups (no
+/// congestion), semi-recursive lookups and iterative storage walks so
+/// the ranked-candidate ladder is pinned with the single greedy step.
+/// Recorded at commit 5171cee with the digest above.
+#[test]
+fn churn_storage_fingerprint_matches_the_pinned_value() {
+    use smallworld::sim::{RoutingMode, StorageConfig};
+
+    let mut sim = simulator_over_frozen_image(
+        "churn",
+        SimConfig {
+            seed: 12,
+            churn: ChurnConfig::symmetric(10.0),
+            workload: WorkloadConfig { lookup_rate: 200.0 },
+            routing_mode: RoutingMode::SemiRecursive,
+            storage: StorageConfig {
+                put_rate: 20.0,
+                get_rate: 20.0,
+                range_rate: 5.0,
+                replication: 3,
+                preload: 400,
+                repair_interval: Some(SimTime::from_secs(2)),
+                repair_byte_secs: 1e-6,
+                routing_mode: Some(RoutingMode::Iterative),
+                ..StorageConfig::NONE
+            },
+            stabilize_interval: Some(SimTime::from_secs(1)),
+            refresh_interval: Some(SimTime::from_secs(3)),
+            ..SimConfig::default()
+        },
+    );
+    sim.run_until(SimTime::from_secs(10));
+    let m = sim.metrics();
+    assert!(m.lookups > 1_000 && m.puts > 100 && m.gets > 100 && m.ranges > 5);
+    assert!(m.joins > 50 && m.failures > 50 && m.lookups_stranded > 0);
+    assert!(m.repair_messages > 10_000);
+    let got = m.fingerprint();
+    assert_eq!(got, 0x0963_bcd3_3b54_512f, "fingerprint {got:#018x}");
+}
+
 /// Determinism across the whole stack: same seed, same everything.
 #[test]
 fn cross_crate_determinism() {
