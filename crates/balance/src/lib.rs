@@ -1,6 +1,6 @@
 //! # sw-balance
 //!
-//! Storage/workload load-balancing substrate (system S12 of `DESIGN.md`).
+//! Storage/workload load-balancing substrate.
 //!
 //! §4.1 of the paper *assumes* “a mechanism that assigns peers according
 //! to a non-uniform distribution in the key-space adapting to the load

@@ -1,4 +1,4 @@
-//! Experiment runner: regenerates every table of `EXPERIMENTS.md`.
+//! Experiment runner: regenerates every experiment's table and CSV.
 //!
 //! ```text
 //! experiments                 # list available experiments

@@ -4,7 +4,7 @@
 //! Every artifact an experiment produces goes through the helpers here:
 //! per-experiment CSVs land in the context's `results/` directory
 //! ([`Ctx::write_csv`]), and rows for the repo-root `BENCH_*.json`
-//! snapshots go through [`Ctx::merge_snapshot`], which writes only in
+//! snapshots go through [`Ctx::write_snapshot`], which writes only in
 //! the full profile — so every committed row is a full-profile row. No
 //! experiment hand-rolls a `CARGO_MANIFEST_DIR` path of its own.
 
@@ -57,73 +57,40 @@ impl Ctx {
         table.write_csv(&self.out_dir, file);
     }
 
-    /// Merges an experiment's rows by id into the repo-root snapshot
-    /// `file` (`BENCH_*.json`), so experiments that share a file (E20's
-    /// `scale/*` rows, E21's `shard/*` rows) keep each other's cells.
-    /// `rows` pairs each id with its full object literal (one line, no
-    /// trailing comma). A `--quick` run returns without writing: the
-    /// committed snapshots hold full-profile rows only.
+    /// Writes `rows` — this run's, in order, nothing else — as the
+    /// repo-root snapshot `file` (`BENCH_*.json`): a JSON array with one
+    /// object literal per line. Each file has exactly one producer (E18,
+    /// E19, E23) whose rows are functions of the seed alone, so a
+    /// full-profile rerun must leave `git diff` clean. A `--quick` run
+    /// returns without writing: the committed snapshots hold
+    /// full-profile rows only.
     ///
     /// # Panics
     ///
     /// Panics if the write fails — a missing snapshot must fail the run
     /// loudly, not silently skip the rows.
-    pub fn merge_snapshot(&self, file: &str, rows: &[(String, String)]) {
+    pub fn write_snapshot(&self, file: &str, rows: &[String]) {
         if self.quick {
             return;
         }
-        merge_rows_into(&snapshot_path(file), rows).unwrap_or_else(|e| panic!("write {file}: {e}"));
+        write_rows(&snapshot_path(file), rows).unwrap_or_else(|e| panic!("write {file}: {e}"));
         println!("  wrote {file}");
     }
 }
 
-/// Absolute path of a repo-root perf snapshot (resolved from this
-/// crate's manifest), e.g. `snapshot_path("BENCH_scale.json")`.
+/// Absolute path of a repo-root snapshot (resolved from this crate's
+/// manifest), e.g. `snapshot_path("BENCH_repair.json")`.
 fn snapshot_path(file: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join(file)
 }
 
-/// Merges `rows` by id into the snapshot at `path`: a JSON array with
-/// one `{...}` object per line, each carrying an `"id"` field. A row
-/// whose id already exists replaces the old line in place (keeping the
-/// file's order); new ids append; a missing file starts empty.
-fn merge_rows_into(path: &Path, rows: &[(String, String)]) -> std::io::Result<()> {
-    let mut kept: Vec<(String, String)> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(path) {
-        for line in existing.lines() {
-            let obj = line.trim().trim_end_matches(',');
-            if !obj.starts_with('{') {
-                continue;
-            }
-            if let Some(id) = extract_id(obj) {
-                kept.push((id, obj.to_string()));
-            }
-        }
-    }
-    for (id, obj) in rows {
-        match kept.iter_mut().find(|(k, _)| k == id) {
-            Some(slot) => slot.1 = obj.clone(),
-            None => kept.push((id.clone(), obj.clone())),
-        }
-    }
-    let mut out = String::from("[\n");
-    for (i, (_, obj)) in kept.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(obj);
-        out.push_str(if i + 1 < kept.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    std::fs::write(path, out)
-}
-
-/// Pulls the `"id"` value out of a single-line JSON object literal.
-fn extract_id(obj: &str) -> Option<String> {
-    let rest = obj.split("\"id\":").nth(1)?;
-    let start = rest.find('"')? + 1;
-    let end = start + rest[start..].find('"')?;
-    Some(rest[start..end].to_string())
+/// Replaces the file at `path` with `rows` as a JSON array, one
+/// two-space-indented object literal per line.
+fn write_rows(path: &Path, rows: &[String]) -> std::io::Result<()> {
+    let body: Vec<String> = rows.iter().map(|obj| format!("  {obj}")).collect();
+    std::fs::write(path, format!("[\n{}\n]\n", body.join(",\n")))
 }
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`, a
@@ -143,9 +110,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
     }
 }
 
-/// Scratch directory for large intermediate artifacts (frozen arenas,
-/// shard section files). `SW_BENCH_SCRATCH` overrides the system temp
-/// dir — point it at `/dev/shm` or a big disk for the 10⁷/10⁸ cells.
+/// Scratch directory for the frozen arena images E22 / E23 preload
+/// from. `SW_BENCH_SCRATCH` overrides the system temp dir — point it at
+/// `/dev/shm` or a big disk for the opt-in 10⁷ cell.
 pub fn scratch_dir() -> PathBuf {
     std::env::var_os("SW_BENCH_SCRATCH")
         .map(PathBuf::from)
@@ -156,17 +123,8 @@ pub fn scratch_dir() -> PathBuf {
 mod tests {
     use super::*;
 
-    #[test]
-    fn extract_id_finds_the_id_field() {
-        assert_eq!(
-            extract_id("{\"id\": \"scale/uniform/100\", \"n\": 100}").as_deref(),
-            Some("scale/uniform/100")
-        );
-        assert_eq!(extract_id("{\"n\": 100}"), None);
-    }
-
-    fn row(id: &str, v: u32) -> (String, String) {
-        (id.to_string(), format!("{{\"id\": \"{id}\", \"v\": {v}}}"))
+    fn row(id: &str, v: u32) -> String {
+        format!("{{\"id\": \"{id}\", \"v\": {v}}}")
     }
 
     #[test]
@@ -176,21 +134,19 @@ mod tests {
             quick: true,
             ..Ctx::default()
         };
-        ctx.merge_snapshot(file, &[row("a", 1)]);
+        ctx.write_snapshot(file, &[row("a", 1)]);
         assert!(!snapshot_path(file).exists());
     }
 
     #[test]
-    fn merge_replaces_in_place_appends_and_keeps_order() {
-        let path = std::env::temp_dir().join(format!("sw-ctx-merge-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        merge_rows_into(&path, &[row("a", 1), row("b", 2), row("c", 3)]).expect("write");
-        merge_rows_into(&path, &[row("d", 5), row("b", 4)]).expect("write");
+    fn full_run_file_holds_exactly_that_runs_rows_in_order() {
+        let path = std::env::temp_dir().join(format!("sw-ctx-rows-{}.json", std::process::id()));
+        write_rows(&path, &[row("a", 1), row("gone", 2), row("c", 3)]).expect("write");
+        let run = [row("c", 4), row("a", 5)];
+        write_rows(&path, &run).expect("write");
         let got = std::fs::read_to_string(&path).expect("read back");
         std::fs::remove_file(&path).expect("clean up");
-        let want = [row("a", 1), row("b", 4), row("c", 3), row("d", 5)];
-        let lines: Vec<String> = want.iter().map(|(_, obj)| format!("  {obj}")).collect();
-        assert_eq!(got, format!("[\n{}\n]\n", lines.join(",\n")));
+        assert_eq!(got, format!("[\n  {},\n  {}\n]\n", run[0], run[1]));
     }
 
     #[test]

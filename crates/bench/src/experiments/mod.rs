@@ -1,20 +1,16 @@
 //! One module per experiment family; the registry in the crate root maps
-//! experiment ids (`e1`..`e25`) onto these functions. Each experiment
-//! prints its table(s) and writes CSVs into the context's output
-//! directory (through the shared `ctx` path helpers). `EXPERIMENTS.md`
-//! documents expected shapes and records a reference run.
+//! experiment ids (`e1`..`e19`, `e22`, `e23`) onto these functions. Each
+//! experiment prints its table(s) with an "expected shape" line and
+//! writes CSVs into the context's output directory (through the shared
+//! `ctx` path helpers).
 
 pub mod balance;
 pub mod classics;
 pub mod dynamics;
 pub mod equivalence;
 pub mod inflight;
-pub mod interleave;
 pub mod repair;
 pub mod routing_modes;
-pub mod scale;
-pub mod shard;
-pub mod sim_parallel;
 pub mod sim_scale;
 pub mod skew;
 pub mod theory;

@@ -1,8 +1,8 @@
 //! E18 — message-driven replica repair: the durability / bandwidth
 //! trade-off under churn, swept over `repair_interval × replication ×
 //! churn rate` for uniform and Pareto key densities. The full profile
-//! merges its rows into `BENCH_repair.json` (repo root) alongside the
-//! table and CSV.
+//! writes its rows — functions of the seed alone — as `BENCH_repair.json`
+//! (repo root) alongside the table and CSV.
 
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, Table};
@@ -135,14 +135,14 @@ pub fn e18_repair(ctx: &Ctx) {
     );
 }
 
-/// Hand-rolled JSON rows (the workspace builds offline — no serde),
-/// merged by id. `ttr_mean_secs` is simulator-clock time, hence the
-/// `sim_secs` unit stamp.
+/// Hand-rolled JSON rows (the workspace builds offline — no serde).
+/// `ttr_mean_secs` is simulator-clock time, hence the `sim_secs` unit
+/// stamp.
 fn write_snapshot(ctx: &Ctx, rows: &[RepairRow]) {
-    let merged: Vec<(String, String)> = rows
+    let rows: Vec<String> = rows
         .iter()
         .map(|r| {
-            let obj = format!(
+            format!(
                 "{{\"id\": \"{}\", \"keys_lost\": {}, \"under_peak\": {}, \
                  \"under_end\": {}, \"repair_mb\": {:.4}, \"overhead\": {:.6}, \
                  \"ttr_mean_secs\": {:.4}, \"get_ok\": {:.4}, \"unit\": \"sim_secs\"}}",
@@ -154,9 +154,8 @@ fn write_snapshot(ctx: &Ctx, rows: &[RepairRow]) {
                 r.overhead,
                 r.ttr_mean_secs,
                 r.get_ok,
-            );
-            (r.id.clone(), obj)
+            )
         })
         .collect();
-    ctx.merge_snapshot("BENCH_repair.json", &merged);
+    ctx.write_snapshot("BENCH_repair.json", &rows);
 }

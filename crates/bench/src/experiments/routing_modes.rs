@@ -1,8 +1,8 @@
 //! E19 — pluggable routing modes: recursive hand-off vs requester-driven
 //! iterative lookups (with failover) vs semi-recursive with stranded-walk
 //! recovery, swept over churn rate for uniform and Pareto key densities.
-//! The full profile merges its rows into `BENCH_routing.json` (repo
-//! root) alongside the table and CSV.
+//! The full profile writes its rows — functions of the seed alone — as
+//! `BENCH_routing.json` (repo root) alongside the table and CSV.
 
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, Table};
@@ -143,14 +143,14 @@ pub fn e19_routing_modes(ctx: &Ctx) {
     );
 }
 
-/// Hand-rolled JSON rows (the workspace builds offline — no serde),
-/// merged by id. Latency quantiles are simulator-clock time, hence the
-/// `sim_secs` unit stamp.
+/// Hand-rolled JSON rows (the workspace builds offline — no serde).
+/// Latency quantiles are simulator-clock time, hence the `sim_secs` unit
+/// stamp.
 fn write_snapshot(ctx: &Ctx, rows: &[RoutingRow]) {
-    let merged: Vec<(String, String)> = rows
+    let rows: Vec<String> = rows
         .iter()
         .map(|r| {
-            let obj = format!(
+            format!(
                 "{{\"id\": \"{}\", \"lookups\": {}, \"ok_rate\": {:.4}, \
                  \"stranded_failed_rate\": {:.4}, \"stranded\": {}, \"failed_over\": {}, \
                  \"exhausted\": {}, \"recovered\": {}, \"hops_mean\": {:.4}, \
@@ -168,9 +168,8 @@ fn write_snapshot(ctx: &Ctx, rows: &[RoutingRow]) {
                 r.p50_ms,
                 r.p99_ms,
                 r.hop_rtt_ms,
-            );
-            (r.id.clone(), obj)
+            )
         })
         .collect();
-    ctx.merge_snapshot("BENCH_routing.json", &merged);
+    ctx.write_snapshot("BENCH_routing.json", &rows);
 }

@@ -12,10 +12,12 @@
 //! process high-water mark (`VmHWM`, monotone across cells), so sizes
 //! run ascending and each row reports the mark *after* its run.
 //!
-//! The full sweep, n ∈ {10⁴, 10⁵, 10⁶}, merges its rows by id into
-//! `BENCH_sim.json` (which E24 shares) alongside the table and CSV;
-//! `--quick` (CI smoke) runs {2·10³, 2·10⁴}. Set `SW_E22_TEN_MILLION=1`
-//! to append the 10⁷ cell (needs several GB of RAM).
+//! The full sweep is n ∈ {10⁴, 10⁵, 10⁶}; `--quick` (CI smoke) runs
+//! {2·10³, 2·10⁴}. Set `SW_E22_TEN_MILLION=1` to append the 10⁷ cell
+//! (needs several GB of RAM). It prints its table and CSV only: events/s
+//! is a host-time reading, and committed host-time numbers are
+//! `benchmark/`'s (`sim.engine.*`, `work_per_s`), where they carry a
+//! stamp. ROADMAP item 2(a) names this sweep as its instrument.
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, Table};
@@ -80,20 +82,6 @@ fn cell_config(seed: u64, storage: bool, preload: usize) -> SimConfig {
     }
 }
 
-struct SimScaleRow {
-    id: String,
-    variant: &'static str,
-    n: usize,
-    horizon: u64,
-    events: u64,
-    events_per_sec: f64,
-    build_secs: f64,
-    open_secs: f64,
-    peak_rss_bytes: Option<u64>,
-    lookups_ok: u64,
-    lookups: u64,
-}
-
 /// E22 — simulator throughput at scale (see module docs).
 pub fn e22_sim_scale(ctx: &Ctx) {
     let mut sizes: Vec<usize> = if ctx.quick {
@@ -118,7 +106,6 @@ pub fn e22_sim_scale(ctx: &Ctx) {
             "lookup ok",
         ],
     );
-    let mut rows: Vec<SimScaleRow> = Vec::new();
     for &n in &sizes {
         // One frozen overlay image per size, shared by both variants —
         // construction cost is paid once and the runs measure the event
@@ -130,28 +117,12 @@ pub fn e22_sim_scale(ctx: &Ctx) {
         let build_secs = t0.elapsed().as_secs_f64();
         for &storage in &[false, true] {
             let variant = if storage { "churn+storage" } else { "churn" };
-            let row = run_cell(ctx, n, variant, storage, &path, build_secs);
-            table.row(vec![
-                row.variant.to_string(),
-                row.n.to_string(),
-                row.horizon.to_string(),
-                row.events.to_string(),
-                format!("{:.0}", row.events_per_sec),
-                f2(row.build_secs),
-                f2(row.open_secs),
-                match row.peak_rss_bytes {
-                    Some(b) => format!("{:.0}", b as f64 / (1024.0 * 1024.0)),
-                    None => "n/a".to_string(),
-                },
-                format!("{}/{}", row.lookups_ok, row.lookups),
-            ]);
-            rows.push(row);
+            table.row(run_cell(ctx, n, variant, storage, &path, build_secs));
         }
         std::fs::remove_file(&path).ok();
     }
     table.print();
     ctx.write_csv(&table, "e22_sim_scale.csv");
-    write_snapshot(ctx, &rows);
     println!(
         "  expected shape: events/s decays slowly in n (bigger working set, \
          longer rows — the wheel's O(1) buckets keep the pending-event \
@@ -191,8 +162,8 @@ pub(crate) fn build_frozen_overlay(seed: u64, n: usize, path: &std::path::Path) 
         .expect("freeze e22 overlay image");
 }
 
-/// One (n, variant) cell: preload from the frozen image and run the
-/// seeded workload.
+/// One (n, variant) cell: preload from the frozen image, run the
+/// seeded workload and return the cell's table row.
 fn run_cell(
     ctx: &Ctx,
     n: usize,
@@ -200,7 +171,7 @@ fn run_cell(
     storage: bool,
     path: &std::path::Path,
     build_secs: f64,
-) -> SimScaleRow {
+) -> Vec<String> {
     let horizon = horizon_secs(n, ctx.quick);
     let preload = (n / 5).clamp(2_000, 200_000);
     let seed = ctx.seed ^ 0xE22 ^ n as u64 ^ ((storage as u64) << 32);
@@ -214,52 +185,18 @@ fn run_cell(
     sim.run_until(SimTime::from_secs(horizon));
     let wall = t0.elapsed().as_secs_f64();
     let m = sim.metrics();
-    SimScaleRow {
-        id: format!("sim-scale/{variant}/{n}"),
-        variant,
-        n,
-        horizon,
-        events: m.events,
-        events_per_sec: m.events as f64 / wall,
-        build_secs,
-        open_secs,
-        peak_rss_bytes: ctx::peak_rss_bytes(),
-        lookups_ok: m.lookups_ok,
-        lookups: m.lookups,
-    }
-}
-
-/// Hand-rolled JSON rows (no serde offline), merged by id into the
-/// snapshot E24 also writes — each producer's rows survive the other's
-/// runs.
-fn write_snapshot(ctx: &Ctx, rows: &[SimScaleRow]) {
-    let merged: Vec<(String, String)> = rows
-        .iter()
-        .map(|r| {
-            let rss = match r.peak_rss_bytes {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            };
-            let obj = format!(
-                "{{\"id\": \"{}\", \"n\": {}, \"variant\": \"{}\", \
-                 \"horizon_sim_secs\": {}, \"events\": {}, \
-                 \"wheel_events_per_sec\": {:.1}, \"build_secs\": {:.4}, \
-                 \"open_secs\": {:.4}, \"peak_rss_bytes\": {}, \
-                 \"lookups\": {}, \"lookups_ok\": {}, \"unit\": \"wall_secs\"}}",
-                r.id,
-                r.n,
-                r.variant,
-                r.horizon,
-                r.events,
-                r.events_per_sec,
-                r.build_secs,
-                r.open_secs,
-                rss,
-                r.lookups,
-                r.lookups_ok,
-            );
-            (r.id.clone(), obj)
-        })
-        .collect();
-    ctx.merge_snapshot("BENCH_sim.json", &merged);
+    vec![
+        variant.to_string(),
+        n.to_string(),
+        horizon.to_string(),
+        m.events.to_string(),
+        format!("{:.0}", m.events as f64 / wall),
+        f2(build_secs),
+        f2(open_secs),
+        match ctx::peak_rss_bytes() {
+            Some(b) => format!("{:.0}", b as f64 / (1024.0 * 1024.0)),
+            None => "n/a".to_string(),
+        },
+        format!("{}/{}", m.lookups_ok, m.lookups),
+    ]
 }

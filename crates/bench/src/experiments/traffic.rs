@@ -16,8 +16,9 @@
 //! from that image, so the ladder measures congestion, not repeated
 //! construction.
 //!
-//! The full sweep merges its rows by id into `BENCH_traffic.json`: one
-//! row per ladder point plus one `/knee` summary row per cell.
+//! The full sweep writes its rows — functions of the seed alone — as
+//! `BENCH_traffic.json`: one row per ladder point, then one `/knee`
+//! summary row per cell.
 //! `--quick` runs one small size (2·10³) with a reduced grid.
 
 use crate::ctx::{self, Ctx};
@@ -286,18 +287,17 @@ fn cell_config(seed: u64, _n: usize, rate: f64, zipf_s: f64, cache: bool) -> Sim
     }
 }
 
-/// Hand-rolled JSON rows (the workspace builds offline — no serde),
-/// merged by id. All latencies are simulator-clock time, hence the
-/// `sim_secs` stamp.
+/// Hand-rolled JSON rows (the workspace builds offline — no serde).
+/// All latencies are simulator-clock time, hence the `sim_secs` stamp.
 fn write_snapshot(
     ctx: &Ctx,
     points: &[TrafficPoint],
     knees: &[(String, usize, f64, bool, f64, f64)],
 ) {
-    let mut merged: Vec<(String, String)> = points
+    let mut rows: Vec<String> = points
         .iter()
         .map(|p| {
-            let obj = format!(
+            format!(
                 "{{\"id\": \"{}\", \"n\": {}, \"zipf_s\": {:.2}, \"cache\": {}, \
                  \"offered_per_sec\": {:.1}, \"goodput_per_sec\": {:.1}, \
                  \"ok_rate\": {:.4}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
@@ -321,17 +321,15 @@ fn write_snapshot(
                 p.depth_peak,
                 p.horizon,
                 p.sustained,
-            );
-            (p.id.clone(), obj)
+            )
         })
         .collect();
     for (id, n, zipf_s, cache, knee_rate, knee_goodput) in knees {
-        let obj = format!(
+        rows.push(format!(
             "{{\"id\": \"{id}\", \"n\": {n}, \"zipf_s\": {zipf_s:.2}, \"cache\": {cache}, \
              \"knee_offered_per_sec\": {knee_rate:.1}, \
              \"sustainable_per_sec\": {knee_goodput:.1}, \"unit\": \"sim_secs\"}}"
-        );
-        merged.push((id.clone(), obj));
+        ));
     }
-    ctx.merge_snapshot("BENCH_traffic.json", &merged);
+    ctx.write_snapshot("BENCH_traffic.json", &rows);
 }

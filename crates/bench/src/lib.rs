@@ -1,8 +1,8 @@
 //! # sw-bench
 //!
-//! The experiment harness (system S13 of `DESIGN.md`): one runnable
-//! experiment per claim of the paper, each printing the table/series
-//! documented in `EXPERIMENTS.md` and writing a CSV next to it.
+//! The experiment harness: one runnable experiment per claim of the
+//! paper, each printing its table/series with an "expected shape" line
+//! and writing a CSV next to it.
 //!
 //! ```text
 //! cargo run -p sw-bench --release --bin experiments -- all
@@ -10,10 +10,12 @@
 //! cargo run -p sw-bench --release --bin experiments -- --quick all
 //! ```
 //!
-//! Full-profile runs of E18–E25 also merge their rows into the repo-root
-//! `BENCH_*.json` snapshots ([`Ctx::merge_snapshot`]); `--quick` runs
-//! never do. Timing the code layer by layer is `benchmark/`'s job, not
-//! this crate's.
+//! Full-profile runs of E18, E19 and E23 also write their rows — all
+//! functions of the seed, none of the host — as the repo-root
+//! `BENCH_{repair,routing,traffic}.json` ([`Ctx::write_snapshot`]), so a
+//! rerun must leave `git diff` clean; `--quick` runs never write them.
+//! Anything measured in host seconds is `benchmark/`'s job, not this
+//! crate's.
 
 pub mod ctx;
 pub mod experiments;
@@ -124,34 +126,14 @@ pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
             experiments::routing_modes::e19_routing_modes,
         ),
         (
-            "e20",
-            "Scale: construction + reference routing + freeze/reopen at n up to 10^7 (full profile: BENCH_scale.json)",
-            experiments::scale::e20_scale,
-        ),
-        (
-            "e21",
-            "Construction pipeline: heap vs arena vs write-through, byte-identity asserted between all three (full profile: BENCH_scale.json)",
-            experiments::shard::e21_shard,
-        ),
-        (
             "e22",
-            "Simulator at scale: events/s + peak RSS from frozen preloads at n up to 10^6 (full profile: BENCH_sim.json)",
+            "Simulator at scale: events/s + peak RSS from frozen preloads at n up to 10^6",
             experiments::sim_scale::e22_sim_scale,
         ),
         (
             "e23",
             "Open-loop traffic to saturation: offered load vs latency knee, hot-key cache on/off (full profile: BENCH_traffic.json)",
             experiments::traffic::e23_traffic,
-        ),
-        (
-            "e24",
-            "Parallel simulator: sharded conservative windows vs serial oracle, ev/s + peak RSS vs workers, digests asserted bit-identical (full profile: BENCH_sim.json)",
-            experiments::sim_parallel::e24_sim_parallel,
-        ),
-        (
-            "e25",
-            "Interleaved AMAC routing kernel: single-thread routes/s vs interleave width K against the looped reference, over heap and mmap-arena tables, bit-identity asserted per cell (full profile: BENCH_routing.json)",
-            experiments::interleave::e25_interleave,
         ),
     ]
 }

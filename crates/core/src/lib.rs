@@ -1,9 +1,9 @@
 //! # sw-core
 //!
-//! The paper's contribution (system S10 of `DESIGN.md`): small-world
-//! overlay graphs for uniformly *and* non-uniformly distributed key
-//! spaces, after *“On Small World Graphs in Non-uniformly Distributed Key
-//! Spaces”* (Girdzijauskas, Datta & Aberer, ICDE 2005).
+//! The paper's contribution: small-world overlay graphs for uniformly
+//! *and* non-uniformly distributed key spaces, after *“On Small World
+//! Graphs in Non-uniformly Distributed Key Spaces”* (Girdzijauskas, Datta
+//! & Aberer, ICDE 2005).
 //!
 //! Two constructions, one code path:
 //!

@@ -309,7 +309,9 @@ impl SmallWorldNetwork {
     }
 
     /// Resident bytes of the routing state (contact CSR + position
-    /// lanes + long-link CSR) — the `bytes/peer` accounting E20 reports.
+    /// lanes + long-link CSR) — the `bytes/peer` accounting
+    /// `examples/large_scale.rs` prints; the on-disk counterpart is the
+    /// `bytes_per_peer` metric in `BENCHMARK.json`.
     pub fn resident_bytes(&self) -> usize {
         // Long-link CSR: two offset arrays (u32) + two edge arrays (u32).
         let long_bytes = (self.long.len() + 1) * 8 + self.long.edge_count() * 8;
@@ -347,8 +349,9 @@ impl SmallWorldNetwork {
     /// cache are rebuilt from the frozen per-node keys, and the
     /// long-link CSR is unpacked onto the heap so the maintenance APIs
     /// (refresh, link drops) keep working; none of the per-peer link
-    /// *sampling* reruns, which is why E20 measures reopen at a small
-    /// fraction of construction time. Routing over the reopened network
+    /// *sampling* reruns, which is why reopen (`core.network.open_s` in
+    /// `BENCHMARK.json`) is a small fraction of construction time
+    /// (`core.builder.build_frozen_s`). Routing over the reopened network
     /// is bit-identical to routing over the original.
     pub fn open_from(
         dir: impl AsRef<Path>,

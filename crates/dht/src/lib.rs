@@ -2,7 +2,7 @@
 //!
 //! The application layer the paper motivates: an order-preserving
 //! key-value store with **range queries** over any overlay from this
-//! workspace (system S14 of `DESIGN.md`).
+//! workspace.
 //!
 //! §1 of the paper: “in many data-oriented P2P applications it is
 //! important to preserve relationships among resource keys, such as

@@ -2,7 +2,7 @@
 //!
 //! Graph substrate: adjacency *representations*, their *storage
 //! backends*, and the classic small-world constructions the paper builds
-//! on (systems S5–S7 of `DESIGN.md`).
+//! on.
 //!
 //! ## Adjacency and storage layers
 //!

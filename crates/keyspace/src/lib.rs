@@ -6,9 +6,9 @@
 //! randomness, CDF-based space normalization, and the statistics toolkit
 //! used by every experiment in the workspace.
 //!
-//! This crate implements systems S1–S4 of `DESIGN.md` for the reproduction
-//! of *“On Small World Graphs in Non-uniformly Distributed Key Spaces”*
-//! (Girdzijauskas, Datta & Aberer, ICDE 2005).
+//! This crate is the bottom layer of the reproduction of *“On Small
+//! World Graphs in Non-uniformly Distributed Key Spaces”* (Girdzijauskas,
+//! Datta & Aberer, ICDE 2005).
 //!
 //! ## Layout
 //!

@@ -64,10 +64,12 @@ use sw_keyspace::Key;
 
 /// Default number of walks kept in flight per thread.
 ///
-/// E25 sweeps K ∈ {1, 2, 4, 8, 16, 32} at n up to 10⁷ on both heap and
-/// mmap-arena tables; throughput rises steeply to K = 8, is near-flat
-/// through K = 16–32 (the line-fill buffers are saturated), and 8 keeps
-/// the per-walk state well inside L1 — so 8 is the tuned default.
+/// A sweep of K ∈ {1, 2, 4, 8, 16, 32} at n up to 10⁷ on both heap and
+/// mmap-arena tables (recorded in CHANGES.md, PRs 10 and 12) saw
+/// throughput rise steeply to K = 8 and stay near-flat through
+/// K = 16–32 (the line-fill buffers are saturated), and 8 keeps the
+/// per-walk state well inside L1 — so 8 is the tuned default. Its cost
+/// today is `overlay.interleaved.ns_per_hop` in `BENCHMARK.json`.
 pub const DEFAULT_INTERLEAVE: usize = 8;
 
 /// Hard cap on the interleave width: beyond this the per-walk state no

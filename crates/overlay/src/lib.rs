@@ -1,10 +1,10 @@
 //! # sw-overlay
 //!
-//! Overlay-network framework and baseline DHTs (systems S8–S9 of
-//! `DESIGN.md`). All overlays — the six baselines here and the paper's
-//! models in `sw-core` — are built over a shared, sorted [`Placement`] of
-//! peer keys and route with the same greedy distance-minimizing engine,
-//! so hop-count comparisons are apples-to-apples.
+//! Overlay-network framework and baseline DHTs. All overlays — the six
+//! baselines here and the paper's models in `sw-core` — are built over a
+//! shared, sorted [`Placement`] of peer keys and route with the same
+//! greedy distance-minimizing engine, so hop-count comparisons are
+//! apples-to-apples.
 //!
 //! Baselines referenced by the paper:
 //!

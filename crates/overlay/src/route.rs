@@ -40,7 +40,9 @@
 //!    walks in flight, each walk's next offset pair / edge row /
 //!    position lane software-prefetched one round ahead so dependent
 //!    misses overlap (memory-*bandwidth*-bound instead of
-//!    latency-bound; E25 sweeps the width). Its per-hop decision is
+//!    latency-bound; `overlay.interleaved.ns_per_hop` against
+//!    `overlay.route_single.ns_per_hop` in `BENCHMARK.json` is the
+//!    measure). Its per-hop decision is
 //!    [`greedy_step_soa`]: the row's key-aligned position lane scanned
 //!    in fixed-width [`LANES`]-wide chunks (constant-trip-count inner
 //!    loops, no bounds checks, distance arithmetic branch-free on the

@@ -126,8 +126,8 @@ impl RouteTable {
         greedy_step_soa(metric, target, cur_d, ids, pos)
     }
 
-    /// Resident bytes of the table (adjacency + lanes) — the
-    /// `bytes/peer` number E20 reports.
+    /// Resident bytes of the table (adjacency + lanes) — the routing
+    /// share of the `bytes_per_peer` metric in `BENCHMARK.json`.
     pub fn resident_bytes(&self) -> usize {
         self.store.resident_bytes()
     }

@@ -1,12 +1,12 @@
 //! # sw-sim
 //!
-//! Discrete-event simulator for dynamic small-world overlays (system S11
-//! of `DESIGN.md`), built on an **async message plane**: every protocol
-//! action — each hop of a lookup, each replica write of a put, each
-//! stabilization ping round — is an individual message delivered at a
-//! latency-sampled virtual time, so any number of operations are in
-//! flight at once and every one of them observes the overlay *as it is
-//! when its messages arrive*, not as it was when the operation started.
+//! Discrete-event simulator for dynamic small-world overlays, built on
+//! an **async message plane**: every protocol action — each hop of a
+//! lookup, each replica write of a put, each stabilization ping round —
+//! is an individual message delivered at a latency-sampled virtual time,
+//! so any number of operations are in flight at once and every one of
+//! them observes the overlay *as it is when its messages arrive*, not as
+//! it was when the operation started.
 //!
 //! The paper defers dynamics to future work (§4.2/§5: “an iterative
 //! process of revising its routing table …”, “models that can take into
@@ -135,7 +135,7 @@
 //! With [`CongestionConfig`] enabled, delivery time is no longer just a
 //! latency sample: each network message pays **link shaping + flight +
 //! destination queue wait**, all computed analytically when the message
-//! is sent (no extra envelopes, no extra randomness — backend- and
+//! is sent (no extra envelopes, no extra randomness —
 //! thread-count-invariant by construction):
 //!
 //! * every node is a **single-server FIFO queue** folded into one
@@ -189,7 +189,7 @@
 //! [`sharded::ShardedSimulator`] is a second, peer-local formulation of
 //! the engine built for parallel discrete-event execution. Peers are
 //! partitioned into `P` shards by `id % P`; each shard owns its own
-//! [`plane::MessagePlane`] (wheel or heap), its slice of node state,
+//! [`plane::MessagePlane`] (the timing wheel), its slice of node state,
 //! and a mergeable [`SimMetrics`]. The driver advances time in
 //! **conservative windows** of width δ — the *lookahead*, the minimum
 //! possible cross-peer message delay derived from the latency model
@@ -214,8 +214,8 @@
 //! bit-identical for every shard count and every worker count. The
 //! serial drain loop (`run_serial_until`, `P = 1`, no window clamping)
 //! is the oracle; property tests assert digest parity at
-//! `P ∈ {1, 2, 8}` across worker counts, plane backends and the churn
-//! / storage / traffic workloads. Float *accumulator* lanes merge in
+//! `P ∈ {1, 2, 8}` across worker counts and the churn / storage /
+//! traffic workloads. Float *accumulator* lanes merge in
 //! shard order (bit-stable for a fixed `P`, excluded from the parity
 //! fingerprint); all integer lanes and histograms are bit-compared.
 //!
@@ -243,7 +243,8 @@
 //! [`sw_overlay::RouteTable`] (CSR rows + contiguous per-edge ring
 //! positions, shared via `Arc` with `topology_snapshot` consumers), and
 //! every probe walk scans those frozen lanes through the chunked greedy
-//! kernel — the same code path E20's large-`n` static routing uses. The
+//! kernel — the same code path large-`n` static routing uses
+//! (`benchmark/`'s `route_static` workload). The
 //! in-flight plane walks keep routing over live [`sw_overlay::RingView`]s
 //! (their views mutate under churn mid-walk, which is the point), with
 //! contact selection bit-identical between the two paths.

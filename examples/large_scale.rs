@@ -1,8 +1,11 @@
-//! Large-scale overlay via the frozen-arena path: build a Pareto-skewed
-//! small-world network, freeze it to flat arena files, reopen it (the
-//! contact arena loads in one allocation, no link re-sampling), and
-//! route over the key-aligned SoA table — printing
-//! construction and routing throughput plus resident bytes/peer.
+//! Large-scale overlay via the frozen-arena path, the front door for an
+//! arbitrary-`n` build: construct a Pareto-skewed small-world network
+//! straight into its arena images (`build_to_arena`), print where the
+//! build's wall-clock went stage by stage (`BuildProfile`), write the
+//! images out, reopen them (the contact arena loads in one allocation,
+//! no link re-sampling), and route a batch over the reopened table —
+//! printing construction and routing throughput plus resident
+//! bytes/peer.
 //!
 //! ```text
 //! cargo run --release --example large_scale            # default n = 20 000
@@ -11,13 +14,15 @@
 //!
 //! The default `n` is small so the example stays fast; pass the peer
 //! count as the first argument for real scale (the 10⁶-peer build needs
-//! a few GB of RAM and, single-threaded, tens of seconds). E20 sweeps
-//! the same pipeline up to 10⁷ peers.
+//! a few GB of RAM and, single-threaded, tens of seconds). Stamped,
+//! repeatable timings of this same pipeline are `benchmark/`'s
+//! `build_skew` and `route_static` workloads.
 
 use smallworld::core::prelude::*;
 use smallworld::keyspace::prelude::*;
 use smallworld::overlay::route::{route_batch, survey_queries, RouteOptions, TargetModel};
 use smallworld::overlay::Overlay;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -29,23 +34,35 @@ fn main() {
     let mut rng = Rng::new(2005);
 
     println!("building a {n}-peer Pareto overlay (harmonic sampler)…");
+    let pareto = TruncatedPareto::new(1.5, 0.01).expect("valid");
+    let builder = SmallWorldBuilder::new(n)
+        .distribution(Box::new(pareto))
+        .sampler(LinkSampler::Harmonic);
     let t0 = Instant::now();
-    let net = SmallWorldBuilder::new(n)
-        .distribution(Box::new(TruncatedPareto::new(1.5, 0.01).expect("valid")))
-        .sampler(LinkSampler::Harmonic)
-        .build(&mut rng)
-        .expect("n >= 4");
+    let build = builder.build_to_arena(&mut rng).expect("n >= 4");
     let construct_s = t0.elapsed().as_secs_f64();
     println!(
-        "  built in {construct_s:.2}s ({:.0} peers/s), {:.1} bytes/peer resident",
-        n as f64 / construct_s,
-        net.resident_bytes() as f64 / n as f64,
+        "  built in {construct_s:.2}s ({:.0} peers/s)",
+        n as f64 / construct_s
+    );
+    let p = build.profile();
+    println!(
+        "  stages (s): placement {:.3}, selector {:.3}, sample {:.3}, long fill {:.3}, \
+         long finish {:.3}, degree count {:.3}, contact fill {:.3}, contact finish {:.3}",
+        p.placement_s,
+        p.selector_s,
+        p.sample_s,
+        p.long_fill_s,
+        p.long_finish_s,
+        p.degree_count_s,
+        p.contact_fill_s,
+        p.contact_finish_s
     );
 
-    // Freeze the whole overlay to flat arena files…
+    // Write the finished images out as flat arena files…
     let dir = std::env::temp_dir().join(format!("sw-large-scale-{n}"));
     let t0 = Instant::now();
-    net.freeze_to(&dir).expect("freeze overlay");
+    build.freeze_to(&dir).expect("freeze overlay");
     println!(
         "  frozen to {} in {:.2}s",
         dir.display(),
@@ -53,17 +70,18 @@ fn main() {
     );
 
     // …and reopen: one read per file, zero per-peer work.
-    let config = *net.config();
-    let assumed = net.assumed().clone();
-    drop(net);
+    drop(build);
     let t0 = Instant::now();
-    let net = SmallWorldNetwork::open_from(&dir, config, assumed).expect("reopen overlay");
+    let net = SmallWorldNetwork::open_from(&dir, *builder.config_ref(), Arc::new(pareto))
+        .expect("reopen overlay");
     println!(
-        "  reopened in {:.3}s (contact arena in one allocation; no link re-sampling)",
-        t0.elapsed().as_secs_f64()
+        "  reopened in {:.3}s (contact arena in one allocation; no link re-sampling), \
+         {:.1} bytes/peer resident",
+        t0.elapsed().as_secs_f64(),
+        net.resident_bytes() as f64 / n as f64,
     );
 
-    // Route a member-lookup workload over the SoA table.
+    // Route a member-lookup workload over the reopened table.
     let workload = survey_queries(net.placement(), queries, TargetModel::MemberKeys, &mut rng);
     let opts = RouteOptions {
         record_path: false,
