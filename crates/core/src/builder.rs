@@ -30,8 +30,8 @@
 //!
 //! - **Heap path** ([`SmallWorldBuilder::build`]): per-peer long rows →
 //!   heap CSR → `LinkTable` union with ring/interval neighbours →
-//!   contact CSR → SoA lanes. Flexible (supports `bidirectional`, feeds
-//!   the maintenance APIs) but allocates every intermediate. With
+//!   contact CSR → SoA lanes. Flexible (feeds the maintenance APIs)
+//!   but allocates every intermediate. With
 //!   [`SmallWorldNetwork::freeze_to`] it is the byte-identity oracle for
 //!   the arena path.
 //! - **Arena path** ([`SmallWorldBuilder::build_to_arena`], and
@@ -159,12 +159,6 @@ impl SmallWorldBuilder {
         self
     }
 
-    /// Treat long links as undirected during routing (default: off).
-    pub fn bidirectional(mut self, yes: bool) -> Self {
-        self.config.bidirectional = yes;
-        self
-    }
-
     /// Sets the true placement density `f` (default: uniform → Model 1).
     pub fn distribution(mut self, dist: Box<dyn KeyDistribution>) -> Self {
         self.distribution = Some(Arc::from(dist));
@@ -263,10 +257,6 @@ impl SmallWorldBuilder {
     /// `build_to_arena(&mut Rng::new(s))` and
     /// `build(&mut Rng::new(s))` + `freeze_to` produce the same images —
     /// the fast path changes wall-clock and allocation, never bits.
-    ///
-    /// `bidirectional` networks fall back to the heap assembly (the
-    /// incoming-edge transpose needs every long row before any contact
-    /// row is final) and freeze the arenas from the finished network.
     pub fn build_to_arena(&self, rng: &mut Rng) -> Result<ArenaBuild, BuildError> {
         self.build_to_arena_at(rng, None)
     }
@@ -313,16 +303,6 @@ impl SmallWorldBuilder {
             placement_s: lap(&mut t),
             ..BuildProfile::default()
         };
-        if self.config.bidirectional {
-            // The transpose needs every row before any is final, so the
-            // bidirectional case assembles on the heap and freezes after.
-            let net = self.build_on_with(placement, dist, rng)?;
-            let build = ArenaBuild::from_network(&net, profile);
-            if let Some(d) = dir {
-                build.freeze_to(d)?;
-            }
-            return Ok(build);
-        }
         let n = placement.len();
         let assumed = self.assumed.clone().unwrap_or(dist);
         let min_mass = self.config.threshold.min_mass(n);
@@ -360,9 +340,7 @@ impl SmallWorldBuilder {
 /// Wall-clock seconds of each stage of one arena-path build
 /// ([`SmallWorldBuilder::build_to_arena`] / `build_frozen`), in pipeline
 /// order. Always measured, on one stopwatch restarted at each stage
-/// boundary, so the stages add up to the build's wall time; the
-/// `bidirectional` fallback assembles on the heap and reports
-/// `placement_s` only.
+/// boundary, so the stages add up to the build's wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BuildProfile {
     /// Sampling the placement (keys drawn and ranked).
@@ -457,32 +435,6 @@ impl ArenaBuild {
             long,
             self.label,
         )
-    }
-
-    /// Freezes an already-assembled network's tables into arenas — the
-    /// `bidirectional` fallback. Writes the same bytes
-    /// [`SmallWorldNetwork::freeze_to`] would.
-    fn from_network(net: &SmallWorldNetwork, profile: BuildProfile) -> ArenaBuild {
-        use sw_overlay::Overlay;
-        let keys: Vec<f64> = net.placement().keys().iter().map(|k| k.get()).collect();
-        let store = net.route_table().store();
-        let contacts = TopologyArena::build(&store.to_topology(), store.edge_pos(), Some(&keys));
-        let long = TopologyArena::build(net.long_topology(), None, None);
-        let label = format!(
-            "sw({},{})",
-            net.assumed().name(),
-            net.config().sampler.label()
-        );
-        ArenaBuild {
-            placement: net.placement().clone(),
-            assumed: net.assumed().clone(),
-            cdf: net.normalized_positions().to_vec(),
-            config: *net.config(),
-            label,
-            contacts,
-            long,
-            profile,
-        }
     }
 }
 
@@ -894,24 +846,6 @@ mod tests {
         assert!(
             sum <= wall && sum >= 0.98 * wall,
             "stages sum to {sum:.6} s of a {wall:.6} s build: {p:?}"
-        );
-    }
-
-    #[test]
-    fn bidirectional_falls_back_to_heap_assembly() {
-        let builder = SmallWorldBuilder::new(512).bidirectional(true);
-        let net = builder.build(&mut Rng::new(11)).unwrap();
-        let fast = builder.build_to_arena(&mut Rng::new(11)).unwrap();
-        let (contacts, long) = heap_freeze_images(&net);
-        assert_eq!(contacts.as_bytes(), fast.contacts().as_bytes());
-        assert_eq!(long.as_bytes(), fast.long().as_bytes());
-        // No arena stage ran: only the placement reading is set.
-        assert_eq!(
-            fast.profile(),
-            BuildProfile {
-                placement_s: fast.profile().placement_s,
-                ..BuildProfile::default()
-            }
         );
     }
 

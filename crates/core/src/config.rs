@@ -11,21 +11,16 @@ pub enum OutDegree {
     /// A constant number of links — Kleinberg's original setting and
     /// Symphony's; yields poly-log instead of log routing (E5).
     Const(usize),
-    /// `ceil(factor · log2 N)` links — the §3.1 trade-off knob between
-    /// routing-table size and search cost.
-    ScaledLog(f64),
 }
 
 impl OutDegree {
     /// Number of long-range links for an `N`-peer network (at least 1).
     pub fn links_for(&self, n: usize) -> usize {
-        let log2n = (n.max(2) as f64).log2().ceil();
-        let raw = match *self {
-            OutDegree::Log2N => log2n,
-            OutDegree::Const(k) => k as f64,
-            OutDegree::ScaledLog(factor) => (factor * log2n).ceil(),
+        let links = match *self {
+            OutDegree::Log2N => (n.max(2) as f64).log2().ceil() as usize,
+            OutDegree::Const(k) => k,
         };
-        (raw as usize).max(1)
+        links.max(1)
     }
 }
 
@@ -86,9 +81,6 @@ pub struct SmallWorldConfig {
     pub threshold: MassThreshold,
     /// Exact or harmonic-continuous sampling.
     pub sampler: LinkSampler,
-    /// Treat long links as undirected when routing (Symphony-style).
-    /// The paper's model is a directed graph; default `false`.
-    pub bidirectional: bool,
 }
 
 impl Default for SmallWorldConfig {
@@ -101,7 +93,6 @@ impl Default for SmallWorldConfig {
             out_degree: OutDegree::Log2N,
             threshold: MassThreshold::OneOverN,
             sampler: LinkSampler::Exact,
-            bidirectional: false,
         }
     }
 }
@@ -126,13 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_out_degree() {
-        assert_eq!(OutDegree::ScaledLog(0.5).links_for(1024), 5);
-        assert_eq!(OutDegree::ScaledLog(2.0).links_for(1024), 20);
-        assert_eq!(OutDegree::ScaledLog(0.01).links_for(1024), 1);
-    }
-
-    #[test]
     fn mass_thresholds() {
         assert_eq!(MassThreshold::OneOverN.min_mass(1000), 0.001);
         assert_eq!(MassThreshold::Fixed(0.05).min_mass(1000), 0.05);
@@ -147,6 +131,5 @@ mod tests {
         assert_eq!(c.out_degree, OutDegree::Log2N);
         assert_eq!(c.threshold, MassThreshold::OneOverN);
         assert_eq!(c.sampler, LinkSampler::Exact);
-        assert!(!c.bidirectional);
     }
 }

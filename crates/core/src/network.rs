@@ -46,8 +46,8 @@ pub struct SmallWorldNetwork {
     config: SmallWorldConfig,
     /// Long-range links only (CSR, incoming transpose included).
     long: CsrTopology,
-    /// Full routing table: neighbours + long links (+ incoming links when
-    /// `config.bidirectional`), with the key-aligned position lanes.
+    /// Full routing table: neighbours + long links, with the
+    /// key-aligned position lanes.
     route_table: RouteTable,
     /// Lazily materialized heap view of the contact CSR for arena-backed
     /// (reopened) networks — [`Overlay::topology`] hands out a
@@ -110,7 +110,7 @@ impl SmallWorldNetwork {
         label: String,
         threads: usize,
     ) -> Self {
-        let contact_table = build_contact_table(&placement, &long, config.bidirectional, threads);
+        let contact_table = build_contact_table(&placement, &long, threads);
         let route_table = build_route_table(&placement, contact_table, threads);
         SmallWorldNetwork {
             placement,
@@ -160,8 +160,7 @@ impl SmallWorldNetwork {
     /// Replaces the long-link topology and rebuilds the contact table
     /// (and its SoA position lanes).
     fn set_long_topology(&mut self, long: CsrTopology) {
-        let contact_table =
-            build_contact_table(&self.placement, &long, self.config.bidirectional, 0);
+        let contact_table = build_contact_table(&self.placement, &long, 0);
         self.route_table = build_route_table(&self.placement, contact_table, 0);
         self.contact_heap = OnceLock::new();
         self.long = long;
@@ -239,11 +238,6 @@ impl SmallWorldNetwork {
     #[inline]
     pub fn normalized_position(&self, u: NodeId) -> f64 {
         self.cdf[u as usize]
-    }
-
-    /// Every peer's normalized-space position, in id order.
-    pub(crate) fn normalized_positions(&self) -> &[f64] {
-        &self.cdf
     }
 
     /// Mass distance between two peers in the assumed normalized space
@@ -406,23 +400,15 @@ fn build_route_table(
 }
 
 /// Builds the full routing table: topology neighbours first, then long
-/// links, then (optionally) incoming long links, deduplicated per row.
+/// links, deduplicated per row.
 /// The freeze (per-row sort + CSR pack + in-edge transpose) fans out
 /// over `threads` workers; the result is identical at any thread count.
-fn build_contact_table(
-    placement: &Placement,
-    long: &CsrTopology,
-    bidirectional: bool,
-    threads: usize,
-) -> CsrTopology {
+fn build_contact_table(placement: &Placement, long: &CsrTopology, threads: usize) -> CsrTopology {
     let n = placement.len();
     let mut lt = LinkTable::new(n);
     for u in 0..n as NodeId {
         lt.add_all(u, placement.topology_neighbors(u));
         lt.add_all(u, long.neighbors(u).iter().copied());
-        if bidirectional {
-            lt.add_all(u, long.incoming(u).iter().copied());
-        }
     }
     lt.build_with_threads(threads)
 }

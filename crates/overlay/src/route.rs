@@ -859,13 +859,16 @@ mod tests {
     fn route_batch_matches_looped_routes_for_any_thread_count() {
         let o = ring(64);
         let mut rng = Rng::new(11);
-        let workload = survey_queries(&o.p, 300, TargetModel::MemberKeys, &mut rng);
+        // 6 401 queries at the 64-query grain fan out to 100 workers but
+        // fill only 99 chunks of 65: no worker may be handed a range
+        // past the end of the batch.
+        let workload = survey_queries(&o.p, 6401, TargetModel::MemberKeys, &mut rng);
         let opts = RouteOptions::for_n(64);
         let looped: Vec<RouteResult> = workload
             .iter()
             .map(|&(from, t)| o.route(from, t, &opts))
             .collect();
-        for threads in [1, 2, 4, 9] {
+        for threads in [1, 2, 4, 9, 100] {
             let batched = route_batch(&o, &workload, &opts, threads);
             assert_eq!(batched, looped, "threads={threads}");
         }

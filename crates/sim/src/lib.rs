@@ -196,9 +196,10 @@
 //! ([`sharded::lookahead`]): `Constant(t) → t`, `Uniform(lo, _) → lo`,
 //! `Exponential → 1 µs`. Every cross-peer send clamps its delivery to
 //! `now + δ`, so events inside one window are causally independent
-//! across shards and the shards execute the window in parallel on the
-//! [`sw_graph::par`] scoped worker pool. Cross-shard sends are buffered
-//! in per-destination outboxes and exchanged at the window barrier.
+//! across shards and the shards execute the window in parallel on
+//! scoped std threads, one [`std::thread::scope`] region per window.
+//! Cross-shard sends are buffered in per-destination outboxes and
+//! exchanged at the window barrier.
 //!
 //! **Window invariant:** for a window `[T, T + δ)`, every envelope a
 //! shard delivers in the window was enqueued on its plane before the

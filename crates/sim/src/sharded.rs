@@ -23,8 +23,8 @@
 //! (see [`lookahead`]). Every cross-peer send clamps its
 //! delivery to `now + δ` or later, so all events inside the window
 //! `[T, T + δ)` are causally independent **across** shards and the
-//! shards can execute the window in parallel (via the
-//! [`sw_graph::par`] scoped worker pool). Sends that target another
+//! shards can execute the window in parallel (scoped std threads, one
+//! [`std::thread::scope`] region per window). Sends that target another
 //! shard are buffered in per-destination outboxes; at the window
 //! barrier they are exchanged and enqueued on the target plane.
 //!
@@ -763,28 +763,27 @@ impl ShardedSimulator {
             self.workers
         }
         .clamp(1, shards.len());
+        let per = shards.len().div_ceil(workers);
         while let Some(start) = shards.iter_mut().filter_map(|s| s.plane.next_due()).min() {
             if start > until {
                 break;
             }
             let hi = SimTime(start.0 + global.delta.0 - 1).min(until);
-            if workers == 1 {
-                for s in shards.iter_mut() {
+            let run = move |group: &mut [Shard]| {
+                for s in group {
                     s.run_window(global, hi);
                 }
-            } else {
-                let per = shards.len().div_ceil(workers);
-                par::pool().scope(|sc| {
-                    for group in shards.chunks_mut(per) {
-                        let global = &*global;
-                        sc.spawn(move || {
-                            for s in group {
-                                s.run_window(global, hi);
-                            }
-                        });
-                    }
-                });
-            }
+            };
+            // One scoped region per window: the first shard group runs
+            // here, each other group (none when `workers == 1`) on a
+            // thread of its own.
+            let (first, rest) = shards.split_at_mut(per);
+            std::thread::scope(|sc| {
+                for group in rest.chunks_mut(per) {
+                    sc.spawn(move || run(group));
+                }
+                run(first);
+            });
             Self::exchange(shards, hi);
         }
         for s in shards.iter_mut() {
