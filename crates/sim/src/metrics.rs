@@ -359,7 +359,6 @@ impl SimMetrics {
             self.lookups_stranded,
             self.lookups_failed_over,
             self.lookups_exhausted,
-            self.lookups_recovered,
             self.hop_rtt.count(),
             self.inflight_peak,
             self.timeouts,

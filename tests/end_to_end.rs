@@ -453,7 +453,10 @@ fn simulator_over_frozen_image(tag: &str, cfg: SimConfig) -> Simulator {
 /// their own lane, `RingView::step` became flat loops and the
 /// link-bucket table started forgetting refilled buckets. A hot-path
 /// change that moves one hop, one delay or one drop fails here, not
-/// only in the benchmark's `compare`.
+/// only in the benchmark's `compare`. Re-pinned once since, on parent
+/// commit b94e6ce with only the recovered-lookups lane taken out of
+/// the fold (it read 0 here): 0xaff6_e5f1_8a7b_decf became the value
+/// below, before the third forwarding mode's code was deleted.
 #[test]
 fn traffic_fingerprint_matches_the_pinned_value() {
     use smallworld::sim::{CacheConfig, CongestionConfig, TrafficConfig};
@@ -490,13 +493,16 @@ fn traffic_fingerprint_matches_the_pinned_value() {
     assert!(m.lookups > 10_000 && m.cache_hits > 500);
     assert!(m.msgs_dropped_overload > 0 && m.timeouts > 0 && m.queue_depth_peak > 1);
     let got = m.fingerprint();
-    assert_eq!(got, 0xaff6_e5f1_8a7b_decf, "fingerprint {got:#018x}");
+    assert_eq!(got, 0x2f87_966a_c360_24e9, "fingerprint {got:#018x}");
 }
 
 /// The other golden: churn, storage and repair beside lookups (no
-/// congestion), semi-recursive lookups and iterative storage walks so
-/// the ranked-candidate ladder is pinned with the single greedy step.
-/// Recorded at commit 5171cee with the digest above.
+/// congestion), recursive lookups and iterative storage walks so the
+/// ranked-candidate ladder is pinned with the single greedy step.
+/// Recorded on parent commit b94e6ce with two changes only — the
+/// recovered-lookups lane out of the fold and this config's lookups
+/// moved from the third forwarding mode to `Recursive` — before that
+/// mode's code was deleted (0x0963_bcd3_3b54_512f at 5171cee, with it).
 #[test]
 fn churn_storage_fingerprint_matches_the_pinned_value() {
     use smallworld::sim::{RoutingMode, StorageConfig};
@@ -507,7 +513,7 @@ fn churn_storage_fingerprint_matches_the_pinned_value() {
             seed: 12,
             churn: ChurnConfig::symmetric(10.0),
             workload: WorkloadConfig { lookup_rate: 200.0 },
-            routing_mode: RoutingMode::SemiRecursive,
+            routing_mode: RoutingMode::Recursive,
             storage: StorageConfig {
                 put_rate: 20.0,
                 get_rate: 20.0,
@@ -530,7 +536,7 @@ fn churn_storage_fingerprint_matches_the_pinned_value() {
     assert!(m.joins > 50 && m.failures > 50 && m.lookups_stranded > 0);
     assert!(m.repair_messages > 10_000);
     let got = m.fingerprint();
-    assert_eq!(got, 0x0963_bcd3_3b54_512f, "fingerprint {got:#018x}");
+    assert_eq!(got, 0x6e60_319d_01e6_09f0, "fingerprint {got:#018x}");
 }
 
 /// Determinism across the whole stack: same seed, same everything.
