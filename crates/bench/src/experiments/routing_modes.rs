@@ -1,6 +1,6 @@
-//! E19 — pluggable routing modes: recursive hand-off vs requester-driven
-//! iterative lookups (with failover) vs semi-recursive with stranded-walk
-//! recovery, swept over churn rate for uniform and Pareto key densities.
+//! E19 — the two routing modes: recursive hand-off vs requester-driven
+//! iterative lookups (with failover), swept over churn rate for uniform
+//! and Pareto key densities.
 //! The full profile writes its rows — functions of the seed alone — as
 //! `BENCH_routing.json` (repo root) alongside the table and CSV.
 
@@ -19,7 +19,6 @@ struct RoutingRow {
     stranded: u64,
     failed_over: u64,
     exhausted: u64,
-    recovered: u64,
     hops_mean: f64,
     p50_ms: f64,
     p99_ms: f64,
@@ -29,13 +28,11 @@ struct RoutingRow {
 /// E19 — the robustness/latency trade-off of the forwarding strategy.
 /// Ring stabilization is off so successor views go stale and the
 /// routing mode itself must absorb the churn (maintenance is the
-/// orthogonal axis E14/E17 already sweep); long-link refresh stays on.
+/// orthogonal axis E14 already sweeps); long-link refresh stays on.
 /// Recursive hand-off strands a query whenever its carrier dies and has
 /// no failover; iterative lookups survive carrier deaths (only the
 /// requester's death strands them) and fail over down the requester's
-/// candidate pool, paying a full RTT per hop; semi-recursive keeps the
-/// recursive latency profile and recovers stranded walks through the
-/// requester's watchdog.
+/// candidate pool, paying a full RTT per hop.
 pub fn e19_routing_modes(ctx: &Ctx) {
     let n = ctx.n(512);
     let horizon_secs = if ctx.quick { 45 } else { 120 };
@@ -51,7 +48,6 @@ pub fn e19_routing_modes(ctx: &Ctx) {
             "stranded",
             "f-over",
             "exhausted",
-            "recovered",
             "hops",
             "p50 (ms)",
             "p99 (ms)",
@@ -103,7 +99,6 @@ pub fn e19_routing_modes(ctx: &Ctx) {
                     stranded: m.lookups_stranded,
                     failed_over: m.lookups_failed_over,
                     exhausted: m.lookups_exhausted,
-                    recovered: m.lookups_recovered,
                     hops_mean: m.hops.mean(),
                     p50_ms: p50 * 1e3,
                     p99_ms: p99 * 1e3,
@@ -119,7 +114,6 @@ pub fn e19_routing_modes(ctx: &Ctx) {
                     row.stranded.to_string(),
                     row.failed_over.to_string(),
                     row.exhausted.to_string(),
-                    row.recovered.to_string(),
                     f2(row.hops_mean),
                     f2(row.p50_ms),
                     f2(row.p99_ms),
@@ -133,13 +127,12 @@ pub fn e19_routing_modes(ctx: &Ctx) {
     ctx.write_csv(&table, "e19_routing_modes.csv");
     write_snapshot(ctx, &rows);
     println!(
-        "  expected shape: at churn 0 all modes deliver 100% with identical hop \
+        "  expected shape: at churn 0 both modes deliver 100% with identical hop \
          counts, and iterative p50/p99 sits one RTT-per-hop above recursive (the \
          price of requester-driven hops); under churn, iterative's stranded+failed \
          rate drops strictly below recursive at the same churn level and seed \
          (carrier deaths cannot kill the query and the requester fails over past \
-         dead frontiers), while semi-recursive converts most strandings into \
-         recoveries at recursive-grade latency"
+         dead frontiers)"
     );
 }
 
@@ -153,7 +146,7 @@ fn write_snapshot(ctx: &Ctx, rows: &[RoutingRow]) {
             format!(
                 "{{\"id\": \"{}\", \"lookups\": {}, \"ok_rate\": {:.4}, \
                  \"stranded_failed_rate\": {:.4}, \"stranded\": {}, \"failed_over\": {}, \
-                 \"exhausted\": {}, \"recovered\": {}, \"hops_mean\": {:.4}, \
+                 \"exhausted\": {}, \"hops_mean\": {:.4}, \
                  \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"hop_rtt_ms\": {:.4}, \
                  \"unit\": \"sim_secs\"}}",
                 r.id,
@@ -163,7 +156,6 @@ fn write_snapshot(ctx: &Ctx, rows: &[RoutingRow]) {
                 r.stranded,
                 r.failed_over,
                 r.exhausted,
-                r.recovered,
                 r.hops_mean,
                 r.p50_ms,
                 r.p99_ms,

@@ -24,7 +24,7 @@ use crate::table::{f2, Table};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
-use sw_core::config::{LinkSampler, MassThreshold};
+use sw_core::config::{LinkSampler, MassThreshold, OutDegree};
 use sw_core::links::LinkSelector;
 use sw_graph::{par, LinkTable, TopologyStore};
 use sw_keyspace::distribution::{KeyDistribution, Uniform};
@@ -144,7 +144,7 @@ pub(crate) fn build_frozen_overlay(seed: u64, n: usize, path: &std::path::Path) 
     }
     let keys: Vec<Key> = keys.into_iter().collect();
     let placement = Placement::from_keys(keys.clone(), Metric::Ring, "e22").expect("distinct keys");
-    let budget = SimConfig::default().out_degree.links_for(n);
+    let budget = OutDegree::Log2N.links_for(n);
     let min_mass = MassThreshold::OneOverN.min_mass(n);
     let selector = LinkSelector::new(&placement, &Uniform, min_mass, LinkSampler::Harmonic);
     let build_seed = rng.next_u64();

@@ -10,9 +10,7 @@
 use crate::latency::LatencyModel;
 use crate::metrics::SimMetrics;
 use crate::plane::MessagePlane;
-use crate::protocol::{
-    LookupRecord, Msg, Purpose, QueryId, RoutingMode, StorageOp, Walk, WalkEnd, WalkScratch,
-};
+use crate::protocol::{LookupRecord, Msg, Purpose, QueryId, RoutingMode, StorageOp, Walk, WalkEnd};
 use crate::time::SimTime;
 use crate::traffic::{
     CongestionConfig, HotCache, LinkBuckets, ServiceQueue, TrafficConfig, ZipfSampler,
@@ -131,14 +129,10 @@ pub struct SimConfig {
     pub seed: u64,
     /// Initial population (built converged, without message cost).
     pub initial_n: usize,
-    /// Long-link budget policy (the paper's `log2 N` by default).
-    pub out_degree: OutDegree,
     /// Per-hop latency model.
     pub latency: LatencyModel,
     /// Latency penalty for each timeout on a dead contact.
     pub timeout_penalty: SimTime,
-    /// Successor-list length (ring repair redundancy).
-    pub successor_list: usize,
     /// Ring stabilization period (`None` disables maintenance).
     pub stabilize_interval: Option<SimTime>,
     /// Long-link refresh period (`None` disables refresh).
@@ -149,18 +143,14 @@ pub struct SimConfig {
     pub workload: WorkloadConfig,
     /// Storage workload (disabled by default).
     pub storage: StorageConfig,
-    /// How walks forward on the plane: recursive hand-off (default),
-    /// requester-driven iterative with failover, or semi-recursive with
-    /// stranded-walk recovery. Storage ops can override per operation
-    /// via [`StorageConfig::routing_mode`].
+    /// How walks forward on the plane: recursive hand-off (default) or
+    /// requester-driven iterative with failover. A walk's mode is fixed
+    /// when it is spawned. Storage ops can override per operation via
+    /// [`StorageConfig::routing_mode`].
     pub routing_mode: RoutingMode,
     /// Keep a per-lookup [`LookupRecord`] (off by default — unbounded
     /// memory over long runs).
     pub record_lookups: bool,
-    /// Record each lookup's confirmed hop sequence into its
-    /// [`LookupRecord`] (off by default; only meaningful with
-    /// `record_lookups`).
-    pub record_paths: bool,
     /// Worker threads for the parallel paths (probe batches, bulk
     /// loads); `0` = auto. Results are bit-identical for every value.
     pub parallelism: usize,
@@ -181,10 +171,8 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0,
             initial_n: 512,
-            out_degree: OutDegree::Log2N,
             latency: LatencyModel::Constant(SimTime::from_millis(50)),
             timeout_penalty: SimTime::from_millis(500),
-            successor_list: 4,
             stabilize_interval: Some(SimTime::from_secs(10)),
             refresh_interval: Some(SimTime::from_secs(60)),
             churn: ChurnConfig::NONE,
@@ -192,7 +180,6 @@ impl Default for SimConfig {
             storage: StorageConfig::NONE,
             routing_mode: RoutingMode::Recursive,
             record_lookups: false,
-            record_paths: false,
             parallelism: 0,
             congestion: CongestionConfig::NONE,
             traffic: TrafficConfig::NONE,
@@ -279,6 +266,11 @@ mod stream {
     pub const WALK_SALT: u64 = 0x5157_4A4C_4B53_0D1E;
 }
 
+/// Long-link budget of every simulated peer: the paper's `log2 N`.
+pub(crate) const OUT_DEGREE: OutDegree = OutDegree::Log2N;
+/// Successor-list length (ring repair redundancy).
+pub(crate) const SUCCESSOR_LIST: usize = 4;
+
 /// Wire size of a repair digest message (arc bounds + count + hash).
 const DIGEST_BYTES: u64 = 32;
 /// Fixed header of a repair diff / push / pull message (arc bounds or
@@ -344,10 +336,6 @@ pub struct Simulator {
     put_counter: u64,
     inflight_lookups: u64,
     lookup_records: Vec<LookupRecord>,
-    /// Recycled walk scratch ([`WalkScratch`]): finished walks return
-    /// their candidate/exclusion/path buffers here so per-hop stepping
-    /// stops allocating once the pool warms up.
-    walk_scratch: Vec<WalkScratch>,
     /// Reusable buffer behind [`Simulator::ranked_candidates`].
     cand_scratch: Vec<(u32, f64)>,
     // --- congestion + traffic plane ---
@@ -378,11 +366,6 @@ pub struct Simulator {
     net_dead: u64,
 }
 
-/// Cap on pooled [`WalkScratch`] shells — bounds pool memory when a
-/// burst of walks drains (the steady-state in-flight population is far
-/// below this).
-const WALK_POOL_CAP: usize = 1024;
-
 impl Simulator {
     /// Builds the initial converged network and schedules the recurring
     /// processes.
@@ -412,7 +395,7 @@ impl Simulator {
         // at any worker count. At t = 0 every peer is alive, so sampling
         // over the placement equals sampling over the alive set.
         let n = sim.nodes.len();
-        let budget = sim.cfg.out_degree.links_for(n);
+        let budget = OUT_DEGREE.links_for(n);
         let placement = Placement::from_keys(sim.keys.clone(), Metric::Ring, "sim")
             .expect("initial population keys are distinct");
         let min_mass = MassThreshold::OneOverN.min_mass(n);
@@ -531,7 +514,6 @@ impl Simulator {
             put_counter: 0,
             inflight_lookups: 0,
             lookup_records: Vec::new(),
-            walk_scratch: Vec::new(),
             cand_scratch: Vec::new(),
             node_q: Vec::new(),
             link_buckets: LinkBuckets::new(),
@@ -878,7 +860,6 @@ impl Simulator {
                 at_target,
                 candidates,
             } => self.deliver_next_hop_reply(qid, from, sent_at, at_target, candidates, false),
-            Msg::WalkReport { qid, at } => self.deliver_walk_report(qid, at),
             Msg::ReplicaPut { op, to, sent_at } => self.deliver_replica_put(op, to, sent_at, false),
             Msg::ReplicaProbe { op, to, sent_at } => {
                 self.deliver_replica_probe(op, to, sent_at, false)
@@ -962,8 +943,8 @@ impl Simulator {
     ///    service time) or drops it at the depth cap. A dropped
     ///    message with a sender-side consequence is re-scheduled as
     ///    [`Msg::Dropped`] at the no-queue arrival instant; drops of
-    ///    fire-and-forget messages (reports, repair rungs) vanish
-    ///    silently, exactly like a dead receiver.
+    ///    fire-and-forget messages (repair rungs) vanish silently,
+    ///    exactly like a dead receiver.
     ///
     /// Returns `Some(queue_wait)` when the message will be delivered
     /// (zero without queueing) and `None` when it was dropped.
@@ -1034,7 +1015,7 @@ impl Simulator {
     /// `(offered, dropped_overload, delivered, dead_discarded)`. Once
     /// the plane is drained, `offered = dropped + delivered + dead` —
     /// every message sent through the congestion model is accounted
-    /// exactly once. (A reply or report whose walk already finished is
+    /// exactly once. (A reply whose walk already finished is
     /// counted `delivered`: the envelope was serviced, its walk just no
     /// longer cared.) Test instrumentation, not a public API.
     #[doc(hidden)]
@@ -1126,18 +1107,6 @@ impl Simulator {
             self.metrics.inflight_peak = self.metrics.inflight_peak.max(self.inflight_lookups);
         }
         let mode = self.mode_for(&purpose);
-        // Recycle a finished walk's buffers (cleared, capacity kept):
-        // steady-state stepping allocates nothing per walk.
-        let scratch = self.walk_scratch.pop().unwrap_or_default();
-        let WalkScratch {
-            excluded,
-            alternates,
-            seen,
-            mut path,
-        } = scratch;
-        if self.cfg.record_paths {
-            path.push(from);
-        }
         self.walks.insert(
             qid,
             Walk {
@@ -1151,24 +1120,21 @@ impl Simulator {
                 msgs: 0,
                 timeouts: 0,
                 failovers: 0,
-                recovered: 0,
                 latency: SimTime::ZERO,
                 issued_at: self.plane.now(),
-                excluded,
-                alternates,
+                excluded: Vec::new(),
+                alternates: Vec::new(),
                 alt_head: 0,
-                seen,
+                seen: Vec::new(),
                 query_sent: SimTime::ZERO,
                 rtt_seen: SimTime::ZERO,
                 wait_seen: SimTime::ZERO,
-                last_known: from,
-                path,
                 max_hops,
                 rng,
             },
         );
         match mode {
-            RoutingMode::Recursive | RoutingMode::SemiRecursive => self.step_recursive(qid),
+            RoutingMode::Recursive => self.step_recursive(qid),
             // The origin reads its own routing table for free.
             RoutingMode::Iterative => self.iterative_local_step(qid),
         }
@@ -1176,16 +1142,14 @@ impl Simulator {
     }
 
     /// The unified step executor behind `Msg::Step` — the retry path of
-    /// every mode. A recursive walk re-steps at its current node after a
-    /// timeout; an iterative walk fails over down its candidate ladder;
-    /// a semi-recursive walk that was recovered mid-flight is already
-    /// `Iterative` here and continues requester-driven.
+    /// both modes. A recursive walk re-steps at its current node after a
+    /// timeout; an iterative walk fails over down its candidate ladder.
     fn drive_walk(&mut self, qid: QueryId) {
         let Some(walk) = self.walks.get(&qid) else {
             return;
         };
         match walk.mode {
-            RoutingMode::Recursive | RoutingMode::SemiRecursive => self.step_recursive(qid),
+            RoutingMode::Recursive => self.step_recursive(qid),
             RoutingMode::Iterative => self.iterative_failover(qid),
         }
     }
@@ -1219,22 +1183,15 @@ impl Simulator {
 
     /// One greedy step at the walk's current node (shared
     /// `sw_overlay::greedy_step` via [`sw_overlay::RingView`]) —
-    /// recursive and semi-recursive modes.
+    /// recursive mode.
     fn step_recursive(&mut self, qid: QueryId) {
         let Some(walk) = self.walks.get(&qid) else {
             return;
         };
         let cur = walk.cur;
         if !self.nodes[cur as usize].alive {
-            // The node holding the query failed. A semi-recursive walk
-            // whose requester survives is *recovered* — the requester's
-            // watchdog resumes it iteratively; otherwise it is stranded.
-            if walk.mode == RoutingMode::SemiRecursive && self.nodes[walk.requester as usize].alive
-            {
-                self.recover_walk(qid);
-            } else {
-                self.finish_walk(qid, WalkEnd::Stranded);
-            }
+            // The node holding the query failed, and the query with it.
+            self.finish_walk(qid, WalkEnd::Stranded);
             return;
         }
         let cur_key = self.keys[cur as usize];
@@ -1265,7 +1222,7 @@ impl Simulator {
                 let walk = self.walks.get_mut(&qid).expect("walk present");
                 walk.msgs += 1;
                 let dt = latency.sample(&mut walk.rng);
-                let wait = self.send_net(
+                self.send_net(
                     cur,
                     next,
                     now,
@@ -1276,15 +1233,6 @@ impl Simulator {
                         sent_at: now,
                     },
                 );
-                if let Some(wait) = wait {
-                    // The carrier hand-off measures the next node's
-                    // inbound congestion; remember it in case this walk
-                    // is later recovered into iterative mode.
-                    self.walks
-                        .get_mut(&qid)
-                        .expect("walk present")
-                        .note_wait(wait);
-                }
             }
         }
     }
@@ -1299,41 +1247,14 @@ impl Simulator {
         }
         let alive = !lost && self.nodes[to as usize].alive;
         let penalty = self.cfg.timeout_penalty;
-        let latency = self.cfg.latency;
         let Some(walk) = self.walks.get_mut(&qid) else {
             return;
         };
         if alive {
-            let prev = walk.cur;
             walk.latency += now - sent_at;
             walk.hops += 1;
             walk.cur = to;
-            if !walk.path.is_empty() {
-                walk.path.push(to);
-            }
-            // Semi-recursive relays post a progress report back to the
-            // requester — fire-and-forget, off the walk's critical path,
-            // but it is what makes stranded-walk recovery possible. The
-            // report names the node the query just *passed through*, not
-            // the relay itself: the relay is exactly the node that will
-            // be dead if the watchdog ever fires, so reporting it would
-            // make every recovery fall all the way back to the requester.
-            if walk.mode == RoutingMode::SemiRecursive {
-                walk.msgs += 1;
-                let requester = walk.requester;
-                let dt = latency.sample(&mut walk.rng);
-                // Fire-and-forget: a report dropped at the requester's
-                // full queue vanishes (send_net schedules no
-                // consequence), costing only recovery-resume precision.
-                let wait = self.send_net(to, requester, now, dt, Msg::WalkReport { qid, at: prev });
-                if let Some(wait) = wait {
-                    self.walks
-                        .get_mut(&qid)
-                        .expect("walk present")
-                        .note_wait(wait);
-                }
-            }
-            self.drive_walk(qid);
+            self.step_recursive(qid);
         } else {
             // The sender's timeout clock started at send time; it may
             // already have expired if the sampled flight time exceeded
@@ -1345,77 +1266,18 @@ impl Simulator {
         }
     }
 
-    /// A progress report lands at the requester: remember how far the
-    /// query got (the resume point if its carrier dies).
-    fn deliver_walk_report(&mut self, qid: QueryId, at: u32) {
-        match self.walks.get(&qid).map(|w| w.requester) {
-            Some(r) => self.note_net_delivery(r),
-            // The walk already finished: the envelope was still
-            // serviced at its destination.
-            None => self.net_delivered += 1,
-        }
-        let Some(walk) = self.walks.get_mut(&qid) else {
-            return;
-        };
-        if self.nodes[walk.requester as usize].alive {
-            walk.last_known = at;
-        }
-    }
-
-    /// Stranded-walk recovery (semi-recursive): the carrier died holding
-    /// the query, but the requester survives. Its watchdog fires (one
-    /// timeout penalty), the dead carrier is excluded, and the walk
-    /// resumes *iteratively* from the last reported node — requester-
-    /// driven from here on, so only the requester's death can end it
-    /// abnormally now.
-    fn recover_walk(&mut self, qid: QueryId) {
-        let penalty = self.cfg.timeout_penalty;
-        let alive_last = {
-            let walk = self.walks.get(&qid).expect("recovering a live walk");
-            self.nodes[walk.last_known as usize].alive
-        };
-        let walk = self.walks.get_mut(&qid).expect("recovering a live walk");
-        let dead = walk.cur;
-        walk.recovered += 1;
-        walk.timeouts += 1;
-        walk.latency += penalty;
-        if !walk.excluded.contains(&dead) {
-            walk.excluded.push(dead);
-        }
-        walk.mode = RoutingMode::Iterative;
-        walk.clear_alternates();
-        let resume = if alive_last {
-            walk.last_known
-        } else {
-            walk.requester
-        };
-        walk.cur = resume;
-        if !walk.seen.contains(&resume) {
-            walk.seen.push(resume);
-        }
-        if resume == walk.requester {
-            // Resume at the requester itself: its table is local, so the
-            // next step costs no confirmation round.
-            self.iterative_local_step(qid);
-        } else {
-            // Re-confirm the frontier: query the last reported node for
-            // its candidates (counted as a hop when it answers).
-            self.send_next_hop_query(qid, resume);
-        }
-    }
-
     // ----- iterative mode --------------------------------------------
 
-    /// A requester-local step: the walk's frontier *is* the requester
-    /// (spawn, or a recovery that fell all the way back), whose routing
-    /// table is read for free — it seeds the candidate pool.
+    /// The requester-local first step of an iterative walk: at spawn the
+    /// frontier *is* the requester, whose routing table is read for
+    /// free — it seeds the candidate pool.
     fn iterative_local_step(&mut self, qid: QueryId) {
-        let (requester, target, hops, max_hops) = {
+        let (requester, target) = {
             let Some(walk) = self.walks.get(&qid) else {
                 return;
             };
             debug_assert_eq!(walk.cur, walk.requester, "local step away from requester");
-            (walk.requester, walk.target, walk.hops, walk.max_hops)
+            (walk.requester, walk.target)
         };
         if !self.nodes[requester as usize].alive {
             // Only the requester's death strands an iterative walk.
@@ -1427,26 +1289,14 @@ impl Simulator {
             self.finish_walk(qid, WalkEnd::Arrived);
             return;
         }
-        if hops >= max_hops {
-            self.finish_walk(qid, WalkEnd::HopLimit);
-            return;
-        }
-        let excluded = {
-            let walk = self.walks.get_mut(&qid).expect("walk present");
-            std::mem::take(&mut walk.excluded)
-        };
-        let cands = self.ranked_candidates(requester, target, &excluded);
-        let walk = self.walks.get_mut(&qid).expect("walk present");
-        walk.excluded = excluded;
+        let cands = self.ranked_candidates(requester, target, &[]);
         if cands.is_empty() {
             self.finish_walk(qid, WalkEnd::LocalMinimum);
             return;
         }
         let walk = self.walks.get_mut(&qid).expect("walk present");
         walk.set_alternates(cands);
-        if !walk.seen.contains(&requester) {
-            walk.seen.push(requester);
-        }
+        walk.seen.push(requester);
         self.advance_from_pool(qid, false);
     }
 
@@ -1659,16 +1509,9 @@ impl Simulator {
             return;
         }
         walk.latency += now - sent_at;
-        // A reply from the node that is already the confirmed frontier
-        // (a dry-ladder re-ask, or a recovery re-confirmation) refreshes
-        // the ladder without advancing the walk — not a new hop.
-        if from != walk.cur {
-            walk.hops += 1;
-            walk.cur = from;
-            if !walk.path.is_empty() {
-                walk.path.push(from);
-            }
-        }
+        debug_assert_ne!(from, walk.cur, "a frontier is queried once");
+        walk.hops += 1;
+        walk.cur = from;
         let rtt = now - walk.query_sent;
         walk.rtt_seen = walk.rtt_seen.max(rtt);
         self.metrics.hop_rtt.push(rtt.as_secs_f64());
@@ -1706,7 +1549,7 @@ impl Simulator {
                 target_id: u32::MAX, // placeholder, never read
             },
         );
-        let recycled = match purpose {
+        match purpose {
             Purpose::Lookup { target_id } => {
                 self.inflight_lookups -= 1;
                 self.metrics.lookups += 1;
@@ -1715,7 +1558,7 @@ impl Simulator {
                 // lookup is terminally stranded in *every* mode — this
                 // is what keeps the recursive/iterative comparison
                 // apples-to-apples (iterative checks the requester at
-                // each reply; recursive modes settle up here, when the
+                // each reply; recursive mode settles up here, when the
                 // response would have been sent back).
                 let end = if end != WalkEnd::Stranded && !self.nodes[walk.requester as usize].alive
                 {
@@ -1731,9 +1574,6 @@ impl Simulator {
                 }
                 if walk.failovers > 0 {
                     self.metrics.lookups_failed_over += 1;
-                }
-                if walk.recovered > 0 {
-                    self.metrics.lookups_recovered += 1;
                 }
                 if success {
                     self.metrics.lookups_ok += 1;
@@ -1765,11 +1605,8 @@ impl Simulator {
                         latency: walk.latency,
                         success,
                         end,
-                        recovered: walk.recovered > 0,
-                        path: std::mem::take(&mut walk.path),
                     });
                 }
-                Some(walk)
             }
             Purpose::JoinFind { key } => {
                 self.metrics.join_messages += walk.msgs as u64;
@@ -1778,7 +1615,6 @@ impl Simulator {
                 } else {
                     self.complete_join(key);
                 }
-                Some(walk)
             }
             Purpose::LinkProbe {
                 node,
@@ -1809,27 +1645,12 @@ impl Simulator {
                         self.finish_links(node, collected, refresh);
                     }
                 }
-                Some(walk)
             }
             // Storage routes hand their walk (rng and all) to the
-            // post-routing op state; nothing left to recycle.
-            Purpose::Put { key, value } => {
-                self.finish_put_route(qid, end, key, value, walk);
-                None
-            }
-            Purpose::Get { key } => {
-                self.finish_get_route(qid, end, key, walk);
-                None
-            }
-            Purpose::Range { lo, hi } => {
-                self.finish_range_route(qid, end, lo, hi, walk);
-                None
-            }
-        };
-        if let Some(walk) = recycled {
-            if self.walk_scratch.len() < WALK_POOL_CAP {
-                self.walk_scratch.push(WalkScratch::reclaim(walk));
-            }
+            // post-routing op state.
+            Purpose::Put { key, value } => self.finish_put_route(qid, end, key, value, walk),
+            Purpose::Get { key } => self.finish_get_route(qid, end, key, walk),
+            Purpose::Range { lo, hi } => self.finish_range_route(qid, end, lo, hi, walk),
         }
     }
 
@@ -1875,9 +1696,7 @@ impl Simulator {
         // Splice: the new peer's ring neighbours learn about it.
         if let Some(p) = self.nodes[id as usize].pred {
             self.nodes[p as usize].succ.insert(0, id);
-            self.nodes[p as usize]
-                .succ
-                .truncate(self.cfg.successor_list.max(1));
+            self.nodes[p as usize].succ.truncate(SUCCESSOR_LIST);
         }
         if let Some(&s) = self.nodes[id as usize].succ.first() {
             self.nodes[s as usize].pred = Some(id);
@@ -1907,7 +1726,7 @@ impl Simulator {
         self.metrics.joins += 1;
         self.schedule_timers(id);
         // Long links via routed probes (message-accounted, in-flight).
-        let budget = self.cfg.out_degree.links_for(self.alive.len());
+        let budget = OUT_DEGREE.links_for(self.alive.len());
         self.spawn_link_probe(id, Vec::new(), budget, 8 * budget as u32 + 16, false);
     }
 
@@ -2015,7 +1834,7 @@ impl Simulator {
             return; // previous chain still in flight
         }
         self.nodes[id as usize].refreshing = true;
-        let budget = self.cfg.out_degree.links_for(self.alive.len());
+        let budget = OUT_DEGREE.links_for(self.alive.len());
         self.spawn_link_probe(id, Vec::new(), budget, 4 * budget as u32 + 8, true);
     }
 
@@ -3102,8 +2921,7 @@ impl Simulator {
     /// converged network and by stabilization).
     fn repair_ring_state(&mut self, id: u32) {
         let key = self.keys[id as usize];
-        let s = self.cfg.successor_list.max(1);
-        let mut succ = Vec::with_capacity(s);
+        let mut succ = Vec::with_capacity(SUCCESSOR_LIST);
         for (_, &v) in self
             .alive
             .range((std::ops::Bound::Excluded(key), std::ops::Bound::Unbounded))
@@ -3111,7 +2929,7 @@ impl Simulator {
         {
             if v != id {
                 succ.push(v);
-                if succ.len() == s {
+                if succ.len() == SUCCESSOR_LIST {
                     break;
                 }
             }
@@ -3761,11 +3579,11 @@ mod tests {
 
     // ----- routing modes ---------------------------------------------
 
-    /// On a static network the three modes are the *same algorithm* on
-    /// the wire: iterative visits the bit-identical hop sequence as
-    /// recursive for the same seed, and (with a constant latency model)
-    /// pays exactly one extra one-way delay per hop — the reply leg
-    /// that upgrades each hand-off to a full RTT.
+    /// On a static network the two modes are the *same algorithm* on
+    /// the wire: iterative takes as many hops as recursive for the same
+    /// seed, and (with a constant latency model) pays exactly one extra
+    /// one-way delay per hop — the reply leg that upgrades each
+    /// hand-off to a full RTT.
     #[test]
     fn iterative_matches_recursive_hops_and_pays_one_rtt_per_hop() {
         let hop = SimTime::from_millis(50);
@@ -3774,7 +3592,6 @@ mod tests {
                 latency: LatencyModel::Constant(hop),
                 routing_mode: mode,
                 record_lookups: true,
-                record_paths: true,
                 // No maintenance: refresh chains would interleave their
                 // link draws differently across modes (probe walks
                 // finish at different times) and rewire the overlay.
@@ -3826,7 +3643,6 @@ mod tests {
                 matched
             };
         let matched = merge_join(&rec, &iter, &mut |a, b| {
-            assert_eq!(a.path, b.path, "hop sequences must be bit-identical");
             assert_eq!(a.hops, b.hops);
             assert!(a.success && b.success, "static network never fails");
             assert_eq!(a.end, WalkEnd::Arrived);
@@ -3839,12 +3655,6 @@ mod tests {
             );
         });
         assert!(matched > 500, "want a real sample, got {matched}");
-        // Semi-recursive rides the same critical path as recursive.
-        let semi = run(RoutingMode::SemiRecursive);
-        merge_join(&rec, &semi, &mut |a, c| {
-            assert_eq!(a.path, c.path);
-            assert_eq!(a.latency, c.latency, "reports are off the critical path");
-        });
     }
 
     /// The tentpole claim under churn: for the same seed and churn
@@ -3890,56 +3700,6 @@ mod tests {
             "per-hop RTTs must cost latency: {} vs {}",
             iter.latency_secs.mean(),
             rec.latency_secs.mean()
-        );
-    }
-
-    /// Semi-recursive recovery: walks whose carrier dies are resumed by
-    /// the requester instead of lost — strandings turn into recoveries.
-    #[test]
-    fn semi_recursive_recovers_stranded_walks() {
-        let run = |mode: RoutingMode| {
-            let cfg = SimConfig {
-                stabilize_interval: None,
-                refresh_interval: Some(SimTime::from_secs(30)),
-                churn: ChurnConfig::symmetric(8.0),
-                workload: WorkloadConfig { lookup_rate: 30.0 },
-                routing_mode: mode,
-                record_lookups: true,
-                ..quiet_config(9, 512)
-            };
-            let mut sim = Simulator::new(cfg, Arc::new(Uniform));
-            sim.run_until(SimTime::from_secs(120));
-            (sim.metrics().clone(), sim.lookup_records().to_vec())
-        };
-        let (rec, _) = run(RoutingMode::Recursive);
-        let (semi, recs) = run(RoutingMode::SemiRecursive);
-        assert!(
-            semi.lookups_recovered > 0,
-            "carrier deaths must be recovered"
-        );
-        assert!(
-            semi.lookups_stranded < rec.lookups_stranded,
-            "recovery must reduce stranding: {} vs {}",
-            semi.lookups_stranded,
-            rec.lookups_stranded
-        );
-        // The stranded-vs-recovered taxonomy: recovery is visible per
-        // record, and some recovered walks go on to reach the target.
-        // (A recovered walk can still end `Stranded` — only by its
-        // *requester* dying afterwards, never by the carrier again.)
-        let recovered: Vec<_> = recs.iter().filter(|r| r.recovered).collect();
-        assert!(!recovered.is_empty());
-        assert!(
-            recovered.iter().any(|r| r.success),
-            "some recovered walks must still reach the target"
-        );
-        assert!(
-            recovered
-                .iter()
-                .filter(|r| r.end == WalkEnd::Stranded)
-                .count()
-                < recovered.len().div_ceil(2),
-            "recovery must usually save the walk, not merely delay stranding"
         );
     }
 
@@ -4063,7 +3823,6 @@ mod tests {
                         m.lookups_stranded,
                         m.lookups_failed_over,
                         m.lookups_exhausted,
-                        m.lookups_recovered,
                         m.timeouts,
                         m.hops.mean().to_bits(),
                         m.latency_secs.mean().to_bits(),
@@ -4113,7 +3872,7 @@ mod tests {
     // ----- thread counts and store backends --------------------------
 
     /// The seeded run is bit-identical at every thread count, under the
-    /// full mix: churn, maintenance, storage and semi-recursive routing.
+    /// full mix: churn, maintenance and storage.
     #[test]
     fn thread_counts_run_bit_identical() {
         let digest = |parallelism: usize| {
@@ -4126,7 +3885,6 @@ mod tests {
                     repair_interval: Some(SimTime::from_secs(20)),
                     ..StorageConfig::NONE
                 },
-                routing_mode: RoutingMode::SemiRecursive,
                 parallelism,
                 ..quiet_config(21, 128)
             };
@@ -4270,14 +4028,14 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         let now = sim.now();
         let flight = SimTime::from_millis(1);
-        // Fire-and-forget reports for a walk that does not exist: only
-        // their delivery instants matter.
+        // Fire-and-forget repair rungs nobody handles: only their
+        // delivery instants matter.
         let mut send = |depart: SimTime| {
-            let report = Msg::WalkReport {
-                qid: u64::MAX,
-                at: 0,
+            let pull = Msg::RepairPull {
+                owner: 1,
+                items: Vec::new(),
             };
-            sim.send_net(0, 1, depart, flight, report);
+            sim.send_net(0, 1, depart, flight, pull);
         };
         // The burst of 2 departs at once, the third owes 10 ms.
         for _ in 0..3 {

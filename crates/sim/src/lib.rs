@@ -90,7 +90,7 @@
 //!
 //! A walk is spawned with a fresh query id, takes its **first greedy
 //! step at the origin immediately** (the origin reads its own table for
-//! free in every mode), and then lives on the plane according to its
+//! free in both modes), and then lives on the plane according to its
 //! [`protocol::RoutingMode`] — chosen per [`SimConfig`], overridable
 //! per storage operation:
 //!
@@ -113,11 +113,11 @@
 //!   `Exhausted`. The query never leaves the requester, so only the
 //!   requester's death strands it — the same hop sequence as recursive
 //!   on a static network, bought at one extra one-way delay per hop.
-//! * **SemiRecursive** — recursive forwarding (same hops, same critical
-//!   path) plus a fire-and-forget `WalkReport` from each relay to the
-//!   requester. A stranded carrier is **recovered**: the requester's
-//!   watchdog pays one timeout penalty, excludes the dead carrier, and
-//!   resumes the walk iteratively from the last reported node.
+//!
+//! The mode is fixed when the walk is spawned; there is no mid-walk
+//! recovery plane. What absorbs a lost contact is what the paper's §3.1
+//! names — redundant links: the sender excludes it and takes the
+//! next-best one.
 //!
 //! All terminations share one taxonomy ([`protocol::WalkEnd`]:
 //! delivered / local-minimum / hop-budget / stranded /
@@ -145,8 +145,8 @@
 //!   message is **dropped**: consequential messages re-dispatch through
 //!   their ordinary handler as lost (`Msg::Dropped` — timing identical
 //!   to a dead-peer delivery, so the requester's failover machinery
-//!   absorbs overload exactly like churn), fire-and-forget reports are
-//!   silently discarded, and `SimMetrics::msgs_dropped_overload`,
+//!   absorbs overload exactly like churn), fire-and-forget repair rungs
+//!   are silently discarded, and `SimMetrics::msgs_dropped_overload`,
 //!   `queue_wait` and `queue_depth_peak` account for it all;
 //! * every directed link is a **deficit token bucket** (`link_rate`,
 //!   `link_burst`): a negative balance is owed refill time added to the
@@ -265,9 +265,7 @@ pub use engine::{
 pub use latency::LatencyModel;
 pub use metrics::{Histogram, SimMetrics};
 pub use plane::{Envelope, MessagePlane};
-pub use protocol::{
-    LookupRecord, Msg, Purpose, QueryId, RoutingMode, StorageOp, Walk, WalkEnd, WalkScratch,
-};
+pub use protocol::{LookupRecord, Msg, Purpose, QueryId, RoutingMode, StorageOp, Walk, WalkEnd};
 pub use sharded::{lookahead, ShardedSimulator};
 pub use time::SimTime;
 pub use traffic::{CacheConfig, CongestionConfig, HotCache, TrafficConfig, ZipfSampler};

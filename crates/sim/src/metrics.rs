@@ -122,9 +122,6 @@ pub struct SimMetrics {
     pub lookups_failed_over: u64,
     /// Lookups whose failover ladder ran dry (`WalkEnd::Exhausted`).
     pub lookups_exhausted: u64,
-    /// Lookups whose stranded carrier was recovered by the requester
-    /// (semi-recursive mode: resumed iteratively instead of lost).
-    pub lookups_recovered: u64,
     /// Per-hop round-trip times (seconds) observed by iterative
     /// requesters: query leg + reply leg per confirmed hop. Empty in
     /// pure recursive runs (a hand-off observes no RTT).
@@ -173,9 +170,8 @@ pub struct SimMetrics {
     /// Peers visited by range sweeps.
     pub range_peers: u64,
     /// Messages spent by the storage workload (routing messages — hop
-    /// hand-offs, or query+reply pairs and progress reports in the
-    /// non-recursive modes — plus replica writes, fallback probes and
-    /// range fragments).
+    /// hand-offs, or query+reply pairs in iterative mode — plus
+    /// replica writes, fallback probes and range fragments).
     pub storage_messages: u64,
     /// Messages spent by the anti-entropy repair protocol (digests,
     /// diffs, pushes, recovery pulls).
@@ -301,7 +297,6 @@ impl SimMetrics {
         self.lookups_stranded += other.lookups_stranded;
         self.lookups_failed_over += other.lookups_failed_over;
         self.lookups_exhausted += other.lookups_exhausted;
-        self.lookups_recovered += other.lookups_recovered;
         self.hop_rtt.merge(&other.hop_rtt);
         self.inflight_peak = self.inflight_peak.max(other.inflight_peak);
         self.timeouts += other.timeouts;
@@ -503,7 +498,6 @@ mod tests {
             lookups_stranded: next() % 50,
             lookups_failed_over: next() % 50,
             lookups_exhausted: next() % 50,
-            lookups_recovered: next() % 50,
             inflight_peak: next() % 5000,
             timeouts: next() % 200,
             join_messages: next() % 900,

@@ -32,14 +32,10 @@
 //!   candidate from the previous reply without re-asking
 //!   ([`Walk::next_alternate`]); running the ladder dry ends the walk
 //!   as [`WalkEnd::Exhausted`].
-//! * **SemiRecursive** — forwarding is recursive (same hop sequence and
-//!   per-hop latency as `Recursive`), but every relay also posts a
-//!   cheap progress report to the requester ([`Msg::WalkReport`], off
-//!   the critical path). If the carrier dies, the requester's watchdog
-//!   notices (one timeout penalty), and the walk is **recovered**: the
-//!   requester resumes it iteratively from the last reported node
-//!   instead of losing it. Stranding requires carrier *and* requester
-//!   to die.
+//!
+//! A walk's mode is fixed when it is spawned. Robustness beyond that is
+//! the paper's: redundant links, so a walk that loses a contact takes
+//! the next-best one — there is no per-query recovery plane.
 //!
 //! Lifecycle of a walk:
 //!
@@ -47,7 +43,7 @@
 //!    walk's private RNG stream from `(seed, id)`, and executes the
 //!    first step at the origin immediately (the origin reads its own
 //!    routing table for free in every mode).
-//! 2. **Step** — in recursive modes the current node picks the greedy
+//! 2. **Step** — in recursive mode the current node picks the greedy
 //!    next contact from its local view (shared
 //!    `sw_overlay::greedy_step`) and sends a `Hop`; in iterative mode
 //!    the requester sends a `NextHopQuery` to its chosen frontier,
@@ -55,7 +51,7 @@
 //!    and replies.
 //! 3. **Timeouts** — a contact that died while a message was in flight
 //!    costs the sender/requester the timeout penalty and is excluded;
-//!    recursive modes re-step at the sender, iterative mode fails over
+//!    recursive mode re-steps at the sender, iterative mode fails over
 //!    down the candidate ladder.
 //! 4. **Completion** — arrival at the target's owner, a local minimum,
 //!    the hop budget, a dry failover ladder, or stranding. What happens
@@ -102,26 +98,17 @@ pub enum RoutingMode {
     /// and fails over to alternate candidates on timeout; only the
     /// requester's death strands the walk.
     Iterative,
-    /// Recursive forwarding plus progress reports; a stranded carrier is
-    /// recovered by the requester, which resumes the walk iteratively
-    /// from the last reported node.
-    SemiRecursive,
 }
 
 impl RoutingMode {
     /// All modes, in sweep order (benchmarks and comparison tables).
-    pub const ALL: [RoutingMode; 3] = [
-        RoutingMode::Recursive,
-        RoutingMode::Iterative,
-        RoutingMode::SemiRecursive,
-    ];
+    pub const ALL: [RoutingMode; 2] = [RoutingMode::Recursive, RoutingMode::Iterative];
 
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
             RoutingMode::Recursive => "recursive",
             RoutingMode::Iterative => "iterative",
-            RoutingMode::SemiRecursive => "semi-recursive",
         }
     }
 }
@@ -189,8 +176,7 @@ pub struct Walk {
     pub purpose: Purpose,
     /// Key being routed toward.
     pub target: Key,
-    /// Forwarding strategy (may switch to `Iterative` mid-walk when a
-    /// semi-recursive walk is recovered).
+    /// Forwarding strategy, fixed at spawn.
     pub mode: RoutingMode,
     /// The node that issued the operation. It drives every hop in
     /// iterative mode; its death is the only thing that strands an
@@ -202,17 +188,15 @@ pub struct Walk {
     /// Hops taken so far.
     pub hops: u32,
     /// Network messages this walk has put on the plane so far (hop
-    /// hand-offs, next-hop queries *and* replies, progress reports) —
-    /// what the per-purpose message metrics charge, so iterative mode's
-    /// two-messages-per-hop cost is not invisible. In pure recursive
-    /// mode this equals `hops + timeouts`.
+    /// hand-offs, next-hop queries *and* replies) — what the
+    /// per-purpose message metrics charge, so iterative mode's
+    /// two-messages-per-hop cost is not invisible. In recursive mode
+    /// this equals `hops + timeouts`.
     pub msgs: u32,
     /// Dead contacts hit so far.
     pub timeouts: u32,
     /// Failovers taken to an alternate candidate (iterative ladder).
     pub failovers: u32,
-    /// Stranded-carrier recoveries performed (semi-recursive).
-    pub recovered: u32,
     /// Accumulated network latency (hop delays + timeout penalties).
     pub latency: SimTime,
     /// Virtual time the operation was issued.
@@ -230,8 +214,7 @@ pub struct Walk {
     pub alternates: Vec<u32>,
     /// Consumption cursor into `alternates`: entries before it have been
     /// popped by [`Walk::next_alternate`]. A cursor instead of
-    /// `Vec::remove(0)` keeps consumption O(1) and lets the buffer be
-    /// recycled through [`WalkScratch`].
+    /// `Vec::remove(0)` keeps consumption O(1).
     pub alt_head: usize,
     /// Nodes this walk has already queried (iterative mode): never
     /// re-queried, never re-admitted to the pool.
@@ -251,12 +234,6 @@ pub struct Walk {
     /// fire spuriously when replies are merely queued, not lost. Stays
     /// zero when congestion modelling is off.
     pub wait_seen: SimTime,
-    /// Last node a progress report confirmed back to the requester —
-    /// where a semi-recursive recovery resumes from.
-    pub last_known: u32,
-    /// Confirmed hop sequence, origin first (recorded only when
-    /// `SimConfig::record_paths` is on).
-    pub path: Vec<u32>,
     /// Hop budget.
     pub max_hops: u32,
     /// Private RNG stream (latency samples, link-probe targets).
@@ -290,12 +267,6 @@ impl Walk {
     /// Replaces the candidate pool and resets the consumption cursor.
     pub fn set_alternates(&mut self, pool: Vec<u32>) {
         self.alternates = pool;
-        self.alt_head = 0;
-    }
-
-    /// Empties the candidate pool (buffer capacity kept).
-    pub fn clear_alternates(&mut self) {
-        self.alternates.clear();
         self.alt_head = 0;
     }
 
@@ -346,7 +317,6 @@ impl Walk {
             msgs: 0,
             timeouts: 0,
             failovers: 0,
-            recovered: 0,
             latency: SimTime::ZERO,
             issued_at: SimTime::ZERO,
             excluded,
@@ -356,60 +326,8 @@ impl Walk {
             query_sent: SimTime::ZERO,
             rtt_seen: SimTime::ZERO,
             wait_seen: SimTime::ZERO,
-            last_known: 0,
-            path: Vec::new(),
             max_hops: 8,
             rng: Rng::new(0),
-        }
-    }
-}
-
-/// The recyclable buffers of a finished [`Walk`]: its candidate,
-/// exclusion, seen and path vectors, cleared but with their capacity
-/// kept up to [`SCRATCH_MAX_CAPACITY`]. The engine pools these so
-/// steady-state walk turnover performs no per-walk heap allocation.
-#[derive(Debug, Default)]
-pub struct WalkScratch {
-    /// Recycled [`Walk::excluded`] buffer.
-    pub excluded: Vec<u32>,
-    /// Recycled [`Walk::alternates`] buffer.
-    pub alternates: Vec<u32>,
-    /// Recycled [`Walk::seen`] buffer.
-    pub seen: Vec<u32>,
-    /// Recycled [`Walk::path`] buffer.
-    pub path: Vec<u32>,
-}
-
-/// Capacity ceiling (elements per buffer) a recycled buffer keeps
-/// through [`WalkScratch::reclaim`]. Typical walks stay well under
-/// this, so recycling still eliminates steady-state allocation; the
-/// rare pathological walk (a saturation run's long `seen` trail, a
-/// range sweep's wide ladder) returns its excess pages instead of
-/// parking them in the pool forever. Together with the engine's pool
-/// count cap this bounds pool memory at
-/// `WALK_POOL_CAP * 4 * SCRATCH_MAX_CAPACITY * 4` bytes ≈ 4 MiB.
-pub const SCRATCH_MAX_CAPACITY: usize = 256;
-
-impl WalkScratch {
-    /// Strips a finished walk down to its reusable buffers, shrinking
-    /// each to at most [`SCRATCH_MAX_CAPACITY`] elements on the way in.
-    pub fn reclaim(walk: Walk) -> WalkScratch {
-        let Walk {
-            mut excluded,
-            mut alternates,
-            mut seen,
-            mut path,
-            ..
-        } = walk;
-        for buf in [&mut excluded, &mut alternates, &mut seen, &mut path] {
-            buf.clear();
-            buf.shrink_to(SCRATCH_MAX_CAPACITY);
-        }
-        WalkScratch {
-            excluded,
-            alternates,
-            seen,
-            path,
         }
     }
 }
@@ -427,7 +345,7 @@ pub enum WalkEnd {
     /// Hop budget exhausted.
     HopLimit,
     /// The walk died with the node holding it: the carrier (recursive),
-    /// or the requester itself (iterative / recovered walks).
+    /// or the requester itself (iterative).
     Stranded,
     /// Failed-over-exhausted: every ranked candidate at the frontier
     /// timed out and the failover ladder ran dry (iterative mode).
@@ -531,9 +449,9 @@ pub enum Msg {
 
     // -- The walk plane -----------------------------------------------
     /// The walk's driver executes its next action: a greedy step at the
-    /// current node (recursive modes) or a failover down the candidate
+    /// current node (recursive mode) or a failover down the candidate
     /// ladder at the requester (iterative mode). Also the timeout
-    /// retry in every mode.
+    /// retry in both modes.
     Step {
         /// Walk id.
         qid: QueryId,
@@ -574,20 +492,6 @@ pub enum Msg {
         /// closest-first, already filtered by the walk's exclusions.
         candidates: Vec<u32>,
     },
-    /// Semi-recursive progress report: a relay tells the requester the
-    /// query passed through `at` on its way to the relay
-    /// (fire-and-forget, off the critical path — this is what makes
-    /// stranded-walk recovery possible). Reporting the *previous*
-    /// carrier rather than the relay itself is deliberate: the relay is
-    /// exactly the node that is dead when the watchdog fires, while the
-    /// node it came from is the nearest resume point likely to be alive.
-    WalkReport {
-        /// Walk id.
-        qid: QueryId,
-        /// The node the query last passed through before the reporting
-        /// relay — the requester's recovery resume point.
-        at: u32,
-    },
 
     // -- Storage fan-out ----------------------------------------------
     /// A replica write for put `op` arriving at `to`.
@@ -624,9 +528,8 @@ pub enum Msg {
     /// (no queueing), so the sender-side consequence — timeout, ladder
     /// failover, pending-count decrement, sweep retry — runs through
     /// the exact same code path as a dead-peer delivery, with identical
-    /// timing. Fire-and-forget messages (progress reports, repair
-    /// rungs) are never wrapped: their loss has no sender-side
-    /// consequence to schedule.
+    /// timing. Fire-and-forget messages (repair rungs) are never
+    /// wrapped: their loss has no sender-side consequence to schedule.
     Dropped(Box<Msg>),
 
     // -- The repair plane (anti-entropy rounds) -----------------------
@@ -693,8 +596,8 @@ pub enum Msg {
 ///
 /// `latency` is exactly the per-hop accumulation: one sampled delay per
 /// successful hop (two per hop in iterative mode — query and reply legs)
-/// plus one `timeout_penalty` per dead contact hit or watchdog recovery —
-/// tests assert this identity against `hops`/`timeouts` per mode.
+/// plus one `timeout_penalty` per dead contact hit — tests assert this
+/// identity against `hops`/`timeouts` per mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupRecord {
     /// When the lookup was issued.
@@ -711,15 +614,8 @@ pub struct LookupRecord {
     pub latency: SimTime,
     /// True if the walk ended at the target peer.
     pub success: bool,
-    /// How the walk terminated (the stranded-vs-recovered taxonomy: a
-    /// recovered walk does *not* end `Stranded` — check `recovered`).
+    /// How the walk terminated.
     pub end: WalkEnd,
-    /// True if the walk's carrier was stranded and the requester
-    /// recovered it (semi-recursive mode).
-    pub recovered: bool,
-    /// Confirmed hop sequence, origin first (empty unless
-    /// `SimConfig::record_paths` was on).
-    pub path: Vec<u32>,
 }
 
 impl LookupRecord {
@@ -741,34 +637,6 @@ mod tests {
         assert_eq!(w.next_alternate(), Some(5), "4 is excluded");
         assert_eq!(w.next_alternate(), None, "6 is excluded: ladder dry");
         assert!(w.pending_alternates().is_empty());
-    }
-
-    #[test]
-    fn reclaimed_scratch_is_empty_but_keeps_capacity() {
-        let w = Walk::fixture(vec![3, 4, 5, 6], vec![4, 6]);
-        let s = WalkScratch::reclaim(w);
-        assert!(s.alternates.is_empty() && s.excluded.is_empty());
-        assert!(s.alternates.capacity() >= 4);
-        assert!(s.excluded.capacity() >= 2);
-    }
-
-    #[test]
-    fn reclaim_shrinks_oversized_buffers_to_the_cap() {
-        // Regression for the unbounded-pool leak: a pathological walk
-        // (saturated E23 runs grew `seen`/`alternates` into the tens of
-        // thousands) must not park its pages in the pool forever.
-        let mut w = Walk::fixture(Vec::new(), Vec::new());
-        w.seen = Vec::with_capacity(64 * 1024);
-        w.alternates = Vec::with_capacity(32 * 1024);
-        w.excluded = Vec::with_capacity(SCRATCH_MAX_CAPACITY / 2);
-        w.seen.extend(0..50_000u32);
-        let s = WalkScratch::reclaim(w);
-        assert!(s.seen.capacity() <= SCRATCH_MAX_CAPACITY);
-        assert!(s.alternates.capacity() <= SCRATCH_MAX_CAPACITY);
-        assert!(s.path.capacity() <= SCRATCH_MAX_CAPACITY);
-        // Small buffers keep what they had — no churn below the cap.
-        assert!(s.excluded.capacity() >= SCRATCH_MAX_CAPACITY / 2);
-        assert!(s.seen.is_empty());
     }
 
     #[test]

@@ -72,7 +72,7 @@
 //!
 //! [`OnlineStats`]: sw_keyspace::stats::OnlineStats
 
-use crate::engine::SimConfig;
+use crate::engine::{SimConfig, OUT_DEGREE, SUCCESSOR_LIST};
 use crate::latency::LatencyModel;
 use crate::metrics::SimMetrics;
 use crate::plane::{Envelope, MessagePlane};
@@ -458,7 +458,7 @@ impl ShardedSimulator {
         // Long links for the initial ring via the shared harmonic
         // sampler — same per-peer streams as the serial engine, so the
         // sampled overlay is a pure function of (seed, n, dist).
-        let link_budget = cfg.out_degree.links_for(n0);
+        let link_budget = OUT_DEGREE.links_for(n0);
         let placement = Placement::from_keys(keys, Metric::Ring, "sharded-sim")
             .expect("distinct sampled keys always place");
         let min_mass = MassThreshold::OneOverN.min_mass(n0);
@@ -547,7 +547,7 @@ impl ShardedSimulator {
             let i = id as usize;
             let initial = i < n0;
             let succ: Vec<u32> = if initial {
-                (1..=cfg.successor_list.min(n0 - 1))
+                (1..=SUCCESSOR_LIST.min(n0 - 1))
                     .map(|d| ((i + d) % n0) as u32)
                     .collect()
             } else {
@@ -1468,7 +1468,7 @@ impl Shard {
             n.pred = Some(joiner);
             let succ_list: Vec<u32> = std::iter::once(owner)
                 .chain(n.succ.iter().copied())
-                .take(g.cfg.successor_list.max(1))
+                .take(SUCCESSOR_LIST)
                 .collect();
             (hand, old_pred, succ_list)
         };
@@ -1524,7 +1524,7 @@ impl Shard {
             n.succ = succ
                 .into_iter()
                 .filter(|&x| x != joiner)
-                .take(g.cfg.successor_list.max(1))
+                .take(SUCCESSOR_LIST)
                 .collect();
         }
         self.metrics.joins += 1;
@@ -1739,7 +1739,7 @@ impl Shard {
                 .then(a.cmp(&b))
         });
         cands.dedup();
-        cands.truncate(g.cfg.successor_list.max(1));
+        cands.truncate(SUCCESSOR_LIST);
         n.succ = cands;
     }
 
@@ -1995,7 +1995,6 @@ mod tests {
             initial_n: 64,
             latency: LatencyModel::Constant(SimTime::from_millis(20)),
             timeout_penalty: SimTime::from_millis(200),
-            successor_list: 4,
             stabilize_interval: Some(SimTime::from_secs(2)),
             refresh_interval: Some(SimTime::from_secs(5)),
             churn: ChurnConfig::symmetric(2.0),

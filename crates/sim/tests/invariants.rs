@@ -15,7 +15,7 @@ fn dist_for(choice: u8) -> Arc<dyn KeyDistribution> {
 }
 
 fn mode_for(choice: u8) -> RoutingMode {
-    RoutingMode::ALL[(choice % 3) as usize]
+    RoutingMode::ALL[choice as usize % RoutingMode::ALL.len()]
 }
 
 proptest! {
@@ -73,9 +73,9 @@ proptest! {
     }
 
     /// Bit-for-bit determinism across identical configurations, in
-    /// every routing mode.
+    /// both routing modes.
     #[test]
-    fn determinism(seed in any::<u64>(), mode_choice in 0u8..3) {
+    fn determinism(seed in any::<u64>(), mode_choice in 0u8..2) {
         let run = || {
             let cfg = SimConfig {
                 seed,
@@ -92,7 +92,6 @@ proptest! {
                 sim.metrics().lookups,
                 sim.metrics().lookups_ok,
                 sim.metrics().lookups_failed_over,
-                sim.metrics().lookups_recovered,
                 sim.metrics().timeouts,
                 sim.metrics().hops.mean().to_bits(),
                 sim.metrics().hop_rtt.mean().to_bits(),

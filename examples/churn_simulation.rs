@@ -2,8 +2,8 @@
 //! stabilization, long-link refresh, a replicated storage workload and
 //! message-driven anti-entropy replica repair, print a timeline of
 //! lookup + data-layer health — then re-run the same churn under each
-//! routing mode (recursive / iterative / semi-recursive) and compare
-//! stranding, failover and the latency tail side by side.
+//! routing mode (recursive / iterative) and compare stranding, failover
+//! and the latency tail side by side.
 //!
 //! ```text
 //! cargo run --release --example churn_simulation
@@ -138,8 +138,8 @@ fn main() {
     // watchdog.
     println!("routing-mode comparison (512 peers, symmetric churn 8/s, 180s):");
     println!(
-        "{:>15} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "mode", "lookups", "ok", "stranded", "f-over", "exhaust", "recov", "p50 ms", "p99 ms"
+        "{:>15} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "mode", "lookups", "ok", "stranded", "f-over", "exhaust", "p50 ms", "p99 ms"
     );
     for mode in RoutingMode::ALL {
         let cfg = SimConfig {
@@ -169,14 +169,13 @@ fn main() {
             (quantile_sorted(&lat, 0.5), quantile_sorted(&lat, 0.99))
         };
         println!(
-            "{:>15} {:>8} {:>8.1}% {:>9} {:>9} {:>9} {:>9} {:>9.0} {:>9.0}",
+            "{:>15} {:>8} {:>8.1}% {:>9} {:>9} {:>9} {:>9.0} {:>9.0}",
             mode.name(),
             m.lookups,
             m.success_rate() * 100.0,
             m.lookups_stranded,
             m.lookups_failed_over,
             m.lookups_exhausted,
-            m.lookups_recovered,
             p50 * 1000.0,
             p99 * 1000.0,
         );
@@ -185,8 +184,7 @@ fn main() {
         "\nexpected shape: iterative converts timeouts into failovers and edges \
          out recursive on success despite paying a full RTT per hop (higher \
          p50/p99); its strandings are requester deaths — the only way to kill an \
-         iterative lookup — while semi-recursive recovers carrier deaths at \
-         recursive-grade latency. The robustness gap widens sharply when ring \
+         iterative lookup. The robustness gap widens sharply when ring \
          stabilization lags churn: see E19 / BENCH_routing.json"
     );
 }
