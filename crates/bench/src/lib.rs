@@ -111,18 +111,13 @@ pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
             experiments::theory::e16_ring_topology,
         ),
         (
-            "e17",
-            "Async plane: in-flight lookup concurrency, stranding and storage under churn",
-            experiments::inflight::e17_inflight,
-        ),
-        (
             "e18",
             "Replica repair: anti-entropy durability vs bandwidth (full profile: BENCH_repair.json)",
             experiments::repair::e18_repair,
         ),
         (
             "e19",
-            "Routing modes: recursive vs iterative vs semi-recursive under churn (full profile: BENCH_routing.json)",
+            "Routing modes: recursive vs iterative under churn (full profile: BENCH_routing.json)",
             experiments::routing_modes::e19_routing_modes,
         ),
         (

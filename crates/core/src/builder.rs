@@ -54,7 +54,6 @@ use crate::config::{LinkSampler, MassThreshold, OutDegree, SmallWorldConfig};
 use crate::links::LinkSelector;
 use crate::network::{SmallWorldNetwork, CONTACTS_FILE, LONG_FILE};
 use std::io;
-use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -438,17 +437,6 @@ impl ArenaBuild {
     }
 }
 
-/// Splits `0..n` into `shards` contiguous ranges (the last may be
-/// shorter) — the fill partition of [`build_arena_parts`].
-fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
-    let shards = shards.max(1).min(n.max(1));
-    let chunk = n.div_ceil(shards);
-    (0..shards)
-        .map(|i| (i * chunk).min(n)..((i + 1) * chunk).min(n))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
 /// Per-peer long rows in peer order: `degrees[i]` rows concatenated in
 /// `links` — the exact row layout of the long arena's edge section.
 struct SampledRows {
@@ -547,11 +535,11 @@ fn build_arena_parts(
     let keys = placement.keys();
     let sampled = sample_rows(selector, build_seed, budget, n, threads);
     profile.sample_s = lap(t);
-    let fill_ranges = shard_ranges(n, par::effective_threads(n, threads, 1024));
+    let fill_threads = par::effective_threads(n, threads, 1024);
     // The scratch is rows concatenated in peer order — the long arena's
     // own edge layout — so the long fill is a straight copy.
     let mut writer = writer_at(dir, LONG_FILE, &sampled.degrees, false, false)?;
-    writer.fill_shards(&fill_ranges, threads, |_, slots| {
+    writer.fill(fill_threads, |slots| {
         let lo = slots.edge_base;
         slots
             .edges
@@ -576,7 +564,7 @@ fn build_arena_parts(
     profile.degree_count_s = lap(t);
     let mut writer = writer_at(dir, CONTACTS_FILE, &contact_degrees, true, true)?;
     drop(contact_degrees);
-    writer.fill_shards(&fill_ranges, threads, |_, mut slots| {
+    writer.fill(fill_threads, |mut slots| {
         let mut merged: Vec<NodeId> = Vec::with_capacity(budget + 2);
         let node_pos = slots.node_pos.take().expect("contacts carry node keys");
         let edge_pos = slots.edge_pos.take().expect("contacts carry edge keys");
@@ -935,18 +923,5 @@ mod tests {
             assert_eq!(net.contacts(u), reopened.contacts(u));
         }
         std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn shard_ranges_tile_the_peer_space() {
-        for (n, k) in [(10, 3), (1000, 7), (5, 8), (4, 1), (1024, 16)] {
-            let ranges = shard_ranges(n, k);
-            assert!(ranges.len() <= k);
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges.last().unwrap().end, n);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "contiguous tiling");
-            }
-        }
     }
 }

@@ -367,41 +367,22 @@ pub fn transpose_into(
         }
         return;
     }
-    // Destination ranges, one per worker.
-    let chunk = n.div_ceil(workers);
-    let ranges: Vec<std::ops::Range<usize>> = (0..workers)
-        .map(|t| (t * chunk).min(n)..((t + 1) * chunk).min(n))
-        .collect();
-    // Count pass: per-range in-degree tallies.
-    let counts: Vec<Vec<u32>> = {
-        let mut out = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|r| {
-                    let r = r.clone();
-                    scope.spawn(move || {
-                        let mut c = vec![0u32; r.len()];
-                        for &v in edges {
-                            let v = v as usize;
-                            if r.contains(&v) {
-                                c[v - r.start] += 1;
-                            }
-                        }
-                        c
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.push(h.join().expect("transpose count worker panicked"));
+    // Count pass: in-degree tallies per destination range, one range
+    // per worker.
+    let counts = par::par_chunks_grained(n, workers, 1, |r| {
+        let mut c = vec![0u32; r.len()];
+        for &v in edges {
+            let v = v as usize;
+            if r.contains(&v) {
+                c[v - r.start] += 1;
             }
-        });
-        out
-    };
+        }
+        (r, c)
+    });
     // Sequential exclusive scan over all destinations.
     in_offsets[0] = 0;
     let mut total = 0u32;
-    for (r, c) in ranges.iter().zip(&counts) {
+    for (r, c) in &counts {
         for (i, &k) in c.iter().enumerate() {
             total += k;
             in_offsets[r.start + i + 1] = total;
@@ -411,31 +392,27 @@ pub fn transpose_into(
     // Fill pass: split `in_edges` at the range boundaries — disjoint
     // contiguous slices — and let each worker scan sources in order.
     let in_offsets: &[u32] = in_offsets;
-    std::thread::scope(|scope| {
-        let mut rest: &mut [NodeId] = in_edges;
-        let mut base = 0usize;
-        for r in &ranges {
-            let hi = in_offsets[r.end] as usize;
-            let (mine, tail) = rest.split_at_mut(hi - base);
-            rest = tail;
-            let r = r.clone();
-            scope.spawn(move || {
-                let mut cursor: Vec<u32> = r.clone().map(|v| in_offsets[v] - base as u32).collect();
-                for u in 0..n {
-                    let (a, b) = (offsets[u] as usize, offsets[u + 1] as usize);
-                    for &v in &edges[a..b] {
-                        let v = v as usize;
-                        if r.contains(&v) {
-                            let slot = &mut cursor[v - r.start];
-                            mine[*slot as usize] = u as NodeId;
-                            *slot += 1;
-                        }
+    let mut rest: &mut [NodeId] = in_edges;
+    par::join_all(counts.iter().map(|(r, _)| {
+        let base = in_offsets[r.start];
+        let (mine, tail) =
+            std::mem::take(&mut rest).split_at_mut((in_offsets[r.end] - base) as usize);
+        rest = tail;
+        move || {
+            let mut cursor: Vec<u32> = r.clone().map(|v| in_offsets[v] - base).collect();
+            for u in 0..n {
+                let (a, b) = (offsets[u] as usize, offsets[u + 1] as usize);
+                for &v in &edges[a..b] {
+                    let v = v as usize;
+                    if r.contains(&v) {
+                        let slot = &mut cursor[v - r.start];
+                        mine[*slot as usize] = u as NodeId;
+                        *slot += 1;
                     }
                 }
-            });
-            base = hi;
+            }
         }
-    });
+    }));
 }
 
 /// Construction-time contact-table builder shared by every overlay.
@@ -506,24 +483,14 @@ impl LinkTable {
     ///
     /// [`build`]: LinkTable::build
     pub fn build_with_threads(mut self, threads: usize) -> Topology {
-        let n = self.rows.len();
-        let workers = par::effective_threads(n, threads, 1 << 14);
-        if workers <= 1 {
-            for row in &mut self.rows {
-                row.sort_unstable();
-            }
-        } else {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for rows in self.rows.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for row in rows {
-                            row.sort_unstable();
-                        }
-                    });
+        let chunk = par::chunk_size(self.rows.len(), threads, 1 << 14);
+        par::join_all(self.rows.chunks_mut(chunk).map(|rows| {
+            move || {
+                for row in rows {
+                    row.sort_unstable();
                 }
-            });
-        }
+            }
+        }));
         Topology::from_rows_with_threads(&self.rows, threads)
     }
 }

@@ -31,8 +31,11 @@ pub fn default_parallelism() -> usize {
 
 /// Runs every job to completion — the first on the calling thread, the
 /// rest on one scoped thread each — so a region of `k` chunks costs
-/// `k − 1` spawns and the caller does not sit idle beside them.
-fn join_all<J: FnOnce() + Send>(mut jobs: impl Iterator<Item = J>) {
+/// `k − 1` spawns and the caller does not sit idle beside them. The one
+/// fork/join of this crate: the helpers below and the regions that
+/// hand-partition mutable state (the arena writer's fill, the transpose,
+/// in-place row sorting) all run through it.
+pub(crate) fn join_all<J: FnOnce() + Send>(mut jobs: impl Iterator<Item = J>) {
     std::thread::scope(|s| {
         let first = jobs.next();
         for job in jobs {
@@ -44,12 +47,13 @@ fn join_all<J: FnOnce() + Send>(mut jobs: impl Iterator<Item = J>) {
     });
 }
 
-/// Items per chunk when `0..n` fans out, `None` when it runs inline.
-/// Both helpers cut `0..n` at the multiples of this size, which gives
-/// `⌈n / size⌉ ≤ threads` chunks that tile `0..n` with none empty.
-fn chunk_size(n: usize, threads: usize, min_per_thread: usize) -> Option<usize> {
-    let threads = effective_threads(n, threads, min_per_thread);
-    (threads > 1).then(|| n.div_ceil(threads))
+/// Items per chunk of a region over `0..n`: at least 1, and `≥ n` (one
+/// chunk, run inline) for one thread or tiny inputs. Every region cuts
+/// `0..n` at the multiples of this size, which gives `⌈n / size⌉ ≤
+/// threads` chunks that tile `0..n` with none empty.
+pub(crate) fn chunk_size(n: usize, threads: usize, min_per_thread: usize) -> usize {
+    n.div_ceil(effective_threads(n, threads, min_per_thread))
+        .max(1)
 }
 
 /// Maps `f` over `0..n` into a `Vec`, splitting the index range into
@@ -76,9 +80,10 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let Some(chunk) = chunk_size(n, threads, min_per_thread) else {
+    let chunk = chunk_size(n, threads, min_per_thread);
+    if chunk >= n {
         return (0..n).map(f).collect();
-    };
+    }
     // Workers write their chunk of the one output allocation in place —
     // no per-chunk vectors to concatenate, so a large map never holds
     // its result twice.
@@ -123,9 +128,10 @@ where
     A: Send,
     F: Fn(std::ops::Range<usize>) -> A + Sync,
 {
-    let Some(chunk) = chunk_size(n, threads, min_per_thread) else {
+    let chunk = chunk_size(n, threads, min_per_thread);
+    if chunk >= n {
         return vec![f(0..n)];
-    };
+    }
     let mut out: Vec<Option<A>> = (0..n.div_ceil(chunk)).map(|_| None).collect();
     join_all(out.iter_mut().enumerate().map(|(t, slot)| {
         let f = &f;
@@ -142,8 +148,9 @@ const DEFAULT_MIN_PER_THREAD: usize = 1024;
 /// The worker count a `(n, threads)` request actually fans out to:
 /// `0` resolves to the machine's parallelism, and tiny inputs collapse
 /// to one worker so spawn overhead never dominates. Exposed so callers
-/// that hand-partition mutable state (the arena writer, in-place row
-/// sorting) agree with the mapping helpers about when to stay inline.
+/// that size a region by something other than its index range (the
+/// arena fill by peers per worker, the transpose by edges) agree with
+/// the mapping helpers about when to stay inline.
 pub fn effective_threads(n: usize, threads: usize, min_per_thread: usize) -> usize {
     let t = if threads == 0 {
         default_parallelism()
@@ -202,19 +209,29 @@ mod tests {
 
     /// Callers slice with the ranges they are handed, so every range
     /// must be non-empty and in bounds: `⌈n / threads⌉`-sized chunks
-    /// can run out before the workers do (n = 10, threads = 7).
+    /// can run out before the workers do (n = 10, threads = 7). The
+    /// whole grid is a property of `chunk_size`'s arithmetic; a handful
+    /// of cells — the two that used to fail among them — also go
+    /// through a spawning region.
     #[test]
     fn par_chunks_ranges_tile_the_input_for_any_thread_count() {
+        let check = |n: usize, threads: usize, ranges: Vec<std::ops::Range<usize>>| {
+            let filled = n == 0 || ranges.iter().all(|r| !r.is_empty());
+            let tiled = ranges.iter().cloned().flatten().eq(0..n);
+            assert!(
+                filled && tiled && ranges.len() <= threads,
+                "n={n} threads={threads}: {ranges:?}"
+            );
+        };
         for n in 0..=300usize {
             for threads in 1..=40 {
-                let ranges = par_chunks_grained(n, threads, 1, |r| r);
-                let filled = n == 0 || ranges.iter().all(|r| !r.is_empty());
-                let tiled = ranges.iter().cloned().flatten().eq(0..n);
-                assert!(
-                    filled && tiled && ranges.len() <= threads,
-                    "n={n} threads={threads}: {ranges:?}"
-                );
+                let chunk = chunk_size(n, threads, 1);
+                let cuts = (0..n).step_by(chunk);
+                check(n, threads, cuts.map(|lo| lo..(lo + chunk).min(n)).collect());
             }
+        }
+        for (n, threads) in [(0, 4), (1, 2), (4, 3), (10, 7), (7, 7), (300, 40)] {
+            check(n, threads, par_chunks_grained(n, threads, 1, |r| r));
         }
     }
 

@@ -17,16 +17,16 @@
 //! the finished sections in [`ArenaWriter::finish`], fanned out with
 //! [`crate::par`].
 //!
-//! ## Sharding
+//! ## Filling in parallel
 //!
 //! Disjoint peer ranges own disjoint byte ranges of the `edges` /
 //! `edge_pos` / `node_pos` sections (rows are contiguous in peer order),
-//! so [`ArenaWriter::fill_shards`] can hand every shard its own mutable
-//! slice and fill them concurrently. Shards exist only inside one
-//! process, as the unit of fill parallelism: the image is a pure
-//! function of what each peer's row receives, so it is byte-identical to
-//! a monolithic [`TopologyArena::build`] + [`TopologyArena::write_to`]
-//! of the same topology for every partition and thread count.
+//! so [`ArenaWriter::fill`] tiles `0..n` into one contiguous chunk per
+//! worker, hands every chunk its own mutable slices and fills them
+//! concurrently. The image is a pure function of what each peer's row
+//! receives, so it is byte-identical to a monolithic
+//! [`TopologyArena::build`] + [`TopologyArena::write_to`] of the same
+//! topology at every thread count.
 
 use crate::csr::transpose_into;
 use crate::digraph::NodeId;
@@ -36,6 +36,7 @@ use crate::store::{
     FLAG_NODE_POS, FLAG_SORTED,
 };
 use std::io;
+use std::mem::take;
 use std::ops::Range;
 
 /// The image under construction: a heap allocation, or (with the `mmap`
@@ -81,30 +82,30 @@ pub struct ArenaWriter {
     buf: WriterBuf,
 }
 
-/// One shard's mutable window into the arena image being written: the
-/// peer range it owns, its slice of the `edges` section (rebased to
+/// One fill chunk's mutable window into the arena image being written:
+/// the peer range it owns, its slice of the `edges` section (rebased to
 /// `edge_base`), and matching lane slices.
 pub struct ShardSlots<'a> {
-    /// The peer ids this shard owns.
+    /// The peer ids this chunk owns.
     pub range: Range<usize>,
     /// Global edge index of `edges[0]` (`offsets[range.start]`).
     pub edge_base: usize,
     /// The full global offset table (`n + 1` entries, read-only).
     pub offsets: &'a [u32],
-    /// The shard's rows of the edge section, contiguous.
+    /// The chunk's rows of the edge section, contiguous.
     pub edges: &'a mut [NodeId],
-    /// The shard's slice of the per-edge `f64` lane, if present.
+    /// The chunk's slice of the per-edge `f64` lane, if present.
     pub edge_pos: Option<&'a mut [f64]>,
-    /// The shard's slice of the per-node `f64` lane, if present.
+    /// The chunk's slice of the per-node `f64` lane, if present.
     pub node_pos: Option<&'a mut [f64]>,
 }
 
 impl ShardSlots<'_> {
-    /// Peer `u`'s row as indices into this shard's local `edges` /
+    /// Peer `u`'s row as indices into this chunk's local `edges` /
     /// `edge_pos` slices.
     #[inline]
     pub fn row_bounds(&self, u: usize) -> Range<usize> {
-        debug_assert!(self.range.contains(&u), "peer outside the shard");
+        debug_assert!(self.range.contains(&u), "peer outside the chunk");
         self.offsets[u] as usize - self.edge_base..self.offsets[u + 1] as usize - self.edge_base
     }
 }
@@ -239,26 +240,23 @@ impl ArenaWriter {
         u32_section(&self.buf, self.layout.offsets, self.n + 1)
     }
 
-    /// Runs `fill(shard_index, slots)` for every shard, concurrently
-    /// across `threads` workers (`0` = auto). `ranges[i]` is shard `i`'s
-    /// peer range; ranges must be pairwise disjoint (any order, gaps
-    /// allowed — unfilled rows keep their zero initialization).
+    /// Runs `fill(slots)` over a contiguous in-order tiling of `0..n`,
+    /// one chunk per worker (`threads`; `0` = auto) as one [`crate::par`]
+    /// region, chunk 0 on the calling thread.
     ///
-    /// Each shard receives mutable slices covering exactly its own rows,
+    /// Each chunk receives mutable slices covering exactly its own rows,
     /// so fills cannot race by construction; the output is a pure
-    /// function of what each shard writes, independent of thread count
-    /// or completion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ranges overlap or exceed the peer count.
-    pub fn fill_shards<F>(&mut self, ranges: &[Range<usize>], threads: usize, fill: F)
+    /// function of what each peer's row receives, independent of thread
+    /// count or completion order.
+    pub fn fill<F>(&mut self, threads: usize, fill: F)
     where
-        F: Fn(usize, ShardSlots<'_>) + Sync,
+        F: Fn(ShardSlots<'_>) + Sync,
     {
         let (n, m, l) = (self.n, self.m, self.layout);
-        let mut order: Vec<usize> = (0..ranges.len()).collect();
-        order.sort_by_key(|&i| ranges[i].start);
+        let (with_edge_pos, with_node_pos) = (
+            self.flags & FLAG_EDGE_POS != 0,
+            self.flags & FLAG_NODE_POS != 0,
+        );
         // Carve the mutable sections out of the one backing buffer.
         let (pre, rest) = self.buf.split_at_mut(l.edges);
         let (edges_w, rest) = rest.split_at_mut(l.in_offsets - l.edges);
@@ -266,86 +264,45 @@ impl ArenaWriter {
         let (epos_w, npos_w) = rest.split_at_mut(l.node_pos - l.edge_pos);
         let offsets: &[u32] = u32_section(pre, l.offsets, n + 1);
         let mut edges_rest: &mut [NodeId] = u32_section_mut(edges_w, 0, m);
-        let mut epos_rest: &mut [f64] = if self.flags & FLAG_EDGE_POS != 0 {
+        let mut epos_rest: &mut [f64] = if with_edge_pos {
             f64_section_mut(epos_w, 0, m)
         } else {
             &mut []
         };
-        let mut npos_rest: &mut [f64] = if self.flags & FLAG_NODE_POS != 0 {
+        let mut npos_rest: &mut [f64] = if with_node_pos {
             f64_section_mut(npos_w, 0, n)
         } else {
             &mut []
         };
-        // Split each section at the (sorted) shard boundaries; the slots
-        // land back in input order so `fill` sees the caller's indexing.
-        let mut slots: Vec<Option<ShardSlots<'_>>> = (0..ranges.len()).map(|_| None).collect();
-        let (mut node_cursor, mut edge_cursor) = (0usize, 0usize);
-        for &i in &order {
-            let r = ranges[i].clone();
-            assert!(
-                r.start >= node_cursor && r.end <= n && r.start <= r.end,
-                "shard ranges must be disjoint and within 0..n"
-            );
-            let (lo_e, hi_e) = (offsets[r.start] as usize, offsets[r.end] as usize);
-            let (_gap, taken) = std::mem::take(&mut edges_rest).split_at_mut(lo_e - edge_cursor);
-            let (mine_e, tail) = taken.split_at_mut(hi_e - lo_e);
+        // Split each section at the chunk boundaries, front to back.
+        let chunk = par::chunk_size(n, threads, 1);
+        let fill = &fill;
+        par::join_all((0..n).step_by(chunk).map(|lo| {
+            let range = lo..(lo + chunk).min(n);
+            let edge_base = offsets[range.start] as usize;
+            let row_words = offsets[range.end] as usize - edge_base;
+            let (edges, tail) = take(&mut edges_rest).split_at_mut(row_words);
             edges_rest = tail;
-            let edge_pos = (self.flags & FLAG_EDGE_POS != 0).then(|| {
-                let (_gap, taken) = std::mem::take(&mut epos_rest).split_at_mut(lo_e - edge_cursor);
-                let (mine, tail) = taken.split_at_mut(hi_e - lo_e);
+            let edge_pos = with_edge_pos.then(|| {
+                let (mine, tail) = take(&mut epos_rest).split_at_mut(row_words);
                 epos_rest = tail;
                 mine
             });
-            let node_pos = (self.flags & FLAG_NODE_POS != 0).then(|| {
-                let (_gap, taken) =
-                    std::mem::take(&mut npos_rest).split_at_mut(r.start - node_cursor);
-                let (mine, tail) = taken.split_at_mut(r.len());
+            let node_pos = with_node_pos.then(|| {
+                let (mine, tail) = take(&mut npos_rest).split_at_mut(range.len());
                 npos_rest = tail;
                 mine
             });
-            slots[i] = Some(ShardSlots {
-                range: r.clone(),
-                edge_base: lo_e,
+            let slots = ShardSlots {
+                range,
+                edge_base,
                 offsets,
-                edges: mine_e,
+                edges,
                 edge_pos,
                 node_pos,
-            });
-            node_cursor = r.end;
-            edge_cursor = hi_e;
-        }
-        let workers = par::effective_threads(ranges.len(), threads, 1);
-        if workers <= 1 {
-            for (i, s) in slots.into_iter().enumerate() {
-                fill(i, s.expect("every shard got slots"));
-            }
-            return;
-        }
-        // Hand each worker a contiguous batch of shards.
-        let chunk = ranges.len().div_ceil(workers);
-        let mut batches: Vec<Vec<(usize, ShardSlots<'_>)>> = Vec::with_capacity(workers);
-        let mut it = slots.into_iter().enumerate();
-        loop {
-            let batch: Vec<_> = it
-                .by_ref()
-                .take(chunk)
-                .map(|(i, s)| (i, s.expect("every shard got slots")))
-                .collect();
-            if batch.is_empty() {
-                break;
-            }
-            batches.push(batch);
-        }
-        std::thread::scope(|scope| {
-            for batch in batches {
-                let fill = &fill;
-                scope.spawn(move || {
-                    for (i, s) in batch {
-                        fill(i, s);
-                    }
-                });
-            }
-        });
+            };
+            move || fill(slots)
+        }));
     }
 
     /// Seals the image: derives `in_offsets`/`in_edges` with the shared
@@ -419,35 +376,34 @@ mod tests {
         }
     }
 
+    /// Copies `topo`'s rows (and the lanes `arena_of` writes, where the
+    /// image carries them) into one fill chunk.
+    fn copy_rows(topo: &Topology, mut slots: ShardSlots<'_>) {
+        for u in slots.range.clone() {
+            let row = slots.row_bounds(u);
+            slots.edges[row.clone()].copy_from_slice(topo.neighbors(u as NodeId));
+            if let Some(lane) = slots.edge_pos.as_deref_mut() {
+                for (k, &v) in row.clone().zip(topo.neighbors(u as NodeId)) {
+                    lane[k] = v as f64 / 100.0;
+                }
+            }
+            if let Some(lane) = slots.node_pos.as_deref_mut() {
+                lane[u - slots.range.start] = u as f64 / 10.0;
+            }
+        }
+    }
+
     fn write_via_writer(
         topo: &Topology,
         lanes: bool,
-        shards: usize,
+        fill_threads: usize,
         threads: usize,
     ) -> TopologyArena {
-        let n = topo.len();
-        let degrees: Vec<u32> = (0..n as NodeId)
+        let degrees: Vec<u32> = (0..topo.len() as NodeId)
             .map(|u| topo.out_degree(u) as u32)
             .collect();
         let mut writer = ArenaWriter::from_degrees(&degrees, lanes, lanes).unwrap();
-        let chunk = n.div_ceil(shards.max(1)).max(1);
-        let ranges: Vec<std::ops::Range<usize>> = (0..shards)
-            .map(|s| (s * chunk).min(n)..((s + 1) * chunk).min(n))
-            .collect();
-        writer.fill_shards(&ranges, threads, |_, mut slots| {
-            for u in slots.range.clone() {
-                let row = slots.row_bounds(u);
-                slots.edges[row.clone()].copy_from_slice(topo.neighbors(u as NodeId));
-                if let Some(lane) = slots.edge_pos.as_deref_mut() {
-                    for (k, &v) in row.clone().zip(topo.neighbors(u as NodeId)) {
-                        lane[k] = v as f64 / 100.0;
-                    }
-                }
-                if let Some(lane) = slots.node_pos.as_deref_mut() {
-                    lane[u - slots.range.start] = u as f64 / 10.0;
-                }
-            }
-        });
+        writer.fill(fill_threads, |slots| copy_rows(topo, slots));
         writer.finish(threads).unwrap()
     }
 
@@ -456,16 +412,27 @@ mod tests {
         let topo = scrambled_topology(500, 6);
         for lanes in [false, true] {
             let reference = arena_of(&topo, lanes);
-            for shards in [1, 2, 3, 7] {
+            for fill_threads in [1, 2, 3, 7] {
                 for threads in [1, 4] {
-                    let built = write_via_writer(&topo, lanes, shards, threads);
+                    let built = write_via_writer(&topo, lanes, fill_threads, threads);
                     assert_eq!(
                         built.as_bytes(),
                         reference.as_bytes(),
-                        "lanes={lanes} shards={shards} threads={threads}"
+                        "lanes={lanes} fill_threads={fill_threads} threads={threads}"
                     );
                 }
             }
+        }
+        // Peer counts the fill workers do not divide, down to fewer
+        // peers than workers: every row is still filled exactly once.
+        for (n, fill_threads) in [(1, 2), (4, 3), (10, 7), (7, 7), (300, 40)] {
+            let topo = scrambled_topology(n, 3);
+            let built = write_via_writer(&topo, true, fill_threads, 1);
+            assert_eq!(
+                built.as_bytes(),
+                arena_of(&topo, true).as_bytes(),
+                "n={n} fill_threads={fill_threads}"
+            );
         }
     }
 
@@ -484,20 +451,7 @@ mod tests {
         for lanes in [false, true] {
             let reference = arena_of(&topo, lanes);
             let mut writer = ArenaWriter::create_at(&path, &degrees, lanes, lanes).unwrap();
-            writer.fill_shards(&[0..n / 2, n / 2..n], 1, |_, mut slots| {
-                for u in slots.range.clone() {
-                    let row = slots.row_bounds(u);
-                    slots.edges[row.clone()].copy_from_slice(topo.neighbors(u as NodeId));
-                    if let Some(lane) = slots.edge_pos.as_deref_mut() {
-                        for (k, &v) in row.clone().zip(topo.neighbors(u as NodeId)) {
-                            lane[k] = v as f64 / 100.0;
-                        }
-                    }
-                    if let Some(lane) = slots.node_pos.as_deref_mut() {
-                        lane[u - slots.range.start] = u as f64 / 10.0;
-                    }
-                }
-            });
+            writer.fill(2, |slots| copy_rows(&topo, slots));
             let sealed = writer.finish(1).unwrap();
             assert_eq!(sealed.as_bytes(), reference.as_bytes(), "lanes={lanes}");
             drop(sealed);

@@ -99,13 +99,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi);
-        lo + (hi - lo) * self.f64()
-    }
-
     /// Uniform integer in `[0, n)`. `n` must be nonzero.
     ///
     /// Uses Lemire's multiply-shift with rejection, so the result is

@@ -22,7 +22,6 @@ pub struct DegradedOverlay<'a> {
     inner: &'a dyn Overlay,
     dead: Vec<bool>,
     topo: CsrTopology,
-    dropped: usize,
 }
 
 impl<'a> DegradedOverlay<'a> {
@@ -31,7 +30,6 @@ impl<'a> DegradedOverlay<'a> {
         DegradedOverlay {
             dead: vec![false; inner.placement().len()],
             topo: inner.topology().clone(),
-            dropped: 0,
             inner,
         }
     }
@@ -56,11 +54,9 @@ impl<'a> DegradedOverlay<'a> {
     /// stay intact, matching the §3.1 robustness scenario.
     pub fn drop_long_links(mut self, fraction: f64, rng: &mut Rng) -> Self {
         let p = self.inner.placement();
-        let before = self.topo.edge_count();
         self.topo = self
             .topo
             .filter_edges(|u, v| is_topology_neighbor(p, u, v) || !rng.chance(fraction));
-        self.dropped += before - self.topo.edge_count();
         self
     }
 
@@ -85,11 +81,6 @@ impl<'a> DegradedOverlay<'a> {
                 return u;
             }
         }
-    }
-
-    /// Number of dropped long links.
-    pub fn dropped_links(&self) -> usize {
-        self.dropped
     }
 }
 

@@ -19,7 +19,7 @@ use crate::placement::Placement;
 use crate::route::Overlay;
 use sw_graph::csr::Topology as CsrTopology;
 use sw_graph::{LinkTable, NodeId};
-use sw_keyspace::{Key, Rng};
+use sw_keyspace::Rng;
 
 /// How the trie splits an interval of peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,12 +169,6 @@ impl Overlay for PGridLike {
     fn topology(&self) -> &CsrTopology {
         &self.topo
     }
-}
-
-/// Convenience: a `Key` in the middle of the sibling gap — used by tests.
-#[doc(hidden)]
-pub fn _gap_midpoint(a: Key, b: Key) -> Key {
-    Key::midpoint(a, b)
 }
 
 #[cfg(test)]

@@ -130,12 +130,10 @@ fn main() {
 
     // ----- routing-mode comparison -----------------------------------
     //
-    // Same seed, same churn, three forwarding strategies: recursive
+    // Same seed, same churn, two forwarding strategies: recursive
     // hand-off strands queries when their carrier dies; iterative
     // lookups survive (the requester drives each hop and fails over on
-    // timeout) at the price of one extra one-way delay per hop;
-    // semi-recursive recovers stranded walks through the requester's
-    // watchdog.
+    // timeout) at the price of one extra one-way delay per hop.
     println!("routing-mode comparison (512 peers, symmetric churn 8/s, 180s):");
     println!(
         "{:>15} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
