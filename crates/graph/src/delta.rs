@@ -28,6 +28,7 @@
 
 use crate::digraph::NodeId;
 use crate::idhash::IdMap;
+use crate::prefetch::prefetch_read;
 use crate::store::TopologyStore;
 
 /// One touched row: a full replacement, or add/remove logs against the
@@ -124,6 +125,15 @@ impl DeltaStore {
             Some(DeltaRow::Replaced(r)) => Some(r),
             Some(DeltaRow::Patched { .. }) => None,
         }
+    }
+
+    /// Hints the cache toward the base store's offset pair for `u`: the
+    /// first link of the address chain [`DeltaStore::row_slice`] walks
+    /// for an untouched row. A hint only — reads nothing, any `u` is
+    /// fine.
+    #[inline]
+    pub fn prefetch_row_bounds(&self, u: NodeId) {
+        prefetch_read(self.base.offsets().as_ptr().wrapping_add(u as usize));
     }
 
     /// Materializes peer `u`'s effective row into `out` (cleared first).

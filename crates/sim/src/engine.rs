@@ -20,6 +20,7 @@ use std::sync::Arc;
 use sw_core::config::{LinkSampler, MassThreshold, OutDegree};
 use sw_core::links::LinkSelector;
 use sw_dht::{item_bytes, ShardMap, KEY_BYTES};
+use sw_graph::prefetch::{prefetch_read, prefetch_span};
 use sw_graph::{par, DeltaStore, IdMap, IdSet, LinkTable, Topology, TopologyStore};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::stats::OnlineStats;
@@ -205,14 +206,48 @@ struct RepairLease {
 #[derive(Debug, Clone)]
 struct SimNode {
     alive: bool,
-    /// Clockwise successor list (nearest first).
-    succ: Vec<u32>,
+    /// Clockwise successor list (nearest first), inline: a step reads it
+    /// off the node record's own cache lines.
+    succ: SuccList,
     /// Counter-clockwise neighbour.
     pred: Option<u32>,
     /// True while a refresh chain is rebuilding this node's long links.
     refreshing: bool,
     /// Replica-retention leases (renewed by incoming repair digests).
     leases: Vec<RepairLease>,
+}
+
+/// A successor list of at most [`SUCCESSOR_LIST`] ids stored in the node
+/// record itself; derefs to the live prefix, nearest first.
+#[derive(Debug, Clone, Copy, Default)]
+struct SuccList {
+    ids: [u32; SUCCESSOR_LIST],
+    len: u8,
+}
+
+impl std::ops::Deref for SuccList {
+    type Target = [u32];
+
+    #[inline]
+    fn deref(&self) -> &[u32] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl SuccList {
+    /// Appends `v`. Panics on a full list.
+    fn push(&mut self, v: u32) {
+        self.ids[self.len as usize] = v;
+        self.len += 1;
+    }
+
+    /// Puts `v` first, shifting the rest down; a full list drops its
+    /// farthest entry.
+    fn insert_front(&mut self, v: u32) {
+        self.ids.copy_within(..SUCCESSOR_LIST - 1, 1);
+        self.ids[0] = v;
+        self.len = (self.len + 1).min(SUCCESSOR_LIST as u8);
+    }
 }
 
 /// Per-key live-copy state, maintained incrementally by the storage
@@ -241,6 +276,19 @@ pub struct DurabilityCensus {
     pub over_replicated: usize,
     /// The target: `min(replication, alive peers)`.
     pub target: usize,
+}
+
+/// What one recursive greedy step decided (see
+/// [`Simulator::greedy_step`]).
+enum Stepped {
+    /// The walk ends here.
+    Done(WalkEnd),
+    /// Hand the query `from → next`, `flight` on the wire.
+    Forward {
+        from: u32,
+        next: u32,
+        flight: SimTime,
+    },
 }
 
 /// Outcome of one synchronous probe walk (measurement only).
@@ -538,7 +586,7 @@ impl Simulator {
         let id = self.nodes.len() as u32;
         self.nodes.push(SimNode {
             alive: true,
-            succ: Vec::new(),
+            succ: SuccList::default(),
             pred: None,
             refreshing: false,
             leases: Vec::new(),
@@ -668,9 +716,20 @@ impl Simulator {
     /// the batch instant gets a larger sequence number and is picked up
     /// by the next `deliver_window` call at the same instant — the
     /// exact order the old pop-one loop produced.
+    ///
+    /// The drain's cascade hook is the engine's prefetcher: the wheel
+    /// re-files a walk message twice on its way down, and each re-file
+    /// warms one link of the address chain its handler will walk (see
+    /// `prefetch_peer`).
     pub fn run_until(&mut self, until: SimTime) {
         let mut batch = Vec::new();
-        while self.plane.deliver_window(until, &mut batch) > 0 {
+        while self
+            .plane
+            .deliver_window_with(until, &mut batch, |level, msg| {
+                prefetch_peer(&self.nodes, &self.keys, &self.links, level, msg)
+            })
+            > 0
+        {
             for env in batch.drain(..) {
                 self.handle(env.msg);
             }
@@ -702,8 +761,8 @@ impl Simulator {
         let table = self.route_table_snapshot();
         let threads = self.cfg.parallelism;
         // The alive set is frozen for the whole probe batch, so the hop
-        // budget probe_walk derives per walk is one constant here.
-        let max_hops = 64 + 8 * (self.alive.len().max(2) as f64).log2().ceil() as u32;
+        // budget is one constant here.
+        let max_hops = self.hop_budget();
         let this = &*self;
         let queries: Vec<(u32, Key)> = pairs
             .iter()
@@ -724,7 +783,7 @@ impl Simulator {
             debug_assert!(
                 r.clone().zip(outcomes.iter()).all(|(i, o)| {
                     let (from, target) = queries[i];
-                    let w = this.probe_walk(&table, from, target);
+                    let w = this.probe_walk(&table, from, target, max_hops);
                     (w.final_node, w.hops) == (o.final_node, o.hops)
                 }),
                 "interleaved probes must match the scalar walk"
@@ -767,20 +826,15 @@ impl Simulator {
                 lt.add(u, *p);
             }
             lt.add_all(u, node.succ.iter().filter(|v| alive(v)).copied());
-            lt.add_all(u, self.long_links(u).iter().filter(|v| alive(v)).copied());
+            lt.add_all(
+                u,
+                long_links(&self.links, u)
+                    .iter()
+                    .filter(|v| alive(v))
+                    .copied(),
+            );
         }
         lt.build()
-    }
-
-    /// `id`'s long-link row. Always slice-backed: the simulator only
-    /// ever writes whole rows (`set_row`, `retain_row`, `push_node`),
-    /// never per-edge patches, so the delta overlay can hand back a
-    /// borrowed slice on every path.
-    #[inline]
-    fn long_links(&self, id: u32) -> &[u32] {
-        self.links
-            .row_slice(id)
-            .expect("simulator rows are whole-row writes, always slice-backed")
     }
 
     /// [`Simulator::topology_snapshot`] plus the key-aligned SoA lanes:
@@ -1028,9 +1082,13 @@ impl Simulator {
         )
     }
 
-    /// Stops (or retunes) the open-loop generator mid-run; the process
-    /// ends at its next tick when set to zero, after which draining the
-    /// plane settles every in-flight message.
+    /// Retunes or stops the open-loop generator mid-run. A new positive
+    /// rate takes effect at the generator's next tick; zero ends the
+    /// process at that tick, after which draining the plane settles
+    /// every in-flight message. Like [`Simulator::set_churn`], **raising
+    /// the rate from zero restarts nothing** once that tick has passed
+    /// (or if traffic was never enabled): no `NextTraffic` is left on
+    /// the plane to read the new rate.
     pub fn set_traffic_rate(&mut self, rate: f64) {
         self.cfg.traffic.rate = rate;
     }
@@ -1096,12 +1154,19 @@ impl Simulator {
         }
     }
 
+    /// Hop budget of a walk spawned against the current population:
+    /// `64 + 8 · ⌈log2(alive)⌉`, far above any greedy route, so hitting
+    /// it means a routing loop rather than a long path.
+    fn hop_budget(&self) -> u32 {
+        64 + 8 * (self.alive.len().max(2) as f64).log2().ceil() as u32
+    }
+
     /// Spawns a walk and executes its first step at the origin.
     fn spawn_walk(&mut self, purpose: Purpose, target: Key, from: u32) -> QueryId {
         let qid = self.next_qid;
         self.next_qid += 1;
         let rng = Rng::stream(self.walk_seed, qid);
-        let max_hops = 64 + 8 * (self.alive.len().max(2) as f64).log2().ceil() as u32;
+        let max_hops = self.hop_budget();
         if matches!(purpose, Purpose::Lookup { .. }) {
             self.inflight_lookups += 1;
             self.metrics.inflight_peak = self.metrics.inflight_peak.max(self.inflight_lookups);
@@ -1165,7 +1230,7 @@ impl Simulator {
         let view = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
-            long: self.long_links(at),
+            long: long_links(&self.links, at),
         };
         let keys = &self.keys;
         view.candidates_into(
@@ -1183,50 +1248,64 @@ impl Simulator {
 
     /// One greedy step at the walk's current node (shared
     /// `sw_overlay::greedy_step` via [`sw_overlay::RingView`]) —
-    /// recursive mode.
-    fn step_recursive(&mut self, qid: QueryId) {
-        let Some(walk) = self.walks.get(&qid) else {
-            return;
-        };
+    /// recursive mode. Reads the peer lanes as disjoint fields so the
+    /// caller's one `walks` borrow spans arrival bookkeeping, the step
+    /// and the hand-off's message count and latency draw; the caller
+    /// acts on the result ([`Simulator::act_on_step`]) once that borrow
+    /// ends.
+    fn greedy_step(
+        walk: &mut Walk,
+        nodes: &[SimNode],
+        keys: &[Key],
+        links: &DeltaStore,
+        latency: LatencyModel,
+    ) -> Stepped {
         let cur = walk.cur;
-        if !self.nodes[cur as usize].alive {
+        let node = &nodes[cur as usize];
+        if !node.alive {
             // The node holding the query failed, and the query with it.
-            self.finish_walk(qid, WalkEnd::Stranded);
-            return;
+            return Stepped::Done(WalkEnd::Stranded);
         }
-        let cur_key = self.keys[cur as usize];
-        let cur_d = Metric::Ring.distance(cur_key, walk.target);
+        let cur_d = Metric::Ring.distance(keys[cur as usize], walk.target);
         if cur_d == 0.0 {
-            self.finish_walk(qid, WalkEnd::Arrived);
-            return;
+            return Stepped::Done(WalkEnd::Arrived);
         }
         if walk.hops >= walk.max_hops {
-            self.finish_walk(qid, WalkEnd::HopLimit);
-            return;
+            return Stepped::Done(WalkEnd::HopLimit);
         }
-        let node = &self.nodes[cur as usize];
         let view = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
-            long: self.long_links(cur),
+            long: long_links(links, cur),
         };
-        let keys = &self.keys;
         let step = view.step(Metric::Ring, walk.target, cur_d, cur, &walk.excluded, |v| {
             keys[v as usize]
         });
         match step {
-            None => self.finish_walk(qid, WalkEnd::LocalMinimum),
+            None => Stepped::Done(WalkEnd::LocalMinimum),
             Some((next, _)) => {
-                let now = self.plane.now();
-                let latency = self.cfg.latency;
-                let walk = self.walks.get_mut(&qid).expect("walk present");
                 walk.msgs += 1;
-                let dt = latency.sample(&mut walk.rng);
+                Stepped::Forward {
+                    from: cur,
+                    next,
+                    flight: latency.sample(&mut walk.rng),
+                }
+            }
+        }
+    }
+
+    /// Carries out what [`Simulator::greedy_step`] decided: finish the
+    /// walk, or put its hand-off on the wire.
+    fn act_on_step(&mut self, qid: QueryId, stepped: Stepped) {
+        match stepped {
+            Stepped::Done(end) => self.finish_walk(qid, end),
+            Stepped::Forward { from, next, flight } => {
+                let now = self.plane.now();
                 self.send_net(
-                    cur,
+                    from,
                     next,
                     now,
-                    dt,
+                    flight,
                     Msg::Hop {
                         qid,
                         to: next,
@@ -1235,6 +1314,16 @@ impl Simulator {
                 );
             }
         }
+    }
+
+    /// Steps a recursive walk at its current node (spawn and retry).
+    fn step_recursive(&mut self, qid: QueryId) {
+        let Some(walk) = self.walks.get_mut(&qid) else {
+            return;
+        };
+        let stepped =
+            Self::greedy_step(walk, &self.nodes, &self.keys, &self.links, self.cfg.latency);
+        self.act_on_step(qid, stepped);
     }
 
     /// A recursively forwarded query arrives at `to` — or its sender
@@ -1254,7 +1343,9 @@ impl Simulator {
             walk.latency += now - sent_at;
             walk.hops += 1;
             walk.cur = to;
-            self.step_recursive(qid);
+            let stepped =
+                Self::greedy_step(walk, &self.nodes, &self.keys, &self.links, self.cfg.latency);
+            self.act_on_step(qid, stepped);
         } else {
             // The sender's timeout clock started at send time; it may
             // already have expired if the sampled flight time exceeded
@@ -1695,8 +1786,7 @@ impl Simulator {
         self.repair_ring_state(id);
         // Splice: the new peer's ring neighbours learn about it.
         if let Some(p) = self.nodes[id as usize].pred {
-            self.nodes[p as usize].succ.insert(0, id);
-            self.nodes[p as usize].succ.truncate(SUCCESSOR_LIST);
+            self.nodes[p as usize].succ.insert_front(id);
         }
         if let Some(&s) = self.nodes[id as usize].succ.first() {
             self.nodes[s as usize].pred = Some(id);
@@ -1790,7 +1880,7 @@ impl Simulator {
         let contacts: Vec<u32> = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
-            long: self.long_links(id),
+            long: long_links(&self.links, id),
         }
         .contacts()
         .collect();
@@ -2921,7 +3011,7 @@ impl Simulator {
     /// converged network and by stabilization).
     fn repair_ring_state(&mut self, id: u32) {
         let key = self.keys[id as usize];
-        let mut succ = Vec::with_capacity(SUCCESSOR_LIST);
+        let mut succ = SuccList::default();
         for (_, &v) in self
             .alive
             .range((std::ops::Bound::Excluded(key), std::ops::Bound::Unbounded))
@@ -2957,10 +3047,15 @@ impl Simulator {
     /// old view-plus-exclusion walk selected (greedy over "view minus
     /// dead" ≡ greedy over the alive-only row), without a `HashSet` or a
     /// per-candidate key gather.
-    fn probe_walk(&self, table: &sw_overlay::RouteTable, from: u32, target: Key) -> WalkOutcome {
+    fn probe_walk(
+        &self,
+        table: &sw_overlay::RouteTable,
+        from: u32,
+        target: Key,
+        max_hops: u32,
+    ) -> WalkOutcome {
         let mut cur = from;
         let mut hops = 0u32;
-        let max_hops = 64 + 8 * (self.alive.len().max(2) as f64).log2().ceil() as u32;
         loop {
             let cur_d = Metric::Ring.distance(self.keys[cur as usize], target);
             if cur_d == 0.0 {
@@ -2979,6 +3074,46 @@ impl Simulator {
             final_node: cur,
             hops,
         }
+    }
+}
+
+/// `id`'s long-link row. Always slice-backed: the simulator only ever
+/// writes whole rows (`set_row`, `retain_row`, `push_node`), never
+/// per-edge patches, so the delta overlay can hand back a borrowed
+/// slice on every path.
+#[inline]
+fn long_links(links: &DeltaStore, id: u32) -> &[u32] {
+    links
+        .row_slice(id)
+        .expect("simulator rows are whole-row writes, always slice-backed")
+}
+
+/// The two prefetch stages of a simulated hop, driven by the wheel's
+/// cascades (`plane`'s "cascades as lookahead"). A step at peer `to`
+/// walks `nodes[to]` / `keys[to]` / `offsets[to]` → the long-link row →
+/// the row's contact keys, on state untouched for thousands of events;
+/// the address chain has two links, so there are two stages:
+///
+/// * `level ≥ 2` (the message is ≈ 4–260 ms of virtual time out): the
+///   loads addressable from `to` alone — the node record, its key, the
+///   base store's row bounds;
+/// * `level 1` (≤ 4 ms out): the row bounds are resident by now, so read
+///   them and prefetch the row itself.
+///
+/// Hints only: nothing here can change what a handler later reads.
+#[inline]
+fn prefetch_peer(nodes: &[SimNode], keys: &[Key], links: &DeltaStore, level: usize, msg: &Msg) {
+    let (Msg::Hop { to, .. } | Msg::NextHopQuery { to, .. }) = *msg else {
+        return;
+    };
+    if level >= 2 {
+        if let Some(node) = nodes.get(to as usize) {
+            prefetch_span(std::slice::from_ref(node));
+        }
+        prefetch_read(keys.as_ptr().wrapping_add(to as usize));
+        links.prefetch_row_bounds(to);
+    } else if let Some(row) = links.row_slice(to) {
+        prefetch_span(row);
     }
 }
 
@@ -4051,5 +4186,54 @@ mod tests {
         }
         let ms = SimTime::from_millis;
         assert_eq!(arrivals, [ms(1), ms(1), ms(11), ms(21), ms(31)]);
+    }
+
+    /// The inline successor list against the `Vec<u32>` it replaced,
+    /// under the three things the engine does to one: rebuild it
+    /// (`repair_ring_state`), push while rebuilding, and splice a joiner
+    /// in front (`insert(0, id)` + `truncate`).
+    #[test]
+    fn inline_successor_list_matches_the_vec_model() {
+        for seed in 0..64u64 {
+            let mut rng = Rng::new(seed ^ 0x5ACC_1157);
+            let mut list = SuccList::default();
+            let mut model: Vec<u32> = Vec::new();
+            for _ in 0..200 {
+                let v = rng.next_u64() as u32;
+                match rng.bounded_u64(8) {
+                    0 => {
+                        list = SuccList::default();
+                        model.clear();
+                    }
+                    1..=4 if model.len() < SUCCESSOR_LIST => {
+                        list.push(v);
+                        model.push(v);
+                    }
+                    _ => {
+                        list.insert_front(v);
+                        model.insert(0, v);
+                        model.truncate(SUCCESSOR_LIST);
+                    }
+                }
+                assert_eq!(&*list, &model[..], "seed {seed}");
+                assert!(list.len() <= SUCCESSOR_LIST);
+                assert_eq!(list.first(), model.first());
+            }
+        }
+    }
+
+    /// Layout pins for the two records the event path moves most. The
+    /// node record must stay within one cache line with room to spare;
+    /// the envelope size is an equality so that ROADMAP 2(b)'s "shrink
+    /// `Msg`" shows up as a deliberately moved pin.
+    #[test]
+    fn hot_record_sizes_are_pinned() {
+        use crate::plane::Envelope;
+        assert!(
+            std::mem::size_of::<SimNode>() <= 56,
+            "SimNode grew to {} bytes",
+            std::mem::size_of::<SimNode>()
+        );
+        assert_eq!(std::mem::size_of::<Envelope<Msg>>(), 72);
     }
 }

@@ -47,6 +47,28 @@
 //!   The engine evaluates these models **analytically at send time** —
 //!   see the queueing section below.
 //!
+//! One thing crosses the plane/engine line besides envelopes: the
+//! wheel's cascades double as the engine's prefetch clock (see
+//! [`plane`]'s "cascades as lookahead"). A hop's handler starts with a
+//! chain of dependent cache misses on state nobody has touched for
+//! thousands of events, and [`Simulator::run_until`] drains the plane
+//! through [`MessagePlane::deliver_window_with`] with a hook that warms
+//! one link of that chain per cascade of a `Hop` / `NextHopQuery`:
+//!
+//! 1. when the message's level-2 (or higher) slot opens — up to 262 ms
+//!    of virtual time, ≈ 200 deliveries, ahead — the loads addressable
+//!    from the destination id alone: its node record (ring view
+//!    included: the successor list is inline), its key, and its row
+//!    bounds in the base link store
+//!    ([`sw_graph::DeltaStore::prefetch_row_bounds`]);
+//! 2. when its level-1 slot opens — ≤ 4 ms, a few deliveries, ahead —
+//!    the row bounds are resident, so the hook reads them and
+//!    prefetches the long-link row itself.
+//!
+//! The contact-key gathers of the step are left to the core: they are
+//! independent loads and overlap on their own. Hints change no result —
+//! the fingerprint goldens hold with the hook in and out.
+//!
 //! ## The repair plane
 //!
 //! The data layer has **no oracle recovery path**: when a peer fails,

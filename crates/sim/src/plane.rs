@@ -46,6 +46,34 @@
 //! [`MessagePlane::advance_to`]) go straight into `ready`, which always
 //! wins ties against the wheel — so the merged stream is exactly the
 //! heap's `(at, seq)` order in every case.
+//!
+//! ## Cascades as lookahead
+//!
+//! The re-filing is also a clock the consumer can use. An envelope sent
+//! `≥ 64^k` µs ahead is filed at level `≥ k` and handed down one level
+//! at a time: the cursor opens its level-2 slot up to 262 ms of virtual
+//! time before delivery (every envelope sent ≥ 4 ms ahead passes
+//! there), its level-1 slot up to 4 ms before. The hooked drain
+//! ([`MessagePlane::deliver_window_with`]) calls `on_cascade(level,
+//! &msg)` for each envelope re-filed out of an opened level-`level`
+//! slot, so a consumer whose handlers start with a chain of dependent
+//! cache misses can issue one link of the chain per cascade — the
+//! engine prefetches a hop's peer record at level ≥ 2 and its link row
+//! at level 1, with no lookahead distance to tune and no queue of
+//! pending prefetches: the distances are the wheel's own slot widths.
+//!
+//! What the hook may do: read the payload. What it cannot do: send,
+//! deliver, reorder or drop — it receives `&M` and nothing of the
+//! plane, and it runs between taking an envelope out of one slot and
+//! filing it in the next, so the delivered `(at, seq)` sequence is the
+//! hookless one by construction ([`MessagePlane::deliver_window`] *is*
+//! the same drain with a no-op hook; the heap-model proptests hold
+//! both). What it must not rely on: being called. An envelope sent
+//! < 64 µs ahead files straight into level 0, one that lands in the
+//! first 64 µs of an opened level-2 slot skips level 1, overflow
+//! rebasing and [`MessagePlane::next_due`]'s cascades call nothing.
+//! That is fine for a hint — a message that skips a stage just pays
+//! the miss the stage would have hidden — and wrong for anything else.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -166,6 +194,19 @@ impl<M> Wheel<M> {
         }
     }
 
+    /// The level an envelope due at `at >= elapsed` files at: the
+    /// highest one where `at` and the cursor sit in different slots
+    /// (`>= WHEEL_LEVELS` means the overflow list).
+    #[inline]
+    fn level_of(&self, at: u64) -> usize {
+        let diff = at ^ self.elapsed;
+        if diff == 0 {
+            0
+        } else {
+            ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
+        }
+    }
+
     /// Files an envelope (already clamped to `at >= clock`).
     fn push(&mut self, env: Envelope<M>) {
         let at = env.at.as_micros();
@@ -176,12 +217,7 @@ impl<M> Wheel<M> {
             self.ready.push(Reverse(env));
             return;
         }
-        let diff = at ^ self.elapsed;
-        let level = if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
-        };
+        let level = self.level_of(at);
         if level >= WHEEL_LEVELS {
             self.overflow_min = self.overflow_min.min(at);
             self.overflow.push(env);
@@ -221,7 +257,14 @@ impl<M> Wheel<M> {
     /// Pops the globally earliest `(at, seq)` envelope due at or before
     /// `until`. Cascades and harvests lazily; the cursor never advances
     /// past `until`, so the horizon in `deliver_before` is exact.
-    fn pop_before(&mut self, until: SimTime) -> Option<Envelope<M>> {
+    ///
+    /// `on_cascade(level, &msg)` sees every envelope re-filed out of an
+    /// opened level-`level` slot (the module docs' lookahead hook).
+    fn pop_before(
+        &mut self,
+        until: SimTime,
+        on_cascade: &mut impl FnMut(usize, &M),
+    ) -> Option<Envelope<M>> {
         let until = until.as_micros();
         loop {
             let ready_at = self.ready.peek().map(|Reverse(e)| e.at.as_micros());
@@ -258,6 +301,7 @@ impl<M> Wheel<M> {
                     // levels (their times now share this slot path).
                     self.elapsed = start;
                     for env in self.levels[level].take(slot) {
+                        on_cascade(level, &env.msg);
                         self.push(env);
                     }
                 }
@@ -302,7 +346,11 @@ impl<M> Wheel<M> {
     /// After a `pop_before` returned an envelope at `at`, the rest of
     /// that instant's batch usually sits harvested in `ready`, so this
     /// is a peek + pop with no cursor walk.
-    fn pop_at(&mut self, at: SimTime) -> Option<Envelope<M>> {
+    fn pop_at(
+        &mut self,
+        at: SimTime,
+        on_cascade: &mut impl FnMut(usize, &M),
+    ) -> Option<Envelope<M>> {
         if self.ready.peek().is_some_and(|Reverse(e)| e.at == at) {
             let Reverse(env) = self.ready.pop().expect("peeked");
             return Some(env);
@@ -310,7 +358,7 @@ impl<M> Wheel<M> {
         // Slow path: the batch straddled a harvest boundary (overflow
         // rebase, behind-cursor send). `pop_before(at)` returns only
         // envelopes due ≤ `at`, and everything earlier is already out.
-        self.pop_before(at)
+        self.pop_before(at, on_cascade)
     }
 
     /// Earliest pending delivery time, without delivering anything.
@@ -459,7 +507,17 @@ impl<M> MessagePlane<M> {
     /// Delivers the next envelope due at or before `until`, advancing
     /// the clock to its delivery time. `None` once nothing is due.
     pub fn deliver_before(&mut self, until: SimTime) -> Option<Envelope<M>> {
-        let env = self.wheel.pop_before(until)?;
+        self.deliver_before_with(until, &mut |_, _| {})
+    }
+
+    /// [`MessagePlane::deliver_before`] with the cascade hook threaded
+    /// through — the one place an envelope leaves the wheel.
+    fn deliver_before_with(
+        &mut self,
+        until: SimTime,
+        on_cascade: &mut impl FnMut(usize, &M),
+    ) -> Option<Envelope<M>> {
+        let env = self.wheel.pop_before(until, on_cascade)?;
         debug_assert!(env.at >= self.clock, "plane clock must be monotone");
         self.clock = env.at;
         self.delivered += 1;
@@ -486,13 +544,30 @@ impl<M> MessagePlane<M> {
     /// instants past `t` before those late arrivals, breaking the
     /// contract.
     pub fn deliver_window(&mut self, until: SimTime, out: &mut Vec<Envelope<M>>) -> usize {
+        self.deliver_window_with(until, out, |_, _| {})
+    }
+
+    /// [`MessagePlane::deliver_window`] with a lookahead hook:
+    /// `on_cascade(level, &msg)` is called for every envelope the wheel
+    /// re-files out of an opened level-`level` slot (`level ≥ 1`) while
+    /// this drain walks the cursor — i.e. for messages due *after* the
+    /// batch, by up to `64^(level+1)` µs. The hook gets the payload by
+    /// shared reference and nothing else, so the delivered sequence is
+    /// the hookless one by construction; see the module's "cascades as
+    /// lookahead" section for what it is for.
+    pub fn deliver_window_with(
+        &mut self,
+        until: SimTime,
+        out: &mut Vec<Envelope<M>>,
+        mut on_cascade: impl FnMut(usize, &M),
+    ) -> usize {
         out.clear();
-        let Some(first) = self.deliver_before(until) else {
+        let Some(first) = self.deliver_before_with(until, &mut on_cascade) else {
             return 0;
         };
         let at = first.at;
         out.push(first);
-        while let Some(env) = self.wheel.pop_at(at) {
+        while let Some(env) = self.wheel.pop_at(at, &mut on_cascade) {
             debug_assert_eq!(env.at, at, "same-instant batch only");
             self.delivered += 1;
             self.in_flight -= 1;
@@ -567,6 +642,24 @@ mod tests {
 
         fn advance_to(&mut self, until: SimTime) {
             self.clock = self.clock.max(until);
+        }
+    }
+
+    /// One send time of the random schedules below: ties, past sends,
+    /// overflow hits and delays on every scale from µs to minutes.
+    fn mixed_scale_at(rng: &mut Rng, now: SimTime) -> SimTime {
+        match rng.bounded_u64(10) {
+            // Same-instant tie bursts.
+            0 | 1 => now,
+            // Past send: clamps to now.
+            2 => SimTime(now.0 / 2),
+            // Far future: crosses the overflow level.
+            3 => now + SimTime(1 << 45) + SimTime(rng.bounded_u64(1 << 13)),
+            // Mixed scales, from µs to minutes.
+            _ => {
+                let scale = 10u64.pow(rng.bounded_u64(8) as u32);
+                now + SimTime(rng.bounded_u64(scale.max(1)))
+            }
         }
     }
 
@@ -766,19 +859,7 @@ mod tests {
                 // A burst of sends against both planes.
                 for _ in 0..rng.bounded_u64(20) {
                     tag += 1;
-                    let at = match rng.bounded_u64(10) {
-                        // Same-instant tie bursts.
-                        0 | 1 => wheel.now(),
-                        // Past send: clamps to now.
-                        2 => SimTime(wheel.now().0 / 2),
-                        // Far future: crosses the overflow level.
-                        3 => wheel.now() + SimTime(1 << 45) + SimTime(rng.bounded_u64(1 << 13)),
-                        // Mixed scales, from µs to minutes.
-                        _ => {
-                            let scale = 10u64.pow(rng.bounded_u64(8) as u32);
-                            wheel.now() + SimTime(rng.bounded_u64(scale.max(1)))
-                        }
-                    };
+                    let at = mixed_scale_at(&mut rng, wheel.now());
                     wheel.send_at(at, tag);
                     heap.send_at(at, tag);
                 }
@@ -834,6 +915,161 @@ mod tests {
             }
             prop_assert_eq!(wheel.in_flight(), 0);
             prop_assert!(delivered > 0, "schedule exercised nothing");
+        }
+    }
+
+    /// What the cascade hook may see of one envelope, from how it was
+    /// filed.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Filed {
+        /// Level 0 or behind the cursor: never shown to the hook.
+        Straight,
+        /// A wheel level ≥ 1: the hook's first sight is at that level.
+        Level(usize),
+        /// The overflow list: rebased to a level unknown at send time.
+        Overflow,
+    }
+
+    /// Both planes plus the hook's ledger, one entry per tag.
+    struct Hooked {
+        wheel: MessagePlane<u32>,
+        heap: HeapPlane<u32>,
+        filed: Vec<Filed>,
+        /// Level of the hook's last sight (`usize::MAX`: none yet).
+        last_seen: Vec<usize>,
+        delivered: Vec<bool>,
+        violations: Vec<String>,
+    }
+
+    impl Hooked {
+        fn send_at(&mut self, at: SimTime) {
+            let tag = self.filed.len() as u32;
+            let due = at.max(self.wheel.now()).as_micros();
+            let level = self.wheel.wheel.level_of(due);
+            self.filed
+                .push(if due < self.wheel.wheel.elapsed || level == 0 {
+                    Filed::Straight
+                } else if level < WHEEL_LEVELS {
+                    Filed::Level(level)
+                } else {
+                    Filed::Overflow
+                });
+            self.last_seen.push(usize::MAX);
+            self.delivered.push(false);
+            self.wheel.send_at(at, tag);
+            self.heap.send_at(at, tag);
+        }
+
+        /// One hooked same-instant drain, checked envelope by envelope
+        /// against the heap model's pop-one loop.
+        fn drain_instant(&mut self, horizon: SimTime, batch: &mut Vec<Envelope<u32>>) -> usize {
+            let Hooked {
+                wheel,
+                filed,
+                last_seen,
+                delivered,
+                violations,
+                ..
+            } = self;
+            let n = wheel.deliver_window_with(horizon, batch, |level, &tag| {
+                let t = tag as usize;
+                let first = last_seen[t] == usize::MAX;
+                if delivered[t] {
+                    violations.push(format!("tag {tag} seen at level {level} after delivery"));
+                }
+                if level == 0 || level >= WHEEL_LEVELS {
+                    violations.push(format!("tag {tag} seen at level {level}"));
+                }
+                if level >= last_seen[t] {
+                    violations.push(format!(
+                        "tag {tag} seen at level {level} after level {}",
+                        last_seen[t]
+                    ));
+                }
+                match filed[t] {
+                    Filed::Straight => violations.push(format!(
+                        "tag {tag} was filed straight into level 0, seen at level {level}"
+                    )),
+                    Filed::Level(l) if first && l != level => violations.push(format!(
+                        "tag {tag} filed at level {l}, first seen at level {level}"
+                    )),
+                    _ => {}
+                }
+                last_seen[t] = level;
+            });
+            for e in batch.iter() {
+                let t = e.msg as usize;
+                self.delivered[t] = true;
+                if matches!(self.filed[t], Filed::Level(_)) && self.last_seen[t] == usize::MAX {
+                    self.violations
+                        .push(format!("tag {} came down the levels unseen", e.msg));
+                }
+                let model = self
+                    .heap
+                    .deliver_before(horizon)
+                    .map(|m| (m.at, m.seq, m.msg));
+                if model != Some((e.at, e.seq, e.msg)) {
+                    self.violations.push(format!(
+                        "wheel delivered {:?}, heap model {model:?}",
+                        (e.at, e.seq, e.msg)
+                    ));
+                }
+            }
+            n
+        }
+    }
+
+    // The hooked drain delivers the heap model's sequence, and the hook
+    // sees an envelope only on its way down: before its delivery, at
+    // strictly descending levels (so at most once per level), starting
+    // at the level it was filed at, and never when it was filed
+    // straight into level 0.
+    proptest! {
+        #[test]
+        fn hooked_drain_matches_heap_and_sees_each_envelope_on_its_way_down(seed in 0u64..64) {
+            let mut rng = Rng::new(seed ^ 0xCA5C_ADE5);
+            let mut h = Hooked {
+                wheel: MessagePlane::new(),
+                heap: HeapPlane::new(),
+                filed: Vec::new(),
+                last_seen: Vec::new(),
+                delivered: Vec::new(),
+                violations: Vec::new(),
+            };
+            let mut batch = Vec::new();
+            for round in 0..40 {
+                for _ in 0..rng.bounded_u64(20) {
+                    let at = mixed_scale_at(&mut rng, h.wheel.now());
+                    h.send_at(at);
+                }
+                // The last round drains everything, overflow included.
+                let horizon = if round == 39 {
+                    SimTime(u64::MAX)
+                } else {
+                    h.wheel.now() + SimTime(rng.bounded_u64(1 << 22))
+                };
+                while h.drain_instant(horizon, &mut batch) > 0 {
+                    // The engine's handler pattern: sends at the batch
+                    // instant and at every scale past it.
+                    if rng.chance(0.3) {
+                        let scale = 1 << rng.bounded_u64(21);
+                        let dt = SimTime(rng.bounded_u64(scale));
+                        h.send_at(h.wheel.now() + dt);
+                    }
+                }
+                prop_assert!(h.heap.deliver_before(horizon).is_none(), "wheel stopped early");
+                prop_assert_eq!(h.wheel.now(), h.heap.now());
+                if rng.chance(0.5) && round != 39 {
+                    h.wheel.advance_to(horizon);
+                    h.heap.advance_to(horizon);
+                }
+            }
+            prop_assert!(h.violations.is_empty(), "{:#?}", h.violations);
+            prop_assert!(h.delivered.iter().all(|&d| d), "the full drain left envelopes behind");
+            prop_assert!(
+                h.last_seen.iter().any(|&l| l != usize::MAX) && h.filed.contains(&Filed::Straight),
+                "schedule exercised no cascade or no straight filing"
+            );
         }
     }
 }
