@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use sw_core::config::{LinkSampler, MassThreshold, OutDegree};
 use sw_core::links::LinkSelector;
-use sw_graph::{par, LinkTable, TopologyStore};
+use sw_graph::{par, LinkTable};
 use sw_keyspace::distribution::{KeyDistribution, Uniform};
 use sw_keyspace::Topology as Metric;
 use sw_keyspace::{Key, Rng};
@@ -157,7 +157,7 @@ pub(crate) fn build_frozen_overlay(seed: u64, n: usize, path: &std::path::Path) 
         lt.add_all(u as u32, row.iter().copied());
     }
     let pos: Vec<f64> = keys.iter().map(|k| k.get()).collect();
-    TopologyStore::heap(lt.build())
+    lt.build()
         .freeze_to(path, Some(&pos))
         .expect("freeze e22 overlay image");
 }

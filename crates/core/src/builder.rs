@@ -28,21 +28,23 @@
 //!
 //! Two paths produce the same network, bit for bit:
 //!
-//! - **Heap path** ([`SmallWorldBuilder::build`]): per-peer long rows →
-//!   heap CSR → `LinkTable` union with ring/interval neighbours →
-//!   contact CSR → SoA lanes. Flexible (feeds the maintenance APIs)
-//!   but allocates every intermediate. With
-//!   [`SmallWorldNetwork::freeze_to`] it is the byte-identity oracle for
-//!   the arena path.
+//! - **Heap path** ([`SmallWorldBuilder::build`]): per-peer long row
+//!   `Vec`s → long image → `LinkTable` union with ring/interval
+//!   neighbours → contact image → the same rows re-filled beside the SoA
+//!   lane. Flexible (the maintenance APIs rebuild through it) but
+//!   allocates every intermediate. With [`SmallWorldNetwork::freeze_to`]
+//!   it is the byte-identity oracle for the arena path.
 //! - **Arena path** ([`SmallWorldBuilder::build_to_arena`], and
 //!   `build_frozen` under the `mmap` feature): one sampling pass into
-//!   flat scratch, then count-then-fill writes straight into the final
-//!   [`TopologyArena`] images via [`sw_graph::writer::ArenaWriter`] — no
-//!   intermediate CSR, no `LinkTable`, no per-row `Vec`s. The writer's
-//!   buffer is a heap allocation (`build_to_arena`) or a write-through
-//!   mapping of the destination files (`build_frozen`, where sealing the
-//!   writer is the freeze). The images equal what the heap path's
-//!   `freeze_to` writes, byte for byte.
+//!   flat scratch, then count-then-fill writes straight into the two
+//!   final images — no `LinkTable`, no per-row `Vec`s, no second fill.
+//!   The writer's buffer is a heap allocation (`build_to_arena`) or a
+//!   write-through mapping of the destination files (`build_frozen`,
+//!   where sealing the writer is the freeze). The images equal what the
+//!   heap path's `freeze_to` writes, byte for byte.
+//!
+//! Both paths fill every image through [`sw_graph::writer::ArenaWriter`],
+//! the only producer of a [`CsrTopology`].
 //!
 //! Identity holds because both paths draw peer `u`'s links from RNG
 //! stream `u` of one build seed, and both emit contact rows as the
@@ -59,7 +61,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use sw_graph::csr::Topology as CsrTopology;
 use sw_graph::par;
-use sw_graph::store::TopologyArena;
 use sw_graph::writer::ArenaWriter;
 use sw_graph::NodeId;
 use sw_keyspace::distribution::{KeyDistribution, Uniform};
@@ -373,8 +374,8 @@ pub struct ArenaBuild {
     cdf: Vec<f64>,
     config: SmallWorldConfig,
     label: String,
-    contacts: TopologyArena,
-    long: TopologyArena,
+    contacts: CsrTopology,
+    long: CsrTopology,
     profile: BuildProfile,
 }
 
@@ -389,13 +390,13 @@ impl ArenaBuild {
         self.placement.len() == 0
     }
 
-    /// The frozen contact-table arena (carries edge and node key lanes).
-    pub fn contacts(&self) -> &TopologyArena {
+    /// The contact-table image (carries edge and node key lanes).
+    pub fn contacts(&self) -> &CsrTopology {
         &self.contacts
     }
 
-    /// The frozen long-link arena (no lanes).
-    pub fn long(&self) -> &TopologyArena {
+    /// The long-link image (no lanes).
+    pub fn long(&self) -> &CsrTopology {
         &self.long
     }
 
@@ -415,23 +416,21 @@ impl ArenaBuild {
     pub fn freeze_to(&self, dir: impl AsRef<Path>) -> io::Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        self.contacts.write_to(dir.join(CONTACTS_FILE))?;
-        self.long.write_to(dir.join(LONG_FILE))?;
-        Ok(())
+        self.contacts.freeze_to(dir.join(CONTACTS_FILE), None)?;
+        self.long.freeze_to(dir.join(LONG_FILE), None)
     }
 
-    /// Converts into a routable [`SmallWorldNetwork`] without touching
-    /// the contact arena (routing runs on its SoA lanes); the long CSR
-    /// is unpacked onto the heap so the maintenance APIs keep working.
+    /// Converts into a routable [`SmallWorldNetwork`] holding both
+    /// images as they are: routing runs on the contact image's SoA
+    /// lanes, the maintenance APIs read the long image.
     pub fn into_network(self) -> SmallWorldNetwork {
-        let long = self.long.to_topology();
-        SmallWorldNetwork::from_contact_arena(
+        SmallWorldNetwork::from_contact_image(
             self.placement,
             self.assumed,
             self.cdf,
             self.config,
             self.contacts,
-            long,
+            self.long,
             self.label,
         )
     }
@@ -530,7 +529,7 @@ fn build_arena_parts(
     threads: usize,
     dir: Option<&Path>,
     (t, profile): (&mut Instant, &mut BuildProfile),
-) -> io::Result<(TopologyArena, TopologyArena)> {
+) -> io::Result<(CsrTopology, CsrTopology)> {
     let n = placement.len();
     let keys = placement.keys();
     let sampled = sample_rows(selector, build_seed, budget, n, threads);
@@ -740,13 +739,15 @@ mod tests {
         assert!(c.contains(&1));
     }
 
-    /// The heap path's freeze images, computed without touching disk —
-    /// exactly what `SmallWorldNetwork::freeze_to` writes.
-    fn heap_freeze_images(net: &SmallWorldNetwork) -> (TopologyArena, TopologyArena) {
-        let keys: Vec<f64> = net.placement().keys().iter().map(|k| k.get()).collect();
-        let store = net.route_table().store();
-        let contacts = TopologyArena::build(&store.to_topology(), store.edge_pos(), Some(&keys));
-        let long = TopologyArena::build(net.long_topology(), None, None);
+    /// The table path's freeze images: exactly the bytes
+    /// `SmallWorldNetwork::freeze_to` writes (into a scratch `dir`).
+    fn heap_freeze_images(net: &SmallWorldNetwork, dir: &str) -> (Vec<u8>, Vec<u8>) {
+        use crate::network::{CONTACTS_FILE, LONG_FILE};
+        let dir = std::env::temp_dir().join(dir);
+        net.freeze_to(&dir).unwrap();
+        let contacts = std::fs::read(dir.join(CONTACTS_FILE)).unwrap();
+        let long = std::fs::read(dir.join(LONG_FILE)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         (contacts, long)
     }
 
@@ -757,9 +758,9 @@ mod tests {
             .sampler(LinkSampler::Harmonic);
         let net = builder.build(&mut Rng::new(99)).unwrap();
         let fast = builder.build_to_arena(&mut Rng::new(99)).unwrap();
-        let (contacts, long) = heap_freeze_images(&net);
-        assert_eq!(contacts.as_bytes(), fast.contacts().as_bytes());
-        assert_eq!(long.as_bytes(), fast.long().as_bytes());
+        let (contacts, long) = heap_freeze_images(&net, "sw-core-heap-freeze-bytes");
+        assert_eq!(contacts, fast.contacts().as_bytes());
+        assert_eq!(long, fast.long().as_bytes());
     }
 
     #[test]
@@ -770,9 +771,9 @@ mod tests {
         let builder = SmallWorldBuilder::new(512).topology(Topology::Ring);
         let net = builder.build(&mut Rng::new(13)).unwrap();
         let fast = builder.build_to_arena(&mut Rng::new(13)).unwrap();
-        let (contacts, long) = heap_freeze_images(&net);
-        assert_eq!(contacts.as_bytes(), fast.contacts().as_bytes());
-        assert_eq!(long.as_bytes(), fast.long().as_bytes());
+        let (contacts, long) = heap_freeze_images(&net, "sw-core-heap-freeze-ring");
+        assert_eq!(contacts, fast.contacts().as_bytes());
+        assert_eq!(long, fast.long().as_bytes());
     }
 
     /// `build_frozen` must leave on disk exactly what
@@ -794,8 +795,8 @@ mod tests {
         );
         assert_eq!(reference.long().as_bytes(), frozen.long().as_bytes());
         drop(frozen);
-        let contacts = TopologyArena::open(dir.join(CONTACTS_FILE)).unwrap();
-        let long = TopologyArena::open(dir.join(LONG_FILE)).unwrap();
+        let contacts = CsrTopology::open(dir.join(CONTACTS_FILE)).unwrap();
+        let long = CsrTopology::open(dir.join(LONG_FILE)).unwrap();
         assert_eq!(reference.contacts().as_bytes(), contacts.as_bytes());
         assert_eq!(reference.long().as_bytes(), long.as_bytes());
         let net = SmallWorldNetwork::open_from(
@@ -850,19 +851,15 @@ mod tests {
                 .parallelism(threads)
         };
         let net = builder(1).build(&mut Rng::new(606)).unwrap();
-        let (contacts, long) = heap_freeze_images(&net);
+        let (contacts, long) = heap_freeze_images(&net, "sw-core-heap-freeze-parallelism");
         for threads in [1, 2, 3, 7] {
             let fast = builder(threads).build_to_arena(&mut Rng::new(606)).unwrap();
             assert_eq!(
-                contacts.as_bytes(),
+                contacts,
                 fast.contacts().as_bytes(),
                 "contacts, threads={threads}"
             );
-            assert_eq!(
-                long.as_bytes(),
-                fast.long().as_bytes(),
-                "long, threads={threads}"
-            );
+            assert_eq!(long, fast.long().as_bytes(), "long, threads={threads}");
             assert!(fast.profile().sample_s > 0.0 && fast.profile().contact_fill_s > 0.0);
             #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
             {
@@ -871,12 +868,12 @@ mod tests {
                     .build_frozen(&mut Rng::new(606), &dir)
                     .unwrap();
                 assert_eq!(
-                    contacts.as_bytes(),
+                    contacts,
                     frozen.contacts().as_bytes(),
                     "frozen contacts, threads={threads}"
                 );
                 assert_eq!(
-                    long.as_bytes(),
+                    long,
                     frozen.long().as_bytes(),
                     "frozen long, threads={threads}"
                 );

@@ -1,14 +1,12 @@
 //! The constructed small-world overlay: placement + neighbour edges +
-//! long-range links, stored as flat CSR topologies behind pluggable
-//! storage backends.
+//! long-range links, stored as two flat CSR images (owned or mapped).
 
 use crate::config::SmallWorldConfig;
 use crate::links::normalized_positions;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use sw_graph::csr::Topology as CsrTopology;
-use sw_graph::store::{TopologyArena, TopologyStore};
 use sw_graph::{LinkTable, NodeId};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::{Key, Rng, Topology};
@@ -30,13 +28,13 @@ pub(crate) const LONG_FILE: &str = "long.swt";
 /// routing reads) lives in a key-aligned SoA
 /// [`RouteTable`](sw_overlay::RouteTable): one flat CSR plus a per-edge
 /// ring-position lane, built once during construction. A freshly built
-/// network keeps it on the heap; [`SmallWorldNetwork::open_from`]
-/// reopens a frozen network with the table backed by a flat file arena
-/// instead — same routing code at every size (one lookup walks the id
-/// rows with the reference walk, a batch goes through the interleaved
-/// kernel over the lanes), and the whole routing table loads as one
-/// allocation (or an mmap). The long-link CSR is kept separately (with
-/// its incoming transpose) for the maintenance/refresh APIs.
+/// network owns that image; [`SmallWorldNetwork::open_from`] holds the
+/// one it read (or mapped) from disk — the same type read by the same
+/// code, so one lookup walks the id rows with the reference walk and a
+/// batch goes through the interleaved kernel over the lanes at every
+/// size. The long-link CSR is a second image (with its incoming
+/// transpose) for the maintenance/refresh APIs.
+#[derive(Clone)]
 pub struct SmallWorldNetwork {
     placement: Placement,
     /// The density used for link construction (the *assumed* `f̂`).
@@ -49,28 +47,8 @@ pub struct SmallWorldNetwork {
     /// Full routing table: neighbours + long links, with the
     /// key-aligned position lanes.
     route_table: RouteTable,
-    /// Lazily materialized heap view of the contact CSR for arena-backed
-    /// (reopened) networks — [`Overlay::topology`] hands out a
-    /// `&CsrTopology` for metrics consumers. Routing never asks for it.
-    contact_heap: OnceLock<CsrTopology>,
     /// Display label, e.g. `"sw(uniform,exact)"`.
     label: String,
-}
-
-impl Clone for SmallWorldNetwork {
-    fn clone(&self) -> Self {
-        SmallWorldNetwork {
-            placement: self.placement.clone(),
-            assumed: self.assumed.clone(),
-            cdf: self.cdf.clone(),
-            config: self.config,
-            long: self.long.clone(),
-            route_table: self.route_table.clone(),
-            // The cache is cheap to rebuild; don't clone a large CSR.
-            contact_heap: OnceLock::new(),
-            label: self.label.clone(),
-        }
-    }
 }
 
 impl std::fmt::Debug for SmallWorldNetwork {
@@ -119,32 +97,31 @@ impl SmallWorldNetwork {
             config,
             long,
             route_table,
-            contact_heap: OnceLock::new(),
             label,
         }
     }
 
-    /// Assembles a network whose contact table is *already* a frozen
-    /// arena (the [`crate::builder::ArenaBuild`] fast path): no per-edge
-    /// work happens here — the arena carries the position lanes, `cdf`
-    /// comes from the build's selector — and routing is bit-identical to
-    /// a heap-assembled network.
+    /// Assembles a network whose contact image was *already* written
+    /// with its lanes (the [`crate::builder::ArenaBuild`] fast path): no
+    /// per-edge work happens here — the image carries the position
+    /// lanes, `cdf` comes from the build's selector — and routing is
+    /// bit-identical to a heap-assembled network.
     ///
     /// # Panics
     ///
-    /// Panics if the arena carries no per-edge position lane (the
-    /// construction pipeline always writes one).
-    pub(crate) fn from_contact_arena(
+    /// Panics if the contact image carries no per-edge position lane
+    /// (the construction pipeline always writes one).
+    pub(crate) fn from_contact_image(
         placement: Placement,
         assumed: Arc<dyn KeyDistribution>,
         cdf: Vec<f64>,
         config: SmallWorldConfig,
-        contacts: TopologyArena,
+        contacts: CsrTopology,
         long: CsrTopology,
         label: String,
     ) -> Self {
-        let route_table = RouteTable::from_store(Arc::new(TopologyStore::Arena(contacts)))
-            .unwrap_or_else(|_| panic!("contact arena carries no per-edge position lane"));
+        let route_table = RouteTable::from_store(Arc::new(contacts))
+            .unwrap_or_else(|_| panic!("contact image carries no per-edge position lane"));
         SmallWorldNetwork {
             placement,
             assumed,
@@ -152,7 +129,6 @@ impl SmallWorldNetwork {
             config,
             long,
             route_table,
-            contact_heap: OnceLock::new(),
             label,
         }
     }
@@ -162,7 +138,6 @@ impl SmallWorldNetwork {
     fn set_long_topology(&mut self, long: CsrTopology) {
         let contact_table = build_contact_table(&self.placement, &long, 0);
         self.route_table = build_route_table(&self.placement, contact_table, 0);
-        self.contact_heap = OnceLock::new();
         self.long = long;
     }
 
@@ -291,28 +266,15 @@ impl SmallWorldNetwork {
         &self.route_table
     }
 
-    /// The heap view of the full contact CSR. Direct for freshly built
-    /// networks; materialized once (and cached) for arena-backed ones.
-    fn contact_csr(&self) -> &CsrTopology {
-        match &**self.route_table.store() {
-            TopologyStore::Heap { topo, .. } => topo,
-            TopologyStore::Arena(_) => self
-                .contact_heap
-                .get_or_init(|| self.route_table.store().to_topology()),
-        }
-    }
-
-    /// Resident bytes of the routing state (contact CSR + position
-    /// lanes + long-link CSR) — the `bytes/peer` accounting
+    /// Resident bytes of the routing state (contact image with its
+    /// position lane + long-link image) — the `bytes/peer` accounting
     /// `examples/large_scale.rs` prints; the on-disk counterpart is the
     /// `bytes_per_peer` metric in `BENCHMARK.json`.
     pub fn resident_bytes(&self) -> usize {
-        // Long-link CSR: two offset arrays (u32) + two edge arrays (u32).
-        let long_bytes = (self.long.len() + 1) * 8 + self.long.edge_count() * 8;
-        self.route_table.resident_bytes() + long_bytes
+        self.route_table.resident_bytes() + self.long.resident_bytes()
     }
 
-    /// Freezes the overlay into flat arena files under `dir` (created if
+    /// Freezes the overlay into two image files under `dir` (created if
     /// missing): `contacts.swt` holds the contact CSR, the per-edge
     /// ring-position lane and the per-node keys; `long.swt` holds the
     /// long-link CSR. A 10⁷-peer overlay is built once, frozen, and
@@ -330,20 +292,19 @@ impl SmallWorldNetwork {
         self.route_table
             .store()
             .freeze_to(dir.join(CONTACTS_FILE), Some(&node_pos))?;
-        TopologyArena::build(&self.long, None, None).write_to(dir.join(LONG_FILE))?;
-        Ok(())
+        self.long.freeze_to(dir.join(LONG_FILE), None)
     }
 
     /// Reopens a network frozen with [`SmallWorldNetwork::freeze_to`].
     ///
-    /// The contact table and its position lanes stay in the arena (one
-    /// bump allocation — or a lazy mapping under `sw-graph`'s `mmap`
-    /// feature — with zero per-edge work). The rest of the reopen is
-    /// O(n + m) but cheap and rebuild-free: the placement and its CDF
-    /// cache are rebuilt from the frozen per-node keys, and the
-    /// long-link CSR is unpacked onto the heap so the maintenance APIs
-    /// (refresh, link drops) keep working; none of the per-peer link
-    /// *sampling* reruns, which is why reopen (`core.network.open_s` in
+    /// Both images are used as read (one allocation each — or a lazy
+    /// mapping under `sw-graph`'s `mmap` feature — with zero per-edge
+    /// work and no unpacking): the contact image is the routing table,
+    /// the long image the long-link topology the maintenance APIs
+    /// (refresh, link drops) read. The rest of the reopen is O(n) and
+    /// rebuild-free — the placement and its CDF cache are rebuilt from
+    /// the frozen per-node keys; none of the per-peer link *sampling*
+    /// reruns, which is why reopen (`core.network.open_s` in
     /// `BENCHMARK.json`) is a small fraction of construction time
     /// (`core.builder.build_frozen_s`). Routing over the reopened network
     /// is bit-identical to routing over the original.
@@ -353,8 +314,8 @@ impl SmallWorldNetwork {
         assumed: Arc<dyn KeyDistribution>,
     ) -> io::Result<SmallWorldNetwork> {
         let dir = dir.as_ref();
-        // TopologyStore::open picks mmap when the feature is enabled.
-        let contacts = Arc::new(TopologyStore::open(dir.join(CONTACTS_FILE))?);
+        // Topology::open maps the file when the feature is enabled.
+        let contacts = Arc::new(CsrTopology::open(dir.join(CONTACTS_FILE))?);
         let node_pos = contacts.node_pos().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -366,7 +327,7 @@ impl SmallWorldNetwork {
         let keys: Vec<Key> = node_pos.iter().map(|&p| Key::clamped(p)).collect();
         let placement = Placement::from_keys(keys, config.topology, assumed.name())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let long = TopologyArena::open(dir.join(LONG_FILE))?.to_topology();
+        let long = CsrTopology::open(dir.join(LONG_FILE))?;
         let cdf = normalized_positions(&placement, assumed.as_ref());
         let label = format!("sw({},{})", assumed.name(), config.sampler.label());
         let route_table = RouteTable::from_store(contacts).map_err(|_| {
@@ -382,7 +343,6 @@ impl SmallWorldNetwork {
             config,
             long,
             route_table,
-            contact_heap: OnceLock::new(),
             label,
         })
     }
@@ -422,16 +382,11 @@ impl Overlay for SmallWorldNetwork {
         &self.placement
     }
 
+    /// The route table's own image — a reference, never a copy — so
+    /// [`Overlay::contacts`] and the reference walk read the rows the
+    /// batch kernel scans, built or reopened.
     fn topology(&self) -> &CsrTopology {
-        self.contact_csr()
-    }
-
-    /// Contact rows straight out of the route table's store, so single
-    /// lookups ([`Overlay::route`]'s reference walk) over a reopened
-    /// arena never unpack the heap CSR.
-    #[inline]
-    fn contacts(&self, u: NodeId) -> &[NodeId] {
-        self.route_table.store().neighbors(u)
+        self.route_table.store()
     }
 
     /// A batch is always the interleaved AMAC kernel over the table's
@@ -661,11 +616,12 @@ mod tests {
                 assert_eq!(route_batch(owner, &workload, &opts, threads), reference);
             }
         }
-        // Routing read the arena's rows in place: only `topology()`
-        // unpacks the heap CSR.
-        assert!(reopened.contact_heap.get().is_none());
+        // `topology()` is the route table's image itself, not a copy.
+        assert!(std::ptr::eq(
+            reopened.topology(),
+            &**reopened.route_table().store()
+        ));
         assert_eq!(reopened.topology(), net.topology());
-        assert!(reopened.contact_heap.get().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,14 +8,10 @@
 //!
 //! * a **join** splits the successor's shard — the new peer takes the
 //!   arc between its predecessor and itself ([`ShardMap::split_to`]);
-//! * a **failure** merges the dead peer's shard into its successor
-//!   ([`ShardMap::merge_into`]).
-//!
-//! Bulk operations (initial loads, full-corpus range sweeps, integrity
-//! counts) fan out across shards with `sw_graph::par`, and are
-//! bit-identical for every worker-thread count: the parallel stages are
-//! pure per-item/per-shard maps, and all mutation happens in a
-//! deterministic sequential drain.
+//! * a **failure** drops the dead peer's shard
+//!   ([`ShardMap::clear_shard`]); no copy moves at that instant, and
+//!   the anti-entropy repair below restores the lost copies from the
+//!   surviving replicas.
 //!
 //! ## Anti-entropy substrate
 //!
@@ -23,16 +19,13 @@
 //! views below: [`ShardMap::arc_digest`] summarises one owner's slice of
 //! a ring arc as an order-independent [`RangeDigest`] (cheap to ship,
 //! cheap to compare), [`ShardMap::arc_diff`] returns the keys a peer is
-//! missing against another's key list, and
-//! [`ShardMap::export`] / [`ShardMap::transfer_out`] /
+//! missing against another's key list, and [`ShardMap::export`] /
 //! [`ShardMap::absorb`] move bulk slices with **byte-size accounting**
 //! ([`item_bytes`]) so every repair transfer can be charged a per-byte
-//! bandwidth delay. [`ShardMap::par_arc_digests`] computes digest sets
-//! for many arcs at once on the `sw_graph::par` scan path.
+//! bandwidth delay.
 
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included, Unbounded};
-use sw_graph::par;
 use sw_keyspace::{splitmix64_mix, Key, Topology};
 
 /// Wire size one stored item accounts for: an 8-byte key plus the value
@@ -218,84 +211,6 @@ impl ShardMap {
         n
     }
 
-    /// Ownership merge on failure: drains `from`'s entire shard into
-    /// `to`'s (existing rows in `to` win — they are fresher). Returns the
-    /// number of rows drained.
-    pub fn merge_into(&mut self, from: u32, to: u32) -> usize {
-        if from == to || (from as usize) >= self.shards.len() {
-            return 0;
-        }
-        self.ensure(to);
-        let src = std::mem::take(&mut self.shards[from as usize]);
-        let n = src.len();
-        let dst = &mut self.shards[to as usize];
-        for (k, v) in src {
-            match dst.entry(k) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-                std::collections::btree_map::Entry::Occupied(_) => self.len -= 1,
-            }
-        }
-        n
-    }
-
-    /// Bulk-loads `items`, assigning each to `owner_of(key)`.
-    ///
-    /// The owner resolution (the `O(log n)` part) fans out across
-    /// `threads` workers (`0` = auto); the shard insertion drains
-    /// sequentially in input order, so later duplicates overwrite earlier
-    /// ones exactly as a sequential loop would and the result is
-    /// independent of the thread count.
-    pub fn bulk_load(
-        &mut self,
-        items: Vec<(Key, Vec<u8>)>,
-        threads: usize,
-        owner_of: impl Fn(Key) -> u32 + Sync,
-    ) {
-        let owners = par::par_map_grained(items.len(), threads, 256, |i| owner_of(items[i].0));
-        for ((k, v), owner) in items.into_iter().zip(owners) {
-            self.insert(owner, k, v);
-        }
-    }
-
-    /// Maps `f` over every shard in parallel (`0` = auto threads) and
-    /// returns the per-shard results in shard order. `f` must be pure in
-    /// the shard contents; results are then independent of the thread
-    /// count by construction.
-    pub fn par_map_shards<T: Send>(
-        &self,
-        threads: usize,
-        f: impl Fn(u32, &Shard) -> T + Sync,
-    ) -> Vec<T> {
-        par::par_map_grained(self.shards.len(), threads, 8, |i| {
-            f(i as u32, &self.shards[i])
-        })
-    }
-
-    /// Full-corpus range sweep `[lo, hi)` across *all* shards in
-    /// parallel, merged into ascending key order. This is the bulk
-    /// verification / analytics path; the simulator's routed range
-    /// queries sweep owner-by-owner instead.
-    pub fn par_scan_range(&self, lo: Key, hi: Key, threads: usize) -> Vec<(Key, Vec<u8>)> {
-        if hi <= lo {
-            return Vec::new();
-        }
-        let per_shard = self.par_map_shards(threads, |_, s| {
-            s.range(lo..hi)
-                .map(|(k, v)| (*k, v.clone()))
-                .collect::<Vec<_>>()
-        });
-        let mut out: Vec<(Key, Vec<u8>)> = per_shard.into_iter().flatten().collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Recount `len` from the shards (integrity check; parallel).
-    pub fn par_len(&self, threads: usize) -> usize {
-        self.par_map_shards(threads, |_, s| s.len()).iter().sum()
-    }
-
     // ----- anti-entropy substrate ------------------------------------
 
     /// Visits `owner`'s items on the clockwise ring arc `(from, upto]`,
@@ -369,22 +284,6 @@ impl ShardMap {
         (items, bytes)
     }
 
-    /// Removes `owner`'s whole arc slice `(from, upto]` and returns it
-    /// with its wire size — the hand-off path (ownership moved, the
-    /// source keeps nothing).
-    pub fn transfer_out(&mut self, owner: u32, from: Key, upto: Key) -> (Vec<(Key, Vec<u8>)>, u64) {
-        let keys = self.arc_keys(owner, from, upto);
-        let mut items = Vec::with_capacity(keys.len());
-        let mut bytes = 0u64;
-        for k in keys {
-            if let Some(v) = self.remove(owner, k) {
-                bytes += item_bytes(&v);
-                items.push((k, v));
-            }
-        }
-        (items, bytes)
-    }
-
     /// Bulk-inserts transferred items into `owner`'s shard (incoming
     /// values overwrite), returning how many keys were new and the total
     /// wire size absorbed.
@@ -398,17 +297,6 @@ impl ShardMap {
             }
         }
         (new_keys, bytes)
-    }
-
-    /// Digests many `(owner, from, upto)` arcs at once on the
-    /// `sw_graph::par` scan path — per-arc results in input order,
-    /// bit-identical at every worker-thread count (each digest is a pure
-    /// read of one shard).
-    pub fn par_arc_digests(&self, threads: usize, arcs: &[(u32, Key, Key)]) -> Vec<RangeDigest> {
-        par::par_map_grained(arcs.len(), threads, 32, |i| {
-            let (owner, from, upto) = arcs[i];
-            self.arc_digest(owner, from, upto)
-        })
     }
 }
 
@@ -476,67 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_drains_and_prefers_destination() {
-        let mut m = ShardMap::new(3);
-        m.insert(0, k(0.1), val(1));
-        m.insert(0, k(0.2), val(2));
-        m.insert(2, k(0.2), val(9)); // destination already has 0.2
-        let drained = m.merge_into(0, 2);
-        assert_eq!(drained, 2);
-        assert_eq!(m.shard_len(0), 0);
-        assert_eq!(m.get(2, k(0.2)), Some(&val(9)), "existing row wins");
-        assert_eq!(m.get(2, k(0.1)), Some(&val(1)));
-        assert_eq!(m.len(), 2, "duplicate collapsed");
-        assert_eq!(m.par_len(2), 2);
-    }
-
-    #[test]
-    fn bulk_load_is_thread_count_invariant() {
-        let items: Vec<(Key, Vec<u8>)> = (0..2000)
-            .map(|i| (k((i % 700) as f64 / 700.0), val(i)))
-            .collect();
-        let owner_of = |key: Key| (key.get() * 16.0) as u32;
-        let mut one = ShardMap::new(16);
-        one.bulk_load(items.clone(), 1, owner_of);
-        for threads in [2, 4, 7] {
-            let mut t = ShardMap::new(16);
-            t.bulk_load(items.clone(), threads, owner_of);
-            assert_eq!(t.len(), one.len(), "threads={threads}");
-            for s in 0..16 {
-                assert_eq!(
-                    t.shard(s).unwrap(),
-                    one.shard(s).unwrap(),
-                    "shard {s}, threads={threads}"
-                );
-            }
-        }
-        assert_eq!(one.len(), 700, "duplicates overwrote in input order");
-    }
-
-    #[test]
-    fn par_scan_matches_sequential_filter() {
-        let mut m = ShardMap::new(8);
-        let mut reference = Vec::new();
-        for i in 0..500u32 {
-            let key = k((i as f64 * 0.618_033_9) % 1.0);
-            m.insert(i % 8, key, val(i));
-            reference.retain(|(rk, _)| *rk != key);
-            reference.push((key, val(i)));
-        }
-        reference.sort_by_key(|(key, _)| *key);
-        let (lo, hi) = (k(0.2), k(0.7));
-        let want: Vec<_> = reference
-            .iter()
-            .filter(|(key, _)| *key >= lo && *key < hi)
-            .cloned()
-            .collect();
-        for threads in [1, 3, 8] {
-            assert_eq!(m.par_scan_range(lo, hi, threads), want, "threads={threads}");
-        }
-        assert!(m.par_scan_range(hi, lo, 2).is_empty(), "inverted range");
-    }
-
-    #[test]
     fn arc_digest_matches_iff_key_sets_match() {
         let mut a = ShardMap::new(2);
         let mut b = ShardMap::new(2);
@@ -601,39 +428,13 @@ mod tests {
         assert_eq!(bytes, 20);
         assert_eq!(m.shard_len(0), 3, "export keeps the source copies");
 
-        let (moved, bytes) = m.transfer_out(0, k(0.05), k(0.25));
-        assert_eq!(moved.len(), 2);
-        assert_eq!(bytes, 20);
-        assert_eq!(m.shard_len(0), 1, "transfer_out removes the slice");
-        assert_eq!(m.len(), 1);
-
-        let (new_keys, bytes) = m.absorb(1, moved);
+        let (new_keys, bytes) = m.absorb(1, items);
         assert_eq!((new_keys, bytes), (2, 20));
         assert_eq!(m.get(1, k(0.1)), Some(&vec![1, 2, 3]));
         // Absorbing an overwrite is not a new key but still pays bytes.
         let (new_keys, bytes) = m.absorb(1, vec![(k(0.1), vec![9; 4])]);
         assert_eq!((new_keys, bytes), (0, 12));
-        assert_eq!(m.len(), 3);
-    }
-
-    #[test]
-    fn par_arc_digests_is_thread_count_invariant() {
-        let mut m = ShardMap::new(16);
-        for i in 0..800u32 {
-            let key = k((i as f64 * 0.618_033_9) % 1.0);
-            m.insert(i % 16, key, val(i));
-        }
-        let arcs: Vec<(u32, Key, Key)> = (0..16)
-            .map(|s| (s, k(s as f64 / 16.0), k(((s + 9) % 16) as f64 / 16.0)))
-            .collect();
-        let one = m.par_arc_digests(1, &arcs);
-        for threads in [2, 5, 8] {
-            assert_eq!(m.par_arc_digests(threads, &arcs), one, "threads={threads}");
-        }
-        // Spot-check against the sequential digest.
-        for (i, &(owner, lo, hi)) in arcs.iter().enumerate() {
-            assert_eq!(one[i], m.arc_digest(owner, lo, hi));
-        }
+        assert_eq!(m.len(), 5);
     }
 
     #[test]

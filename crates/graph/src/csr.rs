@@ -1,12 +1,19 @@
-//! The flat CSR (compressed sparse row) topology every overlay stores its
-//! adjacency in.
+//! The one topology type: a flat CSR (compressed sparse row) adjacency
+//! held in its frozen `SWTOPO` image.
 //!
-//! A [`Topology`] packs all outgoing edges into one `edges` array indexed
-//! by an `offsets` array (`n + 1` entries), plus a mirrored incoming-edge
-//! CSR built in a single counting-sort pass. Compared to the former
-//! `Vec<Vec<NodeId>>` representation this removes one heap allocation per
-//! peer (the "allocation storm" at 10⁵–10⁶ peers), makes neighbour access
-//! a contiguous slice read, and gives routing a cache-friendly layout.
+//! A [`Topology`] packs all outgoing edges into one `edges` section
+//! indexed by an `offsets` section (`n + 1` entries), plus a mirrored
+//! incoming-edge CSR built in a single counting-sort pass, and optional
+//! per-edge / per-node `f64` lanes — all inside one 8-byte-aligned
+//! image (the format is [`crate::store`]'s), owned or file-mapped.
+//! Neighbour access is a contiguous slice read with no allocation and
+//! no per-peer heap block.
+//!
+//! Every constructor here counts degrees and fills through
+//! [`ArenaWriter`], and [`Topology::open`] reads a frozen image back,
+//! so a topology built in memory and one reopened from disk are the
+//! same value read by the same code: nothing ever unpacks an image onto
+//! the heap.
 //!
 //! [`LinkTable`] is the shared construction-time builder: overlays append
 //! per-peer contact rows (with in-row deduplication and self-loop
@@ -15,38 +22,137 @@
 use crate::digraph::{DiGraph, NodeId};
 use crate::par;
 use crate::prefetch::prefetch_read;
+use crate::store::{
+    self, section, ImageBuf, Layout, FLAG_EDGE_POS, FLAG_NODE_POS, FLAG_SORTED, HEADER_WORDS,
+};
+use crate::writer::ArenaWriter;
+use std::io;
+use std::path::Path;
 
-/// Flat CSR adjacency: outgoing and incoming edges of a fixed peer set.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Peers per worker below which a constructor fills rows inline.
+const FILL_GRAIN: usize = 1 << 14;
+
+/// Flat CSR adjacency of a fixed peer set — outgoing and incoming edges
+/// plus optional `f64` lanes — in one `SWTOPO` image, owned or mapped.
+///
+/// Equality is graph equality: the four CSR sections. The lanes are
+/// payload, compared through [`Topology::edge_pos`] /
+/// [`Topology::node_pos`], and whole images through
+/// [`Topology::as_bytes`].
 pub struct Topology {
-    /// `offsets[u]..offsets[u + 1]` indexes `edges` — `n + 1` entries.
-    offsets: Vec<u32>,
-    /// All outgoing edges, grouped by source peer.
-    edges: Vec<NodeId>,
-    /// Incoming-edge offsets (`n + 1` entries).
-    in_offsets: Vec<u32>,
-    /// All incoming edges, grouped by destination peer, in source order.
-    in_edges: Vec<NodeId>,
-    /// True when every row is sorted ascending ([`Topology::has_edge`]
-    /// binary-searches instead of scanning). Derived from the data by
-    /// every constructor, so equal topologies always carry equal flags.
-    sorted: bool,
+    n: usize,
+    m: usize,
+    flags: u64,
+    layout: Layout,
+    buf: ImageBuf,
 }
 
 impl Topology {
-    /// An edgeless topology over `n` peers.
-    pub fn empty(n: usize) -> Topology {
-        Topology {
-            offsets: vec![0; n + 1],
-            edges: Vec::new(),
-            in_offsets: vec![0; n + 1],
-            in_edges: Vec::new(),
-            sorted: true,
+    /// Wraps an image after [`store::check_header`] and — when
+    /// `full_check` — [`store::check_sections`]. `open` always runs
+    /// both; the writer runs the `O(m)` scans in debug builds only (it
+    /// establishes them by construction).
+    pub(crate) fn from_image(buf: ImageBuf, full_check: bool) -> io::Result<Topology> {
+        let (n, m, flags, layout) = store::check_header(&buf)?;
+        let topo = Topology {
+            n,
+            m,
+            flags,
+            layout,
+            buf,
+        };
+        if full_check {
+            store::check_sections(&topo)?;
+        }
+        Ok(topo)
+    }
+
+    /// Reopens an image frozen with [`Topology::freeze_to`] (or written
+    /// in place by `build_frozen`). With the `mmap` feature (64-bit
+    /// unix) the file is memory-mapped instead of read — no copy, the
+    /// validation scans fault each page in once; otherwise it is one
+    /// read into one allocation. Either way the image is validated
+    /// (header, length, offset monotonicity, edge-target range) before
+    /// it is returned, so a damaged file is an `Err`, never a panic.
+    pub fn open(path: impl AsRef<Path>) -> io::Result<Topology> {
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        if !len.is_multiple_of(8) || len < (HEADER_WORDS * 8) as u64 {
+            return Err(store::bad_format("file length is not a whole image"));
+        }
+        let len = len as usize;
+        #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+        let buf = ImageBuf::Mapped(store::mapping::Mapping::map(&file, len)?);
+        #[cfg(not(all(feature = "mmap", unix, target_pointer_width = "64")))]
+        let buf = {
+            use std::io::Read as _;
+            let mut words = vec![0u64; len / 8].into_boxed_slice();
+            (&file).read_exact(store::section_mut::<u8>(&mut words, 0, len))?;
+            ImageBuf::Owned(words)
+        };
+        Topology::from_image(buf, true)
+    }
+
+    /// Writes the image to `path` — one `write`, the memory image *is*
+    /// the file format — with `node_pos` as its per-node lane if given.
+    /// An image already carrying exactly that lane (or given none) is
+    /// written as it is; otherwise the rows are re-filled through the
+    /// writer with the lane swapped in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_pos` does not hold one entry per peer.
+    pub fn freeze_to(&self, path: impl AsRef<Path>, node_pos: Option<&[f64]>) -> io::Result<()> {
+        match node_pos {
+            Some(p) if self.node_pos() != Some(p) => self.with_node_pos(p).freeze_to(path, None),
+            _ => std::fs::write(path, self.as_bytes()),
         }
     }
 
-    /// Packs per-peer adjacency rows into CSR form (rows are borrowed, not
-    /// consumed — the transpose is built from the same pass).
+    /// This topology with `node_pos` as its per-node lane (rows and edge
+    /// lane copied), filled through the writer.
+    fn with_node_pos(&self, node_pos: &[f64]) -> Topology {
+        assert_eq!(
+            node_pos.len(),
+            self.n,
+            "node_pos must have one lane per node"
+        );
+        let edge_pos = self.edge_pos();
+        let mut writer = ArenaWriter::from_degrees(&self.degrees(), edge_pos.is_some(), true)
+            .expect("a topology's own degrees fit an image");
+        writer.fill(1, |slots| {
+            let rows = slots.edge_base..slots.edge_base + slots.edges.len();
+            slots.edges.copy_from_slice(&self.edges()[rows.clone()]);
+            if let (Some(dst), Some(src)) = (slots.edge_pos, edge_pos) {
+                dst.copy_from_slice(&src[rows]);
+            }
+            if let Some(dst) = slots.node_pos {
+                dst.copy_from_slice(&node_pos[slots.range]);
+            }
+        });
+        writer.finish(1).expect("a filled image seals")
+    }
+
+    /// The whole image — exactly the bytes [`Topology::freeze_to`] puts
+    /// on disk, so two images are interchangeable iff their `as_bytes`
+    /// agree (the construction byte-identity tests compare this).
+    pub fn as_bytes(&self) -> &[u8] {
+        section(&self.buf, 0, self.buf.len() * 8)
+    }
+
+    /// Size of the whole image in bytes (adjacency, lanes and header) —
+    /// the `bytes/peer` number the scale experiment reports.
+    pub fn resident_bytes(&self) -> usize {
+        self.buf.len() * 8
+    }
+
+    /// An edgeless topology over `n` peers.
+    pub fn empty(n: usize) -> Topology {
+        Self::from_row_slices(n, |_| &[])
+    }
+
+    /// Packs per-peer adjacency rows into CSR form (rows are borrowed,
+    /// not consumed, and kept verbatim — order and duplicates included).
     ///
     /// # Panics
     ///
@@ -56,9 +162,9 @@ impl Topology {
         Self::from_row_slices(rows.len(), |u| &rows[u])
     }
 
-    /// [`from_rows`] with the in-edge transpose fanned out over
-    /// `threads` workers (`0` = auto); results are identical at any
-    /// thread count.
+    /// [`from_rows`] with the row fill and the in-edge transpose fanned
+    /// out over `threads` workers (`0` = auto); results are identical at
+    /// any thread count.
     ///
     /// [`from_rows`]: Topology::from_rows
     pub fn from_rows_with_threads(rows: &[Vec<NodeId>], threads: usize) -> Topology {
@@ -68,143 +174,156 @@ impl Topology {
     /// Generalized CSR packing: `row(u)` yields peer `u`'s out-edges.
     pub fn from_row_slices<'a, F>(n: usize, row: F) -> Topology
     where
-        F: Fn(usize) -> &'a [NodeId],
+        F: Fn(usize) -> &'a [NodeId] + Sync,
     {
         Self::from_row_slices_with_threads(n, 1, row)
     }
 
-    /// [`from_row_slices`] with a parallel transpose (`0` = auto).
+    /// [`from_row_slices`] with a parallel fill and transpose (`0` =
+    /// auto): degrees are counted, the writer lays the image out, and
+    /// each row is copied into its final place.
     ///
     /// [`from_row_slices`]: Topology::from_row_slices
     pub fn from_row_slices_with_threads<'a, F>(n: usize, threads: usize, row: F) -> Topology
     where
-        F: Fn(usize) -> &'a [NodeId],
+        F: Fn(usize) -> &'a [NodeId] + Sync,
     {
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total = 0usize;
-        offsets.push(0u32);
-        for u in 0..n {
-            total += row(u).len();
-            offsets.push(u32::try_from(total).expect("edge count fits u32"));
-        }
-        let mut edges = Vec::with_capacity(total);
-        for u in 0..n {
-            edges.extend_from_slice(row(u));
-        }
-        debug_assert!(
-            edges.iter().all(|&v| (v as usize) < n),
-            "edge target in range"
-        );
-        let mut in_offsets = vec![0u32; n + 1];
-        let mut in_edges = vec![0 as NodeId; edges.len()];
-        transpose_into(n, &offsets, &edges, &mut in_offsets, &mut in_edges, threads);
-        Topology::from_parts(offsets, edges, in_offsets, in_edges)
-    }
-
-    /// Assembles a topology from already-built CSR arrays (the storage
-    /// backends unpack frozen arenas through this). The sorted-rows flag
-    /// is recomputed from the data, so a round-trip through an arena is
-    /// bit-identical, flag included.
-    pub(crate) fn from_parts(
-        offsets: Vec<u32>,
-        edges: Vec<NodeId>,
-        in_offsets: Vec<u32>,
-        in_edges: Vec<NodeId>,
-    ) -> Topology {
-        debug_assert_eq!(offsets.len(), in_offsets.len());
-        debug_assert_eq!(edges.len(), in_edges.len());
-        let sorted = rows_sorted(&offsets, &edges);
-        Topology {
-            offsets,
-            edges,
-            in_offsets,
-            in_edges,
-            sorted,
-        }
+        let degrees: Vec<u32> = (0..n)
+            .map(|u| u32::try_from(row(u).len()).expect("edge count fits u32"))
+            .collect();
+        let mut writer =
+            ArenaWriter::from_degrees(&degrees, false, false).expect("edge count fits u32");
+        writer.fill(par::effective_threads(n, threads, FILL_GRAIN), |slots| {
+            for u in slots.range.clone() {
+                let r = slots.row_bounds(u);
+                slots.edges[r].copy_from_slice(row(u));
+            }
+        });
+        writer.finish(threads).expect("a filled image seals")
     }
 
     /// Number of peers.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.n
     }
 
     /// True if the topology has no peers.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.n == 0
     }
 
     /// Total number of directed edges.
+    #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.m
     }
 
-    /// Outgoing neighbours of `u` — a contiguous slice, no allocation.
+    /// Raw out-edge offsets (`n + 1` entries) — the flat section the SoA
+    /// routing kernels index directly.
     #[inline]
-    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        let (a, b) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
-        &self.edges[a as usize..b as usize]
+    pub fn offsets(&self) -> &[u32] {
+        self.u32s(self.layout.offsets, self.n + 1)
     }
 
-    /// Incoming neighbours of `u` (sources of edges ending at `u`).
+    /// Raw out-edge section, grouped by source peer.
     #[inline]
-    pub fn incoming(&self, u: NodeId) -> &[NodeId] {
-        let (a, b) = (self.in_offsets[u as usize], self.in_offsets[u as usize + 1]);
-        &self.in_edges[a as usize..b as usize]
+    pub fn edges(&self) -> &[NodeId] {
+        self.u32s(self.layout.edges, self.m)
     }
 
-    /// Out-degree of `u`.
+    /// Raw in-edge offsets (`n + 1` entries).
     #[inline]
-    pub fn out_degree(&self, u: NodeId) -> usize {
-        (self.offsets[u as usize + 1] - self.offsets[u as usize]) as usize
+    pub fn in_offsets(&self) -> &[u32] {
+        self.u32s(self.layout.in_offsets, self.n + 1)
     }
 
-    /// In-degree of `u`.
+    /// Raw in-edge section, grouped by destination peer.
     #[inline]
-    pub fn in_degree(&self, u: NodeId) -> usize {
-        (self.in_offsets[u as usize + 1] - self.in_offsets[u as usize]) as usize
+    pub fn in_edges(&self) -> &[NodeId] {
+        self.u32s(self.layout.in_edges, self.m)
     }
 
-    /// True if the edge `u → v` exists. Rows frozen sorted (every
-    /// [`LinkTable::build`] output) are binary-searched; topologies
-    /// packed from unsorted rows fall back to the linear scan.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if self.sorted {
-            self.neighbors(u).binary_search(&v).is_ok()
-        } else {
-            self.neighbors(u).contains(&v)
-        }
+    #[inline]
+    fn u32s(&self, word: usize, len: usize) -> &[u32] {
+        section(&self.buf, word, len)
+    }
+
+    /// The per-edge `f64` lane (ring positions of edge targets, aligned
+    /// index-for-index with [`Topology::edges`]), if the image has one.
+    #[inline]
+    pub fn edge_pos(&self) -> Option<&[f64]> {
+        self.lane(FLAG_EDGE_POS, self.layout.edge_pos, self.m)
+    }
+
+    /// The per-node `f64` lane (peer keys), if the image has one.
+    #[inline]
+    pub fn node_pos(&self) -> Option<&[f64]> {
+        self.lane(FLAG_NODE_POS, self.layout.node_pos, self.n)
+    }
+
+    #[inline]
+    fn lane(&self, flag: u64, word: usize, len: usize) -> Option<&[f64]> {
+        (self.flags & flag != 0).then(|| section(&self.buf, word, len))
     }
 
     /// True when every edge row is sorted ascending (established at
     /// freeze by [`LinkTable::build`] and preserved by the edge-filter
     /// and storage paths).
     pub fn rows_sorted(&self) -> bool {
-        self.sorted
+        self.flags & FLAG_SORTED != 0
     }
 
-    /// Raw out-edge offsets (`n + 1` entries) — the flat arrays storage
-    /// backends and SoA routing kernels index directly.
+    /// The edge-index bounds of peer `u`'s row (indexes both `edges()`
+    /// and `edge_pos()`).
     #[inline]
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
+    pub fn row_bounds(&self, u: NodeId) -> (usize, usize) {
+        let offs = self.offsets();
+        (offs[u as usize] as usize, offs[u as usize + 1] as usize)
     }
 
-    /// Raw out-edge array, grouped by source peer.
+    /// Outgoing neighbours of `u` — a contiguous slice, no allocation.
     #[inline]
-    pub fn edges(&self) -> &[NodeId] {
-        &self.edges
+    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        let (a, b) = self.row_bounds(u);
+        &self.edges()[a..b]
     }
 
-    /// Raw in-edge offsets (`n + 1` entries).
+    /// Incoming neighbours of `u` (sources of edges ending at `u`).
     #[inline]
-    pub fn in_offsets(&self) -> &[u32] {
-        &self.in_offsets
+    pub fn incoming(&self, u: NodeId) -> &[NodeId] {
+        let offs = self.in_offsets();
+        let (a, b) = (offs[u as usize] as usize, offs[u as usize + 1] as usize);
+        &self.in_edges()[a..b]
     }
 
-    /// Raw in-edge array, grouped by destination peer.
+    /// Out-degree of `u`.
     #[inline]
-    pub fn in_edges(&self) -> &[NodeId] {
-        &self.in_edges
+    pub fn out_degree(&self, u: NodeId) -> usize {
+        let (a, b) = self.row_bounds(u);
+        b - a
+    }
+
+    /// In-degree of `u`.
+    #[inline]
+    pub fn in_degree(&self, u: NodeId) -> usize {
+        self.incoming(u).len()
+    }
+
+    /// Every peer's out-degree, in peer order (what a writer is sized by).
+    fn degrees(&self) -> Vec<u32> {
+        self.offsets().windows(2).map(|w| w[1] - w[0]).collect()
+    }
+
+    /// True if the edge `u → v` exists. Rows frozen sorted (every
+    /// [`LinkTable::build`] output) are binary-searched; topologies
+    /// packed from unsorted rows fall back to the linear scan.
+    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        if self.rows_sorted() {
+            self.neighbors(u).binary_search(&v).is_ok()
+        } else {
+            self.neighbors(u).contains(&v)
+        }
     }
 
     /// Mean out-degree.
@@ -212,7 +331,7 @@ impl Topology {
         if self.is_empty() {
             0.0
         } else {
-            self.edges.len() as f64 / self.len() as f64
+            self.m as f64 / self.n as f64
         }
     }
 
@@ -238,26 +357,24 @@ impl Topology {
             .collect()
     }
 
-    /// A copy with only the edges `keep(u, v)` accepts; offsets and the
-    /// incoming CSR are rebuilt in one pass.
+    /// A copy with only the edges `keep(u, v)` accepts (lanes dropped);
+    /// both CSRs are rebuilt in one pass.
     pub fn filter_edges(&self, mut keep: impl FnMut(NodeId, NodeId) -> bool) -> Topology {
         let n = self.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(self.edges.len());
-        offsets.push(0u32);
+        let mut ends = Vec::with_capacity(n + 1);
+        let mut kept = Vec::with_capacity(self.m);
+        ends.push(0);
         for u in 0..n as NodeId {
-            edges.extend(self.neighbors(u).iter().copied().filter(|&v| keep(u, v)));
-            offsets.push(edges.len() as u32);
+            kept.extend(self.neighbors(u).iter().copied().filter(|&v| keep(u, v)));
+            ends.push(kept.len());
         }
-        let (in_offsets, in_edges) = transpose(n, &offsets, &edges);
-        Topology::from_parts(offsets, edges, in_offsets, in_edges)
+        Topology::from_row_slices(n, |u| &kept[ends[u]..ends[u + 1]])
     }
 
     /// A copy with peer `u`'s row replaced (used by link refresh paths;
     /// rebuilds both CSRs — `O(n + m)`, fine for maintenance operations).
     pub fn with_row(&self, u: NodeId, new_row: &[NodeId]) -> Topology {
-        let n = self.len();
-        Topology::from_row_slices(n, |w| {
+        Topology::from_row_slices(self.len(), |w| {
             if w == u as usize {
                 new_row
             } else {
@@ -276,26 +393,42 @@ impl Topology {
     }
 }
 
-/// True if every CSR row is sorted ascending.
-fn rows_sorted(offsets: &[u32], edges: &[NodeId]) -> bool {
-    offsets.windows(2).all(|w| {
-        edges[w[0] as usize..w[1] as usize]
-            .windows(2)
-            .all(|e| e[0] <= e[1])
-    })
+impl Clone for Topology {
+    /// An owned copy of the image (a mapped image's clone lives on the
+    /// heap).
+    fn clone(&self) -> Topology {
+        Topology {
+            buf: ImageBuf::Owned(self.buf.to_vec().into_boxed_slice()),
+            ..*self
+        }
+    }
 }
 
-/// One counting-sort pass: out-CSR → in-CSR.
-fn transpose(n: usize, offsets: &[u32], edges: &[NodeId]) -> (Vec<u32>, Vec<NodeId>) {
-    let mut in_offsets = vec![0u32; n + 1];
-    let mut in_edges = vec![0 as NodeId; edges.len()];
-    transpose_into(n, offsets, edges, &mut in_offsets, &mut in_edges, 1);
-    (in_offsets, in_edges)
+impl PartialEq for Topology {
+    fn eq(&self, other: &Topology) -> bool {
+        self.offsets() == other.offsets()
+            && self.edges() == other.edges()
+            && self.in_offsets() == other.in_offsets()
+            && self.in_edges() == other.in_edges()
+    }
+}
+
+impl Eq for Topology {}
+
+impl std::fmt::Debug for Topology {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Topology")
+            .field("n", &self.n)
+            .field("m", &self.m)
+            .field("flags", &self.flags)
+            .field("bytes", &self.resident_bytes())
+            .finish()
+    }
 }
 
 /// Builds the in-edge CSR of `(offsets, edges)` into caller-provided
-/// buffers — the shared transpose every freeze path (heap topologies,
-/// [`crate::store::ArenaWriter::finish`]) runs through.
+/// buffers — the transpose [`ArenaWriter::finish`] seals every image
+/// with.
 ///
 /// With `threads > 1` the destination id space is split into contiguous
 /// ranges, one per worker: a counting pass tallies each range's
@@ -309,8 +442,8 @@ fn transpose(n: usize, offsets: &[u32], edges: &[NodeId]) -> (Vec<u32>, Vec<Node
 ///
 /// # Panics
 ///
-/// Panics if `in_offsets.len() != n + 1` or
-/// `in_edges.len() != edges.len()`.
+/// Panics if `in_offsets.len() != n + 1`,
+/// `in_edges.len() != edges.len()`, or an edge target is `>= n`.
 pub fn transpose_into(
     n: usize,
     offsets: &[u32],
@@ -354,11 +487,11 @@ pub fn transpose_into(
                     prefetch_read(&cursor[w as usize]);
                 }
                 if let Some(&w) = edges.get(k + PF) {
-                    let slot = cursor[w as usize] as usize;
                     // `slot` can be one past the end mid-sort only for
-                    // ids whose rows are complete; stay on a raw pointer
-                    // (never dereferenced) to avoid a bounds panic.
-                    unsafe { prefetch_read(in_edges.as_ptr().add(slot)) };
+                    // ids whose rows are complete: a wrapping pointer
+                    // (never dereferenced) keeps that hint panic-free.
+                    let slot = cursor[w as usize] as usize;
+                    prefetch_read(in_edges.as_ptr().wrapping_add(slot));
                 }
                 let v = edges[k] as usize;
                 in_edges[cursor[v] as usize] = u as NodeId;
@@ -388,7 +521,7 @@ pub fn transpose_into(
             in_offsets[r.start + i + 1] = total;
         }
     }
-    debug_assert_eq!(total as usize, m);
+    assert_eq!(total as usize, m, "edge target out of range");
     // Fill pass: split `in_edges` at the range boundaries — disjoint
     // contiguous slices — and let each worker scan sources in order.
     let in_offsets: &[u32] = in_offsets;
@@ -468,22 +601,23 @@ impl LinkTable {
 
     /// Freezes the table into a CSR [`Topology`]. Every row is sorted
     /// ascending at this point, so [`Topology::has_edge`] runs as a
-    /// binary search and frozen arenas inherit the invariant. (Row order
-    /// was never part of the routing contract — greedy selection ranks
-    /// by distance — so sorting here only changes which of two
+    /// binary search and frozen images carry the sorted flag. (Row
+    /// order was never part of the routing contract — greedy selection
+    /// ranks by distance — so sorting here only changes which of two
     /// *exactly* equidistant contacts wins a tie.)
     pub fn build(self) -> Topology {
         self.build_with_threads(1)
     }
 
-    /// [`build`] with per-row sorting and the in-edge transpose fanned
-    /// out over `threads` workers (`0` = auto). Each row is sorted
-    /// independently and the transpose is thread-count invariant, so the
-    /// result is identical to the sequential [`build`].
+    /// [`build`] with per-row sorting, the row fill and the in-edge
+    /// transpose fanned out over `threads` workers (`0` = auto). Each
+    /// row is sorted independently and the transpose is thread-count
+    /// invariant, so the result is identical to the sequential
+    /// [`build`].
     ///
     /// [`build`]: LinkTable::build
     pub fn build_with_threads(mut self, threads: usize) -> Topology {
-        let chunk = par::chunk_size(self.rows.len(), threads, 1 << 14);
+        let chunk = par::chunk_size(self.rows.len(), threads, FILL_GRAIN);
         par::join_all(self.rows.chunks_mut(chunk).map(|rows| {
             move || {
                 for row in rows {
@@ -669,7 +803,7 @@ mod tests {
         let seq = big_scrambled_table(20_000, 8).build();
         for threads in [2, 4] {
             let par = big_scrambled_table(20_000, 8).build_with_threads(threads);
-            assert_eq!(par, seq, "threads={threads}");
+            assert_eq!(par.as_bytes(), seq.as_bytes(), "threads={threads}");
             assert!(par.rows_sorted());
         }
     }

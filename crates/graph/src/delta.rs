@@ -1,12 +1,12 @@
 //! Delta-overlay topology storage: per-peer edge mutations layered over
-//! an immutable [`TopologyStore`] base, LSM-style.
+//! an immutable [`Topology`] base, LSM-style.
 //!
-//! A [`DeltaStore`] answers row reads exactly like the base store until
-//! a peer's row is touched; touched rows live in a side table keyed by
-//! peer id. This is what lets the simulator preload a 10⁶–10⁷-peer
-//! overlay straight from a frozen [`TopologyArena`](crate::store::TopologyArena) image — zero
-//! per-peer allocations at load — while churn, joins, and neighbour
-//! refreshes mutate only the (small) delta.
+//! A [`DeltaStore`] answers row reads exactly like the base topology
+//! until a peer's row is touched; touched rows live in a side table
+//! keyed by peer id. This is what lets the simulator preload a
+//! 10⁶–10⁷-peer overlay straight from a frozen image — zero per-peer
+//! allocations at load — while churn, joins, and neighbour refreshes
+//! mutate only the (small) delta.
 //!
 //! ## Row forms
 //!
@@ -26,10 +26,10 @@
 //! Peers past the base's length (joins) are implicit empty rows until
 //! written.
 
+use crate::csr::Topology;
 use crate::digraph::NodeId;
 use crate::idhash::IdMap;
 use crate::prefetch::prefetch_read;
-use crate::store::TopologyStore;
 
 /// One touched row: a full replacement, or add/remove logs against the
 /// base row (see module docs for the exact read semantics).
@@ -45,14 +45,14 @@ enum DeltaRow {
 /// Per-peer edge mutations layered over an immutable base topology.
 #[derive(Debug)]
 pub struct DeltaStore {
-    base: TopologyStore,
+    base: Topology,
     delta: IdMap<NodeId, DeltaRow>,
     n: usize,
 }
 
 impl DeltaStore {
-    /// Wraps a base store with an empty delta.
-    pub fn new(base: TopologyStore) -> Self {
+    /// Wraps a base topology with an empty delta.
+    pub fn new(base: Topology) -> Self {
         let n = base.len();
         DeltaStore {
             base,
@@ -127,7 +127,7 @@ impl DeltaStore {
         }
     }
 
-    /// Hints the cache toward the base store's offset pair for `u`: the
+    /// Hints the cache toward the base image's offset pair for `u`: the
     /// first link of the address chain [`DeltaStore::row_slice`] walks
     /// for an untouched row. A hint only — reads nothing, any `u` is
     /// fine.
@@ -301,13 +301,13 @@ mod tests {
     use super::*;
     use crate::csr::LinkTable;
 
-    fn base_store() -> TopologyStore {
+    fn base_store() -> Topology {
         let mut lt = LinkTable::new(5);
         lt.add_all(0, [3, 1, 4]);
         lt.add_all(1, [2]);
         lt.add_all(3, [0, 2]);
         lt.add_all(4, [1, 0, 2, 3]);
-        TopologyStore::heap(lt.build())
+        lt.build()
     }
 
     #[test]

@@ -1,46 +1,42 @@
 //! # sw-graph
 //!
-//! Graph substrate: adjacency *representations*, their *storage
-//! backends*, and the classic small-world constructions the paper builds
-//! on.
+//! Graph substrate: the one frozen adjacency type, its image format,
+//! and the classic small-world constructions the paper builds on.
 //!
-//! ## Adjacency and storage layers
+//! ## Adjacency layers
 //!
-//! Topology data moves through three layers, each frozen from the one
-//! above:
+//! Topology data moves through two layers, the second frozen from the
+//! first:
 //!
 //! 1. **Editing** — [`digraph::DiGraph`], a mutable adjacency-list
 //!    digraph for algorithms that insert/remove edges, and the shared
 //!    [`LinkTable`] construction builder that overlays append per-peer
 //!    contact rows into.
-//! 2. **Frozen heap CSR** — [`csr::Topology`]: all out-edges in one flat
-//!    `edges` array indexed by `offsets`, plus the incoming-edge CSR
-//!    built by one counting-sort pass. Rows are sorted ascending at
-//!    freeze ([`LinkTable::build`]), so membership tests binary-search.
-//!    This is what every overlay routes over at experiment scale.
-//! 3. **Storage backends** — [`store::TopologyStore`]: the heap CSR
-//!    *or* a [`store::TopologyArena`], a flat file-arena image (header +
-//!    `offsets`/`edges`/`in_offsets`/`in_edges` + optional per-edge and
-//!    per-node `f64` lanes) living in **one** 8-byte-aligned bump
-//!    allocation. The arena freezes to disk with a single write and
-//!    reopens with a single read — O(1) allocations for a 10⁷-peer
-//!    overlay — or memory-maps under the `mmap` feature. The per-edge
-//!    lane carries the key-aligned ring positions `sw-overlay`'s SoA
-//!    routing kernels scan.
+//! 2. **Frozen CSR** — [`Topology`]: all out-edges in one flat `edges`
+//!    section indexed by `offsets`, plus the incoming-edge CSR built by
+//!    one counting-sort pass and optional per-edge / per-node `f64`
+//!    lanes, in **one** 8-byte-aligned `SWTOPO` image that is owned or,
+//!    under the `mmap` feature, a file mapping. Rows are sorted
+//!    ascending at freeze ([`LinkTable::build`]), so membership tests
+//!    binary-search. The image freezes to disk with a single write and
+//!    reopens with a single read (or map) — O(1) allocations for a
+//!    10⁷-peer overlay — and a reopened topology is the same value as a
+//!    freshly built one. The per-edge lane carries the key-aligned ring
+//!    positions `sw-overlay`'s SoA routing kernels scan.
 //!
 //! ## Modules
 //!
-//! * [`csr`] — flat CSR [`Topology`] + [`LinkTable`] builder.
-//! * [`store`] — pluggable topology storage: [`TopologyStore`] over the
-//!   heap CSR and the frozen [`TopologyArena`] file format.
+//! * [`csr`] — the flat CSR [`Topology`] + [`LinkTable`] builder.
+//! * [`store`] — the `SWTOPO` image format: header, section layout,
+//!   validation, and the owned-or-mapped buffer.
 //! * [`delta`] — [`DeltaStore`]: per-peer edge mutations layered over an
-//!   immutable base store (LSM-style); what lets the simulator churn a
-//!   frozen 10⁷-peer image.
-//! * [`writer`] — build-direct-to-arena construction: [`ArenaWriter`]
-//!   fills the final arena image in place (count-then-fill, disjoint
+//!   immutable base topology (LSM-style); what lets the simulator churn
+//!   a frozen 10⁷-peer image.
+//! * [`writer`] — count-then-fill construction: [`ArenaWriter`], the
+//!   one producer of images, fills the final image in place (disjoint
 //!   peer-range shards concurrently), in a heap buffer or inside a
-//!   mapping of the destination file; byte-identical to a monolithic
-//!   freeze at any partition and thread count.
+//!   mapping of the destination file; byte-identical at any partition
+//!   and thread count.
 //! * [`par`] — deterministic fork/join helpers over scoped std threads
 //!   (the workspace builds offline, so no `rayon`): parallel per-peer
 //!   construction and batched routing build on these.
@@ -83,5 +79,5 @@ pub use delta::DeltaStore;
 pub use digraph::{DiGraph, NodeId};
 pub use idhash::{IdMap, IdSet};
 pub use metrics::GraphMetrics;
-pub use store::{TopologyArena, TopologyStore};
+pub use store::TopologyStore;
 pub use writer::ArenaWriter;

@@ -21,7 +21,8 @@
 #[inline(always)]
 pub fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
-    // Safety: prefetch never faults and reads nothing architecturally.
+    // SAFETY: `prefetch` is a hint: it never faults and reads nothing
+    // architecturally, so any address — even a dangling one — is fine.
     unsafe {
         core::arch::x86_64::_mm_prefetch(p as *const i8, core::arch::x86_64::_MM_HINT_T0);
     }
@@ -42,15 +43,17 @@ pub fn prefetch_span<T>(s: &[T]) {
     let bytes = std::mem::size_of_val(s);
     let base = s.as_ptr() as *const u8;
     let mut off = 0usize;
+    // Plain wrapping arithmetic: the hint takes any address, so no
+    // `unsafe` in-bounds pointer offset is needed.
     while off < bytes {
-        prefetch_read(unsafe { base.add(off) });
+        prefetch_read(base.wrapping_add(off));
         off += LINE;
     }
     // The loop covers the line of the first byte and every LINE step,
     // which reaches the last byte's line because offsets advance in
     // exact line strides from the base pointer.
     if bytes > 0 {
-        prefetch_read(unsafe { base.add(bytes - 1) });
+        prefetch_read(base.wrapping_add(bytes - 1));
     }
 }
 

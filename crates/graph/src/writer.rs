@@ -1,17 +1,19 @@
-//! Build-direct-to-arena construction: [`ArenaWriter`] fills the final
-//! [`TopologyArena`] image in place (count-then-fill, no intermediate
-//! heap CSR) — in a heap buffer, or inside a write-through mapping of
-//! the destination file so that sealing the writer is the freeze.
+//! Count-then-fill construction: [`ArenaWriter`] fills the final
+//! [`Topology`] image in place (no intermediate per-row `Vec`s, no
+//! second copy) — in a heap buffer, or inside a write-through mapping of
+//! the destination file so that sealing the writer is the freeze. It is
+//! the only producer of images: every [`Topology`] constructor counts
+//! degrees and fills through it.
 //!
 //! ## Why write into the image directly
 //!
 //! The classic freeze pipeline materializes per-peer `Vec` rows, packs
-//! them into a heap CSR, and then copies everything into the arena
-//! allocation — every edge is touched three times and every byte of the
+//! them into a heap CSR, and then copies everything into the file
+//! image — every edge is touched three times and every byte of the
 //! final image is *re*-touched once more at copy time. At 10⁷+ peers the
 //! copies (and the page faults backing the transient allocations)
 //! dominate construction. The writer inverts this: a cheap counting pass
-//! fixes each peer's row extent, the arena is allocated once, and link
+//! fixes each peer's row extent, the image is allocated once, and link
 //! sampling writes targets straight into their final offsets. The
 //! `in_offsets`/`in_edges` transpose and the `FLAG_SORTED` scan run over
 //! the finished sections in [`ArenaWriter::finish`], fanned out with
@@ -24,65 +26,34 @@
 //! so [`ArenaWriter::fill`] tiles `0..n` into one contiguous chunk per
 //! worker, hands every chunk its own mutable slices and fills them
 //! concurrently. The image is a pure function of what each peer's row
-//! receives, so it is byte-identical to a monolithic
-//! [`TopologyArena::build`] + [`TopologyArena::write_to`] of the same
-//! topology at every thread count.
+//! receives, so it is byte-identical at every partition and thread
+//! count — the tests hold it against a straight row-by-row packing
+//! model of the format.
 
-use crate::csr::transpose_into;
+use crate::csr::{transpose_into, Topology};
 use crate::digraph::NodeId;
 use crate::par;
 use crate::store::{
-    self, bad_format, f64_section_mut, u32_section, u32_section_mut, TopologyArena, FLAG_EDGE_POS,
-    FLAG_NODE_POS, FLAG_SORTED,
+    self, bad_format, section, section_mut, ImageBuf, FLAG_EDGE_POS, FLAG_NODE_POS, FLAG_SORTED,
 };
 use std::io;
 use std::mem::take;
 use std::ops::Range;
 
-/// The image under construction: a heap allocation, or (with the `mmap`
-/// feature) a write-through mapping of the destination file itself — in
-/// which case sealing the writer *is* the freeze, no copy.
-enum WriterBuf {
-    Owned(Box<[u64]>),
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-    Mapped(store::mapping::Mapping),
-}
-
-impl std::ops::Deref for WriterBuf {
-    type Target = [u64];
-    fn deref(&self) -> &[u64] {
-        match self {
-            WriterBuf::Owned(b) => b,
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-            WriterBuf::Mapped(m) => m.words(),
-        }
-    }
-}
-
-impl std::ops::DerefMut for WriterBuf {
-    fn deref_mut(&mut self) -> &mut [u64] {
-        match self {
-            WriterBuf::Owned(b) => b,
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-            WriterBuf::Mapped(m) => m.words_mut(),
-        }
-    }
-}
-
-/// An arena image under construction: header and offsets are fixed up
-/// front from per-peer degrees; edge rows and lanes are filled in place
+/// An image under construction: header and offsets are fixed up front
+/// from per-peer degrees; edge rows and lanes are filled in place
 /// (concurrently, per disjoint peer range); [`ArenaWriter::finish`]
 /// derives the in-edge CSR and sorted flag and seals the image into a
-/// [`TopologyArena`].
+/// [`Topology`].
 pub struct ArenaWriter {
     n: usize,
     m: usize,
     flags: u64,
     layout: store::Layout,
-    buf: WriterBuf,
+    buf: ImageBuf,
 }
 
-/// One fill chunk's mutable window into the arena image being written:
+/// One fill chunk's mutable window into the image being written:
 /// the peer range it owns, its slice of the `edges` section (rebased to
 /// `edge_base`), and matching lane slices.
 pub struct ShardSlots<'a> {
@@ -111,7 +82,7 @@ impl ShardSlots<'_> {
 }
 
 impl ArenaWriter {
-    /// Preallocates the full arena image for a topology whose peer `u`
+    /// Preallocates the full image for a topology whose peer `u`
     /// has out-degree `degrees[u]`, with the offset table prefix-summed
     /// and the header written. Lane flags must be declared here (they
     /// shape the layout); `FLAG_SORTED` is derived later by
@@ -124,13 +95,13 @@ impl ArenaWriter {
         with_node_pos: bool,
     ) -> io::Result<ArenaWriter> {
         let (n, m, flags, layout) = Self::plan(degrees, with_edge_pos, with_node_pos)?;
-        let buf = WriterBuf::Owned(vec![0u64; layout.total_words].into_boxed_slice());
+        let buf = ImageBuf::Owned(vec![0u64; layout.total_words].into_boxed_slice());
         Ok(Self::init(buf, n, m, flags, layout, degrees))
     }
 
     /// [`from_degrees`], but the image is a write-through mapping of a
     /// freshly created `path`: every fill lands in the destination
-    /// file's pages directly, so [`ArenaWriter::finish`] seals an arena
+    /// file's pages directly, so [`ArenaWriter::finish`] seals an image
     /// that is *already frozen on disk* — the build pays the page
     /// provisioning once instead of build-then-copy paying it twice.
     ///
@@ -157,7 +128,7 @@ impl ArenaWriter {
         store::mapping::preallocate(&file, layout.total_words * 8);
         let map = store::mapping::Mapping::map_rw(&file, layout.total_words * 8)?;
         Ok(Self::init(
-            WriterBuf::Mapped(map),
+            ImageBuf::Mapped(map),
             n,
             m,
             flags,
@@ -194,7 +165,7 @@ impl ArenaWriter {
     /// Writes the header and prefix-summed offset table into a blank
     /// (all-zero) image buffer.
     fn init(
-        mut buf: WriterBuf,
+        mut buf: ImageBuf,
         n: usize,
         m: usize,
         flags: u64,
@@ -205,7 +176,7 @@ impl ArenaWriter {
         buf[1] = n as u64;
         buf[2] = m as u64;
         buf[3] = flags;
-        let offs = u32_section_mut(&mut buf, layout.offsets, n + 1);
+        let offs = section_mut::<u32>(&mut buf, layout.offsets, n + 1);
         let mut acc = 0u32;
         for (i, &d) in degrees.iter().enumerate() {
             acc += d;
@@ -237,7 +208,7 @@ impl ArenaWriter {
 
     /// The global offset table (`n + 1` entries).
     pub fn offsets(&self) -> &[u32] {
-        u32_section(&self.buf, self.layout.offsets, self.n + 1)
+        section(&self.buf, self.layout.offsets, self.n + 1)
     }
 
     /// Runs `fill(slots)` over a contiguous in-order tiling of `0..n`,
@@ -262,15 +233,15 @@ impl ArenaWriter {
         let (edges_w, rest) = rest.split_at_mut(l.in_offsets - l.edges);
         let (_in_csr, rest) = rest.split_at_mut(l.edge_pos - l.in_offsets);
         let (epos_w, npos_w) = rest.split_at_mut(l.node_pos - l.edge_pos);
-        let offsets: &[u32] = u32_section(pre, l.offsets, n + 1);
-        let mut edges_rest: &mut [NodeId] = u32_section_mut(edges_w, 0, m);
+        let offsets: &[u32] = section(pre, l.offsets, n + 1);
+        let mut edges_rest: &mut [NodeId] = section_mut(edges_w, 0, m);
         let mut epos_rest: &mut [f64] = if with_edge_pos {
-            f64_section_mut(epos_w, 0, m)
+            section_mut(epos_w, 0, m)
         } else {
             &mut []
         };
         let mut npos_rest: &mut [f64] = if with_node_pos {
-            f64_section_mut(npos_w, 0, n)
+            section_mut(npos_w, 0, n)
         } else {
             &mut []
         };
@@ -307,18 +278,21 @@ impl ArenaWriter {
 
     /// Seals the image: derives `in_offsets`/`in_edges` with the shared
     /// parallel transpose, scans rows for the `FLAG_SORTED` bit, and
-    /// wraps the buffer as a [`TopologyArena`] — byte-identical to
-    /// freezing the same topology through [`TopologyArena::build`].
-    pub fn finish(mut self, threads: usize) -> io::Result<TopologyArena> {
+    /// wraps the buffer as a [`Topology`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a filled edge target is not a peer id.
+    pub fn finish(mut self, threads: usize) -> io::Result<Topology> {
         let (n, m, l) = (self.n, self.m, self.layout);
         let sorted = {
             let (pre, rest) = self.buf.split_at_mut(l.in_offsets);
             let (in_w, _lanes) = rest.split_at_mut(l.edge_pos - l.in_offsets);
-            let offsets: &[u32] = u32_section(pre, l.offsets, n + 1);
-            let edges: &[NodeId] = u32_section(pre, l.edges, m);
+            let offsets: &[u32] = section(pre, l.offsets, n + 1);
+            let edges: &[NodeId] = section(pre, l.edges, m);
             let (inoff_w, inedge_w) = in_w.split_at_mut(l.in_edges - l.in_offsets);
-            let in_offsets = u32_section_mut(inoff_w, 0, n + 1);
-            let in_edges = u32_section_mut(inedge_w, 0, m);
+            let in_offsets = section_mut(inoff_w, 0, n + 1);
+            let in_edges = section_mut(inedge_w, 0, m);
             transpose_into(n, offsets, edges, in_offsets, in_edges, threads);
             par::par_chunks(n, threads, |r| {
                 (r.start..r.end).all(|u| {
@@ -332,20 +306,67 @@ impl ArenaWriter {
         };
         if sorted {
             self.buf[3] |= FLAG_SORTED;
-            self.flags |= FLAG_SORTED;
         }
-        match self.buf {
-            WriterBuf::Owned(buf) => TopologyArena::from_image(buf),
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
-            WriterBuf::Mapped(map) => TopologyArena::from_image_map(map),
-        }
+        Topology::from_image(self.buf, cfg!(debug_assertions))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::csr::{LinkTable, Topology};
+    use crate::csr::LinkTable;
+    use crate::store::{layout, MAGIC};
+
+    /// The straight rows → image packing the writer is held against: the
+    /// format written out field by field, with its own bucket transpose
+    /// and sorted scan — nothing shared with the writer but [`layout`].
+    pub(crate) fn model_image(
+        rows: &[Vec<NodeId>],
+        edge_pos: Option<&[f64]>,
+        node_pos: Option<&[f64]>,
+    ) -> Vec<u8> {
+        let n = rows.len();
+        let csr = |rows: &[Vec<NodeId>]| -> (Vec<u32>, Vec<NodeId>) {
+            let mut offsets = vec![0u32];
+            for row in rows {
+                offsets.push(offsets[offsets.len() - 1] + row.len() as u32);
+            }
+            (offsets, rows.concat())
+        };
+        let (offsets, edges) = csr(rows);
+        let mut incoming = vec![Vec::new(); n];
+        for (u, row) in rows.iter().enumerate() {
+            for &v in row {
+                incoming[v as usize].push(u as NodeId);
+            }
+        }
+        let (in_offsets, in_edges) = csr(&incoming);
+        let m = edges.len();
+        let mut flags = 0;
+        if edge_pos.is_some() {
+            flags |= FLAG_EDGE_POS;
+        }
+        if node_pos.is_some() {
+            flags |= FLAG_NODE_POS;
+        }
+        if rows.iter().all(|r| r.windows(2).all(|w| w[0] <= w[1])) {
+            flags |= FLAG_SORTED;
+        }
+        let l = layout(n, m, flags);
+        let mut buf = vec![0u64; l.total_words];
+        buf[..4].copy_from_slice(&[MAGIC, n as u64, m as u64, flags]);
+        section_mut(&mut buf, l.offsets, n + 1).copy_from_slice(&offsets);
+        section_mut(&mut buf, l.edges, m).copy_from_slice(&edges);
+        section_mut(&mut buf, l.in_offsets, n + 1).copy_from_slice(&in_offsets);
+        section_mut(&mut buf, l.in_edges, m).copy_from_slice(&in_edges);
+        if let Some(p) = edge_pos {
+            section_mut(&mut buf, l.edge_pos, m).copy_from_slice(p);
+        }
+        if let Some(p) = node_pos {
+            section_mut(&mut buf, l.node_pos, n).copy_from_slice(p);
+        }
+        buf.iter().flat_map(|w| w.to_ne_bytes()).collect()
+    }
 
     /// A deterministic pseudo-random topology over `n` peers.
     fn scrambled_topology(n: usize, avg_deg: usize) -> Topology {
@@ -366,17 +387,19 @@ mod tests {
         lt.build()
     }
 
-    fn arena_of(topo: &Topology, lanes: bool) -> TopologyArena {
+    /// The lanes `copy_rows` writes, as the model packs them.
+    fn model_of(topo: &Topology, lanes: bool) -> Vec<u8> {
         let edge_pos: Vec<f64> = topo.edges().iter().map(|&v| v as f64 / 100.0).collect();
         let node_pos: Vec<f64> = (0..topo.len()).map(|i| i as f64 / 10.0).collect();
+        let rows = topo.to_rows();
         if lanes {
-            TopologyArena::build(topo, Some(&edge_pos), Some(&node_pos))
+            model_image(&rows, Some(&edge_pos), Some(&node_pos))
         } else {
-            TopologyArena::build(topo, None, None)
+            model_image(&rows, None, None)
         }
     }
 
-    /// Copies `topo`'s rows (and the lanes `arena_of` writes, where the
+    /// Copies `topo`'s rows (and the lanes `model_of` packs, where the
     /// image carries them) into one fill chunk.
     fn copy_rows(topo: &Topology, mut slots: ShardSlots<'_>) {
         for u in slots.range.clone() {
@@ -398,7 +421,7 @@ mod tests {
         lanes: bool,
         fill_threads: usize,
         threads: usize,
-    ) -> TopologyArena {
+    ) -> Topology {
         let degrees: Vec<u32> = (0..topo.len() as NodeId)
             .map(|u| topo.out_degree(u) as u32)
             .collect();
@@ -411,13 +434,13 @@ mod tests {
     fn writer_image_matches_build() {
         let topo = scrambled_topology(500, 6);
         for lanes in [false, true] {
-            let reference = arena_of(&topo, lanes);
+            let reference = model_of(&topo, lanes);
             for fill_threads in [1, 2, 3, 7] {
                 for threads in [1, 4] {
                     let built = write_via_writer(&topo, lanes, fill_threads, threads);
                     assert_eq!(
                         built.as_bytes(),
-                        reference.as_bytes(),
+                        reference,
                         "lanes={lanes} fill_threads={fill_threads} threads={threads}"
                     );
                 }
@@ -430,15 +453,21 @@ mod tests {
             let built = write_via_writer(&topo, true, fill_threads, 1);
             assert_eq!(
                 built.as_bytes(),
-                arena_of(&topo, true).as_bytes(),
+                model_of(&topo, true),
                 "n={n} fill_threads={fill_threads}"
             );
         }
+        // Unsorted rows with duplicates, as `from_rows` keeps them.
+        let rows = vec![vec![3, 1, 1], vec![], vec![0, 3, 2], vec![2]];
+        assert_eq!(
+            Topology::from_rows(&rows).as_bytes(),
+            model_image(&rows, None, None)
+        );
     }
 
     /// The write-through variant must produce the same image as the
     /// heap-buffered writer, and the file it leaves behind must be a
-    /// valid frozen arena with no explicit freeze step.
+    /// valid frozen image with no explicit freeze step.
     #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
     #[test]
     fn create_at_is_already_frozen() {
@@ -449,14 +478,14 @@ mod tests {
             .collect();
         let path = std::env::temp_dir().join("sw-writer-create-at.arena");
         for lanes in [false, true] {
-            let reference = arena_of(&topo, lanes);
+            let reference = model_of(&topo, lanes);
             let mut writer = ArenaWriter::create_at(&path, &degrees, lanes, lanes).unwrap();
             writer.fill(2, |slots| copy_rows(&topo, slots));
             let sealed = writer.finish(1).unwrap();
-            assert_eq!(sealed.as_bytes(), reference.as_bytes(), "lanes={lanes}");
+            assert_eq!(sealed.as_bytes(), reference, "lanes={lanes}");
             drop(sealed);
-            let reopened = TopologyArena::open(&path).unwrap();
-            assert_eq!(reopened.as_bytes(), reference.as_bytes(), "lanes={lanes}");
+            let reopened = Topology::open(&path).unwrap();
+            assert_eq!(reopened.as_bytes(), reference, "lanes={lanes}");
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -464,9 +493,9 @@ mod tests {
     #[test]
     fn writer_handles_empty_and_tiny() {
         let topo = Topology::empty(3);
-        let reference = TopologyArena::build(&topo, None, None);
         let built = write_via_writer(&topo, false, 2, 1);
-        assert_eq!(built.as_bytes(), reference.as_bytes());
+        assert_eq!(built.as_bytes(), model_image(&vec![vec![]; 3], None, None));
+        assert_eq!(Topology::empty(0).as_bytes(), model_image(&[], None, None));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use sw_graph::components::{strong_components, weak_components, UnionFind};
 use sw_graph::csr::Topology;
 use sw_graph::digraph::DiGraph;
 use sw_graph::watts_strogatz::{generate, WattsStrogatz};
-use sw_graph::NodeId;
+use sw_graph::{ArenaWriter, NodeId};
 use sw_keyspace::Rng;
 
 /// Random per-peer adjacency rows (possibly with duplicate targets — the
@@ -20,6 +20,49 @@ fn random_rows(n: usize, max_row: usize, seed: u64) -> Vec<Vec<NodeId>> {
                 .collect()
         })
         .collect()
+}
+
+/// `rows` packed through the writer, the way every image is made, with
+/// the given per-edge and per-node lanes.
+fn image_of(rows: &[Vec<NodeId>], edge_pos: Option<&[f64]>, node_pos: Option<&[f64]>) -> Topology {
+    let degrees: Vec<u32> = rows.iter().map(|r| r.len() as u32).collect();
+    let mut writer =
+        ArenaWriter::from_degrees(&degrees, edge_pos.is_some(), node_pos.is_some()).unwrap();
+    writer.fill(1, |slots| {
+        for u in slots.range.clone() {
+            let r = slots.row_bounds(u);
+            slots.edges[r].copy_from_slice(&rows[u]);
+        }
+        if let (Some(dst), Some(src)) = (slots.edge_pos, edge_pos) {
+            dst.copy_from_slice(&src[slots.edge_base..slots.edge_base + dst.len()]);
+        }
+        if let (Some(dst), Some(src)) = (slots.node_pos, node_pos) {
+            dst.copy_from_slice(&src[slots.range]);
+        }
+    });
+    writer.finish(1).unwrap()
+}
+
+/// `arena_file_round_trip`'s image: `random_rows` plus, when `lanes`,
+/// one distinct `f64` per edge and per node.
+fn random_image(n: usize, max_row: usize, seed: u64, lanes: bool) -> (Vec<Vec<NodeId>>, Topology) {
+    let rows = random_rows(n, max_row, seed);
+    let m: usize = rows.iter().map(Vec::len).sum();
+    let edge_pos: Vec<f64> = (0..m).map(|e| (e as f64) / (m.max(1) as f64)).collect();
+    let node_pos: Vec<f64> = (0..n).map(|i| (i as f64) / (n as f64)).collect();
+    let image = if lanes {
+        image_of(&rows, Some(&edge_pos), Some(&node_pos))
+    } else {
+        image_of(&rows, None, None)
+    };
+    (rows, image)
+}
+
+/// A fresh scratch path for one proptest case's image.
+fn scratch(name: String) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("sw-graph-invariants");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
 }
 
 /// Random edge list over `n` nodes.
@@ -202,36 +245,30 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arena freeze → file → open round-trips every CSR array and lane
+    /// Image → file → open round-trips every CSR section and lane
     /// bit-identically, for any row shape (sorted or not, with dups).
     #[test]
     fn arena_file_round_trip(n in 1usize..48, max_row in 0usize..10, seed in any::<u64>()) {
-        use sw_graph::TopologyArena;
-        let rows = random_rows(n, max_row, seed);
-        let topo = Topology::from_rows(&rows);
-        let m = topo.edge_count();
-        let edge_pos: Vec<f64> = (0..m).map(|e| (e as f64) / (m.max(1) as f64)).collect();
-        let node_pos: Vec<f64> = (0..n).map(|i| (i as f64) / (n as f64)).collect();
-        let arena = TopologyArena::build(&topo, Some(&edge_pos), Some(&node_pos));
-        let dir = std::env::temp_dir().join("sw-graph-invariants");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("arena-{seed}-{n}-{max_row}.swt"));
-        arena.write_to(&path).unwrap();
-        let opened = TopologyArena::open(&path).unwrap();
+        let (rows, image) = random_image(n, max_row, seed, true);
+        let path = scratch(format!("arena-{seed}-{n}-{max_row}.swt"));
+        image.freeze_to(&path, None).unwrap();
+        let opened = Topology::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        prop_assert_eq!(opened.as_bytes(), image.as_bytes());
+        prop_assert_eq!(opened.to_rows(), rows.clone());
+        let topo = Topology::from_rows(&rows);
         prop_assert_eq!(opened.offsets(), topo.offsets());
         prop_assert_eq!(opened.edges(), topo.edges());
         prop_assert_eq!(opened.in_offsets(), topo.in_offsets());
         prop_assert_eq!(opened.in_edges(), topo.in_edges());
         prop_assert_eq!(opened.rows_sorted(), topo.rows_sorted());
+        let m = topo.edge_count();
         let a: Vec<u64> = opened.edge_pos().unwrap().iter().map(|f| f.to_bits()).collect();
-        let b: Vec<u64> = edge_pos.iter().map(|f| f.to_bits()).collect();
+        let b: Vec<u64> = (0..m).map(|e| ((e as f64) / (m.max(1) as f64)).to_bits()).collect();
         prop_assert_eq!(a, b);
         let c: Vec<u64> = opened.node_pos().unwrap().iter().map(|f| f.to_bits()).collect();
-        let d: Vec<u64> = node_pos.iter().map(|f| f.to_bits()).collect();
+        let d: Vec<u64> = (0..n).map(|i| ((i as f64) / (n as f64)).to_bits()).collect();
         prop_assert_eq!(c, d);
-        // Full heap materialization is the identity.
-        prop_assert_eq!(opened.to_topology(), topo);
     }
 
     /// Delta-overlay contract: a `DeltaStore` driven through an
@@ -240,14 +277,14 @@ proptest! {
     #[test]
     fn delta_store_matches_final_edge_set(n in 2usize..40, max_row in 0usize..8, seed in any::<u64>()) {
         use std::collections::BTreeSet;
-        use sw_graph::{DeltaStore, LinkTable, TopologyStore};
+        use sw_graph::{DeltaStore, LinkTable};
         let mut rng = Rng::new(seed);
         let rows = random_rows(n, max_row, seed);
         let mut lt = LinkTable::new(n);
         for (u, row) in rows.iter().enumerate() {
             lt.add_all(u as NodeId, row.iter().copied());
         }
-        let mut store = DeltaStore::new(TopologyStore::heap(lt.build()));
+        let mut store = DeltaStore::new(lt.build());
         let mut model: Vec<BTreeSet<NodeId>> = (0..n as NodeId)
             .map(|u| store.row_slice(u).unwrap().iter().copied().collect())
             .collect();
@@ -329,6 +366,55 @@ proptest! {
             for v in 0..n as NodeId {
                 prop_assert_eq!(filtered.has_edge(u, v), filtered.neighbors(u).contains(&v));
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The reader is `sw-graph`'s whole input boundary: every topology
+    /// in a process came from the writer or passed `open`. A written
+    /// image (with or without lanes) damaged by one truncation, one bit
+    /// flip, or one overwritten header word (n, m or flags) reopens as
+    /// an `Err` or as a topology whose every row reads in bounds with
+    /// every id `< n` — never as a panic.
+    #[test]
+    fn open_survives_damaged_images(
+        n in 1usize..48,
+        max_row in 0usize..10,
+        seed in any::<u64>(),
+        lanes in any::<bool>(),
+        damage in 0u32..3,
+        at in any::<u64>(),
+        word in any::<u64>(),
+        shift in 0u32..64,
+    ) {
+        let (_, image) = random_image(n, max_row, seed, lanes);
+        let mut bytes = image.as_bytes().to_vec();
+        let len = bytes.len() as u64;
+        match damage {
+            0 => bytes.truncate((at % len) as usize),
+            1 => bytes[(at % len) as usize] ^= 1 << (word % 8),
+            // A random word, at a random magnitude, so small counts that
+            // pass the u32 bound are drawn too.
+            _ => {
+                let w = 8 * (1 + (at % 3) as usize);
+                bytes[w..w + 8].copy_from_slice(&(word >> shift).to_ne_bytes());
+            }
+        }
+        let path = scratch(format!("damaged-{seed}-{n}-{damage}-{at}.swt"));
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = Topology::open(&path);
+        std::fs::remove_file(&path).ok();
+        if let Ok(t) = opened {
+            let n = t.len();
+            for u in 0..n as NodeId {
+                prop_assert!(t.neighbors(u).iter().all(|&v| (v as usize) < n));
+                prop_assert!(t.incoming(u).iter().all(|&v| (v as usize) < n));
+            }
+            prop_assert_eq!(t.edge_pos().map_or(t.edge_count(), <[f64]>::len), t.edge_count());
+            prop_assert_eq!(t.node_pos().map_or(n, <[f64]>::len), n);
         }
     }
 }

@@ -25,11 +25,10 @@
 //!    the placement. It is the readable spec of the tie-break rule —
 //!    *strict* improvement over the running best, earliest candidate
 //!    wins exact distance ties — and the oracle everything else is
-//!    compared against. The id rows come from [`Overlay::contacts`]: a
-//!    heap CSR for most overlays, or straight out of a
-//!    [`RouteTable`](crate::soa::RouteTable)'s store, so a network
-//!    reopened from a frozen arena routes single lookups without
-//!    unpacking anything. A lone walk is a dependent pointer chase
+//!    compared against. The id rows come from [`Overlay::contacts`]:
+//!    the overlay's [`Topology`](sw_graph::Topology) image — for a
+//!    table-backed network the [`RouteTable`](crate::soa::RouteTable)'s
+//!    own, built or reopened from disk alike. A lone walk is a dependent pointer chase
 //!    whichever way its rows are scanned, and the gathers are what
 //!    measured fastest for it at every size from 10³ to 10⁷ peers.
 //! 2. **A batch → the interleaved AMAC loop.** [`Overlay::route_chunk`]
@@ -47,8 +46,11 @@
 //!    in fixed-width [`LANES`]-wide chunks (constant-trip-count inner
 //!    loops, no bounds checks, distance arithmetic branch-free on the
 //!    data), the strict-`<` left-to-right fold preserving the reference
-//!    tie-break exactly. The same primitive is the simulator's per-hop
-//!    step ([`RouteTable::step`](crate::soa::RouteTable::step)).
+//!    tie-break exactly. The same primitive is
+//!    [`RouteTable::step`](crate::soa::RouteTable::step), whose only
+//!    non-test caller is the simulator's scalar probe reference
+//!    (`Simulator::probe_walk`); the simulator's own per-message hop is
+//!    [`RingView::step`] (below).
 //!
 //! [`RingView`] — dynamic protocols route over borrowed per-peer views
 //! that mutate under churn, so there is nothing contiguous to scan —
@@ -465,7 +467,7 @@ pub fn greedy_route(
 }
 
 /// [`greedy_route`]'s loop over any source of contact-id rows: `row_of`
-/// is a heap CSR for [`greedy_route`] itself and [`Overlay::contacts`]
+/// is a topology's rows for [`greedy_route`] itself and [`Overlay::contacts`]
 /// for [`Overlay::route`].
 fn greedy_walk<'a>(
     placement: &Placement,

@@ -9,15 +9,17 @@
 //! through a random-access key array. [`crate::route::greedy_step_soa`]
 //! does the scan with constant-trip-count, bounds-check-free inner
 //! loops; it is the per-hop decision of the interleaved batch kernel
-//! ([`crate::interleaved`]) and of [`RouteTable::step`], the
-//! simulator's per-message hop.
+//! ([`crate::interleaved`]) and of [`RouteTable::step`], the one-hop
+//! form the simulator's scalar probe reference (`Simulator::probe_walk`)
+//! walks with. The simulator's own per-message hop is
+//! [`RingView::step`](crate::route::RingView::step) over its live
+//! per-peer views.
 //!
-//! The table is a thin `Arc` handle over a
-//! [`TopologyStore`](sw_graph::TopologyStore), so the same frozen lanes
-//! are shared (not copied) between the static router, the simulator's
-//! probe snapshots and the experiment harness, and a table reopened from
-//! a frozen arena (`freeze_to` → `open_from`) routes through exactly the
-//! code a freshly built one does.
+//! The table is a thin `Arc` handle over one [`Topology`] image that
+//! carries the edge lane, so the same frozen lanes are shared (not
+//! copied) between the static router, the simulator's probe snapshots
+//! and the experiment harness, and a table reopened from disk
+//! (`freeze_to` → `open_from`) is the same value a freshly built one is.
 //!
 //! The slice-based scalar path ([`crate::route::greedy_step`] over
 //! `(id, key)` pairs) remains the *reference implementation*: the
@@ -28,7 +30,7 @@ use crate::route::greedy_step_soa;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use sw_graph::{NodeId, Topology as CsrTopology, TopologyStore};
+use sw_graph::{par, ArenaWriter, NodeId, Topology};
 use sw_keyspace::Key;
 
 /// Key-aligned SoA routing table: CSR contact rows plus the contiguous
@@ -38,49 +40,71 @@ use sw_keyspace::Key;
 /// every consumer.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    store: Arc<TopologyStore>,
+    store: Arc<Topology>,
 }
 
 impl RouteTable {
     /// Builds the table from a frozen topology, resolving each edge
     /// target's ring position through `pos_of` (one gather at freeze
     /// time — never again on the hot path).
-    pub fn build(topo: CsrTopology, mut pos_of: impl FnMut(NodeId) -> f64) -> RouteTable {
-        let pos: Box<[f64]> = topo.edges().iter().map(|&v| pos_of(v)).collect();
-        RouteTable {
-            store: Arc::new(TopologyStore::heap_with_pos(topo, pos)),
-        }
+    pub fn build(topo: Topology, mut pos_of: impl FnMut(NodeId) -> f64) -> RouteTable {
+        let pos: Vec<f64> = topo.edges().iter().map(|&v| pos_of(v)).collect();
+        Self::with_edge_lane(&topo, 1, |e| pos[e])
     }
 
-    /// Builds the table with the position gather fanned out across
-    /// `threads` workers (`0` = auto) — the freeze-time path of
-    /// large-`n` construction. Bit-identical to [`RouteTable::build`]
-    /// for every thread count (each lane is a pure function of its edge).
-    pub fn build_parallel(topo: CsrTopology, node_pos: &[f64], threads: usize) -> RouteTable {
+    /// Builds the table with the rows copied and the position gather
+    /// fanned out across `threads` workers (`0` = auto) — the
+    /// freeze-time path of large-`n` construction. Bit-identical to
+    /// [`RouteTable::build`] for every thread count (each lane is a pure
+    /// function of its edge).
+    pub fn build_parallel(topo: Topology, node_pos: &[f64], threads: usize) -> RouteTable {
         assert_eq!(node_pos.len(), topo.len(), "one position per node");
         let edges = topo.edges();
-        let pos: Box<[f64]> =
-            sw_graph::par::par_map(edges.len(), threads, |e| node_pos[edges[e] as usize])
-                .into_boxed_slice();
+        Self::with_edge_lane(&topo, threads, |e| node_pos[edges[e] as usize])
+    }
+
+    /// `topo`'s rows re-filled through the writer with the edge lane
+    /// `pos(e)` beside edge `e`.
+    fn with_edge_lane(
+        topo: &Topology,
+        threads: usize,
+        pos: impl Fn(usize) -> f64 + Sync,
+    ) -> RouteTable {
+        let degrees: Vec<u32> = (0..topo.len() as NodeId)
+            .map(|u| topo.out_degree(u) as u32)
+            .collect();
+        let mut writer = ArenaWriter::from_degrees(&degrees, true, false)
+            .expect("a topology's own degrees fit an image");
+        writer.fill(par::effective_threads(topo.len(), threads, 1024), |slots| {
+            let base = slots.edge_base;
+            slots
+                .edges
+                .copy_from_slice(&topo.edges()[base..base + slots.edges.len()]);
+            let lane = slots.edge_pos.expect("declared with an edge lane");
+            for (k, p) in lane.iter_mut().enumerate() {
+                *p = pos(base + k);
+            }
+        });
+        let topo = writer.finish(threads).expect("a filled image seals");
         RouteTable {
-            store: Arc::new(TopologyStore::heap_with_pos(topo, pos)),
+            store: Arc::new(topo),
         }
     }
 
-    /// Wraps an existing store (e.g. an arena reopened from disk).
+    /// Wraps an existing topology (e.g. an image reopened from disk).
     ///
     /// # Errors
     ///
-    /// Fails if the store carries no per-edge position lane.
-    pub fn from_store(store: Arc<TopologyStore>) -> Result<RouteTable, Arc<TopologyStore>> {
+    /// Fails if the topology carries no per-edge position lane.
+    pub fn from_store(store: Arc<Topology>) -> Result<RouteTable, Arc<Topology>> {
         if store.edge_pos().is_none() {
             return Err(store);
         }
         Ok(RouteTable { store })
     }
 
-    /// The shared backing store.
-    pub fn store(&self) -> &Arc<TopologyStore> {
+    /// The shared topology, edge lane included.
+    pub fn store(&self) -> &Arc<Topology> {
         &self.store
     }
 
@@ -133,16 +157,16 @@ impl RouteTable {
     }
 
     /// Freezes the table (and an optional per-node position lane, e.g.
-    /// the placement keys) into a flat arena file at `path`.
+    /// the placement keys) into an image file at `path`.
     pub fn freeze_to(&self, path: impl AsRef<Path>, node_pos: Option<&[f64]>) -> io::Result<()> {
         self.store.freeze_to(path, node_pos)?;
         Ok(())
     }
 
-    /// Reopens a table frozen with [`RouteTable::freeze_to`]: one read,
-    /// one allocation, zero per-peer work.
+    /// Reopens a table frozen with [`RouteTable::freeze_to`]: one read
+    /// (or map), one allocation, zero per-peer work.
     pub fn open_from(path: impl AsRef<Path>) -> io::Result<RouteTable> {
-        let store = Arc::new(TopologyStore::open(path)?);
+        let store = Arc::new(Topology::open(path)?);
         RouteTable::from_store(store).map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -162,7 +186,7 @@ mod tests {
     };
     use crate::symphony::Symphony;
     use sw_keyspace::distribution::{TruncatedPareto, Uniform};
-    use sw_keyspace::{Rng, Topology};
+    use sw_keyspace::{Rng, Topology as Metric};
 
     fn table_of(o: &Symphony) -> RouteTable {
         let p = o.placement().clone();
@@ -171,7 +195,7 @@ mod tests {
 
     fn symphony(n: usize, seed: u64) -> Symphony {
         let mut rng = Rng::new(seed);
-        let p = Placement::sample(n, &Uniform, Topology::Ring, &mut rng);
+        let p = Placement::sample(n, &Uniform, Metric::Ring, &mut rng);
         Symphony::build(p, 4, true, &mut rng)
     }
 
@@ -196,11 +220,11 @@ mod tests {
                 Placement::sample(
                     512,
                     &TruncatedPareto::new(1.5, 0.02).unwrap(),
-                    Topology::Ring,
+                    Metric::Ring,
                     &mut rng,
                 )
             } else {
-                Placement::sample(512, &Uniform, Topology::Ring, &mut rng)
+                Placement::sample(512, &Uniform, Metric::Ring, &mut rng)
             };
             let o = Symphony::build(p, 5, true, &mut rng);
             let t = table_of(&o);
@@ -228,7 +252,7 @@ mod tests {
         let keys: Vec<f64> = o.placement().keys().iter().map(|k| k.get()).collect();
         t.freeze_to(&path, Some(&keys)).unwrap();
         let reopened = RouteTable::open_from(&path).unwrap();
-        assert_eq!(reopened.store().to_topology(), t.store().to_topology());
+        assert_eq!(reopened.store(), t.store());
         assert_eq!(reopened.store().edge_pos(), t.store().edge_pos());
         let mut rng = Rng::new(4);
         let queries = survey_queries(o.placement(), 200, TargetModel::MemberKeys, &mut rng);
@@ -253,14 +277,14 @@ mod tests {
         let seq = RouteTable::build(topo.clone(), |v| keys[v as usize]);
         for threads in [2, 3, 8] {
             let par = RouteTable::build_parallel(topo.clone(), &keys, threads);
-            assert_eq!(seq.store().edge_pos(), par.store().edge_pos());
+            assert_eq!(seq.store().as_bytes(), par.store().as_bytes());
         }
     }
 
     #[test]
     fn from_store_requires_lanes() {
         let o = symphony(64, 5);
-        let store = Arc::new(TopologyStore::heap(o.topology().clone()));
+        let store = Arc::new(o.topology().clone());
         assert!(RouteTable::from_store(store).is_err());
     }
 }

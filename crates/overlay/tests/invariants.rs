@@ -253,7 +253,7 @@ proptest! {
         table.freeze_to(&path, Some(&keys)).unwrap();
         let reopened = sw_overlay::RouteTable::open_from(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(reopened.store().to_topology(), o.topology().clone());
+        prop_assert_eq!(&**reopened.store(), o.topology());
         let a: Vec<u64> = table.store().edge_pos().unwrap().iter().map(|f| f.to_bits()).collect();
         let b: Vec<u64> = reopened.store().edge_pos().unwrap().iter().map(|f| f.to_bits()).collect();
         prop_assert_eq!(a, b);

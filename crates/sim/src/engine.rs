@@ -21,7 +21,7 @@ use sw_core::config::{LinkSampler, MassThreshold, OutDegree};
 use sw_core::links::LinkSelector;
 use sw_dht::{item_bytes, ShardMap, KEY_BYTES};
 use sw_graph::prefetch::{prefetch_read, prefetch_span};
-use sw_graph::{par, DeltaStore, IdMap, IdSet, LinkTable, Topology, TopologyStore};
+use sw_graph::{par, DeltaStore, IdMap, IdSet, LinkTable, Topology};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::stats::OnlineStats;
 use sw_keyspace::Topology as Metric;
@@ -338,10 +338,10 @@ pub struct Simulator {
     /// keys at arbitrary ids; out of 8-byte slots that is an 800 KB
     /// working set at 10⁵ peers, out of the node records ten times that.
     keys: Vec<Key>,
-    /// Per-peer long-link rows over a pluggable base store: the delta
-    /// overlay lets churn mutate rows while the converged bulk — a heap
-    /// CSR, or a 10⁷-peer frozen arena preloaded straight from disk —
-    /// stays immutable and shared.
+    /// Per-peer long-link rows over one base image: the delta overlay
+    /// lets churn mutate rows while the converged bulk — built in memory,
+    /// or a 10⁷-peer frozen image preloaded straight from disk — stays
+    /// immutable and shared.
     links: DeltaStore,
     /// Ground-truth alive index: key → node id.
     alive: BTreeMap<Key, u32>,
@@ -458,21 +458,20 @@ impl Simulator {
         for (u, row) in rows.iter().enumerate() {
             lt.add_all(u as u32, row.iter().copied());
         }
-        sim.links = DeltaStore::new(TopologyStore::heap(lt.build()));
+        sim.links = DeltaStore::new(lt.build());
         sim.boot();
         sim
     }
 
-    /// Builds the simulator over a prebuilt long-link store — e.g. a
-    /// frozen arena image reopened from disk, so a 10⁷-peer run preloads
-    /// its converged overlay in O(1) allocations instead of re-sampling
-    /// it. `keys[u]` is peer `u`'s key, aligned with the store's rows
+    /// Builds the simulator over a prebuilt long-link topology — e.g. a
+    /// frozen image reopened from disk, so a 10⁷-peer run preloads its
+    /// converged overlay in O(1) allocations instead of re-sampling it.
+    /// `keys[u]` is peer `u`'s key, aligned with the topology's rows
     /// (strictly ascending, as `build_frozen` images are laid out);
     /// churn layers onto the delta overlay above the immutable base.
     ///
-    /// Seeded runs are bit-identical across *storage backends*: the same
-    /// rows behind a heap CSR and behind a reopened arena produce the
-    /// same simulation.
+    /// Seeded runs depend on the rows only: the same rows built in
+    /// memory and reopened from a file produce the same simulation.
     ///
     /// # Panics
     ///
@@ -482,7 +481,7 @@ impl Simulator {
         cfg: SimConfig,
         dist: Arc<dyn KeyDistribution>,
         keys: Vec<Key>,
-        store: TopologyStore,
+        store: Topology,
     ) -> Simulator {
         assert_eq!(keys.len(), store.len(), "one key per stored row");
         assert!(keys.len() >= 8, "simulator needs at least 8 peers");
@@ -503,7 +502,7 @@ impl Simulator {
     }
 
     /// [`Simulator::with_store`] from a frozen image on disk: peer keys
-    /// come from the arena's per-node position lane. `path` is outside
+    /// come from the image's per-node position lane. `path` is outside
     /// input, so the image is validated on open — a truncated or
     /// corrupted file is an `Err`, never an out-of-bounds row later.
     pub fn from_frozen(
@@ -511,7 +510,7 @@ impl Simulator {
         dist: Arc<dyn KeyDistribution>,
         path: impl AsRef<std::path::Path>,
     ) -> std::io::Result<Simulator> {
-        let store = TopologyStore::open(path)?;
+        let store = Topology::open(path)?;
         let keys: Vec<Key> = store
             .node_pos()
             .ok_or_else(|| {
@@ -536,7 +535,7 @@ impl Simulator {
             plane: MessagePlane::new(),
             nodes: Vec::new(),
             keys: Vec::new(),
-            links: DeltaStore::new(TopologyStore::heap(LinkTable::new(0).build())),
+            links: DeltaStore::new(Topology::empty(0)),
             alive: BTreeMap::new(),
             alive_ids: Vec::new(),
             alive_pos: Vec::new(),
@@ -4004,7 +4003,7 @@ mod tests {
         assert!(sim.metrics().inflight_peak >= 2);
     }
 
-    // ----- thread counts and store backends --------------------------
+    // ----- thread counts and reopened images -------------------------
 
     /// The seeded run is bit-identical at every thread count, under the
     /// full mix: churn, maintenance and storage.
@@ -4045,7 +4044,7 @@ mod tests {
     }
 
     /// A 64-peer ring with six harmonic long links per peer, frozen to a
-    /// fresh temp file: `(keys, heap topology, image path)`.
+    /// fresh temp file: `(keys, in-memory topology, image path)`.
     fn freeze_small_ring(tag: &str) -> (Vec<Key>, sw_graph::Topology, std::path::PathBuf) {
         let n = 64usize;
         let keys: Vec<Key> = (0..n)
@@ -4062,17 +4061,14 @@ mod tests {
         let topo = lt.build();
         let path = std::env::temp_dir().join(format!("sw-sim-{tag}-{}.arena", std::process::id()));
         let pos: Vec<f64> = keys.iter().map(|k| k.get()).collect();
-        TopologyStore::heap(topo.clone())
-            .freeze_to(&path, Some(&pos))
-            .unwrap();
+        topo.freeze_to(&path, Some(&pos)).unwrap();
         (keys, topo, path)
     }
 
-    /// The seeded run is bit-identical across *storage backends*: the
-    /// same converged rows behind the heap CSR and behind a frozen
-    /// arena image round-tripped through disk (keys read back from the
-    /// arena's per-node lane) produce the same simulation — including
-    /// churn layered onto the delta overlay above the immutable base.
+    /// The seeded run is bit-identical whether the converged rows were
+    /// built in memory or round-tripped through a frozen image on disk
+    /// (keys read back from its per-node lane) — including churn layered
+    /// onto the delta overlay above the immutable base.
     #[test]
     fn heap_and_arena_stores_preload_bit_identical() {
         let (keys, topo, path) = freeze_small_ring("store-identity");
@@ -4099,11 +4095,11 @@ mod tests {
             cfg_for(1),
             Arc::new(Uniform),
             keys,
-            TopologyStore::heap(topo),
+            topo,
         ));
         let arena = digest(Simulator::from_frozen(cfg_for(4), Arc::new(Uniform), &path).unwrap());
         std::fs::remove_file(&path).ok();
-        assert_eq!(heap, arena, "storage backends diverged");
+        assert_eq!(heap, arena, "the reopened image diverged");
     }
 
     /// `from_frozen` takes an arbitrary path, so a damaged image must

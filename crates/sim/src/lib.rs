@@ -36,9 +36,9 @@
 //!   the sharded stores) plus the handlers that advance the state
 //!   machines on each delivery. Long-link rows live in a
 //!   [`sw_graph::DeltaStore`]: an LSM-style per-peer edge-log overlay
-//!   on an immutable [`sw_graph::TopologyStore`] base, so a churn run
-//!   can preload from a frozen arena image
-//!   ([`Simulator::from_frozen`] / [`Simulator::with_store`]) and only
+//!   on an immutable [`sw_graph::Topology`] base — one `SWTOPO` image,
+//!   built in memory or opened (mapped under `mmap`) from disk
+//!   ([`Simulator::from_frozen`] / [`Simulator::with_store`]) — so only
 //!   the peers the run actually rewires cost heap memory.
 //! * [`traffic`] — the congestion vocabulary: per-node service queues
 //!   and per-link token buckets ([`CongestionConfig`]), the open-loop

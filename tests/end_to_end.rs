@@ -350,11 +350,10 @@ fn reopened_overlay_routes_like_the_reference() {
 /// reopen → simulate. A simulator preloaded from the frozen contact
 /// image (`from_frozen` reads the peer keys back from its per-node
 /// lane) must run churn + lookups to the same `SimMetrics` fingerprint
-/// as one preloaded from the same network's heap rows, run after run.
+/// as one preloaded from the same network's in-memory image, run after
+/// run.
 #[test]
 fn frozen_image_simulates_like_the_heap_store() {
-    use smallworld::graph::TopologyStore;
-
     let dist = || TruncatedPareto::new(1.5, 0.01).unwrap();
     let net = SmallWorldBuilder::new(2048)
         .distribution(Box::new(dist()))
@@ -383,10 +382,13 @@ fn frozen_image_simulates_like_the_heap_store() {
         cfg(),
         Arc::new(dist()),
         net.placement().keys().to_vec(),
-        TopologyStore::heap(net.topology().clone()),
+        net.topology().clone(),
     ));
     let first = frozen();
-    assert_eq!(first, heap, "arena-backed run diverged from the heap store");
+    assert_eq!(
+        first, heap,
+        "the reopened image diverged from the built one"
+    );
     assert_eq!(first, frozen(), "frozen run is not repeatable");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -423,10 +425,9 @@ fn harmonic_pareto_images_match_the_pinned_digests() {
 
 /// A `Simulator` over the reopened long-link image of a fixed-seed
 /// 2 048-peer Pareto(1.5, 0.01) harmonic build — the benchmark's boot
-/// path (`TopologyStore::open(long.swt)` → `Simulator::with_store`).
+/// path (`TopologyStore::open(long.swt)` → `Simulator::with_store`;
+/// `TopologyStore` is the benchmark's name for `sw_graph::Topology`).
 fn simulator_over_frozen_image(tag: &str, cfg: SimConfig) -> Simulator {
-    use smallworld::graph::TopologyStore;
-
     let dist = || TruncatedPareto::new(1.5, 0.01).unwrap();
     let net = SmallWorldBuilder::new(2048)
         .distribution(Box::new(dist()))
@@ -435,7 +436,7 @@ fn simulator_over_frozen_image(tag: &str, cfg: SimConfig) -> Simulator {
         .unwrap();
     let dir = std::env::temp_dir().join(format!("smallworld-e2e-{tag}-{}", std::process::id()));
     net.freeze_to(&dir).unwrap();
-    let store = TopologyStore::open(dir.join("long.swt")).unwrap();
+    let store = smallworld::graph::Topology::open(dir.join("long.swt")).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     Simulator::with_store(
         cfg,
