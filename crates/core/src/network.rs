@@ -204,11 +204,6 @@ impl SmallWorldNetwork {
         self.long.neighbors(u)
     }
 
-    /// Incoming long-range links of peer `u`.
-    pub fn incoming_links(&self, u: NodeId) -> &[NodeId] {
-        self.long.incoming(u)
-    }
-
     /// Normalized-space position `F̂(key_u)` of peer `u`.
     #[inline]
     pub fn normalized_position(&self, u: NodeId) -> f64 {
@@ -433,16 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn incoming_index_matches_outgoing() {
-        let net = small_net(128, 3);
-        for u in 0..128u32 {
-            for &v in net.long_links(u) {
-                assert!(net.incoming_links(v).contains(&u));
-            }
-        }
-    }
-
-    #[test]
     fn drop_links_counts_and_removes() {
         let mut net = small_net(256, 4);
         let before = net.total_long_links();
@@ -457,7 +442,6 @@ mod tests {
         let mut net = small_net(64, 6);
         net.set_long_links(0, vec![42]);
         assert_eq!(net.long_links(0), &[42]);
-        assert!(net.incoming_links(42).contains(&0));
         assert!(net.contacts(0).contains(&42));
     }
 
@@ -542,10 +526,10 @@ mod tests {
         let net = small_net(n, 44);
         let dir = std::env::temp_dir().join("sw-core-freeze-corrupt-test");
         let open = || SmallWorldNetwork::open_from(&dir, *net.config(), net.assumed().clone());
-        // SWTOPO v1: 4 header words, then `n + 1` u32 offsets padded to
+        // SWTOPO v2: 5 header words, then `n + 1` u32 offsets padded to
         // whole words, then the edge rows.
-        let offsets_byte = 4 * 8;
-        let edges_byte = (4 + (n + 1).div_ceil(2)) * 8;
+        let offsets_byte = 5 * 8;
+        let edges_byte = (5 + (n + 1).div_ceil(2)) * 8;
         for file in [CONTACTS_FILE, LONG_FILE] {
             net.freeze_to(&dir).unwrap();
             assert!(open().is_ok(), "the untouched directory opens");

@@ -2,8 +2,7 @@
 //! held in its frozen `SWTOPO` image.
 //!
 //! A [`Topology`] packs all outgoing edges into one `edges` section
-//! indexed by an `offsets` section (`n + 1` entries), plus a mirrored
-//! incoming-edge CSR built in a single counting-sort pass, and optional
+//! indexed by an `offsets` section (`n + 1` entries), plus optional
 //! per-edge / per-node `f64` lanes — all inside one 8-byte-aligned
 //! image (the format is [`crate::store`]'s), owned or file-mapped.
 //! Neighbour access is a contiguous slice read with no allocation and
@@ -21,7 +20,6 @@
 
 use crate::digraph::{DiGraph, NodeId};
 use crate::par;
-use crate::prefetch::prefetch_read;
 use crate::store::{
     self, section, ImageBuf, Layout, FLAG_EDGE_POS, FLAG_NODE_POS, FLAG_SORTED, HEADER_WORDS,
 };
@@ -32,10 +30,11 @@ use std::path::Path;
 /// Peers per worker below which a constructor fills rows inline.
 const FILL_GRAIN: usize = 1 << 14;
 
-/// Flat CSR adjacency of a fixed peer set — outgoing and incoming edges
-/// plus optional `f64` lanes — in one `SWTOPO` image, owned or mapped.
+/// Flat CSR adjacency of a fixed peer set — outgoing edges plus
+/// optional `f64` lanes — in one `SWTOPO` image, owned or mapped.
 ///
-/// Equality is graph equality: the four CSR sections. The lanes are
+/// Equality is graph equality: the `offsets` and `edges` sections. The
+/// lanes are
 /// payload, compared through [`Topology::edge_pos`] /
 /// [`Topology::node_pos`], and whole images through
 /// [`Topology::as_bytes`].
@@ -162,9 +161,9 @@ impl Topology {
         Self::from_row_slices(rows.len(), |u| &rows[u])
     }
 
-    /// [`from_rows`] with the row fill and the in-edge transpose fanned
-    /// out over `threads` workers (`0` = auto); results are identical at
-    /// any thread count.
+    /// [`from_rows`] with the row fill and the sorted scan fanned out
+    /// over `threads` workers (`0` = auto); results are identical at any
+    /// thread count.
     ///
     /// [`from_rows`]: Topology::from_rows
     pub fn from_rows_with_threads(rows: &[Vec<NodeId>], threads: usize) -> Topology {
@@ -179,7 +178,7 @@ impl Topology {
         Self::from_row_slices_with_threads(n, 1, row)
     }
 
-    /// [`from_row_slices`] with a parallel fill and transpose (`0` =
+    /// [`from_row_slices`] with a parallel fill and sorted scan (`0` =
     /// auto): degrees are counted, the writer lays the image out, and
     /// each row is copied into its final place.
     ///
@@ -232,18 +231,6 @@ impl Topology {
         self.u32s(self.layout.edges, self.m)
     }
 
-    /// Raw in-edge offsets (`n + 1` entries).
-    #[inline]
-    pub fn in_offsets(&self) -> &[u32] {
-        self.u32s(self.layout.in_offsets, self.n + 1)
-    }
-
-    /// Raw in-edge section, grouped by destination peer.
-    #[inline]
-    pub fn in_edges(&self) -> &[NodeId] {
-        self.u32s(self.layout.in_edges, self.m)
-    }
-
     #[inline]
     fn u32s(&self, word: usize, len: usize) -> &[u32] {
         section(&self.buf, word, len)
@@ -289,25 +276,11 @@ impl Topology {
         &self.edges()[a..b]
     }
 
-    /// Incoming neighbours of `u` (sources of edges ending at `u`).
-    #[inline]
-    pub fn incoming(&self, u: NodeId) -> &[NodeId] {
-        let offs = self.in_offsets();
-        let (a, b) = (offs[u as usize] as usize, offs[u as usize + 1] as usize);
-        &self.in_edges()[a..b]
-    }
-
     /// Out-degree of `u`.
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
         let (a, b) = self.row_bounds(u);
         b - a
-    }
-
-    /// In-degree of `u`.
-    #[inline]
-    pub fn in_degree(&self, u: NodeId) -> usize {
-        self.incoming(u).len()
     }
 
     /// Every peer's out-degree, in peer order (what a writer is sized by).
@@ -357,8 +330,8 @@ impl Topology {
             .collect()
     }
 
-    /// A copy with only the edges `keep(u, v)` accepts (lanes dropped);
-    /// both CSRs are rebuilt in one pass.
+    /// A copy with only the edges `keep(u, v)` accepts (lanes dropped),
+    /// rebuilt in one pass.
     pub fn filter_edges(&self, mut keep: impl FnMut(NodeId, NodeId) -> bool) -> Topology {
         let n = self.len();
         let mut ends = Vec::with_capacity(n + 1);
@@ -372,7 +345,7 @@ impl Topology {
     }
 
     /// A copy with peer `u`'s row replaced (used by link refresh paths;
-    /// rebuilds both CSRs — `O(n + m)`, fine for maintenance operations).
+    /// rebuilds the image — `O(n + m)`, fine for maintenance operations).
     pub fn with_row(&self, u: NodeId, new_row: &[NodeId]) -> Topology {
         Topology::from_row_slices(self.len(), |w| {
             if w == u as usize {
@@ -406,10 +379,7 @@ impl Clone for Topology {
 
 impl PartialEq for Topology {
     fn eq(&self, other: &Topology) -> bool {
-        self.offsets() == other.offsets()
-            && self.edges() == other.edges()
-            && self.in_offsets() == other.in_offsets()
-            && self.in_edges() == other.in_edges()
+        self.offsets() == other.offsets() && self.edges() == other.edges()
     }
 }
 
@@ -424,128 +394,6 @@ impl std::fmt::Debug for Topology {
             .field("bytes", &self.resident_bytes())
             .finish()
     }
-}
-
-/// Builds the in-edge CSR of `(offsets, edges)` into caller-provided
-/// buffers — the transpose [`ArenaWriter::finish`] seals every image
-/// with.
-///
-/// With `threads > 1` the destination id space is split into contiguous
-/// ranges, one per worker: a counting pass tallies each range's
-/// in-degrees, a sequential exclusive scan fixes the global offsets, and
-/// a fill pass has each worker scan the edge array in source order while
-/// writing only its own destination range — a disjoint contiguous slice
-/// of `in_edges`, since in-edges are grouped by destination. Every
-/// destination's sources therefore land in ascending source order,
-/// exactly as the sequential counting sort emits them: **output is
-/// bit-identical at any thread count**.
-///
-/// # Panics
-///
-/// Panics if `in_offsets.len() != n + 1`,
-/// `in_edges.len() != edges.len()`, or an edge target is `>= n`.
-pub fn transpose_into(
-    n: usize,
-    offsets: &[u32],
-    edges: &[NodeId],
-    in_offsets: &mut [u32],
-    in_edges: &mut [NodeId],
-    threads: usize,
-) {
-    assert_eq!(in_offsets.len(), n + 1, "in_offsets holds n + 1 entries");
-    assert_eq!(in_edges.len(), edges.len(), "one in-edge per out-edge");
-    let m = edges.len();
-    // Each worker re-scans the whole edge array (O(threads · m) reads),
-    // so fan out only when rows are big enough to amortize that.
-    let workers = par::effective_threads(m, threads, 1 << 16);
-    if workers <= 1 {
-        // Both passes are random scatters over arrays far larger than
-        // cache at 10⁷ peers; a lookahead prefetch keeps several misses
-        // in flight instead of serializing on each one. Prefetching is a
-        // hint — the output is the plain counting sort's, bit for bit.
-        const PF: usize = 16;
-        in_offsets.fill(0);
-        for (k, &v) in edges.iter().enumerate() {
-            if let Some(&w) = edges.get(k + PF) {
-                prefetch_read(&in_offsets[w as usize + 1]);
-            }
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.to_vec();
-        for u in 0..n {
-            let (a, b) = (offsets[u] as usize, offsets[u + 1] as usize);
-            for k in a..b {
-                // Two-stage lookahead across the flat edge array: warm
-                // the cursor slot first, then the write target it names.
-                // A cursor slot may advance between prefetch and use
-                // (repeated destination), drifting the second hint by a
-                // few entries — same line in practice, and harmless.
-                if let Some(&w) = edges.get(k + 2 * PF) {
-                    prefetch_read(&cursor[w as usize]);
-                }
-                if let Some(&w) = edges.get(k + PF) {
-                    // `slot` can be one past the end mid-sort only for
-                    // ids whose rows are complete: a wrapping pointer
-                    // (never dereferenced) keeps that hint panic-free.
-                    let slot = cursor[w as usize] as usize;
-                    prefetch_read(in_edges.as_ptr().wrapping_add(slot));
-                }
-                let v = edges[k] as usize;
-                in_edges[cursor[v] as usize] = u as NodeId;
-                cursor[v] += 1;
-            }
-        }
-        return;
-    }
-    // Count pass: in-degree tallies per destination range, one range
-    // per worker.
-    let counts = par::par_chunks_grained(n, workers, 1, |r| {
-        let mut c = vec![0u32; r.len()];
-        for &v in edges {
-            let v = v as usize;
-            if r.contains(&v) {
-                c[v - r.start] += 1;
-            }
-        }
-        (r, c)
-    });
-    // Sequential exclusive scan over all destinations.
-    in_offsets[0] = 0;
-    let mut total = 0u32;
-    for (r, c) in &counts {
-        for (i, &k) in c.iter().enumerate() {
-            total += k;
-            in_offsets[r.start + i + 1] = total;
-        }
-    }
-    assert_eq!(total as usize, m, "edge target out of range");
-    // Fill pass: split `in_edges` at the range boundaries — disjoint
-    // contiguous slices — and let each worker scan sources in order.
-    let in_offsets: &[u32] = in_offsets;
-    let mut rest: &mut [NodeId] = in_edges;
-    par::join_all(counts.iter().map(|(r, _)| {
-        let base = in_offsets[r.start];
-        let (mine, tail) =
-            std::mem::take(&mut rest).split_at_mut((in_offsets[r.end] - base) as usize);
-        rest = tail;
-        move || {
-            let mut cursor: Vec<u32> = r.clone().map(|v| in_offsets[v] - base).collect();
-            for u in 0..n {
-                let (a, b) = (offsets[u] as usize, offsets[u + 1] as usize);
-                for &v in &edges[a..b] {
-                    let v = v as usize;
-                    if r.contains(&v) {
-                        let slot = &mut cursor[v - r.start];
-                        mine[*slot as usize] = u as NodeId;
-                        *slot += 1;
-                    }
-                }
-            }
-        }
-    }));
 }
 
 /// Construction-time contact-table builder shared by every overlay.
@@ -609,11 +457,10 @@ impl LinkTable {
         self.build_with_threads(1)
     }
 
-    /// [`build`] with per-row sorting, the row fill and the in-edge
-    /// transpose fanned out over `threads` workers (`0` = auto). Each
-    /// row is sorted independently and the transpose is thread-count
-    /// invariant, so the result is identical to the sequential
-    /// [`build`].
+    /// [`build`] with per-row sorting, the row fill and the sorted scan
+    /// fanned out over `threads` workers (`0` = auto). Each row is
+    /// sorted and copied independently, so the result is identical to
+    /// the sequential [`build`].
     ///
     /// [`build`]: LinkTable::build
     pub fn build_with_threads(mut self, threads: usize) -> Topology {
@@ -649,18 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn incoming_is_the_transpose() {
-        let t = sample();
-        assert_eq!(t.incoming(2), &[0, 1]);
-        assert_eq!(t.incoming(0), &[2]);
-        assert_eq!(t.incoming(3), &[] as &[NodeId]);
-        assert_eq!(t.in_degree(2), 2);
-        // Transpose preserves edge count.
-        let total_in: usize = (0..4).map(|u| t.in_degree(u)).sum();
-        assert_eq!(total_in, t.edge_count());
-    }
-
-    #[test]
     fn round_trip_through_rows() {
         let rows = vec![vec![3, 1], vec![], vec![0, 1, 3], vec![2]];
         let t = Topology::from_rows(&rows);
@@ -673,7 +508,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.edge_count(), 0);
         assert_eq!(t.neighbors(1), &[] as &[NodeId]);
-        assert_eq!(t.incoming(1), &[] as &[NodeId]);
         let zero = Topology::empty(0);
         assert!(zero.is_empty());
     }
@@ -685,8 +519,6 @@ mod tests {
         assert_eq!(f.neighbors(0), &[1]);
         assert_eq!(f.neighbors(1), &[] as &[NodeId]);
         assert_eq!(f.edge_count(), 2);
-        assert_eq!(f.incoming(2), &[] as &[NodeId]);
-        assert_eq!(f.incoming(0), &[2]);
     }
 
     #[test]
@@ -695,8 +527,6 @@ mod tests {
         let r = t.with_row(1, &[0, 3]);
         assert_eq!(r.neighbors(1), &[0, 3]);
         assert_eq!(r.neighbors(0), &[1, 2]);
-        assert!(r.incoming(3).contains(&1));
-        assert!(!r.incoming(2).contains(&1));
     }
 
     #[test]
@@ -756,7 +586,7 @@ mod tests {
     }
 
     /// A deterministic pseudo-random link table big enough that the
-    /// parallel transpose / row-sort paths actually fan out.
+    /// writer's parallel sorted scan actually fans out.
     fn big_scrambled_table(n: usize, avg_deg: usize) -> LinkTable {
         let mut lt = LinkTable::new(n);
         let mut state = 0x243f_6a88_85a3_08d3u64;
@@ -773,29 +603,6 @@ mod tests {
             }
         }
         lt
-    }
-
-    #[test]
-    fn parallel_transpose_matches_sequential() {
-        // ~20k peers × ~8 edges ≈ 160k edges: past the 2^16 fan-out
-        // threshold, so threads > 1 takes the chunked dest-range path.
-        let t = big_scrambled_table(20_000, 8).build();
-        let n = t.len();
-        assert!(t.edge_count() > 1 << 16, "must exercise the parallel path");
-        for threads in [2, 3, 7] {
-            let mut in_offsets = vec![0u32; n + 1];
-            let mut in_edges = vec![0 as NodeId; t.edge_count()];
-            transpose_into(
-                n,
-                t.offsets(),
-                t.edges(),
-                &mut in_offsets,
-                &mut in_edges,
-                threads,
-            );
-            assert_eq!(in_offsets.as_slice(), t.in_offsets(), "threads={threads}");
-            assert_eq!(in_edges.as_slice(), t.in_edges(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The `SWTOPO` image format every [`Topology`] is stored in.
 //!
 //! A topology *is* its frozen image: one 8-byte-aligned buffer holding a
-//! fixed header followed by the `offsets` / `edges` / `in_offsets` /
-//! `in_edges` sections, an optional per-**edge** `f64` lane (the
+//! fixed, checksummed header followed by the `offsets` / `edges`
+//! sections, an optional per-**edge** `f64` lane (the
 //! key-aligned ring positions the SoA routing kernels scan), and an
 //! optional per-**node** `f64` lane (peer keys, so a frozen overlay can
 //! be reopened without its construction inputs). The buffer is owned,
@@ -43,10 +43,11 @@ pub type TopologyStore = Topology;
 /// Magic-plus-version word. Incompatible layout changes bump the last
 /// byte. Read back swapped on a foreign-endian machine, so it doubles as
 /// an endianness check.
-pub(crate) const MAGIC: u64 = 0x5357_544F_504F_0001; // "SWTOPO" + version 1
+pub(crate) const MAGIC: u64 = 0x5357_544F_504F_0002; // "SWTOPO" + version 2
 
-/// Header words before the first section.
-pub(crate) const HEADER_WORDS: usize = 4;
+/// Header words before the first section: magic, `n`, `m`, flags, and
+/// the [`header_checksum`] of those four.
+pub(crate) const HEADER_WORDS: usize = 5;
 
 /// Flag bit: the per-edge `f64` position lane is present.
 pub(crate) const FLAG_EDGE_POS: u64 = 1;
@@ -60,8 +61,6 @@ pub(crate) const FLAG_SORTED: u64 = 1 << 2;
 pub(crate) struct Layout {
     pub(crate) offsets: usize,
     pub(crate) edges: usize,
-    pub(crate) in_offsets: usize,
-    pub(crate) in_edges: usize,
     pub(crate) edge_pos: usize,
     pub(crate) node_pos: usize,
     pub(crate) total_words: usize,
@@ -76,16 +75,12 @@ pub(crate) fn words_of<T>(len: usize) -> usize {
 pub(crate) fn layout(n: usize, m: usize, flags: u64) -> Layout {
     let offsets = HEADER_WORDS;
     let edges = offsets + words_of::<u32>(n + 1);
-    let in_offsets = edges + words_of::<u32>(m);
-    let in_edges = in_offsets + words_of::<u32>(n + 1);
-    let edge_pos = in_edges + words_of::<u32>(m);
+    let edge_pos = edges + words_of::<u32>(m);
     let node_pos = edge_pos + if flags & FLAG_EDGE_POS != 0 { m } else { 0 };
     let total_words = node_pos + if flags & FLAG_NODE_POS != 0 { n } else { 0 };
     Layout {
         offsets,
         edges,
-        in_offsets,
-        in_edges,
         edge_pos,
         node_pos,
         total_words,
@@ -139,17 +134,31 @@ pub(crate) fn section_mut<T: Plain>(buf: &mut [u64], word: usize, len: usize) ->
     unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut T, len) }
 }
 
-/// The header of an untrusted image, checked: magic, `u32` id space and
-/// total length. Returns `(n, m, flags)` and the section layout, which
-/// then lies inside `buf` by construction.
+/// FNV-1a over the native-endian bytes of header words 0–3 — the value
+/// header word 4 must hold.
+pub(crate) fn header_checksum(buf: &[u64]) -> u64 {
+    buf[..4]
+        .iter()
+        .flat_map(|w| w.to_ne_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+/// The header of an untrusted image, checked: magic, checksum, `u32` id
+/// space and total length. Returns `(n, m, flags)` and the section
+/// layout, which then lies inside `buf` by construction.
 pub(crate) fn check_header(buf: &[u64]) -> io::Result<(usize, usize, u64, Layout)> {
     if buf.len() < HEADER_WORDS {
         return Err(bad_format("truncated header"));
     }
     if buf[0] != MAGIC {
         return Err(bad_format(
-            "bad magic (not a topology image, or foreign endianness)",
+            "bad magic (not a v2 topology image, or foreign endianness)",
         ));
+    }
+    if buf[4] != header_checksum(buf) {
+        return Err(bad_format("header checksum mismatch"));
     }
     let (n, m, flags) = (buf[1], buf[2], buf[3]);
     // The header is untrusted: bound the counts and recompute the length
@@ -164,7 +173,7 @@ pub(crate) fn check_header(buf: &[u64]) -> io::Result<(usize, usize, u64, Layout
         let (n, m) = (n as u128, m as u128);
         let edge_lane = if flags & FLAG_EDGE_POS != 0 { m } else { 0 };
         let node_lane = if flags & FLAG_NODE_POS != 0 { n } else { 0 };
-        HEADER_WORDS as u128 + 2 * u32s(n + 1) + 2 * u32s(m) + edge_lane + node_lane
+        HEADER_WORDS as u128 + u32s(n + 1) + u32s(m) + edge_lane + node_lane
     };
     if buf.len() as u128 != wide_words {
         return Err(bad_format("file length does not match header"));
@@ -174,33 +183,26 @@ pub(crate) fn check_header(buf: &[u64]) -> io::Result<(usize, usize, u64, Layout
 }
 
 /// Structural checks of an image whose header passed [`check_header`]:
-/// both offset tables start at 0, end at `m` and never decrease, and
+/// the offset table starts at 0, ends at `m` and never decreases, and
 /// every edge target is a peer id. One pass each, fanned out over the
 /// machine's cores (the scans dominated the 18–23 s reopen cost at 10⁷
 /// peers when run sequentially).
 pub(crate) fn check_sections(topo: &Topology) -> io::Result<()> {
     let (n, m) = (topo.len(), topo.edge_count());
-    for (name, offs) in [
-        ("offsets", topo.offsets()),
-        ("in_offsets", topo.in_offsets()),
-    ] {
-        if offs.first() != Some(&0) || offs.last() != Some(&(m as u32)) {
-            return Err(bad_format(name));
-        }
-        let monotone = par::par_chunks(offs.len() - 1, 0, |r| {
-            offs[r.start..r.end + 1].windows(2).all(|w| w[0] <= w[1])
-        });
-        if monotone.into_iter().any(|ok| !ok) {
-            return Err(bad_format(name));
-        }
+    let offs = topo.offsets();
+    if offs.first() != Some(&0) || offs.last() != Some(&(m as u32)) {
+        return Err(bad_format("offsets"));
     }
-    for edges in [topo.edges(), topo.in_edges()] {
-        let in_range = par::par_chunks(edges.len(), 0, |r| {
-            edges[r].iter().all(|&v| (v as usize) < n)
-        });
-        if in_range.into_iter().any(|ok| !ok) {
-            return Err(bad_format("edge target out of range"));
-        }
+    let monotone = par::par_chunks(n, 0, |r| {
+        offs[r.start..r.end + 1].windows(2).all(|w| w[0] <= w[1])
+    });
+    if monotone.into_iter().any(|ok| !ok) {
+        return Err(bad_format("offsets"));
+    }
+    let edges = topo.edges();
+    let in_range = par::par_chunks(m, 0, |r| edges[r].iter().all(|&v| (v as usize) < n));
+    if in_range.into_iter().any(|ok| !ok) {
+        return Err(bad_format("edge target out of range"));
     }
     Ok(())
 }
@@ -377,7 +379,7 @@ pub(crate) mod mapping {
 
 #[cfg(test)]
 mod tests {
-    use super::MAGIC;
+    use super::{header_checksum, MAGIC};
     use crate::csr::{LinkTable, Topology};
     use crate::digraph::NodeId;
     use crate::writer::ArenaWriter;
@@ -422,6 +424,10 @@ mod tests {
         lane.unwrap().iter().map(|f| f.to_bits()).collect()
     }
 
+    fn words_to_bytes(words: &[u64]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_ne_bytes()).collect()
+    }
+
     #[test]
     fn arena_round_trips_topology() {
         let topo = sample_topology();
@@ -436,7 +442,6 @@ mod tests {
         assert!(opened.edge_pos().is_none() && opened.node_pos().is_none());
         for u in 0..topo.len() as NodeId {
             assert_eq!(opened.neighbors(u), topo.neighbors(u));
-            assert_eq!(opened.incoming(u), topo.incoming(u));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -464,8 +469,6 @@ mod tests {
         let opened = Topology::open(&path).unwrap();
         assert_eq!(opened.offsets(), laned.offsets());
         assert_eq!(opened.edges(), laned.edges());
-        assert_eq!(opened.in_offsets(), laned.in_offsets());
-        assert_eq!(opened.in_edges(), laned.in_edges());
         // Bit-identity of the float lane, not approximate equality.
         assert_eq!(bits(opened.edge_pos()), bits(Some(&edge_pos)));
         assert_eq!(opened.as_bytes(), laned.as_bytes());
@@ -484,20 +487,37 @@ mod tests {
 
     #[test]
     fn open_rejects_overflowing_header_counts() {
-        // Valid magic, absurd n/m chosen so naive usize layout math
-        // would wrap to a tiny total; the wide-arithmetic check must
-        // return Err instead of panicking on a section cast.
+        // Valid magic and checksum, absurd n/m chosen so naive usize
+        // layout math would wrap to a tiny total; the wide-arithmetic
+        // check must return Err instead of panicking on a section cast.
         let path = scratch("overflow.swt");
         for (n, m) in [
             (u64::MAX / 2, u64::MAX / 2 + 1),
             (u64::MAX, 0),
             (u32::MAX as u64, u32::MAX as u64),
         ] {
-            let words = [MAGIC, n, m, 0u64];
-            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_ne_bytes()).collect();
-            std::fs::write(&path, &bytes).unwrap();
+            let mut words = [MAGIC, n, m, 0, 0];
+            words[4] = header_checksum(&words);
+            std::fs::write(&path, words_to_bytes(&words)).unwrap();
             assert!(Topology::open(&path).is_err(), "n={n} m={m}");
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A v1 image — the format with the in-edge sections — is an `Err`
+    /// at its magic word, even with a header checksum that matches.
+    #[test]
+    fn open_rejects_v1_images() {
+        let mut words: Vec<u64> = sample_topology()
+            .as_bytes()
+            .chunks_exact(8)
+            .map(|w| u64::from_ne_bytes(w.try_into().unwrap()))
+            .collect();
+        words[0] = 0x5357_544F_504F_0001;
+        words[4] = header_checksum(&words);
+        let path = scratch("v1.swt");
+        std::fs::write(&path, words_to_bytes(&words)).unwrap();
+        assert!(Topology::open(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 

@@ -15,9 +15,8 @@
 //! dominate construction. The writer inverts this: a cheap counting pass
 //! fixes each peer's row extent, the image is allocated once, and link
 //! sampling writes targets straight into their final offsets. The
-//! `in_offsets`/`in_edges` transpose and the `FLAG_SORTED` scan run over
-//! the finished sections in [`ArenaWriter::finish`], fanned out with
-//! [`crate::par`].
+//! `FLAG_SORTED` scan runs over the finished rows in
+//! [`ArenaWriter::finish`], fanned out with [`crate::par`].
 //!
 //! ## Filling in parallel
 //!
@@ -30,7 +29,7 @@
 //! count — the tests hold it against a straight row-by-row packing
 //! model of the format.
 
-use crate::csr::{transpose_into, Topology};
+use crate::csr::Topology;
 use crate::digraph::NodeId;
 use crate::par;
 use crate::store::{
@@ -43,8 +42,8 @@ use std::ops::Range;
 /// An image under construction: header and offsets are fixed up front
 /// from per-peer degrees; edge rows and lanes are filled in place
 /// (concurrently, per disjoint peer range); [`ArenaWriter::finish`]
-/// derives the in-edge CSR and sorted flag and seals the image into a
-/// [`Topology`].
+/// derives the sorted flag and header checksum and seals the image into
+/// a [`Topology`].
 pub struct ArenaWriter {
     n: usize,
     m: usize,
@@ -85,8 +84,8 @@ impl ArenaWriter {
     /// Preallocates the full image for a topology whose peer `u`
     /// has out-degree `degrees[u]`, with the offset table prefix-summed
     /// and the header written. Lane flags must be declared here (they
-    /// shape the layout); `FLAG_SORTED` is derived later by
-    /// [`ArenaWriter::finish`].
+    /// shape the layout); `FLAG_SORTED` and the checksum word are
+    /// written later by [`ArenaWriter::finish`].
     ///
     /// Errors if the total edge count leaves the `u32` id space.
     pub fn from_degrees(
@@ -230,8 +229,7 @@ impl ArenaWriter {
         );
         // Carve the mutable sections out of the one backing buffer.
         let (pre, rest) = self.buf.split_at_mut(l.edges);
-        let (edges_w, rest) = rest.split_at_mut(l.in_offsets - l.edges);
-        let (_in_csr, rest) = rest.split_at_mut(l.edge_pos - l.in_offsets);
+        let (edges_w, rest) = rest.split_at_mut(l.edge_pos - l.edges);
         let (epos_w, npos_w) = rest.split_at_mut(l.node_pos - l.edge_pos);
         let offsets: &[u32] = section(pre, l.offsets, n + 1);
         let mut edges_rest: &mut [NodeId] = section_mut(edges_w, 0, m);
@@ -276,37 +274,36 @@ impl ArenaWriter {
         }));
     }
 
-    /// Seals the image: derives `in_offsets`/`in_edges` with the shared
-    /// parallel transpose, scans rows for the `FLAG_SORTED` bit, and
-    /// wraps the buffer as a [`Topology`].
+    /// Seals the image: one sorted scan over the filled rows sets the
+    /// `FLAG_SORTED` bit and checks every target is a peer id, then the
+    /// header checksum is written and the buffer wrapped as a
+    /// [`Topology`].
     ///
-    /// # Panics
-    ///
-    /// Panics if a filled edge target is not a peer id.
+    /// Errors if a filled edge target is not a peer id.
     pub fn finish(mut self, threads: usize) -> io::Result<Topology> {
         let (n, m, l) = (self.n, self.m, self.layout);
-        let sorted = {
-            let (pre, rest) = self.buf.split_at_mut(l.in_offsets);
-            let (in_w, _lanes) = rest.split_at_mut(l.edge_pos - l.in_offsets);
-            let offsets: &[u32] = section(pre, l.offsets, n + 1);
-            let edges: &[NodeId] = section(pre, l.edges, m);
-            let (inoff_w, inedge_w) = in_w.split_at_mut(l.in_edges - l.in_offsets);
-            let in_offsets = section_mut(inoff_w, 0, n + 1);
-            let in_edges = section_mut(inedge_w, 0, m);
-            transpose_into(n, offsets, edges, in_offsets, in_edges, threads);
+        let (sorted, in_range) = {
+            let offsets: &[u32] = section(&self.buf, l.offsets, n + 1);
+            let edges: &[NodeId] = section(&self.buf, l.edges, m);
             par::par_chunks(n, threads, |r| {
-                (r.start..r.end).all(|u| {
+                let rows = &edges[offsets[r.start] as usize..offsets[r.end] as usize];
+                let sorted = r.clone().all(|u| {
                     edges[offsets[u] as usize..offsets[u + 1] as usize]
                         .windows(2)
                         .all(|w| w[0] <= w[1])
-                })
+                });
+                (sorted, rows.iter().all(|&v| (v as usize) < n))
             })
             .into_iter()
-            .all(|ok| ok)
+            .fold((true, true), |a, b| (a.0 && b.0, a.1 && b.1))
         };
+        if !in_range {
+            return Err(bad_format("edge target out of range"));
+        }
         if sorted {
             self.buf[3] |= FLAG_SORTED;
         }
+        self.buf[4] = store::header_checksum(&self.buf);
         Topology::from_image(self.buf, cfg!(debug_assertions))
     }
 }
@@ -318,29 +315,19 @@ pub(crate) mod tests {
     use crate::store::{layout, MAGIC};
 
     /// The straight rows → image packing the writer is held against: the
-    /// format written out field by field, with its own bucket transpose
-    /// and sorted scan — nothing shared with the writer but [`layout`].
+    /// format written out field by field, with its own sorted scan and
+    /// header checksum — nothing shared with the writer but [`layout`].
     pub(crate) fn model_image(
         rows: &[Vec<NodeId>],
         edge_pos: Option<&[f64]>,
         node_pos: Option<&[f64]>,
     ) -> Vec<u8> {
         let n = rows.len();
-        let csr = |rows: &[Vec<NodeId>]| -> (Vec<u32>, Vec<NodeId>) {
-            let mut offsets = vec![0u32];
-            for row in rows {
-                offsets.push(offsets[offsets.len() - 1] + row.len() as u32);
-            }
-            (offsets, rows.concat())
-        };
-        let (offsets, edges) = csr(rows);
-        let mut incoming = vec![Vec::new(); n];
-        for (u, row) in rows.iter().enumerate() {
-            for &v in row {
-                incoming[v as usize].push(u as NodeId);
-            }
+        let mut offsets = vec![0u32];
+        for row in rows {
+            offsets.push(offsets[offsets.len() - 1] + row.len() as u32);
         }
-        let (in_offsets, in_edges) = csr(&incoming);
+        let edges = rows.concat();
         let m = edges.len();
         let mut flags = 0;
         if edge_pos.is_some() {
@@ -355,10 +342,14 @@ pub(crate) mod tests {
         let l = layout(n, m, flags);
         let mut buf = vec![0u64; l.total_words];
         buf[..4].copy_from_slice(&[MAGIC, n as u64, m as u64, flags]);
+        buf[4] = buf[..4]
+            .iter()
+            .flat_map(|w| w.to_ne_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
         section_mut(&mut buf, l.offsets, n + 1).copy_from_slice(&offsets);
         section_mut(&mut buf, l.edges, m).copy_from_slice(&edges);
-        section_mut(&mut buf, l.in_offsets, n + 1).copy_from_slice(&in_offsets);
-        section_mut(&mut buf, l.in_edges, m).copy_from_slice(&in_edges);
         if let Some(p) = edge_pos {
             section_mut(&mut buf, l.edge_pos, m).copy_from_slice(p);
         }

@@ -18,7 +18,7 @@ use sw_keyspace::{Key, Rng, Topology};
 #[derive(Debug, Clone)]
 pub struct Symphony {
     p: Placement,
-    /// Long links only (outgoing rows + incoming transpose).
+    /// Long links only, one outgoing row per peer.
     links: CsrTopology,
     /// Full contact table: ring neighbours + long links (+ reverses when
     /// bidirectional).
@@ -66,16 +66,22 @@ impl Symphony {
                 }
             }
         }
-        let links = CsrTopology::from_rows(&out);
         let mut lt = LinkTable::new(n);
         for u in 0..n as NodeId {
             lt.add_all(u, p.topology_neighbors(u));
             // A long link can land on a ring neighbour; the table dedupes.
-            lt.add_all(u, links.neighbors(u).iter().copied());
-            if bidirectional {
-                lt.add_all(u, links.incoming(u).iter().copied());
+            lt.add_all(u, out[u as usize].iter().copied());
+        }
+        if bidirectional {
+            // Each link's reverse, from the rows themselves; `build`
+            // sorts every row, so the order of these adds is immaterial.
+            for (u, row) in out.iter().enumerate() {
+                for &v in row {
+                    lt.add(v, u as NodeId);
+                }
             }
         }
+        let links = CsrTopology::from_rows(&out);
         Symphony {
             p,
             links,
@@ -90,7 +96,7 @@ impl Symphony {
         self.k
     }
 
-    /// The long links only (outgoing + incoming CSR).
+    /// The long links only (each peer's outgoing row).
     pub fn long_topology(&self) -> &CsrTopology {
         &self.links
     }

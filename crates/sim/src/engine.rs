@@ -4110,10 +4110,10 @@ mod tests {
         let (keys, _, path) = freeze_small_ring("corrupt");
         let n = keys.len();
         let good = std::fs::read(&path).unwrap();
-        // SWTOPO v1: 4 header words, then `n + 1` u32 offsets padded to
+        // SWTOPO v2: 5 header words, then `n + 1` u32 offsets padded to
         // whole words, then the edge rows.
-        let offsets_byte = 4 * 8;
-        let edges_byte = (4 + (n + 1).div_ceil(2)) * 8;
+        let offsets_byte = 5 * 8;
+        let edges_byte = (5 + (n + 1).div_ceil(2)) * 8;
         let open = |bytes: &[u8]| {
             std::fs::write(&path, bytes).unwrap();
             Simulator::from_frozen(quiet_config(23, n), Arc::new(Uniform), &path).map(|_| ())

@@ -399,7 +399,11 @@ fn frozen_image_simulates_like_the_heap_store() {
 /// Linux) before the density cached its normaliser and the sampler
 /// resized its speculative rounds. Every same-commit identity test
 /// would still pass if a "faster" density or sampler moved one ulp or
-/// one draw; this one would not.
+/// one draw; this one would not. Re-pinned once, for the `SWTOPO` v2
+/// bump on parent commit ea3f2b7 (in-edge sections dropped, checksum
+/// word added; 0xb5f5_6358_8263_13c5 / 0x13eb_524b_cbbe_4d68 before):
+/// the new values are the v1 images with their `in_offsets` / `in_edges`
+/// sections cut out under a v2 header, byte for byte.
 #[test]
 fn harmonic_pareto_images_match_the_pinned_digests() {
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -418,7 +422,7 @@ fn harmonic_pareto_images_match_the_pinned_digests() {
     );
     assert_eq!(
         got,
-        (0xb5f5_6358_8263_13c5, 0x13eb_524b_cbbe_4d68),
+        (0xd5e1_9987_b481_3de0, 0x8a06_d28d_a6d0_270f),
         "(contacts, long) digests: {got:#018x?}"
     );
 }
