@@ -352,13 +352,13 @@ pub struct BuildProfile {
     pub sample_s: f64,
     /// Copying the scratch rows into the long-link image.
     pub long_fill_s: f64,
-    /// Sealing the long-link image (transpose + sorted scan).
+    /// Sealing the long-link image (sorted scan).
     pub long_finish_s: f64,
     /// Counting each peer's merged contact-row degree.
     pub degree_count_s: f64,
     /// Merging neighbours into the contact image and gathering key lanes.
     pub contact_fill_s: f64,
-    /// Sealing the contact image (transpose + sorted scan).
+    /// Sealing the contact image (sorted scan).
     pub contact_finish_s: f64,
 }
 

@@ -32,8 +32,8 @@ pub(crate) const LONG_FILE: &str = "long.swt";
 /// one it read (or mapped) from disk — the same type read by the same
 /// code, so one lookup walks the id rows with the reference walk and a
 /// batch goes through the interleaved kernel over the lanes at every
-/// size. The long-link CSR is a second image (with its incoming
-/// transpose) for the maintenance/refresh APIs.
+/// size. The long-link CSR is a second image, for the
+/// maintenance/refresh APIs.
 #[derive(Clone)]
 pub struct SmallWorldNetwork {
     placement: Placement,
@@ -42,7 +42,7 @@ pub struct SmallWorldNetwork {
     /// `F̂(key_i)` cache — normalized-space positions of all peers.
     cdf: Vec<f64>,
     config: SmallWorldConfig,
-    /// Long-range links only (CSR, incoming transpose included).
+    /// Long-range links only (CSR, one outgoing row per peer).
     long: CsrTopology,
     /// Full routing table: neighbours + long links, with the
     /// key-aligned position lanes.
@@ -194,7 +194,7 @@ impl SmallWorldNetwork {
         &self.assumed
     }
 
-    /// The long-link topology (outgoing + incoming CSR).
+    /// The long-link topology (each peer's outgoing links).
     pub fn long_topology(&self) -> &CsrTopology {
         &self.long
     }
@@ -356,8 +356,8 @@ fn build_route_table(
 
 /// Builds the full routing table: topology neighbours first, then long
 /// links, deduplicated per row.
-/// The freeze (per-row sort + CSR pack + in-edge transpose) fans out
-/// over `threads` workers; the result is identical at any thread count.
+/// The freeze (per-row sort + CSR pack + sorted scan) fans out over
+/// `threads` workers; the result is identical at any thread count.
 fn build_contact_table(placement: &Placement, long: &CsrTopology, threads: usize) -> CsrTopology {
     let n = placement.len();
     let mut lt = LinkTable::new(n);

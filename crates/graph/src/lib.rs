@@ -13,10 +13,9 @@
 //!    [`LinkTable`] construction builder that overlays append per-peer
 //!    contact rows into.
 //! 2. **Frozen CSR** — [`Topology`]: all out-edges in one flat `edges`
-//!    section indexed by `offsets`, plus the incoming-edge CSR built by
-//!    one counting-sort pass and optional per-edge / per-node `f64`
-//!    lanes, in **one** 8-byte-aligned `SWTOPO` image that is owned or,
-//!    under the `mmap` feature, a file mapping. Rows are sorted
+//!    section indexed by `offsets`, plus optional per-edge / per-node
+//!    `f64` lanes, in **one** 8-byte-aligned `SWTOPO` image that is
+//!    owned or, under the `mmap` feature, a file mapping. Rows are sorted
 //!    ascending at freeze ([`LinkTable::build`]), so membership tests
 //!    binary-search. The image freezes to disk with a single write and
 //!    reopens with a single read (or map) — O(1) allocations for a
@@ -41,7 +40,7 @@
 //!   (the workspace builds offline, so no `rayon`): parallel per-peer
 //!   construction and batched routing build on these.
 //! * [`prefetch`] — software-prefetch hints shared by every
-//!   latency-hiding kernel (CSR transpose, harmonic sampling,
+//!   latency-hiding kernel (harmonic sampling, the simulator's hop,
 //!   `sw-overlay`'s interleaved AMAC routing); no-ops off x86-64.
 //! * [`idhash`] — [`IdMap`] / [`IdSet`]: `std` hash tables over a
 //!   one-multiply hasher, for maps keyed by ids the program generated

@@ -33,8 +33,8 @@ pub fn default_parallelism() -> usize {
 /// rest on one scoped thread each — so a region of `k` chunks costs
 /// `k − 1` spawns and the caller does not sit idle beside them. The one
 /// fork/join of this crate: the helpers below and the regions that
-/// hand-partition mutable state (the arena writer's fill, the transpose,
-/// in-place row sorting) all run through it.
+/// hand-partition mutable state (the arena writer's fill, in-place row
+/// sorting) all run through it.
 pub(crate) fn join_all<J: FnOnce() + Send>(mut jobs: impl Iterator<Item = J>) {
     std::thread::scope(|s| {
         let first = jobs.next();
@@ -149,8 +149,8 @@ const DEFAULT_MIN_PER_THREAD: usize = 1024;
 /// `0` resolves to the machine's parallelism, and tiny inputs collapse
 /// to one worker so spawn overhead never dominates. Exposed so callers
 /// that size a region by something other than its index range (the
-/// arena fill by peers per worker, the transpose by edges) agree with
-/// the mapping helpers about when to stay inline.
+/// arena fill by peers per worker) agree with the mapping helpers about
+/// when to stay inline.
 pub fn effective_threads(n: usize, threads: usize, min_per_thread: usize) -> usize {
     let t = if threads == 0 {
         default_parallelism()

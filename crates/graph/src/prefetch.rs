@@ -1,10 +1,9 @@
-//! Software-prefetch hints — the one shared home for the helper that
-//! used to live as private copies in `sw_graph::csr` and
-//! `sw_core::links`.
+//! Software-prefetch hints — the one shared home for the helper every
+//! latency-hiding kernel calls.
 //!
 //! Every batched kernel in the workspace that chases dependent pointers
-//! through multi-GB arrays (the CSR transpose pass, the harmonic link
-//! sampler, the interleaved AMAC routing kernel in `sw-overlay`) hides
+//! through multi-GB arrays (the harmonic link sampler, the contact-key
+//! gather, the interleaved AMAC routing kernel in `sw-overlay`) hides
 //! DRAM latency the same way: issue the *next* item's loads as
 //! prefetches while computing on the current one, so several cache
 //! misses are in flight at once instead of serializing. These helpers
