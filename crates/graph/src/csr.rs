@@ -34,8 +34,7 @@ const FILL_GRAIN: usize = 1 << 14;
 /// optional `f64` lanes — in one `SWTOPO` image, owned or mapped.
 ///
 /// Equality is graph equality: the `offsets` and `edges` sections. The
-/// lanes are
-/// payload, compared through [`Topology::edge_pos`] /
+/// lanes are payload, compared through [`Topology::edge_pos`] /
 /// [`Topology::node_pos`], and whole images through
 /// [`Topology::as_bytes`].
 pub struct Topology {

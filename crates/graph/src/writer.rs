@@ -494,5 +494,9 @@ pub(crate) mod tests {
         // Degrees summing past u32::MAX must error, not wrap.
         let degrees = vec![u32::MAX; 3];
         assert!(ArenaWriter::from_degrees(&degrees, false, false).is_err());
+        // A filled target past the last peer is an error at the seal.
+        let mut writer = ArenaWriter::from_degrees(&[1, 0], false, false).unwrap();
+        writer.fill(1, |slots| slots.edges[0] = 2);
+        assert!(writer.finish(1).is_err());
     }
 }

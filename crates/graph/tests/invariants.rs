@@ -389,9 +389,9 @@ proptest! {
 
 /// Every header word is covered by the v2 checksum: one flipped bit
 /// anywhere in words 0–4 of a written image (with lanes or without) is
-/// an `Err` on `open`. Before the checksum, flipping the sorted flag of
-/// an image with an unsorted row reopened `Ok`, and `has_edge` then
-/// binary-searched that row and missed an edge.
+/// an `Err` on `open`. The first image is the case no length or range
+/// check can see: its sorted flag flipped on, `has_edge` would
+/// binary-search the unsorted row `[3, 1, 2]` and miss the edge 0 → 3.
 #[test]
 fn flipped_header_bits_are_rejected() {
     let unsorted = Topology::from_rows(&[vec![3, 1, 2], vec![0], vec![], vec![2, 0]]);
