@@ -17,7 +17,8 @@
 //! (needs several GB of RAM). It prints its table and CSV only: events/s
 //! is a host-time reading, and committed host-time numbers are
 //! `benchmark/`'s (`sim.engine.*`, `work_per_s`), where they carry a
-//! stamp. ROADMAP item 2(a) names this sweep as its instrument.
+//! stamp. ROADMAP item 3 (the per-hop fall) names this sweep as its
+//! instrument.
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, Table};

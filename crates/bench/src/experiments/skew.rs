@@ -152,7 +152,7 @@ pub fn e4_system_comparison(ctx: &Ctx) {
         ));
     }
     rows.push(("model-2 (paper)".into(), model2));
-    rows.push(("naive kleinberg".into(), naive));
+    rows.push(("naive Kleinberg".into(), naive));
     rows.push((format!("symphony k={k}"), symphony));
     rows.push((format!("mercury k={k},s=256"), mercury));
     rows.push(("chord".into(), chord));
@@ -169,7 +169,7 @@ pub fn e4_system_comparison(ctx: &Ctx) {
     ctx.write_csv(&table, "e4_system_comparison.csv");
     println!(
         "  expected shape: model-2 / mercury / p-grid stay flat across columns; \
-         naive kleinberg and symphony degrade with skew; chord/pastry inflate moderately"
+         naive Kleinberg and symphony degrade with skew; chord/pastry inflate moderately"
     );
 }
 

@@ -86,16 +86,6 @@ pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
             experiments::dynamics::e11_estimation,
         ),
         (
-            "e12",
-            "Background (Kleinberg): greedy hops vs structural exponent r (1-d and 2-d)",
-            experiments::classics::e12_kleinberg_exponent,
-        ),
-        (
-            "e13",
-            "Background (Watts-Strogatz): clustering & path length vs rewiring p",
-            experiments::classics::e13_watts_strogatz,
-        ),
-        (
             "e14",
             "§5 future work: lookups under churn, with and without maintenance",
             experiments::dynamics::e14_churn,

@@ -18,7 +18,6 @@
 //! per-peer contact rows (with in-row deduplication and self-loop
 //! filtering) in any order and then freeze the table into a [`Topology`].
 
-use crate::digraph::{DiGraph, NodeId};
 use crate::par;
 use crate::store::{
     self, section, ImageBuf, Layout, FLAG_EDGE_POS, FLAG_NODE_POS, FLAG_SORTED, HEADER_WORDS,
@@ -26,6 +25,10 @@ use crate::store::{
 use crate::writer::ArenaWriter;
 use std::io;
 use std::path::Path;
+
+/// Dense peer index (`0..n`): `u32` keeps the `edges` section at four
+/// bytes per contact.
+pub type NodeId = u32;
 
 /// Peers per worker below which a constructor fills rows inline.
 const FILL_GRAIN: usize = 1 << 14;
@@ -315,11 +318,6 @@ impl Topology {
             .unwrap_or(0)
     }
 
-    /// Iterator over all edges as `(u, v)` pairs in row order.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        (0..self.len() as NodeId).flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
-    }
-
     /// Unpacks back into per-peer rows (the inverse of [`from_rows`]).
     ///
     /// [`from_rows`]: Topology::from_rows
@@ -353,15 +351,6 @@ impl Topology {
                 self.neighbors(w as NodeId)
             }
         })
-    }
-
-    /// Materializes as a [`DiGraph`] (for the metrics toolkit).
-    pub fn to_digraph(&self) -> DiGraph {
-        let mut g = DiGraph::new(self.len());
-        for (u, v) in self.iter_edges() {
-            g.add_edge_unique(u, v);
-        }
-        g
     }
 }
 
@@ -612,14 +601,5 @@ mod tests {
             assert_eq!(par.as_bytes(), seq.as_bytes(), "threads={threads}");
             assert!(par.rows_sorted());
         }
-    }
-
-    #[test]
-    fn to_digraph_matches_edges() {
-        let t = sample();
-        let g = t.to_digraph();
-        assert_eq!(g.edge_count(), 4);
-        assert!(g.has_edge(0, 2));
-        assert!(g.has_edge(2, 0));
     }
 }

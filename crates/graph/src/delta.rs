@@ -26,8 +26,7 @@
 //! Peers past the base's length (joins) are implicit empty rows until
 //! written.
 
-use crate::csr::Topology;
-use crate::digraph::NodeId;
+use crate::csr::{NodeId, Topology};
 use crate::idhash::IdMap;
 use crate::prefetch::prefetch_read;
 

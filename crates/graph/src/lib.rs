@@ -1,17 +1,16 @@
 //! # sw-graph
 //!
 //! Graph substrate: the one frozen adjacency type, its image format,
-//! and the classic small-world constructions the paper builds on.
+//! and the layers that build, edit and share it.
 //!
 //! ## Adjacency layers
 //!
 //! Topology data moves through two layers, the second frozen from the
 //! first:
 //!
-//! 1. **Editing** — [`digraph::DiGraph`], a mutable adjacency-list
-//!    digraph for algorithms that insert/remove edges, and the shared
-//!    [`LinkTable`] construction builder that overlays append per-peer
-//!    contact rows into.
+//! 1. **Editing** — [`LinkTable`], the shared construction builder that
+//!    overlays append per-peer contact rows into (self-loops skipped,
+//!    rows deduplicated).
 //! 2. **Frozen CSR** — [`Topology`]: all out-edges in one flat `edges`
 //!    section indexed by `offsets`, plus optional per-edge / per-node
 //!    `f64` lanes, in **one** 8-byte-aligned `SWTOPO` image that is
@@ -45,38 +44,17 @@
 //! * [`idhash`] — [`IdMap`] / [`IdSet`]: `std` hash tables over a
 //!   one-multiply hasher, for maps keyed by ids the program generated
 //!   itself (engine walk tables, link buckets, the delta layer).
-//! * [`digraph`] — a mutable adjacency-list digraph used while *editing*
-//!   graphs; frozen overlays use [`Topology`] instead.
-//! * [`bfs`] — breadth-first distances, sampled average path length and
-//!   diameter estimation.
-//! * [`clustering`] — the Watts–Strogatz clustering coefficient.
-//! * [`components`] — weak/strong connectivity (union-find + Tarjan).
-//! * [`watts_strogatz`] — the rewiring model of §2 of the paper
-//!   (Watts & Strogatz, 1998).
-//! * [`kleinberg`] — Kleinberg's lattice model (2000) with structural
-//!   exponent `r`, on the 1-d ring and the 2-d torus, plus greedy routing;
-//!   the `r = dimension` optimum is what the paper's two models extend.
-//! * [`metrics`] — one-call graph summary used by the experiment harness.
 
-pub mod bfs;
-pub mod clustering;
-pub mod components;
 pub mod csr;
 pub mod delta;
-pub mod digraph;
 pub mod idhash;
-pub mod kleinberg;
-pub mod metrics;
 pub mod par;
 pub mod prefetch;
 pub mod store;
-pub mod watts_strogatz;
 pub mod writer;
 
-pub use csr::{LinkTable, Topology};
+pub use csr::{LinkTable, NodeId, Topology};
 pub use delta::DeltaStore;
-pub use digraph::{DiGraph, NodeId};
 pub use idhash::{IdMap, IdSet};
-pub use metrics::GraphMetrics;
 pub use store::TopologyStore;
 pub use writer::ArenaWriter;

@@ -380,8 +380,7 @@ pub(crate) mod mapping {
 #[cfg(test)]
 mod tests {
     use super::{header_checksum, MAGIC};
-    use crate::csr::{LinkTable, Topology};
-    use crate::digraph::NodeId;
+    use crate::csr::{LinkTable, NodeId, Topology};
     use crate::writer::ArenaWriter;
     use std::path::PathBuf;
 

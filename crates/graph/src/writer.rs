@@ -29,8 +29,7 @@
 //! count — the tests hold it against a straight row-by-row packing
 //! model of the format.
 
-use crate::csr::Topology;
-use crate::digraph::NodeId;
+use crate::csr::{NodeId, Topology};
 use crate::par;
 use crate::store::{
     self, bad_format, section, section_mut, ImageBuf, FLAG_EDGE_POS, FLAG_NODE_POS, FLAG_SORTED,

@@ -1,12 +1,7 @@
 //! Property-based invariants of the graph substrate.
 
 use proptest::prelude::*;
-use sw_graph::bfs::{distances_from, UNREACHABLE};
-use sw_graph::components::{strong_components, weak_components, UnionFind};
-use sw_graph::csr::Topology;
-use sw_graph::digraph::DiGraph;
-use sw_graph::watts_strogatz::{generate, WattsStrogatz};
-use sw_graph::{ArenaWriter, NodeId};
+use sw_graph::{ArenaWriter, NodeId, Topology};
 use sw_keyspace::Rng;
 
 /// Random per-peer adjacency rows (possibly with duplicate targets — the
@@ -65,16 +60,6 @@ fn scratch(name: String) -> std::path::PathBuf {
     dir.join(name)
 }
 
-/// Random edge list over `n` nodes.
-fn random_graph(n: usize, m: usize, seed: u64) -> DiGraph {
-    let mut g = DiGraph::new(n);
-    let mut rng = Rng::new(seed);
-    for _ in 0..m {
-        g.add_edge(rng.index(n) as u32, rng.index(n) as u32);
-    }
-    g
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -108,108 +93,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(filtered.to_rows(), expected);
-    }
-
-    /// Edge count tracks insertions (minus ignored self-loops) and
-    /// removals exactly.
-    #[test]
-    fn edge_count_bookkeeping(n in 2usize..32, ops in proptest::collection::vec((0usize..32, 0usize..32, any::<bool>()), 0..64)) {
-        let mut g = DiGraph::new(n);
-        let mut expected = 0usize;
-        for (a, b, remove) in ops {
-            let (u, v) = ((a % n) as u32, (b % n) as u32);
-            if remove {
-                if g.remove_edge(u, v) {
-                    expected -= 1;
-                }
-            } else if u != v {
-                g.add_edge(u, v);
-                expected += 1;
-            } else {
-                g.add_edge(u, v); // self-loop: ignored
-            }
-        }
-        prop_assert_eq!(g.edge_count(), expected);
-        prop_assert_eq!(g.edges().count(), expected);
-    }
-
-    /// Reversing twice restores the edge multiset.
-    #[test]
-    fn double_reverse_is_identity(seed in any::<u64>(), n in 2usize..40, m in 0usize..120) {
-        let g = random_graph(n, m, seed);
-        let rr = g.reversed().reversed();
-        let mut a: Vec<_> = g.edges().collect();
-        let mut b: Vec<_> = rr.edges().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
-    /// BFS distances satisfy the edge relaxation property:
-    /// d(v) <= d(u) + 1 for every edge u -> v reachable from the source.
-    #[test]
-    fn bfs_relaxation(seed in any::<u64>(), n in 2usize..40, m in 0usize..160) {
-        let g = random_graph(n, m, seed);
-        let d = distances_from(&g, 0);
-        for (u, v) in g.edges() {
-            if d[u as usize] != UNREACHABLE {
-                prop_assert!(d[v as usize] <= d[u as usize] + 1);
-            }
-        }
-        prop_assert_eq!(d[0], 0);
-    }
-
-    /// Weak component sizes partition the node set.
-    #[test]
-    fn weak_components_partition(seed in any::<u64>(), n in 1usize..40, m in 0usize..100) {
-        let g = random_graph(n, m, seed);
-        let sizes = weak_components(&g);
-        prop_assert_eq!(sizes.iter().sum::<usize>(), n);
-        prop_assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "sorted descending");
-    }
-
-    /// SCCs partition the node set, and every cycle edge stays within
-    /// one SCC.
-    #[test]
-    fn sccs_partition(seed in any::<u64>(), n in 1usize..40, m in 0usize..100) {
-        let g = random_graph(n, m, seed);
-        let sccs = strong_components(&g);
-        let total: usize = sccs.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, n);
-        let mut comp_of = vec![usize::MAX; n];
-        for (i, c) in sccs.iter().enumerate() {
-            for &v in c {
-                prop_assert_eq!(comp_of[v as usize], usize::MAX, "node in two SCCs");
-                comp_of[v as usize] = i;
-            }
-        }
-        // Mutual edges imply same component.
-        for (u, v) in g.edges() {
-            if g.has_edge(v, u) {
-                prop_assert_eq!(comp_of[u as usize], comp_of[v as usize]);
-            }
-        }
-    }
-
-    /// Union-find component count equals the weak-component count.
-    #[test]
-    fn union_find_matches_weak_components(seed in any::<u64>(), n in 1usize..40, m in 0usize..100) {
-        let g = random_graph(n, m, seed);
-        let mut uf = UnionFind::new(n);
-        for (u, v) in g.edges() {
-            uf.union(u, v);
-        }
-        prop_assert_eq!(uf.component_count(), weak_components(&g).len());
-    }
-
-    /// Watts–Strogatz preserves the edge count for any admissible
-    /// parameters and keeps degrees at least 1.
-    #[test]
-    fn watts_strogatz_preserves_edges(seed in any::<u64>(), k in 1usize..4, p in 0.0f64..1.0) {
-        let n = 64;
-        let mut rng = Rng::new(seed);
-        let g = generate(WattsStrogatz { n, k, p }, &mut rng).unwrap();
-        prop_assert_eq!(g.edge_count(), 2 * n * k);
     }
 }
 

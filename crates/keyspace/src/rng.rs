@@ -35,8 +35,6 @@ fn splitmix64(state: &mut u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Rng {
     s: [u64; 4],
-    /// Cached second output of the last Box–Muller transform.
-    gauss_spare: Option<f64>,
 }
 
 impl Rng {
@@ -49,10 +47,7 @@ impl Rng {
             splitmix64(&mut sm),
             splitmix64(&mut sm),
         ];
-        Rng {
-            s,
-            gauss_spare: None,
-        }
+        Rng { s }
     }
 
     /// Derives an independent child stream.
@@ -130,25 +125,6 @@ impl Rng {
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
-    }
-
-    /// Standard normal via Box–Muller (second value cached).
-    pub fn gauss(&mut self) -> f64 {
-        if let Some(z) = self.gauss_spare.take() {
-            return z;
-        }
-        // Avoid ln(0).
-        let u1 = loop {
-            let u = self.f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let u2 = self.f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = std::f64::consts::TAU * u2;
-        self.gauss_spare = Some(r * theta.sin());
-        r * theta.cos()
     }
 
     /// Exponential draw with the given rate (mean `1/rate`).
@@ -272,17 +248,6 @@ mod tests {
                 assert!(r.bounded_u64(n) < n);
             }
         }
-    }
-
-    #[test]
-    fn gauss_moments() {
-        let mut r = Rng::new(21);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.gauss()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
     }
 
     #[test]

@@ -62,7 +62,7 @@
 
 use crate::placement::Placement;
 use sw_graph::csr::Topology as CsrTopology;
-use sw_graph::{par, DiGraph, NodeId};
+use sw_graph::{par, NodeId};
 use sw_keyspace::stats::OnlineStats;
 use sw_keyspace::{Key, Rng};
 
@@ -151,11 +151,6 @@ pub trait Overlay: Sync {
     /// Largest routing table in the overlay.
     fn max_table_size(&self) -> usize {
         self.topology().max_out_degree()
-    }
-
-    /// Materializes the overlay as a digraph (for `sw-graph` metrics).
-    fn to_graph(&self) -> DiGraph {
-        self.topology().to_digraph()
     }
 }
 
@@ -955,16 +950,6 @@ mod tests {
         let step = view.step(Topology::Ring, target, cur_d, 0, &[6], key_of);
         assert_eq!(step, ranked.get(1).copied());
         assert_eq!(step.map(|(v, _)| v), Some(7));
-    }
-
-    #[test]
-    fn to_graph_matches_contacts() {
-        let o = ring(8);
-        let g = o.to_graph();
-        assert_eq!(g.len(), 8);
-        assert_eq!(g.edge_count(), 16);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(0, 7));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Re-exports the whole workspace implementing *“On Small World Graphs in
 //! Non-uniformly Distributed Key Spaces”* (Girdzijauskas, Datta & Aberer,
-//! ICDE 2005): key spaces and distributions, graph substrates, baseline
+//! ICDE 2005): key spaces and distributions, the CSR graph substrate, baseline
 //! DHT overlays, the paper's two small-world constructions, a discrete
 //! event simulator and the load-balancing substrate.
 //!
