@@ -53,6 +53,23 @@ fn random_image(n: usize, max_row: usize, seed: u64, lanes: bool) -> (Vec<Vec<No
     (rows, image)
 }
 
+/// BFS hop distances from `src` over `t`'s rows (`u32::MAX` where
+/// unreachable).
+fn bfs_distances(t: &Topology, src: NodeId) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; t.len()];
+    dist[src as usize] = 0;
+    let mut queue = std::collections::VecDeque::from([src]);
+    while let Some(u) = queue.pop_front() {
+        for &v in t.neighbors(u) {
+            if dist[v as usize] == u32::MAX {
+                dist[v as usize] = dist[u as usize] + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    dist
+}
+
 /// A fresh scratch path for one proptest case's image.
 fn scratch(name: String) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("sw-graph-invariants");
@@ -93,6 +110,88 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(filtered.to_rows(), expected);
+    }
+
+    /// Edge count tracks insertions into a `LinkTable` (minus ignored
+    /// self-loops and repeats), then the additions and removals made
+    /// through a `DeltaStore` over its frozen image, exactly.
+    #[test]
+    fn edge_count_bookkeeping(n in 2usize..32, ops in proptest::collection::vec((0usize..32, 0usize..32, any::<bool>()), 0..64)) {
+        use sw_graph::{DeltaStore, LinkTable};
+        let mut lt = LinkTable::new(n);
+        let mut expected = 0usize;
+        for &(a, b, _) in &ops {
+            let (u, v) = ((a % n) as NodeId, (b % n) as NodeId);
+            let fresh = u != v && !lt.row(u).contains(&v);
+            prop_assert_eq!(lt.add(u, v), fresh);
+            expected += usize::from(fresh);
+        }
+        let topo = lt.build();
+        prop_assert_eq!(topo.edge_count(), expected);
+        prop_assert_eq!(topo.edges().len(), expected);
+        let mut store = DeltaStore::new(topo);
+        for (a, b, remove) in ops {
+            let (u, v) = ((b % n) as NodeId, (a % n) as NodeId);
+            if remove {
+                if store.remove_edge(u, v) {
+                    expected -= 1;
+                }
+            } else if u != v && store.add_edge(u, v) {
+                expected += 1;
+            }
+        }
+        prop_assert_eq!(store.edge_count(), expected);
+        prop_assert_eq!((0..n as NodeId).map(|u| store.degree(u)).sum::<usize>(), expected);
+    }
+
+    /// Reversing every row twice restores a frozen table's image byte
+    /// for byte, sorted flag included. Reversed once, the table keeps
+    /// its edge count and loses the flag iff some row has two contacts.
+    #[test]
+    fn double_reverse_is_identity(n in 2usize..40, max_row in 0usize..10, seed in any::<u64>()) {
+        use sw_graph::LinkTable;
+        let mut lt = LinkTable::new(n);
+        for (u, row) in random_rows(n, max_row, seed).into_iter().enumerate() {
+            lt.add_all(u as NodeId, row);
+        }
+        let topo = lt.build();
+        let reversed = |t: &Topology| {
+            let mut rows = t.to_rows();
+            rows.iter_mut().for_each(|r| r.reverse());
+            Topology::from_rows(&rows)
+        };
+        let once = reversed(&topo);
+        prop_assert_eq!(once.edge_count(), topo.edge_count());
+        prop_assert_eq!(once.rows_sorted(), (0..n as NodeId).all(|u| topo.out_degree(u) < 2));
+        let twice = reversed(&once);
+        prop_assert!(twice.rows_sorted());
+        prop_assert_eq!(twice.as_bytes(), topo.as_bytes());
+    }
+
+    /// BFS over `neighbors` of a written image agrees with its flat CSR
+    /// sections: d(v) <= d(u) + 1 for every edge u -> v of `edges()`
+    /// reachable from the source, and every reached peer but the source
+    /// has an in-edge from one hop closer.
+    #[test]
+    fn bfs_relaxation(n in 2usize..40, max_row in 0usize..6, seed in any::<u64>()) {
+        let (_, image) = random_image(n, max_row, seed, true);
+        let d = bfs_distances(&image, 0);
+        prop_assert_eq!(d[0], 0);
+        let (offsets, edges) = (image.offsets(), image.edges());
+        let mut tight = vec![false; n];
+        tight[0] = true;
+        for u in 0..n {
+            if d[u] == u32::MAX {
+                continue;
+            }
+            for &v in &edges[offsets[u] as usize..offsets[u + 1] as usize] {
+                prop_assert!(d[v as usize] <= d[u] + 1);
+                tight[v as usize] |= d[v as usize] == d[u] + 1;
+            }
+        }
+        for v in 0..n {
+            prop_assert_eq!(tight[v], d[v] != u32::MAX, "peer {}", v);
+        }
     }
 }
 

@@ -14,6 +14,46 @@ use sw_overlay::route::{RouteOptions, RoutingSurvey, TargetModel};
 use sw_overlay::symphony::Symphony;
 use sw_overlay::{Overlay, Placement};
 
+/// Every baseline DHT over one uniform ring placement of `n` peers.
+fn baselines(n: usize, rng: &mut Rng) -> Vec<Box<dyn Overlay>> {
+    let p = Placement::sample(n, &Uniform, Topology::Ring, rng);
+    vec![
+        Box::new(Chord::build(p.clone())),
+        Box::new(RandomizedChord::build(p.clone(), rng)),
+        Box::new(Symphony::build(p.clone(), 3, true, rng)),
+        Box::new(Mercury::build(p.clone(), 3, 32, rng)),
+        Box::new(PastryLike::build(p.clone(), 2, 2, rng)),
+        Box::new(PGridLike::build(p.clone(), SplitPolicy::Median, 1, rng)),
+        Box::new(PGridLike::build(p, SplitPolicy::Midpoint, 1, rng)),
+    ]
+}
+
+/// Weak component sizes of `t`, largest first, by union-find over its
+/// edges.
+fn weak_component_sizes(t: &sw_graph::Topology) -> Vec<usize> {
+    fn root(parent: &mut [u32], mut u: u32) -> u32 {
+        while parent[u as usize] != u {
+            parent[u as usize] = parent[parent[u as usize] as usize];
+            u = parent[u as usize];
+        }
+        u
+    }
+    let mut parent: Vec<u32> = (0..t.len() as u32).collect();
+    for u in 0..t.len() as u32 {
+        for &v in t.neighbors(u) {
+            let (a, b) = (root(&mut parent, u), root(&mut parent, v));
+            parent[a as usize] = b;
+        }
+    }
+    let mut sizes = vec![0usize; t.len()];
+    for u in 0..t.len() as u32 {
+        sizes[root(&mut parent, u) as usize] += 1;
+    }
+    sizes.retain(|&s| s > 0);
+    sizes.sort_unstable_by(|a, b| b.cmp(a));
+    sizes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -90,23 +130,24 @@ proptest! {
     #[test]
     fn all_baselines_route_totally(seed in any::<u64>(), n in 64usize..192) {
         let mut rng = Rng::new(seed);
-        let p = Placement::sample(n, &Uniform, Topology::Ring, &mut rng);
-        let overlays: Vec<Box<dyn Overlay>> = vec![
-            Box::new(Chord::build(p.clone())),
-            Box::new(RandomizedChord::build(p.clone(), &mut rng)),
-            Box::new(Symphony::build(p.clone(), 3, true, &mut rng)),
-            Box::new(Mercury::build(p.clone(), 3, 32, &mut rng)),
-            Box::new(PastryLike::build(p.clone(), 2, 2, &mut rng)),
-            Box::new(PGridLike::build(p.clone(), SplitPolicy::Median, 1, &mut rng)),
-            Box::new(PGridLike::build(p, SplitPolicy::Midpoint, 1, &mut rng)),
-        ];
-        for o in &overlays {
+        for o in &baselines(n, &mut rng) {
             let s = RoutingSurvey::run(o.as_ref(), 40, TargetModel::MemberKeys, &mut rng);
             prop_assert!(
                 (s.success_rate() - 1.0).abs() < 1e-12,
                 "{} failed lookups",
                 o.name()
             );
+        }
+    }
+
+    /// Every baseline's contact table is one weak component: the
+    /// component sizes a union-find over its CSR edges finds partition
+    /// the peers into a single part.
+    #[test]
+    fn weak_components_partition(seed in any::<u64>(), n in 64usize..192) {
+        let mut rng = Rng::new(seed);
+        for o in &baselines(n, &mut rng) {
+            prop_assert_eq!(weak_component_sizes(o.topology()), vec![n], "{}", o.name());
         }
     }
 
