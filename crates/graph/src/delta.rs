@@ -165,11 +165,19 @@ impl DeltaStore {
     }
 
     /// Keeps only the targets of `u`'s row accepted by `keep`,
-    /// preserving order. Materializes the row into the delta if needed.
-    pub fn retain_row(&mut self, u: NodeId, keep: impl FnMut(&NodeId) -> bool) {
+    /// preserving order. A slice-backed row that `keep` accepts whole
+    /// is left as it is (an untouched base row stays a base read);
+    /// otherwise the row is materialized into the delta if needed.
+    /// `keep` must be a pure predicate: it may see a target twice.
+    pub fn retain_row(&mut self, u: NodeId, mut keep: impl FnMut(&NodeId) -> bool) {
         assert!((u as usize) < self.n, "peer outside the store");
-        let row = self.owned_row(u);
-        row.retain(keep);
+        if self
+            .row_slice(u)
+            .is_some_and(|row| row.iter().all(&mut keep))
+        {
+            return;
+        }
+        self.owned_row(u).retain(keep);
     }
 
     /// The `Replaced` form of `u`'s row, materializing it on first touch.
@@ -332,6 +340,31 @@ mod tests {
         assert_eq!(store.row_slice(5).unwrap(), &[0, 4]);
         // Per-row degrees 2, 1, 0, 2, 2, 2 (row 2 is empty in the base).
         assert_eq!(store.edge_count(), 9);
+    }
+
+    #[test]
+    fn retain_that_keeps_every_target_touches_no_row() {
+        let mut store = DeltaStore::new(base_store());
+        for u in 0..5 {
+            store.retain_row(u, |_| true);
+        }
+        store.retain_row(3, |&v| v != 1); // 1 is not in row 3
+        assert_eq!(store.delta_rows(), 0, "no-op retains stay base reads");
+
+        // A removing retain still reads like the `LinkTable` rebuild.
+        store.retain_row(4, |&v| v != 2);
+        store.retain_row(0, |&v| v != 4);
+        assert_eq!(store.delta_rows(), 2);
+        let mut lt = LinkTable::new(5);
+        lt.add_all(0, [3, 1]);
+        lt.add_all(1, [2]);
+        lt.add_all(3, [0, 2]);
+        lt.add_all(4, [1, 0, 3]);
+        let rebuilt = lt.build();
+        for u in 0..5 {
+            assert_eq!(store.row_slice(u).unwrap(), rebuilt.neighbors(u), "row {u}");
+        }
+        assert_eq!(store.edge_count(), rebuilt.edge_count());
     }
 
     #[test]

@@ -10,7 +10,10 @@
 use crate::latency::LatencyModel;
 use crate::metrics::SimMetrics;
 use crate::plane::MessagePlane;
-use crate::protocol::{LookupRecord, Msg, Purpose, QueryId, RoutingMode, StorageOp, Walk, WalkEnd};
+use crate::protocol::{
+    LookupRecord, Msg, NextHopReply, Purpose, QueryId, RepairDiff, RepairDigest, RepairPull,
+    RepairPush, RoutingMode, StorageOp, Walk, WalkEnd,
+};
 use crate::time::SimTime;
 use crate::traffic::{
     CongestionConfig, HotCache, LinkBuckets, ServiceQueue, TrafficConfig, ZipfSampler,
@@ -906,13 +909,7 @@ impl Simulator {
             Msg::NextHopQuery { qid, to, sent_at } => {
                 self.deliver_next_hop_query(qid, to, sent_at, false)
             }
-            Msg::NextHopReply {
-                qid,
-                from,
-                sent_at,
-                at_target,
-                candidates,
-            } => self.deliver_next_hop_reply(qid, from, sent_at, at_target, candidates, false),
+            Msg::NextHopReply(reply) => self.deliver_next_hop_reply(*reply, false),
             Msg::ReplicaPut { op, to, sent_at } => self.deliver_replica_put(op, to, sent_at, false),
             Msg::ReplicaProbe { op, to, sent_at } => {
                 self.deliver_replica_probe(op, to, sent_at, false)
@@ -931,13 +928,7 @@ impl Simulator {
                 Msg::NextHopQuery { qid, to, sent_at } => {
                     self.deliver_next_hop_query(qid, to, sent_at, true)
                 }
-                Msg::NextHopReply {
-                    qid,
-                    from,
-                    sent_at,
-                    at_target,
-                    candidates,
-                } => self.deliver_next_hop_reply(qid, from, sent_at, at_target, candidates, true),
+                Msg::NextHopReply(reply) => self.deliver_next_hop_reply(*reply, true),
                 Msg::ReplicaPut { op, to, sent_at } => {
                     self.deliver_replica_put(op, to, sent_at, true)
                 }
@@ -953,28 +944,10 @@ impl Simulator {
                 ),
             },
             Msg::RepairRound(id) => self.do_repair_round(id),
-            Msg::RepairDigest {
-                owner,
-                to,
-                lo,
-                hi,
-                count,
-                hash,
-            } => self.on_repair_digest(owner, to, lo, hi, count, hash),
-            Msg::RepairDiff {
-                owner,
-                replica,
-                lo,
-                hi,
-                keys,
-            } => self.on_repair_diff(owner, replica, lo, hi, keys),
-            Msg::RepairPush {
-                owner,
-                replica,
-                items,
-                want,
-            } => self.on_repair_push(owner, replica, items, want),
-            Msg::RepairPull { owner, items } => self.on_repair_pull(owner, items),
+            Msg::RepairDigest(digest) => self.on_repair_digest(*digest),
+            Msg::RepairDiff(diff) => self.on_repair_diff(*diff),
+            Msg::RepairPush(push) => self.on_repair_push(*push),
+            Msg::RepairPull(pull) => self.on_repair_pull(*pull),
         }
     }
 
@@ -1042,7 +1015,7 @@ impl Simulator {
                     msg,
                     Msg::Hop { .. }
                         | Msg::NextHopQuery { .. }
-                        | Msg::NextHopReply { .. }
+                        | Msg::NextHopReply(_)
                         | Msg::ReplicaPut { .. }
                         | Msg::ReplicaProbe { .. }
                         | Msg::RangeFragment { .. }
@@ -1535,13 +1508,13 @@ impl Simulator {
             requester,
             now,
             dt,
-            Msg::NextHopReply {
+            Msg::NextHopReply(Box::new(NextHopReply {
                 qid,
                 from: to,
                 sent_at: now,
                 at_target,
                 candidates,
-            },
+            })),
         );
         if let Some(wait) = wait {
             // The reply's admission wait at the requester's own queue is
@@ -1563,11 +1536,13 @@ impl Simulator {
     /// receiving the query.
     fn deliver_next_hop_reply(
         &mut self,
-        qid: QueryId,
-        from: u32,
-        sent_at: SimTime,
-        at_target: bool,
-        candidates: Vec<u32>,
+        NextHopReply {
+            qid,
+            from,
+            sent_at,
+            at_target,
+            candidates,
+        }: NextHopReply,
         lost: bool,
     ) {
         let now = self.plane.now();
@@ -1904,8 +1879,8 @@ impl Simulator {
             return;
         }
         self.repair_ring_state(id);
-        // Prune dead long links in place (the delta row retains without
-        // a replacement allocation).
+        // Prune dead long links in place. A row with no dead contact is
+        // left untouched: a base row stays a base read, not a delta copy.
         let nodes = &self.nodes;
         self.links.retain_row(id, |&v| nodes[v as usize].alive);
     }
@@ -2323,10 +2298,10 @@ impl Simulator {
                         to,
                         owner,
                         bytes,
-                        Msg::RepairPull {
+                        Msg::RepairPull(Box::new(RepairPull {
                             owner,
                             items: vec![(key, v)],
-                        },
+                        })),
                     );
                 }
             }
@@ -2612,14 +2587,14 @@ impl Simulator {
                 id,
                 to,
                 DIGEST_BYTES,
-                Msg::RepairDigest {
+                Msg::RepairDigest(Box::new(RepairDigest {
                     owner: id,
                     to,
                     lo: pred_key,
                     hi: key,
                     count: digest.count,
                     hash: digest.hash,
-                },
+                })),
             );
         }
     }
@@ -2690,7 +2665,17 @@ impl Simulator {
     /// A repair digest arrives at replica-chain peer `to`: renew the
     /// arc lease, compare digests, and reply with this peer's key list
     /// if they disagree.
-    fn on_repair_digest(&mut self, owner: u32, to: u32, lo: Key, hi: Key, count: u64, hash: u64) {
+    fn on_repair_digest(
+        &mut self,
+        RepairDigest {
+            owner,
+            to,
+            lo,
+            hi,
+            count,
+            hash,
+        }: RepairDigest,
+    ) {
         self.note_net_delivery(to);
         if !self.nodes[to as usize].alive {
             return; // receiver died in flight: message lost
@@ -2719,20 +2704,29 @@ impl Simulator {
             to,
             owner,
             bytes,
-            Msg::RepairDiff {
+            Msg::RepairDiff(Box::new(RepairDiff {
                 owner,
                 replica: to,
                 lo,
                 hi,
                 keys,
-            },
+            })),
         );
     }
 
     /// A diff reply arrives back at the owner: compute both transfer
     /// directions — items the replica lacks (push) and keys the owner
     /// lacks (want, the recovery direction) — and ship them.
-    fn on_repair_diff(&mut self, owner: u32, replica: u32, lo: Key, hi: Key, keys: Vec<Key>) {
+    fn on_repair_diff(
+        &mut self,
+        RepairDiff {
+            owner,
+            replica,
+            lo,
+            hi,
+            keys,
+        }: RepairDiff,
+    ) {
         self.note_net_delivery(owner);
         if !self.nodes[owner as usize].alive {
             return;
@@ -2756,12 +2750,12 @@ impl Simulator {
             owner,
             replica,
             bytes,
-            Msg::RepairPush {
+            Msg::RepairPush(Box::new(RepairPush {
                 owner,
                 replica,
                 items,
                 want,
-            },
+            })),
         );
     }
 
@@ -2770,10 +2764,12 @@ impl Simulator {
     /// slice durable again).
     fn on_repair_push(
         &mut self,
-        owner: u32,
-        replica: u32,
-        items: Vec<(Key, Vec<u8>)>,
-        want: Vec<Key>,
+        RepairPush {
+            owner,
+            replica,
+            items,
+            want,
+        }: RepairPush,
     ) {
         self.note_net_delivery(replica);
         if !self.nodes[replica as usize].alive {
@@ -2804,13 +2800,13 @@ impl Simulator {
             replica,
             owner,
             bytes,
-            Msg::RepairPull { owner, items: back },
+            Msg::RepairPull(Box::new(RepairPull { owner, items: back })),
         );
     }
 
     /// The recovery transfer lands at the owner: the streamed items are
     /// finally durable under their new primary.
-    fn on_repair_pull(&mut self, owner: u32, items: Vec<(Key, Vec<u8>)>) {
+    fn on_repair_pull(&mut self, RepairPull { owner, items }: RepairPull) {
         self.note_net_delivery(owner);
         if !self.nodes[owner as usize].alive {
             return;
@@ -4162,10 +4158,10 @@ mod tests {
         // Fire-and-forget repair rungs nobody handles: only their
         // delivery instants matter.
         let mut send = |depart: SimTime| {
-            let pull = Msg::RepairPull {
+            let pull = Msg::RepairPull(Box::new(RepairPull {
                 owner: 1,
                 items: Vec::new(),
-            };
+            }));
             sim.send_net(0, 1, depart, flight, pull);
         };
         // The burst of 2 departs at once, the third owes 10 ms.
@@ -4218,10 +4214,11 @@ mod tests {
         }
     }
 
-    /// Layout pins for the two records the event path moves most. The
-    /// node record must stay within one cache line with room to spare;
-    /// the envelope size is an equality so that ROADMAP 2(b)'s "shrink
-    /// `Msg`" shows up as a deliberately moved pin.
+    /// Layout pins for the records the event path moves and holds most.
+    /// The node record must stay within one cache line with room to
+    /// spare. The envelope sizes are equalities, so a `Msg` variant that
+    /// grows past 20 bytes unboxed, or a lost enum niche in the wheel's
+    /// envelope store, shows up as a deliberately moved pin.
     #[test]
     fn hot_record_sizes_are_pinned() {
         use crate::plane::Envelope;
@@ -4230,6 +4227,7 @@ mod tests {
             "SimNode grew to {} bytes",
             std::mem::size_of::<SimNode>()
         );
-        assert_eq!(std::mem::size_of::<Envelope<Msg>>(), 72);
+        assert_eq!(std::mem::size_of::<Envelope<Msg>>(), 40);
+        assert_eq!(std::mem::size_of::<Option<Envelope<Msg>>>(), 40);
     }
 }

@@ -25,7 +25,12 @@
 //!   same instant are delivered **FIFO in send order**. The plane draws
 //!   no randomness and never rewinds the clock. It is a hierarchical
 //!   timing wheel — O(1) schedule/pop against millions of pending
-//!   timers.
+//!   timers — whose slots hold 4-byte indices into one envelope store.
+//!   An envelope is written into the store once at send and moved out
+//!   once at delivery; cascades between levels move only its index.
+//!   With the large [`protocol::Msg`] payloads boxed, a stored envelope
+//!   is 40 bytes; at scale the store holds about three pending timers
+//!   per peer.
 //! * [`protocol`] — the message vocabulary ([`protocol::Msg`]) and the
 //!   per-operation state machines: a [`protocol::Walk`] for every routed
 //!   query (lookup / join-point search / long-link probe / storage
@@ -179,10 +184,10 @@
 //!   and **forgotten once it has refilled** to `link_burst`: from then
 //!   on it is bit-for-bit the bucket a first send would create, because
 //!   no message departs before the plane clock (`send_net` clamps a
-//!   retry armed at an instant already past). The table is swept each
-//!   time it doubles, so it holds the links used in the last
-//!   `link_burst / link_rate` seconds — thousands at 10⁵ peers, where
-//!   remembering every link ever used held a million.
+//!   retry armed at an instant already past). The table is swept when
+//!   it is full, before it would grow, so it holds the links used in
+//!   the last `link_burst / link_rate` seconds — thousands at 10⁵
+//!   peers, where remembering every link ever used held a million.
 //!
 //! Measured wait feeds back into patience:
 //! [`protocol::Walk::adaptive_timeout`] is `min(penalty, 3·max RTT +

@@ -30,6 +30,18 @@
 //! test-only model at the bottom of this file: randomized schedules
 //! must come out of both as **byte-identical** envelope sequences.
 //!
+//! Slots and the overflow list hold 4-byte indices, not envelopes. The
+//! envelopes live in one store (`Vec<Option<Envelope<M>>>`) whose free
+//! entries are reused last-freed first, so its length is the peak count
+//! of filed envelopes, not the count ever sent. An envelope moves twice
+//! in its life: into the store at `send`, and out of it when its
+//! level-0 slot is harvested. Between the two, every cascade down a
+//! level and every overflow rebase moves its index and reads the
+//! envelope in place — to learn its delivery time, and to show its
+//! payload to the cascade hook. Opening a high-level slot briefly holds
+//! the slot's old and new buffers at once; that overlap costs 4 bytes
+//! per envelope, not a whole envelope.
+//!
 //! ## How the wheel preserves the exact heap order
 //!
 //! The wheel's cursor (`elapsed`) only ever advances to the start of
@@ -38,8 +50,9 @@
 //! the cursor (`level = msb(at ^ elapsed) / 6`) and re-files strictly
 //! downward as the cursor approaches. A level-0 slot therefore holds
 //! envelopes for exactly one microsecond of virtual time; harvesting it
-//! sorts the batch by `seq` (cheap: batches are same-instant ties) into
-//! a tiny `ready` heap, which restores FIFO send order even across
+//! sorts the batch by `seq` (cheap: batches are same-instant ties) and
+//! moves it out of the store into a tiny `ready` heap, which restores
+//! FIFO send order even across
 //! overflow rebasing. Envelopes sent *behind* the cursor (possible only
 //! through the raw plane API: a `deliver_before` that found nothing may
 //! leave the cursor ahead of a caller who never called
@@ -119,16 +132,17 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// that go to the overflow list and rebase when the cursor catches up.
 pub const WHEEL_LEVELS: usize = 7;
 
-/// One wheel level: 64 slots plus an occupancy bitmask so the cursor
-/// finds the next non-empty slot with a single `trailing_zeros`.
+/// One wheel level: 64 slots of envelope-store indices plus an
+/// occupancy bitmask so the cursor finds the next non-empty slot with a
+/// single `trailing_zeros`.
 #[derive(Debug)]
-struct Level<M> {
+struct Level {
     occupied: u64,
-    slots: [Vec<Envelope<M>>; SLOTS],
+    slots: [Vec<u32>; SLOTS],
 }
 
-impl<M> Level<M> {
-    fn new() -> Level<M> {
+impl Level {
+    fn new() -> Level {
         Level {
             occupied: 0,
             slots: std::array::from_fn(|_| Vec::new()),
@@ -143,7 +157,7 @@ impl<M> Level<M> {
     }
 
     #[inline]
-    fn take(&mut self, slot: usize) -> Vec<Envelope<M>> {
+    fn take(&mut self, slot: usize) -> Vec<u32> {
         self.occupied &= !(1u64 << slot);
         std::mem::take(&mut self.slots[slot])
     }
@@ -169,7 +183,12 @@ enum Front {
 /// The hierarchical timing wheel.
 #[derive(Debug)]
 struct Wheel<M> {
-    levels: Vec<Level<M>>,
+    levels: Vec<Level>,
+    /// Every envelope filed in the levels or the overflow list, at the
+    /// index its slot entry names; `None` entries are listed in `free`.
+    store: Vec<Option<Envelope<M>>>,
+    /// Free `store` entries, reused last-freed first.
+    free: Vec<u32>,
     /// The wheel cursor, in µs: every envelope filed in the levels is
     /// due at or after it. It trails the envelope stream (advancing to
     /// each opened slot's range start), never leads it.
@@ -177,8 +196,9 @@ struct Wheel<M> {
     /// Harvested same-instant batches plus the rare behind-cursor
     /// sends; tiny, and always wins ties against the levels.
     ready: BinaryHeap<Reverse<Envelope<M>>>,
-    /// Envelopes beyond the wheel's range; rebased when reached.
-    overflow: Vec<Envelope<M>>,
+    /// Store indices of envelopes beyond the wheel's range; rebased
+    /// when reached.
+    overflow: Vec<u32>,
     /// Minimum delivery time in `overflow` (`u64::MAX` when empty).
     overflow_min: u64,
 }
@@ -187,11 +207,21 @@ impl<M> Wheel<M> {
     fn new() -> Wheel<M> {
         Wheel {
             levels: (0..WHEEL_LEVELS).map(|_| Level::new()).collect(),
+            store: Vec::new(),
+            free: Vec::new(),
             elapsed: 0,
             ready: BinaryHeap::new(),
             overflow: Vec::new(),
             overflow_min: u64::MAX,
         }
+    }
+
+    /// The envelope filed under store index `idx`.
+    #[inline]
+    fn filed(&self, idx: u32) -> &Envelope<M> {
+        self.store[idx as usize]
+            .as_ref()
+            .expect("slots name only occupied store entries")
     }
 
     /// The level an envelope due at `at >= elapsed` files at: the
@@ -207,7 +237,8 @@ impl<M> Wheel<M> {
         }
     }
 
-    /// Files an envelope (already clamped to `at >= clock`).
+    /// Files an envelope (already clamped to `at >= clock`): its one
+    /// move into the store, reusing the last-freed entry if any.
     fn push(&mut self, env: Envelope<M>) {
         let at = env.at.as_micros();
         if at < self.elapsed {
@@ -217,15 +248,46 @@ impl<M> Wheel<M> {
             self.ready.push(Reverse(env));
             return;
         }
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.store[idx as usize] = Some(env);
+                idx
+            }
+            None => {
+                let idx = u32::try_from(self.store.len()).expect("< 2^32 envelopes filed");
+                self.store.push(Some(env));
+                idx
+            }
+        };
+        self.file(idx, at);
+    }
+
+    /// Files store entry `idx`, due at `at >= elapsed`, in its slot (or
+    /// the overflow list).
+    #[inline]
+    fn file(&mut self, idx: u32, at: u64) {
+        debug_assert!(at >= self.elapsed, "only `push` files behind the cursor");
         let level = self.level_of(at);
         if level >= WHEEL_LEVELS {
             self.overflow_min = self.overflow_min.min(at);
-            self.overflow.push(env);
+            self.overflow.push(idx);
             return;
         }
         let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level].slots[slot].push(env);
+        self.levels[level].slots[slot].push(idx);
         self.levels[level].occupied |= 1u64 << slot;
+    }
+
+    /// Re-files the entries of an opened slot (or of the overflow list)
+    /// relative to the advanced cursor, showing each payload to `each`
+    /// first. The envelopes stay where they are in the store.
+    fn refile(&mut self, ids: Vec<u32>, mut each: impl FnMut(&M)) {
+        for idx in ids {
+            let env = self.filed(idx);
+            each(&env.msg);
+            let at = env.at.as_micros();
+            self.file(idx, at);
+        }
     }
 
     /// The cursor's next stop. Levels are scanned lowest-first: level-0
@@ -281,13 +343,18 @@ impl<M> Wheel<M> {
                         return None;
                     }
                     self.elapsed = at;
-                    let mut batch = self.levels[0].take(slot);
+                    let mut ids = self.levels[0].take(slot);
                     // One slot = one µs of virtual time; seq order is
                     // FIFO send order. Sorting (a no-op for in-order
                     // batches) also repairs the interleavings overflow
                     // rebasing can produce.
-                    batch.sort_unstable_by_key(|e| e.seq);
-                    self.ready.extend(batch.into_iter().map(Reverse));
+                    ids.sort_unstable_by_key(|&idx| self.filed(idx).seq);
+                    for idx in ids {
+                        // The envelope's one move out of the store.
+                        let env = self.store[idx as usize].take().expect("filed");
+                        self.free.push(idx);
+                        self.ready.push(Reverse(env));
+                    }
                 }
                 Front::Range { level, slot, start } => {
                     if ready_due(start) {
@@ -300,10 +367,8 @@ impl<M> Wheel<M> {
                     // re-file its envelopes, which all land at lower
                     // levels (their times now share this slot path).
                     self.elapsed = start;
-                    for env in self.levels[level].take(slot) {
-                        on_cascade(level, &env.msg);
-                        self.push(env);
-                    }
+                    let ids = self.levels[level].take(slot);
+                    self.refile(ids, |msg| on_cascade(level, msg));
                 }
                 Front::Overflow => {
                     if ready_due(self.overflow_min) {
@@ -315,11 +380,7 @@ impl<M> Wheel<M> {
                     // Rebase: the wheel proper is empty, so the cursor
                     // may jump to the overflow minimum and everything
                     // re-files relative to it.
-                    self.elapsed = self.overflow_min;
-                    self.overflow_min = u64::MAX;
-                    for env in std::mem::take(&mut self.overflow) {
-                        self.push(env);
-                    }
+                    self.rebase();
                 }
                 Front::Empty => {
                     ready_at?;
@@ -382,23 +443,28 @@ impl<M> Wheel<M> {
                         return ready_at.map(SimTime);
                     }
                     self.elapsed = start;
-                    for env in self.levels[level].take(slot) {
-                        self.push(env);
-                    }
+                    let ids = self.levels[level].take(slot);
+                    self.refile(ids, |_| {});
                 }
                 Front::Overflow => {
                     if ready_due(self.overflow_min) {
                         return ready_at.map(SimTime);
                     }
-                    self.elapsed = self.overflow_min;
-                    self.overflow_min = u64::MAX;
-                    for env in std::mem::take(&mut self.overflow) {
-                        self.push(env);
-                    }
+                    self.rebase();
                 }
                 Front::Empty => return ready_at.map(SimTime),
             }
         }
+    }
+
+    /// Moves the cursor to the overflow minimum and re-files the
+    /// overflow list relative to it. Only called with the wheel proper
+    /// empty, so no filed envelope is left behind the cursor.
+    fn rebase(&mut self) {
+        self.elapsed = self.overflow_min;
+        self.overflow_min = u64::MAX;
+        let ids = std::mem::take(&mut self.overflow);
+        self.refile(ids, |_| {});
     }
 }
 
@@ -1069,6 +1135,97 @@ mod tests {
             prop_assert!(
                 h.last_seen.iter().any(|&l| l != usize::MAX) && h.filed.contains(&Filed::Straight),
                 "schedule exercised no cascade or no straight filing"
+            );
+        }
+    }
+
+    // The envelope store behind the slots. Under the hooked drain, with
+    // heap-owning payloads checked against the heap model: the store
+    // never holds more entries than the peak in-flight count (harvested
+    // entries are reused, not appended), every entry is free again once
+    // the plane is drained, and the hook reads every cascaded payload
+    // exactly as it was sent.
+    proptest! {
+        #[test]
+        fn store_reuses_freed_entries_and_the_hook_reads_payloads_as_sent(seed in 0u64..64) {
+            /// Sends payload `t = sent.len()`, `[t, …]` in one to four
+            /// words, to both planes, and records it.
+            fn send(
+                at: SimTime,
+                rng: &mut Rng,
+                sent: &mut Vec<Vec<u64>>,
+                wheel: &mut MessagePlane<Vec<u64>>,
+                heap: &mut HeapPlane<Vec<u64>>,
+            ) {
+                let mut body = vec![sent.len() as u64];
+                body.extend((0..rng.bounded_u64(4)).map(|_| rng.next_u64()));
+                sent.push(body.clone());
+                wheel.send_at(at, body.clone());
+                heap.send_at(at, body);
+            }
+            let mut rng = Rng::new(seed ^ 0x5707_E1D5);
+            let mut wheel = MessagePlane::new();
+            let mut heap = HeapPlane::new();
+            let mut sent = Vec::new();
+            let mut peak = 0usize;
+            let mut cascaded = 0usize;
+            let mut misread = Vec::new();
+            let mut batch = Vec::new();
+            for round in 0..40 {
+                for _ in 0..rng.bounded_u64(20) {
+                    let at = mixed_scale_at(&mut rng, wheel.now());
+                    send(at, &mut rng, &mut sent, &mut wheel, &mut heap);
+                    peak = peak.max(wheel.in_flight());
+                }
+                // The last round drains everything, overflow included.
+                let horizon = if round == 39 {
+                    SimTime(u64::MAX)
+                } else {
+                    wheel.now() + SimTime(rng.bounded_u64(1 << 22))
+                };
+                loop {
+                    let n = wheel.deliver_window_with(horizon, &mut batch, |_, msg: &Vec<u64>| {
+                        cascaded += 1;
+                        if *msg != sent[msg[0] as usize] {
+                            misread.push(msg.clone());
+                        }
+                    });
+                    if n == 0 {
+                        break;
+                    }
+                    for e in &batch {
+                        let model = heap.deliver_before(horizon).map(|m| (m.at, m.seq, m.msg));
+                        prop_assert_eq!(model, Some((e.at, e.seq, e.msg.clone())));
+                    }
+                    prop_assert!(
+                        wheel.wheel.store.len() <= peak,
+                        "store holds {} entries, peak in flight {peak}",
+                        wheel.wheel.store.len()
+                    );
+                    // The engine's handler pattern: sends at every
+                    // scale past the batch instant.
+                    if rng.chance(0.3) {
+                        let scale = 1 << rng.bounded_u64(21);
+                        let dt = SimTime(rng.bounded_u64(scale));
+                        let at = wheel.now() + dt;
+                        send(at, &mut rng, &mut sent, &mut wheel, &mut heap);
+                        peak = peak.max(wheel.in_flight());
+                    }
+                }
+                prop_assert!(heap.deliver_before(horizon).is_none(), "wheel stopped early");
+                if rng.chance(0.5) && round != 39 {
+                    wheel.advance_to(horizon);
+                    heap.advance_to(horizon);
+                }
+            }
+            prop_assert!(misread.is_empty(), "hook misread payloads {:?}", misread);
+            prop_assert_eq!(wheel.in_flight(), 0);
+            prop_assert_eq!(wheel.wheel.free.len(), wheel.wheel.store.len(), "entries left filed");
+            prop_assert!(cascaded > 0, "schedule exercised no cascade");
+            prop_assert!(
+                wheel.wheel.store.len() < sent.len(),
+                "no entry was ever reused ({} sends)",
+                sent.len()
             );
         }
     }

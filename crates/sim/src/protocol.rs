@@ -421,6 +421,12 @@ pub enum StorageOp {
 }
 
 /// Everything delivered on the message plane.
+///
+/// The five variants whose payload would be wider than 20 bytes carry
+/// it boxed, so a `Msg` is 24 bytes and an
+/// [`Envelope<Msg>`](crate::plane::Envelope) 40: the timer population
+/// the plane holds at scale is the common small variants, and they do
+/// not pay for a repair rung's key lists.
 #[derive(Debug)]
 pub enum Msg {
     // -- Poisson process generators (self-rescheduling) ---------------
@@ -479,19 +485,7 @@ pub enum Msg {
     },
     /// Iterative mode, second leg: frontier `from` answers with its
     /// candidate ladder; the requester advances (or finishes).
-    NextHopReply {
-        /// Walk id.
-        qid: QueryId,
-        /// The answering frontier.
-        from: u32,
-        /// Reply send time.
-        sent_at: SimTime,
-        /// True if the frontier's key distance to the target is zero.
-        at_target: bool,
-        /// Ranked next-hop candidates from the frontier's local view,
-        /// closest-first, already filtered by the walk's exclusions.
-        candidates: Vec<u32>,
-    },
+    NextHopReply(Box<NextHopReply>),
 
     // -- Storage fan-out ----------------------------------------------
     /// A replica write for put `op` arriving at `to`.
@@ -539,57 +533,89 @@ pub enum Msg {
     /// Owner → replica: digest of the owner's primary slice on the arc
     /// `(lo, hi]`. Receipt renews the replica's lease on that arc; a
     /// digest mismatch triggers a [`Msg::RepairDiff`] reply.
-    RepairDigest {
-        /// The arc's owner (digest sender).
-        owner: u32,
-        /// The replica-chain peer being synced.
-        to: u32,
-        /// Arc lower bound (exclusive).
-        lo: Key,
-        /// Arc upper bound (inclusive).
-        hi: Key,
-        /// Key count of the owner's slice.
-        count: u64,
-        /// Order-independent key hash of the owner's slice.
-        hash: u64,
-    },
+    RepairDigest(Box<RepairDigest>),
     /// Replica → owner: the replica's key list on `(lo, hi]`, sent when
     /// the digests disagreed.
-    RepairDiff {
-        /// The arc's owner (reply destination).
-        owner: u32,
-        /// The replying replica.
-        replica: u32,
-        /// Arc lower bound (exclusive).
-        lo: Key,
-        /// Arc upper bound (inclusive).
-        hi: Key,
-        /// The replica's keys on the arc (sorted).
-        keys: Vec<Key>,
-    },
+    RepairDiff(Box<RepairDiff>),
     /// Owner → replica: the items the replica was missing, plus the keys
     /// the *owner* is missing and wants streamed back (the recovery
     /// request after inheriting a dead predecessor's arc).
-    RepairPush {
-        /// The arc's owner (push sender).
-        owner: u32,
-        /// The replica being refilled.
-        replica: u32,
-        /// Items the replica lacked.
-        items: Vec<(Key, Vec<u8>)>,
-        /// Keys the owner lacks and requests back.
-        want: Vec<Key>,
-    },
+    RepairPush(Box<RepairPush>),
     /// Replica → owner: items streamed toward the owner — the recovery
     /// direction of an anti-entropy round, and the carrier of targeted
     /// read-repair pushes (a single-item transfer scheduled the moment a
     /// replica-fallback probe serves a get the routed owner missed).
-    RepairPull {
-        /// The recovering owner.
-        owner: u32,
-        /// Items recovered from the replica's copy.
-        items: Vec<(Key, Vec<u8>)>,
-    },
+    RepairPull(Box<RepairPull>),
+}
+
+/// [`Msg::NextHopReply`]'s payload.
+#[derive(Debug)]
+pub struct NextHopReply {
+    /// Walk id.
+    pub qid: QueryId,
+    /// The answering frontier.
+    pub from: u32,
+    /// Reply send time.
+    pub sent_at: SimTime,
+    /// True if the frontier's key distance to the target is zero.
+    pub at_target: bool,
+    /// Ranked next-hop candidates from the frontier's local view,
+    /// closest-first, already filtered by the walk's exclusions.
+    pub candidates: Vec<u32>,
+}
+
+/// [`Msg::RepairDigest`]'s payload.
+#[derive(Debug)]
+pub struct RepairDigest {
+    /// The arc's owner (digest sender).
+    pub owner: u32,
+    /// The replica-chain peer being synced.
+    pub to: u32,
+    /// Arc lower bound (exclusive).
+    pub lo: Key,
+    /// Arc upper bound (inclusive).
+    pub hi: Key,
+    /// Key count of the owner's slice.
+    pub count: u64,
+    /// Order-independent key hash of the owner's slice.
+    pub hash: u64,
+}
+
+/// [`Msg::RepairDiff`]'s payload.
+#[derive(Debug)]
+pub struct RepairDiff {
+    /// The arc's owner (reply destination).
+    pub owner: u32,
+    /// The replying replica.
+    pub replica: u32,
+    /// Arc lower bound (exclusive).
+    pub lo: Key,
+    /// Arc upper bound (inclusive).
+    pub hi: Key,
+    /// The replica's keys on the arc (sorted).
+    pub keys: Vec<Key>,
+}
+
+/// [`Msg::RepairPush`]'s payload.
+#[derive(Debug)]
+pub struct RepairPush {
+    /// The arc's owner (push sender).
+    pub owner: u32,
+    /// The replica being refilled.
+    pub replica: u32,
+    /// Items the replica lacked.
+    pub items: Vec<(Key, Vec<u8>)>,
+    /// Keys the owner lacks and requests back.
+    pub want: Vec<Key>,
+}
+
+/// [`Msg::RepairPull`]'s payload.
+#[derive(Debug)]
+pub struct RepairPull {
+    /// The recovering owner.
+    pub owner: u32,
+    /// Items recovered from the replica's copy.
+    pub items: Vec<(Key, Vec<u8>)>,
 }
 
 /// Per-lookup record, collected when `SimConfig::record_lookups` is on.

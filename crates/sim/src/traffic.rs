@@ -262,23 +262,21 @@ impl TokenBucket {
 /// delay, provided no departure ever precedes the sweep instant. The
 /// engine guarantees that (`send_net` clamps departures to the plane
 /// clock, which never rewinds). The table therefore holds the links
-/// used in the last `burst / rate` seconds, not every link ever used;
-/// it is swept each time it doubles, which keeps the sweep O(1) per
-/// send amortised.
+/// used in the last `burst / rate` seconds, not every link ever used.
+/// It is swept only when it is full, just before it would grow: a sweep
+/// walks the whole allocation, so one per fill keeps it O(1) per send
+/// amortised, and the table stays at the size its recent links need.
 #[derive(Debug)]
 pub(crate) struct LinkBuckets {
     /// Keyed `(from << 32) | to`. Accessed by key, and swept by a
     /// per-entry predicate — iteration order never reaches a result.
     table: IdMap<u64, TokenBucket>,
-    /// Table size that triggers the next sweep.
-    sweep_at: usize,
 }
 
 impl LinkBuckets {
     pub(crate) fn new() -> LinkBuckets {
         LinkBuckets {
             table: IdMap::default(),
-            sweep_at: 16,
         }
     }
 
@@ -294,7 +292,7 @@ impl LinkBuckets {
         burst: f64,
     ) -> SimTime {
         debug_assert!(depart >= now, "departures never precede the clock");
-        if self.table.len() >= self.sweep_at {
+        if self.table.len() == self.table.capacity() {
             // The refill expression is `TokenBucket::delay`'s own, and
             // float addition and multiplication are monotone: a balance
             // that reaches `burst` by `now` reaches it by any later
@@ -302,7 +300,6 @@ impl LinkBuckets {
             // `last > now`, refills by zero here and stays.)
             self.table
                 .retain(|_, b| b.available + (now - b.last).as_secs_f64() * rate < burst);
-            self.sweep_at = 2 * self.table.len().max(8);
         }
         self.table
             .entry((u64::from(from) << 32) | u64::from(to))
@@ -454,7 +451,7 @@ mod tests {
         /// wheel: every delay equal, bit for bit, over schedules whose
         /// clock is monotone and whose departures are at or (retries
         /// armed for a later instant) after it. 12 × 12 links against a
-        /// first sweep at 16 entries force sweeps throughout.
+        /// table swept whenever it is full force sweeps throughout.
         #[test]
         fn forgetting_refilled_buckets_changes_no_delay(seed in 0u64..64) {
             let mut rng = Rng::new(seed ^ 0x70CE_B0C7);
