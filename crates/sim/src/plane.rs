@@ -377,9 +377,6 @@ impl<M> Wheel<M> {
                     if self.overflow_min > until {
                         return None;
                     }
-                    // Rebase: the wheel proper is empty, so the cursor
-                    // may jump to the overflow minimum and everything
-                    // re-files relative to it.
                     self.rebase();
                 }
                 Front::Empty => {
@@ -457,9 +454,10 @@ impl<M> Wheel<M> {
         }
     }
 
-    /// Moves the cursor to the overflow minimum and re-files the
-    /// overflow list relative to it. Only called with the wheel proper
-    /// empty, so no filed envelope is left behind the cursor.
+    /// Rebases: moves the cursor to the overflow minimum and re-files
+    /// the overflow list relative to it. Only called with the wheel
+    /// proper empty, so the cursor may jump and no filed envelope is
+    /// left behind it.
     fn rebase(&mut self) {
         self.elapsed = self.overflow_min;
         self.overflow_min = u64::MAX;
