@@ -3,10 +3,10 @@
 //! under churn + storage.
 //!
 //! This is the experiment behind the PR-7 perf work: the initial overlay
-//! is drawn once per size through the shared harmonic sampler
-//! (`sw_core::links::LinkSelector`, per-peer RNG streams, parallel) and
-//! frozen to a scratch arena image with its key lane; every cell then
-//! *preloads* the simulator from that image (`Simulator::from_frozen` —
+//! is drawn once per size by the simulator's own converged draw
+//! (`sw_sim::converged_overlay`: harmonic links, per-peer RNG streams,
+//! parallel) and frozen to a scratch arena image with its key lane;
+//! every cell then *preloads* the simulator from that image (`Simulator::from_frozen` —
 //! the delta-overlay path, where churn writes land in per-peer logs over
 //! the immutable base) and runs the seeded workload. Peak RSS is the
 //! process high-water mark (`VmHWM`, monotone across cells), so sizes
@@ -22,17 +22,13 @@
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, Table};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
-use sw_core::config::{LinkSampler, MassThreshold, OutDegree};
-use sw_core::links::LinkSelector;
-use sw_graph::{par, LinkTable};
-use sw_keyspace::distribution::{KeyDistribution, Uniform};
-use sw_keyspace::Topology as Metric;
-use sw_keyspace::{Key, Rng};
-use sw_overlay::Placement;
-use sw_sim::{ChurnConfig, SimConfig, SimTime, Simulator, StorageConfig, WorkloadConfig};
+use sw_keyspace::distribution::Uniform;
+use sw_keyspace::Rng;
+use sw_sim::{
+    converged_overlay, ChurnConfig, SimConfig, SimTime, Simulator, StorageConfig, WorkloadConfig,
+};
 
 /// Virtual horizon per size: shorter at larger n so the per-node
 /// maintenance timers (the event-count driver) keep wall time bounded.
@@ -139,32 +135,14 @@ pub fn e22_sim_scale(ctx: &Ctx) {
     );
 }
 
-/// Draws the initial converged overlay for `n` peers — distinct uniform
-/// keys, harmonic long links from per-peer RNG streams (thread-count
-/// invariant) — and freezes it with its key lane to `path`. Shared with
-/// E23, which preloads the same images for its traffic cells.
+/// Draws the simulator's converged overlay for `n` peers over uniform
+/// keys (`sw_sim::converged_overlay`, the draw `Simulator::new` boots)
+/// and freezes it with its key lane to `path`. Shared with E23, which
+/// preloads the same images for its traffic cells.
 pub(crate) fn build_frozen_overlay(seed: u64, n: usize, path: &std::path::Path) {
-    let mut rng = Rng::new(seed);
-    let mut keys = BTreeSet::new();
-    while keys.len() < n {
-        keys.insert(Uniform.sample_key(&mut rng));
-    }
-    let keys: Vec<Key> = keys.into_iter().collect();
-    let placement = Placement::from_keys(keys.clone(), Metric::Ring, "e22").expect("distinct keys");
-    let budget = OutDegree::Log2N.links_for(n);
-    let min_mass = MassThreshold::OneOverN.min_mass(n);
-    let selector = LinkSelector::new(&placement, &Uniform, min_mass, LinkSampler::Harmonic);
-    let build_seed = rng.next_u64();
-    let links = par::par_map_grained(n, 0, 256, |u| {
-        let mut peer_rng = Rng::stream(build_seed, u as u64);
-        selector.sample_links(u as u32, budget, &mut peer_rng)
-    });
-    let mut lt = LinkTable::new(n);
-    for (u, row) in links.iter().enumerate() {
-        lt.add_all(u as u32, row.iter().copied());
-    }
+    let (keys, links) = converged_overlay(n, &Uniform, &mut Rng::new(seed), 0);
     let pos: Vec<f64> = keys.iter().map(|k| k.get()).collect();
-    lt.build()
+    links
         .freeze_to(path, Some(&pos))
         .expect("freeze e22 overlay image");
 }

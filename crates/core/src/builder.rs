@@ -26,31 +26,27 @@
 //!
 //! # Construction pipeline
 //!
-//! Two paths produce the same network, bit for bit:
+//! One path builds every network. Each peer's long row is sampled into
+//! flat scratch, the scratch is copied into the long image, and one
+//! function, `contact_image`, then counts and fills the contact image
+//! from the placement and the sealed long image: each row is the sorted,
+//! deduplicated union of the peer's ring/interval neighbours and its
+//! long row, with the per-edge and per-node key lanes gathered in place.
+//! [`SmallWorldBuilder::build`] and [`SmallWorldBuilder::build_on`] are
+//! that core plus [`ArenaBuild::into_network`]. The network's
+//! constructors from outside long rows (`with_links`, the join
+//! protocol's snapshots, the refresh APIs) call the same
+//! `contact_image`.
 //!
-//! - **Heap path** ([`SmallWorldBuilder::build`]): per-peer long row
-//!   `Vec`s → long image → `LinkTable` union with ring/interval
-//!   neighbours → contact image → the same rows re-filled beside the SoA
-//!   lane. Flexible (the maintenance APIs rebuild through it) but
-//!   allocates every intermediate. With [`SmallWorldNetwork::freeze_to`]
-//!   it is the byte-identity oracle for the arena path.
-//! - **Arena path** ([`SmallWorldBuilder::build_to_arena`], and
-//!   `build_frozen` under the `mmap` feature): one sampling pass into
-//!   flat scratch, then count-then-fill writes straight into the two
-//!   final images — no `LinkTable`, no per-row `Vec`s, no second fill.
-//!   The writer's buffer is a heap allocation (`build_to_arena`) or a
-//!   write-through mapping of the destination files (`build_frozen`,
-//!   where sealing the writer is the freeze). The images equal what the
-//!   heap path's `freeze_to` writes, byte for byte.
+//! Both images are filled through [`sw_graph::writer::ArenaWriter`],
+//! the only producer of a [`CsrTopology`]. Its buffer is a heap
+//! allocation, or under `build_frozen` a write-through mapping of the
+//! destination files, where sealing the writer is the freeze.
 //!
-//! Both paths fill every image through [`sw_graph::writer::ArenaWriter`],
-//! the only producer of a [`CsrTopology`].
-//!
-//! Identity holds because both paths draw peer `u`'s links from RNG
-//! stream `u` of one build seed, and both emit contact rows as the
-//! sorted deduplicated union of neighbours and long links — so the image
-//! does not depend on how peers are partitioned across fill ranges or
-//! worker threads.
+//! The images do not depend on how peers are partitioned across fill
+//! ranges or worker threads: peer `u` draws its links from RNG stream
+//! `u` of one build seed, and each contact row is a function of the
+//! peer's own neighbours and long row.
 
 use crate::config::{LinkSampler, MassThreshold, OutDegree, SmallWorldConfig};
 use crate::links::LinkSelector;
@@ -182,18 +178,18 @@ impl SmallWorldBuilder {
         self
     }
 
-    /// Samples a placement from the configured distribution and builds
-    /// the network.
-    pub fn build(&self, rng: &mut Rng) -> Result<SmallWorldNetwork, BuildError> {
-        if self.n < 4 {
-            return Err(BuildError::TooFewNodes(self.n));
-        }
-        let dist = self
-            .distribution
+    /// The placement density `f` (uniform unless one was set).
+    fn density(&self) -> Arc<dyn KeyDistribution> {
+        self.distribution
             .clone()
-            .unwrap_or_else(|| Arc::new(Uniform));
-        let placement = Placement::sample(self.n, dist.as_ref(), self.config.topology, rng);
-        self.build_on_with(placement, dist, rng)
+            .unwrap_or_else(|| Arc::new(Uniform))
+    }
+
+    /// Samples a placement from the configured distribution and builds
+    /// the network: [`SmallWorldBuilder::build_to_arena`], then
+    /// [`ArenaBuild::into_network`].
+    pub fn build(&self, rng: &mut Rng) -> Result<SmallWorldNetwork, BuildError> {
+        Ok(self.build_to_arena(rng)?.into_network())
     }
 
     /// Builds the network over an existing placement (for head-to-head
@@ -205,58 +201,16 @@ impl SmallWorldBuilder {
         placement: Placement,
         rng: &mut Rng,
     ) -> Result<SmallWorldNetwork, BuildError> {
-        let dist = self
-            .distribution
-            .clone()
-            .unwrap_or_else(|| Arc::new(Uniform));
-        self.build_on_with(placement, dist, rng)
+        Ok(self.build_over(placement, rng, None, 0.0)?.into_network())
     }
 
-    fn build_on_with(
-        &self,
-        placement: Placement,
-        dist: Arc<dyn KeyDistribution>,
-        rng: &mut Rng,
-    ) -> Result<SmallWorldNetwork, BuildError> {
-        let n = placement.len();
-        if n < 4 {
-            return Err(BuildError::TooFewNodes(n));
-        }
-        let assumed = self.assumed.clone().unwrap_or(dist);
-        let min_mass = self.config.threshold.min_mass(n);
-        let budget = self.config.out_degree.links_for(n);
-        let selector =
-            LinkSelector::new(&placement, assumed.as_ref(), min_mass, self.config.sampler);
-        // One draw from the caller's generator seeds the whole build;
-        // peer `u` then samples from stream `u`, which makes the result
-        // independent of how peers are chunked across worker threads.
-        let build_seed = rng.next_u64();
-        let rows = par::par_map(n, self.parallelism, |u| {
-            let mut peer_rng = Rng::stream(build_seed, u as u64);
-            selector.sample_links(u as u32, budget, &mut peer_rng)
-        });
-        let cdf = selector.into_cdf();
-        let long = CsrTopology::from_rows_with_threads(&rows, self.parallelism);
-        let label = format!("sw({},{})", assumed.name(), self.config.sampler.label());
-        Ok(SmallWorldNetwork::assemble_with_threads(
-            placement,
-            assumed,
-            cdf,
-            self.config,
-            long,
-            label,
-            self.parallelism,
-        ))
-    }
-
-    /// Builds straight into the frozen arena image, skipping the heap
-    /// CSR / `LinkTable` intermediates entirely (see the module-level
-    /// *construction pipeline* notes). The resulting arenas are
-    /// **byte-identical** to what [`SmallWorldNetwork::freeze_to`] writes
-    /// for the same builder and RNG state, so
-    /// `build_to_arena(&mut Rng::new(s))` and
-    /// `build(&mut Rng::new(s))` + `freeze_to` produce the same images —
-    /// the fast path changes wall-clock and allocation, never bits.
+    /// Builds straight into the two images a network holds: the long
+    /// image and the contact image with its key lanes (see the
+    /// module-level *construction pipeline* notes). [`ArenaBuild::freeze_to`]
+    /// writes them as they are, and [`ArenaBuild::into_network`] routes
+    /// over them, so `build_to_arena(&mut Rng::new(s))` + `freeze_to`
+    /// writes the bytes `build(&mut Rng::new(s))` +
+    /// [`SmallWorldNetwork::freeze_to`] does.
     pub fn build_to_arena(&self, rng: &mut Rng) -> Result<ArenaBuild, BuildError> {
         self.build_to_arena_at(rng, None)
     }
@@ -283,8 +237,9 @@ impl SmallWorldBuilder {
     }
 
     /// Shared core of [`SmallWorldBuilder::build_to_arena`] and
-    /// `build_frozen`: `dir` picks heap buffers (`None`) or
-    /// write-through file mappings (`Some`) for the arena images.
+    /// `build_frozen`: samples the placement, then
+    /// [`SmallWorldBuilder::build_over`] it. `dir` picks heap buffers
+    /// (`None`) or write-through file mappings (`Some`) for the images.
     fn build_to_arena_at(
         &self,
         rng: &mut Rng,
@@ -293,31 +248,62 @@ impl SmallWorldBuilder {
         if self.n < 4 {
             return Err(BuildError::TooFewNodes(self.n));
         }
-        let dist = self
-            .distribution
-            .clone()
-            .unwrap_or_else(|| Arc::new(Uniform));
-        let mut t = Instant::now();
+        let started = Instant::now();
+        let dist = self.density();
         let placement = Placement::sample(self.n, dist.as_ref(), self.config.topology, rng);
+        let placement_s = started.elapsed().as_secs_f64();
+        self.build_over(placement, rng, dir, placement_s)
+    }
+
+    /// The one construction core: long links over `placement` from one
+    /// `next_u64` build seed, then the long image and the contact image.
+    /// `placement_s` is what sampling the placement took, if the build
+    /// did.
+    fn build_over(
+        &self,
+        placement: Placement,
+        rng: &mut Rng,
+        dir: Option<&Path>,
+        placement_s: f64,
+    ) -> Result<ArenaBuild, BuildError> {
+        let n = placement.len();
+        if n < 4 {
+            return Err(BuildError::TooFewNodes(n));
+        }
+        let mut t = Instant::now();
         let mut profile = BuildProfile {
-            placement_s: lap(&mut t),
+            placement_s,
             ..BuildProfile::default()
         };
-        let n = placement.len();
-        let assumed = self.assumed.clone().unwrap_or(dist);
+        let assumed = self.assumed.clone().unwrap_or_else(|| self.density());
         let min_mass = self.config.threshold.min_mass(n);
         let budget = self.config.out_degree.links_for(n);
         let selector =
             LinkSelector::new(&placement, assumed.as_ref(), min_mass, self.config.sampler);
         profile.selector_s = lap(&mut t);
-        // Same RNG discipline as `build`: one seed draw, then per-peer
-        // streams — bit-identical links at any parallelism.
+        // One draw from the caller's generator seeds the whole build;
+        // peer `u` then samples from stream `u`, which makes the images
+        // independent of how peers are chunked across worker threads.
         let build_seed = rng.next_u64();
-        let (contacts, long) = build_arena_parts(
+        let sampled = sample_rows(&selector, build_seed, budget, n, self.parallelism);
+        profile.sample_s = lap(&mut t);
+        // The scratch is rows concatenated in peer order — the long
+        // image's own edge layout — so the long fill is a straight copy.
+        let mut writer = writer_at(dir, LONG_FILE, &sampled.degrees, false, false)?;
+        writer.fill(par::effective_threads(n, self.parallelism, 1024), |slots| {
+            let lo = slots.edge_base;
+            slots
+                .edges
+                .copy_from_slice(&sampled.links[lo..lo + slots.edges.len()]);
+        });
+        // Freeing the scratch rows is part of the stage that last read them.
+        drop(sampled);
+        profile.long_fill_s = lap(&mut t);
+        let long = writer.finish(self.parallelism)?;
+        profile.long_finish_s = lap(&mut t);
+        let contacts = contact_image(
             &placement,
-            &selector,
-            build_seed,
-            budget,
+            &long,
             self.parallelism,
             dir,
             (&mut t, &mut profile),
@@ -337,7 +323,7 @@ impl SmallWorldBuilder {
     }
 }
 
-/// Wall-clock seconds of each stage of one arena-path build
+/// Wall-clock seconds of each stage of one build
 /// ([`SmallWorldBuilder::build_to_arena`] / `build_frozen`), in pipeline
 /// order. Always measured, on one stopwatch restarted at each stage
 /// boundary, so the stages add up to the build's wall time.
@@ -350,7 +336,8 @@ pub struct BuildProfile {
     pub selector_s: f64,
     /// Sampling every peer's long links into flat scratch.
     pub sample_s: f64,
-    /// Copying the scratch rows into the long-link image.
+    /// Copying the scratch rows into the long-link image and freeing
+    /// them.
     pub long_fill_s: f64,
     /// Sealing the long-link image (sorted scan).
     pub long_finish_s: f64,
@@ -477,17 +464,6 @@ fn sample_rows(
     SampledRows { degrees, links }
 }
 
-/// The sorted, deduplicated union of a peer's ring/interval neighbours
-/// and its long row — exactly the row `LinkTable` produces on the heap
-/// path (same element set, same sort, same dedup), without the table.
-fn merge_contact_row(placement: &Placement, u: NodeId, row: &[NodeId], out: &mut Vec<NodeId>) {
-    out.clear();
-    out.extend_from_slice(row);
-    out.extend(placement.topology_neighbors(u));
-    out.sort_unstable();
-    out.dedup();
-}
-
 /// Reads the stopwatch in seconds and restarts it.
 fn lap(t: &mut Instant) -> f64 {
     let secs = t.elapsed().as_secs_f64();
@@ -517,62 +493,60 @@ fn writer_at(
     }
 }
 
-/// The arena path: one sampling pass into flat scratch, then two
-/// count-then-fill arena writes (long by straight copy, contacts by
-/// per-peer neighbour merge with key lanes gathered in place). Stage
-/// timings land in `profile`, read off the caller's running stopwatch.
-fn build_arena_parts(
+/// The contact image of every [`SmallWorldNetwork`]: peer `u`'s row is
+/// the sorted, deduplicated union of its ring/interval neighbours and
+/// its row of `long`, with each contact's key in the per-edge lane and
+/// the placement keys in the per-node lane. One count pass sizes the
+/// writer, one fill pass merges the rows and gathers the keys in place
+/// (in a heap buffer, or a mapping of `dir`'s contacts file), and the
+/// writer's sorted scan seals it. The image is the same at any
+/// `threads` (`0` = auto). Stage timings land in `profile`, read off
+/// the running stopwatch `t`.
+///
+/// The degree count is exact only for long rows without self links or
+/// repeated targets: the builder never samples either, and the
+/// network's constructors from outside rows check for both.
+pub(crate) fn contact_image(
     placement: &Placement,
-    selector: &LinkSelector<'_>,
-    build_seed: u64,
-    budget: usize,
+    long: &CsrTopology,
     threads: usize,
     dir: Option<&Path>,
     (t, profile): (&mut Instant, &mut BuildProfile),
-) -> io::Result<(CsrTopology, CsrTopology)> {
+) -> io::Result<CsrTopology> {
     let n = placement.len();
     let keys = placement.keys();
-    let sampled = sample_rows(selector, build_seed, budget, n, threads);
-    profile.sample_s = lap(t);
-    let fill_threads = par::effective_threads(n, threads, 1024);
-    // The scratch is rows concatenated in peer order — the long arena's
-    // own edge layout — so the long fill is a straight copy.
-    let mut writer = writer_at(dir, LONG_FILE, &sampled.degrees, false, false)?;
-    writer.fill(fill_threads, |slots| {
-        let lo = slots.edge_base;
-        slots
-            .edges
-            .copy_from_slice(&sampled.links[lo..lo + slots.edges.len()]);
-    });
-    profile.long_fill_s = lap(t);
-    let long = writer.finish(threads)?;
-    profile.long_finish_s = lap(t);
-    // The finished arena's offset table doubles as the scratch row
-    // index for the contact pass — no separate prefix sum.
-    let offs = long.offsets();
-    let contact_degrees: Vec<u32> = par::par_map(n, threads, |u| {
-        let row = &sampled.links[offs[u] as usize..offs[u + 1] as usize];
+    let (offs, links) = (long.offsets(), long.edges());
+    let row = |u: usize| &links[offs[u] as usize..offs[u + 1] as usize];
+    let degrees: Vec<u32> = par::par_map(n, threads, |u| {
+        let row = row(u);
         let mut deg = row.len() as u32;
+        // A neighbour is never `u` itself, but a two-peer ring's `prev`
+        // and `next` are the same peer: count it once.
+        let mut last = u as NodeId;
         for v in placement.topology_neighbors(u as NodeId) {
-            if !row.contains(&v) {
+            if v != last && !row.contains(&v) {
                 deg += 1;
             }
+            last = v;
         }
         deg
     });
     profile.degree_count_s = lap(t);
-    let mut writer = writer_at(dir, CONTACTS_FILE, &contact_degrees, true, true)?;
-    drop(contact_degrees);
-    writer.fill(fill_threads, |mut slots| {
-        let mut merged: Vec<NodeId> = Vec::with_capacity(budget + 2);
+    let mut writer = writer_at(dir, CONTACTS_FILE, &degrees, true, true)?;
+    drop(degrees);
+    writer.fill(par::effective_threads(n, threads, 1024), |mut slots| {
+        let mut merged: Vec<NodeId> = Vec::new();
         let node_pos = slots.node_pos.take().expect("contacts carry node keys");
         let edge_pos = slots.edge_pos.take().expect("contacts carry edge keys");
         // The key gathers below are random DRAM reads at 10⁷ peers;
         // prefetching a few edges ahead keeps several misses in flight.
         const PF: usize = 8;
         for u in slots.range.clone() {
-            let row = &sampled.links[offs[u] as usize..offs[u + 1] as usize];
-            merge_contact_row(placement, u as NodeId, row, &mut merged);
+            merged.clear();
+            merged.extend_from_slice(row(u));
+            merged.extend(placement.topology_neighbors(u as NodeId));
+            merged.sort_unstable();
+            merged.dedup();
             let r = slots.row_bounds(u);
             debug_assert_eq!(merged.len(), r.len(), "counted degree matches merge");
             for &v in merged.iter().take(PF) {
@@ -588,19 +562,20 @@ fn build_arena_parts(
             node_pos[u - slots.range.start] = keys[u].get();
         }
     });
-    // Freeing the scratch rows is part of the stage that last read them.
-    drop(sampled);
     profile.contact_fill_s = lap(t);
     let contacts = writer.finish(threads)?;
     profile.contact_finish_s = lap(t);
-    Ok((contacts, long))
+    Ok(contacts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::GrowingNetwork;
+    use sw_graph::LinkTable;
     use sw_keyspace::distribution::TruncatedPareto;
-    use sw_overlay::Overlay;
+    use sw_keyspace::Key;
+    use sw_overlay::{Overlay, RouteTable};
 
     #[test]
     fn rejects_tiny_networks() {
@@ -739,16 +714,57 @@ mod tests {
         assert!(c.contains(&1));
     }
 
-    /// The table path's freeze images: exactly the bytes
-    /// `SmallWorldNetwork::freeze_to` writes (into a scratch `dir`).
-    fn heap_freeze_images(net: &SmallWorldNetwork, dir: &str) -> (Vec<u8>, Vec<u8>) {
-        use crate::network::{CONTACTS_FILE, LONG_FILE};
-        let dir = std::env::temp_dir().join(dir);
-        net.freeze_to(&dir).unwrap();
-        let contacts = std::fs::read(dir.join(CONTACTS_FILE)).unwrap();
-        let long = std::fs::read(dir.join(LONG_FILE)).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        (contacts, long)
+    /// The contact image [`contact_image`] must write, assembled the
+    /// long way: a `LinkTable` union of each peer's neighbours and long
+    /// row (self links and repeats dropped, rows sorted), the edge lane
+    /// gathered by `RouteTable::build`, and the placement keys added as
+    /// the node lane by freezing it (into a scratch file named by `tag`)
+    /// — as bytes.
+    fn model_contacts(placement: &Placement, long: &CsrTopology, tag: &str) -> Vec<u8> {
+        let n = placement.len();
+        let mut lt = LinkTable::new(n);
+        for u in 0..n as NodeId {
+            lt.add_all(u, placement.topology_neighbors(u));
+            lt.add_all(u, long.neighbors(u).iter().copied());
+        }
+        let keys: Vec<f64> = placement.keys().iter().map(|k| k.get()).collect();
+        let table = RouteTable::build(lt.build(), |v| keys[v as usize]);
+        let path =
+            std::env::temp_dir().join(format!("sw-core-model-{tag}-{}.swt", std::process::id()));
+        table.freeze_to(&path, Some(&keys)).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    /// The builder's two images for `seed`, assembled the long way: the
+    /// placement and build seed drawn as the builder draws them, every
+    /// peer's row sampled on its own by `sample_links` from stream `u`
+    /// and packed verbatim, then [`model_contacts`] over that long image.
+    fn model_images(builder: &SmallWorldBuilder, seed: u64, tag: &str) -> (Vec<u8>, Vec<u8>) {
+        let mut rng = Rng::new(seed);
+        let dist = builder.density();
+        let placement =
+            Placement::sample(builder.n, dist.as_ref(), builder.config.topology, &mut rng);
+        let n = placement.len();
+        let assumed = builder.assumed.clone().unwrap_or(dist);
+        let min_mass = builder.config.threshold.min_mass(n);
+        let selector = LinkSelector::new(
+            &placement,
+            assumed.as_ref(),
+            min_mass,
+            builder.config.sampler,
+        );
+        let build_seed = rng.next_u64();
+        let budget = builder.config.out_degree.links_for(n);
+        let rows: Vec<Vec<NodeId>> = (0..n as NodeId)
+            .map(|u| selector.sample_links(u, budget, &mut Rng::stream(build_seed, u as u64)))
+            .collect();
+        let long = CsrTopology::from_rows(&rows);
+        (
+            model_contacts(&placement, &long, tag),
+            long.as_bytes().to_vec(),
+        )
     }
 
     #[test]
@@ -756,9 +772,8 @@ mod tests {
         let builder = SmallWorldBuilder::new(3000)
             .distribution(Box::new(TruncatedPareto::new(1.5, 0.02).unwrap()))
             .sampler(LinkSampler::Harmonic);
-        let net = builder.build(&mut Rng::new(99)).unwrap();
         let fast = builder.build_to_arena(&mut Rng::new(99)).unwrap();
-        let (contacts, long) = heap_freeze_images(&net, "sw-core-heap-freeze-bytes");
+        let (contacts, long) = model_images(&builder, 99, "freeze-bytes");
         assert_eq!(contacts, fast.contacts().as_bytes());
         assert_eq!(long, fast.long().as_bytes());
     }
@@ -769,9 +784,8 @@ mod tests {
         // still produce sorted rows. Exact sampler covers the other
         // sampling branch.
         let builder = SmallWorldBuilder::new(512).topology(Topology::Ring);
-        let net = builder.build(&mut Rng::new(13)).unwrap();
         let fast = builder.build_to_arena(&mut Rng::new(13)).unwrap();
-        let (contacts, long) = heap_freeze_images(&net, "sw-core-heap-freeze-ring");
+        let (contacts, long) = model_images(&builder, 13, "ring");
         assert_eq!(contacts, fast.contacts().as_bytes());
         assert_eq!(long, fast.long().as_bytes());
     }
@@ -841,7 +855,7 @@ mod tests {
     /// The arena image must not depend on its fill partition: the fill
     /// ranges follow the worker count (1 024-peer grain, so 8 192 peers
     /// really split 1 / 2 / 3 / 7 ways), and every partition must write
-    /// the bytes the heap oracle freezes.
+    /// the bytes of the model.
     #[test]
     fn arena_build_is_bit_identical_at_any_parallelism() {
         let builder = |threads: usize| {
@@ -850,8 +864,7 @@ mod tests {
                 .sampler(LinkSampler::Harmonic)
                 .parallelism(threads)
         };
-        let net = builder(1).build(&mut Rng::new(606)).unwrap();
-        let (contacts, long) = heap_freeze_images(&net, "sw-core-heap-freeze-parallelism");
+        let (contacts, long) = model_images(&builder(1), 606, "parallelism");
         for threads in [1, 2, 3, 7] {
             let fast = builder(threads).build_to_arena(&mut Rng::new(606)).unwrap();
             assert_eq!(
@@ -886,16 +899,16 @@ mod tests {
     #[test]
     fn arena_network_matches_heap_network() {
         let builder = SmallWorldBuilder::new(2048).sampler(LinkSampler::Harmonic);
-        let heap = builder.build(&mut Rng::new(5)).unwrap();
+        let (contacts, long) = model_images(&builder, 5, "network");
+        let built = builder.build(&mut Rng::new(5)).unwrap();
         let fast = builder
             .build_to_arena(&mut Rng::new(5))
             .unwrap()
             .into_network();
-        for u in (0..2048u32).step_by(97) {
-            assert_eq!(heap.contacts(u), fast.contacts(u));
-            assert_eq!(heap.long_links(u), fast.long_links(u));
+        for net in [&built, &fast] {
+            assert_eq!(net.topology().as_bytes(), contacts);
+            assert_eq!(net.long_topology().as_bytes(), long);
         }
-        assert_eq!(heap.long_topology(), fast.long_topology());
     }
 
     #[test]
@@ -903,15 +916,17 @@ mod tests {
         let builder = SmallWorldBuilder::new(800).sampler(LinkSampler::Harmonic);
         let net = builder.build(&mut Rng::new(21)).unwrap();
         let fast = builder.build_to_arena(&mut Rng::new(21)).unwrap();
+        let (contacts, long) = model_images(&builder, 21, "on-disk");
         let base = std::env::temp_dir().join("sw-core-arena-freeze-test");
         let _ = std::fs::remove_dir_all(&base);
-        let (heap_dir, fast_dir) = (base.join("heap"), base.join("fast"));
-        net.freeze_to(&heap_dir).unwrap();
+        let (net_dir, fast_dir) = (base.join("net"), base.join("fast"));
+        net.freeze_to(&net_dir).unwrap();
         fast.freeze_to(&fast_dir).unwrap();
-        for file in ["contacts.swt", "long.swt"] {
-            let a = std::fs::read(heap_dir.join(file)).unwrap();
-            let b = std::fs::read(fast_dir.join(file)).unwrap();
-            assert_eq!(a, b, "{file} differs between freeze paths");
+        for (file, model) in [("contacts.swt", &contacts), ("long.swt", &long)] {
+            for dir in [&net_dir, &fast_dir] {
+                let bytes = std::fs::read(dir.join(file)).unwrap();
+                assert_eq!(&bytes, model, "{file} in {} differs", dir.display());
+            }
         }
         // And the frozen dir reopens into a network with the same tables.
         let reopened =
@@ -920,5 +935,61 @@ mod tests {
             assert_eq!(net.contacts(u), reopened.contacts(u));
         }
         std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// Every way a network gets its contact image — the builder, outside
+    /// rows, a grown snapshot and each refresh API — writes the model's
+    /// bytes, so each carries both key lanes, the node lane equal to the
+    /// placement keys.
+    #[test]
+    fn every_network_carries_both_key_lanes() {
+        let check = |net: &SmallWorldNetwork, what: &str| {
+            let image = net.route_table().store();
+            let keys: Vec<f64> = net.placement().keys().iter().map(|k| k.get()).collect();
+            assert_eq!(image.node_pos(), Some(&keys[..]), "{what}: node lane");
+            let model = model_contacts(net.placement(), net.long_topology(), what);
+            assert!(
+                image.as_bytes() == model,
+                "{what}: image differs from the model"
+            );
+        };
+        let builder = SmallWorldBuilder::new(300)
+            .distribution(Box::new(TruncatedPareto::new(1.5, 0.02).unwrap()))
+            .sampler(LinkSampler::Harmonic);
+        let mut rng = Rng::new(31);
+        let mut net = builder.build(&mut rng).unwrap();
+        check(&net, "build");
+        let ring = Placement::sample(300, &Uniform, Topology::Ring, &mut rng);
+        check(&builder.build_on(ring, &mut rng).unwrap(), "build_on");
+        let rows: Vec<Vec<NodeId>> = (0..300u32).map(|u| vec![(u + 7) % 300]).collect();
+        let outside = SmallWorldNetwork::with_links(
+            net.placement().clone(),
+            net.assumed().clone(),
+            *net.config(),
+            rows.clone(),
+            "outside",
+        );
+        check(&outside, "with_links");
+        let seeds: Vec<Key> = [0.1, 0.4, 0.7].into_iter().map(Key::clamped).collect();
+        let mut grown =
+            GrowingNetwork::bootstrap(&seeds, Arc::new(Uniform), Topology::Ring, OutDegree::Log2N);
+        while grown.len() < 200 {
+            grown.join(&mut rng);
+        }
+        check(&grown.snapshot(), "snapshot");
+        // A two-peer ring: each peer's `prev` and `next` are one contact.
+        let pair = GrowingNetwork::bootstrap(
+            &seeds[..2],
+            Arc::new(Uniform),
+            Topology::Ring,
+            OutDegree::Log2N,
+        );
+        check(&pair.snapshot(), "two-peer ring");
+        net.set_long_links(0, vec![150, 3, 299]);
+        check(&net, "set_long_links");
+        net.set_all_long_links(rows);
+        check(&net, "set_all_long_links");
+        net.drop_random_long_links(0.5, &mut rng);
+        check(&net, "drop_random_long_links");
     }
 }

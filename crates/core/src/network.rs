@@ -1,13 +1,15 @@
 //! The constructed small-world overlay: placement + neighbour edges +
 //! long-range links, stored as two flat CSR images (owned or mapped).
 
+use crate::builder::{contact_image, BuildProfile};
 use crate::config::SmallWorldConfig;
 use crate::links::normalized_positions;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 use sw_graph::csr::Topology as CsrTopology;
-use sw_graph::{LinkTable, NodeId};
+use sw_graph::NodeId;
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::{Key, Rng, Topology};
 use sw_overlay::route::{RouteOptions, RouteResult, RoutingSurvey, TargetModel};
@@ -27,7 +29,8 @@ pub(crate) const LONG_FILE: &str = "long.swt";
 /// The full contact table (neighbour edges + long links, the rows greedy
 /// routing reads) lives in a key-aligned SoA
 /// [`RouteTable`](sw_overlay::RouteTable): one flat CSR plus a per-edge
-/// ring-position lane, built once during construction. A freshly built
+/// ring-position lane and the per-node keys, written once by the
+/// builder's one contact-image function (`contact_image`). A freshly built
 /// network owns that image; [`SmallWorldNetwork::open_from`] holds the
 /// one it read (or mapped) from disk — the same type read by the same
 /// code, so one lookup walks the id rows with the reference walk and a
@@ -62,8 +65,8 @@ impl std::fmt::Debug for SmallWorldNetwork {
 }
 
 impl SmallWorldNetwork {
-    /// Assembles a network from parts (used by the builder and the join
-    /// protocol's snapshots).
+    /// Assembles a network over a long image built in memory (outside
+    /// rows, the join protocol's snapshots).
     pub(crate) fn assemble(
         placement: Placement,
         assumed: Arc<dyn KeyDistribution>,
@@ -72,45 +75,13 @@ impl SmallWorldNetwork {
         label: String,
     ) -> Self {
         let cdf = normalized_positions(&placement, assumed.as_ref());
-        Self::assemble_with_threads(placement, assumed, cdf, config, long, label, 0)
+        let contacts = contacts_in_memory(&placement, &long);
+        Self::from_contact_image(placement, assumed, cdf, config, contacts, long, label)
     }
 
-    /// [`SmallWorldNetwork::assemble`] over the builder's own `cdf`
-    /// (`F̂(key_i)` per peer), with an explicit worker-thread count for
-    /// the freeze-time SoA position gather (`0` = auto; the gather is a
-    /// pure per-edge function, so the table is the same at any count).
-    pub(crate) fn assemble_with_threads(
-        placement: Placement,
-        assumed: Arc<dyn KeyDistribution>,
-        cdf: Vec<f64>,
-        config: SmallWorldConfig,
-        long: CsrTopology,
-        label: String,
-        threads: usize,
-    ) -> Self {
-        let contact_table = build_contact_table(&placement, &long, threads);
-        let route_table = build_route_table(&placement, contact_table, threads);
-        SmallWorldNetwork {
-            placement,
-            assumed,
-            cdf,
-            config,
-            long,
-            route_table,
-            label,
-        }
-    }
-
-    /// Assembles a network whose contact image was *already* written
-    /// with its lanes (the [`crate::builder::ArenaBuild`] fast path): no
-    /// per-edge work happens here — the image carries the position
-    /// lanes, `cdf` comes from the build's selector — and routing is
-    /// bit-identical to a heap-assembled network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the contact image carries no per-edge position lane
-    /// (the construction pipeline always writes one).
+    /// Assembles a network from its two images; `cdf` is `F̂(key_i)` per
+    /// peer. No per-edge work happens here: the contact image, written
+    /// by [`contact_image`], already carries its key lanes.
     pub(crate) fn from_contact_image(
         placement: Placement,
         assumed: Arc<dyn KeyDistribution>,
@@ -120,24 +91,21 @@ impl SmallWorldNetwork {
         long: CsrTopology,
         label: String,
     ) -> Self {
-        let route_table = RouteTable::from_store(Arc::new(contacts))
-            .unwrap_or_else(|_| panic!("contact image carries no per-edge position lane"));
         SmallWorldNetwork {
             placement,
             assumed,
             cdf,
             config,
             long,
-            route_table,
+            route_table: route_table(contacts),
             label,
         }
     }
 
-    /// Replaces the long-link topology and rebuilds the contact table
-    /// (and its SoA position lanes).
+    /// Replaces the long-link topology and rebuilds the contact image
+    /// from it.
     fn set_long_topology(&mut self, long: CsrTopology) {
-        let contact_table = build_contact_table(&self.placement, &long, 0);
-        self.route_table = build_route_table(&self.placement, contact_table, 0);
+        self.route_table = route_table(contacts_in_memory(&self.placement, &long));
         self.long = long;
     }
 
@@ -150,8 +118,9 @@ impl SmallWorldNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `long.len() != placement.len()` or any link id is out of
-    /// range.
+    /// Panics if `long.len() != placement.len()`, or if a row holds an
+    /// id out of range, links its peer to itself or names a target
+    /// twice.
     pub fn with_links(
         placement: Placement,
         assumed: Arc<dyn KeyDistribution>,
@@ -160,11 +129,7 @@ impl SmallWorldNetwork {
         label: impl Into<String>,
     ) -> Self {
         assert_eq!(long.len(), placement.len(), "one link list per peer");
-        let n = placement.len() as NodeId;
-        assert!(
-            long.iter().flatten().all(|&v| v < n),
-            "link id out of range"
-        );
+        check_long_rows(placement.len(), &long);
         SmallWorldNetwork::assemble(
             placement,
             assumed,
@@ -222,14 +187,26 @@ impl SmallWorldNetwork {
     }
 
     /// Replaces the long links of peer `u` (used by refresh/estimation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or a link id is out of range, `links` holds `u`
+    /// itself, or it names a target twice.
     pub fn set_long_links(&mut self, u: NodeId, links: Vec<NodeId>) {
+        check_long_row(self.len(), u, &links);
         self.set_long_topology(self.long.with_row(u, &links));
     }
 
     /// Replaces every peer's long links at once (bulk refresh; rebuilds
     /// both CSR tables a single time).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `links.len() != self.len()`, or if a row holds an id
+    /// out of range, links its peer to itself or names a target twice.
     pub fn set_all_long_links(&mut self, links: Vec<Vec<NodeId>>) {
-        assert_eq!(links.len(), self.placement.len());
+        assert_eq!(links.len(), self.placement.len(), "one link list per peer");
+        check_long_rows(self.len(), &links);
         self.set_long_topology(CsrTopology::from_rows(&links));
     }
 
@@ -283,10 +260,9 @@ impl SmallWorldNetwork {
     pub fn freeze_to(&self, dir: impl AsRef<Path>) -> io::Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let node_pos: Vec<f64> = self.placement.keys().iter().map(|k| k.get()).collect();
         self.route_table
             .store()
-            .freeze_to(dir.join(CONTACTS_FILE), Some(&node_pos))?;
+            .freeze_to(dir.join(CONTACTS_FILE), None)?;
         self.long.freeze_to(dir.join(LONG_FILE), None)
     }
 
@@ -343,29 +319,40 @@ impl SmallWorldNetwork {
     }
 }
 
-/// Builds the SoA routing table for a contact CSR: one parallel gather
-/// of each contact's ring position into the per-edge lane.
-fn build_route_table(
-    placement: &Placement,
-    contact_table: CsrTopology,
-    threads: usize,
-) -> RouteTable {
-    let node_pos: Vec<f64> = placement.keys().iter().map(|k| k.get()).collect();
-    RouteTable::build_parallel(contact_table, &node_pos, threads)
+/// Wraps a contact image from [`contact_image`] as the routing table.
+fn route_table(contacts: CsrTopology) -> RouteTable {
+    RouteTable::from_store(Arc::new(contacts))
+        .unwrap_or_else(|_| panic!("contact image carries no per-edge position lane"))
 }
 
-/// Builds the full routing table: topology neighbours first, then long
-/// links, deduplicated per row.
-/// The freeze (per-row sort + CSR pack + sorted scan) fans out over
-/// `threads` workers; the result is identical at any thread count.
-fn build_contact_table(placement: &Placement, long: &CsrTopology, threads: usize) -> CsrTopology {
-    let n = placement.len();
-    let mut lt = LinkTable::new(n);
-    for u in 0..n as NodeId {
-        lt.add_all(u, placement.topology_neighbors(u));
-        lt.add_all(u, long.neighbors(u).iter().copied());
+/// [`contact_image`] over a long image held in memory, into a heap
+/// buffer (worker threads auto, stage timings discarded).
+fn contacts_in_memory(placement: &Placement, long: &CsrTopology) -> CsrTopology {
+    let stages = (&mut Instant::now(), &mut BuildProfile::default());
+    contact_image(placement, long, 0, None, stages).expect("an in-memory contact image seals")
+}
+
+/// [`check_long_row`] for every peer's row.
+fn check_long_rows(n: usize, rows: &[Vec<NodeId>]) {
+    for (u, row) in rows.iter().enumerate() {
+        check_long_row(n, u as NodeId, row);
     }
-    lt.build_with_threads(threads)
+}
+
+/// The one check on long rows from outside the builder: peer `u` of an
+/// `n`-peer network and every target are ids below `n`, and no target
+/// is `u` or repeats. [`contact_image`] counts each contact row's
+/// degree on these terms.
+fn check_long_row(n: usize, u: NodeId, row: &[NodeId]) {
+    assert!((u as usize) < n, "peer {u} out of range for {n} peers");
+    for (i, &v) in row.iter().enumerate() {
+        assert!(
+            (v as usize) < n,
+            "peer {u}: link id {v} out of range for {n} peers"
+        );
+        assert_ne!(v, u, "peer {u}: self link");
+        assert!(!row[..i].contains(&v), "peer {u}: duplicate link {v}");
+    }
 }
 
 impl Overlay for SmallWorldNetwork {
@@ -443,6 +430,35 @@ mod tests {
         net.set_long_links(0, vec![42]);
         assert_eq!(net.long_links(0), &[42]);
         assert!(net.contacts(0).contains(&42));
+    }
+
+    #[test]
+    #[should_panic(expected = "peer 0: duplicate link 42")]
+    fn set_long_links_rejects_a_duplicate() {
+        small_net(64, 6).set_long_links(0, vec![42, 42]);
+    }
+
+    #[test]
+    #[should_panic(expected = "peer 3: self link")]
+    fn with_links_rejects_a_self_link() {
+        let net = small_net(64, 6);
+        let mut rows = vec![vec![]; 64];
+        rows[3] = vec![9, 3];
+        SmallWorldNetwork::with_links(
+            net.placement().clone(),
+            net.assumed().clone(),
+            *net.config(),
+            rows,
+            "self",
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "peer 5: link id 64 out of range for 64 peers")]
+    fn set_all_long_links_rejects_an_out_of_range_id() {
+        let mut rows = vec![vec![]; 64];
+        rows[5] = vec![1, 64];
+        small_net(64, 6).set_all_long_links(rows);
     }
 
     #[test]

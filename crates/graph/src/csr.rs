@@ -14,11 +14,11 @@
 //! same value read by the same code: nothing ever unpacks an image onto
 //! the heap.
 //!
-//! [`LinkTable`] is the shared construction-time builder: overlays append
-//! per-peer contact rows (with in-row deduplication and self-loop
-//! filtering) in any order and then freeze the table into a [`Topology`].
+//! [`LinkTable`] collects per-peer rows (with in-row deduplication and
+//! self-loop filtering) in any order and then freezes them into a
+//! [`Topology`]: the classic overlays assemble their contact tables
+//! with it, and the simulator its live snapshots.
 
-use crate::par;
 use crate::store::{
     self, section, ImageBuf, Layout, FLAG_EDGE_POS, FLAG_NODE_POS, FLAG_SORTED, HEADER_WORDS,
 };
@@ -29,9 +29,6 @@ use std::path::Path;
 /// Dense peer index (`0..n`): `u32` keeps the `edges` section at four
 /// bytes per contact.
 pub type NodeId = u32;
-
-/// Peers per worker below which a constructor fills rows inline.
-const FILL_GRAIN: usize = 1 << 14;
 
 /// Flat CSR adjacency of a fixed peer set — outgoing edges plus
 /// optional `f64` lanes — in one `SWTOPO` image, owned or mapped.
@@ -163,29 +160,10 @@ impl Topology {
         Self::from_row_slices(rows.len(), |u| &rows[u])
     }
 
-    /// [`from_rows`] with the row fill and the sorted scan fanned out
-    /// over `threads` workers (`0` = auto); results are identical at any
-    /// thread count.
-    ///
-    /// [`from_rows`]: Topology::from_rows
-    pub fn from_rows_with_threads(rows: &[Vec<NodeId>], threads: usize) -> Topology {
-        Self::from_row_slices_with_threads(rows.len(), threads, |u| &rows[u])
-    }
-
     /// Generalized CSR packing: `row(u)` yields peer `u`'s out-edges.
+    /// Degrees are counted, the writer lays the image out, and each row
+    /// is copied into its final place.
     pub fn from_row_slices<'a, F>(n: usize, row: F) -> Topology
-    where
-        F: Fn(usize) -> &'a [NodeId] + Sync,
-    {
-        Self::from_row_slices_with_threads(n, 1, row)
-    }
-
-    /// [`from_row_slices`] with a parallel fill and sorted scan (`0` =
-    /// auto): degrees are counted, the writer lays the image out, and
-    /// each row is copied into its final place.
-    ///
-    /// [`from_row_slices`]: Topology::from_row_slices
-    pub fn from_row_slices_with_threads<'a, F>(n: usize, threads: usize, row: F) -> Topology
     where
         F: Fn(usize) -> &'a [NodeId] + Sync,
     {
@@ -194,13 +172,13 @@ impl Topology {
             .collect();
         let mut writer =
             ArenaWriter::from_degrees(&degrees, false, false).expect("edge count fits u32");
-        writer.fill(par::effective_threads(n, threads, FILL_GRAIN), |slots| {
+        writer.fill(1, |slots| {
             for u in slots.range.clone() {
                 let r = slots.row_bounds(u);
                 slots.edges[r].copy_from_slice(row(u));
             }
         });
-        writer.finish(threads).expect("a filled image seals")
+        writer.finish(1).expect("a filled image seals")
     }
 
     /// Number of peers.
@@ -256,9 +234,9 @@ impl Topology {
         (self.flags & flag != 0).then(|| section(&self.buf, word, len))
     }
 
-    /// True when every edge row is sorted ascending (established at
-    /// freeze by [`LinkTable::build`] and preserved by the edge-filter
-    /// and storage paths).
+    /// True when every edge row is sorted ascending: the flag
+    /// [`ArenaWriter::finish`]'s scan sets on every image whose rows
+    /// are.
     pub fn rows_sorted(&self) -> bool {
         self.flags & FLAG_SORTED != 0
     }
@@ -290,9 +268,9 @@ impl Topology {
         self.offsets().windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// True if the edge `u → v` exists. Rows frozen sorted (every
-    /// [`LinkTable::build`] output) are binary-searched; topologies
-    /// packed from unsorted rows fall back to the linear scan.
+    /// True if the edge `u → v` exists. Sorted rows
+    /// ([`Topology::rows_sorted`]) are binary-searched; topologies packed
+    /// from unsorted rows fall back to the linear scan.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         if self.rows_sorted() {
             self.neighbors(u).binary_search(&v).is_ok()
@@ -384,7 +362,8 @@ impl std::fmt::Debug for Topology {
     }
 }
 
-/// Construction-time contact-table builder shared by every overlay.
+/// Construction-time row builder for the classic overlays' contact
+/// tables and the simulator's live snapshots.
 ///
 /// Rows accumulate per peer (in any order) with self-loop filtering and
 /// in-row deduplication, then [`LinkTable::build`] freezes them into a
@@ -441,26 +420,11 @@ impl LinkTable {
     /// order was never part of the routing contract — greedy selection
     /// ranks by distance — so sorting here only changes which of two
     /// *exactly* equidistant contacts wins a tie.)
-    pub fn build(self) -> Topology {
-        self.build_with_threads(1)
-    }
-
-    /// [`build`] with per-row sorting, the row fill and the sorted scan
-    /// fanned out over `threads` workers (`0` = auto). Each row is
-    /// sorted and copied independently, so the result is identical to
-    /// the sequential [`build`].
-    ///
-    /// [`build`]: LinkTable::build
-    pub fn build_with_threads(mut self, threads: usize) -> Topology {
-        let chunk = par::chunk_size(self.rows.len(), threads, FILL_GRAIN);
-        par::join_all(self.rows.chunks_mut(chunk).map(|rows| {
-            move || {
-                for row in rows {
-                    row.sort_unstable();
-                }
-            }
-        }));
-        Topology::from_rows_with_threads(&self.rows, threads)
+    pub fn build(mut self) -> Topology {
+        for row in &mut self.rows {
+            row.sort_unstable();
+        }
+        Topology::from_rows(&self.rows)
     }
 }
 
@@ -571,35 +535,5 @@ mod tests {
         let r = t.with_row(2, &[0, 1, 4]);
         assert!(r.rows_sorted());
         assert!(r.has_edge(2, 4));
-    }
-
-    /// A deterministic pseudo-random link table big enough that the
-    /// writer's parallel sorted scan actually fans out.
-    fn big_scrambled_table(n: usize, avg_deg: usize) -> LinkTable {
-        let mut lt = LinkTable::new(n);
-        let mut state = 0x243f_6a88_85a3_08d3u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for u in 0..n as NodeId {
-            let deg = (next() as usize) % (2 * avg_deg + 1);
-            for _ in 0..deg {
-                lt.add(u, (next() % n as u64) as NodeId);
-            }
-        }
-        lt
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let seq = big_scrambled_table(20_000, 8).build();
-        for threads in [2, 4] {
-            let par = big_scrambled_table(20_000, 8).build_with_threads(threads);
-            assert_eq!(par.as_bytes(), seq.as_bytes(), "threads={threads}");
-            assert!(par.rows_sorted());
-        }
     }
 }

@@ -8,16 +8,17 @@
 //! Topology data moves through two layers, the second frozen from the
 //! first:
 //!
-//! 1. **Editing** — [`LinkTable`], the shared construction builder that
-//!    overlays append per-peer contact rows into (self-loops skipped,
-//!    rows deduplicated).
+//! 1. **Editing** — [`LinkTable`], the row builder the classic overlays
+//!    and the simulator's snapshots append per-peer rows into
+//!    (self-loops skipped, rows deduplicated).
 //! 2. **Frozen CSR** — [`Topology`]: all out-edges in one flat `edges`
 //!    section indexed by `offsets`, plus optional per-edge / per-node
 //!    `f64` lanes, in **one** 8-byte-aligned `SWTOPO` image that is
-//!    owned or, under the `mmap` feature, a file mapping. Rows are sorted
-//!    ascending at freeze ([`LinkTable::build`]), so membership tests
-//!    binary-search. The image freezes to disk with a single write and
-//!    reopens with a single read (or map) — O(1) allocations for a
+//!    owned or, under the `mmap` feature, a file mapping. The writer's
+//!    seal scan flags images whose rows are sorted ascending, and
+//!    membership tests on those binary-search. The image freezes to disk
+//!    with a single write and reopens with a single read (or map) —
+//!    O(1) allocations for a
 //!    10⁷-peer overlay — and a reopened topology is the same value as a
 //!    freshly built one. The per-edge lane carries the key-aligned ring
 //!    positions `sw-overlay`'s SoA routing kernels scan.

@@ -30,7 +30,7 @@ use crate::route::greedy_step_soa;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use sw_graph::{par, ArenaWriter, NodeId, Topology};
+use sw_graph::{ArenaWriter, NodeId, Topology};
 use sw_keyspace::Key;
 
 /// Key-aligned SoA routing table: CSR contact rows plus the contiguous
@@ -49,45 +49,19 @@ impl RouteTable {
     /// time — never again on the hot path).
     pub fn build(topo: Topology, mut pos_of: impl FnMut(NodeId) -> f64) -> RouteTable {
         let pos: Vec<f64> = topo.edges().iter().map(|&v| pos_of(v)).collect();
-        Self::with_edge_lane(&topo, 1, |e| pos[e])
-    }
-
-    /// Builds the table with the rows copied and the position gather
-    /// fanned out across `threads` workers (`0` = auto) — the
-    /// freeze-time path of large-`n` construction. Bit-identical to
-    /// [`RouteTable::build`] for every thread count (each lane is a pure
-    /// function of its edge).
-    pub fn build_parallel(topo: Topology, node_pos: &[f64], threads: usize) -> RouteTable {
-        assert_eq!(node_pos.len(), topo.len(), "one position per node");
-        let edges = topo.edges();
-        Self::with_edge_lane(&topo, threads, |e| node_pos[edges[e] as usize])
-    }
-
-    /// `topo`'s rows re-filled through the writer with the edge lane
-    /// `pos(e)` beside edge `e`.
-    fn with_edge_lane(
-        topo: &Topology,
-        threads: usize,
-        pos: impl Fn(usize) -> f64 + Sync,
-    ) -> RouteTable {
         let degrees: Vec<u32> = (0..topo.len() as NodeId)
             .map(|u| topo.out_degree(u) as u32)
             .collect();
         let mut writer = ArenaWriter::from_degrees(&degrees, true, false)
             .expect("a topology's own degrees fit an image");
-        writer.fill(par::effective_threads(topo.len(), threads, 1024), |slots| {
-            let base = slots.edge_base;
-            slots
-                .edges
-                .copy_from_slice(&topo.edges()[base..base + slots.edges.len()]);
+        writer.fill(1, |slots| {
+            let rows = slots.edge_base..slots.edge_base + slots.edges.len();
+            slots.edges.copy_from_slice(&topo.edges()[rows.clone()]);
             let lane = slots.edge_pos.expect("declared with an edge lane");
-            for (k, p) in lane.iter_mut().enumerate() {
-                *p = pos(base + k);
-            }
+            lane.copy_from_slice(&pos[rows]);
         });
-        let topo = writer.finish(threads).expect("a filled image seals");
         RouteTable {
-            store: Arc::new(topo),
+            store: Arc::new(writer.finish(1).expect("a filled image seals")),
         }
     }
 
@@ -267,18 +241,6 @@ mod tests {
         );
         assert_eq!(a, b);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn build_parallel_matches_sequential() {
-        let o = symphony(4096, 9);
-        let keys: Vec<f64> = o.placement().keys().iter().map(|k| k.get()).collect();
-        let topo = o.topology().clone();
-        let seq = RouteTable::build(topo.clone(), |v| keys[v as usize]);
-        for threads in [2, 3, 8] {
-            let par = RouteTable::build_parallel(topo.clone(), &keys, threads);
-            assert_eq!(seq.store().as_bytes(), par.store().as_bytes());
-        }
     }
 
     #[test]

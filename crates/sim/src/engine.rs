@@ -319,6 +319,44 @@ mod stream {
 
 /// Long-link budget of every simulated peer: the paper's `log2 N`.
 pub(crate) const OUT_DEGREE: OutDegree = OutDegree::Log2N;
+
+/// The converged overlay at t = 0: `n` distinct keys drawn from `dist`,
+/// ascending so that peer id is key rank, and each peer's `log2 n`
+/// harmonic long links over their ring placement (`1/n` mass
+/// threshold). One `next_u64` from `rng` seeds the links and peer `u`
+/// draws from stream `u` of it, so the rows are the same at any
+/// `threads` (`0` = auto). The rows come back sorted. It is what
+/// [`Simulator::new`] boots, and what a caller hands
+/// [`Simulator::with_store`] (or freezes for [`Simulator::from_frozen`])
+/// to boot the same overlay.
+pub fn converged_overlay(
+    n: usize,
+    dist: &dyn KeyDistribution,
+    rng: &mut Rng,
+    threads: usize,
+) -> (Vec<Key>, Topology) {
+    let mut keys = BTreeSet::new();
+    while keys.len() < n {
+        keys.insert(dist.sample_key(rng));
+    }
+    let keys: Vec<Key> = keys.into_iter().collect();
+    let placement = Placement::from_keys(keys.clone(), Metric::Ring, dist.name())
+        .expect("a key set is distinct");
+    let min_mass = MassThreshold::OneOverN.min_mass(n);
+    let selector = LinkSelector::new(&placement, dist, min_mass, LinkSampler::Harmonic);
+    let budget = OUT_DEGREE.links_for(n);
+    let build_seed = rng.next_u64();
+    let rows = par::par_map_grained(n, threads, 256, |u| {
+        let mut peer_rng = Rng::stream(build_seed, u as u64);
+        selector.sample_links(u as u32, budget, &mut peer_rng)
+    });
+    let mut lt = LinkTable::new(n);
+    for (u, row) in rows.iter().enumerate() {
+        lt.add_all(u as u32, row.iter().copied());
+    }
+    (keys, lt.build())
+}
+
 /// Successor-list length (ring repair redundancy).
 pub(crate) const SUCCESSOR_LIST: usize = 4;
 
@@ -418,52 +456,20 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Builds the initial converged network and schedules the recurring
-    /// processes.
+    /// Builds the initial converged network ([`converged_overlay`] over
+    /// `cfg.initial_n` peers) and schedules the recurring processes.
     ///
     /// # Panics
     ///
     /// Panics if `initial_n < 8`.
     pub fn new(cfg: SimConfig, dist: Arc<dyn KeyDistribution>) -> Simulator {
         assert!(cfg.initial_n >= 8, "simulator needs at least 8 peers");
+        // `with_store` forks the probe stream from a fresh generator of
+        // the same seed: skip that one draw here, then draw the overlay.
         let mut rng = Rng::new(cfg.seed);
-        let mut sim = Simulator::empty(cfg, dist, &mut rng);
-        // Initial population: distinct keys, created in ascending key
-        // order so node id == key rank — the alignment that lets the
-        // converged draw below reuse the construction-side sampler.
-        let mut keys = BTreeSet::new();
-        while keys.len() < sim.cfg.initial_n {
-            keys.insert(sim.dist.sample_key(&mut rng));
-        }
-        for key in keys {
-            sim.push_node(key);
-        }
-        // Converged long links for everyone, through the *shared*
-        // construction sampler (`sw_core::links::LinkSelector`, the same
-        // closed-form harmonic rule the old per-peer rejection loop
-        // approximated with an O(budget²) `contains` scan) — drawn from
-        // per-peer streams, so the bulk draw parallelizes bit-identically
-        // at any worker count. At t = 0 every peer is alive, so sampling
-        // over the placement equals sampling over the alive set.
-        let n = sim.nodes.len();
-        let budget = OUT_DEGREE.links_for(n);
-        let placement = Placement::from_keys(sim.keys.clone(), Metric::Ring, "sim")
-            .expect("initial population keys are distinct");
-        let min_mass = MassThreshold::OneOverN.min_mass(n);
-        let dist = Arc::clone(&sim.dist);
-        let selector = LinkSelector::new(&placement, &*dist, min_mass, LinkSampler::Harmonic);
-        let build_seed = rng.next_u64();
-        let rows = par::par_map_grained(n, sim.cfg.parallelism, 256, |u| {
-            let mut peer_rng = Rng::stream(build_seed, u as u64);
-            selector.sample_links(u as u32, budget, &mut peer_rng)
-        });
-        let mut lt = LinkTable::new(n);
-        for (u, row) in rows.iter().enumerate() {
-            lt.add_all(u as u32, row.iter().copied());
-        }
-        sim.links = DeltaStore::new(lt.build());
-        sim.boot();
-        sim
+        let _probe = rng.fork();
+        let (keys, links) = converged_overlay(cfg.initial_n, &*dist, &mut rng, cfg.parallelism);
+        Simulator::with_store(cfg, dist, keys, links)
     }
 
     /// Builds the simulator over a prebuilt long-link topology — e.g. a
@@ -814,8 +820,8 @@ impl Simulator {
 
     /// Freezes the current *live* routing state (successor lists, pred
     /// and long links of alive peers, dead contacts filtered) into a CSR
-    /// [`Topology`] over stable node ids — the flat snapshot the graph
-    /// metrics toolkit reads.
+    /// [`Topology`] over stable node ids, rows sorted, the image
+    /// [`Simulator::route_table_snapshot`] gathers its lanes beside.
     pub fn topology_snapshot(&self) -> Topology {
         let mut lt = LinkTable::new(self.nodes.len());
         for (id, node) in self.nodes.iter().enumerate() {

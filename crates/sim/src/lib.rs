@@ -287,7 +287,8 @@ pub mod time;
 pub mod traffic;
 
 pub use engine::{
-    ChurnConfig, DurabilityCensus, SimConfig, Simulator, StorageConfig, WorkloadConfig,
+    converged_overlay, ChurnConfig, DurabilityCensus, SimConfig, Simulator, StorageConfig,
+    WorkloadConfig,
 };
 pub use latency::LatencyModel;
 pub use metrics::{Histogram, SimMetrics};

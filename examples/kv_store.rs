@@ -59,10 +59,12 @@ fn main() {
         r.cost.total()
     );
 
-    // Kill the owner of the probe key: the replica chain answers.
+    // Kill the owner of the probe key: the replica chain answers a get
+    // issued from any live peer (here the one half the ring away).
     let owner = dht.owner_of(probe);
     dht.kill(owner);
-    let (v, cost) = dht.get(5, probe).expect("replica fallback");
+    let from = (owner + n as u32 / 2) % n as u32;
+    let (v, cost) = dht.get(from, probe).expect("replica fallback");
     println!(
         "after killing owner {owner}: get({probe}) -> {:?} via replica, {} messages",
         String::from_utf8_lossy(&v),

@@ -13,8 +13,9 @@
 //! ```
 //!
 //! The default `n` is small so the example stays fast; pass the peer
-//! count as the first argument for real scale (the 10⁶-peer build needs
-//! a few GB of RAM and, single-threaded, tens of seconds). Stamped,
+//! count as the first argument for real scale. One 10⁶-peer run on a
+//! 2-core x86-64 host built in 1.93 s, held 356 B/peer once reopened,
+//! and peaked at ≈ 370 MB resident. Stamped,
 //! repeatable timings of this same pipeline are `benchmark/`'s
 //! `build_skew` and `route_static` workloads.
 
