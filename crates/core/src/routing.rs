@@ -70,13 +70,12 @@ impl SmallWorldNetwork {
                 if opts.record_path {
                     path.push(cur);
                 }
-                while cur != goal {
+                let success = loop {
+                    if cur == goal {
+                        break true;
+                    }
                     if hops >= opts.max_hops {
-                        return RouteResult {
-                            success: false,
-                            hops,
-                            path,
-                        };
+                        break false;
                     }
                     let mut best = cur;
                     let mut best_d = self.mass_to_key(cur, target_pos);
@@ -88,20 +87,20 @@ impl SmallWorldNetwork {
                         }
                     }
                     if best == cur {
-                        return RouteResult {
-                            success: false,
-                            hops,
-                            path,
-                        };
+                        break false;
                     }
                     cur = best;
                     hops += 1;
                     if opts.record_path {
                         path.push(cur);
                     }
+                };
+                // The shape `finish_route` gives the key-space walk.
+                if !opts.record_path {
+                    path = vec![from, cur];
                 }
                 RouteResult {
-                    success: true,
+                    success,
                     hops,
                     path,
                 }
@@ -135,6 +134,37 @@ mod tests {
                 net.route_with_mode(from, t, DistanceMode::MassSpace, &opts)
                     .success
             );
+        }
+    }
+
+    #[test]
+    fn both_modes_return_source_and_final_peer_without_a_recorded_path() {
+        let mut rng = Rng::new(4);
+        let net = SmallWorldBuilder::new(256)
+            .distribution(Box::new(TruncatedPareto::new(1.5, 0.01).unwrap()))
+            .build(&mut rng)
+            .unwrap();
+        for mode in [DistanceMode::KeySpace, DistanceMode::MassSpace] {
+            // Budgets of 0 and 2 stop most walks early; 64 lets them finish.
+            for max_hops in [0, 2, 64] {
+                for _ in 0..40 {
+                    let from = rng.index(256) as NodeId;
+                    let t = Key::clamped(rng.f64());
+                    let route = |record_path| {
+                        let opts = RouteOptions {
+                            max_hops,
+                            record_path,
+                        };
+                        net.route_with_mode(from, t, mode, &opts)
+                    };
+                    let (full, ends) = (route(true), route(false));
+                    assert_eq!(full.path[0], from, "{mode:?}");
+                    assert_eq!(full.path.len(), full.hops as usize + 1, "{mode:?}");
+                    let last = *full.path.last().unwrap();
+                    assert_eq!(ends.path, vec![from, last], "{mode:?}");
+                    assert_eq!((ends.success, ends.hops), (full.success, full.hops));
+                }
+            }
         }
     }
 

@@ -22,13 +22,19 @@
 //! walks `i+1..i+K`, and throughput scales with memory *bandwidth*
 //! (outstanding-miss capacity) instead of latency.
 //!
-//! Each walk alternates between two stages:
+//! Each walk moves through three stages, Open → Scan → (FetchRow →
+//! Scan)…:
 //!
-//! 1. **FetchRow** — the offset pair `offsets[cur..cur+2]` (prefetched
+//! 1. **Open** — the source's key `keys[from]` and offset pair
+//!    (prefetched when the walk was started) are loaded. A walk that
+//!    already stands on its target key retires here, as does a routing
+//!    walk with no hop budget; any other walk does FetchRow's work in
+//!    the same round.
+//! 2. **FetchRow** — the offset pair `offsets[cur..cur+2]` (prefetched
 //!    when the walk hopped to `cur`) is loaded, and the edge row
 //!    `edges[a..b]` plus its aligned SoA position lane `pos[a..b]` are
 //!    prefetched for the next round.
-//! 2. **Scan** — the row (now resident) is scanned by the chunked
+//! 3. **Scan** — the row (now resident) is scanned by the chunked
 //!    [`greedy_step_soa`]; the walk hops, retires (arrived / local
 //!    minimum / hop budget), or continues, and the *next* peer's offset
 //!    pair is prefetched.
@@ -41,8 +47,30 @@
 //! There is one round loop. Its two entry points —
 //! [`route_interleaved`] (walk to the placement's goal peer, report a
 //! [`RouteResult`]) and [`probe_interleaved`] (walk to an exact key,
-//! report a [`ProbeOutcome`]) — differ only in how a walk opens and
-//! closes, which the private [`Walks`] policy supplies at compile time.
+//! report a [`ProbeOutcome`]) — differ only in how a walk closes, which
+//! the private [`Walks`] policy supplies at compile time.
+//!
+//! # Arrival from the carried distance
+//!
+//! Both entry points see a walk arrive the way a peer would: its
+//! distance to the target is `0.0`. For the probe that is the
+//! definition. For the routing walk it is exact without ever resolving
+//! the goal peer up front. Placement keys are distinct and lie in
+//! `[0, 1)`, so [`Topology::distance`](sw_keyspace::Topology::distance)
+//! is `0.0` only between equal keys (`|t − p|` of distinct doubles is
+//! never zero, and below 1 the ring fold `1 − d` cannot be either). The
+//! peer at distance `0.0` is therefore the unique minimiser, which is
+//! [`Placement::nearest`] of the target.
+//!
+//! A target that is no member's key is never reached at distance `0.0`.
+//! The walk keeps hopping until its row holds no strictly closer
+//! contact — at the goal, the global minimiser, that is certain — or
+//! its hop budget runs out, and only then does it ask whether it stands
+//! at the goal, through [`Placement::nearest_bracketed`] over
+//! `[cur, cur + 1]`. That call verifies its bracket and falls back to
+//! the full search, so it always equals `nearest`. A member target thus
+//! costs no search at all, and any other target trades the search for
+//! one extra row scan at the goal.
 //!
 //! # Bit-identity
 //!
@@ -65,11 +93,14 @@ use sw_keyspace::Key;
 /// Default number of walks kept in flight per thread.
 ///
 /// A sweep of K ∈ {1, 2, 4, 8, 16, 32} at n up to 10⁷ on both heap and
-/// mmap-arena tables (recorded in CHANGES.md, PRs 10 and 12) saw
-/// throughput rise steeply to K = 8 and stay near-flat through
-/// K = 16–32 (the line-fill buffers are saturated), and 8 keeps the
-/// per-walk state well inside L1 — so 8 is the tuned default. Its cost
-/// today is `overlay.interleaved.ns_per_hop` in `BENCHMARK.json`.
+/// mmap-arena tables (recorded in CHANGES.md) saw throughput rise
+/// steeply to K = 8 and stay near-flat through K = 16–32 (the line-fill
+/// buffers are saturated), and 8 keeps the per-walk state well inside
+/// L1 — so 8 is the tuned default. That sweep predates the Open stage
+/// and the goal-free arrival rule (module docs); re-checked after them
+/// in four alternating pairs on `route_static`, K = 16 read within 1 %
+/// of K = 8 in every pair. Its cost today is
+/// `overlay.interleaved.ns_per_hop` in `BENCHMARK.json`.
 pub const DEFAULT_INTERLEAVE: usize = 8;
 
 /// Hard cap on the interleave width: beyond this the per-walk state no
@@ -79,6 +110,9 @@ pub const MAX_INTERLEAVE: usize = 64;
 /// Stage of one in-flight walk (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Stage {
+    /// `keys[from]` and `offsets[from..from+2]` prefetched; compute the
+    /// start distance, then retire or do FetchRow's work.
+    Open,
     /// `offsets[cur..cur+2]` prefetched; load it, prefetch the row.
     FetchRow,
     /// Row prefetched; scan it and hop / retire.
@@ -91,11 +125,10 @@ struct Walk {
     query: usize,
     from: NodeId,
     cur: NodeId,
-    /// The peer the walk must reach ([`ToGoal`] only).
-    goal: NodeId,
     target: Key,
-    /// Distance of `cur` to the target — carried from the winning
-    /// lane's distance, bit-equal to recomputing it from `cur`'s key.
+    /// Distance of `cur` to the target once Open has run — then carried
+    /// from the winning lane's distance, bit-equal to recomputing it
+    /// from `cur`'s key.
     cur_d: f64,
     hops: u32,
     /// Row bounds of `cur` once `FetchRow` has run.
@@ -105,28 +138,21 @@ struct Walk {
     path: Vec<NodeId>,
 }
 
-/// How a walk opens and closes — all the two entry points disagree on.
+/// How a walk closes — all the two entry points disagree on.
 /// [`interleave`] is monomorphised per policy, so neither walk pays a
 /// per-hop branch for the other.
 trait Walks {
     /// What a retired walk reports.
     type Outcome;
 
-    /// The goal peer of a walk starting `from_d` away from its target,
-    /// or `Err` with its outcome when it ends before the first hop.
-    fn open(
-        &self,
-        from: NodeId,
-        target: Key,
-        from_d: f64,
-        opts: &RouteOptions,
-    ) -> Result<NodeId, Self::Outcome>;
+    /// True if a walk with budget `opts` ends at its source even short
+    /// of its target: the reference route spends its budget before each
+    /// hop, the probe after it.
+    fn ends_at_source(opts: &RouteOptions) -> bool;
 
-    /// True once the walk stands where it was headed.
-    fn arrived(w: &Walk) -> bool;
-
-    /// The outcome of a walk that stops at `w.cur`.
-    fn close(w: &mut Walk, arrived: bool, opts: &RouteOptions) -> Self::Outcome;
+    /// The outcome of a walk that stops at `w.cur`, `w.cur_d` away from
+    /// its target.
+    fn close(&self, w: &mut Walk, opts: &RouteOptions) -> Self::Outcome;
 }
 
 /// The routing walk: ends at the placement-wide nearest peer to the
@@ -136,59 +162,32 @@ struct ToGoal<'a>(&'a Placement);
 impl Walks for ToGoal<'_> {
     type Outcome = RouteResult;
 
-    fn open(
-        &self,
-        from: NodeId,
-        target: Key,
-        _: f64,
-        opts: &RouteOptions,
-    ) -> Result<NodeId, RouteResult> {
-        let goal = self.0.nearest(target);
-        if from == goal || opts.max_hops == 0 {
-            return Err(finish_route(from == goal, 0, vec![from], from, from, opts));
-        }
-        Ok(goal)
+    fn ends_at_source(opts: &RouteOptions) -> bool {
+        opts.max_hops == 0
     }
 
-    fn arrived(w: &Walk) -> bool {
-        w.cur == w.goal
-    }
-
-    fn close(w: &mut Walk, arrived: bool, opts: &RouteOptions) -> RouteResult {
+    fn close(&self, w: &mut Walk, opts: &RouteOptions) -> RouteResult {
+        // Only a walk stopped away from its target asks for the goal
+        // (module docs); `[cur, cur + 1]` brackets it whenever it is `cur`.
+        let cur = w.cur as usize;
+        let success = w.cur_d == 0.0 || self.0.nearest_bracketed(w.target, cur, cur + 1) == w.cur;
         let path = std::mem::take(&mut w.path);
-        finish_route(arrived, w.hops, path, w.from, w.cur, opts)
+        finish_route(success, w.hops, path, w.from, w.cur, opts)
     }
 }
 
 /// The measurement probe: ends on *exact arrival* (distance `0.0` to
-/// the target key), like the simulator's scalar `probe_walk`. There is
-/// no goal peer to resolve; arrival is read off the carried distance.
+/// the target key), like the simulator's scalar `probe_walk`.
 struct ToKey;
 
 impl Walks for ToKey {
     type Outcome = ProbeOutcome;
 
-    fn open(
-        &self,
-        from: NodeId,
-        _: Key,
-        from_d: f64,
-        _: &RouteOptions,
-    ) -> Result<NodeId, ProbeOutcome> {
-        if from_d == 0.0 {
-            return Err(ProbeOutcome {
-                final_node: from,
-                hops: 0,
-            });
-        }
-        Ok(from)
+    fn ends_at_source(_: &RouteOptions) -> bool {
+        false
     }
 
-    fn arrived(w: &Walk) -> bool {
-        w.cur_d == 0.0
-    }
-
-    fn close(w: &mut Walk, _: bool, _: &RouteOptions) -> ProbeOutcome {
+    fn close(&self, w: &mut Walk, _: &RouteOptions) -> ProbeOutcome {
         ProbeOutcome {
             final_node: w.cur,
             hops: w.hops,
@@ -198,16 +197,16 @@ impl Walks for ToKey {
 
 /// The round loop: keeps up to `width` walks of `queries` in flight
 /// over `table` (clamped to `1..=`[`MAX_INTERLEAVE`]) and returns their
-/// outcomes in input order. `key_of` resolves a peer's key: each walk's
+/// outcomes in input order. `keys` holds every peer's key: each walk's
 /// start distance, and the debug-build checks of every hop against the
 /// slice reference.
-fn interleave<P: Walks, K: FnMut(NodeId) -> Key>(
+fn interleave<P: Walks>(
     table: &RouteTable,
     metric: sw_keyspace::Topology,
+    keys: &[Key],
     queries: &[(NodeId, Key)],
     opts: &RouteOptions,
     width: usize,
-    mut key_of: K,
     policy: P,
 ) -> Vec<P::Outcome> {
     // Hoist the flat arrays once — the round loop indexes raw slices
@@ -223,19 +222,11 @@ fn interleave<P: Walks, K: FnMut(NodeId) -> Key>(
     let mut next_query = 0usize;
     let mut slots: Vec<Walk> = Vec::with_capacity(width);
 
-    // Starts the walk for query `q`: either an outcome written in place
-    // (the walk ended before its first hop), or an in-flight walk with
-    // its offset pair prefetched.
-    let start = |q: usize, key_of: &mut K, results: &mut [Option<P::Outcome>]| -> Option<Walk> {
+    // Starts the walk for query `q` in the Open stage, its source's key
+    // and offset pair prefetched.
+    let start = |q: usize| -> Walk {
         let (from, target) = queries[q];
-        let cur_d = metric.distance(key_of(from), target);
-        let goal = match policy.open(from, target, cur_d, opts) {
-            Ok(goal) => goal,
-            Err(outcome) => {
-                results[q] = Some(outcome);
-                return None;
-            }
-        };
+        prefetch_read(&keys[from as usize]);
         prefetch_read(&offsets[from as usize]);
         prefetch_read(&offsets[from as usize + 1]);
         let path = if opts.record_path {
@@ -243,25 +234,32 @@ fn interleave<P: Walks, K: FnMut(NodeId) -> Key>(
         } else {
             Vec::new()
         };
-        Some(Walk {
+        Walk {
             query: q,
             from,
             cur: from,
-            goal,
             target,
-            cur_d,
+            cur_d: f64::NAN,
             hops: 0,
             row: (0, 0),
-            stage: Stage::FetchRow,
+            stage: Stage::Open,
             path,
-        })
+        }
+    };
+
+    // FetchRow's work: load `cur`'s offset pair, prefetch its row.
+    let fetch_row = |w: &mut Walk| {
+        let a = offsets[w.cur as usize] as usize;
+        let b = offsets[w.cur as usize + 1] as usize;
+        w.row = (a, b);
+        prefetch_span(&edges[a..b]);
+        prefetch_span(&pos[a..b]);
+        w.stage = Stage::Scan;
     };
 
     // Prime the pipeline.
     while slots.len() < width && next_query < queries.len() {
-        if let Some(w) = start(next_query, &mut key_of, &mut results) {
-            slots.push(w);
-        }
+        slots.push(start(next_query));
         next_query += 1;
     }
 
@@ -272,19 +270,23 @@ fn interleave<P: Walks, K: FnMut(NodeId) -> Key>(
         while i < slots.len() {
             let w = &mut slots[i];
             let finished: Option<P::Outcome> = match w.stage {
+                Stage::Open => {
+                    w.cur_d = metric.distance(keys[w.from as usize], w.target);
+                    if w.cur_d == 0.0 || P::ends_at_source(opts) {
+                        Some(policy.close(w, opts))
+                    } else {
+                        fetch_row(w);
+                        None
+                    }
+                }
                 Stage::FetchRow => {
-                    let a = offsets[w.cur as usize] as usize;
-                    let b = offsets[w.cur as usize + 1] as usize;
-                    w.row = (a, b);
-                    prefetch_span(&edges[a..b]);
-                    prefetch_span(&pos[a..b]);
-                    w.stage = Stage::Scan;
+                    fetch_row(w);
                     None
                 }
                 Stage::Scan => {
                     debug_assert_eq!(
                         w.cur_d.to_bits(),
-                        metric.distance(key_of(w.cur), w.target).to_bits(),
+                        metric.distance(keys[w.cur as usize], w.target).to_bits(),
                         "carried distance must equal the recomputed one at node {}",
                         w.cur
                     );
@@ -296,14 +298,14 @@ fn interleave<P: Walks, K: FnMut(NodeId) -> Key>(
                             metric,
                             w.target,
                             w.cur_d,
-                            ids.iter().map(|&v| (v, key_of(v))),
+                            ids.iter().map(|&v| (v, keys[v as usize])),
                         ),
                         "chunked scan must agree with the slice reference at node {}",
                         w.cur
                     );
                     match step {
-                        // Local minimum short of arrival.
-                        None => Some(P::close(w, false, opts)),
+                        // Local minimum short of exact arrival.
+                        None => Some(policy.close(w, opts)),
                         Some((next, d)) => {
                             w.cur = next;
                             w.cur_d = d;
@@ -311,9 +313,8 @@ fn interleave<P: Walks, K: FnMut(NodeId) -> Key>(
                             if opts.record_path {
                                 w.path.push(next);
                             }
-                            let arrived = P::arrived(w);
-                            if arrived || w.hops >= opts.max_hops {
-                                Some(P::close(w, arrived, opts))
+                            if d == 0.0 || w.hops >= opts.max_hops {
+                                Some(policy.close(w, opts))
                             } else {
                                 prefetch_read(&offsets[next as usize]);
                                 prefetch_read(&offsets[next as usize + 1]);
@@ -330,18 +331,12 @@ fn interleave<P: Walks, K: FnMut(NodeId) -> Key>(
                     results[slots[i].query] = Some(res);
                     // Refill in place from the pending workload so the
                     // pipeline stays full until the tail.
-                    loop {
-                        if next_query >= queries.len() {
-                            slots.swap_remove(i);
-                            break;
-                        }
-                        let q = next_query;
+                    if next_query < queries.len() {
+                        slots[i] = start(next_query);
                         next_query += 1;
-                        if let Some(w) = start(q, &mut key_of, &mut results) {
-                            slots[i] = w;
-                            i += 1;
-                            break;
-                        }
+                        i += 1;
+                    } else {
+                        slots.swap_remove(i);
                     }
                 }
             }
@@ -371,14 +366,13 @@ pub fn route_interleaved(
     opts: &RouteOptions,
     width: usize,
 ) -> Vec<RouteResult> {
-    let (metric, key_of) = (placement.topology(), |v| placement.key(v));
     interleave(
         table,
-        metric,
+        placement.topology(),
+        placement.keys(),
         queries,
         opts,
         width,
-        key_of,
         ToGoal(placement),
     )
 }
@@ -397,9 +391,10 @@ pub struct ProbeOutcome {
 /// `probe_lookups`: walks terminate on *exact arrival* (distance `0.0`
 /// to the target key), a local minimum, or the hop budget — the
 /// semantics of the simulator's scalar `probe_walk` — rather than on
-/// reaching a placement-resolved goal peer. `key_of` resolves the
-/// *source* peer's key for the initial distance (the per-hop distances
-/// are carried from the scanned lanes, which hold the same bits).
+/// reaching a placement-resolved goal peer. `keys[v]` is peer `v`'s
+/// key; the kernel reads it for each *source* peer's initial distance
+/// (the per-hop distances are carried from the scanned lanes, which
+/// hold the same bits).
 ///
 /// Outcomes are in input order and bit-identical to the scalar loop for
 /// every `width`.
@@ -409,13 +404,13 @@ pub fn probe_interleaved(
     queries: &[(NodeId, Key)],
     max_hops: u32,
     width: usize,
-    key_of: impl FnMut(NodeId) -> Key,
+    keys: &[Key],
 ) -> Vec<ProbeOutcome> {
     let opts = RouteOptions {
         max_hops,
         record_path: false,
     };
-    interleave(table, metric, queries, &opts, width, key_of, ToKey)
+    interleave(table, metric, keys, queries, &opts, width, ToKey)
 }
 
 #[cfg(test)]
@@ -548,9 +543,8 @@ mod tests {
             })
             .collect();
         for width in [1, 4, 8, 32] {
-            let got = probe_interleaved(&table, Topology::Ring, &queries, max_hops, width, |v| {
-                pl.key(v)
-            });
+            let got =
+                probe_interleaved(&table, Topology::Ring, &queries, max_hops, width, pl.keys());
             assert_eq!(got, scalar, "width={width}");
         }
     }

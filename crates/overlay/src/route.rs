@@ -463,7 +463,10 @@ pub fn greedy_route(
 
 /// [`greedy_route`]'s loop over any source of contact-id rows: `row_of`
 /// is a topology's rows for [`greedy_route`] itself and [`Overlay::contacts`]
-/// for [`Overlay::route`].
+/// for [`Overlay::route`]. It resolves the goal up front; the batch
+/// kernel reaches the same verdict without that search, arriving at
+/// distance `0.0` and asking for the goal only where a walk stops short
+/// of it ([`crate::interleaved`]'s module docs).
 fn greedy_walk<'a>(
     placement: &Placement,
     row_of: impl Fn(NodeId) -> &'a [NodeId],

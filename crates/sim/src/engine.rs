@@ -786,7 +786,7 @@ impl Simulator {
                 &queries[r.clone()],
                 max_hops,
                 sw_overlay::DEFAULT_INTERLEAVE,
-                |v| this.keys[v as usize],
+                &this.keys,
             );
             debug_assert!(
                 r.clone().zip(outcomes.iter()).all(|(i, o)| {
