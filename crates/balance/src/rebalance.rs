@@ -9,7 +9,7 @@
 //! 2. [`PeerPlacement::SampleData`] — each peer adopts the key of a
 //!    random data item (jittered). Peer density then tracks data density,
 //!    which is exactly the non-uniform `f` Model 2 assumes; references
-//!    [2,12,16] of the paper realize this idea with different protocols.
+//!    \[2, 12, 16\] of the paper realize this idea with different protocols.
 //! 3. [`rebalance_until_stable`] — an online neighbour-shift rebalancer
 //!    in the spirit of Ganesan, Bawa & Garcia-Molina (VLDB 2004): an
 //!    overloaded peer moves its boundary toward the item median shared

@@ -3,21 +3,29 @@
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, pm, Table};
 use std::sync::Arc;
-use sw_core::config::{LinkSampler, OutDegree};
+use sw_core::config::{LinkSampler, SmallWorldConfig};
 use sw_core::estimate::{refine_links_round, Estimator};
-use sw_core::join::GrowingNetwork;
-use sw_core::SmallWorldBuilder;
+use sw_core::{SmallWorldBuilder, SmallWorldNetwork};
 use sw_keyspace::distribution::{KeyDistribution, TruncatedPareto, Uniform};
-use sw_keyspace::{Key, Rng, Topology};
-use sw_overlay::Overlay;
+use sw_keyspace::{Rng, Topology};
+use sw_overlay::{Overlay, Placement};
 use sw_sim::{ChurnConfig, SimConfig, SimTime, Simulator, WorkloadConfig};
 
-/// E10 — §4.2 join protocol: incrementally grown networks vs the oracle
-/// batch construction, and the message cost per join.
+/// A fresh copy of a key density: E10 hands one to each of its two
+/// simulators and to the oracle builder.
+type Density = fn() -> Box<dyn KeyDistribution>;
+
+/// E10 — §4.2 join protocol on the engine: networks grown join by join
+/// from 8 peers, against the oracle batch construction over the same
+/// keys, and the message cost per join. Each cell runs two growths on
+/// one seed: refresh off gives the "grown" column and msgs/join, and
+/// refresh every 30 s, read one refresh interval after the last join,
+/// gives "after refresh", the oracle over its placement and the KS
+/// distance between their hop samples (α = 0.001 critical value
+/// beside it). N is the population the refreshed run reached.
 pub fn e10_join_protocol(ctx: &Ctx) {
-    let queries = ctx.queries(1000);
     let mut table = Table::new(
-        "E10: §4.2 join protocol — grown vs oracle-built networks",
+        "E10: §4.2 join protocol — engine-grown vs oracle-built networks (ring)",
         &[
             "distribution",
             "N",
@@ -25,60 +33,130 @@ pub fn e10_join_protocol(ctx: &Ctx) {
             "grown hops",
             "after refresh",
             "oracle hops",
+            "KS D",
+            "critical",
         ],
     );
-    let dists: Vec<(&str, Arc<dyn KeyDistribution>)> = vec![
-        ("uniform", Arc::new(Uniform)),
-        (
-            "pareto(1.5,0.01)",
-            Arc::new(TruncatedPareto::new(1.5, 0.01).expect("valid")),
-        ),
+    let dists: [(&str, Density); 2] = [
+        ("uniform", || Box::new(Uniform)),
+        ("pareto(1.5,0.01)", || {
+            Box::new(TruncatedPareto::new(1.5, 0.01).expect("valid"))
+        }),
     ];
     for (name, dist) in dists {
         for &full_n in &[256usize, 1024, 4096] {
             let n = ctx.n(full_n);
-            let mut rng = Rng::new(ctx.seed ^ 10 ^ n as u64);
-            let seeds: Vec<Key> = (0..8)
-                .map(|i| Key::clamped((i as f64 + 0.5) / 8.0))
-                .collect();
-            let mut grown = GrowingNetwork::bootstrap(
-                &seeds,
-                dist.clone(),
-                Topology::Interval,
-                OutDegree::Log2N,
-            );
-            while grown.len() < n {
-                grown.join(&mut rng);
-            }
-            let msgs_per_join = grown.stats().messages as f64 / grown.stats().joins as f64;
-            let snap = grown.snapshot();
-            let s_grown = snap.routing_survey(queries, &mut rng);
-            grown.refresh_all(&mut rng);
-            let snap2 = grown.snapshot();
-            let s_refreshed = snap2.routing_survey(queries, &mut rng);
-            // Oracle: batch exact construction over the same placement.
-            let oracle = SmallWorldBuilder::new(n)
-                .distribution(clone_for(name))
-                .build_on(snap2.placement().clone(), &mut rng)
+            let seed = ctx.seed ^ 10 ^ n as u64;
+            let (grown, msgs_per_join) = grow_on_engine(seed, n, dist().into(), None);
+            let refresh = Some(SimTime::from_secs(30));
+            let (refreshed, _) = grow_on_engine(seed, n, dist().into(), refresh);
+            let mut rng = Rng::new(seed);
+            let oracle = SmallWorldBuilder::new(refreshed.len())
+                .topology(Topology::Ring)
+                .distribution(dist())
+                .sampler(LinkSampler::Harmonic)
+                .build_on(refreshed.placement().clone(), &mut rng)
                 .expect("n >= 4");
-            let s_oracle = oracle.routing_survey(queries, &mut rng);
+            let [s_grown, s_refreshed, s_oracle] =
+                [&grown, &refreshed, &oracle].map(|net| net.routing_survey(net.len(), &mut rng));
+            let (m, k) = (
+                s_refreshed.hop_samples.len() as f64,
+                s_oracle.hop_samples.len() as f64,
+            );
             table.row(vec![
                 name.to_string(),
-                n.to_string(),
+                refreshed.len().to_string(),
                 f2(msgs_per_join),
                 pm(s_grown.hops.mean(), s_grown.hops.ci95()),
                 pm(s_refreshed.hops.mean(), s_refreshed.hops.ci95()),
                 pm(s_oracle.hops.mean(), s_oracle.hops.ci95()),
+                f3(ks_statistic(
+                    &s_refreshed.hop_samples,
+                    &s_oracle.hop_samples,
+                )),
+                f3(1.95 * ((m + k) / (m * k)).sqrt()),
             ]);
         }
     }
     table.print();
     ctx.write_csv(&table, "e10_join_protocol.csv");
     println!(
-        "  expected shape: msgs/join grows ~log²N; grown networks route within a \
-         small factor of the oracle, and one refresh round closes most of the gap \
-         (early joiners' links predate most of the population)"
+        "  expected shape: msgs/join stays well under log²N; grown networks route \
+         ~1.2× the oracle's hops (early joiners' links predate most of the population), \
+         and one refresh interval brings the hop distribution to the oracle's, KS D \
+         under the critical value"
     );
+}
+
+/// Grows a network on the engine by the §4.2 protocol: 8 converged
+/// peers, then joins at 20/s with no failures and no lookups, ring
+/// stabilization every 10 s and long-link refresh every `refresh`,
+/// until `n` peers are alive. Churn then stops, and the run goes on for
+/// one stabilization interval plus one `refresh` so the last joins'
+/// link probes (and a refresh round) land. Returns the live overlay
+/// under the builder's ring contact rule, and join messages per join.
+fn grow_on_engine(
+    seed: u64,
+    n: usize,
+    dist: Arc<dyn KeyDistribution>,
+    refresh: Option<SimTime>,
+) -> (SmallWorldNetwork, f64) {
+    let cfg = SimConfig {
+        seed,
+        initial_n: 8,
+        churn: ChurnConfig {
+            join_rate: 20.0,
+            fail_rate: 0.0,
+        },
+        workload: WorkloadConfig { lookup_rate: 0.0 },
+        stabilize_interval: Some(SimTime::from_secs(10)),
+        refresh_interval: refresh,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(cfg, dist.clone());
+    let mut now = SimTime::ZERO;
+    while sim.alive_count() < n {
+        now += SimTime::from_secs(1);
+        sim.run_until(now);
+    }
+    sim.set_churn(ChurnConfig::NONE);
+    sim.run_until(now + SimTime::from_secs(10) + refresh.unwrap_or(SimTime::ZERO));
+    let m = sim.metrics();
+    let msgs_per_join = m.join_messages as f64 / m.joins as f64;
+    let (keys, links) = sim.live_overlay();
+    let placement =
+        Placement::from_keys(keys, Topology::Ring, dist.name()).expect("live keys are distinct");
+    let rows = (0..links.len() as u32)
+        .map(|u| links.neighbors(u).to_vec())
+        .collect();
+    let config = SmallWorldConfig {
+        topology: Topology::Ring,
+        ..SmallWorldConfig::default()
+    };
+    let label = format!("sw-grown({})", dist.name());
+    let net = SmallWorldNetwork::with_links(placement, dist, config, rows, label);
+    (net, msgs_per_join)
+}
+
+/// Two-sample Kolmogorov–Smirnov statistic: the largest gap between the
+/// empirical CDFs of `a` and `b`, taken after every distinct value so
+/// that ties (hop counts are integers) step both CDFs together.
+fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
+    let (mut a, mut b) = (a.to_vec(), b.to_vec());
+    a.sort_by(f64::total_cmp);
+    b.sort_by(f64::total_cmp);
+    let (mut i, mut j, mut d) = (0, 0, 0.0f64);
+    while i < a.len() && j < b.len() {
+        let x = a[i].min(b[j]);
+        while i < a.len() && a[i] == x {
+            i += 1;
+        }
+        while j < b.len() && b[j] == x {
+            j += 1;
+        }
+        d = d.max((i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs());
+    }
+    d
 }
 
 /// E11 — §4.2 estimation: routing cost vs local sample budget and
@@ -215,12 +293,4 @@ pub fn e14_churn(ctx: &Ctx) {
          stabilization recovers correctness, refresh additionally recovers hop \
          counts — §3.1's robustness claim plus §5's future-work setting"
     );
-}
-
-fn clone_for(name: &str) -> Box<dyn KeyDistribution> {
-    if name == "uniform" {
-        Box::new(Uniform)
-    } else {
-        Box::new(TruncatedPareto::new(1.5, 0.01).expect("valid"))
-    }
 }

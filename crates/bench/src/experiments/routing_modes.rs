@@ -3,6 +3,35 @@
 //! and Pareto key densities.
 //! The full profile writes its rows — functions of the seed alone — as
 //! `BENCH_routing.json` (repo root) alongside the table and CSV.
+//!
+//! # With maintenance on: why the iterative mode stays
+//!
+//! E19 runs with ring stabilization off. The same cells were rerun once
+//! with E14's maintenance (stabilize 10 s, refresh 30 s), at churn
+//! 0 / 4 / 8 / 16 events/s and seeds `seed ^ 19 ^ churn.to_bits() ^ (s
+//! << 40)` for s = 0, 1, 2 (N = 512, 30 lookups/s, 120 s). Messages per
+//! lookup count every message a lookup walk sent: one per recursive
+//! hop, a query and a reply per iterative hop. Each cell gives the
+//! range over the three seeds; the edge is iterative's `ok_rate` minus
+//! recursive's, per seed.
+//!
+//! | keys | churn | ok recursive | ok iterative | edge (pp), s = 0 / 1 / 2 | p99 it / rec | msgs/lookup rec / it |
+//! |---|---|---|---|---|---|---|
+//! | uniform | 0 | 1.000 | 1.000 | 0 / 0 / 0 | 2.00–2.04× | 4.10–4.18 / 8.29–8.39 |
+//! | uniform | 4 | 0.981–0.988 | 0.987–0.992 | +0.39 / +0.85 / +0.02 | 1.12–1.34× | 4.31–4.57 / 8.69–9.62 |
+//! | uniform | 8 | 0.951–0.962 | 0.965–0.975 | +1.22 / +1.65 / +1.34 | 1.21–1.33× | 4.72–4.87 / 9.96–10.43 |
+//! | uniform | 16 | 0.840–0.877 | 0.871–0.882 | +3.01 / +2.62 / +0.47 | 1.42–1.50× | 5.65–5.78 / 13.83–14.40 |
+//! | pareto(1.5, 0.01) | 0 | 1.000 | 1.000 | 0 / 0 / 0 | 1.88–2.25× | 3.29–3.43 / 6.55–6.78 |
+//! | pareto(1.5, 0.01) | 4 | 0.983–0.987 | 0.989–0.993 | +0.66 / +0.14 / +0.98 | 1.04–1.37× | 3.56–3.63 / 7.09–7.56 |
+//! | pareto(1.5, 0.01) | 8 | 0.963–0.974 | 0.964–0.975 | −0.98 / +1.03 / +0.56 | 1.26–1.43× | 3.96–4.04 / 8.31–9.14 |
+//! | pareto(1.5, 0.01) | 16 | 0.851–0.878 | 0.866–0.899 | +1.46 / −0.47 / +2.15 | 1.45–1.69× | 4.79–4.89 / 11.09–12.65 |
+//!
+//! Iterative's edge is at least one percentage point in most churn-8
+//! and churn-16 cells, even with maintenance on. Its price is a p99 of
+//! 1.0–1.7× recursive's under churn (≈ 2× with none) and 2.0–2.6× the
+//! messages per lookup. The rule was to delete the mode only if the
+//! edge stayed under one point at every maintained cell. It does not,
+//! so the mode stays.
 
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, Table};

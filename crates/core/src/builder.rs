@@ -34,8 +34,8 @@
 //! long row, with the per-edge and per-node key lanes gathered in place.
 //! [`SmallWorldBuilder::build`] and [`SmallWorldBuilder::build_on`] are
 //! that core plus [`ArenaBuild::into_network`]. The network's
-//! constructors from outside long rows (`with_links`, the join
-//! protocol's snapshots, the refresh APIs) call the same
+//! constructors from outside long rows (`with_links`, which also takes
+//! a simulator-grown overlay, and the refresh APIs) call the same
 //! `contact_image`.
 //!
 //! Both images are filled through [`sw_graph::writer::ArenaWriter`],
@@ -571,7 +571,6 @@ pub(crate) fn contact_image(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::GrowingNetwork;
     use sw_graph::LinkTable;
     use sw_keyspace::distribution::TruncatedPareto;
     use sw_keyspace::Key;
@@ -938,9 +937,9 @@ mod tests {
     }
 
     /// Every way a network gets its contact image — the builder, outside
-    /// rows, a grown snapshot and each refresh API — writes the model's
-    /// bytes, so each carries both key lanes, the node lane equal to the
-    /// placement keys.
+    /// rows (a two-peer ring among them) and each refresh API — writes
+    /// the model's bytes, so each carries both key lanes, the node lane
+    /// equal to the placement keys.
     #[test]
     fn every_network_carries_both_key_lanes() {
         let check = |net: &SmallWorldNetwork, what: &str| {
@@ -970,21 +969,16 @@ mod tests {
             "outside",
         );
         check(&outside, "with_links");
-        let seeds: Vec<Key> = [0.1, 0.4, 0.7].into_iter().map(Key::clamped).collect();
-        let mut grown =
-            GrowingNetwork::bootstrap(&seeds, Arc::new(Uniform), Topology::Ring, OutDegree::Log2N);
-        while grown.len() < 200 {
-            grown.join(&mut rng);
-        }
-        check(&grown.snapshot(), "snapshot");
         // A two-peer ring: each peer's `prev` and `next` are one contact.
-        let pair = GrowingNetwork::bootstrap(
-            &seeds[..2],
+        let pair: Vec<Key> = [0.1, 0.4].into_iter().map(Key::clamped).collect();
+        let pair = SmallWorldNetwork::with_links(
+            Placement::from_keys(pair, Topology::Ring, "pair").unwrap(),
             Arc::new(Uniform),
-            Topology::Ring,
-            OutDegree::Log2N,
+            SmallWorldConfig::default(),
+            vec![Vec::new(); 2],
+            "pair",
         );
-        check(&pair.snapshot(), "two-peer ring");
+        check(&pair, "two-peer ring");
         net.set_long_links(0, vec![150, 3, 299]);
         check(&net, "set_long_links");
         net.set_all_long_links(rows);

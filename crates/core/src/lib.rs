@@ -39,14 +39,12 @@
 //! * [`partition`] — the `log2 N`-partition machinery of Theorem 1's
 //!   proof: empirical `P_next` and `E[X_j]` (E2, E6).
 //! * [`theory`] — closed-form constants and bounds from the proofs.
-//! * [`join`] — the §4.2 join protocol on a growable network (E10).
 //! * [`estimate`] — local density estimation and iterative link
 //!   refreshing for unknown/drifting `f` (§4.2, E11).
 
 pub mod builder;
 pub mod config;
 pub mod estimate;
-pub mod join;
 pub mod links;
 pub mod network;
 pub mod partition;
@@ -62,7 +60,6 @@ pub use routing::DistanceMode;
 pub mod prelude {
     pub use crate::builder::{ArenaBuild, BuildError, BuildProfile, SmallWorldBuilder};
     pub use crate::config::{LinkSampler, MassThreshold, OutDegree, SmallWorldConfig};
-    pub use crate::join::GrowingNetwork;
     pub use crate::network::SmallWorldNetwork;
     pub use crate::partition::PartitionSurvey;
     pub use crate::routing::DistanceMode;

@@ -8,9 +8,10 @@
 //!
 //! Two interchangeable samplers implement the rule (see
 //! [`crate::config::LinkSampler`]); experiments E1/E3 verify they agree.
-//! The harmonic draw is written here and in the join protocol
-//! (`join.rs::draw_long_links`, which resolves targets by routing);
-//! the only other copy is this module's `#[cfg(test)]` reference oracle.
+//! The harmonic draw is written here and in the simulator's join and
+//! refresh probes (`sw_sim`'s `spawn_link_probe`, which resolves
+//! targets by routing); the only other copy is this module's
+//! `#[cfg(test)]` reference oracle.
 
 use crate::config::LinkSampler;
 use sw_graph::par;

@@ -27,16 +27,15 @@ pub(crate) const LONG_FILE: &str = "long.swt";
 /// sampled long-range links.
 ///
 /// The full contact table (neighbour edges + long links, the rows greedy
-/// routing reads) lives in a key-aligned SoA
-/// [`RouteTable`](sw_overlay::RouteTable): one flat CSR plus a per-edge
-/// ring-position lane and the per-node keys, written once by the
-/// builder's one contact-image function (`contact_image`). A freshly built
-/// network owns that image; [`SmallWorldNetwork::open_from`] holds the
-/// one it read (or mapped) from disk — the same type read by the same
-/// code, so one lookup walks the id rows with the reference walk and a
-/// batch goes through the interleaved kernel over the lanes at every
-/// size. The long-link CSR is a second image, for the
-/// maintenance/refresh APIs.
+/// routing reads) lives in a key-aligned SoA [`RouteTable`]: one flat
+/// CSR plus a per-edge ring-position lane and the per-node keys, written
+/// once by the builder's one contact-image function (`contact_image`).
+/// A freshly built network owns that image;
+/// [`SmallWorldNetwork::open_from`] holds the one it read (or mapped)
+/// from disk — the same type read by the same code, so one lookup walks
+/// the id rows with the reference walk and a batch goes through the
+/// interleaved kernel over the lanes at every size. The long-link CSR
+/// is a second image, for the maintenance/refresh APIs.
 #[derive(Clone)]
 pub struct SmallWorldNetwork {
     placement: Placement,
@@ -65,20 +64,6 @@ impl std::fmt::Debug for SmallWorldNetwork {
 }
 
 impl SmallWorldNetwork {
-    /// Assembles a network over a long image built in memory (outside
-    /// rows, the join protocol's snapshots).
-    pub(crate) fn assemble(
-        placement: Placement,
-        assumed: Arc<dyn KeyDistribution>,
-        config: SmallWorldConfig,
-        long: CsrTopology,
-        label: String,
-    ) -> Self {
-        let cdf = normalized_positions(&placement, assumed.as_ref());
-        let contacts = contacts_in_memory(&placement, &long);
-        Self::from_contact_image(placement, assumed, cdf, config, contacts, long, label)
-    }
-
     /// Assembles a network from its two images; `cdf` is `F̂(key_i)` per
     /// peer. No per-edge work happens here: the contact image, written
     /// by [`contact_image`], already carries its key lanes.
@@ -114,7 +99,8 @@ impl SmallWorldNetwork {
     ///
     /// This is the link-transport constructor used by the Figure 1/2
     /// equivalence experiment (E9): build `G′` in the normalized space,
-    /// then re-attach its links to the original skewed placement.
+    /// then re-attach its links to the original skewed placement. E10
+    /// uses it to freeze a simulator-grown overlay (`live_overlay`).
     ///
     /// # Panics
     ///
@@ -130,13 +116,11 @@ impl SmallWorldNetwork {
     ) -> Self {
         assert_eq!(long.len(), placement.len(), "one link list per peer");
         check_long_rows(placement.len(), &long);
-        SmallWorldNetwork::assemble(
-            placement,
-            assumed,
-            config,
-            CsrTopology::from_rows(&long),
-            label.into(),
-        )
+        let long = CsrTopology::from_rows(&long);
+        let cdf = normalized_positions(&placement, assumed.as_ref());
+        let contacts = contacts_in_memory(&placement, &long);
+        let label = label.into();
+        Self::from_contact_image(placement, assumed, cdf, config, contacts, long, label)
     }
 
     /// Number of peers.

@@ -17,7 +17,7 @@
 //! of the destination file); every constructor in [`crate::csr`] counts
 //! degrees and goes through it. [`Topology::open`] reads every image
 //! back and validates it before any accessor can index it. This module
-//! holds what both share: the header words, the section [`Layout`], the
+//! holds what both share: the header words, the section `Layout`, the
 //! checks, and the buffer.
 //!
 //! The format is native-endian by design (the image is a memory image);

@@ -48,7 +48,7 @@
 //! [`route_interleaved`] (walk to the placement's goal peer, report a
 //! [`RouteResult`]) and [`probe_interleaved`] (walk to an exact key,
 //! report a [`ProbeOutcome`]) — differ only in how a walk closes, which
-//! the private [`Walks`] policy supplies at compile time.
+//! the private `Walks` policy supplies at compile time.
 //!
 //! # Arrival from the carried distance
 //!

@@ -856,6 +856,29 @@ impl Simulator {
         sw_overlay::RouteTable::build(topo, |v| keys[v as usize].get())
     }
 
+    /// The live overlay in the form [`converged_overlay`] returns and
+    /// [`Simulator::with_store`] accepts: the alive peers' keys,
+    /// ascending, and their long-link rows over peer id = key rank, with
+    /// dead targets dropped and each row sorted. The ring state is left
+    /// out, since `Placement::from_keys` rebuilds the ring from the keys.
+    /// `SmallWorldNetwork::with_links` over that placement is then the
+    /// grown network under the builder's contact rule. Before any event
+    /// this is the t = 0 draw itself.
+    pub fn live_overlay(&self) -> (Vec<Key>, Topology) {
+        let mut rank = vec![u32::MAX; self.nodes.len()];
+        for (r, &id) in self.alive.values().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        let mut lt = LinkTable::new(self.alive.len());
+        for (r, &id) in self.alive.values().enumerate() {
+            let row = long_links(&self.links, id)
+                .iter()
+                .map(|&v| rank[v as usize]);
+            lt.add_all(r as u32, row.filter(|&v| v != u32::MAX));
+        }
+        (self.alive.keys().copied().collect(), lt.build())
+    }
+
     // ----- event dispatch -------------------------------------------
 
     fn handle(&mut self, msg: Msg) {
@@ -3309,6 +3332,57 @@ mod tests {
                 assert!(sim.nodes[v as usize].alive, "edge to dead peer");
             }
         }
+    }
+
+    /// `live_overlay` before any event is the draw `converged_overlay`
+    /// makes for the seed, bit for bit. After a fail-only run with no
+    /// maintenance (so rows keep their dead targets), it is still a
+    /// `with_store` input: keys strictly ascending, and each row the
+    /// peer's alive targets as ranks, sorted, with no self or repeat.
+    #[test]
+    fn live_overlay_round_trips_the_draw_and_drops_the_dead() {
+        let cfg = SimConfig {
+            churn: ChurnConfig {
+                join_rate: 0.0,
+                fail_rate: 2.0,
+            },
+            stabilize_interval: None,
+            refresh_interval: None,
+            ..quiet_config(13, 256)
+        };
+        // `Simulator::new`'s draw: the probe fork, then the overlay.
+        let mut rng = Rng::new(cfg.seed);
+        let _probe = rng.fork();
+        let drawn = converged_overlay(cfg.initial_n, &Uniform, &mut rng, 0);
+        let mut sim = Simulator::new(cfg, Arc::new(Uniform));
+        assert!(sim.live_overlay() == drawn, "t = 0 overlay differs");
+        sim.run_until(SimTime::from_secs(40));
+        let (keys, topo) = sim.live_overlay();
+        assert_eq!(keys.len(), sim.alive_count());
+        assert_eq!(topo.len(), keys.len());
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys ascending");
+        let mut dropped = 0;
+        for (r, key) in keys.iter().enumerate() {
+            let row = topo.neighbors(r as u32);
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "row {r} sorted");
+            assert!(
+                row.iter()
+                    .all(|&v| (v as usize) < keys.len() && v != r as u32),
+                "row {r} names itself or an out-of-range peer"
+            );
+            let raw = long_links(&sim.links, sim.alive[key]);
+            let mut live: Vec<Key> = raw
+                .iter()
+                .filter(|&&v| sim.nodes[v as usize].alive)
+                .map(|&v| sim.keys[v as usize])
+                .collect();
+            live.sort();
+            let got: Vec<Key> = row.iter().map(|&v| keys[v as usize]).collect();
+            assert_eq!(got, live, "row {r}: not the peer's alive targets");
+            dropped += raw.len() - live.len();
+        }
+        assert!(sim.metrics().failures > 40, "{}", sim.metrics().failures);
+        assert!(dropped > 0, "the run left no dead target to drop");
     }
 
     #[test]

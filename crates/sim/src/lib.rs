@@ -153,6 +153,9 @@
 //! [`protocol::Purpose`]: lookups record metrics, a join splices the
 //! new node (taking over its shard slice) and starts its link-probe
 //! chain, storage ops enter their fan-out / fallback / sweep phase.
+//! This engine is the repo's only implementation of the §4.2 join
+//! protocol: experiment E10 grows its networks here and reads them back
+//! through [`Simulator::live_overlay`].
 //! Contact selection everywhere is the one shared
 //! [`sw_overlay::greedy_step`] / [`sw_overlay::greedy_candidates`]
 //! implementation, through [`sw_overlay::RingView`].
@@ -265,8 +268,9 @@
 //!
 //! Measurement probes ([`Simulator::probe_lookups`],
 //! [`Simulator::topology_snapshot`],
-//! [`Simulator::route_table_snapshot`]) read the *live* state at frozen
-//! time and never touch the plane or the workload metrics. A probe
+//! [`Simulator::route_table_snapshot`], [`Simulator::live_overlay`])
+//! read the *live* state at frozen time and never touch the plane or
+//! the workload metrics. A probe
 //! batch freezes the live contact state **once** into a key-aligned SoA
 //! [`sw_overlay::RouteTable`] (CSR rows + contiguous per-edge ring
 //! positions, shared via `Arc` with `topology_snapshot` consumers), and

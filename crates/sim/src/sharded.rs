@@ -8,8 +8,8 @@
 //! shared metrics), which makes it fast to iterate on but impossible to
 //! partition: almost every event touches state owned by an arbitrary
 //! peer. [`ShardedSimulator`] is built the other way around — **every
-//! handler touches only its home peer's state** ([`SNode`]), the
-//! immutable shared [`Global`], and the payload carried by the message
+//! handler touches only its home peer's state** (`SNode`), the
+//! immutable shared `Global`, and the payload carried by the message
 //! itself. Peer state is disjoint by construction, so *any* partition
 //! of the peers produces the same per-peer event trajectories.
 //!
