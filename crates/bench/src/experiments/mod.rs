@@ -25,7 +25,7 @@
 //! | e10 | §4.2: the join protocol grows the oracle's overlay | `grown_overlay_routes_like_the_builders` |
 //! | e11 | §4.2: peers estimate f locally and approach the oracle | `estimation_recovers_from_naive_links` |
 //! | e14 | §5: churn hurts lookups, maintenance restores them | `sw_sim::engine::{churn_without_maintenance_hurts_success, maintenance_restores_success_under_churn}` |
-//! | e15 | ablation: key-space vs mass-space greedy | `sw_core::routing::modes_agree_under_uniform_density`; none for the gap under skew |
+//! | e15 | ablation: key-space vs mass-space greedy | `key_space_and_mass_space_greedy_agree` |
 //! | e16 | §2.1: Theorems 1–2 carry over to the ring | none for the hops; `sw_core::builder::ring_topology_build_works` checks the wiring |
 //! | e18 | replica repair: durability vs bandwidth | `BENCH_repair.json` |
 //! | e19 | routing modes under churn | `BENCH_routing.json`, `sw_sim::engine::iterative_strands_and_fails_strictly_less_than_recursive_under_churn` |

@@ -2,17 +2,16 @@
 
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, pm, Table};
-use sw_core::routing::DistanceMode;
 use sw_core::{theory, SmallWorldBuilder};
 use sw_graph::NodeId;
 use sw_keyspace::distribution::{standard_suite, TruncatedPareto, Uniform};
 use sw_keyspace::stats::OnlineStats;
-use sw_keyspace::{Rng, Topology};
+use sw_keyspace::{Key, Rng, Topology};
 use sw_overlay::chord::{Chord, RandomizedChord};
 use sw_overlay::mercury::Mercury;
 use sw_overlay::pastry::PastryLike;
 use sw_overlay::pgrid::{PGridLike, SplitPolicy};
-use sw_overlay::route::{RouteOptions, RoutingSurvey, TargetModel};
+use sw_overlay::route::{greedy_route, RouteOptions, RoutingSurvey, TargetModel};
 use sw_overlay::symphony::Symphony;
 use sw_overlay::{Overlay, Placement};
 
@@ -194,7 +193,9 @@ fn dist_box(
 
 /// E15 — ablation: greedy in raw key space vs in the normalized mass
 /// space, on the same networks (the metric choice Theorem 2's proof
-/// routes with vs what a peer can compute locally).
+/// routes with vs what a peer can compute locally). Routing by mass is
+/// greedy routing over the same contacts in the normalized space R′
+/// (Figures 1–2): rank `u` keeps its place there, at key `F̂(key_u)`.
 pub fn e15_routing_metric(ctx: &Ctx) {
     let n = ctx.n(2048);
     let queries = ctx.queries(1500);
@@ -209,6 +210,18 @@ pub fn e15_routing_metric(ctx: &Ctx) {
             .distribution(dist)
             .build(&mut rng)
             .expect("n >= 4");
+        let normalized = Placement::from_keys(
+            (0..n as NodeId)
+                .map(|u| Key::clamped(net.normalized_position(u)))
+                .collect(),
+            net.placement().topology(),
+            "normalized",
+        )
+        .expect("F̂ is strictly monotone on the support");
+        assert!(
+            (0..n as NodeId).all(|u| normalized.key(u) == Key::clamped(net.normalized_position(u))),
+            "normalizing reordered the peers"
+        );
         let opts = RouteOptions {
             record_path: false,
             ..RouteOptions::for_n(n)
@@ -219,8 +232,9 @@ pub fn e15_routing_metric(ctx: &Ctx) {
             let from = rng.index(n) as NodeId;
             let to = rng.index(n) as NodeId;
             let t = net.placement().key(to);
-            let a = net.route_with_mode(from, t, DistanceMode::KeySpace, &opts);
-            let b = net.route_with_mode(from, t, DistanceMode::MassSpace, &opts);
+            let mass_t = Key::clamped(net.assumed().cdf(t.get()));
+            let a = greedy_route(net.placement(), net.topology(), from, t, &opts);
+            let b = greedy_route(&normalized, net.topology(), from, mass_t, &opts);
             if a.success {
                 key_hops.push(a.hops as f64);
             }
@@ -239,7 +253,7 @@ pub fn e15_routing_metric(ctx: &Ctx) {
     table.print();
     ctx.write_csv(&table, "e15_routing_metric.csv");
     println!(
-        "  expected shape: small positive Δ — key-space greedy pays a little for \
-         not knowing f, but stays logarithmic (the links, not the metric, carry Theorem 2)"
+        "  expected shape: every lookup succeeds both ways; under uniform keys the \
+         two routes are identical, under skew |Δ| ≤ 3 % (key_space_and_mass_space_greedy_agree)"
     );
 }

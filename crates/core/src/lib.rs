@@ -34,8 +34,6 @@
 //!   (long links + the full contact table), so a fixed seed produces a
 //!   bit-identical network at any thread count. Batched lookups go
 //!   through `sw_overlay::route::route_batch`.
-//! * [`routing`] — greedy routing in key space or normalized (mass)
-//!   space, the ablation of E15.
 //! * [`partition`] — the `log2 N`-partition machinery of Theorem 1's
 //!   proof: empirical `P_next` and `E[X_j]` (E2, E6).
 //! * [`theory`] — closed-form constants and bounds from the proofs.
@@ -48,13 +46,11 @@ pub mod estimate;
 pub mod links;
 pub mod network;
 pub mod partition;
-pub mod routing;
 pub mod theory;
 
 pub use builder::{ArenaBuild, BuildError, BuildProfile, SmallWorldBuilder};
 pub use config::{LinkSampler, MassThreshold, OutDegree, SmallWorldConfig};
 pub use network::SmallWorldNetwork;
-pub use routing::DistanceMode;
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
@@ -62,6 +58,5 @@ pub mod prelude {
     pub use crate::config::{LinkSampler, MassThreshold, OutDegree, SmallWorldConfig};
     pub use crate::network::SmallWorldNetwork;
     pub use crate::partition::PartitionSurvey;
-    pub use crate::routing::DistanceMode;
     pub use crate::theory;
 }

@@ -27,9 +27,9 @@
 //!
 //! 1. **Open** — the source's key `keys[from]` and offset pair
 //!    (prefetched when the walk was started) are loaded. A walk that
-//!    already stands on its target key retires here, as does a routing
-//!    walk with no hop budget; any other walk does FetchRow's work in
-//!    the same round.
+//!    already stands on its target key retires here, as does a walk
+//!    with no hop budget; any other walk does FetchRow's work in the
+//!    same round.
 //! 2. **FetchRow** — the offset pair `offsets[cur..cur+2]` (prefetched
 //!    when the walk hopped to `cur`) is loaded, and the edge row
 //!    `edges[a..b]` plus its aligned SoA position lane `pos[a..b]` are
@@ -44,22 +44,20 @@
 //! cannot refill are removed and the remaining walks finish at a
 //! narrower width (the "uneven drain" the equivalence proptest covers).
 //!
-//! There is one round loop. Its two entry points —
-//! [`route_interleaved`] (walk to the placement's goal peer, report a
-//! [`RouteResult`]) and [`probe_interleaved`] (walk to an exact key,
-//! report a [`ProbeOutcome`]) — differ only in how a walk closes, which
-//! the private `Walks` policy supplies at compile time.
+//! [`route_interleaved`] is the one entry point: every batch of greedy
+//! walks — [`crate::route::route_batch`]'s chunks and the simulator's
+//! measurement probes alike — walks to the placement's goal peer and
+//! reports a [`RouteResult`].
 //!
 //! # Arrival from the carried distance
 //!
-//! Both entry points see a walk arrive the way a peer would: its
-//! distance to the target is `0.0`. For the probe that is the
-//! definition. For the routing walk it is exact without ever resolving
-//! the goal peer up front. Placement keys are distinct and lie in
-//! `[0, 1)`, so [`Topology::distance`](sw_keyspace::Topology::distance)
-//! is `0.0` only between equal keys (`|t − p|` of distinct doubles is
-//! never zero, and below 1 the ring fold `1 − d` cannot be either). The
-//! peer at distance `0.0` is therefore the unique minimiser, which is
+//! A walk arrives the way a peer would see it: its distance to the
+//! target is `0.0`. That is exact without ever resolving the goal peer
+//! up front. Placement keys are distinct and lie in `[0, 1)`, so
+//! [`Topology::distance`](sw_keyspace::Topology::distance) is `0.0`
+//! only between equal keys (`|t − p|` of distinct doubles is never
+//! zero, and below 1 the ring fold `1 − d` cannot be either). The peer
+//! at distance `0.0` is therefore the unique minimiser, which is
 //! [`Placement::nearest`] of the target.
 //!
 //! A target that is no member's key is never reached at distance `0.0`.
@@ -138,86 +136,36 @@ struct Walk {
     path: Vec<NodeId>,
 }
 
-/// How a walk closes — all the two entry points disagree on.
-/// [`interleave`] is monomorphised per policy, so neither walk pays a
-/// per-hop branch for the other.
-trait Walks {
-    /// What a retired walk reports.
-    type Outcome;
-
-    /// True if a walk with budget `opts` ends at its source even short
-    /// of its target: the reference route spends its budget before each
-    /// hop, the probe after it.
-    fn ends_at_source(opts: &RouteOptions) -> bool;
-
-    /// The outcome of a walk that stops at `w.cur`, `w.cur_d` away from
-    /// its target.
-    fn close(&self, w: &mut Walk, opts: &RouteOptions) -> Self::Outcome;
-}
-
-/// The routing walk: ends at the placement-wide nearest peer to the
-/// target, like [`crate::route::greedy_route`].
-struct ToGoal<'a>(&'a Placement);
-
-impl Walks for ToGoal<'_> {
-    type Outcome = RouteResult;
-
-    fn ends_at_source(opts: &RouteOptions) -> bool {
-        opts.max_hops == 0
-    }
-
-    fn close(&self, w: &mut Walk, opts: &RouteOptions) -> RouteResult {
-        // Only a walk stopped away from its target asks for the goal
-        // (module docs); `[cur, cur + 1]` brackets it whenever it is `cur`.
-        let cur = w.cur as usize;
-        let success = w.cur_d == 0.0 || self.0.nearest_bracketed(w.target, cur, cur + 1) == w.cur;
-        let path = std::mem::take(&mut w.path);
-        finish_route(success, w.hops, path, w.from, w.cur, opts)
-    }
-}
-
-/// The measurement probe: ends on *exact arrival* (distance `0.0` to
-/// the target key), like the simulator's scalar `probe_walk`.
-struct ToKey;
-
-impl Walks for ToKey {
-    type Outcome = ProbeOutcome;
-
-    fn ends_at_source(_: &RouteOptions) -> bool {
-        false
-    }
-
-    fn close(&self, w: &mut Walk, _: &RouteOptions) -> ProbeOutcome {
-        ProbeOutcome {
-            final_node: w.cur,
-            hops: w.hops,
-        }
-    }
-}
-
-/// The round loop: keeps up to `width` walks of `queries` in flight
-/// over `table` (clamped to `1..=`[`MAX_INTERLEAVE`]) and returns their
-/// outcomes in input order. `keys` holds every peer's key: each walk's
-/// start distance, and the debug-build checks of every hop against the
-/// slice reference.
-fn interleave<P: Walks>(
+/// Routes a batch of independent greedy lookups through the interleaved
+/// kernel, keeping up to `width` walks in flight (clamped to
+/// `1..=`[`MAX_INTERLEAVE`]). Results come back in input order and are
+/// bit-identical to a sequential [`crate::route::greedy_route`] loop for
+/// every width.
+///
+/// This is a *single-threaded* kernel by design: [`crate::route::route_batch`]
+/// hands each worker thread a contiguous chunk and the kernel extracts
+/// memory-level parallelism within the chunk, so the two axes (threads ×
+/// in-flight walks) compose.
+pub fn route_interleaved(
+    placement: &Placement,
     table: &RouteTable,
-    metric: sw_keyspace::Topology,
-    keys: &[Key],
     queries: &[(NodeId, Key)],
     opts: &RouteOptions,
     width: usize,
-    policy: P,
-) -> Vec<P::Outcome> {
+) -> Vec<RouteResult> {
     // Hoist the flat arrays once — the round loop indexes raw slices
-    // with zero backend dispatch.
+    // with zero backend dispatch. `keys` gives each walk's start
+    // distance, and the debug-build checks of every hop against the
+    // slice reference.
+    let metric = placement.topology();
+    let keys = placement.keys();
     let store = table.store();
     let offsets = store.offsets();
     let edges = store.edges();
     let pos = store.edge_pos().expect("route table carries lanes");
     let width = width.clamp(1, MAX_INTERLEAVE);
 
-    let mut results: Vec<Option<P::Outcome>> = Vec::with_capacity(queries.len());
+    let mut results: Vec<Option<RouteResult>> = Vec::with_capacity(queries.len());
     results.resize_with(queries.len(), || None);
     let mut next_query = 0usize;
     let mut slots: Vec<Walk> = Vec::with_capacity(width);
@@ -257,6 +205,18 @@ fn interleave<P: Walks>(
         w.stage = Stage::Scan;
     };
 
+    // The result of a walk that stops at `w.cur`, `w.cur_d` away from
+    // its target. Only a walk stopped away from its target asks for the
+    // goal (module docs); `[cur, cur + 1]` brackets it whenever it is
+    // `cur`.
+    let close = |w: &mut Walk| -> RouteResult {
+        let cur = w.cur as usize;
+        let success =
+            w.cur_d == 0.0 || placement.nearest_bracketed(w.target, cur, cur + 1) == w.cur;
+        let path = std::mem::take(&mut w.path);
+        finish_route(success, w.hops, path, w.from, w.cur, opts)
+    };
+
     // Prime the pipeline.
     while slots.len() < width && next_query < queries.len() {
         slots.push(start(next_query));
@@ -269,11 +229,13 @@ fn interleave<P: Walks>(
         let mut i = 0;
         while i < slots.len() {
             let w = &mut slots[i];
-            let finished: Option<P::Outcome> = match w.stage {
+            let finished: Option<RouteResult> = match w.stage {
                 Stage::Open => {
                     w.cur_d = metric.distance(keys[w.from as usize], w.target);
-                    if w.cur_d == 0.0 || P::ends_at_source(opts) {
-                        Some(policy.close(w, opts))
+                    // The reference route spends its budget before each
+                    // hop, so a zero budget ends the walk at its source.
+                    if w.cur_d == 0.0 || opts.max_hops == 0 {
+                        Some(close(w))
                     } else {
                         fetch_row(w);
                         None
@@ -305,7 +267,7 @@ fn interleave<P: Walks>(
                     );
                     match step {
                         // Local minimum short of exact arrival.
-                        None => Some(policy.close(w, opts)),
+                        None => Some(close(w)),
                         Some((next, d)) => {
                             w.cur = next;
                             w.cur_d = d;
@@ -314,7 +276,7 @@ fn interleave<P: Walks>(
                                 w.path.push(next);
                             }
                             if d == 0.0 || w.hops >= opts.max_hops {
-                                Some(policy.close(w, opts))
+                                Some(close(w))
                             } else {
                                 prefetch_read(&offsets[next as usize]);
                                 prefetch_read(&offsets[next as usize + 1]);
@@ -347,70 +309,6 @@ fn interleave<P: Walks>(
         .into_iter()
         .map(|r| r.expect("every query retires exactly once"))
         .collect()
-}
-
-/// Routes a batch of independent greedy lookups through the interleaved
-/// kernel, keeping up to `width` walks in flight (clamped to
-/// `1..=`[`MAX_INTERLEAVE`]). Results come back in input order and are
-/// bit-identical to a sequential [`crate::route::greedy_route`] loop for
-/// every width.
-///
-/// This is a *single-threaded* kernel by design: [`crate::route::route_batch`]
-/// hands each worker thread a contiguous chunk and the kernel extracts
-/// memory-level parallelism within the chunk, so the two axes (threads ×
-/// in-flight walks) compose.
-pub fn route_interleaved(
-    placement: &Placement,
-    table: &RouteTable,
-    queries: &[(NodeId, Key)],
-    opts: &RouteOptions,
-    width: usize,
-) -> Vec<RouteResult> {
-    interleave(
-        table,
-        placement.topology(),
-        placement.keys(),
-        queries,
-        opts,
-        width,
-        ToGoal(placement),
-    )
-}
-
-/// Outcome of one interleaved measurement probe: where the walk ended
-/// and how many hops it took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeOutcome {
-    /// The peer the walk stopped at (the target iff it succeeded).
-    pub final_node: NodeId,
-    /// Greedy hops taken.
-    pub hops: u32,
-}
-
-/// The probe twin of [`route_interleaved`], used by the simulator's
-/// `probe_lookups`: walks terminate on *exact arrival* (distance `0.0`
-/// to the target key), a local minimum, or the hop budget — the
-/// semantics of the simulator's scalar `probe_walk` — rather than on
-/// reaching a placement-resolved goal peer. `keys[v]` is peer `v`'s
-/// key; the kernel reads it for each *source* peer's initial distance
-/// (the per-hop distances are carried from the scanned lanes, which
-/// hold the same bits).
-///
-/// Outcomes are in input order and bit-identical to the scalar loop for
-/// every `width`.
-pub fn probe_interleaved(
-    table: &RouteTable,
-    metric: sw_keyspace::Topology,
-    queries: &[(NodeId, Key)],
-    max_hops: u32,
-    width: usize,
-    keys: &[Key],
-) -> Vec<ProbeOutcome> {
-    let opts = RouteOptions {
-        max_hops,
-        record_path: false,
-    };
-    interleave(table, metric, keys, queries, &opts, width, ToKey)
 }
 
 #[cfg(test)]
@@ -503,21 +401,26 @@ mod tests {
         }
     }
 
+    /// A member target is reached exactly when the walk stands at
+    /// distance `0.0`, so the simulator's measurement probe — walk until
+    /// arrival, a local minimum or the budget, a loop of
+    /// [`RouteTable::step`] — is a plain batch route. A thinned table
+    /// makes local minima common.
     #[test]
     fn probe_matches_scalar_walk() {
-        let (o, table) = symphony(512, 13);
+        let (o, _) = symphony(512, 13);
         let pl = o.placement();
+        let thinned = o
+            .topology()
+            .filter_edges(|u, v| (u ^ v.rotate_left(16)) % 3 != 0);
+        let table = RouteTable::build(thinned, |v| pl.key(v).get());
         let mut rng = Rng::new(17);
-        let queries: Vec<(NodeId, Key)> = (0..400)
-            .map(|_| {
-                let from = rng.index(512) as NodeId;
-                let target = pl.key(rng.index(512) as NodeId);
-                (from, target)
-            })
-            .collect();
-        let max_hops = 20;
-        // Scalar reference: the simulator's probe_walk loop.
-        let scalar: Vec<ProbeOutcome> = queries
+        let queries = survey_queries(pl, 400, TargetModel::MemberKeys, &mut rng);
+        let opts = RouteOptions {
+            max_hops: 20,
+            record_path: false,
+        };
+        let scalar: Vec<RouteResult> = queries
             .iter()
             .map(|&(from, target)| {
                 let mut cur = from;
@@ -532,19 +435,17 @@ mod tests {
                     };
                     hops += 1;
                     cur = next;
-                    if hops >= max_hops {
+                    if hops >= opts.max_hops {
                         break;
                     }
                 }
-                ProbeOutcome {
-                    final_node: cur,
-                    hops,
-                }
+                let success = pl.key(cur) == target;
+                finish_route(success, hops, Vec::new(), from, cur, &opts)
             })
             .collect();
+        assert!(scalar.iter().any(|r| !r.success), "no walk stopped short");
         for width in [1, 4, 8, 32] {
-            let got =
-                probe_interleaved(&table, Topology::Ring, &queries, max_hops, width, pl.keys());
+            let got = route_interleaved(pl, &table, &queries, &opts, width);
             assert_eq!(got, scalar, "width={width}");
         }
     }

@@ -40,11 +40,11 @@ pub mod route;
 pub mod soa;
 pub mod symphony;
 
-pub use interleaved::{probe_interleaved, route_interleaved, ProbeOutcome, DEFAULT_INTERLEAVE};
+pub use interleaved::{route_interleaved, DEFAULT_INTERLEAVE};
 pub use placement::{Placement, PlacementError};
 pub use route::{
-    greedy_candidates, greedy_candidates_into, greedy_route, greedy_step, greedy_step_soa, Overlay,
-    RingView, RouteOptions, RouteResult, RoutingSurvey,
+    greedy_candidates_into, greedy_route, greedy_step, greedy_step_soa, Overlay, RingView,
+    RouteOptions, RouteResult, RoutingSurvey,
 };
 pub use soa::RouteTable;
 

@@ -47,15 +47,15 @@
 //!    loops, no bounds checks, distance arithmetic branch-free on the
 //!    data), the strict-`<` left-to-right fold preserving the reference
 //!    tie-break exactly. The same primitive is
-//!    [`RouteTable::step`](crate::soa::RouteTable::step), whose only
-//!    non-test caller is the simulator's scalar probe reference
-//!    (`Simulator::probe_walk`); the simulator's own per-message hop is
+//!    [`RouteTable::step`](crate::soa::RouteTable::step), the one-hop
+//!    form `overlay.step.ns` times; the simulator's measurement probes
+//!    are batches like any other, and its own per-message hop is
 //!    [`RingView::step`] (below).
 //!
 //! [`RingView`] — dynamic protocols route over borrowed per-peer views
 //! that mutate under churn, so there is nothing contiguous to scan —
 //! always goes through the slice-based [`greedy_step`] /
-//! [`greedy_candidates`] ([`RingView::step`] as its flat three-loop
+//! [`greedy_candidates_into`] ([`RingView::step`] as its flat three-loop
 //! form). Debug builds check every interleaved hop and every flat
 //! `RingView` step against [`greedy_step`] over the same row, and the
 //! equivalence proptests drive both kernels over the same workloads.
@@ -187,7 +187,8 @@ pub fn greedy_step(
 }
 
 /// The ranked generalization of [`greedy_step`]: *every* candidate that
-/// strictly improves on `cur_d`, sorted closest-first.
+/// strictly improves on `cur_d`, sorted closest-first, into `out`
+/// (cleared first).
 ///
 /// The head of the list is exactly what [`greedy_step`] returns (the
 /// sort is stable, so distance ties keep iteration order — the same
@@ -196,22 +197,9 @@ pub fn greedy_step(
 /// the 2nd/3rd-best contact after a timeout without re-asking the node
 /// that produced the list. Duplicate node ids in the candidate stream
 /// (a contact appearing as both successor and long link) are kept once,
-/// at their first position.
-pub fn greedy_candidates(
-    metric: sw_keyspace::Topology,
-    target: Key,
-    cur_d: f64,
-    candidates: impl IntoIterator<Item = (NodeId, Key)>,
-) -> Vec<(NodeId, f64)> {
-    let mut out: Vec<(NodeId, f64)> = Vec::new();
-    greedy_candidates_into(metric, target, cur_d, candidates, &mut out);
-    out
-}
-
-/// [`greedy_candidates`] into a caller-owned buffer (cleared first), so
-/// per-hop ladder construction — the hottest allocation site of the
-/// simulator's iterative mode — can reuse one buffer across calls.
-/// Result-identical to [`greedy_candidates`].
+/// at their first position. The buffer is the caller's so per-hop
+/// ladder construction — the hottest allocation site of the
+/// simulator's iterative mode — can reuse one across calls.
 pub fn greedy_candidates_into(
     metric: sw_keyspace::Topology,
     target: Key,
@@ -398,29 +386,10 @@ impl RingView<'_> {
         best
     }
 
-    /// [`greedy_candidates`] over this view: the full failover ladder a
-    /// node hands back to an iterative requester, closest-first. The
-    /// head agrees with [`RingView::step`] for the same arguments.
-    pub fn candidates(
-        &self,
-        metric: sw_keyspace::Topology,
-        target: Key,
-        cur_d: f64,
-        mut skip: impl FnMut(NodeId) -> bool,
-        mut key_of: impl FnMut(NodeId) -> Key,
-    ) -> Vec<(NodeId, f64)> {
-        greedy_candidates(
-            metric,
-            target,
-            cur_d,
-            self.contacts()
-                .filter(|&v| !skip(v))
-                .map(|v| (v, key_of(v))),
-        )
-    }
-
-    /// [`RingView::candidates`] into a caller-owned buffer (cleared
-    /// first) — see [`greedy_candidates_into`].
+    /// [`greedy_candidates_into`] over this view, skipping the contacts
+    /// `skip` names: the full failover ladder a node hands back to an
+    /// iterative requester, closest-first, into `out` (cleared first).
+    /// The head agrees with [`RingView::step`] for the same arguments.
     pub fn candidates_into(
         &self,
         metric: sw_keyspace::Topology,
@@ -877,6 +846,7 @@ mod tests {
     #[test]
     fn candidates_head_agrees_with_greedy_step_and_is_sorted() {
         let mut rng = Rng::new(23);
+        let mut ranked = Vec::new();
         for _ in 0..200 {
             let n = 3 + rng.index(40);
             let cands: Vec<(NodeId, Key)> = (0..n)
@@ -885,7 +855,13 @@ mod tests {
             let target = Key::clamped(rng.f64());
             let cur_d = rng.f64();
             let step = greedy_step(Topology::Ring, target, cur_d, cands.iter().copied());
-            let ranked = greedy_candidates(Topology::Ring, target, cur_d, cands.iter().copied());
+            greedy_candidates_into(
+                Topology::Ring,
+                target,
+                cur_d,
+                cands.iter().copied(),
+                &mut ranked,
+            );
             assert_eq!(
                 step,
                 ranked.first().copied(),
@@ -925,7 +901,14 @@ mod tests {
         let k = Key::new(0.25).unwrap();
         let target = Key::new(0.3).unwrap();
         // Node 1 appears twice (successor *and* long link); keep it once.
-        let ranked = greedy_candidates(Topology::Ring, target, 0.5, [(1, k), (1, k), (2, k)]);
+        let mut ranked = Vec::new();
+        greedy_candidates_into(
+            Topology::Ring,
+            target,
+            0.5,
+            [(1, k), (1, k), (2, k)],
+            &mut ranked,
+        );
         assert_eq!(ranked.len(), 2);
         assert_eq!(ranked[0].0, 1);
         assert_eq!(ranked[1].0, 2);
@@ -945,7 +928,15 @@ mod tests {
         let cur_d = Topology::Ring.distance(keys[0], target);
         let key_of = |v: NodeId| keys[v as usize];
         let step = view.step(Topology::Ring, target, cur_d, 0, &[], key_of);
-        let ranked = view.candidates(Topology::Ring, target, cur_d, |v| v == 0, key_of);
+        let mut ranked = Vec::new();
+        view.candidates_into(
+            Topology::Ring,
+            target,
+            cur_d,
+            |v| v == 0,
+            key_of,
+            &mut ranked,
+        );
         assert_eq!(step, ranked.first().copied());
         assert_eq!(ranked[0].0, 6, "the long link straight to the target wins");
         // Excluding the winner hands the step to the runner-up: 7 and 5

@@ -9,11 +9,11 @@
 //! through a random-access key array. [`crate::route::greedy_step_soa`]
 //! does the scan with constant-trip-count, bounds-check-free inner
 //! loops; it is the per-hop decision of the interleaved batch kernel
-//! ([`crate::interleaved`]) and of [`RouteTable::step`], the one-hop
-//! form the simulator's scalar probe reference (`Simulator::probe_walk`)
-//! walks with. The simulator's own per-message hop is
-//! [`RingView::step`](crate::route::RingView::step) over its live
-//! per-peer views.
+//! ([`crate::interleaved`]), which routes the simulator's measurement
+//! probes too, and of [`RouteTable::step`], the one-hop form
+//! `benchmark/` times as `overlay.step.ns`. The simulator's own
+//! per-message hop is [`RingView::step`](crate::route::RingView::step)
+//! over its live per-peer views.
 //!
 //! The table is a thin `Arc` handle over one [`Topology`] image that
 //! carries the edge lane, so the same frozen lanes are shared (not
@@ -111,7 +111,9 @@ impl RouteTable {
     /// One chunked greedy step at peer `u` toward `target`: the contact
     /// strictly closer than `cur_d` with minimal distance (earliest on
     /// exact ties), or `None` at a local minimum. Bit-identical to the
-    /// slice-based reference over the same row.
+    /// slice-based reference over the same row. A whole walk goes
+    /// through [`route_interleaved`](crate::interleaved::route_interleaved);
+    /// this one-hop form is what `overlay.step.ns` prices.
     #[inline]
     pub fn step(
         &self,

@@ -13,10 +13,7 @@ use sw_keyspace::{Key, Rng, Topology};
 use sw_overlay::pgrid::{PGridLike, SplitPolicy};
 use sw_overlay::route::{route_batch, RouteOptions, RouteResult};
 use sw_overlay::symphony::Symphony;
-use sw_overlay::{
-    greedy_route, probe_interleaved, route_interleaved, Overlay, Placement, ProbeOutcome,
-    RouteTable,
-};
+use sw_overlay::{greedy_route, route_interleaved, Overlay, Placement, RouteTable};
 
 /// A workload mixing the shapes that stress the retire/refill machinery:
 /// ordinary member lookups, self-routes (retire at start, before ever
@@ -170,62 +167,6 @@ proptest! {
         let want = reference_loop(&p, o.topology(), &workload, &opts);
         let wrapped = InterleavedOverlay { inner: &o, table: &table, width };
         let got = route_batch(&wrapped, &workload, &opts, threads);
-        prop_assert_eq!(got, want);
-    }
-
-    /// The probe twin: `probe_interleaved` matches the scalar
-    /// walk-until-{arrival, local minimum, budget} loop for any width,
-    /// including zero-distance starts and filtered (degraded) tables.
-    #[test]
-    fn probe_interleaved_matches_scalar_walk(
-        seed in any::<u64>(),
-        n in 32usize..128,
-        drop in 0.0f64..0.8,
-        width in 1usize..40,
-        max_hops in 0u32..40,
-    ) {
-        let mut rng = Rng::new(seed);
-        let p = Placement::sample(n, &Uniform, Topology::Ring, &mut rng);
-        let o = Symphony::build(p.clone(), 3, true, &mut rng);
-        // A filtered topology stands in for the simulator's alive-only
-        // snapshot: local minima become common.
-        let filtered = o.topology().filter_edges(|u, v| {
-            let h = (u ^ v.rotate_left(16)).wrapping_mul(2654435761) % 1000;
-            (h as f64 / 1000.0) >= drop
-        });
-        let table = RouteTable::build(filtered, |v| p.key(v).get());
-        let workload: Vec<(NodeId, Key)> = (0..100)
-            .map(|_| {
-                let from = rng.index(n) as NodeId;
-                match rng.index(3) {
-                    0 => (from, p.key(from)), // d == 0 at the start
-                    _ => (from, p.key(rng.index(n) as NodeId)),
-                }
-            })
-            .collect();
-        let want: Vec<ProbeOutcome> = workload
-            .iter()
-            .map(|&(from, target)| {
-                let mut cur = from;
-                let mut hops = 0u32;
-                loop {
-                    let d = Topology::Ring.distance(p.key(cur), target);
-                    if d == 0.0 {
-                        break;
-                    }
-                    let Some((next, _)) = table.step(Topology::Ring, cur, target, d) else {
-                        break;
-                    };
-                    hops += 1;
-                    cur = next;
-                    if hops >= max_hops {
-                        break;
-                    }
-                }
-                ProbeOutcome { final_node: cur, hops }
-            })
-            .collect();
-        let got = probe_interleaved(&table, Topology::Ring, &workload, max_hops, width, p.keys());
         prop_assert_eq!(got, want);
     }
 }

@@ -29,7 +29,8 @@ use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::stats::OnlineStats;
 use sw_keyspace::Topology as Metric;
 use sw_keyspace::{Key, Rng};
-use sw_overlay::Placement;
+use sw_overlay::route::{RouteOptions, RouteResult};
+use sw_overlay::{greedy_route, route_interleaved, Placement, RouteTable, DEFAULT_INTERLEAVE};
 
 /// Churn intensity: Poisson arrival rates (events per virtual second).
 /// Failure victims are drawn uniformly over alive *peers*: machines do
@@ -292,12 +293,6 @@ enum Stepped {
         next: u32,
         flight: SimTime,
     },
-}
-
-/// Outcome of one synchronous probe walk (measurement only).
-struct WalkOutcome {
-    final_node: u32,
-    hops: u32,
 }
 
 /// RNG stream indices for the generator processes.
@@ -751,109 +746,83 @@ impl Simulator {
     /// advancing the clock or touching the workload metrics. Returns
     /// (success rate, hop stats).
     ///
-    /// The probe pairs are drawn up front and the walks (deterministic
-    /// given the frozen views) evaluated through the batched parallel
-    /// path, so the result is independent of worker-thread count.
+    /// The probe pairs are drawn up front, and the live contact state is
+    /// frozen once, by key rank, into a placement and a [`RouteTable`]
+    /// (`probe_routes`). Every probe is then a plain batch route
+    /// ([`route_interleaved`]) over that snapshot, so the result is
+    /// independent of worker-thread count.
     pub fn probe_lookups(&mut self, queries: usize) -> (f64, OnlineStats) {
-        let mut rng = self.rng.fork();
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(queries);
-        for _ in 0..queries {
-            match (self.random_alive(&mut rng), self.random_alive(&mut rng)) {
-                (Some(a), Some(b)) => pairs.push((a, b)),
-                _ => break,
-            }
-        }
-        // One shared SoA snapshot for the whole batch: every worker
-        // scans the same Arc'd key-aligned lanes instead of re-walking
-        // per-node views (and re-filtering dead contacts) per probe.
-        let table = self.route_table_snapshot();
-        let threads = self.cfg.parallelism;
-        // The alive set is frozen for the whole probe batch, so the hop
-        // budget is one constant here.
-        let max_hops = self.hop_budget();
-        let this = &*self;
-        let queries: Vec<(u32, Key)> = pairs
-            .iter()
-            .map(|&(from, target_id)| (from, this.keys[target_id as usize]))
-            .collect();
-        // Each worker drives its contiguous chunk through the AMAC
-        // interleaved probe kernel; the scalar probe_walk stays as the
-        // per-outcome reference the debug build checks against.
-        let chunk_outcomes = par::par_chunks_grained(pairs.len(), threads, 64, |r| {
-            let outcomes = sw_overlay::probe_interleaved(
-                &table,
-                Metric::Ring,
-                &queries[r.clone()],
-                max_hops,
-                sw_overlay::DEFAULT_INTERLEAVE,
-                &this.keys,
-            );
-            debug_assert!(
-                r.clone().zip(outcomes.iter()).all(|(i, o)| {
-                    let (from, target) = queries[i];
-                    let w = this.probe_walk(&table, from, target, max_hops);
-                    (w.final_node, w.hops) == (o.final_node, o.hops)
-                }),
-                "interleaved probes must match the scalar walk"
-            );
-            outcomes
-        });
+        let (_, _, _, routes) = self.probe_routes(queries);
         let mut hops = OnlineStats::new();
         let mut ok = 0usize;
-        let mut idx = 0usize;
-        // Aggregate in pair order so the stats are chunk-independent.
-        for chunk in chunk_outcomes {
-            for o in chunk {
-                let (_, target_id) = pairs[idx];
-                idx += 1;
-                if o.final_node == target_id {
-                    ok += 1;
-                    hops.push(o.hops as f64);
-                }
-            }
+        // Aggregate in draw order so the stats are chunk-independent.
+        for r in routes.iter().filter(|r| r.success) {
+            ok += 1;
+            hops.push(r.hops as f64);
         }
         // Divide by the pairs actually drawn: when the alive set runs
         // dry the early break used to leave `queries` in the
         // denominator, biasing the rate downward.
-        (ok as f64 / pairs.len().max(1) as f64, hops)
+        (ok as f64 / routes.len().max(1) as f64, hops)
     }
 
-    /// Freezes the current *live* routing state (successor lists, pred
-    /// and long links of alive peers, dead contacts filtered) into a CSR
-    /// [`Topology`] over stable node ids, rows sorted, the image
-    /// [`Simulator::route_table_snapshot`] gathers its lanes beside.
-    pub fn topology_snapshot(&self) -> Topology {
-        let mut lt = LinkTable::new(self.nodes.len());
-        for (id, node) in self.nodes.iter().enumerate() {
-            if !node.alive {
-                continue;
+    /// [`Simulator::probe_lookups`]'s walks. Up to `queries` (source,
+    /// target) pairs of alive peers are drawn from a fork of the engine's
+    /// stream. The snapshot is the alive peers by key rank: a placement
+    /// of their keys, and a route table whose row `r` is the pred,
+    /// successors and long links of the peer at rank `r`, over ranks
+    /// (`rank_rows`). Each worker routes one contiguous chunk of the
+    /// pairs through the batch kernel. Returns the snapshot, the queries
+    /// over ranks and their routes, in draw order.
+    fn probe_routes(
+        &mut self,
+        queries: usize,
+    ) -> (Placement, RouteTable, Vec<(u32, Key)>, Vec<RouteResult>) {
+        let mut rng = self.rng.fork();
+        let (rank, topo) = self.rank_rows(|id| {
+            let node = &self.nodes[id as usize];
+            let long = long_links(&self.links, id);
+            node.pred
+                .into_iter()
+                .chain(node.succ.iter().copied())
+                .chain(long.iter().copied())
+        });
+        let keys = self.alive.keys().copied().collect();
+        let placement = Placement::from_keys(keys, Metric::Ring, self.dist.name())
+            .expect("the engine keeps at least 8 peers, with distinct keys");
+        let table = RouteTable::build(topo, |v| placement.key(v).get());
+        let mut probes = Vec::with_capacity(queries);
+        for _ in 0..queries {
+            match (self.random_alive(&mut rng), self.random_alive(&mut rng)) {
+                (Some(a), Some(b)) => probes.push((rank[a as usize], self.keys[b as usize])),
+                _ => break,
             }
-            let u = id as u32;
-            let alive = |v: &u32| self.nodes[*v as usize].alive;
-            if let Some(p) = node.pred.as_ref().filter(|v| alive(v)) {
-                lt.add(u, *p);
-            }
-            lt.add_all(u, node.succ.iter().filter(|v| alive(v)).copied());
-            lt.add_all(
-                u,
-                long_links(&self.links, u)
-                    .iter()
-                    .filter(|v| alive(v))
-                    .copied(),
-            );
         }
-        lt.build()
-    }
-
-    /// [`Simulator::topology_snapshot`] plus the key-aligned SoA lanes:
-    /// the frozen live state as a [`RouteTable`](sw_overlay::RouteTable)
-    /// whose backing store is shared via `Arc` — measurement probes,
-    /// metrics readers and external consumers all scan the *same* frozen
-    /// lanes, none re-freezes its own copy.
-    pub fn route_table_snapshot(&self) -> sw_overlay::RouteTable {
-        let topo = self.topology_snapshot();
-        let keys = &self.keys;
-        sw_overlay::RouteTable::build(topo, |v| keys[v as usize].get())
+        // The alive set is frozen for the whole probe batch, so the hop
+        // budget is one constant here.
+        let opts = RouteOptions {
+            max_hops: self.hop_budget(),
+            record_path: false,
+        };
+        let chunks = par::par_chunks_grained(probes.len(), self.cfg.parallelism, 64, |r| {
+            let routes = route_interleaved(
+                &placement,
+                &table,
+                &probes[r.clone()],
+                &opts,
+                DEFAULT_INTERLEAVE,
+            );
+            debug_assert!(
+                r.zip(&routes).all(|(i, got)| {
+                    let (from, target) = probes[i];
+                    *got == greedy_route(&placement, table.store(), from, target, &opts)
+                }),
+                "probes must route like greedy_route over the snapshot"
+            );
+            routes
+        });
+        let routes = chunks.into_iter().flatten().collect();
+        (placement, table, probes, routes)
     }
 
     /// The live overlay in the form [`converged_overlay`] returns and
@@ -865,18 +834,30 @@ impl Simulator {
     /// grown network under the builder's contact rule. Before any event
     /// this is the t = 0 draw itself.
     pub fn live_overlay(&self) -> (Vec<Key>, Topology) {
+        let (_, topo) = self.rank_rows(|id| long_links(&self.links, id).iter().copied());
+        (self.alive.keys().copied().collect(), topo)
+    }
+
+    /// The alive peers re-indexed by key rank, the form both the probe
+    /// snapshot and [`Simulator::live_overlay`] read the live state in.
+    /// Returns `rank[id]` (`u32::MAX` for a dead peer) and the CSR whose
+    /// row `r` is `row_of(id)` of the peer at rank `r`, over ranks: dead
+    /// targets dropped, and self links and repeats too ([`LinkTable`]),
+    /// each row sorted.
+    fn rank_rows<I: IntoIterator<Item = u32>>(
+        &self,
+        row_of: impl Fn(u32) -> I,
+    ) -> (Vec<u32>, Topology) {
         let mut rank = vec![u32::MAX; self.nodes.len()];
         for (r, &id) in self.alive.values().enumerate() {
             rank[id as usize] = r as u32;
         }
         let mut lt = LinkTable::new(self.alive.len());
         for (r, &id) in self.alive.values().enumerate() {
-            let row = long_links(&self.links, id)
-                .iter()
-                .map(|&v| rank[v as usize]);
+            let row = row_of(id).into_iter().map(|v| rank[v as usize]);
             lt.add_all(r as u32, row.filter(|&v| v != u32::MAX));
         }
-        (self.alive.keys().copied().collect(), lt.build())
+        (rank, lt.build())
     }
 
     // ----- event dispatch -------------------------------------------
@@ -1223,7 +1204,7 @@ impl Simulator {
     /// Ranked next-hop candidates at `at` toward `target`, from `at`'s
     /// local view, with the walk's exclusions applied — the failover
     /// ladder an iterative frontier hands back (shared
-    /// `sw_overlay::greedy_candidates` via [`sw_overlay::RingView`]).
+    /// `sw_overlay::greedy_candidates_into` via [`sw_overlay::RingView`]).
     fn ranked_candidates(&mut self, at: u32, target: Key, excluded: &[u32]) -> Vec<u32> {
         let mut buf = std::mem::take(&mut self.cand_scratch);
         let node = &self.nodes[at as usize];
@@ -3061,44 +3042,6 @@ impl Simulator {
         node.succ = succ;
         node.pred = pred;
     }
-
-    /// One *synchronous* greedy walk over the frozen SoA snapshot — the
-    /// measurement probe path only (probes freeze time; workload walks
-    /// go through the message plane over live [`sw_overlay::RingView`]s).
-    ///
-    /// The snapshot already filters dead contacts and self-loops, so
-    /// scanning its key-aligned lanes selects exactly the contact the
-    /// old view-plus-exclusion walk selected (greedy over "view minus
-    /// dead" ≡ greedy over the alive-only row), without a `HashSet` or a
-    /// per-candidate key gather.
-    fn probe_walk(
-        &self,
-        table: &sw_overlay::RouteTable,
-        from: u32,
-        target: Key,
-        max_hops: u32,
-    ) -> WalkOutcome {
-        let mut cur = from;
-        let mut hops = 0u32;
-        loop {
-            let cur_d = Metric::Ring.distance(self.keys[cur as usize], target);
-            if cur_d == 0.0 {
-                break;
-            }
-            let Some((next, _)) = table.step(Metric::Ring, cur, target, cur_d) else {
-                break; // local minimum in the frozen view
-            };
-            hops += 1;
-            cur = next;
-            if hops >= max_hops {
-                break;
-            }
-        }
-        WalkOutcome {
-            final_node: cur,
-            hops,
-        }
-    }
 }
 
 /// `id`'s long-link row. Always slice-backed: the simulator only ever
@@ -3288,48 +3231,86 @@ mod tests {
         assert!(hops.mean() > 0.0);
     }
 
+    /// The probe snapshot under churn 4/s: one row per alive peer, by
+    /// key rank; every alive peer keeps a contact; each row is exactly
+    /// the peer's alive pred, successors and long links as ranks, in
+    /// range and never itself; and each lane entry is that contact's key,
+    /// bit for bit.
     #[test]
-    fn route_table_snapshot_lanes_align_with_topology() {
-        let cfg = SimConfig {
-            churn: ChurnConfig::symmetric(4.0),
-            ..quiet_config(12, 256)
-        };
-        let mut sim = Simulator::new(cfg, Arc::new(Uniform));
-        sim.run_until(SimTime::from_secs(45));
-        let topo = sim.topology_snapshot();
-        let table = sim.route_table_snapshot();
-        assert_eq!(table.len(), topo.len());
-        assert_eq!(table.edge_count(), topo.edge_count());
-        for u in 0..topo.len() as u32 {
-            let (ids, pos) = table.row(u);
-            assert_eq!(ids, topo.neighbors(u));
-            for (&v, &p) in ids.iter().zip(pos) {
-                assert_eq!(p.to_bits(), sim.keys[v as usize].get().to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn topology_snapshot_is_alive_only_and_wired() {
+    fn probe_snapshot_rows_are_alive_contacts_by_rank() {
         let cfg = SimConfig {
             churn: ChurnConfig::symmetric(4.0),
             ..quiet_config(11, 256)
         };
         let mut sim = Simulator::new(cfg, Arc::new(Uniform));
         sim.run_until(SimTime::from_secs(60));
-        let topo = sim.topology_snapshot();
-        assert_eq!(topo.len(), sim.nodes.len());
-        for (id, node) in sim.nodes.iter().enumerate() {
-            if node.alive {
+        let (placement, table, _, _) = sim.probe_routes(0);
+        let ids: Vec<u32> = sim.alive.values().copied().collect();
+        assert_eq!((table.len(), placement.len()), (ids.len(), ids.len()));
+        for (r, &id) in ids.iter().enumerate() {
+            assert_eq!(placement.key(r as u32), sim.keys[id as usize]);
+            let (row, lane) = table.row(r as u32);
+            assert!(!row.is_empty(), "alive peer {id} has no live contacts");
+            let node = &sim.nodes[id as usize];
+            let mut live: Vec<u32> = node
+                .pred
+                .iter()
+                .chain(node.succ.iter())
+                .chain(long_links(&sim.links, id))
+                .copied()
+                .filter(|&v| v != id && sim.nodes[v as usize].alive)
+                .collect();
+            live.sort_unstable();
+            live.dedup();
+            let mut got = Vec::new();
+            for (&v, &p) in row.iter().zip(lane) {
                 assert!(
-                    topo.out_degree(id as u32) >= 1,
-                    "alive peer {id} has no live contacts"
+                    (v as usize) < ids.len() && v != r as u32,
+                    "row {r} names itself or an out-of-range rank"
                 );
-            } else {
-                assert_eq!(topo.out_degree(id as u32), 0, "dead peer {id} has edges");
+                let peer = ids[v as usize];
+                assert_eq!(p.to_bits(), sim.keys[peer as usize].get().to_bits());
+                got.push(peer);
             }
-            for &v in topo.neighbors(id as u32) {
-                assert!(sim.nodes[v as usize].alive, "edge to dead peer");
+            got.sort_unstable();
+            assert_eq!(got, live, "row {r}: not the peer's alive contacts");
+        }
+    }
+
+    /// Every probe routes as [`greedy_route`] does over the same
+    /// snapshot, with maintained and unmaintained churn over uniform and
+    /// Pareto keys. Debug builds check this inside `probe_routes`; this
+    /// test holds it in release, the build `benchmark/` times.
+    #[test]
+    fn probes_route_like_greedy_route_over_the_live_snapshot() {
+        let dists: [Arc<dyn KeyDistribution>; 2] = [
+            Arc::new(Uniform),
+            Arc::new(TruncatedPareto::new(1.5, 0.01).unwrap()),
+        ];
+        for dist in dists {
+            for maintained in [true, false] {
+                let interval = |secs| maintained.then(|| SimTime::from_secs(secs));
+                let cfg = SimConfig {
+                    churn: ChurnConfig::symmetric(4.0),
+                    stabilize_interval: interval(5),
+                    refresh_interval: interval(30),
+                    ..quiet_config(14, 512)
+                };
+                let mut sim = Simulator::new(cfg, dist.clone());
+                sim.run_until(SimTime::from_secs(60));
+                let (placement, table, probes, routes) = sim.probe_routes(1000);
+                assert_eq!(routes.len(), 1000);
+                let opts = RouteOptions {
+                    max_hops: sim.hop_budget(),
+                    record_path: false,
+                };
+                for (&(from, target), got) in probes.iter().zip(&routes) {
+                    let want = greedy_route(&placement, table.store(), from, target, &opts);
+                    assert_eq!(*got, want, "probe {from} → {target:?}");
+                }
+                if !maintained {
+                    assert!(routes.iter().any(|r| !r.success), "no probe failed");
+                }
             }
         }
     }

@@ -157,7 +157,7 @@
 //! protocol: experiment E10 grows its networks here and reads them back
 //! through [`Simulator::live_overlay`].
 //! Contact selection everywhere is the one shared
-//! [`sw_overlay::greedy_step`] / [`sw_overlay::greedy_candidates`]
+//! [`sw_overlay::greedy_step`] / [`sw_overlay::greedy_candidates_into`]
 //! implementation, through [`sw_overlay::RingView`].
 //!
 //! ## Queueing and congestion
@@ -267,19 +267,19 @@
 //!   how work is chunked, never what is computed.
 //!
 //! Measurement probes ([`Simulator::probe_lookups`],
-//! [`Simulator::topology_snapshot`],
-//! [`Simulator::route_table_snapshot`], [`Simulator::live_overlay`])
-//! read the *live* state at frozen time and never touch the plane or
-//! the workload metrics. A probe
-//! batch freezes the live contact state **once** into a key-aligned SoA
-//! [`sw_overlay::RouteTable`] (CSR rows + contiguous per-edge ring
-//! positions, shared via `Arc` with `topology_snapshot` consumers), and
-//! every probe walk scans those frozen lanes through the chunked greedy
-//! kernel — the same code path large-`n` static routing uses
-//! (`benchmark/`'s `route_static` workload). The
-//! in-flight plane walks keep routing over live [`sw_overlay::RingView`]s
-//! (their views mutate under churn mid-walk, which is the point), with
-//! contact selection bit-identical between the two paths.
+//! [`Simulator::live_overlay`]) read the *live* state at frozen time
+//! and never touch the plane or the workload metrics. Both read it by
+//! key rank: the alive peers' keys ascending, and each peer's contacts
+//! as ranks, dead ones dropped. A probe batch freezes the pred,
+//! successors and long links of every alive peer **once** into a
+//! placement and a key-aligned SoA [`sw_overlay::RouteTable`], and
+//! routes every probe with [`sw_overlay::route_interleaved`] — the
+//! batch kernel static routing uses (`benchmark/`'s `route_static`
+//! workload), so a probe is exactly [`sw_overlay::greedy_route`] over
+//! the snapshot. The in-flight plane walks keep routing over live
+//! [`sw_overlay::RingView`]s (their views mutate under churn mid-walk,
+//! which is the point), with contact selection bit-identical between
+//! the two paths.
 
 pub mod engine;
 pub mod latency;

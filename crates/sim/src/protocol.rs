@@ -47,8 +47,8 @@
 //!    next contact from its local view (shared
 //!    `sw_overlay::greedy_step`) and sends a `Hop`; in iterative mode
 //!    the requester sends a `NextHopQuery` to its chosen frontier,
-//!    which ranks its candidates with `sw_overlay::greedy_candidates`
-//!    and replies.
+//!    which ranks its candidates with
+//!    `sw_overlay::greedy_candidates_into` and replies.
 //! 3. **Timeouts** — a contact that died while a message was in flight
 //!    costs the sender/requester the timeout penalty and is excluded;
 //!    recursive mode re-steps at the sender, iterative mode fails over
