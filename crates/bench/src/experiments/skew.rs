@@ -2,11 +2,12 @@
 
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, pm, Table};
+use sw_core::routing::{mass_key, mass_placement};
 use sw_core::{theory, SmallWorldBuilder};
 use sw_graph::NodeId;
 use sw_keyspace::distribution::{standard_suite, TruncatedPareto, Uniform};
 use sw_keyspace::stats::OnlineStats;
-use sw_keyspace::{Key, Rng, Topology};
+use sw_keyspace::{Rng, Topology};
 use sw_overlay::chord::{Chord, RandomizedChord};
 use sw_overlay::mercury::Mercury;
 use sw_overlay::pastry::PastryLike;
@@ -210,18 +211,7 @@ pub fn e15_routing_metric(ctx: &Ctx) {
             .distribution(dist)
             .build(&mut rng)
             .expect("n >= 4");
-        let normalized = Placement::from_keys(
-            (0..n as NodeId)
-                .map(|u| Key::clamped(net.normalized_position(u)))
-                .collect(),
-            net.placement().topology(),
-            "normalized",
-        )
-        .expect("F̂ is strictly monotone on the support");
-        assert!(
-            (0..n as NodeId).all(|u| normalized.key(u) == Key::clamped(net.normalized_position(u))),
-            "normalizing reordered the peers"
-        );
+        let normalized = mass_placement(&net);
         let opts = RouteOptions {
             record_path: false,
             ..RouteOptions::for_n(n)
@@ -232,7 +222,7 @@ pub fn e15_routing_metric(ctx: &Ctx) {
             let from = rng.index(n) as NodeId;
             let to = rng.index(n) as NodeId;
             let t = net.placement().key(to);
-            let mass_t = Key::clamped(net.assumed().cdf(t.get()));
+            let mass_t = mass_key(&net, t);
             let a = greedy_route(net.placement(), net.topology(), from, t, &opts);
             let b = greedy_route(&normalized, net.topology(), from, mass_t, &opts);
             if a.success {

@@ -34,6 +34,8 @@
 //!   (long links + the full contact table), so a fixed seed produces a
 //!   bit-identical network at any thread count. Batched lookups go
 //!   through `sw_overlay::route::route_batch`.
+//! * [`routing`] — greedy routing by mass: the normalized space R′
+//!   that Theorem 2's proof routes in, the ablation of E15.
 //! * [`partition`] — the `log2 N`-partition machinery of Theorem 1's
 //!   proof: empirical `P_next` and `E[X_j]` (E2, E6).
 //! * [`theory`] — closed-form constants and bounds from the proofs.
@@ -46,6 +48,7 @@ pub mod estimate;
 pub mod links;
 pub mod network;
 pub mod partition;
+pub mod routing;
 pub mod theory;
 
 pub use builder::{ArenaBuild, BuildError, BuildProfile, SmallWorldBuilder};

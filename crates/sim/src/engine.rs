@@ -3231,13 +3231,38 @@ mod tests {
         assert!(hops.mean() > 0.0);
     }
 
-    /// The probe snapshot under churn 4/s: one row per alive peer, by
+    /// The probe snapshot's route table under churn 4/s: one row per
+    /// alive peer, by key rank, as in its placement; each lane entry is
+    /// that contact's key, bit for bit, and the placement's key at that
+    /// rank.
+    #[test]
+    fn route_table_snapshot_lanes_align_with_topology() {
+        let cfg = SimConfig {
+            churn: ChurnConfig::symmetric(4.0),
+            ..quiet_config(12, 256)
+        };
+        let mut sim = Simulator::new(cfg, Arc::new(Uniform));
+        sim.run_until(SimTime::from_secs(45));
+        let (placement, table, _, _) = sim.probe_routes(0);
+        let ids: Vec<u32> = sim.alive.values().copied().collect();
+        assert_eq!((table.len(), placement.len()), (ids.len(), ids.len()));
+        for r in 0..table.len() as u32 {
+            let (row, lane) = table.row(r);
+            assert_eq!(row.len(), lane.len());
+            for (&v, &p) in row.iter().zip(lane) {
+                let peer = ids[v as usize];
+                assert_eq!(p.to_bits(), sim.keys[peer as usize].get().to_bits());
+                assert_eq!(p.to_bits(), placement.key(v).get().to_bits());
+            }
+        }
+    }
+
+    /// The probe snapshot under churn 4/s holds the alive peers only, by
     /// key rank; every alive peer keeps a contact; each row is exactly
     /// the peer's alive pred, successors and long links as ranks, in
-    /// range and never itself; and each lane entry is that contact's key,
-    /// bit for bit.
+    /// range and never itself.
     #[test]
-    fn probe_snapshot_rows_are_alive_contacts_by_rank() {
+    fn topology_snapshot_is_alive_only_and_wired() {
         let cfg = SimConfig {
             churn: ChurnConfig::symmetric(4.0),
             ..quiet_config(11, 256)
@@ -3246,10 +3271,12 @@ mod tests {
         sim.run_until(SimTime::from_secs(60));
         let (placement, table, _, _) = sim.probe_routes(0);
         let ids: Vec<u32> = sim.alive.values().copied().collect();
+        assert!(ids.iter().all(|&id| sim.nodes[id as usize].alive));
+        assert_eq!(ids.len(), sim.nodes.iter().filter(|n| n.alive).count());
         assert_eq!((table.len(), placement.len()), (ids.len(), ids.len()));
         for (r, &id) in ids.iter().enumerate() {
             assert_eq!(placement.key(r as u32), sim.keys[id as usize]);
-            let (row, lane) = table.row(r as u32);
+            let (row, _) = table.row(r as u32);
             assert!(!row.is_empty(), "alive peer {id} has no live contacts");
             let node = &sim.nodes[id as usize];
             let mut live: Vec<u32> = node
@@ -3263,14 +3290,12 @@ mod tests {
             live.sort_unstable();
             live.dedup();
             let mut got = Vec::new();
-            for (&v, &p) in row.iter().zip(lane) {
+            for &v in row {
                 assert!(
                     (v as usize) < ids.len() && v != r as u32,
                     "row {r} names itself or an out-of-range rank"
                 );
-                let peer = ids[v as usize];
-                assert_eq!(p.to_bits(), sim.keys[peer as usize].get().to_bits());
-                got.push(peer);
+                got.push(ids[v as usize]);
             }
             got.sort_unstable();
             assert_eq!(got, live, "row {r}: not the peer's alive contacts");

@@ -372,6 +372,7 @@ fn hop_distribution_is_insensitive_to_skew() {
 /// its `--quick` n = 2⁹.)
 #[test]
 fn key_space_and_mass_space_greedy_agree() {
+    use smallworld::core::routing::{mass_key, mass_placement};
     use smallworld::overlay::route::{greedy_route, RouteOptions};
     let n = 1usize << 11;
     let opts = RouteOptions::for_n(n);
@@ -382,19 +383,12 @@ fn key_space_and_mass_space_greedy_agree() {
             .distribution(dist)
             .build(&mut rng)
             .unwrap();
-        let normalized = smallworld::overlay::Placement::from_keys(
-            (0..n as u32)
-                .map(|u| Key::clamped(net.normalized_position(u)))
-                .collect(),
-            net.placement().topology(),
-            "normalized",
-        )
-        .unwrap();
+        let normalized = mass_placement(&net);
         let (mut by_key, mut by_mass) = (0u32, 0u32);
         for _ in 0..1500 {
             let from = rng.index(n) as u32;
             let t = net.placement().key(rng.index(n) as u32);
-            let mass_t = Key::clamped(net.assumed().cdf(t.get()));
+            let mass_t = mass_key(&net, t);
             let a = greedy_route(net.placement(), net.topology(), from, t, &opts);
             let b = greedy_route(&normalized, net.topology(), from, mass_t, &opts);
             assert!(a.success && b.success, "{name}: {from} → {t:?}");
