@@ -268,6 +268,7 @@ pub fn e7_link_loss(ctx: &Ctx) {
     ctx.write_csv(&table, "e7_link_loss.csv");
     println!(
         "  success stays 1.0 throughout (neighbour links keep the space connected); \
-         cost degrades gracefully and collapses to linear only at 100% loss"
+         cost degrades gracefully and collapses to linear only at 100% loss \
+         (over Pareto keys: link_loss_degrades_gracefully_under_skew)"
     );
 }

@@ -149,12 +149,6 @@ impl SmallWorldBuilder {
         self
     }
 
-    /// Sets the minimum-mass restriction (default: `1/N`).
-    pub fn threshold(mut self, threshold: MassThreshold) -> Self {
-        self.config.threshold = threshold;
-        self
-    }
-
     /// Sets the true placement density `f` (default: uniform → Model 1).
     pub fn distribution(mut self, dist: Box<dyn KeyDistribution>) -> Self {
         self.distribution = Some(Arc::from(dist));
@@ -276,7 +270,7 @@ impl SmallWorldBuilder {
             ..BuildProfile::default()
         };
         let assumed = self.assumed.clone().unwrap_or_else(|| self.density());
-        let min_mass = self.config.threshold.min_mass(n);
+        let min_mass = MassThreshold::OneOverN.min_mass(n);
         let budget = self.config.out_degree.links_for(n);
         let selector =
             LinkSelector::new(&placement, assumed.as_ref(), min_mass, self.config.sampler);
@@ -747,7 +741,7 @@ mod tests {
             Placement::sample(builder.n, dist.as_ref(), builder.config.topology, &mut rng);
         let n = placement.len();
         let assumed = builder.assumed.clone().unwrap_or(dist);
-        let min_mass = builder.config.threshold.min_mass(n);
+        let min_mass = MassThreshold::OneOverN.min_mass(n);
         let selector = LinkSelector::new(
             &placement,
             assumed.as_ref(),

@@ -29,10 +29,6 @@ impl OutDegree {
 pub enum MassThreshold {
     /// The paper's restriction: mass between endpoints ≥ `1/N`.
     OneOverN,
-    /// A fixed mass threshold (ablation knob).
-    Fixed(f64),
-    /// No restriction — links may duplicate ring neighbours (ablation).
-    None,
 }
 
 impl MassThreshold {
@@ -40,8 +36,6 @@ impl MassThreshold {
     pub fn min_mass(&self, n: usize) -> f64 {
         match *self {
             MassThreshold::OneOverN => 1.0 / n.max(1) as f64,
-            MassThreshold::Fixed(m) => m.max(0.0),
-            MassThreshold::None => 0.0,
         }
     }
 }
@@ -77,8 +71,6 @@ pub struct SmallWorldConfig {
     pub topology: Topology,
     /// Long-range link budget.
     pub out_degree: OutDegree,
-    /// Minimum mass between link endpoints.
-    pub threshold: MassThreshold,
     /// Exact or harmonic-continuous sampling.
     pub sampler: LinkSampler,
 }
@@ -91,7 +83,6 @@ impl Default for SmallWorldConfig {
         SmallWorldConfig {
             topology: Topology::Interval,
             out_degree: OutDegree::Log2N,
-            threshold: MassThreshold::OneOverN,
             sampler: LinkSampler::Exact,
         }
     }
@@ -119,9 +110,6 @@ mod tests {
     #[test]
     fn mass_thresholds() {
         assert_eq!(MassThreshold::OneOverN.min_mass(1000), 0.001);
-        assert_eq!(MassThreshold::Fixed(0.05).min_mass(1000), 0.05);
-        assert_eq!(MassThreshold::Fixed(-1.0).min_mass(10), 0.0);
-        assert_eq!(MassThreshold::None.min_mass(1000), 0.0);
     }
 
     #[test]
@@ -129,7 +117,6 @@ mod tests {
         let c = SmallWorldConfig::default();
         assert_eq!(c.topology, Topology::Interval);
         assert_eq!(c.out_degree, OutDegree::Log2N);
-        assert_eq!(c.threshold, MassThreshold::OneOverN);
         assert_eq!(c.sampler, LinkSampler::Exact);
     }
 }

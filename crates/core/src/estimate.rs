@@ -10,7 +10,7 @@
 //! Experiment E11 measures routing cost as a function of the sample
 //! budget and of refinement rounds.
 
-use crate::config::LinkSampler;
+use crate::config::{LinkSampler, MassThreshold};
 use crate::links::LinkSelector;
 use crate::network::SmallWorldNetwork;
 use sw_graph::NodeId;
@@ -89,7 +89,7 @@ pub fn refine_links_round(
 ) -> usize {
     let n = net.len();
     let budget = net.config().out_degree.links_for(n);
-    let min_mass = net.config().threshold.min_mass(n);
+    let min_mass = MassThreshold::OneOverN.min_mass(n);
     let mut new_links: Vec<Vec<NodeId>> = Vec::with_capacity(n);
     for u in 0..n as NodeId {
         let mut samples = walk_samples(net, u, samples_per_peer, walk_len, rng);

@@ -4,7 +4,7 @@
 //! the right peer with monotonically decreasing distance.
 
 use proptest::prelude::*;
-use sw_core::config::{LinkSampler, MassThreshold, OutDegree};
+use sw_core::config::{LinkSampler, OutDegree};
 use sw_core::partition::partition_index;
 use sw_core::{theory, SmallWorldBuilder};
 use sw_keyspace::distribution::KeyDistribution;
@@ -121,22 +121,6 @@ proptest! {
             .unwrap();
         for u in 0..128u32 {
             prop_assert_eq!(net.long_links(u).len(), k);
-        }
-    }
-
-    /// Threshold ablation: a Fixed threshold is enforced verbatim; None
-    /// admits arbitrarily short links.
-    #[test]
-    fn threshold_variants(seed in any::<u64>(), thresh in 0.001f64..0.2) {
-        let mut rng = Rng::new(seed);
-        let net = SmallWorldBuilder::new(128)
-            .threshold(MassThreshold::Fixed(thresh))
-            .build(&mut rng)
-            .unwrap();
-        for u in 0..128u32 {
-            for &v in net.long_links(u) {
-                prop_assert!(net.mass_between(u, v) >= thresh - 1e-12);
-            }
         }
     }
 

@@ -3,8 +3,8 @@
 //! Key-space substrate for small-world overlay networks: identifiers in the
 //! unit interval, interval/ring distance metrics, a library of key
 //! distributions with exact `pdf`/`cdf`/`quantile` triples, deterministic
-//! randomness, CDF-based space normalization, and the statistics toolkit
-//! used by every experiment in the workspace.
+//! randomness, and the statistics toolkit used by every experiment in the
+//! workspace.
 //!
 //! This crate is the bottom layer of the reproduction of *“On Small
 //! World Graphs in Non-uniformly Distributed Key Spaces”* (Girdzijauskas,
@@ -19,8 +19,6 @@
 //!   randomized construction in the workspace is exactly reproducible.
 //! * [`distribution`] — the [`KeyDistribution`] trait and a family of
 //!   concrete distributions used to model skewed key spaces.
-//! * [`normalize`] — the `R → R′` CDF normalization of the paper's
-//!   Figures 1–2 (proof of Theorem 2).
 //! * [`stats`] — online moments, histograms, quantiles, Gini coefficient
 //!   and least-squares fits for the experiment harness.
 //!
@@ -42,14 +40,12 @@
 pub mod distribution;
 pub mod key;
 pub mod metric;
-pub mod normalize;
 pub mod rng;
 pub mod stats;
 
 pub use distribution::KeyDistribution;
 pub use key::{Key, KeyError};
 pub use metric::Topology;
-pub use normalize::Normalizer;
 pub use rng::{splitmix64_mix, Rng};
 
 /// Convenient glob import for downstream crates and examples.
@@ -60,7 +56,6 @@ pub mod prelude {
     };
     pub use crate::key::{Key, KeyError};
     pub use crate::metric::Topology;
-    pub use crate::normalize::Normalizer;
     pub use crate::rng::Rng;
     pub use crate::stats::OnlineStats;
 }

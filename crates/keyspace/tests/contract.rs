@@ -157,3 +157,27 @@ proptest! {
         prop_assert!((m.cdf(x) - want).abs() < 1e-12);
     }
 }
+
+/// The probability integral transform behind the paper's `R → R′`
+/// normalization (Figures 1–2): keys drawn from `f` and pushed through
+/// its own `cdf` land uniformly, so every decile holds 10 % ± 1 pp.
+#[test]
+fn cdf_maps_samples_to_uniform() {
+    const SAMPLES: usize = 20_000;
+    let mut rng = Rng::new(77);
+    for d in fixed_zoo() {
+        let mut deciles = [0usize; 10];
+        for _ in 0..SAMPLES {
+            let u = d.cdf(d.sample_key(&mut rng).get());
+            deciles[((u * 10.0) as usize).min(9)] += 1;
+        }
+        for (i, &c) in deciles.iter().enumerate() {
+            let share = c as f64 / SAMPLES as f64;
+            assert!(
+                (share - 0.1).abs() <= 0.01,
+                "{}: decile {i} holds {share}",
+                d.name()
+            );
+        }
+    }
+}

@@ -91,8 +91,8 @@ pub struct StorageConfig {
     /// peer is permanently lost.
     pub repair_interval: Option<SimTime>,
     /// Bandwidth model for repair transfers: seconds of extra delivery
-    /// delay per payload byte, added on top of the per-message latency
-    /// sample (default `1e-8` ≈ 100 MB/s).
+    /// delay per payload byte, added on top of the per-message hop
+    /// delay (default `1e-8` ≈ 100 MB/s).
     pub repair_byte_secs: f64,
     /// Per-operation routing-mode override for storage walks (puts,
     /// gets, ranges). `None` inherits `SimConfig::routing_mode` — set
@@ -136,8 +136,6 @@ pub struct SimConfig {
     pub initial_n: usize,
     /// Per-hop latency model.
     pub latency: LatencyModel,
-    /// Latency penalty for each timeout on a dead contact.
-    pub timeout_penalty: SimTime,
     /// Ring stabilization period (`None` disables maintenance).
     pub stabilize_interval: Option<SimTime>,
     /// Long-link refresh period (`None` disables refresh).
@@ -177,7 +175,6 @@ impl Default for SimConfig {
             seed: 0,
             initial_n: 512,
             latency: LatencyModel::Constant(SimTime::from_millis(50)),
-            timeout_penalty: SimTime::from_millis(500),
             stabilize_interval: Some(SimTime::from_secs(10)),
             refresh_interval: Some(SimTime::from_secs(60)),
             churn: ChurnConfig::NONE,
@@ -306,10 +303,7 @@ mod stream {
     pub const TIMER: u64 = 0x107;
     pub const PRELOAD: u64 = 0x108;
     pub const LINK: u64 = 0x109;
-    pub const REPAIR: u64 = 0x10A;
     pub const TRAFFIC: u64 = 0x10B;
-    /// XOR'd into the seed to derive per-walk streams.
-    pub const WALK_SALT: u64 = 0x5157_4A4C_4B53_0D1E;
 }
 
 /// Long-link budget of every simulated peer: the paper's `log2 N`.
@@ -355,6 +349,9 @@ pub fn converged_overlay(
 /// Successor-list length (ring repair redundancy).
 pub(crate) const SUCCESSOR_LIST: usize = 4;
 
+/// Latency charged for each timeout on a dead contact.
+pub(crate) const TIMEOUT_PENALTY: SimTime = SimTime::from_millis(500);
+
 /// Wire size of a repair digest message (arc bounds + count + hash).
 const DIGEST_BYTES: u64 = 32;
 /// Fixed header of a repair diff / push / pull message (arc bounds or
@@ -391,7 +388,6 @@ pub struct Simulator {
     /// Storage ops in their post-routing phase.
     ops: IdMap<QueryId, StorageOp>,
     next_qid: QueryId,
-    walk_seed: u64,
     // Dedicated generator streams (event-order deterministic).
     join_rng: Rng,
     fail_rng: Rng,
@@ -401,7 +397,6 @@ pub struct Simulator {
     range_rng: Rng,
     timer_rng: Rng,
     link_rng: Rng,
-    repair_rng: Rng,
     // Storage substrate: one shard per owner peer.
     primary: ShardMap,
     replica: ShardMap,
@@ -547,7 +542,6 @@ impl Simulator {
             walks: IdMap::default(),
             ops: IdMap::default(),
             next_qid: 0,
-            walk_seed: seed ^ stream::WALK_SALT,
             join_rng: Rng::stream(seed, stream::JOIN),
             fail_rng: Rng::stream(seed, stream::FAIL),
             lookup_rng: Rng::stream(seed, stream::LOOKUP),
@@ -556,7 +550,6 @@ impl Simulator {
             range_rng: Rng::stream(seed, stream::RANGE),
             timer_rng: Rng::stream(seed, stream::TIMER),
             link_rng: Rng::stream(seed, stream::LINK),
-            repair_rng: Rng::stream(seed, stream::REPAIR),
             primary: ShardMap::new(cfg.initial_n),
             replica: ShardMap::new(cfg.initial_n),
             copies: IdMap::default(),
@@ -970,7 +963,7 @@ impl Simulator {
     ///
     /// 1. **Link shaping** — with `link_rate > 0`, the directed link's
     ///    token bucket may push the departure past `depart`.
-    /// 2. **Flight** — the caller's sampled latency (plus any per-byte
+    /// 2. **Flight** — the caller's hop delay (plus any per-byte
     ///    delay already folded in) gives the raw arrival instant.
     /// 3. **Service queue** — with `service_secs_per_msg > 0`, the
     ///    destination's queue either admits the arrival (delivery is
@@ -994,7 +987,7 @@ impl Simulator {
     ) -> Option<SimTime> {
         self.net_offered += 1;
         // A retry armed at `sent_at + penalty` may name an instant the
-        // clock has already passed (the sampled flight, or the queue
+        // clock has already passed (the flight, or the queue
         // wait, outlasted the penalty). Nothing departs in the past:
         // a link bucket charged there would rewind its refill clock and
         // over-credit the next departure.
@@ -1147,7 +1140,6 @@ impl Simulator {
     fn spawn_walk(&mut self, purpose: Purpose, target: Key, from: u32) -> QueryId {
         let qid = self.next_qid;
         self.next_qid += 1;
-        let rng = Rng::stream(self.walk_seed, qid);
         let max_hops = self.hop_budget();
         if matches!(purpose, Purpose::Lookup { .. }) {
             self.inflight_lookups += 1;
@@ -1177,7 +1169,6 @@ impl Simulator {
                 rtt_seen: SimTime::ZERO,
                 wait_seen: SimTime::ZERO,
                 max_hops,
-                rng,
             },
         );
         match mode {
@@ -1232,9 +1223,8 @@ impl Simulator {
     /// `sw_overlay::greedy_step` via [`sw_overlay::RingView`]) —
     /// recursive mode. Reads the peer lanes as disjoint fields so the
     /// caller's one `walks` borrow spans arrival bookkeeping, the step
-    /// and the hand-off's message count and latency draw; the caller
-    /// acts on the result ([`Simulator::act_on_step`]) once that borrow
-    /// ends.
+    /// and the hand-off's message count; the caller acts on the result
+    /// ([`Simulator::act_on_step`]) once that borrow ends.
     fn greedy_step(
         walk: &mut Walk,
         nodes: &[SimNode],
@@ -1270,7 +1260,7 @@ impl Simulator {
                 Stepped::Forward {
                     from: cur,
                     next,
-                    flight: latency.sample(&mut walk.rng),
+                    flight: latency.delay(),
                 }
             }
         }
@@ -1317,7 +1307,6 @@ impl Simulator {
             self.note_net_delivery(to);
         }
         let alive = !lost && self.nodes[to as usize].alive;
-        let penalty = self.cfg.timeout_penalty;
         let Some(walk) = self.walks.get_mut(&qid) else {
             return;
         };
@@ -1330,12 +1319,14 @@ impl Simulator {
             self.act_on_step(qid, stepped);
         } else {
             // The sender's timeout clock started at send time; it may
-            // already have expired if the sampled flight time exceeded
-            // the penalty (the plane clamps past sends to `now`).
+            // already have expired if the flight time (hop delay plus
+            // any queue wait) exceeded the penalty (the plane clamps
+            // past sends to `now`).
             walk.timeouts += 1;
-            walk.latency += penalty;
+            walk.latency += TIMEOUT_PENALTY;
             walk.excluded.push(to);
-            self.plane.send_at(sent_at + penalty, Msg::Step { qid });
+            self.plane
+                .send_at(sent_at + TIMEOUT_PENALTY, Msg::Step { qid });
         }
     }
 
@@ -1451,7 +1442,6 @@ impl Simulator {
     /// query. Exactly one exchange is in flight per walk.
     fn send_next_hop_query(&mut self, qid: QueryId, to: u32) {
         let now = self.plane.now();
-        let latency = self.cfg.latency;
         let walk = self.walks.get_mut(&qid).expect("walk present");
         debug_assert!(
             !walk.excluded.contains(&to),
@@ -1460,12 +1450,11 @@ impl Simulator {
         walk.query_sent = now;
         walk.msgs += 1;
         let requester = walk.requester;
-        let dt = latency.sample(&mut walk.rng);
         self.send_net(
             requester,
             to,
             now,
-            dt,
+            self.cfg.latency.delay(),
             Msg::NextHopQuery {
                 qid,
                 to,
@@ -1483,7 +1472,6 @@ impl Simulator {
             self.note_net_delivery(to);
         }
         let alive = !lost && self.nodes[to as usize].alive;
-        let latency = self.cfg.latency;
         let Some(walk) = self.walks.get_mut(&qid) else {
             return;
         };
@@ -1491,7 +1479,7 @@ impl Simulator {
             // The requester times out adaptively: it has measured every
             // hop RTT on this walk, so it stops waiting well before the
             // conservative penalty a blind recursive relay must sit out.
-            let penalty = walk.adaptive_timeout(self.cfg.timeout_penalty);
+            let penalty = walk.adaptive_timeout(TIMEOUT_PENALTY);
             walk.timeouts += 1;
             walk.latency += penalty;
             if !walk.excluded.contains(&to) {
@@ -1512,12 +1500,11 @@ impl Simulator {
         walk.excluded = excluded;
         walk.msgs += 1;
         let requester = walk.requester;
-        let dt = latency.sample(&mut walk.rng);
         let wait = self.send_net(
             to,
             requester,
             now,
-            dt,
+            self.cfg.latency.delay(),
             Msg::NextHopReply(Box::new(NextHopReply {
                 qid,
                 from: to,
@@ -1571,7 +1558,7 @@ impl Simulator {
             return;
         }
         if lost {
-            let penalty = walk.adaptive_timeout(self.cfg.timeout_penalty);
+            let penalty = walk.adaptive_timeout(TIMEOUT_PENALTY);
             walk.timeouts += 1;
             walk.latency += penalty;
             if !walk.excluded.contains(&from) {
@@ -1721,8 +1708,8 @@ impl Simulator {
                     }
                 }
             }
-            // Storage routes hand their walk (rng and all) to the
-            // post-routing op state.
+            // Storage routes hand their walk to the post-routing op
+            // state.
             Purpose::Put { key, value } => self.finish_put_route(qid, end, key, value, walk),
             Purpose::Get { key } => self.finish_get_route(qid, end, key, walk),
             Purpose::Range { lo, hi } => self.finish_range_route(qid, end, lo, hi, walk),
@@ -1872,10 +1859,9 @@ impl Simulator {
         let mut resolve = SimTime::ZERO;
         for v in contacts {
             let rtt = if self.nodes[v as usize].alive {
-                let s = self.cfg.latency.sample(&mut self.timer_rng);
-                SimTime(s.0 * 2)
+                SimTime(self.cfg.latency.delay().0 * 2)
             } else {
-                self.cfg.timeout_penalty
+                TIMEOUT_PENALTY
             };
             resolve = resolve.max(rtt);
         }
@@ -2088,7 +2074,7 @@ impl Simulator {
         end: WalkEnd,
         key: Key,
         value: Vec<u8>,
-        mut walk: Walk,
+        walk: Walk,
     ) {
         self.metrics.storage_messages += walk.msgs as u64;
         if matches!(
@@ -2119,13 +2105,12 @@ impl Simulator {
         }
         let mut pending = 0u32;
         for to in chain {
-            let dt = self.cfg.latency.sample(&mut walk.rng);
             self.metrics.storage_messages += 1;
             self.send_net(
                 at,
                 to,
                 now,
-                dt,
+                self.cfg.latency.delay(),
                 Msg::ReplicaPut {
                     op: qid,
                     to,
@@ -2198,7 +2183,7 @@ impl Simulator {
 
     /// Get routing phase done: read the routed owner's primary shard,
     /// falling back to replica probes along its successor view.
-    fn finish_get_route(&mut self, qid: QueryId, end: WalkEnd, key: Key, mut walk: Walk) {
+    fn finish_get_route(&mut self, qid: QueryId, end: WalkEnd, key: Key, walk: Walk) {
         self.metrics.storage_messages += walk.msgs as u64;
         if matches!(
             end,
@@ -2232,14 +2217,13 @@ impl Simulator {
         }
         let first = chain.remove(0);
         let now = self.plane.now();
-        let dt = self.cfg.latency.sample(&mut walk.rng);
         self.metrics.storage_messages += 1;
         self.metrics.gets_fallback += 1;
         self.send_net(
             at,
             first,
             now,
-            dt,
+            self.cfg.latency.delay(),
             Msg::ReplicaProbe {
                 op: qid,
                 to: first,
@@ -2253,7 +2237,6 @@ impl Simulator {
                 owner: at,
                 chain,
                 latency: walk.latency,
-                rng: walk.rng,
             },
         );
     }
@@ -2264,15 +2247,11 @@ impl Simulator {
             self.note_net_delivery(to);
         }
         let alive = !lost && self.nodes[to as usize].alive;
-        let penalty = self.cfg.timeout_penalty;
-        let latency_model = self.cfg.latency;
         let Some(StorageOp::GetFallback {
             key,
             owner,
             chain,
             latency,
-            rng,
-            ..
         }) = self.ops.get_mut(&op)
         else {
             return;
@@ -2324,8 +2303,8 @@ impl Simulator {
             *latency += one_way + one_way;
             now + (now - sent_at)
         } else {
-            *latency += penalty;
-            sent_at + penalty
+            *latency += TIMEOUT_PENALTY;
+            sent_at + TIMEOUT_PENALTY
         };
         if chain.is_empty() {
             self.ops.remove(&op);
@@ -2333,14 +2312,13 @@ impl Simulator {
             return;
         }
         let next = chain.remove(0);
-        let dt = latency_model.sample(rng);
         self.metrics.storage_messages += 1;
         self.metrics.gets_fallback += 1;
         self.send_net(
             owner,
             next,
             next_send,
-            dt,
+            self.cfg.latency.delay(),
             Msg::ReplicaProbe {
                 op,
                 to: next,
@@ -2374,7 +2352,6 @@ impl Simulator {
                 budget,
                 tried: Vec::new(),
                 from: at,
-                rng: walk.rng,
             },
         );
         self.continue_sweep(qid, at);
@@ -2391,10 +2368,9 @@ impl Simulator {
         let at_key = self.keys[at as usize];
         let next_peer = self.nodes[at as usize].succ.first().copied();
         let now = self.plane.now();
-        let latency_model = self.cfg.latency;
         enum Sweep {
             Done { ok: bool, items: u64, peers: u32 },
-            Forward { next: u32, dt: SimTime },
+            Forward { next: u32 },
         }
         let decision = {
             let Some(StorageOp::RangeSweep {
@@ -2403,7 +2379,6 @@ impl Simulator {
                 budget,
                 tried,
                 from,
-                rng,
                 ..
             }) = self.ops.get_mut(&op)
             else {
@@ -2432,7 +2407,6 @@ impl Simulator {
             } else {
                 Sweep::Forward {
                     next: next_peer.expect("checked"),
-                    dt: latency_model.sample(rng),
                 }
             }
         };
@@ -2446,13 +2420,13 @@ impl Simulator {
                 self.metrics.range_items += items;
                 self.metrics.range_peers += peers as u64;
             }
-            Sweep::Forward { next, dt } => {
+            Sweep::Forward { next } => {
                 self.metrics.storage_messages += 1;
                 self.send_net(
                     at,
                     next,
                     now,
-                    dt,
+                    self.cfg.latency.delay(),
                     Msg::RangeFragment {
                         op,
                         to: next,
@@ -2473,8 +2447,6 @@ impl Simulator {
         }
         // Dead sweep peer: the previous fragment holder times out and
         // tries its next known successor.
-        let penalty = self.cfg.timeout_penalty;
-        let latency_model = self.cfg.latency;
         let from = {
             let Some(StorageOp::RangeSweep { tried, from, .. }) = self.ops.get_mut(&op) else {
                 return;
@@ -2495,17 +2467,13 @@ impl Simulator {
         };
         match next {
             Some(next) => {
-                let Some(StorageOp::RangeSweep { rng, .. }) = self.ops.get_mut(&op) else {
-                    return;
-                };
-                let dt = latency_model.sample(rng);
-                let retry_at = sent_at + penalty;
+                let retry_at = sent_at + TIMEOUT_PENALTY;
                 self.metrics.storage_messages += 1;
                 self.send_net(
                     from,
                     next,
                     retry_at,
-                    dt,
+                    self.cfg.latency.delay(),
                     Msg::RangeFragment {
                         op,
                         to: next,
@@ -2543,7 +2511,7 @@ impl Simulator {
     }
 
     /// Sends one repair-plane message: counted, byte-accounted, and
-    /// delayed by a latency sample *plus* the bandwidth cost of its
+    /// delayed by the hop delay *plus* the bandwidth cost of its
     /// payload. Routes through the congestion plane, so under load a
     /// repair transfer also pays queue wait and link shaping — and may
     /// be dropped outright at a full service queue (repair messages are
@@ -2552,7 +2520,7 @@ impl Simulator {
         self.metrics.repair_messages += 1;
         self.metrics.repair_bytes += bytes;
         let now = self.plane.now();
-        let dt = self.cfg.latency.sample(&mut self.repair_rng)
+        let dt = self.cfg.latency.delay()
             + SimTime::from_secs_f64(bytes as f64 * self.cfg.storage.repair_byte_secs);
         self.send_net(from, to, now, dt, msg);
     }
@@ -3478,7 +3446,6 @@ mod tests {
         let penalty = SimTime::from_millis(500);
         let cfg = SimConfig {
             latency: LatencyModel::Constant(hop),
-            timeout_penalty: penalty,
             stabilize_interval: None,
             refresh_interval: None,
             churn: ChurnConfig::symmetric(4.0),
@@ -4304,7 +4271,9 @@ mod tests {
     /// The node record must stay within one cache line with room to
     /// spare. The envelope sizes are equalities, so a `Msg` variant that
     /// grows past 20 bytes unboxed, or a lost enum niche in the wheel's
-    /// envelope store, shows up as a deliberately moved pin.
+    /// envelope store, shows up as a deliberately moved pin. The walk
+    /// and storage-op records carry no RNG stream (a hop's delay is
+    /// fixed), and their pins keep one from coming back unnoticed.
     #[test]
     fn hot_record_sizes_are_pinned() {
         use crate::plane::Envelope;
@@ -4315,5 +4284,7 @@ mod tests {
         );
         assert_eq!(std::mem::size_of::<Envelope<Msg>>(), 40);
         assert_eq!(std::mem::size_of::<Option<Envelope<Msg>>>(), 40);
+        assert_eq!(std::mem::size_of::<Walk>(), 216);
+        assert_eq!(std::mem::size_of::<StorageOp>(), 64);
     }
 }

@@ -1,31 +1,19 @@
-//! Per-hop network latency models.
+//! Per-hop network latency.
 
 use crate::time::SimTime;
-use sw_keyspace::Rng;
 
 /// How long one overlay hop takes.
 #[derive(Debug, Clone, Copy)]
 pub enum LatencyModel {
     /// Every hop takes exactly this long.
     Constant(SimTime),
-    /// Uniform in `[lo, hi]`.
-    Uniform(SimTime, SimTime),
-    /// Exponential with the given mean (heavy-ish WAN tail).
-    Exponential(SimTime),
 }
 
 impl LatencyModel {
-    /// Samples one hop latency.
-    pub fn sample(&self, rng: &mut Rng) -> SimTime {
-        match *self {
+    /// The delay of one hop.
+    pub fn delay(self) -> SimTime {
+        match self {
             LatencyModel::Constant(t) => t,
-            LatencyModel::Uniform(lo, hi) => {
-                debug_assert!(lo <= hi);
-                SimTime(lo.0 + rng.bounded_u64(hi.0 - lo.0 + 1))
-            }
-            LatencyModel::Exponential(mean) => {
-                SimTime::from_secs_f64(rng.exponential(1.0 / mean.as_secs_f64()))
-            }
         }
     }
 }
@@ -37,33 +25,6 @@ mod tests {
     #[test]
     fn constant_is_constant() {
         let m = LatencyModel::Constant(SimTime::from_millis(20));
-        let mut rng = Rng::new(1);
-        for _ in 0..10 {
-            assert_eq!(m.sample(&mut rng), SimTime::from_millis(20));
-        }
-    }
-
-    #[test]
-    fn uniform_stays_in_range() {
-        let lo = SimTime::from_millis(10);
-        let hi = SimTime::from_millis(30);
-        let m = LatencyModel::Uniform(lo, hi);
-        let mut rng = Rng::new(2);
-        for _ in 0..1000 {
-            let s = m.sample(&mut rng);
-            assert!(s >= lo && s <= hi);
-        }
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let m = LatencyModel::Exponential(SimTime::from_millis(50));
-        let mut rng = Rng::new(3);
-        let n = 20_000;
-        let mean: f64 = (0..n)
-            .map(|_| m.sample(&mut rng).as_secs_f64())
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 0.05).abs() < 0.002, "mean {mean}");
+        assert_eq!(m.delay(), SimTime::from_millis(20));
     }
 }

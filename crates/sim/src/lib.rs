@@ -3,7 +3,7 @@
 //! Discrete-event simulator for dynamic small-world overlays, built on
 //! an **async message plane**: every protocol action — each hop of a
 //! lookup, each replica write of a put, each stabilization ping round —
-//! is an individual message delivered at a latency-sampled virtual time,
+//! is an individual message delivered one hop delay later in virtual time,
 //! so any number of operations are in flight at once and every one of
 //! them observes the overlay *as it is when its messages arrive*, not as
 //! it was when the operation started.
@@ -91,7 +91,7 @@
 //!    a mismatch triggers the diff → push → pull ladder
 //!    ([`protocol::Msg::RepairDiff`] / [`protocol::Msg::RepairPush`] /
 //!    [`protocol::Msg::RepairPull`]) that streams missing items both
-//!    ways. Every repair message pays a latency sample **plus a
+//!    ways. Every repair message pays the hop delay **plus a
 //!    per-byte bandwidth delay** (`repair_byte_secs`), so the
 //!    durability/bandwidth trade-off is measurable
 //!    (`SimMetrics::{repair_messages, repair_bytes, repair_overhead}`).
@@ -122,7 +122,7 @@
 //! per storage operation:
 //!
 //! * **Recursive** — the query is handed off node to node: a chosen
-//!   contact becomes a `Hop` message delivered one latency sample
+//!   contact becomes a `Hop` message delivered one hop delay
 //!   later, and on delivery the walk advances and steps again *at that
 //!   node's current local view*, which churn may have changed since the
 //!   walk started. A contact that died while the message was in flight
@@ -162,8 +162,8 @@
 //!
 //! ## Queueing and congestion
 //!
-//! With [`CongestionConfig`] enabled, delivery time is no longer just a
-//! latency sample: each network message pays **link shaping + flight +
+//! With [`CongestionConfig`] enabled, delivery time is no longer just
+//! the hop delay: each network message pays **link shaping + flight +
 //! destination queue wait**, all computed analytically when the message
 //! is sent (no extra envelopes, no extra randomness —
 //! thread-count-invariant by construction):
@@ -221,10 +221,9 @@
 //! partitioned into `P` shards by `id % P`; each shard owns its own
 //! [`plane::MessagePlane`] (the timing wheel), its slice of node state,
 //! and a mergeable [`SimMetrics`]. The driver advances time in
-//! **conservative windows** of width δ — the *lookahead*, the minimum
-//! possible cross-peer message delay derived from the latency model
-//! ([`sharded::lookahead`]): `Constant(t) → t`, `Uniform(lo, _) → lo`,
-//! `Exponential → 1 µs`. Every cross-peer send clamps its delivery to
+//! **conservative windows** of width δ — the *lookahead*, the fixed
+//! cross-peer hop delay of the latency model, at least 1 µs
+//! ([`sharded::lookahead`]). Every cross-peer send clamps its delivery to
 //! `now + δ`, so events inside one window are causally independent
 //! across shards and the shards execute the window in parallel on
 //! scoped std threads, one [`std::thread::scope`] region per window.
@@ -257,11 +256,11 @@
 //!
 //! * the event loop is sequential; `(time, seq)` delivery order with the
 //!   FIFO tie-break is a pure function of the seed;
-//! * every walk samples from its own `Rng::stream(seed, query_id)`, and
-//!   every generator process (joins, failures, lookups, puts, gets,
-//!   ranges, timers, link targets, repair latencies, traffic arrivals)
-//!   owns a dedicated stream, so one process's draws never perturb
-//!   another's;
+//! * every hop takes the latency model's one fixed delay, so walks and
+//!   messages draw nothing; every generator process (joins, failures,
+//!   lookups, puts, gets, ranges, timer stagger, link targets, traffic
+//!   arrivals) owns a dedicated stream, so one process's draws never
+//!   perturb another's;
 //! * the parallel paths (probe batches, storage preload) are pure
 //!   per-index maps over pre-drawn inputs — thread count only changes
 //!   how work is chunked, never what is computed.

@@ -21,7 +21,7 @@
 //!   ([`Msg::Hop`], one message per hop). The walk state conceptually
 //!   travels with the carrier: if the node holding the query dies, the
 //!   walk is **stranded** ([`WalkEnd::Stranded`]). Cheapest per hop
-//!   (one one-way latency sample), most fragile under churn.
+//!   (one one-way hop delay), most fragile under churn.
 //! * **Iterative** — the requester drives every hop itself: it asks the
 //!   frontier node for its ranked next-hop candidates
 //!   ([`Msg::NextHopQuery`]) and the frontier answers
@@ -39,10 +39,9 @@
 //!
 //! Lifecycle of a walk:
 //!
-//! 1. **Spawn** — the engine assigns a fresh [`QueryId`], derives the
-//!    walk's private RNG stream from `(seed, id)`, and executes the
-//!    first step at the origin immediately (the origin reads its own
-//!    routing table for free in every mode).
+//! 1. **Spawn** — the engine assigns a fresh [`QueryId`] and executes
+//!    the first step at the origin immediately (the origin reads its
+//!    own routing table for free in every mode).
 //! 2. **Step** — in recursive mode the current node picks the greedy
 //!    next contact from its local view (shared
 //!    `sw_overlay::greedy_step`) and sends a `Hop`; in iterative mode
@@ -81,7 +80,7 @@
 //! of waiting for the next anti-entropy round.
 
 use crate::time::SimTime;
-use sw_keyspace::{Key, Rng};
+use sw_keyspace::Key;
 
 /// Identifier of one in-flight walk / storage operation.
 pub type QueryId = u64;
@@ -170,7 +169,7 @@ pub enum Purpose {
 /// a dying *relay* cannot destroy it.
 #[derive(Debug)]
 pub struct Walk {
-    /// Query id (also the walk's RNG stream index).
+    /// Query id.
     pub id: QueryId,
     /// What completion triggers.
     pub purpose: Purpose,
@@ -236,8 +235,6 @@ pub struct Walk {
     pub wait_seen: SimTime,
     /// Hop budget.
     pub max_hops: u32,
-    /// Private RNG stream (latency samples, link-probe targets).
-    pub rng: Rng,
 }
 
 impl Walk {
@@ -327,7 +324,6 @@ impl Walk {
             rtt_seen: SimTime::ZERO,
             wait_seen: SimTime::ZERO,
             max_hops: 8,
-            rng: Rng::new(0),
         }
     }
 }
@@ -394,9 +390,6 @@ pub enum StorageOp {
         /// Latency accumulated so far (route + probe round trips +
         /// timeout penalties).
         latency: SimTime,
-        /// The operation's RNG stream (probe latency samples), inherited
-        /// from its routing walk.
-        rng: Rng,
     },
     /// Sweeping owners clockwise, accumulating range fragments.
     RangeSweep {
@@ -415,8 +408,6 @@ pub enum StorageOp {
         /// The peer that served the last fragment (retries re-consult
         /// its successor list).
         from: u32,
-        /// The operation's RNG stream, inherited from its routing walk.
-        rng: Rng,
     },
 }
 
@@ -620,9 +611,9 @@ pub struct RepairPull {
 
 /// Per-lookup record, collected when `SimConfig::record_lookups` is on.
 ///
-/// `latency` is exactly the per-hop accumulation: one sampled delay per
+/// `latency` is exactly the per-hop accumulation: one hop delay per
 /// successful hop (two per hop in iterative mode — query and reply legs)
-/// plus one `timeout_penalty` per dead contact hit — tests assert this
+/// plus one timeout penalty per dead contact hit — tests assert this
 /// identity against `hops`/`timeouts` per mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupRecord {

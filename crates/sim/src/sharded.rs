@@ -18,12 +18,12 @@
 //! Peers are partitioned into `P` shards by `id % P`. Each shard owns
 //! its own [`MessagePlane`], its slice of node state, and its own
 //! mergeable [`SimMetrics`]. The driver advances virtual time in
-//! **conservative windows** of width δ, the *lookahead*: the minimum
-//! possible cross-peer message delay, derived from the latency model
-//! (see [`lookahead`]). Every cross-peer send clamps its
-//! delivery to `now + δ` or later, so all events inside the window
-//! `[T, T + δ)` are causally independent **across** shards and the
-//! shards can execute the window in parallel (scoped std threads, one
+//! **conservative windows** of width δ, the *lookahead*: the fixed
+//! cross-peer hop delay of the latency model (see [`lookahead`]).
+//! Every cross-peer send clamps its delivery to `now + δ` or later,
+//! so all events inside the window `[T, T + δ)` are causally
+//! independent **across** shards and the shards can execute the
+//! window in parallel (scoped std threads, one
 //! [`std::thread::scope`] region per window). Sends that target another
 //! shard are buffered in per-destination outboxes; at the window
 //! barrier they are exchanged and enqueued on the target plane.
@@ -72,7 +72,7 @@
 //!
 //! [`OnlineStats`]: sw_keyspace::stats::OnlineStats
 
-use crate::engine::{SimConfig, OUT_DEGREE, SUCCESSOR_LIST};
+use crate::engine::{SimConfig, OUT_DEGREE, SUCCESSOR_LIST, TIMEOUT_PENALTY};
 use crate::latency::LatencyModel;
 use crate::metrics::SimMetrics;
 use crate::plane::{Envelope, MessagePlane};
@@ -111,21 +111,12 @@ mod stream {
     pub const PEER_BASE: u64 = 0x1_0000;
 }
 
-/// The conservative lookahead δ: the minimum possible cross-peer
-/// message delay under `model`, clamped to ≥ 1 µs so windows always
-/// advance. Every cross-peer send clamps its delivery to `now + δ`,
-/// which is what makes same-window events causally independent across
-/// shards.
+/// The conservative lookahead δ: the cross-peer hop delay under
+/// `model`, clamped to ≥ 1 µs so windows always advance. Every
+/// cross-peer send clamps its delivery to `now + δ`, which is what
+/// makes same-window events causally independent across shards.
 pub fn lookahead(model: &LatencyModel) -> SimTime {
-    let base = match *model {
-        LatencyModel::Constant(t) => t,
-        LatencyModel::Uniform(lo, _) => lo,
-        // The exponential has no positive lower bound; fall back to the
-        // clock resolution (windows degenerate to near-serial, which is
-        // correct, just not fast).
-        LatencyModel::Exponential(_) => SimTime(1),
-    };
-    base.max(SimTime(1))
+    model.delay().max(SimTime(1))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -945,8 +936,8 @@ impl Shard {
     }
 
     /// Sends a network message: token-bucket shaping at the sender,
-    /// one latency sample from the sender's stream, plus `extra`
-    /// payload-transfer delay — clamped to the lookahead `now + δ`.
+    /// the hop delay, plus `extra` payload-transfer delay — clamped to
+    /// the lookahead `now + δ`.
     fn send_net(
         &mut self,
         g: &Global,
@@ -957,20 +948,16 @@ impl Shard {
         msg: NetMsg,
     ) {
         let li = self.local(g, from);
-        let (depart, flight) = {
-            let n = &mut self.nodes[li];
-            let mut depart = now;
-            if g.cfg.congestion.shaping_enabled() {
-                let cc = &g.cfg.congestion;
-                let b = n
-                    .buckets
-                    .entry(to)
-                    .or_insert_with(|| TokenBucket::full(now, cc.link_burst));
-                depart = now + b.delay(now, cc.link_rate, cc.link_burst);
-            }
-            (depart, g.cfg.latency.sample(&mut n.rng))
-        };
-        let at = (depart + flight + extra).max(now + g.delta);
+        let mut depart = now;
+        if g.cfg.congestion.shaping_enabled() {
+            let cc = &g.cfg.congestion;
+            let b = self.nodes[li]
+                .buckets
+                .entry(to)
+                .or_insert_with(|| TokenBucket::full(now, cc.link_burst));
+            depart = now + b.delay(now, cc.link_rate, cc.link_burst);
+        }
+        let at = (depart + g.cfg.latency.delay() + extra).max(now + g.delta);
         self.send_ev(g, from, to, at, Ev::Net(Box::new(msg)));
     }
 
@@ -1048,7 +1035,7 @@ impl Shard {
     fn on_lost(&mut self, g: &Global, now: SimTime, to: u32, msg: NetMsg) {
         match msg {
             NetMsg::Hop(w) => {
-                let at = (w.sent_at + g.cfg.timeout_penalty).max(now + g.delta);
+                let at = (w.sent_at + TIMEOUT_PENALTY).max(now + g.delta);
                 let cur = w.cur;
                 self.send_ev(
                     g,
@@ -1062,7 +1049,7 @@ impl Shard {
                 );
             }
             NetMsg::StabReq { from, sent_at } => {
-                let at = (sent_at + g.cfg.timeout_penalty).max(now + g.delta);
+                let at = (sent_at + TIMEOUT_PENALTY).max(now + g.delta);
                 self.send_ev(g, to, from, at, Ev::StabTimeout { probed: to });
             }
             NetMsg::GetProbe(mut p) => {
@@ -1074,7 +1061,7 @@ impl Shard {
                 if p.idx < p.chain.len() {
                     self.metrics.storage_messages += 1;
                     let next = p.chain[p.idx];
-                    let at = (now + g.cfg.timeout_penalty).max(now + g.delta);
+                    let at = (now + TIMEOUT_PENALTY).max(now + g.delta);
                     self.send_ev(g, to, next, at, Ev::Net(Box::new(NetMsg::GetProbe(p))));
                 } else {
                     self.metrics.gets += 1;
@@ -1994,7 +1981,6 @@ mod tests {
             seed,
             initial_n: 64,
             latency: LatencyModel::Constant(SimTime::from_millis(20)),
-            timeout_penalty: SimTime::from_millis(200),
             stabilize_interval: Some(SimTime::from_secs(2)),
             refresh_interval: Some(SimTime::from_secs(5)),
             churn: ChurnConfig::symmetric(2.0),
@@ -2060,8 +2046,6 @@ mod tests {
     fn lookahead_tracks_the_latency_model() {
         let ms = SimTime::from_millis;
         assert_eq!(lookahead(&LatencyModel::Constant(ms(50))), ms(50));
-        assert_eq!(lookahead(&LatencyModel::Uniform(ms(10), ms(30))), ms(10));
-        assert_eq!(lookahead(&LatencyModel::Exponential(ms(50))), SimTime(1));
         assert_eq!(
             lookahead(&LatencyModel::Constant(SimTime::ZERO)),
             SimTime(1)

@@ -9,6 +9,7 @@ use smallworld::core::estimate::{refine_links_round, Estimator};
 use smallworld::core::partition::PartitionSurvey;
 use smallworld::core::prelude::*;
 use smallworld::keyspace::prelude::*;
+use smallworld::overlay::route::{RouteOptions, RoutingSurvey, TargetModel};
 use smallworld::overlay::Overlay;
 use smallworld::sim::{ChurnConfig, SimConfig, SimTime, Simulator, WorkloadConfig};
 use std::sync::Arc;
@@ -241,6 +242,45 @@ fn naive_links_route_worse_on_skewed_keys() {
         gaps.push(h_naive - h_norm);
     }
     assert!(gaps[1] > gaps[0], "naive - normalised gap: {gaps:?}");
+}
+
+/// §3.1 robustness on Model 2 (E7's sweep, over skewed keys): with
+/// Pareto(1.5, 0.01) keys at n = 2¹², dropping a fraction f of the long
+/// links never loses a lookup (the ring keeps the space connected), and
+/// mean hops rise strictly with f while staying within log₂² n up to
+/// f = 0.9. At f = 1.0 greedy routing is left with the ring and the
+/// hops collapse to linear (≥ n / 8): the sweep can see a breakdown.
+/// (Seed 7 reads 6.6 / 10.0 / 31.6 / 1 336 hops at f = 0 / 0.5 / 0.9 /
+/// 1.0; seeds 1–6 read 6.5–6.7 / 9.7–10.1 / 30.1–33.4 / 1 353–1 411,
+/// all at success 1.0.)
+#[test]
+fn link_loss_degrades_gracefully_under_skew() {
+    let n = 1usize << 12;
+    let mut rng = Rng::new(7);
+    let built = SmallWorldBuilder::new(n)
+        .distribution(Box::new(TruncatedPareto::new(1.5, 0.01).unwrap()))
+        .build(&mut rng)
+        .unwrap();
+    let opts = RouteOptions {
+        max_hops: n as u32,
+        record_path: false,
+    };
+    let log2_sq = (n as f64).log2().powi(2);
+    let mut prev = 0.0;
+    for f in [0.0, 0.5, 0.9, 1.0] {
+        let mut net = built.clone();
+        net.drop_random_long_links(f, &mut rng);
+        let s = RoutingSurvey::run_with_opts(&net, 800, TargetModel::MemberKeys, &opts, &mut rng);
+        let hops = s.hops.mean();
+        assert_eq!(s.success_rate(), 1.0, "f={f}");
+        assert!(hops > prev, "f={f}: {hops} hops, not above {prev}");
+        if f <= 0.9 {
+            assert!(hops <= log2_sq, "f={f}: {hops} hops > log2^2 n");
+        } else {
+            assert!(hops >= n as f64 / 8.0, "f={f}: {hops} hops, not linear");
+        }
+        prev = hops;
+    }
 }
 
 /// Theorems 1 and 2 as a scaling law: with harmonic links and the
