@@ -19,7 +19,7 @@
 //! | e4 | §1/§4: classic overlays degrade under skew, Model 2 does not | `naive_links_route_worse_on_skewed_keys`; per overlay `sw_overlay::{symphony::degrades_on_skewed_placement, pastry::skew_inflates_hop_counts, pgrid::midpoint_under_skew_inflates_depth_median_does_not}` |
 //! | e5 | §3.1: hops vs out-degree k trade-off | none |
 //! | e6 | §3.1: long links spread evenly over the log N partitions | `sw_core::partition::{link_partitions_are_near_uniform, home_partition_gets_no_links}` |
-//! | e7 | §3.1: routing degrades gracefully as long links are lost | `link_loss_degrades_gracefully_under_skew` on Model 2; `sw_overlay::degraded::partial_link_loss_degrades_gracefully` on Symphony |
+//! | e7 | §3.1: routing degrades gracefully as long links are lost | `link_loss_degrades_gracefully_under_skew` on Model 2; `sw_overlay::symphony::partial_link_loss_degrades_gracefully` on Symphony |
 //! | e8 | §4 assumption: peer density can follow data density | `balanced_storage_with_logarithmic_routing`, `sw_balance::rebalance::{uniform_hash_breaks_under_skew, sample_data_placement_balances_skew}` |
 //! | e9 | Figures 1–2: G built in R equals G′ built in R′ | `normalization_equivalence` |
 //! | e10 | §4.2: the join protocol grows the oracle's overlay | `grown_overlay_routes_like_the_builders` |

@@ -17,7 +17,7 @@
 //! (needs several GB of RAM). It prints its table and CSV only: events/s
 //! is a host-time reading, and committed host-time numbers are
 //! `benchmark/`'s (`sim.engine.*`, `work_per_s`), where they carry a
-//! stamp. ROADMAP item 3 (the per-hop fall) names this sweep as its
+//! stamp. ROADMAP item 6 (the per-hop fall) names this sweep as its
 //! instrument.
 
 use crate::ctx::{self, Ctx};

@@ -32,11 +32,12 @@
 //! from the placement and the sealed long image: each row is the sorted,
 //! deduplicated union of the peer's ring/interval neighbours and its
 //! long row, with the per-edge and per-node key lanes gathered in place.
-//! [`SmallWorldBuilder::build`] and [`SmallWorldBuilder::build_on`] are
-//! that core plus [`ArenaBuild::into_network`]. The network's
-//! constructors from outside long rows (`with_links`, which also takes
-//! a simulator-grown overlay, and the refresh APIs) call the same
-//! `contact_image`.
+//! [`SmallWorldBuilder::build`], [`SmallWorldBuilder::build_on`] and
+//! `build_frozen` return the network over those two images as written,
+//! with the stage timings ([`SmallWorldNetwork::build_profile`]). The
+//! network's constructors from outside long rows (`with_links`, which
+//! also takes a simulator-grown overlay, and the refresh APIs) call the
+//! same `contact_image`.
 //!
 //! Both images are filled through [`sw_graph::writer::ArenaWriter`],
 //! the only producer of a [`CsrTopology`]. Its buffer is a heap
@@ -180,10 +181,11 @@ impl SmallWorldBuilder {
     }
 
     /// Samples a placement from the configured distribution and builds
-    /// the network: [`SmallWorldBuilder::build_to_arena`], then
-    /// [`ArenaBuild::into_network`].
+    /// the network straight into the two images it holds: the long
+    /// image and the contact image with its key lanes (see the
+    /// module-level *construction pipeline* notes).
     pub fn build(&self, rng: &mut Rng) -> Result<SmallWorldNetwork, BuildError> {
-        Ok(self.build_to_arena(rng)?.into_network())
+        self.build_at(rng, None)
     }
 
     /// Builds the network over an existing placement (for head-to-head
@@ -195,50 +197,34 @@ impl SmallWorldBuilder {
         placement: Placement,
         rng: &mut Rng,
     ) -> Result<SmallWorldNetwork, BuildError> {
-        Ok(self.build_over(placement, rng, None, 0.0)?.into_network())
+        self.build_over(placement, rng, None, 0.0)
     }
 
-    /// Builds straight into the two images a network holds: the long
-    /// image and the contact image with its key lanes (see the
-    /// module-level *construction pipeline* notes). [`ArenaBuild::freeze_to`]
-    /// writes them as they are, and [`ArenaBuild::into_network`] routes
-    /// over them, so `build_to_arena(&mut Rng::new(s))` + `freeze_to`
-    /// writes the bytes `build(&mut Rng::new(s))` +
-    /// [`SmallWorldNetwork::freeze_to`] does.
-    pub fn build_to_arena(&self, rng: &mut Rng) -> Result<ArenaBuild, BuildError> {
-        self.build_to_arena_at(rng, None)
-    }
-
-    /// [`build_to_arena`], except the two arena images are assembled
+    /// [`SmallWorldBuilder::build`], except the two images are assembled
     /// *inside write-through mappings* of `dir.join(CONTACTS_FILE)` /
     /// `dir.join(LONG_FILE)`: every fill lands directly in the
     /// destination files' pages, so sealing the writers **is** the
-    /// freeze — there is no separate [`ArenaBuild::freeze_to`] copy to
-    /// pay for, and the returned [`ArenaBuild`] routes straight off the
-    /// mapped files. The on-disk bytes are identical to
-    /// `build_to_arena` + `freeze_to` for the same RNG state.
-    ///
-    /// [`build_to_arena`]: SmallWorldBuilder::build_to_arena
+    /// freeze — there is no separate [`SmallWorldNetwork::freeze_to`]
+    /// copy to pay for, and the returned network routes straight off the
+    /// mapped files. The on-disk bytes are identical to `build` +
+    /// `freeze_to` for the same RNG state, and
+    /// [`SmallWorldNetwork::open_from`] reopens them.
     #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
     pub fn build_frozen(
         &self,
         rng: &mut Rng,
         dir: impl AsRef<Path>,
-    ) -> Result<ArenaBuild, BuildError> {
+    ) -> Result<SmallWorldNetwork, BuildError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        self.build_to_arena_at(rng, Some(dir))
+        self.build_at(rng, Some(dir))
     }
 
-    /// Shared core of [`SmallWorldBuilder::build_to_arena`] and
-    /// `build_frozen`: samples the placement, then
-    /// [`SmallWorldBuilder::build_over`] it. `dir` picks heap buffers
-    /// (`None`) or write-through file mappings (`Some`) for the images.
-    fn build_to_arena_at(
-        &self,
-        rng: &mut Rng,
-        dir: Option<&Path>,
-    ) -> Result<ArenaBuild, BuildError> {
+    /// Shared core of [`SmallWorldBuilder::build`] and `build_frozen`:
+    /// samples the placement, then [`SmallWorldBuilder::build_over`] it.
+    /// `dir` picks heap buffers (`None`) or write-through file mappings
+    /// (`Some`) for the images.
+    fn build_at(&self, rng: &mut Rng, dir: Option<&Path>) -> Result<SmallWorldNetwork, BuildError> {
         if self.n < 4 {
             return Err(BuildError::TooFewNodes(self.n));
         }
@@ -259,7 +245,7 @@ impl SmallWorldBuilder {
         rng: &mut Rng,
         dir: Option<&Path>,
         placement_s: f64,
-    ) -> Result<ArenaBuild, BuildError> {
+    ) -> Result<SmallWorldNetwork, BuildError> {
         let n = placement.len();
         if n < 4 {
             return Err(BuildError::TooFewNodes(n));
@@ -303,24 +289,24 @@ impl SmallWorldBuilder {
             (&mut t, &mut profile),
         )?;
         let cdf = selector.into_cdf();
-        let label = format!("sw({},{})", assumed.name(), self.config.sampler.label());
-        Ok(ArenaBuild {
+        Ok(SmallWorldNetwork::from_contact_image(
             placement,
             assumed,
             cdf,
-            config: self.config,
-            label,
+            self.config,
             contacts,
             long,
-            profile,
-        })
+            Some(profile),
+        ))
     }
 }
 
 /// Wall-clock seconds of each stage of one build
-/// ([`SmallWorldBuilder::build_to_arena`] / `build_frozen`), in pipeline
-/// order. Always measured, on one stopwatch restarted at each stage
-/// boundary, so the stages add up to the build's wall time.
+/// ([`SmallWorldBuilder::build`], `build_on` or `build_frozen`), in
+/// pipeline order, as [`SmallWorldNetwork::build_profile`] returns them.
+/// Always measured, on one stopwatch restarted at each stage boundary,
+/// so the stages add up to the build's wall time (`placement_s` is `0`
+/// for `build_on`, which samples no placement).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BuildProfile {
     /// Sampling the placement (keys drawn and ranked).
@@ -341,80 +327,6 @@ pub struct BuildProfile {
     pub contact_fill_s: f64,
     /// Sealing the contact image (sorted scan).
     pub contact_finish_s: f64,
-}
-
-/// A network frozen at birth: the two arena images the construction
-/// pipeline writes directly (contacts with per-edge/per-node key lanes,
-/// long links bare), plus everything needed to either persist them
-/// ([`ArenaBuild::freeze_to`]) or route over them right away
-/// ([`ArenaBuild::into_network`]).
-pub struct ArenaBuild {
-    placement: Placement,
-    assumed: Arc<dyn KeyDistribution>,
-    /// `F̂(key_i)` per peer, as the selector computed it.
-    cdf: Vec<f64>,
-    config: SmallWorldConfig,
-    label: String,
-    contacts: CsrTopology,
-    long: CsrTopology,
-    profile: BuildProfile,
-}
-
-impl ArenaBuild {
-    /// Number of peers.
-    pub fn len(&self) -> usize {
-        self.placement.len()
-    }
-
-    /// True if the build covers no peers (never — builds reject `n < 4`).
-    pub fn is_empty(&self) -> bool {
-        self.placement.len() == 0
-    }
-
-    /// The contact-table image (carries edge and node key lanes).
-    pub fn contacts(&self) -> &CsrTopology {
-        &self.contacts
-    }
-
-    /// The long-link image (no lanes).
-    pub fn long(&self) -> &CsrTopology {
-        &self.long
-    }
-
-    /// The placement the build sampled.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// Where this build's wall-clock went, stage by stage.
-    pub fn profile(&self) -> BuildProfile {
-        self.profile
-    }
-
-    /// Writes both images into `dir` under the same file names — and
-    /// with the same bytes — as [`SmallWorldNetwork::freeze_to`], so
-    /// [`SmallWorldNetwork::open_from`] reopens them unchanged.
-    pub fn freeze_to(&self, dir: impl AsRef<Path>) -> io::Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        self.contacts.freeze_to(dir.join(CONTACTS_FILE), None)?;
-        self.long.freeze_to(dir.join(LONG_FILE), None)
-    }
-
-    /// Converts into a routable [`SmallWorldNetwork`] holding both
-    /// images as they are: routing runs on the contact image's SoA
-    /// lanes, the maintenance APIs read the long image.
-    pub fn into_network(self) -> SmallWorldNetwork {
-        SmallWorldNetwork::from_contact_image(
-            self.placement,
-            self.assumed,
-            self.cdf,
-            self.config,
-            self.contacts,
-            self.long,
-            self.label,
-        )
-    }
 }
 
 /// Per-peer long rows in peer order: `degrees[i]` rows concatenated in
@@ -724,7 +636,7 @@ mod tests {
         let table = RouteTable::build(lt.build(), |v| keys[v as usize]);
         let path =
             std::env::temp_dir().join(format!("sw-core-model-{tag}-{}.swt", std::process::id()));
-        table.freeze_to(&path, Some(&keys)).unwrap();
+        table.store().freeze_to(&path, Some(&keys)).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         bytes
@@ -765,10 +677,10 @@ mod tests {
         let builder = SmallWorldBuilder::new(3000)
             .distribution(Box::new(TruncatedPareto::new(1.5, 0.02).unwrap()))
             .sampler(LinkSampler::Harmonic);
-        let fast = builder.build_to_arena(&mut Rng::new(99)).unwrap();
+        let net = builder.build(&mut Rng::new(99)).unwrap();
         let (contacts, long) = model_images(&builder, 99, "freeze-bytes");
-        assert_eq!(contacts, fast.contacts().as_bytes());
-        assert_eq!(long, fast.long().as_bytes());
+        assert_eq!(contacts, net.topology().as_bytes());
+        assert_eq!(long, net.long_topology().as_bytes());
     }
 
     #[test]
@@ -777,35 +689,48 @@ mod tests {
         // still produce sorted rows. Exact sampler covers the other
         // sampling branch.
         let builder = SmallWorldBuilder::new(512).topology(Topology::Ring);
-        let fast = builder.build_to_arena(&mut Rng::new(13)).unwrap();
+        let net = builder.build(&mut Rng::new(13)).unwrap();
         let (contacts, long) = model_images(&builder, 13, "ring");
-        assert_eq!(contacts, fast.contacts().as_bytes());
-        assert_eq!(long, fast.long().as_bytes());
+        assert_eq!(contacts, net.topology().as_bytes());
+        assert_eq!(long, net.long_topology().as_bytes());
     }
 
-    /// `build_frozen` must leave on disk exactly what
-    /// `build_to_arena` + `freeze_to` writes, and the returned build
-    /// must route off the same bytes.
+    /// `build_frozen` must leave on disk exactly what `build` +
+    /// `freeze_to` writes, and the network it returns, like the one
+    /// reopened from its files, must route as `build`'s does.
     #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
     #[test]
     fn build_frozen_matches_build_then_freeze() {
         use crate::network::{CONTACTS_FILE, LONG_FILE};
+        use sw_overlay::route::{route_batch, survey_queries, RouteOptions, TargetModel};
         let builder = SmallWorldBuilder::new(3000)
             .distribution(Box::new(TruncatedPareto::new(1.5, 0.02).unwrap()))
             .sampler(LinkSampler::Harmonic);
-        let reference = builder.build_to_arena(&mut Rng::new(99)).unwrap();
+        let reference = builder.build(&mut Rng::new(99)).unwrap();
         let dir = std::env::temp_dir().join("sw-core-build-frozen");
         let frozen = builder.build_frozen(&mut Rng::new(99), &dir).unwrap();
         assert_eq!(
-            reference.contacts().as_bytes(),
-            frozen.contacts().as_bytes()
+            reference.topology().as_bytes(),
+            frozen.topology().as_bytes()
         );
-        assert_eq!(reference.long().as_bytes(), frozen.long().as_bytes());
+        assert_eq!(
+            reference.long_topology().as_bytes(),
+            frozen.long_topology().as_bytes()
+        );
+        let workload = survey_queries(
+            reference.placement(),
+            500,
+            TargetModel::MemberKeys,
+            &mut Rng::new(7),
+        );
+        let opts = RouteOptions::for_n(3000);
+        let want = route_batch(&reference, &workload, &opts, 1);
+        assert_eq!(route_batch(&frozen, &workload, &opts, 1), want);
         drop(frozen);
         let contacts = CsrTopology::open(dir.join(CONTACTS_FILE)).unwrap();
         let long = CsrTopology::open(dir.join(LONG_FILE)).unwrap();
-        assert_eq!(reference.contacts().as_bytes(), contacts.as_bytes());
-        assert_eq!(reference.long().as_bytes(), long.as_bytes());
+        assert_eq!(reference.topology().as_bytes(), contacts.as_bytes());
+        assert_eq!(reference.long_topology().as_bytes(), long.as_bytes());
         let net = SmallWorldNetwork::open_from(
             &dir,
             *builder.config_ref(),
@@ -813,20 +738,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!(net.len(), 3000);
+        assert_eq!(route_batch(&net, &workload, &opts, 1), want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Every stage reads one stopwatch that restarts at the stage
     /// boundary, so the profile accounts for the build's whole wall time.
+    /// Only the builder's networks carry a profile.
     #[test]
     fn build_profile_stages_add_up_to_the_wall_time() {
         let builder = SmallWorldBuilder::new(20_000)
             .distribution(Box::new(TruncatedPareto::new(1.5, 0.01).unwrap()))
             .sampler(LinkSampler::Harmonic);
         let started = Instant::now();
-        let build = builder.build_to_arena(&mut Rng::new(15)).unwrap();
+        let net = builder.build(&mut Rng::new(15)).unwrap();
         let wall = started.elapsed().as_secs_f64();
-        let p = build.profile();
+        let p = net
+            .build_profile()
+            .expect("a built network keeps its profile");
         let stages = [
             p.placement_s,
             p.selector_s,
@@ -843,6 +772,23 @@ mod tests {
             sum <= wall && sum >= 0.98 * wall,
             "stages sum to {sum:.6} s of a {wall:.6} s build: {p:?}"
         );
+        let mut rng = Rng::new(16);
+        let on = builder.build_on(net.placement().clone(), &mut rng).unwrap();
+        assert!(on.build_profile().is_some_and(|p| p.placement_s == 0.0));
+        let outside = SmallWorldNetwork::with_links(
+            net.placement().clone(),
+            net.assumed().clone(),
+            *net.config(),
+            vec![Vec::new(); net.len()],
+            "outside",
+        );
+        assert_eq!(outside.build_profile(), None);
+        let dir = std::env::temp_dir().join(format!("sw-core-profile-{}", std::process::id()));
+        net.freeze_to(&dir).unwrap();
+        let reopened =
+            SmallWorldNetwork::open_from(&dir, *net.config(), net.assumed().clone()).unwrap();
+        assert_eq!(reopened.build_profile(), None);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The arena image must not depend on its fill partition: the fill
@@ -859,14 +805,19 @@ mod tests {
         };
         let (contacts, long) = model_images(&builder(1), 606, "parallelism");
         for threads in [1, 2, 3, 7] {
-            let fast = builder(threads).build_to_arena(&mut Rng::new(606)).unwrap();
+            let net = builder(threads).build(&mut Rng::new(606)).unwrap();
             assert_eq!(
                 contacts,
-                fast.contacts().as_bytes(),
+                net.topology().as_bytes(),
                 "contacts, threads={threads}"
             );
-            assert_eq!(long, fast.long().as_bytes(), "long, threads={threads}");
-            assert!(fast.profile().sample_s > 0.0 && fast.profile().contact_fill_s > 0.0);
+            assert_eq!(
+                long,
+                net.long_topology().as_bytes(),
+                "long, threads={threads}"
+            );
+            let p = net.build_profile().unwrap();
+            assert!(p.sample_s > 0.0 && p.contact_fill_s > 0.0);
             #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
             {
                 let dir = std::env::temp_dir().join(format!("sw-core-any-parallelism-{threads}"));
@@ -875,12 +826,12 @@ mod tests {
                     .unwrap();
                 assert_eq!(
                     contacts,
-                    frozen.contacts().as_bytes(),
+                    frozen.topology().as_bytes(),
                     "frozen contacts, threads={threads}"
                 );
                 assert_eq!(
                     long,
-                    frozen.long().as_bytes(),
+                    frozen.long_topology().as_bytes(),
                     "frozen long, threads={threads}"
                 );
                 drop(frozen);
@@ -889,45 +840,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn arena_network_matches_heap_network() {
-        let builder = SmallWorldBuilder::new(2048).sampler(LinkSampler::Harmonic);
-        let (contacts, long) = model_images(&builder, 5, "network");
-        let built = builder.build(&mut Rng::new(5)).unwrap();
-        let fast = builder
-            .build_to_arena(&mut Rng::new(5))
-            .unwrap()
-            .into_network();
-        for net in [&built, &fast] {
-            assert_eq!(net.topology().as_bytes(), contacts);
-            assert_eq!(net.long_topology().as_bytes(), long);
-        }
-    }
-
+    /// `freeze_to` writes the built images byte for byte, and the
+    /// directory reopens into a network with the same tables.
     #[test]
     fn arena_freeze_matches_network_freeze_on_disk() {
         let builder = SmallWorldBuilder::new(800).sampler(LinkSampler::Harmonic);
         let net = builder.build(&mut Rng::new(21)).unwrap();
-        let fast = builder.build_to_arena(&mut Rng::new(21)).unwrap();
         let (contacts, long) = model_images(&builder, 21, "on-disk");
-        let base = std::env::temp_dir().join("sw-core-arena-freeze-test");
-        let _ = std::fs::remove_dir_all(&base);
-        let (net_dir, fast_dir) = (base.join("net"), base.join("fast"));
-        net.freeze_to(&net_dir).unwrap();
-        fast.freeze_to(&fast_dir).unwrap();
-        for (file, model) in [("contacts.swt", &contacts), ("long.swt", &long)] {
-            for dir in [&net_dir, &fast_dir] {
-                let bytes = std::fs::read(dir.join(file)).unwrap();
-                assert_eq!(&bytes, model, "{file} in {} differs", dir.display());
-            }
+        let dir = std::env::temp_dir().join("sw-core-arena-freeze-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        net.freeze_to(&dir).unwrap();
+        for (file, model) in [(CONTACTS_FILE, &contacts), (LONG_FILE, &long)] {
+            let bytes = std::fs::read(dir.join(file)).unwrap();
+            assert_eq!(&bytes, model, "{file} differs from the model");
         }
-        // And the frozen dir reopens into a network with the same tables.
         let reopened =
-            SmallWorldNetwork::open_from(&fast_dir, *net.config(), net.assumed().clone()).unwrap();
+            SmallWorldNetwork::open_from(&dir, *net.config(), net.assumed().clone()).unwrap();
         for u in (0..800u32).step_by(41) {
             assert_eq!(net.contacts(u), reopened.contacts(u));
         }
-        std::fs::remove_dir_all(&base).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Every way a network gets its contact image — the builder, outside

@@ -51,13 +51,13 @@ pub mod partition;
 pub mod routing;
 pub mod theory;
 
-pub use builder::{ArenaBuild, BuildError, BuildProfile, SmallWorldBuilder};
+pub use builder::{BuildError, BuildProfile, SmallWorldBuilder};
 pub use config::{LinkSampler, MassThreshold, OutDegree, SmallWorldConfig};
 pub use network::SmallWorldNetwork;
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
-    pub use crate::builder::{ArenaBuild, BuildError, BuildProfile, SmallWorldBuilder};
+    pub use crate::builder::{BuildError, BuildProfile, SmallWorldBuilder};
     pub use crate::config::{LinkSampler, MassThreshold, OutDegree, SmallWorldConfig};
     pub use crate::network::SmallWorldNetwork;
     pub use crate::partition::PartitionSurvey;

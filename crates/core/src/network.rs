@@ -30,7 +30,8 @@ pub(crate) const LONG_FILE: &str = "long.swt";
 /// routing reads) lives in a key-aligned SoA [`RouteTable`]: one flat
 /// CSR plus a per-edge ring-position lane and the per-node keys, written
 /// once by the builder's one contact-image function (`contact_image`).
-/// A freshly built network owns that image;
+/// A freshly built network owns that image (or, from `build_frozen`,
+/// maps the files it was written into);
 /// [`SmallWorldNetwork::open_from`] holds the one it read (or mapped)
 /// from disk — the same type read by the same code, so one lookup walks
 /// the id rows with the reference walk and a batch goes through the
@@ -51,6 +52,8 @@ pub struct SmallWorldNetwork {
     route_table: RouteTable,
     /// Display label, e.g. `"sw(uniform,exact)"`.
     label: String,
+    /// Stage timings of the build that produced the network.
+    profile: Option<BuildProfile>,
 }
 
 impl std::fmt::Debug for SmallWorldNetwork {
@@ -65,8 +68,13 @@ impl std::fmt::Debug for SmallWorldNetwork {
 
 impl SmallWorldNetwork {
     /// Assembles a network from its two images; `cdf` is `F̂(key_i)` per
-    /// peer. No per-edge work happens here: the contact image, written
-    /// by [`contact_image`], already carries its key lanes.
+    /// peer and the label is `sw(assumed,sampler)`. No per-edge work
+    /// happens here: the contact image, written by [`contact_image`] or
+    /// frozen from it, already carries its key lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `contacts` carries no per-edge position lane.
     pub(crate) fn from_contact_image(
         placement: Placement,
         assumed: Arc<dyn KeyDistribution>,
@@ -74,16 +82,17 @@ impl SmallWorldNetwork {
         config: SmallWorldConfig,
         contacts: CsrTopology,
         long: CsrTopology,
-        label: String,
+        profile: Option<BuildProfile>,
     ) -> Self {
         SmallWorldNetwork {
+            label: format!("sw({},{})", assumed.name(), config.sampler.label()),
             placement,
             assumed,
             cdf,
             config,
             long,
             route_table: route_table(contacts),
-            label,
+            profile,
         }
     }
 
@@ -119,8 +128,10 @@ impl SmallWorldNetwork {
         let long = CsrTopology::from_rows(&long);
         let cdf = normalized_positions(&placement, assumed.as_ref());
         let contacts = contacts_in_memory(&placement, &long);
-        let label = label.into();
-        Self::from_contact_image(placement, assumed, cdf, config, contacts, long, label)
+        let mut net =
+            Self::from_contact_image(placement, assumed, cdf, config, contacts, long, None);
+        net.label = label.into();
+        net
     }
 
     /// Number of peers.
@@ -131,6 +142,14 @@ impl SmallWorldNetwork {
     /// True if the network has no peers (never for a built network).
     pub fn is_empty(&self) -> bool {
         self.placement.is_empty()
+    }
+
+    /// Where the build's wall-clock went, stage by stage: `Some` for a
+    /// network from [`SmallWorldBuilder`](crate::SmallWorldBuilder),
+    /// `None` for one from [`SmallWorldNetwork::with_links`] or
+    /// [`SmallWorldNetwork::open_from`].
+    pub fn build_profile(&self) -> Option<BuildProfile> {
+        self.profile
     }
 
     /// The construction configuration.
@@ -270,7 +289,7 @@ impl SmallWorldNetwork {
     ) -> io::Result<SmallWorldNetwork> {
         let dir = dir.as_ref();
         // Topology::open maps the file when the feature is enabled.
-        let contacts = Arc::new(CsrTopology::open(dir.join(CONTACTS_FILE))?);
+        let contacts = CsrTopology::open(dir.join(CONTACTS_FILE))?;
         let node_pos = contacts.node_pos().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -282,28 +301,22 @@ impl SmallWorldNetwork {
         let keys: Vec<Key> = node_pos.iter().map(|&p| Key::clamped(p)).collect();
         let placement = Placement::from_keys(keys, config.topology, assumed.name())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let long = CsrTopology::open(dir.join(LONG_FILE))?;
-        let cdf = normalized_positions(&placement, assumed.as_ref());
-        let label = format!("sw({},{})", assumed.name(), config.sampler.label());
-        let route_table = RouteTable::from_store(contacts).map_err(|_| {
-            io::Error::new(
+        if contacts.edge_pos().is_none() {
+            return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "frozen overlay carries no per-edge position lane",
-            )
-        })?;
-        Ok(SmallWorldNetwork {
-            placement,
-            assumed,
-            cdf,
-            config,
-            long,
-            route_table,
-            label,
-        })
+            ));
+        }
+        let long = CsrTopology::open(dir.join(LONG_FILE))?;
+        let cdf = normalized_positions(&placement, assumed.as_ref());
+        Ok(Self::from_contact_image(
+            placement, assumed, cdf, config, contacts, long, None,
+        ))
     }
 }
 
-/// Wraps a contact image from [`contact_image`] as the routing table.
+/// Wraps a contact image as the routing table: one [`contact_image`]
+/// wrote, or one `open_from` checked for its edge lane.
 fn route_table(contacts: CsrTopology) -> RouteTable {
     RouteTable::from_store(Arc::new(contacts))
         .unwrap_or_else(|_| panic!("contact image carries no per-edge position lane"))

@@ -2,8 +2,8 @@
 //!
 //! Small, dependency-free implementations of the estimators used when
 //! validating the paper's theorems: streaming moments (Welford), empirical
-//! quantiles, histograms, the Gini coefficient for load balance, and
-//! ordinary least squares for `hops ~ log2 N` fits.
+//! quantiles, the Gini coefficient for load balance, and ordinary least
+//! squares for `hops ~ log2 N` fits.
 
 /// Streaming mean/variance/min/max via Welford's algorithm.
 #[derive(Debug, Clone, Default)]
@@ -226,94 +226,6 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> LinearFit {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)`.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-    /// Observations outside `[lo, hi)`.
-    out_of_range: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be nonempty");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-            out_of_range: 0,
-        }
-    }
-
-    /// Index of the bin containing `x`, or `None` if out of range.
-    pub fn bin_of(&self, x: f64) -> Option<usize> {
-        if !(self.lo..self.hi).contains(&x) {
-            return None;
-        }
-        let frac = (x - self.lo) / (self.hi - self.lo);
-        Some(((frac * self.counts.len() as f64) as usize).min(self.counts.len() - 1))
-    }
-
-    /// Records an observation.
-    pub fn push(&mut self, x: f64) {
-        match self.bin_of(x) {
-            Some(b) => {
-                self.counts[b] += 1;
-                self.total += 1;
-            }
-            None => self.out_of_range += 1,
-        }
-    }
-
-    /// Raw per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total in-range observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Observations that fell outside `[lo, hi)`.
-    pub fn out_of_range(&self) -> u64 {
-        self.out_of_range
-    }
-
-    /// Per-bin probability mass (sums to 1 when `total > 0`).
-    pub fn masses(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
-
-    /// Per-bin probability *density* (mass divided by bin width).
-    pub fn densities(&self) -> Vec<f64> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.masses().into_iter().map(|m| m / w).collect()
-    }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,30 +319,5 @@ mod tests {
         assert!((fit.slope - 2.0).abs() < 0.05);
         assert!(fit.r2 < 1.0);
         assert!(fit.r2 > 0.9);
-    }
-
-    #[test]
-    fn histogram_bins_and_masses() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for x in [0.1, 0.3, 0.35, 0.9, 1.5] {
-            h.push(x);
-        }
-        assert_eq!(h.counts(), &[1, 2, 0, 1]);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.out_of_range(), 1);
-        let m = h.masses();
-        assert!((m.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(0) - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_density_integrates_to_one() {
-        let mut h = Histogram::new(0.0, 2.0, 8);
-        for i in 0..1000 {
-            h.push((i as f64 / 1000.0) * 2.0);
-        }
-        let w = 2.0 / 8.0;
-        let integral: f64 = h.densities().iter().map(|d| d * w).sum();
-        assert!((integral - 1.0).abs() < 1e-12);
     }
 }

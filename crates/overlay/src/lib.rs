@@ -24,13 +24,13 @@
 //!   via sampled histograms (Bharambe, Agrawal & Seshan, SIGCOMM 2004):
 //!   the heuristic the paper's Model 2 formalizes.
 //!
-//! The framework lives in [`placement`], [`route`], [`soa`],
-//! [`interleaved`] and [`degraded`]; `route`'s module docs tell the
-//! two-kernel story (the reference walk for one lookup, interleaved
-//! AMAC batches for many).
+//! The framework lives in [`placement`], [`route`], [`soa`] and
+//! [`interleaved`]; `route`'s module docs tell the two-kernel story (the
+//! reference walk for one lookup, interleaved AMAC batches for many).
+//! A degraded view of an overlay (§3.1's link loss) is its topology
+//! through `filter_edges`, routed with [`greedy_route`].
 
 pub mod chord;
-pub mod degraded;
 pub mod interleaved;
 pub mod mercury;
 pub mod pastry;
@@ -51,7 +51,6 @@ pub use soa::RouteTable;
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
     pub use crate::chord::{Chord, RandomizedChord};
-    pub use crate::degraded::DegradedOverlay;
     pub use crate::mercury::Mercury;
     pub use crate::pastry::PastryLike;
     pub use crate::pgrid::{PGridLike, SplitPolicy};

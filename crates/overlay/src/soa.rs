@@ -18,8 +18,9 @@
 //! The table is a thin `Arc` handle over one [`Topology`] image that
 //! carries the edge lane, so the same frozen lanes are shared (not
 //! copied) between the static router, the simulator's probe snapshots
-//! and the experiment harness, and a table reopened from disk
-//! (`freeze_to` → `open_from`) is the same value a freshly built one is.
+//! and the experiment harness, and a table over an image reopened from
+//! disk ([`Topology::open`] → [`RouteTable::from_store`]) is the same
+//! value a freshly built one is.
 //!
 //! The slice-based scalar path ([`crate::route::greedy_step`] over
 //! `(id, key)` pairs) remains the *reference implementation*: the
@@ -27,8 +28,6 @@
 //! interleaved kernel debug-asserts that equivalence on every hop.
 
 use crate::route::greedy_step_soa;
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
 use sw_graph::{ArenaWriter, NodeId, Topology};
 use sw_keyspace::Key;
@@ -131,25 +130,6 @@ impl RouteTable {
     pub fn resident_bytes(&self) -> usize {
         self.store.resident_bytes()
     }
-
-    /// Freezes the table (and an optional per-node position lane, e.g.
-    /// the placement keys) into an image file at `path`.
-    pub fn freeze_to(&self, path: impl AsRef<Path>, node_pos: Option<&[f64]>) -> io::Result<()> {
-        self.store.freeze_to(path, node_pos)?;
-        Ok(())
-    }
-
-    /// Reopens a table frozen with [`RouteTable::freeze_to`]: one read
-    /// (or map), one allocation, zero per-peer work.
-    pub fn open_from(path: impl AsRef<Path>) -> io::Result<RouteTable> {
-        let store = Arc::new(Topology::open(path)?);
-        RouteTable::from_store(store).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frozen topology has no per-edge position lane",
-            )
-        })
-    }
 }
 
 #[cfg(test)]
@@ -226,8 +206,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("table.swt");
         let keys: Vec<f64> = o.placement().keys().iter().map(|k| k.get()).collect();
-        t.freeze_to(&path, Some(&keys)).unwrap();
-        let reopened = RouteTable::open_from(&path).unwrap();
+        t.store().freeze_to(&path, Some(&keys)).unwrap();
+        let reopened = RouteTable::from_store(Arc::new(Topology::open(&path).unwrap())).unwrap();
         assert_eq!(reopened.store(), t.store());
         assert_eq!(reopened.store().edge_pos(), t.store().edge_pos());
         let mut rng = Rng::new(4);

@@ -123,7 +123,7 @@ impl Overlay for Symphony {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::{RoutingSurvey, TargetModel};
+    use crate::route::{greedy_route, survey_queries, RouteOptions, RoutingSurvey, TargetModel};
     use sw_keyspace::distribution::{TruncatedPareto, Uniform};
 
     fn uniform_placement(n: usize, seed: u64) -> Placement {
@@ -210,5 +210,76 @@ mod tests {
                 assert!(s.contacts(v).contains(&u), "reverse of {u}->{v} missing");
             }
         }
+    }
+
+    /// A bidirectional Symphony on a uniform ring, placement and links
+    /// drawn from one generator.
+    fn symphony(n: usize, k: usize, seed: u64) -> Symphony {
+        let mut rng = Rng::new(seed);
+        let p = Placement::sample(n, &Uniform, Topology::Ring, &mut rng);
+        Symphony::build(p, k, true, &mut rng)
+    }
+
+    /// `o`'s contact rows with each long link (every edge that is not a
+    /// ring-neighbour edge) dropped with probability `fraction`: §3.1's
+    /// link-loss scenario.
+    fn drop_long_links(o: &Symphony, fraction: f64, rng: &mut Rng) -> CsrTopology {
+        let p = o.placement();
+        o.topology()
+            .filter_edges(|u, v| p.topology_neighbors(u).any(|w| w == v) || !rng.chance(fraction))
+    }
+
+    /// `queries` member-key lookups over `topo`, with a hop budget that
+    /// lets linear (neighbour-only) walks finish.
+    fn survey_over(
+        p: &Placement,
+        topo: &CsrTopology,
+        queries: usize,
+        rng: &mut Rng,
+    ) -> RoutingSurvey {
+        let opts = RouteOptions {
+            max_hops: p.len() as u32,
+            record_path: false,
+        };
+        let results: Vec<_> = survey_queries(p, queries, TargetModel::MemberKeys, rng)
+            .into_iter()
+            .map(|(from, target)| greedy_route(p, topo, from, target, &opts))
+            .collect();
+        RoutingSurvey::from_results(&results)
+    }
+
+    #[test]
+    fn dropping_all_long_links_leaves_the_ring() {
+        let o = symphony(256, 4, 2);
+        let mut rng = Rng::new(3);
+        let ring = drop_long_links(&o, 1.0, &mut rng);
+        for u in 0..256u32 {
+            assert_eq!(ring.neighbors(u).len(), 2, "only ring neighbours remain");
+        }
+        // Routing still succeeds — linearly.
+        let s = survey_over(o.placement(), &ring, 100, &mut rng);
+        assert!((s.success_rate() - 1.0).abs() < 1e-12);
+        assert!(s.hops.mean() > 20.0, "ring routing is linear");
+    }
+
+    #[test]
+    fn partial_link_loss_degrades_gracefully() {
+        let o = symphony(1024, 5, 4);
+        let mut rng = Rng::new(5);
+        let intact = RoutingSurvey::run(&o, 300, TargetModel::MemberKeys, &mut rng)
+            .hops
+            .mean();
+        let half = drop_long_links(&o, 0.5, &mut rng);
+        let s = survey_over(o.placement(), &half, 300, &mut rng);
+        assert!(
+            (s.success_rate() - 1.0).abs() < 1e-12,
+            "neighbour links keep routing total"
+        );
+        let degraded = s.hops.mean();
+        assert!(degraded > intact, "losing links costs hops");
+        assert!(
+            degraded < 15.0 * intact,
+            "but degradation is graceful: {intact} -> {degraded}"
+        );
     }
 }

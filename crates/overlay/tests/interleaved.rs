@@ -1,8 +1,9 @@
 //! Property-based equivalence of the interleaved AMAC routing kernel:
-//! for any overlay (including degraded/filtered views), any workload
-//! shape, any interleave width and any worker-thread count, the batched
-//! kernels return exactly the `RouteResult` sequence a sequential
-//! `greedy_route` loop returns — bit for bit, including failure tails
+//! for any overlay (including views filtered by dead peers and lost
+//! links), any workload shape, any interleave width and any
+//! worker-thread count, the batched kernels return exactly the
+//! `RouteResult` sequence a sequential `greedy_route` loop returns —
+//! bit for bit, including failure tails
 //! (hop budgets, local minima) and the in-place refill path when the
 //! batch drains unevenly — over ring and interval placements alike.
 
@@ -134,15 +135,28 @@ proptest! {
         let topology = if ring { Topology::Ring } else { Topology::Interval };
         let p = Placement::sample(n, &Uniform, topology, &mut rng);
         let o = small_world(p.clone(), 3, &mut rng);
-        let d = sw_overlay::degraded::DegradedOverlay::new(&*o)
-            .kill_random(kill, &mut rng)
-            .drop_long_links(drop, &mut rng);
-        let table = RouteTable::build(d.topology().clone(), |v| p.key(v).get());
+        // Dead peers lose every edge in or out; a surviving edge that is
+        // not a topology-neighbour edge is a long link, dropped with
+        // probability `drop`.
+        let mut dead = vec![false; n];
+        for u in rng.sample_distinct(n, (n as f64 * kill).round() as usize) {
+            dead[u] = true;
+        }
+        let topo = o.topology().filter_edges(|u, v| {
+            !dead[u as usize]
+                && !dead[v as usize]
+                && (p.topology_neighbors(u).any(|w| w == v) || !rng.chance(drop))
+        });
+        let alive: Vec<NodeId> = (0..n as NodeId).filter(|&u| !dead[u as usize]).collect();
+        let table = RouteTable::build(topo.clone(), |v| p.key(v).get());
         let workload: Vec<(NodeId, Key)> = (0..120)
-            .map(|_| (d.random_alive(&mut rng), p.key(d.random_alive(&mut rng))))
+            .map(|_| {
+                let from = alive[rng.index(alive.len())];
+                (from, p.key(alive[rng.index(alive.len())]))
+            })
             .collect();
         let opts = RouteOptions { max_hops: n as u32, record_path: true };
-        let want = reference_loop(&p, d.topology(), &workload, &opts);
+        let want = reference_loop(&p, &topo, &workload, &opts);
         let got = route_interleaved(&p, &table, &workload, &opts, width);
         prop_assert_eq!(got, want);
     }

@@ -1149,7 +1149,6 @@ impl Simulator {
         self.walks.insert(
             qid,
             Walk {
-                id: qid,
                 purpose,
                 target,
                 mode,
@@ -2338,7 +2337,7 @@ impl Simulator {
             self.metrics.ranges += 1;
             return;
         }
-        let budget = 64 + 8 * (self.alive.len().max(2) as f64).log2().ceil() as u32;
+        let budget = self.hop_budget();
         // Same owner adjustment as puts and gets: the sweep must start
         // at `lo`'s successor-rule owner, not its nearest peer.
         let at = self.shift_to_owner(walk.cur, lo);
@@ -4284,7 +4283,7 @@ mod tests {
         );
         assert_eq!(std::mem::size_of::<Envelope<Msg>>(), 40);
         assert_eq!(std::mem::size_of::<Option<Envelope<Msg>>>(), 40);
-        assert_eq!(std::mem::size_of::<Walk>(), 216);
+        assert_eq!(std::mem::size_of::<Walk>(), 208);
         assert_eq!(std::mem::size_of::<StorageOp>(), 64);
     }
 }

@@ -169,8 +169,6 @@ pub enum Purpose {
 /// a dying *relay* cannot destroy it.
 #[derive(Debug)]
 pub struct Walk {
-    /// Query id.
-    pub id: QueryId,
     /// What completion triggers.
     pub purpose: Purpose,
     /// Key being routed toward.
@@ -304,7 +302,6 @@ impl Walk {
     #[doc(hidden)]
     pub fn fixture(alternates: Vec<u32>, excluded: Vec<u32>) -> Walk {
         Walk {
-            id: 0,
             purpose: Purpose::Lookup { target_id: 0 },
             target: Key::clamped(0.5),
             mode: RoutingMode::Iterative,

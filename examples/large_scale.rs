@@ -1,10 +1,10 @@
 //! Large-scale overlay via the frozen-arena path, the front door for an
 //! arbitrary-`n` build: construct a Pareto-skewed small-world network
-//! straight into its arena images (`build_to_arena`), print where the
-//! build's wall-clock went stage by stage (`BuildProfile`), write the
-//! images out, reopen them (the contact arena loads in one allocation,
-//! no link re-sampling), and route a batch over the reopened table —
-//! printing construction and routing throughput plus resident
+//! (`build` writes its two arena images directly), print where the
+//! build's wall-clock went stage by stage (`build_profile`), write the
+//! images out (`freeze_to`), reopen them (the contact arena loads in one
+//! allocation, no link re-sampling), and route a batch over the reopened
+//! table — printing construction and routing throughput plus resident
 //! bytes/peer.
 //!
 //! ```text
@@ -40,13 +40,15 @@ fn main() {
         .distribution(Box::new(pareto))
         .sampler(LinkSampler::Harmonic);
     let t0 = Instant::now();
-    let build = builder.build_to_arena(&mut rng).expect("n >= 4");
+    let built = builder.build(&mut rng).expect("n >= 4");
     let construct_s = t0.elapsed().as_secs_f64();
     println!(
         "  built in {construct_s:.2}s ({:.0} peers/s)",
         n as f64 / construct_s
     );
-    let p = build.profile();
+    let p = built
+        .build_profile()
+        .expect("a built network keeps its profile");
     println!(
         "  stages (s): placement {:.3}, selector {:.3}, sample {:.3}, long fill {:.3}, \
          long finish {:.3}, degree count {:.3}, contact fill {:.3}, contact finish {:.3}",
@@ -63,7 +65,7 @@ fn main() {
     // Write the finished images out as flat arena files…
     let dir = std::env::temp_dir().join(format!("sw-large-scale-{n}"));
     let t0 = Instant::now();
-    build.freeze_to(&dir).expect("freeze overlay");
+    built.freeze_to(&dir).expect("freeze overlay");
     println!(
         "  frozen to {} in {:.2}s",
         dir.display(),
@@ -71,7 +73,7 @@ fn main() {
     );
 
     // …and reopen: one read per file, zero per-peer work.
-    drop(build);
+    drop(built);
     let t0 = Instant::now();
     let net = SmallWorldNetwork::open_from(&dir, *builder.config_ref(), Arc::new(pareto))
         .expect("reopen overlay");

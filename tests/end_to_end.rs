@@ -738,14 +738,14 @@ fn harmonic_pareto_images_match_the_pinned_digests() {
             (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
         })
     }
-    let build = SmallWorldBuilder::new(4096)
+    let net = SmallWorldBuilder::new(4096)
         .distribution(Box::new(TruncatedPareto::new(1.5, 0.01).unwrap()))
         .sampler(LinkSampler::Harmonic)
-        .build_to_arena(&mut Rng::new(2005))
+        .build(&mut Rng::new(2005))
         .unwrap();
     let got = (
-        fnv1a(build.contacts().as_bytes()),
-        fnv1a(build.long().as_bytes()),
+        fnv1a(net.topology().as_bytes()),
+        fnv1a(net.long_topology().as_bytes()),
     );
     assert_eq!(
         got,
