@@ -17,7 +17,7 @@
 //! | e2 | Theorem 1's proof: `P_next` and `E[X_j]` bounds | `sw_core::partition::{empirical_pnext_beats_the_theory_bound, pnext_holds_under_skew_too}` |
 //! | e3 | Theorem 2: hops insensitive to key skew | `theorem2_pipeline`, `hop_distribution_is_insensitive_to_skew` |
 //! | e4 | §1/§4: classic overlays degrade under skew, Model 2 does not | `naive_links_route_worse_on_skewed_keys`; per overlay `sw_overlay::{symphony::degrades_on_skewed_placement, pastry::skew_inflates_hop_counts, pgrid::midpoint_under_skew_inflates_depth_median_does_not}` |
-//! | e5 | §3.1: hops vs out-degree k trade-off | none |
+//! | e5 | §3.1: hops vs out-degree k trade-off | `hops_fall_as_out_degree_grows_under_skew` |
 //! | e6 | §3.1: long links spread evenly over the log N partitions | `sw_core::partition::{link_partitions_are_near_uniform, home_partition_gets_no_links}` |
 //! | e7 | §3.1: routing degrades gracefully as long links are lost | `link_loss_degrades_gracefully_under_skew` on Model 2; `sw_overlay::symphony::partial_link_loss_degrades_gracefully` on Symphony |
 //! | e8 | §4 assumption: peer density can follow data density | `balanced_storage_with_logarithmic_routing`, `sw_balance::rebalance::{uniform_hash_breaks_under_skew, sample_data_placement_balances_skew}` |

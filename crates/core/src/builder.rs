@@ -26,10 +26,13 @@
 //!
 //! # Construction pipeline
 //!
-//! One path builds every network. Each peer's long row is sampled into
-//! flat scratch, the scratch is copied into the long image, and one
-//! function, `contact_image`, then counts and fills the contact image
-//! from the placement and the sealed long image: each row is the sorted,
+//! One path builds every network. The long image is reserved at the
+//! link budget per peer, and [`LinkSelector::sample_into`] draws each
+//! peer's row straight into its slot; a row that comes up short (tiny
+//! networks, or a row that runs out its retry cap) leaves its tail
+//! vacant, and sealing the image closes the gaps. One function,
+//! `contact_image`, then counts and fills the contact image from the
+//! placement and the sealed long image: each row is the sorted,
 //! deduplicated union of the peer's ring/interval neighbours and its
 //! long row, with the per-edge and per-node key lanes gathered in place.
 //! [`SmallWorldBuilder::build`], [`SmallWorldBuilder::build_on`] and
@@ -265,20 +268,11 @@ impl SmallWorldBuilder {
         // peer `u` then samples from stream `u`, which makes the images
         // independent of how peers are chunked across worker threads.
         let build_seed = rng.next_u64();
-        let sampled = sample_rows(&selector, build_seed, budget, n, self.parallelism);
+        let width = u32::try_from(budget)
+            .map_err(|_| BuildError::Arena("out-degree exceeds the u32 id space".into()))?;
+        let mut writer = writer_at(dir, LONG_FILE, &vec![width; n], false, false)?;
+        selector.sample_into(&mut writer, build_seed, false, self.parallelism);
         profile.sample_s = lap(&mut t);
-        // The scratch is rows concatenated in peer order — the long
-        // image's own edge layout — so the long fill is a straight copy.
-        let mut writer = writer_at(dir, LONG_FILE, &sampled.degrees, false, false)?;
-        writer.fill(par::effective_threads(n, self.parallelism, 1024), |slots| {
-            let lo = slots.edge_base;
-            slots
-                .edges
-                .copy_from_slice(&sampled.links[lo..lo + slots.edges.len()]);
-        });
-        // Freeing the scratch rows is part of the stage that last read them.
-        drop(sampled);
-        profile.long_fill_s = lap(&mut t);
         let long = writer.finish(self.parallelism)?;
         profile.long_finish_s = lap(&mut t);
         let contacts = contact_image(
@@ -314,12 +308,11 @@ pub struct BuildProfile {
     /// Building the link selector (one assumed-CDF evaluation per peer
     /// and the bucket rank index over them).
     pub selector_s: f64,
-    /// Sampling every peer's long links into flat scratch.
+    /// Reserving the long-link image and sampling every peer's long
+    /// links straight into it.
     pub sample_s: f64,
-    /// Copying the scratch rows into the long-link image and freeing
-    /// them.
-    pub long_fill_s: f64,
-    /// Sealing the long-link image (sorted scan).
+    /// Sealing the long-link image (sorted scan, and closing up any
+    /// short rows).
     pub long_finish_s: f64,
     /// Counting each peer's merged contact-row degree.
     pub degree_count_s: f64,
@@ -327,47 +320,6 @@ pub struct BuildProfile {
     pub contact_fill_s: f64,
     /// Sealing the contact image (sorted scan).
     pub contact_finish_s: f64,
-}
-
-/// Per-peer long rows in peer order: `degrees[i]` rows concatenated in
-/// `links` — the exact row layout of the long arena's edge section.
-struct SampledRows {
-    degrees: Vec<u32>,
-    links: Vec<NodeId>,
-}
-
-/// Samples the long rows of all `n` peers, fanning peers across
-/// workers. Peer `u` always draws from stream `u` of `build_seed`, so
-/// the output is a pure function of `build_seed` — independent of thread
-/// count and chunking.
-fn sample_rows(
-    selector: &LinkSelector<'_>,
-    build_seed: u64,
-    budget: usize,
-    n: usize,
-    threads: usize,
-) -> SampledRows {
-    let parts = par::par_chunks(n, threads, |r| {
-        let mut degrees = Vec::with_capacity(r.len());
-        let mut links = Vec::with_capacity(r.len() * budget);
-        let mut row: Vec<NodeId> = Vec::with_capacity(budget);
-        for u in r {
-            let u = u as NodeId;
-            let mut peer_rng = Rng::stream(build_seed, u as u64);
-            selector.sample_links_into(u, budget, &mut peer_rng, &mut row);
-            degrees.push(row.len() as u32);
-            links.extend_from_slice(&row);
-        }
-        (degrees, links)
-    });
-    let total: usize = parts.iter().map(|(_, l)| l.len()).sum();
-    let mut degrees = Vec::with_capacity(n);
-    let mut links = Vec::with_capacity(total);
-    for (d, l) in parts {
-        degrees.extend_from_slice(&d);
-        links.extend_from_slice(&l);
-    }
-    SampledRows { degrees, links }
 }
 
 /// Reads the stopwatch in seconds and restarts it.
@@ -642,11 +594,11 @@ mod tests {
         bytes
     }
 
-    /// The builder's two images for `seed`, assembled the long way: the
-    /// placement and build seed drawn as the builder draws them, every
-    /// peer's row sampled on its own by `sample_links` from stream `u`
-    /// and packed verbatim, then [`model_contacts`] over that long image.
-    fn model_images(builder: &SmallWorldBuilder, seed: u64, tag: &str) -> (Vec<u8>, Vec<u8>) {
+    /// The placement and long rows the builder draws for `seed`, drawn
+    /// the long way: the placement and build seed drawn as the builder
+    /// draws them, then every peer's row sampled on its own by
+    /// `sample_links` from stream `u`.
+    fn model_rows(builder: &SmallWorldBuilder, seed: u64) -> (Placement, Vec<Vec<NodeId>>) {
         let mut rng = Rng::new(seed);
         let dist = builder.density();
         let placement =
@@ -662,9 +614,17 @@ mod tests {
         );
         let build_seed = rng.next_u64();
         let budget = builder.config.out_degree.links_for(n);
-        let rows: Vec<Vec<NodeId>> = (0..n as NodeId)
+        let rows = (0..n as NodeId)
             .map(|u| selector.sample_links(u, budget, &mut Rng::stream(build_seed, u as u64)))
             .collect();
+        (placement, rows)
+    }
+
+    /// The builder's two images for `seed`, assembled the long way:
+    /// [`model_rows`] packed verbatim, then [`model_contacts`] over that
+    /// long image.
+    fn model_images(builder: &SmallWorldBuilder, seed: u64, tag: &str) -> (Vec<u8>, Vec<u8>) {
+        let (placement, rows) = model_rows(builder, seed);
         let long = CsrTopology::from_rows(&rows);
         (
             model_contacts(&placement, &long, tag),
@@ -742,6 +702,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Short rows take the one path: tiny networks at the default
+    /// out-degree, and a constant out-degree wider than the admissible
+    /// set, leave some long rows short of the budget their slots were
+    /// reserved at. Every long row is still `sample_links` on stream `u`
+    /// of the build seed, both images are the model's, and the files
+    /// `build_frozen` leaves are the heap images byte for byte. (Seed 1
+    /// leaves short rows at n = 4, 5 and 6 alike; at n = 8 no seed of
+    /// 1–30 does.)
+    #[test]
+    fn short_rows_take_the_same_path() {
+        let cases = [
+            SmallWorldBuilder::new(4),
+            SmallWorldBuilder::new(5),
+            SmallWorldBuilder::new(6),
+            SmallWorldBuilder::new(40)
+                .sampler(LinkSampler::Harmonic)
+                .out_degree(OutDegree::Const(48)),
+        ];
+        let seed = 1;
+        for builder in &cases {
+            let net = builder.build(&mut Rng::new(seed)).unwrap();
+            let n = net.len();
+            let budget = builder.config.out_degree.links_for(n);
+            let at = format!("n={n} budget={budget}");
+            let (_, rows) = model_rows(builder, seed);
+            for (u, row) in rows.iter().enumerate() {
+                assert_eq!(net.long_links(u as NodeId), &row[..], "{at} u={u}");
+            }
+            assert!(
+                rows.iter().any(|row| row.len() < budget),
+                "{at}: no short row"
+            );
+            let (contacts, long) = model_images(builder, seed, &format!("short-{n}"));
+            assert_eq!(contacts, net.topology().as_bytes(), "{at}: contacts");
+            assert_eq!(long, net.long_topology().as_bytes(), "{at}: long");
+            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+            {
+                let dir = std::env::temp_dir()
+                    .join(format!("sw-core-short-rows-{n}-{}", std::process::id()));
+                let frozen = builder.build_frozen(&mut Rng::new(seed), &dir).unwrap();
+                assert_eq!(long, frozen.long_topology().as_bytes(), "{at}: frozen long");
+                drop(frozen);
+                for (file, image) in [(CONTACTS_FILE, &contacts), (LONG_FILE, &long)] {
+                    let bytes = std::fs::read(dir.join(file)).unwrap();
+                    assert_eq!(&bytes, image, "{at}: {file} on disk");
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+
     /// Every stage reads one stopwatch that restarts at the stage
     /// boundary, so the profile accounts for the build's whole wall time.
     /// Only the builder's networks carry a profile.
@@ -760,7 +771,6 @@ mod tests {
             p.placement_s,
             p.selector_s,
             p.sample_s,
-            p.long_fill_s,
             p.long_finish_s,
             p.degree_count_s,
             p.contact_fill_s,

@@ -16,6 +16,7 @@
 use crate::config::LinkSampler;
 use sw_graph::par;
 use sw_graph::prefetch::prefetch_read;
+use sw_graph::writer::{ArenaWriter, VACANT};
 use sw_graph::NodeId;
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::{Key, Rng, Topology};
@@ -115,9 +116,10 @@ impl<'a> LinkSelector<'a> {
     /// Draws `count` distinct long-range links for peer `u`.
     ///
     /// Distinctness (and the `v ≠ u` / mass ≥ threshold restrictions) are
-    /// enforced with bounded retries; the returned vector can be shorter
-    /// than `count` only when the admissible candidate set itself is
-    /// smaller (tiny networks).
+    /// enforced with bounded retries, at most `16·count + 64` candidates
+    /// per row; the returned vector is shorter than `count` when the
+    /// admissible candidate set itself is smaller (tiny networks) or when
+    /// that retry cap runs out first.
     pub fn sample_links(&self, u: NodeId, count: usize, rng: &mut Rng) -> Vec<NodeId> {
         let mut links = Vec::with_capacity(count);
         self.sample_links_into(u, count, rng, &mut links);
@@ -125,23 +127,64 @@ impl<'a> LinkSelector<'a> {
     }
 
     /// [`sample_links`] into a caller-owned buffer (cleared first), so
-    /// bulk construction reuses one row buffer per worker instead of
+    /// a caller drawing many rows reuses one buffer instead of
     /// allocating one `Vec` per peer. Draw-for-draw identical to
     /// [`sample_links`].
     ///
     /// [`sample_links`]: LinkSelector::sample_links
     pub fn sample_links_into(&self, u: NodeId, count: usize, rng: &mut Rng, out: &mut Vec<NodeId>) {
         out.clear();
+        out.resize(count, 0);
+        let len = self.draw_row(u, rng, out);
+        out.truncate(len);
+    }
+
+    /// Draws every peer's long row straight into its slot of `writer`,
+    /// whose rows are reserved at the link budget: peer `u` draws as
+    /// many links as its slot holds from stream `u` of `build_seed`,
+    /// sorted ascending if `sort_rows`, and leaves the slots it does not
+    /// fill [`VACANT`] for the seal to close up. Row `u` is
+    /// [`sample_links`] on that stream, so the image is the same at any
+    /// `threads` (`0` = auto).
+    ///
+    /// [`sample_links`]: LinkSelector::sample_links
+    pub fn sample_into(
+        &self,
+        writer: &mut ArenaWriter,
+        build_seed: u64,
+        sort_rows: bool,
+        threads: usize,
+    ) {
+        let n = writer.len();
+        writer.fill(par::effective_threads(n, threads, 1024), |slots| {
+            for u in slots.range.clone() {
+                let r = slots.row_bounds(u);
+                let row = &mut slots.edges[r];
+                let len = self.draw_row(u as NodeId, &mut Rng::stream(build_seed, u as u64), row);
+                let (links, rest) = row.split_at_mut(len);
+                if sort_rows {
+                    links.sort_unstable();
+                }
+                rest.fill(VACANT);
+            }
+        });
+    }
+
+    /// Draws up to `row.len()` links for peer `u` into the front of
+    /// `row` and returns how many it drew.
+    fn draw_row(&self, u: NodeId, rng: &mut Rng, row: &mut [NodeId]) -> usize {
+        let mut links = Row { slots: row, len: 0 };
         match self.sampler {
-            LinkSampler::Exact => self.sample_exact(u, count, rng, out),
-            LinkSampler::Harmonic => self.sample_harmonic(u, count, rng, out),
+            LinkSampler::Exact => self.sample_exact(u, rng, &mut links),
+            LinkSampler::Harmonic => self.sample_harmonic(u, rng, &mut links),
         }
+        links.len
     }
 
     /// Exact discrete sampling: cumulative weights `1/mass(u, v)` over all
     /// admissible `v`.
-    fn sample_exact(&self, u: NodeId, count: usize, rng: &mut Rng, links: &mut Vec<NodeId>) {
-        let n = self.placement.len();
+    fn sample_exact(&self, u: NodeId, rng: &mut Rng, links: &mut Row<'_>) {
+        let (n, count) = (self.placement.len(), links.slots.len());
         let mut cum = Vec::with_capacity(n);
         let mut acc = 0.0;
         for v in 0..n as NodeId {
@@ -157,7 +200,7 @@ impl<'a> LinkSelector<'a> {
             return;
         }
         let mut tries = 0;
-        while links.len() < count && tries < 16 * count + 64 {
+        while links.len < count && tries < 16 * count + 64 {
             tries += 1;
             let v = rng.sample_cumulative(&cum) as NodeId;
             // `cum` is flat at inadmissible v, so sample_cumulative can
@@ -183,8 +226,8 @@ impl<'a> LinkSelector<'a> {
     /// `quantile` is ever drawn and discarded, and with accepts in draw
     /// order every link and the generator's final state are bit-identical
     /// to the one-candidate-at-a-time loop.
-    fn sample_harmonic(&self, u: NodeId, count: usize, rng: &mut Rng, links: &mut Vec<NodeId>) {
-        let pos = self.cdf[u as usize];
+    fn sample_harmonic(&self, u: NodeId, rng: &mut Rng, links: &mut Row<'_>) {
+        let (pos, count) = (self.cdf[u as usize], links.slots.len());
         // Available mass on each side of u in normalized space.
         let (left_mass, right_mass) = match self.placement.topology() {
             Topology::Interval => (pos, 1.0 - pos),
@@ -212,8 +255,8 @@ impl<'a> LinkSelector<'a> {
         let mut tries = 0;
         let mut target_key = [Key::clamped(0.0); BATCH];
         let mut bucket = [0usize; BATCH];
-        while links.len() < count && tries < cap {
-            let want = (count - links.len()).min(BATCH).min(cap - tries);
+        while links.len < count && tries < cap {
+            let want = (count - links.len).min(BATCH).min(cap - tries);
             for i in 0..want {
                 // A side is only ever chosen when its weight is positive,
                 // and then the weight *is* `ln(side_mass / tau)`.
@@ -255,6 +298,23 @@ impl<'a> LinkSelector<'a> {
                 links.push(v);
             }
         }
+    }
+}
+
+/// A row being drawn into its slots: the first `len` hold its links.
+struct Row<'a> {
+    slots: &'a mut [NodeId],
+    len: usize,
+}
+
+impl Row<'_> {
+    fn contains(&self, v: &NodeId) -> bool {
+        self.slots[..self.len].contains(v)
+    }
+
+    fn push(&mut self, v: NodeId) {
+        self.slots[self.len] = v;
+        self.len += 1;
     }
 }
 

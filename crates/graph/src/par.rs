@@ -19,8 +19,10 @@
 //! helpers are entered once per build stage, validation scan, routed
 //! batch or simulator boot, never per item. An empty 2-thread region
 //! costs 12–27 µs at the median (2 000 samples, two sessions on a
-//! 2-core Xeon @ 2.10 GHz) against ≈ 0.14 s for a 10⁵-peer arena build
-//! on the same host with four regions in it.
+//! 2-core Xeon @ 2.10 GHz) against 0.17–0.20 s for a 10⁵-peer Pareto
+//! build (five builds of `examples/large_scale.rs` on a 2-core Xeon)
+//! with six regions in it: the selector's positions, the long-row draw
+//! and its seal, and the contact image's count, fill and seal.
 
 /// Number of worker threads to use when the caller asks for "auto" (`0`).
 pub fn default_parallelism() -> usize {

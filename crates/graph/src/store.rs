@@ -234,6 +234,23 @@ impl std::ops::Deref for ImageBuf {
     }
 }
 
+impl ImageBuf {
+    /// Cuts the buffer to its first `words` words: an owned buffer is
+    /// reallocated at the smaller size, a mapping's views shrink (its
+    /// file is cut by the writer that holds it).
+    pub(crate) fn truncate(&mut self, words: usize) {
+        match self {
+            ImageBuf::Owned(b) => {
+                let mut v = std::mem::take(b).into_vec();
+                v.truncate(words);
+                *b = v.into_boxed_slice();
+            }
+            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+            ImageBuf::Mapped(m) => m.truncate(words * 8),
+        }
+    }
+}
+
 impl std::ops::DerefMut for ImageBuf {
     /// # Panics
     ///
@@ -294,12 +311,14 @@ pub(crate) mod mapping {
     pub struct Mapping {
         ptr: *mut u64,
         len_bytes: usize,
+        /// Bytes the views cover: `len_bytes` until [`Mapping::truncate`].
+        view_bytes: usize,
         writable: bool,
     }
 
     // SAFETY: `ptr` is a process-wide mapping this value alone owns and
-    // unmaps (no thread affinity); `len_bytes` and `writable` are plain
-    // values. Moving all three to another thread is sound.
+    // unmaps (no thread affinity); the lengths and `writable` are plain
+    // values. Moving them to another thread is sound.
     unsafe impl Send for Mapping {}
     // SAFETY: shared access only reads (`words(&self)`); writes need
     // `words_mut(&mut self)`, so the borrow rules forbid a data race.
@@ -346,22 +365,31 @@ pub(crate) mod mapping {
             Ok(Mapping {
                 ptr: ptr as *mut u64,
                 len_bytes,
+                view_bytes: len_bytes,
                 writable,
             })
         }
 
         pub fn words(&self) -> &[u64] {
-            // SAFETY: `ptr` maps `len_bytes` (a multiple of 8: callers
-            // map whole images) page-aligned bytes until `drop`, and the
-            // view borrows `self`, so the mapping outlives it.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len_bytes / 8) }
+            // SAFETY: `ptr` maps `len_bytes ≥ view_bytes` (a multiple of
+            // 8: callers map and keep whole images) page-aligned bytes
+            // until `drop`, and the view borrows `self`, so the mapping
+            // outlives it.
+            unsafe { std::slice::from_raw_parts(self.ptr, self.view_bytes / 8) }
         }
 
         pub fn words_mut(&mut self) -> &mut [u64] {
             assert!(self.writable, "read-only mapping");
             // SAFETY: as in `words`; the assert proves PROT_WRITE, and
             // `&mut self` makes this the only view while it lives.
-            unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len_bytes / 8) }
+            unsafe { std::slice::from_raw_parts_mut(self.ptr, self.view_bytes / 8) }
+        }
+
+        /// Shrinks the views to the first `view_bytes` bytes, for a file
+        /// cut to that length: pages past the new end stay mapped until
+        /// `drop`, but no view reaches them.
+        pub fn truncate(&mut self, view_bytes: usize) {
+            self.view_bytes = self.view_bytes.min(view_bytes);
         }
     }
 

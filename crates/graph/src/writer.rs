@@ -18,6 +18,17 @@
 //! `FLAG_SORTED` scan runs over the finished rows in
 //! [`ArenaWriter::finish`], fanned out with [`crate::par`].
 //!
+//! ## Rows that come up short
+//!
+//! A row whose length is only known once it is filled — a link draw
+//! that can end short of its budget — is reserved at its widest, and
+//! the fill leaves the slots it does not use [`VACANT`]. The seal's scan
+//! counts them; if there are any, it closes every row up against the
+//! one before (rows keep their order, and a row's links theirs) and cuts
+//! the buffer, or the file, to the exact image. With no vacant slot the
+//! seal moves nothing, so a reserved image of full rows is the image a
+//! counted one writes.
+//!
 //! ## Filling in parallel
 //!
 //! Disjoint peer ranges own disjoint byte ranges of the `edges` /
@@ -34,21 +45,30 @@ use crate::par;
 use crate::store::{
     self, bad_format, section, section_mut, ImageBuf, FLAG_EDGE_POS, FLAG_NODE_POS, FLAG_SORTED,
 };
+use std::fs::File;
 use std::io;
 use std::mem::take;
 use std::ops::Range;
 
+/// What a fill writes into a slot its row leaves unused. Never a peer
+/// id: ids stay below `u32::MAX`.
+pub const VACANT: NodeId = NodeId::MAX;
+
 /// An image under construction: header and offsets are fixed up front
-/// from per-peer degrees; edge rows and lanes are filled in place
-/// (concurrently, per disjoint peer range); [`ArenaWriter::finish`]
-/// derives the sorted flag and header checksum and seals the image into
-/// a [`Topology`].
+/// from per-peer degrees (or reserved widths); edge rows and lanes are
+/// filled in place (concurrently, per disjoint peer range);
+/// [`ArenaWriter::finish`] closes up [`VACANT`] slots, derives the
+/// sorted flag and header checksum and seals the image into a
+/// [`Topology`].
 pub struct ArenaWriter {
     n: usize,
     m: usize,
     flags: u64,
     layout: store::Layout,
     buf: ImageBuf,
+    /// The destination file a mapped image lives in, cut to size if
+    /// the seal closes up vacant slots.
+    file: Option<File>,
 }
 
 /// One fill chunk's mutable window into the image being written:
@@ -125,14 +145,9 @@ impl ArenaWriter {
         file.set_len((layout.total_words * 8) as u64)?;
         store::mapping::preallocate(&file, layout.total_words * 8);
         let map = store::mapping::Mapping::map_rw(&file, layout.total_words * 8)?;
-        Ok(Self::init(
-            ImageBuf::Mapped(map),
-            n,
-            m,
-            flags,
-            layout,
-            degrees,
-        ))
+        let mut writer = Self::init(ImageBuf::Mapped(map), n, m, flags, layout, degrees);
+        writer.file = Some(file);
+        Ok(writer)
     }
 
     /// Validates the degree table and computes the image geometry.
@@ -186,6 +201,7 @@ impl ArenaWriter {
             flags,
             layout,
             buf,
+            file: None,
         }
     }
 
@@ -273,37 +289,84 @@ impl ArenaWriter {
         }));
     }
 
-    /// Seals the image: one sorted scan over the filled rows sets the
-    /// `FLAG_SORTED` bit and checks every target is a peer id, then the
-    /// header checksum is written and the buffer wrapped as a
-    /// [`Topology`].
+    /// Seals the image: one scan over the filled rows counts the
+    /// [`VACANT`] slots, sets the `FLAG_SORTED` bit (vacant slots
+    /// skipped) and checks every other target is a peer id; any vacant
+    /// slots are then closed up, the header checksum is written and the
+    /// buffer wrapped as a [`Topology`].
     ///
-    /// Errors if a filled edge target is not a peer id.
+    /// Errors if a filled edge target is not a peer id, or if an image
+    /// with an edge or node lane has vacant slots.
     pub fn finish(mut self, threads: usize) -> io::Result<Topology> {
         let (n, m, l) = (self.n, self.m, self.layout);
-        let (sorted, in_range) = {
+        let (sorted, in_range, vacant) = {
             let offsets: &[u32] = section(&self.buf, l.offsets, n + 1);
             let edges: &[NodeId] = section(&self.buf, l.edges, m);
             par::par_chunks(n, threads, |r| {
-                let rows = &edges[offsets[r.start] as usize..offsets[r.end] as usize];
-                let sorted = r.clone().all(|u| {
-                    edges[offsets[u] as usize..offsets[u + 1] as usize]
-                        .windows(2)
-                        .all(|w| w[0] <= w[1])
-                });
-                (sorted, rows.iter().all(|&v| (v as usize) < n))
+                let (mut sorted, mut in_range, mut vacant) = (true, true, 0);
+                for u in r {
+                    let mut last = 0;
+                    for &v in &edges[offsets[u] as usize..offsets[u + 1] as usize] {
+                        if v == VACANT {
+                            vacant += 1;
+                        } else {
+                            sorted &= last <= v;
+                            in_range &= (v as usize) < n;
+                            last = v;
+                        }
+                    }
+                }
+                (sorted, in_range, vacant)
             })
             .into_iter()
-            .fold((true, true), |a, b| (a.0 && b.0, a.1 && b.1))
+            .fold((true, true, 0), |a, b| (a.0 && b.0, a.1 && b.1, a.2 + b.2))
         };
         if !in_range {
             return Err(bad_format("edge target out of range"));
+        }
+        if vacant > 0 {
+            self.close_up()?;
         }
         if sorted {
             self.buf[3] |= FLAG_SORTED;
         }
         self.buf[4] = store::header_checksum(&self.buf);
         Topology::from_image(self.buf, cfg!(debug_assertions))
+    }
+
+    /// Drops every [`VACANT`] slot, moving each row's links down against
+    /// the row before, and cuts the image to the edges it keeps: the
+    /// header, the offsets, the buffer and the file behind a mapping.
+    fn close_up(&mut self) -> io::Result<()> {
+        if self.flags & (FLAG_EDGE_POS | FLAG_NODE_POS) != 0 {
+            return Err(bad_format("vacant slots in an image with lanes"));
+        }
+        let (n, m, l) = (self.n, self.m, self.layout);
+        let (pre, rest) = self.buf.split_at_mut(l.edges);
+        let offsets: &mut [u32] = section_mut(pre, l.offsets, n + 1);
+        let edges: &mut [NodeId] = section_mut(rest, 0, m);
+        let (mut to, mut lo) = (0, 0);
+        for u in 0..n {
+            let hi = offsets[u + 1] as usize;
+            for i in lo..hi {
+                if edges[i] != VACANT {
+                    edges[to] = edges[i];
+                    to += 1;
+                }
+            }
+            offsets[u + 1] = to as u32;
+            lo = hi;
+        }
+        // The word padding after an odd edge count reads zero.
+        edges[to..].fill(0);
+        self.m = to;
+        self.layout = store::layout(n, to, self.flags);
+        self.buf[2] = to as u64;
+        if let Some(file) = &self.file {
+            file.set_len((self.layout.total_words * 8) as u64)?;
+        }
+        self.buf.truncate(self.layout.total_words);
+        Ok(())
     }
 }
 
@@ -478,6 +541,56 @@ pub(crate) mod tests {
             assert_eq!(reopened.as_bytes(), reference, "lanes={lanes}");
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Rows reserved wider than they end up seal to the image of the
+    /// rows without their vacant slots, wherever the gaps sit, on the
+    /// heap and (cut to size) on disk; an image with lanes refuses gaps.
+    #[test]
+    fn vacant_slots_close_up_at_the_seal() {
+        const V: NodeId = VACANT;
+        let unsorted: Vec<Vec<NodeId>> = vec![
+            vec![1, 3, V, V],
+            vec![V, V, V],
+            vec![0, V, 4],
+            vec![4, 2, 0, V],
+            vec![1],
+        ];
+        let mut sorted = unsorted.clone();
+        sorted[3] = vec![0, V, 2, 4];
+        let fill = |reserved: &[Vec<NodeId>], slots: ShardSlots<'_>| {
+            for u in slots.range.clone() {
+                let r = slots.row_bounds(u);
+                slots.edges[r].copy_from_slice(&reserved[u]);
+            }
+        };
+        let degrees: Vec<u32> = unsorted.iter().map(|r| r.len() as u32).collect();
+        for reserved in [&unsorted, &sorted] {
+            let kept: Vec<Vec<NodeId>> = reserved
+                .iter()
+                .map(|r| r.iter().copied().filter(|&v| v != V).collect())
+                .collect();
+            let model = model_image(&kept, None, None);
+            for fill_threads in [1, 2, 3] {
+                let mut writer = ArenaWriter::from_degrees(&degrees, false, false).unwrap();
+                writer.fill(fill_threads, |slots| fill(reserved, slots));
+                let sealed = writer.finish(1).unwrap();
+                assert_eq!(sealed.as_bytes(), model, "fill_threads={fill_threads}");
+            }
+            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+            {
+                let path = std::env::temp_dir()
+                    .join(format!("sw-writer-vacant-{}.arena", std::process::id()));
+                let mut writer = ArenaWriter::create_at(&path, &degrees, false, false).unwrap();
+                writer.fill(2, |slots| fill(reserved, slots));
+                assert_eq!(writer.finish(1).unwrap().as_bytes(), model, "mapped");
+                assert_eq!(std::fs::read(&path).unwrap(), model, "on disk");
+                let _ = std::fs::remove_file(&path);
+            }
+        }
+        let mut writer = ArenaWriter::from_degrees(&degrees, true, false).unwrap();
+        writer.fill(1, |slots| fill(&unsorted, slots));
+        assert!(writer.finish(1).is_err());
     }
 
     #[test]

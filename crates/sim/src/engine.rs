@@ -24,7 +24,7 @@ use sw_core::config::{LinkSampler, MassThreshold, OutDegree};
 use sw_core::links::LinkSelector;
 use sw_dht::{item_bytes, ShardMap, KEY_BYTES};
 use sw_graph::prefetch::{prefetch_read, prefetch_span};
-use sw_graph::{par, DeltaStore, IdMap, IdSet, LinkTable, Topology};
+use sw_graph::{par, ArenaWriter, DeltaStore, IdMap, IdSet, LinkTable, Topology};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::stats::OnlineStats;
 use sw_keyspace::Topology as Metric;
@@ -314,7 +314,8 @@ pub(crate) const OUT_DEGREE: OutDegree = OutDegree::Log2N;
 /// harmonic long links over their ring placement (`1/n` mass
 /// threshold). One `next_u64` from `rng` seeds the links and peer `u`
 /// draws from stream `u` of it, so the rows are the same at any
-/// `threads` (`0` = auto). The rows come back sorted. It is what
+/// `threads` (`0` = auto). The rows are drawn straight into the image
+/// ([`LinkSelector::sample_into`]) and come back sorted. It is what
 /// [`Simulator::new`] boots, and what a caller hands
 /// [`Simulator::with_store`] (or freezes for [`Simulator::from_frozen`])
 /// to boot the same overlay.
@@ -328,22 +329,22 @@ pub fn converged_overlay(
     while keys.len() < n {
         keys.insert(dist.sample_key(rng));
     }
-    let keys: Vec<Key> = keys.into_iter().collect();
-    let placement = Placement::from_keys(keys.clone(), Metric::Ring, dist.name())
+    let placement = Placement::from_keys(keys.into_iter().collect(), Metric::Ring, dist.name())
         .expect("a key set is distinct");
     let min_mass = MassThreshold::OneOverN.min_mass(n);
     let selector = LinkSelector::new(&placement, dist, min_mass, LinkSampler::Harmonic);
     let budget = OUT_DEGREE.links_for(n);
     let build_seed = rng.next_u64();
-    let rows = par::par_map_grained(n, threads, 256, |u| {
-        let mut peer_rng = Rng::stream(build_seed, u as u64);
-        selector.sample_links(u as u32, budget, &mut peer_rng)
-    });
-    let mut lt = LinkTable::new(n);
-    for (u, row) in rows.iter().enumerate() {
-        lt.add_all(u as u32, row.iter().copied());
-    }
-    (keys, lt.build())
+    let mut writer = ArenaWriter::from_degrees(&vec![budget as u32; n], false, false)
+        .expect("edge count fits u32");
+    selector.sample_into(&mut writer, build_seed, true, threads);
+    let links = writer
+        .finish(threads)
+        .expect("sampled targets are peer ids");
+    // Copied out once the selector's caches are gone, so the draw never
+    // holds the keys twice beside the image.
+    drop(selector);
+    (placement.keys().to_vec(), links)
 }
 
 /// Successor-list length (ring repair redundancy).

@@ -13,9 +13,10 @@
 //! ```
 //!
 //! The default `n` is small so the example stays fast; pass the peer
-//! count as the first argument for real scale. One 10⁶-peer run on a
-//! 2-core x86-64 host built in 1.93 s, held 356 B/peer once reopened,
-//! and peaked at ≈ 370 MB resident. Stamped,
+//! count as the first argument for real scale. Two 10⁶-peer runs on a
+//! 2-core x86-64 host built in 1.95–2.09 s, held 356 B/peer once
+//! reopened, and peaked at 365 MB resident (`VmHWM`), reached while the
+//! contact image is filled beside the sealed long image. Stamped,
 //! repeatable timings of this same pipeline are `benchmark/`'s
 //! `build_skew` and `route_static` workloads.
 
@@ -50,12 +51,11 @@ fn main() {
         .build_profile()
         .expect("a built network keeps its profile");
     println!(
-        "  stages (s): placement {:.3}, selector {:.3}, sample {:.3}, long fill {:.3}, \
-         long finish {:.3}, degree count {:.3}, contact fill {:.3}, contact finish {:.3}",
+        "  stages (s): placement {:.3}, selector {:.3}, sample {:.3}, long finish {:.3}, \
+         degree count {:.3}, contact fill {:.3}, contact finish {:.3}",
         p.placement_s,
         p.selector_s,
         p.sample_s,
-        p.long_fill_s,
         p.long_finish_s,
         p.degree_count_s,
         p.contact_fill_s,

@@ -283,6 +283,42 @@ fn link_loss_degrades_gracefully_under_skew() {
     }
 }
 
+/// §3.1's trade-off between routing-table size and search cost (E5),
+/// on Model 2: with Pareto(1.5, 0.01) keys at n = 2¹² and k harmonic
+/// long links per peer, mean hops fall strictly as k grows through
+/// {1, 2, 4, log₂ n}, every lookup arrives, and the work proxy k · hops
+/// stays within 0.20–0.65 of log₂² n, the Θ(log² n / k) shape. Hops
+/// that ignored k would put k · hops at k = 1 near 0.05 · log₂² n, and
+/// hops falling as 1 / k² would leave the band by k = 12. (Seed 7 reads
+/// 35.5 / 21.1 / 13.1 / 6.6 hops, k · hops 0.25 / 0.29 / 0.36 / 0.55 of
+/// log₂² n; seeds 1–12 read 0.23–0.25 / 0.28–0.31 / 0.35–0.37 /
+/// 0.54–0.57, all at success 1.0.)
+#[test]
+fn hops_fall_as_out_degree_grows_under_skew() {
+    let n = 1usize << 12;
+    let log2_sq = (n as f64).log2().powi(2);
+    let mut rng = Rng::new(7);
+    let mut prev = f64::INFINITY;
+    for k in [1usize, 2, 4, 12] {
+        let net = SmallWorldBuilder::new(n)
+            .distribution(Box::new(TruncatedPareto::new(1.5, 0.01).unwrap()))
+            .sampler(LinkSampler::Harmonic)
+            .out_degree(OutDegree::Const(k))
+            .build(&mut rng)
+            .unwrap();
+        let s = net.routing_survey(800, &mut rng);
+        let hops = s.hops.mean();
+        assert_eq!(s.success_rate(), 1.0, "k={k}");
+        assert!(hops < prev, "k={k}: {hops} hops, not below {prev}");
+        let work = k as f64 * hops / log2_sq;
+        assert!(
+            (0.20..=0.65).contains(&work),
+            "k={k}: k * hops = {work} of log2^2 n"
+        );
+        prev = hops;
+    }
+}
+
 /// Theorems 1 and 2 as a scaling law: with harmonic links and the
 /// default log₂ n out-degree, mean greedy hops grow as log₂ n — one
 /// interval holds hops / log₂ n from n = 2¹⁰ to 2¹⁶, for uniform and
