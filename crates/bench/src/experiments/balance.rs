@@ -106,13 +106,4 @@ pub fn e8_load_balance(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e8_load_balance.csv");
-    println!(
-        "  expected shape: uniform-hash collapses on the skewed corpus (storage gini \
-         → 0.9); data-sampled placement restores uniform-grade storage balance — \
-         this is the peer density f that Model 2 then builds its graph over; the \
-         online rebalancer repairs a bad placement in O(n) local rounds. The \
-         sample-queries row shows the §4 trade-off: best *query* balance, worst \
-         *storage* balance — a placement adapts peer density to one load axis at a \
-         time, which is why the paper treats the target distribution as a free input f"
-    );
 }

@@ -80,12 +80,6 @@ pub fn e10_join_protocol(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e10_join_protocol.csv");
-    println!(
-        "  expected shape: msgs/join stays well under log²N; grown networks route \
-         ~1.2× the oracle's hops (early joiners' links predate most of the population), \
-         and one refresh interval brings the hop distribution to the oracle's, KS D \
-         under the critical value"
-    );
 }
 
 /// Grows a network on the engine by the §4.2 protocol: 8 converged
@@ -223,13 +217,6 @@ pub fn e11_estimation(ctx: &Ctx) {
     table.row(vec!["oracle (true f)".into(), h, s]);
     table.print();
     ctx.write_csv(&table, "e11_estimation.csv");
-    println!(
-        "  expected shape: the ECDF estimator lands within ~20% of the oracle even at \
-         tiny sample budgets and keeps improving with rounds; fixed-bin histograms \
-         plateau well above it regardless of budget — the estimate needs resolution \
-         in MASS (order statistics), not in key space, because that is the metric \
-         the link rule integrates over"
-    );
 }
 
 /// E14 — lookups under churn, sweeping churn intensity × maintenance
@@ -288,9 +275,4 @@ pub fn e14_churn(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e14_churn.csv");
-    println!(
-        "  expected shape: without maintenance success decays with churn rate; \
-         stabilization recovers correctness, refresh additionally recovers hop \
-         counts — §3.1's robustness claim plus §5's future-work setting"
-    );
 }

@@ -95,10 +95,6 @@ pub fn e9_normalization_equivalence(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e9_normalization_equivalence.csv");
-    println!(
-        "  expected shape: per-distribution row pairs agree within CI on every \
-         column — the two constructions sample the same graph law (Theorem 2's proof)"
-    );
 }
 
 fn clone_dist(d: &dyn KeyDistribution) -> Box<dyn KeyDistribution> {

@@ -1,8 +1,10 @@
 //! One module per experiment family; the registry in the crate root maps
 //! experiment ids (`e1`..`e11`, `e14`..`e16`, `e18`, `e19`, `e22`, `e23`)
-//! onto these functions. Each experiment prints its table(s) with an
-//! "expected shape" line and writes CSVs into the context's output
-//! directory (through the shared `ctx` path helpers).
+//! onto these functions. Each experiment prints its table(s) and writes
+//! CSVs into the context's output directory (through the shared `ctx`
+//! path helpers). The table below names what holds each claim; E22,
+//! which pins nothing, is the one experiment that still prints an
+//! "expected shape" line.
 //!
 //! # Claims and their pins
 //!
@@ -26,7 +28,7 @@
 //! | e11 | §4.2: peers estimate f locally and approach the oracle | `estimation_recovers_from_naive_links` |
 //! | e14 | §5: churn hurts lookups, maintenance restores them | `sw_sim::engine::{churn_without_maintenance_hurts_success, maintenance_restores_success_under_churn}` |
 //! | e15 | ablation: key-space vs mass-space greedy | `key_space_and_mass_space_greedy_agree` |
-//! | e16 | §2.1: Theorems 1–2 carry over to the ring | none for the hops; `sw_core::builder::ring_topology_build_works` checks the wiring |
+//! | e16 | §2.1: Theorems 1–2 carry over to the ring | the ring cases of `hops_grow_logarithmically_at_any_skew` and `hop_distribution_is_insensitive_to_skew` (on the ring, key-space greedy pays ≈ 2 % under skew, so the KS bound is the ring's own); `sw_core::builder::ring_topology_build_works` checks the wiring |
 //! | e18 | replica repair: durability vs bandwidth | `BENCH_repair.json` |
 //! | e19 | routing modes under churn | `BENCH_routing.json`, `sw_sim::engine::iterative_strands_and_fails_strictly_less_than_recursive_under_churn` |
 //! | e22 | simulator scale: events/s and peak RSS to 10⁶ peers | none: host-time readings, no claim and no `BENCH_*` row |

@@ -126,13 +126,6 @@ pub fn e18_repair(ctx: &Ctx) {
     table.print();
     ctx.write_csv(&table, "e18_repair.csv");
     write_snapshot(ctx, &rows);
-    println!(
-        "  expected shape: with repair off, keys are permanently lost and losses grow \
-         with churn and shrink with replication; with repair on, losses collapse while \
-         repair bytes grow — shorter intervals buy lower time-to-repair and fewer \
-         losses for more bandwidth, and under-replication drains to ~0 once churn \
-         stops. The trade-off holds under both uniform and Pareto key densities"
-    );
 }
 
 /// Hand-rolled JSON rows (the workspace builds offline — no serde).

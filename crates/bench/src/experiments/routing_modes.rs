@@ -155,14 +155,6 @@ pub fn e19_routing_modes(ctx: &Ctx) {
     table.print();
     ctx.write_csv(&table, "e19_routing_modes.csv");
     write_snapshot(ctx, &rows);
-    println!(
-        "  expected shape: at churn 0 both modes deliver 100% with identical hop \
-         counts, and iterative p50/p99 sits one RTT-per-hop above recursive (the \
-         price of requester-driven hops); under churn, iterative's stranded+failed \
-         rate drops strictly below recursive at the same churn level and seed \
-         (carrier deaths cannot kill the query and the requester fails over past \
-         dead frontiers)"
-    );
 }
 
 /// Hand-rolled JSON rows (the workspace builds offline — no serde).

@@ -46,7 +46,6 @@ pub fn e3_skew_invariance(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e3_skew_invariance.csv");
-    println!("  expected shape: per-N hop means agree across all seven rows (within CI)");
 }
 
 /// E4 — the motivating comparison: how each system handles increasing
@@ -167,10 +166,6 @@ pub fn e4_system_comparison(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e4_system_comparison.csv");
-    println!(
-        "  expected shape: model-2 / mercury / p-grid stay flat across columns; \
-         naive Kleinberg and symphony degrade with skew; chord/pastry inflate moderately"
-    );
 }
 
 fn dist_box(
@@ -242,8 +237,4 @@ pub fn e15_routing_metric(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e15_routing_metric.csv");
-    println!(
-        "  expected shape: every lookup succeeds both ways; under uniform keys the \
-         two routes are identical, under skew |Δ| ≤ 3 % (key_space_and_mass_space_greedy_agree)"
-    );
 }

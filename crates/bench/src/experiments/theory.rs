@@ -132,7 +132,6 @@ pub fn e5_outdegree_tradeoff(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e5_outdegree_tradeoff.csv");
-    println!("  expected shape: hops ≈ Θ(log²N / k), flattening once k ≥ log2 N");
 }
 
 /// E6 — long-link partition occupancy: the small-world graph spreads its
@@ -230,11 +229,6 @@ pub fn e16_ring_topology(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e16_ring_topology.csv");
-    println!(
-        "  expected shape: ring rows match interval rows (slightly cheaper — no \
-         boundary peers with one-sided neighbourhoods); Theorems 1–2 carry over \
-         to the ring as claimed"
-    );
 }
 
 /// E7 — §3.1 robustness: drop a fraction of long links (neighbour links

@@ -153,17 +153,6 @@ pub fn e23_traffic(ctx: &Ctx) {
     table.print();
     ctx.write_csv(&table, "e23_traffic.csv");
     write_snapshot(ctx, &points, &knees);
-    println!(
-        "  expected shape: at s=0 load spreads over the whole hot-key \
-         universe and the knee sits where transit + gateway-report traffic \
-         exhausts per-node service; skew concentrates arrivals on the top \
-         ranks' owners, dragging the knee down an order of magnitude by \
-         s=1.2; turning the requester cache on absorbs hot-key \
-         re-references at the gateways before they reach the network, so \
-         the cache-on knee at s ≥ 0.9 sits measurably above cache-off \
-         (the headline claim), while at s=0 the cache barely moves it \
-         (few re-references inside the TTL)"
-    );
 }
 
 fn on_off(cache: bool) -> &'static str {

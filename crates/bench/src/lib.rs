@@ -1,8 +1,10 @@
 //! # sw-bench
 //!
 //! The experiment harness: one runnable experiment per claim of the
-//! paper, each printing its table/series with an "expected shape" line
-//! and writing a CSV next to it.
+//! paper, each printing its table/series and writing a CSV next to it.
+//! A claim is held by the tier-1 test or committed `BENCH_*.json` file
+//! that the claim table in [`experiments`] names, not by printed prose;
+//! only E22, which pins nothing, still prints an "expected shape" line.
 //!
 //! ```text
 //! cargo run -p sw-bench --release --bin experiments -- all

@@ -915,8 +915,6 @@ mod tests {
             "pair",
         );
         check(&pair, "two-peer ring");
-        net.set_long_links(0, vec![150, 3, 299]);
-        check(&net, "set_long_links");
         net.set_all_long_links(rows);
         check(&net, "set_all_long_links");
         net.drop_random_long_links(0.5, &mut rng);

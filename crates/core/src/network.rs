@@ -189,17 +189,6 @@ impl SmallWorldNetwork {
         }
     }
 
-    /// Replaces the long links of peer `u` (used by refresh/estimation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or a link id is out of range, `links` holds `u`
-    /// itself, or it names a target twice.
-    pub fn set_long_links(&mut self, u: NodeId, links: Vec<NodeId>) {
-        check_long_row(self.len(), u, &links);
-        self.set_long_topology(self.long.with_row(u, &links));
-    }
-
     /// Replaces every peer's long links at once (bulk refresh; rebuilds
     /// both CSR tables a single time).
     ///
@@ -422,17 +411,21 @@ mod tests {
     }
 
     #[test]
-    fn set_long_links_updates_incoming_and_contacts() {
+    fn set_all_long_links_updates_incoming_and_contacts() {
         let mut net = small_net(64, 6);
-        net.set_long_links(0, vec![42]);
+        let mut rows = net.long_topology().to_rows();
+        rows[0] = vec![42];
+        net.set_all_long_links(rows);
         assert_eq!(net.long_links(0), &[42]);
         assert!(net.contacts(0).contains(&42));
     }
 
     #[test]
     #[should_panic(expected = "peer 0: duplicate link 42")]
-    fn set_long_links_rejects_a_duplicate() {
-        small_net(64, 6).set_long_links(0, vec![42, 42]);
+    fn set_all_long_links_rejects_a_duplicate() {
+        let mut rows = vec![vec![]; 64];
+        rows[0] = vec![42, 42];
+        small_net(64, 6).set_all_long_links(rows);
     }
 
     #[test]

@@ -2,26 +2,13 @@
 //! an immutable [`Topology`] base, LSM-style.
 //!
 //! A [`DeltaStore`] answers row reads exactly like the base topology
-//! until a peer's row is touched; touched rows live in a side table
-//! keyed by peer id. This is what lets the simulator preload a
+//! until a peer's row is touched; a touched row is copied whole into a
+//! side table keyed by peer id and edited there, so every read
+//! ([`DeltaStore::row_slice`]) is a contiguous `&[NodeId]` to hand to
+//! the routing kernels. This is what lets the simulator preload a
 //! 10⁶–10⁷-peer overlay straight from a frozen image — zero per-peer
 //! allocations at load — while churn, joins, and neighbour refreshes
 //! mutate only the (small) delta.
-//!
-//! ## Row forms
-//!
-//! A touched row is stored in one of two forms:
-//!
-//! * **Replaced** — the full row, owned. Produced by [`DeltaStore::set_row`]
-//!   and [`DeltaStore::retain_row`] (the simulator's prune/refresh
-//!   paths), so the hot read path ([`DeltaStore::row_slice`]) always has
-//!   a contiguous `&[NodeId]` to hand to the routing kernels.
-//! * **Patched** — add/remove logs against the base row. Produced by
-//!   [`DeltaStore::add_edge`] / [`DeltaStore::remove_edge`] when the row
-//!   was untouched, costing O(log-entry) instead of O(degree) per
-//!   mutation. Reading a patched row requires materialization
-//!   ([`DeltaStore::row_into`]): the base row minus the removed targets,
-//!   then the added targets in insertion order.
 //!
 //! Peers past the base's length (joins) are implicit empty rows until
 //! written.
@@ -30,22 +17,11 @@ use crate::csr::{NodeId, Topology};
 use crate::idhash::IdMap;
 use crate::prefetch::prefetch_read;
 
-/// One touched row: a full replacement, or add/remove logs against the
-/// base row (see module docs for the exact read semantics).
-#[derive(Debug, Clone)]
-enum DeltaRow {
-    Replaced(Vec<NodeId>),
-    Patched {
-        removed: Vec<NodeId>,
-        added: Vec<NodeId>,
-    },
-}
-
 /// Per-peer edge mutations layered over an immutable base topology.
 #[derive(Debug)]
 pub struct DeltaStore {
     base: Topology,
-    delta: IdMap<NodeId, DeltaRow>,
+    delta: IdMap<NodeId, Vec<NodeId>>,
     n: usize,
 }
 
@@ -80,12 +56,7 @@ impl DeltaStore {
     pub fn edge_count(&self) -> usize {
         let mut m = self.base.edge_count();
         for (&u, row) in &self.delta {
-            let base_len = self.base_row(u).len();
-            let now = match row {
-                DeltaRow::Replaced(r) => r.len(),
-                DeltaRow::Patched { removed, added } => base_len - removed.len() + added.len(),
-            };
-            m = m - base_len + now;
+            m = m - self.base_row(u).len() + row.len();
         }
         m
     }
@@ -100,29 +71,18 @@ impl DeltaStore {
         }
     }
 
-    /// Peer `u`'s effective out-degree, without materializing.
+    /// Peer `u`'s effective out-degree.
     pub fn degree(&self, u: NodeId) -> usize {
-        match self.delta.get(&u) {
-            None => self.base_row(u).len(),
-            Some(DeltaRow::Replaced(r)) => r.len(),
-            Some(DeltaRow::Patched { removed, added }) => {
-                self.base_row(u).len() - removed.len() + added.len()
-            }
-        }
+        self.row_slice(u).len()
     }
 
-    /// Peer `u`'s row as a contiguous slice, when one exists without
-    /// materialization: an untouched base row, a replaced row, or an
-    /// implicit empty join row. Patched rows return `None` — use
-    /// [`DeltaStore::row_into`]. Callers that only mutate through
-    /// [`set_row`](Self::set_row) / [`retain_row`](Self::retain_row)
-    /// (the simulator) always get `Some`.
+    /// Peer `u`'s row: an untouched base row, a touched row from the
+    /// delta, or an implicit empty join row.
     #[inline]
-    pub fn row_slice(&self, u: NodeId) -> Option<&[NodeId]> {
+    pub fn row_slice(&self, u: NodeId) -> &[NodeId] {
         match self.delta.get(&u) {
-            None => Some(self.base_row(u)),
-            Some(DeltaRow::Replaced(r)) => Some(r),
-            Some(DeltaRow::Patched { .. }) => None,
+            None => self.base_row(u),
+            Some(r) => r,
         }
     }
 
@@ -135,22 +95,10 @@ impl DeltaStore {
         prefetch_read(self.base.offsets().as_ptr().wrapping_add(u as usize));
     }
 
-    /// Materializes peer `u`'s effective row into `out` (cleared first).
+    /// Copies peer `u`'s effective row into `out` (cleared first).
     pub fn row_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
-        match self.delta.get(&u) {
-            None => out.extend_from_slice(self.base_row(u)),
-            Some(DeltaRow::Replaced(r)) => out.extend_from_slice(r),
-            Some(DeltaRow::Patched { removed, added }) => {
-                out.extend(
-                    self.base_row(u)
-                        .iter()
-                        .copied()
-                        .filter(|v| !removed.contains(v)),
-                );
-                out.extend_from_slice(added);
-            }
-        }
+        out.extend_from_slice(self.row_slice(u));
     }
 
     /// Replaces peer `u`'s row outright. `row` must be duplicate-free
@@ -161,119 +109,55 @@ impl DeltaStore {
     /// Panics if `u` is outside the store.
     pub fn set_row(&mut self, u: NodeId, row: Vec<NodeId>) {
         assert!((u as usize) < self.n, "peer outside the store");
-        self.delta.insert(u, DeltaRow::Replaced(row));
+        self.delta.insert(u, row);
     }
 
     /// Keeps only the targets of `u`'s row accepted by `keep`,
-    /// preserving order. A slice-backed row that `keep` accepts whole
-    /// is left as it is (an untouched base row stays a base read);
-    /// otherwise the row is materialized into the delta if needed.
-    /// `keep` must be a pure predicate: it may see a target twice.
+    /// preserving order. A row that `keep` accepts whole is left as it
+    /// is (an untouched base row stays a base read); otherwise the row
+    /// is copied into the delta if needed. `keep` must be a pure
+    /// predicate: it may see a target twice.
     pub fn retain_row(&mut self, u: NodeId, mut keep: impl FnMut(&NodeId) -> bool) {
         assert!((u as usize) < self.n, "peer outside the store");
-        if self
-            .row_slice(u)
-            .is_some_and(|row| row.iter().all(&mut keep))
-        {
+        if self.row_slice(u).iter().all(&mut keep) {
             return;
         }
         self.owned_row(u).retain(keep);
     }
 
-    /// The `Replaced` form of `u`'s row, materializing it on first touch.
+    /// `u`'s row in the delta, copied from the base on first touch.
     fn owned_row(&mut self, u: NodeId) -> &mut Vec<NodeId> {
-        if !matches!(self.delta.get(&u), Some(DeltaRow::Replaced(_))) {
-            let mut row = Vec::new();
-            self.row_into(u, &mut row);
-            self.delta.insert(u, DeltaRow::Replaced(row));
+        if !self.delta.contains_key(&u) {
+            let row = self.base_row(u).to_vec();
+            self.delta.insert(u, row);
         }
-        match self.delta.get_mut(&u).expect("just inserted") {
-            DeltaRow::Replaced(r) => r,
-            DeltaRow::Patched { .. } => unreachable!("just replaced"),
-        }
+        self.delta.get_mut(&u).expect("just inserted")
     }
 
-    /// Adds the edge `u -> v` unless already present. Returns whether
-    /// the edge was added. Untouched rows take the O(1)-amortized
-    /// patched form; re-adding a removed base edge restores it at its
-    /// base position.
+    /// Adds the edge `u -> v` unless already present, appending it to
+    /// the row. Returns whether the edge was added. The first edit of
+    /// an untouched row copies it into the delta.
     ///
     /// # Panics
     ///
     /// Panics if `u` is outside the store.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> bool {
         assert!((u as usize) < self.n, "peer outside the store");
-        let in_base = self.base_row(u).contains(&v);
-        match self.delta.get_mut(&u) {
-            Some(DeltaRow::Replaced(r)) => {
-                if r.contains(&v) {
-                    return false;
-                }
-                r.push(v);
-            }
-            Some(DeltaRow::Patched { removed, added }) => {
-                if let Some(i) = removed.iter().position(|&x| x == v) {
-                    removed.swap_remove(i);
-                } else if added.contains(&v) || in_base {
-                    return false;
-                } else {
-                    added.push(v);
-                }
-            }
-            None => {
-                if in_base {
-                    return false;
-                }
-                self.delta.insert(
-                    u,
-                    DeltaRow::Patched {
-                        removed: Vec::new(),
-                        added: vec![v],
-                    },
-                );
-            }
+        if self.row_slice(u).contains(&v) {
+            return false;
         }
+        self.owned_row(u).push(v);
         true
     }
 
-    /// Removes the edge `u -> v` if present. Returns whether an edge
-    /// was removed.
+    /// Removes the edge `u -> v` if present, keeping the row's order.
+    /// Returns whether an edge was removed.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let in_base = self.base_row(u).contains(&v);
-        match self.delta.get_mut(&u) {
-            Some(DeltaRow::Replaced(r)) => match r.iter().position(|&x| x == v) {
-                Some(i) => {
-                    r.remove(i);
-                    true
-                }
-                None => false,
-            },
-            Some(DeltaRow::Patched { removed, added }) => {
-                if let Some(i) = added.iter().position(|&x| x == v) {
-                    added.swap_remove(i);
-                    true
-                } else if !removed.contains(&v) && in_base {
-                    removed.push(v);
-                    true
-                } else {
-                    false
-                }
-            }
-            None => {
-                if in_base {
-                    self.delta.insert(
-                        u,
-                        DeltaRow::Patched {
-                            removed: vec![v],
-                            added: Vec::new(),
-                        },
-                    );
-                    true
-                } else {
-                    false
-                }
-            }
-        }
+        let Some(i) = self.row_slice(u).iter().position(|&x| x == v) else {
+            return false;
+        };
+        self.owned_row(u).remove(i);
+        true
     }
 
     /// Appends a joined peer with the given row and returns its id. The
@@ -282,23 +166,14 @@ impl DeltaStore {
         assert!(self.n < u32::MAX as usize, "peer count exceeds u32 ids");
         let u = self.n as NodeId;
         self.n += 1;
-        self.delta.insert(u, DeltaRow::Replaced(row));
+        self.delta.insert(u, row);
         u
     }
 
     /// Approximate resident bytes: the base image plus the delta rows'
     /// payloads (for the scale experiment's memory accounting).
     pub fn resident_bytes(&self) -> usize {
-        let delta: usize = self
-            .delta
-            .values()
-            .map(|row| match row {
-                DeltaRow::Replaced(r) => 4 * r.capacity() + 16,
-                DeltaRow::Patched { removed, added } => {
-                    4 * (removed.capacity() + added.capacity()) + 16
-                }
-            })
-            .sum();
+        let delta: usize = self.delta.values().map(|r| 4 * r.capacity() + 16).sum();
         self.base.resident_bytes() + delta
     }
 }
@@ -321,8 +196,8 @@ mod tests {
     fn untouched_rows_read_through() {
         let store = DeltaStore::new(base_store());
         assert_eq!(store.len(), 5);
-        assert_eq!(store.row_slice(0).unwrap(), &[1, 3, 4]); // sorted at freeze
-        assert_eq!(store.row_slice(2).unwrap(), &[] as &[NodeId]);
+        assert_eq!(store.row_slice(0), &[1, 3, 4]); // sorted at freeze
+        assert_eq!(store.row_slice(2), &[] as &[NodeId]);
         assert_eq!(store.edge_count(), 10);
         assert_eq!(store.delta_rows(), 0);
     }
@@ -331,13 +206,13 @@ mod tests {
     fn replace_retain_and_joins() {
         let mut store = DeltaStore::new(base_store());
         store.set_row(0, vec![2, 1]);
-        assert_eq!(store.row_slice(0).unwrap(), &[2, 1]);
+        assert_eq!(store.row_slice(0), &[2, 1]);
         store.retain_row(4, |&v| v != 0 && v != 2);
-        assert_eq!(store.row_slice(4).unwrap(), &[1, 3]);
+        assert_eq!(store.row_slice(4), &[1, 3]);
         let joined = store.push_node(vec![0, 4]);
         assert_eq!(joined, 5);
         assert_eq!(store.len(), 6);
-        assert_eq!(store.row_slice(5).unwrap(), &[0, 4]);
+        assert_eq!(store.row_slice(5), &[0, 4]);
         // Per-row degrees 2, 1, 0, 2, 2, 2 (row 2 is empty in the base).
         assert_eq!(store.edge_count(), 9);
     }
@@ -362,31 +237,49 @@ mod tests {
         lt.add_all(4, [1, 0, 3]);
         let rebuilt = lt.build();
         for u in 0..5 {
-            assert_eq!(store.row_slice(u).unwrap(), rebuilt.neighbors(u), "row {u}");
+            assert_eq!(store.row_slice(u), rebuilt.neighbors(u), "row {u}");
         }
         assert_eq!(store.edge_count(), rebuilt.edge_count());
     }
 
     #[test]
-    fn patched_rows_log_and_materialize() {
+    fn edge_edits_copy_the_row_once_and_keep_its_order() {
         let mut store = DeltaStore::new(base_store());
-        assert!(store.remove_edge(0, 3));
-        assert!(!store.remove_edge(0, 3), "already removed");
-        assert!(store.add_edge(0, 2));
-        assert!(!store.add_edge(0, 2), "already added");
-        assert!(!store.add_edge(0, 1), "present in base");
-        assert!(store.row_slice(0).is_none(), "patched rows materialize");
         let mut row = Vec::new();
-        store.row_into(0, &mut row);
-        assert_eq!(row, vec![1, 4, 2]);
-        assert_eq!(store.degree(0), 3);
-        // Re-adding a removed base edge restores it in base position.
+        let mut check = |store: &DeltaStore, u: NodeId, expect: &[NodeId], touched: usize| {
+            store.row_into(u, &mut row);
+            assert_eq!(row, expect, "row_into {u}");
+            assert_eq!(store.row_slice(u), expect, "row_slice {u}");
+            assert_eq!(store.degree(u), expect.len(), "degree {u}");
+            assert_eq!(store.delta_rows(), touched);
+        };
+        // Refused edits leave every row a base read.
+        assert!(!store.add_edge(0, 1), "already present");
+        assert!(!store.remove_edge(0, 2), "absent");
+        assert!(!store.remove_edge(2, 0), "absent from an empty row");
+        check(&store, 0, &[1, 3, 4], 0);
+
+        // The first edit copies the base row; later edits reuse the copy.
+        assert!(store.remove_edge(0, 3));
+        check(&store, 0, &[1, 4], 1);
+        assert!(!store.remove_edge(0, 3), "absent");
+        assert!(store.add_edge(0, 2));
+        check(&store, 0, &[1, 4, 2], 1);
+        assert!(!store.add_edge(0, 2), "already present");
+        // A re-added base edge is appended, not put back in base order.
         assert!(store.add_edge(0, 3));
-        store.row_into(0, &mut row);
-        assert_eq!(row, vec![1, 3, 4, 2]);
-        // Removing a logged addition cancels the log entry.
-        assert!(store.remove_edge(0, 2));
-        store.row_into(0, &mut row);
-        assert_eq!(row, vec![1, 3, 4]);
+        check(&store, 0, &[1, 4, 2, 3], 1);
+        assert!(store.remove_edge(0, 4));
+        check(&store, 0, &[1, 2, 3], 1);
+
+        // An add to an empty base row, then a second touched row.
+        assert!(store.add_edge(2, 4));
+        check(&store, 2, &[4], 2);
+        assert!(store.remove_edge(3, 0));
+        check(&store, 3, &[2], 3);
+        assert!(store.remove_edge(3, 2));
+        check(&store, 3, &[], 3);
+        // Base 10 edges: row 0 is 3 -> 3, row 2 is 0 -> 1, row 3 is 2 -> 0.
+        assert_eq!(store.edge_count(), 9);
     }
 }

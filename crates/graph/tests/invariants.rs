@@ -237,7 +237,7 @@ proptest! {
         }
         let mut store = DeltaStore::new(lt.build());
         let mut model: Vec<BTreeSet<NodeId>> = (0..n as NodeId)
-            .map(|u| store.row_slice(u).unwrap().iter().copied().collect())
+            .map(|u| store.row_slice(u).iter().copied().collect())
             .collect();
         // No self-loops anywhere (the link samplers never draw them,
         // and `LinkTable::add_all` filters them), so every op keeps the

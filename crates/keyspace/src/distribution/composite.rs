@@ -1,100 +1,6 @@
-//! Composite distributions: mixtures and empirical (learned) densities.
+//! Empirical (learned) densities.
 
 use super::{DistributionError, KeyDistribution, PiecewiseConstant};
-use crate::rng::Rng;
-use std::sync::Arc;
-
-/// A convex combination of component distributions.
-///
-/// Used to model multi-hotspot key spaces (e.g. two popular key regions)
-/// and to stress Theorem 2 with multimodal `f`.
-#[derive(Debug, Clone)]
-pub struct Mixture {
-    components: Vec<(f64, Arc<dyn KeyDistribution>)>,
-    /// Cumulative component weights for sampling.
-    cum_weights: Vec<f64>,
-}
-
-impl Mixture {
-    /// Builds a mixture from `(weight, component)` pairs. Weights must be
-    /// finite and positive; they are normalized to sum to 1.
-    pub fn new(
-        components: Vec<(f64, Arc<dyn KeyDistribution>)>,
-    ) -> Result<Self, DistributionError> {
-        if components.is_empty() {
-            return Err(DistributionError::InvalidShape(
-                "mixture needs at least one component".into(),
-            ));
-        }
-        if components.iter().any(|(w, _)| !w.is_finite() || *w <= 0.0) {
-            return Err(DistributionError::InvalidShape(
-                "mixture weights must be finite and positive".into(),
-            ));
-        }
-        let total: f64 = components.iter().map(|(w, _)| w).sum();
-        let components: Vec<(f64, Arc<dyn KeyDistribution>)> = components
-            .into_iter()
-            .map(|(w, d)| (w / total, d))
-            .collect();
-        let mut cum_weights = Vec::with_capacity(components.len());
-        let mut acc = 0.0;
-        for (w, _) in &components {
-            acc += w;
-            cum_weights.push(acc);
-        }
-        *cum_weights.last_mut().expect("nonempty") = 1.0;
-        Ok(Mixture {
-            components,
-            cum_weights,
-        })
-    }
-
-    /// Two truncated normals — the canonical bimodal hotspot workload.
-    pub fn bimodal(
-        mu1: f64,
-        sigma1: f64,
-        mu2: f64,
-        sigma2: f64,
-    ) -> Result<Self, DistributionError> {
-        let a = super::TruncatedNormal::new(mu1, sigma1)?;
-        let b = super::TruncatedNormal::new(mu2, sigma2)?;
-        Mixture::new(vec![(0.5, Arc::new(a) as _), (0.5, Arc::new(b) as _)])
-    }
-
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    /// True if there are no components (never true for a constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
-    }
-}
-
-impl KeyDistribution for Mixture {
-    fn name(&self) -> String {
-        let parts: Vec<String> = self
-            .components
-            .iter()
-            .map(|(w, d)| format!("{:.2}*{}", w, d.name()))
-            .collect();
-        format!("mix[{}]", parts.join("+"))
-    }
-
-    fn pdf(&self, x: f64) -> f64 {
-        self.components.iter().map(|(w, d)| w * d.pdf(x)).sum()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        self.components.iter().map(|(w, d)| w * d.cdf(x)).sum()
-    }
-
-    fn sample_value(&self, rng: &mut Rng) -> f64 {
-        let i = rng.sample_cumulative(&self.cum_weights);
-        self.components[i].1.sample_value(rng)
-    }
-}
 
 /// Empirical distribution from observed keys: linear interpolation of the
 /// empirical CDF between order statistics.
@@ -200,64 +106,8 @@ impl KeyDistribution for Empirical {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::{TruncatedNormal, Uniform};
-
-    #[test]
-    fn mixture_rejects_bad_input() {
-        assert!(Mixture::new(vec![]).is_err());
-        assert!(Mixture::new(vec![(0.0, Arc::new(Uniform) as _)]).is_err());
-        assert!(Mixture::new(vec![(-1.0, Arc::new(Uniform) as _)]).is_err());
-    }
-
-    #[test]
-    fn mixture_of_uniforms_is_uniform() {
-        let m = Mixture::new(vec![
-            (2.0, Arc::new(Uniform) as _),
-            (1.0, Arc::new(Uniform) as _),
-        ])
-        .unwrap();
-        assert!((m.pdf(0.4) - 1.0).abs() < 1e-12);
-        assert!((m.cdf(0.4) - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bimodal_has_two_peaks() {
-        let m = Mixture::bimodal(0.2, 0.05, 0.8, 0.05).unwrap();
-        assert!(m.pdf(0.2) > m.pdf(0.5));
-        assert!(m.pdf(0.8) > m.pdf(0.5));
-        assert!((m.cdf(1.0) - 1.0).abs() < 1e-9);
-        // Symmetric setup: half the mass below 0.5.
-        assert!((m.cdf(0.5) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mixture_quantile_roundtrips_via_bisection() {
-        let m = Mixture::bimodal(0.25, 0.08, 0.7, 0.04).unwrap();
-        for i in 1..20 {
-            let p = i as f64 / 20.0;
-            let x = m.quantile(p);
-            assert!((m.cdf(x) - p).abs() < 1e-7, "p={p}");
-        }
-    }
-
-    #[test]
-    fn mixture_sampling_matches_component_weights() {
-        let m = Mixture::new(vec![
-            (
-                0.75,
-                Arc::new(TruncatedNormal::new(0.2, 0.02).unwrap()) as _,
-            ),
-            (
-                0.25,
-                Arc::new(TruncatedNormal::new(0.8, 0.02).unwrap()) as _,
-            ),
-        ])
-        .unwrap();
-        let mut rng = Rng::new(17);
-        let n = 50_000;
-        let below = (0..n).filter(|_| m.sample_value(&mut rng) < 0.5).count() as f64 / n as f64;
-        assert!((below - 0.75).abs() < 0.01, "below = {below}");
-    }
+    use crate::distribution::TruncatedNormal;
+    use crate::rng::Rng;
 
     #[test]
     fn empirical_needs_two_distinct_samples() {

@@ -14,10 +14,8 @@
 //! * [`TruncatedExponential`] — monotone skew toward one end.
 //! * [`TruncatedPareto`] — heavy-tailed skew (the classic “Zipf-like”
 //!   workload of the 2000s P2P literature).
-//! * [`PiecewiseConstant`] — histogram densities, incl. Zipf-binned
-//!   constructors; also the output of local density *estimation*.
-//! * [`PiecewiseLinear`] — tent/valley/ramp profiles.
-//! * [`Mixture`] — convex combinations (bimodal hotspots etc.).
+//! * [`PiecewiseConstant`] — histogram densities, incl. the Zipf-binned
+//!   constructor; also the output of local density *estimation*.
 //! * [`Empirical`] — interpolated ECDF learned from observed keys.
 
 mod composite;
@@ -25,10 +23,10 @@ mod numerics;
 mod parametric;
 mod piecewise;
 
-pub use composite::{Empirical, Mixture};
+pub use composite::Empirical;
 pub use numerics::{erf, norm_cdf, norm_pdf};
 pub use parametric::{Kumaraswamy, TruncatedExponential, TruncatedNormal, TruncatedPareto};
-pub use piecewise::{PiecewiseConstant, PiecewiseLinear};
+pub use piecewise::PiecewiseConstant;
 
 use crate::key::Key;
 use crate::rng::Rng;

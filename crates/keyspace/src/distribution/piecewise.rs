@@ -1,4 +1,4 @@
-//! Piecewise densities: histogram (constant-per-bin) and piecewise-linear.
+//! Piecewise-constant (histogram) densities.
 //!
 //! [`PiecewiseConstant`] doubles as (a) the classic “Zipf over m bins”
 //! workload generator of the P2P literature and (b) the output format of
@@ -7,7 +7,6 @@
 //! and the adaptive protocol.
 
 use super::{DistributionError, KeyDistribution};
-use crate::rng::Rng;
 
 /// A histogram density: `bins` equal-width cells over `[0, 1)`, constant
 /// density inside each cell.
@@ -72,37 +71,6 @@ impl PiecewiseConstant {
         Self::from_weights_labeled(&weights, format!("zipf({bins},{s})"))
     }
 
-    /// Zipf(s) masses assigned to bins in a random (seeded) order —
-    /// scattered hotspots rather than one monotone ramp.
-    pub fn zipf_shuffled(bins: usize, s: f64, rng: &mut Rng) -> Result<Self, DistributionError> {
-        let mut d = Self::zipf(bins, s)?;
-        // Shuffle the masses, then rebuild the cumulative table.
-        rng.shuffle(&mut d.mass);
-        let mut acc = 0.0;
-        for (i, m) in d.mass.iter().enumerate() {
-            d.cum[i] = acc;
-            acc += m;
-        }
-        d.cum[d.mass.len()] = 1.0;
-        d.label = format!("zipf_shuffled({bins},{s})");
-        Ok(d)
-    }
-
-    /// Two-level “step” density: the first `hot_fraction` of the key space
-    /// carries `ratio`× the density of the rest.
-    pub fn step(bins: usize, hot_fraction: f64, ratio: f64) -> Result<Self, DistributionError> {
-        if !(0.0..=1.0).contains(&hot_fraction) || !ratio.is_finite() || ratio <= 0.0 {
-            return Err(DistributionError::InvalidShape(format!(
-                "step(hot_fraction={hot_fraction}, ratio={ratio})"
-            )));
-        }
-        let hot_bins = ((bins as f64) * hot_fraction).round() as usize;
-        let weights: Vec<f64> = (0..bins)
-            .map(|i| if i < hot_bins { ratio } else { 1.0 })
-            .collect();
-        Self::from_weights_labeled(&weights, format!("step({bins},{hot_fraction},{ratio})"))
-    }
-
     /// Number of bins.
     pub fn bins(&self) -> usize {
         self.mass.len()
@@ -156,177 +124,6 @@ impl KeyDistribution for PiecewiseConstant {
             0.0
         };
         ((b as f64 + within.clamp(0.0, 1.0)) * self.bin_width()).clamp(0.0, 1.0)
-    }
-}
-
-/// A piecewise-linear density through knots `(x_i, f_i)`, `x_0 = 0`,
-/// `x_k = 1`, automatically normalized to integrate to 1.
-#[derive(Debug, Clone)]
-pub struct PiecewiseLinear {
-    /// Knot positions, strictly increasing, first 0 and last 1.
-    xs: Vec<f64>,
-    /// Normalized densities at the knots.
-    fs: Vec<f64>,
-    /// Cumulative mass at each knot.
-    cum: Vec<f64>,
-    label: String,
-}
-
-impl PiecewiseLinear {
-    /// Builds the density from knots. Requirements: at least two points;
-    /// `x` strictly increasing from exactly `0.0` to exactly `1.0`;
-    /// densities finite, nonnegative, not all zero.
-    pub fn from_points(points: &[(f64, f64)]) -> Result<Self, DistributionError> {
-        Self::from_points_labeled(points, format!("piecewise_linear({} pts)", points.len()))
-    }
-
-    fn from_points_labeled(
-        points: &[(f64, f64)],
-        label: String,
-    ) -> Result<Self, DistributionError> {
-        if points.len() < 2 {
-            return Err(DistributionError::InvalidShape(
-                "need at least two knots".into(),
-            ));
-        }
-        if points[0].0 != 0.0 || points[points.len() - 1].0 != 1.0 {
-            return Err(DistributionError::InvalidShape(
-                "knots must span exactly [0, 1]".into(),
-            ));
-        }
-        for w in points.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return Err(DistributionError::InvalidShape(
-                    "knot positions must be strictly increasing".into(),
-                ));
-            }
-        }
-        if points
-            .iter()
-            .any(|(x, f)| !x.is_finite() || !f.is_finite() || *f < 0.0)
-        {
-            return Err(DistributionError::InvalidShape(
-                "densities must be finite and nonnegative".into(),
-            ));
-        }
-        // Trapezoid integral for normalization.
-        let mut total = 0.0;
-        for w in points.windows(2) {
-            total += 0.5 * (w[0].1 + w[1].1) * (w[1].0 - w[0].0);
-        }
-        if total <= 0.0 {
-            return Err(DistributionError::InvalidShape(
-                "density integrates to zero".into(),
-            ));
-        }
-        let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-        let fs: Vec<f64> = points.iter().map(|p| p.1 / total).collect();
-        let mut cum = Vec::with_capacity(xs.len());
-        let mut acc = 0.0;
-        cum.push(0.0);
-        for i in 1..xs.len() {
-            acc += 0.5 * (fs[i - 1] + fs[i]) * (xs[i] - xs[i - 1]);
-            cum.push(acc);
-        }
-        *cum.last_mut().expect("nonempty") = 1.0;
-        Ok(PiecewiseLinear { xs, fs, cum, label })
-    }
-
-    /// Symmetric tent: density rises linearly to a peak at `center`.
-    pub fn tent(center: f64) -> Result<Self, DistributionError> {
-        if !(0.0 < center && center < 1.0) {
-            return Err(DistributionError::InvalidParameter {
-                name: "center",
-                value: center,
-                expected: "in (0, 1)",
-            });
-        }
-        Self::from_points_labeled(
-            &[(0.0, 0.0), (center, 1.0), (1.0, 0.0)],
-            format!("tent({center})"),
-        )
-    }
-
-    /// Valley: dense near both ends, sparse at `center`.
-    pub fn valley(center: f64) -> Result<Self, DistributionError> {
-        if !(0.0 < center && center < 1.0) {
-            return Err(DistributionError::InvalidParameter {
-                name: "center",
-                value: center,
-                expected: "in (0, 1)",
-            });
-        }
-        Self::from_points_labeled(
-            &[(0.0, 1.0), (center, 0.05), (1.0, 1.0)],
-            format!("valley({center})"),
-        )
-    }
-
-    /// Linear ramp from density `lo_density` at key 0 to `hi_density` at
-    /// key 1 (relative values; normalized internally).
-    pub fn ramp(lo_density: f64, hi_density: f64) -> Result<Self, DistributionError> {
-        Self::from_points_labeled(
-            &[(0.0, lo_density), (1.0, hi_density)],
-            format!("ramp({lo_density},{hi_density})"),
-        )
-    }
-
-    /// Index of the segment containing `x` (`xs[i] <= x < xs[i+1]`).
-    fn segment_of(&self, x: f64) -> usize {
-        let i = self.xs.partition_point(|&k| k <= x);
-        i.saturating_sub(1).min(self.xs.len() - 2)
-    }
-}
-
-impl KeyDistribution for PiecewiseLinear {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn pdf(&self, x: f64) -> f64 {
-        if !(0.0..1.0).contains(&x) {
-            return 0.0;
-        }
-        let i = self.segment_of(x);
-        let w = self.xs[i + 1] - self.xs[i];
-        let t = (x - self.xs[i]) / w;
-        self.fs[i] + t * (self.fs[i + 1] - self.fs[i])
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        if x >= 1.0 {
-            return 1.0;
-        }
-        let i = self.segment_of(x);
-        let dx = x - self.xs[i];
-        let w = self.xs[i + 1] - self.xs[i];
-        let slope = (self.fs[i + 1] - self.fs[i]) / w;
-        (self.cum[i] + self.fs[i] * dx + 0.5 * slope * dx * dx).clamp(0.0, 1.0)
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        let i = self.cum.partition_point(|&c| c < p).saturating_sub(1);
-        let i = i.min(self.xs.len() - 2);
-        let dp = p - self.cum[i];
-        let w = self.xs[i + 1] - self.xs[i];
-        let f0 = self.fs[i];
-        let slope = (self.fs[i + 1] - f0) / w;
-        let dx = if slope.abs() < 1e-12 {
-            if f0 > 0.0 {
-                dp / f0
-            } else {
-                0.0
-            }
-        } else {
-            // Solve 0.5*slope*dx^2 + f0*dx - dp = 0 for the root in [0, w].
-            let disc = (f0 * f0 + 2.0 * slope * dp).max(0.0);
-            (-f0 + disc.sqrt()) / slope
-        };
-        (self.xs[i] + dx.clamp(0.0, w)).clamp(0.0, 1.0)
     }
 }
 
@@ -394,86 +191,5 @@ mod tests {
         }
         assert!((m.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         roundtrip(&d);
-    }
-
-    #[test]
-    fn zipf_shuffled_is_a_permutation_of_zipf() {
-        let mut rng = crate::rng::Rng::new(9);
-        let a = PiecewiseConstant::zipf(16, 1.2).unwrap();
-        let b = PiecewiseConstant::zipf_shuffled(16, 1.2, &mut rng).unwrap();
-        let mut ma = a.bin_masses().to_vec();
-        let mut mb = b.bin_masses().to_vec();
-        ma.sort_by(f64::total_cmp);
-        mb.sort_by(f64::total_cmp);
-        for (x, y) in ma.iter().zip(&mb) {
-            assert!((x - y).abs() < 1e-12);
-        }
-        roundtrip(&b);
-    }
-
-    #[test]
-    fn step_density_ratio() {
-        let d = PiecewiseConstant::step(10, 0.2, 8.0).unwrap();
-        assert!((d.pdf(0.1) / d.pdf(0.9) - 8.0).abs() < 1e-9);
-        roundtrip(&d);
-    }
-
-    #[test]
-    fn linear_rejects_bad_knots() {
-        assert!(PiecewiseLinear::from_points(&[(0.0, 1.0)]).is_err());
-        assert!(PiecewiseLinear::from_points(&[(0.1, 1.0), (1.0, 1.0)]).is_err());
-        assert!(
-            PiecewiseLinear::from_points(&[(0.0, 1.0), (0.5, 1.0), (0.5, 2.0), (1.0, 1.0)])
-                .is_err()
-        );
-        assert!(PiecewiseLinear::from_points(&[(0.0, 0.0), (1.0, 0.0)]).is_err());
-        assert!(PiecewiseLinear::from_points(&[(0.0, -1.0), (1.0, 2.0)]).is_err());
-    }
-
-    #[test]
-    fn linear_flat_is_uniform() {
-        let d = PiecewiseLinear::from_points(&[(0.0, 5.0), (1.0, 5.0)]).unwrap();
-        assert!((d.pdf(0.3) - 1.0).abs() < 1e-12);
-        assert!((d.cdf(0.3) - 0.3).abs() < 1e-12);
-        roundtrip(&d);
-    }
-
-    #[test]
-    fn tent_and_valley_shapes() {
-        let t = PiecewiseLinear::tent(0.3).unwrap();
-        assert!(t.pdf(0.3) > t.pdf(0.05));
-        assert!(t.pdf(0.3) > t.pdf(0.9));
-        roundtrip(&t);
-
-        let v = PiecewiseLinear::valley(0.5).unwrap();
-        assert!(v.pdf(0.5) < v.pdf(0.05));
-        roundtrip(&v);
-    }
-
-    #[test]
-    fn ramp_integrates_to_one() {
-        let d = PiecewiseLinear::ramp(1.0, 3.0).unwrap();
-        // Numeric integral of pdf.
-        let n = 10_000;
-        let integral: f64 = (0..n)
-            .map(|i| d.pdf((i as f64 + 0.5) / n as f64) / n as f64)
-            .sum();
-        assert!((integral - 1.0).abs() < 1e-6, "integral = {integral}");
-        roundtrip(&d);
-    }
-
-    #[test]
-    fn linear_cdf_matches_numeric_integration() {
-        let d = PiecewiseLinear::tent(0.618).unwrap();
-        let n = 5_000;
-        let mut acc = 0.0;
-        for i in 0..n {
-            let x = (i as f64 + 0.5) / n as f64;
-            acc += d.pdf(x) / n as f64;
-            if i % 500 == 0 {
-                let x_hi = (i as f64 + 1.0) / n as f64;
-                assert!((d.cdf(x_hi) - acc).abs() < 1e-3);
-            }
-        }
     }
 }

@@ -81,20 +81,6 @@ impl Key {
     pub fn midpoint(a: Key, b: Key) -> Key {
         Key::clamped(0.5 * (a.0 + b.0))
     }
-
-    /// Adds `delta` (any finite value) and wraps around the unit ring.
-    pub fn ring_add(self, delta: f64) -> Key {
-        assert!(delta.is_finite(), "ring_add with non-finite delta {delta}");
-        Key::clamped((self.0 + delta).rem_euclid(1.0))
-    }
-
-    /// Midpoint of the clockwise arc from `self` to `other` on the ring.
-    ///
-    /// For `a = 0.9`, `b = 0.1` this is `0.0`, not `0.5`.
-    pub fn ring_midpoint(self, other: Key) -> Key {
-        let arc = (other.0 - self.0).rem_euclid(1.0);
-        self.ring_add(arc / 2.0)
-    }
 }
 
 impl Eq for Key {}
@@ -213,27 +199,6 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.cmp(&b), std::cmp::Ordering::Less);
         assert_eq!(a.max(b), b);
-    }
-
-    #[test]
-    fn ring_add_wraps() {
-        let k = Key::new(0.9).unwrap();
-        let w = k.ring_add(0.2);
-        assert!((w.get() - 0.1).abs() < 1e-12);
-        let back = k.ring_add(-1.0);
-        assert!((back.get() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ring_midpoint_crosses_zero() {
-        let a = Key::new(0.9).unwrap();
-        let b = Key::new(0.1).unwrap();
-        let m = a.ring_midpoint(b);
-        assert!(m.get() < 1e-12 || (m.get() - 1.0).abs() < 1e-12);
-        // Non-wrapping arc behaves like the plain midpoint.
-        let c = Key::new(0.2).unwrap();
-        let d = Key::new(0.4).unwrap();
-        assert!((c.ring_midpoint(d).get() - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -51,8 +51,8 @@ pub use rng::{splitmix64_mix, Rng};
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
     pub use crate::distribution::{
-        Empirical, KeyDistribution, Kumaraswamy, Mixture, PiecewiseConstant, PiecewiseLinear,
-        TruncatedExponential, TruncatedNormal, TruncatedPareto, Uniform,
+        Empirical, KeyDistribution, Kumaraswamy, PiecewiseConstant, TruncatedExponential,
+        TruncatedNormal, TruncatedPareto, Uniform,
     };
     pub use crate::key::{Key, KeyError};
     pub use crate::metric::Topology;

@@ -775,7 +775,7 @@ impl Simulator {
         let mut rng = self.rng.fork();
         let (rank, topo) = self.rank_rows(|id| {
             let node = &self.nodes[id as usize];
-            let long = long_links(&self.links, id);
+            let long = self.links.row_slice(id);
             node.pred
                 .into_iter()
                 .chain(node.succ.iter().copied())
@@ -828,7 +828,7 @@ impl Simulator {
     /// grown network under the builder's contact rule. Before any event
     /// this is the t = 0 draw itself.
     pub fn live_overlay(&self) -> (Vec<Key>, Topology) {
-        let (_, topo) = self.rank_rows(|id| long_links(&self.links, id).iter().copied());
+        let (_, topo) = self.rank_rows(|id| self.links.row_slice(id).iter().copied());
         (self.alive.keys().copied().collect(), topo)
     }
 
@@ -1203,7 +1203,7 @@ impl Simulator {
         let view = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
-            long: long_links(&self.links, at),
+            long: self.links.row_slice(at),
         };
         let keys = &self.keys;
         view.candidates_into(
@@ -1248,7 +1248,7 @@ impl Simulator {
         let view = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
-            long: long_links(links, cur),
+            long: links.row_slice(cur),
         };
         let step = view.step(Metric::Ring, walk.target, cur_d, cur, &walk.excluded, |v| {
             keys[v as usize]
@@ -1851,7 +1851,7 @@ impl Simulator {
         let contacts: Vec<u32> = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
-            long: long_links(&self.links, id),
+            long: self.links.row_slice(id),
         }
         .contacts()
         .collect();
@@ -3012,17 +3012,6 @@ impl Simulator {
     }
 }
 
-/// `id`'s long-link row. Always slice-backed: the simulator only ever
-/// writes whole rows (`set_row`, `retain_row`, `push_node`), never
-/// per-edge patches, so the delta overlay can hand back a borrowed
-/// slice on every path.
-#[inline]
-fn long_links(links: &DeltaStore, id: u32) -> &[u32] {
-    links
-        .row_slice(id)
-        .expect("simulator rows are whole-row writes, always slice-backed")
-}
-
 /// The two prefetch stages of a simulated hop, driven by the wheel's
 /// cascades (`plane`'s "cascades as lookahead"). A step at peer `to`
 /// walks `nodes[to]` / `keys[to]` / `offsets[to]` → the long-link row →
@@ -3047,8 +3036,8 @@ fn prefetch_peer(nodes: &[SimNode], keys: &[Key], links: &DeltaStore, level: usi
         }
         prefetch_read(keys.as_ptr().wrapping_add(to as usize));
         links.prefetch_row_bounds(to);
-    } else if let Some(row) = links.row_slice(to) {
-        prefetch_span(row);
+    } else {
+        prefetch_span(links.row_slice(to));
     }
 }
 
@@ -3251,7 +3240,7 @@ mod tests {
                 .pred
                 .iter()
                 .chain(node.succ.iter())
-                .chain(long_links(&sim.links, id))
+                .chain(sim.links.row_slice(id))
                 .copied()
                 .filter(|&v| v != id && sim.nodes[v as usize].alive)
                 .collect();
@@ -3344,7 +3333,7 @@ mod tests {
                     .all(|&v| (v as usize) < keys.len() && v != r as u32),
                 "row {r} names itself or an out-of-range peer"
             );
-            let raw = long_links(&sim.links, sim.alive[key]);
+            let raw = sim.links.row_slice(sim.alive[key]);
             let mut live: Vec<Key> = raw
                 .iter()
                 .filter(|&&v| sim.nodes[v as usize].alive)
