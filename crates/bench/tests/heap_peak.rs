@@ -1,7 +1,7 @@
-//! Heap peaks of the two long-link draws, read off a counting global
-//! allocator. The allocator is process-wide, so this binary holds a
-//! single test: another test running beside it would land in its
-//! counts.
+//! Heap peaks of the two long-link draws and of the simulator's boot,
+//! read off a counting global allocator. The allocator is process-wide,
+//! so this binary holds a single test: another test running beside it
+//! would land in its counts.
 //!
 //! Run it in release, as the benchmark builds:
 //!
@@ -13,9 +13,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 use sw_core::{LinkSampler, SmallWorldBuilder};
 use sw_keyspace::distribution::TruncatedPareto;
-use sw_keyspace::{Key, Rng};
+use sw_keyspace::{Key, KeyDistribution, Rng};
+use sw_sim::{SimConfig, Simulator};
 
 /// The system allocator, counting live bytes and their high-water mark.
 struct Counting;
@@ -82,6 +84,14 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// simulator's t = 0 draw must peak at ≤ 1.5× the keys and image it
 /// returns (72 B/peer); one more copy of its rows puts it near 2×. Both
 /// over Pareto(1.5, 0.01) keys with harmonic links.
+///
+/// Booting a simulator over that draw (`Simulator::with_store`, storage
+/// off, default maintenance timers) must peak at ≤ 284 B/peer beyond the
+/// keys and image it is handed: 257.8 B/peer read, plus a 10 % margin.
+/// About 96 B/peer of it is the per-peer lanes and the alive index (read
+/// with the timers off), the rest the plane holding two timers per peer.
+/// A boot that inserts peers one at a time and preallocates two empty
+/// shard maps of one slot per peer reads 322.2 B/peer.
 #[test]
 fn long_link_draws_hold_no_copy_of_their_rows() {
     let n = 1usize << 15;
@@ -107,5 +117,18 @@ fn long_link_draws_hold_no_copy_of_their_rows() {
     assert!(
         ratio <= 1.5,
         "converged_overlay peaked at {ratio:.2}x the {returned} bytes it returns"
+    );
+
+    let cfg = SimConfig {
+        seed: 4,
+        ..SimConfig::default()
+    };
+    let dist: Arc<dyn KeyDistribution> = Arc::new(pareto);
+    let (sim, peak) = peak_of(|| Simulator::with_store(cfg, dist, keys, links));
+    assert_eq!(sim.alive_count(), n);
+    let per_peer = peak as f64 / n as f64;
+    assert!(
+        per_peer <= 284.0,
+        "Simulator::with_store peaked at {per_peer:.1} B/peer"
     );
 }

@@ -79,7 +79,9 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// An empty map with `n` pre-allocated shards.
+    /// An empty map with `n` pre-allocated shards. Any other shard is
+    /// created on its owner's first insert, so `ShardMap::new(0)` holds
+    /// no per-owner memory until something is stored.
     pub fn new(n: usize) -> ShardMap {
         ShardMap {
             shards: vec![Shard::new(); n],

@@ -7,8 +7,10 @@
 //! ([`DeltaStore::row_slice`]) is a contiguous `&[NodeId]` to hand to
 //! the routing kernels. This is what lets the simulator preload a
 //! 10⁶–10⁷-peer overlay straight from a frozen image — zero per-peer
-//! allocations at load — while churn, joins, and neighbour refreshes
-//! mutate only the (small) delta.
+//! allocations at load. The delta is not small for long: churn and
+//! joins copy each row they touch, and a neighbour refresh rewrites
+//! every live peer's row once per refresh interval, so a run that
+//! refreshes ends up holding a copy of every row.
 //!
 //! Peers past the base's length (joins) are implicit empty rows until
 //! written.

@@ -218,6 +218,28 @@ struct SimNode {
     leases: Vec<RepairLease>,
 }
 
+impl SimNode {
+    /// Peer `id`'s record in the converged ring of `n` key-ranked, all
+    /// alive peers: its successors are the next [`SUCCESSOR_LIST`] ids
+    /// and its predecessor the id before, mod `n` — what
+    /// [`Simulator::repair_ring_state`] finds over that alive set, by
+    /// rank instead of by search. Needs `n > SUCCESSOR_LIST`, so that
+    /// no peer lists itself.
+    fn converged(id: usize, n: usize) -> SimNode {
+        let mut succ = SuccList::default();
+        for d in 1..=SUCCESSOR_LIST {
+            succ.push(((id + d) % n) as u32);
+        }
+        SimNode {
+            alive: true,
+            succ,
+            pred: Some(((id + n - 1) % n) as u32),
+            refreshing: false,
+            leases: Vec::new(),
+        }
+    }
+}
+
 /// A successor list of at most [`SUCCESSOR_LIST`] ids stored in the node
 /// record itself; derefs to the live prefix, nearest first.
 #[derive(Debug, Clone, Copy, Default)]
@@ -370,7 +392,8 @@ pub struct Simulator {
     /// `keys[id]` is peer `id`'s key (dead peers keep theirs): the dense
     /// lane every hop decision reads. A greedy step gathers ~25 contact
     /// keys at arbitrary ids; out of 8-byte slots that is an 800 KB
-    /// working set at 10⁵ peers, out of the node records ten times that.
+    /// working set at 10⁵ peers, out of the (≤ 56-byte) node records
+    /// seven times that.
     keys: Vec<Key>,
     /// Per-peer long-link rows over one base image: the delta overlay
     /// lets churn mutate rows while the converged bulk — built in memory,
@@ -381,8 +404,8 @@ pub struct Simulator {
     alive: BTreeMap<Key, u32>,
     /// Alive ids in O(1)-sample order (swap-remove on failure).
     alive_ids: Vec<u32>,
-    /// Position of each node id in `alive_ids` (`usize::MAX` if dead).
-    alive_pos: Vec<usize>,
+    /// Position of each node id in `alive_ids` (`u32::MAX` if dead).
+    alive_pos: Vec<u32>,
     metrics: SimMetrics,
     /// In-flight walks by query id.
     walks: IdMap<QueryId, Walk>,
@@ -465,10 +488,19 @@ impl Simulator {
 
     /// Builds the simulator over a prebuilt long-link topology — e.g. a
     /// frozen image reopened from disk, so a 10⁷-peer run preloads its
-    /// converged overlay in O(1) allocations instead of re-sampling it.
-    /// `keys[u]` is peer `u`'s key, aligned with the topology's rows
-    /// (strictly ascending, as `build_frozen` images are laid out);
-    /// churn layers onto the delta overlay above the immutable base.
+    /// converged overlay instead of re-sampling it. `keys[u]` is peer
+    /// `u`'s key, aligned with the topology's rows (strictly ascending,
+    /// as `build_frozen` images are laid out); churn layers onto the
+    /// delta overlay above the immutable base.
+    ///
+    /// Peer id is key rank, so the boot reads the t = 0 state off the
+    /// ranks: a fixed number of sequential passes over the peers and no
+    /// per-peer search. Every per-peer lane and the alive index are
+    /// built whole (the index is a `BTreeMap` bulk build from the
+    /// ascending keys), the ring state is rank arithmetic, and each
+    /// preloaded item costs one binary search of `keys`. The links are
+    /// taken as handed in, and no storage shard exists before its
+    /// first write.
     ///
     /// Seeded runs depend on the rows only: the same rows built in
     /// memory and reopened from a file produce the same simulation.
@@ -493,9 +525,13 @@ impl Simulator {
         cfg.initial_n = keys.len();
         let mut rng = Rng::new(cfg.seed);
         let mut sim = Simulator::empty(cfg, dist, &mut rng);
-        for key in keys {
-            sim.push_node(key);
-        }
+        let n = keys.len();
+        sim.nodes = (0..n).map(|id| SimNode::converged(id, n)).collect();
+        sim.node_q = vec![ServiceQueue::default(); n];
+        sim.alive = keys.iter().copied().zip(0u32..).collect();
+        sim.alive_ids = (0..n as u32).collect();
+        sim.alive_pos = (0..n as u32).collect();
+        sim.keys = keys;
         sim.links = DeltaStore::new(store);
         sim.boot();
         sim
@@ -526,7 +562,8 @@ impl Simulator {
     }
 
     /// The bare simulator shell: every field at its empty/seeded value,
-    /// no peers. Constructors populate nodes and `links`, then `boot`.
+    /// no peers and no storage shards. Constructors populate the
+    /// per-peer lanes, the alive index and `links`, then `boot`.
     fn empty(cfg: SimConfig, dist: Arc<dyn KeyDistribution>, rng: &mut Rng) -> Simulator {
         let seed = cfg.seed;
         Simulator {
@@ -551,8 +588,8 @@ impl Simulator {
             range_rng: Rng::stream(seed, stream::RANGE),
             timer_rng: Rng::stream(seed, stream::TIMER),
             link_rng: Rng::stream(seed, stream::LINK),
-            primary: ShardMap::new(cfg.initial_n),
-            replica: ShardMap::new(cfg.initial_n),
+            primary: ShardMap::new(0),
+            replica: ShardMap::new(0),
             copies: IdMap::default(),
             pending_wants: IdMap::default(),
             put_keys: Vec::new(),
@@ -576,9 +613,11 @@ impl Simulator {
         }
     }
 
-    /// Registers one alive peer with empty ring state and returns its
+    /// Registers one joining peer with empty ring state and returns its
     /// id: one slot in every per-peer lane (`nodes`, `keys`, `node_q`,
-    /// `alive_pos`), so handlers index them without growing them.
+    /// `alive_pos`), so handlers index them without growing them. Only
+    /// [`Simulator::complete_join`] calls it; the t = 0 population is
+    /// built whole by [`Simulator::with_store`].
     fn push_node(&mut self, key: Key) -> u32 {
         let id = self.nodes.len() as u32;
         self.nodes.push(SimNode {
@@ -591,18 +630,16 @@ impl Simulator {
         self.keys.push(key);
         self.node_q.push(ServiceQueue::default());
         self.alive.insert(key, id);
-        self.alive_pos.push(self.alive_ids.len());
+        self.alive_pos.push(self.alive_ids.len() as u32);
         self.alive_ids.push(id);
         id
     }
 
-    /// Shared constructor tail: converged ring state, storage preload,
-    /// grace leases, and the recurring generator/timer processes.
+    /// Shared constructor tail, over peers that already hold their
+    /// converged ring state: storage preload, grace leases, and the
+    /// recurring generator/timer processes.
     fn boot(&mut self) {
         let sim = self;
-        for id in 0..sim.nodes.len() as u32 {
-            sim.repair_ring_state(id);
-        }
         sim.preload_storage();
         // Preloaded replicas were placed by the t=0 oracle; grant every
         // peer a grace lease over the full ring (the degenerate
@@ -1800,11 +1837,11 @@ impl Simulator {
         let key = self.keys[victim as usize];
         self.alive.remove(&key);
         let pos = self.alive_pos[victim as usize];
-        self.alive_ids.swap_remove(pos);
-        if pos < self.alive_ids.len() {
-            self.alive_pos[self.alive_ids[pos] as usize] = pos;
+        self.alive_ids.swap_remove(pos as usize);
+        if let Some(&moved) = self.alive_ids.get(pos as usize) {
+            self.alive_pos[moved as usize] = pos;
         }
-        self.alive_pos[victim as usize] = usize::MAX;
+        self.alive_pos[victim as usize] = u32::MAX;
         self.nodes[victim as usize].alive = false;
         if self.cfg.storage.enabled() {
             // The machine is gone: both its shards die with it. Its
@@ -1950,27 +1987,21 @@ impl Simulator {
 
     // ----- storage workload ------------------------------------------
 
+    /// Bulk-loads `storage.preload` items at t = 0. Every peer is alive
+    /// and peer id is key rank, so an item's owner (the first key at or
+    /// above its own, wrapping to rank 0) is one binary search of `keys`.
     fn preload_storage(&mut self) {
         let preload = self.cfg.storage.preload;
-        if preload == 0 {
-            return;
-        }
         let mut rng = Rng::stream(self.cfg.seed, stream::PRELOAD);
-        let items: Vec<(Key, Vec<u8>)> = (0..preload)
-            .map(|_| {
-                let key = self.dist.sample_key(&mut rng);
-                let value = self.next_value();
-                (key, value)
-            })
-            .collect();
-        // Owner resolution fans out across workers; insertion drains
-        // sequentially in input order (thread-count invariant).
-        let alive = &self.alive;
-        let owners = par::par_map_grained(items.len(), self.cfg.parallelism, 256, |i| {
-            owner_of_map(alive, items[i].0)
-        });
         let replicas = self.cfg.storage.replication.max(1) - 1;
-        for ((key, value), owner) in items.into_iter().zip(owners) {
+        self.put_keys.reserve(preload);
+        for _ in 0..preload {
+            let key = self.dist.sample_key(&mut rng);
+            let value = self.next_value();
+            let owner = match self.keys.partition_point(|&k| k < key) {
+                rank if rank == self.keys.len() => 0,
+                rank => rank as u32,
+            };
             for r in self.ground_replica_chain(owner, replicas) {
                 self.store_replica(r, key, value.clone());
             }
@@ -1984,33 +2015,22 @@ impl Simulator {
         self.put_counter.to_le_bytes().to_vec()
     }
 
-    /// Ground-truth replica chain: the first `count` alive peers
-    /// clockwise of `owner`.
+    /// Ground-truth replica chain: the first `count` peers clockwise of
+    /// `owner`, capped at the other `n − 1`. At t = 0 every peer is
+    /// alive and peer id is key rank, so these are the next ids after
+    /// `owner`, mod `n`.
     ///
     /// **Invariant: this oracle is reachable only from the t = 0
     /// preload** (modeling a converged network handed a pre-placed
-    /// corpus, like the converged initial overlay). Every *routed*
-    /// operation path — put fan-out, get fallback, failure recovery —
-    /// works off local successor views and pays plane messages; failure
-    /// recovery in particular moves data only through the anti-entropy
-    /// repair plane. Do not call this from any handler that runs after
-    /// time zero.
-    fn ground_replica_chain(&self, owner: u32, count: usize) -> Vec<u32> {
-        let key = self.keys[owner as usize];
-        let mut chain = Vec::with_capacity(count);
-        for (_, &v) in self
-            .alive
-            .range((std::ops::Bound::Excluded(key), std::ops::Bound::Unbounded))
-            .chain(self.alive.range(..key))
-        {
-            if v != owner {
-                chain.push(v);
-                if chain.len() == count {
-                    break;
-                }
-            }
-        }
-        chain
+    /// corpus, like the converged initial overlay), and its rank
+    /// arithmetic holds only there. Every *routed* operation path — put
+    /// fan-out, get fallback, failure recovery — works off local
+    /// successor views and pays plane messages; failure recovery in
+    /// particular moves data only through the anti-entropy repair plane.
+    /// Do not call this from any handler that runs after time zero.
+    fn ground_replica_chain(&self, owner: u32, count: usize) -> impl Iterator<Item = u32> {
+        let n = self.nodes.len();
+        (1..=count.min(n - 1)).map(move |d| ((owner as usize + d) % n) as u32)
     }
 
     fn do_put_start(&mut self) {
@@ -2980,8 +3000,8 @@ impl Simulator {
         owner_of_map(&self.alive, key)
     }
 
-    /// Rebuilds `id`'s ring state from ground truth (used for the initial
-    /// converged network and by stabilization).
+    /// Rebuilds `id`'s ring state from ground truth (used by joins and
+    /// stabilization; the t = 0 ring is [`SimNode::converged`]).
     fn repair_ring_state(&mut self, id: u32) {
         let key = self.keys[id as usize];
         let mut succ = SuccList::default();
@@ -4220,6 +4240,90 @@ mod tests {
         }
         let ms = SimTime::from_millis;
         assert_eq!(arrivals, [ms(1), ms(1), ms(11), ms(21), ms(31)]);
+    }
+
+    /// The t = 0 replica chain by search: the first `count` peers after
+    /// `owner` in a walk of the alive index from its key, wrapping. The
+    /// boot's rank arithmetic ([`Simulator::ground_replica_chain`])
+    /// replaced it; it stays as that arithmetic's oracle.
+    fn replica_chain_by_search(
+        alive: &BTreeMap<Key, u32>,
+        owner_key: Key,
+        count: usize,
+    ) -> Vec<u32> {
+        let owner = alive[&owner_key];
+        alive
+            .range((
+                std::ops::Bound::Excluded(owner_key),
+                std::ops::Bound::Unbounded,
+            ))
+            .chain(alive.range(..owner_key))
+            .map(|(_, &v)| v)
+            .filter(|&v| v != owner)
+            .take(count)
+            .collect()
+    }
+
+    /// The boot reads the t = 0 state off the key ranks. Against the
+    /// search path it replaced — one `push_node` per key, then
+    /// `repair_ring_state` over the full alive set, and B-tree lookups
+    /// for every preloaded item — it must give the same alive index,
+    /// ring state, owners and replica chains. Replication 9 asks for
+    /// more replicas than the successor list holds and, at n = 8, more
+    /// than there are other peers.
+    #[test]
+    fn t0_state_by_rank_matches_the_search_oracle() {
+        let pareto = TruncatedPareto::new(1.5, 0.01).unwrap();
+        let dists: [Arc<dyn KeyDistribution>; 2] = [Arc::new(Uniform), Arc::new(pareto)];
+        for n in [8usize, 9, 13, 1024] {
+            for dist in &dists {
+                for replication in [1usize, 3, 9] {
+                    let preload = 4 * n;
+                    let cfg = SimConfig {
+                        storage: StorageConfig {
+                            replication,
+                            preload,
+                            ..StorageConfig::NONE
+                        },
+                        ..quiet_config(n as u64 + replication as u64, n)
+                    };
+                    let case = format!("n {n}, {}, replication {replication}", dist.name());
+                    let sim = Simulator::new(cfg.clone(), dist.clone());
+
+                    let mut search = Simulator::empty(cfg, dist.clone(), &mut Rng::new(0));
+                    for &key in &sim.keys {
+                        search.push_node(key);
+                    }
+                    for id in 0..n as u32 {
+                        search.repair_ring_state(id);
+                    }
+                    assert_eq!(sim.alive, search.alive, "{case}");
+                    assert_eq!(sim.alive_ids, search.alive_ids, "{case}");
+                    assert_eq!(sim.alive_pos, search.alive_pos, "{case}");
+                    for (id, (a, b)) in sim.nodes.iter().zip(&search.nodes).enumerate() {
+                        assert_eq!(&*a.succ, &*b.succ, "{case}: succ of {id}");
+                        assert_eq!(a.pred, b.pred, "{case}: pred of {id}");
+                    }
+
+                    let replicas = replication - 1;
+                    let mut rng = Rng::stream(sim.cfg.seed, stream::PRELOAD);
+                    for _ in 0..preload {
+                        let key = dist.sample_key(&mut rng);
+                        let owner = owner_of_map(&sim.alive, key);
+                        let chain =
+                            replica_chain_by_search(&sim.alive, sim.keys[owner as usize], replicas);
+                        let by_rank: Vec<u32> = sim.ground_replica_chain(owner, replicas).collect();
+                        assert_eq!(by_rank, chain, "{case}: chain of {owner}");
+                        assert!(sim.primary.contains(owner, key), "{case}: owner {owner}");
+                        for &r in &chain {
+                            assert!(sim.replica.contains(r, key), "{case}: replica {r}");
+                        }
+                        assert_eq!(sim.live_copies(key), 1 + chain.len() as u32, "{case}");
+                    }
+                    assert_eq!(sim.put_keys.len(), preload, "{case}");
+                }
+            }
+        }
     }
 
     /// The inline successor list against the `Vec<u32>` it replaced,
