@@ -889,6 +889,11 @@ fn traffic_fingerprint_matches_the_pinned_value() {
     assert!(m.msgs_dropped_overload > 0 && m.timeouts > 0 && m.queue_depth_peak > 1);
     let got = m.fingerprint();
     assert_eq!(got, 0x2f87_966a_c360_24e9, "fingerprint {got:#018x}");
+    // The network ledger `(offered, dropped, delivered, dead)` at the
+    // cut, recorded with the fingerprint above: a delivery counted in
+    // the wrong column moves it even where the digest cannot see it.
+    // Messages still in flight at 8 s make `offered` the larger side.
+    assert_eq!(sim.net_counters(), (45_665, 13, 45_110, 0), "ledger");
 }
 
 /// The other golden: churn, storage and repair beside lookups (no
@@ -932,6 +937,9 @@ fn churn_storage_fingerprint_matches_the_pinned_value() {
     assert!(m.repair_messages > 10_000);
     let got = m.fingerprint();
     assert_eq!(got, 0x6e60_319d_01e6_09f0, "fingerprint {got:#018x}");
+    // The network ledger at the cut, pinned beside the digest as in
+    // the traffic golden: dead-receiver deliveries are their own column.
+    assert_eq!(sim.net_counters(), (297_441, 0, 294_501, 1_279), "ledger");
 }
 
 /// Determinism across the whole stack: same seed, same everything.
