@@ -12,7 +12,7 @@ use crate::metrics::SimMetrics;
 use crate::plane::MessagePlane;
 use crate::protocol::{
     LookupRecord, Msg, NextHopReply, Purpose, QueryId, RepairDiff, RepairDigest, RepairPull,
-    RepairPush, RoutingMode, StorageOp, Walk, WalkEnd,
+    RepairPush, RoutingMode, Source, StorageOp, Timer, Walk, WalkEnd,
 };
 use crate::time::SimTime;
 use crate::traffic::{
@@ -154,8 +154,8 @@ pub struct SimConfig {
     /// Keep a per-lookup [`LookupRecord`] (off by default — unbounded
     /// memory over long runs).
     pub record_lookups: bool,
-    /// Worker threads for the parallel paths (probe batches, bulk
-    /// loads); `0` = auto. Results are bit-identical for every value.
+    /// Worker threads for the t = 0 link draw and the probe batches;
+    /// `0` = auto. Results are bit-identical for every value.
     pub parallelism: usize,
     /// Congestion model: per-node service queues and per-link token
     /// buckets (disabled by default — infinite capacity reproduces the
@@ -314,7 +314,8 @@ enum Stepped {
     },
 }
 
-/// RNG stream indices for the generator processes.
+/// RNG stream indices: the generator processes, the timer stagger, the
+/// preload and the link-probe targets.
 mod stream {
     pub const JOIN: u64 = 0x101;
     pub const FAIL: u64 = 0x102;
@@ -326,6 +327,20 @@ mod stream {
     pub const PRELOAD: u64 = 0x108;
     pub const LINK: u64 = 0x109;
     pub const TRAFFIC: u64 = 0x10B;
+
+    /// A generator process's stream.
+    pub fn of(src: super::Source) -> u64 {
+        use super::Source;
+        match src {
+            Source::Join => JOIN,
+            Source::Fail => FAIL,
+            Source::Lookup => LOOKUP,
+            Source::Put => PUT,
+            Source::Get => GET,
+            Source::Range => RANGE,
+            Source::Traffic => TRAFFIC,
+        }
+    }
 }
 
 /// Long-link budget of every simulated peer: the paper's `log2 N`.
@@ -412,14 +427,12 @@ pub struct Simulator {
     /// Storage ops in their post-routing phase.
     ops: IdMap<QueryId, StorageOp>,
     next_qid: QueryId,
-    // Dedicated generator streams (event-order deterministic).
-    join_rng: Rng,
-    fail_rng: Rng,
-    lookup_rng: Rng,
-    put_rng: Rng,
-    get_rng: Rng,
-    range_rng: Rng,
+    /// One dedicated stream per generator process, indexed by
+    /// [`Source`] (event-order deterministic).
+    gen_rng: [Rng; 7],
+    /// Timer stagger draws.
     timer_rng: Rng,
+    /// Link-probe target draws.
     link_rng: Rng,
     // Storage substrate: one shard per owner peer.
     primary: ShardMap,
@@ -450,9 +463,6 @@ pub struct Simulator {
     link_buckets: LinkBuckets,
     /// Per-message service time (`SimTime`-converted once at boot).
     service_time: SimTime,
-    /// Open-loop generator stream (gateway, Zipf rank and inter-arrival
-    /// draws).
-    traffic_rng: Rng,
     /// Gateway nodes that originate traffic lookups.
     gateways: Vec<u32>,
     /// Hot-key universe: Zipf rank → target node id.
@@ -580,12 +590,7 @@ impl Simulator {
             walks: IdMap::default(),
             ops: IdMap::default(),
             next_qid: 0,
-            join_rng: Rng::stream(seed, stream::JOIN),
-            fail_rng: Rng::stream(seed, stream::FAIL),
-            lookup_rng: Rng::stream(seed, stream::LOOKUP),
-            put_rng: Rng::stream(seed, stream::PUT),
-            get_rng: Rng::stream(seed, stream::GET),
-            range_rng: Rng::stream(seed, stream::RANGE),
+            gen_rng: Source::ALL.map(|src| Rng::stream(seed, stream::of(src))),
             timer_rng: Rng::stream(seed, stream::TIMER),
             link_rng: Rng::stream(seed, stream::LINK),
             primary: ShardMap::new(0),
@@ -600,7 +605,6 @@ impl Simulator {
             node_q: Vec::new(),
             link_buckets: LinkBuckets::new(),
             service_time: SimTime::from_secs_f64(cfg.congestion.service_secs_per_msg.max(0.0)),
-            traffic_rng: Rng::stream(seed, stream::TRAFFIC),
             gateways: Vec::new(),
             traffic_targets: Vec::new(),
             zipf: None,
@@ -655,50 +659,32 @@ impl Simulator {
                 });
             }
         }
-        // Recurring processes.
-        if sim.cfg.churn.join_rate > 0.0 {
-            let dt = next_interval(&mut sim.join_rng, sim.cfg.churn.join_rate);
-            sim.plane.send(dt, Msg::NextJoin);
-        }
-        if sim.cfg.churn.fail_rate > 0.0 {
-            let dt = next_interval(&mut sim.fail_rng, sim.cfg.churn.fail_rate);
-            sim.plane.send(dt, Msg::NextFail);
-        }
-        if sim.cfg.workload.lookup_rate > 0.0 {
-            let dt = next_interval(&mut sim.lookup_rng, sim.cfg.workload.lookup_rate);
-            sim.plane.send(dt, Msg::NextLookup);
-        }
-        if sim.cfg.storage.put_rate > 0.0 {
-            let dt = next_interval(&mut sim.put_rng, sim.cfg.storage.put_rate);
-            sim.plane.send(dt, Msg::NextPut);
-        }
-        if sim.cfg.storage.get_rate > 0.0 {
-            let dt = next_interval(&mut sim.get_rng, sim.cfg.storage.get_rate);
-            sim.plane.send(dt, Msg::NextGet);
-        }
-        if sim.cfg.storage.range_rate > 0.0 {
-            let dt = next_interval(&mut sim.range_rng, sim.cfg.storage.range_rate);
-            sim.plane.send(dt, Msg::NextRange);
-        }
         if sim.cfg.traffic.enabled() {
             // Gateways (the front-ends users hit) and the hot-key
             // universe are fixed subsets of the t = 0 population, drawn
-            // from the dedicated traffic stream: a bounded gateway set
-            // gives each requester-side cache realistic re-reference,
-            // and a bounded key universe gives Zipf ranks stable
-            // owners. Both draws shuffle id vectors — deterministic at
-            // any thread count.
+            // from the traffic stream before its first arrival: a
+            // bounded gateway set gives each requester-side cache
+            // realistic re-reference, and a bounded key universe gives
+            // Zipf ranks stable owners. Both draws shuffle id vectors —
+            // deterministic at any thread count.
             let n = sim.nodes.len();
+            let rng = &mut sim.gen_rng[Source::Traffic as usize];
             let mut ids: Vec<u32> = (0..n as u32).collect();
-            sim.traffic_rng.shuffle(&mut ids);
+            rng.shuffle(&mut ids);
             sim.gateways = ids[..sim.cfg.traffic.gateways.clamp(1, n)].to_vec();
             let mut ids: Vec<u32> = (0..n as u32).collect();
-            sim.traffic_rng.shuffle(&mut ids);
+            rng.shuffle(&mut ids);
             let universe = sim.cfg.traffic.hot_keys.clamp(1, n);
             sim.traffic_targets = ids[..universe].to_vec();
             sim.zipf = Some(ZipfSampler::new(universe, sim.cfg.traffic.zipf_s));
-            let dt = next_interval(&mut sim.traffic_rng, sim.cfg.traffic.rate);
-            sim.plane.send(dt, Msg::NextTraffic);
+        }
+        // Recurring processes.
+        for src in Source::ALL {
+            let rate = sim.rate(src);
+            if rate > 0.0 {
+                let dt = next_interval(&mut sim.gen_rng[src as usize], rate);
+                sim.plane.send(dt, Msg::Next(src));
+            }
         }
         for id in 0..sim.nodes.len() as u32 {
             sim.schedule_timers(id);
@@ -895,100 +881,110 @@ impl Simulator {
 
     fn handle(&mut self, msg: Msg) {
         match msg {
-            // The churn generators re-check their rate before acting so
-            // `set_churn` can stop (or slow) churn mid-run; a rate set
-            // to zero ends the process at its next tick.
-            Msg::NextJoin => {
-                if self.cfg.churn.join_rate > 0.0 {
-                    self.do_join_start();
-                    let dt = next_interval(&mut self.join_rng, self.cfg.churn.join_rate);
-                    self.plane.send(dt, Msg::NextJoin);
-                }
-            }
-            Msg::NextFail => {
-                if self.cfg.churn.fail_rate > 0.0 {
-                    self.do_fail();
-                    let dt = next_interval(&mut self.fail_rng, self.cfg.churn.fail_rate);
-                    self.plane.send(dt, Msg::NextFail);
-                }
-            }
-            Msg::NextLookup => {
-                self.do_lookup_start();
-                let dt = next_interval(&mut self.lookup_rng, self.cfg.workload.lookup_rate);
-                self.plane.send(dt, Msg::NextLookup);
-            }
-            Msg::NextPut => {
-                self.do_put_start();
-                let dt = next_interval(&mut self.put_rng, self.cfg.storage.put_rate);
-                self.plane.send(dt, Msg::NextPut);
-            }
-            Msg::NextGet => {
-                self.do_get_start();
-                let dt = next_interval(&mut self.get_rng, self.cfg.storage.get_rate);
-                self.plane.send(dt, Msg::NextGet);
-            }
-            Msg::NextRange => {
-                self.do_range_start();
-                let dt = next_interval(&mut self.range_rng, self.cfg.storage.range_rate);
-                self.plane.send(dt, Msg::NextRange);
-            }
-            // Rate-checked like the churn generators: `set_traffic_rate`
-            // can stop the open-loop process mid-run (tests drain the
-            // plane this way to check message conservation exactly).
-            Msg::NextTraffic => {
-                if self.cfg.traffic.rate > 0.0 {
-                    self.do_traffic_lookup();
-                    let dt = next_interval(&mut self.traffic_rng, self.cfg.traffic.rate);
-                    self.plane.send(dt, Msg::NextTraffic);
-                }
-            }
-            Msg::StabilizeStart(id) => self.do_stabilize_start(id),
+            Msg::Next(src) => self.next_arrival(src),
+            Msg::Timer(timer, id) => self.fire_timer(timer, id),
             Msg::StabilizeApply(id) => self.do_stabilize_apply(id),
-            Msg::RefreshStart(id) => self.do_refresh_start(id),
             Msg::Step { qid } => self.drive_walk(qid),
-            Msg::Hop { qid, to, sent_at } => self.deliver_hop(qid, to, sent_at, false),
-            Msg::NextHopQuery { qid, to, sent_at } => {
-                self.deliver_next_hop_query(qid, to, sent_at, false)
+            // An overload drop's sender-side consequence: the wrapped
+            // message re-enters delivery as lost, so the timeout /
+            // failover / pending-count fallout reuses the dead-peer code
+            // path verbatim. It arrives at the no-queue delivery
+            // instant, making a drop's timing bit-identical to a
+            // dead-peer delivery.
+            Msg::Dropped(inner) => self.deliver(*inner, true),
+            net => self.deliver(net, false),
+        }
+    }
+
+    /// The current rate of a generator process. Only the churn and
+    /// traffic rates can change mid-run ([`Simulator::set_churn`],
+    /// [`Simulator::set_traffic_rate`]); a process that reads zero ends.
+    fn rate(&self, src: Source) -> f64 {
+        let cfg = &self.cfg;
+        match src {
+            Source::Join => cfg.churn.join_rate,
+            Source::Fail => cfg.churn.fail_rate,
+            Source::Lookup => cfg.workload.lookup_rate,
+            Source::Put => cfg.storage.put_rate,
+            Source::Get => cfg.storage.get_rate,
+            Source::Range => cfg.storage.range_rate,
+            Source::Traffic if cfg.traffic.enabled() => cfg.traffic.rate,
+            Source::Traffic => 0.0,
+        }
+    }
+
+    /// One arrival of a generator process: act on the process's own
+    /// stream, then draw the next inter-arrival time from it and
+    /// re-arm. A process whose rate reads zero stops here, so
+    /// `set_churn` and `set_traffic_rate` can end one mid-run.
+    fn next_arrival(&mut self, src: Source) {
+        let rate = self.rate(src);
+        if rate <= 0.0 {
+            return;
+        }
+        let mut rng = std::mem::replace(&mut self.gen_rng[src as usize], Rng::new(0));
+        match src {
+            Source::Join => self.do_join_start(&mut rng),
+            Source::Fail => self.do_fail(&mut rng),
+            Source::Lookup => self.do_lookup_start(&mut rng),
+            Source::Put => self.do_put_start(&mut rng),
+            Source::Get => self.do_get_start(&mut rng),
+            Source::Range => self.do_range_start(&mut rng),
+            Source::Traffic => self.do_traffic_lookup(&mut rng),
+        }
+        let dt = next_interval(&mut rng, rate);
+        self.gen_rng[src as usize] = rng;
+        self.plane.send(dt, Msg::Next(src));
+    }
+
+    /// One network message arrives (or, `lost`, its drop reaches the
+    /// sender): the ledger entry and the receiver-liveness test, made
+    /// once here, then the message's handler with `live` — true if a
+    /// live receiver got it.
+    fn deliver(&mut self, msg: Msg, lost: bool) {
+        let receiver = match &msg {
+            Msg::Hop { to, .. }
+            | Msg::NextHopQuery { to, .. }
+            | Msg::ReplicaPut { to, .. }
+            | Msg::ReplicaProbe { to, .. }
+            | Msg::RangeFragment { to, .. } => Some(*to),
+            // A late reply for a finished walk is still serviced.
+            Msg::NextHopReply(reply) => self.walks.get(&reply.qid).map(|w| w.requester),
+            Msg::RepairDigest(digest) => Some(digest.to),
+            Msg::RepairDiff(diff) => Some(diff.owner),
+            Msg::RepairPush(push) => Some(push.replica),
+            Msg::RepairPull(pull) => Some(pull.owner),
+            other => unreachable!("not a network message: {other:?}"),
+        };
+        let live = !lost && {
+            let alive = receiver.is_none_or(|to| self.nodes[to as usize].alive);
+            if alive {
+                self.net_delivered += 1;
+            } else {
+                self.net_dead += 1;
             }
-            Msg::NextHopReply(reply) => self.deliver_next_hop_reply(*reply, false),
-            Msg::ReplicaPut { op, to, sent_at } => self.deliver_replica_put(op, to, sent_at, false),
+            alive
+        };
+        match msg {
+            Msg::Hop { qid, to, sent_at } => self.deliver_hop(qid, to, sent_at, live),
+            Msg::NextHopQuery { qid, to, sent_at } => {
+                self.deliver_next_hop_query(qid, to, sent_at, live)
+            }
+            Msg::NextHopReply(reply) => self.deliver_next_hop_reply(*reply, live),
+            Msg::ReplicaPut { op, to } => self.deliver_replica_put(op, to, live),
             Msg::ReplicaProbe { op, to, sent_at } => {
-                self.deliver_replica_probe(op, to, sent_at, false)
+                self.deliver_replica_probe(op, to, sent_at, live)
             }
             Msg::RangeFragment { op, to, sent_at } => {
-                self.deliver_range_fragment(op, to, sent_at, false)
+                self.deliver_range_fragment(op, to, sent_at, live)
             }
-            // An overload drop's sender-side consequence: re-dispatch
-            // the wrapped message through its ordinary handler with
-            // `lost = true`, so the timeout / failover / pending-count
-            // fallout reuses the dead-peer code path verbatim. Arrives
-            // at the no-queue delivery instant, making a drop's timing
-            // bit-identical to a dead-peer delivery.
-            Msg::Dropped(inner) => match *inner {
-                Msg::Hop { qid, to, sent_at } => self.deliver_hop(qid, to, sent_at, true),
-                Msg::NextHopQuery { qid, to, sent_at } => {
-                    self.deliver_next_hop_query(qid, to, sent_at, true)
-                }
-                Msg::NextHopReply(reply) => self.deliver_next_hop_reply(*reply, true),
-                Msg::ReplicaPut { op, to, sent_at } => {
-                    self.deliver_replica_put(op, to, sent_at, true)
-                }
-                Msg::ReplicaProbe { op, to, sent_at } => {
-                    self.deliver_replica_probe(op, to, sent_at, true)
-                }
-                Msg::RangeFragment { op, to, sent_at } => {
-                    self.deliver_range_fragment(op, to, sent_at, true)
-                }
-                other => debug_assert!(
-                    false,
-                    "fire-and-forget drops are never scheduled: {other:?}"
-                ),
-            },
-            Msg::RepairRound(id) => self.do_repair_round(id),
-            Msg::RepairDigest(digest) => self.on_repair_digest(*digest),
-            Msg::RepairDiff(diff) => self.on_repair_diff(*diff),
-            Msg::RepairPush(push) => self.on_repair_push(*push),
-            Msg::RepairPull(pull) => self.on_repair_pull(*pull),
+            // The repair rungs are fire-and-forget: one lost to a dead
+            // receiver is simply gone, and the next round retries.
+            Msg::RepairDigest(digest) if live => self.on_repair_digest(*digest),
+            Msg::RepairDiff(diff) if live => self.on_repair_diff(*diff),
+            Msg::RepairPush(push) if live => self.on_repair_push(*push),
+            Msg::RepairPull(pull) if live => self.on_repair_pull(*pull),
+            _ => {}
         }
     }
 
@@ -1052,29 +1048,11 @@ impl Simulator {
             None => {
                 self.metrics.msgs_dropped_overload += 1;
                 self.net_dropped += 1;
-                if matches!(
-                    msg,
-                    Msg::Hop { .. }
-                        | Msg::NextHopQuery { .. }
-                        | Msg::NextHopReply(_)
-                        | Msg::ReplicaPut { .. }
-                        | Msg::ReplicaProbe { .. }
-                        | Msg::RangeFragment { .. }
-                ) {
+                if msg.sender_waits() {
                     self.plane.send_at(arrive, Msg::Dropped(Box::new(msg)));
                 }
                 None
             }
-        }
-    }
-
-    /// Conservation ledger: a delivered network message found its
-    /// destination alive (serviced) or dead (discarded).
-    fn note_net_delivery(&mut self, to: u32) {
-        if self.nodes[to as usize].alive {
-            self.net_delivered += 1;
-        } else {
-            self.net_dead += 1;
         }
     }
 
@@ -1112,15 +1090,9 @@ impl Simulator {
     /// independent of completions — offered load does not slow down
     /// when the system saturates, which is exactly what pushes the
     /// latency curve past its knee.
-    fn do_traffic_lookup(&mut self) {
-        let mut rng = std::mem::replace(&mut self.traffic_rng, Rng::new(0));
+    fn do_traffic_lookup(&mut self, rng: &mut Rng) {
         let gw = self.gateways[rng.index(self.gateways.len())];
-        let rank = self
-            .zipf
-            .as_ref()
-            .expect("traffic enabled")
-            .sample(&mut rng);
-        self.traffic_rng = rng;
+        let rank = self.zipf.as_ref().expect("traffic enabled").sample(rng);
         if !self.nodes[gw as usize].alive {
             return; // a dead gateway originates nothing this tick
         }
@@ -1184,30 +1156,8 @@ impl Simulator {
             self.metrics.inflight_peak = self.metrics.inflight_peak.max(self.inflight_lookups);
         }
         let mode = self.mode_for(&purpose);
-        self.walks.insert(
-            qid,
-            Walk {
-                purpose,
-                target,
-                mode,
-                requester: from,
-                cur: from,
-                hops: 0,
-                msgs: 0,
-                timeouts: 0,
-                failovers: 0,
-                latency: SimTime::ZERO,
-                issued_at: self.plane.now(),
-                excluded: Vec::new(),
-                alternates: Vec::new(),
-                alt_head: 0,
-                seen: Vec::new(),
-                query_sent: SimTime::ZERO,
-                rtt_seen: SimTime::ZERO,
-                wait_seen: SimTime::ZERO,
-                max_hops,
-            },
-        );
+        let walk = Walk::new(purpose, target, mode, from, self.plane.now(), max_hops);
+        self.walks.insert(qid, walk);
         match mode {
             RoutingMode::Recursive => self.step_recursive(qid),
             // The origin reads its own routing table for free.
@@ -1218,14 +1168,20 @@ impl Simulator {
 
     /// The unified step executor behind `Msg::Step` — the retry path of
     /// both modes. A recursive walk re-steps at its current node after a
-    /// timeout; an iterative walk fails over down its candidate ladder.
+    /// timeout. An iterative walk fails over: its requester takes the
+    /// globally next-best unqueried candidate from its pool, which may
+    /// be a 2nd-best rung of an *earlier* frontier — a retreat a
+    /// recursive hand-off cannot make.
     fn drive_walk(&mut self, qid: QueryId) {
         let Some(walk) = self.walks.get(&qid) else {
             return;
         };
         match walk.mode {
             RoutingMode::Recursive => self.step_recursive(qid),
-            RoutingMode::Iterative => self.iterative_failover(qid),
+            RoutingMode::Iterative if !self.nodes[walk.requester as usize].alive => {
+                self.finish_walk(qid, WalkEnd::Stranded)
+            }
+            RoutingMode::Iterative => self.advance_from_pool(qid, true),
         }
     }
 
@@ -1335,36 +1291,44 @@ impl Simulator {
         self.act_on_step(qid, stepped);
     }
 
-    /// A recursively forwarded query arrives at `to` — or its sender
-    /// times out, if `to` died while the message was in flight (or the
-    /// hand-off was dropped at `to`'s full queue: `lost`).
-    fn deliver_hop(&mut self, qid: QueryId, to: u32, sent_at: SimTime, lost: bool) {
+    /// A recursively forwarded query arrives at `to` — or, unless
+    /// `live`, its sender times out: `to` died while the message was in
+    /// flight, or the hand-off was dropped at `to`'s full queue.
+    fn deliver_hop(&mut self, qid: QueryId, to: u32, sent_at: SimTime, live: bool) {
         let now = self.plane.now();
-        if !lost {
-            self.note_net_delivery(to);
-        }
-        let alive = !lost && self.nodes[to as usize].alive;
         let Some(walk) = self.walks.get_mut(&qid) else {
             return;
         };
-        if alive {
-            walk.latency += now - sent_at;
-            walk.hops += 1;
-            walk.cur = to;
-            let stepped =
-                Self::greedy_step(walk, &self.nodes, &self.keys, &self.links, self.cfg.latency);
-            self.act_on_step(qid, stepped);
-        } else {
-            // The sender's timeout clock started at send time; it may
-            // already have expired if the flight time (hop delay plus
-            // any queue wait) exceeded the penalty (the plane clamps
-            // past sends to `now`).
-            walk.timeouts += 1;
-            walk.latency += TIMEOUT_PENALTY;
-            walk.excluded.push(to);
-            self.plane
-                .send_at(sent_at + TIMEOUT_PENALTY, Msg::Step { qid });
+        if !live {
+            return self.time_out(qid, to, sent_at);
         }
+        walk.latency += now - sent_at;
+        walk.hops += 1;
+        walk.cur = to;
+        let stepped =
+            Self::greedy_step(walk, &self.nodes, &self.keys, &self.links, self.cfg.latency);
+        self.act_on_step(qid, stepped);
+    }
+
+    /// Walk `qid`'s driver waited on `contact` since `since` and heard
+    /// nothing: the contact died, or the message was dropped. Charge the
+    /// timeout, exclude the contact, and retry the walk's next action at
+    /// `since + penalty` (the plane clamps an instant already past to
+    /// now). A recursive relay sits out the full penalty; an iterative
+    /// requester, which has measured every hop RTT on the walk, waits
+    /// its [`Walk::adaptive_timeout`].
+    fn time_out(&mut self, qid: QueryId, contact: u32, since: SimTime) {
+        let walk = self.walks.get_mut(&qid).expect("a timed-out walk is live");
+        let penalty = match walk.mode {
+            RoutingMode::Recursive => TIMEOUT_PENALTY,
+            RoutingMode::Iterative => walk.adaptive_timeout(TIMEOUT_PENALTY),
+        };
+        walk.timeouts += 1;
+        walk.latency += penalty;
+        if !walk.excluded.contains(&contact) {
+            walk.excluded.push(contact);
+        }
+        self.plane.send_at(since + penalty, Msg::Step { qid });
     }
 
     // ----- iterative mode --------------------------------------------
@@ -1373,13 +1337,9 @@ impl Simulator {
     /// frontier *is* the requester, whose routing table is read for
     /// free — it seeds the candidate pool.
     fn iterative_local_step(&mut self, qid: QueryId) {
-        let (requester, target) = {
-            let Some(walk) = self.walks.get(&qid) else {
-                return;
-            };
-            debug_assert_eq!(walk.cur, walk.requester, "local step away from requester");
-            (walk.requester, walk.target)
-        };
+        let walk = &self.walks[&qid];
+        debug_assert_eq!(walk.cur, walk.requester, "local step away from requester");
+        let (requester, target) = (walk.requester, walk.target);
         if !self.nodes[requester as usize].alive {
             // Only the requester's death strands an iterative walk.
             self.finish_walk(qid, WalkEnd::Stranded);
@@ -1399,23 +1359,6 @@ impl Simulator {
         walk.set_alternates(cands);
         walk.seen.push(requester);
         self.advance_from_pool(qid, false);
-    }
-
-    /// Failover: a queried frontier timed out; the requester takes the
-    /// globally next-best unqueried candidate from its pool — which may
-    /// be a 2nd-best rung of an *earlier* frontier, a retreat a
-    /// recursive hand-off cannot make. A dry pool means every candidate
-    /// this walk ever learned was tried and excluded:
-    /// failed-over-exhausted.
-    fn iterative_failover(&mut self, qid: QueryId) {
-        let Some(walk) = self.walks.get_mut(&qid) else {
-            return;
-        };
-        if !self.nodes[walk.requester as usize].alive {
-            self.finish_walk(qid, WalkEnd::Stranded);
-            return;
-        }
-        self.advance_from_pool(qid, true);
     }
 
     /// Advances the walk to the globally best unqueried candidate in
@@ -1450,13 +1393,9 @@ impl Simulator {
     /// entries win distance ties). Already-queried, excluded and
     /// duplicate nodes never enter.
     fn merge_pool(&mut self, qid: QueryId, fresh: &[u32]) {
-        let target = {
-            let walk = self.walks.get(&qid).expect("walk present");
-            walk.target
-        };
-        let keys = &self.keys;
-        let d_of = |v: u32| Metric::Ring.distance(keys[v as usize], target);
         let walk = self.walks.get_mut(&qid).expect("walk present");
+        let (keys, target) = (&self.keys, walk.target);
+        let d_of = |v: u32| Metric::Ring.distance(keys[v as usize], target);
         let mut pool: Vec<(u32, f64)> = walk
             .pending_alternates()
             .iter()
@@ -1500,30 +1439,17 @@ impl Simulator {
         );
     }
 
-    /// The candidate query arrives at frontier `to` — or the requester
-    /// times out, if `to` died while the query was in flight (or the
-    /// query was dropped at `to`'s full queue: `lost`), and fails over.
-    fn deliver_next_hop_query(&mut self, qid: QueryId, to: u32, sent_at: SimTime, lost: bool) {
+    /// The candidate query arrives at frontier `to` — or, unless
+    /// `live`, the requester times out and fails over: `to` died while
+    /// the query was in flight, or the query was dropped at `to`'s full
+    /// queue.
+    fn deliver_next_hop_query(&mut self, qid: QueryId, to: u32, sent_at: SimTime, live: bool) {
         let now = self.plane.now();
-        if !lost {
-            self.note_net_delivery(to);
-        }
-        let alive = !lost && self.nodes[to as usize].alive;
         let Some(walk) = self.walks.get_mut(&qid) else {
             return;
         };
-        if !alive {
-            // The requester times out adaptively: it has measured every
-            // hop RTT on this walk, so it stops waiting well before the
-            // conservative penalty a blind recursive relay must sit out.
-            let penalty = walk.adaptive_timeout(TIMEOUT_PENALTY);
-            walk.timeouts += 1;
-            walk.latency += penalty;
-            if !walk.excluded.contains(&to) {
-                walk.excluded.push(to);
-            }
-            self.plane.send_at(sent_at + penalty, Msg::Step { qid });
-            return;
+        if !live {
+            return self.time_out(qid, to, sent_at);
         }
         // The frontier answers from its local view at delivery time.
         // (The query carried the walk's exclusion list, so the ladder it
@@ -1564,10 +1490,10 @@ impl Simulator {
 
     /// The frontier's answer lands back at the requester: confirm the
     /// hop (RTT accounted), then finish or query the next frontier. A
-    /// reply dropped at the requester's own full queue (`lost`) is a
-    /// frontier the requester never hears from: it times out adaptively
-    /// and fails over, exactly as if the frontier had died after
-    /// receiving the query.
+    /// reply dropped at the requester's own full queue (not `live`, to
+    /// a live requester) is a frontier the requester never hears from:
+    /// it times out adaptively and fails over, exactly as if the
+    /// frontier had died after receiving the query.
     fn deliver_next_hop_reply(
         &mut self,
         NextHopReply {
@@ -1577,16 +1503,9 @@ impl Simulator {
             at_target,
             candidates,
         }: NextHopReply,
-        lost: bool,
+        live: bool,
     ) {
         let now = self.plane.now();
-        if !lost {
-            match self.walks.get(&qid).map(|w| w.requester) {
-                Some(r) => self.note_net_delivery(r),
-                // Late reply for a finished walk: still serviced.
-                None => self.net_delivered += 1,
-            }
-        }
         let Some(walk) = self.walks.get_mut(&qid) else {
             return;
         };
@@ -1594,18 +1513,10 @@ impl Simulator {
             self.finish_walk(qid, WalkEnd::Stranded);
             return;
         }
-        if lost {
-            let penalty = walk.adaptive_timeout(TIMEOUT_PENALTY);
-            walk.timeouts += 1;
-            walk.latency += penalty;
-            if !walk.excluded.contains(&from) {
-                walk.excluded.push(from);
-            }
-            // The timeout clock started at the query send; the plane
-            // clamps an already-expired deadline to now.
-            let retry_at = walk.query_sent + penalty;
-            self.plane.send_at(retry_at, Msg::Step { qid });
-            return;
+        if !live {
+            // The timeout clock started at the query send.
+            let since = walk.query_sent;
+            return self.time_out(qid, from, since);
         }
         walk.latency += now - sent_at;
         debug_assert_ne!(from, walk.cur, "a frontier is queried once");
@@ -1614,25 +1525,21 @@ impl Simulator {
         let rtt = now - walk.query_sent;
         walk.rtt_seen = walk.rtt_seen.max(rtt);
         self.metrics.hop_rtt.push(rtt.as_secs_f64());
-        let walk = self.walks.get_mut(&qid).expect("walk present");
-        if at_target {
-            self.finish_walk(qid, WalkEnd::Arrived);
-            return;
-        }
-        if walk.hops >= walk.max_hops {
-            self.finish_walk(qid, WalkEnd::HopLimit);
-            return;
-        }
-        if candidates.is_empty() {
-            // The frontier's live view offers nothing closer: the walk
-            // terminates *here* — a greedy terminus, exactly where a
-            // recursive walk would stop (the pool's farther leftovers
-            // must not drag a completed route past the owner region).
-            self.finish_walk(qid, WalkEnd::LocalMinimum);
-            return;
-        }
-        self.merge_pool(qid, &candidates);
-        self.advance_from_pool(qid, false);
+        // A frontier whose live view offers nothing closer is a greedy
+        // terminus: the walk ends *here*, exactly where a recursive walk
+        // would stop (the pool's farther leftovers must not drag a
+        // completed route past the owner region).
+        let end = if at_target {
+            WalkEnd::Arrived
+        } else if walk.hops >= walk.max_hops {
+            WalkEnd::HopLimit
+        } else if candidates.is_empty() {
+            WalkEnd::LocalMinimum
+        } else {
+            self.merge_pool(qid, &candidates);
+            return self.advance_from_pool(qid, false);
+        };
+        self.finish_walk(qid, end);
     }
 
     /// Terminal transition: remove the walk and dispatch on purpose.
@@ -1755,14 +1662,8 @@ impl Simulator {
 
     // ----- lookups ---------------------------------------------------
 
-    fn do_lookup_start(&mut self) {
-        let mut rng = std::mem::replace(&mut self.lookup_rng, Rng::new(0));
-        let pair = match (self.random_alive(&mut rng), self.random_alive(&mut rng)) {
-            (Some(a), Some(b)) => Some((a, b)),
-            _ => None,
-        };
-        self.lookup_rng = rng;
-        if let Some((from, target_id)) = pair {
+    fn do_lookup_start(&mut self, rng: &mut Rng) {
+        if let (Some(from), Some(target_id)) = (self.random_alive(rng), self.random_alive(rng)) {
             let target = self.keys[target_id as usize];
             self.spawn_walk(Purpose::Lookup { target_id }, target, from);
         }
@@ -1770,15 +1671,12 @@ impl Simulator {
 
     // ----- churn -----------------------------------------------------
 
-    fn do_join_start(&mut self) {
-        let mut rng = std::mem::replace(&mut self.join_rng, Rng::new(0));
-        let mut key = self.dist.sample_key(&mut rng);
+    fn do_join_start(&mut self, rng: &mut Rng) {
+        let mut key = self.dist.sample_key(rng);
         while self.alive.contains_key(&key) {
-            key = self.dist.sample_key(&mut rng);
+            key = self.dist.sample_key(rng);
         }
-        let entry = self.random_alive(&mut rng);
-        self.join_rng = rng;
-        if let Some(entry) = entry {
+        if let Some(entry) = self.random_alive(rng) {
             // Route to the joining key to find the join point; the splice
             // happens when (if) the walk completes.
             self.spawn_walk(Purpose::JoinFind { key }, key, entry);
@@ -1828,12 +1726,12 @@ impl Simulator {
         self.spawn_link_probe(id, Vec::new(), budget, 8 * budget as u32 + 16, false);
     }
 
-    fn do_fail(&mut self) {
+    fn do_fail(&mut self, rng: &mut Rng) {
         // Keep a minimal population so the ring never vanishes.
         if self.alive.len() <= 8 {
             return;
         }
-        let victim = self.alive_ids[self.fail_rng.index(self.alive_ids.len())];
+        let victim = self.alive_ids[rng.index(self.alive_ids.len())];
         let key = self.keys[victim as usize];
         self.alive.remove(&key);
         let pos = self.alive_pos[victim as usize];
@@ -1858,20 +1756,49 @@ impl Simulator {
 
     // ----- maintenance -----------------------------------------------
 
+    /// A maintenance timer's period, `None` when it is off. Repair
+    /// rounds run only beside a storage workload.
+    fn period(&self, timer: Timer) -> Option<SimTime> {
+        match timer {
+            Timer::Stabilize => self.cfg.stabilize_interval,
+            Timer::Refresh => self.cfg.refresh_interval,
+            Timer::Repair if self.cfg.storage.enabled() => self.cfg.storage.repair_interval,
+            Timer::Repair => None,
+        }
+    }
+
+    /// Arms a new peer's timers, each at a stagger drawn uniformly over
+    /// its period so maintenance does not arrive in bursts.
     fn schedule_timers(&mut self, id: u32) {
-        // Stagger timers so maintenance does not arrive in bursts.
-        if let Some(interval) = self.cfg.stabilize_interval {
-            let stagger = SimTime(self.timer_rng.bounded_u64(interval.0.max(1)));
-            self.plane.send(stagger, Msg::StabilizeStart(id));
-        }
-        if let Some(interval) = self.cfg.refresh_interval {
-            let stagger = SimTime(self.timer_rng.bounded_u64(interval.0.max(1)));
-            self.plane.send(stagger, Msg::RefreshStart(id));
-        }
-        if self.cfg.storage.enabled() {
-            if let Some(interval) = self.cfg.storage.repair_interval {
+        for timer in Timer::ALL {
+            if let Some(interval) = self.period(timer) {
                 let stagger = SimTime(self.timer_rng.bounded_u64(interval.0.max(1)));
-                self.plane.send(stagger, Msg::RepairRound(id));
+                self.plane.send(stagger, Msg::Timer(timer, id));
+            }
+        }
+    }
+
+    /// One round of a peer's timer, which re-arms itself one period on.
+    /// A timer dies with its node. Stabilization sends its apply before
+    /// it re-arms; the other two re-arm before their round.
+    fn fire_timer(&mut self, timer: Timer, id: u32) {
+        if !self.nodes[id as usize].alive {
+            return;
+        }
+        let period = self.period(timer).expect("an armed timer has a period");
+        let rearm = Msg::Timer(timer, id);
+        match timer {
+            Timer::Stabilize => {
+                self.do_stabilize_start(id);
+                self.plane.send(period, rearm);
+            }
+            Timer::Refresh => {
+                self.plane.send(period, rearm);
+                self.do_refresh_start(id);
+            }
+            Timer::Repair => {
+                self.plane.send(period, rearm);
+                self.do_repair_round(id);
             }
         }
     }
@@ -1881,9 +1808,6 @@ impl Simulator {
     /// penalty to be noticed). Lookups in flight during the round still
     /// see the stale view — the repair is not instantaneous.
     fn do_stabilize_start(&mut self, id: u32) {
-        if !self.nodes[id as usize].alive {
-            return; // timer dies with the node
-        }
         let node = &self.nodes[id as usize];
         let contacts: Vec<u32> = sw_overlay::RingView {
             pred: node.pred,
@@ -1903,8 +1827,6 @@ impl Simulator {
             resolve = resolve.max(rtt);
         }
         self.plane.send(resolve, Msg::StabilizeApply(id));
-        let interval = self.cfg.stabilize_interval.expect("timer scheduled");
-        self.plane.send(interval, Msg::StabilizeStart(id));
     }
 
     fn do_stabilize_apply(&mut self, id: u32) {
@@ -1922,11 +1844,6 @@ impl Simulator {
     /// node's long links against the current population. The old links
     /// stay in service until the chain completes.
     fn do_refresh_start(&mut self, id: u32) {
-        if !self.nodes[id as usize].alive {
-            return;
-        }
-        let interval = self.cfg.refresh_interval.expect("timer scheduled");
-        self.plane.send(interval, Msg::RefreshStart(id));
         if self.nodes[id as usize].refreshing {
             return; // previous chain still in flight
         }
@@ -1993,7 +1910,7 @@ impl Simulator {
     fn preload_storage(&mut self) {
         let preload = self.cfg.storage.preload;
         let mut rng = Rng::stream(self.cfg.seed, stream::PRELOAD);
-        let replicas = self.cfg.storage.replication.max(1) - 1;
+        let replicas = self.replication_target() as usize - 1;
         self.put_keys.reserve(preload);
         for _ in 0..preload {
             let key = self.dist.sample_key(&mut rng);
@@ -2033,40 +1950,70 @@ impl Simulator {
         (1..=count.min(n - 1)).map(move |d| ((owner as usize + d) % n) as u32)
     }
 
-    fn do_put_start(&mut self) {
-        let mut rng = std::mem::replace(&mut self.put_rng, Rng::new(0));
-        let key = self.dist.sample_key(&mut rng);
-        let from = self.random_alive(&mut rng);
-        self.put_rng = rng;
-        let Some(from) = from else { return };
+    fn do_put_start(&mut self, rng: &mut Rng) {
+        let key = self.dist.sample_key(rng);
+        let Some(from) = self.random_alive(rng) else {
+            return;
+        };
         let value = self.next_value();
         self.spawn_walk(Purpose::Put { key, value }, key, from);
     }
 
-    fn do_get_start(&mut self) {
-        let mut rng = std::mem::replace(&mut self.get_rng, Rng::new(0));
+    fn do_get_start(&mut self, rng: &mut Rng) {
         let key = if self.put_keys.is_empty() {
-            self.dist.sample_key(&mut rng)
+            self.dist.sample_key(rng)
         } else {
             self.put_keys[rng.index(self.put_keys.len())]
         };
-        let from = self.random_alive(&mut rng);
-        self.get_rng = rng;
-        let Some(from) = from else { return };
+        let Some(from) = self.random_alive(rng) else {
+            return;
+        };
         self.spawn_walk(Purpose::Get { key }, key, from);
     }
 
-    fn do_range_start(&mut self) {
-        let mut rng = std::mem::replace(&mut self.range_rng, Rng::new(0));
-        let lo = self.dist.sample_key(&mut rng);
+    fn do_range_start(&mut self, rng: &mut Rng) {
+        let lo = self.dist.sample_key(rng);
         let hi = Key::clamped(lo.get() + self.cfg.storage.range_width);
-        let from = self.random_alive(&mut rng);
-        self.range_rng = rng;
-        let Some(from) = from else { return };
+        let Some(from) = self.random_alive(rng) else {
+            return;
+        };
         if hi <= lo {
             return; // degenerate range at the top of the key space
         }
         self.spawn_walk(Purpose::Range { lo, hi }, lo, from);
+    }
+
+    /// The shared head of every storage route's completion: charge the
+    /// walk's messages to storage and, for a route that failed
+    /// (stranded, out of hops or exhausted), count the operation done in
+    /// `done` and return `None`; otherwise the successor-rule owner of
+    /// `key` near where the walk ended.
+    fn storage_owner(
+        &mut self,
+        end: WalkEnd,
+        walk: &Walk,
+        key: Key,
+        done: fn(&mut SimMetrics) -> &mut u64,
+    ) -> Option<u32> {
+        self.metrics.storage_messages += walk.msgs as u64;
+        if matches!(
+            end,
+            WalkEnd::Stranded | WalkEnd::HopLimit | WalkEnd::Exhausted
+        ) {
+            *done(&mut self.metrics) += 1;
+            return None;
+        }
+        Some(self.shift_to_owner(walk.cur, key))
+    }
+
+    /// `at`'s replica chain as its own successor view sees it: its first
+    /// `replication − 1` successors, or `at_least` if more. Put
+    /// fan-outs, get fallbacks and repair rounds all work off it.
+    fn replica_view(&self, at: u32, at_least: usize) -> SuccList {
+        let mut chain = self.nodes[at as usize].succ;
+        let want = (self.replication_target() as usize - 1).max(at_least);
+        chain.len = chain.len.min(want.min(SUCCESSOR_LIST) as u8);
+        chain
     }
 
     /// Greedy routing terminates at the *nearest* peer; the owner under
@@ -2096,24 +2043,12 @@ impl Simulator {
         value: Vec<u8>,
         walk: Walk,
     ) {
-        self.metrics.storage_messages += walk.msgs as u64;
-        if matches!(
-            end,
-            WalkEnd::Stranded | WalkEnd::HopLimit | WalkEnd::Exhausted
-        ) {
-            self.metrics.puts += 1;
+        let Some(at) = self.storage_owner(end, &walk, key, |m| &mut m.puts) else {
             return;
-        }
-        let at = self.shift_to_owner(walk.cur, key);
+        };
         let now = self.plane.now();
         self.store_primary(at, key, value.clone());
-        let replicas = self.cfg.storage.replication.max(1) - 1;
-        let chain: Vec<u32> = self.nodes[at as usize]
-            .succ
-            .iter()
-            .copied()
-            .take(replicas)
-            .collect();
+        let chain = self.replica_view(at, 0);
         if chain.is_empty() {
             self.metrics.puts += 1;
             self.metrics.puts_ok += 1;
@@ -2124,18 +2059,14 @@ impl Simulator {
             return;
         }
         let mut pending = 0u32;
-        for to in chain {
+        for &to in chain.iter() {
             self.metrics.storage_messages += 1;
             self.send_net(
                 at,
                 to,
                 now,
                 self.cfg.latency.delay(),
-                Msg::ReplicaPut {
-                    op: qid,
-                    to,
-                    sent_at: now,
-                },
+                Msg::ReplicaPut { op: qid, to },
             );
             pending += 1;
         }
@@ -2152,12 +2083,8 @@ impl Simulator {
         );
     }
 
-    fn deliver_replica_put(&mut self, op: QueryId, to: u32, _sent_at: SimTime, lost: bool) {
+    fn deliver_replica_put(&mut self, op: QueryId, to: u32, live: bool) {
         let now = self.plane.now();
-        if !lost {
-            self.note_net_delivery(to);
-        }
-        let alive = !lost && self.nodes[to as usize].alive;
         let Some(StorageOp::PutFanout {
             key,
             value,
@@ -2168,35 +2095,23 @@ impl Simulator {
         else {
             return;
         };
-        if alive {
-            let (k, v) = (*key, value.clone());
+        *pending -= 1;
+        let (done, issued) = (*pending == 0, *issued_at);
+        if live {
             *stored += 1;
-            *pending -= 1;
-            let done = *pending == 0;
-            let issued = *issued_at;
+            let (k, v) = (*key, value.clone());
             self.store_replica(to, k, v);
-            if done {
-                self.ops.remove(&op);
-                self.metrics.puts += 1;
+        }
+        if done {
+            let Some(StorageOp::PutFanout { stored, .. }) = self.ops.remove(&op) else {
+                unreachable!("the fan-out was just read");
+            };
+            self.metrics.puts += 1;
+            if stored > 0 {
                 self.metrics.puts_ok += 1;
                 self.metrics
                     .put_latency_secs
                     .push((now - issued).as_secs_f64());
-            }
-        } else {
-            *pending -= 1;
-            let done = *pending == 0;
-            let issued = *issued_at;
-            let any_stored = *stored > 0;
-            if done {
-                self.ops.remove(&op);
-                self.metrics.puts += 1;
-                if any_stored {
-                    self.metrics.puts_ok += 1;
-                    self.metrics
-                        .put_latency_secs
-                        .push((now - issued).as_secs_f64());
-                }
             }
         }
     }
@@ -2204,15 +2119,9 @@ impl Simulator {
     /// Get routing phase done: read the routed owner's primary shard,
     /// falling back to replica probes along its successor view.
     fn finish_get_route(&mut self, qid: QueryId, end: WalkEnd, key: Key, walk: Walk) {
-        self.metrics.storage_messages += walk.msgs as u64;
-        if matches!(
-            end,
-            WalkEnd::Stranded | WalkEnd::HopLimit | WalkEnd::Exhausted
-        ) {
-            self.metrics.gets += 1;
+        let Some(at) = self.storage_owner(end, &walk, key, |m| &mut m.gets) else {
             return;
-        }
-        let at = self.shift_to_owner(walk.cur, key);
+        };
         // The routed owner serves any local copy — its primary row, or a
         // replica copy it inherited but has not yet promoted (repair may
         // still be mid-round after its predecessor died).
@@ -2224,18 +2133,12 @@ impl Simulator {
                 .push(walk.latency.as_secs_f64());
             return;
         }
-        let replicas = self.cfg.storage.replication.max(1) - 1;
-        let mut chain: Vec<u32> = self.nodes[at as usize]
-            .succ
-            .iter()
-            .copied()
-            .take(replicas.max(1))
-            .collect();
-        if chain.is_empty() {
+        // Probe at least the first successor, even unreplicated.
+        let chain = self.replica_view(at, 1);
+        let Some((&first, rest)) = chain.split_first() else {
             self.metrics.gets += 1;
             return;
-        }
-        let first = chain.remove(0);
+        };
         let now = self.plane.now();
         self.metrics.storage_messages += 1;
         self.metrics.gets_fallback += 1;
@@ -2255,18 +2158,14 @@ impl Simulator {
             StorageOp::GetFallback {
                 key,
                 owner: at,
-                chain,
+                chain: rest.to_vec(),
                 latency: walk.latency,
             },
         );
     }
 
-    fn deliver_replica_probe(&mut self, op: QueryId, to: u32, sent_at: SimTime, lost: bool) {
+    fn deliver_replica_probe(&mut self, op: QueryId, to: u32, sent_at: SimTime, live: bool) {
         let now = self.plane.now();
-        if !lost {
-            self.note_net_delivery(to);
-        }
-        let alive = !lost && self.nodes[to as usize].alive;
         let Some(StorageOp::GetFallback {
             key,
             owner,
@@ -2276,15 +2175,20 @@ impl Simulator {
         else {
             return;
         };
-        let key = *key;
-        let owner = *owner;
+        let (key, owner) = (*key, *owner);
+        // A live peer answers, request and reply both travelling (double
+        // the one-way delay); a dead one costs the timeout penalty.
+        let one_way = now - sent_at;
+        let next_send = if live {
+            *latency += one_way + one_way;
+            now + one_way
+        } else {
+            *latency += TIMEOUT_PENALTY;
+            sent_at + TIMEOUT_PENALTY
+        };
         // A probed peer serves *any* copy it holds — replica copies from
         // fan-outs, or primary rows inherited through a failure merge.
-        let hit = alive && (self.replica.contains(to, key) || self.primary.contains(to, key));
-        if hit {
-            // Request + reply both travel: double the one-way delay.
-            let one_way = now - sent_at;
-            *latency += one_way + one_way;
+        if live && (self.replica.contains(to, key) || self.primary.contains(to, key)) {
             let total = *latency;
             self.ops.remove(&op);
             self.metrics.gets += 1;
@@ -2318,14 +2222,6 @@ impl Simulator {
         }
         // Miss (alive but no copy) or timeout (dead): try the next
         // replica in the chain, from the routed owner.
-        let next_send = if alive {
-            let one_way = now - sent_at;
-            *latency += one_way + one_way;
-            now + (now - sent_at)
-        } else {
-            *latency += TIMEOUT_PENALTY;
-            sent_at + TIMEOUT_PENALTY
-        };
         if chain.is_empty() {
             self.ops.remove(&op);
             self.metrics.gets += 1;
@@ -2350,18 +2246,12 @@ impl Simulator {
     /// Range routing phase done: begin the clockwise owner sweep at the
     /// routed node.
     fn finish_range_route(&mut self, qid: QueryId, end: WalkEnd, lo: Key, hi: Key, walk: Walk) {
-        self.metrics.storage_messages += walk.msgs as u64;
-        if matches!(
-            end,
-            WalkEnd::Stranded | WalkEnd::HopLimit | WalkEnd::Exhausted
-        ) {
-            self.metrics.ranges += 1;
-            return;
-        }
-        let budget = self.hop_budget();
         // Same owner adjustment as puts and gets: the sweep must start
         // at `lo`'s successor-rule owner, not its nearest peer.
-        let at = self.shift_to_owner(walk.cur, lo);
+        let Some(at) = self.storage_owner(end, &walk, lo, |m| &mut m.ranges) else {
+            return;
+        };
+        let budget = self.hop_budget();
         self.ops.insert(
             qid,
             StorageOp::RangeSweep {
@@ -2380,142 +2270,97 @@ impl Simulator {
     /// Serve a fragment at sweep peer `at`, then forward to the next
     /// owner clockwise (or complete).
     fn continue_sweep(&mut self, op: QueryId, at: u32) {
-        let (lo, hi) = match self.ops.get(&op) {
-            Some(StorageOp::RangeSweep { lo, hi, .. }) => (*lo, *hi),
-            _ => return,
+        let Some(StorageOp::RangeSweep {
+            lo,
+            hi,
+            items,
+            peers_visited,
+            budget,
+            tried,
+            from,
+        }) = self.ops.get_mut(&op)
+        else {
+            return;
         };
-        let served = self.primary.shard_range_count(at, lo, hi) as u64;
-        let at_key = self.keys[at as usize];
-        let next_peer = self.nodes[at as usize].succ.first().copied();
+        *items += self.primary.shard_range_count(at, *lo, *hi) as u64;
+        *peers_visited += 1;
+        *budget = budget.saturating_sub(1);
+        tried.clear();
+        *from = at;
+        // By the successor rule this peer owns everything at or below
+        // its key: once its key reaches `hi` the range is fully served
+        // (`>=` because `hi` is exclusive).
+        let served = self.keys[at as usize] >= *hi;
+        let next = match self.nodes[at as usize].succ.first() {
+            Some(&next) if !served && *budget > 0 => next,
+            _ => return self.end_sweep(op, served),
+        };
         let now = self.plane.now();
-        enum Sweep {
-            Done { ok: bool, items: u64, peers: u32 },
-            Forward { next: u32 },
-        }
-        let decision = {
-            let Some(StorageOp::RangeSweep {
-                items,
-                peers_visited,
-                budget,
-                tried,
-                from,
-                ..
-            }) = self.ops.get_mut(&op)
-            else {
-                return;
-            };
-            *items += served;
-            *peers_visited += 1;
-            *budget = budget.saturating_sub(1);
-            tried.clear();
-            *from = at;
-            // By the successor rule this peer owns everything at or
-            // below its key: once its key reaches `hi` the range is
-            // fully served (`>=` because `hi` is exclusive).
-            if at_key >= hi {
-                Sweep::Done {
-                    ok: true,
-                    items: *items,
-                    peers: *peers_visited,
-                }
-            } else if *budget == 0 || next_peer.is_none() {
-                Sweep::Done {
-                    ok: false,
-                    items: *items,
-                    peers: *peers_visited,
-                }
-            } else {
-                Sweep::Forward {
-                    next: next_peer.expect("checked"),
-                }
-            }
-        };
-        match decision {
-            Sweep::Done { ok, items, peers } => {
-                self.ops.remove(&op);
-                self.metrics.ranges += 1;
-                if ok {
-                    self.metrics.ranges_ok += 1;
-                }
-                self.metrics.range_items += items;
-                self.metrics.range_peers += peers as u64;
-            }
-            Sweep::Forward { next } => {
-                self.metrics.storage_messages += 1;
-                self.send_net(
-                    at,
-                    next,
-                    now,
-                    self.cfg.latency.delay(),
-                    Msg::RangeFragment {
-                        op,
-                        to: next,
-                        sent_at: now,
-                    },
-                );
-            }
-        }
+        self.metrics.storage_messages += 1;
+        self.send_net(
+            at,
+            next,
+            now,
+            self.cfg.latency.delay(),
+            Msg::RangeFragment {
+                op,
+                to: next,
+                sent_at: now,
+            },
+        );
     }
 
-    fn deliver_range_fragment(&mut self, op: QueryId, to: u32, sent_at: SimTime, lost: bool) {
-        if !lost {
-            self.note_net_delivery(to);
+    /// A fragment request reaches sweep peer `to` — or, unless `live`,
+    /// the previous fragment holder times out and tries its next known
+    /// successor.
+    fn deliver_range_fragment(&mut self, op: QueryId, to: u32, sent_at: SimTime, live: bool) {
+        if live {
+            return self.continue_sweep(op, to);
         }
-        if !lost && self.nodes[to as usize].alive {
-            self.continue_sweep(op, to);
+        let Some(StorageOp::RangeSweep { tried, from, .. }) = self.ops.get_mut(&op) else {
             return;
-        }
-        // Dead sweep peer: the previous fragment holder times out and
-        // tries its next known successor.
-        let from = {
-            let Some(StorageOp::RangeSweep { tried, from, .. }) = self.ops.get_mut(&op) else {
-                return;
-            };
-            tried.push(to);
-            *from
         };
-        let next = {
-            let tried = match self.ops.get(&op) {
-                Some(StorageOp::RangeSweep { tried, .. }) => tried,
-                _ => return,
-            };
-            self.nodes[from as usize]
-                .succ
-                .iter()
-                .copied()
-                .find(|v| !tried.contains(v))
+        tried.push(to);
+        let from = *from;
+        let next = self.nodes[from as usize]
+            .succ
+            .iter()
+            .copied()
+            .find(|v| !tried.contains(v));
+        let Some(next) = next else {
+            // No live successor in view: the sweep dead-ends.
+            return self.end_sweep(op, false);
         };
-        match next {
-            Some(next) => {
-                let retry_at = sent_at + TIMEOUT_PENALTY;
-                self.metrics.storage_messages += 1;
-                self.send_net(
-                    from,
-                    next,
-                    retry_at,
-                    self.cfg.latency.delay(),
-                    Msg::RangeFragment {
-                        op,
-                        to: next,
-                        sent_at: retry_at,
-                    },
-                );
-            }
-            None => {
-                // No live successor in view: the sweep dead-ends.
-                let (items, peers) = match self.ops.remove(&op) {
-                    Some(StorageOp::RangeSweep {
-                        items,
-                        peers_visited,
-                        ..
-                    }) => (items, peers_visited),
-                    _ => return,
-                };
-                self.metrics.ranges += 1;
-                self.metrics.range_items += items;
-                self.metrics.range_peers += peers as u64;
-            }
-        }
+        let retry_at = sent_at + TIMEOUT_PENALTY;
+        self.metrics.storage_messages += 1;
+        self.send_net(
+            from,
+            next,
+            retry_at,
+            self.cfg.latency.delay(),
+            Msg::RangeFragment {
+                op,
+                to: next,
+                sent_at: retry_at,
+            },
+        );
+    }
+
+    /// Ends range sweep `op` and counts it, `ok` or not, with the items
+    /// and peers it gathered.
+    fn end_sweep(&mut self, op: QueryId, ok: bool) {
+        let Some(StorageOp::RangeSweep {
+            items,
+            peers_visited,
+            ..
+        }) = self.ops.remove(&op)
+        else {
+            return;
+        };
+        self.metrics.ranges += 1;
+        self.metrics.ranges_ok += u64::from(ok);
+        self.metrics.range_items += items;
+        self.metrics.range_peers += u64::from(peers_visited);
     }
 
     // ----- the repair plane (anti-entropy rounds) --------------------
@@ -2550,13 +2395,6 @@ impl Simulator {
     /// primaries), then a digest to each replica-chain peer in the
     /// node's local successor view.
     fn do_repair_round(&mut self, id: u32) {
-        let Some(interval) = self.cfg.storage.repair_interval else {
-            return;
-        };
-        if !self.nodes[id as usize].alive {
-            return; // timer dies with the node
-        }
-        self.plane.send(interval, Msg::RepairRound(id));
         // A fresh round re-requests anything still missing; pulls lost
         // to a dead replica stop blocking here.
         self.pending_wants.remove(&id);
@@ -2569,18 +2407,12 @@ impl Simulator {
         self.promote_owned(id, pred_key, key);
         self.gc_replica_leases(id, now);
         self.demote_foreign(id, pred_key, key);
-        let replicas = self.cfg.storage.replication.max(1) - 1;
-        if replicas == 0 {
+        let chain = self.replica_view(id, 0);
+        if chain.is_empty() {
             return;
         }
-        let chain: Vec<u32> = self.nodes[id as usize]
-            .succ
-            .iter()
-            .copied()
-            .take(replicas)
-            .collect();
         let digest = self.primary.arc_digest(id, pred_key, key);
-        for to in chain {
+        for &to in chain.iter() {
             self.send_repair(
                 id,
                 to,
@@ -2674,10 +2506,6 @@ impl Simulator {
             hash,
         }: RepairDigest,
     ) {
-        self.note_net_delivery(to);
-        if !self.nodes[to as usize].alive {
-            return; // receiver died in flight: message lost
-        }
         let now = self.plane.now();
         let ttl = self.lease_ttl();
         let node = &mut self.nodes[to as usize];
@@ -2725,10 +2553,6 @@ impl Simulator {
             keys,
         }: RepairDiff,
     ) {
-        self.note_net_delivery(owner);
-        if !self.nodes[owner as usize].alive {
-            return;
-        }
         let missing = self.primary.arc_diff(owner, lo, hi, &keys);
         let mut mine = self.primary.arc_keys(owner, lo, hi);
         mine.sort();
@@ -2769,10 +2593,6 @@ impl Simulator {
             want,
         }: RepairPush,
     ) {
-        self.note_net_delivery(replica);
-        if !self.nodes[replica as usize].alive {
-            return;
-        }
         for (k, v) in items {
             self.store_replica(replica, k, v);
         }
@@ -2805,10 +2625,6 @@ impl Simulator {
     /// The recovery transfer lands at the owner: the streamed items are
     /// finally durable under their new primary.
     fn on_repair_pull(&mut self, RepairPull { owner, items }: RepairPull) {
-        self.note_net_delivery(owner);
-        if !self.nodes[owner as usize].alive {
-            return;
-        }
         for (k, v) in items {
             if let Some(w) = self.pending_wants.get_mut(&owner) {
                 w.remove(&k);
@@ -2902,25 +2718,16 @@ impl Simulator {
 
     /// A peer failed: both its shards die with the machine.
     fn drop_peer_storage(&mut self, peer: u32) {
-        for primary in [true, false] {
-            let map = if primary {
-                &self.primary
-            } else {
-                &self.replica
-            };
-            let dropped: Vec<(Key, u64)> = map
-                .shard(peer)
-                .map(|s| s.iter().map(|(k, v)| (*k, item_bytes(v))).collect())
-                .unwrap_or_default();
-            if primary {
-                self.primary.clear_shard(peer);
-            } else {
-                self.replica.clear_shard(peer);
-            }
-            for (k, bytes) in dropped {
-                self.metrics.stored_bytes -= bytes;
-                self.note_remove(k);
-            }
+        let dropped: Vec<(Key, u64)> = [&self.primary, &self.replica]
+            .into_iter()
+            .filter_map(|map| map.shard(peer))
+            .flat_map(|s| s.iter().map(|(k, v)| (*k, item_bytes(v))))
+            .collect();
+        self.primary.clear_shard(peer);
+        self.replica.clear_shard(peer);
+        for (k, bytes) in dropped {
+            self.metrics.stored_bytes -= bytes;
+            self.note_remove(k);
         }
         self.nodes[peer as usize].leases.clear();
         self.pending_wants.remove(&peer);
@@ -2931,7 +2738,7 @@ impl Simulator {
     /// workers; the merge is an order-independent count) — bit-identical
     /// at every `threads` value.
     pub fn durability_census(&self, threads: usize) -> DurabilityCensus {
-        let target = self.cfg.storage.replication.max(1).min(self.alive.len());
+        let target = (self.replication_target() as usize).min(self.alive.len());
         let n = self.primary.shard_count().max(self.replica.shard_count());
         let per_peer: Vec<Vec<Key>> = par::par_map_grained(n, threads, 8, |i| {
             let id = i as u32;

@@ -28,23 +28,34 @@
 //!   timers — whose slots hold 4-byte indices into one envelope store.
 //!   An envelope is written into the store once at send and moved out
 //!   once at delivery; cascades between levels move only its index.
-//!   With the large [`protocol::Msg`] payloads boxed, a stored envelope
-//!   is 40 bytes; at scale the store holds about three pending timers
-//!   per peer.
-//! * [`protocol`] — the message vocabulary ([`protocol::Msg`]) and the
-//!   per-operation state machines: a [`protocol::Walk`] for every routed
-//!   query (lookup / join-point search / long-link probe / storage
-//!   routing phase) and a [`protocol::StorageOp`] for the post-routing
-//!   phase of puts (replica fan-out), gets (replica-fallback probes) and
-//!   range queries (clockwise fragment sweep).
+//!   With the large message payloads boxed, a stored envelope is 40
+//!   bytes; at scale the store holds about three pending timers per
+//!   peer.
+//! * [`protocol`] — the message vocabulary (the crate-private `Msg`)
+//!   and the per-operation state machines: a [`protocol::Walk`] for
+//!   every routed query (lookup / join-point search / long-link probe /
+//!   storage routing phase) and a [`protocol::StorageOp`] for the
+//!   post-routing phase of puts (replica fan-out), gets
+//!   (replica-fallback probes) and range queries (clockwise fragment
+//!   sweep). The vocabulary has three kinds of event. `Next(source)` is
+//!   the next arrival of one of the seven Poisson processes (joins,
+//!   failures, lookups, puts, gets, ranges, open-loop traffic), and
+//!   `Timer(timer, peer)` the next round of a peer's stabilize, refresh
+//!   or repair timer; both re-arm themselves. The ten network messages
+//!   (walk hand-offs, storage fan-outs, repair rungs) pass through the
+//!   congestion model and reach their handlers through one delivery
+//!   entry, which makes the ledger entry and the receiver-liveness test
+//!   for all of them.
 //! * [`engine`] — ground truth (`alive` index, per-node local views,
 //!   the sharded stores) plus the handlers that advance the state
 //!   machines on each delivery. Long-link rows live in a
-//!   [`sw_graph::DeltaStore`]: an LSM-style per-peer edge-log overlay
-//!   on an immutable [`sw_graph::Topology`] base — one `SWTOPO` image,
-//!   built in memory or opened (mapped under `mmap`) from disk
-//!   ([`Simulator::from_frozen`] / [`Simulator::with_store`]) — so only
-//!   the peers the run actually rewires cost heap memory.
+//!   [`sw_graph::DeltaStore`] over an immutable [`sw_graph::Topology`]
+//!   base — one `SWTOPO` image, built in memory or opened (mapped under
+//!   `mmap`) from disk ([`Simulator::from_frozen`] /
+//!   [`Simulator::with_store`]). A row the run touches is copied whole
+//!   into an owned row; a refresh rewrites every live peer's row each
+//!   interval, so a run with refresh on soon owns a copy of every row,
+//!   and only a run without it keeps reading the base.
 //! * [`traffic`] — the congestion vocabulary: per-node service queues
 //!   and per-link token buckets ([`CongestionConfig`]), the open-loop
 //!   Zipf workload generator ([`TrafficConfig`] / [`ZipfSampler`]) and
@@ -88,9 +99,8 @@
 //! 2. **digest fan-out**: an order-independent key digest of the arc
 //!    ([`sw_dht::RangeDigest`]) to each replica-chain peer in the local
 //!    successor view. A digest renews the receiver's lease on the arc;
-//!    a mismatch triggers the diff → push → pull ladder
-//!    ([`protocol::Msg::RepairDiff`] / [`protocol::Msg::RepairPush`] /
-//!    [`protocol::Msg::RepairPull`]) that streams missing items both
+//!    a mismatch triggers the diff → push → pull ladder (`RepairDiff` /
+//!    `RepairPush` / `RepairPull`) that streams missing items both
 //!    ways. Every repair message pays the hop delay **plus a
 //!    per-byte bandwidth delay** (`repair_byte_secs`), so the
 //!    durability/bandwidth trade-off is measurable
@@ -172,8 +182,8 @@
 //!   `busy_until` instant: an arrival's wait is `busy_until − arrival`,
 //!   its service (`service_secs_per_msg`) extends `busy_until`, and the
 //!   implied depth is `residual / service`. Past `queue_cap` the
-//!   message is **dropped**: consequential messages re-dispatch through
-//!   their ordinary handler as lost (`Msg::Dropped` — timing identical
+//!   message is **dropped**: a message its sender waits on re-enters
+//!   the delivery entry as lost (`Msg::Dropped` — timing identical
 //!   to a dead-peer delivery, so the requester's failover machinery
 //!   absorbs overload exactly like churn), fire-and-forget repair rungs
 //!   are silently discarded, and `SimMetrics::msgs_dropped_overload`,
@@ -261,9 +271,10 @@
 //!   lookups, puts, gets, ranges, timer stagger, link targets, traffic
 //!   arrivals) owns a dedicated stream, so one process's draws never
 //!   perturb another's;
-//! * the parallel paths (probe batches, storage preload) are pure
-//!   per-index maps over pre-drawn inputs — thread count only changes
-//!   how work is chunked, never what is computed.
+//! * the parallel paths (the t = 0 link draw, probe batches, the
+//!   durability census) are pure per-index maps over pre-drawn inputs —
+//!   thread count only changes how work is chunked, never what is
+//!   computed.
 //!
 //! Measurement probes ([`Simulator::probe_lookups`],
 //! [`Simulator::live_overlay`]) read the *live* state at frozen time
@@ -296,7 +307,7 @@ pub use engine::{
 pub use latency::LatencyModel;
 pub use metrics::{Histogram, SimMetrics};
 pub use plane::{Envelope, MessagePlane};
-pub use protocol::{LookupRecord, Msg, Purpose, QueryId, RoutingMode, StorageOp, Walk, WalkEnd};
+pub use protocol::{LookupRecord, Purpose, QueryId, RoutingMode, StorageOp, Walk, WalkEnd};
 pub use sharded::{lookahead, ShardedSimulator};
 pub use time::SimTime;
 pub use traffic::{CacheConfig, CongestionConfig, HotCache, TrafficConfig, ZipfSampler};

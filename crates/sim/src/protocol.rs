@@ -2,10 +2,32 @@
 //!
 //! A routed operation (lookup, join-point search, long-link probe,
 //! put/get/range) lives as a [`Walk`] — a greedy walk whose hops are
-//! individual [`Msg`]s on the message plane, so any number of walks can
-//! be in flight at once and every one of them sees the overlay *as it
-//! is at each hop's delivery time*, not as it was when the operation
+//! individual messages on the message plane, so any number of walks
+//! can be in flight at once and every one of them sees the overlay *as
+//! it is at each hop's delivery time*, not as it was when the operation
 //! started.
+//!
+//! ## The event vocabulary
+//!
+//! Everything on the plane is one crate-private `Msg`, of three kinds:
+//!
+//! * **Generators and timers.** `Msg::Next(source)` is the next arrival
+//!   of one of the seven Poisson processes (`Source`: joins, failures,
+//!   lookups, puts, gets, ranges, open-loop traffic), each drawing from
+//!   its own RNG stream. `Msg::Timer(timer, peer)` is the next round of
+//!   one peer's stabilize, refresh or repair timer (`Timer`). Both
+//!   re-arm themselves when they fire; a generator whose rate reads
+//!   zero, or a timer whose peer died, stops.
+//! * **Self-sends.** `StabilizeApply` resolves a stabilization round;
+//!   `Step` is a walk's driver acting again, its retry after a timeout.
+//! * **Network messages.** The ten messages that cross between peers —
+//!   `Hop`, `NextHopQuery`, `NextHopReply`, `ReplicaPut`,
+//!   `ReplicaProbe`, `RangeFragment` and the four repair rungs — pass
+//!   through the congestion model and reach their handlers through one
+//!   delivery entry in the engine. It makes the ledger entry and the
+//!   receiver-liveness test once for all ten. A dropped message whose
+//!   sender waits on it comes back as `Dropped(msg)` and re-enters the
+//!   same entry as lost.
 //!
 //! ## Routing modes
 //!
@@ -14,18 +36,18 @@
 //! struct is the **requester-held** record of the operation (engine-side
 //! accounting: hops, timeouts, latency, exclusions, failover ladder);
 //! what actually travels on the plane is only the minimal in-flight
-//! payload of each [`Msg`]. The mode decides *who holds the query* —
+//! payload of each message. The mode decides *who holds the query* —
 //! and therefore whose death strands it:
 //!
 //! * **Recursive** — the query is handed off node to node
-//!   ([`Msg::Hop`], one message per hop). The walk state conceptually
+//!   (`Hop`, one message per hop). The walk state conceptually
 //!   travels with the carrier: if the node holding the query dies, the
 //!   walk is **stranded** ([`WalkEnd::Stranded`]). Cheapest per hop
 //!   (one one-way hop delay), most fragile under churn.
 //! * **Iterative** — the requester drives every hop itself: it asks the
 //!   frontier node for its ranked next-hop candidates
-//!   ([`Msg::NextHopQuery`]) and the frontier answers
-//!   ([`Msg::NextHopReply`]) — two plane messages, one full RTT per
+//!   (`NextHopQuery`) and the frontier answers
+//!   (`NextHopReply`) — two plane messages, one full RTT per
 //!   hop. The query never leaves the requester, so the walk strands
 //!   only if the *requester* dies. A frontier that times out is
 //!   excluded and the requester **fails over** to the next-best
@@ -65,10 +87,10 @@
 //! Replica repair is its own message family, not a walk: every
 //! `repair_interval` a peer runs an **anti-entropy round** against its
 //! successor-list view of its replica chain. The round is a four-message
-//! ladder per `(owner, replica)` pair — [`Msg::RepairDigest`] (owner's
-//! arc summary), [`Msg::RepairDiff`] (replica's key list on mismatch),
-//! [`Msg::RepairPush`] (missing items + recovery wants),
-//! [`Msg::RepairPull`] (the wanted items streamed back) — and each rung
+//! ladder per `(owner, replica)` pair — `RepairDigest` (owner's arc
+//! summary), `RepairDiff` (replica's key list on mismatch),
+//! `RepairPush` (missing items + recovery wants), `RepairPull` (the
+//! wanted items streamed back) — and each rung
 //! pays plane latency *plus a per-byte bandwidth delay* sized by its
 //! payload. A message whose receiver died in flight is silently lost;
 //! the next round retries. There is no oracle shortcut: a failed peer's
@@ -76,7 +98,7 @@
 //! only once a surviving replica has actually streamed it to the new
 //! owner. **Read repair** rides the same plane: a get served by a
 //! replica-fallback probe immediately streams that one key to the
-//! routed owner (a targeted, single-item [`Msg::RepairPull`]) instead
+//! routed owner (a targeted, single-item `RepairPull`) instead
 //! of waiting for the next anti-entropy round.
 
 use crate::time::SimTime;
@@ -163,7 +185,7 @@ pub enum Purpose {
 }
 
 /// The requester-held state of one in-flight operation (the routing
-/// phase of every operation). Only [`Msg`] payloads travel on the plane;
+/// phase of every operation). Only message payloads travel on the plane;
 /// this record stays with the engine and — in iterative mode — models
 /// exactly what the requesting node itself would remember, which is why
 /// a dying *relay* cannot destroy it.
@@ -236,6 +258,39 @@ pub struct Walk {
 }
 
 impl Walk {
+    /// A walk `requester` issues at `issued_at`: at the requester, no hop
+    /// taken, no candidate learned.
+    pub(crate) fn new(
+        purpose: Purpose,
+        target: Key,
+        mode: RoutingMode,
+        requester: u32,
+        issued_at: SimTime,
+        max_hops: u32,
+    ) -> Walk {
+        Walk {
+            purpose,
+            target,
+            mode,
+            requester,
+            cur: requester,
+            hops: 0,
+            msgs: 0,
+            timeouts: 0,
+            failovers: 0,
+            latency: SimTime::ZERO,
+            issued_at,
+            excluded: Vec::new(),
+            alternates: Vec::new(),
+            alt_head: 0,
+            seen: Vec::new(),
+            query_sent: SimTime::ZERO,
+            rtt_seen: SimTime::ZERO,
+            wait_seen: SimTime::ZERO,
+            max_hops,
+        }
+    }
+
     /// Pops the best remaining failover candidate: the first entry of
     /// the ranked ladder that has not been excluded by a timeout.
     /// Entries excluded since the ladder was built are discarded, never
@@ -301,26 +356,19 @@ impl Walk {
     /// unit and property tests of the pool mechanics only.
     #[doc(hidden)]
     pub fn fixture(alternates: Vec<u32>, excluded: Vec<u32>) -> Walk {
+        let lookup = Purpose::Lookup { target_id: 0 };
+        let walk = Walk::new(
+            lookup,
+            Key::clamped(0.5),
+            RoutingMode::Iterative,
+            0,
+            SimTime::ZERO,
+            8,
+        );
         Walk {
-            purpose: Purpose::Lookup { target_id: 0 },
-            target: Key::clamped(0.5),
-            mode: RoutingMode::Iterative,
-            requester: 0,
-            cur: 0,
-            hops: 0,
-            msgs: 0,
-            timeouts: 0,
-            failovers: 0,
-            latency: SimTime::ZERO,
-            issued_at: SimTime::ZERO,
-            excluded,
             alternates,
-            alt_head: 0,
-            seen: Vec::new(),
-            query_sent: SimTime::ZERO,
-            rtt_seen: SimTime::ZERO,
-            wait_seen: SimTime::ZERO,
-            max_hops: 8,
+            excluded,
+            ..walk
         }
     }
 }
@@ -408,7 +456,9 @@ pub enum StorageOp {
     },
 }
 
-/// Everything delivered on the message plane.
+/// Everything delivered on the message plane: generator arrivals,
+/// timer rounds, two self-sends and the ten network messages (see the
+/// module docs' event vocabulary).
 ///
 /// The five variants whose payload would be wider than 20 bytes carry
 /// it boxed, so a `Msg` is 24 bytes and an
@@ -416,30 +466,13 @@ pub enum StorageOp {
 /// the plane holds at scale is the common small variants, and they do
 /// not pay for a repair rung's key lists.
 #[derive(Debug)]
-pub enum Msg {
-    // -- Poisson process generators (self-rescheduling) ---------------
-    /// Next churn join arrival.
-    NextJoin,
-    /// Next churn failure arrival.
-    NextFail,
-    /// Next workload lookup arrival.
-    NextLookup,
-    /// Next storage put arrival.
-    NextPut,
-    /// Next storage get arrival.
-    NextGet,
-    /// Next storage range-query arrival.
-    NextRange,
-    /// Next open-loop traffic lookup arrival (`SimConfig::traffic`).
-    NextTraffic,
-
-    // -- Per-node maintenance timers ----------------------------------
-    /// `node` starts a stabilization round (pings its view).
-    StabilizeStart(u32),
-    /// `node`'s stabilization round resolved; apply the repair.
+pub(crate) enum Msg {
+    /// The next arrival of a generator process.
+    Next(Source),
+    /// A peer's next round of one of its maintenance timers.
+    Timer(Timer, u32),
+    /// A peer's stabilization round resolved; apply the repair.
     StabilizeApply(u32),
-    /// `node` starts a long-link refresh chain.
-    RefreshStart(u32),
 
     // -- The walk plane -----------------------------------------------
     /// The walk's driver executes its next action: a greedy step at the
@@ -482,8 +515,6 @@ pub enum Msg {
         op: QueryId,
         /// Replica holder.
         to: u32,
-        /// Send time.
-        sent_at: SimTime,
     },
     /// A replica read probe for get `op` arriving at `to`.
     ReplicaProbe {
@@ -510,14 +541,10 @@ pub enum Msg {
     /// (no queueing), so the sender-side consequence — timeout, ladder
     /// failover, pending-count decrement, sweep retry — runs through
     /// the exact same code path as a dead-peer delivery, with identical
-    /// timing. Fire-and-forget messages (repair rungs) are never
-    /// wrapped: their loss has no sender-side consequence to schedule.
+    /// timing. Only a message whose sender waits on it is wrapped.
     Dropped(Box<Msg>),
 
     // -- The repair plane (anti-entropy rounds) -----------------------
-    /// `node` starts an anti-entropy round over its owned arc
-    /// (self-rescheduling every `repair_interval`).
-    RepairRound(u32),
     /// Owner → replica: digest of the owner's primary slice on the arc
     /// `(lo, hi]`. Receipt renews the replica's lease on that arc; a
     /// digest mismatch triggers a [`Msg::RepairDiff`] reply.
@@ -536,9 +563,78 @@ pub enum Msg {
     RepairPull(Box<RepairPull>),
 }
 
+impl Msg {
+    /// True if the sender waits on this message — a walk hop or query,
+    /// a reply its requester waits for, a replica write or probe, a
+    /// range fragment — so that losing it has a consequence to
+    /// schedule. The repair rungs are fire-and-forget: the next
+    /// anti-entropy round re-requests.
+    pub(crate) fn sender_waits(&self) -> bool {
+        matches!(
+            self,
+            Msg::Hop { .. }
+                | Msg::NextHopQuery { .. }
+                | Msg::NextHopReply(_)
+                | Msg::ReplicaPut { .. }
+                | Msg::ReplicaProbe { .. }
+                | Msg::RangeFragment { .. }
+        )
+    }
+}
+
+/// The seven Poisson generator processes, each drawing from its own
+/// RNG stream; [`Source::ALL`] is the order the engine arms them in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// Churn join arrivals.
+    Join,
+    /// Churn failure arrivals.
+    Fail,
+    /// Workload lookup arrivals.
+    Lookup,
+    /// Storage put arrivals.
+    Put,
+    /// Storage get arrivals.
+    Get,
+    /// Storage range-query arrivals.
+    Range,
+    /// Open-loop traffic lookup arrivals (`SimConfig::traffic`).
+    Traffic,
+}
+
+impl Source {
+    /// Every process, in arming order (index = `self as usize`).
+    pub(crate) const ALL: [Source; 7] = [
+        Source::Join,
+        Source::Fail,
+        Source::Lookup,
+        Source::Put,
+        Source::Get,
+        Source::Range,
+        Source::Traffic,
+    ];
+}
+
+/// The per-peer maintenance timers; [`Timer::ALL`] is the order a peer's
+/// timers are staggered in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Timer {
+    /// A stabilization round: ping the view, then apply the repair.
+    Stabilize,
+    /// A long-link refresh chain.
+    Refresh,
+    /// An anti-entropy repair round over the owned arc.
+    Repair,
+}
+
+impl Timer {
+    /// Every timer, in stagger order.
+    pub(crate) const ALL: [Timer; 3] = [Timer::Stabilize, Timer::Refresh, Timer::Repair];
+}
+
 /// [`Msg::NextHopReply`]'s payload.
 #[derive(Debug)]
-pub struct NextHopReply {
+pub(crate) struct NextHopReply {
     /// Walk id.
     pub qid: QueryId,
     /// The answering frontier.
@@ -554,7 +650,7 @@ pub struct NextHopReply {
 
 /// [`Msg::RepairDigest`]'s payload.
 #[derive(Debug)]
-pub struct RepairDigest {
+pub(crate) struct RepairDigest {
     /// The arc's owner (digest sender).
     pub owner: u32,
     /// The replica-chain peer being synced.
@@ -571,7 +667,7 @@ pub struct RepairDigest {
 
 /// [`Msg::RepairDiff`]'s payload.
 #[derive(Debug)]
-pub struct RepairDiff {
+pub(crate) struct RepairDiff {
     /// The arc's owner (reply destination).
     pub owner: u32,
     /// The replying replica.
@@ -586,7 +682,7 @@ pub struct RepairDiff {
 
 /// [`Msg::RepairPush`]'s payload.
 #[derive(Debug)]
-pub struct RepairPush {
+pub(crate) struct RepairPush {
     /// The arc's owner (push sender).
     pub owner: u32,
     /// The replica being refilled.
@@ -599,7 +695,7 @@ pub struct RepairPush {
 
 /// [`Msg::RepairPull`]'s payload.
 #[derive(Debug)]
-pub struct RepairPull {
+pub(crate) struct RepairPull {
     /// The recovering owner.
     pub owner: u32,
     /// Items recovered from the replica's copy.
