@@ -2261,7 +2261,9 @@ impl Simulator {
                 peers_visited: 0,
                 budget,
                 tried: Vec::new(),
-                from: at,
+                // The routed peer is the first previous holder, so a
+                // range above every key ends at the wrap owner.
+                from: walk.cur,
             },
         );
         self.continue_sweep(qid, at);
@@ -2286,11 +2288,15 @@ impl Simulator {
         *peers_visited += 1;
         *budget = budget.saturating_sub(1);
         tried.clear();
-        *from = at;
         // By the successor rule this peer owns everything at or below
         // its key: once its key reaches `hi` the range is fully served
-        // (`>=` because `hi` is exclusive).
-        let served = self.keys[at as usize] >= *hi;
+        // (`>=` because `hi` is exclusive). A key below the previous
+        // holder's crosses the top of the ring: this is the wrap owner,
+        // which owns everything above the highest key, so the range is
+        // served too.
+        let key = self.keys[at as usize];
+        let served = key >= *hi || key < self.keys[*from as usize];
+        *from = at;
         let next = match self.nodes[at as usize].succ.first() {
             Some(&next) if !served && *budget > 0 => next,
             _ => return self.end_sweep(op, served),
@@ -4047,6 +4053,36 @@ mod tests {
         }
         let ms = SimTime::from_millis;
         assert_eq!(arrivals, [ms(1), ms(1), ms(11), ms(21), ms(31)]);
+    }
+
+    /// A range whose upper end lies above the highest peer key has its
+    /// tail owned by the wrap owner, rank 0, so its sweep ends where it
+    /// crosses the top of the ring. A sweep that only stopped at a key
+    /// reaching `hi` circled the ring to its peer budget instead, and
+    /// on a static ring every range starting in the top ≈ 2 % of key
+    /// space failed that way.
+    #[test]
+    fn range_sweeps_finish_at_the_top_of_the_ring() {
+        let cfg = SimConfig {
+            seed: 3,
+            initial_n: 1024,
+            stabilize_interval: None,
+            refresh_interval: None,
+            workload: WorkloadConfig { lookup_rate: 0.0 },
+            storage: StorageConfig {
+                range_rate: 50.0,
+                ..StorageConfig::NONE
+            },
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(cfg, Arc::new(Uniform));
+        sim.run_until(SimTime::from_secs(100));
+        let m = sim.metrics();
+        assert!(m.ranges > 4_000, "ranges {}", m.ranges);
+        assert_eq!(
+            m.ranges_ok, m.ranges,
+            "every range on a static ring is served"
+        );
     }
 
     /// The t = 0 replica chain by search: the first `count` peers after
