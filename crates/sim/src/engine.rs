@@ -1078,7 +1078,7 @@ impl Simulator {
     /// process at that tick, after which draining the plane settles
     /// every in-flight message. Like [`Simulator::set_churn`], **raising
     /// the rate from zero restarts nothing** once that tick has passed
-    /// (or if traffic was never enabled): no `NextTraffic` is left on
+    /// (or if traffic was never enabled): no traffic arrival is left on
     /// the plane to read the new rate.
     pub fn set_traffic_rate(&mut self, rate: f64) {
         self.cfg.traffic.rate = rate;
@@ -2786,9 +2786,10 @@ impl Simulator {
     }
 
     /// Replaces the churn configuration mid-run. Lowering a rate takes
-    /// effect at that generator's next tick; **raising a rate from zero
-    /// has no effect** (the generator process was never scheduled). Used
-    /// to stop churn and let the repair plane quiesce.
+    /// effect at that generator's next tick, and zero ends the process
+    /// there. **Raising a rate from zero has no effect**: a process that
+    /// was never armed, or has ended, is not on the plane to read it.
+    /// Used to stop churn and let the repair plane quiesce.
     pub fn set_churn(&mut self, churn: ChurnConfig) {
         self.cfg.churn = churn;
     }

@@ -88,31 +88,40 @@ proptest! {
 }
 
 /// `set_traffic_rate` can stop the generator but not restart it: the
-/// `NextTraffic` process ends at the tick that reads a zero rate, so a
+/// `Next` traffic process ends at the tick that reads a zero rate, so a
 /// positive rate set after the drain finds nothing on the plane to
-/// read it. (The same holds for `set_churn`, whose doc says so.)
+/// read it. The same holds for `set_churn`, whose doc says so: the
+/// second case stops the join and fail processes beside the traffic,
+/// and raising both rates again brings back neither.
 #[test]
 fn raising_the_traffic_rate_from_zero_restarts_nothing() {
     let rate = 200.0;
-    let cfg = traffic_cfg(5, rate, 0.9, 8, 0.0);
-    let mut sim = Simulator::new(cfg, Arc::new(Uniform));
-    sim.run_until(SimTime::from_secs(30));
-    sim.set_traffic_rate(0.0);
-    sim.run_until(SimTime::from_secs(4_000));
-    let drained = sim.metrics().lookups;
-    let ledger = sim.net_counters();
-    assert!(drained > 1_000, "lookups {drained}");
-    assert_eq!(sim.in_flight_walks(), 0, "the drain must settle every walk");
-    assert_eq!(ledger.0, ledger.1 + ledger.2 + ledger.3, "{ledger:?}");
+    for churn in [0.0, 2.0] {
+        let cfg = traffic_cfg(5, rate, 0.9, 8, churn);
+        let mut sim = Simulator::new(cfg, Arc::new(Uniform));
+        sim.run_until(SimTime::from_secs(30));
+        sim.set_traffic_rate(0.0);
+        sim.set_churn(ChurnConfig::NONE);
+        sim.run_until(SimTime::from_secs(4_000));
+        let m = sim.metrics();
+        let drained = (m.lookups, m.joins, m.failures);
+        let ledger = sim.net_counters();
+        assert!(drained.0 > 1_000, "churn {churn}: {drained:?}");
+        assert_eq!(churn > 0.0, drained.1 > 0 && drained.2 > 0, "{drained:?}");
+        assert_eq!(sim.in_flight_walks(), 0, "the drain must settle every walk");
+        assert_eq!(ledger.0, ledger.1 + ledger.2 + ledger.3, "{ledger:?}");
 
-    sim.set_traffic_rate(rate);
-    sim.run_until(SimTime::from_secs(4_100));
-    assert_eq!(
-        sim.metrics().lookups,
-        drained,
-        "a stopped generator restarted"
-    );
-    assert_eq!(sim.net_counters(), ledger, "messages without a generator");
+        sim.set_traffic_rate(rate);
+        sim.set_churn(ChurnConfig::symmetric(churn));
+        sim.run_until(SimTime::from_secs(4_100));
+        let m = sim.metrics();
+        assert_eq!(
+            (m.lookups, m.joins, m.failures),
+            drained,
+            "churn {churn}: a stopped generator restarted"
+        );
+        assert_eq!(sim.net_counters(), ledger, "messages without a generator");
+    }
 }
 
 /// The full cross-run equivalence digest: lookup counters, congestion
