@@ -418,8 +418,6 @@ pub enum StorageOp {
         value: Vec<u8>,
         /// Replica writes still in flight.
         pending: u32,
-        /// Copies durably stored so far (primary + replicas).
-        stored: u32,
         /// Issue time (for latency accounting at completion).
         issued_at: SimTime,
     },
