@@ -1,5 +1,6 @@
 //! E10, E11, E14 — the dynamic setting: joins, local estimation, churn.
 
+use super::Density;
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, pm, Table};
 use std::sync::Arc;
@@ -7,13 +8,10 @@ use sw_core::config::{LinkSampler, SmallWorldConfig};
 use sw_core::estimate::{refine_links_round, Estimator};
 use sw_core::{SmallWorldBuilder, SmallWorldNetwork};
 use sw_keyspace::distribution::{KeyDistribution, TruncatedPareto, Uniform};
+use sw_keyspace::stats::ks_statistic;
 use sw_keyspace::{Rng, Topology};
 use sw_overlay::{Overlay, Placement};
 use sw_sim::{ChurnConfig, SimConfig, SimTime, Simulator, WorkloadConfig};
-
-/// A fresh copy of a key density: E10 hands one to each of its two
-/// simulators and to the oracle builder.
-type Density = fn() -> Box<dyn KeyDistribution>;
 
 /// E10 — §4.2 join protocol on the engine: networks grown join by join
 /// from 8 peers, against the oracle batch construction over the same
@@ -130,27 +128,6 @@ fn grow_on_engine(
     let label = format!("sw-grown({})", dist.name());
     let net = SmallWorldNetwork::with_links(placement, dist, config, rows, label);
     (net, msgs_per_join)
-}
-
-/// Two-sample Kolmogorov–Smirnov statistic: the largest gap between the
-/// empirical CDFs of `a` and `b`, taken after every distinct value so
-/// that ties (hop counts are integers) step both CDFs together.
-fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
-    let (mut a, mut b) = (a.to_vec(), b.to_vec());
-    a.sort_by(f64::total_cmp);
-    b.sort_by(f64::total_cmp);
-    let (mut i, mut j, mut d) = (0, 0, 0.0f64);
-    while i < a.len() && j < b.len() {
-        let x = a[i].min(b[j]);
-        while i < a.len() && a[i] == x {
-            i += 1;
-        }
-        while j < b.len() && b[j] == x {
-            j += 1;
-        }
-        d = d.max((i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs());
-    }
-    d
 }
 
 /// E11 — §4.2 estimation: routing cost vs local sample budget and

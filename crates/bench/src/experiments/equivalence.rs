@@ -2,13 +2,14 @@
 //! skewed space `R` equals building `G′` in the normalized space `R′`
 //! and transporting its links back through `F⁻¹`.
 
+use super::Density;
 use crate::ctx::Ctx;
 use crate::table::{f3, pm, Table};
 use std::sync::Arc;
 use sw_core::config::SmallWorldConfig;
 use sw_core::partition::PartitionSurvey;
 use sw_core::{SmallWorldBuilder, SmallWorldNetwork};
-use sw_keyspace::distribution::{KeyDistribution, Kumaraswamy, TruncatedPareto, Uniform};
+use sw_keyspace::distribution::{KeyDistribution, Kumaraswamy, TruncatedPareto};
 use sw_keyspace::{Key, Rng};
 use sw_overlay::Placement;
 
@@ -27,11 +28,12 @@ pub fn e9_normalization_equivalence(ctx: &Ctx) {
             "mean log10(link mass)",
         ],
     );
-    let dists: Vec<Arc<dyn KeyDistribution>> = vec![
-        Arc::new(Kumaraswamy::new(0.5, 0.5).expect("valid")),
-        Arc::new(TruncatedPareto::new(1.5, 0.01).expect("valid")),
+    let densities: [Density; 2] = [
+        || Box::new(Kumaraswamy::new(0.5, 0.5).expect("valid")),
+        || Box::new(TruncatedPareto::new(1.5, 0.01).expect("valid")),
     ];
-    for dist in dists {
+    for density in densities {
+        let dist: Arc<dyn KeyDistribution> = Arc::from(density());
         let name = dist.name();
         let mut rng = Rng::new(ctx.seed ^ 9);
         // Shared skewed placement in R.
@@ -40,7 +42,7 @@ pub fn e9_normalization_equivalence(ctx: &Ctx) {
 
         // (a) Direct: Model 2 in R.
         let direct = SmallWorldBuilder::new(n)
-            .distribution(clone_dist(dist.as_ref()))
+            .distribution(density())
             .build_on(placement.clone(), &mut rng)
             .expect("n >= 4");
 
@@ -95,25 +97,4 @@ pub fn e9_normalization_equivalence(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e9_normalization_equivalence.csv");
-}
-
-fn clone_dist(d: &dyn KeyDistribution) -> Box<dyn KeyDistribution> {
-    let name = d.name();
-    if let Some(args) = name.strip_prefix("kumaraswamy(") {
-        let v: Vec<f64> = args
-            .trim_end_matches(')')
-            .split(',')
-            .filter_map(|s| s.parse().ok())
-            .collect();
-        Box::new(Kumaraswamy::new(v[0], v[1]).expect("valid"))
-    } else if let Some(args) = name.strip_prefix("pareto(") {
-        let v: Vec<f64> = args
-            .trim_end_matches(')')
-            .split(',')
-            .filter_map(|s| s.parse().ok())
-            .collect();
-        Box::new(TruncatedPareto::new(v[0], v[1]).expect("valid"))
-    } else {
-        Box::new(Uniform)
-    }
 }

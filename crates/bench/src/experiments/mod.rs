@@ -34,6 +34,8 @@
 //! | e22 | simulator scale: events/s and peak RSS to 10⁶ peers | none: host-time readings, no claim and no `BENCH_*` row |
 //! | e23 | open-loop traffic: the saturation knee, cache on/off | `BENCH_traffic.json` |
 
+use sw_keyspace::distribution::KeyDistribution;
+
 pub mod balance;
 pub mod dynamics;
 pub mod equivalence;
@@ -43,3 +45,9 @@ pub mod sim_scale;
 pub mod skew;
 pub mod theory;
 pub mod traffic;
+
+/// A fresh copy of a key density, for an experiment that hands one
+/// density to several owners: the builder takes a `Box`, and
+/// `Arc::from(density())` gives the `Arc` that `with_links`,
+/// `open_from` and the simulator take.
+pub(crate) type Density = fn() -> Box<dyn KeyDistribution>;

@@ -1,5 +1,6 @@
 //! E3, E4, E15 — Theorem 2 and the skewed-key-space comparisons.
 
+use super::Density;
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, pm, Table};
 use sw_core::routing::{mass_key, mass_placement};
@@ -54,38 +55,31 @@ pub fn e4_system_comparison(ctx: &Ctx) {
     let n = ctx.n(2048);
     let queries = ctx.queries(1000);
     let k = theory::partition_count(n);
-    let skews: Vec<(String, Box<dyn sw_keyspace::distribution::KeyDistribution>)> = vec![
-        ("uniform".into(), Box::new(Uniform)),
-        (
-            "pareto x0=0.1".into(),
-            Box::new(TruncatedPareto::new(1.5, 0.1).expect("valid")),
-        ),
-        (
-            "pareto x0=0.01".into(),
-            Box::new(TruncatedPareto::new(1.5, 0.01).expect("valid")),
-        ),
-        (
-            "pareto x0=0.001".into(),
-            Box::new(TruncatedPareto::new(1.5, 0.001).expect("valid")),
-        ),
+    let skews: [(&str, Density); 4] = [
+        ("uniform", || Box::new(Uniform)),
+        ("pareto x0=0.1", || {
+            Box::new(TruncatedPareto::new(1.5, 0.1).expect("valid"))
+        }),
+        ("pareto x0=0.01", || {
+            Box::new(TruncatedPareto::new(1.5, 0.01).expect("valid"))
+        }),
+        ("pareto x0=0.001", || {
+            Box::new(TruncatedPareto::new(1.5, 0.001).expect("valid"))
+        }),
     ];
+    let mut headers = vec!["system"];
+    headers.extend(skews.map(|(name, _)| name));
     let mut table = Table::new(
         format!("E4: hops under increasing skew (N = {n}, member lookups; '!' = success < 100%)"),
-        &[
-            "system",
-            "uniform",
-            "pareto x0=0.1",
-            "pareto x0=0.01",
-            "pareto x0=0.001",
-        ],
+        &headers,
     );
     // One placement per skew, shared by all systems.
     let placements: Vec<Placement> = skews
         .iter()
         .enumerate()
-        .map(|(i, (_, d))| {
+        .map(|(i, (_, density))| {
             let mut rng = Rng::new(ctx.seed ^ 4 ^ i as u64);
-            Placement::sample(n, d.as_ref(), Topology::Ring, &mut rng)
+            Placement::sample(n, density().as_ref(), Topology::Ring, &mut rng)
         })
         .collect();
 
@@ -108,18 +102,18 @@ pub fn e4_system_comparison(ctx: &Ctx) {
     let mut pastry = Vec::new();
     let mut pgrid_mid = Vec::new();
     let mut pgrid_med = Vec::new();
-    for (i, (_, dist)) in skews.iter().enumerate() {
+    for (i, (_, density)) in skews.iter().enumerate() {
         let p = &placements[i];
         let mut rng = Rng::new(ctx.seed ^ 0x40 ^ i as u64);
         let m2 = SmallWorldBuilder::new(n)
             .topology(Topology::Ring)
-            .distribution(dist_box(dist.as_ref()))
+            .distribution(density())
             .build_on(p.clone(), &mut rng)
             .expect("n >= 4");
         model2.push(survey(&m2, &mut rng));
         let nv = SmallWorldBuilder::new(n)
             .topology(Topology::Ring)
-            .distribution(dist_box(dist.as_ref()))
+            .distribution(density())
             .assumed(Box::new(Uniform))
             .build_on(p.clone(), &mut rng)
             .expect("n >= 4");
@@ -166,25 +160,6 @@ pub fn e4_system_comparison(ctx: &Ctx) {
     }
     table.print();
     ctx.write_csv(&table, "e4_system_comparison.csv");
-}
-
-fn dist_box(
-    d: &dyn sw_keyspace::distribution::KeyDistribution,
-) -> Box<dyn sw_keyspace::distribution::KeyDistribution> {
-    // The distributions used in E4 are cheap to reconstruct by name.
-    if d.name() == "uniform" {
-        Box::new(Uniform)
-    } else {
-        // pareto(alpha,x0)
-        let name = d.name();
-        let args: Vec<f64> = name
-            .trim_start_matches("pareto(")
-            .trim_end_matches(')')
-            .split(',')
-            .filter_map(|s| s.parse().ok())
-            .collect();
-        Box::new(TruncatedPareto::new(args[0], args[1]).expect("valid params"))
-    }
 }
 
 /// E15 — ablation: greedy in raw key space vs in the normalized mass

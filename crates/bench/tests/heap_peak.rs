@@ -1,5 +1,6 @@
-//! Heap peaks of the two long-link draws and of the simulator's boot,
-//! read off a counting global allocator. The allocator is process-wide,
+//! Heap peaks of the builder's long-link draw, in a mapped build and as
+//! the simulator's t = 0 overlay, and of the simulator's boot, read off
+//! a counting global allocator. The allocator is process-wide,
 //! so this binary holds a single test: another test running beside it
 //! would land in its counts.
 //!
@@ -83,7 +84,8 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// which one heap copy of its 15 links per peer (60 B/peer) breaks. The
 /// simulator's t = 0 draw must peak at ≤ 1.5× the keys and image it
 /// returns (72 B/peer); one more copy of its rows puts it near 2×. Both
-/// over Pareto(1.5, 0.01) keys with harmonic links.
+/// draw through the builder's long stage, over Pareto(1.5, 0.01) keys
+/// with harmonic links.
 ///
 /// Booting a simulator over that draw (`Simulator::with_store`, storage
 /// off, default maintenance timers) must peak at ≤ 284 B/peer beyond the
@@ -116,7 +118,7 @@ fn long_link_draws_hold_no_copy_of_their_rows() {
     let ratio = peak as f64 / returned as f64;
     assert!(
         ratio <= 1.5,
-        "converged_overlay peaked at {ratio:.2}x the {returned} bytes it returns"
+        "the t = 0 draw (converged_overlay) peaked at {ratio:.2}x the {returned} bytes it returns"
     );
 
     let cfg = SimConfig {

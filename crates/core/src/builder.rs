@@ -26,13 +26,13 @@
 //!
 //! # Construction pipeline
 //!
-//! One path builds every network. The long image is reserved at the
-//! link budget per peer, and [`LinkSelector::sample_into`] draws each
-//! peer's row straight into its slot; a row that comes up short (tiny
-//! networks, or a row that runs out its retry cap) leaves its tail
-//! vacant, and sealing the image closes the gaps. One function,
-//! `contact_image`, then counts and fills the contact image from the
-//! placement and the sealed long image: each row is the sorted,
+//! One path builds every network, in two stages. [`long_image`] (also
+//! the simulator's t = 0 draw) reserves the long image at the link
+//! budget per peer and draws each peer's row straight into its slot; a
+//! row that comes up short (tiny networks, or a row that runs out its
+//! retry cap) leaves its tail vacant, and sealing the image closes the
+//! gaps. `contact_image` then counts and fills the contact image from
+//! the placement and the sealed long image: each row is the sorted,
 //! deduplicated union of the peer's ring/interval neighbours and its
 //! long row, with the per-edge and per-node key lanes gathered in place.
 //! [`SmallWorldBuilder::build`], [`SmallWorldBuilder::build_on`] and
@@ -238,8 +238,8 @@ impl SmallWorldBuilder {
         self.build_over(placement, rng, dir, placement_s)
     }
 
-    /// The one construction core: long links over `placement` from one
-    /// `next_u64` build seed, then the long image and the contact image.
+    /// The one construction core: the long image over `placement`
+    /// ([`long_image`]), then the contact image (`contact_image`).
     /// `placement_s` is what sampling the placement took, if the build
     /// did.
     fn build_over(
@@ -259,22 +259,15 @@ impl SmallWorldBuilder {
             ..BuildProfile::default()
         };
         let assumed = self.assumed.clone().unwrap_or_else(|| self.density());
-        let min_mass = MassThreshold::OneOverN.min_mass(n);
-        let budget = self.config.out_degree.links_for(n);
-        let selector =
-            LinkSelector::new(&placement, assumed.as_ref(), min_mass, self.config.sampler);
-        profile.selector_s = lap(&mut t);
-        // One draw from the caller's generator seeds the whole build;
-        // peer `u` then samples from stream `u`, which makes the images
-        // independent of how peers are chunked across worker threads.
-        let build_seed = rng.next_u64();
-        let width = u32::try_from(budget)
-            .map_err(|_| BuildError::Arena("out-degree exceeds the u32 id space".into()))?;
-        let mut writer = writer_at(dir, LONG_FILE, &vec![width; n], false, false)?;
-        selector.sample_into(&mut writer, build_seed, false, self.parallelism);
-        profile.sample_s = lap(&mut t);
-        let long = writer.finish(self.parallelism)?;
-        profile.long_finish_s = lap(&mut t);
+        let long = long_image(
+            &placement,
+            assumed.as_ref(),
+            (self.config.out_degree, self.config.sampler),
+            rng,
+            self.parallelism,
+            dir,
+            (&mut t, &mut profile),
+        )?;
         let contacts = contact_image(
             &placement,
             &long,
@@ -282,11 +275,9 @@ impl SmallWorldBuilder {
             dir,
             (&mut t, &mut profile),
         )?;
-        let cdf = selector.into_cdf();
         Ok(SmallWorldNetwork::from_contact_image(
             placement,
             assumed,
-            cdf,
             self.config,
             contacts,
             long,
@@ -349,6 +340,47 @@ fn writer_at(
             ArenaWriter::from_degrees(degrees, edge_pos, node_pos)
         }
     }
+}
+
+/// The long image over `placement`: up to `out_degree.links_for(n)`
+/// links per peer, drawn by `sampler` with `P[v] ∝ 1/mass(u, v)` in the
+/// `assumed` density, mass ≥ `1/n`. One `next_u64` from `rng` seeds it
+/// and peer `u` draws from stream `u` straight into its reserved slot
+/// ([`LinkSelector::sample_into`], draw order), so the image is the same
+/// at any `threads`. `dir` and the stage timings are as for
+/// `contact_image`. The builder and `sw_sim::converged_overlay` both
+/// draw their long links here.
+///
+/// # Errors
+///
+/// [`BuildError::Arena`] if the image passes the `u32` id space, or its
+/// file cannot be created under `dir`.
+///
+/// # Panics
+///
+/// Panics if `dir` is `Some` without the `mmap` feature.
+pub fn long_image(
+    placement: &Placement,
+    assumed: &dyn KeyDistribution,
+    (out_degree, sampler): (OutDegree, LinkSampler),
+    rng: &mut Rng,
+    threads: usize,
+    dir: Option<&Path>,
+    (t, profile): (&mut Instant, &mut BuildProfile),
+) -> Result<CsrTopology, BuildError> {
+    let n = placement.len();
+    let min_mass = MassThreshold::OneOverN.min_mass(n);
+    let selector = LinkSelector::new(placement, assumed, min_mass, sampler);
+    profile.selector_s = lap(t);
+    let build_seed = rng.next_u64();
+    let width = u32::try_from(out_degree.links_for(n))
+        .map_err(|_| BuildError::Arena("out-degree exceeds the u32 id space".into()))?;
+    let mut writer = writer_at(dir, LONG_FILE, &vec![width; n], false, false)?;
+    selector.sample_into(&mut writer, build_seed, threads);
+    profile.sample_s = lap(t);
+    let long = writer.finish(threads)?;
+    profile.long_finish_s = lap(t);
+    Ok(long)
 }
 
 /// The contact image of every [`SmallWorldNetwork`]: peer `u`'s row is

@@ -22,17 +22,6 @@ use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::{Key, Rng, Topology};
 use sw_overlay::Placement;
 
-/// `F̂(key_i)` of every peer under the assumed density: the one pass
-/// behind the selector's and the network's position caches (a pure
-/// per-key map, so the same at any worker count).
-pub(crate) fn normalized_positions(
-    placement: &Placement,
-    assumed: &dyn KeyDistribution,
-) -> Vec<f64> {
-    let keys = placement.keys();
-    par::par_map(keys.len(), 0, |i| assumed.cdf(keys[i].get()))
-}
-
 /// Precomputed link-sampling context for one network build.
 pub struct LinkSelector<'a> {
     placement: &'a Placement,
@@ -62,7 +51,8 @@ impl<'a> LinkSelector<'a> {
         min_mass: f64,
         sampler: LinkSampler,
     ) -> Self {
-        let cdf = normalized_positions(placement, assumed);
+        let keys = placement.keys();
+        let cdf = par::par_map(keys.len(), 0, |i| assumed.cdf(keys[i].get()));
         // One bucket per peer; one ascending pass fills the bounds.
         let n = cdf.len();
         let buckets = n.max(1);
@@ -95,11 +85,6 @@ impl<'a> LinkSelector<'a> {
     fn bucket_of(&self, target_pos: f64) -> usize {
         let buckets = self.bounds.len() - 1;
         ((target_pos * buckets as f64) as usize).min(buckets - 1)
-    }
-
-    /// Hands the `F̂(key_i)` vector on to the network being built.
-    pub(crate) fn into_cdf(self) -> Vec<f64> {
-        self.cdf
     }
 
     /// Mass distance between two peers in the assumed normalized space,
@@ -141,31 +126,21 @@ impl<'a> LinkSelector<'a> {
 
     /// Draws every peer's long row straight into its slot of `writer`,
     /// whose rows are reserved at the link budget: peer `u` draws as
-    /// many links as its slot holds from stream `u` of `build_seed`,
-    /// sorted ascending if `sort_rows`, and leaves the slots it does not
-    /// fill [`VACANT`] for the seal to close up. Row `u` is
-    /// [`sample_links`] on that stream, so the image is the same at any
-    /// `threads` (`0` = auto).
+    /// many links as its slot holds from stream `u` of `build_seed`, in
+    /// draw order, and leaves the slots it does not fill [`VACANT`] for
+    /// the seal to close up. Row `u` is [`sample_links`] on that stream,
+    /// so the image is the same at any `threads` (`0` = auto). Its one
+    /// caller is the builder's long stage, [`crate::builder::long_image`].
     ///
     /// [`sample_links`]: LinkSelector::sample_links
-    pub fn sample_into(
-        &self,
-        writer: &mut ArenaWriter,
-        build_seed: u64,
-        sort_rows: bool,
-        threads: usize,
-    ) {
+    pub fn sample_into(&self, writer: &mut ArenaWriter, build_seed: u64, threads: usize) {
         let n = writer.len();
         writer.fill(par::effective_threads(n, threads, 1024), |slots| {
             for u in slots.range.clone() {
                 let r = slots.row_bounds(u);
                 let row = &mut slots.edges[r];
                 let len = self.draw_row(u as NodeId, &mut Rng::stream(build_seed, u as u64), row);
-                let (links, rest) = row.split_at_mut(len);
-                if sort_rows {
-                    links.sort_unstable();
-                }
-                rest.fill(VACANT);
+                row[len..].fill(VACANT);
             }
         });
     }

@@ -3,7 +3,6 @@
 
 use crate::builder::{contact_image, BuildProfile};
 use crate::config::SmallWorldConfig;
-use crate::links::normalized_positions;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -42,8 +41,6 @@ pub struct SmallWorldNetwork {
     placement: Placement,
     /// The density used for link construction (the *assumed* `f̂`).
     assumed: Arc<dyn KeyDistribution>,
-    /// `F̂(key_i)` cache — normalized-space positions of all peers.
-    cdf: Vec<f64>,
     config: SmallWorldConfig,
     /// Long-range links only (CSR, one outgoing row per peer).
     long: CsrTopology,
@@ -67,10 +64,10 @@ impl std::fmt::Debug for SmallWorldNetwork {
 }
 
 impl SmallWorldNetwork {
-    /// Assembles a network from its two images; `cdf` is `F̂(key_i)` per
-    /// peer and the label is `sw(assumed,sampler)`. No per-edge work
-    /// happens here: the contact image, written by [`contact_image`] or
-    /// frozen from it, already carries its key lanes.
+    /// Assembles a network from its two images; the label is
+    /// `sw(assumed,sampler)`. No per-edge work happens here: the contact
+    /// image, written by [`contact_image`] or frozen from it, already
+    /// carries its key lanes.
     ///
     /// # Panics
     ///
@@ -78,7 +75,6 @@ impl SmallWorldNetwork {
     pub(crate) fn from_contact_image(
         placement: Placement,
         assumed: Arc<dyn KeyDistribution>,
-        cdf: Vec<f64>,
         config: SmallWorldConfig,
         contacts: CsrTopology,
         long: CsrTopology,
@@ -88,7 +84,6 @@ impl SmallWorldNetwork {
             label: format!("sw({},{})", assumed.name(), config.sampler.label()),
             placement,
             assumed,
-            cdf,
             config,
             long,
             route_table: route_table(contacts),
@@ -126,10 +121,8 @@ impl SmallWorldNetwork {
         assert_eq!(long.len(), placement.len(), "one link list per peer");
         check_long_rows(placement.len(), &long);
         let long = CsrTopology::from_rows(&long);
-        let cdf = normalized_positions(&placement, assumed.as_ref());
         let contacts = contacts_in_memory(&placement, &long);
-        let mut net =
-            Self::from_contact_image(placement, assumed, cdf, config, contacts, long, None);
+        let mut net = Self::from_contact_image(placement, assumed, config, contacts, long, None);
         net.label = label.into();
         net
     }
@@ -172,17 +165,13 @@ impl SmallWorldNetwork {
         self.long.neighbors(u)
     }
 
-    /// Normalized-space position `F̂(key_u)` of peer `u`.
-    #[inline]
-    pub fn normalized_position(&self, u: NodeId) -> f64 {
-        self.cdf[u as usize]
-    }
-
     /// Mass distance between two peers in the assumed normalized space
-    /// (wrapping on the ring).
+    /// (wrapping on the ring): `|F̂(key_v) − F̂(key_u)|`, evaluated on
+    /// demand.
     #[inline]
     pub fn mass_between(&self, u: NodeId, v: NodeId) -> f64 {
-        let d = (self.cdf[v as usize] - self.cdf[u as usize]).abs();
+        let pos = |w: NodeId| self.assumed.cdf(self.placement.key(w).get());
+        let d = (pos(v) - pos(u)).abs();
         match self.placement.topology() {
             Topology::Interval => d,
             Topology::Ring => d.min(1.0 - d),
@@ -265,12 +254,12 @@ impl SmallWorldNetwork {
     /// work and no unpacking): the contact image is the routing table,
     /// the long image the long-link topology the maintenance APIs
     /// (refresh, link drops) read. The rest of the reopen is O(n) and
-    /// rebuild-free — the placement and its CDF cache are rebuilt from
-    /// the frozen per-node keys; none of the per-peer link *sampling*
-    /// reruns, which is why reopen (`core.network.open_s` in
-    /// `BENCHMARK.json`) is a small fraction of construction time
-    /// (`core.builder.build_frozen_s`). Routing over the reopened network
-    /// is bit-identical to routing over the original.
+    /// rebuild-free — the placement is rebuilt from the frozen per-node
+    /// keys; none of the per-peer link *sampling* reruns, which is why
+    /// reopen (`core.network.open_s` in `BENCHMARK.json`) is a small
+    /// fraction of construction time (`core.builder.build_frozen_s`).
+    /// Routing over the reopened network is bit-identical to routing
+    /// over the original.
     pub fn open_from(
         dir: impl AsRef<Path>,
         config: SmallWorldConfig,
@@ -297,9 +286,8 @@ impl SmallWorldNetwork {
             ));
         }
         let long = CsrTopology::open(dir.join(LONG_FILE))?;
-        let cdf = normalized_positions(&placement, assumed.as_ref());
         Ok(Self::from_contact_image(
-            placement, assumed, cdf, config, contacts, long, None,
+            placement, assumed, config, contacts, long, None,
         ))
     }
 }

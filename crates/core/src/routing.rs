@@ -20,7 +20,7 @@ use sw_overlay::{Overlay, Placement};
 /// If normalizing merges or reorders peers (`F̂` flat between two keys).
 pub fn mass_placement(net: &SmallWorldNetwork) -> Placement {
     let n = net.placement().len() as NodeId;
-    let key = |u| Key::clamped(net.normalized_position(u));
+    let key = |u| mass_key(net, net.placement().key(u));
     let placement = Placement::from_keys(
         (0..n).map(key).collect(),
         net.placement().topology(),

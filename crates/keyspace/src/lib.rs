@@ -19,8 +19,9 @@
 //!   randomized construction in the workspace is exactly reproducible.
 //! * [`distribution`] — the [`KeyDistribution`] trait and a family of
 //!   concrete distributions used to model skewed key spaces.
-//! * [`stats`] — online moments, histograms, quantiles, Gini coefficient
-//!   and least-squares fits for the experiment harness.
+//! * [`stats`] — online moments, histograms, quantiles, Gini coefficient,
+//!   least-squares fits and the two-sample KS statistic for the
+//!   experiment harness.
 //!
 //! ## Quick example
 //!

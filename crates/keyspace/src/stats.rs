@@ -2,8 +2,9 @@
 //!
 //! Small, dependency-free implementations of the estimators used when
 //! validating the paper's theorems: streaming moments (Welford), empirical
-//! quantiles, the Gini coefficient for load balance, and ordinary least
-//! squares for `hops ~ log2 N` fits.
+//! quantiles, the Gini coefficient for load balance, ordinary least
+//! squares for `hops ~ log2 N` fits, and the two-sample
+//! Kolmogorov–Smirnov statistic for comparing hop distributions.
 
 /// Streaming mean/variance/min/max via Welford's algorithm.
 #[derive(Debug, Clone, Default)]
@@ -180,6 +181,27 @@ pub fn max_over_mean(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::NEG_INFINITY, f64::max) / m
 }
 
+/// Two-sample Kolmogorov–Smirnov statistic: the largest gap between the
+/// empirical CDFs of `a` and `b`, taken after every distinct value so
+/// that ties (hop counts are integers) step both CDFs together.
+pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
+    let (mut a, mut b) = (a.to_vec(), b.to_vec());
+    a.sort_by(f64::total_cmp);
+    b.sort_by(f64::total_cmp);
+    let (mut i, mut j, mut d) = (0, 0, 0.0f64);
+    while i < a.len() && j < b.len() {
+        let x = a[i].min(b[j]);
+        while i < a.len() && a[i] == x {
+            i += 1;
+        }
+        while j < b.len() && b[j] == x {
+            j += 1;
+        }
+        d = d.max((i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs());
+    }
+    d
+}
+
 /// Ordinary least-squares fit `y ≈ intercept + slope · x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
@@ -305,6 +327,17 @@ mod tests {
         assert!((fit.slope - 3.0).abs() < 1e-12);
         assert!((fit.intercept + 2.0).abs() < 1e-12);
         assert!((fit.r2 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ks_statistic_steps_both_cdfs_at_ties() {
+        let a = [3.0, 1.0, 2.0, 2.0];
+        assert_eq!(ks_statistic(&a, &a), 0.0);
+        assert_eq!(ks_statistic(&[1.0, 2.0], &[3.0, 4.0, 5.0]), 1.0);
+        assert_eq!(ks_statistic(&[5.0], &[1.0, 2.0]), 1.0);
+        // At 1: 2/3 against 1/3; at 2 both CDFs reach 1 together.
+        let d = ks_statistic(&[1.0, 1.0, 2.0], &[1.0, 2.0, 2.0]);
+        assert!((d - 1.0 / 3.0).abs() < 1e-15, "{d}");
     }
 
     #[test]

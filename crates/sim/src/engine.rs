@@ -18,13 +18,14 @@ use crate::time::SimTime;
 use crate::traffic::{
     CongestionConfig, HotCache, LinkBuckets, ServiceQueue, TrafficConfig, ZipfSampler,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use sw_core::config::{LinkSampler, MassThreshold, OutDegree};
-use sw_core::links::LinkSelector;
+use std::time::Instant;
+use sw_core::builder::{long_image, BuildProfile};
+use sw_core::config::{LinkSampler, OutDegree};
 use sw_dht::{item_bytes, ShardMap, KEY_BYTES};
 use sw_graph::prefetch::{prefetch_read, prefetch_span};
-use sw_graph::{par, ArenaWriter, DeltaStore, IdMap, IdSet, LinkTable, Topology};
+use sw_graph::{par, DeltaStore, IdMap, IdSet, LinkTable, Topology};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::stats::OnlineStats;
 use sw_keyspace::Topology as Metric;
@@ -348,12 +349,11 @@ pub(crate) const OUT_DEGREE: OutDegree = OutDegree::Log2N;
 
 /// The converged overlay at t = 0: `n` distinct keys drawn from `dist`,
 /// ascending so that peer id is key rank, and each peer's `log2 n`
-/// harmonic long links over their ring placement (`1/n` mass
-/// threshold). One `next_u64` from `rng` seeds the links and peer `u`
-/// draws from stream `u` of it, so the rows are the same at any
-/// `threads` (`0` = auto). The rows are drawn straight into the image
-/// ([`LinkSelector::sample_into`]) and come back sorted. It is what
-/// [`Simulator::new`] boots, and what a caller hands
+/// harmonic long links over their ring placement, drawn in draw order
+/// by the builder's long stage ([`long_image`]) and so the same at any
+/// `threads` (`0` = auto). From one generator state it is a ring,
+/// harmonic `SmallWorldBuilder`'s placement and long topology. It is
+/// what [`Simulator::new`] boots, and what a caller hands
 /// [`Simulator::with_store`] (or freezes for [`Simulator::from_frozen`])
 /// to boot the same overlay.
 pub fn converged_overlay(
@@ -362,25 +362,11 @@ pub fn converged_overlay(
     rng: &mut Rng,
     threads: usize,
 ) -> (Vec<Key>, Topology) {
-    let mut keys = BTreeSet::new();
-    while keys.len() < n {
-        keys.insert(dist.sample_key(rng));
-    }
-    let placement = Placement::from_keys(keys.into_iter().collect(), Metric::Ring, dist.name())
-        .expect("a key set is distinct");
-    let min_mass = MassThreshold::OneOverN.min_mass(n);
-    let selector = LinkSelector::new(&placement, dist, min_mass, LinkSampler::Harmonic);
-    let budget = OUT_DEGREE.links_for(n);
-    let build_seed = rng.next_u64();
-    let mut writer = ArenaWriter::from_degrees(&vec![budget as u32; n], false, false)
-        .expect("edge count fits u32");
-    selector.sample_into(&mut writer, build_seed, true, threads);
-    let links = writer
-        .finish(threads)
-        .expect("sampled targets are peer ids");
-    // Copied out once the selector's caches are gone, so the draw never
-    // holds the keys twice beside the image.
-    drop(selector);
+    let placement = Placement::sample(n, dist, Metric::Ring, rng);
+    let rule = (OUT_DEGREE, LinkSampler::Harmonic);
+    let stage = (&mut Instant::now(), &mut BuildProfile::default());
+    let links =
+        long_image(&placement, dist, rule, rng, threads, None, stage).expect("edge count fits u32");
     (placement.keys().to_vec(), links)
 }
 
@@ -2884,7 +2870,10 @@ fn next_interval(rng: &mut Rng, rate: f64) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_core::links::LinkSelector;
+    use sw_core::SmallWorldBuilder;
     use sw_keyspace::distribution::{TruncatedPareto, Uniform};
+    use sw_overlay::Overlay;
 
     fn quiet_config(seed: u64, n: usize) -> SimConfig {
         SimConfig {
@@ -3123,8 +3112,33 @@ mod tests {
         }
     }
 
+    /// From one generator state, `converged_overlay` and a ring,
+    /// harmonic `SmallWorldBuilder` give the same keys and long rows.
+    #[test]
+    fn converged_overlay_is_the_builders_draw() {
+        let densities: [fn() -> Box<dyn KeyDistribution>; 2] = [
+            || Box::new(Uniform),
+            || Box::new(TruncatedPareto::new(1.5, 0.01).unwrap()),
+        ];
+        for n in [8, 1024] {
+            for density in densities {
+                let (keys, links) = converged_overlay(n, &*density(), &mut Rng::new(5), 0);
+                let net = SmallWorldBuilder::new(n)
+                    .topology(Metric::Ring)
+                    .sampler(LinkSampler::Harmonic)
+                    .distribution(density())
+                    .build(&mut Rng::new(5))
+                    .unwrap();
+                let on = format!("n = {n}, {}", density().name());
+                assert_eq!(keys, net.placement().keys(), "{on}: keys");
+                assert!(links == *net.long_topology(), "{on}: long rows");
+            }
+        }
+    }
+
     /// `live_overlay` before any event is the draw `converged_overlay`
-    /// makes for the seed, bit for bit. After a fail-only run with no
+    /// makes for the seed, bit for bit once the draw's rows are sorted
+    /// (it keeps them in draw order). After a fail-only run with no
     /// maintenance (so rows keep their dead targets), it is still a
     /// `with_store` input: keys strictly ascending, and each row the
     /// peer's alive targets as ranks, sorted, with no self or repeat.
@@ -3142,7 +3156,15 @@ mod tests {
         // `Simulator::new`'s draw: the probe fork, then the overlay.
         let mut rng = Rng::new(cfg.seed);
         let _probe = rng.fork();
-        let drawn = converged_overlay(cfg.initial_n, &Uniform, &mut rng, 0);
+        let (keys, links) = converged_overlay(cfg.initial_n, &Uniform, &mut rng, 0);
+        let rows: Vec<Vec<u32>> = (0..links.len() as u32)
+            .map(|u| {
+                let mut row = links.neighbors(u).to_vec();
+                row.sort_unstable();
+                row
+            })
+            .collect();
+        let drawn = (keys, Topology::from_rows(&rows));
         let mut sim = Simulator::new(cfg, Arc::new(Uniform));
         assert!(sim.live_overlay() == drawn, "t = 0 overlay differs");
         sim.run_until(SimTime::from_secs(40));

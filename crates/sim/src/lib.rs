@@ -50,9 +50,12 @@
 //!   the sharded stores) plus the handlers that advance the state
 //!   machines on each delivery. Long-link rows live in a
 //!   [`sw_graph::DeltaStore`] over an immutable [`sw_graph::Topology`]
-//!   base — one `SWTOPO` image, built in memory or opened (mapped under
-//!   `mmap`) from disk ([`Simulator::from_frozen`] /
-//!   [`Simulator::with_store`]). A row the run touches is copied whole
+//!   base — one `SWTOPO` image, drawn in memory by
+//!   [`converged_overlay`] or opened (mapped under `mmap`) from disk
+//!   ([`Simulator::from_frozen`] / [`Simulator::with_store`]). The draw
+//!   is the builder's long stage, [`sw_core::builder::long_image`], over
+//!   a ring placement, so the t = 0 rows are those of a ring, harmonic
+//!   [`sw_core::SmallWorldBuilder`] on the same generator state. A row the run touches is copied whole
 //!   into an owned row; a refresh rewrites every live peer's row each
 //!   interval, so a run with refresh on soon owns a copy of every row,
 //!   and only a run without it keeps reading the base.

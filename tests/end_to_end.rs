@@ -9,6 +9,7 @@ use smallworld::core::estimate::{refine_links_round, Estimator};
 use smallworld::core::partition::PartitionSurvey;
 use smallworld::core::prelude::*;
 use smallworld::keyspace::prelude::*;
+use smallworld::keyspace::stats::ks_statistic;
 use smallworld::overlay::route::{RouteOptions, RoutingSurvey, TargetModel};
 use smallworld::overlay::Overlay;
 use smallworld::sim::{ChurnConfig, SimConfig, SimTime, Simulator, WorkloadConfig};
@@ -372,27 +373,6 @@ fn hops_grow_logarithmically_at_any_skew() {
             );
         }
     }
-}
-
-/// Two-sample Kolmogorov–Smirnov statistic: the largest gap between the
-/// empirical CDFs of `a` and `b`, taken after every distinct value so
-/// that ties (hop counts are integers) step both CDFs together.
-fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
-    let (mut a, mut b) = (a.to_vec(), b.to_vec());
-    a.sort_by(f64::total_cmp);
-    b.sort_by(f64::total_cmp);
-    let (mut i, mut j, mut d) = (0, 0, 0.0f64);
-    while i < a.len() && j < b.len() {
-        let x = a[i].min(b[j]);
-        while i < a.len() && a[i] == x {
-            i += 1;
-        }
-        while j < b.len() && b[j] == x {
-            j += 1;
-        }
-        d = d.max((i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs());
-    }
-    d
 }
 
 /// Theorem 2 as a distribution statement: at n = 2¹⁴, with harmonic
