@@ -2,28 +2,36 @@
 //! an immutable [`Topology`] base, LSM-style.
 //!
 //! A [`DeltaStore`] answers row reads exactly like the base topology
-//! until a peer's row is touched; a touched row is copied whole into a
-//! side table keyed by peer id and edited there, so every read
-//! ([`DeltaStore::row_slice`]) is a contiguous `&[NodeId]` to hand to
-//! the routing kernels. This is what lets the simulator preload a
-//! 10⁶–10⁷-peer overlay straight from a frozen image — zero per-peer
-//! allocations at load. The delta is not small for long: churn and
-//! joins copy each row they touch, and a neighbour refresh rewrites
-//! every live peer's row once per refresh interval, so a run that
-//! refreshes ends up holding a copy of every row.
+//! until a peer's row is touched; a touched row is copied whole into an
+//! owned row, named by the peer's entry in a per-peer slot lane, and
+//! edited there, so every read ([`DeltaStore::row_slice`]) is one
+//! index load and a contiguous `&[NodeId]` to hand to the routing
+//! kernels. This is what lets the simulator preload a 10⁶–10⁷-peer
+//! overlay straight from a frozen image — zero per-peer allocations at
+//! load, and no lane at all until the first write. The delta is not
+//! small for long: churn and joins copy each row they touch, and a
+//! neighbour refresh rewrites every live peer's row once per refresh
+//! interval, so a run that refreshes ends up holding a copy of every
+//! row.
 //!
 //! Peers past the base's length (joins) are implicit empty rows until
 //! written.
 
 use crate::csr::{NodeId, Topology};
-use crate::idhash::IdMap;
 use crate::prefetch::prefetch_read;
+
+/// `slot` entry of a peer whose row is the base's.
+const BASE: u32 = u32::MAX;
 
 /// Per-peer edge mutations layered over an immutable base topology.
 #[derive(Debug)]
 pub struct DeltaStore {
     base: Topology,
-    delta: IdMap<NodeId, Vec<NodeId>>,
+    /// `slot[u]` indexes `u`'s owned row in `rows`, or is [`BASE`]. Empty
+    /// until the first write, then one entry per peer.
+    slot: Vec<u32>,
+    /// The owned rows, in the order their peers were first written.
+    rows: Vec<Vec<NodeId>>,
     n: usize,
 }
 
@@ -33,7 +41,8 @@ impl DeltaStore {
         let n = base.len();
         DeltaStore {
             base,
-            delta: IdMap::default(),
+            slot: Vec::new(),
+            rows: Vec::new(),
             n,
         }
     }
@@ -51,14 +60,16 @@ impl DeltaStore {
 
     /// Number of touched rows in the delta layer.
     pub fn delta_rows(&self) -> usize {
-        self.delta.len()
+        self.rows.len()
     }
 
     /// Total directed edges across all effective rows.
     pub fn edge_count(&self) -> usize {
         let mut m = self.base.edge_count();
-        for (&u, row) in &self.delta {
-            m = m - self.base_row(u).len() + row.len();
+        for (u, &s) in (0..).zip(&self.slot) {
+            if s != BASE {
+                m = m - self.base_row(u).len() + self.rows[s as usize].len();
+            }
         }
         m
     }
@@ -82,18 +93,21 @@ impl DeltaStore {
     /// delta, or an implicit empty join row.
     #[inline]
     pub fn row_slice(&self, u: NodeId) -> &[NodeId] {
-        match self.delta.get(&u) {
-            None => self.base_row(u),
-            Some(r) => r,
+        match self.slot.get(u as usize) {
+            Some(&s) if s != BASE => &self.rows[s as usize],
+            _ => self.base_row(u),
         }
     }
 
-    /// Hints the cache toward the base image's offset pair for `u`: the
-    /// first link of the address chain [`DeltaStore::row_slice`] walks
-    /// for an untouched row. A hint only — reads nothing, any `u` is
-    /// fine.
+    /// Hints the cache toward `u`'s delta slot and the base image's
+    /// offset pair for `u`: the first link of the address chain
+    /// [`DeltaStore::row_slice`] walks. A hint only — reads nothing,
+    /// any `u` is fine.
     #[inline]
     pub fn prefetch_row_bounds(&self, u: NodeId) {
+        if !self.slot.is_empty() {
+            prefetch_read(self.slot.as_ptr().wrapping_add(u as usize));
+        }
         prefetch_read(self.base.offsets().as_ptr().wrapping_add(u as usize));
     }
 
@@ -111,7 +125,10 @@ impl DeltaStore {
     /// Panics if `u` is outside the store.
     pub fn set_row(&mut self, u: NodeId, row: Vec<NodeId>) {
         assert!((u as usize) < self.n, "peer outside the store");
-        self.delta.insert(u, row);
+        match self.slot.get(u as usize) {
+            Some(&s) if s != BASE => self.rows[s as usize] = row,
+            _ => self.own(u, row),
+        }
     }
 
     /// Keeps only the targets of `u`'s row accepted by `keep`,
@@ -127,13 +144,24 @@ impl DeltaStore {
         self.owned_row(u).retain(keep);
     }
 
+    /// Gives `u` (whose row is the base's) `row` as its owned row,
+    /// allocating the slot lane on the first write.
+    fn own(&mut self, u: NodeId, row: Vec<NodeId>) {
+        if self.slot.is_empty() {
+            self.slot = vec![BASE; self.n];
+        }
+        // One row per peer at most, and peer ids are below `BASE`.
+        let s = self.rows.len() as u32;
+        self.slot[u as usize] = s;
+        self.rows.push(row);
+    }
+
     /// `u`'s row in the delta, copied from the base on first touch.
     fn owned_row(&mut self, u: NodeId) -> &mut Vec<NodeId> {
-        if !self.delta.contains_key(&u) {
-            let row = self.base_row(u).to_vec();
-            self.delta.insert(u, row);
+        if self.slot.get(u as usize).is_none_or(|&s| s == BASE) {
+            self.own(u, self.base_row(u).to_vec());
         }
-        self.delta.get_mut(&u).expect("just inserted")
+        &mut self.rows[self.slot[u as usize] as usize]
     }
 
     /// Adds the edge `u -> v` unless already present, appending it to
@@ -168,15 +196,11 @@ impl DeltaStore {
         assert!(self.n < u32::MAX as usize, "peer count exceeds u32 ids");
         let u = self.n as NodeId;
         self.n += 1;
-        self.delta.insert(u, row);
+        if !self.slot.is_empty() {
+            self.slot.push(BASE);
+        }
+        self.own(u, row);
         u
-    }
-
-    /// Approximate resident bytes: the base image plus the delta rows'
-    /// payloads (for the scale experiment's memory accounting).
-    pub fn resident_bytes(&self) -> usize {
-        let delta: usize = self.delta.values().map(|r| 4 * r.capacity() + 16).sum();
-        self.base.resident_bytes() + delta
     }
 }
 
@@ -202,6 +226,20 @@ mod tests {
         assert_eq!(store.row_slice(2), &[] as &[NodeId]);
         assert_eq!(store.edge_count(), 10);
         assert_eq!(store.delta_rows(), 0);
+        assert!(store.slot.is_empty(), "reads allocate no slot lane");
+    }
+
+    #[test]
+    fn a_join_can_be_the_first_write() {
+        let mut store = DeltaStore::new(base_store());
+        assert_eq!(store.push_node(vec![1]), 5);
+        assert_eq!(store.slot.len(), 6, "the lane covers the joined peer");
+        assert_eq!(store.push_node(vec![]), 6);
+        assert!(store.add_edge(6, 0));
+        assert_eq!(store.row_slice(5), &[1]);
+        assert_eq!(store.row_slice(6), &[0]);
+        assert_eq!(store.row_slice(0), &[1, 3, 4], "base rows read through");
+        assert_eq!((store.delta_rows(), store.edge_count()), (2, 12));
     }
 
     #[test]
@@ -227,6 +265,7 @@ mod tests {
         }
         store.retain_row(3, |&v| v != 1); // 1 is not in row 3
         assert_eq!(store.delta_rows(), 0, "no-op retains stay base reads");
+        assert!(store.slot.is_empty(), "and allocate no slot lane");
 
         // A removing retain still reads like the `LinkTable` rebuild.
         store.retain_row(4, |&v| v != 2);

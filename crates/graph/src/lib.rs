@@ -44,7 +44,7 @@
 //!   `sw-overlay`'s interleaved AMAC routing); no-ops off x86-64.
 //! * [`idhash`] — [`IdMap`] / [`IdSet`]: `std` hash tables over a
 //!   one-multiply hasher, for maps keyed by ids the program generated
-//!   itself (engine walk tables, link buckets, the delta layer).
+//!   itself (the engine's storage ops and copy counts, link buckets).
 
 pub mod csr;
 pub mod delta;

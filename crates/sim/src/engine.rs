@@ -14,6 +14,7 @@ use crate::protocol::{
     LookupRecord, Msg, NextHopReply, Purpose, QueryId, RepairDiff, RepairDigest, RepairPull,
     RepairPush, RoutingMode, Source, StorageOp, Timer, Walk, WalkEnd,
 };
+use crate::slab::Slab;
 use crate::time::SimTime;
 use crate::traffic::{
     CongestionConfig, HotCache, LinkBuckets, ServiceQueue, TrafficConfig, ZipfSampler,
@@ -408,11 +409,10 @@ pub struct Simulator {
     /// Position of each node id in `alive_ids` (`u32::MAX` if dead).
     alive_pos: Vec<u32>,
     metrics: SimMetrics,
-    /// In-flight walks by query id.
-    walks: IdMap<QueryId, Walk>,
-    /// Storage ops in their post-routing phase.
+    /// In-flight walks; a walk's query id names its slot.
+    walks: Slab<Walk>,
+    /// Storage ops in their post-routing phase, under their walk's id.
     ops: IdMap<QueryId, StorageOp>,
-    next_qid: QueryId,
     /// One dedicated stream per generator process, indexed by
     /// [`Source`] (event-order deterministic).
     gen_rng: [Rng; 7],
@@ -573,9 +573,8 @@ impl Simulator {
             alive_ids: Vec::new(),
             alive_pos: Vec::new(),
             metrics: SimMetrics::default(),
-            walks: IdMap::default(),
+            walks: Slab::new(),
             ops: IdMap::default(),
-            next_qid: 0,
             gen_rng: Source::ALL.map(|src| Rng::stream(seed, stream::of(src))),
             timer_rng: Rng::stream(seed, stream::TIMER),
             link_rng: Rng::stream(seed, stream::LINK),
@@ -732,7 +731,14 @@ impl Simulator {
         while self
             .plane
             .deliver_window_with(until, &mut batch, |level, msg| {
-                prefetch_peer(&self.nodes, &self.keys, &self.links, level, msg)
+                prefetch_peer(
+                    &self.walks,
+                    &self.nodes,
+                    &self.keys,
+                    &self.links,
+                    level,
+                    msg,
+                )
             })
             > 0
         {
@@ -935,7 +941,7 @@ impl Simulator {
             | Msg::ReplicaProbe { to, .. }
             | Msg::RangeFragment { to, .. } => Some(*to),
             // A late reply for a finished walk is still serviced.
-            Msg::NextHopReply(reply) => self.walks.get(&reply.qid).map(|w| w.requester),
+            Msg::NextHopReply(reply) => self.walks.get(reply.qid).map(|w| w.requester),
             Msg::RepairDigest(digest) => Some(digest.to),
             Msg::RepairDiff(diff) => Some(diff.owner),
             Msg::RepairPush(push) => Some(push.replica),
@@ -1134,8 +1140,6 @@ impl Simulator {
 
     /// Spawns a walk and executes its first step at the origin.
     fn spawn_walk(&mut self, purpose: Purpose, target: Key, from: u32) -> QueryId {
-        let qid = self.next_qid;
-        self.next_qid += 1;
         let max_hops = self.hop_budget();
         if matches!(purpose, Purpose::Lookup { .. }) {
             self.inflight_lookups += 1;
@@ -1143,7 +1147,7 @@ impl Simulator {
         }
         let mode = self.mode_for(&purpose);
         let walk = Walk::new(purpose, target, mode, from, self.plane.now(), max_hops);
-        self.walks.insert(qid, walk);
+        let qid = self.walks.insert(walk);
         match mode {
             RoutingMode::Recursive => self.step_recursive(qid),
             // The origin reads its own routing table for free.
@@ -1159,7 +1163,7 @@ impl Simulator {
     /// be a 2nd-best rung of an *earlier* frontier — a retreat a
     /// recursive hand-off cannot make.
     fn drive_walk(&mut self, qid: QueryId) {
-        let Some(walk) = self.walks.get(&qid) else {
+        let Some(walk) = self.walks.get(qid) else {
             return;
         };
         match walk.mode {
@@ -1269,7 +1273,7 @@ impl Simulator {
 
     /// Steps a recursive walk at its current node (spawn and retry).
     fn step_recursive(&mut self, qid: QueryId) {
-        let Some(walk) = self.walks.get_mut(&qid) else {
+        let Some(walk) = self.walks.get_mut(qid) else {
             return;
         };
         let stepped =
@@ -1282,7 +1286,7 @@ impl Simulator {
     /// flight, or the hand-off was dropped at `to`'s full queue.
     fn deliver_hop(&mut self, qid: QueryId, to: u32, sent_at: SimTime, live: bool) {
         let now = self.plane.now();
-        let Some(walk) = self.walks.get_mut(&qid) else {
+        let Some(walk) = self.walks.get_mut(qid) else {
             return;
         };
         if !live {
@@ -1304,7 +1308,7 @@ impl Simulator {
     /// requester, which has measured every hop RTT on the walk, waits
     /// its [`Walk::adaptive_timeout`].
     fn time_out(&mut self, qid: QueryId, contact: u32, since: SimTime) {
-        let walk = self.walks.get_mut(&qid).expect("a timed-out walk is live");
+        let walk = self.walks.get_mut(qid).expect("a timed-out walk is live");
         let penalty = match walk.mode {
             RoutingMode::Recursive => TIMEOUT_PENALTY,
             RoutingMode::Iterative => walk.adaptive_timeout(TIMEOUT_PENALTY),
@@ -1323,7 +1327,7 @@ impl Simulator {
     /// frontier *is* the requester, whose routing table is read for
     /// free — it seeds the candidate pool.
     fn iterative_local_step(&mut self, qid: QueryId) {
-        let walk = &self.walks[&qid];
+        let walk = self.walks.get(qid).expect("walk present");
         debug_assert_eq!(walk.cur, walk.requester, "local step away from requester");
         let (requester, target) = (walk.requester, walk.target);
         if !self.nodes[requester as usize].alive {
@@ -1341,7 +1345,7 @@ impl Simulator {
             self.finish_walk(qid, WalkEnd::LocalMinimum);
             return;
         }
-        let walk = self.walks.get_mut(&qid).expect("walk present");
+        let walk = self.walks.get_mut(qid).expect("walk present");
         walk.set_alternates(cands);
         walk.seen.push(requester);
         self.advance_from_pool(qid, false);
@@ -1359,7 +1363,7 @@ impl Simulator {
     /// owner region.) A dry pool means every candidate the walk ever
     /// learned was tried and excluded (`Exhausted`).
     fn advance_from_pool(&mut self, qid: QueryId, failover: bool) {
-        let Some(walk) = self.walks.get_mut(&qid) else {
+        let Some(walk) = self.walks.get_mut(qid) else {
             return;
         };
         match walk.next_alternate() {
@@ -1379,7 +1383,7 @@ impl Simulator {
     /// entries win distance ties). Already-queried, excluded and
     /// duplicate nodes never enter.
     fn merge_pool(&mut self, qid: QueryId, fresh: &[u32]) {
-        let walk = self.walks.get_mut(&qid).expect("walk present");
+        let walk = self.walks.get_mut(qid).expect("walk present");
         let (keys, target) = (&self.keys, walk.target);
         let d_of = |v: u32| Metric::Ring.distance(keys[v as usize], target);
         let mut pool: Vec<(u32, f64)> = walk
@@ -1404,7 +1408,7 @@ impl Simulator {
     /// query. Exactly one exchange is in flight per walk.
     fn send_next_hop_query(&mut self, qid: QueryId, to: u32) {
         let now = self.plane.now();
-        let walk = self.walks.get_mut(&qid).expect("walk present");
+        let walk = self.walks.get_mut(qid).expect("walk present");
         debug_assert!(
             !walk.excluded.contains(&to),
             "failover must never route through an excluded contact"
@@ -1431,7 +1435,7 @@ impl Simulator {
     /// queue.
     fn deliver_next_hop_query(&mut self, qid: QueryId, to: u32, sent_at: SimTime, live: bool) {
         let now = self.plane.now();
-        let Some(walk) = self.walks.get_mut(&qid) else {
+        let Some(walk) = self.walks.get_mut(qid) else {
             return;
         };
         if !live {
@@ -1445,7 +1449,7 @@ impl Simulator {
         let excluded = std::mem::take(&mut walk.excluded);
         let at_target = Metric::Ring.distance(self.keys[to as usize], target) == 0.0;
         let candidates = self.ranked_candidates(to, target, &excluded);
-        let walk = self.walks.get_mut(&qid).expect("walk present");
+        let walk = self.walks.get_mut(qid).expect("walk present");
         walk.excluded = excluded;
         walk.msgs += 1;
         let requester = walk.requester;
@@ -1468,7 +1472,7 @@ impl Simulator {
             // into the adaptive timeout so queued-not-lost replies do
             // not read as dead frontiers.
             self.walks
-                .get_mut(&qid)
+                .get_mut(qid)
                 .expect("walk present")
                 .note_wait(wait);
         }
@@ -1492,7 +1496,7 @@ impl Simulator {
         live: bool,
     ) {
         let now = self.plane.now();
-        let Some(walk) = self.walks.get_mut(&qid) else {
+        let Some(walk) = self.walks.get_mut(qid) else {
             return;
         };
         if !self.nodes[walk.requester as usize].alive {
@@ -1530,7 +1534,7 @@ impl Simulator {
 
     /// Terminal transition: remove the walk and dispatch on purpose.
     fn finish_walk(&mut self, qid: QueryId, end: WalkEnd) {
-        let mut walk = self.walks.remove(&qid).expect("finishing a live walk");
+        let mut walk = self.walks.remove(qid).expect("finishing a live walk");
         let now = self.plane.now();
         self.metrics.timeouts += walk.timeouts as u64;
         // Detach the purpose so the walk's accounting fields can still
@@ -2826,23 +2830,34 @@ impl Simulator {
 
 /// The two prefetch stages of a simulated hop, driven by the wheel's
 /// cascades (`plane`'s "cascades as lookahead"). A step at peer `to`
-/// walks `nodes[to]` / `keys[to]` / `offsets[to]` → the long-link row →
-/// the row's contact keys, on state untouched for thousands of events;
-/// the address chain has two links, so there are two stages:
+/// walks the walk's slot, then `nodes[to]` / `keys[to]` / the delta's
+/// `slot[to]` and the base's `offsets[to]` → the long-link row → the
+/// row's contact keys, on state untouched for thousands of events; the
+/// address chain has two links, so there are two stages:
 ///
-/// * `level ≥ 2` (the message is ≈ 4–260 ms of virtual time out): the
-///   loads addressable from `to` alone — the node record, its key, the
-///   base store's row bounds;
-/// * `level 1` (≤ 4 ms out): the row bounds are resident by now, so read
-///   them and prefetch the row itself.
+/// * `level ≥ 2` (the message is due less than `64^level` µs of
+///   virtual time out: < 4.1 ms from a level-2 slot, < 262 ms from a
+///   level-3 one): the loads addressable from the message alone — the
+///   walk's slot, the node record, its key, the row's delta slot and
+///   the base store's row bounds;
+/// * `level 1` (< 64 µs out): those are resident by now, so read them
+///   and prefetch the row itself.
 ///
 /// Hints only: nothing here can change what a handler later reads.
 #[inline]
-fn prefetch_peer(nodes: &[SimNode], keys: &[Key], links: &DeltaStore, level: usize, msg: &Msg) {
-    let (Msg::Hop { to, .. } | Msg::NextHopQuery { to, .. }) = *msg else {
+fn prefetch_peer(
+    walks: &Slab<Walk>,
+    nodes: &[SimNode],
+    keys: &[Key],
+    links: &DeltaStore,
+    level: usize,
+    msg: &Msg,
+) {
+    let (Msg::Hop { qid, to, .. } | Msg::NextHopQuery { qid, to, .. }) = *msg else {
         return;
     };
     if level >= 2 {
+        walks.prefetch(qid);
         if let Some(node) = nodes.get(to as usize) {
             prefetch_span(std::slice::from_ref(node));
         }
@@ -4224,7 +4239,9 @@ mod tests {
     /// grows past 20 bytes unboxed, or a lost enum niche in the wheel's
     /// envelope store, shows up as a deliberately moved pin. The walk
     /// and storage-op records carry no RNG stream (a hop's delay is
-    /// fixed), and their pins keep one from coming back unnoticed.
+    /// fixed), and their pins keep one from coming back unnoticed. A
+    /// walk slab entry is the walk plus its slot's id (the walk's niche
+    /// holds the `Option`), so growth in the hop record shows there too.
     #[test]
     fn hot_record_sizes_are_pinned() {
         use crate::plane::Envelope;
@@ -4237,5 +4254,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<Envelope<Msg>>>(), 40);
         assert_eq!(std::mem::size_of::<Walk>(), 208);
         assert_eq!(std::mem::size_of::<StorageOp>(), 64);
+        assert_eq!(std::mem::size_of::<(QueryId, Option<Walk>)>(), 216);
     }
 }

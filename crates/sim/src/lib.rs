@@ -48,17 +48,24 @@
 //!   for all of them.
 //! * [`engine`] — ground truth (`alive` index, per-node local views,
 //!   the sharded stores) plus the handlers that advance the state
-//!   machines on each delivery. Long-link rows live in a
+//!   machines on each delivery. In-flight walks live in a slab: a
+//!   [`QueryId`] is `generation << 32 | slot`, so a hop finds its walk
+//!   with one index and an id compare, a freed slot is reused last-freed
+//!   first under the next generation, and a stale id (a late reply, a
+//!   retry after the walk finished) misses. Long-link rows live in a
 //!   [`sw_graph::DeltaStore`] over an immutable [`sw_graph::Topology`]
 //!   base — one `SWTOPO` image, drawn in memory by
 //!   [`converged_overlay`] or opened (mapped under `mmap`) from disk
 //!   ([`Simulator::from_frozen`] / [`Simulator::with_store`]). The draw
 //!   is the builder's long stage, [`sw_core::builder::long_image`], over
 //!   a ring placement, so the t = 0 rows are those of a ring, harmonic
-//!   [`sw_core::SmallWorldBuilder`] on the same generator state. A row the run touches is copied whole
-//!   into an owned row; a refresh rewrites every live peer's row each
-//!   interval, so a run with refresh on soon owns a copy of every row,
-//!   and only a run without it keeps reading the base.
+//!   [`sw_core::SmallWorldBuilder`] on the same generator state. A row
+//!   the run touches is copied whole into an owned row, which the
+//!   peer's entry in a slot lane names, so a hop reads either row with
+//!   one index and no hash probe; a refresh rewrites every live peer's
+//!   row each interval, so a run with refresh on soon owns a copy of
+//!   every row, and only a run without it keeps reading the base (and
+//!   allocates no lane).
 //! * [`traffic`] — the congestion vocabulary: per-node service queues
 //!   and per-link token buckets ([`CongestionConfig`]), the open-loop
 //!   Zipf workload generator ([`TrafficConfig`] / [`ZipfSampler`]) and
@@ -74,15 +81,16 @@
 //! through [`MessagePlane::deliver_window_with`] with a hook that warms
 //! one link of that chain per cascade of a `Hop` / `NextHopQuery`:
 //!
-//! 1. when the message's level-2 (or higher) slot opens — up to 262 ms
-//!    of virtual time, ≈ 200 deliveries, ahead — the loads addressable
-//!    from the destination id alone: its node record (ring view
-//!    included: the successor list is inline), its key, and its row
-//!    bounds in the base link store
-//!    ([`sw_graph::DeltaStore::prefetch_row_bounds`]);
-//! 2. when its level-1 slot opens — ≤ 4 ms, a few deliveries, ahead —
-//!    the row bounds are resident, so the hook reads them and
-//!    prefetches the long-link row itself.
+//! 1. when the message's level-2 (or higher) slot opens — less than
+//!    `64^level` µs of virtual time ahead, so < 4.1 ms from level 2 —
+//!    the loads addressable from the message alone: its walk's slot
+//!    (the query id names it), the destination's node record (ring
+//!    view included: the successor list is inline), its key, and its
+//!    entry in the delta's slot lane beside its row bounds in the base
+//!    link store ([`sw_graph::DeltaStore::prefetch_row_bounds`]);
+//! 2. when its level-1 slot opens — < 64 µs ahead — those are
+//!    resident, so the hook reads them and prefetches the long-link
+//!    row itself.
 //!
 //! The contact-key gathers of the step are left to the core: they are
 //! independent loads and overlap on their own. Hints change no result —
@@ -300,6 +308,7 @@ pub mod metrics;
 pub mod plane;
 pub mod protocol;
 pub mod sharded;
+mod slab;
 pub mod time;
 pub mod traffic;
 

@@ -64,16 +64,17 @@
 //!
 //! The re-filing is also a clock the consumer can use. An envelope sent
 //! `≥ 64^k` µs ahead is filed at level `≥ k` and handed down one level
-//! at a time: the cursor opens its level-2 slot up to 262 ms of virtual
-//! time before delivery (every envelope sent ≥ 4 ms ahead passes
-//! there), its level-1 slot up to 4 ms before. The hooked drain
-//! ([`MessagePlane::deliver_window_with`]) calls `on_cascade(level,
-//! &msg)` for each envelope re-filed out of an opened level-`level`
-//! slot, so a consumer whose handlers start with a chain of dependent
-//! cache misses can issue one link of the chain per cascade — the
-//! engine prefetches a hop's peer record at level ≥ 2 and its link row
-//! at level 1, with no lookahead distance to tune and no queue of
-//! pending prefetches: the distances are the wheel's own slot widths.
+//! at a time. A level-`k` slot is `64^k` µs wide and the envelope is due
+//! inside it, so the cursor opens its level-2 slot less than 4.1 ms of
+//! virtual time before delivery, and its level-1 slot less than 64 µs
+//! before. The hooked drain ([`MessagePlane::deliver_window_with`])
+//! calls `on_cascade(level, &msg)` for each envelope re-filed out of an
+//! opened level-`level` slot, so a consumer whose handlers start with a
+//! chain of dependent cache misses can warm one link of the chain per
+//! cascade — the engine prefetches a hop's walk slot and peer record at
+//! level ≥ 2 and its link row at level 1, with no lookahead distance to
+//! tune and no queue of pending prefetches: the distances are the
+//! wheel's own slot widths.
 //!
 //! What the hook may do: read the payload. What it cannot do: send,
 //! deliver, reorder or drop — it receives `&M` and nothing of the
@@ -615,7 +616,9 @@ impl<M> MessagePlane<M> {
     /// `on_cascade(level, &msg)` is called for every envelope the wheel
     /// re-files out of an opened level-`level` slot (`level ≥ 1`) while
     /// this drain walks the cursor — i.e. for messages due *after* the
-    /// batch, by up to `64^(level+1)` µs. The hook gets the payload by
+    /// batch, by less than `64^level` µs (a level-`level` slot's width;
+    /// `cascades_see_envelopes_due_within_their_levels_slot_width` pins
+    /// it). The hook gets the payload by
     /// shared reference and nothing else, so the delivered sequence is
     /// the hookless one by construction; see the module's "cascades as
     /// lookahead" section for what it is for.
@@ -857,6 +860,58 @@ mod tests {
         assert_eq!(p.next_due(), Some(SimTime::from_millis(9)));
         p.deliver_before(SimTime::from_secs(1)).unwrap();
         assert_eq!(p.next_due(), Some(SimTime(1 << 45)));
+    }
+
+    /// The lookahead distances of "cascades as lookahead": an envelope
+    /// the hook sees out of an opened level-`level` slot is due at or
+    /// after the instant that drain delivers, and less than `64^level`
+    /// µs after it — the width of a level-`level` slot. 20 000 random
+    /// delays from 1 µs to 100 s, sent as the clock moves.
+    #[test]
+    fn cascades_see_envelopes_due_within_their_levels_slot_width() {
+        /// Sends one envelope carrying its own due time, in µs.
+        fn send(p: &mut MessagePlane<u64>, rng: &mut Rng) {
+            let scale = 10u64.pow(rng.bounded_u64(9) as u32);
+            let at = p.now() + SimTime(1 + rng.bounded_u64(scale));
+            p.send_at(at, at.as_micros());
+        }
+        let mut rng = Rng::new(0x100C_A4EA);
+        let mut p = MessagePlane::new();
+        for _ in 0..1_000 {
+            send(&mut p, &mut rng);
+        }
+        let (mut sent, mut batch, mut seen) = (1_000, Vec::new(), Vec::new());
+        let mut widest = [0u64; WHEEL_LEVELS];
+        while p.deliver_window_with(SimTime(u64::MAX), &mut batch, |level, &due| {
+            seen.push((level, due))
+        }) > 0
+        {
+            let now = p.now().as_micros();
+            for (level, due) in seen.drain(..) {
+                assert!(
+                    due >= now,
+                    "level {level}: due {due} before the drain's {now}"
+                );
+                assert!(
+                    due - now < 64u64.pow(level as u32),
+                    "level {level}: due {} µs after the drain",
+                    due - now
+                );
+                widest[level] = widest[level].max(due - now);
+            }
+            while sent < 20_000 && p.in_flight() < 1_000 {
+                send(&mut p, &mut rng);
+                sent += 1;
+            }
+        }
+        // Each of levels 1–3 reaches past the slot width one level down,
+        // so the bound above is the tight one.
+        for (level, &gap) in widest.iter().enumerate().take(4).skip(1) {
+            assert!(
+                gap >= 64u64.pow(level as u32 - 1),
+                "level {level} saw at most {gap} µs"
+            );
+        }
     }
 
     // The batched drain is equivalent to the pop-one loop on the heap

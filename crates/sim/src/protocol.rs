@@ -61,9 +61,10 @@
 //!
 //! Lifecycle of a walk:
 //!
-//! 1. **Spawn** — the engine assigns a fresh [`QueryId`] and executes
-//!    the first step at the origin immediately (the origin reads its
-//!    own routing table for free in every mode).
+//! 1. **Spawn** — the engine files the walk in a free slot of its walk
+//!    slab, under a [`QueryId`] that names the slot and the slot's
+//!    generation, and executes the first step at the origin immediately
+//!    (the origin reads its own routing table for free in every mode).
 //! 2. **Step** — in recursive mode the current node picks the greedy
 //!    next contact from its local view (shared
 //!    `sw_overlay::greedy_step`) and sends a `Hop`; in iterative mode
@@ -104,7 +105,12 @@
 use crate::time::SimTime;
 use sw_keyspace::Key;
 
-/// Identifier of one in-flight walk / storage operation.
+/// Identifier of one in-flight walk / storage operation:
+/// `generation << 32 | slot`. The slot is the walk's place in the
+/// engine's walk slab, and the generation counts the slot's earlier
+/// walks, so a freed slot's next walk gets a fresh id and an id is never
+/// handed out twice in a run. A storage operation keeps the id of the walk
+/// that routed it.
 pub type QueryId = u64;
 
 /// How a walk's hops travel on the plane — who holds the query, who can
