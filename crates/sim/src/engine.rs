@@ -1,5 +1,5 @@
-//! The simulator: configuration, ground-truth state, and the protocol
-//! handlers driving the async message plane.
+//! The simulator: configuration, the peers' local state, and the
+//! protocol handlers driving the async message plane over the world.
 //!
 //! See the crate-level docs for the architecture (event ordering,
 //! determinism contract, state-machine lifecycle). In short: every
@@ -19,14 +19,14 @@ use crate::time::SimTime;
 use crate::traffic::{
     CongestionConfig, HotCache, LinkBuckets, ServiceQueue, TrafficConfig, ZipfSampler,
 };
-use std::collections::BTreeMap;
+use crate::world::{stream, World};
 use std::sync::Arc;
 use std::time::Instant;
 use sw_core::builder::{long_image, BuildProfile};
 use sw_core::config::{LinkSampler, OutDegree};
 use sw_dht::{item_bytes, ShardMap, KEY_BYTES};
 use sw_graph::prefetch::{prefetch_read, prefetch_span};
-use sw_graph::{par, DeltaStore, IdMap, IdSet, LinkTable, Topology};
+use sw_graph::{par, DeltaStore, IdMap, IdSet, Topology};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::stats::OnlineStats;
 use sw_keyspace::Topology as Metric;
@@ -204,11 +204,10 @@ struct RepairLease {
 }
 
 /// A simulated peer. Routing state (`pred`, `succ`, and the long-link
-/// row in [`Simulator::links`]) is the node's *local view* and can go
-/// stale under churn; the simulator's `alive` index is ground truth.
+/// row in [`Peers::links`]) is the node's *local view* and can go stale
+/// under churn; [`World::is_alive`] says whether the peer is up.
 #[derive(Debug, Clone)]
 struct SimNode {
-    alive: bool,
     /// Clockwise successor list (nearest first), inline: a step reads it
     /// off the node record's own cache lines.
     succ: SuccList,
@@ -224,16 +223,15 @@ impl SimNode {
     /// Peer `id`'s record in the converged ring of `n` key-ranked, all
     /// alive peers: its successors are the next [`SUCCESSOR_LIST`] ids
     /// and its predecessor the id before, mod `n` — what
-    /// [`Simulator::repair_ring_state`] finds over that alive set, by
-    /// rank instead of by search. Needs `n > SUCCESSOR_LIST`, so that
-    /// no peer lists itself.
+    /// [`World::ring_state`] finds over that alive set, by rank instead
+    /// of by search. Needs `n > SUCCESSOR_LIST`, so that no peer lists
+    /// itself.
     fn converged(id: usize, n: usize) -> SimNode {
         let mut succ = SuccList::default();
         for d in 1..=SUCCESSOR_LIST {
             succ.push(((id + d) % n) as u32);
         }
         SimNode {
-            alive: true,
             succ,
             pred: Some(((id + n - 1) % n) as u32),
             refreshing: false,
@@ -245,7 +243,7 @@ impl SimNode {
 /// A successor list of at most [`SUCCESSOR_LIST`] ids stored in the node
 /// record itself; derefs to the live prefix, nearest first.
 #[derive(Debug, Clone, Copy, Default)]
-struct SuccList {
+pub(crate) struct SuccList {
     ids: [u32; SUCCESSOR_LIST],
     len: u8,
 }
@@ -261,7 +259,7 @@ impl std::ops::Deref for SuccList {
 
 impl SuccList {
     /// Appends `v`. Panics on a full list.
-    fn push(&mut self, v: u32) {
+    pub(crate) fn push(&mut self, v: u32) {
         self.ids[self.len as usize] = v;
         self.len += 1;
     }
@@ -273,18 +271,6 @@ impl SuccList {
         self.ids[0] = v;
         self.len = (self.len + 1).min(SUCCESSOR_LIST as u8);
     }
-}
-
-/// Per-key live-copy state, maintained incrementally by the storage
-/// accounting helpers (ground-truth durability bookkeeping — the
-/// protocol itself never reads it).
-#[derive(Debug, Clone, Copy)]
-struct CopyState {
-    /// Distinct live peers holding a copy (primary or replica).
-    copies: u32,
-    /// When a removal knocked the key below the replication target
-    /// (`None` while fully replicated or still building up).
-    under_since: Option<SimTime>,
 }
 
 /// Copy census of the stored corpus (see
@@ -314,35 +300,6 @@ enum Stepped {
         next: u32,
         flight: SimTime,
     },
-}
-
-/// RNG stream indices: the generator processes, the timer stagger, the
-/// preload and the link-probe targets.
-mod stream {
-    pub const JOIN: u64 = 0x101;
-    pub const FAIL: u64 = 0x102;
-    pub const LOOKUP: u64 = 0x103;
-    pub const PUT: u64 = 0x104;
-    pub const GET: u64 = 0x105;
-    pub const RANGE: u64 = 0x106;
-    pub const TIMER: u64 = 0x107;
-    pub const PRELOAD: u64 = 0x108;
-    pub const LINK: u64 = 0x109;
-    pub const TRAFFIC: u64 = 0x10B;
-
-    /// A generator process's stream.
-    pub fn of(src: super::Source) -> u64 {
-        use super::Source;
-        match src {
-            Source::Join => JOIN,
-            Source::Fail => FAIL,
-            Source::Lookup => LOOKUP,
-            Source::Put => PUT,
-            Source::Get => GET,
-            Source::Range => RANGE,
-            Source::Traffic => TRAFFIC,
-        }
-    }
 }
 
 /// Long-link budget of every simulated peer: the paper's `log2 N`.
@@ -383,49 +340,23 @@ const DIGEST_BYTES: u64 = 32;
 /// operation framing) on top of its per-key payload.
 const REPAIR_HEADER_BYTES: u64 = 16;
 
-/// The simulator itself (ring topology).
-pub struct Simulator {
-    cfg: SimConfig,
-    dist: Arc<dyn KeyDistribution>,
-    /// Probe RNG (forked per measurement call, never by the plane).
-    rng: Rng,
-    plane: MessagePlane<Msg>,
+/// Every peer's local state, one lane per kind, indexed by peer id
+/// (dead peers keep their slots): what a peer could know.
+struct Peers {
     nodes: Vec<SimNode>,
-    /// `keys[id]` is peer `id`'s key (dead peers keep theirs): the dense
-    /// lane every hop decision reads. A greedy step gathers ~25 contact
-    /// keys at arbitrary ids; out of 8-byte slots that is an 800 KB
-    /// working set at 10⁵ peers, out of the (≤ 56-byte) node records
-    /// seven times that.
+    /// `keys[id]` is peer `id`'s key: the dense lane every hop decision
+    /// reads. A greedy step gathers ~25 contact keys at arbitrary ids;
+    /// out of 8-byte slots that is an 800 KB working set at 10⁵ peers,
+    /// out of the (≤ 56-byte) node records seven times that.
     keys: Vec<Key>,
     /// Per-peer long-link rows over one base image: the delta overlay
     /// lets churn mutate rows while the converged bulk — built in memory,
     /// or a 10⁷-peer frozen image preloaded straight from disk — stays
     /// immutable and shared.
     links: DeltaStore,
-    /// Ground-truth alive index: key → node id.
-    alive: BTreeMap<Key, u32>,
-    /// Alive ids in O(1)-sample order (swap-remove on failure).
-    alive_ids: Vec<u32>,
-    /// Position of each node id in `alive_ids` (`u32::MAX` if dead).
-    alive_pos: Vec<u32>,
-    metrics: SimMetrics,
-    /// In-flight walks; a walk's query id names its slot.
-    walks: Slab<Walk>,
-    /// Storage ops in their post-routing phase, under their walk's id.
-    ops: IdMap<QueryId, StorageOp>,
-    /// One dedicated stream per generator process, indexed by
-    /// [`Source`] (event-order deterministic).
-    gen_rng: [Rng; 7],
-    /// Timer stagger draws.
-    timer_rng: Rng,
-    /// Link-probe target draws.
-    link_rng: Rng,
     // Storage substrate: one shard per owner peer.
     primary: ShardMap,
     replica: ShardMap,
-    /// Ground-truth live-copy counts per stored key (durability
-    /// bookkeeping only — never read by the protocol).
-    copies: IdMap<Key, CopyState>,
     /// Recovery keys an owner has already requested this repair round
     /// (cleared when its next round starts): with several replicas
     /// diffing concurrently, only the first mismatch requests a key, so
@@ -433,6 +364,36 @@ pub struct Simulator {
     /// `replication - 1` times over. Membership-only (never iterated):
     /// safe for determinism.
     pending_wants: IdMap<u32, IdSet<Key>>,
+    /// Requester-side hot-key caches, one per gateway that has issued
+    /// traffic (keyed access only — determinism-safe).
+    caches: IdMap<u32, HotCache>,
+}
+
+impl Peers {
+    /// `peer`'s copy of `key`, replica or primary (it holds at most one).
+    fn copy(&self, peer: u32, key: Key) -> Option<&Vec<u8>> {
+        let replica = self.replica.get(peer, key);
+        replica.or_else(|| self.primary.get(peer, key))
+    }
+}
+
+/// The simulator itself (ring topology).
+pub struct Simulator {
+    cfg: SimConfig,
+    /// Probe RNG (forked per measurement call, never by the plane).
+    rng: Rng,
+    plane: MessagePlane<Msg>,
+    world: World,
+    peers: Peers,
+    metrics: SimMetrics,
+    /// In-flight walks; a walk's query id names its slot.
+    walks: Slab<Walk>,
+    /// Storage ops in their post-routing phase, under their walk's id.
+    ops: IdMap<QueryId, StorageOp>,
+    /// Timer stagger draws.
+    timer_rng: Rng,
+    /// Link-probe target draws.
+    link_rng: Rng,
     /// Keys known to be stored (get targets).
     put_keys: Vec<Key>,
     put_counter: u64,
@@ -455,14 +416,6 @@ pub struct Simulator {
     traffic_targets: Vec<u32>,
     /// Popularity sampler over `traffic_targets` ranks.
     zipf: Option<ZipfSampler>,
-    /// Requester-side hot-key caches, one per gateway that has issued
-    /// traffic (keyed access only — determinism-safe).
-    caches: IdMap<u32, HotCache>,
-    // Network-message conservation ledger (see `net_counters`).
-    net_offered: u64,
-    net_dropped: u64,
-    net_delivered: u64,
-    net_dead: u64,
 }
 
 impl Simulator {
@@ -506,7 +459,7 @@ impl Simulator {
     /// Panics if `keys` and the store disagree on the peer count, there
     /// are fewer than 8 peers, or the keys are not strictly ascending.
     pub fn with_store(
-        cfg: SimConfig,
+        mut cfg: SimConfig,
         dist: Arc<dyn KeyDistribution>,
         keys: Vec<Key>,
         store: Topology,
@@ -517,19 +470,83 @@ impl Simulator {
             keys.windows(2).all(|w| w[0] < w[1]),
             "keys must be strictly ascending (store rows are key-ranked)"
         );
-        let mut cfg = cfg;
         cfg.initial_n = keys.len();
-        let mut rng = Rng::new(cfg.seed);
-        let mut sim = Simulator::empty(cfg, dist, &mut rng);
-        let n = keys.len();
-        sim.nodes = (0..n).map(|id| SimNode::converged(id, n)).collect();
-        sim.node_q = vec![ServiceQueue::default(); n];
-        sim.alive = keys.iter().copied().zip(0u32..).collect();
-        sim.alive_ids = (0..n as u32).collect();
-        sim.alive_pos = (0..n as u32).collect();
-        sim.keys = keys;
-        sim.links = DeltaStore::new(store);
-        sim.boot();
+        let (n, seed) = (keys.len(), cfg.seed);
+        let mut sim = Simulator {
+            rng: Rng::new(seed).fork(),
+            plane: MessagePlane::new(),
+            world: World::new(&cfg, dist, &keys),
+            peers: Peers {
+                nodes: (0..n).map(|id| SimNode::converged(id, n)).collect(),
+                keys,
+                links: DeltaStore::new(store),
+                primary: ShardMap::new(0),
+                replica: ShardMap::new(0),
+                pending_wants: IdMap::default(),
+                caches: IdMap::default(),
+            },
+            metrics: SimMetrics::default(),
+            walks: Slab::new(),
+            ops: IdMap::default(),
+            timer_rng: Rng::stream(seed, stream::TIMER),
+            link_rng: Rng::stream(seed, stream::LINK),
+            put_keys: Vec::new(),
+            put_counter: 0,
+            inflight_lookups: 0,
+            lookup_records: Vec::new(),
+            cand_scratch: Vec::new(),
+            node_q: vec![ServiceQueue::default(); n],
+            link_buckets: LinkBuckets::new(),
+            service_time: SimTime::from_secs_f64(cfg.congestion.service_secs_per_msg.max(0.0)),
+            gateways: Vec::new(),
+            traffic_targets: Vec::new(),
+            zipf: None,
+            cfg,
+        };
+        sim.preload_storage();
+        // Preloaded replicas were placed by the t=0 oracle; grant every
+        // peer a grace lease over the full ring (the degenerate
+        // `lo == hi` arc) so the first GC rounds do not retire them
+        // before real digests establish per-arc leases.
+        if sim.cfg.storage.enabled() && sim.cfg.storage.repair_interval.is_some() {
+            let ttl = sim.lease_ttl();
+            for (node, &k) in sim.peers.nodes.iter_mut().zip(&sim.peers.keys) {
+                node.leases.push(RepairLease {
+                    lo: k,
+                    hi: k,
+                    expires: ttl,
+                });
+            }
+        }
+        if sim.cfg.traffic.enabled() {
+            // Gateways (the front-ends users hit) and the hot-key
+            // universe are fixed subsets of the t = 0 population, drawn
+            // from the traffic stream before its first arrival: a
+            // bounded gateway set gives each requester-side cache
+            // realistic re-reference, and a bounded key universe gives
+            // Zipf ranks stable owners. Both draws shuffle id vectors —
+            // deterministic at any thread count.
+            let rng = sim.world.stream(Source::Traffic);
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut ids);
+            sim.gateways = ids[..sim.cfg.traffic.gateways.clamp(1, n)].to_vec();
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut ids);
+            let universe = sim.cfg.traffic.hot_keys.clamp(1, n);
+            sim.traffic_targets = ids[..universe].to_vec();
+            sim.zipf = Some(ZipfSampler::new(universe, sim.cfg.traffic.zipf_s));
+        }
+        // Recurring processes.
+        for src in Source::ALL {
+            let rate = sim.rate(src);
+            if rate > 0.0 {
+                let dt = next_interval(sim.world.stream(src), rate);
+                sim.plane.send(dt, Msg::Next(src));
+            }
+        }
+        for id in 0..n as u32 {
+            sim.schedule_timers(id);
+        }
         sim
     }
 
@@ -557,125 +574,6 @@ impl Simulator {
         Ok(Simulator::with_store(cfg, dist, keys, store))
     }
 
-    /// The bare simulator shell: every field at its empty/seeded value,
-    /// no peers and no storage shards. Constructors populate the
-    /// per-peer lanes, the alive index and `links`, then `boot`.
-    fn empty(cfg: SimConfig, dist: Arc<dyn KeyDistribution>, rng: &mut Rng) -> Simulator {
-        let seed = cfg.seed;
-        Simulator {
-            dist,
-            rng: rng.fork(),
-            plane: MessagePlane::new(),
-            nodes: Vec::new(),
-            keys: Vec::new(),
-            links: DeltaStore::new(Topology::empty(0)),
-            alive: BTreeMap::new(),
-            alive_ids: Vec::new(),
-            alive_pos: Vec::new(),
-            metrics: SimMetrics::default(),
-            walks: Slab::new(),
-            ops: IdMap::default(),
-            gen_rng: Source::ALL.map(|src| Rng::stream(seed, stream::of(src))),
-            timer_rng: Rng::stream(seed, stream::TIMER),
-            link_rng: Rng::stream(seed, stream::LINK),
-            primary: ShardMap::new(0),
-            replica: ShardMap::new(0),
-            copies: IdMap::default(),
-            pending_wants: IdMap::default(),
-            put_keys: Vec::new(),
-            put_counter: 0,
-            inflight_lookups: 0,
-            lookup_records: Vec::new(),
-            cand_scratch: Vec::new(),
-            node_q: Vec::new(),
-            link_buckets: LinkBuckets::new(),
-            service_time: SimTime::from_secs_f64(cfg.congestion.service_secs_per_msg.max(0.0)),
-            gateways: Vec::new(),
-            traffic_targets: Vec::new(),
-            zipf: None,
-            caches: IdMap::default(),
-            net_offered: 0,
-            net_dropped: 0,
-            net_delivered: 0,
-            net_dead: 0,
-            cfg,
-        }
-    }
-
-    /// Registers one joining peer with empty ring state and returns its
-    /// id: one slot in every per-peer lane (`nodes`, `keys`, `node_q`,
-    /// `alive_pos`), so handlers index them without growing them. Only
-    /// [`Simulator::complete_join`] calls it; the t = 0 population is
-    /// built whole by [`Simulator::with_store`].
-    fn push_node(&mut self, key: Key) -> u32 {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(SimNode {
-            alive: true,
-            succ: SuccList::default(),
-            pred: None,
-            refreshing: false,
-            leases: Vec::new(),
-        });
-        self.keys.push(key);
-        self.node_q.push(ServiceQueue::default());
-        self.alive.insert(key, id);
-        self.alive_pos.push(self.alive_ids.len() as u32);
-        self.alive_ids.push(id);
-        id
-    }
-
-    /// Shared constructor tail, over peers that already hold their
-    /// converged ring state: storage preload, grace leases, and the
-    /// recurring generator/timer processes.
-    fn boot(&mut self) {
-        let sim = self;
-        sim.preload_storage();
-        // Preloaded replicas were placed by the t=0 oracle; grant every
-        // peer a grace lease over the full ring (the degenerate
-        // `lo == hi` arc) so the first GC rounds do not retire them
-        // before real digests establish per-arc leases.
-        if sim.cfg.storage.enabled() && sim.cfg.storage.repair_interval.is_some() {
-            let ttl = sim.lease_ttl();
-            for (node, &k) in sim.nodes.iter_mut().zip(&sim.keys) {
-                node.leases.push(RepairLease {
-                    lo: k,
-                    hi: k,
-                    expires: ttl,
-                });
-            }
-        }
-        if sim.cfg.traffic.enabled() {
-            // Gateways (the front-ends users hit) and the hot-key
-            // universe are fixed subsets of the t = 0 population, drawn
-            // from the traffic stream before its first arrival: a
-            // bounded gateway set gives each requester-side cache
-            // realistic re-reference, and a bounded key universe gives
-            // Zipf ranks stable owners. Both draws shuffle id vectors —
-            // deterministic at any thread count.
-            let n = sim.nodes.len();
-            let rng = &mut sim.gen_rng[Source::Traffic as usize];
-            let mut ids: Vec<u32> = (0..n as u32).collect();
-            rng.shuffle(&mut ids);
-            sim.gateways = ids[..sim.cfg.traffic.gateways.clamp(1, n)].to_vec();
-            let mut ids: Vec<u32> = (0..n as u32).collect();
-            rng.shuffle(&mut ids);
-            let universe = sim.cfg.traffic.hot_keys.clamp(1, n);
-            sim.traffic_targets = ids[..universe].to_vec();
-            sim.zipf = Some(ZipfSampler::new(universe, sim.cfg.traffic.zipf_s));
-        }
-        // Recurring processes.
-        for src in Source::ALL {
-            let rate = sim.rate(src);
-            if rate > 0.0 {
-                let dt = next_interval(&mut sim.gen_rng[src as usize], rate);
-                sim.plane.send(dt, Msg::Next(src));
-            }
-        }
-        for id in 0..sim.nodes.len() as u32 {
-            sim.schedule_timers(id);
-        }
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.plane.now()
@@ -683,7 +581,7 @@ impl Simulator {
 
     /// Number of live peers.
     pub fn alive_count(&self) -> usize {
-        self.alive.len()
+        self.world.population()
     }
 
     /// Collected metrics.
@@ -703,12 +601,12 @@ impl Simulator {
 
     /// The primary storage shards (one per owner peer).
     pub fn primary_store(&self) -> &ShardMap {
-        &self.primary
+        &self.peers.primary
     }
 
     /// The replica storage shards.
     pub fn replica_store(&self) -> &ShardMap {
-        &self.replica
+        &self.peers.replica
     }
 
     /// Runs until the virtual clock passes `until`.
@@ -731,14 +629,7 @@ impl Simulator {
         while self
             .plane
             .deliver_window_with(until, &mut batch, |level, msg| {
-                prefetch_peer(
-                    &self.walks,
-                    &self.nodes,
-                    &self.keys,
-                    &self.links,
-                    level,
-                    msg,
-                )
+                prefetch_peer(&self.walks, &self.peers, &self.world, level, msg)
             })
             > 0
         {
@@ -769,44 +660,37 @@ impl Simulator {
             ok += 1;
             hops.push(r.hops as f64);
         }
-        // Divide by the pairs actually drawn: when the alive set runs
-        // dry the early break used to leave `queries` in the
-        // denominator, biasing the rate downward.
         (ok as f64 / routes.len().max(1) as f64, hops)
     }
 
-    /// [`Simulator::probe_lookups`]'s walks. Up to `queries` (source,
-    /// target) pairs of alive peers are drawn from a fork of the engine's
+    /// [`Simulator::probe_lookups`]'s walks. `queries` (source, target)
+    /// pairs of alive peers are drawn from a fork of the engine's
     /// stream. The snapshot is the alive peers by key rank: a placement
     /// of their keys, and a route table whose row `r` is the pred,
     /// successors and long links of the peer at rank `r`, over ranks
-    /// (`rank_rows`). Each worker routes one contiguous chunk of the
-    /// pairs through the batch kernel. Returns the snapshot, the queries
-    /// over ranks and their routes, in draw order.
+    /// ([`World::rank_rows`]). Each worker routes one contiguous chunk
+    /// of the pairs through the batch kernel. Returns the snapshot, the
+    /// queries over ranks and their routes, in draw order.
     fn probe_routes(
         &mut self,
         queries: usize,
     ) -> (Placement, RouteTable, Vec<(u32, Key)>, Vec<RouteResult>) {
         let mut rng = self.rng.fork();
-        let (rank, topo) = self.rank_rows(|id| {
-            let node = &self.nodes[id as usize];
-            let long = self.links.row_slice(id);
+        let (rank, placement, topo) = self.world.rank_rows(|id| {
+            let node = &self.peers.nodes[id as usize];
+            let long = self.peers.links.row_slice(id);
             node.pred
                 .into_iter()
                 .chain(node.succ.iter().copied())
                 .chain(long.iter().copied())
         });
-        let keys = self.alive.keys().copied().collect();
-        let placement = Placement::from_keys(keys, Metric::Ring, self.dist.name())
-            .expect("the engine keeps at least 8 peers, with distinct keys");
         let table = RouteTable::build(topo, |v| placement.key(v).get());
-        let mut probes = Vec::with_capacity(queries);
-        for _ in 0..queries {
-            match (self.random_alive(&mut rng), self.random_alive(&mut rng)) {
-                (Some(a), Some(b)) => probes.push((rank[a as usize], self.keys[b as usize])),
-                _ => break,
-            }
-        }
+        // Alive pairs by key-space mass, as `World::random_alive` draws.
+        let mut draw = || self.world.owner_of(Key::clamped(rng.f64()));
+        let probes: Vec<(u32, Key)> = (0..queries)
+            .map(|_| (draw(), draw()))
+            .map(|(a, b)| (rank[a as usize], self.peers.keys[b as usize]))
+            .collect();
         // The alive set is frozen for the whole probe batch, so the hop
         // budget is one constant here.
         let opts = RouteOptions {
@@ -843,30 +727,9 @@ impl Simulator {
     /// grown network under the builder's contact rule. Before any event
     /// this is the t = 0 draw itself.
     pub fn live_overlay(&self) -> (Vec<Key>, Topology) {
-        let (_, topo) = self.rank_rows(|id| self.links.row_slice(id).iter().copied());
-        (self.alive.keys().copied().collect(), topo)
-    }
-
-    /// The alive peers re-indexed by key rank, the form both the probe
-    /// snapshot and [`Simulator::live_overlay`] read the live state in.
-    /// Returns `rank[id]` (`u32::MAX` for a dead peer) and the CSR whose
-    /// row `r` is `row_of(id)` of the peer at rank `r`, over ranks: dead
-    /// targets dropped, and self links and repeats too ([`LinkTable`]),
-    /// each row sorted.
-    fn rank_rows<I: IntoIterator<Item = u32>>(
-        &self,
-        row_of: impl Fn(u32) -> I,
-    ) -> (Vec<u32>, Topology) {
-        let mut rank = vec![u32::MAX; self.nodes.len()];
-        for (r, &id) in self.alive.values().enumerate() {
-            rank[id as usize] = r as u32;
-        }
-        let mut lt = LinkTable::new(self.alive.len());
-        for (r, &id) in self.alive.values().enumerate() {
-            let row = row_of(id).into_iter().map(|v| rank[v as usize]);
-            lt.add_all(r as u32, row.filter(|&v| v != u32::MAX));
-        }
-        (rank, lt.build())
+        let long = |id| self.peers.links.row_slice(id).iter().copied();
+        let (_, placement, topo) = self.world.rank_rows(long);
+        (placement.keys().to_vec(), topo)
     }
 
     // ----- event dispatch -------------------------------------------
@@ -905,27 +768,25 @@ impl Simulator {
         }
     }
 
-    /// One arrival of a generator process: act on the process's own
-    /// stream, then draw the next inter-arrival time from it and
-    /// re-arm. A process whose rate reads zero stops here, so
+    /// One arrival of a generator process: act, drawing on the
+    /// process's own world stream, then draw the next inter-arrival time
+    /// from it and re-arm. A process whose rate reads zero stops here, so
     /// `set_churn` and `set_traffic_rate` can end one mid-run.
     fn next_arrival(&mut self, src: Source) {
         let rate = self.rate(src);
         if rate <= 0.0 {
             return;
         }
-        let mut rng = std::mem::replace(&mut self.gen_rng[src as usize], Rng::new(0));
         match src {
-            Source::Join => self.do_join_start(&mut rng),
-            Source::Fail => self.do_fail(&mut rng),
-            Source::Lookup => self.do_lookup_start(&mut rng),
-            Source::Put => self.do_put_start(&mut rng),
-            Source::Get => self.do_get_start(&mut rng),
-            Source::Range => self.do_range_start(&mut rng),
-            Source::Traffic => self.do_traffic_lookup(&mut rng),
+            Source::Join => self.do_join_start(),
+            Source::Fail => self.do_fail(),
+            Source::Lookup => self.do_lookup_start(),
+            Source::Put => self.do_put_start(),
+            Source::Get => self.do_get_start(),
+            Source::Range => self.do_range_start(),
+            Source::Traffic => self.do_traffic_lookup(),
         }
-        let dt = next_interval(&mut rng, rate);
-        self.gen_rng[src as usize] = rng;
+        let dt = next_interval(self.world.stream(src), rate);
         self.plane.send(dt, Msg::Next(src));
     }
 
@@ -948,15 +809,7 @@ impl Simulator {
             Msg::RepairPull(pull) => Some(pull.owner),
             other => unreachable!("not a network message: {other:?}"),
         };
-        let live = !lost && {
-            let alive = receiver.is_none_or(|to| self.nodes[to as usize].alive);
-            if alive {
-                self.net_delivered += 1;
-            } else {
-                self.net_dead += 1;
-            }
-            alive
-        };
+        let live = !lost && self.world.deliver(receiver);
         match msg {
             Msg::Hop { qid, to, sent_at } => self.deliver_hop(qid, to, sent_at, live),
             Msg::NextHopQuery { qid, to, sent_at } => {
@@ -1011,7 +864,7 @@ impl Simulator {
         flight: SimTime,
         msg: Msg,
     ) -> Option<SimTime> {
-        self.net_offered += 1;
+        self.world.count_offered();
         // A retry armed at `sent_at + penalty` may name an instant the
         // clock has already passed (the flight, or the queue
         // wait, outlasted the penalty). Nothing departs in the past:
@@ -1039,7 +892,7 @@ impl Simulator {
             }
             None => {
                 self.metrics.msgs_dropped_overload += 1;
-                self.net_dropped += 1;
+                self.world.count_dropped();
                 if msg.sender_waits() {
                     self.plane.send_at(arrive, Msg::Dropped(Box::new(msg)));
                 }
@@ -1057,12 +910,7 @@ impl Simulator {
     /// longer cared.) Test instrumentation, not a public API.
     #[doc(hidden)]
     pub fn net_counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.net_offered,
-            self.net_dropped,
-            self.net_delivered,
-            self.net_dead,
-        )
+        self.world.net_counters()
     }
 
     /// Retunes or stops the open-loop generator mid-run. A new positive
@@ -1082,16 +930,18 @@ impl Simulator {
     /// independent of completions — offered load does not slow down
     /// when the system saturates, which is exactly what pushes the
     /// latency curve past its knee.
-    fn do_traffic_lookup(&mut self, rng: &mut Rng) {
+    fn do_traffic_lookup(&mut self) {
+        let rng = self.world.stream(Source::Traffic);
         let gw = self.gateways[rng.index(self.gateways.len())];
         let rank = self.zipf.as_ref().expect("traffic enabled").sample(rng);
-        if !self.nodes[gw as usize].alive {
+        if !self.world.is_alive(gw) {
             return; // a dead gateway originates nothing this tick
         }
         let target_id = self.traffic_targets[rank];
         let now = self.plane.now();
         if let Some(cache_cfg) = self.cfg.traffic.cache {
             let cache = self
+                .peers
                 .caches
                 .entry(gw)
                 .or_insert_with(|| HotCache::new(cache_cfg.capacity));
@@ -1111,7 +961,7 @@ impl Simulator {
                 return;
             }
         }
-        let target = self.keys[target_id as usize];
+        let target = self.peers.keys[target_id as usize];
         self.spawn_walk(Purpose::Lookup { target_id }, target, gw);
     }
 
@@ -1135,7 +985,7 @@ impl Simulator {
     /// `64 + 8 · ⌈log2(alive)⌉`, far above any greedy route, so hitting
     /// it means a routing loop rather than a long path.
     fn hop_budget(&self) -> u32 {
-        64 + 8 * (self.alive.len().max(2) as f64).log2().ceil() as u32
+        64 + 8 * (self.world.population().max(2) as f64).log2().ceil() as u32
     }
 
     /// Spawns a walk and executes its first step at the origin.
@@ -1168,7 +1018,7 @@ impl Simulator {
         };
         match walk.mode {
             RoutingMode::Recursive => self.step_recursive(qid),
-            RoutingMode::Iterative if !self.nodes[walk.requester as usize].alive => {
+            RoutingMode::Iterative if !self.world.is_alive(walk.requester) => {
                 self.finish_walk(qid, WalkEnd::Stranded)
             }
             RoutingMode::Iterative => self.advance_from_pool(qid, true),
@@ -1181,14 +1031,14 @@ impl Simulator {
     /// `sw_overlay::greedy_candidates_into` via [`sw_overlay::RingView`]).
     fn ranked_candidates(&mut self, at: u32, target: Key, excluded: &[u32]) -> Vec<u32> {
         let mut buf = std::mem::take(&mut self.cand_scratch);
-        let node = &self.nodes[at as usize];
-        let cur_d = Metric::Ring.distance(self.keys[at as usize], target);
+        let node = &self.peers.nodes[at as usize];
+        let cur_d = Metric::Ring.distance(self.peers.keys[at as usize], target);
         let view = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
-            long: self.links.row_slice(at),
+            long: self.peers.links.row_slice(at),
         };
-        let keys = &self.keys;
+        let keys = &self.peers.keys;
         view.candidates_into(
             Metric::Ring,
             target,
@@ -1204,23 +1054,22 @@ impl Simulator {
 
     /// One greedy step at the walk's current node (shared
     /// `sw_overlay::greedy_step` via [`sw_overlay::RingView`]) —
-    /// recursive mode. Reads the peer lanes as disjoint fields so the
-    /// caller's one `walks` borrow spans arrival bookkeeping, the step
-    /// and the hand-off's message count; the caller acts on the result
-    /// ([`Simulator::act_on_step`]) once that borrow ends.
+    /// recursive mode. Takes the peers and the world beside the walk, so
+    /// the caller's one `walks` borrow spans arrival bookkeeping, the
+    /// step and the hand-off's message count; the caller acts on the
+    /// result ([`Simulator::act_on_step`]) once that borrow ends.
     fn greedy_step(
         walk: &mut Walk,
-        nodes: &[SimNode],
-        keys: &[Key],
-        links: &DeltaStore,
+        peers: &Peers,
+        world: &World,
         latency: LatencyModel,
     ) -> Stepped {
         let cur = walk.cur;
-        let node = &nodes[cur as usize];
-        if !node.alive {
+        if !world.is_alive(cur) {
             // The node holding the query failed, and the query with it.
             return Stepped::Done(WalkEnd::Stranded);
         }
+        let (node, keys) = (&peers.nodes[cur as usize], &peers.keys);
         let cur_d = Metric::Ring.distance(keys[cur as usize], walk.target);
         if cur_d == 0.0 {
             return Stepped::Done(WalkEnd::Arrived);
@@ -1231,7 +1080,7 @@ impl Simulator {
         let view = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
-            long: links.row_slice(cur),
+            long: peers.links.row_slice(cur),
         };
         let step = view.step(Metric::Ring, walk.target, cur_d, cur, &walk.excluded, |v| {
             keys[v as usize]
@@ -1276,8 +1125,7 @@ impl Simulator {
         let Some(walk) = self.walks.get_mut(qid) else {
             return;
         };
-        let stepped =
-            Self::greedy_step(walk, &self.nodes, &self.keys, &self.links, self.cfg.latency);
+        let stepped = Self::greedy_step(walk, &self.peers, &self.world, self.cfg.latency);
         self.act_on_step(qid, stepped);
     }
 
@@ -1295,8 +1143,7 @@ impl Simulator {
         walk.latency += now - sent_at;
         walk.hops += 1;
         walk.cur = to;
-        let stepped =
-            Self::greedy_step(walk, &self.nodes, &self.keys, &self.links, self.cfg.latency);
+        let stepped = Self::greedy_step(walk, &self.peers, &self.world, self.cfg.latency);
         self.act_on_step(qid, stepped);
     }
 
@@ -1330,12 +1177,12 @@ impl Simulator {
         let walk = self.walks.get(qid).expect("walk present");
         debug_assert_eq!(walk.cur, walk.requester, "local step away from requester");
         let (requester, target) = (walk.requester, walk.target);
-        if !self.nodes[requester as usize].alive {
+        if !self.world.is_alive(requester) {
             // Only the requester's death strands an iterative walk.
             self.finish_walk(qid, WalkEnd::Stranded);
             return;
         }
-        let cur_d = Metric::Ring.distance(self.keys[requester as usize], target);
+        let cur_d = Metric::Ring.distance(self.peers.keys[requester as usize], target);
         if cur_d == 0.0 {
             self.finish_walk(qid, WalkEnd::Arrived);
             return;
@@ -1384,7 +1231,7 @@ impl Simulator {
     /// duplicate nodes never enter.
     fn merge_pool(&mut self, qid: QueryId, fresh: &[u32]) {
         let walk = self.walks.get_mut(qid).expect("walk present");
-        let (keys, target) = (&self.keys, walk.target);
+        let (keys, target) = (&self.peers.keys, walk.target);
         let d_of = |v: u32| Metric::Ring.distance(keys[v as usize], target);
         let mut pool: Vec<(u32, f64)> = walk
             .pending_alternates()
@@ -1447,7 +1294,7 @@ impl Simulator {
         walk.latency += now - sent_at;
         let target = walk.target;
         let excluded = std::mem::take(&mut walk.excluded);
-        let at_target = Metric::Ring.distance(self.keys[to as usize], target) == 0.0;
+        let at_target = Metric::Ring.distance(self.peers.keys[to as usize], target) == 0.0;
         let candidates = self.ranked_candidates(to, target, &excluded);
         let walk = self.walks.get_mut(qid).expect("walk present");
         walk.excluded = excluded;
@@ -1499,7 +1346,7 @@ impl Simulator {
         let Some(walk) = self.walks.get_mut(qid) else {
             return;
         };
-        if !self.nodes[walk.requester as usize].alive {
+        if !self.world.is_alive(walk.requester) {
             self.finish_walk(qid, WalkEnd::Stranded);
             return;
         }
@@ -1556,8 +1403,7 @@ impl Simulator {
                 // apples-to-apples (iterative checks the requester at
                 // each reply; recursive mode settles up here, when the
                 // response would have been sent back).
-                let end = if end != WalkEnd::Stranded && !self.nodes[walk.requester as usize].alive
-                {
+                let end = if end != WalkEnd::Stranded && !self.world.is_alive(walk.requester) {
                     WalkEnd::Stranded
                 } else {
                     end
@@ -1584,7 +1430,8 @@ impl Simulator {
                     // entries.
                     if let Some(cache_cfg) = self.cfg.traffic.cache {
                         if self.gateways.contains(&walk.requester) {
-                            self.caches
+                            self.peers
+                                .caches
                                 .entry(walk.requester)
                                 .or_insert_with(|| HotCache::new(cache_cfg.capacity))
                                 .insert(u64::from(target_id), now + cache_cfg.ttl);
@@ -1606,10 +1453,8 @@ impl Simulator {
             }
             Purpose::JoinFind { key } => {
                 self.metrics.join_messages += walk.msgs as u64;
-                if end == WalkEnd::Stranded || self.alive.contains_key(&key) {
+                if end == WalkEnd::Stranded || !self.complete_join(key) {
                     self.metrics.joins_aborted += 1;
-                } else {
-                    self.complete_join(key);
                 }
             }
             Purpose::LinkProbe {
@@ -1626,11 +1471,11 @@ impl Simulator {
                     self.metrics.join_messages += msgs;
                 }
                 // A dead `node` ends the chain with it.
-                if self.nodes[node as usize].alive {
+                if self.world.is_alive(node) {
                     let v = walk.cur;
                     if end != WalkEnd::Stranded
                         && v != node
-                        && self.nodes[v as usize].alive
+                        && self.world.is_alive(v)
                         && !collected.contains(&v)
                     {
                         collected.push(v);
@@ -1652,57 +1497,62 @@ impl Simulator {
 
     // ----- lookups ---------------------------------------------------
 
-    fn do_lookup_start(&mut self, rng: &mut Rng) {
-        if let (Some(from), Some(target_id)) = (self.random_alive(rng), self.random_alive(rng)) {
-            let target = self.keys[target_id as usize];
-            self.spawn_walk(Purpose::Lookup { target_id }, target, from);
-        }
+    fn do_lookup_start(&mut self) {
+        let from = self.world.random_alive(Source::Lookup);
+        let target_id = self.world.random_alive(Source::Lookup);
+        let target = self.peers.keys[target_id as usize];
+        self.spawn_walk(Purpose::Lookup { target_id }, target, from);
     }
 
     // ----- churn -----------------------------------------------------
 
-    fn do_join_start(&mut self, rng: &mut Rng) {
-        let mut key = self.dist.sample_key(rng);
-        while self.alive.contains_key(&key) {
-            key = self.dist.sample_key(rng);
-        }
-        if let Some(entry) = self.random_alive(rng) {
-            // Route to the joining key to find the join point; the splice
-            // happens when (if) the walk completes.
-            self.spawn_walk(Purpose::JoinFind { key }, key, entry);
-        }
+    fn do_join_start(&mut self) {
+        let key = self.world.joining_key();
+        let entry = self.world.random_alive(Source::Join);
+        // Route to the joining key to find the join point; the splice
+        // happens when (if) the walk completes.
+        self.spawn_walk(Purpose::JoinFind { key }, key, entry);
     }
 
-    /// The join-point walk completed: create and splice the node, move
-    /// its shard slice over, and start its long-link probe chain.
-    fn complete_join(&mut self, key: Key) {
-        let id = self.push_node(key);
-        let row_id = self.links.push_node(Vec::new());
+    /// The join-point walk completed: unless another joiner took `key`
+    /// meanwhile (`false`), the world takes the peer in. Give it a slot
+    /// in every per-peer lane, splice it, move its shard slice over, and
+    /// start its long-link probe chain.
+    fn complete_join(&mut self, key: Key) -> bool {
+        let Some(id) = self.world.join(key) else {
+            return false;
+        };
+        let (succ, pred) = self.world.ring_state(key);
+        self.peers.nodes.push(SimNode {
+            succ,
+            pred,
+            refreshing: false,
+            leases: Vec::new(),
+        });
+        self.peers.keys.push(key);
+        let row_id = self.peers.links.push_node(Vec::new());
         debug_assert_eq!(row_id, id, "link rows track node ids");
-        self.repair_ring_state(id);
+        self.node_q.push(ServiceQueue::default());
         // Splice: the new peer's ring neighbours learn about it.
-        if let Some(p) = self.nodes[id as usize].pred {
-            self.nodes[p as usize].succ.insert_front(id);
+        if let Some(p) = pred {
+            self.peers.nodes[p as usize].succ.insert_front(id);
         }
-        if let Some(&s) = self.nodes[id as usize].succ.first() {
-            self.nodes[s as usize].pred = Some(id);
+        if let Some(&s) = succ.first() {
+            self.peers.nodes[s as usize].pred = Some(id);
         }
         // Ownership split: the new peer takes the arc between its
         // predecessor and itself from its successor's primary shard.
         if self.cfg.storage.enabled() {
-            if let (Some(&succ0), Some(p)) = (
-                self.nodes[id as usize].succ.first(),
-                self.nodes[id as usize].pred,
-            ) {
-                let pred_key = self.keys[p as usize];
-                self.primary.split_to(succ0, id, pred_key, key);
+            if let (Some(&succ0), Some(p)) = (succ.first(), pred) {
+                let pred_key = self.peers.keys[p as usize];
+                self.peers.primary.split_to(succ0, id, pred_key, key);
             }
             // Same grace lease the t=0 population gets: replica copies
             // fanned to the joiner before its arc owners' first digests
             // arrive must survive the joiner's own first GC rounds.
             if self.cfg.storage.repair_interval.is_some() {
                 let expires = self.plane.now() + self.lease_ttl();
-                self.nodes[id as usize].leases.push(RepairLease {
+                self.peers.nodes[id as usize].leases.push(RepairLease {
                     lo: key,
                     hi: key,
                     expires,
@@ -1712,25 +1562,15 @@ impl Simulator {
         self.metrics.joins += 1;
         self.schedule_timers(id);
         // Long links via routed probes (message-accounted, in-flight).
-        let budget = OUT_DEGREE.links_for(self.alive.len());
+        let budget = OUT_DEGREE.links_for(self.world.population());
         self.spawn_link_probe(id, Vec::new(), budget, 8 * budget as u32 + 16, false);
+        true
     }
 
-    fn do_fail(&mut self, rng: &mut Rng) {
-        // Keep a minimal population so the ring never vanishes.
-        if self.alive.len() <= 8 {
+    fn do_fail(&mut self) {
+        let Some(victim) = self.world.fail(&self.peers.keys) else {
             return;
-        }
-        let victim = self.alive_ids[rng.index(self.alive_ids.len())];
-        let key = self.keys[victim as usize];
-        self.alive.remove(&key);
-        let pos = self.alive_pos[victim as usize];
-        self.alive_ids.swap_remove(pos as usize);
-        if let Some(&moved) = self.alive_ids.get(pos as usize) {
-            self.alive_pos[moved as usize] = pos;
-        }
-        self.alive_pos[victim as usize] = u32::MAX;
-        self.nodes[victim as usize].alive = false;
+        };
         if self.cfg.storage.enabled() {
             // The machine is gone: both its shards die with it. Its
             // slice of the key space is durable again only once a
@@ -1772,7 +1612,7 @@ impl Simulator {
     /// A timer dies with its node. Stabilization sends its apply before
     /// it re-arms; the other two re-arm before their round.
     fn fire_timer(&mut self, timer: Timer, id: u32) {
-        if !self.nodes[id as usize].alive {
+        if !self.world.is_alive(id) {
             return;
         }
         let period = self.period(timer).expect("an armed timer has a period");
@@ -1798,47 +1638,46 @@ impl Simulator {
     /// penalty to be noticed). Lookups in flight during the round still
     /// see the stale view — the repair is not instantaneous.
     fn do_stabilize_start(&mut self, id: u32) {
-        let node = &self.nodes[id as usize];
-        let contacts: Vec<u32> = sw_overlay::RingView {
+        let node = &self.peers.nodes[id as usize];
+        let view = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
-            long: self.links.row_slice(id),
-        }
-        .contacts()
-        .collect();
-        self.metrics.stabilize_messages += contacts.len() as u64;
+            long: self.peers.links.row_slice(id),
+        };
+        let rtt = SimTime(self.cfg.latency.delay().0 * 2);
         let mut resolve = SimTime::ZERO;
-        for v in contacts {
-            let rtt = if self.nodes[v as usize].alive {
-                SimTime(self.cfg.latency.delay().0 * 2)
+        for v in view.contacts() {
+            self.metrics.stabilize_messages += 1;
+            resolve = resolve.max(if self.world.is_alive(v) {
+                rtt
             } else {
                 TIMEOUT_PENALTY
-            };
-            resolve = resolve.max(rtt);
+            });
         }
         self.plane.send(resolve, Msg::StabilizeApply(id));
     }
 
     fn do_stabilize_apply(&mut self, id: u32) {
-        if !self.nodes[id as usize].alive {
+        if !self.world.is_alive(id) {
             return;
         }
-        self.repair_ring_state(id);
+        let node = &mut self.peers.nodes[id as usize];
+        (node.succ, node.pred) = self.world.ring_state(self.peers.keys[id as usize]);
         // Prune dead long links in place. A row with no dead contact is
         // left untouched: a base row stays a base read, not a delta copy.
-        let nodes = &self.nodes;
-        self.links.retain_row(id, |&v| nodes[v as usize].alive);
+        let world = &self.world;
+        self.peers.links.retain_row(id, |&v| world.is_alive(v));
     }
 
     /// Long-link refresh: a chain of *routed* probes rebuilding the
     /// node's long links against the current population. The old links
     /// stay in service until the chain completes.
     fn do_refresh_start(&mut self, id: u32) {
-        if self.nodes[id as usize].refreshing {
+        if self.peers.nodes[id as usize].refreshing {
             return; // previous chain still in flight
         }
-        self.nodes[id as usize].refreshing = true;
-        let budget = OUT_DEGREE.links_for(self.alive.len());
+        self.peers.nodes[id as usize].refreshing = true;
+        let budget = OUT_DEGREE.links_for(self.world.population());
         self.spawn_link_probe(id, Vec::new(), budget, 4 * budget as u32 + 8, true);
     }
 
@@ -1856,20 +1695,16 @@ impl Simulator {
             self.finish_links(node, collected, refresh);
             return;
         }
-        let n = self.alive.len();
-        let tau = 1.0 / n as f64;
+        // The population floor of 8 keeps `side_weight` ≥ ln 4.
+        let tau = 1.0 / self.world.population() as f64;
         let side_weight = (0.5f64 / tau).max(1.0).ln();
-        if side_weight <= 0.0 {
-            self.finish_links(node, collected, refresh);
-            return;
-        }
         // Target draws come from the dedicated link stream — chains are
         // spawned in event order, so the draws are deterministic.
-        let pos = self.dist.cdf(self.keys[node as usize].get());
+        let pos = self.world.cdf(self.peers.keys[node as usize].get());
         let sign = if self.link_rng.chance(0.5) { 1.0 } else { -1.0 };
         let m = tau * (side_weight * self.link_rng.f64()).exp();
         let target_pos = (pos + sign * m).rem_euclid(1.0);
-        let target = Key::clamped(self.dist.quantile(target_pos));
+        let target = Key::clamped(self.world.quantile(target_pos));
         self.spawn_walk(
             Purpose::LinkProbe {
                 node,
@@ -1884,32 +1719,25 @@ impl Simulator {
     }
 
     fn finish_links(&mut self, node: u32, collected: Vec<u32>, refresh: bool) {
-        if self.nodes[node as usize].alive {
-            self.links.set_row(node, collected);
+        if self.world.is_alive(node) {
+            self.peers.links.set_row(node, collected);
         }
         if refresh {
-            self.nodes[node as usize].refreshing = false;
+            self.peers.nodes[node as usize].refreshing = false;
         }
     }
 
     // ----- storage workload ------------------------------------------
 
-    /// Bulk-loads `storage.preload` items at t = 0. Every peer is alive
-    /// and peer id is key rank, so an item's owner (the first key at or
-    /// above its own, wrapping to rank 0) is one binary search of `keys`.
+    /// Bulk-loads `storage.preload` items at t = 0, each stored at the
+    /// owner and replica chain the world places it on
+    /// ([`World::preload`]).
     fn preload_storage(&mut self) {
-        let preload = self.cfg.storage.preload;
-        let mut rng = Rng::stream(self.cfg.seed, stream::PRELOAD);
-        let replicas = self.replication_target() as usize - 1;
-        self.put_keys.reserve(preload);
-        for _ in 0..preload {
-            let key = self.dist.sample_key(&mut rng);
+        let items = self.world.preload(&self.cfg, &self.peers.keys);
+        self.put_keys.reserve(items.len());
+        for (key, owner, chain) in items {
             let value = self.next_value();
-            let owner = match self.keys.partition_point(|&k| k < key) {
-                rank if rank == self.keys.len() => 0,
-                rank => rank as u32,
-            };
-            for r in self.ground_replica_chain(owner, replicas) {
+            for r in chain {
                 self.store_replica(r, key, value.clone());
             }
             self.store_primary(owner, key, value);
@@ -1922,51 +1750,27 @@ impl Simulator {
         self.put_counter.to_le_bytes().to_vec()
     }
 
-    /// Ground-truth replica chain: the first `count` peers clockwise of
-    /// `owner`, capped at the other `n − 1`. At t = 0 every peer is
-    /// alive and peer id is key rank, so these are the next ids after
-    /// `owner`, mod `n`.
-    ///
-    /// **Invariant: this oracle is reachable only from the t = 0
-    /// preload** (modeling a converged network handed a pre-placed
-    /// corpus, like the converged initial overlay), and its rank
-    /// arithmetic holds only there. Every *routed* operation path — put
-    /// fan-out, get fallback, failure recovery — works off local
-    /// successor views and pays plane messages; failure recovery in
-    /// particular moves data only through the anti-entropy repair plane.
-    /// Do not call this from any handler that runs after time zero.
-    fn ground_replica_chain(&self, owner: u32, count: usize) -> impl Iterator<Item = u32> {
-        let n = self.nodes.len();
-        (1..=count.min(n - 1)).map(move |d| ((owner as usize + d) % n) as u32)
-    }
-
-    fn do_put_start(&mut self, rng: &mut Rng) {
-        let key = self.dist.sample_key(rng);
-        let Some(from) = self.random_alive(rng) else {
-            return;
-        };
+    fn do_put_start(&mut self) {
+        let key = self.world.sample_key(Source::Put);
+        let from = self.world.random_alive(Source::Put);
         let value = self.next_value();
         self.spawn_walk(Purpose::Put { key, value }, key, from);
     }
 
-    fn do_get_start(&mut self, rng: &mut Rng) {
+    fn do_get_start(&mut self) {
         let key = if self.put_keys.is_empty() {
-            self.dist.sample_key(rng)
+            self.world.sample_key(Source::Get)
         } else {
-            self.put_keys[rng.index(self.put_keys.len())]
+            self.put_keys[self.world.stream(Source::Get).index(self.put_keys.len())]
         };
-        let Some(from) = self.random_alive(rng) else {
-            return;
-        };
+        let from = self.world.random_alive(Source::Get);
         self.spawn_walk(Purpose::Get { key }, key, from);
     }
 
-    fn do_range_start(&mut self, rng: &mut Rng) {
-        let lo = self.dist.sample_key(rng);
+    fn do_range_start(&mut self) {
+        let lo = self.world.sample_key(Source::Range);
         let hi = Key::clamped(lo.get() + self.cfg.storage.range_width);
-        let Some(from) = self.random_alive(rng) else {
-            return;
-        };
+        let from = self.world.random_alive(Source::Range);
         if hi <= lo {
             return; // degenerate range at the top of the key space
         }
@@ -2000,7 +1804,7 @@ impl Simulator {
     /// `replication − 1` successors, or `at_least` if more. Put
     /// fan-outs, get fallbacks and repair rounds all work off it.
     fn replica_view(&self, at: u32, at_least: usize) -> SuccList {
-        let mut chain = self.nodes[at as usize].succ;
+        let mut chain = self.peers.nodes[at as usize].succ;
         let want = (self.replication_target() as usize - 1).max(at_least);
         chain.len = chain.len.min(want.min(SUCCESSOR_LIST) as u8);
         chain
@@ -2011,11 +1815,11 @@ impl Simulator {
     /// one extra forwarding message at most, charged to the op (exactly
     /// the adjustment `sw_dht::Dht::route_to_owner` makes statically).
     fn shift_to_owner(&mut self, at: u32, key: Key) -> u32 {
-        if self.keys[at as usize] >= key {
+        if self.peers.keys[at as usize] >= key {
             return at;
         }
-        match self.nodes[at as usize].succ.first() {
-            Some(&s) if self.nodes[s as usize].alive => {
+        match self.peers.nodes[at as usize].succ.first() {
+            Some(&s) if self.world.is_alive(s) => {
                 self.metrics.storage_messages += 1;
                 s
             }
@@ -2107,7 +1911,7 @@ impl Simulator {
         // The routed owner serves any local copy — its primary row, or a
         // replica copy it inherited but has not yet promoted (repair may
         // still be mid-round after its predecessor died).
-        if self.primary.contains(at, key) || self.replica.contains(at, key) {
+        if self.peers.copy(at, key).is_some() {
             self.metrics.gets += 1;
             self.metrics.gets_ok += 1;
             self.metrics
@@ -2170,7 +1974,7 @@ impl Simulator {
         };
         // A probed peer serves *any* copy it holds — replica copies from
         // fan-outs, or primary rows inherited through a failure merge.
-        if live && (self.replica.contains(to, key) || self.primary.contains(to, key)) {
+        if live && self.peers.copy(to, key).is_some() {
             let total = *latency;
             self.ops.remove(&op);
             self.metrics.gets += 1;
@@ -2180,13 +1984,8 @@ impl Simulator {
             // just served — stream that one item to it immediately (an
             // owner-direction repair transfer, byte-accounted like any
             // anti-entropy rung) instead of waiting for the next round.
-            if owner != to && self.nodes[owner as usize].alive {
-                let item = self
-                    .replica
-                    .get(to, key)
-                    .or_else(|| self.primary.get(to, key))
-                    .cloned();
-                if let Some(v) = item {
+            if owner != to && self.world.is_alive(owner) {
+                if let Some(v) = self.peers.copy(to, key).cloned() {
                     self.metrics.gets_read_repaired += 1;
                     let bytes = REPAIR_HEADER_BYTES + item_bytes(&v);
                     self.send_repair(
@@ -2266,7 +2065,7 @@ impl Simulator {
         else {
             return;
         };
-        *items += self.primary.shard_range_count(at, *lo, *hi) as u64;
+        *items += self.peers.primary.shard_range_count(at, *lo, *hi) as u64;
         *peers_visited += 1;
         *budget = budget.saturating_sub(1);
         tried.clear();
@@ -2276,10 +2075,10 @@ impl Simulator {
         // holder's crosses the top of the ring: this is the wrap owner,
         // which owns everything above the highest key, so the range is
         // served too.
-        let key = self.keys[at as usize];
-        let served = key >= *hi || key < self.keys[*from as usize];
+        let key = self.peers.keys[at as usize];
+        let served = key >= *hi || key < self.peers.keys[*from as usize];
         *from = at;
-        let next = match self.nodes[at as usize].succ.first() {
+        let next = match self.peers.nodes[at as usize].succ.first() {
             Some(&next) if !served && *budget > 0 => next,
             _ => return self.end_sweep(op, served),
         };
@@ -2310,7 +2109,7 @@ impl Simulator {
         };
         tried.push(to);
         let from = *from;
-        let next = self.nodes[from as usize]
+        let next = self.peers.nodes[from as usize]
             .succ
             .iter()
             .copied()
@@ -2385,12 +2184,12 @@ impl Simulator {
     fn do_repair_round(&mut self, id: u32) {
         // A fresh round re-requests anything still missing; pulls lost
         // to a dead replica stop blocking here.
-        self.pending_wants.remove(&id);
-        let key = self.keys[id as usize];
-        let Some(pred) = self.nodes[id as usize].pred else {
+        self.peers.pending_wants.remove(&id);
+        let key = self.peers.keys[id as usize];
+        let Some(pred) = self.peers.nodes[id as usize].pred else {
             return;
         };
-        let pred_key = self.keys[pred as usize];
+        let pred_key = self.peers.keys[pred as usize];
         let now = self.plane.now();
         self.promote_owned(id, pred_key, key);
         self.gc_replica_leases(id, now);
@@ -2399,7 +2198,7 @@ impl Simulator {
         if chain.is_empty() {
             return;
         }
-        let digest = self.primary.arc_digest(id, pred_key, key);
+        let digest = self.peers.primary.arc_digest(id, pred_key, key);
         for &to in chain.iter() {
             self.send_repair(
                 id,
@@ -2422,16 +2221,16 @@ impl Simulator {
     /// move them into the primary shard. A local disk operation: no
     /// messages, no bytes.
     fn promote_owned(&mut self, id: u32, from: Key, upto: Key) {
-        for k in self.replica.arc_keys(id, from, upto) {
-            let Some(v) = self.replica.remove(id, k) else {
+        for k in self.peers.replica.arc_keys(id, from, upto) {
+            let Some(v) = self.peers.replica.remove(id, k) else {
                 continue;
             };
-            if self.primary.contains(id, k) {
+            if self.peers.primary.contains(id, k) {
                 // Defensive: the store helpers keep at most one physical
                 // copy per peer, so this arm should not be reachable.
                 self.metrics.stored_bytes -= item_bytes(&v);
             } else {
-                self.primary.insert(id, k, v);
+                self.peers.primary.insert(id, k, v);
             }
         }
     }
@@ -2444,11 +2243,11 @@ impl Simulator {
     fn demote_foreign(&mut self, id: u32, from: Key, upto: Key) {
         // The complement of the clockwise arc `(from, upto]` is
         // `(upto, from]`.
-        for k in self.primary.arc_keys(id, upto, from) {
-            let Some(v) = self.primary.remove(id, k) else {
+        for k in self.peers.primary.arc_keys(id, upto, from) {
+            let Some(v) = self.peers.primary.remove(id, k) else {
                 continue;
             };
-            if let Some(old) = self.replica.insert(id, k, v) {
+            if let Some(old) = self.peers.replica.insert(id, k, v) {
                 self.metrics.stored_bytes -= item_bytes(&old);
             }
         }
@@ -2459,23 +2258,17 @@ impl Simulator {
     /// owner's digests stopped renewing it). A retired last copy is a
     /// permanent loss and is counted as such.
     fn gc_replica_leases(&mut self, id: u32, now: SimTime) {
-        self.nodes[id as usize].leases.retain(|l| l.expires > now);
-        let leases = std::mem::take(&mut self.nodes[id as usize].leases);
-        let doomed: Vec<Key> = self
-            .replica
-            .shard(id)
-            .map(|s| {
-                s.keys()
-                    .copied()
-                    .filter(|&k| !leases.iter().any(|l| Metric::Ring.in_arc(l.lo, k, l.hi)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        self.nodes[id as usize].leases = leases;
+        let leases = &mut self.peers.nodes[id as usize].leases;
+        leases.retain(|l| l.expires > now);
+        let lapsed = |&k: &Key| !leases.iter().any(|l| Metric::Ring.in_arc(l.lo, k, l.hi));
+        let doomed: Vec<Key> = match self.peers.replica.shard(id) {
+            Some(s) => s.keys().copied().filter(lapsed).collect(),
+            None => Vec::new(),
+        };
         for k in doomed {
-            if let Some(v) = self.replica.remove(id, k) {
+            if let Some(v) = self.peers.replica.remove(id, k) {
                 self.metrics.stored_bytes -= item_bytes(&v);
-                self.note_remove(k);
+                self.world.note_remove(k, now, &mut self.metrics);
             }
         }
     }
@@ -2496,7 +2289,7 @@ impl Simulator {
     ) {
         let now = self.plane.now();
         let ttl = self.lease_ttl();
-        let node = &mut self.nodes[to as usize];
+        let node = &mut self.peers.nodes[to as usize];
         node.leases.retain(|l| l.expires > now);
         if let Some(l) = node.leases.iter_mut().find(|l| l.lo == lo && l.hi == hi) {
             l.expires = now + ttl;
@@ -2507,11 +2300,11 @@ impl Simulator {
                 expires: now + ttl,
             });
         }
-        let mine = self.replica.arc_digest(to, lo, hi);
+        let mine = self.peers.replica.arc_digest(to, lo, hi);
         if mine.count == count && mine.hash == hash {
             return; // in sync: the round cost one digest message
         }
-        let mut keys = self.replica.arc_keys(to, lo, hi);
+        let mut keys = self.peers.replica.arc_keys(to, lo, hi);
         keys.sort();
         let bytes = REPAIR_HEADER_BYTES + KEY_BYTES * keys.len() as u64;
         self.send_repair(
@@ -2541,10 +2334,10 @@ impl Simulator {
             keys,
         }: RepairDiff,
     ) {
-        let missing = self.primary.arc_diff(owner, lo, hi, &keys);
-        let mut mine = self.primary.arc_keys(owner, lo, hi);
+        let missing = self.peers.primary.arc_diff(owner, lo, hi, &keys);
+        let mut mine = self.peers.primary.arc_keys(owner, lo, hi);
         mine.sort();
-        let outstanding = self.pending_wants.entry(owner).or_default();
+        let outstanding = self.peers.pending_wants.entry(owner).or_default();
         let want: Vec<Key> = keys
             .iter()
             .copied()
@@ -2554,7 +2347,7 @@ impl Simulator {
         if missing.is_empty() && want.is_empty() {
             return;
         }
-        let (items, item_cost) = self.primary.export(owner, &missing);
+        let (items, item_cost) = self.peers.primary.export(owner, &missing);
         let bytes = REPAIR_HEADER_BYTES + item_cost + KEY_BYTES * want.len() as u64;
         self.send_repair(
             owner,
@@ -2590,11 +2383,7 @@ impl Simulator {
         let mut back = Vec::with_capacity(want.len());
         let mut bytes = REPAIR_HEADER_BYTES;
         for &k in &want {
-            let v = self
-                .replica
-                .get(replica, k)
-                .or_else(|| self.primary.get(replica, k));
-            if let Some(v) = v {
+            if let Some(v) = self.peers.copy(replica, k) {
                 bytes += item_bytes(v);
                 back.push((k, v.clone()));
             }
@@ -2614,7 +2403,7 @@ impl Simulator {
     /// finally durable under their new primary.
     fn on_repair_pull(&mut self, RepairPull { owner, items }: RepairPull) {
         for (k, v) in items {
-            if let Some(w) = self.pending_wants.get_mut(&owner) {
+            if let Some(w) = self.peers.pending_wants.get_mut(&owner) {
                 w.remove(&k);
             }
             self.store_primary(owner, k, v);
@@ -2632,93 +2421,56 @@ impl Simulator {
         self.cfg.storage.replication.max(1) as u32
     }
 
-    /// A distinct peer gained a copy of `key`.
-    fn note_add(&mut self, key: Key) {
-        let now = self.plane.now();
-        let target = self.replication_target();
-        let e = self.copies.entry(key).or_insert(CopyState {
-            copies: 0,
-            under_since: None,
-        });
-        e.copies += 1;
-        if e.copies >= target {
-            if let Some(since) = e.under_since.take() {
-                self.metrics.keys_under_replicated -= 1;
-                self.metrics
-                    .repair_time_secs
-                    .push((now - since).as_secs_f64());
-            }
-        }
-    }
-
-    /// A distinct peer lost its copy of `key`.
-    fn note_remove(&mut self, key: Key) {
-        let now = self.plane.now();
-        let target = self.replication_target();
-        let Some(e) = self.copies.get_mut(&key) else {
-            debug_assert!(false, "removing an untracked copy");
-            return;
-        };
-        e.copies -= 1;
-        if e.copies == 0 {
-            if e.under_since.is_some() {
-                self.metrics.keys_under_replicated -= 1;
-            }
-            self.copies.remove(&key);
-            self.metrics.keys_lost += 1;
-        } else if e.copies < target && e.under_since.is_none() {
-            e.under_since = Some(now);
-            self.metrics.keys_under_replicated += 1;
-        }
-    }
-
     /// Stores a primary copy at `peer`, superseding any replica copy the
     /// peer already held (one physical copy per peer).
     fn store_primary(&mut self, peer: u32, key: Key, value: Vec<u8>) {
         let mut had = false;
-        if let Some(old) = self.replica.remove(peer, key) {
+        if let Some(old) = self.peers.replica.remove(peer, key) {
             self.metrics.stored_bytes -= item_bytes(&old);
             had = true;
         }
         self.metrics.stored_bytes += item_bytes(&value);
-        if let Some(old) = self.primary.insert(peer, key, value) {
+        if let Some(old) = self.peers.primary.insert(peer, key, value) {
             self.metrics.stored_bytes -= item_bytes(&old);
             had = true;
         }
         if !had {
-            self.note_add(key);
+            self.world
+                .note_add(key, self.plane.now(), &mut self.metrics);
         }
     }
 
     /// Stores a replica copy at `peer` (a no-op if the peer already
     /// holds the key as primary).
     fn store_replica(&mut self, peer: u32, key: Key, value: Vec<u8>) {
-        if self.primary.contains(peer, key) {
+        if self.peers.primary.contains(peer, key) {
             return;
         }
         self.metrics.stored_bytes += item_bytes(&value);
-        if let Some(old) = self.replica.insert(peer, key, value) {
+        if let Some(old) = self.peers.replica.insert(peer, key, value) {
             self.metrics.stored_bytes -= item_bytes(&old);
         } else {
-            self.note_add(key);
+            self.world
+                .note_add(key, self.plane.now(), &mut self.metrics);
         }
     }
 
     /// A peer failed: both its shards die with the machine.
     fn drop_peer_storage(&mut self, peer: u32) {
-        let dropped: Vec<(Key, u64)> = [&self.primary, &self.replica]
+        let dropped: Vec<(Key, u64)> = [&self.peers.primary, &self.peers.replica]
             .into_iter()
             .filter_map(|map| map.shard(peer))
             .flat_map(|s| s.iter().map(|(k, v)| (*k, item_bytes(v))))
             .collect();
-        self.primary.clear_shard(peer);
-        self.replica.clear_shard(peer);
+        self.peers.primary.clear_shard(peer);
+        self.peers.replica.clear_shard(peer);
         for (k, bytes) in dropped {
             self.metrics.stored_bytes -= bytes;
-            self.note_remove(k);
+            self.world
+                .note_remove(k, self.plane.now(), &mut self.metrics);
         }
-        self.nodes[peer as usize].leases.clear();
-        self.pending_wants.remove(&peer);
+        self.peers.nodes[peer as usize].leases.clear();
+        self.peers.pending_wants.remove(&peer);
     }
 
     /// Copy census of the stored corpus, computed from the live shards on
@@ -2726,17 +2478,17 @@ impl Simulator {
     /// workers; the merge is an order-independent count) — bit-identical
     /// at every `threads` value.
     pub fn durability_census(&self, threads: usize) -> DurabilityCensus {
-        let target = (self.replication_target() as usize).min(self.alive.len());
-        let n = self.primary.shard_count().max(self.replica.shard_count());
+        let target = (self.replication_target() as usize).min(self.world.population());
+        let (primary, replica) = (&self.peers.primary, &self.peers.replica);
+        let n = primary.shard_count().max(replica.shard_count());
         let per_peer: Vec<Vec<Key>> = par::par_map_grained(n, threads, 8, |i| {
             let id = i as u32;
-            let mut keys: Vec<Key> = self
-                .primary
+            let mut keys: Vec<Key> = primary
                 .shard(id)
                 .map(|s| s.keys().copied().collect())
                 .unwrap_or_default();
-            if let Some(s) = self.replica.shard(id) {
-                keys.extend(s.keys().copied().filter(|&k| !self.primary.contains(id, k)));
+            if let Some(s) = replica.shard(id) {
+                keys.extend(s.keys().copied().filter(|&k| !primary.contains(id, k)));
             }
             keys
         });
@@ -2764,7 +2516,7 @@ impl Simulator {
     /// Live copies of `key` across all peers (ground-truth bookkeeping;
     /// `0` for unknown or lost keys).
     pub fn live_copies(&self, key: Key) -> u32 {
-        self.copies.get(&key).map_or(0, |c| c.copies)
+        self.world.live_copies(key)
     }
 
     /// Replaces the churn configuration mid-run. Lowering a rate takes
@@ -2775,105 +2527,41 @@ impl Simulator {
     pub fn set_churn(&mut self, churn: ChurnConfig) {
         self.cfg.churn = churn;
     }
-
-    // ----- ground-truth helpers --------------------------------------
-
-    fn random_alive(&self, rng: &mut Rng) -> Option<u32> {
-        if self.alive.is_empty() {
-            return None;
-        }
-        // Key-space sampling + successor lookup: O(log n). Density-
-        // weighted by arc ownership — intended for *workload* draws
-        // (lookups, storage ops, join entry points), where traffic
-        // proportional to owned key space is the realistic model. Churn
-        // victims use `alive_ids` uniform sampling instead.
-        let probe = Key::clamped(rng.f64());
-        Some(self.owner_of(probe))
-    }
-
-    /// Ground-truth successor-owner of a key (first alive peer clockwise).
-    fn owner_of(&self, key: Key) -> u32 {
-        owner_of_map(&self.alive, key)
-    }
-
-    /// Rebuilds `id`'s ring state from ground truth (used by joins and
-    /// stabilization; the t = 0 ring is [`SimNode::converged`]).
-    fn repair_ring_state(&mut self, id: u32) {
-        let key = self.keys[id as usize];
-        let mut succ = SuccList::default();
-        for (_, &v) in self
-            .alive
-            .range((std::ops::Bound::Excluded(key), std::ops::Bound::Unbounded))
-            .chain(self.alive.range(..key))
-        {
-            if v != id {
-                succ.push(v);
-                if succ.len() == SUCCESSOR_LIST {
-                    break;
-                }
-            }
-        }
-        let pred = {
-            let p = self
-                .alive
-                .range(..key)
-                .next_back()
-                .or_else(|| self.alive.iter().next_back())
-                .map(|(_, &v)| v);
-            p.filter(|&v| v != id)
-        };
-        let node = &mut self.nodes[id as usize];
-        node.succ = succ;
-        node.pred = pred;
-    }
 }
 
 /// The two prefetch stages of a simulated hop, driven by the wheel's
 /// cascades (`plane`'s "cascades as lookahead"). A step at peer `to`
-/// walks the walk's slot, then `nodes[to]` / `keys[to]` / the delta's
-/// `slot[to]` and the base's `offsets[to]` → the long-link row → the
-/// row's contact keys, on state untouched for thousands of events; the
-/// address chain has two links, so there are two stages:
+/// walks the walk's slot, then `to`'s liveness entry / `nodes[to]` /
+/// `keys[to]` / the delta's `slot[to]` and the base's `offsets[to]` →
+/// the long-link row → the row's contact keys, on state untouched for
+/// thousands of events; the address chain has two links, so there are
+/// two stages:
 ///
 /// * `level ≥ 2` (the message is due less than `64^level` µs of
 ///   virtual time out: < 4.1 ms from a level-2 slot, < 262 ms from a
 ///   level-3 one): the loads addressable from the message alone — the
-///   walk's slot, the node record, its key, the row's delta slot and
-///   the base store's row bounds;
+///   walk's slot, the receiver's liveness entry in the world, its node
+///   record, its key, the row's delta slot and the base store's row
+///   bounds;
 /// * `level 1` (< 64 µs out): those are resident by now, so read them
 ///   and prefetch the row itself.
 ///
 /// Hints only: nothing here can change what a handler later reads.
 #[inline]
-fn prefetch_peer(
-    walks: &Slab<Walk>,
-    nodes: &[SimNode],
-    keys: &[Key],
-    links: &DeltaStore,
-    level: usize,
-    msg: &Msg,
-) {
+fn prefetch_peer(walks: &Slab<Walk>, peers: &Peers, world: &World, level: usize, msg: &Msg) {
     let (Msg::Hop { qid, to, .. } | Msg::NextHopQuery { qid, to, .. }) = *msg else {
         return;
     };
     if level >= 2 {
         walks.prefetch(qid);
-        if let Some(node) = nodes.get(to as usize) {
+        world.prefetch_liveness(to);
+        if let Some(node) = peers.nodes.get(to as usize) {
             prefetch_span(std::slice::from_ref(node));
         }
-        prefetch_read(keys.as_ptr().wrapping_add(to as usize));
-        links.prefetch_row_bounds(to);
+        prefetch_read(peers.keys.as_ptr().wrapping_add(to as usize));
+        peers.links.prefetch_row_bounds(to);
     } else {
-        prefetch_span(links.row_slice(to));
-    }
-}
-
-/// Successor-rule owner lookup against a ground-truth alive index.
-fn owner_of_map(alive: &BTreeMap<Key, u32>, key: Key) -> u32 {
-    if let Some((_, &id)) = alive.range(key..).next() {
-        id
-    } else {
-        *alive.values().next().expect("nonempty alive set")
+        prefetch_span(peers.links.row_slice(to));
     }
 }
 
@@ -2885,8 +2573,10 @@ fn next_interval(rng: &mut Rng, rate: f64) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use sw_core::links::LinkSelector;
     use sw_core::SmallWorldBuilder;
+    use sw_graph::LinkTable;
     use sw_keyspace::distribution::{TruncatedPareto, Uniform};
     use sw_overlay::Overlay;
 
@@ -3031,14 +2721,14 @@ mod tests {
         let mut sim = Simulator::new(cfg, Arc::new(Uniform));
         sim.run_until(SimTime::from_secs(45));
         let (placement, table, _, _) = sim.probe_routes(0);
-        let ids: Vec<u32> = sim.alive.values().copied().collect();
+        let ids: Vec<u32> = sim.world.index().0.values().copied().collect();
         assert_eq!((table.len(), placement.len()), (ids.len(), ids.len()));
         for r in 0..table.len() as u32 {
             let (row, lane) = table.row(r);
             assert_eq!(row.len(), lane.len());
             for (&v, &p) in row.iter().zip(lane) {
                 let peer = ids[v as usize];
-                assert_eq!(p.to_bits(), sim.keys[peer as usize].get().to_bits());
+                assert_eq!(p.to_bits(), sim.peers.keys[peer as usize].get().to_bits());
                 assert_eq!(p.to_bits(), placement.key(v).get().to_bits());
             }
         }
@@ -3057,22 +2747,23 @@ mod tests {
         let mut sim = Simulator::new(cfg, Arc::new(Uniform));
         sim.run_until(SimTime::from_secs(60));
         let (placement, table, _, _) = sim.probe_routes(0);
-        let ids: Vec<u32> = sim.alive.values().copied().collect();
-        assert!(ids.iter().all(|&id| sim.nodes[id as usize].alive));
-        assert_eq!(ids.len(), sim.nodes.iter().filter(|n| n.alive).count());
+        let ids: Vec<u32> = sim.world.index().0.values().copied().collect();
+        let peers = 0..sim.peers.nodes.len() as u32;
+        assert!(ids.iter().all(|&id| sim.world.is_alive(id)));
+        assert_eq!(ids.len(), peers.filter(|&v| sim.world.is_alive(v)).count());
         assert_eq!((table.len(), placement.len()), (ids.len(), ids.len()));
         for (r, &id) in ids.iter().enumerate() {
-            assert_eq!(placement.key(r as u32), sim.keys[id as usize]);
+            assert_eq!(placement.key(r as u32), sim.peers.keys[id as usize]);
             let (row, _) = table.row(r as u32);
             assert!(!row.is_empty(), "alive peer {id} has no live contacts");
-            let node = &sim.nodes[id as usize];
+            let node = &sim.peers.nodes[id as usize];
             let mut live: Vec<u32> = node
                 .pred
                 .iter()
                 .chain(node.succ.iter())
-                .chain(sim.links.row_slice(id))
+                .chain(sim.peers.links.row_slice(id))
                 .copied()
-                .filter(|&v| v != id && sim.nodes[v as usize].alive)
+                .filter(|&v| v != id && sim.world.is_alive(v))
                 .collect();
             live.sort_unstable();
             live.dedup();
@@ -3196,11 +2887,11 @@ mod tests {
                     .all(|&v| (v as usize) < keys.len() && v != r as u32),
                 "row {r} names itself or an out-of-range peer"
             );
-            let raw = sim.links.row_slice(sim.alive[key]);
+            let raw = sim.peers.links.row_slice(sim.world.index().0[key]);
             let mut live: Vec<Key> = raw
                 .iter()
-                .filter(|&&v| sim.nodes[v as usize].alive)
-                .map(|&v| sim.keys[v as usize])
+                .filter(|&&v| sim.world.is_alive(v))
+                .map(|&v| sim.peers.keys[v as usize])
                 .collect();
             live.sort();
             let got: Vec<Key> = row.iter().map(|&v| keys[v as usize]).collect();
@@ -3398,8 +3089,8 @@ mod tests {
             "every missing key must be accounted as lost"
         );
         assert!(census.keys < initial_keys, "rows must actually drain");
-        for (id, node) in sim.nodes.iter().enumerate() {
-            if !node.alive {
+        for id in 0..sim.peers.nodes.len() {
+            if !sim.world.is_alive(id as u32) {
                 assert_eq!(
                     sim.primary_store().shard_len(id as u32)
                         + sim.replica_store().shard_len(id as u32),
@@ -3521,8 +3212,9 @@ mod tests {
             .collect();
         assert!(!lost.is_empty(), "some preloaded keys must be lost");
         let holds_anywhere = |sim: &Simulator, key: Key| {
-            (0..sim.nodes.len() as u32)
-                .any(|id| sim.primary.contains(id, key) || sim.replica.contains(id, key))
+            (0..sim.peers.nodes.len() as u32).any(|id| {
+                sim.peers.primary.contains(id, key) || sim.peers.replica.contains(id, key)
+            })
         };
         for &k in &lost {
             assert!(!holds_anywhere(&sim, k), "lost key {k} still stored");
@@ -4117,8 +3809,8 @@ mod tests {
 
     /// The t = 0 replica chain by search: the first `count` peers after
     /// `owner` in a walk of the alive index from its key, wrapping. The
-    /// boot's rank arithmetic ([`Simulator::ground_replica_chain`])
-    /// replaced it; it stays as that arithmetic's oracle.
+    /// boot's rank arithmetic ([`World::preload`]) replaced it; it stays
+    /// as that arithmetic's oracle.
     fn replica_chain_by_search(
         alive: &BTreeMap<Key, u32>,
         owner_key: Key,
@@ -4138,9 +3830,10 @@ mod tests {
     }
 
     /// The boot reads the t = 0 state off the key ranks. Against the
-    /// search path it replaced — one `push_node` per key, then
-    /// `repair_ring_state` over the full alive set, and B-tree lookups
-    /// for every preloaded item — it must give the same alive index,
+    /// search path it replaced — a [`World`] that joins one key at a
+    /// time, then [`World::ring_state`] over the full alive set, and
+    /// B-tree lookups for every preloaded item — it must give the same
+    /// alive index,
     /// ring state, owners and replica chains. Replication 9 asks for
     /// more replicas than the successor list holds and, at n = 8, more
     /// than there are other peers.
@@ -4163,33 +3856,35 @@ mod tests {
                     let case = format!("n {n}, {}, replication {replication}", dist.name());
                     let sim = Simulator::new(cfg.clone(), dist.clone());
 
-                    let mut search = Simulator::empty(cfg, dist.clone(), &mut Rng::new(0));
-                    for &key in &sim.keys {
-                        search.push_node(key);
+                    let (keys, seed) = (&sim.peers.keys, cfg.seed);
+                    let mut search = World::new(&cfg, dist.clone(), &[]);
+                    for &key in keys {
+                        search.join(key);
                     }
-                    for id in 0..n as u32 {
-                        search.repair_ring_state(id);
-                    }
-                    assert_eq!(sim.alive, search.alive, "{case}");
-                    assert_eq!(sim.alive_ids, search.alive_ids, "{case}");
-                    assert_eq!(sim.alive_pos, search.alive_pos, "{case}");
-                    for (id, (a, b)) in sim.nodes.iter().zip(&search.nodes).enumerate() {
-                        assert_eq!(&*a.succ, &*b.succ, "{case}: succ of {id}");
-                        assert_eq!(a.pred, b.pred, "{case}: pred of {id}");
+                    let (alive, ids, pos) = sim.world.index();
+                    assert_eq!(alive, search.index().0, "{case}");
+                    assert_eq!(ids, search.index().1, "{case}");
+                    assert_eq!(pos, search.index().2, "{case}");
+                    for (id, a) in sim.peers.nodes.iter().enumerate() {
+                        let b = search.ring_state(keys[id]);
+                        assert_eq!(&*a.succ, &*b.0, "{case}: succ of {id}");
+                        assert_eq!(a.pred, b.1, "{case}: pred of {id}");
                     }
 
                     let replicas = replication - 1;
-                    let mut rng = Rng::stream(sim.cfg.seed, stream::PRELOAD);
-                    for _ in 0..preload {
+                    let mut rng = Rng::stream(seed, stream::PRELOAD);
+                    for (_, _, by_rank) in sim.world.preload(&cfg, keys) {
                         let key = dist.sample_key(&mut rng);
-                        let owner = owner_of_map(&sim.alive, key);
-                        let chain =
-                            replica_chain_by_search(&sim.alive, sim.keys[owner as usize], replicas);
-                        let by_rank: Vec<u32> = sim.ground_replica_chain(owner, replicas).collect();
+                        let owner = sim.world.owner_of(key);
+                        let chain = replica_chain_by_search(alive, keys[owner as usize], replicas);
+                        let by_rank: Vec<u32> = by_rank.collect();
                         assert_eq!(by_rank, chain, "{case}: chain of {owner}");
-                        assert!(sim.primary.contains(owner, key), "{case}: owner {owner}");
+                        assert!(
+                            sim.peers.primary.contains(owner, key),
+                            "{case}: owner {owner}"
+                        );
                         for &r in &chain {
-                            assert!(sim.replica.contains(r, key), "{case}: replica {r}");
+                            assert!(sim.peers.replica.contains(r, key), "{case}: replica {r}");
                         }
                         assert_eq!(sim.live_copies(key), 1 + chain.len() as u32, "{case}");
                     }
@@ -4201,7 +3896,7 @@ mod tests {
 
     /// The inline successor list against the `Vec<u32>` it replaced,
     /// under the three things the engine does to one: rebuild it
-    /// (`repair_ring_state`), push while rebuilding, and splice a joiner
+    /// ([`World::ring_state`]), push while rebuilding, and splice a joiner
     /// in front (`insert(0, id)` + `truncate`).
     #[test]
     fn inline_successor_list_matches_the_vec_model() {

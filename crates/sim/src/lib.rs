@@ -46,9 +46,11 @@
 //!   congestion model and reach their handlers through one delivery
 //!   entry, which makes the ledger entry and the receiver-liveness test
 //!   for all of them.
-//! * [`engine`] — ground truth (`alive` index, per-node local views,
-//!   the sharded stores) plus the handlers that advance the state
-//!   machines on each delivery. In-flight walks live in a slab: a
+//! * [`engine`] — the peers' local state (ring views, long-link rows,
+//!   the sharded stores) and the handlers that advance the state
+//!   machines on each delivery, over a crate-private world holding the
+//!   ground truth (liveness, f, the generator streams, the ledgers)
+//!   behind named calls. In-flight walks live in a slab: a
 //!   [`QueryId`] is `generation << 32 | slot`, so a hop finds its walk
 //!   with one index and an id compare, a freed slot is reused last-freed
 //!   first under the next generation, and a stale id (a late reply, a
@@ -84,10 +86,10 @@
 //! 1. when the message's level-2 (or higher) slot opens — less than
 //!    `64^level` µs of virtual time ahead, so < 4.1 ms from level 2 —
 //!    the loads addressable from the message alone: its walk's slot
-//!    (the query id names it), the destination's node record (ring
-//!    view included: the successor list is inline), its key, and its
-//!    entry in the delta's slot lane beside its row bounds in the base
-//!    link store ([`sw_graph::DeltaStore::prefetch_row_bounds`]);
+//!    (the query id names it), the destination's liveness entry, node
+//!    record (with its inline successor list) and key, and its entry in
+//!    the delta's slot lane beside its row bounds in the base link store
+//!    ([`sw_graph::DeltaStore::prefetch_row_bounds`]);
 //! 2. when its level-1 slot opens — < 64 µs ahead — those are
 //!    resident, so the hook reads them and prefetches the long-link
 //!    row itself.
@@ -311,6 +313,7 @@ pub mod sharded;
 mod slab;
 pub mod time;
 pub mod traffic;
+mod world;
 
 pub use engine::{
     converged_overlay, ChurnConfig, DurabilityCensus, SimConfig, Simulator, StorageConfig,
