@@ -1810,16 +1810,18 @@ impl Simulator {
         chain
     }
 
-    /// Greedy routing terminates at the *nearest* peer; the owner under
-    /// successor semantics is that peer or its direct ring successor —
-    /// one extra forwarding message at most, charged to the op (exactly
-    /// the adjustment `sw_dht::Dht::route_to_owner` makes statically).
+    /// Greedy routing ends at the *nearest* peer. A peer owns
+    /// `(pred, self]`, so the owner is that peer or, if `key` lies on
+    /// `(at, succ]` (wrapping over the top of the ring), its live
+    /// successor: one forwarding message at most, charged to the op (the
+    /// adjustment `sw_dht::Dht::route_to_owner` makes statically).
     fn shift_to_owner(&mut self, at: u32, key: Key) -> u32 {
-        if self.peers.keys[at as usize] >= key {
-            return at;
-        }
+        let own = self.peers.keys[at as usize];
         match self.peers.nodes[at as usize].succ.first() {
-            Some(&s) if self.world.is_alive(s) => {
+            Some(&s)
+                if Metric::Ring.in_arc(own, key, self.peers.keys[s as usize])
+                    && self.world.is_alive(s) =>
+            {
                 self.metrics.storage_messages += 1;
                 s
             }
@@ -2024,15 +2026,13 @@ impl Simulator {
         );
     }
 
-    /// Range routing phase done: begin the clockwise owner sweep at the
-    /// routed node.
+    /// Range routing phase done: begin the clockwise owner sweep at
+    /// `lo`'s owner (the same adjustment as puts and gets: the routed
+    /// peer or its successor).
     fn finish_range_route(&mut self, qid: QueryId, end: WalkEnd, lo: Key, hi: Key, walk: Walk) {
-        // Same owner adjustment as puts and gets: the sweep must start
-        // at `lo`'s successor-rule owner, not its nearest peer.
         let Some(at) = self.storage_owner(end, &walk, lo, |m| &mut m.ranges) else {
             return;
         };
-        let budget = self.hop_budget();
         self.ops.insert(
             qid,
             StorageOp::RangeSweep {
@@ -2040,11 +2040,8 @@ impl Simulator {
                 hi,
                 items: 0,
                 peers_visited: 0,
-                budget,
                 tried: Vec::new(),
-                // The routed peer is the first previous holder, so a
-                // range above every key ends at the wrap owner.
-                from: walk.cur,
+                from: at,
             },
         );
         self.continue_sweep(qid, at);
@@ -2058,7 +2055,6 @@ impl Simulator {
             hi,
             items,
             peers_visited,
-            budget,
             tried,
             from,
         }) = self.ops.get_mut(&op)
@@ -2067,19 +2063,24 @@ impl Simulator {
         };
         *items += self.peers.primary.shard_range_count(at, *lo, *hi) as u64;
         *peers_visited += 1;
-        *budget = budget.saturating_sub(1);
         tried.clear();
-        // By the successor rule this peer owns everything at or below
-        // its key: once its key reaches `hi` the range is fully served
-        // (`>=` because `hi` is exclusive). A key below the previous
-        // holder's crosses the top of the ring: this is the wrap owner,
-        // which owns everything above the highest key, so the range is
-        // served too.
+        // A later peer holds `(previous holder, at]` of the range, the
+        // first `[lo, at]`, or none if `lo` lies on `(at, succ]` (the
+        // route ended short of a dead successor). The range is served
+        // once `hi` lies on that arc: within one circuit, clockwise.
         let key = self.peers.keys[at as usize];
-        let served = key >= *hi || key < self.peers.keys[*from as usize];
+        let served = if *peers_visited == 1 {
+            let succ_holds_lo = self.peers.nodes[at as usize]
+                .succ
+                .first()
+                .is_some_and(|&s| Metric::Ring.in_arc(key, *lo, self.peers.keys[s as usize]));
+            !succ_holds_lo && key != *lo && Metric::Ring.in_arc(*lo, *hi, key)
+        } else {
+            Metric::Ring.in_arc(self.peers.keys[*from as usize], *hi, key)
+        };
         *from = at;
         let next = match self.peers.nodes[at as usize].succ.first() {
-            Some(&next) if !served && *budget > 0 => next,
+            Some(&next) if !served => next,
             _ => return self.end_sweep(op, served),
         };
         let now = self.plane.now();
@@ -3779,32 +3780,157 @@ mod tests {
 
     /// A range whose upper end lies above the highest peer key has its
     /// tail owned by the wrap owner, rank 0, so its sweep ends where it
-    /// crosses the top of the ring. A sweep that only stopped at a key
-    /// reaching `hi` circled the ring to its peer budget instead, and
-    /// on a static ring every range starting in the top ≈ 2 % of key
-    /// space failed that way.
+    /// crosses the top of the ring. Over Pareto keys a range of width
+    /// 0.02 covers ≈ 166 peers on average, up to 450, and every range
+    /// on a static ring is served, however many peers it covers.
     #[test]
     fn range_sweeps_finish_at_the_top_of_the_ring() {
+        let pareto = TruncatedPareto::new(1.5, 0.01).unwrap();
+        let dists: [Arc<dyn KeyDistribution>; 2] = [Arc::new(Uniform), Arc::new(pareto)];
+        for dist in dists {
+            let name = dist.name();
+            let cfg = SimConfig {
+                seed: 3,
+                initial_n: 1024,
+                stabilize_interval: None,
+                refresh_interval: None,
+                workload: WorkloadConfig { lookup_rate: 0.0 },
+                storage: StorageConfig {
+                    range_rate: 50.0,
+                    ..StorageConfig::NONE
+                },
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::new(cfg, dist);
+            sim.run_until(SimTime::from_secs(100));
+            let m = sim.metrics();
+            assert!(m.ranges > 4_000, "{name}: ranges {}", m.ranges);
+            assert_eq!(
+                m.ranges_ok, m.ranges,
+                "{name}: every range on a static ring is served"
+            );
+        }
+    }
+
+    /// A key above every peer key lies on the wrap owner's arc
+    /// `(top, rank 0]`. A put, a get and a range there all resolve at
+    /// the wrap owner, for both densities, whether the key is nearer
+    /// the top peer (the route ends there and shifts one peer on) or
+    /// nearer the wrap owner across the top of the ring (the route
+    /// ends at the owner itself). An owner test of `key <= own` alone
+    /// would move the second case on to rank 1.
+    #[test]
+    fn storage_above_every_peer_key_resolves_at_the_wrap_owner() {
+        let pareto = TruncatedPareto::new(1.5, 0.01).unwrap();
+        let dists: [Arc<dyn KeyDistribution>; 2] = [Arc::new(Uniform), Arc::new(pareto)];
+        for dist in dists {
+            let name = dist.name();
+            let cfg = SimConfig {
+                stabilize_interval: None,
+                refresh_interval: None,
+                workload: WorkloadConfig { lookup_rate: 0.0 },
+                storage: StorageConfig {
+                    replication: 1,
+                    preload: 64,
+                    ..StorageConfig::NONE
+                },
+                ..quiet_config(4, 256)
+            };
+            let mut sim = Simulator::new(cfg, dist);
+            let keys = sim.peers.keys.clone();
+            let ids = 0..keys.len() as u32;
+            let wrap = ids.clone().min_by_key(|&i| keys[i as usize]).unwrap();
+            let top = ids.max_by_key(|&i| keys[i as usize]).unwrap();
+            let (k0, k_top) = (keys[wrap as usize].get(), keys[top as usize].get());
+            // Above `mid` a key is nearer the wrap owner than the top
+            // peer, by ring distance.
+            let mid = (k_top + 1.0 + k0) / 2.0;
+            assert!(mid < 1.0, "{name}: no key above the top is nearer rank 0");
+            let origin = keys.len() as u32 / 2;
+            for (a, b) in [(k_top, mid), (mid, 1.0)] {
+                let at = |f: f64| Key::clamped(a + f * (b - a));
+                let (put, get, lo, hi) = (at(0.2), at(0.4), at(0.6), at(0.8));
+                sim.store_primary(wrap, get, vec![2]);
+                sim.spawn_walk(
+                    Purpose::Put {
+                        key: put,
+                        value: vec![1],
+                    },
+                    put,
+                    origin,
+                );
+                sim.spawn_walk(Purpose::Get { key: get }, get, origin);
+                sim.spawn_walk(Purpose::Range { lo, hi }, lo, origin);
+                let (gets_ok, ranges_ok, range_peers) = {
+                    let m = sim.metrics();
+                    (m.gets_ok, m.ranges_ok, m.range_peers)
+                };
+                sim.run_until(sim.now() + SimTime::from_secs(10));
+                let m = sim.metrics();
+                let case = format!("{name}, keys in ({a}, {b})");
+                assert!(sim.peers.primary.contains(wrap, put), "{case}: put");
+                assert_eq!(m.gets_ok, gets_ok + 1, "{case}: get");
+                assert_eq!(m.ranges_ok, ranges_ok + 1, "{case}: range");
+                assert_eq!(m.range_peers, range_peers + 1, "{case}: sweep");
+            }
+        }
+    }
+
+    /// A range sweep gathers every stored key in `[lo, hi)`, checked
+    /// against the live primary shards, when `lo` is a peer's own key
+    /// (that peer holds one key of the range, not all of it) and when
+    /// `lo` lies just past the routed peer whose successor is dead (the
+    /// route ends one peer short of `lo`'s owner, and the sweep must
+    /// pass on without serving).
+    #[test]
+    fn range_sweeps_gather_every_stored_key_in_the_range() {
         let cfg = SimConfig {
-            seed: 3,
-            initial_n: 1024,
             stabilize_interval: None,
             refresh_interval: None,
             workload: WorkloadConfig { lookup_rate: 0.0 },
             storage: StorageConfig {
-                range_rate: 50.0,
+                replication: 1,
+                preload: 4096,
                 ..StorageConfig::NONE
             },
-            ..SimConfig::default()
+            ..quiet_config(5, 256)
         };
         let mut sim = Simulator::new(cfg, Arc::new(Uniform));
-        sim.run_until(SimTime::from_secs(100));
-        let m = sim.metrics();
-        assert!(m.ranges > 4_000, "ranges {}", m.ranges);
-        assert_eq!(
-            m.ranges_ok, m.ranges,
-            "every range on a static ring is served"
+        let mut by_rank: Vec<u32> = (0..256).collect();
+        by_rank.sort_by_key(|&i| sim.peers.keys[i as usize]);
+        let ranked: Vec<Key> = by_rank
+            .iter()
+            .map(|&i| sim.peers.keys[i as usize])
+            .collect();
+        let key = |rank: usize| ranked[rank];
+        let between =
+            |a: usize, f: f64| Key::clamped(key(a).get() + f * (key(a + 1).get() - key(a).get()));
+        // The dead successor is the fail stream's first victim.
+        let victim = sim.world.fail(&sim.peers.keys).unwrap();
+        sim.drop_peer_storage(victim);
+        let dead = by_rank.iter().position(|&i| i == victim).unwrap();
+        assert!((107..250).contains(&dead), "victim at rank {dead}");
+        // The second route starts just below `lo`, so it ends at the
+        // dead peer's predecessor rather than at its live successor.
+        let exact = (key(100), between(105, 0.5), by_rank[0]);
+        let past = (
+            between(dead - 1, 0.1),
+            between(dead + 5, 0.5),
+            by_rank[dead - 2],
         );
+        for (case, (lo, hi, origin)) in [("lo at a peer key", exact), ("dead successor", past)] {
+            let truth: usize = (0..256)
+                .filter(|&p| sim.world.is_alive(p))
+                .map(|p| sim.peers.primary.shard_range_count(p, lo, hi))
+                .sum();
+            assert!(truth > 0, "{case}: no stored key in the range");
+            let (ranges_ok, items) = (sim.metrics().ranges_ok, sim.metrics().range_items);
+            sim.spawn_walk(Purpose::Range { lo, hi }, lo, origin);
+            sim.run_until(sim.now() + SimTime::from_secs(10));
+            let m = sim.metrics();
+            assert_eq!(m.ranges_ok, ranges_ok + 1, "{case}: served");
+            assert_eq!(m.range_items - items, truth as u64, "{case}: items");
+        }
     }
 
     /// The t = 0 replica chain by search: the first `count` peers after
@@ -3948,7 +4074,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<Envelope<Msg>>(), 40);
         assert_eq!(std::mem::size_of::<Option<Envelope<Msg>>>(), 40);
         assert_eq!(std::mem::size_of::<Walk>(), 208);
-        assert_eq!(std::mem::size_of::<StorageOp>(), 64);
+        assert_eq!(std::mem::size_of::<StorageOp>(), 56);
         assert_eq!(std::mem::size_of::<(QueryId, Option<Walk>)>(), 216);
     }
 }

@@ -181,7 +181,8 @@ pub enum Purpose {
         /// Item key.
         key: Key,
     },
-    /// Storage: route to `lo`, then sweep owners clockwise to `hi`.
+    /// Storage: route to `lo`, then sweep owners clockwise to the peer
+    /// owning `hi` ([`StorageOp::RangeSweep`]).
     Range {
         /// Inclusive lower bound.
         lo: Key,
@@ -440,7 +441,12 @@ pub enum StorageOp {
         /// timeout penalties).
         latency: SimTime,
     },
-    /// Sweeping owners clockwise, accumulating range fragments.
+    /// Sweeping owners clockwise, accumulating range fragments. A peer
+    /// owns `(pred, self]` on the ring: the sweep ends at the first peer
+    /// whose arc, from the previous holder's key (from `lo` at the
+    /// first peer), holds `hi`. Successors point clockwise, so it ends
+    /// at the latest at its first top crossing, and it visits the peers
+    /// whose keys lie in `[lo, hi)` plus one.
     RangeSweep {
         /// Inclusive lower bound.
         lo: Key,
@@ -450,12 +456,10 @@ pub enum StorageOp {
         items: u64,
         /// Peers that served a fragment.
         peers_visited: u32,
-        /// Sweep-peer budget left.
-        budget: u32,
         /// Sweep peers that timed out since the last live fragment.
         tried: Vec<u32>,
-        /// The peer that served the last fragment (retries re-consult
-        /// its successor list).
+        /// The peer that served the last fragment: its key starts the
+        /// next peer's arc, and retries re-consult its successor list.
         from: u32,
     },
 }
