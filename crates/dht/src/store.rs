@@ -14,7 +14,7 @@
 
 use crate::shard::ShardMap;
 use sw_graph::NodeId;
-use sw_keyspace::Key;
+use sw_keyspace::{Key, Topology};
 use sw_overlay::route::RouteOptions;
 use sw_overlay::Overlay;
 
@@ -252,6 +252,12 @@ impl<'a> Dht<'a> {
     /// Answers the range query `[lo, hi)`: one greedy route to `lo`,
     /// then a clockwise sweep over the peers owning the range.
     ///
+    /// A peer owns `(pred, self]` on the ring, and the sweep stops at
+    /// the first peer whose arc holds `hi`. It visits the peers whose
+    /// keys lie in `[lo, hi)` plus one (all of them if that is every
+    /// peer): a range above the highest key ends at the wrap owner,
+    /// which owns the top of the ring.
+    ///
     /// Items on dead peers are silently missing from the result (their
     /// replicas are not consulted — range reads are primary-only, as in
     /// most range-partitioned stores).
@@ -265,30 +271,26 @@ impl<'a> Dht<'a> {
         }
         let (first_owner, mut cost) = self.route_to_owner(origin, lo)?;
         let p = self.overlay.placement();
-        let n = p.len();
         let mut items = Vec::new();
         let mut peer = first_owner;
         let mut peers_visited = 0usize;
-        for step in 0..n {
+        // Of the range the first owner holds `[lo, own key]`, each later
+        // peer `(previous key, own key]`; equal ends hold no `hi`.
+        let mut prev = lo;
+        loop {
             peers_visited += 1;
-            if step > 0 {
-                cost.extra_messages += 1;
-            }
             if self.is_alive(peer) {
                 items.extend(self.primary.shard_range(peer, lo, hi));
             }
-            // The sweep ends once this peer's own key reaches past the
-            // range: by the successor rule it owns everything below it,
-            // so later peers own only higher keys. (`>=` because `hi` is
-            // exclusive.)
-            if p.key(peer) >= hi {
+            if prev != p.key(peer) && Topology::Ring.in_arc(prev, hi, p.key(peer)) {
                 break;
             }
-            let next = p.next(peer);
-            if next == first_owner {
-                break; // wrapped all the way around
+            prev = p.key(peer);
+            peer = p.next(peer);
+            if peer == first_owner {
+                break; // the range covers every peer key
             }
-            peer = next;
+            cost.extra_messages += 1;
         }
         items.sort_by_key(|(k, _)| *k);
         Ok(RangeResult {
@@ -436,8 +438,12 @@ mod tests {
             }
         }
         reference.sort_by_key(|(k, _)| *k);
-        for (lo, hi) in [(0.0, 0.01), (0.005, 0.02), (0.1, 0.5), (0.9, 0.99999)] {
-            let (lo, hi) = (Key::clamped(lo), Key::clamped(hi));
+        let ranges = [(0.0, 0.01), (0.005, 0.02), (0.1, 0.5), (0.9, 0.99999)]
+            .map(|(lo, hi)| (key(lo), key(hi)));
+        // One range starts exactly at a peer key.
+        let peer_keys = net.placement().keys();
+        let at_peer = (peer_keys[64], peer_keys[80]);
+        for (lo, hi) in ranges.into_iter().chain([at_peer]) {
             let got = dht.range(0, lo, hi).unwrap();
             let want: Vec<(Key, Vec<u8>)> = reference
                 .iter()
@@ -446,7 +452,13 @@ mod tests {
                 .collect();
             assert_eq!(got.items.len(), want.len(), "range [{lo},{hi})");
             assert_eq!(got.items, want);
-            assert!(got.peers_visited >= 1);
+            let covered = net
+                .placement()
+                .keys()
+                .iter()
+                .filter(|&&k| k >= lo && k < hi)
+                .count();
+            assert_eq!(got.peers_visited, covered + 1, "range [{lo},{hi})");
         }
     }
 

@@ -100,6 +100,13 @@
 //!
 //! ## The repair plane
 //!
+//! Ownership is one rule: a peer owns the ring arc `(pred, self]`
+//! ([`sw_keyspace::Topology::in_arc`]), read off the predecessor by the
+//! repair round and the join split, and off `(routed, successor]` by a
+//! storage route's last step. A range sweep ends at the first peer
+//! whose arc holds `hi`, so a range costs its route plus one message per
+//! peer key it covers, at any skew.
+//!
 //! The data layer has **no oracle recovery path**: when a peer fails,
 //! its primary and replica shards die with the machine (the only oracle
 //! left is the t = 0 preload placement). Durability comes from

@@ -441,12 +441,10 @@ pub enum StorageOp {
         /// timeout penalties).
         latency: SimTime,
     },
-    /// Sweeping owners clockwise, accumulating range fragments. A peer
-    /// owns `(pred, self]` on the ring: the sweep ends at the first peer
-    /// whose arc, from the previous holder's key (from `lo` at the
-    /// first peer), holds `hi`. Successors point clockwise, so it ends
-    /// at the latest at its first top crossing, and it visits the peers
-    /// whose keys lie in `[lo, hi)` plus one.
+    /// Sweeping owners clockwise, accumulating range fragments, up to
+    /// the first peer whose arc holds `hi`: at most one circuit. The
+    /// first peer holds `[lo, self]`, or none of the range if `lo` lies
+    /// on its successor's arc (the route ended short of a dead one).
     RangeSweep {
         /// Inclusive lower bound.
         lo: Key,

@@ -6,20 +6,19 @@
 //! queries”. Hashing destroys ordering; the paper's Model 2 keeps raw
 //! keys and still routes in O(log2 N).
 //!
-//! This example stores a skewed corpus on a Model 2 overlay and answers
-//! range queries: greedy-route to the start of the range, then sweep
-//! right along neighbour links, collecting items until the range ends.
+//! This example stores a skewed corpus in the order-preserving store
+//! (`smallworld::dht::Dht`) over a Model 2 overlay and answers range
+//! queries: one greedy route to the start of the range, then a sweep
+//! along successors to the peer owning its end.
 //!
 //! ```text
 //! cargo run --release --example range_queries
 //! ```
 
 use smallworld::balance::corpus::Corpus;
-use smallworld::balance::ownership::owner_of;
 use smallworld::core::prelude::*;
+use smallworld::dht::Dht;
 use smallworld::keyspace::prelude::*;
-use smallworld::overlay::route::RouteOptions;
-use smallworld::overlay::Overlay;
 
 fn main() {
     let n_peers = 1024;
@@ -35,63 +34,43 @@ fn main() {
         ))
         .build(&mut rng)
         .expect("n >= 4");
-    let placement = net.placement();
 
-    // Assign each item to its owning peer.
-    let mut stored: Vec<Vec<f64>> = vec![Vec::new(); n_peers];
-    for k in corpus.keys() {
-        stored[owner_of(placement, k.get()) as usize].push(k.get());
+    // Store each item at its owning peer, routed from a random peer.
+    let mut dht = Dht::new(&net, 1);
+    for &k in corpus.keys() {
+        let from = rng.index(n_peers) as u32;
+        dht.put(from, k, Vec::new())
+            .expect("a static overlay routes");
     }
 
     println!(
         "{} items stored across {} peers; answering range queries:\n",
         n_items, n_peers
     );
-    let opts = RouteOptions::for_n(n_peers);
     let ranges = [(0.001, 0.002), (0.01, 0.02), (0.1, 0.2), (0.5, 0.9)];
     println!(
         "{:>16} {:>12} {:>12} {:>11} {:>10}",
         "range", "route hops", "sweep peers", "items", "verified"
     );
     for (lo, hi) in ranges {
-        // 1. Greedy-route from a random peer to the range start.
         let from = rng.index(n_peers) as u32;
-        let route = net.route(from, Key::clamped(lo), &opts);
-        assert!(route.success);
-        // 2. Sweep clockwise over consecutive peers collecting items.
-        let mut peer = *route.path.last().expect("nonempty path");
-        let mut collected: Vec<f64> = Vec::new();
-        let mut sweep = 0;
-        loop {
-            collected.extend(
-                stored[peer as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&k| (lo..hi).contains(&k)),
-            );
-            let (_, right) = placement.interval_neighbors(peer);
-            match right {
-                Some(r) if placement.key(peer).get() < hi => {
-                    peer = r;
-                    sweep += 1;
-                }
-                _ => break,
-            }
-        }
-        // 3. Verify against a linear scan of the corpus.
+        let got = dht
+            .range(from, Key::clamped(lo), Key::clamped(hi))
+            .expect("a static overlay routes");
+        // Verify against a linear scan of the corpus.
         let expected = corpus
             .keys()
             .iter()
             .filter(|k| (lo..hi).contains(&k.get()))
             .count();
-        assert_eq!(collected.len(), expected, "range [{lo},{hi}) complete");
+        assert_eq!(got.items.len(), expected, "range [{lo},{hi}) complete");
         println!(
             "{:>7}..{:<7} {:>12} {:>12} {:>11} {:>10}",
             lo,
             hi,
-            route.hops,
-            sweep,
-            collected.len(),
+            got.cost.hops,
+            got.peers_visited,
+            got.items.len(),
             "yes"
         );
     }
