@@ -19,6 +19,9 @@ struct RepairRow {
     overhead: f64,
     ttr_mean_secs: f64,
     get_ok: f64,
+    ranges_ok: u64,
+    ranges: u64,
+    range_items: u64,
 }
 
 /// E18 — anti-entropy repair: each cell churns a replicated store for
@@ -26,7 +29,9 @@ struct RepairRow {
 /// With repair on, mid-interval failures under-replicate keys and the
 /// protocol pays measurable transfer bytes to pull them back to target;
 /// with repair off, the same churn permanently loses keys. The sweep
-/// makes the durability/bandwidth trade-off a table.
+/// makes the durability/bandwidth trade-off a table. The range columns
+/// count the sweeps that finished served, all sweeps that finished, and
+/// the items they gathered.
 pub fn e18_repair(ctx: &Ctx) {
     let n = ctx.n(512);
     let (churn_secs, quiesce_secs) = if ctx.quick { (30, 45) } else { (120, 90) };
@@ -47,6 +52,9 @@ pub fn e18_repair(ctx: &Ctx) {
             "bytes/stored",
             "ttr mean (s)",
             "get ok",
+            "ranges ok",
+            "ranges",
+            "range items",
         ],
     );
     let dists: Vec<(&str, Arc<dyn KeyDistribution>)> = vec![
@@ -104,6 +112,9 @@ pub fn e18_repair(ctx: &Ctx) {
                         overhead: m.repair_overhead(),
                         ttr_mean_secs: m.repair_time_secs.mean(),
                         get_ok: m.get_success_rate(),
+                        ranges_ok: m.ranges_ok,
+                        ranges: m.ranges,
+                        range_items: m.range_items,
                     };
                     table.row(vec![
                         dname.to_string(),
@@ -117,6 +128,9 @@ pub fn e18_repair(ctx: &Ctx) {
                         f3(row.overhead),
                         f2(row.ttr_mean_secs),
                         f3(row.get_ok),
+                        row.ranges_ok.to_string(),
+                        row.ranges.to_string(),
+                        row.range_items.to_string(),
                     ]);
                     rows.push(row);
                 }
@@ -138,7 +152,8 @@ fn write_snapshot(ctx: &Ctx, rows: &[RepairRow]) {
             format!(
                 "{{\"id\": \"{}\", \"keys_lost\": {}, \"under_peak\": {}, \
                  \"under_end\": {}, \"repair_mb\": {:.4}, \"overhead\": {:.6}, \
-                 \"ttr_mean_secs\": {:.4}, \"get_ok\": {:.4}, \"unit\": \"sim_secs\"}}",
+                 \"ttr_mean_secs\": {:.4}, \"get_ok\": {:.4}, \"ranges_ok\": {}, \
+                 \"ranges\": {}, \"range_items\": {}, \"unit\": \"sim_secs\"}}",
                 r.id,
                 r.keys_lost,
                 r.under_peak,
@@ -147,6 +162,9 @@ fn write_snapshot(ctx: &Ctx, rows: &[RepairRow]) {
                 r.overhead,
                 r.ttr_mean_secs,
                 r.get_ok,
+                r.ranges_ok,
+                r.ranges,
+                r.range_items,
             )
         })
         .collect();
