@@ -33,5 +33,5 @@
 pub mod shard;
 pub mod store;
 
-pub use shard::{item_bytes, RangeDigest, Shard, ShardMap, KEY_BYTES};
+pub use shard::{item_bytes, on_sweep_arc, RangeDigest, Shard, ShardMap, KEY_BYTES};
 pub use store::{Dht, DhtError, OpCost, RangeResult};

@@ -1,10 +1,12 @@
-//! The sharded storage substrate: one shard per owner peer.
+//! The sharded storage substrate: one shard per holder peer.
 //!
 //! A [`ShardMap`] holds the physical copies of a range-partitioned store.
-//! Each shard is the ordered map of one owner peer; the successor rule
-//! keeps a shard's keys contiguous on the ring, so ownership changes
-//! under churn move *shards* (or contiguous slices of them), not
-//! individual rows:
+//! Each shard is the ordered map of every copy one peer holds. Which of
+//! them are primary is not stored: a copy is primary iff its key lies on
+//! its holder's arc `(pred, self]` in the holder's current view, and the
+//! rest are replicas of its predecessors' arcs. The successor rule keeps
+//! an arc's keys contiguous on the ring, so ownership changes under
+//! churn move contiguous slices of shards, not individual rows:
 //!
 //! * a **join** splits the successor's shard — the new peer takes the
 //!   arc between its predecessor and itself ([`ShardMap::split_to`]);
@@ -16,7 +18,7 @@
 //! ## Anti-entropy substrate
 //!
 //! The simulator's replica-repair protocol is built on the arc-scoped
-//! views below: [`ShardMap::arc_digest`] summarises one owner's slice of
+//! views below: [`ShardMap::arc_digest`] summarises one holder's slice of
 //! a ring arc as an order-independent [`RangeDigest`] (cheap to ship,
 //! cheap to compare), [`ShardMap::arc_diff`] returns the keys a peer is
 //! missing against another's key list, and [`ShardMap::export`] /
@@ -64,10 +66,24 @@ impl RangeDigest {
     }
 }
 
-/// One owner peer's ordered slice of the key space.
+/// Every copy one peer holds, ordered by key.
 pub type Shard = BTreeMap<Key, Vec<u8>>;
 
-/// A store sharded by owner peer.
+/// True if `key` lies on the arc a range sweep serves at the peer whose
+/// key is `own`: `(from, own]`, `from` the previous holder's key, or
+/// `[lo, own]` at the sweep's first peer (`from` is `None`). These are
+/// the arcs the sweep's stop test reads, so a sweep that serves only
+/// them counts each key of its range once, from whichever copy lies on
+/// the arc: the primary on a static ring, or a replica its holder kept
+/// of a dead predecessor's arc.
+pub fn on_sweep_arc(lo: Key, from: Option<Key>, own: Key, key: Key) -> bool {
+    match from {
+        Some(from) => Topology::Ring.in_arc(from, key, own),
+        None => key == lo || (own != lo && Topology::Ring.in_arc(lo, key, own)),
+    }
+}
+
+/// A store sharded by holder peer.
 ///
 /// Shards are indexed by peer id and created lazily as the peer
 /// population grows; an id without inserted items costs one empty
@@ -164,20 +180,14 @@ impl ShardMap {
     }
 
     /// Items of `owner`'s shard in `[lo, hi)`, ascending.
-    pub fn shard_range(&self, owner: u32, lo: Key, hi: Key) -> Vec<(Key, Vec<u8>)> {
-        match self.shards.get(owner as usize) {
-            Some(s) if lo < hi => s.range(lo..hi).map(|(k, v)| (*k, v.clone())).collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Number of items of `owner`'s shard in `[lo, hi)` — the count-only
-    /// sibling of [`ShardMap::shard_range`], allocation-free.
-    pub fn shard_range_count(&self, owner: u32, lo: Key, hi: Key) -> usize {
-        match self.shards.get(owner as usize) {
-            Some(s) if lo < hi => s.range(lo..hi).count(),
-            _ => 0,
-        }
+    pub fn shard_range(
+        &self,
+        owner: u32,
+        lo: Key,
+        hi: Key,
+    ) -> impl Iterator<Item = (&Key, &Vec<u8>)> {
+        let shard = self.shards.get(owner as usize).filter(|_| lo < hi);
+        shard.into_iter().flat_map(move |s| s.range(lo..hi))
     }
 
     /// Ownership split on join: moves every key of `from`'s shard lying
@@ -437,6 +447,21 @@ mod tests {
         let (new_keys, bytes) = m.absorb(1, vec![(k(0.1), vec![9; 4])]);
         assert_eq!((new_keys, bytes), (0, 12));
         assert_eq!(m.len(), 5);
+    }
+
+    #[test]
+    fn sweep_arcs_take_lo_at_the_first_peer_only() {
+        let on = |from: Option<f64>, own: f64, key: f64| {
+            on_sweep_arc(k(0.3), from.map(k), k(own), k(key))
+        };
+        // First peer: `[lo, own]`, wrapping at the wrap owner.
+        assert!(on(None, 0.5, 0.3) && on(None, 0.5, 0.5) && !on(None, 0.5, 0.6));
+        assert!(on(None, 0.1, 0.9) && on(None, 0.1, 0.05) && !on(None, 0.1, 0.2));
+        // A first peer at `lo` itself holds `lo` alone.
+        assert!(on(None, 0.3, 0.3) && !on(None, 0.3, 0.4));
+        // Later peers: `(from, own]`; `lo` is no longer special.
+        assert!(!on(Some(0.5), 0.7, 0.5) && on(Some(0.5), 0.7, 0.7));
+        assert!(!on(Some(0.2), 0.25, 0.3));
     }
 
     #[test]

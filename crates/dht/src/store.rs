@@ -12,7 +12,7 @@
 //!   range query is one `O(log2 N)` greedy route plus a linear sweep of
 //!   exactly the peers owning the range.
 
-use crate::shard::ShardMap;
+use crate::shard::{on_sweep_arc, ShardMap};
 use sw_graph::NodeId;
 use sw_keyspace::{Key, Topology};
 use sw_overlay::route::RouteOptions;
@@ -70,18 +70,17 @@ impl std::error::Error for DhtError {}
 
 /// An order-preserving key-value store over an overlay network.
 ///
-/// The store holds its primary and replica copies in two [`ShardMap`]s
-/// (one shard per owner peer); the overlay is only used for routing, so
-/// any [`Overlay`] implementation works — the paper's small-world
-/// networks, Chord, Mercury, …
+/// The store holds every copy in one [`ShardMap`], one shard per holder
+/// peer: a copy is primary iff its key lies on its holder's arc
+/// `(pred, self]`, and a replica otherwise. The overlay is only used for
+/// routing, so any [`Overlay`] implementation works — the paper's
+/// small-world networks, Chord, Mercury, …
 pub struct Dht<'a> {
     overlay: &'a dyn Overlay,
     replication: usize,
-    /// Primary copies, sharded by owner peer.
-    primary: ShardMap,
-    /// Replica copies (owner's successors), sharded by holder peer.
-    replica: ShardMap,
-    /// Failure injection: dead peers lose both maps' availability.
+    /// Every copy, sharded by holder peer.
+    shards: ShardMap,
+    /// Failure injection: a dead peer's copies are unreachable.
     dead: Vec<bool>,
     opts: RouteOptions,
 }
@@ -93,8 +92,7 @@ impl<'a> Dht<'a> {
         let n = overlay.placement().len();
         Dht {
             replication: replication.clamp(1, n),
-            primary: ShardMap::new(n),
-            replica: ShardMap::new(n),
+            shards: ShardMap::new(n),
             dead: vec![false; n],
             opts: RouteOptions {
                 record_path: false,
@@ -109,19 +107,19 @@ impl<'a> Dht<'a> {
         self.replication
     }
 
-    /// Total number of primary items stored.
+    /// Total number of primary items stored: the copies on their
+    /// holder's arc.
     pub fn len(&self) -> usize {
-        self.primary.len()
+        let p = self.overlay.placement();
+        (0..p.len() as NodeId)
+            .map(|u| self.shards.arc_digest(u, p.key(p.prev(u)), p.key(u)).count as usize)
+            .sum()
     }
 
-    /// The primary shards (read-only — for bulk analytics and tests).
-    pub fn primary_shards(&self) -> &ShardMap {
-        &self.primary
-    }
-
-    /// The replica shards (read-only).
-    pub fn replica_shards(&self) -> &ShardMap {
-        &self.replica
+    /// Every copy, one shard per holder (read-only — for bulk analytics
+    /// and tests).
+    pub fn shards(&self) -> &ShardMap {
+        &self.shards
     }
 
     /// True if the store holds nothing.
@@ -192,13 +190,13 @@ impl<'a> Dht<'a> {
         let (owner, mut cost) = self.route_to_owner(origin, key)?;
         let mut stored = false;
         if self.is_alive(owner) {
-            self.primary.insert(owner, key, value.clone());
+            self.shards.insert(owner, key, value.clone());
             stored = true;
         }
         for r in self.replica_chain(owner) {
             cost.extra_messages += 1;
             if self.is_alive(r) {
-                self.replica.insert(r, key, value.clone());
+                self.shards.insert(r, key, value.clone());
                 stored = true;
             }
         }
@@ -214,14 +212,14 @@ impl<'a> Dht<'a> {
     pub fn get(&self, origin: NodeId, key: Key) -> Result<(Vec<u8>, OpCost), DhtError> {
         let (owner, mut cost) = self.route_to_owner(origin, key)?;
         if self.is_alive(owner) {
-            if let Some(v) = self.primary.get(owner, key) {
+            if let Some(v) = self.shards.get(owner, key) {
                 return Ok((v.clone(), cost));
             }
         }
         for r in self.replica_chain(owner) {
             cost.extra_messages += 1;
             if self.is_alive(r) {
-                if let Some(v) = self.replica.get(r, key) {
+                if let Some(v) = self.shards.get(r, key) {
                     return Ok((v.clone(), cost));
                 }
             }
@@ -238,12 +236,12 @@ impl<'a> Dht<'a> {
     pub fn remove(&mut self, origin: NodeId, key: Key) -> Result<OpCost, DhtError> {
         let (owner, mut cost) = self.route_to_owner(origin, key)?;
         if self.is_alive(owner) {
-            self.primary.remove(owner, key);
+            self.shards.remove(owner, key);
         }
         for r in self.replica_chain(owner) {
             cost.extra_messages += 1;
             if self.is_alive(r) {
-                self.replica.remove(r, key);
+                self.shards.remove(r, key);
             }
         }
         Ok(cost)
@@ -256,7 +254,9 @@ impl<'a> Dht<'a> {
     /// the first peer whose arc holds `hi`. It visits the peers whose
     /// keys lie in `[lo, hi)` plus one (all of them if that is every
     /// peer): a range above the highest key ends at the wrap owner,
-    /// which owns the top of the ring.
+    /// which owns the top of the ring. Each peer serves its rows of the
+    /// range on that arc ([`on_sweep_arc`]), so replica copies are not
+    /// served twice.
     ///
     /// Items on dead peers are silently missing from the result (their
     /// replicas are not consulted — range reads are primary-only, as in
@@ -276,16 +276,20 @@ impl<'a> Dht<'a> {
         let mut peers_visited = 0usize;
         // Of the range the first owner holds `[lo, own key]`, each later
         // peer `(previous key, own key]`; equal ends hold no `hi`.
-        let mut prev = lo;
+        let mut from = None;
         loop {
             peers_visited += 1;
+            let own = p.key(peer);
             if self.is_alive(peer) {
-                items.extend(self.primary.shard_range(peer, lo, hi));
+                let rows = self.shards.shard_range(peer, lo, hi);
+                let on_arc = rows.filter(|(k, _)| on_sweep_arc(lo, from, own, **k));
+                items.extend(on_arc.map(|(k, v)| (*k, v.clone())));
             }
-            if prev != p.key(peer) && Topology::Ring.in_arc(prev, hi, p.key(peer)) {
+            let prev = from.unwrap_or(lo);
+            if prev != own && Topology::Ring.in_arc(prev, hi, own) {
                 break;
             }
-            prev = p.key(peer);
+            from = Some(own);
             peer = p.next(peer);
             if peer == first_owner {
                 break; // the range covers every peer key
@@ -367,9 +371,9 @@ mod tests {
         let k = key(0.61803);
         dht.put(0, k, b"phi".to_vec()).unwrap();
         let owner = dht.owner_of(k);
-        // Only the owner's shard holds a primary copy.
+        // Only the owner's shard holds a copy.
         for u in 0..128 {
-            let has = dht.primary_shards().contains(u, k);
+            let has = dht.shards().contains(u, k);
             assert_eq!(has, u == owner, "peer {u}");
         }
         assert!(net.placement().key(owner) >= k || owner == 0);
@@ -381,11 +385,13 @@ mod tests {
         let mut dht = Dht::new(&net, 3);
         let k = key(0.111);
         dht.put(0, k, b"r".to_vec()).unwrap();
+        let owner = dht.owner_of(k);
         let replicas: usize = (0..64)
-            .filter(|&u| dht.replica_shards().contains(u, k))
+            .filter(|&u| u != owner && dht.shards().contains(u, k))
             .count();
         assert_eq!(replicas, 2, "owner + 2 replicas for r = 3");
-        assert_eq!(dht.replica_shards().len(), 2);
+        assert_eq!(dht.shards().len(), 3);
+        assert_eq!(dht.len(), 1, "one copy on its holder's arc");
     }
 
     #[test]
@@ -514,12 +520,9 @@ mod tests {
         // A put routed while owner + first replica are dead must leave
         // their shards untouched (stale "before" copies survive).
         dht.put(5, k, b"after".to_vec()).unwrap();
+        assert_eq!(dht.shards().get(owner, k), Some(&b"before".to_vec()));
         assert_eq!(
-            dht.primary_shards().get(owner, k),
-            Some(&b"before".to_vec())
-        );
-        assert_eq!(
-            dht.replica_shards().get(first_replica, k),
+            dht.shards().get(first_replica, k),
             Some(&b"before".to_vec())
         );
 
@@ -527,13 +530,13 @@ mod tests {
         // copy survives, while every alive replica drops the key.
         dht.remove(5, k).unwrap();
         assert!(
-            dht.primary_shards().contains(owner, k),
+            dht.shards().contains(owner, k),
             "dead owner processed a delete"
         );
-        assert!(dht.replica_shards().contains(first_replica, k));
+        assert!(dht.shards().contains(first_replica, k));
         for u in 0..128u32 {
             if u != owner && u != first_replica {
-                assert!(!dht.replica_shards().contains(u, k), "alive peer {u}");
+                assert!(!dht.shards().contains(u, k), "alive peer {u}");
             }
         }
         // The surviving copies are unreachable: reads agree it is gone.

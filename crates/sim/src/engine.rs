@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use sw_core::builder::{long_image, BuildProfile};
 use sw_core::config::{LinkSampler, OutDegree};
-use sw_dht::{item_bytes, ShardMap, KEY_BYTES};
+use sw_dht::{item_bytes, on_sweep_arc, ShardMap, KEY_BYTES};
 use sw_graph::prefetch::{prefetch_read, prefetch_span};
 use sw_graph::{par, DeltaStore, IdMap, IdSet, Topology};
 use sw_keyspace::distribution::KeyDistribution;
@@ -354,9 +354,9 @@ struct Peers {
     /// or a 10⁷-peer frozen image preloaded straight from disk — stays
     /// immutable and shared.
     links: DeltaStore,
-    // Storage substrate: one shard per owner peer.
-    primary: ShardMap,
-    replica: ShardMap,
+    /// Every stored copy, one shard per holder peer. A copy is primary
+    /// iff its key lies on its holder's `(pred, self]`.
+    store: ShardMap,
     /// Recovery keys an owner has already requested this repair round
     /// (cleared when its next round starts): with several replicas
     /// diffing concurrently, only the first mismatch requests a key, so
@@ -367,14 +367,6 @@ struct Peers {
     /// Requester-side hot-key caches, one per gateway that has issued
     /// traffic (keyed access only — determinism-safe).
     caches: IdMap<u32, HotCache>,
-}
-
-impl Peers {
-    /// `peer`'s copy of `key`, replica or primary (it holds at most one).
-    fn copy(&self, peer: u32, key: Key) -> Option<&Vec<u8>> {
-        let replica = self.replica.get(peer, key);
-        replica.or_else(|| self.primary.get(peer, key))
-    }
 }
 
 /// The simulator itself (ring topology).
@@ -480,8 +472,7 @@ impl Simulator {
                 nodes: (0..n).map(|id| SimNode::converged(id, n)).collect(),
                 keys,
                 links: DeltaStore::new(store),
-                primary: ShardMap::new(0),
-                replica: ShardMap::new(0),
+                store: ShardMap::new(0),
                 pending_wants: IdMap::default(),
                 caches: IdMap::default(),
             },
@@ -599,14 +590,9 @@ impl Simulator {
         &self.lookup_records
     }
 
-    /// The primary storage shards (one per owner peer).
-    pub fn primary_store(&self) -> &ShardMap {
-        &self.peers.primary
-    }
-
-    /// The replica storage shards.
-    pub fn replica_store(&self) -> &ShardMap {
-        &self.peers.replica
+    /// Every stored copy, one shard per holder peer.
+    pub fn shards(&self) -> &ShardMap {
+        &self.peers.store
     }
 
     /// Runs until the virtual clock passes `until`.
@@ -1540,12 +1526,12 @@ impl Simulator {
         if let Some(&s) = succ.first() {
             self.peers.nodes[s as usize].pred = Some(id);
         }
-        // Ownership split: the new peer takes the arc between its
-        // predecessor and itself from its successor's primary shard.
+        // Ownership split: the new peer takes the rows on the arc
+        // between its predecessor and itself from its successor's shard.
         if self.cfg.storage.enabled() {
             if let (Some(&succ0), Some(p)) = (succ.first(), pred) {
                 let pred_key = self.peers.keys[p as usize];
-                self.peers.primary.split_to(succ0, id, pred_key, key);
+                self.peers.store.split_to(succ0, id, pred_key, key);
             }
             // Same grace lease the t=0 population gets: replica copies
             // fanned to the joiner before its arc owners' first digests
@@ -1572,7 +1558,7 @@ impl Simulator {
             return;
         };
         if self.cfg.storage.enabled() {
-            // The machine is gone: both its shards die with it. Its
+            // The machine is gone: its shard dies with it. Its
             // slice of the key space is durable again only once a
             // surviving replica actually streams it to the new owner
             // through the anti-entropy repair plane — there is no
@@ -1738,9 +1724,9 @@ impl Simulator {
         for (key, owner, chain) in items {
             let value = self.next_value();
             for r in chain {
-                self.store_replica(r, key, value.clone());
+                self.store(r, key, value.clone());
             }
-            self.store_primary(owner, key, value);
+            self.store(owner, key, value);
             self.put_keys.push(key);
         }
     }
@@ -1829,8 +1815,8 @@ impl Simulator {
         }
     }
 
-    /// Put routing phase done: store the primary copy at the routed
-    /// owner and fan out replica writes over its local successor view.
+    /// Put routing phase done: store the copy at the routed owner and
+    /// fan out replica writes over its local successor view.
     fn finish_put_route(
         &mut self,
         qid: QueryId,
@@ -1843,7 +1829,7 @@ impl Simulator {
             return;
         };
         let now = self.plane.now();
-        self.store_primary(at, key, value.clone());
+        self.store(at, key, value.clone());
         self.put_keys.push(key);
         let chain = self.replica_view(at, 0);
         if chain.is_empty() {
@@ -1888,12 +1874,13 @@ impl Simulator {
         };
         *pending -= 1;
         let (done, issued) = (*pending == 0, *issued_at);
-        if live {
+        // A replica write keeps a copy the peer already holds.
+        if live && !self.peers.store.contains(to, *key) {
             let (k, v) = (*key, value.clone());
-            self.store_replica(to, k, v);
+            self.store(to, k, v);
         }
         if done {
-            // The primary holds a copy, so the put succeeded whatever
+            // The owner holds a copy, so the put succeeded whatever
             // became of its replica writes.
             self.ops.remove(&op);
             self.metrics.puts += 1;
@@ -1904,16 +1891,15 @@ impl Simulator {
         }
     }
 
-    /// Get routing phase done: read the routed owner's primary shard,
-    /// falling back to replica probes along its successor view.
+    /// Get routing phase done: read the routed owner's shard, falling
+    /// back to replica probes along its successor view.
     fn finish_get_route(&mut self, qid: QueryId, end: WalkEnd, key: Key, walk: Walk) {
         let Some(at) = self.storage_owner(end, &walk, key, |m| &mut m.gets) else {
             return;
         };
-        // The routed owner serves any local copy — its primary row, or a
-        // replica copy it inherited but has not yet promoted (repair may
-        // still be mid-round after its predecessor died).
-        if self.peers.copy(at, key).is_some() {
+        // The routed owner serves any copy it holds: one on its arc, or
+        // one it kept as a replica of a predecessor that has since died.
+        if self.peers.store.contains(at, key) {
             self.metrics.gets += 1;
             self.metrics.gets_ok += 1;
             self.metrics
@@ -1974,9 +1960,8 @@ impl Simulator {
             *latency += TIMEOUT_PENALTY;
             sent_at + TIMEOUT_PENALTY
         };
-        // A probed peer serves *any* copy it holds — replica copies from
-        // fan-outs, or primary rows inherited through a failure merge.
-        if live && self.peers.copy(to, key).is_some() {
+        // A probed peer serves any copy it holds.
+        if live && self.peers.store.contains(to, key) {
             let total = *latency;
             self.ops.remove(&op);
             self.metrics.gets += 1;
@@ -1987,7 +1972,7 @@ impl Simulator {
             // owner-direction repair transfer, byte-accounted like any
             // anti-entropy rung) instead of waiting for the next round.
             if owner != to && self.world.is_alive(owner) {
-                if let Some(v) = self.peers.copy(to, key).cloned() {
+                if let Some(v) = self.peers.store.get(to, key).cloned() {
                     self.metrics.gets_read_repaired += 1;
                     let bytes = REPAIR_HEADER_BYTES + item_bytes(&v);
                     self.send_repair(
@@ -2004,8 +1989,9 @@ impl Simulator {
             return;
         }
         // Miss (alive but no copy) or timeout (dead): try the next
-        // replica in the chain, from the routed owner.
-        if chain.is_empty() {
+        // replica in the chain, from the routed owner. A failed owner
+        // sends nothing more, as a walk strands at a dead holder.
+        if chain.is_empty() || !self.world.is_alive(owner) {
             self.ops.remove(&op);
             self.metrics.gets += 1;
             return;
@@ -2061,23 +2047,28 @@ impl Simulator {
         else {
             return;
         };
-        *items += self.peers.primary.shard_range_count(at, *lo, *hi) as u64;
         *peers_visited += 1;
         tried.clear();
         // A later peer holds `(previous holder, at]` of the range, the
         // first `[lo, at]`, or none if `lo` lies on `(at, succ]` (the
-        // route ended short of a dead successor). The range is served
-        // once `hi` lies on that arc: within one circuit, clockwise.
-        let key = self.peers.keys[at as usize];
-        let served = if *peers_visited == 1 {
-            let succ_holds_lo = self.peers.nodes[at as usize]
+        // route ended short of a dead successor). It serves its rows on
+        // that arc, and the range is served once `hi` lies on it: within
+        // one circuit, clockwise.
+        let (key, lo, hi) = (self.peers.keys[at as usize], *lo, *hi);
+        let prev = (*peers_visited > 1).then(|| self.peers.keys[*from as usize]);
+        let holds = prev.is_some()
+            || !self.peers.nodes[at as usize]
                 .succ
                 .first()
-                .is_some_and(|&s| Metric::Ring.in_arc(key, *lo, self.peers.keys[s as usize]));
-            !succ_holds_lo && key != *lo && Metric::Ring.in_arc(*lo, *hi, key)
-        } else {
-            Metric::Ring.in_arc(self.peers.keys[*from as usize], *hi, key)
-        };
+                .is_some_and(|&s| Metric::Ring.in_arc(key, lo, self.peers.keys[s as usize]));
+        if holds {
+            let rows = self.peers.store.shard_range(at, lo, hi);
+            *items += rows
+                .filter(|(k, _)| on_sweep_arc(lo, prev, key, **k))
+                .count() as u64;
+        }
+        let start = prev.unwrap_or(lo);
+        let served = holds && start != key && Metric::Ring.in_arc(start, hi, key);
         *from = at;
         let next = match self.peers.nodes[at as usize].succ.first() {
             Some(&next) if !served => next,
@@ -2108,8 +2099,13 @@ impl Simulator {
         let Some(StorageOp::RangeSweep { tried, from, .. }) = self.ops.get_mut(&op) else {
             return;
         };
-        tried.push(to);
         let from = *from;
+        if !self.world.is_alive(from) {
+            // The holder that would retry failed, and the sweep with it,
+            // as a walk strands at a dead holder.
+            return self.end_sweep(op, false);
+        }
+        tried.push(to);
         let next = self.peers.nodes[from as usize]
             .succ
             .iter()
@@ -2178,10 +2174,9 @@ impl Simulator {
         self.send_net(from, to, now, dt, msg);
     }
 
-    /// One anti-entropy round at `id`: local fixups (promote inherited
-    /// replica copies, garbage-collect lapsed leases, demote foreign
-    /// primaries), then a digest to each replica-chain peer in the
-    /// node's local successor view.
+    /// One anti-entropy round at `id`: one local fixup (garbage-collect
+    /// copies off its arc that no lease covers), then a digest of its
+    /// arc to each replica-chain peer in the node's local successor view.
     fn do_repair_round(&mut self, id: u32) {
         // A fresh round re-requests anything still missing; pulls lost
         // to a dead replica stop blocking here.
@@ -2191,15 +2186,12 @@ impl Simulator {
             return;
         };
         let pred_key = self.peers.keys[pred as usize];
-        let now = self.plane.now();
-        self.promote_owned(id, pred_key, key);
-        self.gc_replica_leases(id, now);
-        self.demote_foreign(id, pred_key, key);
+        self.gc_replica_leases(id, pred_key, key);
         let chain = self.replica_view(id, 0);
         if chain.is_empty() {
             return;
         }
-        let digest = self.peers.primary.arc_digest(id, pred_key, key);
+        let digest = self.peers.store.arc_digest(id, pred_key, key);
         for &to in chain.iter() {
             self.send_repair(
                 id,
@@ -2217,57 +2209,25 @@ impl Simulator {
         }
     }
 
-    /// Local promotion: replica copies lying inside this node's own arc
-    /// are data it now *owns* (inherited when its predecessor died) —
-    /// move them into the primary shard. A local disk operation: no
-    /// messages, no bytes.
-    fn promote_owned(&mut self, id: u32, from: Key, upto: Key) {
-        for k in self.peers.replica.arc_keys(id, from, upto) {
-            let Some(v) = self.peers.replica.remove(id, k) else {
-                continue;
-            };
-            if self.peers.primary.contains(id, k) {
-                // Defensive: the store helpers keep at most one physical
-                // copy per peer, so this arm should not be reachable.
-                self.metrics.stored_bytes -= item_bytes(&v);
-            } else {
-                self.peers.primary.insert(id, k, v);
-            }
-        }
-    }
-
-    /// Local demotion: primary rows *outside* this node's own arc are
-    /// not its to own (a stale view routed a put here, or its arc shrank)
-    /// — reclassify them as replica copies. If this node sits in the true
-    /// owner's replica chain they will be offered back through the next
-    /// diff; otherwise their lease lapses and they are retired.
-    fn demote_foreign(&mut self, id: u32, from: Key, upto: Key) {
-        // The complement of the clockwise arc `(from, upto]` is
-        // `(upto, from]`.
-        for k in self.peers.primary.arc_keys(id, upto, from) {
-            let Some(v) = self.peers.primary.remove(id, k) else {
-                continue;
-            };
-            if let Some(old) = self.peers.replica.insert(id, k, v) {
-                self.metrics.stored_bytes -= item_bytes(&old);
-            }
-        }
-    }
-
-    /// Lease garbage collection: drop replica copies no arc lease covers
-    /// any more (the holder fell out of that arc's replica chain and the
-    /// owner's digests stopped renewing it). A retired last copy is a
-    /// permanent loss and is counted as such.
-    fn gc_replica_leases(&mut self, id: u32, now: SimTime) {
+    /// Lease garbage collection: drop the copies off `id`'s own arc
+    /// `(from, upto]` that no arc lease covers any more (the holder fell
+    /// out of that arc's replica chain and the owner's digests stopped
+    /// renewing it). A retired last copy is a permanent loss and is
+    /// counted as such.
+    fn gc_replica_leases(&mut self, id: u32, from: Key, upto: Key) {
+        let now = self.plane.now();
         let leases = &mut self.peers.nodes[id as usize].leases;
         leases.retain(|l| l.expires > now);
-        let lapsed = |&k: &Key| !leases.iter().any(|l| Metric::Ring.in_arc(l.lo, k, l.hi));
-        let doomed: Vec<Key> = match self.peers.replica.shard(id) {
+        let lapsed = |&k: &Key| {
+            !Metric::Ring.in_arc(from, k, upto)
+                && !leases.iter().any(|l| Metric::Ring.in_arc(l.lo, k, l.hi))
+        };
+        let doomed: Vec<Key> = match self.peers.store.shard(id) {
             Some(s) => s.keys().copied().filter(lapsed).collect(),
             None => Vec::new(),
         };
         for k in doomed {
-            if let Some(v) = self.peers.replica.remove(id, k) {
+            if let Some(v) = self.peers.store.remove(id, k) {
                 self.metrics.stored_bytes -= item_bytes(&v);
                 self.world.note_remove(k, now, &mut self.metrics);
             }
@@ -2301,11 +2261,11 @@ impl Simulator {
                 expires: now + ttl,
             });
         }
-        let mine = self.peers.replica.arc_digest(to, lo, hi);
+        let mine = self.peers.store.arc_digest(to, lo, hi);
         if mine.count == count && mine.hash == hash {
             return; // in sync: the round cost one digest message
         }
-        let mut keys = self.peers.replica.arc_keys(to, lo, hi);
+        let mut keys = self.peers.store.arc_keys(to, lo, hi);
         keys.sort();
         let bytes = REPAIR_HEADER_BYTES + KEY_BYTES * keys.len() as u64;
         self.send_repair(
@@ -2335,8 +2295,8 @@ impl Simulator {
             keys,
         }: RepairDiff,
     ) {
-        let missing = self.peers.primary.arc_diff(owner, lo, hi, &keys);
-        let mut mine = self.peers.primary.arc_keys(owner, lo, hi);
+        let missing = self.peers.store.arc_diff(owner, lo, hi, &keys);
+        let mut mine = self.peers.store.arc_keys(owner, lo, hi);
         mine.sort();
         let outstanding = self.peers.pending_wants.entry(owner).or_default();
         let want: Vec<Key> = keys
@@ -2348,7 +2308,7 @@ impl Simulator {
         if missing.is_empty() && want.is_empty() {
             return;
         }
-        let (items, item_cost) = self.peers.primary.export(owner, &missing);
+        let (items, item_cost) = self.peers.store.export(owner, &missing);
         let bytes = REPAIR_HEADER_BYTES + item_cost + KEY_BYTES * want.len() as u64;
         self.send_repair(
             owner,
@@ -2376,7 +2336,10 @@ impl Simulator {
         }: RepairPush,
     ) {
         for (k, v) in items {
-            self.store_replica(replica, k, v);
+            // A replica write keeps a copy the peer already holds.
+            if !self.peers.store.contains(replica, k) {
+                self.store(replica, k, v);
+            }
         }
         if want.is_empty() {
             return;
@@ -2384,7 +2347,7 @@ impl Simulator {
         let mut back = Vec::with_capacity(want.len());
         let mut bytes = REPAIR_HEADER_BYTES;
         for &k in &want {
-            if let Some(v) = self.peers.copy(replica, k) {
+            if let Some(v) = self.peers.store.get(replica, k) {
                 bytes += item_bytes(v);
                 back.push((k, v.clone()));
             }
@@ -2401,13 +2364,13 @@ impl Simulator {
     }
 
     /// The recovery transfer lands at the owner: the streamed items are
-    /// finally durable under their new primary.
+    /// finally durable on their owner's arc.
     fn on_repair_pull(&mut self, RepairPull { owner, items }: RepairPull) {
         for (k, v) in items {
             if let Some(w) = self.peers.pending_wants.get_mut(&owner) {
                 w.remove(&k);
             }
-            self.store_primary(owner, k, v);
+            self.store(owner, k, v);
         }
     }
 
@@ -2415,56 +2378,32 @@ impl Simulator {
     //
     // Every physical copy moves through these helpers so the per-key
     // live-copy counts, the under-replication gauge, `keys_lost`,
-    // time-to-repair and `stored_bytes` stay exact. Invariant: a peer
-    // holds at most one physical copy of a key (primary *or* replica).
+    // time-to-repair and `stored_bytes` stay exact. A peer holds at
+    // most one copy of a key: its shard is a map.
 
     fn replication_target(&self) -> u32 {
         self.cfg.storage.replication.max(1) as u32
     }
 
-    /// Stores a primary copy at `peer`, superseding any replica copy the
-    /// peer already held (one physical copy per peer).
-    fn store_primary(&mut self, peer: u32, key: Key, value: Vec<u8>) {
-        let mut had = false;
-        if let Some(old) = self.peers.replica.remove(peer, key) {
-            self.metrics.stored_bytes -= item_bytes(&old);
-            had = true;
-        }
+    /// Stores `value` as `peer`'s copy of `key`, replacing any copy it
+    /// held.
+    fn store(&mut self, peer: u32, key: Key, value: Vec<u8>) {
         self.metrics.stored_bytes += item_bytes(&value);
-        if let Some(old) = self.peers.primary.insert(peer, key, value) {
-            self.metrics.stored_bytes -= item_bytes(&old);
-            had = true;
-        }
-        if !had {
-            self.world
-                .note_add(key, self.plane.now(), &mut self.metrics);
+        match self.peers.store.insert(peer, key, value) {
+            Some(old) => self.metrics.stored_bytes -= item_bytes(&old),
+            None => self
+                .world
+                .note_add(key, self.plane.now(), &mut self.metrics),
         }
     }
 
-    /// Stores a replica copy at `peer` (a no-op if the peer already
-    /// holds the key as primary).
-    fn store_replica(&mut self, peer: u32, key: Key, value: Vec<u8>) {
-        if self.peers.primary.contains(peer, key) {
-            return;
-        }
-        self.metrics.stored_bytes += item_bytes(&value);
-        if let Some(old) = self.peers.replica.insert(peer, key, value) {
-            self.metrics.stored_bytes -= item_bytes(&old);
-        } else {
-            self.world
-                .note_add(key, self.plane.now(), &mut self.metrics);
-        }
-    }
-
-    /// A peer failed: both its shards die with the machine.
+    /// A peer failed: its shard dies with the machine.
     fn drop_peer_storage(&mut self, peer: u32) {
-        let dropped: Vec<(Key, u64)> = [&self.peers.primary, &self.peers.replica]
-            .into_iter()
-            .filter_map(|map| map.shard(peer))
-            .flat_map(|s| s.iter().map(|(k, v)| (*k, item_bytes(v))))
-            .collect();
-        self.peers.primary.clear_shard(peer);
-        self.peers.replica.clear_shard(peer);
+        let dropped: Vec<(Key, u64)> = match self.peers.store.shard(peer) {
+            Some(s) => s.iter().map(|(k, v)| (*k, item_bytes(v))).collect(),
+            None => Vec::new(),
+        };
+        self.peers.store.clear_shard(peer);
         for (k, bytes) in dropped {
             self.metrics.stored_bytes -= bytes;
             self.world
@@ -2475,23 +2414,17 @@ impl Simulator {
     }
 
     /// Copy census of the stored corpus, computed from the live shards on
-    /// the `sw_graph::par` scan path (per-peer key unions fan out across
+    /// the `sw_graph::par` scan path (per-peer key lists fan out across
     /// workers; the merge is an order-independent count) — bit-identical
     /// at every `threads` value.
     pub fn durability_census(&self, threads: usize) -> DurabilityCensus {
         let target = (self.replication_target() as usize).min(self.world.population());
-        let (primary, replica) = (&self.peers.primary, &self.peers.replica);
-        let n = primary.shard_count().max(replica.shard_count());
-        let per_peer: Vec<Vec<Key>> = par::par_map_grained(n, threads, 8, |i| {
-            let id = i as u32;
-            let mut keys: Vec<Key> = primary
-                .shard(id)
+        let store = &self.peers.store;
+        let per_peer: Vec<Vec<Key>> = par::par_map_grained(store.shard_count(), threads, 8, |i| {
+            store
+                .shard(i as u32)
                 .map(|s| s.keys().copied().collect())
-                .unwrap_or_default();
-            if let Some(s) = replica.shard(id) {
-                keys.extend(s.keys().copied().filter(|&k| !primary.contains(id, k)));
-            }
-            keys
+                .unwrap_or_default()
         });
         let mut counts: IdMap<Key, usize> = IdMap::default();
         for keys in per_peer {
@@ -2574,7 +2507,7 @@ fn next_interval(rng: &mut Rng, rate: f64) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     use sw_core::links::LinkSelector;
     use sw_core::SmallWorldBuilder;
     use sw_graph::LinkTable;
@@ -3054,8 +2987,9 @@ mod tests {
         assert!(m.storage_messages > 1000);
         assert_eq!(m.put_latency_secs.count(), m.puts_ok);
         assert_eq!(m.get_latency_secs.count(), m.gets_ok);
-        assert!(sim.primary_store().len() > 400, "preload + puts stored");
-        assert!(!sim.replica_store().is_empty());
+        let keys = sim.durability_census(1).keys;
+        assert!(keys > 400, "preload + puts stored");
+        assert!(sim.shards().len() > keys, "replica copies stored");
     }
 
     /// Data dies with its peers now: under churn with repair *disabled*,
@@ -3093,8 +3027,7 @@ mod tests {
         for id in 0..sim.peers.nodes.len() {
             if !sim.world.is_alive(id as u32) {
                 assert_eq!(
-                    sim.primary_store().shard_len(id as u32)
-                        + sim.replica_store().shard_len(id as u32),
+                    sim.shards().shard_len(id as u32),
                     0,
                     "dead peer {id} still holds rows"
                 );
@@ -3213,9 +3146,7 @@ mod tests {
             .collect();
         assert!(!lost.is_empty(), "some preloaded keys must be lost");
         let holds_anywhere = |sim: &Simulator, key: Key| {
-            (0..sim.peers.nodes.len() as u32).any(|id| {
-                sim.peers.primary.contains(id, key) || sim.peers.replica.contains(id, key)
-            })
+            (0..sim.peers.nodes.len() as u32).any(|id| sim.peers.store.contains(id, key))
         };
         for &k in &lost {
             assert!(!holds_anywhere(&sim, k), "lost key {k} still stored");
@@ -3278,8 +3209,7 @@ mod tests {
                     m.failures,
                     m.events,
                     sim.alive_count(),
-                    sim.primary_store().len(),
-                    sim.replica_store().len(),
+                    sim.shards().len(),
                 ),
                 (
                     m.repair_messages,
@@ -3850,7 +3780,7 @@ mod tests {
             for (a, b) in [(k_top, mid), (mid, 1.0)] {
                 let at = |f: f64| Key::clamped(a + f * (b - a));
                 let (put, get, lo, hi) = (at(0.2), at(0.4), at(0.6), at(0.8));
-                sim.store_primary(wrap, get, vec![2]);
+                sim.store(wrap, get, vec![2]);
                 sim.spawn_walk(
                     Purpose::Put {
                         key: put,
@@ -3868,7 +3798,7 @@ mod tests {
                 sim.run_until(sim.now() + SimTime::from_secs(10));
                 let m = sim.metrics();
                 let case = format!("{name}, keys in ({a}, {b})");
-                assert!(sim.peers.primary.contains(wrap, put), "{case}: put");
+                assert!(sim.peers.store.contains(wrap, put), "{case}: put");
                 assert_eq!(m.gets_ok, gets_ok + 1, "{case}: get");
                 assert_eq!(m.ranges_ok, ranges_ok + 1, "{case}: range");
                 assert_eq!(m.range_peers, range_peers + 1, "{case}: sweep");
@@ -3876,60 +3806,189 @@ mod tests {
         }
     }
 
-    /// A range sweep gathers every stored key in `[lo, hi)`, checked
-    /// against the live primary shards, when `lo` is a peer's own key
-    /// (that peer holds one key of the range, not all of it) and when
-    /// `lo` lies just past the routed peer whose successor is dead (the
-    /// route ends one peer short of `lo`'s owner, and the sweep must
-    /// pass on without serving).
+    /// A range sweep gathers every stored key in `[lo, hi)` once,
+    /// checked against the distinct keys the live shards hold there, at
+    /// replication 1 and 3: when `lo` is a peer's own key (that peer
+    /// holds one key of the range, not all of it) and when `lo` lies
+    /// just past the routed peer whose successor is dead (the route ends
+    /// one peer short of `lo`'s owner, and the sweep must pass on
+    /// without serving). At replication 3 a sweep that served every row
+    /// its peers hold would count the replicas too, and the dead peer's
+    /// keys are served from its successor's replicas of its arc.
     #[test]
     fn range_sweeps_gather_every_stored_key_in_the_range() {
+        for replication in [1, 3] {
+            let cfg = SimConfig {
+                stabilize_interval: None,
+                refresh_interval: None,
+                workload: WorkloadConfig { lookup_rate: 0.0 },
+                storage: StorageConfig {
+                    replication,
+                    preload: 4096,
+                    ..StorageConfig::NONE
+                },
+                ..quiet_config(5, 256)
+            };
+            let mut sim = Simulator::new(cfg, Arc::new(Uniform));
+            let mut by_rank: Vec<u32> = (0..256).collect();
+            by_rank.sort_by_key(|&i| sim.peers.keys[i as usize]);
+            let ranked: Vec<Key> = by_rank
+                .iter()
+                .map(|&i| sim.peers.keys[i as usize])
+                .collect();
+            let key = |rank: usize| ranked[rank];
+            let between = |a: usize, f: f64| {
+                Key::clamped(key(a).get() + f * (key(a + 1).get() - key(a).get()))
+            };
+            // The dead successor is the fail stream's first victim.
+            let victim = sim.world.fail(&sim.peers.keys).unwrap();
+            sim.drop_peer_storage(victim);
+            let dead = by_rank.iter().position(|&i| i == victim).unwrap();
+            assert!((107..250).contains(&dead), "victim at rank {dead}");
+            // The second route starts just below `lo`, so it ends at the
+            // dead peer's predecessor rather than at its live successor.
+            let exact = (key(100), between(105, 0.5), by_rank[0]);
+            let past = (
+                between(dead - 1, 0.1),
+                between(dead + 5, 0.5),
+                by_rank[dead - 2],
+            );
+            for (case, (lo, hi, origin)) in [("lo at a peer key", exact), ("dead successor", past)]
+            {
+                let case = format!("{case}, replication {replication}");
+                let truth: BTreeSet<Key> = (0..256)
+                    .filter(|&p| sim.world.is_alive(p))
+                    .flat_map(|p| sim.peers.store.shard_range(p, lo, hi).map(|(k, _)| *k))
+                    .collect();
+                assert!(!truth.is_empty(), "{case}: no stored key in the range");
+                let (ranges_ok, items) = (sim.metrics().ranges_ok, sim.metrics().range_items);
+                sim.spawn_walk(Purpose::Range { lo, hi }, lo, origin);
+                sim.run_until(sim.now() + SimTime::from_secs(10));
+                let m = sim.metrics();
+                assert_eq!(m.ranges_ok, ranges_ok + 1, "{case}: served");
+                assert_eq!(m.range_items - items, truth.len() as u64, "{case}: items");
+            }
+        }
+    }
+
+    /// Peer `p` fails now, as a churn failure takes it down.
+    fn fail_peer(sim: &mut Simulator, p: u32) {
+        sim.world.take_down(p, &sim.peers.keys);
+        sim.drop_peer_storage(p);
+    }
+
+    /// A peer that has failed sends nothing more. A get fallback whose
+    /// routed owner fails while its first probe times out ends unserved,
+    /// and so does a range sweep whose holder fails while its fragment
+    /// request times out, as a walk strands at a dead holder. Without
+    /// the liveness test the owner probes the next replica, which holds
+    /// the key, and the holder retries the next successor, and both are
+    /// served.
+    #[test]
+    fn a_failed_sender_ends_its_get_fallback_and_its_range_sweep() {
         let cfg = SimConfig {
             stabilize_interval: None,
             refresh_interval: None,
             workload: WorkloadConfig { lookup_rate: 0.0 },
             storage: StorageConfig {
-                replication: 1,
-                preload: 4096,
+                replication: 3,
+                preload: 1,
                 ..StorageConfig::NONE
             },
-            ..quiet_config(5, 256)
+            ..quiet_config(6, 256)
         };
         let mut sim = Simulator::new(cfg, Arc::new(Uniform));
-        let mut by_rank: Vec<u32> = (0..256).collect();
-        by_rank.sort_by_key(|&i| sim.peers.keys[i as usize]);
-        let ranked: Vec<Key> = by_rank
-            .iter()
-            .map(|&i| sim.peers.keys[i as usize])
-            .collect();
-        let key = |rank: usize| ranked[rank];
-        let between =
-            |a: usize, f: f64| Key::clamped(key(a).get() + f * (key(a + 1).get() - key(a).get()));
-        // The dead successor is the fail stream's first victim.
-        let victim = sim.world.fail(&sim.peers.keys).unwrap();
-        sim.drop_peer_storage(victim);
-        let dead = by_rank.iter().position(|&i| i == victim).unwrap();
-        assert!((107..250).contains(&dead), "victim at rank {dead}");
-        // The second route starts just below `lo`, so it ends at the
-        // dead peer's predecessor rather than at its live successor.
-        let exact = (key(100), between(105, 0.5), by_rank[0]);
-        let past = (
-            between(dead - 1, 0.1),
-            between(dead + 5, 0.5),
-            by_rank[dead - 2],
+        // Peer id is key rank at t = 0; a key just below peer `p`'s key
+        // is `p`'s, and a walk from `p` to it ends at `p`.
+        let below = |sim: &Simulator, p: usize| {
+            let (a, b) = (sim.peers.keys[p - 1].get(), sim.peers.keys[p].get());
+            Key::clamped(a + 0.9 * (b - a))
+        };
+
+        // The get: owner 100 misses, its first successor is dead, and
+        // the second holds the key.
+        let key = below(&sim, 100);
+        sim.store(102, key, vec![1]);
+        fail_peer(&mut sim, 101);
+        let (gets, gets_ok) = (sim.metrics().gets, sim.metrics().gets_ok);
+        let qid = sim.spawn_walk(Purpose::Get { key }, key, 100);
+        assert!(
+            matches!(sim.ops.get(&qid), Some(StorageOp::GetFallback { .. })),
+            "the owner probes its dead successor"
         );
-        for (case, (lo, hi, origin)) in [("lo at a peer key", exact), ("dead successor", past)] {
-            let truth: usize = (0..256)
-                .filter(|&p| sim.world.is_alive(p))
-                .map(|p| sim.peers.primary.shard_range_count(p, lo, hi))
-                .sum();
-            assert!(truth > 0, "{case}: no stored key in the range");
-            let (ranges_ok, items) = (sim.metrics().ranges_ok, sim.metrics().range_items);
-            sim.spawn_walk(Purpose::Range { lo, hi }, lo, origin);
-            sim.run_until(sim.now() + SimTime::from_secs(10));
-            let m = sim.metrics();
-            assert_eq!(m.ranges_ok, ranges_ok + 1, "{case}: served");
-            assert_eq!(m.range_items - items, truth as u64, "{case}: items");
+        fail_peer(&mut sim, 100);
+        sim.run_until(sim.now() + SimTime::from_secs(10));
+        assert_eq!(sim.metrics().gets, gets + 1, "the get ended");
+        assert_eq!(sim.metrics().gets_ok, gets_ok, "a dead owner probed on");
+
+        // The sweep: holder 150 serves its part, sends to its dead
+        // successor and fails before the retry.
+        let (lo, hi) = (below(&sim, 150), below(&sim, 155));
+        fail_peer(&mut sim, 151);
+        let (ranges, ranges_ok) = (sim.metrics().ranges, sim.metrics().ranges_ok);
+        let qid = sim.spawn_walk(Purpose::Range { lo, hi }, lo, 150);
+        assert!(
+            matches!(sim.ops.get(&qid), Some(StorageOp::RangeSweep { .. })),
+            "the holder asks its dead successor"
+        );
+        fail_peer(&mut sim, 150);
+        sim.run_until(sim.now() + SimTime::from_secs(10));
+        assert_eq!(sim.metrics().ranges, ranges + 1, "the sweep ended");
+        assert_eq!(sim.metrics().ranges_ok, ranges_ok, "a dead holder retried");
+    }
+
+    /// Who holds what after quiescence: churn a replicated store with
+    /// repair on, stop churn and let it quiesce (as the crate's
+    /// `repair_quiesces_to_exact_replication` property does), for both
+    /// densities. Every stored key's live holders are then exactly its
+    /// owner and that owner's first `r − 1` live successors; the census
+    /// pins only how many copies there are.
+    #[test]
+    fn quiesced_copies_sit_on_the_owner_and_its_successors() {
+        let pareto = TruncatedPareto::new(1.5, 0.01).unwrap();
+        let dists: [Arc<dyn KeyDistribution>; 2] = [Arc::new(Uniform), Arc::new(pareto)];
+        for dist in dists {
+            let name = dist.name();
+            let replication = 3;
+            let cfg = SimConfig {
+                churn: ChurnConfig::symmetric(2.0),
+                workload: WorkloadConfig { lookup_rate: 2.0 },
+                storage: StorageConfig {
+                    put_rate: 2.0,
+                    preload: 300,
+                    replication,
+                    repair_interval: Some(SimTime::from_secs(4)),
+                    repair_byte_secs: 1e-6,
+                    ..StorageConfig::NONE
+                },
+                stabilize_interval: Some(SimTime::from_secs(3)),
+                refresh_interval: Some(SimTime::from_secs(20)),
+                ..quiet_config(23, 128)
+            };
+            let mut sim = Simulator::new(cfg, dist);
+            sim.run_until(SimTime::from_secs(40));
+            assert!(sim.metrics().failures > 40, "{name}: churn ran");
+            sim.set_churn(ChurnConfig::NONE);
+            sim.run_until(SimTime::from_secs(160));
+            let mut holders: BTreeMap<Key, Vec<u32>> = BTreeMap::new();
+            for p in 0..sim.peers.nodes.len() as u32 {
+                for &k in sim.shards().shard(p).into_iter().flat_map(|s| s.keys()) {
+                    assert!(sim.world.is_alive(p), "{name}: dead peer {p} holds {k}");
+                    holders.entry(k).or_default().push(p);
+                }
+            }
+            assert!(holders.len() > 300, "{name}: {} keys", holders.len());
+            for (k, mut held) in holders {
+                let owner = sim.world.owner_of(k);
+                let (succ, _) = sim.world.ring_state(sim.peers.keys[owner as usize]);
+                let mut want: Vec<u32> = [owner]
+                    .into_iter()
+                    .chain(succ.iter().copied().take(replication - 1))
+                    .collect();
+                held.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(held, want, "{name}: holders of {k}");
+            }
         }
     }
 
@@ -4006,11 +4065,11 @@ mod tests {
                         let by_rank: Vec<u32> = by_rank.collect();
                         assert_eq!(by_rank, chain, "{case}: chain of {owner}");
                         assert!(
-                            sim.peers.primary.contains(owner, key),
+                            sim.peers.store.contains(owner, key),
                             "{case}: owner {owner}"
                         );
                         for &r in &chain {
-                            assert!(sim.peers.replica.contains(r, key), "{case}: replica {r}");
+                            assert!(sim.peers.store.contains(r, key), "{case}: replica {r}");
                         }
                         assert_eq!(sim.live_copies(key), 1 + chain.len() as u32, "{case}");
                     }

@@ -107,15 +107,20 @@
 //! whose arc holds `hi`, so a range costs its route plus one message per
 //! peer key it covers, at any skew.
 //!
+//! Each peer keeps every copy it holds in one shard. Whether a copy is
+//! primary is not stored: it is primary iff its key lies on the
+//! holder's arc in its current view, and a replica otherwise. A range
+//! sweep peer serves only its rows on the arc its stop test reads, so
+//! no key is counted twice.
+//!
 //! The data layer has **no oracle recovery path**: when a peer fails,
-//! its primary and replica shards die with the machine (the only oracle
-//! left is the t = 0 preload placement). Durability comes from
+//! its shard dies with the machine (the only oracle left is the t = 0
+//! preload placement). Durability comes from
 //! message-driven anti-entropy: every `StorageConfig::repair_interval`,
 //! each peer runs a round over its owned arc `(pred, self]` —
 //!
-//! 1. **local fixups** (free disk operations): promote inherited replica
-//!    copies inside the arc to primary, garbage-collect replica copies
-//!    whose arc *lease* lapsed, demote foreign primary rows;
+//! 1. **one local fixup** (a free disk operation): garbage-collect the
+//!    copies off the arc whose arc *lease* lapsed;
 //! 2. **digest fan-out**: an order-independent key digest of the arc
 //!    ([`sw_dht::RangeDigest`]) to each replica-chain peer in the local
 //!    successor view. A digest renews the receiver's lease on the arc;
@@ -141,7 +146,8 @@
 //! repair *quiescent*: once churn stops, under-replicated keys refill,
 //! dead owners' slices are re-streamed from surviving replicas, stale
 //! copies are retired, and every surviving key converges to exactly
-//! `min(replication, alive)` copies.
+//! `min(replication, alive)` copies, on its owner and the owner's first
+//! live successors.
 //!
 //! ## Walk lifecycle and routing modes
 //!

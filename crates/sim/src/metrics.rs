@@ -189,8 +189,9 @@ pub struct SimMetrics {
     /// Time (virtual seconds) from a key dropping below the replication
     /// target to its repair back to full replication.
     pub repair_time_secs: OnlineStats,
-    /// Gauge: payload bytes currently stored across all live primary and
-    /// replica shards (the denominator of [`SimMetrics::repair_overhead`]).
+    /// Gauge: payload bytes currently stored across all live peers'
+    /// shards, every copy counted (the denominator of
+    /// [`SimMetrics::repair_overhead`]).
     pub stored_bytes: u64,
     /// Lookups answered from a requester-side hot-key cache (no walk
     /// spawned, zero latency, zero network messages).

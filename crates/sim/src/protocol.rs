@@ -176,7 +176,7 @@ pub enum Purpose {
         /// Item payload.
         value: Vec<u8>,
     },
-    /// Storage: route to the key, read primary, fall back to replicas.
+    /// Storage: route to the key, read the owner, fall back to replicas.
     Get {
         /// Item key.
         key: Key,
@@ -432,7 +432,7 @@ pub enum StorageOp {
     GetFallback {
         /// Item key.
         key: Key,
-        /// The routed owner whose primary read missed — the target of a
+        /// The routed owner whose read missed — the target of a
         /// read-repair push if a replica probe hits.
         owner: u32,
         /// Replica holders still to probe, in chain order.
@@ -551,7 +551,7 @@ pub(crate) enum Msg {
     Dropped(Box<Msg>),
 
     // -- The repair plane (anti-entropy rounds) -----------------------
-    /// Owner → replica: digest of the owner's primary slice on the arc
+    /// Owner → replica: digest of the owner's copies on its arc
     /// `(lo, hi]`. Receipt renews the replica's lease on that arc; a
     /// digest mismatch triggers a [`Msg::RepairDiff`] reply.
     RepairDigest(Box<RepairDigest>),

@@ -174,6 +174,12 @@ impl World {
         }
         let draw = self.streams[Source::Fail as usize].index(self.alive_ids.len());
         let victim = self.alive_ids[draw];
+        self.take_down(victim, keys);
+        Some(victim)
+    }
+
+    /// Live peer `victim` goes down. `keys[id]` is peer `id`'s key.
+    pub(crate) fn take_down(&mut self, victim: u32, keys: &[Key]) {
         let pos = self.alive_pos[victim as usize];
         self.alive_ids.swap_remove(pos as usize);
         if let Some(&moved) = self.alive_ids.get(pos as usize) {
@@ -181,7 +187,6 @@ impl World {
         }
         self.alive_pos[victim as usize] = u32::MAX;
         self.alive.remove(&keys[victim as usize]);
-        Some(victim)
     }
 
     /// The ring state of the peer at `key`: its first [`SUCCESSOR_LIST`]

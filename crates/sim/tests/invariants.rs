@@ -168,8 +168,7 @@ proptest! {
                 m.repair_messages,
                 m.repair_bytes,
                 m.stored_bytes,
-                sim.primary_store().len(),
-                sim.replica_store().len(),
+                sim.shards().len(),
             )
         };
         let one = run(1);

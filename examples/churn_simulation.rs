@@ -71,7 +71,7 @@ fn main() {
             hops.mean(),
             m.lookups_stranded,
             m.get_success_rate() * 100.0,
-            sim.primary_store().len() + sim.replica_store().len(),
+            sim.shards().len(),
             m.keys_under_replicated,
             m.keys_lost,
             m.repair_bytes as f64 / 1e6,
