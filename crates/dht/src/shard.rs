@@ -69,13 +69,13 @@ impl RangeDigest {
 /// Every copy one peer holds, ordered by key.
 pub type Shard = BTreeMap<Key, Vec<u8>>;
 
-/// True if `key` lies on the arc a range sweep serves at the peer whose
-/// key is `own`: `(from, own]`, `from` the previous holder's key, or
-/// `[lo, own]` at the sweep's first peer (`from` is `None`). These are
-/// the arcs the sweep's stop test reads, so a sweep that serves only
-/// them counts each key of its range once, from whichever copy lies on
-/// the arc: the primary on a static ring, or a replica its holder kept
-/// of a dead predecessor's arc.
+/// True if `key` lies on the arc a sweep of the range `[lo, hi)` holds
+/// at the peer whose key is `own`: `(from, own]`, `from` the previous
+/// holder's key, or `[lo, own]` at the sweep's first peer (`from` is
+/// `None`). The sweep ends at the first peer whose arc holds `hi`, and
+/// a peer that serves only its rows on its arc counts each key of the
+/// range once, from whichever copy lies there: the primary on a static
+/// ring, or a replica its holder kept of a dead predecessor's arc.
 pub fn on_sweep_arc(lo: Key, from: Option<Key>, own: Key, key: Key) -> bool {
     match from {
         Some(from) => Topology::Ring.in_arc(from, key, own),

@@ -14,7 +14,7 @@
 
 use crate::shard::{on_sweep_arc, ShardMap};
 use sw_graph::NodeId;
-use sw_keyspace::{Key, Topology};
+use sw_keyspace::Key;
 use sw_overlay::route::RouteOptions;
 use sw_overlay::Overlay;
 
@@ -255,8 +255,7 @@ impl<'a> Dht<'a> {
     /// keys lie in `[lo, hi)` plus one (all of them if that is every
     /// peer): a range above the highest key ends at the wrap owner,
     /// which owns the top of the ring. Each peer serves its rows of the
-    /// range on that arc ([`on_sweep_arc`]), so replica copies are not
-    /// served twice.
+    /// range on that arc ([`on_sweep_arc`]), never a replica copy.
     ///
     /// Items on dead peers are silently missing from the result (their
     /// replicas are not consulted — range reads are primary-only, as in
@@ -280,13 +279,15 @@ impl<'a> Dht<'a> {
         loop {
             peers_visited += 1;
             let own = p.key(peer);
+            let on_arc = |k: Key| on_sweep_arc(lo, from, own, k);
             if self.is_alive(peer) {
                 let rows = self.shards.shard_range(peer, lo, hi);
-                let on_arc = rows.filter(|(k, _)| on_sweep_arc(lo, from, own, **k));
-                items.extend(on_arc.map(|(k, v)| (*k, v.clone())));
+                items.extend(
+                    rows.filter(|(k, _)| on_arc(**k))
+                        .map(|(k, v)| (*k, v.clone())),
+                );
             }
-            let prev = from.unwrap_or(lo);
-            if prev != own && Topology::Ring.in_arc(prev, hi, own) {
+            if on_arc(hi) {
                 break;
             }
             from = Some(own);

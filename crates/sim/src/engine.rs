@@ -2056,19 +2056,15 @@ impl Simulator {
         // one circuit, clockwise.
         let (key, lo, hi) = (self.peers.keys[at as usize], *lo, *hi);
         let prev = (*peers_visited > 1).then(|| self.peers.keys[*from as usize]);
-        let holds = prev.is_some()
-            || !self.peers.nodes[at as usize]
+        let lo_ahead = prev.is_none()
+            && self.peers.nodes[at as usize]
                 .succ
                 .first()
                 .is_some_and(|&s| Metric::Ring.in_arc(key, lo, self.peers.keys[s as usize]));
-        if holds {
-            let rows = self.peers.store.shard_range(at, lo, hi);
-            *items += rows
-                .filter(|(k, _)| on_sweep_arc(lo, prev, key, **k))
-                .count() as u64;
-        }
-        let start = prev.unwrap_or(lo);
-        let served = holds && start != key && Metric::Ring.in_arc(start, hi, key);
+        let on_arc = |k: Key| !lo_ahead && on_sweep_arc(lo, prev, key, k);
+        let rows = self.peers.store.shard_range(at, lo, hi);
+        *items += rows.filter(|(k, _)| on_arc(**k)).count() as u64;
+        let served = on_arc(hi);
         *from = at;
         let next = match self.peers.nodes[at as usize].succ.first() {
             Some(&next) if !served => next,
