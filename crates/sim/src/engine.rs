@@ -3,16 +3,17 @@
 //!
 //! See the crate-level docs for the architecture (event ordering,
 //! determinism contract, state-machine lifecycle). In short: every
-//! routed operation is a [`Walk`] whose hops are individual messages on
-//! the [`MessagePlane`], so lookups, joins, refreshes and storage ops
-//! interleave with churn and with each other at per-hop granularity.
+//! routed operation is a walk whose hops are individual messages on the
+//! [`MessagePlane`], so lookups, joins, refreshes and storage ops
+//! interleave with churn and with each other at per-hop granularity. A
+//! put, get or range keeps its walk record through its tail as well.
 
 use crate::latency::LatencyModel;
 use crate::metrics::SimMetrics;
 use crate::plane::MessagePlane;
 use crate::protocol::{
     LookupRecord, Msg, NextHopReply, Purpose, QueryId, RepairDiff, RepairDigest, RepairPull,
-    RepairPush, RoutingMode, Source, StorageOp, Timer, Walk, WalkEnd,
+    RepairPush, RoutingMode, Source, Timer, Walk, WalkEnd,
 };
 use crate::slab::Slab;
 use crate::time::SimTime;
@@ -378,10 +379,9 @@ pub struct Simulator {
     world: World,
     peers: Peers,
     metrics: SimMetrics,
-    /// In-flight walks; a walk's query id names its slot.
+    /// In-flight walks, storage tails included; a walk's query id names
+    /// its slot.
     walks: Slab<Walk>,
-    /// Storage ops in their post-routing phase, under their walk's id.
-    ops: IdMap<QueryId, StorageOp>,
     /// Timer stagger draws.
     timer_rng: Rng,
     /// Link-probe target draws.
@@ -478,7 +478,6 @@ impl Simulator {
             },
             metrics: SimMetrics::default(),
             walks: Slab::new(),
-            ops: IdMap::default(),
             timer_rng: Rng::stream(seed, stream::TIMER),
             link_rng: Rng::stream(seed, stream::LINK),
             put_keys: Vec::new(),
@@ -580,7 +579,8 @@ impl Simulator {
         &self.metrics
     }
 
-    /// Walks currently in flight (all purposes).
+    /// Walks currently in flight (all purposes): routes, and the puts,
+    /// gets and ranges whose fan-out, fallback probes or sweep still run.
     pub fn in_flight_walks(&self) -> usize {
         self.walks.len()
     }
@@ -958,7 +958,7 @@ impl Simulator {
     /// mode.
     fn mode_for(&self, purpose: &Purpose) -> RoutingMode {
         match purpose {
-            Purpose::Put { .. } | Purpose::Get { .. } | Purpose::Range { .. } => self
+            Purpose::Put { .. } | Purpose::Get | Purpose::Range { .. } => self
                 .cfg
                 .storage
                 .routing_mode
@@ -1365,20 +1365,13 @@ impl Simulator {
         self.finish_walk(qid, end);
     }
 
-    /// Terminal transition: remove the walk and dispatch on purpose.
+    /// Terminal transition of a route: remove the walk and dispatch on
+    /// purpose.
     fn finish_walk(&mut self, qid: QueryId, end: WalkEnd) {
-        let mut walk = self.walks.remove(qid).expect("finishing a live walk");
+        let walk = self.walks.remove(qid).expect("finishing a live walk");
         let now = self.plane.now();
         self.metrics.timeouts += walk.timeouts as u64;
-        // Detach the purpose so the walk's accounting fields can still
-        // move into the storage-phase handlers.
-        let purpose = std::mem::replace(
-            &mut walk.purpose,
-            Purpose::Lookup {
-                target_id: u32::MAX, // placeholder, never read
-            },
-        );
-        match purpose {
+        match walk.purpose {
             Purpose::Lookup { target_id } => {
                 self.inflight_lookups -= 1;
                 self.metrics.lookups += 1;
@@ -1473,11 +1466,14 @@ impl Simulator {
                     }
                 }
             }
-            // Storage routes hand their walk to the post-routing op
-            // state.
-            Purpose::Put { key, value } => self.finish_put_route(qid, end, key, value, walk),
-            Purpose::Get { key } => self.finish_get_route(qid, end, key, walk),
-            Purpose::Range { lo, hi } => self.finish_range_route(qid, end, lo, hi, walk),
+            // A storage op goes on in the same record, filed back in its
+            // route's slot under the next generation (the free list is
+            // last-in first-out): a late routing message misses it.
+            Purpose::Put { .. } | Purpose::Get | Purpose::Range { .. } => {
+                let op = self.walks.insert(walk);
+                debug_assert_eq!(op as u32, qid as u32, "a tail keeps its route's slot");
+                self.start_tail(op, end);
+            }
         }
     }
 
@@ -1740,7 +1736,7 @@ impl Simulator {
         let key = self.world.sample_key(Source::Put);
         let from = self.world.random_alive(Source::Put);
         let value = self.next_value();
-        self.spawn_walk(Purpose::Put { key, value }, key, from);
+        self.spawn_walk(Purpose::Put { value, pending: 0 }, key, from);
     }
 
     fn do_get_start(&mut self) {
@@ -1750,7 +1746,7 @@ impl Simulator {
             self.put_keys[self.world.stream(Source::Get).index(self.put_keys.len())]
         };
         let from = self.world.random_alive(Source::Get);
-        self.spawn_walk(Purpose::Get { key }, key, from);
+        self.spawn_walk(Purpose::Get, key, from);
     }
 
     fn do_range_start(&mut self) {
@@ -1760,30 +1756,63 @@ impl Simulator {
         if hi <= lo {
             return; // degenerate range at the top of the key space
         }
-        self.spawn_walk(Purpose::Range { lo, hi }, lo, from);
+        self.spawn_walk(Purpose::range(lo, hi), lo, from);
     }
 
-    /// The shared head of every storage route's completion: charge the
-    /// walk's messages to storage and, for a route that failed
-    /// (stranded, out of hops or exhausted), count the operation done in
-    /// `done` and return `None`; otherwise the successor-rule owner of
-    /// `key` near where the walk ended.
-    fn storage_owner(
-        &mut self,
-        end: WalkEnd,
-        walk: &Walk,
-        key: Key,
-        done: fn(&mut SimMetrics) -> &mut u64,
-    ) -> Option<u32> {
+    /// A put, get or range route ended: charge its messages to storage.
+    /// A route that failed (stranded, out of hops or exhausted) ends the
+    /// op; otherwise the successor-rule owner of the key near where the
+    /// walk ended becomes its holder (`cur`) and runs its tail. The
+    /// route's exclusions are cleared, so they skip no replica and no
+    /// sweep peer.
+    fn start_tail(&mut self, op: QueryId, end: WalkEnd) {
+        let walk = self.walks.get(op).expect("a tail starts filed");
         self.metrics.storage_messages += walk.msgs as u64;
         if matches!(
             end,
             WalkEnd::Stranded | WalkEnd::HopLimit | WalkEnd::Exhausted
         ) {
-            *done(&mut self.metrics) += 1;
-            return None;
+            return self.end_storage(op, false);
         }
-        Some(self.shift_to_owner(walk.cur, key))
+        let at = self.shift_to_owner(walk.cur, walk.target);
+        let walk = self.walks.get_mut(op).expect("a tail starts filed");
+        walk.cur = at;
+        walk.excluded.clear();
+        match walk.purpose {
+            Purpose::Put { .. } => self.fan_out_put(op),
+            Purpose::Get => self.read_owner(op),
+            Purpose::Range { .. } => self.continue_sweep(op, at),
+            _ => unreachable!("not a storage op"),
+        }
+    }
+
+    /// The one exit of a put, get or range: free its slot and count it,
+    /// `ok` or not. A put or get that succeeded records the walk's
+    /// latency; a range counts the items and peers its sweep gathered.
+    fn end_storage(&mut self, op: QueryId, ok: bool) {
+        let walk = self.walks.remove(op).expect("a storage op ends once");
+        let m = &mut self.metrics;
+        let (done, done_ok, latency) = match walk.purpose {
+            Purpose::Put { .. } => (&mut m.puts, &mut m.puts_ok, &mut m.put_latency_secs),
+            Purpose::Get => (&mut m.gets, &mut m.gets_ok, &mut m.get_latency_secs),
+            Purpose::Range {
+                items,
+                peers_visited,
+                ..
+            } => {
+                m.ranges += 1;
+                m.ranges_ok += u64::from(ok);
+                m.range_items += items;
+                m.range_peers += u64::from(peers_visited);
+                return;
+            }
+            _ => unreachable!("not a storage op"),
+        };
+        *done += 1;
+        if ok {
+            *done_ok += 1;
+            latency.push(walk.latency.as_secs_f64());
+        }
     }
 
     /// `at`'s replica chain as its own successor view sees it: its first
@@ -1815,31 +1844,27 @@ impl Simulator {
         }
     }
 
-    /// Put routing phase done: store the copy at the routed owner and
-    /// fan out replica writes over its local successor view.
-    fn finish_put_route(
-        &mut self,
-        qid: QueryId,
-        end: WalkEnd,
-        key: Key,
-        value: Vec<u8>,
-        walk: Walk,
-    ) {
-        let Some(at) = self.storage_owner(end, &walk, key, |m| &mut m.puts) else {
-            return;
-        };
-        let now = self.plane.now();
-        self.store(at, key, value.clone());
-        self.put_keys.push(key);
+    /// Put tail: store the copy at the owner and fan out replica writes
+    /// over its local successor view.
+    fn fan_out_put(&mut self, op: QueryId) {
+        let walk = self.walks.get(op).expect("a tail starts filed");
+        let (at, key) = (walk.cur, walk.target);
         let chain = self.replica_view(at, 0);
+        let Some(Walk {
+            purpose: Purpose::Put { value, pending },
+            ..
+        }) = self.walks.get_mut(op)
+        else {
+            unreachable!("a put")
+        };
+        *pending = chain.len() as u32;
+        let value = value.clone();
+        self.store(at, key, value);
+        self.put_keys.push(key);
         if chain.is_empty() {
-            self.metrics.puts += 1;
-            self.metrics.puts_ok += 1;
-            self.metrics
-                .put_latency_secs
-                .push(walk.latency.as_secs_f64());
-            return;
+            return self.end_storage(op, true);
         }
+        let now = self.plane.now();
         for &to in chain.iter() {
             self.metrics.storage_messages += 1;
             self.send_net(
@@ -1847,33 +1872,29 @@ impl Simulator {
                 to,
                 now,
                 self.cfg.latency.delay(),
-                Msg::ReplicaPut { op: qid, to },
+                Msg::ReplicaPut { op, to },
             );
         }
-        self.ops.insert(
-            qid,
-            StorageOp::PutFanout {
-                key,
-                value,
-                pending: chain.len() as u32,
-                issued_at: walk.issued_at,
-            },
-        );
     }
 
     fn deliver_replica_put(&mut self, op: QueryId, to: u32, live: bool) {
         let now = self.plane.now();
-        let Some(StorageOp::PutFanout {
-            key,
-            value,
-            pending,
+        let Some(Walk {
+            purpose: Purpose::Put { value, pending },
+            target: key,
+            latency,
             issued_at,
-        }) = self.ops.get_mut(&op)
+            ..
+        }) = self.walks.get_mut(op)
         else {
             return;
         };
         *pending -= 1;
-        let (done, issued) = (*pending == 0, *issued_at);
+        let done = *pending == 0;
+        if done {
+            // A fanned-out put's latency runs from its issue.
+            *latency = now - *issued_at;
+        }
         // A replica write keeps a copy the peer already holds.
         if live && !self.peers.store.contains(to, *key) {
             let (k, v) = (*key, value.clone());
@@ -1882,36 +1903,26 @@ impl Simulator {
         if done {
             // The owner holds a copy, so the put succeeded whatever
             // became of its replica writes.
-            self.ops.remove(&op);
-            self.metrics.puts += 1;
-            self.metrics.puts_ok += 1;
-            self.metrics
-                .put_latency_secs
-                .push((now - issued).as_secs_f64());
+            self.end_storage(op, true);
         }
     }
 
-    /// Get routing phase done: read the routed owner's shard, falling
-    /// back to replica probes along its successor view.
-    fn finish_get_route(&mut self, qid: QueryId, end: WalkEnd, key: Key, walk: Walk) {
-        let Some(at) = self.storage_owner(end, &walk, key, |m| &mut m.gets) else {
-            return;
-        };
-        // The routed owner serves any copy it holds: one on its arc, or
-        // one it kept as a replica of a predecessor that has since died.
+    /// Get tail: the owner serves any copy it holds (one on its arc, or
+    /// one it kept as a replica of a predecessor that has since died);
+    /// otherwise it probes the replicas along its successor view, which
+    /// become the walk's candidate pool.
+    fn read_owner(&mut self, op: QueryId) {
+        let walk = self.walks.get(op).expect("a tail starts filed");
+        let (at, key) = (walk.cur, walk.target);
         if self.peers.store.contains(at, key) {
-            self.metrics.gets += 1;
-            self.metrics.gets_ok += 1;
-            self.metrics
-                .get_latency_secs
-                .push(walk.latency.as_secs_f64());
-            return;
+            return self.end_storage(op, true);
         }
         // Probe at least the first successor, even unreplicated.
         let chain = self.replica_view(at, 1);
-        let Some((&first, rest)) = chain.split_first() else {
-            self.metrics.gets += 1;
-            return;
+        let walk = self.walks.get_mut(op).expect("a tail starts filed");
+        walk.set_alternates(chain.to_vec());
+        let Some(first) = walk.next_alternate() else {
+            return self.end_storage(op, false);
         };
         let now = self.plane.now();
         self.metrics.storage_messages += 1;
@@ -1922,51 +1933,32 @@ impl Simulator {
             now,
             self.cfg.latency.delay(),
             Msg::ReplicaProbe {
-                op: qid,
+                op,
                 to: first,
                 sent_at: now,
-            },
-        );
-        self.ops.insert(
-            qid,
-            StorageOp::GetFallback {
-                key,
-                owner: at,
-                chain: rest.to_vec(),
-                latency: walk.latency,
             },
         );
     }
 
     fn deliver_replica_probe(&mut self, op: QueryId, to: u32, sent_at: SimTime, live: bool) {
         let now = self.plane.now();
-        let Some(StorageOp::GetFallback {
-            key,
-            owner,
-            chain,
-            latency,
-        }) = self.ops.get_mut(&op)
-        else {
+        let Some(walk) = self.walks.get_mut(op) else {
             return;
         };
-        let (key, owner) = (*key, *owner);
         // A live peer answers, request and reply both travelling (double
         // the one-way delay); a dead one costs the timeout penalty.
         let one_way = now - sent_at;
         let next_send = if live {
-            *latency += one_way + one_way;
+            walk.latency += one_way + one_way;
             now + one_way
         } else {
-            *latency += TIMEOUT_PENALTY;
+            walk.latency += TIMEOUT_PENALTY;
             sent_at + TIMEOUT_PENALTY
         };
+        let (key, owner) = (walk.target, walk.cur);
         // A probed peer serves any copy it holds.
         if live && self.peers.store.contains(to, key) {
-            let total = *latency;
-            self.ops.remove(&op);
-            self.metrics.gets += 1;
-            self.metrics.gets_ok += 1;
-            self.metrics.get_latency_secs.push(total.as_secs_f64());
+            self.end_storage(op, true);
             // Read repair: the routed owner missed a key this replica
             // just served — stream that one item to it immediately (an
             // owner-direction repair transfer, byte-accounted like any
@@ -1991,12 +1983,14 @@ impl Simulator {
         // Miss (alive but no copy) or timeout (dead): try the next
         // replica in the chain, from the routed owner. A failed owner
         // sends nothing more, as a walk strands at a dead holder.
-        if chain.is_empty() || !self.world.is_alive(owner) {
-            self.ops.remove(&op);
-            self.metrics.gets += 1;
-            return;
-        }
-        let next = chain.remove(0);
+        let next = if self.world.is_alive(owner) {
+            walk.next_alternate()
+        } else {
+            None
+        };
+        let Some(next) = next else {
+            return self.end_storage(op, false);
+        };
         self.metrics.storage_messages += 1;
         self.metrics.gets_fallback += 1;
         self.send_net(
@@ -2012,38 +2006,21 @@ impl Simulator {
         );
     }
 
-    /// Range routing phase done: begin the clockwise owner sweep at
-    /// `lo`'s owner (the same adjustment as puts and gets: the routed
-    /// peer or its successor).
-    fn finish_range_route(&mut self, qid: QueryId, end: WalkEnd, lo: Key, hi: Key, walk: Walk) {
-        let Some(at) = self.storage_owner(end, &walk, lo, |m| &mut m.ranges) else {
-            return;
-        };
-        self.ops.insert(
-            qid,
-            StorageOp::RangeSweep {
-                lo,
-                hi,
-                items: 0,
-                peers_visited: 0,
-                tried: Vec::new(),
-                from: at,
-            },
-        );
-        self.continue_sweep(qid, at);
-    }
-
     /// Serve a fragment at sweep peer `at`, then forward to the next
     /// owner clockwise (or complete).
     fn continue_sweep(&mut self, op: QueryId, at: u32) {
-        let Some(StorageOp::RangeSweep {
-            lo,
-            hi,
-            items,
-            peers_visited,
-            tried,
-            from,
-        }) = self.ops.get_mut(&op)
+        let Some(Walk {
+            purpose:
+                Purpose::Range {
+                    lo,
+                    hi,
+                    items,
+                    peers_visited,
+                },
+            cur: from,
+            excluded: tried,
+            ..
+        }) = self.walks.get_mut(op)
         else {
             return;
         };
@@ -2068,7 +2045,7 @@ impl Simulator {
         *from = at;
         let next = match self.peers.nodes[at as usize].succ.first() {
             Some(&next) if !served => next,
-            _ => return self.end_sweep(op, served),
+            _ => return self.end_storage(op, served),
         };
         let now = self.plane.now();
         self.metrics.storage_messages += 1;
@@ -2092,24 +2069,24 @@ impl Simulator {
         if live {
             return self.continue_sweep(op, to);
         }
-        let Some(StorageOp::RangeSweep { tried, from, .. }) = self.ops.get_mut(&op) else {
+        let Some(walk) = self.walks.get_mut(op) else {
             return;
         };
-        let from = *from;
+        let from = walk.cur;
         if !self.world.is_alive(from) {
             // The holder that would retry failed, and the sweep with it,
             // as a walk strands at a dead holder.
-            return self.end_sweep(op, false);
+            return self.end_storage(op, false);
         }
-        tried.push(to);
+        walk.excluded.push(to);
         let next = self.peers.nodes[from as usize]
             .succ
             .iter()
             .copied()
-            .find(|v| !tried.contains(v));
+            .find(|v| !walk.excluded.contains(v));
         let Some(next) = next else {
             // No live successor in view: the sweep dead-ends.
-            return self.end_sweep(op, false);
+            return self.end_storage(op, false);
         };
         let retry_at = sent_at + TIMEOUT_PENALTY;
         self.metrics.storage_messages += 1;
@@ -2124,23 +2101,6 @@ impl Simulator {
                 sent_at: retry_at,
             },
         );
-    }
-
-    /// Ends range sweep `op` and counts it, `ok` or not, with the items
-    /// and peers it gathered.
-    fn end_sweep(&mut self, op: QueryId, ok: bool) {
-        let Some(StorageOp::RangeSweep {
-            items,
-            peers_visited,
-            ..
-        }) = self.ops.remove(&op)
-        else {
-            return;
-        };
-        self.metrics.ranges += 1;
-        self.metrics.ranges_ok += u64::from(ok);
-        self.metrics.range_items += items;
-        self.metrics.range_peers += u64::from(peers_visited);
     }
 
     // ----- the repair plane (anti-entropy rounds) --------------------
@@ -3779,14 +3739,14 @@ mod tests {
                 sim.store(wrap, get, vec![2]);
                 sim.spawn_walk(
                     Purpose::Put {
-                        key: put,
                         value: vec![1],
+                        pending: 0,
                     },
                     put,
                     origin,
                 );
-                sim.spawn_walk(Purpose::Get { key: get }, get, origin);
-                sim.spawn_walk(Purpose::Range { lo, hi }, lo, origin);
+                sim.spawn_walk(Purpose::Get, get, origin);
+                sim.spawn_walk(Purpose::range(lo, hi), lo, origin);
                 let (gets_ok, ranges_ok, range_peers) = {
                     let m = sim.metrics();
                     (m.gets_ok, m.ranges_ok, m.range_peers)
@@ -3858,13 +3818,19 @@ mod tests {
                     .collect();
                 assert!(!truth.is_empty(), "{case}: no stored key in the range");
                 let (ranges_ok, items) = (sim.metrics().ranges_ok, sim.metrics().range_items);
-                sim.spawn_walk(Purpose::Range { lo, hi }, lo, origin);
+                sim.spawn_walk(Purpose::range(lo, hi), lo, origin);
                 sim.run_until(sim.now() + SimTime::from_secs(10));
                 let m = sim.metrics();
                 assert_eq!(m.ranges_ok, ranges_ok + 1, "{case}: served");
                 assert_eq!(m.range_items - items, truth.len() as u64, "{case}: items");
             }
         }
+    }
+
+    /// The tail of the storage op routed as `qid`: its route's slot
+    /// under the next generation.
+    fn tail(sim: &Simulator, qid: QueryId) -> Option<&Walk> {
+        sim.walks.get(qid + (1 << 32))
     }
 
     /// Peer `p` fails now, as a churn failure takes it down.
@@ -3907,9 +3873,9 @@ mod tests {
         sim.store(102, key, vec![1]);
         fail_peer(&mut sim, 101);
         let (gets, gets_ok) = (sim.metrics().gets, sim.metrics().gets_ok);
-        let qid = sim.spawn_walk(Purpose::Get { key }, key, 100);
+        let qid = sim.spawn_walk(Purpose::Get, key, 100);
         assert!(
-            matches!(sim.ops.get(&qid), Some(StorageOp::GetFallback { .. })),
+            matches!(tail(&sim, qid), Some(w) if matches!(w.purpose, Purpose::Get) && w.cur == 100),
             "the owner probes its dead successor"
         );
         fail_peer(&mut sim, 100);
@@ -3922,15 +3888,92 @@ mod tests {
         let (lo, hi) = (below(&sim, 150), below(&sim, 155));
         fail_peer(&mut sim, 151);
         let (ranges, ranges_ok) = (sim.metrics().ranges, sim.metrics().ranges_ok);
-        let qid = sim.spawn_walk(Purpose::Range { lo, hi }, lo, 150);
+        let qid = sim.spawn_walk(Purpose::range(lo, hi), lo, 150);
         assert!(
-            matches!(sim.ops.get(&qid), Some(StorageOp::RangeSweep { .. })),
+            matches!(tail(&sim, qid), Some(w) if matches!(w.purpose, Purpose::Range { .. }) && w.cur == 150),
             "the holder asks its dead successor"
         );
         fail_peer(&mut sim, 150);
         sim.run_until(sim.now() + SimTime::from_secs(10));
         assert_eq!(sim.metrics().ranges, ranges + 1, "the sweep ended");
         assert_eq!(sim.metrics().ranges_ok, ranges_ok, "a dead holder retried");
+    }
+
+    /// A replica that a join pushes out of an arc's chain keeps its
+    /// copies on that arc until one lease TTL after the last digest that
+    /// renewed its lease, and drops them all at its first repair round
+    /// after that. The TTL is written out here, 4 repair plus 2
+    /// stabilize intervals, so a changed formula fails the test, and so
+    /// does a skipped GC.
+    #[test]
+    fn a_replica_pushed_out_of_a_chain_keeps_its_copies_for_one_lease_ttl() {
+        let (repair, step) = (SimTime::from_secs(4), SimTime::from_millis(1));
+        let ttl = SimTime::from_secs(4 * 4 + 2 * 3);
+        let cfg = SimConfig {
+            stabilize_interval: Some(SimTime::from_secs(3)),
+            refresh_interval: None,
+            workload: WorkloadConfig { lookup_rate: 0.0 },
+            storage: StorageConfig {
+                replication: 3,
+                preload: 2_000,
+                repair_interval: Some(repair),
+                ..StorageConfig::NONE
+            },
+            ..quiet_config(7, 64)
+        };
+        let mut sim = Simulator::new(cfg, Arc::new(Uniform));
+        // Past the boot's grace lease: every replica copy is held under
+        // the lease of its arc's owner. Peer id is key rank at t = 0, so
+        // owner `a` has arc `(a − 1, a]` and replicas `a + 1` and `r`.
+        sim.run_until(ttl + repair);
+        let (a, r) = (20u32, 22u32);
+        let (lo, hi) = (sim.peers.keys[19], sim.peers.keys[20]);
+        let held = |sim: &Simulator| sim.peers.store.arc_keys(r, lo, hi).len();
+        let lease = |sim: &Simulator| {
+            let leases = &sim.peers.nodes[r as usize].leases;
+            leases
+                .iter()
+                .find(|l| l.lo == lo && l.hi == hi)
+                .map(|l| l.expires)
+        };
+        let copies = held(&sim);
+        assert!(copies > 0, "r holds no copy of a's arc");
+
+        // Step to the next digest from `a`: it lands in (t − 1 ms, t].
+        let before = lease(&sim).expect("r holds a lease on a's arc");
+        let mut t = sim.now();
+        while lease(&sim) == Some(before) {
+            t += step;
+            sim.run_until(t);
+        }
+        let expires = lease(&sim).expect("the digest renewed the lease");
+        assert!(
+            t - step + ttl < expires && expires <= t + ttl,
+            "lease renewed at {t} runs to {expires}, not one TTL on"
+        );
+
+        // A joiner between `a` and its successor takes r's place in a's
+        // chain, so no digest renews r's lease again.
+        let keys = &sim.peers.keys;
+        let joiner = Key::clamped((keys[20].get() + keys[21].get()) / 2.0);
+        assert!(sim.complete_join(joiner));
+        assert!(
+            !sim.replica_view(a, 0).contains(&r),
+            "r is still in a's chain"
+        );
+        while held(&sim) == copies && t < expires + repair + repair {
+            assert!(lease(&sim).is_none_or(|e| e == expires), "lease renewed");
+            t += step;
+            sim.run_until(t);
+        }
+        // Dropped in (t − 1 ms, t], whole: at r's first round at or after
+        // the lapse (a lease lives while `expires > now`).
+        assert_eq!(held(&sim), 0, "r kept a's arc past its lease");
+        assert!(t >= expires, "r dropped a's arc at {t}, before {expires}");
+        assert!(
+            t < expires + repair + step,
+            "r dropped a's arc at {t}, after its first round past {expires}"
+        );
     }
 
     /// Who holds what after quiescence: churn a replicated store with
@@ -4114,8 +4157,8 @@ mod tests {
     /// spare. The envelope sizes are equalities, so a `Msg` variant that
     /// grows past 20 bytes unboxed, or a lost enum niche in the wheel's
     /// envelope store, shows up as a deliberately moved pin. The walk
-    /// and storage-op records carry no RNG stream (a hop's delay is
-    /// fixed), and their pins keep one from coming back unnoticed. A
+    /// record carries no RNG stream (a hop's delay is fixed), and its
+    /// pin keeps one from coming back unnoticed. A
     /// walk slab entry is the walk plus its slot's id (the walk's niche
     /// holds the `Option`), so growth in the hop record shows there too.
     #[test]
@@ -4129,7 +4172,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<Envelope<Msg>>(), 40);
         assert_eq!(std::mem::size_of::<Option<Envelope<Msg>>>(), 40);
         assert_eq!(std::mem::size_of::<Walk>(), 208);
-        assert_eq!(std::mem::size_of::<StorageOp>(), 56);
         assert_eq!(std::mem::size_of::<(QueryId, Option<Walk>)>(), 216);
     }
 }

@@ -2,11 +2,14 @@
 //!
 //! Discrete-event simulator for dynamic small-world overlays, built on
 //! an **async message plane**: every protocol action — each hop of a
-//! lookup, each replica write of a put, each stabilization ping round —
-//! is an individual message delivered one hop delay later in virtual time,
-//! so any number of operations are in flight at once and every one of
-//! them observes the overlay *as it is when its messages arrive*, not as
-//! it was when the operation started.
+//! lookup, each replica write of a put, each repair rung — is an
+//! individual message delivered one hop delay later in virtual time, so
+//! any number of operations are in flight at once and every one of them
+//! observes the overlay *as it is when its messages arrive*, not as it
+//! was when the operation started. A stabilization round is the one
+//! aggregate: its pings are counted (`SimMetrics::stabilize_messages`)
+//! but not sent, and the round is one self-addressed message that lands
+//! when the slowest ping's round trip or timeout is up.
 //!
 //! The paper defers dynamics to future work (§4.2/§5: “an iterative
 //! process of revising its routing table …”, “models that can take into
@@ -32,12 +35,12 @@
 //!   bytes; at scale the store holds about three pending timers per
 //!   peer.
 //! * [`protocol`] — the message vocabulary (the crate-private `Msg`)
-//!   and the per-operation state machines: a [`protocol::Walk`] for
-//!   every routed query (lookup / join-point search / long-link probe /
-//!   storage routing phase) and a [`protocol::StorageOp`] for the
-//!   post-routing phase of puts (replica fan-out), gets
-//!   (replica-fallback probes) and range queries (clockwise fragment
-//!   sweep). The vocabulary has three kinds of event. `Next(source)` is
+//!   and the per-operation state machine: one crate-private `Walk` per
+//!   operation, from spawn to end. It routes every query (lookup /
+//!   join-point search / long-link probe / storage op), and a put, get
+//!   or range then goes on in the same record as its tail: replica
+//!   fan-out, replica-fallback probes, or the clockwise fragment sweep.
+//!   The vocabulary has three kinds of event. `Next(source)` is
 //!   the next arrival of one of the seven Poisson processes (joins,
 //!   failures, lookups, puts, gets, ranges, open-loop traffic), and
 //!   `Timer(timer, peer)` the next round of a peer's stabilize, refresh
@@ -50,11 +53,13 @@
 //!   the sharded stores) and the handlers that advance the state
 //!   machines on each delivery, over a crate-private world holding the
 //!   ground truth (liveness, f, the generator streams, the ledgers)
-//!   behind named calls. In-flight walks live in a slab: a
-//!   [`QueryId`] is `generation << 32 | slot`, so a hop finds its walk
-//!   with one index and an id compare, a freed slot is reused last-freed
-//!   first under the next generation, and a stale id (a late reply, a
-//!   retry after the walk finished) misses. Long-link rows live in a
+//!   behind named calls. In-flight walks live in a slab: a query id
+//!   is `generation << 32 | slot`, so a hop finds its walk with one
+//!   index and an id compare, a freed slot is reused last-freed first
+//!   under the next generation, and a stale id (a late reply, a retry
+//!   after the walk finished) misses. A storage op's tail is filed back
+//!   in its route's slot under the next generation, so its messages
+//!   find it the same way and the route's late messages miss it. Long-link rows live in a
 //!   [`sw_graph::DeltaStore`] over an immutable [`sw_graph::Topology`]
 //!   base — one `SWTOPO` image, drawn in memory by
 //!   [`converged_overlay`] or opened (mapped under `mmap`) from disk
@@ -147,7 +152,13 @@
 //! dead owners' slices are re-streamed from surviving replicas, stale
 //! copies are retired, and every surviving key converges to exactly
 //! `min(replication, alive)` copies, on its owner and the owner's first
-//! live successors.
+//! live successors. While churn runs, a holder that leaves an arc's
+//! chain keeps its copies on that arc until one lease TTL (4 repair
+//! plus 2 stabilize intervals) after the last digest that renewed its
+//! lease, and drops them at its first round after that, so a steady
+//! churn run holds many keys over target: `examples/churn_simulation.rs`
+//! at 600 s counts 3 235 of 10 000. `SimMetrics::stored_bytes`, and
+//! with it `repair_overhead`, counts those copies.
 //!
 //! ## Walk lifecycle and routing modes
 //!
@@ -172,7 +183,7 @@
 //!   accounted in `SimMetrics::hop_rtt`) and advances itself. On a
 //!   frontier timeout the requester **fails over** to the next-ranked
 //!   candidate from the previous reply without re-asking
-//!   ([`protocol::Walk::next_alternate`]); a dry ladder ends the walk
+//!   (`Walk::next_alternate`); a dry ladder ends the walk
 //!   `Exhausted`. The query never leaves the requester, so only the
 //!   requester's death strands it — the same hop sequence as recursive
 //!   on a static network, bought at one extra one-way delay per hop.
@@ -186,9 +197,9 @@
 //! delivered / local-minimum / hop-budget / stranded /
 //! failed-over-exhausted), surfaced per lookup in
 //! [`protocol::LookupRecord`]. Completion dispatches on the walk's
-//! [`protocol::Purpose`]: lookups record metrics, a join splices the
-//! new node (taking over its shard slice) and starts its link-probe
-//! chain, storage ops enter their fan-out / fallback / sweep phase.
+//! purpose: lookups record metrics, a join splices the new node (taking
+//! over its shard slice) and starts its link-probe chain, and a storage
+//! op runs its fan-out / fallback / sweep tail in the same record.
 //! This engine is the repo's only implementation of the §4.2 join
 //! protocol: experiment E10 grows its networks here and reads them back
 //! through [`Simulator::live_overlay`].
@@ -229,7 +240,7 @@
 //!   peers, where remembering every link ever used held a million.
 //!
 //! Measured wait feeds back into patience:
-//! [`protocol::Walk::adaptive_timeout`] is `min(penalty, 3·max RTT +
+//! `Walk::adaptive_timeout` is `min(penalty, 3·max RTT +
 //! 2·max wait)`, so requester-driven timeouts stretch with observed
 //! congestion instead of misreading a deep queue as a death.
 //!
@@ -335,7 +346,7 @@ pub use engine::{
 pub use latency::LatencyModel;
 pub use metrics::{Histogram, SimMetrics};
 pub use plane::{Envelope, MessagePlane};
-pub use protocol::{LookupRecord, Purpose, QueryId, RoutingMode, StorageOp, Walk, WalkEnd};
+pub use protocol::{LookupRecord, RoutingMode, WalkEnd};
 pub use sharded::{lookahead, ShardedSimulator};
 pub use time::SimTime;
 pub use traffic::{CacheConfig, CongestionConfig, HotCache, TrafficConfig, ZipfSampler};

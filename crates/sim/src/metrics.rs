@@ -191,7 +191,10 @@ pub struct SimMetrics {
     pub repair_time_secs: OnlineStats,
     /// Gauge: payload bytes currently stored across all live peers'
     /// shards, every copy counted (the denominator of
-    /// [`SimMetrics::repair_overhead`]).
+    /// [`SimMetrics::repair_overhead`]). Under churn that includes the
+    /// copies a holder keeps for up to one lease TTL after it left an
+    /// arc's replica chain, so a steady churn run reads above
+    /// `replication` copies per key.
     pub stored_bytes: u64,
     /// Lookups answered from a requester-side hot-key cache (no walk
     /// spawned, zero latency, zero network messages).

@@ -1,7 +1,7 @@
 //! Protocol messages and per-query state machines.
 //!
 //! A routed operation (lookup, join-point search, long-link probe,
-//! put/get/range) lives as a [`Walk`] — a greedy walk whose hops are
+//! put/get/range) lives as a `Walk` — a greedy walk whose hops are
 //! individual messages on the message plane, so any number of walks
 //! can be in flight at once and every one of them sees the overlay *as
 //! it is at each hop's delivery time*, not as it was when the operation
@@ -32,7 +32,7 @@
 //! ## Routing modes
 //!
 //! Forwarding strategy is pluggable ([`RoutingMode`], chosen per
-//! `SimConfig` and overridable per storage operation). The [`Walk`]
+//! `SimConfig` and overridable per storage operation). The `Walk`
 //! struct is the **requester-held** record of the operation (engine-side
 //! accounting: hops, timeouts, latency, exclusions, failover ladder);
 //! what actually travels on the plane is only the minimal in-flight
@@ -52,7 +52,7 @@
 //!   only if the *requester* dies. A frontier that times out is
 //!   excluded and the requester **fails over** to the next-best
 //!   candidate from the previous reply without re-asking
-//!   ([`Walk::next_alternate`]); running the ladder dry ends the walk
+//!   (`Walk::next_alternate`); running the ladder dry ends the walk
 //!   as [`WalkEnd::Exhausted`].
 //!
 //! A walk's mode is fixed when it is spawned. Robustness beyond that is
@@ -62,7 +62,7 @@
 //! Lifecycle of a walk:
 //!
 //! 1. **Spawn** — the engine files the walk in a free slot of its walk
-//!    slab, under a [`QueryId`] that names the slot and the slot's
+//!    slab, under a `QueryId` that names the slot and the slot's
 //!    generation, and executes the first step at the origin immediately
 //!    (the origin reads its own routing table for free in every mode).
 //! 2. **Step** — in recursive mode the current node picks the greedy
@@ -77,11 +77,14 @@
 //!    down the candidate ladder.
 //! 4. **Completion** — arrival at the target's owner, a local minimum,
 //!    the hop budget, a dry failover ladder, or stranding. What happens
-//!    next depends on [`Purpose`]: lookups record metrics, a join
-//!    splices the new node and starts its link-probe chain, storage ops
-//!    enter their replica-fan-out / fallback-probe / range-sweep phase
-//!    (in iterative mode the operation payload piggybacks on the final
-//!    exchange with the owner, so completion costs no extra message).
+//!    next depends on `Purpose`: lookups record metrics, a join
+//!    splices the new node and starts its link-probe chain, and a put,
+//!    get or range goes on in the same record, as its replica fan-out,
+//!    fallback probes or range sweep (in iterative mode the operation
+//!    payload piggybacks on the final exchange with the owner, so
+//!    completion costs no extra message). The engine files that record
+//!    back in the route's own slot under the next generation, so a late
+//!    routing message misses it, and its tail messages find it by index.
 //!
 //! ## The repair plane
 //!
@@ -109,9 +112,9 @@ use sw_keyspace::Key;
 /// `generation << 32 | slot`. The slot is the walk's place in the
 /// engine's walk slab, and the generation counts the slot's earlier
 /// walks, so a freed slot's next walk gets a fresh id and an id is never
-/// handed out twice in a run. A storage operation keeps the id of the walk
-/// that routed it.
-pub type QueryId = u64;
+/// handed out twice in a run. A storage operation's tail runs in its
+/// route's slot under the next generation.
+pub(crate) type QueryId = u64;
 
 /// How a walk's hops travel on the plane — who holds the query, who can
 /// strand it, and what a hop costs. See the module docs for the full
@@ -142,7 +145,7 @@ impl RoutingMode {
 
 /// Why a walk is routing — decides what its completion triggers.
 #[derive(Debug, Clone)]
-pub enum Purpose {
+pub(crate) enum Purpose {
     /// Workload lookup for the key of peer `target_id`.
     Lookup {
         /// The peer whose key is being looked up.
@@ -169,35 +172,58 @@ pub enum Purpose {
         /// are replaced at the end), false for a join's initial wiring.
         refresh: bool,
     },
-    /// Storage: route to the key, then fan out replica writes.
+    /// Storage: route to the item's key (the walk's target), then fan
+    /// out replica writes from the owner (the walk's `cur`).
     Put {
-        /// Item key.
-        key: Key,
         /// Item payload.
         value: Vec<u8>,
+        /// Replica writes still in flight.
+        pending: u32,
     },
-    /// Storage: route to the key, read the owner, fall back to replicas.
-    Get {
-        /// Item key.
-        key: Key,
-    },
-    /// Storage: route to `lo`, then sweep owners clockwise to the peer
-    /// owning `hi` ([`StorageOp::RangeSweep`]).
+    /// Storage: route to the item's key (the walk's target), read the
+    /// owner (the walk's `cur`), then probe the replicas in its successor
+    /// view, which the walk's candidate pool holds
+    /// ([`Walk::next_alternate`]).
+    Get,
+    /// Storage: route to `lo`, then sweep owners clockwise up to the
+    /// first peer whose arc holds `hi`: at most one circuit. The walk's
+    /// `cur` is the peer that served the last fragment (its key starts
+    /// the next peer's arc, and retries re-consult its successor list),
+    /// and `excluded` the sweep peers that timed out since. The first
+    /// peer holds `[lo, self]`, or none of the range if `lo` lies on its
+    /// successor's arc (the route ended short of a dead one).
     Range {
         /// Inclusive lower bound.
         lo: Key,
         /// Exclusive upper bound.
         hi: Key,
+        /// Items collected so far.
+        items: u64,
+        /// Peers that served a fragment.
+        peers_visited: u32,
     },
 }
 
-/// The requester-held state of one in-flight operation (the routing
-/// phase of every operation). Only message payloads travel on the plane;
-/// this record stays with the engine and — in iterative mode — models
-/// exactly what the requesting node itself would remember, which is why
-/// a dying *relay* cannot destroy it.
+impl Purpose {
+    /// A range query over `[lo, hi)` whose sweep has served nothing yet.
+    pub(crate) fn range(lo: Key, hi: Key) -> Purpose {
+        Purpose::Range {
+            lo,
+            hi,
+            items: 0,
+            peers_visited: 0,
+        }
+    }
+}
+
+/// The requester-held state of one in-flight operation, from spawn to
+/// end: its route, and a put's, get's or range's tail after it. Only
+/// message payloads travel on the plane; this record stays with the
+/// engine and — in iterative mode — models exactly what the requesting
+/// node itself would remember, which is why a dying *relay* cannot
+/// destroy it.
 #[derive(Debug)]
-pub struct Walk {
+pub(crate) struct Walk {
     /// What completion triggers.
     pub purpose: Purpose,
     /// Key being routed toward.
@@ -209,7 +235,8 @@ pub struct Walk {
     /// iterative walk.
     pub requester: u32,
     /// The query's frontier: the node currently holding it (recursive)
-    /// or the last hop the requester confirmed (iterative).
+    /// or the last hop the requester confirmed (iterative). In a storage
+    /// tail, the peer that holds the op (see [`Purpose`]).
     pub cur: u32,
     /// Hops taken so far.
     pub hops: u32,
@@ -223,11 +250,13 @@ pub struct Walk {
     pub timeouts: u32,
     /// Failovers taken to an alternate candidate (iterative ladder).
     pub failovers: u32,
-    /// Accumulated network latency (hop delays + timeout penalties).
+    /// Accumulated network latency (hop delays + timeout penalties, and
+    /// a get's replica probes).
     pub latency: SimTime,
     /// Virtual time the operation was issued.
     pub issued_at: SimTime,
-    /// Contacts excluded after timing out (small; linear scan).
+    /// Contacts excluded after timing out (small; linear scan); cleared
+    /// when a storage tail starts.
     pub excluded: Vec<u32>,
     /// The requester's candidate pool (iterative mode): every next-hop
     /// candidate learned from any reply on this walk, not yet queried,
@@ -236,7 +265,8 @@ pub struct Walk {
     /// the newest frontier's best candidate (the greedy choice); after
     /// a timeout it is the failover ladder — including 2nd/3rd-best
     /// candidates from *earlier* frontiers, which a recursive hand-off
-    /// has irrevocably left behind.
+    /// has irrevocably left behind. A get's tail refills it with the
+    /// replicas still to probe.
     pub alternates: Vec<u32>,
     /// Consumption cursor into `alternates`: entries before it have been
     /// popped by [`Walk::next_alternate`]. A cursor instead of
@@ -361,8 +391,8 @@ impl Walk {
     /// Bare test fixture: an iterative lookup walk with the given
     /// candidate pool and exclusion list, everything else zeroed. For
     /// unit and property tests of the pool mechanics only.
-    #[doc(hidden)]
-    pub fn fixture(alternates: Vec<u32>, excluded: Vec<u32>) -> Walk {
+    #[cfg(test)]
+    fn fixture(alternates: Vec<u32>, excluded: Vec<u32>) -> Walk {
         let lookup = Purpose::Lookup { target_id: 0 };
         let walk = Walk::new(
             lookup,
@@ -411,55 +441,6 @@ impl WalkEnd {
             WalkEnd::Exhausted => "failed-over-exhausted",
         }
     }
-}
-
-/// The second phase of a storage operation, entered when its routing
-/// walk completes.
-#[derive(Debug)]
-pub enum StorageOp {
-    /// Waiting for replica-write fan-out to resolve.
-    PutFanout {
-        /// Item key (replicas store it on delivery).
-        key: Key,
-        /// Item payload.
-        value: Vec<u8>,
-        /// Replica writes still in flight.
-        pending: u32,
-        /// Issue time (for latency accounting at completion).
-        issued_at: SimTime,
-    },
-    /// Probing the owner's successor chain for a replica copy.
-    GetFallback {
-        /// Item key.
-        key: Key,
-        /// The routed owner whose read missed — the target of a
-        /// read-repair push if a replica probe hits.
-        owner: u32,
-        /// Replica holders still to probe, in chain order.
-        chain: Vec<u32>,
-        /// Latency accumulated so far (route + probe round trips +
-        /// timeout penalties).
-        latency: SimTime,
-    },
-    /// Sweeping owners clockwise, accumulating range fragments, up to
-    /// the first peer whose arc holds `hi`: at most one circuit. The
-    /// first peer holds `[lo, self]`, or none of the range if `lo` lies
-    /// on its successor's arc (the route ended short of a dead one).
-    RangeSweep {
-        /// Inclusive lower bound.
-        lo: Key,
-        /// Exclusive upper bound.
-        hi: Key,
-        /// Items collected so far.
-        items: u64,
-        /// Peers that served a fragment.
-        peers_visited: u32,
-        /// Sweep peers that timed out since the last live fragment.
-        tried: Vec<u32>,
-        /// The peer that served the last fragment: its key starts the
-        /// next peer's arc, and retries re-consult its successor list.
-        from: u32,
-    },
 }
 
 /// Everything delivered on the message plane: generator arrivals,
@@ -745,6 +726,35 @@ impl LookupRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Failover safety: the candidate-pool pop can *never* hand back a
+    /// contact the requester has already excluded by timeout, no matter
+    /// how pool and exclusion list interleave — and it consumes each
+    /// candidate at most once.
+    #[test]
+    fn failover_never_routes_through_excluded_contacts(
+        pool in proptest::collection::vec(0u32..64, 0..24),
+        excluded in proptest::collection::vec(0u32..64, 0..24),
+    ) {
+        let mut walk = Walk::fixture(pool.clone(), excluded.clone());
+        let mut handed_out = Vec::new();
+        while let Some(v) = walk.next_alternate() {
+            prop_assert!(!excluded.contains(&v), "excluded contact {} handed out", v);
+            prop_assert!(!handed_out.contains(&v) || pool.iter().filter(|&&u| u == v).count() > 1,
+                "candidate {} handed out twice", v);
+            handed_out.push(v);
+        }
+        prop_assert!(walk.pending_alternates().is_empty(), "pool must drain");
+        // Every pool entry was either handed out or excluded.
+        for v in pool {
+            prop_assert!(handed_out.contains(&v) || excluded.contains(&v));
+        }
+    }
+    }
 
     #[test]
     fn next_alternate_skips_excluded_and_drains_in_rank_order() {

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use sw_keyspace::distribution::{KeyDistribution, TruncatedPareto, Uniform};
 use sw_sim::{
-    ChurnConfig, RoutingMode, SimConfig, SimTime, Simulator, StorageConfig, Walk, WorkloadConfig,
+    ChurnConfig, RoutingMode, SimConfig, SimTime, Simulator, StorageConfig, WorkloadConfig,
 };
 
 fn dist_for(choice: u8) -> Arc<dyn KeyDistribution> {
@@ -98,30 +98,6 @@ proptest! {
             )
         };
         prop_assert_eq!(run(), run());
-    }
-
-    /// Failover safety: the candidate-pool pop can *never* hand back a
-    /// contact the requester has already excluded by timeout, no matter
-    /// how pool and exclusion list interleave — and it consumes each
-    /// candidate at most once.
-    #[test]
-    fn failover_never_routes_through_excluded_contacts(
-        pool in proptest::collection::vec(0u32..64, 0..24),
-        excluded in proptest::collection::vec(0u32..64, 0..24),
-    ) {
-        let mut walk = Walk::fixture(pool.clone(), excluded.clone());
-        let mut handed_out = Vec::new();
-        while let Some(v) = walk.next_alternate() {
-            prop_assert!(!excluded.contains(&v), "excluded contact {} handed out", v);
-            prop_assert!(!handed_out.contains(&v) || pool.iter().filter(|&&u| u == v).count() > 1,
-                "candidate {} handed out twice", v);
-            handed_out.push(v);
-        }
-        prop_assert!(walk.pending_alternates().is_empty(), "pool must drain");
-        // Every pool entry was either handed out or excluded.
-        for v in pool {
-            prop_assert!(handed_out.contains(&v) || excluded.contains(&v));
-        }
     }
 
     /// Anti-entropy quiescence: after churn stops and enough repair
