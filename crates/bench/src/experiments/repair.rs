@@ -15,6 +15,7 @@ struct RepairRow {
     keys_lost: u64,
     under_peak: u64,
     under_end: u64,
+    over_end: u64,
     repair_mb: f64,
     overhead: f64,
     ttr_mean_secs: f64,
@@ -29,7 +30,10 @@ struct RepairRow {
 /// With repair on, mid-interval failures under-replicate keys and the
 /// protocol pays measurable transfer bytes to pull them back to target;
 /// with repair off, the same churn permanently loses keys. The sweep
-/// makes the durability/bandwidth trade-off a table. The range columns
+/// makes the durability/bandwidth trade-off a table. `over @stop`
+/// counts the keys above the replication target at the instant churn
+/// stops (a [`Simulator::durability_census`]): copies a holder still
+/// keeps after it left an arc's chain. The range columns
 /// count the sweeps that finished served, all sweeps that finished, and
 /// the items they gathered.
 pub fn e18_repair(ctx: &Ctx) {
@@ -48,6 +52,7 @@ pub fn e18_repair(ctx: &Ctx) {
             "keys lost",
             "under peak",
             "under @end",
+            "over @stop",
             "repair MB",
             "bytes/stored",
             "ttr mean (s)",
@@ -100,6 +105,7 @@ pub fn e18_repair(ctx: &Ctx) {
                         sim.run_until(SimTime::from_secs(slice * 5));
                         under_peak = under_peak.max(sim.metrics().keys_under_replicated);
                     }
+                    let over_end = sim.durability_census(1).over_replicated as u64;
                     sim.set_churn(ChurnConfig::NONE);
                     sim.run_until(SimTime::from_secs(churn_secs + quiesce_secs));
                     let m = sim.metrics();
@@ -108,6 +114,7 @@ pub fn e18_repair(ctx: &Ctx) {
                         keys_lost: m.keys_lost,
                         under_peak,
                         under_end: m.keys_under_replicated,
+                        over_end,
                         repair_mb: m.repair_bytes as f64 / 1e6,
                         overhead: m.repair_overhead(),
                         ttr_mean_secs: m.repair_time_secs.mean(),
@@ -124,6 +131,7 @@ pub fn e18_repair(ctx: &Ctx) {
                         row.keys_lost.to_string(),
                         row.under_peak.to_string(),
                         row.under_end.to_string(),
+                        row.over_end.to_string(),
                         f2(row.repair_mb),
                         f3(row.overhead),
                         f2(row.ttr_mean_secs),
@@ -151,13 +159,14 @@ fn write_snapshot(ctx: &Ctx, rows: &[RepairRow]) {
         .map(|r| {
             format!(
                 "{{\"id\": \"{}\", \"keys_lost\": {}, \"under_peak\": {}, \
-                 \"under_end\": {}, \"repair_mb\": {:.4}, \"overhead\": {:.6}, \
+                 \"under_end\": {}, \"over_end\": {}, \"repair_mb\": {:.4}, \"overhead\": {:.6}, \
                  \"ttr_mean_secs\": {:.4}, \"get_ok\": {:.4}, \"ranges_ok\": {}, \
                  \"ranges\": {}, \"range_items\": {}, \"unit\": \"sim_secs\"}}",
                 r.id,
                 r.keys_lost,
                 r.under_peak,
                 r.under_end,
+                r.over_end,
                 r.repair_mb,
                 r.overhead,
                 r.ttr_mean_secs,
