@@ -7,6 +7,7 @@
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, Table};
 use std::sync::Arc;
+use sw_graph::par;
 use sw_keyspace::distribution::{KeyDistribution, TruncatedPareto, Uniform};
 use sw_sim::{ChurnConfig, SimConfig, SimTime, Simulator, StorageConfig, WorkloadConfig};
 
@@ -74,76 +75,83 @@ pub fn e18_repair(ctx: &Ctx) {
         ("2s", Some(SimTime::from_secs(2))),
         ("10s", Some(SimTime::from_secs(10))),
     ];
-    let mut rows: Vec<RepairRow> = Vec::new();
+    let mut cells = Vec::new();
     for (dname, dist) in &dists {
-        for &churn in &[2.0f64, 8.0] {
-            for (rname, repair) in &repair_modes {
-                for &replication in &[2usize, 3] {
-                    let cfg = SimConfig {
-                        seed: ctx.seed ^ 18 ^ churn.to_bits() ^ (replication as u64) << 32,
-                        initial_n: n,
-                        churn: ChurnConfig::symmetric(churn),
-                        workload: WorkloadConfig { lookup_rate: 5.0 },
-                        storage: StorageConfig {
-                            put_rate: 5.0,
-                            get_rate: 10.0,
-                            range_rate: 0.5,
-                            replication,
-                            preload: ctx.queries(2000),
-                            range_width: 0.02,
-                            repair_interval: *repair,
-                            repair_byte_secs: 1e-6,
-                            routing_mode: None,
-                        },
-                        stabilize_interval: Some(SimTime::from_secs(5)),
-                        refresh_interval: Some(SimTime::from_secs(30)),
-                        ..SimConfig::default()
-                    };
-                    let mut sim = Simulator::new(cfg, dist.clone());
-                    let mut under_peak = 0u64;
-                    for slice in 1..=(churn_secs / 5) {
-                        sim.run_until(SimTime::from_secs(slice * 5));
-                        under_peak = under_peak.max(sim.metrics().keys_under_replicated);
-                    }
-                    let over_end = sim.durability_census(1).over_replicated as u64;
-                    sim.set_churn(ChurnConfig::NONE);
-                    sim.run_until(SimTime::from_secs(churn_secs + quiesce_secs));
-                    let m = sim.metrics();
-                    let row = RepairRow {
-                        id: format!("repair/{dname}/churn{churn:.0}/{rname}/r{replication}"),
-                        keys_lost: m.keys_lost,
-                        under_peak,
-                        under_end: m.keys_under_replicated,
-                        over_end,
-                        repair_mb: m.repair_bytes as f64 / 1e6,
-                        overhead: m.repair_overhead(),
-                        ttr_mean_secs: m.repair_time_secs.mean(),
-                        get_ok: m.get_success_rate(),
-                        ranges_ok: m.ranges_ok,
-                        ranges: m.ranges,
-                        range_items: m.range_items,
-                    };
-                    table.row(vec![
-                        dname.to_string(),
-                        format!("{churn:.0}"),
-                        rname.to_string(),
-                        replication.to_string(),
-                        row.keys_lost.to_string(),
-                        row.under_peak.to_string(),
-                        row.under_end.to_string(),
-                        row.over_end.to_string(),
-                        f2(row.repair_mb),
-                        f3(row.overhead),
-                        f2(row.ttr_mean_secs),
-                        f3(row.get_ok),
-                        row.ranges_ok.to_string(),
-                        row.ranges.to_string(),
-                        row.range_items.to_string(),
-                    ]);
-                    rows.push(row);
+        for churn in [2.0f64, 8.0] {
+            for (rname, repair) in repair_modes {
+                for replication in [2usize, 3] {
+                    cells.push((*dname, dist, churn, rname, repair, replication));
                 }
             }
         }
+    }
+    // One worker per cell: every row is a function of its cell's seed,
+    // and `par_map_grained` returns them in cell order.
+    let rows = par::par_map_grained(cells.len(), cells.len(), 1, |i| {
+        let (dname, dist, churn, rname, repair, replication) = cells[i];
+        let cfg = SimConfig {
+            seed: ctx.seed ^ 18 ^ churn.to_bits() ^ (replication as u64) << 32,
+            initial_n: n,
+            churn: ChurnConfig::symmetric(churn),
+            workload: WorkloadConfig { lookup_rate: 5.0 },
+            storage: StorageConfig {
+                put_rate: 5.0,
+                get_rate: 10.0,
+                range_rate: 0.5,
+                replication,
+                preload: ctx.queries(2000),
+                range_width: 0.02,
+                repair_interval: repair,
+                repair_byte_secs: 1e-6,
+                routing_mode: None,
+            },
+            stabilize_interval: Some(SimTime::from_secs(5)),
+            refresh_interval: Some(SimTime::from_secs(30)),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(cfg, dist.clone());
+        let mut under_peak = 0u64;
+        for slice in 1..=(churn_secs / 5) {
+            sim.run_until(SimTime::from_secs(slice * 5));
+            under_peak = under_peak.max(sim.metrics().keys_under_replicated);
+        }
+        let over_end = sim.durability_census(1).over_replicated as u64;
+        sim.set_churn(ChurnConfig::NONE);
+        sim.run_until(SimTime::from_secs(churn_secs + quiesce_secs));
+        let m = sim.metrics();
+        RepairRow {
+            id: format!("repair/{dname}/churn{churn:.0}/{rname}/r{replication}"),
+            keys_lost: m.keys_lost,
+            under_peak,
+            under_end: m.keys_under_replicated,
+            over_end,
+            repair_mb: m.repair_bytes as f64 / 1e6,
+            overhead: m.repair_overhead(),
+            ttr_mean_secs: m.repair_time_secs.mean(),
+            get_ok: m.get_success_rate(),
+            ranges_ok: m.ranges_ok,
+            ranges: m.ranges,
+            range_items: m.range_items,
+        }
+    });
+    for (&(dname, _, churn, rname, _, replication), row) in cells.iter().zip(&rows) {
+        table.row(vec![
+            dname.to_string(),
+            format!("{churn:.0}"),
+            rname.to_string(),
+            replication.to_string(),
+            row.keys_lost.to_string(),
+            row.under_peak.to_string(),
+            row.under_end.to_string(),
+            row.over_end.to_string(),
+            f2(row.repair_mb),
+            f3(row.overhead),
+            f2(row.ttr_mean_secs),
+            f3(row.get_ok),
+            row.ranges_ok.to_string(),
+            row.ranges.to_string(),
+            row.range_items.to_string(),
+        ]);
     }
     table.print();
     ctx.write_csv(&table, "e18_repair.csv");

@@ -36,6 +36,7 @@
 use crate::ctx::Ctx;
 use crate::table::{f2, f3, Table};
 use std::sync::Arc;
+use sw_graph::par;
 use sw_keyspace::distribution::{KeyDistribution, TruncatedPareto, Uniform};
 use sw_keyspace::stats::quantile_sorted;
 use sw_sim::{ChurnConfig, RoutingMode, SimConfig, SimTime, Simulator, WorkloadConfig};
@@ -90,67 +91,74 @@ pub fn e19_routing_modes(ctx: &Ctx) {
             Arc::new(TruncatedPareto::new(1.5, 0.01).expect("valid")),
         ),
     ];
-    let mut rows: Vec<RoutingRow> = Vec::new();
+    let mut cells = Vec::new();
     for (dname, dist) in &dists {
-        for &churn in &[0.0f64, 4.0, 8.0] {
+        for churn in [0.0f64, 4.0, 8.0] {
             for mode in RoutingMode::ALL {
-                let cfg = SimConfig {
-                    seed: ctx.seed ^ 19 ^ churn.to_bits(),
-                    initial_n: n,
-                    churn: ChurnConfig::symmetric(churn),
-                    workload: WorkloadConfig { lookup_rate: 30.0 },
-                    routing_mode: mode,
-                    record_lookups: true,
-                    stabilize_interval: None,
-                    refresh_interval: Some(SimTime::from_secs(30)),
-                    ..SimConfig::default()
-                };
-                let mut sim = Simulator::new(cfg, dist.clone());
-                sim.run_until(SimTime::from_secs(horizon_secs));
-                let m = sim.metrics();
-                let mut lat: Vec<f64> = sim
-                    .lookup_records()
-                    .iter()
-                    .filter(|r| r.success)
-                    .map(|r| r.latency.as_secs_f64())
-                    .collect();
-                lat.sort_by(f64::total_cmp);
-                let (p50, p99) = if lat.is_empty() {
-                    (0.0, 0.0)
-                } else {
-                    (quantile_sorted(&lat, 0.5), quantile_sorted(&lat, 0.99))
-                };
-                let row = RoutingRow {
-                    id: format!("routing/{dname}/churn{churn:.0}/{}", mode.name()),
-                    lookups: m.lookups,
-                    ok_rate: m.success_rate(),
-                    stranded_failed_rate: m.stranded_or_failed_rate(),
-                    stranded: m.lookups_stranded,
-                    failed_over: m.lookups_failed_over,
-                    exhausted: m.lookups_exhausted,
-                    hops_mean: m.hops.mean(),
-                    p50_ms: p50 * 1e3,
-                    p99_ms: p99 * 1e3,
-                    hop_rtt_ms: m.hop_rtt.mean() * 1e3,
-                };
-                table.row(vec![
-                    dname.to_string(),
-                    format!("{churn:.0}"),
-                    mode.name().to_string(),
-                    row.lookups.to_string(),
-                    f3(row.ok_rate),
-                    f3(row.stranded_failed_rate),
-                    row.stranded.to_string(),
-                    row.failed_over.to_string(),
-                    row.exhausted.to_string(),
-                    f2(row.hops_mean),
-                    f2(row.p50_ms),
-                    f2(row.p99_ms),
-                    f2(row.hop_rtt_ms),
-                ]);
-                rows.push(row);
+                cells.push((*dname, dist, churn, mode));
             }
         }
+    }
+    // One worker per cell: every row is a function of its cell's seed,
+    // and `par_map_grained` returns them in cell order.
+    let rows = par::par_map_grained(cells.len(), cells.len(), 1, |i| {
+        let (dname, dist, churn, mode) = cells[i];
+        let cfg = SimConfig {
+            seed: ctx.seed ^ 19 ^ churn.to_bits(),
+            initial_n: n,
+            churn: ChurnConfig::symmetric(churn),
+            workload: WorkloadConfig { lookup_rate: 30.0 },
+            routing_mode: mode,
+            record_lookups: true,
+            stabilize_interval: None,
+            refresh_interval: Some(SimTime::from_secs(30)),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(cfg, dist.clone());
+        sim.run_until(SimTime::from_secs(horizon_secs));
+        let m = sim.metrics();
+        let mut lat: Vec<f64> = sim
+            .lookup_records()
+            .iter()
+            .filter(|r| r.success)
+            .map(|r| r.latency.as_secs_f64())
+            .collect();
+        lat.sort_by(f64::total_cmp);
+        let (p50, p99) = if lat.is_empty() {
+            (0.0, 0.0)
+        } else {
+            (quantile_sorted(&lat, 0.5), quantile_sorted(&lat, 0.99))
+        };
+        RoutingRow {
+            id: format!("routing/{dname}/churn{churn:.0}/{}", mode.name()),
+            lookups: m.lookups,
+            ok_rate: m.success_rate(),
+            stranded_failed_rate: m.stranded_or_failed_rate(),
+            stranded: m.lookups_stranded,
+            failed_over: m.lookups_failed_over,
+            exhausted: m.lookups_exhausted,
+            hops_mean: m.hops.mean(),
+            p50_ms: p50 * 1e3,
+            p99_ms: p99 * 1e3,
+            hop_rtt_ms: m.hop_rtt.mean() * 1e3,
+        }
+    });
+    for (&(dname, _, churn, mode), row) in cells.iter().zip(&rows) {
+        table.row(vec![
+            dname.to_string(),
+            format!("{churn:.0}"),
+            mode.name().to_string(),
+            row.lookups.to_string(),
+            f3(row.ok_rate),
+            f3(row.stranded_failed_rate),
+            row.stranded.to_string(),
+            row.failed_over.to_string(),
+            row.exhausted.to_string(),
+            f2(row.hops_mean),
+            f2(row.p50_ms),
+            f2(row.p99_ms),
+            f2(row.hop_rtt_ms),
+        ]);
     }
     table.print();
     ctx.write_csv(&table, "e19_routing_modes.csv");

@@ -25,6 +25,7 @@ use crate::ctx::{self, Ctx};
 use crate::table::{f2, f3, Table};
 use std::sync::Arc;
 use std::time::Instant;
+use sw_graph::par;
 use sw_keyspace::distribution::Uniform;
 use sw_sim::{
     CacheConfig, CongestionConfig, SimConfig, SimTime, Simulator, TrafficConfig, WorkloadConfig,
@@ -105,48 +106,57 @@ pub fn e23_traffic(ctx: &Ctx) {
         println!("  [e23] n={n}: drawing + freezing the initial overlay…");
         let path = ctx::scratch_dir().join(format!("sw-e23-{n}-{}.arena", std::process::id()));
         super::sim_scale::build_frozen_overlay(ctx.seed ^ 0xE23 ^ n as u64, n, &path);
-        for &zipf_s in skews {
-            for &cache in &[false, true] {
-                let cell = run_cell(ctx, n, zipf_s, cache, rate_cap, &path);
-                let mut knee_rate = 0.0f64;
-                let mut knee_goodput = 0.0f64;
-                for p in &cell {
-                    if p.sustained {
-                        knee_rate = p.rate;
-                        knee_goodput = p.goodput;
-                    }
-                    table.row(vec![
-                        p.n.to_string(),
-                        format!("{:.1}", p.zipf_s),
-                        if p.cache { "on" } else { "off" }.to_string(),
-                        format!("{:.0}", p.rate),
-                        format!("{:.0}", p.goodput),
-                        f3(p.ok_rate),
-                        f2(p.p50_ms),
-                        f2(p.p99_ms),
-                        f2(p.p999_ms),
-                        f2(p.queue_wait_p99_ms),
-                        p.drops.to_string(),
-                        p.cache_hits.to_string(),
-                        p.depth_peak.to_string(),
-                        if p.sustained { "yes" } else { "SAT" }.to_string(),
-                    ]);
+        let cells: Vec<(f64, bool)> = skews
+            .iter()
+            .flat_map(|&zipf_s| [(zipf_s, false), (zipf_s, true)])
+            .collect();
+        // One worker per cell. A cell's points are a function of its
+        // seed, and its progress lines print in cell order after the
+        // region, so the output does not depend on scheduling.
+        let runs = par::par_map_grained(cells.len(), cells.len(), 1, |i| {
+            let (zipf_s, cache) = cells[i];
+            run_cell(ctx, n, zipf_s, cache, rate_cap, &path)
+        });
+        for (&(zipf_s, cache), (cell, log)) in cells.iter().zip(runs) {
+            log.iter().for_each(|line| println!("{line}"));
+            let mut knee_rate = 0.0f64;
+            let mut knee_goodput = 0.0f64;
+            for p in &cell {
+                if p.sustained {
+                    knee_rate = p.rate;
+                    knee_goodput = p.goodput;
                 }
-                println!(
-                    "  [e23] n={n} s={zipf_s:.1} cache={}: knee {knee_rate:.0}/s \
-                     (goodput {knee_goodput:.0}/s)",
-                    if cache { "on" } else { "off" }
-                );
-                knees.push((
-                    format!("traffic/n{n}/s{zipf_s:.1}/cache-{}/knee", on_off(cache)),
-                    n,
-                    zipf_s,
-                    cache,
-                    knee_rate,
-                    knee_goodput,
-                ));
-                points.extend(cell);
+                table.row(vec![
+                    p.n.to_string(),
+                    format!("{:.1}", p.zipf_s),
+                    if p.cache { "on" } else { "off" }.to_string(),
+                    format!("{:.0}", p.rate),
+                    format!("{:.0}", p.goodput),
+                    f3(p.ok_rate),
+                    f2(p.p50_ms),
+                    f2(p.p99_ms),
+                    f2(p.p999_ms),
+                    f2(p.queue_wait_p99_ms),
+                    p.drops.to_string(),
+                    p.cache_hits.to_string(),
+                    p.depth_peak.to_string(),
+                    if p.sustained { "yes" } else { "SAT" }.to_string(),
+                ]);
             }
+            println!(
+                "  [e23] n={n} s={zipf_s:.1} cache={}: knee {knee_rate:.0}/s \
+                 (goodput {knee_goodput:.0}/s)",
+                if cache { "on" } else { "off" }
+            );
+            knees.push((
+                format!("traffic/n{n}/s{zipf_s:.1}/cache-{}/knee", on_off(cache)),
+                n,
+                zipf_s,
+                cache,
+                knee_rate,
+                knee_goodput,
+            ));
+            points.extend(cell);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -164,7 +174,8 @@ fn on_off(cache: bool) -> &'static str {
 }
 
 /// Climb the rate ladder for one (n, s, cache) cell, stopping after two
-/// consecutive saturated rungs.
+/// consecutive saturated rungs. Returns the rungs and their progress
+/// lines.
 fn run_cell(
     ctx: &Ctx,
     n: usize,
@@ -172,8 +183,9 @@ fn run_cell(
     cache: bool,
     rate_cap: f64,
     path: &std::path::Path,
-) -> Vec<TrafficPoint> {
+) -> (Vec<TrafficPoint>, Vec<String>) {
     let mut out = Vec::new();
+    let mut log = Vec::new();
     let mut base_p99 = 0.0f64;
     let mut consecutive_saturated = 0u32;
     let mut rate = 250.0f64;
@@ -209,7 +221,7 @@ fn run_cell(
         } else {
             consecutive_saturated += 1;
         }
-        println!(
+        log.push(format!(
             "  [e23] n={n} s={zipf_s:.1} cache={} rate={rate:.0}: ok {:.3}, p99 {:.0} ms, \
              {} drops ({:.1}s)",
             on_off(cache),
@@ -217,7 +229,7 @@ fn run_cell(
             p99,
             m.msgs_dropped_overload,
             t0.elapsed().as_secs_f64(),
-        );
+        ));
         out.push(TrafficPoint {
             id: format!(
                 "traffic/n{n}/s{zipf_s:.1}/cache-{}/r{rate:.0}",
@@ -244,7 +256,7 @@ fn run_cell(
         }
         rate *= 2.0;
     }
-    out
+    (out, log)
 }
 
 /// Pure-traffic cell: no churn, no background workload, no maintenance
