@@ -6,14 +6,10 @@
 //! its holder's arc `(pred, self]` in the holder's current view, and the
 //! rest are replicas of its predecessors' arcs. The successor rule keeps
 //! an arc's keys contiguous on the ring, so ownership changes under
-//! churn move contiguous slices of shards, not individual rows:
-//!
-//! * a **join** splits the successor's shard — the new peer takes the
-//!   arc between its predecessor and itself ([`ShardMap::split_to`]);
-//! * a **failure** drops the dead peer's shard
-//!   ([`ShardMap::clear_shard`]); no copy moves at that instant, and
-//!   the anti-entropy repair below restores the lost copies from the
-//!   surviving replicas.
+//! churn move contiguous slices of shards, not individual rows. No
+//! slice moves inside the map: a failure drops the dead peer's shard
+//! ([`ShardMap::clear_shard`]), and every other move is a message that
+//! carries copies [`ShardMap::export`] cloned out of the sender.
 //!
 //! ## Anti-entropy substrate
 //!
@@ -190,39 +186,6 @@ impl ShardMap {
         shard.into_iter().flat_map(move |s| s.range(lo..hi))
     }
 
-    /// Ownership split on join: moves every key of `from`'s shard lying
-    /// on the clockwise ring arc `(pred, upto]` into `to`'s shard.
-    /// Returns the number of rows moved.
-    ///
-    /// `upto` is the joining peer's own key and `pred` its predecessor's,
-    /// so the moved slice is exactly the arc the successor rule
-    /// re-assigns.
-    pub fn split_to(&mut self, from: u32, to: u32, pred: Key, upto: Key) -> usize {
-        if from == to || (from as usize) >= self.shards.len() {
-            return 0;
-        }
-        self.ensure(to); // may reallocate; do it before borrowing `from`
-        let moved: Vec<(Key, Vec<u8>)> = {
-            let src = &mut self.shards[from as usize];
-            let keys: Vec<Key> = src
-                .keys()
-                .copied()
-                .filter(|&k| Topology::Ring.in_arc(pred, k, upto))
-                .collect();
-            keys.into_iter()
-                .map(|k| (k, src.remove(&k).expect("key just listed")))
-                .collect()
-        };
-        let n = moved.len();
-        let dst = &mut self.shards[to as usize];
-        for (k, v) in moved {
-            if dst.insert(k, v).is_some() {
-                self.len -= 1; // displaced a copy `to` already held
-            }
-        }
-        n
-    }
-
     // ----- anti-entropy substrate ------------------------------------
 
     /// Visits `owner`'s items on the clockwise ring arc `(from, upto]`,
@@ -345,34 +308,6 @@ mod tests {
         assert_eq!(m.shard_count(), 18);
         assert_eq!(m.shard_len(17), 1);
         assert_eq!(m.shard_len(99), 0, "unseen owner reads as empty");
-    }
-
-    #[test]
-    fn split_moves_exactly_the_arc() {
-        let mut m = ShardMap::new(2);
-        for i in 0..10 {
-            m.insert(0, k(i as f64 / 10.0), val(i));
-        }
-        // New peer at 0.45, predecessor at 0.15: takes (0.15, 0.45].
-        let moved = m.split_to(0, 1, k(0.15), k(0.45));
-        assert_eq!(moved, 3, "0.2, 0.3, 0.4");
-        assert_eq!(m.shard_len(0), 7);
-        assert_eq!(m.shard_len(1), 3);
-        assert_eq!(m.len(), 10, "split moves rows, never loses them");
-        assert!(m.contains(1, k(0.2)) && m.contains(1, k(0.4)));
-        assert!(m.contains(0, k(0.1)) && m.contains(0, k(0.5)));
-    }
-
-    #[test]
-    fn split_handles_wraparound_arc() {
-        let mut m = ShardMap::new(2);
-        for i in 0..10 {
-            m.insert(0, k(i as f64 / 10.0), val(i));
-        }
-        // Arc (0.8, 0.1] wraps through zero: moves 0.9, 0.0, 0.1.
-        let moved = m.split_to(0, 1, k(0.8), k(0.1));
-        assert_eq!(moved, 3);
-        assert!(m.contains(1, k(0.9)) && m.contains(1, k(0.0)) && m.contains(1, k(0.1)));
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::latency::LatencyModel;
 use crate::metrics::SimMetrics;
 use crate::plane::MessagePlane;
 use crate::protocol::{
-    LookupRecord, Msg, NextHopReply, Purpose, QueryId, RepairDiff, RepairDigest, RepairPull,
-    RepairPush, RoutingMode, Source, Timer, Walk, WalkEnd,
+    Handoff, LookupRecord, Msg, NextHopReply, Purpose, QueryId, RepairDiff, RepairDigest,
+    RepairPull, RepairPush, RoutingMode, Source, Timer, Walk, WalkEnd,
 };
 use crate::slab::Slab;
 use crate::time::SimTime;
@@ -192,19 +192,7 @@ impl Default for SimConfig {
     }
 }
 
-/// A replica-retention lease: the holder keeps replica copies on the arc
-/// `(lo, hi]` until `expires`. Owners renew leases with every
-/// anti-entropy digest; a holder that stops hearing digests for an arc
-/// (it fell out of the replica chain) lets the lease lapse and garbage-
-/// collects the copies on its next round.
-#[derive(Debug, Clone, Copy)]
-struct RepairLease {
-    lo: Key,
-    hi: Key,
-    expires: SimTime,
-}
-
-/// A simulated peer. Routing state (`pred`, `succ`, and the long-link
+/// A simulated peer. Routing state (`succ`, `preds`, and the long-link
 /// row in [`Peers::links`]) is the node's *local view* and can go stale
 /// under churn; [`World::is_alive`] says whether the peer is up.
 #[derive(Debug, Clone)]
@@ -212,21 +200,21 @@ struct SimNode {
     /// Clockwise successor list (nearest first), inline: a step reads it
     /// off the node record's own cache lines.
     succ: SuccList,
-    /// Counter-clockwise neighbour.
-    pred: Option<u32>,
+    /// Counter-clockwise neighbours, nearest first: the routing
+    /// predecessor, then the rest of the keep arc's bound
+    /// ([`Simulator::keep_from`]).
+    preds: [u32; PREDECESSOR_LIST],
     /// True while a refresh chain is rebuilding this node's long links.
     refreshing: bool,
-    /// Replica-retention leases (renewed by incoming repair digests).
-    leases: Vec<RepairLease>,
 }
 
 impl SimNode {
     /// Peer `id`'s record in the converged ring of `n` key-ranked, all
     /// alive peers: its successors are the next [`SUCCESSOR_LIST`] ids
-    /// and its predecessor the id before, mod `n` — what
-    /// [`World::ring_state`] finds over that alive set, by rank instead
-    /// of by search. Needs `n > SUCCESSOR_LIST`, so that no peer lists
-    /// itself.
+    /// and its predecessors the [`PREDECESSOR_LIST`] ids before, mod `n`
+    /// — what [`World::ring_state`] finds over that alive set, by rank
+    /// instead of by search. Needs `n > PREDECESSOR_LIST`, so that no
+    /// peer lists itself.
     fn converged(id: usize, n: usize) -> SimNode {
         let mut succ = SuccList::default();
         for d in 1..=SUCCESSOR_LIST {
@@ -234,9 +222,8 @@ impl SimNode {
         }
         SimNode {
             succ,
-            pred: Some(((id + n - 1) % n) as u32),
+            preds: std::array::from_fn(|d| ((id + n - 1 - d) % n) as u32),
             refreshing: false,
-            leases: Vec::new(),
         }
     }
 }
@@ -331,6 +318,11 @@ pub fn converged_overlay(
 
 /// Successor-list length (ring repair redundancy).
 pub(crate) const SUCCESSOR_LIST: usize = 4;
+
+/// Predecessor-list length: a peer is in the replica chains of at most
+/// [`SUCCESSOR_LIST`] predecessors, so its keep arc reaches back this far.
+/// The population floor of 8 keeps the list full.
+pub(crate) const PREDECESSOR_LIST: usize = SUCCESSOR_LIST + 1;
 
 /// Latency charged for each timeout on a dead contact.
 pub(crate) const TIMEOUT_PENALTY: SimTime = SimTime::from_millis(500);
@@ -494,20 +486,6 @@ impl Simulator {
             cfg,
         };
         sim.preload_storage();
-        // Preloaded replicas were placed by the t=0 oracle; grant every
-        // peer a grace lease over the full ring (the degenerate
-        // `lo == hi` arc) so the first GC rounds do not retire them
-        // before real digests establish per-arc leases.
-        if sim.cfg.storage.enabled() && sim.cfg.storage.repair_interval.is_some() {
-            let ttl = sim.lease_ttl();
-            for (node, &k) in sim.peers.nodes.iter_mut().zip(&sim.peers.keys) {
-                node.leases.push(RepairLease {
-                    lo: k,
-                    hi: k,
-                    expires: ttl,
-                });
-            }
-        }
         if sim.cfg.traffic.enabled() {
             // Gateways (the front-ends users hit) and the hot-key
             // universe are fixed subsets of the t = 0 population, drawn
@@ -665,8 +643,7 @@ impl Simulator {
         let (rank, placement, topo) = self.world.rank_rows(|id| {
             let node = &self.peers.nodes[id as usize];
             let long = self.peers.links.row_slice(id);
-            node.pred
-                .into_iter()
+            std::iter::once(node.preds[0])
                 .chain(node.succ.iter().copied())
                 .chain(long.iter().copied())
         });
@@ -793,6 +770,7 @@ impl Simulator {
             Msg::RepairDiff(diff) => Some(diff.owner),
             Msg::RepairPush(push) => Some(push.replica),
             Msg::RepairPull(pull) => Some(pull.owner),
+            Msg::Handoff(handoff) => handoff.relay.last().copied(),
             other => unreachable!("not a network message: {other:?}"),
         };
         let live = !lost && self.world.deliver(receiver);
@@ -815,6 +793,7 @@ impl Simulator {
             Msg::RepairDiff(diff) if live => self.on_repair_diff(*diff),
             Msg::RepairPush(push) if live => self.on_repair_push(*push),
             Msg::RepairPull(pull) if live => self.on_repair_pull(*pull),
+            Msg::Handoff(handoff) if live => self.on_handoff(handoff),
             _ => {}
         }
     }
@@ -1020,7 +999,7 @@ impl Simulator {
         let node = &self.peers.nodes[at as usize];
         let cur_d = Metric::Ring.distance(self.peers.keys[at as usize], target);
         let view = sw_overlay::RingView {
-            pred: node.pred,
+            pred: Some(node.preds[0]),
             succ: &node.succ,
             long: self.peers.links.row_slice(at),
         };
@@ -1064,7 +1043,7 @@ impl Simulator {
             return Stepped::Done(WalkEnd::HopLimit);
         }
         let view = sw_overlay::RingView {
-            pred: node.pred,
+            pred: Some(node.preds[0]),
             succ: &node.succ,
             long: peers.links.row_slice(cur),
         };
@@ -1498,48 +1477,34 @@ impl Simulator {
 
     /// The join-point walk completed: unless another joiner took `key`
     /// meanwhile (`false`), the world takes the peer in. Give it a slot
-    /// in every per-peer lane, splice it, move its shard slice over, and
-    /// start its long-link probe chain.
+    /// in every per-peer lane, splice it, and start its long-link probe
+    /// chain.
     fn complete_join(&mut self, key: Key) -> bool {
         let Some(id) = self.world.join(key) else {
             return false;
         };
-        let (succ, pred) = self.world.ring_state(key);
+        let (succ, preds) = self.world.ring_state(key);
         self.peers.nodes.push(SimNode {
             succ,
-            pred,
+            preds,
             refreshing: false,
-            leases: Vec::new(),
         });
         self.peers.keys.push(key);
         let row_id = self.peers.links.push_node(Vec::new());
         debug_assert_eq!(row_id, id, "link rows track node ids");
         self.node_q.push(ServiceQueue::default());
-        // Splice: the new peer's ring neighbours learn about it.
-        if let Some(p) = pred {
-            self.peers.nodes[p as usize].succ.insert_front(id);
+        // Splice: the new peer's predecessor and the successors it lists
+        // learn about it. Those successors' keep arcs shrank, and each
+        // hands its copies off at once; the relays pass through the
+        // joiner, which so receives its keep arc by message.
+        self.peers.nodes[preds[0] as usize].succ.insert_front(id);
+        for (i, &s) in succ.iter().enumerate() {
+            let preds = &mut self.peers.nodes[s as usize].preds;
+            preds.copy_within(i..PREDECESSOR_LIST - 1, i + 1);
+            preds[i] = id;
         }
-        if let Some(&s) = succ.first() {
-            self.peers.nodes[s as usize].pred = Some(id);
-        }
-        // Ownership split: the new peer takes the rows on the arc
-        // between its predecessor and itself from its successor's shard.
         if self.cfg.storage.enabled() {
-            if let (Some(&succ0), Some(p)) = (succ.first(), pred) {
-                let pred_key = self.peers.keys[p as usize];
-                self.peers.store.split_to(succ0, id, pred_key, key);
-            }
-            // Same grace lease the t=0 population gets: replica copies
-            // fanned to the joiner before its arc owners' first digests
-            // arrive must survive the joiner's own first GC rounds.
-            if self.cfg.storage.repair_interval.is_some() {
-                let expires = self.plane.now() + self.lease_ttl();
-                self.peers.nodes[id as usize].leases.push(RepairLease {
-                    lo: key,
-                    hi: key,
-                    expires,
-                });
-            }
+            succ.iter().for_each(|&s| self.hand_off(s));
         }
         self.metrics.joins += 1;
         self.schedule_timers(id);
@@ -1622,7 +1587,7 @@ impl Simulator {
     fn do_stabilize_start(&mut self, id: u32) {
         let node = &self.peers.nodes[id as usize];
         let view = sw_overlay::RingView {
-            pred: node.pred,
+            pred: Some(node.preds[0]),
             succ: &node.succ,
             long: self.peers.links.row_slice(id),
         };
@@ -1643,8 +1608,15 @@ impl Simulator {
         if !self.world.is_alive(id) {
             return;
         }
+        let (chain, preds) = self.repair_view(id);
         let node = &mut self.peers.nodes[id as usize];
-        (node.succ, node.pred) = self.world.ring_state(self.peers.keys[id as usize]);
+        (node.succ, node.preds) = self.world.ring_state(self.peers.keys[id as usize]);
+        // A new replica chain or keep arc may move copies: refill and
+        // hand off now rather than at the next timer round.
+        let (now_chain, now_preds) = self.repair_view(id);
+        if (*chain != *now_chain || preds != now_preds) && self.period(Timer::Repair).is_some() {
+            self.do_repair_round(id);
+        }
         // Prune dead long links in place. A row with no dead contact is
         // left untouched: a base row stays a base read, not a delta copy.
         let world = &self.world;
@@ -2105,16 +2077,6 @@ impl Simulator {
 
     // ----- the repair plane (anti-entropy rounds) --------------------
 
-    /// How long a replica-retention lease lives without renewal: several
-    /// repair rounds plus stabilization slack, so a legitimate replica
-    /// whose owner just died keeps its copies until the new owner's
-    /// (post-stabilization) digests take over the renewals.
-    fn lease_ttl(&self) -> SimTime {
-        let interval = self.cfg.storage.repair_interval.unwrap_or(SimTime::ZERO);
-        let stab = self.cfg.stabilize_interval.unwrap_or(SimTime::ZERO);
-        SimTime(interval.0 * 4 + stab.0 * 2)
-    }
-
     /// Sends one repair-plane message: counted, byte-accounted, and
     /// delayed by the hop delay *plus* the bandwidth cost of its
     /// payload. Routes through the congestion plane, so under load a
@@ -2130,19 +2092,17 @@ impl Simulator {
         self.send_net(from, to, now, dt, msg);
     }
 
-    /// One anti-entropy round at `id`: one local fixup (garbage-collect
-    /// copies off its arc that no lease covers), then a digest of its
-    /// arc to each replica-chain peer in the node's local successor view.
+    /// One anti-entropy round at `id`, on its timer or when its replica
+    /// chain or keep arc moved: the hand-off of its copies off its keep
+    /// arc, then a digest of its arc to each replica-chain peer in the
+    /// node's local successor view.
     fn do_repair_round(&mut self, id: u32) {
         // A fresh round re-requests anything still missing; pulls lost
         // to a dead replica stop blocking here.
         self.peers.pending_wants.remove(&id);
         let key = self.peers.keys[id as usize];
-        let Some(pred) = self.peers.nodes[id as usize].pred else {
-            return;
-        };
-        let pred_key = self.peers.keys[pred as usize];
-        self.gc_replica_leases(id, pred_key, key);
+        let pred_key = self.peers.keys[self.peers.nodes[id as usize].preds[0] as usize];
+        self.hand_off(id);
         let chain = self.replica_view(id, 0);
         if chain.is_empty() {
             return;
@@ -2165,34 +2125,96 @@ impl Simulator {
         }
     }
 
-    /// Lease garbage collection: drop the copies off `id`'s own arc
-    /// `(from, upto]` that no arc lease covers any more (the holder fell
-    /// out of that arc's replica chain and the owner's digests stopped
-    /// renewing it). A retired last copy is a permanent loss and is
-    /// counted as such.
-    fn gc_replica_leases(&mut self, id: u32, from: Key, upto: Key) {
-        let now = self.plane.now();
-        let leases = &mut self.peers.nodes[id as usize].leases;
-        leases.retain(|l| l.expires > now);
-        let lapsed = |&k: &Key| {
-            !Metric::Ring.in_arc(from, k, upto)
-                && !leases.iter().any(|l| Metric::Ring.in_arc(l.lo, k, l.hi))
-        };
-        let doomed: Vec<Key> = match self.peers.store.shard(id) {
-            Some(s) => s.keys().copied().filter(lapsed).collect(),
-            None => Vec::new(),
-        };
-        for k in doomed {
-            if let Some(v) = self.peers.store.remove(id, k) {
-                self.metrics.stored_bytes -= item_bytes(&v);
-                self.world.note_remove(k, now, &mut self.metrics);
+    /// `k = min(r, PREDECESSOR_LIST)`: a peer is in the replica chains
+    /// of its own arc and its first `k − 1` predecessors' arcs, so it
+    /// keeps copies on `(pred_k, self]`, its keep arc.
+    fn keep_span(&self) -> usize {
+        (self.replication_target() as usize).min(PREDECESSOR_LIST)
+    }
+
+    /// The peers a repair round at `id` works with: its replica chain
+    /// and the `k` predecessors whose arcs it keeps.
+    fn repair_view(&self, id: u32) -> (SuccList, [u32; PREDECESSOR_LIST]) {
+        let mut preds = self.peers.nodes[id as usize].preds;
+        preds[self.keep_span()..].fill(u32::MAX);
+        (self.replica_view(id, 0), preds)
+    }
+
+    /// `pred_k`'s key, the open end of `id`'s keep arc.
+    fn keep_from(&self, id: u32) -> Key {
+        let pred = self.peers.nodes[id as usize].preds[self.keep_span() - 1];
+        self.peers.keys[pred as usize]
+    }
+
+    /// The hand-off: `id`'s copies off its keep arc belong to arcs whose
+    /// chains it has left. Each goes toward the nearer end of that off
+    /// arc: those ahead of `id` in one message through its first `k`
+    /// successors, the rest in one through its predecessors `pred_1 →
+    /// … → pred_k`, the peers that now cover them. Each round sends them
+    /// again until they are released.
+    fn hand_off(&mut self, id: u32) {
+        let (own, from) = (self.peers.keys[id as usize], self.keep_from(id));
+        let (node, k) = (&self.peers.nodes[id as usize], self.keep_span());
+        let ahead: Vec<u32> = node.succ.iter().take(k).rev().copied().collect();
+        let behind: Vec<u32> = node.preds[..k].iter().rev().copied().collect();
+        let ring = Metric::Ring;
+        let (fore, aft): (Vec<Key>, Vec<Key>) = (self.peers.store.arc_keys(id, own, from))
+            .into_iter()
+            .partition(|&x| ring.clockwise(own, x) <= ring.clockwise(x, from));
+        for (relay, keys) in [(ahead, fore), (behind, aft)] {
+            let (items, bytes) = self.peers.store.export(id, &keys);
+            if items.is_empty() {
+                continue;
             }
+            let (to, bytes) = (relay[relay.len() - 1], REPAIR_HEADER_BYTES + bytes);
+            let handoff = Handoff {
+                holder: id,
+                relay,
+                items,
+            };
+            self.send_repair(id, to, bytes, Msg::Handoff(Box::new(handoff)));
         }
     }
 
-    /// A repair digest arrives at replica-chain peer `to`: renew the
-    /// arc lease, compare digests, and reply with this peer's key list
-    /// if they disagree.
+    /// A hand-off reaches its next hop. A relay hop stores the items it
+    /// lacks on its own keep arc and passes the message on; the last one
+    /// stores every item it lacks and sends the message back to the
+    /// holder as its release, charged as a key list. The holder drops
+    /// the released copies still off its keep arc. A dead hop or a lost
+    /// message releases nothing, and a later round tries again, so a
+    /// view that still lists a dead peer never drops a copy. A retired
+    /// last copy is a permanent loss and is counted as such.
+    fn on_handoff(&mut self, mut handoff: Box<Handoff>) {
+        let at = handoff.relay.pop().expect("a hand-off names its hop");
+        let (own, from) = (self.peers.keys[at as usize], self.keep_from(at));
+        let kept = |k: Key| Metric::Ring.in_arc(from, k, own);
+        if at == handoff.holder {
+            let now = self.plane.now();
+            for &(k, _) in handoff.items.iter().filter(|(k, _)| !kept(*k)) {
+                if let Some(v) = self.peers.store.remove(at, k) {
+                    self.metrics.stored_bytes -= item_bytes(&v);
+                    self.world.note_remove(k, now, &mut self.metrics);
+                }
+            }
+            return;
+        }
+        let mut bytes = REPAIR_HEADER_BYTES;
+        for (k, v) in &handoff.items {
+            bytes += item_bytes(v);
+            if (handoff.relay.is_empty() || kept(*k)) && !self.peers.store.contains(at, *k) {
+                self.store(at, *k, v.clone());
+            }
+        }
+        if handoff.relay.is_empty() {
+            bytes = REPAIR_HEADER_BYTES + KEY_BYTES * handoff.items.len() as u64;
+            handoff.relay.push(handoff.holder);
+        }
+        let next = handoff.relay[handoff.relay.len() - 1];
+        self.send_repair(at, next, bytes, Msg::Handoff(handoff));
+    }
+
+    /// A repair digest arrives at replica-chain peer `to`: compare
+    /// digests, and reply with this peer's key list if they disagree.
     fn on_repair_digest(
         &mut self,
         RepairDigest {
@@ -2204,19 +2226,6 @@ impl Simulator {
             hash,
         }: RepairDigest,
     ) {
-        let now = self.plane.now();
-        let ttl = self.lease_ttl();
-        let node = &mut self.peers.nodes[to as usize];
-        node.leases.retain(|l| l.expires > now);
-        if let Some(l) = node.leases.iter_mut().find(|l| l.lo == lo && l.hi == hi) {
-            l.expires = now + ttl;
-        } else {
-            node.leases.push(RepairLease {
-                lo,
-                hi,
-                expires: now + ttl,
-            });
-        }
         let mine = self.peers.store.arc_digest(to, lo, hi);
         if mine.count == count && mine.hash == hash {
             return; // in sync: the round cost one digest message
@@ -2365,7 +2374,6 @@ impl Simulator {
             self.world
                 .note_remove(k, self.plane.now(), &mut self.metrics);
         }
-        self.peers.nodes[peer as usize].leases.clear();
         self.peers.pending_wants.remove(&peer);
     }
 
@@ -2466,6 +2474,7 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
     use sw_core::links::LinkSelector;
     use sw_core::SmallWorldBuilder;
+    use sw_dht::Shard;
     use sw_graph::LinkTable;
     use sw_keyspace::distribution::{TruncatedPareto, Uniform};
     use sw_overlay::Overlay;
@@ -2647,8 +2656,7 @@ mod tests {
             let (row, _) = table.row(r as u32);
             assert!(!row.is_empty(), "alive peer {id} has no live contacts");
             let node = &sim.peers.nodes[id as usize];
-            let mut live: Vec<u32> = node
-                .pred
+            let mut live: Vec<u32> = node.preds[..1]
                 .iter()
                 .chain(node.succ.iter())
                 .chain(sim.peers.links.row_slice(id))
@@ -2971,8 +2979,11 @@ mod tests {
         let m = sim.metrics().clone();
         assert!(m.joins > 200 && m.failures > 200);
         assert!(m.keys_lost > 0, "no repair: some keys must be lost");
-        assert_eq!(m.repair_messages, 0);
-        assert_eq!(m.repair_bytes, 0);
+        // No repair round runs. The only repair traffic is the joins'
+        // hand-offs, which carry each joiner its keep arc: from each
+        // successor at most two relays of `k + 1 = 3` messages.
+        assert!(m.repair_bytes > 0, "joiners receive their keep arcs");
+        assert!(m.repair_messages <= m.joins * SUCCESSOR_LIST as u64 * 2 * 3);
         let census = sim.durability_census(2);
         assert_eq!(
             census.keys + m.keys_lost as usize,
@@ -3899,16 +3910,16 @@ mod tests {
         assert_eq!(sim.metrics().ranges_ok, ranges_ok, "a dead holder retried");
     }
 
-    /// A replica that a join pushes out of an arc's chain keeps its
-    /// copies on that arc until one lease TTL after the last digest that
-    /// renewed its lease, and drops them all at its first repair round
-    /// after that. The TTL is written out here, 4 repair plus 2
-    /// stabilize intervals, so a changed formula fails the test, and so
-    /// does a skipped GC.
+    /// A join pushes replica `r` out of owner `a`'s chain: the joiner
+    /// sits between `a` and `a + 1`, so `a`'s chain becomes `a`, the
+    /// joiner and `a + 1`. `r` learns of the joiner from the splice and
+    /// hands `a`'s arc off at once, through `a + 1`, the joiner and `a`,
+    /// before any copy has reached the joiner. `r` keeps every copy of
+    /// `a`'s arc until the joiner holds them all, and drops them all on
+    /// the release, before its next repair round. A holder that dropped
+    /// its copies before their release fails here.
     #[test]
-    fn a_replica_pushed_out_of_a_chain_keeps_its_copies_for_one_lease_ttl() {
-        let (repair, step) = (SimTime::from_secs(4), SimTime::from_millis(1));
-        let ttl = SimTime::from_secs(4 * 4 + 2 * 3);
+    fn a_replica_pushed_out_of_a_chain_keeps_its_copies_until_the_joiner_holds_them() {
         let cfg = SimConfig {
             stabilize_interval: Some(SimTime::from_secs(3)),
             refresh_interval: None,
@@ -3916,63 +3927,115 @@ mod tests {
             storage: StorageConfig {
                 replication: 3,
                 preload: 2_000,
-                repair_interval: Some(repair),
+                repair_interval: Some(SimTime::from_secs(4)),
                 ..StorageConfig::NONE
             },
             ..quiet_config(7, 64)
         };
         let mut sim = Simulator::new(cfg, Arc::new(Uniform));
-        // Past the boot's grace lease: every replica copy is held under
-        // the lease of its arc's owner. Peer id is key rank at t = 0, so
-        // owner `a` has arc `(a − 1, a]` and replicas `a + 1` and `r`.
-        sim.run_until(ttl + repair);
+        sim.run_until(SimTime::from_secs(10));
+        // Peer id is key rank at t = 0, so owner `a` has arc `(a − 1, a]`
+        // and replicas `a + 1` and `r`.
         let (a, r) = (20u32, 22u32);
         let (lo, hi) = (sim.peers.keys[19], sim.peers.keys[20]);
-        let held = |sim: &Simulator| sim.peers.store.arc_keys(r, lo, hi).len();
-        let lease = |sim: &Simulator| {
-            let leases = &sim.peers.nodes[r as usize].leases;
-            leases
-                .iter()
-                .find(|l| l.lo == lo && l.hi == hi)
-                .map(|l| l.expires)
-        };
-        let copies = held(&sim);
-        assert!(copies > 0, "r holds no copy of a's arc");
+        let arc = |sim: &Simulator, p: u32| sim.peers.store.arc_keys(p, lo, hi);
+        let held = arc(&sim, r);
+        assert!(!held.is_empty(), "r holds no copy of a's arc");
 
-        // Step to the next digest from `a`: it lands in (t − 1 ms, t].
-        let before = lease(&sim).expect("r holds a lease on a's arc");
-        let mut t = sim.now();
-        while lease(&sim) == Some(before) {
-            t += step;
-            sim.run_until(t);
-        }
-        let expires = lease(&sim).expect("the digest renewed the lease");
-        assert!(
-            t - step + ttl < expires && expires <= t + ttl,
-            "lease renewed at {t} runs to {expires}, not one TTL on"
-        );
-
-        // A joiner between `a` and its successor takes r's place in a's
-        // chain, so no digest renews r's lease again.
         let keys = &sim.peers.keys;
         let joiner = Key::clamped((keys[20].get() + keys[21].get()) / 2.0);
         assert!(sim.complete_join(joiner));
+        let joiner = sim.peers.nodes.len() as u32 - 1;
         assert!(
             !sim.replica_view(a, 0).contains(&r),
             "r is still in a's chain"
         );
-        while held(&sim) == copies && t < expires + repair + repair {
-            assert!(lease(&sim).is_none_or(|e| e == expires), "lease renewed");
-            t += step;
-            sim.run_until(t);
+        assert!(arc(&sim, joiner).is_empty(), "a copy moved at the join");
+        // One event at a time, in `run_until`'s order, until r drops.
+        while arc(&sim, r) == held {
+            let env = sim.plane.deliver_before(SimTime::from_secs(1_000));
+            let msg = env.expect("timers keep the plane busy").msg;
+            let round = matches!(msg, Msg::Timer(Timer::Repair, p) if p == r);
+            assert!(!round, "r kept a's arc to its next repair round");
+            sim.handle(msg);
         }
-        // Dropped in (t − 1 ms, t], whole: at r's first round at or after
-        // the lapse (a lease lives while `expires > now`).
-        assert_eq!(held(&sim), 0, "r kept a's arc past its lease");
-        assert!(t >= expires, "r dropped a's arc at {t}, before {expires}");
+        assert!(arc(&sim, r).is_empty(), "r kept part of a's arc");
+        let joined = arc(&sim, joiner);
         assert!(
-            t < expires + repair + step,
-            "r dropped a's arc at {t}, after its first round past {expires}"
+            held.iter().all(|k| joined.contains(k)),
+            "r dropped a copy the joiner lacks"
+        );
+    }
+
+    /// A joiner receives its keep arc `(pred_3, joiner]`, at replication
+    /// 3, by message. Nothing moves at the join. Its first three
+    /// successors each left one chain it joined, and each hands that
+    /// arc off at once through its three predecessors, the joiner among
+    /// them; `repair_bytes` grows by exactly those relays and their
+    /// releases. The successor keeps its copies of the two arcs whose
+    /// chains it stays in. The rounds are staggered over 10⁹ s, so no
+    /// other repair message is sent.
+    #[test]
+    fn a_joiner_receives_its_keep_arc_by_message() {
+        let cfg = SimConfig {
+            stabilize_interval: None,
+            refresh_interval: None,
+            workload: WorkloadConfig { lookup_rate: 0.0 },
+            storage: StorageConfig {
+                replication: 3,
+                preload: 2_000,
+                repair_interval: Some(SimTime::from_secs(1_000_000_000)),
+                ..StorageConfig::NONE
+            },
+            ..quiet_config(8, 64)
+        };
+        let mut sim = Simulator::new(cfg, Arc::new(Uniform));
+        sim.run_until(SimTime::from_secs(1));
+        // Peer id is key rank at t = 0: the joiner's successors are 21,
+        // 22 and 23, and its third predecessor 18.
+        let keys = sim.peers.keys.clone();
+        let key = Key::clamped((keys[20].get() + keys[21].get()) / 2.0);
+        let shard = |sim: &Simulator, p: u32, lo: Key, hi: Key| -> Shard {
+            let s = sim.shards().shard(p).into_iter().flatten();
+            let on = |k: &Key| Metric::Ring.in_arc(lo, *k, hi);
+            s.filter(|(k, _)| on(k))
+                .map(|(k, v)| (*k, v.clone()))
+                .collect()
+        };
+        let arc = shard(&sim, 21, keys[18], key);
+        assert!(
+            arc.len() > 50,
+            "{} copies on the joiner's keep arc",
+            arc.len()
+        );
+        // Successor 21 + i left the chain of the arc ending at `ends[i]`.
+        let ends = [keys[18], keys[19], keys[20], key];
+        let mut relays = 0;
+        for i in 0..3 {
+            let part = shard(&sim, 21 + i as u32, ends[i], ends[i + 1]);
+            if part.is_empty() {
+                continue; // nothing to hand off, no message
+            }
+            let payload: u64 = part.values().map(|v| item_bytes(v)).sum();
+            relays += 3 * (REPAIR_HEADER_BYTES + payload);
+            relays += REPAIR_HEADER_BYTES + KEY_BYTES * part.len() as u64;
+        }
+        let kept = shard(&sim, 21, keys[19], keys[21]);
+        let bytes = sim.metrics().repair_bytes;
+        assert!(sim.complete_join(key));
+        let joiner = sim.peers.nodes.len() as u32 - 1;
+        assert_eq!(
+            sim.shards().shard_len(joiner),
+            0,
+            "a copy moved at the join"
+        );
+        sim.run_until(sim.now() + SimTime::from_secs(1));
+        assert_eq!(sim.metrics().repair_bytes, bytes + relays);
+        assert_eq!(sim.shards().shard(joiner), Some(&arc), "the joiner's arc");
+        assert_eq!(
+            sim.shards().shard(21),
+            Some(&kept),
+            "the successor's copies"
         );
     }
 
@@ -4092,7 +4155,7 @@ mod tests {
                     for (id, a) in sim.peers.nodes.iter().enumerate() {
                         let b = search.ring_state(keys[id]);
                         assert_eq!(&*a.succ, &*b.0, "{case}: succ of {id}");
-                        assert_eq!(a.pred, b.1, "{case}: pred of {id}");
+                        assert_eq!(a.preds, b.1, "{case}: preds of {id}");
                     }
 
                     let replicas = replication - 1;

@@ -107,8 +107,8 @@
 //!
 //! Ownership is one rule: a peer owns the ring arc `(pred, self]`
 //! ([`sw_keyspace::Topology::in_arc`]), read off the predecessor by the
-//! repair round and the join split, and off `(routed, successor]` by a
-//! storage route's last step. A range sweep ends at the first peer
+//! repair round, and off `(routed, successor]` by a storage route's
+//! last step. A range sweep ends at the first peer
 //! whose arc holds `hi`, so a range costs its route plus one message per
 //! peer key it covers, at any skew.
 //!
@@ -120,18 +120,26 @@
 //!
 //! The data layer has **no oracle recovery path**: when a peer fails,
 //! its shard dies with the machine (the only oracle left is the t = 0
-//! preload placement). Durability comes from
-//! message-driven anti-entropy: every `StorageConfig::repair_interval`,
-//! each peer runs a round over its owned arc `(pred, self]` —
+//! preload placement). Data moves only by message, and a copy leaves
+//! its holder only once the peers that now cover its arc hold it. A
+//! peer is in the chains of its own and its first `k − 1` predecessors'
+//! arcs, `k = min(replication, 5)`, so it keeps copies on
+//! `(pred_k, self]`, its *keep arc*. Every `repair_interval`, and when
+//! stabilization moves its chain or keep arc, each peer runs a round —
 //!
-//! 1. **one local fixup** (a free disk operation): garbage-collect the
-//!    copies off the arc whose arc *lease* lapsed;
-//! 2. **digest fan-out**: an order-independent key digest of the arc
-//!    ([`sw_dht::RangeDigest`]) to each replica-chain peer in the local
-//!    successor view. A digest renews the receiver's lease on the arc;
-//!    a mismatch triggers the diff → push → pull ladder (`RepairDiff` /
-//!    `RepairPush` / `RepairPull`) that streams missing items both
-//!    ways. Every repair message pays the hop delay **plus a
+//! 1. **the hand-off**: its copies off the keep arc go in one message
+//!    through the peers that now cover them, `pred_1 → … → pred_k` (its
+//!    successors for copies ahead of it). Each hop stores what it lacks
+//!    on its keep arc, the last the rest; it then releases the holder,
+//!    which drops them. A dead hop releases nothing, and a later round
+//!    retries. A join's successors learn of it from the splice and hand
+//!    off at once, so the joiner receives its keep arc by message, with
+//!    repair off too (the join's hand-off is then the only one);
+//! 2. **digest fan-out**: a key digest of its arc `(pred, self]`
+//!    ([`sw_dht::RangeDigest`]) to each replica-chain peer in its
+//!    successor view. A mismatch triggers the diff → push → pull ladder
+//!    (`RepairDiff` / `RepairPush` / `RepairPull`) that streams missing
+//!    items both ways. Every repair message pays the hop delay **plus a
 //!    per-byte bandwidth delay** (`repair_byte_secs`), so the
 //!    durability/bandwidth trade-off is measurable
 //!    (`SimMetrics::{repair_messages, repair_bytes, repair_overhead}`).
@@ -147,18 +155,16 @@
 //! live-copy counts feed the `keys_under_replicated` gauge, `keys_lost`
 //! (a key whose last live copy dies is *permanently* lost — subsequent
 //! gets fail), and time-to-repair stats; [`Simulator::durability_census`]
-//! recounts them from the shards on the parallel scan path. Leases make
-//! repair *quiescent*: once churn stops, under-replicated keys refill,
-//! dead owners' slices are re-streamed from surviving replicas, stale
-//! copies are retired, and every surviving key converges to exactly
-//! `min(replication, alive)` copies, on its owner and the owner's first
-//! live successors. While churn runs, a holder that leaves an arc's
-//! chain keeps its copies on that arc until one lease TTL (4 repair
-//! plus 2 stabilize intervals) after the last digest that renewed its
-//! lease, and drops them at its first round after that, so a steady
-//! churn run holds many keys over target: `examples/churn_simulation.rs`
-//! at 600 s counts 3 235 of 10 000. `SimMetrics::stored_bytes`, and
-//! with it `repair_overhead`, counts those copies.
+//! recounts them from the shards on the parallel scan path. Repair is
+//! *quiescent*: once churn stops, under-replicated keys refill, dead
+//! owners' slices are re-streamed from surviving replicas, copies off
+//! their holders' keep arcs are handed off, and every surviving key
+//! converges to exactly `min(replication, alive)` copies, on its owner
+//! and the owner's first live successors. While churn runs, a key is
+//! over target only while a hand-off is in flight or waits on a stale
+//! view: `examples/churn_simulation.rs` at 600 s counts 189 of 10 721
+//! keys over target. `SimMetrics::stored_bytes`, and with it
+//! `repair_overhead`, counts those copies.
 //!
 //! ## Walk lifecycle and routing modes
 //!
@@ -256,7 +262,7 @@
 //! only. A cached entry can serve a key for up to `CacheConfig::ttl`
 //! after the owner died or the keyspace shifted, and — unlike gets,
 //! which read-repair through the replica chain — a cache hit never
-//! consults the data layer, so it cannot observe read repair, leases,
+//! consults the data layer, so it cannot observe read repair, hand-offs,
 //! or re-replication. That is the intended trade (front-end caches are
 //! stale by design); experiments that need linearizable reads must
 //! route every lookup (`cache: None`).

@@ -173,8 +173,8 @@ pub struct SimMetrics {
     /// hand-offs, or query+reply pairs in iterative mode — plus
     /// replica writes, fallback probes and range fragments).
     pub storage_messages: u64,
-    /// Messages spent by the anti-entropy repair protocol (digests,
-    /// diffs, pushes, recovery pulls).
+    /// Messages spent by the repair plane: digests, diffs, pushes,
+    /// recovery pulls, and hand-off relays and releases.
     pub repair_messages: u64,
     /// Payload bytes shipped by the repair protocol (keys + items).
     pub repair_bytes: u64,
@@ -192,9 +192,9 @@ pub struct SimMetrics {
     /// Gauge: payload bytes currently stored across all live peers'
     /// shards, every copy counted (the denominator of
     /// [`SimMetrics::repair_overhead`]). Under churn that includes the
-    /// copies a holder keeps for up to one lease TTL after it left an
-    /// arc's replica chain, so a steady churn run reads above
-    /// `replication` copies per key.
+    /// copies a holder keeps after it left an arc's replica chain, until
+    /// its hand-off is released (a few hop delays, or a later round
+    /// after a failed hop or a stale view).
     pub stored_bytes: u64,
     /// Lookups answered from a requester-side hot-key cache (no walk
     /// spawned, zero latency, zero network messages).

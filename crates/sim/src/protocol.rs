@@ -100,7 +100,9 @@
 //! the next round retries. There is no oracle shortcut: a failed peer's
 //! shards die with it, and its slice of the key space is durable again
 //! only once a surviving replica has actually streamed it to the new
-//! owner. **Read repair** rides the same plane: a get served by a
+//! owner. Copies off a holder's keep arc leave it by `Handoff`, relayed
+//! through the peers that now cover them and back as their release.
+//! **Read repair** rides the same plane: a get served by a
 //! replica-fallback probe immediately streams that one key to the
 //! routed owner (a targeted, single-item `RepairPull`) instead
 //! of waiting for the next anti-entropy round.
@@ -533,8 +535,8 @@ pub(crate) enum Msg {
 
     // -- The repair plane (anti-entropy rounds) -----------------------
     /// Owner → replica: digest of the owner's copies on its arc
-    /// `(lo, hi]`. Receipt renews the replica's lease on that arc; a
-    /// digest mismatch triggers a [`Msg::RepairDiff`] reply.
+    /// `(lo, hi]`. A mismatch with the replica's copies there triggers
+    /// a [`Msg::RepairDiff`] reply.
     RepairDigest(Box<RepairDigest>),
     /// Replica → owner: the replica's key list on `(lo, hi]`, sent when
     /// the digests disagreed.
@@ -548,6 +550,9 @@ pub(crate) enum Msg {
     /// read-repair pushes (a single-item transfer scheduled the moment a
     /// replica-fallback probe serves a get the routed owner missed).
     RepairPull(Box<RepairPull>),
+    /// Holder → the peers that now cover its copies off its keep arc,
+    /// one hop at a time, then back to the holder as their release.
+    Handoff(Box<Handoff>),
 }
 
 impl Msg {
@@ -686,6 +691,18 @@ pub(crate) struct RepairPull {
     /// The recovering owner.
     pub owner: u32,
     /// Items recovered from the replica's copy.
+    pub items: Vec<(Key, Vec<u8>)>,
+}
+
+/// [`Msg::Handoff`]'s payload.
+#[derive(Debug)]
+pub(crate) struct Handoff {
+    /// The peer handing its copies off.
+    pub holder: u32,
+    /// The hops still to visit, the receiver last; the holder itself
+    /// once the last relay hop releases the copies.
+    pub relay: Vec<u32>,
+    /// The holder's copies off its keep arc.
     pub items: Vec<(Key, Vec<u8>)>,
 }
 

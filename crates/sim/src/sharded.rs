@@ -65,7 +65,7 @@
 //! the key's owner and splicing, replicated puts with replica-fallback
 //! get probes and read repair, and digest/pull/push anti-entropy. Two
 //! documented simplifications versus the serial engine: range queries
-//! and leases are not modeled, and a get probe lost to a dead replica
+//! and the keep-arc hand-off are not modeled, and a get probe lost to a dead replica
 //! is re-forwarded from the dead peer's shard (modeling the requester's
 //! timeout without a requester round-trip). Failure victims are drawn
 //! as per-peer exponential lifetimes (uniform hazard).

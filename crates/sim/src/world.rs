@@ -15,7 +15,8 @@
 //!   [`World::note_add`] and [`World::note_remove`].
 //!
 //! Oracles, each with the ROADMAP item that removes it:
-//! * item 5: [`World::ring_state`], and [`World::is_alive`] read as a
+//! * item 5: [`World::ring_state`] (the successor and predecessor lists
+//!   routing and the hand-off read), and [`World::is_alive`] read as a
 //!   ping outcome (stabilization's round trips and prune of dead long
 //!   links, the owner shift past a dead successor, the read-repair
 //!   check of the owner);
@@ -26,7 +27,7 @@
 //! Outside the handlers, the probe snapshot and `live_overlay` read
 //! [`World::rank_rows`], and the boot [`World::preload`].
 
-use crate::engine::{SimConfig, SuccList, SUCCESSOR_LIST};
+use crate::engine::{SimConfig, SuccList, PREDECESSOR_LIST, SUCCESSOR_LIST};
 use crate::metrics::SimMetrics;
 use crate::protocol::Source;
 use crate::time::SimTime;
@@ -190,16 +191,19 @@ impl World {
     }
 
     /// The ring state of the peer at `key`: its first [`SUCCESSOR_LIST`]
-    /// live successors and its live predecessor, wrapping, never itself
-    /// (fewer, or `None`, when few others are alive).
-    pub(crate) fn ring_state(&self, key: Key) -> (SuccList, Option<u32>) {
+    /// live successors (fewer when few others are alive) and
+    /// [`PREDECESSOR_LIST`] live predecessors, nearest first, wrapping,
+    /// never itself.
+    pub(crate) fn ring_state(&self, key: Key) -> (SuccList, [u32; PREDECESSOR_LIST]) {
         let ring = || {
             let after = self.alive.range((Excluded(key), Unbounded));
             after.chain(self.alive.range(..key)).map(|(_, &v)| v)
         };
         let mut succ = SuccList::default();
         ring().take(SUCCESSOR_LIST).for_each(|v| succ.push(v));
-        (succ, ring().next_back())
+        let mut preds = ring().rev();
+        let floor = "the population floor keeps 8 peers alive";
+        (succ, std::array::from_fn(|_| preds.next().expect(floor)))
     }
 
     /// The alive peers re-indexed by key rank, the form the probe
@@ -332,8 +336,8 @@ mod tests {
     // then toward joins. After every call: the alive index, `alive_ids`
     // / `alive_pos` and `is_alive` agree with the model; `owner_of` is a
     // linear successor search, wrapping to the lowest key; `ring_state`
-    // is the model's next four and previous alive ids by key; and the
-    // victim a fail returns was alive.
+    // is the model's next four and previous five alive ids by key; and
+    // the victim a fail returns was alive.
     proptest! {
         #[test]
         fn world_liveness_matches_the_set_model(seed in 0u64..64) {
@@ -402,9 +406,11 @@ mod tests {
                     let i = rng.index(m);
                     let next = (1..m).map(|d| ring[(i + d) % m]);
                     let succ: Vec<u32> = next.take(SUCCESSOR_LIST).collect();
-                    let (got, pred) = world.ring_state(keys[ring[i] as usize]);
+                    let prev = (1..m).map(|d| ring[(i + m - d) % m]);
+                    let preds: Vec<u32> = prev.take(PREDECESSOR_LIST).collect();
+                    let (got, got_preds) = world.ring_state(keys[ring[i] as usize]);
                     prop_assert_eq!(&*got, &succ[..], "successors of {}", ring[i]);
-                    prop_assert_eq!(pred, Some(ring[(i + m - 1) % m]), "pred of {}", ring[i]);
+                    prop_assert_eq!(&got_preds[..], &preds[..], "preds of {}", ring[i]);
                 }
             }
             prop_assert!(floor_hits > 0, "the fail phases never reached the floor");

@@ -104,7 +104,8 @@ proptest! {
     /// rounds run, every *surviving* key has exactly
     /// `min(replication, alive peers)` live copies — repair refills
     /// under-replicated keys, recovery pulls rebuild dead owners'
-    /// slices, and lease GC retires every stale copy. The whole run
+    /// slices, and hand-offs retire every copy off its holder's keep
+    /// arc. The whole run
     /// (census included) is bit-identical at any worker-thread count.
     #[test]
     fn repair_quiesces_to_exact_replication(
@@ -133,8 +134,8 @@ proptest! {
             let mut sim = Simulator::new(cfg, dist_for(dist_choice));
             sim.run_until(SimTime::from_secs(40));
             sim.set_churn(ChurnConfig::NONE);
-            // Quiesce: leases lapse, stabilization converges, rounds
-            // refill and retire until digests all match.
+            // Quiesce: stabilization converges, hand-offs are released,
+            // rounds refill until digests all match.
             sim.run_until(SimTime::from_secs(160));
             let m = sim.metrics();
             (
