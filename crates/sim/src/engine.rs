@@ -918,6 +918,7 @@ impl Simulator {
                 // an entry whose owner has since churned still counts
                 // ok, which is the price of TTL coherence.
                 self.metrics.cache_hits += 1;
+                self.metrics.lookups_issued += 1;
                 self.metrics.lookups += 1;
                 self.metrics.lookups_ok += 1;
                 self.metrics.hops.push(0.0);
@@ -956,9 +957,17 @@ impl Simulator {
     /// Spawns a walk and executes its first step at the origin.
     fn spawn_walk(&mut self, purpose: Purpose, target: Key, from: u32) -> QueryId {
         let max_hops = self.hop_budget();
-        if matches!(purpose, Purpose::Lookup { .. }) {
-            self.inflight_lookups += 1;
-            self.metrics.inflight_peak = self.metrics.inflight_peak.max(self.inflight_lookups);
+        let m = &mut self.metrics;
+        match purpose {
+            Purpose::Lookup { .. } => {
+                m.lookups_issued += 1;
+                self.inflight_lookups += 1;
+                m.inflight_peak = m.inflight_peak.max(self.inflight_lookups);
+            }
+            Purpose::Put { .. } => m.puts_issued += 1,
+            Purpose::Get => m.gets_issued += 1,
+            Purpose::Range { .. } => m.ranges_issued += 1,
+            Purpose::JoinFind { .. } | Purpose::LinkProbe { .. } => {}
         }
         let mode = self.mode_for(&purpose);
         let walk = Walk::new(purpose, target, mode, from, self.plane.now(), max_hops);
@@ -2471,6 +2480,7 @@ fn next_interval(rng: &mut Rng, rate: f64) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
     use sw_core::links::LinkSelector;
     use sw_core::SmallWorldBuilder;
@@ -4212,6 +4222,70 @@ mod tests {
                 assert!(list.len() <= SUCCESSOR_LIST);
                 assert_eq!(list.first(), model.first());
             }
+        }
+    }
+
+    // Every operation issued has ended or is in flight, per kind, at
+    // random cuts of a run with churn, storage (ranges included), repair
+    // and cached traffic: `*_issued` equals the ended count plus the
+    // walks of that kind in the slab (storage tails included). The ended
+    // counts are bumped at the end, so a run cut with operations in
+    // flight is where the two differ.
+    proptest! {
+        #[test]
+        fn issued_operations_have_ended_or_are_in_flight(seed in 0u64..12) {
+            let cfg = SimConfig {
+                churn: ChurnConfig::symmetric(3.0),
+                storage: StorageConfig {
+                    put_rate: 10.0,
+                    get_rate: 10.0,
+                    range_rate: 4.0,
+                    replication: 3,
+                    preload: 200,
+                    repair_interval: Some(SimTime::from_secs(2)),
+                    ..StorageConfig::NONE
+                },
+                traffic: TrafficConfig {
+                    rate: 20.0,
+                    zipf_s: 1.0,
+                    hot_keys: 32,
+                    gateways: 4,
+                    cache: Some(crate::traffic::CacheConfig {
+                        capacity: 8,
+                        ttl: SimTime::from_secs(2),
+                    }),
+                },
+                stabilize_interval: Some(SimTime::from_secs(2)),
+                refresh_interval: Some(SimTime::from_secs(10)),
+                ..quiet_config(seed, 96)
+            };
+            let mut sim = Simulator::new(cfg, Arc::new(Uniform));
+            let mut rng = Rng::new(seed ^ 0x155_E4ED);
+            let mut in_flight_seen = 0;
+            for _ in 0..6 {
+                let cut = sim.now() + SimTime(1 + rng.bounded_u64(3_000_000));
+                sim.run_until(cut);
+                let mut open = [0u64; 4];
+                for w in sim.walks.values() {
+                    match w.purpose {
+                        Purpose::Lookup { .. } => open[0] += 1,
+                        Purpose::Put { .. } => open[1] += 1,
+                        Purpose::Get => open[2] += 1,
+                        Purpose::Range { .. } => open[3] += 1,
+                        _ => {}
+                    }
+                }
+                in_flight_seen += open.iter().sum::<u64>();
+                let m = sim.metrics();
+                prop_assert_eq!(open[0], sim.inflight_lookups);
+                prop_assert_eq!(m.lookups_issued, m.lookups + open[0], "lookups");
+                prop_assert_eq!(m.puts_issued, m.puts + open[1], "puts");
+                prop_assert_eq!(m.gets_issued, m.gets + open[2], "gets");
+                prop_assert_eq!(m.ranges_issued, m.ranges + open[3], "ranges");
+            }
+            let m = sim.metrics();
+            prop_assert!(m.cache_hits > 0 && m.ranges > 0 && m.failures > 0);
+            prop_assert!(in_flight_seen > 0, "no cut caught an operation in flight");
         }
     }
 

@@ -103,7 +103,8 @@ impl Histogram {
 /// Everything the simulator measures.
 #[derive(Debug, Clone, Default)]
 pub struct SimMetrics {
-    /// Lookups issued.
+    /// Lookups ended, ok or not: counted when a lookup's walk ends or a
+    /// cache hit answers it (traffic lookups included).
     pub lookups: u64,
     /// Lookups that reached the key's live owner.
     pub lookups_ok: u64,
@@ -214,6 +215,18 @@ pub struct SimMetrics {
     pub lookup_latency: Histogram,
     /// Virtual time at the end of the run.
     pub end_time: SimTime,
+    /// Lookups issued (traffic lookups and cache hits included). In
+    /// [`Simulator`](crate::Simulator) every issue counter equals its
+    /// kind's ended count plus the operations of that kind in flight;
+    /// the peer-local engine leaves them at zero. The four stay out of
+    /// [`SimMetrics::fingerprint`].
+    pub lookups_issued: u64,
+    /// Puts issued.
+    pub puts_issued: u64,
+    /// Gets issued.
+    pub gets_issued: u64,
+    /// Range queries issued.
+    pub ranges_issued: u64,
 }
 
 impl SimMetrics {
@@ -336,6 +349,10 @@ impl SimMetrics {
         self.queue_wait.merge(&other.queue_wait);
         self.lookup_latency.merge(&other.lookup_latency);
         self.end_time = self.end_time.max(other.end_time);
+        self.lookups_issued += other.lookups_issued;
+        self.puts_issued += other.puts_issued;
+        self.gets_issued += other.gets_issued;
+        self.ranges_issued += other.ranges_issued;
     }
 
     /// Order-independent digest over every integer lane: all counters,

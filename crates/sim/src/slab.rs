@@ -106,6 +106,13 @@ mod tests {
     use sw_graph::{IdMap, IdSet};
     use sw_keyspace::Rng;
 
+    impl<T> Slab<T> {
+        /// The live values, in slot order.
+        pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
+            self.entries.iter().filter_map(|(_, value)| value.as_ref())
+        }
+    }
+
     // The slab against the map it replaced, over random inserts, gets,
     // get_muts and removes on live, stale and never-minted ids: every
     // hit and `len()` agree, no id is minted twice, ids of removed
