@@ -66,15 +66,20 @@ impl RangeDigest {
 pub type Shard = BTreeMap<Key, Vec<u8>>;
 
 /// True if `key` lies on the arc a sweep of the range `[lo, hi)` holds
-/// at the peer whose key is `own`: `(from, own]`, `from` the previous
-/// holder's key, or `[lo, own]` at the sweep's first peer (`from` is
-/// `None`). The sweep ends at the first peer whose arc holds `hi`, and
-/// a peer that serves only its rows on its arc counts each key of the
-/// range once, from whichever copy lies there: the primary on a static
-/// ring, or a replica its holder kept of a dead predecessor's arc.
+/// at the peer whose key is `own`: `(from, own]` above `from`, `from`
+/// the previous holder's key, or `[lo, own]` at the sweep's first peer
+/// (`from` is `None`). The sweep ends at the first peer whose arc holds
+/// `hi`, and a peer that serves only its rows on its arc counts each
+/// key of the range once, from whichever copy lies there: the primary
+/// on a static ring, or a replica its holder kept of a dead
+/// predecessor's arc. A sweep climbs from `lo` and never comes back
+/// below `from`: a range over every peer key returns to its first peer,
+/// which then serves the range above the top peer, not `[lo, own]` again.
+/// So `from` is a peer that served: a peer short of `lo`, whose
+/// successor's arc holds it, serves nothing and is no one's `from`.
 pub fn on_sweep_arc(lo: Key, from: Option<Key>, own: Key, key: Key) -> bool {
     match from {
-        Some(from) => Topology::Ring.in_arc(from, key, own),
+        Some(from) => key > from && Topology::Ring.in_arc(from, key, own),
         None => key == lo || (own != lo && Topology::Ring.in_arc(lo, key, own)),
     }
 }
@@ -397,6 +402,15 @@ mod tests {
         // Later peers: `(from, own]`; `lo` is no longer special.
         assert!(!on(Some(0.5), 0.7, 0.5) && on(Some(0.5), 0.7, 0.7));
         assert!(!on(Some(0.2), 0.25, 0.3));
+    }
+
+    #[test]
+    fn a_sweep_back_at_its_first_peer_serves_above_the_top_only() {
+        // lo 0.3, first peer 0.35, top peer 0.9: back at the first peer,
+        // the sweep serves (0.9, hi), not [lo, 0.35] a second time.
+        let on = |key: f64| on_sweep_arc(k(0.3), Some(k(0.9)), k(0.35), k(key));
+        assert!(on(0.95) && on(0.99));
+        assert!(!on(0.3) && !on(0.32) && !on(0.35) && !on(0.1));
     }
 
     #[test]

@@ -252,10 +252,11 @@ impl<'a> Dht<'a> {
     ///
     /// A peer owns `(pred, self]` on the ring, and the sweep stops at
     /// the first peer whose arc holds `hi`. It visits the peers whose
-    /// keys lie in `[lo, hi)` plus one (all of them if that is every
-    /// peer): a range above the highest key ends at the wrap owner,
-    /// which owns the top of the ring. Each peer serves its rows of the
-    /// range on that arc ([`on_sweep_arc`]), never a replica copy.
+    /// keys lie in `[lo, hi)` plus one: a range above the highest key
+    /// ends at the wrap owner, which owns the top of the ring, so a
+    /// range over every peer key comes back to its first owner. Each
+    /// peer serves its rows of the range on that arc
+    /// ([`on_sweep_arc`]), never a replica copy.
     ///
     /// Items on dead peers are silently missing from the result (their
     /// replicas are not consulted — range reads are primary-only, as in
@@ -292,9 +293,6 @@ impl<'a> Dht<'a> {
             }
             from = Some(own);
             peer = p.next(peer);
-            if peer == first_owner {
-                break; // the range covers every peer key
-            }
             cost.extra_messages += 1;
         }
         items.sort_by_key(|(k, _)| *k);
@@ -467,6 +465,36 @@ mod tests {
                 .count();
             assert_eq!(got.peers_visited, covered + 1, "range [{lo},{hi})");
         }
+    }
+
+    /// Every peer key fits inside one range of width 0.02, so the sweep
+    /// runs from the first owner round the ring and back to it, which
+    /// serves the items above the top peer. Each item in the range is
+    /// served once: none in `[lo, first owner]` twice, none above the
+    /// top peer missed.
+    #[test]
+    fn a_range_over_every_peer_key_serves_each_item_once() {
+        use sw_overlay::Placement;
+        let n = 32;
+        let keys: Vec<Key> = (0..n).map(|i| key(0.5 + 0.0005 * i as f64)).collect();
+        let placement = Placement::from_keys(keys, Topology::Ring, "narrow").unwrap();
+        let mut rng = Rng::new(15);
+        let net = SmallWorldBuilder::new(n)
+            .topology(Topology::Ring)
+            .build_on(placement, &mut rng)
+            .unwrap();
+        let mut dht = Dht::new(&net, 2);
+        let (lo, hi) = (key(0.499), key(0.519));
+        let stored: Vec<Key> = [0.4995, 0.5, 0.5002, 0.507, 0.5155, 0.517, 0.5185]
+            .map(key)
+            .to_vec();
+        for (i, &k) in stored.iter().enumerate() {
+            dht.put(i as u32, k, vec![i as u8]).unwrap();
+        }
+        let got = dht.range(3, lo, hi).unwrap();
+        let got_keys: Vec<Key> = got.items.iter().map(|(k, _)| *k).collect();
+        assert_eq!(got_keys, stored);
+        assert_eq!(got.peers_visited, n + 1, "every peer, then the first again");
     }
 
     #[test]

@@ -1997,6 +1997,7 @@ impl Simulator {
                     hi,
                     items,
                     peers_visited,
+                    started,
                 },
             cur: from,
             excluded: tried,
@@ -2009,16 +2010,18 @@ impl Simulator {
         tried.clear();
         // A later peer holds `(previous holder, at]` of the range, the
         // first `[lo, at]`, or none if `lo` lies on `(at, succ]` (the
-        // route ended short of a dead successor). It serves its rows on
-        // that arc, and the range is served once `hi` lies on it: within
-        // one circuit, clockwise.
+        // route ended short of a dead successor, and the sweep starts at
+        // the next live one). It serves its rows on that arc, and the
+        // range is served once `hi` lies on it: within one circuit,
+        // clockwise.
         let (key, lo, hi) = (self.peers.keys[at as usize], *lo, *hi);
-        let prev = (*peers_visited > 1).then(|| self.peers.keys[*from as usize]);
-        let lo_ahead = prev.is_none()
+        let prev = started.then(|| self.peers.keys[*from as usize]);
+        let lo_ahead = !*started
             && self.peers.nodes[at as usize]
                 .succ
                 .first()
                 .is_some_and(|&s| Metric::Ring.in_arc(key, lo, self.peers.keys[s as usize]));
+        *started = !lo_ahead;
         let on_arc = |k: Key| !lo_ahead && on_sweep_arc(lo, prev, key, k);
         let rows = self.peers.store.shard_range(at, lo, hi);
         *items += rows.filter(|(k, _)| on_arc(**k)).count() as u64;
@@ -3845,6 +3848,90 @@ mod tests {
                 assert_eq!(m.ranges_ok, ranges_ok + 1, "{case}: served");
                 assert_eq!(m.range_items - items, truth.len() as u64, "{case}: items");
             }
+        }
+    }
+
+    /// Every peer key fits inside one range of width 0.02, so the sweep
+    /// runs from the wrap owner (the first peer above `lo`) round the
+    /// ring and back to it, which then serves the items above the top
+    /// peer. Each stored key of the range is counted once: none in
+    /// `[lo, wrap owner]` twice, and no replica, at replication 3.
+    #[test]
+    fn a_range_over_every_peer_key_counts_each_item_once() {
+        let n = 16;
+        let keys: Vec<Key> = (0..n)
+            .map(|i| Key::clamped(0.5 + 0.001 * i as f64))
+            .collect();
+        let cfg = SimConfig {
+            stabilize_interval: None,
+            refresh_interval: None,
+            workload: WorkloadConfig { lookup_rate: 0.0 },
+            storage: StorageConfig {
+                replication: 3,
+                ..StorageConfig::NONE
+            },
+            ..quiet_config(9, n)
+        };
+        let mut sim = Simulator::with_store(cfg, Arc::new(Uniform), keys, Topology::empty(n));
+        let (lo, hi) = (Key::clamped(0.499), Key::clamped(0.519));
+        let stored = [0.4995, 0.5, 0.5005, 0.507, 0.5155, 0.517, 0.5185].map(Key::clamped);
+        for k in stored {
+            // The owner is the first peer at or above `k`, rank 0 above
+            // the top; its two successors hold replicas.
+            let owner = sim.peers.keys.partition_point(|&p| p < k) % n;
+            for d in 0..3 {
+                sim.store(((owner + d) % n) as u32, k, vec![1]);
+            }
+        }
+        let before = sim.metrics().clone();
+        sim.spawn_walk(Purpose::range(lo, hi), lo, 8);
+        sim.run_until(sim.now() + SimTime::from_secs(10));
+        let m = sim.metrics();
+        assert_eq!(m.ranges_ok, before.ranges_ok + 1, "served");
+        assert_eq!(m.range_items - before.range_items, stored.len() as u64);
+        assert_eq!(m.range_peers - before.range_peers, n as u64 + 1);
+    }
+
+    /// `lo` lies below the lowest peer key and the route ends at the top
+    /// peer, whose successor, the lowest peer, is dead: the top peer
+    /// serves nothing, and after the timeout the sweep starts at the
+    /// next live peer, which holds `[lo, self]` with the dead peer's
+    /// replicas. Each range is served whole, whether `hi` lies past that
+    /// peer or on its arc.
+    #[test]
+    fn a_sweep_whose_route_ends_at_the_top_starts_past_a_dead_wrap_owner() {
+        let keys: Vec<Key> = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
+            .map(Key::clamped)
+            .to_vec();
+        let n = keys.len();
+        let cfg = SimConfig {
+            stabilize_interval: None,
+            refresh_interval: None,
+            workload: WorkloadConfig { lookup_rate: 0.0 },
+            storage: StorageConfig {
+                replication: 2,
+                ..StorageConfig::NONE
+            },
+            ..quiet_config(9, n)
+        };
+        let mut sim = Simulator::with_store(cfg, Arc::new(Uniform), keys, Topology::empty(n));
+        let stored = [0.01, 0.05, 0.15, 0.25].map(Key::clamped);
+        for k in stored {
+            let owner = sim.peers.keys.partition_point(|&p| p < k) % n;
+            for d in 0..2 {
+                sim.store(((owner + d) % n) as u32, k, vec![1]);
+            }
+        }
+        let (lowest, top) = (0, n as u32 - 1);
+        fail_peer(&mut sim, lowest);
+        let lo = Key::clamped(0.0);
+        for (hi, want) in [(0.28, 4), (0.12, 2)] {
+            let before = sim.metrics().clone();
+            sim.spawn_walk(Purpose::range(lo, Key::clamped(hi)), lo, top);
+            sim.run_until(sim.now() + SimTime::from_secs(10));
+            let m = sim.metrics();
+            assert_eq!(m.ranges_ok, before.ranges_ok + 1, "[0, {hi}) served");
+            assert_eq!(m.range_items - before.range_items, want, "[0, {hi}) items");
         }
     }
 

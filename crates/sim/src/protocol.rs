@@ -193,7 +193,8 @@ pub(crate) enum Purpose {
     /// the next peer's arc, and retries re-consult its successor list),
     /// and `excluded` the sweep peers that timed out since. The first
     /// peer holds `[lo, self]`, or none of the range if `lo` lies on its
-    /// successor's arc (the route ended short of a dead one).
+    /// successor's arc (the route ended short of a dead one), and then
+    /// the next live peer holds `[lo, self]`.
     Range {
         /// Inclusive lower bound.
         lo: Key,
@@ -203,6 +204,9 @@ pub(crate) enum Purpose {
         items: u64,
         /// Peers that served a fragment.
         peers_visited: u32,
+        /// A peer has served `[lo, self]`: the sweep has started, and
+        /// each later peer holds `(previous holder, self]`.
+        started: bool,
     },
 }
 
@@ -214,6 +218,7 @@ impl Purpose {
             hi,
             items: 0,
             peers_visited: 0,
+            started: false,
         }
     }
 }
