@@ -25,7 +25,7 @@
 //! and its seal, and the contact image's count, fill and seal.
 
 /// Number of worker threads to use when the caller asks for "auto" (`0`).
-pub fn default_parallelism() -> usize {
+fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

@@ -50,7 +50,7 @@
 //!   entry, which makes the ledger entry and the receiver-liveness test
 //!   for all of them.
 //! * [`engine`] — the peers' local state (ring views, long-link rows,
-//!   the sharded stores) and the handlers that advance the state
+//!   the per-peer stores) and the handlers that advance the state
 //!   machines on each delivery, over a crate-private world holding the
 //!   ground truth (liveness, f, the generator streams, the ledgers)
 //!   behind named calls. In-flight walks live in a slab: a query id
@@ -267,41 +267,6 @@
 //! stale by design); experiments that need linearizable reads must
 //! route every lookup (`cache: None`).
 //!
-//! ## Sharded parallel execution
-//!
-//! [`sharded::ShardedSimulator`] is a second, peer-local formulation of
-//! the engine built for parallel discrete-event execution. Peers are
-//! partitioned into `P` shards by `id % P`; each shard owns its own
-//! [`plane::MessagePlane`] (the timing wheel), its slice of node state,
-//! and a mergeable [`SimMetrics`]. The driver advances time in
-//! **conservative windows** of width δ — the *lookahead*, the fixed
-//! cross-peer hop delay of the latency model, at least 1 µs
-//! ([`sharded::lookahead`]). Every cross-peer send clamps its delivery to
-//! `now + δ`, so events inside one window are causally independent
-//! across shards and the shards execute the window in parallel on
-//! scoped std threads, one [`std::thread::scope`] region per window.
-//! Cross-shard sends are buffered in per-destination outboxes and
-//! exchanged at the window barrier.
-//!
-//! **Window invariant:** for a window `[T, T + δ)`, every envelope a
-//! shard delivers in the window was enqueued on its plane before the
-//! window started — handler sends either stay on the same shard
-//! (self-timers, admissions) or arrive at `≥ now + δ > T + δ − 1`, i.e.
-//! strictly after the window. The barrier therefore never retracts or
-//! reorders anything a shard already saw.
-//!
-//! **Deterministic merge:** every envelope carries the canonical key
-//! `(sender_id << 32) | per-sender-seq` and planes deliver in
-//! `(at, key)` order, so the per-peer event sequence — and with it
-//! every RNG draw, counter, histogram and the topology digest — is
-//! bit-identical for every shard count and every worker count. The
-//! serial drain loop (`run_serial_until`, `P = 1`, no window clamping)
-//! is the oracle; property tests assert digest parity at
-//! `P ∈ {1, 2, 8}` across worker counts and the churn / storage /
-//! traffic workloads. Float *accumulator* lanes merge in
-//! shard order (bit-stable for a fixed `P`, excluded from the parity
-//! fingerprint); all integer lanes and histograms are bit-compared.
-//!
 //! ## Determinism contract
 //!
 //! Seeded runs are bit-identical on every platform and at every worker
@@ -339,7 +304,6 @@ pub mod latency;
 pub mod metrics;
 pub mod plane;
 pub mod protocol;
-pub mod sharded;
 mod slab;
 pub mod time;
 pub mod traffic;
@@ -353,6 +317,35 @@ pub use latency::LatencyModel;
 pub use metrics::{Histogram, SimMetrics};
 pub use plane::{Envelope, MessagePlane};
 pub use protocol::{LookupRecord, RoutingMode, WalkEnd};
-pub use sharded::{lookahead, ShardedSimulator};
 pub use time::SimTime;
 pub use traffic::{CacheConfig, CongestionConfig, HotCache, TrafficConfig, ZipfSampler};
+
+/// An inert stand-in for the deleted peer-local engine: [`Simulator`] is
+/// the crate's one engine. It keeps compiling the one benchmark layer
+/// that names it (`benchmark/src/layers/sharded.rs`), runs nothing, and
+/// reports no events, so that layer's `sim.sharded.*` readings are 0.
+/// The next change to the benchmark deletes it with that file.
+#[doc(hidden)]
+pub struct ShardedSimulator;
+
+#[doc(hidden)]
+impl ShardedSimulator {
+    pub fn new(
+        _cfg: SimConfig,
+        _dist: std::sync::Arc<dyn sw_keyspace::distribution::KeyDistribution>,
+        _shards: usize,
+        _horizon: SimTime,
+    ) -> ShardedSimulator {
+        ShardedSimulator
+    }
+
+    pub fn set_workers(&mut self, _workers: usize) {}
+
+    pub fn run_until(&mut self, _until: SimTime) {}
+
+    pub fn run_serial_until(&mut self, _until: SimTime) {}
+
+    pub fn events(&self) -> u64 {
+        0
+    }
+}

@@ -84,8 +84,8 @@
 //! the same drain with a no-op hook; the heap-model proptests hold
 //! both). What it must not rely on: being called. An envelope sent
 //! < 64 µs ahead files straight into level 0, one that lands in the
-//! first 64 µs of an opened level-2 slot skips level 1, overflow
-//! rebasing and [`MessagePlane::next_due`]'s cascades call nothing.
+//! first 64 µs of an opened level-2 slot skips level 1, and overflow
+//! rebasing calls nothing.
 //! That is fine for a hint — a message that skips a stage just pays
 //! the miss the stage would have hidden — and wrong for anything else.
 
@@ -420,41 +420,6 @@ impl<M> Wheel<M> {
         self.pop_before(at, on_cascade)
     }
 
-    /// Earliest pending delivery time, without delivering anything.
-    /// May cascade higher-level slots downward (cursor advance to a
-    /// range start), which is exactly the work `pop_before` would do —
-    /// never past the returned instant, so ordering is unaffected.
-    fn next_due(&mut self) -> Option<SimTime> {
-        loop {
-            let ready_at = self.ready.peek().map(|Reverse(e)| e.at.as_micros());
-            let ready_due = |bound: u64| ready_at.is_some_and(|r| r <= bound);
-            match self.front() {
-                Front::Exact { at, .. } => {
-                    return Some(SimTime(if ready_due(at) {
-                        ready_at.expect("due")
-                    } else {
-                        at
-                    }));
-                }
-                Front::Range { level, slot, start } => {
-                    if ready_due(start) {
-                        return ready_at.map(SimTime);
-                    }
-                    self.elapsed = start;
-                    let ids = self.levels[level].take(slot);
-                    self.refile(ids, |_| {});
-                }
-                Front::Overflow => {
-                    if ready_due(self.overflow_min) {
-                        return ready_at.map(SimTime);
-                    }
-                    self.rebase();
-                }
-                Front::Empty => return ready_at.map(SimTime),
-            }
-        }
-    }
-
     /// Rebases: moves the cursor to the overflow minimum and re-files
     /// the overflow list relative to it. Only called with the wheel
     /// proper empty, so the cursor may jump and no filed envelope is
@@ -536,39 +501,6 @@ impl<M> MessagePlane<M> {
         self.wheel.push(env);
     }
 
-    /// Sends `msg` for delivery at absolute `at` (clamped to `now`)
-    /// under a **caller-chosen** ordering key instead of the plane's
-    /// global send counter. The sharded engine derives its keys as
-    /// `(sender peer id << 32) | per-sender send counter`, which makes
-    /// same-instant delivery order a pure function of *who* sent what —
-    /// invariant to shard count and worker count, and stable when
-    /// buffered cross-shard envelopes are enqueued at a window barrier.
-    ///
-    /// Keys share the envelope `seq` lane, so a plane should be driven
-    /// either entirely through `send`/`send_at` or entirely through
-    /// `send_keyed` — mixing the two interleaves two unrelated key
-    /// spaces. Duplicate `(at, key)` pairs get heap order; keyed callers
-    /// must issue unique keys per send.
-    pub fn send_keyed(&mut self, at: SimTime, key: u64, msg: M) {
-        let env = Envelope {
-            at: at.max(self.clock),
-            seq: key,
-            msg,
-        };
-        self.seq += 1;
-        self.in_flight += 1;
-        self.wheel.push(env);
-    }
-
-    /// Earliest pending delivery time, or `None` when the queue is
-    /// empty. Does not deliver and never moves the clock, though the
-    /// wheel may cascade slots downward (work `deliver_before` would do
-    /// anyway). The window driver uses this to pick each conservative
-    /// window's start across shard planes.
-    pub fn next_due(&mut self) -> Option<SimTime> {
-        self.wheel.next_due()
-    }
-
     /// Delivers the next envelope due at or before `until`, advancing
     /// the clock to its delivery time. `None` once nothing is due.
     pub fn deliver_before(&mut self, until: SimTime) -> Option<Envelope<M>> {
@@ -603,7 +535,7 @@ impl<M> MessagePlane<M> {
     /// Deliberately *same-instant*, not whole-window: a handler
     /// processing the batch may send new messages **at `t`** (zero
     /// service delay, clamped past sends). Those get strictly larger
-    /// seqs/keys, so the next `deliver_window` call picks them up at
+    /// seqs, so the next `deliver_window` call picks them up at
     /// `t` after the current batch — exactly the order the pop-one
     /// loop produces. A multi-instant pre-drain would have delivered
     /// instants past `t` before those late arrivals, breaking the
@@ -686,16 +618,12 @@ mod tests {
         }
 
         fn send_at(&mut self, at: SimTime, msg: M) {
-            self.send_keyed(at, self.seq, msg);
-        }
-
-        fn send_keyed(&mut self, at: SimTime, key: u64, msg: M) {
-            self.seq += 1;
             self.heap.push(Reverse(Envelope {
                 at: at.max(self.clock),
-                seq: key,
+                seq: self.seq,
                 msg,
             }));
+            self.seq += 1;
         }
 
         fn deliver_before(&mut self, until: SimTime) -> Option<Envelope<M>> {
@@ -829,39 +757,6 @@ mod tests {
         assert_eq!(batch[0].at, SimTime::from_millis(5));
     }
 
-    #[test]
-    fn send_keyed_orders_ties_by_key() {
-        let mut p = MessagePlane::new();
-        let at = SimTime::from_millis(3);
-        p.send_keyed(at, (7u64 << 32) | 1, 71);
-        p.send_keyed(at, 2u64 << 32, 20);
-        p.send_keyed(at, (7u64 << 32) | 2, 72);
-        p.send_keyed(at, 5u64 << 32, 50);
-        let mut got = Vec::new();
-        while let Some(e) = p.deliver_before(SimTime::from_secs(1)) {
-            got.push(e.msg);
-        }
-        assert_eq!(got, vec![20, 50, 71, 72]);
-    }
-
-    #[test]
-    fn next_due_reports_without_delivering() {
-        let mut p = MessagePlane::new();
-        assert_eq!(p.next_due(), None);
-        p.send(SimTime::from_millis(9), 1);
-        p.send(SimTime::from_millis(4), 2);
-        // Far-future overflow entry must not mask the near one.
-        p.send_at(SimTime(1 << 45), 3);
-        assert_eq!(p.next_due(), Some(SimTime::from_millis(4)));
-        assert_eq!(p.in_flight(), 3);
-        assert_eq!(p.now(), SimTime::ZERO);
-        let e = p.deliver_before(SimTime::from_secs(1)).unwrap();
-        assert_eq!(e.msg, 2);
-        assert_eq!(p.next_due(), Some(SimTime::from_millis(9)));
-        p.deliver_before(SimTime::from_secs(1)).unwrap();
-        assert_eq!(p.next_due(), Some(SimTime(1 << 45)));
-    }
-
     /// The lookahead distances of "cascades as lookahead": an envelope
     /// the hook sees out of an opened level-`level` slot is due at or
     /// after the instant that drain delivers, and less than `64^level`
@@ -915,8 +810,8 @@ mod tests {
     }
 
     // The batched drain is equivalent to the pop-one loop on the heap
-    // model, under randomized keyed schedules with ties and mid-run
-    // re-sends at the batch instant.
+    // model, under randomized schedules with ties and mid-run re-sends
+    // at the batch instant.
     proptest! {
         #[test]
         fn deliver_window_matches_pop_one_across_backends(seed in 0u64..48) {
@@ -930,10 +825,9 @@ mod tests {
             for _round in 0..30 {
                 for _ in 0..rng.bounded_u64(16) {
                     tag += 1;
-                    let key = ((rng.bounded_u64(8) + 1) << 32) | tag as u64;
                     let at = wheel.now() + SimTime(rng.bounded_u64(1 << 14));
-                    wheel.send_keyed(at, key, tag);
-                    heap.send_keyed(at, key, tag);
+                    wheel.send_at(at, tag);
+                    heap.send_at(at, tag);
                 }
                 let horizon = wheel.now() + SimTime(rng.bounded_u64(1 << 15));
                 while wheel.deliver_window(horizon, &mut batch) > 0 {
@@ -943,10 +837,9 @@ mod tests {
                     // after the already-drained batch.
                     if rng.chance(0.3) {
                         tag += 1;
-                        let key = (9u64 << 32) | tag as u64;
                         let at = batch[0].at;
-                        wheel.send_keyed(at, key, tag);
-                        heap.send_keyed(at, key, tag);
+                        wheel.send_at(at, tag);
+                        heap.send_at(at, tag);
                     }
                 }
                 while let Some(e) = heap.deliver_before(horizon) {
