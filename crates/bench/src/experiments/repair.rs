@@ -18,6 +18,8 @@ struct RepairRow {
     under_end: u64,
     over_end: u64,
     repair_mb: f64,
+    digest_mb: f64,
+    handoff_mb: f64,
     overhead: f64,
     ttr_mean_secs: f64,
     get_ok: f64,
@@ -34,7 +36,10 @@ struct RepairRow {
 /// makes the durability/bandwidth trade-off a table. `over @stop`
 /// counts the keys above the replication target at the instant churn
 /// stops (a [`Simulator::durability_census`]): copies a holder still
-/// keeps after it left an arc's chain. The range columns
+/// keeps after it left an arc's chain. `digest MB` and `hand-off MB` are
+/// the shares of `repair MB` sent as round digests and as hand-off
+/// relays and releases; the rest is the diff → push → pull ladder and
+/// read repair. The range columns
 /// count the sweeps that finished served, all sweeps that finished, and
 /// the items they gathered.
 pub fn e18_repair(ctx: &Ctx) {
@@ -55,6 +60,8 @@ pub fn e18_repair(ctx: &Ctx) {
             "under @end",
             "over @stop",
             "repair MB",
+            "digest MB",
+            "hand-off MB",
             "bytes/stored",
             "ttr mean (s)",
             "get ok",
@@ -126,6 +133,8 @@ pub fn e18_repair(ctx: &Ctx) {
             under_end: m.keys_under_replicated,
             over_end,
             repair_mb: m.repair_bytes as f64 / 1e6,
+            digest_mb: m.repair_digest_bytes as f64 / 1e6,
+            handoff_mb: m.repair_handoff_bytes as f64 / 1e6,
             overhead: m.repair_overhead(),
             ttr_mean_secs: m.repair_time_secs.mean(),
             get_ok: m.get_success_rate(),
@@ -145,6 +154,8 @@ pub fn e18_repair(ctx: &Ctx) {
             row.under_end.to_string(),
             row.over_end.to_string(),
             f2(row.repair_mb),
+            f2(row.digest_mb),
+            f2(row.handoff_mb),
             f3(row.overhead),
             f2(row.ttr_mean_secs),
             f3(row.get_ok),
@@ -167,7 +178,8 @@ fn write_snapshot(ctx: &Ctx, rows: &[RepairRow]) {
         .map(|r| {
             format!(
                 "{{\"id\": \"{}\", \"keys_lost\": {}, \"under_peak\": {}, \
-                 \"under_end\": {}, \"over_end\": {}, \"repair_mb\": {:.4}, \"overhead\": {:.6}, \
+                 \"under_end\": {}, \"over_end\": {}, \"repair_mb\": {:.4}, \"digest_mb\": {:.4}, \
+                 \"handoff_mb\": {:.4}, \"overhead\": {:.6}, \
                  \"ttr_mean_secs\": {:.4}, \"get_ok\": {:.4}, \"ranges_ok\": {}, \
                  \"ranges\": {}, \"range_items\": {}, \"unit\": \"sim_secs\"}}",
                 r.id,
@@ -176,6 +188,8 @@ fn write_snapshot(ctx: &Ctx, rows: &[RepairRow]) {
                 r.under_end,
                 r.over_end,
                 r.repair_mb,
+                r.digest_mb,
+                r.handoff_mb,
                 r.overhead,
                 r.ttr_mean_secs,
                 r.get_ok,

@@ -2098,6 +2098,11 @@ impl Simulator {
     fn send_repair(&mut self, from: u32, to: u32, bytes: u64, msg: Msg) {
         self.metrics.repair_messages += 1;
         self.metrics.repair_bytes += bytes;
+        match msg {
+            Msg::RepairDigest(_) => self.metrics.repair_digest_bytes += bytes,
+            Msg::Handoff(_) => self.metrics.repair_handoff_bytes += bytes,
+            _ => {}
+        }
         let now = self.plane.now();
         let dt = self.cfg.latency.delay()
             + SimTime::from_secs_f64(bytes as f64 * self.cfg.storage.repair_byte_secs);

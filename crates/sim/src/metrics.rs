@@ -168,6 +168,11 @@ pub struct SimMetrics {
     pub repair_messages: u64,
     /// Payload bytes shipped by the repair protocol (keys + items).
     pub repair_bytes: u64,
+    /// The share of `repair_bytes` sent as round digests. Out of
+    /// [`SimMetrics::fingerprint`], as are the hand-off bytes.
+    pub repair_digest_bytes: u64,
+    /// The share of `repair_bytes` sent as hand-off relays and releases.
+    pub repair_handoff_bytes: u64,
     /// Gauge: keys knocked below the replication target by a failure and
     /// not yet repaired back to full replication. Fresh puts still
     /// mid-fan-out are *not* counted — the gauge tracks repair debt, not
@@ -285,7 +290,8 @@ impl SimMetrics {
     /// both histogram fingerprints, the *sample counts* of the
     /// `OnlineStats` moments, and `end_time`. The float moments
     /// themselves are excluded, so two runs fingerprint equal iff every
-    /// discrete observation matches; the issue counters stay out too.
+    /// discrete observation matches; the issue counters and the repair
+    /// byte split stay out too.
     /// The engine's goldens pin this value.
     pub fn fingerprint(&self) -> u64 {
         const PRIME: u64 = 0x100_0000_01b3;
@@ -408,7 +414,7 @@ mod tests {
     }
 
     /// The fingerprint tells a changed counter, histogram or end time
-    /// apart, and ignores the issue counters.
+    /// apart, and ignores the issue counters and the repair byte split.
     #[test]
     fn fingerprint_tells_a_changed_lane_apart() {
         let mut base = SimMetrics {
@@ -428,9 +434,11 @@ mod tests {
             change(&mut m);
             assert_ne!(m.fingerprint(), base.fingerprint());
         }
-        let mut issued = base.clone();
-        issued.lookups_issued += 1;
-        assert_eq!(issued.fingerprint(), base.fingerprint());
+        let mut kept_out = base.clone();
+        kept_out.lookups_issued += 1;
+        kept_out.repair_digest_bytes += 1;
+        kept_out.repair_handoff_bytes += 1;
+        assert_eq!(kept_out.fingerprint(), base.fingerprint());
     }
 
     #[test]
