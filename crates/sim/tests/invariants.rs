@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use sw_keyspace::distribution::{KeyDistribution, TruncatedPareto, Uniform};
 use sw_sim::{
-    ChurnConfig, RoutingMode, SimConfig, SimTime, Simulator, StorageConfig, WorkloadConfig,
+    CacheConfig, ChurnConfig, CongestionConfig, RoutingMode, SimConfig, SimTime, Simulator,
+    StorageConfig, TrafficConfig, WorkloadConfig,
 };
 
 fn dist_for(choice: u8) -> Arc<dyn KeyDistribution> {
@@ -105,14 +106,40 @@ proptest! {
     /// `min(replication, alive peers)` live copies — repair refills
     /// under-replicated keys, recovery pulls rebuild dead owners'
     /// slices, and hand-offs retire every copy off its holder's keep
-    /// arc. The whole run
+    /// arc. With `congested`, open-loop Zipf traffic overloads short
+    /// service queues while churn runs, so full queues drop messages,
+    /// repair rungs among them; a dropped rung is re-requested by a later
+    /// round, and the traffic stops with the churn. The whole run
     /// (census included) is bit-identical at any worker-thread count.
     #[test]
     fn repair_quiesces_to_exact_replication(
         seed in any::<u64>(),
         replication in 2usize..4,
         dist_choice in 0u8..2,
+        congested in any::<bool>(),
     ) {
+        let (congestion, traffic) = if congested {
+            let congestion = CongestionConfig {
+                service_secs_per_msg: 30e-3,
+                queue_cap: 4,
+                link_rate: 500.0,
+                link_burst: 16.0,
+            };
+            let cache = CacheConfig {
+                capacity: 16,
+                ttl: SimTime::from_secs(20),
+            };
+            let traffic = TrafficConfig {
+                rate: 300.0,
+                zipf_s: 1.0,
+                hot_keys: 64,
+                gateways: 8,
+                cache: Some(cache),
+            };
+            (congestion, traffic)
+        } else {
+            (CongestionConfig::NONE, TrafficConfig::NONE)
+        };
         let run = |parallelism: usize| {
             let cfg = SimConfig {
                 seed,
@@ -129,11 +156,14 @@ proptest! {
                 },
                 stabilize_interval: Some(SimTime::from_secs(3)),
                 refresh_interval: Some(SimTime::from_secs(20)),
+                congestion,
+                traffic,
                 ..SimConfig::default()
             };
             let mut sim = Simulator::new(cfg, dist_for(dist_choice));
             sim.run_until(SimTime::from_secs(40));
             sim.set_churn(ChurnConfig::NONE);
+            sim.set_traffic_rate(0.0);
             // Quiesce: stabilization converges, hand-offs are released,
             // rounds refill until digests all match.
             sim.run_until(SimTime::from_secs(160));
@@ -146,6 +176,7 @@ proptest! {
                 m.repair_bytes,
                 m.stored_bytes,
                 sim.shards().len(),
+                m.msgs_dropped_overload,
             )
         };
         let one = run(1);
@@ -156,6 +187,7 @@ proptest! {
         prop_assert_eq!(census.fully_replicated, census.keys);
         prop_assert_eq!(one.2, 0, "under-replication gauge must drain");
         prop_assert!(one.3 > 0, "repair rounds must have exchanged messages");
+        prop_assert_eq!(one.7 > 0, congested, "only full queues drop");
         // Determinism at any worker-thread count.
         for threads in [2usize, 4] {
             prop_assert_eq!(run(threads), one, "threads={}", threads);
