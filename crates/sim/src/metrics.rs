@@ -288,11 +288,10 @@ impl SimMetrics {
 
     /// Digest over every integer lane: all counters, gauges and peaks,
     /// both histogram fingerprints, the *sample counts* of the
-    /// `OnlineStats` moments, and `end_time`. The float moments
-    /// themselves are excluded, so two runs fingerprint equal iff every
-    /// discrete observation matches; the issue counters and the repair
-    /// byte split stay out too.
-    /// The engine's goldens pin this value.
+    /// `OnlineStats` moments, and `end_time`, but not the issue counters
+    /// or the repair byte split. The float moments are excluded, so two
+    /// runs fingerprint equal iff every discrete observation folded here
+    /// matches. The engine's goldens pin this value.
     pub fn fingerprint(&self) -> u64 {
         const PRIME: u64 = 0x100_0000_01b3;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
