@@ -877,8 +877,9 @@ fn traffic_fingerprint_matches_the_pinned_value() {
 }
 
 /// The other golden: churn, storage and repair beside lookups (no
-/// congestion), recursive lookups and iterative storage walks so the
-/// ranked-candidate ladder is pinned with the single greedy step.
+/// congestion), every walk recursive, as in the benchmark's
+/// `churn_storage` (iterative routing is pinned by
+/// `BENCH_routing.json` and the simulator's own tests).
 /// Recorded on parent commit b94e6ce with two changes only — the
 /// recovered-lookups lane out of the fold and this config's lookups
 /// moved from the third forwarding mode to `Recursive` — before that
@@ -901,9 +902,17 @@ fn traffic_fingerprint_matches_the_pinned_value() {
 /// moved. The values
 /// before were 0x9874_dbc0_3eef_60d6 and ledger
 /// (297 464, 0, 294 521, 1 279).
+/// Re-recorded on parent commit 848908f with one change alone: the
+/// storage walks, which ran iterative beside recursive lookups, run
+/// recursive too. Lookups, gets, ranges and repair messages held; puts
+/// went 182 → 188 (a recursive hop costs one one-way delay, not a
+/// round trip, so more puts end by 10 s), storage messages
+/// 7 449 → 5 626 and hop-RTT samples 2 219 → 0, and the event count
+/// and ledger moved. The values before were
+/// 0x70c8_3f85_dc23_c8eb and ledger (298 727, 0, 295 776, 1 282).
 #[test]
 fn churn_storage_fingerprint_matches_the_pinned_value() {
-    use smallworld::sim::{RoutingMode, StorageConfig};
+    use smallworld::sim::StorageConfig;
 
     let mut sim = simulator_over_frozen_image(
         "churn",
@@ -911,7 +920,6 @@ fn churn_storage_fingerprint_matches_the_pinned_value() {
             seed: 12,
             churn: ChurnConfig::symmetric(10.0),
             workload: WorkloadConfig { lookup_rate: 200.0 },
-            routing_mode: RoutingMode::Recursive,
             storage: StorageConfig {
                 put_rate: 20.0,
                 get_rate: 20.0,
@@ -920,7 +928,6 @@ fn churn_storage_fingerprint_matches_the_pinned_value() {
                 preload: 400,
                 repair_interval: Some(SimTime::from_secs(2)),
                 repair_byte_secs: 1e-6,
-                routing_mode: Some(RoutingMode::Iterative),
                 ..StorageConfig::NONE
             },
             stabilize_interval: Some(SimTime::from_secs(1)),
@@ -934,10 +941,10 @@ fn churn_storage_fingerprint_matches_the_pinned_value() {
     assert!(m.joins > 50 && m.failures > 50 && m.lookups_stranded > 0);
     assert!(m.repair_messages > 10_000);
     let got = m.fingerprint();
-    assert_eq!(got, 0x70c8_3f85_dc23_c8eb, "fingerprint {got:#018x}");
+    assert_eq!(got, 0x49bd_69bf_1b72_7dbd, "fingerprint {got:#018x}");
     // The network ledger at the cut, pinned beside the digest as in
     // the traffic golden: dead-receiver deliveries are their own column.
-    assert_eq!(sim.net_counters(), (298_727, 0, 295_776, 1_282), "ledger");
+    assert_eq!(sim.net_counters(), (296_772, 0, 293_836, 1_273), "ledger");
 }
 
 /// Determinism across the whole stack: same seed, same everything.
