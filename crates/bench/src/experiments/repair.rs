@@ -107,10 +107,8 @@ pub fn e18_repair(ctx: &Ctx) {
                 range_rate: 0.5,
                 replication,
                 preload: ctx.queries(2000),
-                range_width: 0.02,
                 repair_interval: repair,
-                repair_byte_secs: 1e-6,
-                routing_mode: None,
+                ..StorageConfig::NONE
             },
             stabilize_interval: Some(SimTime::from_secs(5)),
             refresh_interval: Some(SimTime::from_secs(30)),

@@ -65,10 +65,8 @@ fn cell_config(seed: u64, storage: bool, preload: usize) -> SimConfig {
                 range_rate: 1.0,
                 replication: 3,
                 preload,
-                range_width: 0.02,
                 repair_interval: Some(SimTime::from_secs(10)),
-                repair_byte_secs: 1e-6,
-                routing_mode: None,
+                ..StorageConfig::NONE
             }
         } else {
             StorageConfig::NONE

@@ -8,7 +8,6 @@
 //! interleave with churn and with each other at per-hop granularity. A
 //! put, get or range keeps its walk record through its tail as well.
 
-use crate::latency::LatencyModel;
 use crate::metrics::SimMetrics;
 use crate::plane::MessagePlane;
 use crate::protocol::{
@@ -21,6 +20,7 @@ use crate::traffic::{
     CongestionConfig, HotCache, LinkBuckets, ServiceQueue, TrafficConfig, ZipfSampler,
 };
 use crate::world::{stream, World};
+use crate::{refuse_shim_values, LatencyModel};
 use std::sync::Arc;
 use std::time::Instant;
 use sw_core::builder::{long_image, BuildProfile};
@@ -86,21 +86,20 @@ pub struct StorageConfig {
     /// Items bulk-loaded into the shards at time zero (no message cost,
     /// like the initial converged overlay).
     pub preload: usize,
-    /// Key-space width of generated range queries.
-    pub range_width: f64,
     /// Anti-entropy repair round period (`None` disables repair). There
     /// is no oracle recovery path: a failed peer's shards die with it,
     /// and with repair disabled any key whose last live copy was on that
     /// peer is permanently lost.
     pub repair_interval: Option<SimTime>,
-    /// Bandwidth model for repair transfers: seconds of extra delivery
-    /// delay per payload byte, added on top of the per-message hop
-    /// delay (default `1e-8` ≈ 100 MB/s).
+    /// Shim: only [`RANGE_WIDTH`] boots (see [`crate::LatencyModel`]).
+    #[doc(hidden)]
+    pub range_width: f64,
+    /// Shim: only [`REPAIR_BYTE_SECS`] boots.
+    #[doc(hidden)]
     pub repair_byte_secs: f64,
-    /// Per-operation routing-mode override for storage walks (puts,
-    /// gets, ranges). `None` inherits `SimConfig::routing_mode` — set
-    /// it to route data operations iteratively (failover, no stranding)
-    /// while cheap lookups stay recursive, or vice versa.
+    /// Shim: only `None` boots; every walk takes
+    /// [`SimConfig::routing_mode`].
+    #[doc(hidden)]
     pub routing_mode: Option<RoutingMode>,
 }
 
@@ -112,9 +111,9 @@ impl StorageConfig {
         range_rate: 0.0,
         replication: 2,
         preload: 0,
-        range_width: 0.02,
         repair_interval: None,
-        repair_byte_secs: 1e-8,
+        range_width: RANGE_WIDTH,
+        repair_byte_secs: REPAIR_BYTE_SECS,
         routing_mode: None,
     };
 
@@ -137,7 +136,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Initial population (built converged, without message cost).
     pub initial_n: usize,
-    /// Per-hop latency model.
+    /// Shim: only `Constant(HOP_DELAY)` boots (see [`LatencyModel`]).
+    #[doc(hidden)]
     pub latency: LatencyModel,
     /// Ring stabilization period (`None` disables maintenance).
     pub stabilize_interval: Option<SimTime>,
@@ -150,9 +150,8 @@ pub struct SimConfig {
     /// Storage workload (disabled by default).
     pub storage: StorageConfig,
     /// How walks forward on the plane: recursive hand-off (default) or
-    /// requester-driven iterative with failover. A walk's mode is fixed
-    /// when it is spawned. Storage ops can override per operation via
-    /// [`StorageConfig::routing_mode`].
+    /// requester-driven iterative with failover. Every walk of the run,
+    /// storage operations included, takes this mode.
     pub routing_mode: RoutingMode,
     /// Keep a per-lookup [`LookupRecord`] (off by default — unbounded
     /// memory over long runs).
@@ -177,7 +176,7 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0,
             initial_n: 512,
-            latency: LatencyModel::Constant(SimTime::from_millis(50)),
+            latency: LatencyModel::Constant(HOP_DELAY),
             stabilize_interval: Some(SimTime::from_secs(10)),
             refresh_interval: Some(SimTime::from_secs(60)),
             churn: ChurnConfig::NONE,
@@ -282,12 +281,8 @@ pub struct DurabilityCensus {
 enum Stepped {
     /// The walk ends here.
     Done(WalkEnd),
-    /// Hand the query `from → next`, `flight` on the wire.
-    Forward {
-        from: u32,
-        next: u32,
-        flight: SimTime,
-    },
+    /// Hand the query `from → next`.
+    Forward { from: u32, next: u32 },
 }
 
 /// Long-link budget of every simulated peer: the paper's `log2 N`.
@@ -324,8 +319,20 @@ pub(crate) const SUCCESSOR_LIST: usize = 4;
 /// The population floor of 8 keeps the list full.
 pub(crate) const PREDECESSOR_LIST: usize = SUCCESSOR_LIST + 1;
 
+/// How long every overlay hop takes on the wire: each network message
+/// flies this long (a repair message its payload's bandwidth delay
+/// more), and a stabilization ping's round trip is twice it.
+pub const HOP_DELAY: SimTime = SimTime::from_millis(50);
+
 /// Latency charged for each timeout on a dead contact.
 pub(crate) const TIMEOUT_PENALTY: SimTime = SimTime::from_millis(500);
+
+/// Key-space width of a generated range query: `[lo, lo + RANGE_WIDTH)`.
+pub const RANGE_WIDTH: f64 = 0.02;
+
+/// Repair bandwidth: seconds of delivery delay per payload byte, on top
+/// of [`HOP_DELAY`] (≈ 1 MB/s).
+pub const REPAIR_BYTE_SECS: f64 = 1e-6;
 
 /// Wire size of a repair digest message (arc bounds + count + hash).
 const DIGEST_BYTES: u64 = 32;
@@ -442,12 +449,15 @@ impl Simulator {
     ///
     /// Panics if `keys` and the store disagree on the peer count, there
     /// are fewer than 8 peers, or the keys are not strictly ascending.
+    /// Also panics if a `#[doc(hidden)]` shim field holds any value but
+    /// its constant (or `None`).
     pub fn with_store(
         mut cfg: SimConfig,
         dist: Arc<dyn KeyDistribution>,
         keys: Vec<Key>,
         store: Topology,
     ) -> Simulator {
+        refuse_shim_values(&cfg);
         assert_eq!(keys.len(), store.len(), "one key per stored row");
         assert!(keys.len() >= 8, "simulator needs at least 8 peers");
         assert!(
@@ -933,20 +943,6 @@ impl Simulator {
 
     // ----- walk state machine ---------------------------------------
 
-    /// Routing mode for a walk of the given purpose: storage ops honour
-    /// their per-operation override, everything else uses the sim-wide
-    /// mode.
-    fn mode_for(&self, purpose: &Purpose) -> RoutingMode {
-        match purpose {
-            Purpose::Put { .. } | Purpose::Get | Purpose::Range { .. } => self
-                .cfg
-                .storage
-                .routing_mode
-                .unwrap_or(self.cfg.routing_mode),
-            _ => self.cfg.routing_mode,
-        }
-    }
-
     /// Hop budget of a walk spawned against the current population:
     /// `64 + 8 · ⌈log2(alive)⌉`, far above any greedy route, so hitting
     /// it means a routing loop rather than a long path.
@@ -969,10 +965,9 @@ impl Simulator {
             Purpose::Range { .. } => m.ranges_issued += 1,
             Purpose::JoinFind { .. } | Purpose::LinkProbe { .. } => {}
         }
-        let mode = self.mode_for(&purpose);
-        let walk = Walk::new(purpose, target, mode, from, self.plane.now(), max_hops);
+        let walk = Walk::new(purpose, target, from, self.plane.now(), max_hops);
         let qid = self.walks.insert(walk);
-        match mode {
+        match self.cfg.routing_mode {
             RoutingMode::Recursive => self.step_recursive(qid),
             // The origin reads its own routing table for free.
             RoutingMode::Iterative => self.iterative_local_step(qid),
@@ -990,7 +985,7 @@ impl Simulator {
         let Some(walk) = self.walks.get(qid) else {
             return;
         };
-        match walk.mode {
+        match self.cfg.routing_mode {
             RoutingMode::Recursive => self.step_recursive(qid),
             RoutingMode::Iterative if !self.world.is_alive(walk.requester) => {
                 self.finish_walk(qid, WalkEnd::Stranded)
@@ -1032,12 +1027,7 @@ impl Simulator {
     /// the caller's one `walks` borrow spans arrival bookkeeping, the
     /// step and the hand-off's message count; the caller acts on the
     /// result ([`Simulator::act_on_step`]) once that borrow ends.
-    fn greedy_step(
-        walk: &mut Walk,
-        peers: &Peers,
-        world: &World,
-        latency: LatencyModel,
-    ) -> Stepped {
+    fn greedy_step(walk: &mut Walk, peers: &Peers, world: &World) -> Stepped {
         let cur = walk.cur;
         if !world.is_alive(cur) {
             // The node holding the query failed, and the query with it.
@@ -1063,11 +1053,7 @@ impl Simulator {
             None => Stepped::Done(WalkEnd::LocalMinimum),
             Some((next, _)) => {
                 walk.msgs += 1;
-                Stepped::Forward {
-                    from: cur,
-                    next,
-                    flight: latency.delay(),
-                }
+                Stepped::Forward { from: cur, next }
             }
         }
     }
@@ -1077,13 +1063,13 @@ impl Simulator {
     fn act_on_step(&mut self, qid: QueryId, stepped: Stepped) {
         match stepped {
             Stepped::Done(end) => self.finish_walk(qid, end),
-            Stepped::Forward { from, next, flight } => {
+            Stepped::Forward { from, next } => {
                 let now = self.plane.now();
                 self.send_net(
                     from,
                     next,
                     now,
-                    flight,
+                    HOP_DELAY,
                     Msg::Hop {
                         qid,
                         to: next,
@@ -1099,7 +1085,7 @@ impl Simulator {
         let Some(walk) = self.walks.get_mut(qid) else {
             return;
         };
-        let stepped = Self::greedy_step(walk, &self.peers, &self.world, self.cfg.latency);
+        let stepped = Self::greedy_step(walk, &self.peers, &self.world);
         self.act_on_step(qid, stepped);
     }
 
@@ -1117,7 +1103,7 @@ impl Simulator {
         walk.latency += now - sent_at;
         walk.hops += 1;
         walk.cur = to;
-        let stepped = Self::greedy_step(walk, &self.peers, &self.world, self.cfg.latency);
+        let stepped = Self::greedy_step(walk, &self.peers, &self.world);
         self.act_on_step(qid, stepped);
     }
 
@@ -1130,7 +1116,7 @@ impl Simulator {
     /// its [`Walk::adaptive_timeout`].
     fn time_out(&mut self, qid: QueryId, contact: u32, since: SimTime) {
         let walk = self.walks.get_mut(qid).expect("a timed-out walk is live");
-        let penalty = match walk.mode {
+        let penalty = match self.cfg.routing_mode {
             RoutingMode::Recursive => TIMEOUT_PENALTY,
             RoutingMode::Iterative => walk.adaptive_timeout(TIMEOUT_PENALTY),
         };
@@ -1241,7 +1227,7 @@ impl Simulator {
             requester,
             to,
             now,
-            self.cfg.latency.delay(),
+            HOP_DELAY,
             Msg::NextHopQuery {
                 qid,
                 to,
@@ -1278,7 +1264,7 @@ impl Simulator {
             to,
             requester,
             now,
-            self.cfg.latency.delay(),
+            HOP_DELAY,
             Msg::NextHopReply(Box::new(NextHopReply {
                 qid,
                 from: to,
@@ -1600,7 +1586,7 @@ impl Simulator {
             succ: &node.succ,
             long: self.peers.links.row_slice(id),
         };
-        let rtt = SimTime(self.cfg.latency.delay().0 * 2);
+        let rtt = SimTime(HOP_DELAY.0 * 2);
         let mut resolve = SimTime::ZERO;
         for v in view.contacts() {
             self.metrics.stabilize_messages += 1;
@@ -1732,7 +1718,7 @@ impl Simulator {
 
     fn do_range_start(&mut self) {
         let lo = self.world.sample_key(Source::Range);
-        let hi = Key::clamped(lo.get() + self.cfg.storage.range_width);
+        let hi = Key::clamped(lo.get() + RANGE_WIDTH);
         let from = self.world.random_alive(Source::Range);
         if hi <= lo {
             return; // degenerate range at the top of the key space
@@ -1848,13 +1834,7 @@ impl Simulator {
         let now = self.plane.now();
         for &to in chain.iter() {
             self.metrics.storage_messages += 1;
-            self.send_net(
-                at,
-                to,
-                now,
-                self.cfg.latency.delay(),
-                Msg::ReplicaPut { op, to },
-            );
+            self.send_net(at, to, now, HOP_DELAY, Msg::ReplicaPut { op, to });
         }
     }
 
@@ -1912,7 +1892,7 @@ impl Simulator {
             at,
             first,
             now,
-            self.cfg.latency.delay(),
+            HOP_DELAY,
             Msg::ReplicaProbe {
                 op,
                 to: first,
@@ -1978,7 +1958,7 @@ impl Simulator {
             owner,
             next,
             next_send,
-            self.cfg.latency.delay(),
+            HOP_DELAY,
             Msg::ReplicaProbe {
                 op,
                 to: next,
@@ -2037,7 +2017,7 @@ impl Simulator {
             at,
             next,
             now,
-            self.cfg.latency.delay(),
+            HOP_DELAY,
             Msg::RangeFragment {
                 op,
                 to: next,
@@ -2078,7 +2058,7 @@ impl Simulator {
             from,
             next,
             retry_at,
-            self.cfg.latency.delay(),
+            HOP_DELAY,
             Msg::RangeFragment {
                 op,
                 to: next,
@@ -2104,8 +2084,7 @@ impl Simulator {
             _ => {}
         }
         let now = self.plane.now();
-        let dt = self.cfg.latency.delay()
-            + SimTime::from_secs_f64(bytes as f64 * self.cfg.storage.repair_byte_secs);
+        let dt = HOP_DELAY + SimTime::from_secs_f64(bytes as f64 * REPAIR_BYTE_SECS);
         self.send_net(from, to, now, dt, msg);
     }
 
@@ -2896,15 +2875,14 @@ mod tests {
         assert!(!stranded.success);
     }
 
-    /// Satellite: per-hop latency accounting. With a constant hop
-    /// latency, every lookup's latency is exactly
+    /// Satellite: per-hop latency accounting. Every hop takes
+    /// [`HOP_DELAY`], so every lookup's latency is exactly
     /// `hops * hop + timeouts * penalty`.
     #[test]
     fn latency_accumulates_per_hop_plus_timeout_penalty() {
-        let hop = SimTime::from_millis(50);
+        let hop = HOP_DELAY;
         let penalty = SimTime::from_millis(500);
         let cfg = SimConfig {
-            latency: LatencyModel::Constant(hop),
             stabilize_interval: None,
             refresh_interval: None,
             churn: ChurnConfig::symmetric(4.0),
@@ -2943,10 +2921,8 @@ mod tests {
                 range_rate: 1.0,
                 replication: 3,
                 preload: 400,
-                range_width: 0.02,
                 repair_interval: Some(SimTime::from_secs(5)),
-                repair_byte_secs: 1e-6,
-                routing_mode: None,
+                ..StorageConfig::NONE
             },
             stabilize_interval: Some(SimTime::from_secs(5)),
             refresh_interval: Some(SimTime::from_secs(30)),
@@ -3036,8 +3012,6 @@ mod tests {
                 preload: 300,
                 replication: 3,
                 repair_interval: repair,
-                repair_byte_secs: 1e-6,
-                routing_mode: None,
                 ..StorageConfig::NONE
             },
             stabilize_interval: Some(SimTime::from_secs(3)),
@@ -3109,8 +3083,6 @@ mod tests {
                 replication: 2,
                 // Rounds far apart: failure bursts outrun repair.
                 repair_interval: Some(SimTime::from_secs(60)),
-                repair_byte_secs: 1e-6,
-                routing_mode: None,
                 ..StorageConfig::NONE
             },
             stabilize_interval: Some(SimTime::from_secs(5)),
@@ -3224,15 +3196,14 @@ mod tests {
 
     /// On a static network the two modes are the *same algorithm* on
     /// the wire: iterative takes as many hops as recursive for the same
-    /// seed, and (with a constant latency model) pays exactly one extra
-    /// one-way delay per hop — the reply leg that upgrades each
-    /// hand-off to a full RTT.
+    /// seed, and pays exactly one extra one-way delay ([`HOP_DELAY`])
+    /// per hop — the reply leg that upgrades each hand-off to a full
+    /// RTT.
     #[test]
     fn iterative_matches_recursive_hops_and_pays_one_rtt_per_hop() {
-        let hop = SimTime::from_millis(50);
+        let hop = HOP_DELAY;
         let run = |mode: RoutingMode| {
             let cfg = SimConfig {
-                latency: LatencyModel::Constant(hop),
                 routing_mode: mode,
                 record_lookups: true,
                 // No maintenance: refresh chains would interleave their
@@ -3346,13 +3317,11 @@ mod tests {
         );
     }
 
-    /// The per-operation mode override, and honest message accounting:
-    /// storage walks routed iteratively (while lookups stay recursive)
-    /// pay two plane messages per hop, and `storage_messages` must show
-    /// it.
+    /// Honest message accounting: storage walks routed iteratively pay
+    /// two plane messages per hop, and `storage_messages` must show it.
     #[test]
     fn storage_mode_override_counts_two_messages_per_hop() {
-        let run = |storage_mode: Option<RoutingMode>| {
+        let run = |mode: RoutingMode| {
             let cfg = SimConfig {
                 workload: WorkloadConfig { lookup_rate: 5.0 },
                 storage: StorageConfig {
@@ -3360,9 +3329,9 @@ mod tests {
                     get_rate: 10.0,
                     replication: 2,
                     preload: 100,
-                    routing_mode: storage_mode,
                     ..StorageConfig::NONE
                 },
+                routing_mode: mode,
                 stabilize_interval: None,
                 refresh_interval: None,
                 ..quiet_config(24, 256)
@@ -3371,8 +3340,8 @@ mod tests {
             sim.run_until(SimTime::from_secs(60));
             sim.metrics().clone()
         };
-        let rec = run(None);
-        let iter = run(Some(RoutingMode::Iterative));
+        let rec = run(RoutingMode::Recursive);
+        let iter = run(RoutingMode::Iterative);
         // Same workload draws, same hop sequences (static network): the
         // only difference is the query+reply pair per hop. Iterative
         // walks fly longer, so slightly fewer ops complete by the fixed
@@ -3385,10 +3354,42 @@ mod tests {
             per_op(&iter),
             per_op(&rec)
         );
-        // The override is per-operation: lookups stayed recursive, so
-        // every observed hop RTT came from a storage walk.
+        // Only an iterative walk measures hop RTTs.
         assert!(iter.hop_rtt.count() > 0);
         assert_eq!(rec.hop_rtt.count(), 0);
+    }
+
+    /// Each shim field boots at its constant (the default) and refuses
+    /// any other value at boot, never ignoring it.
+    #[test]
+    fn shim_fields_refuse_every_value_but_their_constant() {
+        let boots = |cfg: SimConfig| {
+            std::panic::catch_unwind(|| Simulator::new(cfg, Arc::new(Uniform))).is_ok()
+        };
+        let base = || quiet_config(3, 16);
+        assert!(boots(base()), "the default boots");
+        let with_storage = |storage: StorageConfig| SimConfig { storage, ..base() };
+        let refused = [
+            SimConfig {
+                latency: LatencyModel::Constant(SimTime::from_millis(20)),
+                ..base()
+            },
+            with_storage(StorageConfig {
+                range_width: 0.05,
+                ..StorageConfig::NONE
+            }),
+            with_storage(StorageConfig {
+                repair_byte_secs: 1e-8,
+                ..StorageConfig::NONE
+            }),
+            with_storage(StorageConfig {
+                routing_mode: Some(RoutingMode::Recursive),
+                ..StorageConfig::NONE
+            }),
+        ];
+        for cfg in refused {
+            assert!(!boots(cfg.clone()), "{cfg:?} must be refused");
+        }
     }
 
     /// Read repair: a get served by a replica-fallback probe streams the
@@ -3447,7 +3448,6 @@ mod tests {
                         replication: 2,
                         preload: 200,
                         repair_interval: Some(SimTime::from_secs(5)),
-                        repair_byte_secs: 1e-6,
                         ..StorageConfig::NONE
                     },
                     stabilize_interval: Some(SimTime::from_secs(5)),
@@ -4162,7 +4162,6 @@ mod tests {
                     preload: 300,
                     replication,
                     repair_interval: Some(SimTime::from_secs(4)),
-                    repair_byte_secs: 1e-6,
                     ..StorageConfig::NONE
                 },
                 stabilize_interval: Some(SimTime::from_secs(3)),

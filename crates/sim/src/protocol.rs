@@ -31,8 +31,8 @@
 //!
 //! ## Routing modes
 //!
-//! Forwarding strategy is pluggable ([`RoutingMode`], chosen per
-//! `SimConfig` and overridable per storage operation). The `Walk`
+//! Forwarding strategy is pluggable ([`RoutingMode`], one per run:
+//! `SimConfig::routing_mode`). The `Walk`
 //! struct is the **requester-held** record of the operation (engine-side
 //! accounting: hops, timeouts, latency, exclusions, failover ladder);
 //! what actually travels on the plane is only the minimal in-flight
@@ -55,7 +55,7 @@
 //!   (`Walk::next_alternate`); running the ladder dry ends the walk
 //!   as [`WalkEnd::Exhausted`].
 //!
-//! A walk's mode is fixed when it is spawned. Robustness beyond that is
+//! Every walk of a run takes the run's mode. Robustness beyond that is
 //! the paper's: redundant links, so a walk that loses a contact takes
 //! the next-best one — there is no per-query recovery plane.
 //!
@@ -235,8 +235,6 @@ pub(crate) struct Walk {
     pub purpose: Purpose,
     /// Key being routed toward.
     pub target: Key,
-    /// Forwarding strategy, fixed at spawn.
-    pub mode: RoutingMode,
     /// The node that issued the operation. It drives every hop in
     /// iterative mode; its death is the only thing that strands an
     /// iterative walk.
@@ -307,7 +305,6 @@ impl Walk {
     pub(crate) fn new(
         purpose: Purpose,
         target: Key,
-        mode: RoutingMode,
         requester: u32,
         issued_at: SimTime,
         max_hops: u32,
@@ -315,7 +312,6 @@ impl Walk {
         Walk {
             purpose,
             target,
-            mode,
             requester,
             cur: requester,
             hops: 0,
@@ -395,20 +391,13 @@ impl Walk {
         }
     }
 
-    /// Bare test fixture: an iterative lookup walk with the given
+    /// Bare test fixture: a lookup walk with the given
     /// candidate pool and exclusion list, everything else zeroed. For
     /// unit and property tests of the pool mechanics only.
     #[cfg(test)]
     fn fixture(alternates: Vec<u32>, excluded: Vec<u32>) -> Walk {
         let lookup = Purpose::Lookup { target_id: 0 };
-        let walk = Walk::new(
-            lookup,
-            Key::clamped(0.5),
-            RoutingMode::Iterative,
-            0,
-            SimTime::ZERO,
-            8,
-        );
+        let walk = Walk::new(lookup, Key::clamped(0.5), 0, SimTime::ZERO, 8);
         Walk {
             alternates,
             excluded,

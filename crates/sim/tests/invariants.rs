@@ -15,7 +15,7 @@ fn dist_for(choice: u8) -> Arc<dyn KeyDistribution> {
     }
 }
 
-fn mode_for(choice: u8) -> RoutingMode {
+fn routing_mode(choice: u8) -> RoutingMode {
     RoutingMode::ALL[choice as usize % RoutingMode::ALL.len()]
 }
 
@@ -83,7 +83,7 @@ proptest! {
                 initial_n: 48,
                 churn: ChurnConfig::symmetric(3.0),
                 workload: WorkloadConfig { lookup_rate: 8.0 },
-                routing_mode: mode_for(mode_choice),
+                routing_mode: routing_mode(mode_choice),
                 ..SimConfig::default()
             };
             let mut sim = Simulator::new(cfg, Arc::new(Uniform));
@@ -151,7 +151,6 @@ proptest! {
                     preload: 150,
                     replication,
                     repair_interval: Some(SimTime::from_secs(4)),
-                    repair_byte_secs: 1e-6,
                     ..StorageConfig::NONE
                 },
                 stabilize_interval: Some(SimTime::from_secs(3)),

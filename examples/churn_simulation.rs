@@ -28,10 +28,8 @@ fn main() {
             range_rate: 1.0,
             replication: 3,
             preload: 5000,
-            range_width: 0.02,
             repair_interval: Some(SimTime::from_secs(10)),
-            repair_byte_secs: 1e-6, // ~1 MB/s repair bandwidth
-            routing_mode: None,     // storage walks inherit the sim-wide mode
+            ..StorageConfig::NONE
         },
         stabilize_interval: Some(SimTime::from_secs(10)),
         refresh_interval: Some(SimTime::from_secs(30)),

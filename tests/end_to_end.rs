@@ -927,7 +927,6 @@ fn churn_storage_fingerprint_matches_the_pinned_value() {
                 replication: 3,
                 preload: 400,
                 repair_interval: Some(SimTime::from_secs(2)),
-                repair_byte_secs: 1e-6,
                 ..StorageConfig::NONE
             },
             stabilize_interval: Some(SimTime::from_secs(1)),
