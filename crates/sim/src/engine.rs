@@ -904,13 +904,19 @@ impl Simulator {
     /// fresh, otherwise spawn an ordinary lookup walk. Arrivals are
     /// independent of completions — offered load does not slow down
     /// when the system saturates, which is exactly what pushes the
-    /// latency curve past its knee.
+    /// latency curve past its knee. An arrival at a dead gateway is a
+    /// lookup issued and stranded at once, as a walk whose requester
+    /// died ends in [`Simulator::finish_walk`], so churn cannot hide
+    /// offered load.
     fn do_traffic_lookup(&mut self) {
         let rng = self.world.stream(Source::Traffic);
         let gw = self.gateways[rng.index(self.gateways.len())];
         let rank = self.zipf.as_ref().expect("traffic enabled").sample(rng);
         if !self.world.is_alive(gw) {
-            return; // a dead gateway originates nothing this tick
+            self.metrics.lookups_issued += 1;
+            self.metrics.lookups += 1;
+            self.metrics.lookups_stranded += 1;
+            return;
         }
         let target_id = self.traffic_targets[rank];
         let now = self.plane.now();

@@ -226,3 +226,36 @@ fn queue_wait_is_not_a_timeout() {
     assert_eq!(m.lookups_ok, m.lookups, "every queued lookup must land");
     assert_eq!(m.msgs_dropped_overload, 0, "uncapped queues cannot drop");
 }
+
+/// Offered load survives churn: the gateways are drawn once from the
+/// t = 0 population, and an arrival at one that has since died is
+/// counted as a lookup issued and stranded, not dropped unseen. At
+/// churn 2/s over 64 peers most gateways are dead long before 40 s.
+#[test]
+fn arrivals_at_dead_gateways_are_counted_stranded() {
+    let (rate, secs) = (300.0, 40);
+    let cfg = SimConfig {
+        seed: 0,
+        initial_n: 64,
+        churn: ChurnConfig::symmetric(2.0),
+        workload: WorkloadConfig { lookup_rate: 0.0 },
+        traffic: TrafficConfig {
+            rate,
+            zipf_s: 0.9,
+            hot_keys: 64,
+            gateways: 8,
+            cache: None,
+        },
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(cfg, Arc::new(Uniform));
+    sim.run_until(SimTime::from_secs(secs));
+    let m = sim.metrics();
+    let offered = rate * secs as f64;
+    assert!(
+        m.lookups_issued as f64 >= 0.95 * offered,
+        "{} of ≈ {offered} arrivals counted",
+        m.lookups_issued
+    );
+    assert!(m.lookups_stranded > 0);
+}
