@@ -103,10 +103,14 @@ pub struct TrafficConfig {
     /// Zipf exponent of key popularity: `0.0` is uniform, `~1.0` is
     /// web-like skew.
     pub zipf_s: f64,
-    /// Size of the hot-key universe the generator draws from.
+    /// Size of the hot-key universe the generator draws from: that
+    /// many distinct peers, drawn once at boot, so it is capped at the
+    /// t = 0 population.
     pub hot_keys: usize,
     /// Number of gateway nodes that originate traffic (front-ends
-    /// serving user requests). Capped at the live population.
+    /// serving user requests), drawn once at boot and so capped at the
+    /// t = 0 population. A gateway that dies strands every arrival it
+    /// draws from then on.
     pub gateways: usize,
     /// Optional requester-side hot-key cache; `None` means every
     /// lookup walks.
