@@ -361,28 +361,15 @@ pub enum LatencyModel {
 
 /// The boot-time refusal of every shim value but the constant.
 pub(crate) fn refuse_shim_values(cfg: &SimConfig) {
-    const DELETED: &str = "is a shim that the next change to the benchmark deletes";
-    assert!(
-        cfg.latency == LatencyModel::Constant(HOP_DELAY),
-        "SimConfig::latency {DELETED}: only Constant(HOP_DELAY) = {HOP_DELAY} runs, not {:?}",
-        cfg.latency
-    );
     let storage = &cfg.storage;
     assert!(
-        storage.range_width == RANGE_WIDTH,
-        "StorageConfig::range_width {DELETED}: only RANGE_WIDTH = {RANGE_WIDTH} runs, not {}",
-        storage.range_width
-    );
-    assert!(
-        storage.repair_byte_secs == REPAIR_BYTE_SECS,
-        "StorageConfig::repair_byte_secs {DELETED}: only REPAIR_BYTE_SECS = {REPAIR_BYTE_SECS} \
-         runs, not {}",
-        storage.repair_byte_secs
-    );
-    assert!(
-        storage.routing_mode.is_none(),
-        "StorageConfig::routing_mode {DELETED}: only None runs (set SimConfig::routing_mode), \
-         not {:?}",
-        storage.routing_mode
+        cfg.latency == LatencyModel::Constant(HOP_DELAY)
+            && storage.range_width == RANGE_WIDTH
+            && storage.repair_byte_secs == REPAIR_BYTE_SECS
+            && storage.routing_mode.is_none(),
+        "SimConfig::latency and StorageConfig::{{range_width, repair_byte_secs, routing_mode}} \
+         are shims that the next change to the benchmark deletes: only Constant(HOP_DELAY), \
+         RANGE_WIDTH, REPAIR_BYTE_SECS and None run, not {:?} and {storage:?}",
+        cfg.latency
     );
 }
