@@ -193,7 +193,7 @@
 //!   requester's death strands it — the same hop sequence as recursive
 //!   on a static network, bought at one extra one-way delay per hop.
 //!
-//! The mode is fixed when the walk is spawned; there is no mid-walk
+//! Every walk of a run takes the run's mode; there is no mid-walk
 //! recovery plane. What absorbs a lost contact is what the paper's §3.1
 //! names — redundant links: the sender excludes it and takes the
 //! next-best one.
