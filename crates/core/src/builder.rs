@@ -212,7 +212,7 @@ impl SmallWorldBuilder {
     /// mapped files. The on-disk bytes are identical to `build` +
     /// `freeze_to` for the same RNG state, and
     /// [`SmallWorldNetwork::open_from`] reopens them.
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+    #[cfg(all(unix, target_pointer_width = "64"))]
     pub fn build_frozen(
         &self,
         rng: &mut Rng,
@@ -331,10 +331,10 @@ fn writer_at(
     node_pos: bool,
 ) -> io::Result<ArenaWriter> {
     match dir {
-        #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+        #[cfg(all(unix, target_pointer_width = "64"))]
         Some(d) => ArenaWriter::create_at(d.join(file), degrees, edge_pos, node_pos),
-        #[cfg(not(all(feature = "mmap", unix, target_pointer_width = "64")))]
-        Some(_) => unreachable!("mapped builds exist only behind the mmap feature"),
+        #[cfg(not(all(unix, target_pointer_width = "64")))]
+        Some(_) => unreachable!("mapped builds need a target with file mappings"),
         None => {
             let _ = file;
             ArenaWriter::from_degrees(degrees, edge_pos, node_pos)
@@ -358,7 +358,7 @@ fn writer_at(
 ///
 /// # Panics
 ///
-/// Panics if `dir` is `Some` without the `mmap` feature.
+/// Panics if `dir` is `Some` on a target without file mappings.
 pub fn long_image(
     placement: &Placement,
     assumed: &dyn KeyDistribution,
@@ -690,7 +690,7 @@ mod tests {
     /// `build_frozen` must leave on disk exactly what `build` +
     /// `freeze_to` writes, and the network it returns, like the one
     /// reopened from its files, must route as `build`'s does.
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+    #[cfg(all(unix, target_pointer_width = "64"))]
     #[test]
     fn build_frozen_matches_build_then_freeze() {
         use crate::network::{CONTACTS_FILE, LONG_FILE};
@@ -769,7 +769,7 @@ mod tests {
             let (contacts, long) = model_images(builder, seed, &format!("short-{n}"));
             assert_eq!(contacts, net.topology().as_bytes(), "{at}: contacts");
             assert_eq!(long, net.long_topology().as_bytes(), "{at}: long");
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+            #[cfg(all(unix, target_pointer_width = "64"))]
             {
                 let dir = std::env::temp_dir()
                     .join(format!("sw-core-short-rows-{n}-{}", std::process::id()));
@@ -860,7 +860,7 @@ mod tests {
             );
             let p = net.build_profile().unwrap();
             assert!(p.sample_s > 0.0 && p.contact_fill_s > 0.0);
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+            #[cfg(all(unix, target_pointer_width = "64"))]
             {
                 let dir = std::env::temp_dir().join(format!("sw-core-any-parallelism-{threads}"));
                 let frozen = builder(threads)

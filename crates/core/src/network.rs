@@ -249,9 +249,9 @@ impl SmallWorldNetwork {
 
     /// Reopens a network frozen with [`SmallWorldNetwork::freeze_to`].
     ///
-    /// Both images are used as read (one allocation each — or a lazy
-    /// mapping under `sw-graph`'s `mmap` feature — with zero per-edge
-    /// work and no unpacking): the contact image is the routing table,
+    /// Both images are used as opened (a lazy mapping each on 64-bit
+    /// unix, one allocation each elsewhere — with zero per-edge work
+    /// and no unpacking): the contact image is the routing table,
     /// the long image the long-link topology the maintenance APIs
     /// (refresh, link drops) read. The rest of the reopen is O(n) and
     /// rebuild-free — the placement is rebuilt from the frozen per-node
@@ -266,7 +266,7 @@ impl SmallWorldNetwork {
         assumed: Arc<dyn KeyDistribution>,
     ) -> io::Result<SmallWorldNetwork> {
         let dir = dir.as_ref();
-        // Topology::open maps the file when the feature is enabled.
+        // Topology::open maps the file on every 64-bit unix target.
         let contacts = CsrTopology::open(dir.join(CONTACTS_FILE))?;
         let node_pos = contacts.node_pos().ok_or_else(|| {
             io::Error::new(

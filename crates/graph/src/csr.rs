@@ -66,12 +66,12 @@ impl Topology {
     }
 
     /// Reopens an image frozen with [`Topology::freeze_to`] (or written
-    /// in place by `build_frozen`). With the `mmap` feature (64-bit
-    /// unix) the file is memory-mapped instead of read — no copy, the
-    /// validation scans fault each page in once; otherwise it is one
-    /// read into one allocation. Either way the image is validated
-    /// (header, length, offset monotonicity, edge-target range) before
-    /// it is returned, so a damaged file is an `Err`, never a panic.
+    /// in place by `build_frozen`). On 64-bit unix the file is
+    /// memory-mapped, not read — no copy, the validation scans fault
+    /// each page in once; a target without file mappings reads it into
+    /// one allocation. Either way the image is validated (header,
+    /// length, offset monotonicity, edge-target range) before it is
+    /// returned, so a damaged file is an `Err`, never a panic.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Topology> {
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
@@ -79,9 +79,9 @@ impl Topology {
             return Err(store::bad_format("file length is not a whole image"));
         }
         let len = len as usize;
-        #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+        #[cfg(all(unix, target_pointer_width = "64"))]
         let buf = ImageBuf::Mapped(store::mapping::Mapping::map(&file, len)?);
-        #[cfg(not(all(feature = "mmap", unix, target_pointer_width = "64")))]
+        #[cfg(not(all(unix, target_pointer_width = "64")))]
         let buf = {
             use std::io::Read as _;
             let mut words = vec![0u64; len / 8].into_boxed_slice();

@@ -14,10 +14,10 @@
 //! 2. **Frozen CSR** — [`Topology`]: all out-edges in one flat `edges`
 //!    section indexed by `offsets`, plus optional per-edge / per-node
 //!    `f64` lanes, in **one** 8-byte-aligned `SWTOPO` image that is
-//!    owned or, under the `mmap` feature, a file mapping. The writer's
-//!    seal scan flags images whose rows are sorted ascending, and
+//!    owned or, on 64-bit unix, a file mapping. The writer's seal scan
+//!    flags images whose rows are sorted ascending, and
 //!    membership tests on those binary-search. The image freezes to disk
-//!    with a single write and reopens with a single read (or map) —
+//!    with a single write and reopens with a single map (or read) —
 //!    O(1) allocations for a
 //!    10⁷-peer overlay — and a reopened topology is the same value as a
 //!    freshly built one. The per-edge lane carries the key-aligned ring

@@ -6,10 +6,10 @@
 //! key-aligned ring positions the SoA routing kernels scan), and an
 //! optional per-**node** `f64` lane (peer keys, so a frozen overlay can
 //! be reopened without its construction inputs). The buffer is owned,
-//! or — with the `mmap` feature on 64-bit unix — a file mapping, so the
-//! kernel pages rows in lazily. Because the memory image *is* the file
+//! or — on 64-bit unix — a file mapping, so the kernel pages rows in
+//! lazily. Because the memory image *is* the file
 //! image, [`Topology::freeze_to`] is a single `write` and
-//! [`Topology::open`] a single read (or map) — reopening a 10⁷-peer
+//! [`Topology::open`] a single map (or read) — reopening a 10⁷-peer
 //! overlay costs O(1) allocations, no per-peer work, and no unpacking.
 //!
 //! One producer, one reader. [`crate::writer::ArenaWriter`] fills every
@@ -215,12 +215,12 @@ pub(crate) fn bad_format(what: &str) -> io::Error {
     )
 }
 
-/// An image's backing memory: an owned allocation, or (with the `mmap`
-/// feature) a file mapping — read-only when opened, write-through when
-/// an `ArenaWriter` builds the image in place.
+/// An image's backing memory: an owned allocation, or (on 64-bit unix)
+/// a file mapping — read-only when opened, write-through when an
+/// `ArenaWriter` builds the image in place.
 pub(crate) enum ImageBuf {
     Owned(Box<[u64]>),
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+    #[cfg(all(unix, target_pointer_width = "64"))]
     Mapped(mapping::Mapping),
 }
 
@@ -229,7 +229,7 @@ impl std::ops::Deref for ImageBuf {
     fn deref(&self) -> &[u64] {
         match self {
             ImageBuf::Owned(b) => b,
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+            #[cfg(all(unix, target_pointer_width = "64"))]
             ImageBuf::Mapped(m) => m.words(),
         }
     }
@@ -246,7 +246,7 @@ impl ImageBuf {
                 v.truncate(words);
                 *b = v.into_boxed_slice();
             }
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+            #[cfg(all(unix, target_pointer_width = "64"))]
             ImageBuf::Mapped(m) => m.truncate(words * 8),
         }
     }
@@ -259,7 +259,7 @@ impl std::ops::DerefMut for ImageBuf {
     fn deref_mut(&mut self) -> &mut [u64] {
         match self {
             ImageBuf::Owned(b) => b,
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+            #[cfg(all(unix, target_pointer_width = "64"))]
             ImageBuf::Mapped(m) => m.words_mut(),
         }
     }
@@ -268,7 +268,7 @@ impl std::ops::DerefMut for ImageBuf {
 /// Raw `mmap(2)` bindings over the system libc — the workspace builds
 /// offline, so the `libc` crate is not available; `mmap`/`munmap` are
 /// always present in the C runtime every unix Rust binary links.
-#[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+#[cfg(all(unix, target_pointer_width = "64"))]
 pub(crate) mod mapping {
     use std::ffi::c_void;
     use std::io;
@@ -585,11 +585,11 @@ mod tests {
         std::fs::remove_file(&again).ok();
     }
 
-    /// Under `mmap`, `open` maps the file instead of reading it: the
-    /// mapped image is the file's bytes, and routes like the original.
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+    /// On 64-bit unix `open` maps the file: the mapped image is the
+    /// file's bytes, and routes like the original.
+    #[cfg(all(unix, target_pointer_width = "64"))]
     #[test]
-    fn mmap_open_matches_read_open() {
+    fn open_maps_the_files_bytes() {
         let topo = sample_topology();
         let edge_pos: Vec<f64> = topo.edges().iter().map(|&v| v as f64 / 11.0).collect();
         let laned = with_lanes(&topo, Some(&edge_pos), None);

@@ -124,7 +124,7 @@ impl ArenaWriter {
     /// provisioning once instead of build-then-copy paying it twice.
     ///
     /// [`from_degrees`]: ArenaWriter::from_degrees
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+    #[cfg(all(unix, target_pointer_width = "64"))]
     pub fn create_at(
         path: impl AsRef<std::path::Path>,
         degrees: &[u32],
@@ -521,7 +521,7 @@ pub(crate) mod tests {
     /// The write-through variant must produce the same image as the
     /// heap-buffered writer, and the file it leaves behind must be a
     /// valid frozen image with no explicit freeze step.
-    #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+    #[cfg(all(unix, target_pointer_width = "64"))]
     #[test]
     fn create_at_is_already_frozen() {
         let topo = scrambled_topology(400, 5);
@@ -577,7 +577,7 @@ pub(crate) mod tests {
                 let sealed = writer.finish(1).unwrap();
                 assert_eq!(sealed.as_bytes(), model, "fill_threads={fill_threads}");
             }
-            #[cfg(all(feature = "mmap", unix, target_pointer_width = "64"))]
+            #[cfg(all(unix, target_pointer_width = "64"))]
             {
                 let path = std::env::temp_dir()
                     .join(format!("sw-writer-vacant-{}.arena", std::process::id()));

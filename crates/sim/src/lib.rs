@@ -62,7 +62,7 @@
 //!   find it the same way and the route's late messages miss it. Long-link rows live in a
 //!   [`sw_graph::DeltaStore`] over an immutable [`sw_graph::Topology`]
 //!   base — one `SWTOPO` image, drawn in memory by
-//!   [`converged_overlay`] or opened (mapped under `mmap`) from disk
+//!   [`converged_overlay`] or opened (mapped) from disk
 //!   ([`Simulator::from_frozen`] / [`Simulator::with_store`]). The draw
 //!   is the builder's long stage, [`sw_core::builder::long_image`], over
 //!   a ring placement, so the t = 0 rows are those of a ring, harmonic
