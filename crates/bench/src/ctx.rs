@@ -110,15 +110,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     }
 }
 
-/// Scratch directory for the frozen arena images E22 / E23 preload
-/// from. `SW_BENCH_SCRATCH` overrides the system temp dir — point it at
-/// `/dev/shm` or a big disk for the opt-in 10⁷ cell.
-pub fn scratch_dir() -> PathBuf {
-    std::env::var_os("SW_BENCH_SCRATCH")
-        .map(PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

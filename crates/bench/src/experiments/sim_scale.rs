@@ -1,6 +1,6 @@
 //! E22 — scaling the deterministic simulator: event throughput and peak
-//! memory at n ∈ {10⁴, 10⁵, 10⁶} peers (opt-in 10⁷), under churn and
-//! under churn + storage.
+//! memory at n ∈ {10⁴, 10⁵, 10⁶} peers, under churn and under churn +
+//! storage.
 //!
 //! This is the experiment behind the PR-7 perf work: the initial overlay
 //! is drawn once per size by the simulator's own converged draw
@@ -13,12 +13,10 @@
 //! run ascending and each row reports the mark *after* its run.
 //!
 //! The full sweep is n ∈ {10⁴, 10⁵, 10⁶}; `--quick` (CI smoke) runs
-//! {2·10³, 2·10⁴}. Set `SW_E22_TEN_MILLION=1` to append the 10⁷ cell
-//! (needs several GB of RAM). It prints its table and CSV only: events/s
-//! is a host-time reading, and committed host-time numbers are
-//! `benchmark/`'s (`sim.engine.*`, `work_per_s`), where they carry a
-//! stamp. ROADMAP item 6 (the per-hop fall) names this sweep as its
-//! instrument.
+//! {2·10³, 2·10⁴}. It prints its table and CSV only: events/s is a
+//! host-time reading, and committed host-time numbers are `benchmark/`'s
+//! (`sim.engine.*`, `work_per_s`), where they carry a stamp. ROADMAP item
+//! 8(b) (the per-hop fall) names this sweep as its instrument.
 
 use crate::ctx::{self, Ctx};
 use crate::table::{f2, Table};
@@ -37,10 +35,8 @@ fn horizon_secs(n: usize, quick: bool) -> u64 {
         60
     } else if n < 500_000 {
         20
-    } else if n < 5_000_000 {
-        10
     } else {
-        5
+        10
     };
     if quick {
         (base / 4).max(10)
@@ -79,14 +75,11 @@ fn cell_config(seed: u64, storage: bool, preload: usize) -> SimConfig {
 
 /// E22 — simulator throughput at scale (see module docs).
 pub fn e22_sim_scale(ctx: &Ctx) {
-    let mut sizes: Vec<usize> = if ctx.quick {
-        vec![2_000, 20_000]
+    let sizes: &[usize] = if ctx.quick {
+        &[2_000, 20_000]
     } else {
-        vec![10_000, 100_000, 1_000_000]
+        &[10_000, 100_000, 1_000_000]
     };
-    if std::env::var("SW_E22_TEN_MILLION").as_deref() == Ok("1") {
-        sizes.push(10_000_000);
-    }
     let mut table = Table::new(
         "E22: simulator at scale — event throughput and peak memory".to_string(),
         &[
@@ -101,13 +94,13 @@ pub fn e22_sim_scale(ctx: &Ctx) {
             "lookup ok",
         ],
     );
-    for &n in &sizes {
+    for &n in sizes {
         // One frozen overlay image per size, shared by both variants —
         // construction cost is paid once and the runs measure the event
         // loop, not the build.
         println!("  [e22] n={n}: drawing + freezing the initial overlay…");
         let t0 = Instant::now();
-        let path = ctx::scratch_dir().join(format!("sw-e22-{n}-{}.arena", std::process::id()));
+        let path = std::env::temp_dir().join(format!("sw-e22-{n}-{}.arena", std::process::id()));
         build_frozen_overlay(ctx.seed ^ 22 ^ n as u64, n, &path);
         let build_secs = t0.elapsed().as_secs_f64();
         for &storage in &[false, true] {

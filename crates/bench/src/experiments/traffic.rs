@@ -21,7 +21,7 @@
 //! summary row per cell.
 //! `--quick` runs one small size (2·10³) with a reduced grid.
 
-use crate::ctx::{self, Ctx};
+use crate::ctx::Ctx;
 use crate::table::{f2, f3, Table};
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,7 +104,7 @@ pub fn e23_traffic(ctx: &Ctx) {
     let mut knees: Vec<(String, usize, f64, bool, f64, f64)> = Vec::new();
     for &n in &sizes {
         println!("  [e23] n={n}: drawing + freezing the initial overlay…");
-        let path = ctx::scratch_dir().join(format!("sw-e23-{n}-{}.arena", std::process::id()));
+        let path = std::env::temp_dir().join(format!("sw-e23-{n}-{}.arena", std::process::id()));
         super::sim_scale::build_frozen_overlay(ctx.seed ^ 0xE23 ^ n as u64, n, &path);
         let cells: Vec<(f64, bool)> = skews
             .iter()

@@ -134,7 +134,9 @@ impl Default for StorageConfig {
 pub struct SimConfig {
     /// PRNG seed — two runs with equal config are bit-identical.
     pub seed: u64,
-    /// Initial population (built converged, without message cost).
+    /// Peers [`Simulator::new`] draws converged, without message cost.
+    /// Only `new` reads it: [`Simulator::with_store`] and
+    /// [`Simulator::from_frozen`] overwrite it with `keys.len()`.
     pub initial_n: usize,
     /// Shim: only `Constant(HOP_DELAY)` boots (see [`LatencyModel`]).
     #[doc(hidden)]
