@@ -1,8 +1,8 @@
 //! Heap peaks of the builder's long-link draw, in a mapped build and as
-//! the simulator's t = 0 overlay, and of the simulator's boot, read off
-//! a counting global allocator. The allocator is process-wide,
-//! so this binary holds a single test: another test running beside it
-//! would land in its counts.
+//! the simulator's t = 0 overlay, of a mapped reopen, and of the
+//! simulator's boot, read off a counting global allocator. The
+//! allocator is process-wide, so this binary holds a single test:
+//! another test running beside it would land in its counts.
 //!
 //! Run it in release, as the benchmark builds:
 //!
@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
-use sw_core::{LinkSampler, SmallWorldBuilder};
+use sw_core::{LinkSampler, SmallWorldBuilder, SmallWorldNetwork};
 use sw_keyspace::distribution::TruncatedPareto;
 use sw_keyspace::{Key, KeyDistribution, Rng};
 use sw_sim::{SimConfig, Simulator};
@@ -87,6 +87,11 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// draw through the builder's long stage, over Pareto(1.5, 0.01) keys
 /// with harmonic links.
 ///
+/// Reopening the mapped build's files (`SmallWorldNetwork::open_from`)
+/// maps both images, so its heap is the placement's keys: ≤ 12 B/peer,
+/// 8.0 read. A reopen that reads the images onto the heap breaks it
+/// with the contact image alone (≈ 12 B per contact plus 12 B per peer).
+///
 /// Booting a simulator over that draw (`Simulator::with_store`, storage
 /// off, default maintenance timers) must peak at ≤ 284 B/peer beyond the
 /// keys and image it is handed: 257.8 B/peer read, plus a 10 % margin.
@@ -105,12 +110,20 @@ fn long_link_draws_hold_no_copy_of_their_rows() {
     drop(builder.build_frozen(&mut Rng::new(1), &dir).unwrap());
     let (net, peak) = peak_of(|| builder.build_frozen(&mut Rng::new(2), &dir).unwrap());
     drop(net);
-    std::fs::remove_dir_all(&dir).ok();
     let per_peer = peak as f64 / n as f64;
     assert!(
         per_peer <= 32.0,
         "build_frozen peaked at {per_peer:.1} B/peer"
     );
+
+    let (net, peak) = peak_of(|| {
+        SmallWorldNetwork::open_from(&dir, *builder.config_ref(), Arc::new(pareto)).unwrap()
+    });
+    assert_eq!(net.len(), n);
+    drop(net);
+    std::fs::remove_dir_all(&dir).ok();
+    let per_peer = peak as f64 / n as f64;
+    assert!(per_peer <= 12.0, "open_from peaked at {per_peer:.1} B/peer");
 
     let ((keys, links), peak) =
         peak_of(|| sw_sim::converged_overlay(n, &pareto, &mut Rng::new(3), 0));
