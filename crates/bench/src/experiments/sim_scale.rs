@@ -113,15 +113,15 @@ pub fn e22_sim_scale(ctx: &Ctx) {
     ctx.write_csv(&table, "e22_sim_scale.csv");
     println!(
         "  expected shape: events/s decays slowly in n (bigger working set, \
-         longer rows — the wheel's O(1) buckets keep the pending-event \
+         longer rows — the plane's fixed-delay FIFO lanes keep the pending-event \
          population, ~n per-node timers, out of the per-event cost); peak RSS \
          is a process-lifetime high-water mark, so read each row as 'the sweep \
          up to and including this cell fit in this much memory'. It grows \
          about linearly in n and is per-peer state: the overlay image and its key \
          lane, node records, two to three pending timers per peer \
          (stabilize, refresh, and with storage the repair round: a 40-byte \
-         envelope in the plane's store plus a 4-byte slot index each, \
-         90–130 MB at 10⁶), the long-link rows refreshes rewrote, and with \
+         envelope each in its period's lane, which grows by an eighth, \
+         80–135 MB at 10⁶), the long-link rows refreshes rewrote, and with \
          storage the shard maps"
     );
 }

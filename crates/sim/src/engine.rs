@@ -9,7 +9,7 @@
 //! put, get or range keeps its walk record through its tail as well.
 
 use crate::metrics::SimMetrics;
-use crate::plane::MessagePlane;
+use crate::plane::{MessagePlane, FAR_AHEAD};
 use crate::protocol::{
     Handoff, LookupRecord, Msg, NextHopReply, Purpose, QueryId, RepairDiff, RepairDigest,
     RepairPull, RepairPush, RoutingMode, Source, Timer, Walk, WalkEnd,
@@ -190,6 +190,45 @@ impl Default for SimConfig {
             congestion: CongestionConfig::NONE,
             traffic: TrafficConfig::NONE,
         }
+    }
+}
+
+impl SimConfig {
+    /// A maintenance timer's period, `None` when it is off. Repair
+    /// rounds run only beside a storage workload.
+    fn period(&self, timer: Timer) -> Option<SimTime> {
+        match timer {
+            Timer::Stabilize => self.stabilize_interval,
+            Timer::Refresh => self.refresh_interval,
+            Timer::Repair if self.storage.enabled() => self.storage.repair_interval,
+            Timer::Repair => None,
+        }
+    }
+
+    /// The fixed delays the engine sends at, one plane lane each (see
+    /// [`crate::plane`]): a network message's flight, alone and with an
+    /// idle service queue's service time on top; a stabilization round
+    /// trip; the timeout penalty, counted from a send and from the
+    /// arrival a hop after it; a repair digest's flight when repair
+    /// rounds run; and each armed timer's period.
+    fn lane_delays(&self) -> Vec<SimTime> {
+        let service = SimTime::from_secs_f64(self.congestion.service_secs_per_msg.max(0.0));
+        let mut delays = vec![
+            HOP_DELAY,
+            HOP_DELAY + service,
+            SimTime(HOP_DELAY.0 * 2),
+            TIMEOUT_PENALTY,
+            TIMEOUT_PENALTY - HOP_DELAY,
+        ];
+        if self.period(Timer::Repair).is_some() {
+            delays.push(repair_flight(DIGEST_BYTES));
+        }
+        delays.extend(
+            Timer::ALL
+                .into_iter()
+                .filter_map(|timer| self.period(timer)),
+        );
+        delays
     }
 }
 
@@ -469,7 +508,7 @@ impl Simulator {
         let (n, seed) = (keys.len(), cfg.seed);
         let mut sim = Simulator {
             rng: Rng::new(seed).fork(),
-            plane: MessagePlane::new(),
+            plane: MessagePlane::with_lanes(&cfg.lane_delays()),
             world: World::new(&cfg, dist, &keys),
             peers: Peers {
                 nodes: (0..n).map(|id| SimNode::converged(id, n)).collect(),
@@ -586,24 +625,23 @@ impl Simulator {
     /// Runs until the virtual clock passes `until`.
     ///
     /// Drains the plane in same-instant batches
-    /// ([`MessagePlane::deliver_window`]): one cursor walk per instant
-    /// instead of one per envelope, which matters for the wheel under
-    /// same-tick bursts (stabilize rounds, replica fan-outs). Handlers
-    /// run strictly after their batch is drained; anything they send at
-    /// the batch instant gets a larger sequence number and is picked up
-    /// by the next `deliver_window` call at the same instant — the
-    /// exact order the old pop-one loop produced.
+    /// ([`MessagePlane::deliver_window`]). Handlers run strictly after
+    /// their batch is drained; anything they send at the batch instant
+    /// gets a larger sequence number and is picked up by the next
+    /// `deliver_window` call at the same instant — the exact order the
+    /// pop-one loop produces.
     ///
-    /// The drain's cascade hook is the engine's prefetcher: the wheel
-    /// re-files a walk message twice on its way down, and each re-file
-    /// warms one link of the address chain its handler will walk (see
+    /// The drain's lookahead hook is the engine's prefetcher: each pop
+    /// of a lane shows the hook the walk messages a fixed number of
+    /// that lane's pops ahead, at two stages, and each stage warms one
+    /// link of the address chain its handler will walk (see
     /// `prefetch_peer`).
     pub fn run_until(&mut self, until: SimTime) {
         let mut batch = Vec::new();
         while self
             .plane
-            .deliver_window_with(until, &mut batch, |level, msg| {
-                prefetch_peer(&self.walks, &self.peers, &self.world, level, msg)
+            .deliver_window_with(until, &mut batch, |ahead, msg| {
+                prefetch_peer(&self.walks, &self.peers, &self.world, ahead, msg)
             })
             > 0
         {
@@ -1532,24 +1570,15 @@ impl Simulator {
 
     // ----- maintenance -----------------------------------------------
 
-    /// A maintenance timer's period, `None` when it is off. Repair
-    /// rounds run only beside a storage workload.
-    fn period(&self, timer: Timer) -> Option<SimTime> {
-        match timer {
-            Timer::Stabilize => self.cfg.stabilize_interval,
-            Timer::Refresh => self.cfg.refresh_interval,
-            Timer::Repair if self.cfg.storage.enabled() => self.cfg.storage.repair_interval,
-            Timer::Repair => None,
-        }
-    }
-
     /// Arms a new peer's timers, each at a stagger drawn uniformly over
-    /// its period so maintenance does not arrive in bursts.
+    /// its period so maintenance does not arrive in bursts. At boot each
+    /// stagger joins its period's plane lane (`plane`'s "boot sort").
     fn schedule_timers(&mut self, id: u32) {
         for timer in Timer::ALL {
-            if let Some(interval) = self.period(timer) {
+            if let Some(interval) = self.cfg.period(timer) {
                 let stagger = SimTime(self.timer_rng.bounded_u64(interval.0.max(1)));
-                self.plane.send(stagger, Msg::Timer(timer, id));
+                self.plane
+                    .send_staggered(stagger, interval, Msg::Timer(timer, id));
             }
         }
     }
@@ -1561,7 +1590,7 @@ impl Simulator {
         if !self.world.is_alive(id) {
             return;
         }
-        let period = self.period(timer).expect("an armed timer has a period");
+        let period = self.cfg.period(timer).expect("an armed timer has a period");
         let rearm = Msg::Timer(timer, id);
         match timer {
             Timer::Stabilize => {
@@ -1613,7 +1642,8 @@ impl Simulator {
         // A new replica chain or keep arc may move copies: refill and
         // hand off now rather than at the next timer round.
         let (now_chain, now_preds) = self.repair_view(id);
-        if (*chain != *now_chain || preds != now_preds) && self.period(Timer::Repair).is_some() {
+        if (*chain != *now_chain || preds != now_preds) && self.cfg.period(Timer::Repair).is_some()
+        {
             self.do_repair_round(id);
         }
         // Prune dead long links in place. A row with no dead contact is
@@ -2088,8 +2118,7 @@ impl Simulator {
             _ => {}
         }
         let now = self.plane.now();
-        let dt = HOP_DELAY + SimTime::from_secs_f64(bytes as f64 * REPAIR_BYTE_SECS);
-        self.send_net(from, to, now, dt, msg);
+        self.send_net(from, to, now, repair_flight(bytes), msg);
     }
 
     /// One anti-entropy round at `id`, on its timer or when its replica
@@ -2427,30 +2456,30 @@ impl Simulator {
     }
 }
 
-/// The two prefetch stages of a simulated hop, driven by the wheel's
-/// cascades (`plane`'s "cascades as lookahead"). A step at peer `to`
+/// The two prefetch stages of a simulated hop, driven by the plane's
+/// lane lookahead (`plane`'s "lanes as lookahead"). A step at peer `to`
 /// walks the walk's slot, then `to`'s liveness entry / `nodes[to]` /
 /// `keys[to]` / the delta's `slot[to]` and the base's `offsets[to]` →
 /// the long-link row → the row's contact keys, on state untouched for
 /// thousands of events; the address chain has two links, so there are
 /// two stages:
 ///
-/// * `level ≥ 2` (the message is due less than `64^level` µs of
-///   virtual time out: < 4.1 ms from a level-2 slot, < 262 ms from a
-///   level-3 one): the loads addressable from the message alone — the
+/// * the far stage, [`FAR_AHEAD`] pops of the message's lane ahead of
+///   its delivery: the loads addressable from the message alone — the
 ///   walk's slot, the receiver's liveness entry in the world, its node
 ///   record, its key, the row's delta slot and the base store's row
 ///   bounds;
-/// * `level 1` (< 64 µs out): those are resident by now, so read them
-///   and prefetch the row itself.
+/// * the near stage, [`NEAR_AHEAD`](crate::plane::NEAR_AHEAD) pops
+///   ahead: those are resident by now, so read them and prefetch the
+///   row itself.
 ///
 /// Hints only: nothing here can change what a handler later reads.
 #[inline]
-fn prefetch_peer(walks: &Slab<Walk>, peers: &Peers, world: &World, level: usize, msg: &Msg) {
+fn prefetch_peer(walks: &Slab<Walk>, peers: &Peers, world: &World, ahead: usize, msg: &Msg) {
     let (Msg::Hop { qid, to, .. } | Msg::NextHopQuery { qid, to, .. }) = *msg else {
         return;
     };
-    if level >= 2 {
+    if ahead == FAR_AHEAD {
         walks.prefetch(qid);
         world.prefetch_liveness(to);
         if let Some(node) = peers.nodes.get(to as usize) {
@@ -2461,6 +2490,11 @@ fn prefetch_peer(walks: &Slab<Walk>, peers: &Peers, world: &World, level: usize,
     } else {
         prefetch_span(peers.links.row_slice(to));
     }
+}
+
+/// A repair message's flight: a hop, plus its payload's bandwidth delay.
+fn repair_flight(bytes: u64) -> SimTime {
+    HOP_DELAY + SimTime::from_secs_f64(bytes as f64 * REPAIR_BYTE_SECS)
 }
 
 /// Poisson inter-arrival draw.
@@ -4383,14 +4417,82 @@ mod tests {
         }
     }
 
+    /// The plane's lanes carry the engine's sends. Of the sends after
+    /// the boot sort, at least 90 % join a lane on the churn golden's
+    /// config (0.991 read), and at least 65 % on the traffic golden's
+    /// (0.670 read): about a quarter of its sends are the open-loop
+    /// generator's Poisson arrivals, and its link buckets and queue
+    /// waits move a tenth of its network messages off the fixed
+    /// delays. The configs are `tests/end_to_end.rs`'s two fingerprint
+    /// goldens, booted by `Simulator::new` at the goldens' 2 048 Pareto
+    /// peers. A delay that stops matching its lane, e.g. a jittered
+    /// hop, fails here before it shows as a slower benchmark.
+    #[test]
+    fn most_sends_join_a_plane_lane() {
+        let share = |cfg: SimConfig| {
+            let cfg = SimConfig {
+                initial_n: 2048,
+                ..cfg
+            };
+            let mut sim = Simulator::new(cfg, Arc::new(TruncatedPareto::new(1.5, 0.01).unwrap()));
+            let boot = sim.plane.sent();
+            sim.run_until(SimTime::from_secs(8));
+            sim.plane.laned as f64 / (sim.plane.sent() - boot) as f64
+        };
+        let churn = share(SimConfig {
+            seed: 12,
+            churn: ChurnConfig::symmetric(10.0),
+            workload: WorkloadConfig { lookup_rate: 200.0 },
+            storage: StorageConfig {
+                put_rate: 20.0,
+                get_rate: 20.0,
+                range_rate: 5.0,
+                replication: 3,
+                preload: 400,
+                repair_interval: Some(SimTime::from_secs(2)),
+                ..StorageConfig::NONE
+            },
+            stabilize_interval: Some(SimTime::from_secs(1)),
+            refresh_interval: Some(SimTime::from_secs(3)),
+            ..SimConfig::default()
+        });
+        let traffic = share(SimConfig {
+            seed: 11,
+            stabilize_interval: None,
+            refresh_interval: None,
+            workload: WorkloadConfig { lookup_rate: 0.0 },
+            congestion: CongestionConfig {
+                service_secs_per_msg: 5e-3,
+                queue_cap: 2,
+                link_rate: 100.0,
+                link_burst: 2.0,
+            },
+            traffic: TrafficConfig {
+                rate: 2_000.0,
+                zipf_s: 0.9,
+                hot_keys: 128,
+                gateways: 8,
+                cache: Some(crate::traffic::CacheConfig {
+                    capacity: 32,
+                    ttl: SimTime::from_secs(1),
+                }),
+            },
+            ..SimConfig::default()
+        });
+        assert!(churn >= 0.90, "churn golden: {churn:.3} of sends on a lane");
+        assert!(
+            traffic >= 0.65,
+            "traffic golden: {traffic:.3} of sends on a lane"
+        );
+    }
+
     /// Layout pins for the records the event path moves and holds most.
     /// The node record must stay within one cache line with room to
-    /// spare. The envelope sizes are equalities, so a `Msg` variant that
-    /// grows past 20 bytes unboxed, or a lost enum niche in the wheel's
-    /// envelope store, shows up as a deliberately moved pin. The walk
-    /// record carries no RNG stream (a hop's delay is fixed), and its
-    /// pin keeps one from coming back unnoticed. A
-    /// walk slab entry is the walk plus its slot's id (the walk's niche
+    /// spare. The envelope size is an equality, so a `Msg` variant that
+    /// grows past 20 bytes unboxed shows up as a deliberately moved
+    /// pin. The walk record carries no RNG stream (a hop's delay is
+    /// fixed), and its pin keeps one from coming back unnoticed. A walk
+    /// slab entry is the walk plus its slot's id (the walk's niche
     /// holds the `Option`), so growth in the hop record shows there too.
     #[test]
     fn hot_record_sizes_are_pinned() {
@@ -4401,7 +4503,6 @@ mod tests {
             std::mem::size_of::<SimNode>()
         );
         assert_eq!(std::mem::size_of::<Envelope<Msg>>(), 40);
-        assert_eq!(std::mem::size_of::<Option<Envelope<Msg>>>(), 40);
         assert_eq!(std::mem::size_of::<Walk>(), 208);
         assert_eq!(std::mem::size_of::<(QueryId, Option<Walk>)>(), 216);
     }

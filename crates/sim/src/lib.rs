@@ -26,14 +26,14 @@
 //!   [`plane::Envelope`] is delivered in ascending `(time, seq)` order;
 //!   `seq` is the global send counter, so messages scheduled for the
 //!   same instant are delivered **FIFO in send order**. The plane draws
-//!   no randomness and never rewinds the clock. It is a hierarchical
-//!   timing wheel — O(1) schedule/pop against millions of pending
-//!   timers — whose slots hold 4-byte indices into one envelope store.
-//!   An envelope is written into the store once at send and moved out
-//!   once at delivery; cascades between levels move only its index.
-//!   With the large message payloads boxed, a stored envelope is 40
-//!   bytes; at scale the store holds about three pending timers per
-//!   peer.
+//!   no randomness and never rewinds the clock. It is one FIFO lane per
+//!   fixed delay the engine sends at (a hop's flight, a stabilize round
+//!   trip, the timeout penalty, each timer's period) beside one binary
+//!   heap for every other send, merged by `(time, seq)`: for a fixed
+//!   delay, send order is delivery order, so a lane push and pop are
+//!   O(1) against millions of pending timers. With the large message
+//!   payloads boxed, an envelope is 40 bytes; at scale the lanes hold
+//!   about three pending timers per peer.
 //! * [`protocol`] — the message vocabulary (the crate-private `Msg`)
 //!   and the per-operation state machine: one crate-private `Walk` per
 //!   operation, from spawn to end. It routes every query (lookup /
@@ -81,23 +81,22 @@
 //!   see the queueing section below.
 //!
 //! One thing crosses the plane/engine line besides envelopes: the
-//! wheel's cascades double as the engine's prefetch clock (see
-//! [`plane`]'s "cascades as lookahead"). A hop's handler starts with a
-//! chain of dependent cache misses on state nobody has touched for
-//! thousands of events, and [`Simulator::run_until`] drains the plane
-//! through [`MessagePlane::deliver_window_with`] with a hook that warms
-//! one link of that chain per cascade of a `Hop` / `NextHopQuery`:
+//! lanes double as the engine's prefetch clock (see [`plane`]'s "lanes
+//! as lookahead"). A hop's handler starts with a chain of dependent
+//! cache misses on state nobody has touched for thousands of events,
+//! and [`Simulator::run_until`] drains the plane through
+//! [`MessagePlane::deliver_window_with`] with a hook that warms one link
+//! of that chain per stage of a `Hop` / `NextHopQuery`, as each pop of
+//! its lane brings it closer to the front:
 //!
-//! 1. when the message's level-2 (or higher) slot opens — less than
-//!    `64^level` µs of virtual time ahead, so < 4.1 ms from level 2 —
-//!    the loads addressable from the message alone: its walk's slot
-//!    (the query id names it), the destination's liveness entry, node
-//!    record (with its inline successor list) and key, and its entry in
-//!    the delta's slot lane beside its row bounds in the base link store
+//! 1. at the far stage, 16 pops of its lane ahead of its delivery, the
+//!    loads addressable from the message alone: its walk's slot (the
+//!    query id names it), the destination's liveness entry, node record
+//!    (with its inline successor list) and key, and its entry in the
+//!    delta's slot lane beside its row bounds in the base link store
 //!    ([`sw_graph::DeltaStore::prefetch_row_bounds`]);
-//! 2. when its level-1 slot opens — < 64 µs ahead — those are
-//!    resident, so the hook reads them and prefetches the long-link
-//!    row itself.
+//! 2. at the near stage, 4 pops ahead, those are resident, so the hook
+//!    reads them and prefetches the long-link row itself.
 //!
 //! The contact-key gathers of the step are left to the core: they are
 //! independent loads and overlap on their own. Hints change no result —

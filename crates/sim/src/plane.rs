@@ -1,5 +1,6 @@
-//! The deterministic in-memory message plane: a hierarchical timing
-//! wheel, property-tested against a binary-heap reference model.
+//! The deterministic in-memory message plane: FIFO lanes for the
+//! engine's fixed delays beside one binary heap for every other send,
+//! property-tested against a binary-heap reference model.
 //!
 //! Every protocol action in the simulator — a lookup hop, a replica
 //! write, a stabilize ping round, a churn/workload generator tick — is
@@ -17,81 +18,76 @@
 //!   their own RNG streams, so the schedule is a pure function of the
 //!   seed.
 //!
-//! ## The wheel
+//! ## Lanes and the heap
 //!
-//! [`WHEEL_LEVELS`] levels of 64 one-µs-granule slots, level `k`
-//! spanning `64^(k+1)` µs, plus a far-future overflow list beyond the
-//! wheel's ~51-day range. `send` is O(1) (a shift/xor level pick and a
-//! push); `deliver` advances a cursor through occupancy bitmasks,
-//! cascading a higher-level slot down at most once per level per event
-//! — O(levels) ≈ O(1) amortized, against a heap's O(log n) comparisons
-//! (and cache misses) per operation with millions of envelopes in
-//! flight. The `BinaryHeap<Reverse<Envelope>>` it replaced is the
-//! test-only model at the bottom of this file: randomized schedules
-//! must come out of both as **byte-identical** envelope sequences.
+//! Nearly every send the engine makes uses one of a few fixed delays:
+//! a hop's flight, a stabilize round trip, the timeout penalty, a
+//! timer's period. A plane built with `MessagePlane::with_lanes` keeps
+//! one FIFO lane (a `VecDeque`) per such delay, and a send whose delay
+//! `at − now` equals a lane's joins that lane; every other send goes to
+//! one `BinaryHeap`. Delivery takes the least `(at, seq)` among the
+//! lane fronts and the heap's top. A lane push is O(1) and a pop
+//! compares one front per lane, so only the off-lane sends pay the
+//! heap's O(log n) comparisons and cache misses. A plane from
+//! [`MessagePlane::new`] has no lanes and is the heap alone. The
+//! `BinaryHeap<Reverse<Envelope>>` plane is also the test-only model
+//! at the bottom of this file: randomized schedules over random lane
+//! delays must come out of both as **byte-identical** envelope
+//! sequences.
 //!
-//! Slots and the overflow list hold 4-byte indices, not envelopes. The
-//! envelopes live in one store (`Vec<Option<Envelope<M>>>`) whose free
-//! entries are reused last-freed first, so its length is the peak count
-//! of filed envelopes, not the count ever sent. An envelope moves twice
-//! in its life: into the store at `send`, and out of it when its
-//! level-0 slot is harvested. Between the two, every cascade down a
-//! level and every overflow rebase moves its index and reads the
-//! envelope in place — to learn its delivery time, and to show its
-//! payload to the cascade hook. Opening a high-level slot briefly holds
-//! the slot's old and new buffers at once; that overlap costs 4 bytes
-//! per envelope, not a whole envelope.
+//! **Why a lane stays sorted.** A send joins lane `d` only when it is
+//! due at `now + d`; the clock never moves back and `seq` only grows,
+//! so each push is `≥` the lane's back in `(at, seq)`: for a fixed
+//! delay, send order is delivery order. Every lane push after the boot
+//! sort asserts it in debug builds.
 //!
-//! ## How the wheel preserves the exact heap order
+//! **The boot sort.** A peer's timers start at a stagger under their
+//! period. Until the first delivery call, the engine files each such
+//! send straight into its period's lane (`send_staggered`), beside the
+//! re-arms that will follow it there, so the `3n` boot sends stay out
+//! of the heap and each timer lane holds one envelope per peer from
+//! the start. That first call sorts each lane once. A boot entry in
+//! lane `d` is due by `now + d` for the clock at its send, which no
+//! later clock undercuts, so the sorted lane stays sorted under every
+//! later push.
 //!
-//! The wheel's cursor (`elapsed`) only ever advances to the start of
-//! the slot range it is about to open, so an envelope is filed at the
-//! highest level where its delivery time still shares a slot path with
-//! the cursor (`level = msb(at ^ elapsed) / 6`) and re-files strictly
-//! downward as the cursor approaches. A level-0 slot therefore holds
-//! envelopes for exactly one microsecond of virtual time; harvesting it
-//! sorts the batch by `seq` (cheap: batches are same-instant ties) and
-//! moves it out of the store into a tiny `ready` heap, which restores
-//! FIFO send order even across
-//! overflow rebasing. Envelopes sent *behind* the cursor (possible only
-//! through the raw plane API: a `deliver_before` that found nothing may
-//! leave the cursor ahead of a caller who never called
-//! [`MessagePlane::advance_to`]) go straight into `ready`, which always
-//! wins ties against the wheel — so the merged stream is exactly the
-//! heap's `(at, seq)` order in every case.
+//! **Memory.** A lane is a ring buffer, and a ring writes every slot of
+//! its capacity as it turns, so capacity is resident memory, not
+//! address space. Until the sort a lane only fills, front to back, and
+//! doubles like any `VecDeque`; the sort trims it to its length, and
+//! after it a lane grows by an eighth. A timer lane at scale holds one
+//! 40-byte envelope per peer.
 //!
-//! ## Cascades as lookahead
+//! ## Lanes as lookahead
 //!
-//! The re-filing is also a clock the consumer can use. An envelope sent
-//! `≥ 64^k` µs ahead is filed at level `≥ k` and handed down one level
-//! at a time. A level-`k` slot is `64^k` µs wide and the envelope is due
-//! inside it, so the cursor opens its level-2 slot less than 4.1 ms of
-//! virtual time before delivery, and its level-1 slot less than 64 µs
-//! before. The hooked drain ([`MessagePlane::deliver_window_with`])
-//! calls `on_cascade(level, &msg)` for each envelope re-filed out of an
-//! opened level-`level` slot, so a consumer whose handlers start with a
-//! chain of dependent cache misses can warm one link of the chain per
-//! cascade — the engine prefetches a hop's walk slot and peer record at
-//! level ≥ 2 and its link row at level 1, with no lookahead distance to
-//! tune and no queue of pending prefetches: the distances are the
-//! wheel's own slot widths.
+//! A lane is also a clock the consumer can use: the envelope `k`
+//! places behind a lane's front is delivered exactly `k` pops of its
+//! lane later. The hooked drain ([`MessagePlane::deliver_window_with`])
+//! calls `on_lookahead(ahead, &msg)` as it pops a lane, with `ahead`
+//! one of two stages, `FAR_AHEAD` (16) and `NEAR_AHEAD` (4): first for
+//! every envelope of that lane up to `ahead` places behind the front
+//! that the stage has not shown yet (one envelope per pop, once the
+//! lane is that deep). So every lane envelope is shown to each stage
+//! exactly once, in lane order, before it is delivered. A consumer
+//! whose handlers start with a chain of dependent cache misses warms
+//! one link of the chain per stage: the engine prefetches a hop's walk
+//! slot and peer record at the far stage and its link row at the near
+//! one.
 //!
 //! What the hook may do: read the payload. What it cannot do: send,
 //! deliver, reorder or drop — it receives `&M` and nothing of the
-//! plane, and it runs between taking an envelope out of one slot and
-//! filing it in the next, so the delivered `(at, seq)` sequence is the
-//! hookless one by construction ([`MessagePlane::deliver_window`] *is*
-//! the same drain with a no-op hook; the heap-model proptests hold
-//! both). What it must not rely on: being called. An envelope sent
-//! < 64 µs ahead files straight into level 0, one that lands in the
-//! first 64 µs of an opened level-2 slot skips level 1, and overflow
-//! rebasing calls nothing.
-//! That is fine for a hint — a message that skips a stage just pays
-//! the miss the stage would have hidden — and wrong for anything else.
+//! plane, and it runs before the pop it rides on, so the delivered
+//! `(at, seq)` sequence is the hookless one by construction
+//! ([`MessagePlane::deliver_window`] *is* the same drain with a no-op
+//! hook; the heap-model proptests hold both). What it must not rely
+//! on: lead time. Heap envelopes are never shown, and an envelope that
+//! joins a short lane is shown only at its lane's next pop, perhaps its
+//! own. That is fine for a hint — a message shown late just pays the
+//! miss the stage would have hidden — and wrong for anything else.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A message queued for delivery at a virtual time.
 #[derive(Debug, Clone)]
@@ -124,311 +120,55 @@ impl<M> PartialOrd for Envelope<M> {
     }
 }
 
-/// log2 of the slots per wheel level.
-const SLOT_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `k` slots are `64^k` µs wide, so the wheel spans
-/// `64^WHEEL_LEVELS` µs ≈ 51 days of virtual time; envelopes beyond
-/// that go to the overflow list and rebase when the cursor catches up.
-pub const WHEEL_LEVELS: usize = 7;
+/// The far lookahead stage: lane places behind the front.
+pub(crate) const FAR_AHEAD: usize = 16;
+/// The near lookahead stage: lane places behind the front.
+pub(crate) const NEAR_AHEAD: usize = 4;
 
-/// One wheel level: 64 slots of envelope-store indices plus an
-/// occupancy bitmask so the cursor finds the next non-empty slot with a
-/// single `trailing_zeros`.
+/// One fixed-delay FIFO lane.
 #[derive(Debug)]
-struct Level {
-    occupied: u64,
-    slots: [Vec<u32>; SLOTS],
+struct Lane<M> {
+    delay: SimTime,
+    queue: VecDeque<Envelope<M>>,
+    /// Envelopes from the front already shown to the far / near stage.
+    far_shown: usize,
+    near_shown: usize,
 }
 
-impl Level {
-    fn new() -> Level {
-        Level {
-            occupied: 0,
-            slots: std::array::from_fn(|_| Vec::new()),
-        }
-    }
-
-    /// First occupied slot index ≥ `from`, if any.
+impl<M> Lane<M> {
+    /// Appends `env`; once `sorted`, it must not undercut the back.
     #[inline]
-    fn next_occupied(&self, from: u64) -> Option<usize> {
-        let masked = self.occupied & (u64::MAX << from);
-        (masked != 0).then(|| masked.trailing_zeros() as usize)
-    }
-
-    #[inline]
-    fn take(&mut self, slot: usize) -> Vec<u32> {
-        self.occupied &= !(1u64 << slot);
-        std::mem::take(&mut self.slots[slot])
-    }
-}
-
-/// What the wheel cursor sees next (see [`Wheel::front`]).
-enum Front {
-    /// A level-0 slot: exact delivery time, ready to harvest.
-    Exact { at: u64, slot: usize },
-    /// A higher-level slot: every envelope in it is due at or after the
-    /// slot's range start; cascade it down before delivering.
-    Range {
-        level: usize,
-        slot: usize,
-        start: u64,
-    },
-    /// Only the far-future overflow list holds envelopes.
-    Overflow,
-    /// The wheel is empty.
-    Empty,
-}
-
-/// The hierarchical timing wheel.
-#[derive(Debug)]
-struct Wheel<M> {
-    levels: Vec<Level>,
-    /// Every envelope filed in the levels or the overflow list, at the
-    /// index its slot entry names; `None` entries are listed in `free`.
-    store: Vec<Option<Envelope<M>>>,
-    /// Free `store` entries, reused last-freed first.
-    free: Vec<u32>,
-    /// The wheel cursor, in µs: every envelope filed in the levels is
-    /// due at or after it. It trails the envelope stream (advancing to
-    /// each opened slot's range start), never leads it.
-    elapsed: u64,
-    /// Harvested same-instant batches plus the rare behind-cursor
-    /// sends; tiny, and always wins ties against the levels.
-    ready: BinaryHeap<Reverse<Envelope<M>>>,
-    /// Store indices of envelopes beyond the wheel's range; rebased
-    /// when reached.
-    overflow: Vec<u32>,
-    /// Minimum delivery time in `overflow` (`u64::MAX` when empty).
-    overflow_min: u64,
-}
-
-impl<M> Wheel<M> {
-    fn new() -> Wheel<M> {
-        Wheel {
-            levels: (0..WHEEL_LEVELS).map(|_| Level::new()).collect(),
-            store: Vec::new(),
-            free: Vec::new(),
-            elapsed: 0,
-            ready: BinaryHeap::new(),
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
+    fn push(&mut self, env: Envelope<M>, sorted: bool) {
+        debug_assert!(
+            !sorted || self.queue.back().is_none_or(|back| *back <= env),
+            "lane {:?} out of order at seq {}",
+            self.delay,
+            env.seq
+        );
+        // Once it turns, a lane grows by an eighth, not double (see the
+        // module's memory note).
+        if sorted && self.queue.len() == self.queue.capacity() {
+            self.queue.reserve_exact(self.queue.len() / 8 + 1);
         }
+        self.queue.push_back(env);
     }
 
-    /// The envelope filed under store index `idx`.
+    /// Pops the front, first showing each stage every envelope up to
+    /// its distance behind the front that it has not seen.
     #[inline]
-    fn filed(&self, idx: u32) -> &Envelope<M> {
-        self.store[idx as usize]
-            .as_ref()
-            .expect("slots name only occupied store entries")
-    }
-
-    /// The level an envelope due at `at >= elapsed` files at: the
-    /// highest one where `at` and the cursor sit in different slots
-    /// (`>= WHEEL_LEVELS` means the overflow list).
-    #[inline]
-    fn level_of(&self, at: u64) -> usize {
-        let diff = at ^ self.elapsed;
-        if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
-        }
-    }
-
-    /// Files an envelope (already clamped to `at >= clock`): its one
-    /// move into the store, reusing the last-freed entry if any.
-    fn push(&mut self, env: Envelope<M>) {
-        let at = env.at.as_micros();
-        if at < self.elapsed {
-            // Sent behind the cursor (raw-API pattern: deliver_before
-            // advanced the cursor hunting, the caller never advanced
-            // the clock). `ready` keeps these exactly ordered.
-            self.ready.push(Reverse(env));
-            return;
-        }
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.store[idx as usize] = Some(env);
-                idx
+    fn pop(&mut self, on_lookahead: &mut impl FnMut(usize, &M)) -> Envelope<M> {
+        let len = self.queue.len();
+        for (ahead, shown) in [
+            (FAR_AHEAD, &mut self.far_shown),
+            (NEAR_AHEAD, &mut self.near_shown),
+        ] {
+            while *shown <= ahead.min(len - 1) {
+                on_lookahead(ahead, &self.queue[*shown].msg);
+                *shown += 1;
             }
-            None => {
-                let idx = u32::try_from(self.store.len()).expect("< 2^32 envelopes filed");
-                self.store.push(Some(env));
-                idx
-            }
-        };
-        self.file(idx, at);
-    }
-
-    /// Files store entry `idx`, due at `at >= elapsed`, in its slot (or
-    /// the overflow list).
-    #[inline]
-    fn file(&mut self, idx: u32, at: u64) {
-        debug_assert!(at >= self.elapsed, "only `push` files behind the cursor");
-        let level = self.level_of(at);
-        if level >= WHEEL_LEVELS {
-            self.overflow_min = self.overflow_min.min(at);
-            self.overflow.push(idx);
-            return;
+            *shown -= 1;
         }
-        let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level].slots[slot].push(idx);
-        self.levels[level].occupied |= 1u64 << slot;
-    }
-
-    /// Re-files the entries of an opened slot (or of the overflow list)
-    /// relative to the advanced cursor, showing each payload to `each`
-    /// first. The envelopes stay where they are in the store.
-    fn refile(&mut self, ids: Vec<u32>, mut each: impl FnMut(&M)) {
-        for idx in ids {
-            let env = self.filed(idx);
-            each(&env.msg);
-            let at = env.at.as_micros();
-            self.file(idx, at);
-        }
-    }
-
-    /// The cursor's next stop. Levels are scanned lowest-first: level-0
-    /// slots all live in the cursor's current 64-µs window, which ends
-    /// before any higher-level slot's range begins, and the same
-    /// argument orders the higher levels among themselves — so the
-    /// first hit *is* the earliest.
-    fn front(&self) -> Front {
-        for (level, lv) in self.levels.iter().enumerate() {
-            let shift = SLOT_BITS * level as u32;
-            let cur = (self.elapsed >> shift) & (SLOTS as u64 - 1);
-            if let Some(slot) = lv.next_occupied(cur) {
-                if level == 0 {
-                    let at = (self.elapsed & !(SLOTS as u64 - 1)) + slot as u64;
-                    return Front::Exact { at, slot };
-                }
-                let window = SLOT_BITS * (level as u32 + 1);
-                let start = (self.elapsed >> window << window) + ((slot as u64) << shift);
-                return Front::Range { level, slot, start };
-            }
-        }
-        if self.overflow.is_empty() {
-            Front::Empty
-        } else {
-            Front::Overflow
-        }
-    }
-
-    /// Pops the globally earliest `(at, seq)` envelope due at or before
-    /// `until`. Cascades and harvests lazily; the cursor never advances
-    /// past `until`, so the horizon in `deliver_before` is exact.
-    ///
-    /// `on_cascade(level, &msg)` sees every envelope re-filed out of an
-    /// opened level-`level` slot (the module docs' lookahead hook).
-    fn pop_before(
-        &mut self,
-        until: SimTime,
-        on_cascade: &mut impl FnMut(usize, &M),
-    ) -> Option<Envelope<M>> {
-        let until = until.as_micros();
-        loop {
-            let ready_at = self.ready.peek().map(|Reverse(e)| e.at.as_micros());
-            // `ready` wins every tie: its envelopes were filed for this
-            // instant strictly before anything still out in the levels,
-            // so their seqs are strictly smaller.
-            let ready_due = |bound: u64| ready_at.is_some_and(|r| r <= bound);
-            match self.front() {
-                Front::Exact { at, slot } => {
-                    if ready_due(at) {
-                        break;
-                    }
-                    if at > until {
-                        return None;
-                    }
-                    self.elapsed = at;
-                    let mut ids = self.levels[0].take(slot);
-                    // One slot = one µs of virtual time; seq order is
-                    // FIFO send order. Sorting (a no-op for in-order
-                    // batches) also repairs the interleavings overflow
-                    // rebasing can produce.
-                    ids.sort_unstable_by_key(|&idx| self.filed(idx).seq);
-                    for idx in ids {
-                        // The envelope's one move out of the store.
-                        let env = self.store[idx as usize].take().expect("filed");
-                        self.free.push(idx);
-                        self.ready.push(Reverse(env));
-                    }
-                }
-                Front::Range { level, slot, start } => {
-                    if ready_due(start) {
-                        break;
-                    }
-                    if start > until {
-                        return None;
-                    }
-                    // Open the slot: advance to its range start and
-                    // re-file its envelopes, which all land at lower
-                    // levels (their times now share this slot path).
-                    self.elapsed = start;
-                    let ids = self.levels[level].take(slot);
-                    self.refile(ids, |msg| on_cascade(level, msg));
-                }
-                Front::Overflow => {
-                    if ready_due(self.overflow_min) {
-                        break;
-                    }
-                    if self.overflow_min > until {
-                        return None;
-                    }
-                    self.rebase();
-                }
-                Front::Empty => {
-                    ready_at?;
-                    break;
-                }
-            }
-        }
-        // The wheel's next stop can't beat `ready`'s head; deliver it —
-        // unless even that head is past the horizon.
-        let due = self
-            .ready
-            .peek()
-            .is_some_and(|Reverse(e)| e.at.as_micros() <= until);
-        if !due {
-            return None;
-        }
-        let Reverse(env) = self.ready.pop().expect("peeked");
-        self.elapsed = self.elapsed.max(env.at.as_micros());
-        Some(env)
-    }
-
-    /// Pops the next envelope only if it is due exactly at `at` (the
-    /// same-instant fast path of [`MessagePlane::deliver_window`]).
-    /// After a `pop_before` returned an envelope at `at`, the rest of
-    /// that instant's batch usually sits harvested in `ready`, so this
-    /// is a peek + pop with no cursor walk.
-    fn pop_at(
-        &mut self,
-        at: SimTime,
-        on_cascade: &mut impl FnMut(usize, &M),
-    ) -> Option<Envelope<M>> {
-        if self.ready.peek().is_some_and(|Reverse(e)| e.at == at) {
-            let Reverse(env) = self.ready.pop().expect("peeked");
-            return Some(env);
-        }
-        // Slow path: the batch straddled a harvest boundary (overflow
-        // rebase, behind-cursor send). `pop_before(at)` returns only
-        // envelopes due ≤ `at`, and everything earlier is already out.
-        self.pop_before(at, on_cascade)
-    }
-
-    /// Rebases: moves the cursor to the overflow minimum and re-files
-    /// the overflow list relative to it. Only called with the wheel
-    /// proper empty, so the cursor may jump and no filed envelope is
-    /// left behind it.
-    fn rebase(&mut self) {
-        self.elapsed = self.overflow_min;
-        self.overflow_min = u64::MAX;
-        let ids = std::mem::take(&mut self.overflow);
-        self.refile(ids, |_| {});
+        self.queue.pop_front().expect("popped lanes are non-empty")
     }
 }
 
@@ -436,11 +176,19 @@ impl<M> Wheel<M> {
 /// (and reused) independently of the protocol.
 #[derive(Debug)]
 pub struct MessagePlane<M> {
-    wheel: Wheel<M>,
+    /// Ascending by delay, no two equal.
+    lanes: Vec<Lane<M>>,
+    /// Every send no lane takes.
+    heap: BinaryHeap<Reverse<Envelope<M>>>,
+    /// False until the first delivery call sorts the lanes.
+    sorted: bool,
     clock: SimTime,
     seq: u64,
     delivered: u64,
     in_flight: usize,
+    /// Sends that joined a lane after the boot sort.
+    #[cfg(test)]
+    pub(crate) laned: u64,
 }
 
 impl<M> Default for MessagePlane<M> {
@@ -450,14 +198,36 @@ impl<M> Default for MessagePlane<M> {
 }
 
 impl<M> MessagePlane<M> {
-    /// An empty plane at time zero.
+    /// An empty plane at time zero, with no lanes: every send goes to
+    /// the heap.
     pub fn new() -> MessagePlane<M> {
+        Self::with_lanes(&[])
+    }
+
+    /// An empty plane at time zero with one FIFO lane per distinct
+    /// delay in `delays` (see the module docs).
+    pub(crate) fn with_lanes(delays: &[SimTime]) -> MessagePlane<M> {
+        let mut delays = delays.to_vec();
+        delays.sort_unstable();
+        delays.dedup();
         MessagePlane {
-            wheel: Wheel::new(),
+            lanes: delays
+                .into_iter()
+                .map(|delay| Lane {
+                    delay,
+                    queue: VecDeque::new(),
+                    far_shown: 0,
+                    near_shown: 0,
+                })
+                .collect(),
+            heap: BinaryHeap::new(),
+            sorted: false,
             clock: SimTime::ZERO,
             seq: 0,
             delivered: 0,
             in_flight: 0,
+            #[cfg(test)]
+            laned: 0,
         }
     }
 
@@ -491,14 +261,51 @@ impl<M> MessagePlane<M> {
     /// — time never rewinds, even for timeouts that expired while a
     /// slower message was in flight).
     pub fn send_at(&mut self, at: SimTime, msg: M) {
+        let at = at.max(self.clock);
+        let lane = self.lane_of(at - self.clock);
+        self.file(at, lane, msg);
+    }
+
+    /// Sends `msg` due `stagger` from now into the lane of delay `lane`
+    /// (`stagger ≤ lane`) until the first delivery call sorts the lanes,
+    /// and as a plain send after it. The engine boots each peer's
+    /// timers this way, at a stagger under their period (see the
+    /// module's "boot sort").
+    pub(crate) fn send_staggered(&mut self, stagger: SimTime, lane: SimTime, msg: M) {
+        match self.lane_of(lane) {
+            Some(i) if !self.sorted && stagger <= lane => {
+                self.file(self.clock + stagger, Some(i), msg)
+            }
+            _ => self.send(stagger, msg),
+        }
+    }
+
+    /// The lane of delay `delay`, if there is one.
+    fn lane_of(&self, delay: SimTime) -> Option<usize> {
+        self.lanes
+            .binary_search_by_key(&delay, |lane| lane.delay)
+            .ok()
+    }
+
+    /// Files one send, due at `at ≥ now`, in lane `lane` or the heap.
+    fn file(&mut self, at: SimTime, lane: Option<usize>, msg: M) {
         let env = Envelope {
-            at: at.max(self.clock),
+            at,
             seq: self.seq,
             msg,
         };
         self.seq += 1;
         self.in_flight += 1;
-        self.wheel.push(env);
+        match lane {
+            Some(i) => {
+                #[cfg(test)]
+                {
+                    self.laned += u64::from(self.sorted);
+                }
+                self.lanes[i].push(env, self.sorted)
+            }
+            None => self.heap.push(Reverse(env)),
+        }
     }
 
     /// Delivers the next envelope due at or before `until`, advancing
@@ -507,14 +314,38 @@ impl<M> MessagePlane<M> {
         self.deliver_before_with(until, &mut |_, _| {})
     }
 
-    /// [`MessagePlane::deliver_before`] with the cascade hook threaded
-    /// through — the one place an envelope leaves the wheel.
+    /// [`MessagePlane::deliver_before`] with the lookahead hook threaded
+    /// through — the one place an envelope leaves the plane.
     fn deliver_before_with(
         &mut self,
         until: SimTime,
-        on_cascade: &mut impl FnMut(usize, &M),
+        on_lookahead: &mut impl FnMut(usize, &M),
     ) -> Option<Envelope<M>> {
-        let env = self.wheel.pop_before(until, on_cascade)?;
+        if !self.sorted {
+            for lane in &mut self.lanes {
+                lane.queue.make_contiguous().sort_unstable();
+                lane.queue.shrink_to_fit();
+            }
+            self.sorted = true;
+        }
+        // The least `(at, seq)` among the heap's top and the lane
+        // fronts; `lanes.len()` names the heap.
+        let mut best = self.heap.peek().map(|Reverse(e)| (e, self.lanes.len()));
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(front) = lane.queue.front() {
+                if best.is_none_or(|(b, _)| front < b) {
+                    best = Some((front, i));
+                }
+            }
+        }
+        let (head, i) = best?;
+        if head.at > until {
+            return None;
+        }
+        let env = match self.lanes.get_mut(i) {
+            Some(lane) => lane.pop(on_lookahead),
+            None => self.heap.pop().expect("peeked").0,
+        };
         debug_assert!(env.at >= self.clock, "plane clock must be monotone");
         self.clock = env.at;
         self.delivered += 1;
@@ -528,9 +359,8 @@ impl<M> MessagePlane<M> {
     /// `0` means nothing is due by `until` (clock untouched).
     ///
     /// This is the batched form of [`MessagePlane::deliver_before`]:
-    /// one cursor walk harvests the whole same-instant batch, and the
-    /// wheel then serves the rest of the batch straight from its
-    /// `ready` heap instead of re-walking the levels per envelope.
+    /// after the first envelope, the rest of the batch is every pop
+    /// still due by `t`.
     ///
     /// Deliberately *same-instant*, not whole-window: a handler
     /// processing the batch may send new messages **at `t`** (zero
@@ -545,31 +375,29 @@ impl<M> MessagePlane<M> {
     }
 
     /// [`MessagePlane::deliver_window`] with a lookahead hook:
-    /// `on_cascade(level, &msg)` is called for every envelope the wheel
-    /// re-files out of an opened level-`level` slot (`level ≥ 1`) while
-    /// this drain walks the cursor — i.e. for messages due *after* the
-    /// batch, by less than `64^level` µs (a level-`level` slot's width;
-    /// `cascades_see_envelopes_due_within_their_levels_slot_width` pins
-    /// it). The hook gets the payload by
-    /// shared reference and nothing else, so the delivered sequence is
-    /// the hookless one by construction; see the module's "cascades as
-    /// lookahead" section for what it is for.
+    /// `on_lookahead(ahead, &msg)` is called, as this drain pops a lane,
+    /// for the envelopes of that lane up to `ahead` places behind its
+    /// front, `ahead` being `FAR_AHEAD` (16) or `NEAR_AHEAD` (4). Each
+    /// lane envelope is shown to each stage exactly once before it is
+    /// delivered (`the_hook_sees_every_lane_envelope_before_it_is_delivered`
+    /// pins it). The hook gets the payload by shared reference and
+    /// nothing else, so the delivered sequence is the hookless one by
+    /// construction; see the module's "lanes as lookahead" section for
+    /// what it is for.
     pub fn deliver_window_with(
         &mut self,
         until: SimTime,
         out: &mut Vec<Envelope<M>>,
-        mut on_cascade: impl FnMut(usize, &M),
+        mut on_lookahead: impl FnMut(usize, &M),
     ) -> usize {
         out.clear();
-        let Some(first) = self.deliver_before_with(until, &mut on_cascade) else {
+        let Some(first) = self.deliver_before_with(until, &mut on_lookahead) else {
             return 0;
         };
         let at = first.at;
         out.push(first);
-        while let Some(env) = self.wheel.pop_at(at, &mut on_cascade) {
-            debug_assert_eq!(env.at, at, "same-instant batch only");
-            self.delivered += 1;
-            self.in_flight -= 1;
+        // Everything before `at` is out, so this pops `at` alone.
+        while let Some(env) = self.deliver_before_with(at, &mut on_lookahead) {
             out.push(env);
         }
         out.len()
@@ -587,9 +415,9 @@ mod tests {
     use proptest::prelude::*;
     use sw_keyspace::Rng;
 
-    /// The reference model: the `BinaryHeap` plane the wheel replaced.
-    /// `(at, seq)` order is the heap's own, so there is nothing here to
-    /// get wrong; the two proptests below hold the wheel to it.
+    /// The reference model: the `BinaryHeap` plane the lanes sit
+    /// beside. `(at, seq)` order is the heap's own, so there is nothing
+    /// here to get wrong; the proptests below hold the laned plane to it.
     struct HeapPlane<M> {
         heap: BinaryHeap<Reverse<Envelope<M>>>,
         clock: SimTime,
@@ -611,10 +439,6 @@ mod tests {
 
         fn in_flight(&self) -> usize {
             self.heap.len()
-        }
-
-        fn send(&mut self, delay: SimTime, msg: M) {
-            self.send_at(self.clock + delay, msg);
         }
 
         fn send_at(&mut self, at: SimTime, msg: M) {
@@ -640,22 +464,114 @@ mod tests {
         }
     }
 
+    /// One to six lane delays on every scale from µs to seconds, and
+    /// now and then a zero-delay lane (same-instant sends).
+    fn random_lanes(rng: &mut Rng) -> Vec<SimTime> {
+        (0..1 + rng.bounded_u64(6))
+            .map(|_| {
+                if rng.chance(0.1) {
+                    SimTime::ZERO
+                } else {
+                    let scale = 10u64.pow(rng.bounded_u64(8) as u32);
+                    SimTime(1 + rng.bounded_u64(scale))
+                }
+            })
+            .collect()
+    }
+
     /// One send time of the random schedules below: ties, past sends,
-    /// overflow hits and delays on every scale from µs to minutes.
-    fn mixed_scale_at(rng: &mut Rng, now: SimTime) -> SimTime {
-        match rng.bounded_u64(10) {
+    /// far-future sends, sends exactly at a lane delay and one µs off
+    /// it, and delays on every scale from µs to minutes.
+    fn mixed_scale_at(rng: &mut Rng, now: SimTime, lanes: &[SimTime]) -> SimTime {
+        let lane = lanes[rng.bounded_u64(lanes.len() as u64) as usize];
+        match rng.bounded_u64(12) {
             // Same-instant tie bursts.
             0 | 1 => now,
             // Past send: clamps to now.
             2 => SimTime(now.0 / 2),
-            // Far future: crosses the overflow level.
+            // Far future: beyond every lane.
             3 => now + SimTime(1 << 45) + SimTime(rng.bounded_u64(1 << 13)),
+            // Exactly a lane's delay.
+            4..=6 => now + lane,
+            // One µs off it, either side.
+            7 => now + SimTime((lane.0 + 1).saturating_sub(2 * rng.bounded_u64(2))),
             // Mixed scales, from µs to minutes.
             _ => {
                 let scale = 10u64.pow(rng.bounded_u64(8) as u32);
                 now + SimTime(rng.bounded_u64(scale.max(1)))
             }
         }
+    }
+
+    /// A boot burst, `(idle, stagger, lane)`: idle the clock forward by
+    /// up to `idle` (now and then), then send `stagger` ahead into the
+    /// lane of delay `lane`, at or below it — the engine's timer
+    /// staggers, sent before the first delivery.
+    fn boot_burst(rng: &mut Rng, lanes: &[SimTime]) -> Vec<(SimTime, SimTime, SimTime)> {
+        (0..rng.bounded_u64(200))
+            .map(|_| {
+                let idle = SimTime(if rng.chance(0.05) {
+                    rng.bounded_u64(1 << 16)
+                } else {
+                    0
+                });
+                let lane = lanes[rng.bounded_u64(lanes.len() as u64) as usize];
+                (idle, SimTime(rng.bounded_u64(lane.0 + 1)), lane)
+            })
+            .collect()
+    }
+
+    /// The laned plane under test and the heap model, fed the same
+    /// sends; each payload is its send's index.
+    struct Pair {
+        laned: MessagePlane<u32>,
+        heap: HeapPlane<u32>,
+    }
+
+    impl Pair {
+        /// Both planes, after the same boot burst.
+        fn booted(rng: &mut Rng, lanes: &[SimTime]) -> Pair {
+            let mut pair = Pair {
+                laned: MessagePlane::with_lanes(lanes),
+                heap: HeapPlane::new(),
+            };
+            for (idle, stagger, lane) in boot_burst(rng, lanes) {
+                pair.idle(idle);
+                pair.send_staggered(stagger, lane);
+            }
+            pair
+        }
+
+        /// Advances the clock by `idle`, but not past pending work.
+        fn idle(&mut self, idle: SimTime) {
+            let next = self.heap.heap.peek().map_or(SimTime(u64::MAX), |e| e.0.at);
+            self.advance_to((self.laned.now() + idle).min(next));
+        }
+
+        fn send_at(&mut self, at: SimTime) {
+            let tag = self.laned.sent() as u32;
+            self.laned.send_at(at, tag);
+            self.heap.send_at(at, tag);
+        }
+
+        fn send_staggered(&mut self, stagger: SimTime, lane: SimTime) {
+            let tag = self.laned.sent() as u32;
+            self.laned.send_staggered(stagger, lane, tag);
+            self.heap.send_at(self.heap.now() + stagger, tag);
+        }
+
+        fn advance_to(&mut self, until: SimTime) {
+            self.laned.advance_to(until);
+            self.heap.advance_to(until);
+        }
+    }
+
+    /// Which lane the plane's last send joined (`None`: the heap).
+    fn lane_of_last_send<M>(p: &MessagePlane<M>) -> Option<usize> {
+        let seq = p.sent() - 1;
+        p.lanes
+            .iter()
+            .position(|lane| lane.queue.back().is_some_and(|e| e.seq == seq))
     }
 
     #[test]
@@ -675,9 +591,16 @@ mod tests {
 
     #[test]
     fn equal_times_deliver_fifo_in_send_order() {
-        let mut p = MessagePlane::new();
+        // The first 50 join the 5 ms lane; the clock then moves to 2 ms,
+        // so the last 50, 3 ms ahead, go to the heap. One instant, FIFO.
+        let mut p = MessagePlane::with_lanes(&[SimTime::from_millis(5)]);
+        assert!(p.deliver_before(SimTime::ZERO).is_none());
         for i in 0..100 {
-            p.send(SimTime::from_millis(5), i);
+            if i == 50 {
+                p.advance_to(SimTime::from_millis(2));
+            }
+            p.send_at(SimTime::from_millis(5), i);
+            assert_eq!(lane_of_last_send(&p).is_some(), i < 50);
         }
         let mut got = Vec::new();
         while let Some(e) = p.deliver_before(SimTime::from_secs(1)) {
@@ -688,10 +611,11 @@ mod tests {
 
     #[test]
     fn past_sends_clamp_to_now() {
-        let mut p = MessagePlane::new();
+        let mut p = MessagePlane::with_lanes(&[SimTime::ZERO]);
         p.send(SimTime::from_millis(50), "later");
         p.deliver_before(SimTime::from_secs(1)).unwrap();
         p.send_at(SimTime::from_millis(10), "expired timeout");
+        assert_eq!(lane_of_last_send(&p), Some(0), "a clamped send has delay 0");
         let e = p.deliver_before(SimTime::from_secs(1)).unwrap();
         assert_eq!(e.at, SimTime::from_millis(50), "clamped to now");
     }
@@ -709,24 +633,29 @@ mod tests {
 
     #[test]
     fn far_future_sends_cross_the_overflow_level() {
-        let mut p = MessagePlane::new();
-        // Beyond the wheel's 64^WHEEL_LEVELS µs range from time 0.
-        let far = SimTime(1 << (SLOT_BITS as u64 * WHEEL_LEVELS as u64 + 3));
+        // About a year out, beyond every lane: the heap takes them,
+        // and they merge with the lanes in order.
+        let mut p = MessagePlane::with_lanes(&[SimTime::from_millis(1)]);
+        let far = SimTime(1 << 45);
         p.send_at(far, 1);
         p.send_at(far, 2);
-        p.send_at(far + SimTime(1), 3);
+        p.send_at(far + SimTime(1), 4);
         p.send(SimTime::from_millis(1), 0);
+        assert_eq!(p.deliver_before(SimTime(u64::MAX)).map(|e| e.msg), Some(0));
+        p.advance_to(far - SimTime::from_millis(1));
+        p.send(SimTime::from_millis(1), 3);
+        assert_eq!(lane_of_last_send(&p), Some(0));
         let mut got = Vec::new();
         while let Some(e) = p.deliver_before(SimTime(u64::MAX)) {
             got.push(e.msg);
         }
-        assert_eq!(got, vec![0, 1, 2, 3]);
+        assert_eq!(got, vec![1, 2, 3, 4]);
         assert_eq!(p.now(), far + SimTime(1));
     }
 
     #[test]
     fn deliver_window_drains_one_instant_at_a_time() {
-        let mut p = MessagePlane::new();
+        let mut p = MessagePlane::with_lanes(&[SimTime::from_millis(5)]);
         p.send(SimTime::from_millis(5), 1);
         p.send(SimTime::from_millis(5), 2);
         p.send(SimTime::from_millis(7), 3);
@@ -747,7 +676,7 @@ mod tests {
         // The engine pattern: handlers run after the batch is drained
         // and may send at the batch instant; the next call delivers
         // them at the same instant, after the original batch.
-        let mut p = MessagePlane::new();
+        let mut p = MessagePlane::with_lanes(&[SimTime::ZERO, SimTime::from_millis(5)]);
         p.send(SimTime::from_millis(5), 1);
         let mut batch = Vec::new();
         assert_eq!(p.deliver_window(SimTime::from_secs(1), &mut batch), 1);
@@ -757,272 +686,255 @@ mod tests {
         assert_eq!(batch[0].at, SimTime::from_millis(5));
     }
 
-    /// The lookahead distances of "cascades as lookahead": an envelope
-    /// the hook sees out of an opened level-`level` slot is due at or
-    /// after the instant that drain delivers, and less than `64^level`
-    /// µs after it — the width of a level-`level` slot. 20 000 random
-    /// delays from 1 µs to 100 s, sent as the clock moves.
+    /// The lookahead distances of "lanes as lookahead": every lane
+    /// envelope is shown to the far and then the near stage, once each,
+    /// before it is delivered, at most `ahead` pops of its lane before
+    /// its own — exactly `ahead` once the lane is deep — and no heap
+    /// envelope is shown. 20 000 sends at fixed delays and at random
+    /// ones, drained one pop at a time as the clock moves.
     #[test]
-    fn cascades_see_envelopes_due_within_their_levels_slot_width() {
-        /// Sends one envelope carrying its own due time, in µs.
-        fn send(p: &mut MessagePlane<u64>, rng: &mut Rng) {
-            let scale = 10u64.pow(rng.bounded_u64(9) as u32);
-            let at = p.now() + SimTime(1 + rng.bounded_u64(scale));
-            p.send_at(at, at.as_micros());
+    fn the_hook_sees_every_lane_envelope_before_it_is_delivered() {
+        /// Sends one envelope carrying its tag; returns its lane.
+        fn send(p: &mut MessagePlane<u32>, rng: &mut Rng, lanes: &[SimTime]) -> Option<usize> {
+            let delay = if rng.chance(0.8) {
+                lanes[rng.bounded_u64(lanes.len() as u64) as usize]
+            } else {
+                let scale = 10u64.pow(rng.bounded_u64(7) as u32);
+                SimTime(1 + rng.bounded_u64(scale))
+            };
+            p.send(delay, p.sent() as u32);
+            lane_of_last_send(p)
         }
+        let lanes = [50_000, 100_000, 500_000, 1_000_000, 3_000_000].map(SimTime);
         let mut rng = Rng::new(0x100C_A4EA);
-        let mut p = MessagePlane::new();
-        for _ in 0..1_000 {
-            send(&mut p, &mut rng);
+        let mut p = MessagePlane::with_lanes(&lanes);
+        // Per tag: its lane, and its lane's pop count at each stage's show.
+        let (mut lane_of, mut shown) = (Vec::new(), Vec::new());
+        while lane_of.len() < 1_000 {
+            lane_of.push(send(&mut p, &mut rng, &lanes));
+            shown.push([None::<u64>; 2]);
         }
-        let (mut sent, mut batch, mut seen) = (1_000, Vec::new(), Vec::new());
-        let mut widest = [0u64; WHEEL_LEVELS];
-        while p.deliver_window_with(SimTime(u64::MAX), &mut batch, |level, &due| {
-            seen.push((level, due))
-        }) > 0
-        {
-            let now = p.now().as_micros();
-            for (level, due) in seen.drain(..) {
-                assert!(
-                    due >= now,
-                    "level {level}: due {due} before the drain's {now}"
+        let (mut pops, mut widest, mut calls) = ([0u64; 5], [0u64; 2], Vec::new());
+        while let Some(env) = p.deliver_before_with(SimTime(u64::MAX), &mut |ahead, &tag| {
+            calls.push((ahead, tag))
+        }) {
+            let t = env.msg as usize;
+            for (ahead, tag) in calls.drain(..) {
+                let (s, stage) = (tag as usize, usize::from(ahead == NEAR_AHEAD));
+                assert_eq!(
+                    lane_of[s], lane_of[t],
+                    "tag {s} shown on another lane's pop"
                 );
+                assert!(shown[s][stage].is_none(), "tag {s} shown twice at {ahead}");
                 assert!(
-                    due - now < 64u64.pow(level as u32),
-                    "level {level}: due {} µs after the drain",
-                    due - now
+                    stage == 0 || shown[s][0].is_some(),
+                    "tag {s}: near before far"
                 );
-                widest[level] = widest[level].max(due - now);
+                shown[s][stage] = Some(pops[lane_of[s].expect("shown envelopes are laned")]);
             }
-            while sent < 20_000 && p.in_flight() < 1_000 {
-                send(&mut p, &mut rng);
-                sent += 1;
+            match lane_of[t] {
+                None => assert_eq!(shown[t], [None; 2], "heap tag {t} was shown"),
+                Some(lane) => {
+                    for (stage, ahead) in [FAR_AHEAD, NEAR_AHEAD].into_iter().enumerate() {
+                        let lead = pops[lane] - shown[t][stage].expect("delivered unseen");
+                        assert!(lead <= ahead as u64, "tag {t} shown {lead} pops ahead");
+                        widest[stage] = widest[stage].max(lead);
+                    }
+                    pops[lane] += 1;
+                }
+            }
+            if lane_of.len() < 20_000 && p.in_flight() < 1_000 {
+                lane_of.push(send(&mut p, &mut rng, &lanes));
+                shown.push([None; 2]);
             }
         }
-        // Each of levels 1–3 reaches past the slot width one level down,
-        // so the bound above is the tight one.
-        for (level, &gap) in widest.iter().enumerate().take(4).skip(1) {
-            assert!(
-                gap >= 64u64.pow(level as u32 - 1),
-                "level {level} saw at most {gap} µs"
-            );
-        }
+        assert_eq!(
+            widest,
+            [FAR_AHEAD as u64, NEAR_AHEAD as u64],
+            "the bound is tight"
+        );
+        assert!(lane_of.contains(&None), "no heap send");
     }
 
     // The batched drain is equivalent to the pop-one loop on the heap
-    // model, under randomized schedules with ties and mid-run re-sends
-    // at the batch instant.
+    // model, under randomized schedules over random lanes: a boot
+    // burst, ties, lane delays, and mid-run re-sends at the batch
+    // instant.
     proptest! {
         #[test]
         fn deliver_window_matches_pop_one_across_backends(seed in 0u64..48) {
             let mut rng = Rng::new(seed ^ 0xBA7C_4D12);
-            let mut wheel = MessagePlane::<u32>::new();
-            let mut heap = HeapPlane::<u32>::new();
-            let mut tag = 0u32;
+            let lanes = random_lanes(&mut rng);
+            let mut p = Pair::booted(&mut rng, &lanes);
             let mut windowed: Vec<(SimTime, u64, u32)> = Vec::new();
             let mut popped: Vec<(SimTime, u64, u32)> = Vec::new();
             let mut batch = Vec::new();
             for _round in 0..30 {
                 for _ in 0..rng.bounded_u64(16) {
-                    tag += 1;
-                    let at = wheel.now() + SimTime(rng.bounded_u64(1 << 14));
-                    wheel.send_at(at, tag);
-                    heap.send_at(at, tag);
+                    let at = if rng.chance(0.5) {
+                        mixed_scale_at(&mut rng, p.laned.now(), &lanes)
+                    } else {
+                        p.laned.now() + SimTime(rng.bounded_u64(1 << 14))
+                    };
+                    p.send_at(at);
                 }
-                let horizon = wheel.now() + SimTime(rng.bounded_u64(1 << 15));
-                while wheel.deliver_window(horizon, &mut batch) > 0 {
+                let horizon = p.laned.now() + SimTime(rng.bounded_u64(1 << 15));
+                while p.laned.deliver_window(horizon, &mut batch) > 0 {
                     windowed.extend(batch.iter().map(|e| (e.at, e.seq, e.msg)));
                     // Handler pattern: occasionally send at the batch
                     // instant; must arrive within this same instant,
                     // after the already-drained batch.
                     if rng.chance(0.3) {
-                        tag += 1;
-                        let at = batch[0].at;
-                        wheel.send_at(at, tag);
-                        heap.send_at(at, tag);
+                        p.send_at(batch[0].at);
                     }
                 }
-                while let Some(e) = heap.deliver_before(horizon) {
+                while let Some(e) = p.heap.deliver_before(horizon) {
                     popped.push((e.at, e.seq, e.msg));
                 }
                 prop_assert_eq!(&windowed, &popped);
-                prop_assert_eq!(wheel.now(), heap.now());
-                wheel.advance_to(horizon);
-                heap.advance_to(horizon);
+                prop_assert_eq!(p.laned.now(), p.heap.now());
+                p.advance_to(horizon);
             }
             prop_assert!(!windowed.is_empty(), "schedule exercised nothing");
         }
     }
 
-    // The plane's contract, stated as code: a randomized schedule of
-    // sends (including same-instant ties, past sends that clamp, and
-    // far-future overflow hits), horizon-bounded delivery slices, and
-    // idle advances produces byte-identical envelope sequences on the
-    // wheel and on the heap model.
+    // The plane's contract, stated as code: over random lanes, a boot
+    // burst below the lane delays and a randomized schedule of sends
+    // (ties, past sends that clamp, far-future sends, sends exactly at
+    // a lane delay and just off it), horizon-bounded delivery slices,
+    // and idle advances produce byte-identical envelope sequences on
+    // the laned plane and on the heap model.
     proptest! {
         #[test]
         fn wheel_matches_heap_reference(seed in 0u64..64) {
             let mut rng = Rng::new(seed ^ 0x57EE_1CA5);
-            let mut wheel = MessagePlane::<u32>::new();
-            let mut heap = HeapPlane::<u32>::new();
-            let mut tag = 0u32;
+            let lanes = random_lanes(&mut rng);
+            let mut p = Pair::booted(&mut rng, &lanes);
             let mut delivered = 0usize;
             for _round in 0..40 {
                 // A burst of sends against both planes.
                 for _ in 0..rng.bounded_u64(20) {
-                    tag += 1;
-                    let at = mixed_scale_at(&mut rng, wheel.now());
-                    wheel.send_at(at, tag);
-                    heap.send_at(at, tag);
+                    let at = mixed_scale_at(&mut rng, p.laned.now(), &lanes);
+                    p.send_at(at);
                 }
                 // A delivery slice up to a random horizon, sometimes
                 // re-sending mid-slice (the engine's handler pattern).
-                let horizon = wheel.now() + SimTime(rng.bounded_u64(1 << 22));
+                let horizon = p.laned.now() + SimTime(rng.bounded_u64(1 << 22));
                 loop {
-                    let (a, b) = (wheel.deliver_before(horizon), heap.deliver_before(horizon));
-                    match (a, b) {
+                    match (p.laned.deliver_before(horizon), p.heap.deliver_before(horizon)) {
                         (Some(x), Some(y)) => {
-                            prop_assert_eq!(x.at, y.at);
-                            prop_assert_eq!(x.seq, y.seq);
-                            prop_assert_eq!(x.msg, y.msg);
+                            prop_assert_eq!((x.at, x.seq, x.msg), (y.at, y.seq, y.msg));
                             delivered += 1;
                             if rng.chance(0.2) {
-                                tag += 1;
-                                let dt = SimTime(rng.bounded_u64(1 << 20));
-                                wheel.send(dt, tag);
-                                heap.send(dt, tag);
+                                let at = mixed_scale_at(&mut rng, p.laned.now(), &lanes);
+                                p.send_at(at);
                             }
                         }
                         (None, None) => break,
                         (a, b) => prop_assert!(
                             false,
-                            "wheel and model disagree on due envelopes: wheel={:?} heap={:?}",
+                            "laned plane and model disagree on due envelopes: laned={:?} heap={:?}",
                             a.map(|e| (e.at, e.seq)),
                             b.map(|e| (e.at, e.seq))
                         ),
                     }
                 }
-                prop_assert_eq!(wheel.now(), heap.now());
-                prop_assert_eq!(wheel.in_flight(), heap.in_flight());
+                prop_assert_eq!(p.laned.now(), p.heap.now());
+                prop_assert_eq!(p.laned.in_flight(), p.heap.in_flight());
                 if rng.chance(0.5) {
                     // Idle to the drained horizon (the engine's
                     // `run_until` pattern — never past pending work).
-                    wheel.advance_to(horizon);
-                    heap.advance_to(horizon);
+                    p.advance_to(horizon);
                 }
             }
             // Drain fully; the tails must agree too.
             loop {
                 match (
-                    wheel.deliver_before(SimTime(u64::MAX)),
-                    heap.deliver_before(SimTime(u64::MAX)),
+                    p.laned.deliver_before(SimTime(u64::MAX)),
+                    p.heap.deliver_before(SimTime(u64::MAX)),
                 ) {
                     (Some(x), Some(y)) => {
                         prop_assert_eq!((x.at, x.seq, x.msg), (y.at, y.seq, y.msg));
                         delivered += 1;
                     }
                     (None, None) => break,
-                    _ => prop_assert!(false, "wheel and model disagree while draining"),
+                    _ => prop_assert!(false, "laned plane and model disagree while draining"),
                 }
             }
-            prop_assert_eq!(wheel.in_flight(), 0);
+            prop_assert_eq!(p.laned.in_flight(), 0);
             prop_assert!(delivered > 0, "schedule exercised nothing");
         }
     }
 
-    /// What the cascade hook may see of one envelope, from how it was
-    /// filed.
-    #[derive(Clone, Copy, PartialEq, Debug)]
-    enum Filed {
-        /// Level 0 or behind the cursor: never shown to the hook.
-        Straight,
-        /// A wheel level ≥ 1: the hook's first sight is at that level.
-        Level(usize),
-        /// The overflow list: rebased to a level unknown at send time.
-        Overflow,
-    }
-
     /// Both planes plus the hook's ledger, one entry per tag.
     struct Hooked {
-        wheel: MessagePlane<u32>,
-        heap: HeapPlane<u32>,
-        filed: Vec<Filed>,
-        /// Level of the hook's last sight (`usize::MAX`: none yet).
-        last_seen: Vec<usize>,
+        p: Pair,
+        /// The lane each tag joined (`None`: the heap).
+        lane: Vec<Option<usize>>,
+        /// Whether the far / near stage has shown the tag.
+        shown: Vec<[bool; 2]>,
         delivered: Vec<bool>,
         violations: Vec<String>,
     }
 
     impl Hooked {
         fn send_at(&mut self, at: SimTime) {
-            let tag = self.filed.len() as u32;
-            let due = at.max(self.wheel.now()).as_micros();
-            let level = self.wheel.wheel.level_of(due);
-            self.filed
-                .push(if due < self.wheel.wheel.elapsed || level == 0 {
-                    Filed::Straight
-                } else if level < WHEEL_LEVELS {
-                    Filed::Level(level)
-                } else {
-                    Filed::Overflow
-                });
-            self.last_seen.push(usize::MAX);
+            self.p.send_at(at);
+            self.filed();
+        }
+
+        /// Opens the ledger entry of the last send.
+        fn filed(&mut self) {
+            self.lane.push(lane_of_last_send(&self.p.laned));
+            self.shown.push([false; 2]);
             self.delivered.push(false);
-            self.wheel.send_at(at, tag);
-            self.heap.send_at(at, tag);
         }
 
         /// One hooked same-instant drain, checked envelope by envelope
         /// against the heap model's pop-one loop.
         fn drain_instant(&mut self, horizon: SimTime, batch: &mut Vec<Envelope<u32>>) -> usize {
             let Hooked {
-                wheel,
-                filed,
-                last_seen,
+                p,
+                lane,
+                shown,
                 delivered,
                 violations,
-                ..
             } = self;
-            let n = wheel.deliver_window_with(horizon, batch, |level, &tag| {
+            let n = p.laned.deliver_window_with(horizon, batch, |ahead, &tag| {
                 let t = tag as usize;
-                let first = last_seen[t] == usize::MAX;
+                let stage = usize::from(ahead == NEAR_AHEAD);
                 if delivered[t] {
-                    violations.push(format!("tag {tag} seen at level {level} after delivery"));
+                    violations.push(format!("tag {tag} shown at {ahead} after delivery"));
                 }
-                if level == 0 || level >= WHEEL_LEVELS {
-                    violations.push(format!("tag {tag} seen at level {level}"));
+                if lane[t].is_none() {
+                    violations.push(format!("heap tag {tag} shown at {ahead}"));
                 }
-                if level >= last_seen[t] {
-                    violations.push(format!(
-                        "tag {tag} seen at level {level} after level {}",
-                        last_seen[t]
-                    ));
+                if shown[t][stage] {
+                    violations.push(format!("tag {tag} shown twice at {ahead}"));
                 }
-                match filed[t] {
-                    Filed::Straight => violations.push(format!(
-                        "tag {tag} was filed straight into level 0, seen at level {level}"
-                    )),
-                    Filed::Level(l) if first && l != level => violations.push(format!(
-                        "tag {tag} filed at level {l}, first seen at level {level}"
-                    )),
-                    _ => {}
+                if stage == 1 && !shown[t][0] {
+                    violations.push(format!("tag {tag} shown near before far"));
                 }
-                last_seen[t] = level;
+                shown[t][stage] = true;
             });
             for e in batch.iter() {
                 let t = e.msg as usize;
                 self.delivered[t] = true;
-                if matches!(self.filed[t], Filed::Level(_)) && self.last_seen[t] == usize::MAX {
-                    self.violations
-                        .push(format!("tag {} came down the levels unseen", e.msg));
+                if self.lane[t].is_some() && self.shown[t] != [true; 2] {
+                    self.violations.push(format!(
+                        "lane tag {} delivered unseen: {:?}",
+                        e.msg, self.shown[t]
+                    ));
                 }
                 let model = self
+                    .p
                     .heap
                     .deliver_before(horizon)
                     .map(|m| (m.at, m.seq, m.msg));
                 if model != Some((e.at, e.seq, e.msg)) {
                     self.violations.push(format!(
-                        "wheel delivered {:?}, heap model {model:?}",
+                        "laned plane delivered {:?}, heap model {model:?}",
                         (e.at, e.seq, e.msg)
                     ));
                 }
@@ -1032,146 +944,60 @@ mod tests {
     }
 
     // The hooked drain delivers the heap model's sequence, and the hook
-    // sees an envelope only on its way down: before its delivery, at
-    // strictly descending levels (so at most once per level), starting
-    // at the level it was filed at, and never when it was filed
-    // straight into level 0.
+    // sees each lane envelope on its way down its lane: before its
+    // delivery, once at the far stage and then once at the near one —
+    // and never an envelope that went to the heap.
     proptest! {
         #[test]
         fn hooked_drain_matches_heap_and_sees_each_envelope_on_its_way_down(seed in 0u64..64) {
             let mut rng = Rng::new(seed ^ 0xCA5C_ADE5);
+            let lanes = random_lanes(&mut rng);
             let mut h = Hooked {
-                wheel: MessagePlane::new(),
-                heap: HeapPlane::new(),
-                filed: Vec::new(),
-                last_seen: Vec::new(),
+                p: Pair {
+                    laned: MessagePlane::with_lanes(&lanes),
+                    heap: HeapPlane::new(),
+                },
+                lane: Vec::new(),
+                shown: Vec::new(),
                 delivered: Vec::new(),
                 violations: Vec::new(),
             };
+            for (idle, stagger, lane) in boot_burst(&mut rng, &lanes) {
+                h.p.idle(idle);
+                h.p.send_staggered(stagger, lane);
+                h.filed();
+            }
             let mut batch = Vec::new();
             for round in 0..40 {
                 for _ in 0..rng.bounded_u64(20) {
-                    let at = mixed_scale_at(&mut rng, h.wheel.now());
+                    let at = mixed_scale_at(&mut rng, h.p.laned.now(), &lanes);
                     h.send_at(at);
                 }
-                // The last round drains everything, overflow included.
+                // The last round drains everything, far future included.
                 let horizon = if round == 39 {
                     SimTime(u64::MAX)
                 } else {
-                    h.wheel.now() + SimTime(rng.bounded_u64(1 << 22))
+                    h.p.laned.now() + SimTime(rng.bounded_u64(1 << 22))
                 };
                 while h.drain_instant(horizon, &mut batch) > 0 {
                     // The engine's handler pattern: sends at the batch
-                    // instant and at every scale past it.
+                    // instant, at lane delays and at every scale past it.
                     if rng.chance(0.3) {
-                        let scale = 1 << rng.bounded_u64(21);
-                        let dt = SimTime(rng.bounded_u64(scale));
-                        h.send_at(h.wheel.now() + dt);
+                        let at = mixed_scale_at(&mut rng, h.p.laned.now(), &lanes);
+                        h.send_at(at);
                     }
                 }
-                prop_assert!(h.heap.deliver_before(horizon).is_none(), "wheel stopped early");
-                prop_assert_eq!(h.wheel.now(), h.heap.now());
+                prop_assert!(h.p.heap.deliver_before(horizon).is_none(), "laned plane stopped early");
+                prop_assert_eq!(h.p.laned.now(), h.p.heap.now());
                 if rng.chance(0.5) && round != 39 {
-                    h.wheel.advance_to(horizon);
-                    h.heap.advance_to(horizon);
+                    h.p.advance_to(horizon);
                 }
             }
             prop_assert!(h.violations.is_empty(), "{:#?}", h.violations);
             prop_assert!(h.delivered.iter().all(|&d| d), "the full drain left envelopes behind");
             prop_assert!(
-                h.last_seen.iter().any(|&l| l != usize::MAX) && h.filed.contains(&Filed::Straight),
-                "schedule exercised no cascade or no straight filing"
-            );
-        }
-    }
-
-    // The envelope store behind the slots. Under the hooked drain, with
-    // heap-owning payloads checked against the heap model: the store
-    // never holds more entries than the peak in-flight count (harvested
-    // entries are reused, not appended), every entry is free again once
-    // the plane is drained, and the hook reads every cascaded payload
-    // exactly as it was sent.
-    proptest! {
-        #[test]
-        fn store_reuses_freed_entries_and_the_hook_reads_payloads_as_sent(seed in 0u64..64) {
-            /// Sends payload `t = sent.len()`, `[t, …]` in one to four
-            /// words, to both planes, and records it.
-            fn send(
-                at: SimTime,
-                rng: &mut Rng,
-                sent: &mut Vec<Vec<u64>>,
-                wheel: &mut MessagePlane<Vec<u64>>,
-                heap: &mut HeapPlane<Vec<u64>>,
-            ) {
-                let mut body = vec![sent.len() as u64];
-                body.extend((0..rng.bounded_u64(4)).map(|_| rng.next_u64()));
-                sent.push(body.clone());
-                wheel.send_at(at, body.clone());
-                heap.send_at(at, body);
-            }
-            let mut rng = Rng::new(seed ^ 0x5707_E1D5);
-            let mut wheel = MessagePlane::new();
-            let mut heap = HeapPlane::new();
-            let mut sent = Vec::new();
-            let mut peak = 0usize;
-            let mut cascaded = 0usize;
-            let mut misread = Vec::new();
-            let mut batch = Vec::new();
-            for round in 0..40 {
-                for _ in 0..rng.bounded_u64(20) {
-                    let at = mixed_scale_at(&mut rng, wheel.now());
-                    send(at, &mut rng, &mut sent, &mut wheel, &mut heap);
-                    peak = peak.max(wheel.in_flight());
-                }
-                // The last round drains everything, overflow included.
-                let horizon = if round == 39 {
-                    SimTime(u64::MAX)
-                } else {
-                    wheel.now() + SimTime(rng.bounded_u64(1 << 22))
-                };
-                loop {
-                    let n = wheel.deliver_window_with(horizon, &mut batch, |_, msg: &Vec<u64>| {
-                        cascaded += 1;
-                        if *msg != sent[msg[0] as usize] {
-                            misread.push(msg.clone());
-                        }
-                    });
-                    if n == 0 {
-                        break;
-                    }
-                    for e in &batch {
-                        let model = heap.deliver_before(horizon).map(|m| (m.at, m.seq, m.msg));
-                        prop_assert_eq!(model, Some((e.at, e.seq, e.msg.clone())));
-                    }
-                    prop_assert!(
-                        wheel.wheel.store.len() <= peak,
-                        "store holds {} entries, peak in flight {peak}",
-                        wheel.wheel.store.len()
-                    );
-                    // The engine's handler pattern: sends at every
-                    // scale past the batch instant.
-                    if rng.chance(0.3) {
-                        let scale = 1 << rng.bounded_u64(21);
-                        let dt = SimTime(rng.bounded_u64(scale));
-                        let at = wheel.now() + dt;
-                        send(at, &mut rng, &mut sent, &mut wheel, &mut heap);
-                        peak = peak.max(wheel.in_flight());
-                    }
-                }
-                prop_assert!(heap.deliver_before(horizon).is_none(), "wheel stopped early");
-                if rng.chance(0.5) && round != 39 {
-                    wheel.advance_to(horizon);
-                    heap.advance_to(horizon);
-                }
-            }
-            prop_assert!(misread.is_empty(), "hook misread payloads {:?}", misread);
-            prop_assert_eq!(wheel.in_flight(), 0);
-            prop_assert_eq!(wheel.wheel.free.len(), wheel.wheel.store.len(), "entries left filed");
-            prop_assert!(cascaded > 0, "schedule exercised no cascade");
-            prop_assert!(
-                wheel.wheel.store.len() < sent.len(),
-                "no entry was ever reused ({} sends)",
-                sent.len()
+                h.lane.contains(&None) && h.lane.iter().any(Option::is_some),
+                "schedule exercised no lane or no heap send"
             );
         }
     }

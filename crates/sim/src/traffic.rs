@@ -13,8 +13,7 @@
 //!   and per-link token balances, then schedules the delivery on the
 //!   ordinary plane at the service-completion instant. No extra
 //!   envelopes, no timers, no randomness — the plane clock stays the
-//!   single source of time and the wheel/heap backends stay
-//!   bit-identical.
+//!   single source of time.
 //! * [`TrafficConfig`] — an open-loop lookup generator: arrivals are
 //!   Poisson at the configured offered rate (independent of completion
 //!   — the defining property of open-loop load), keys are drawn from a
@@ -452,7 +451,7 @@ mod tests {
     proptest! {
         /// The forgetting table against today's semantics — a map that
         /// keeps every link ever used, as `HeapPlane` sits beside the
-        /// wheel: every delay equal, bit for bit, over schedules whose
+        /// laned plane: every delay equal, bit for bit, over schedules whose
         /// clock is monotone and whose departures are at or (retries
         /// armed for a later instant) after it. 12 × 12 links against a
         /// table swept whenever it is full force sweeps throughout.
