@@ -7,13 +7,15 @@
 //! [`MessagePlane`], so lookups, joins, refreshes and storage ops
 //! interleave with churn and with each other at per-hop granularity. A
 //! put, get or range keeps its walk record through its tail as well.
+//!
+//! This module holds the configs, the [`Simulator`] and its public API,
+//! and the delivery layer: dispatch, `deliver`, `send_net` and the
+//! timers. The handlers sit in one submodule per protocol family:
+//! `walks`, `ring`, `links` and `storage`.
 
 use crate::metrics::SimMetrics;
 use crate::plane::{MessagePlane, FAR_AHEAD};
-use crate::protocol::{
-    Handoff, LookupRecord, Msg, NextHopReply, Purpose, QueryId, RepairDiff, RepairDigest,
-    RepairPull, RepairPush, RoutingMode, Source, Timer, Walk, WalkEnd,
-};
+use crate::protocol::{LookupRecord, Msg, RoutingMode, Source, Timer, Walk};
 use crate::slab::Slab;
 use crate::time::SimTime;
 use crate::traffic::{
@@ -25,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use sw_core::builder::{long_image, BuildProfile};
 use sw_core::config::{LinkSampler, OutDegree};
-use sw_dht::{item_bytes, on_sweep_arc, ShardMap, KEY_BYTES};
+use sw_dht::ShardMap;
 use sw_graph::prefetch::{prefetch_read, prefetch_span};
 use sw_graph::{par, DeltaStore, IdMap, IdSet, Topology};
 use sw_keyspace::distribution::KeyDistribution;
@@ -34,6 +36,11 @@ use sw_keyspace::Topology as Metric;
 use sw_keyspace::{Key, Rng};
 use sw_overlay::route::{RouteOptions, RouteResult};
 use sw_overlay::{greedy_route, route_interleaved, Placement, RouteTable, DEFAULT_INTERLEAVE};
+
+mod links;
+mod ring;
+mod storage;
+mod walks;
 
 /// Churn intensity: Poisson arrival rates (events per virtual second).
 /// Failure victims are drawn uniformly over alive *peers*: machines do
@@ -252,9 +259,9 @@ impl SimNode {
     /// Peer `id`'s record in the converged ring of `n` key-ranked, all
     /// alive peers: its successors are the next [`SUCCESSOR_LIST`] ids
     /// and its predecessors the [`PREDECESSOR_LIST`] ids before, mod `n`
-    /// — what [`World::ring_state`] finds over that alive set, by rank
-    /// instead of by search. Needs `n > PREDECESSOR_LIST`, so that no
-    /// peer lists itself.
+    /// — what [`ring_state`](crate::world::Oracle::ring_state) finds
+    /// over that alive set, by rank instead of by search. Needs
+    /// `n > PREDECESSOR_LIST`, so that no peer lists itself.
     fn converged(id: usize, n: usize) -> SimNode {
         let mut succ = SuccList::default();
         for d in 1..=SUCCESSOR_LIST {
@@ -315,15 +322,6 @@ pub struct DurabilityCensus {
     pub over_replicated: usize,
     /// The target: `min(replication, alive peers)`.
     pub target: usize,
-}
-
-/// What one recursive greedy step decided (see
-/// [`Simulator::greedy_step`]).
-enum Stepped {
-    /// The walk ends here.
-    Done(WalkEnd),
-    /// Hand the query `from → next`.
-    Forward { from: u32, next: u32 },
 }
 
 /// Long-link budget of every simulated peer: the paper's `log2 N`.
@@ -448,7 +446,6 @@ pub struct Simulator {
     /// Popularity sampler over `traffic_targets` ranks.
     zipf: Option<ZipfSampler>,
 }
-
 impl Simulator {
     /// Builds the initial converged network ([`converged_overlay`] over
     /// `cfg.initial_n` peers) and schedules the recurring processes.
@@ -937,639 +934,6 @@ impl Simulator {
         self.cfg.traffic.rate = rate;
     }
 
-    /// One open-loop arrival: draw a gateway and a Zipf-ranked hot key
-    /// from the traffic stream, serve from the gateway's cache when
-    /// fresh, otherwise spawn an ordinary lookup walk. Arrivals are
-    /// independent of completions — offered load does not slow down
-    /// when the system saturates, which is exactly what pushes the
-    /// latency curve past its knee. An arrival at a dead gateway is a
-    /// lookup issued and stranded at once, as a walk whose requester
-    /// died ends in [`Simulator::finish_walk`], so churn cannot hide
-    /// offered load.
-    fn do_traffic_lookup(&mut self) {
-        let rng = self.world.stream(Source::Traffic);
-        let gw = self.gateways[rng.index(self.gateways.len())];
-        let rank = self.zipf.as_ref().expect("traffic enabled").sample(rng);
-        if !self.world.is_alive(gw) {
-            self.metrics.lookups_issued += 1;
-            self.metrics.lookups += 1;
-            self.metrics.lookups_stranded += 1;
-            return;
-        }
-        let target_id = self.traffic_targets[rank];
-        let now = self.plane.now();
-        if let Some(cache_cfg) = self.cfg.traffic.cache {
-            let cache = self
-                .peers
-                .caches
-                .entry(gw)
-                .or_insert_with(|| HotCache::new(cache_cfg.capacity));
-            if cache.lookup(u64::from(target_id), now) {
-                // Served locally: a completed, successful, zero-hop
-                // lookup that never touches the network. The TTL bounds
-                // how stale the cached owner can be (see the
-                // cache-coherence caveat in the crate docs); a hit on
-                // an entry whose owner has since churned still counts
-                // ok, which is the price of TTL coherence.
-                self.metrics.cache_hits += 1;
-                self.metrics.lookups_issued += 1;
-                self.metrics.lookups += 1;
-                self.metrics.lookups_ok += 1;
-                self.metrics.hops.push(0.0);
-                self.metrics.latency_secs.push(0.0);
-                self.metrics.lookup_latency.record(SimTime::ZERO);
-                return;
-            }
-        }
-        let target = self.peers.keys[target_id as usize];
-        self.spawn_walk(Purpose::Lookup { target_id }, target, gw);
-    }
-
-    // ----- walk state machine ---------------------------------------
-
-    /// Hop budget of a walk spawned against the current population:
-    /// `64 + 8 · ⌈log2(alive)⌉`, far above any greedy route, so hitting
-    /// it means a routing loop rather than a long path.
-    fn hop_budget(&self) -> u32 {
-        64 + 8 * (self.world.population().max(2) as f64).log2().ceil() as u32
-    }
-
-    /// Spawns a walk and executes its first step at the origin.
-    fn spawn_walk(&mut self, purpose: Purpose, target: Key, from: u32) -> QueryId {
-        let max_hops = self.hop_budget();
-        let m = &mut self.metrics;
-        match purpose {
-            Purpose::Lookup { .. } => {
-                m.lookups_issued += 1;
-                m.inflight_peak = m.inflight_peak.max(m.lookups_issued - m.lookups);
-            }
-            Purpose::Put { .. } => m.puts_issued += 1,
-            Purpose::Get => m.gets_issued += 1,
-            Purpose::Range { .. } => m.ranges_issued += 1,
-            Purpose::JoinFind { .. } | Purpose::LinkProbe { .. } => {}
-        }
-        let walk = Walk::new(purpose, target, from, self.plane.now(), max_hops);
-        let qid = self.walks.insert(walk);
-        match self.cfg.routing_mode {
-            RoutingMode::Recursive => self.step_recursive(qid),
-            // The origin reads its own routing table for free.
-            RoutingMode::Iterative => self.iterative_local_step(qid),
-        }
-        qid
-    }
-
-    /// The unified step executor behind `Msg::Step` — the retry path of
-    /// both modes. A recursive walk re-steps at its current node after a
-    /// timeout. An iterative walk fails over: its requester takes the
-    /// globally next-best unqueried candidate from its pool, which may
-    /// be a 2nd-best rung of an *earlier* frontier — a retreat a
-    /// recursive hand-off cannot make.
-    fn drive_walk(&mut self, qid: QueryId) {
-        let Some(walk) = self.walks.get(qid) else {
-            return;
-        };
-        match self.cfg.routing_mode {
-            RoutingMode::Recursive => self.step_recursive(qid),
-            RoutingMode::Iterative if !self.world.is_alive(walk.requester) => {
-                self.finish_walk(qid, WalkEnd::Stranded)
-            }
-            RoutingMode::Iterative => self.advance_from_pool(qid, true),
-        }
-    }
-
-    /// Ranked next-hop candidates at `at` toward `target`, from `at`'s
-    /// local view, with the walk's exclusions applied — the failover
-    /// ladder an iterative frontier hands back (shared
-    /// `sw_overlay::greedy_candidates_into` via [`sw_overlay::RingView`]).
-    fn ranked_candidates(&mut self, at: u32, target: Key, excluded: &[u32]) -> Vec<u32> {
-        let mut buf = std::mem::take(&mut self.cand_scratch);
-        let node = &self.peers.nodes[at as usize];
-        let cur_d = Metric::Ring.distance(self.peers.keys[at as usize], target);
-        let view = sw_overlay::RingView {
-            pred: Some(node.preds[0]),
-            succ: &node.succ,
-            long: self.peers.links.row_slice(at),
-        };
-        let keys = &self.peers.keys;
-        view.candidates_into(
-            Metric::Ring,
-            target,
-            cur_d,
-            |v| v == at || excluded.contains(&v),
-            |v| keys[v as usize],
-            &mut buf,
-        );
-        let out = buf.iter().map(|&(v, _)| v).collect();
-        self.cand_scratch = buf;
-        out
-    }
-
-    /// One greedy step at the walk's current node (shared
-    /// `sw_overlay::greedy_step` via [`sw_overlay::RingView`]) —
-    /// recursive mode. Takes the peers and the world beside the walk, so
-    /// the caller's one `walks` borrow spans arrival bookkeeping, the
-    /// step and the hand-off's message count; the caller acts on the
-    /// result ([`Simulator::act_on_step`]) once that borrow ends.
-    fn greedy_step(walk: &mut Walk, peers: &Peers, world: &World) -> Stepped {
-        let cur = walk.cur;
-        if !world.is_alive(cur) {
-            // The node holding the query failed, and the query with it.
-            return Stepped::Done(WalkEnd::Stranded);
-        }
-        let (node, keys) = (&peers.nodes[cur as usize], &peers.keys);
-        let cur_d = Metric::Ring.distance(keys[cur as usize], walk.target);
-        if cur_d == 0.0 {
-            return Stepped::Done(WalkEnd::Arrived);
-        }
-        if walk.hops >= walk.max_hops {
-            return Stepped::Done(WalkEnd::HopLimit);
-        }
-        let view = sw_overlay::RingView {
-            pred: Some(node.preds[0]),
-            succ: &node.succ,
-            long: peers.links.row_slice(cur),
-        };
-        let step = view.step(Metric::Ring, walk.target, cur_d, cur, &walk.excluded, |v| {
-            keys[v as usize]
-        });
-        match step {
-            None => Stepped::Done(WalkEnd::LocalMinimum),
-            Some((next, _)) => {
-                walk.msgs += 1;
-                Stepped::Forward { from: cur, next }
-            }
-        }
-    }
-
-    /// Carries out what [`Simulator::greedy_step`] decided: finish the
-    /// walk, or put its hand-off on the wire.
-    fn act_on_step(&mut self, qid: QueryId, stepped: Stepped) {
-        match stepped {
-            Stepped::Done(end) => self.finish_walk(qid, end),
-            Stepped::Forward { from, next } => {
-                let now = self.plane.now();
-                self.send_net(
-                    from,
-                    next,
-                    now,
-                    HOP_DELAY,
-                    Msg::Hop {
-                        qid,
-                        to: next,
-                        sent_at: now,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Steps a recursive walk at its current node (spawn and retry).
-    fn step_recursive(&mut self, qid: QueryId) {
-        let Some(walk) = self.walks.get_mut(qid) else {
-            return;
-        };
-        let stepped = Self::greedy_step(walk, &self.peers, &self.world);
-        self.act_on_step(qid, stepped);
-    }
-
-    /// A recursively forwarded query arrives at `to` — or, unless
-    /// `live`, its sender times out: `to` died while the message was in
-    /// flight, or the hand-off was dropped at `to`'s full queue.
-    fn deliver_hop(&mut self, qid: QueryId, to: u32, sent_at: SimTime, live: bool) {
-        let now = self.plane.now();
-        let Some(walk) = self.walks.get_mut(qid) else {
-            return;
-        };
-        if !live {
-            return self.time_out(qid, to, sent_at);
-        }
-        walk.latency += now - sent_at;
-        walk.hops += 1;
-        walk.cur = to;
-        let stepped = Self::greedy_step(walk, &self.peers, &self.world);
-        self.act_on_step(qid, stepped);
-    }
-
-    /// Walk `qid`'s driver waited on `contact` since `since` and heard
-    /// nothing: the contact died, or the message was dropped. Charge the
-    /// timeout, exclude the contact, and retry the walk's next action at
-    /// `since + penalty` (the plane clamps an instant already past to
-    /// now). A recursive relay sits out the full penalty; an iterative
-    /// requester, which has measured every hop RTT on the walk, waits
-    /// its [`Walk::adaptive_timeout`].
-    fn time_out(&mut self, qid: QueryId, contact: u32, since: SimTime) {
-        let walk = self.walks.get_mut(qid).expect("a timed-out walk is live");
-        let penalty = match self.cfg.routing_mode {
-            RoutingMode::Recursive => TIMEOUT_PENALTY,
-            RoutingMode::Iterative => walk.adaptive_timeout(TIMEOUT_PENALTY),
-        };
-        walk.timeouts += 1;
-        walk.latency += penalty;
-        if !walk.excluded.contains(&contact) {
-            walk.excluded.push(contact);
-        }
-        self.plane.send_at(since + penalty, Msg::Step { qid });
-    }
-
-    // ----- iterative mode --------------------------------------------
-
-    /// The requester-local first step of an iterative walk: at spawn the
-    /// frontier *is* the requester, whose routing table is read for
-    /// free — it seeds the candidate pool.
-    fn iterative_local_step(&mut self, qid: QueryId) {
-        let walk = self.walks.get(qid).expect("walk present");
-        debug_assert_eq!(walk.cur, walk.requester, "local step away from requester");
-        let (requester, target) = (walk.requester, walk.target);
-        if !self.world.is_alive(requester) {
-            // Only the requester's death strands an iterative walk.
-            self.finish_walk(qid, WalkEnd::Stranded);
-            return;
-        }
-        let cur_d = Metric::Ring.distance(self.peers.keys[requester as usize], target);
-        if cur_d == 0.0 {
-            self.finish_walk(qid, WalkEnd::Arrived);
-            return;
-        }
-        let cands = self.ranked_candidates(requester, target, &[]);
-        if cands.is_empty() {
-            self.finish_walk(qid, WalkEnd::LocalMinimum);
-            return;
-        }
-        let walk = self.walks.get_mut(qid).expect("walk present");
-        walk.set_alternates(cands);
-        walk.seen.push(requester);
-        self.advance_from_pool(qid, false);
-    }
-
-    /// Advances the walk to the globally best unqueried candidate in
-    /// its pool. On the healthy path this is the newest frontier's best
-    /// candidate — the greedy choice, so static-network hop sequences
-    /// match recursive exactly. After timeouts it may retreat to a
-    /// 2nd-best rung of an *earlier* frontier and route around the dead
-    /// region — persistence a recursive hand-off cannot offer, because
-    /// the hand-off left those candidates behind. (Termination stays at
-    /// greedy minima: the walk only ever *ends* at a frontier whose own
-    /// view offers nothing closer, so storage ops still complete in the
-    /// owner region.) A dry pool means every candidate the walk ever
-    /// learned was tried and excluded (`Exhausted`).
-    fn advance_from_pool(&mut self, qid: QueryId, failover: bool) {
-        let Some(walk) = self.walks.get_mut(qid) else {
-            return;
-        };
-        match walk.next_alternate() {
-            None => self.finish_walk(qid, WalkEnd::Exhausted),
-            Some(next) => {
-                if failover {
-                    walk.failovers += 1;
-                }
-                walk.seen.push(next);
-                self.send_next_hop_query(qid, next);
-            }
-        }
-    }
-
-    /// Merges a frontier's fresh candidates into the walk's pool,
-    /// keeping it sorted closest-to-target-first (stable: existing
-    /// entries win distance ties). Already-queried, excluded and
-    /// duplicate nodes never enter.
-    fn merge_pool(&mut self, qid: QueryId, fresh: &[u32]) {
-        let walk = self.walks.get_mut(qid).expect("walk present");
-        let (keys, target) = (&self.peers.keys, walk.target);
-        let d_of = |v: u32| Metric::Ring.distance(keys[v as usize], target);
-        let mut pool: Vec<(u32, f64)> = walk
-            .pending_alternates()
-            .iter()
-            .map(|&v| (v, d_of(v)))
-            .collect();
-        for &v in fresh {
-            if walk.seen.contains(&v)
-                || walk.excluded.contains(&v)
-                || pool.iter().any(|&(u, _)| u == v)
-            {
-                continue;
-            }
-            pool.push((v, d_of(v)));
-        }
-        pool.sort_by(|a, b| a.1.total_cmp(&b.1));
-        walk.set_alternates(pool.into_iter().map(|(v, _)| v).collect());
-    }
-
-    /// Sends the iterative first leg: requester → frontier candidate
-    /// query. Exactly one exchange is in flight per walk.
-    fn send_next_hop_query(&mut self, qid: QueryId, to: u32) {
-        let now = self.plane.now();
-        let walk = self.walks.get_mut(qid).expect("walk present");
-        debug_assert!(
-            !walk.excluded.contains(&to),
-            "failover must never route through an excluded contact"
-        );
-        walk.query_sent = now;
-        walk.msgs += 1;
-        let requester = walk.requester;
-        self.send_net(
-            requester,
-            to,
-            now,
-            HOP_DELAY,
-            Msg::NextHopQuery {
-                qid,
-                to,
-                sent_at: now,
-            },
-        );
-    }
-
-    /// The candidate query arrives at frontier `to` — or, unless
-    /// `live`, the requester times out and fails over: `to` died while
-    /// the query was in flight, or the query was dropped at `to`'s full
-    /// queue.
-    fn deliver_next_hop_query(&mut self, qid: QueryId, to: u32, sent_at: SimTime, live: bool) {
-        let now = self.plane.now();
-        let Some(walk) = self.walks.get_mut(qid) else {
-            return;
-        };
-        if !live {
-            return self.time_out(qid, to, sent_at);
-        }
-        // The frontier answers from its local view at delivery time.
-        // (The query carried the walk's exclusion list, so the ladder it
-        // ranks never contains a contact the requester timed out on.)
-        walk.latency += now - sent_at;
-        let target = walk.target;
-        let excluded = std::mem::take(&mut walk.excluded);
-        let at_target = Metric::Ring.distance(self.peers.keys[to as usize], target) == 0.0;
-        let candidates = self.ranked_candidates(to, target, &excluded);
-        let walk = self.walks.get_mut(qid).expect("walk present");
-        walk.excluded = excluded;
-        walk.msgs += 1;
-        let requester = walk.requester;
-        let wait = self.send_net(
-            to,
-            requester,
-            now,
-            HOP_DELAY,
-            Msg::NextHopReply(Box::new(NextHopReply {
-                qid,
-                from: to,
-                sent_at: now,
-                at_target,
-                candidates,
-            })),
-        );
-        if let Some(wait) = wait {
-            // The reply's admission wait at the requester's own queue is
-            // congestion the requester directly experiences — fold it
-            // into the adaptive timeout so queued-not-lost replies do
-            // not read as dead frontiers.
-            self.walks
-                .get_mut(qid)
-                .expect("walk present")
-                .note_wait(wait);
-        }
-    }
-
-    /// The frontier's answer lands back at the requester: confirm the
-    /// hop (RTT accounted), then finish or query the next frontier. A
-    /// reply dropped at the requester's own full queue (not `live`, to
-    /// a live requester) is a frontier the requester never hears from:
-    /// it times out adaptively and fails over, exactly as if the
-    /// frontier had died after receiving the query.
-    fn deliver_next_hop_reply(
-        &mut self,
-        NextHopReply {
-            qid,
-            from,
-            sent_at,
-            at_target,
-            candidates,
-        }: NextHopReply,
-        live: bool,
-    ) {
-        let now = self.plane.now();
-        let Some(walk) = self.walks.get_mut(qid) else {
-            return;
-        };
-        if !self.world.is_alive(walk.requester) {
-            self.finish_walk(qid, WalkEnd::Stranded);
-            return;
-        }
-        if !live {
-            // The timeout clock started at the query send.
-            let since = walk.query_sent;
-            return self.time_out(qid, from, since);
-        }
-        walk.latency += now - sent_at;
-        debug_assert_ne!(from, walk.cur, "a frontier is queried once");
-        walk.hops += 1;
-        walk.cur = from;
-        let rtt = now - walk.query_sent;
-        walk.rtt_seen = walk.rtt_seen.max(rtt);
-        self.metrics.hop_rtt.push(rtt.as_secs_f64());
-        // A frontier whose live view offers nothing closer is a greedy
-        // terminus: the walk ends *here*, exactly where a recursive walk
-        // would stop (the pool's farther leftovers must not drag a
-        // completed route past the owner region).
-        let end = if at_target {
-            WalkEnd::Arrived
-        } else if walk.hops >= walk.max_hops {
-            WalkEnd::HopLimit
-        } else if candidates.is_empty() {
-            WalkEnd::LocalMinimum
-        } else {
-            self.merge_pool(qid, &candidates);
-            return self.advance_from_pool(qid, false);
-        };
-        self.finish_walk(qid, end);
-    }
-
-    /// Terminal transition of a route: remove the walk and dispatch on
-    /// purpose.
-    fn finish_walk(&mut self, qid: QueryId, end: WalkEnd) {
-        let walk = self.walks.remove(qid).expect("finishing a live walk");
-        let now = self.plane.now();
-        self.metrics.timeouts += walk.timeouts as u64;
-        match walk.purpose {
-            Purpose::Lookup { target_id } => {
-                self.metrics.lookups += 1;
-                // A result nobody can receive is no result: if the
-                // requester died while the walk was in flight, the
-                // lookup is terminally stranded in *every* mode — this
-                // is what keeps the recursive/iterative comparison
-                // apples-to-apples (iterative checks the requester at
-                // each reply; recursive mode settles up here, when the
-                // response would have been sent back).
-                let end = if end != WalkEnd::Stranded && !self.world.is_alive(walk.requester) {
-                    WalkEnd::Stranded
-                } else {
-                    end
-                };
-                let success = end != WalkEnd::Stranded && walk.cur == target_id;
-                match end {
-                    WalkEnd::Stranded => self.metrics.lookups_stranded += 1,
-                    WalkEnd::Exhausted => self.metrics.lookups_exhausted += 1,
-                    _ => {}
-                }
-                if walk.failovers > 0 {
-                    self.metrics.lookups_failed_over += 1;
-                }
-                if success {
-                    self.metrics.lookups_ok += 1;
-                    self.metrics.hops.push(walk.hops as f64);
-                    self.metrics.latency_secs.push(walk.latency.as_secs_f64());
-                    self.metrics.lookup_latency.record(walk.latency);
-                    // Fill the requester-side hot cache on the way out:
-                    // the *next* lookup for this key from the same
-                    // gateway is served locally until the TTL lapses.
-                    // Only gateways carry caches — workload lookups
-                    // originate anywhere and would grow the map to n
-                    // entries.
-                    if let Some(cache_cfg) = self.cfg.traffic.cache {
-                        if self.gateways.contains(&walk.requester) {
-                            self.peers
-                                .caches
-                                .entry(walk.requester)
-                                .or_insert_with(|| HotCache::new(cache_cfg.capacity))
-                                .insert(u64::from(target_id), now + cache_cfg.ttl);
-                        }
-                    }
-                }
-                if self.cfg.record_lookups {
-                    self.lookup_records.push(LookupRecord {
-                        issued_at: walk.issued_at,
-                        completed_at: now,
-                        hops: walk.hops,
-                        timeouts: walk.timeouts,
-                        failovers: walk.failovers,
-                        latency: walk.latency,
-                        success,
-                        end,
-                    });
-                }
-            }
-            Purpose::JoinFind { key } => {
-                self.metrics.join_messages += walk.msgs as u64;
-                if end == WalkEnd::Stranded || !self.complete_join(key) {
-                    self.metrics.joins_aborted += 1;
-                }
-            }
-            Purpose::LinkProbe {
-                node,
-                mut collected,
-                budget,
-                tries_left,
-                refresh,
-            } => {
-                let msgs = walk.msgs as u64;
-                if refresh {
-                    self.metrics.refresh_messages += msgs;
-                } else {
-                    self.metrics.join_messages += msgs;
-                }
-                // A dead `node` ends the chain with it.
-                if self.world.is_alive(node) {
-                    let v = walk.cur;
-                    if end != WalkEnd::Stranded
-                        && v != node
-                        && self.world.is_alive(v)
-                        && !collected.contains(&v)
-                    {
-                        collected.push(v);
-                    }
-                    if collected.len() < budget && tries_left > 0 {
-                        self.spawn_link_probe(node, collected, budget, tries_left, refresh);
-                    } else {
-                        self.finish_links(node, collected, refresh);
-                    }
-                }
-            }
-            // A storage op goes on in the same record, filed back in its
-            // route's slot under the next generation (the free list is
-            // last-in first-out): a late routing message misses it.
-            Purpose::Put { .. } | Purpose::Get | Purpose::Range { .. } => {
-                let op = self.walks.insert(walk);
-                debug_assert_eq!(op as u32, qid as u32, "a tail keeps its route's slot");
-                self.start_tail(op, end);
-            }
-        }
-    }
-
-    // ----- lookups ---------------------------------------------------
-
-    fn do_lookup_start(&mut self) {
-        let from = self.world.random_alive(Source::Lookup);
-        let target_id = self.world.random_alive(Source::Lookup);
-        let target = self.peers.keys[target_id as usize];
-        self.spawn_walk(Purpose::Lookup { target_id }, target, from);
-    }
-
-    // ----- churn -----------------------------------------------------
-
-    fn do_join_start(&mut self) {
-        let key = self.world.joining_key();
-        let entry = self.world.random_alive(Source::Join);
-        // Route to the joining key to find the join point; the splice
-        // happens when (if) the walk completes.
-        self.spawn_walk(Purpose::JoinFind { key }, key, entry);
-    }
-
-    /// The join-point walk completed: unless another joiner took `key`
-    /// meanwhile (`false`), the world takes the peer in. Give it a slot
-    /// in every per-peer lane, splice it, and start its long-link probe
-    /// chain.
-    fn complete_join(&mut self, key: Key) -> bool {
-        let Some(id) = self.world.join(key) else {
-            return false;
-        };
-        let (succ, preds) = self.world.ring_state(key);
-        self.peers.nodes.push(SimNode {
-            succ,
-            preds,
-            refreshing: false,
-        });
-        self.peers.keys.push(key);
-        let row_id = self.peers.links.push_node(Vec::new());
-        debug_assert_eq!(row_id, id, "link rows track node ids");
-        self.node_q.push(ServiceQueue::default());
-        // Splice: the new peer's predecessor and the successors it lists
-        // learn about it. Those successors' keep arcs shrank, and each
-        // hands its copies off at once; the relays pass through the
-        // joiner, which so receives its keep arc by message.
-        self.peers.nodes[preds[0] as usize].succ.insert_front(id);
-        for (i, &s) in succ.iter().enumerate() {
-            let preds = &mut self.peers.nodes[s as usize].preds;
-            preds.copy_within(i..PREDECESSOR_LIST - 1, i + 1);
-            preds[i] = id;
-        }
-        if self.cfg.storage.enabled() {
-            succ.iter().for_each(|&s| self.hand_off(s));
-        }
-        self.metrics.joins += 1;
-        self.schedule_timers(id);
-        // Long links via routed probes (message-accounted, in-flight).
-        let budget = OUT_DEGREE.links_for(self.world.population());
-        self.spawn_link_probe(id, Vec::new(), budget, 8 * budget as u32 + 16, false);
-        true
-    }
-
-    fn do_fail(&mut self) {
-        let Some(victim) = self.world.fail(&self.peers.keys) else {
-            return;
-        };
-        if self.cfg.storage.enabled() {
-            // The machine is gone: its shard dies with it. Its
-            // slice of the key space is durable again only once a
-            // surviving replica actually streams it to the new owner
-            // through the anti-entropy repair plane — there is no
-            // instant-merge oracle. With repair disabled, keys whose
-            // last live copy sat here are permanently lost (counted in
-            // `keys_lost`).
-            self.drop_peer_storage(victim);
-        }
-        self.metrics.failures += 1;
-    }
-
-    // ----- maintenance -----------------------------------------------
-
     /// Arms a new peer's timers, each at a stagger drawn uniformly over
     /// its period so maintenance does not arrive in bursts. At boot each
     /// stagger joins its period's plane lane (`plane`'s "boot sort").
@@ -1606,804 +970,6 @@ impl Simulator {
                 self.do_repair_round(id);
             }
         }
-    }
-
-    /// Stabilization round: ping every contact now, apply the repair
-    /// when the slowest ping resolves (dead contacts take the timeout
-    /// penalty to be noticed). Lookups in flight during the round still
-    /// see the stale view — the repair is not instantaneous.
-    fn do_stabilize_start(&mut self, id: u32) {
-        let node = &self.peers.nodes[id as usize];
-        let view = sw_overlay::RingView {
-            pred: Some(node.preds[0]),
-            succ: &node.succ,
-            long: self.peers.links.row_slice(id),
-        };
-        let rtt = SimTime(HOP_DELAY.0 * 2);
-        let mut resolve = SimTime::ZERO;
-        for v in view.contacts() {
-            self.metrics.stabilize_messages += 1;
-            resolve = resolve.max(if self.world.is_alive(v) {
-                rtt
-            } else {
-                TIMEOUT_PENALTY
-            });
-        }
-        self.plane.send(resolve, Msg::StabilizeApply(id));
-    }
-
-    fn do_stabilize_apply(&mut self, id: u32) {
-        if !self.world.is_alive(id) {
-            return;
-        }
-        let (chain, preds) = self.repair_view(id);
-        let node = &mut self.peers.nodes[id as usize];
-        (node.succ, node.preds) = self.world.ring_state(self.peers.keys[id as usize]);
-        // A new replica chain or keep arc may move copies: refill and
-        // hand off now rather than at the next timer round.
-        let (now_chain, now_preds) = self.repair_view(id);
-        if (*chain != *now_chain || preds != now_preds) && self.cfg.period(Timer::Repair).is_some()
-        {
-            self.do_repair_round(id);
-        }
-        // Prune dead long links in place. A row with no dead contact is
-        // left untouched: a base row stays a base read, not a delta copy.
-        let world = &self.world;
-        self.peers.links.retain_row(id, |&v| world.is_alive(v));
-    }
-
-    /// Long-link refresh: a chain of *routed* probes rebuilding the
-    /// node's long links against the current population. The old links
-    /// stay in service until the chain completes.
-    fn do_refresh_start(&mut self, id: u32) {
-        if self.peers.nodes[id as usize].refreshing {
-            return; // previous chain still in flight
-        }
-        self.peers.nodes[id as usize].refreshing = true;
-        let budget = OUT_DEGREE.links_for(self.world.population());
-        self.spawn_link_probe(id, Vec::new(), budget, 4 * budget as u32 + 8, true);
-    }
-
-    /// Spawns the next probe of a link chain: draw a harmonic-rule
-    /// target around `node`'s position and route toward it.
-    fn spawn_link_probe(
-        &mut self,
-        node: u32,
-        collected: Vec<u32>,
-        budget: usize,
-        tries_left: u32,
-        refresh: bool,
-    ) {
-        if budget == 0 || tries_left == 0 {
-            self.finish_links(node, collected, refresh);
-            return;
-        }
-        // The population floor of 8 keeps `side_weight` ≥ ln 4.
-        let tau = 1.0 / self.world.population() as f64;
-        let side_weight = (0.5f64 / tau).max(1.0).ln();
-        // Target draws come from the dedicated link stream — chains are
-        // spawned in event order, so the draws are deterministic.
-        let pos = self.world.cdf(self.peers.keys[node as usize].get());
-        let sign = if self.link_rng.chance(0.5) { 1.0 } else { -1.0 };
-        let m = tau * (side_weight * self.link_rng.f64()).exp();
-        let target_pos = (pos + sign * m).rem_euclid(1.0);
-        let target = Key::clamped(self.world.quantile(target_pos));
-        self.spawn_walk(
-            Purpose::LinkProbe {
-                node,
-                collected,
-                budget,
-                tries_left: tries_left - 1,
-                refresh,
-            },
-            target,
-            node,
-        );
-    }
-
-    fn finish_links(&mut self, node: u32, collected: Vec<u32>, refresh: bool) {
-        if self.world.is_alive(node) {
-            self.peers.links.set_row(node, collected);
-        }
-        if refresh {
-            self.peers.nodes[node as usize].refreshing = false;
-        }
-    }
-
-    // ----- storage workload ------------------------------------------
-
-    /// Bulk-loads `storage.preload` items at t = 0, each stored at the
-    /// owner and replica chain the world places it on
-    /// ([`World::preload`]).
-    fn preload_storage(&mut self) {
-        let items = self.world.preload(&self.cfg, &self.peers.keys);
-        self.put_keys.reserve(items.len());
-        for (key, owner, chain) in items {
-            let value = self.next_value();
-            for r in chain {
-                self.store(r, key, value.clone());
-            }
-            self.store(owner, key, value);
-            self.put_keys.push(key);
-        }
-    }
-
-    fn next_value(&mut self) -> Vec<u8> {
-        self.put_counter += 1;
-        self.put_counter.to_le_bytes().to_vec()
-    }
-
-    fn do_put_start(&mut self) {
-        let key = self.world.sample_key(Source::Put);
-        let from = self.world.random_alive(Source::Put);
-        let value = self.next_value();
-        self.spawn_walk(Purpose::Put { value, pending: 0 }, key, from);
-    }
-
-    fn do_get_start(&mut self) {
-        let key = if self.put_keys.is_empty() {
-            self.world.sample_key(Source::Get)
-        } else {
-            self.put_keys[self.world.stream(Source::Get).index(self.put_keys.len())]
-        };
-        let from = self.world.random_alive(Source::Get);
-        self.spawn_walk(Purpose::Get, key, from);
-    }
-
-    fn do_range_start(&mut self) {
-        let lo = self.world.sample_key(Source::Range);
-        let hi = Key::clamped(lo.get() + RANGE_WIDTH);
-        let from = self.world.random_alive(Source::Range);
-        if hi <= lo {
-            return; // degenerate range at the top of the key space
-        }
-        self.spawn_walk(Purpose::range(lo, hi), lo, from);
-    }
-
-    /// A put, get or range route ended: charge its messages to storage.
-    /// A route that failed (stranded, out of hops or exhausted) ends the
-    /// op; otherwise the successor-rule owner of the key near where the
-    /// walk ended becomes its holder (`cur`) and runs its tail. The
-    /// route's exclusions are cleared, so they skip no replica and no
-    /// sweep peer.
-    fn start_tail(&mut self, op: QueryId, end: WalkEnd) {
-        let walk = self.walks.get(op).expect("a tail starts filed");
-        self.metrics.storage_messages += walk.msgs as u64;
-        if matches!(
-            end,
-            WalkEnd::Stranded | WalkEnd::HopLimit | WalkEnd::Exhausted
-        ) {
-            return self.end_storage(op, false);
-        }
-        let at = self.shift_to_owner(walk.cur, walk.target);
-        let walk = self.walks.get_mut(op).expect("a tail starts filed");
-        walk.cur = at;
-        walk.excluded.clear();
-        match walk.purpose {
-            Purpose::Put { .. } => self.fan_out_put(op),
-            Purpose::Get => self.read_owner(op),
-            Purpose::Range { .. } => self.continue_sweep(op, at),
-            _ => unreachable!("not a storage op"),
-        }
-    }
-
-    /// The one exit of a put, get or range: free its slot and count it,
-    /// `ok` or not. A put or get that succeeded records the walk's
-    /// latency; a range counts the items and peers its sweep gathered.
-    fn end_storage(&mut self, op: QueryId, ok: bool) {
-        let walk = self.walks.remove(op).expect("a storage op ends once");
-        let m = &mut self.metrics;
-        let (done, done_ok, latency) = match walk.purpose {
-            Purpose::Put { .. } => (&mut m.puts, &mut m.puts_ok, &mut m.put_latency_secs),
-            Purpose::Get => (&mut m.gets, &mut m.gets_ok, &mut m.get_latency_secs),
-            Purpose::Range {
-                items,
-                peers_visited,
-                ..
-            } => {
-                m.ranges += 1;
-                m.ranges_ok += u64::from(ok);
-                m.range_items += items;
-                m.range_peers += u64::from(peers_visited);
-                return;
-            }
-            _ => unreachable!("not a storage op"),
-        };
-        *done += 1;
-        if ok {
-            *done_ok += 1;
-            latency.push(walk.latency.as_secs_f64());
-        }
-    }
-
-    /// `at`'s replica chain as its own successor view sees it: its first
-    /// `replication − 1` successors, or `at_least` if more. Put
-    /// fan-outs, get fallbacks and repair rounds all work off it.
-    fn replica_view(&self, at: u32, at_least: usize) -> SuccList {
-        let mut chain = self.peers.nodes[at as usize].succ;
-        let want = (self.replication_target() as usize - 1).max(at_least);
-        chain.len = chain.len.min(want.min(SUCCESSOR_LIST) as u8);
-        chain
-    }
-
-    /// Greedy routing ends at the *nearest* peer. A peer owns
-    /// `(pred, self]`, so the owner is that peer or, if `key` lies on
-    /// `(at, succ]` (wrapping over the top of the ring), its live
-    /// successor: one forwarding message at most, charged to the op (the
-    /// adjustment `sw_dht::Dht::route_to_owner` makes statically).
-    fn shift_to_owner(&mut self, at: u32, key: Key) -> u32 {
-        let own = self.peers.keys[at as usize];
-        match self.peers.nodes[at as usize].succ.first() {
-            Some(&s)
-                if Metric::Ring.in_arc(own, key, self.peers.keys[s as usize])
-                    && self.world.is_alive(s) =>
-            {
-                self.metrics.storage_messages += 1;
-                s
-            }
-            _ => at,
-        }
-    }
-
-    /// Put tail: store the copy at the owner and fan out replica writes
-    /// over its local successor view.
-    fn fan_out_put(&mut self, op: QueryId) {
-        let walk = self.walks.get(op).expect("a tail starts filed");
-        let (at, key) = (walk.cur, walk.target);
-        let chain = self.replica_view(at, 0);
-        let Some(Walk {
-            purpose: Purpose::Put { value, pending },
-            ..
-        }) = self.walks.get_mut(op)
-        else {
-            unreachable!("a put")
-        };
-        *pending = chain.len() as u32;
-        let value = value.clone();
-        self.store(at, key, value);
-        self.put_keys.push(key);
-        if chain.is_empty() {
-            return self.end_storage(op, true);
-        }
-        let now = self.plane.now();
-        for &to in chain.iter() {
-            self.metrics.storage_messages += 1;
-            self.send_net(at, to, now, HOP_DELAY, Msg::ReplicaPut { op, to });
-        }
-    }
-
-    fn deliver_replica_put(&mut self, op: QueryId, to: u32, live: bool) {
-        let now = self.plane.now();
-        let Some(Walk {
-            purpose: Purpose::Put { value, pending },
-            target: key,
-            latency,
-            issued_at,
-            ..
-        }) = self.walks.get_mut(op)
-        else {
-            return;
-        };
-        *pending -= 1;
-        let done = *pending == 0;
-        if done {
-            // A fanned-out put's latency runs from its issue.
-            *latency = now - *issued_at;
-        }
-        // A replica write keeps a copy the peer already holds.
-        if live && !self.peers.store.contains(to, *key) {
-            let (k, v) = (*key, value.clone());
-            self.store(to, k, v);
-        }
-        if done {
-            // The owner holds a copy, so the put succeeded whatever
-            // became of its replica writes.
-            self.end_storage(op, true);
-        }
-    }
-
-    /// Get tail: the owner serves any copy it holds (one on its arc, or
-    /// one it kept as a replica of a predecessor that has since died);
-    /// otherwise it probes the replicas along its successor view, which
-    /// become the walk's candidate pool.
-    fn read_owner(&mut self, op: QueryId) {
-        let walk = self.walks.get(op).expect("a tail starts filed");
-        let (at, key) = (walk.cur, walk.target);
-        if self.peers.store.contains(at, key) {
-            return self.end_storage(op, true);
-        }
-        // Probe at least the first successor, even unreplicated.
-        let chain = self.replica_view(at, 1);
-        let walk = self.walks.get_mut(op).expect("a tail starts filed");
-        walk.set_alternates(chain.to_vec());
-        let Some(first) = walk.next_alternate() else {
-            return self.end_storage(op, false);
-        };
-        let now = self.plane.now();
-        self.metrics.storage_messages += 1;
-        self.metrics.gets_fallback += 1;
-        self.send_net(
-            at,
-            first,
-            now,
-            HOP_DELAY,
-            Msg::ReplicaProbe {
-                op,
-                to: first,
-                sent_at: now,
-            },
-        );
-    }
-
-    fn deliver_replica_probe(&mut self, op: QueryId, to: u32, sent_at: SimTime, live: bool) {
-        let now = self.plane.now();
-        let Some(walk) = self.walks.get_mut(op) else {
-            return;
-        };
-        // A live peer answers, request and reply both travelling (double
-        // the one-way delay); a dead one costs the timeout penalty.
-        let one_way = now - sent_at;
-        let next_send = if live {
-            walk.latency += one_way + one_way;
-            now + one_way
-        } else {
-            walk.latency += TIMEOUT_PENALTY;
-            sent_at + TIMEOUT_PENALTY
-        };
-        let (key, owner) = (walk.target, walk.cur);
-        // A probed peer serves any copy it holds.
-        if live && self.peers.store.contains(to, key) {
-            self.end_storage(op, true);
-            // Read repair: the routed owner missed a key this replica
-            // just served — stream that one item to it immediately (an
-            // owner-direction repair transfer, byte-accounted like any
-            // anti-entropy rung) instead of waiting for the next round.
-            if owner != to && self.world.is_alive(owner) {
-                if let Some(v) = self.peers.store.get(to, key).cloned() {
-                    self.metrics.gets_read_repaired += 1;
-                    let bytes = REPAIR_HEADER_BYTES + item_bytes(&v);
-                    self.send_repair(
-                        to,
-                        owner,
-                        bytes,
-                        Msg::RepairPull(Box::new(RepairPull {
-                            owner,
-                            items: vec![(key, v)],
-                        })),
-                    );
-                }
-            }
-            return;
-        }
-        // Miss (alive but no copy) or timeout (dead): try the next
-        // replica in the chain, from the routed owner. A failed owner
-        // sends nothing more, as a walk strands at a dead holder.
-        let next = if self.world.is_alive(owner) {
-            walk.next_alternate()
-        } else {
-            None
-        };
-        let Some(next) = next else {
-            return self.end_storage(op, false);
-        };
-        self.metrics.storage_messages += 1;
-        self.metrics.gets_fallback += 1;
-        self.send_net(
-            owner,
-            next,
-            next_send,
-            HOP_DELAY,
-            Msg::ReplicaProbe {
-                op,
-                to: next,
-                sent_at: next_send,
-            },
-        );
-    }
-
-    /// Serve a fragment at sweep peer `at`, then forward to the next
-    /// owner clockwise (or complete).
-    fn continue_sweep(&mut self, op: QueryId, at: u32) {
-        let Some(Walk {
-            purpose:
-                Purpose::Range {
-                    lo,
-                    hi,
-                    items,
-                    peers_visited,
-                    started,
-                },
-            cur: from,
-            excluded: tried,
-            ..
-        }) = self.walks.get_mut(op)
-        else {
-            return;
-        };
-        *peers_visited += 1;
-        tried.clear();
-        // A later peer holds `(previous holder, at]` of the range, the
-        // first `[lo, at]`, or none if `lo` lies on `(at, succ]` (the
-        // route ended short of a dead successor, and the sweep starts at
-        // the next live one). It serves its rows on that arc, and the
-        // range is served once `hi` lies on it: within one circuit,
-        // clockwise.
-        let (key, lo, hi) = (self.peers.keys[at as usize], *lo, *hi);
-        let prev = started.then(|| self.peers.keys[*from as usize]);
-        let lo_ahead = !*started
-            && self.peers.nodes[at as usize]
-                .succ
-                .first()
-                .is_some_and(|&s| Metric::Ring.in_arc(key, lo, self.peers.keys[s as usize]));
-        *started = !lo_ahead;
-        let on_arc = |k: Key| !lo_ahead && on_sweep_arc(lo, prev, key, k);
-        let rows = self.peers.store.shard_range(at, lo, hi);
-        *items += rows.filter(|(k, _)| on_arc(**k)).count() as u64;
-        let served = on_arc(hi);
-        *from = at;
-        let next = match self.peers.nodes[at as usize].succ.first() {
-            Some(&next) if !served => next,
-            _ => return self.end_storage(op, served),
-        };
-        let now = self.plane.now();
-        self.metrics.storage_messages += 1;
-        self.send_net(
-            at,
-            next,
-            now,
-            HOP_DELAY,
-            Msg::RangeFragment {
-                op,
-                to: next,
-                sent_at: now,
-            },
-        );
-    }
-
-    /// A fragment request reaches sweep peer `to` — or, unless `live`,
-    /// the previous fragment holder times out and tries its next known
-    /// successor.
-    fn deliver_range_fragment(&mut self, op: QueryId, to: u32, sent_at: SimTime, live: bool) {
-        if live {
-            return self.continue_sweep(op, to);
-        }
-        let Some(walk) = self.walks.get_mut(op) else {
-            return;
-        };
-        let from = walk.cur;
-        if !self.world.is_alive(from) {
-            // The holder that would retry failed, and the sweep with it,
-            // as a walk strands at a dead holder.
-            return self.end_storage(op, false);
-        }
-        walk.excluded.push(to);
-        let next = self.peers.nodes[from as usize]
-            .succ
-            .iter()
-            .copied()
-            .find(|v| !walk.excluded.contains(v));
-        let Some(next) = next else {
-            // No live successor in view: the sweep dead-ends.
-            return self.end_storage(op, false);
-        };
-        let retry_at = sent_at + TIMEOUT_PENALTY;
-        self.metrics.storage_messages += 1;
-        self.send_net(
-            from,
-            next,
-            retry_at,
-            HOP_DELAY,
-            Msg::RangeFragment {
-                op,
-                to: next,
-                sent_at: retry_at,
-            },
-        );
-    }
-
-    // ----- the repair plane (anti-entropy rounds) --------------------
-
-    /// Sends one repair-plane message: counted, byte-accounted, and
-    /// delayed by the hop delay *plus* the bandwidth cost of its
-    /// payload. Routes through the congestion plane, so under load a
-    /// repair transfer also pays queue wait and link shaping — and may
-    /// be dropped outright at a full service queue (repair messages are
-    /// fire-and-forget; the next anti-entropy round re-requests).
-    fn send_repair(&mut self, from: u32, to: u32, bytes: u64, msg: Msg) {
-        self.metrics.repair_messages += 1;
-        self.metrics.repair_bytes += bytes;
-        match msg {
-            Msg::RepairDigest(_) => self.metrics.repair_digest_bytes += bytes,
-            Msg::Handoff(_) => self.metrics.repair_handoff_bytes += bytes,
-            _ => {}
-        }
-        let now = self.plane.now();
-        self.send_net(from, to, now, repair_flight(bytes), msg);
-    }
-
-    /// One anti-entropy round at `id`, on its timer or when its replica
-    /// chain or keep arc moved: the hand-off of its copies off its keep
-    /// arc, then a digest of its arc to each replica-chain peer in the
-    /// node's local successor view.
-    fn do_repair_round(&mut self, id: u32) {
-        // A fresh round re-requests anything still missing; pulls lost
-        // to a dead replica stop blocking here.
-        self.peers.pending_wants.remove(&id);
-        let key = self.peers.keys[id as usize];
-        let pred_key = self.peers.keys[self.peers.nodes[id as usize].preds[0] as usize];
-        self.hand_off(id);
-        let chain = self.replica_view(id, 0);
-        if chain.is_empty() {
-            return;
-        }
-        let digest = self.peers.store.arc_digest(id, pred_key, key);
-        for &to in chain.iter() {
-            self.send_repair(
-                id,
-                to,
-                DIGEST_BYTES,
-                Msg::RepairDigest(Box::new(RepairDigest {
-                    owner: id,
-                    to,
-                    lo: pred_key,
-                    hi: key,
-                    count: digest.count,
-                    hash: digest.hash,
-                })),
-            );
-        }
-    }
-
-    /// `k = min(r, PREDECESSOR_LIST)`: a peer is in the replica chains
-    /// of its own arc and its first `k − 1` predecessors' arcs, so it
-    /// keeps copies on `(pred_k, self]`, its keep arc.
-    fn keep_span(&self) -> usize {
-        (self.replication_target() as usize).min(PREDECESSOR_LIST)
-    }
-
-    /// The peers a repair round at `id` works with: its replica chain
-    /// and the `k` predecessors whose arcs it keeps.
-    fn repair_view(&self, id: u32) -> (SuccList, [u32; PREDECESSOR_LIST]) {
-        let mut preds = self.peers.nodes[id as usize].preds;
-        preds[self.keep_span()..].fill(u32::MAX);
-        (self.replica_view(id, 0), preds)
-    }
-
-    /// `pred_k`'s key, the open end of `id`'s keep arc.
-    fn keep_from(&self, id: u32) -> Key {
-        let pred = self.peers.nodes[id as usize].preds[self.keep_span() - 1];
-        self.peers.keys[pred as usize]
-    }
-
-    /// The hand-off: `id`'s copies off its keep arc belong to arcs whose
-    /// chains it has left. Each goes toward the nearer end of that off
-    /// arc: those ahead of `id` in one message through its first `k`
-    /// successors, the rest in one through its predecessors `pred_1 →
-    /// … → pred_k`, the peers that now cover them. Each round sends them
-    /// again until they are released.
-    fn hand_off(&mut self, id: u32) {
-        let (own, from) = (self.peers.keys[id as usize], self.keep_from(id));
-        let (node, k) = (&self.peers.nodes[id as usize], self.keep_span());
-        let ahead: Vec<u32> = node.succ.iter().take(k).rev().copied().collect();
-        let behind: Vec<u32> = node.preds[..k].iter().rev().copied().collect();
-        let ring = Metric::Ring;
-        let (fore, aft): (Vec<Key>, Vec<Key>) = (self.peers.store.arc_keys(id, own, from))
-            .into_iter()
-            .partition(|&x| ring.clockwise(own, x) <= ring.clockwise(x, from));
-        for (relay, keys) in [(ahead, fore), (behind, aft)] {
-            let (items, bytes) = self.peers.store.export(id, &keys);
-            if items.is_empty() {
-                continue;
-            }
-            let (to, bytes) = (relay[relay.len() - 1], REPAIR_HEADER_BYTES + bytes);
-            let handoff = Handoff {
-                holder: id,
-                relay,
-                items,
-            };
-            self.send_repair(id, to, bytes, Msg::Handoff(Box::new(handoff)));
-        }
-    }
-
-    /// A hand-off reaches its next hop. A relay hop stores the items it
-    /// lacks on its own keep arc and passes the message on; the last one
-    /// stores every item it lacks and sends the message back to the
-    /// holder as its release, charged as a key list. The holder drops
-    /// the released copies still off its keep arc. A dead hop or a lost
-    /// message releases nothing, and a later round tries again, so a
-    /// view that still lists a dead peer never drops a copy. A retired
-    /// last copy is a permanent loss and is counted as such.
-    fn on_handoff(&mut self, mut handoff: Box<Handoff>) {
-        let at = handoff.relay.pop().expect("a hand-off names its hop");
-        let (own, from) = (self.peers.keys[at as usize], self.keep_from(at));
-        let kept = |k: Key| Metric::Ring.in_arc(from, k, own);
-        if at == handoff.holder {
-            let now = self.plane.now();
-            for &(k, _) in handoff.items.iter().filter(|(k, _)| !kept(*k)) {
-                if let Some(v) = self.peers.store.remove(at, k) {
-                    self.metrics.stored_bytes -= item_bytes(&v);
-                    self.world.note_remove(k, now, &mut self.metrics);
-                }
-            }
-            return;
-        }
-        let mut bytes = REPAIR_HEADER_BYTES;
-        for (k, v) in &handoff.items {
-            bytes += item_bytes(v);
-            if (handoff.relay.is_empty() || kept(*k)) && !self.peers.store.contains(at, *k) {
-                self.store(at, *k, v.clone());
-            }
-        }
-        if handoff.relay.is_empty() {
-            bytes = REPAIR_HEADER_BYTES + KEY_BYTES * handoff.items.len() as u64;
-            handoff.relay.push(handoff.holder);
-        }
-        let next = handoff.relay[handoff.relay.len() - 1];
-        self.send_repair(at, next, bytes, Msg::Handoff(handoff));
-    }
-
-    /// A repair digest arrives at replica-chain peer `to`: compare
-    /// digests, and reply with this peer's key list if they disagree.
-    fn on_repair_digest(
-        &mut self,
-        RepairDigest {
-            owner,
-            to,
-            lo,
-            hi,
-            count,
-            hash,
-        }: RepairDigest,
-    ) {
-        let mine = self.peers.store.arc_digest(to, lo, hi);
-        if mine.count == count && mine.hash == hash {
-            return; // in sync: the round cost one digest message
-        }
-        let mut keys = self.peers.store.arc_keys(to, lo, hi);
-        keys.sort();
-        let bytes = REPAIR_HEADER_BYTES + KEY_BYTES * keys.len() as u64;
-        self.send_repair(
-            to,
-            owner,
-            bytes,
-            Msg::RepairDiff(Box::new(RepairDiff {
-                owner,
-                replica: to,
-                lo,
-                hi,
-                keys,
-            })),
-        );
-    }
-
-    /// A diff reply arrives back at the owner: compute both transfer
-    /// directions — items the replica lacks (push) and keys the owner
-    /// lacks (want, the recovery direction) — and ship them.
-    fn on_repair_diff(
-        &mut self,
-        RepairDiff {
-            owner,
-            replica,
-            lo,
-            hi,
-            keys,
-        }: RepairDiff,
-    ) {
-        let missing = self.peers.store.arc_diff(owner, lo, hi, &keys);
-        let mut mine = self.peers.store.arc_keys(owner, lo, hi);
-        mine.sort();
-        let outstanding = self.peers.pending_wants.entry(owner).or_default();
-        let want: Vec<Key> = keys
-            .iter()
-            .copied()
-            .filter(|k| mine.binary_search(k).is_err() && !outstanding.contains(k))
-            .collect();
-        outstanding.extend(want.iter().copied());
-        if missing.is_empty() && want.is_empty() {
-            return;
-        }
-        let (items, item_cost) = self.peers.store.export(owner, &missing);
-        let bytes = REPAIR_HEADER_BYTES + item_cost + KEY_BYTES * want.len() as u64;
-        self.send_repair(
-            owner,
-            replica,
-            bytes,
-            Msg::RepairPush(Box::new(RepairPush {
-                owner,
-                replica,
-                items,
-                want,
-            })),
-        );
-    }
-
-    /// A push arrives at the replica: absorb the refill, then stream the
-    /// owner's wanted keys back (the transfer that makes a failed peer's
-    /// slice durable again).
-    fn on_repair_push(
-        &mut self,
-        RepairPush {
-            owner,
-            replica,
-            items,
-            want,
-        }: RepairPush,
-    ) {
-        for (k, v) in items {
-            // A replica write keeps a copy the peer already holds.
-            if !self.peers.store.contains(replica, k) {
-                self.store(replica, k, v);
-            }
-        }
-        if want.is_empty() {
-            return;
-        }
-        let mut back = Vec::with_capacity(want.len());
-        let mut bytes = REPAIR_HEADER_BYTES;
-        for &k in &want {
-            if let Some(v) = self.peers.store.get(replica, k) {
-                bytes += item_bytes(v);
-                back.push((k, v.clone()));
-            }
-        }
-        if back.is_empty() {
-            return; // the copies vanished while the ladder was in flight
-        }
-        self.send_repair(
-            replica,
-            owner,
-            bytes,
-            Msg::RepairPull(Box::new(RepairPull { owner, items: back })),
-        );
-    }
-
-    /// The recovery transfer lands at the owner: the streamed items are
-    /// finally durable on their owner's arc.
-    fn on_repair_pull(&mut self, RepairPull { owner, items }: RepairPull) {
-        for (k, v) in items {
-            if let Some(w) = self.peers.pending_wants.get_mut(&owner) {
-                w.remove(&k);
-            }
-            self.store(owner, k, v);
-        }
-    }
-
-    // ----- storage accounting ----------------------------------------
-    //
-    // Every physical copy moves through these helpers so the per-key
-    // live-copy counts, the under-replication gauge, `keys_lost`,
-    // time-to-repair and `stored_bytes` stay exact. A peer holds at
-    // most one copy of a key: its shard is a map.
-
-    fn replication_target(&self) -> u32 {
-        self.cfg.storage.replication.max(1) as u32
-    }
-
-    /// Stores `value` as `peer`'s copy of `key`, replacing any copy it
-    /// held.
-    fn store(&mut self, peer: u32, key: Key, value: Vec<u8>) {
-        self.metrics.stored_bytes += item_bytes(&value);
-        match self.peers.store.insert(peer, key, value) {
-            Some(old) => self.metrics.stored_bytes -= item_bytes(&old),
-            None => self
-                .world
-                .note_add(key, self.plane.now(), &mut self.metrics),
-        }
-    }
-
-    /// A peer failed: its shard dies with the machine.
-    fn drop_peer_storage(&mut self, peer: u32) {
-        let dropped: Vec<(Key, u64)> = match self.peers.store.shard(peer) {
-            Some(s) => s.iter().map(|(k, v)| (*k, item_bytes(v))).collect(),
-            None => Vec::new(),
-        };
-        self.peers.store.clear_shard(peer);
-        for (k, bytes) in dropped {
-            self.metrics.stored_bytes -= bytes;
-            self.world
-                .note_remove(k, self.plane.now(), &mut self.metrics);
-        }
-        self.peers.pending_wants.remove(&peer);
     }
 
     /// Copy census of the stored corpus, computed from the live shards on
@@ -2505,11 +1071,12 @@ fn next_interval(rng: &mut Rng, rate: f64) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Purpose, QueryId, RepairPull, WalkEnd};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
     use sw_core::links::LinkSelector;
     use sw_core::SmallWorldBuilder;
-    use sw_dht::Shard;
+    use sw_dht::{item_bytes, Shard, KEY_BYTES};
     use sw_graph::LinkTable;
     use sw_keyspace::distribution::{TruncatedPareto, Uniform};
     use sw_overlay::Overlay;
@@ -4221,7 +2788,10 @@ mod tests {
             assert!(holders.len() > 300, "{name}: {} keys", holders.len());
             for (k, mut held) in holders {
                 let owner = sim.world.owner_of(k);
-                let (succ, _) = sim.world.ring_state(sim.peers.keys[owner as usize]);
+                let (succ, _) = sim
+                    .world
+                    .oracle()
+                    .ring_state(sim.peers.keys[owner as usize]);
                 let mut want: Vec<u32> = [owner]
                     .into_iter()
                     .chain(succ.iter().copied().take(replication - 1))
@@ -4257,7 +2827,7 @@ mod tests {
 
     /// The boot reads the t = 0 state off the key ranks. Against the
     /// search path it replaced — a [`World`] that joins one key at a
-    /// time, then [`World::ring_state`] over the full alive set, and
+    /// time, then [`Oracle::ring_state`] over the full alive set, and
     /// B-tree lookups for every preloaded item — it must give the same
     /// alive index,
     /// ring state, owners and replica chains. Replication 9 asks for
@@ -4292,7 +2862,7 @@ mod tests {
                     assert_eq!(ids, search.index().1, "{case}");
                     assert_eq!(pos, search.index().2, "{case}");
                     for (id, a) in sim.peers.nodes.iter().enumerate() {
-                        let b = search.ring_state(keys[id]);
+                        let b = search.oracle().ring_state(keys[id]);
                         assert_eq!(&*a.succ, &*b.0, "{case}: succ of {id}");
                         assert_eq!(a.preds, b.1, "{case}: preds of {id}");
                     }
@@ -4322,7 +2892,7 @@ mod tests {
 
     /// The inline successor list against the `Vec<u32>` it replaced,
     /// under the three things the engine does to one: rebuild it
-    /// ([`World::ring_state`]), push while rebuilding, and splice a joiner
+    /// ([`Oracle::ring_state`]), push while rebuilding, and splice a joiner
     /// in front (`insert(0, id)` + `truncate`).
     #[test]
     fn inline_successor_list_matches_the_vec_model() {

@@ -51,9 +51,19 @@
 //!   for all of them.
 //! * [`engine`] — the peers' local state (ring views, long-link rows,
 //!   the per-peer stores) and the handlers that advance the state
-//!   machines on each delivery, over a crate-private world holding the
-//!   ground truth (liveness, f, the generator streams, the ledgers)
-//!   behind named calls. In-flight walks live in a slab: a query id
+//!   machines on each delivery. Its root holds the configs, the
+//!   [`Simulator`] with its public API, and the delivery layer (the
+//!   dispatch, `deliver`, `send_net`, the timers); the handlers sit in
+//!   four protocol families beside it: walks (spawn, the recursive and
+//!   iterative steps, a walk's end), the ring (join, fail,
+//!   stabilization), links (the probe chains of a join and a refresh)
+//!   and storage (the put, get and range tails, repair, the hand-off,
+//!   copy accounting). All four run over a crate-private world holding
+//!   the ground truth (liveness, f, the generator streams, the ledgers)
+//!   behind named calls; every read a peer could not make itself (the
+//!   ring, f, n, a ping's outcome) goes through its one `Oracle`, whose
+//!   methods name the ROADMAP item that deletes each. In-flight walks
+//!   live in a slab: a query id
 //!   is `generation << 32 | slot`, so a hop finds its walk with one
 //!   index and an id compare, a freed slot is reused last-freed first
 //!   under the next generation, and a stale id (a late reply, a retry

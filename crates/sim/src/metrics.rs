@@ -112,6 +112,15 @@ pub struct SimMetrics {
     pub lookups_failed_over: u64,
     /// Lookups whose failover ladder ran dry (`WalkEnd::Exhausted`).
     pub lookups_exhausted: u64,
+    /// Failed lookups that stopped at a peer whose view offers nothing
+    /// closer (`WalkEnd::LocalMinimum`). Every failed lookup counts in
+    /// one of this, `lookups_stranded`, `lookups_exhausted` and
+    /// [`SimMetrics::lookups_hop_limit`]. Kept out of
+    /// [`SimMetrics::fingerprint`].
+    pub lookups_local_minimum: u64,
+    /// Failed lookups that ran out of hop budget (`WalkEnd::HopLimit`).
+    /// Kept out of [`SimMetrics::fingerprint`].
+    pub lookups_hop_limit: u64,
     /// Per-hop round-trip times (seconds) observed by iterative
     /// requesters: query leg + reply leg per confirmed hop. Empty in
     /// pure recursive runs (a hand-off observes no RTT).
@@ -288,8 +297,9 @@ impl SimMetrics {
 
     /// Digest over every integer lane: all counters, gauges and peaks,
     /// both histogram fingerprints, the *sample counts* of the
-    /// `OnlineStats` moments, and `end_time`, but not the issue counters
-    /// or the repair byte split. The float moments are excluded, so two
+    /// `OnlineStats` moments, and `end_time`, but not the issue counters,
+    /// the local-minimum and hop-limit lookup ends, or the repair byte
+    /// split. The float moments are excluded, so two
     /// runs fingerprint equal iff every discrete observation folded here
     /// matches. The engine's goldens pin this value.
     pub fn fingerprint(&self) -> u64 {
@@ -413,7 +423,8 @@ mod tests {
     }
 
     /// The fingerprint tells a changed counter, histogram or end time
-    /// apart, and ignores the issue counters and the repair byte split.
+    /// apart, and ignores the issue counters, the two lookup ends added
+    /// after the goldens, and the repair byte split.
     #[test]
     fn fingerprint_tells_a_changed_lane_apart() {
         let mut base = SimMetrics {
@@ -435,6 +446,8 @@ mod tests {
         }
         let mut kept_out = base.clone();
         kept_out.lookups_issued += 1;
+        kept_out.lookups_local_minimum += 1;
+        kept_out.lookups_hop_limit += 1;
         kept_out.repair_digest_bytes += 1;
         kept_out.repair_handoff_bytes += 1;
         assert_eq!(kept_out.fingerprint(), base.fingerprint());

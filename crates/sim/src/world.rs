@@ -3,29 +3,12 @@
 //! [`World`] owns the key distribution f, the alive index and liveness
 //! (stored once, in the lane [`World::is_alive`] reads), the generator
 //! streams and the ledgers. Its fields are private to this module, so
-//! the engine reaches it only through named methods. Those a handler
-//! calls are world services or oracles.
-//!
-//! World services, which stay:
-//! * delivery liveness: [`World::deliver`] and [`World::is_alive`];
-//! * workload draws: [`World::stream`], [`World::sample_key`],
-//!   [`World::joining_key`], [`World::random_alive`], and churn,
-//!   [`World::join`] and [`World::fail`];
-//! * ledgers: [`World::count_offered`], [`World::count_dropped`],
-//!   [`World::note_add`] and [`World::note_remove`].
-//!
-//! Oracles, each with the ROADMAP item that removes it:
-//! * item 5: [`World::ring_state`] (the successor and predecessor lists
-//!   routing and the hand-off read), and [`World::is_alive`] read as a
-//!   ping outcome (stabilization's round trips and prune of dead long
-//!   links, the owner shift past a dead successor, the read-repair
-//!   check of the owner);
-//! * item 7: [`World::population`] (n: the hop and link budgets, the
-//!   harmonic scale) and [`World::cdf`] / [`World::quantile`] (F: the
-//!   long-link probe targets).
-//!
-//! Outside the handlers, the probe snapshot and `live_overlay` read
-//! [`World::rank_rows`], and the boot [`World::preload`].
+//! the engine reaches it only through named methods. Its own methods
+//! are services that stay: delivery truth (a message to a dead peer is
+//! lost, and a dead holder, requester or timer owner acts no more), the
+//! workload and churn draws, the ledgers, and the ground truth the
+//! measurement API reads. What a handler reads that its peer could not
+//! know goes through [`World::oracle`]; see [`Oracle`].
 
 use crate::engine::{SimConfig, SuccList, PREDECESSOR_LIST, SUCCESSOR_LIST};
 use crate::metrics::SimMetrics;
@@ -107,16 +90,15 @@ impl World {
         prefetch_read(self.alive_pos.as_ptr().wrapping_add(v as usize));
     }
 
+    /// Alive peers: the measurement API's ground truth. A handler reads
+    /// n through [`Oracle::population`].
     pub(crate) fn population(&self) -> usize {
         self.alive.len()
     }
 
-    pub(crate) fn cdf(&self, x: f64) -> f64 {
-        self.dist.cdf(x)
-    }
-
-    pub(crate) fn quantile(&self, p: f64) -> f64 {
-        self.dist.quantile(p)
+    /// The reads a peer could not make itself.
+    pub(crate) fn oracle(&self) -> Oracle<'_> {
+        Oracle { world: self }
     }
 
     /// Process `src`'s stream, for its inter-arrival times and its
@@ -188,22 +170,6 @@ impl World {
         }
         self.alive_pos[victim as usize] = u32::MAX;
         self.alive.remove(&keys[victim as usize]);
-    }
-
-    /// The ring state of the peer at `key`: its first [`SUCCESSOR_LIST`]
-    /// live successors (fewer when few others are alive) and
-    /// [`PREDECESSOR_LIST`] live predecessors, nearest first, wrapping,
-    /// never itself.
-    pub(crate) fn ring_state(&self, key: Key) -> (SuccList, [u32; PREDECESSOR_LIST]) {
-        let ring = || {
-            let after = self.alive.range((Excluded(key), Unbounded));
-            after.chain(self.alive.range(..key)).map(|(_, &v)| v)
-        };
-        let mut succ = SuccList::default();
-        ring().take(SUCCESSOR_LIST).for_each(|v| succ.push(v));
-        let mut preds = ring().rev();
-        let floor = "the population floor keeps 8 peers alive";
-        (succ, std::array::from_fn(|_| preds.next().expect(floor)))
     }
 
     /// The alive peers re-indexed by key rank, the form the probe
@@ -308,6 +274,61 @@ impl World {
     }
 }
 
+/// The world's answers to what a handler asks but its peer could not
+/// know: the ring it did not hear of, whether a contact it did not
+/// ping is up, and f and n. Every call is one read a message-passing
+/// peer replaces with what it learns, so each method names the ROADMAP
+/// item that deletes it.
+#[derive(Clone, Copy)]
+pub(crate) struct Oracle<'w> {
+    world: &'w World,
+}
+
+impl Oracle<'_> {
+    /// Item 5: the ring state of the peer at `key`, its first
+    /// [`SUCCESSOR_LIST`] live successors (fewer when few others are
+    /// alive) and [`PREDECESSOR_LIST`] live predecessors, nearest first,
+    /// wrapping, never itself. A joiner and each stabilization round
+    /// take it whole.
+    pub(crate) fn ring_state(&self, key: Key) -> (SuccList, [u32; PREDECESSOR_LIST]) {
+        let alive = &self.world.alive;
+        let ring = || {
+            let after = alive.range((Excluded(key), Unbounded));
+            after.chain(alive.range(..key)).map(|(_, &v)| v)
+        };
+        let mut succ = SuccList::default();
+        ring().take(SUCCESSOR_LIST).for_each(|v| succ.push(v));
+        let mut preds = ring().rev();
+        let floor = "the population floor keeps 8 peers alive";
+        (succ, std::array::from_fn(|_| preds.next().expect(floor)))
+    }
+
+    /// Item 5: whether `v` is up, read as the outcome of a ping or a
+    /// reply that was never sent: stabilization's round trips and its
+    /// prune of dead long links, the owner shift past a dead successor,
+    /// read repair's check of the owner, and a link probe's endpoint.
+    #[inline]
+    pub(crate) fn is_alive(&self, v: u32) -> bool {
+        self.world.is_alive(v)
+    }
+
+    /// Items 7 and 11: n, for the hop and link budgets and the harmonic
+    /// scale of the link probes.
+    pub(crate) fn population(&self) -> usize {
+        self.world.alive.len()
+    }
+
+    /// Items 7 and 11: F at `x`, a link probe's own position in mass.
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
+        self.world.dist.cdf(x)
+    }
+
+    /// Items 7 and 11: F⁻¹ at `p`, a link probe's target.
+    pub(crate) fn quantile(&self, p: f64) -> f64 {
+        self.world.dist.quantile(p)
+    }
+}
+
 /// The first `count` peers clockwise of `owner` among `n` alive peers
 /// by key rank, capped at the other `n − 1`: private to the t = 0
 /// preload, where that arithmetic holds, so no handler can call it.
@@ -408,7 +429,7 @@ mod tests {
                     let succ: Vec<u32> = next.take(SUCCESSOR_LIST).collect();
                     let prev = (1..m).map(|d| ring[(i + m - d) % m]);
                     let preds: Vec<u32> = prev.take(PREDECESSOR_LIST).collect();
-                    let (got, got_preds) = world.ring_state(keys[ring[i] as usize]);
+                    let (got, got_preds) = world.oracle().ring_state(keys[ring[i] as usize]);
                     prop_assert_eq!(&*got, &succ[..], "successors of {}", ring[i]);
                     prop_assert_eq!(&got_preds[..], &preds[..], "preds of {}", ring[i]);
                 }

@@ -52,21 +52,32 @@ proptest! {
         prop_assert!(sim.alive_count() >= 8);
     }
 
-    /// Metrics are internally consistent: successes never exceed
-    /// attempts, hop/latency samples only come from successes.
+    /// Metrics are internally consistent, in both routing modes:
+    /// successes never exceed attempts, hop/latency samples only come
+    /// from successes, and every ended lookup either succeeded or has
+    /// one named end.
     #[test]
-    fn metrics_consistency(seed in any::<u64>(), rate in 0.0f64..6.0) {
+    fn metrics_consistency(seed in any::<u64>(), rate in 0.0f64..6.0, mode_choice in 0u8..2) {
         let cfg = SimConfig {
             seed,
             initial_n: 64,
             churn: ChurnConfig::symmetric(rate),
             workload: WorkloadConfig { lookup_rate: 10.0 },
+            routing_mode: routing_mode(mode_choice),
             ..SimConfig::default()
         };
         let mut sim = Simulator::new(cfg, Arc::new(Uniform));
         sim.run_until(SimTime::from_secs(30));
         let m = sim.metrics();
         prop_assert!(m.lookups_ok <= m.lookups);
+        prop_assert_eq!(
+            m.lookups,
+            m.lookups_ok
+                + m.lookups_stranded
+                + m.lookups_exhausted
+                + m.lookups_local_minimum
+                + m.lookups_hop_limit
+        );
         prop_assert_eq!(m.hops.count(), m.lookups_ok);
         prop_assert_eq!(m.latency_secs.count(), m.lookups_ok);
         prop_assert!(m.success_rate() >= 0.0 && m.success_rate() <= 1.0);

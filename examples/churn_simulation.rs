@@ -134,8 +134,17 @@ fn main() {
     // timeout) at the price of one extra one-way delay per hop.
     println!("routing-mode comparison (512 peers, symmetric churn 8/s, 180s):");
     println!(
-        "{:>15} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "mode", "lookups", "ok", "stranded", "f-over", "exhaust", "p50 ms", "p99 ms"
+        "{:>15} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "mode",
+        "lookups",
+        "ok",
+        "stranded",
+        "f-over",
+        "exhaust",
+        "loc-min",
+        "hop-lim",
+        "p50 ms",
+        "p99 ms"
     );
     for mode in RoutingMode::ALL {
         let cfg = SimConfig {
@@ -165,13 +174,15 @@ fn main() {
             (quantile_sorted(&lat, 0.5), quantile_sorted(&lat, 0.99))
         };
         println!(
-            "{:>15} {:>8} {:>8.1}% {:>9} {:>9} {:>9} {:>9.0} {:>9.0}",
+            "{:>15} {:>8} {:>8.1}% {:>9} {:>9} {:>9} {:>9} {:>9} {:>9.0} {:>9.0}",
             mode.name(),
             m.lookups,
             m.success_rate() * 100.0,
             m.lookups_stranded,
             m.lookups_failed_over,
             m.lookups_exhausted,
+            m.lookups_local_minimum,
+            m.lookups_hop_limit,
             p50 * 1000.0,
             p99 * 1000.0,
         );
