@@ -9,7 +9,6 @@ use sw_keyspace::{Key, Rng};
 pub struct Corpus {
     keys: Vec<Key>,
     query_weight: Vec<f64>,
-    source: String,
 }
 
 impl Corpus {
@@ -26,27 +25,13 @@ impl Corpus {
         Corpus {
             keys,
             query_weight: vec![1.0; m],
-            source: dist.name(),
         }
-    }
-
-    /// Assigns Zipf(s) query weights in random item order (popularity is
-    /// independent of key position).
-    pub fn with_zipf_queries(mut self, s: f64, rng: &mut Rng) -> Corpus {
-        assert!(s.is_finite() && s >= 0.0, "bad zipf exponent {s}");
-        let m = self.keys.len();
-        let mut ranks: Vec<usize> = (0..m).collect();
-        rng.shuffle(&mut ranks);
-        for (i, &rank) in ranks.iter().enumerate() {
-            self.query_weight[i] = 1.0 / ((rank + 1) as f64).powf(s);
-        }
-        self
     }
 
     /// Assigns *spatially correlated* query weights: item `i` is queried
     /// proportionally to `profile.pdf(key_i)`. Models hot key *ranges*
-    /// (the paper's range-query applications), as opposed to the
-    /// scattered per-item popularity of [`Corpus::with_zipf_queries`].
+    /// (the paper's range-query applications), not scattered per-item
+    /// popularity.
     pub fn with_query_profile(mut self, profile: &dyn KeyDistribution) -> Corpus {
         for (w, k) in self.query_weight.iter_mut().zip(&self.keys) {
             // Floor keeps every item queryable and the total positive.
@@ -75,11 +60,6 @@ impl Corpus {
         &self.query_weight
     }
 
-    /// Name of the generating distribution.
-    pub fn source(&self) -> &str {
-        &self.source
-    }
-
     /// The key of a uniformly random item — used by data-sampled peer
     /// placement.
     pub fn random_item_key(&self, rng: &mut Rng) -> Key {
@@ -100,7 +80,6 @@ mod tests {
         for w in c.keys().windows(2) {
             assert!(w[0] <= w[1]);
         }
-        assert_eq!(c.source(), "uniform");
     }
 
     #[test]
@@ -110,17 +89,6 @@ mod tests {
         let c = Corpus::generate(5000, &d, &mut rng);
         let low = c.keys().iter().filter(|k| k.get() < 0.1).count();
         assert!(low > 2500, "low-region items: {low}");
-    }
-
-    #[test]
-    fn zipf_queries_sum_is_positive_and_skewed() {
-        let mut rng = Rng::new(3);
-        let c = Corpus::generate(100, &Uniform, &mut rng).with_zipf_queries(1.2, &mut rng);
-        let w = c.query_weights();
-        let total: f64 = w.iter().sum();
-        assert!(total > 0.0);
-        let max = w.iter().copied().fold(0.0, f64::max);
-        assert!(max / (total / 100.0) > 5.0, "top item should dominate");
     }
 
     #[test]

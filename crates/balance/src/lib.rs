@@ -27,4 +27,4 @@ pub mod rebalance;
 
 pub use corpus::Corpus;
 pub use ownership::{query_loads, storage_loads, BalanceReport};
-pub use rebalance::{place_peers, rebalance_once, rebalance_until_stable, PeerPlacement};
+pub use rebalance::{place_peers, rebalance_until_stable, PeerPlacement};

@@ -110,7 +110,7 @@ pub fn place_peers(
 ///   of the globally heaviest peer's arc, halving it.
 ///
 /// Returns the number of boundary moves plus reorders performed.
-pub fn rebalance_once(placement: &mut Placement, corpus: &Corpus, delta: f64) -> usize {
+fn rebalance_once(placement: &mut Placement, corpus: &Corpus, delta: f64) -> usize {
     assert!(delta >= 1.0, "delta is a load ratio, must be >= 1");
     let n = placement.len();
     let loads = storage_loads(placement, corpus);
@@ -209,7 +209,7 @@ pub fn rebalance_once(placement: &mut Placement, corpus: &Corpus, delta: f64) ->
     moves
 }
 
-/// Runs [`rebalance_once`] until no boundary moves or `max_rounds` is
+/// Runs `rebalance_once` until no boundary moves or `max_rounds` is
 /// reached. Returns the number of rounds executed.
 pub fn rebalance_until_stable(
     placement: &mut Placement,

@@ -27,7 +27,7 @@ pub use ctx::Ctx;
 pub use table::Table;
 
 /// An experiment entry point.
-pub type ExperimentFn = fn(&Ctx);
+type ExperimentFn = fn(&Ctx);
 
 /// The experiment registry: `(id, summary, runner)`.
 pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {

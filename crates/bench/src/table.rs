@@ -44,7 +44,7 @@ impl Table {
     }
 
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {

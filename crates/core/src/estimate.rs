@@ -24,7 +24,7 @@ use sw_overlay::Overlay;
 /// Random walks over the overlay graph are how a peer can observe other
 /// peers' keys without any global component; the mild degree bias of the
 /// walk is irrelevant here because all peers have (near-)equal degree.
-pub fn walk_samples(
+fn walk_samples(
     net: &SmallWorldNetwork,
     start: NodeId,
     samples: usize,
@@ -48,7 +48,7 @@ pub fn walk_samples(
 }
 
 /// Builds a Laplace-smoothed histogram density from observed keys.
-pub fn density_from_samples(samples: &[f64], bins: usize) -> PiecewiseConstant {
+fn density_from_samples(samples: &[f64], bins: usize) -> PiecewiseConstant {
     let mut weights = vec![1.0; bins.max(1)];
     for &x in samples {
         if (0.0..1.0).contains(&x) {

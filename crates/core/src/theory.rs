@@ -28,16 +28,17 @@ pub fn expected_hops_upper_bound(n: usize) -> f64 {
     partition_count(n) as f64 / c + 1.0
 }
 
-/// Upper bound on `Σ 1/d(u,v)` for a centre node under uniform density
-/// (Eq. 2): `2 N ln N` — the normalizing constant the proof divides by.
-pub fn inverse_distance_sum_upper_bound(n: usize) -> f64 {
-    let nf = n as f64;
-    2.0 * nf * nf.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Upper bound on `Σ 1/d(u,v)` for a centre node under uniform
+    /// density (Eq. 2): `2 N ln N` — the normalizing constant the proof
+    /// divides by.
+    fn inverse_distance_sum_upper_bound(n: usize) -> f64 {
+        let nf = n as f64;
+        2.0 * nf * nf.ln()
+    }
 
     #[test]
     fn constant_c_matches_the_paper() {

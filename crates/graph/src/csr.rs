@@ -163,7 +163,7 @@ impl Topology {
     /// Generalized CSR packing: `row(u)` yields peer `u`'s out-edges.
     /// Degrees are counted, the writer lays the image out, and each row
     /// is copied into its final place.
-    pub fn from_row_slices<'a, F>(n: usize, row: F) -> Topology
+    fn from_row_slices<'a, F>(n: usize, row: F) -> Topology
     where
         F: Fn(usize) -> &'a [NodeId] + Sync,
     {

@@ -58,11 +58,6 @@ impl DeltaStore {
         self.n == 0
     }
 
-    /// Number of touched rows in the delta layer.
-    pub fn delta_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Total directed edges across all effective rows.
     pub fn edge_count(&self) -> usize {
         let mut m = self.base.edge_count();
@@ -208,6 +203,13 @@ impl DeltaStore {
 mod tests {
     use super::*;
     use crate::csr::LinkTable;
+
+    impl DeltaStore {
+        /// Number of touched rows in the delta layer.
+        fn delta_rows(&self) -> usize {
+            self.rows.len()
+        }
+    }
 
     fn base_store() -> Topology {
         let mut lt = LinkTable::new(5);

@@ -24,7 +24,7 @@ mod parametric;
 mod piecewise;
 
 pub use composite::Empirical;
-pub use numerics::{erf, norm_cdf, norm_pdf};
+pub use numerics::{norm_cdf, norm_pdf};
 pub use parametric::{Kumaraswamy, TruncatedExponential, TruncatedNormal, TruncatedPareto};
 pub use piecewise::PiecewiseConstant;
 

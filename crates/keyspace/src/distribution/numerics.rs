@@ -10,7 +10,7 @@ use std::f64::consts::{FRAC_1_SQRT_2, PI};
 
 /// Error function via the Abramowitz & Stegun 7.1.26 rational
 /// approximation (max absolute error ≈ 1.5e-7).
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     const A1: f64 = 0.254829592;
     const A2: f64 = -0.284496736;
     const A3: f64 = 1.421413741;

@@ -23,16 +23,6 @@ impl Kumaraswamy {
         check_param("b", b, b.is_finite() && b > 0.0, "finite > 0")?;
         Ok(Kumaraswamy { a, b })
     }
-
-    /// Shape parameter `a`.
-    pub fn a(&self) -> f64 {
-        self.a
-    }
-
-    /// Shape parameter `b`.
-    pub fn b(&self) -> f64 {
-        self.b
-    }
 }
 
 impl KeyDistribution for Kumaraswamy {
@@ -161,11 +151,6 @@ impl TruncatedExponential {
             lambda,
             denom: 1.0 - (-lambda).exp(),
         })
-    }
-
-    /// The rate parameter.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 }
 

@@ -71,16 +71,6 @@ impl PiecewiseConstant {
         Self::from_weights_labeled(&weights, format!("zipf({bins},{s})"))
     }
 
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.mass.len()
-    }
-
-    /// Per-bin probability mass.
-    pub fn bin_masses(&self) -> &[f64] {
-        &self.mass
-    }
-
     fn bin_width(&self) -> f64 {
         1.0 / self.mass.len() as f64
     }
@@ -130,6 +120,13 @@ impl KeyDistribution for PiecewiseConstant {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PiecewiseConstant {
+        /// Per-bin probability mass.
+        fn bin_masses(&self) -> &[f64] {
+            &self.mass
+        }
+    }
 
     fn roundtrip(d: &dyn KeyDistribution) {
         for i in 0..=100 {

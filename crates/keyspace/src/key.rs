@@ -76,11 +76,6 @@ impl Key {
     pub fn get(self) -> f64 {
         self.0
     }
-
-    /// Midpoint of two keys in the interval topology.
-    pub fn midpoint(a: Key, b: Key) -> Key {
-        Key::clamped(0.5 * (a.0 + b.0))
-    }
 }
 
 impl Eq for Key {}
@@ -199,12 +194,5 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.cmp(&b), std::cmp::Ordering::Less);
         assert_eq!(a.max(b), b);
-    }
-
-    #[test]
-    fn midpoint_interval() {
-        let a = Key::new(0.2).unwrap();
-        let b = Key::new(0.6).unwrap();
-        assert!((Key::midpoint(a, b).get() - 0.4).abs() < 1e-12);
     }
 }

@@ -49,16 +49,6 @@ impl Topology {
         }
     }
 
-    /// Supremum of [`Topology::distance`] over the space: `1` on the
-    /// interval, `1/2` on the ring.
-    #[inline]
-    pub fn max_distance(self) -> f64 {
-        match self {
-            Topology::Interval => 1.0,
-            Topology::Ring => 0.5,
-        }
-    }
-
     /// True if `x` lies on the clockwise arc `(from, to]`.
     ///
     /// Used for successor-style ownership tests (a peer owns the keys on
@@ -149,11 +139,5 @@ mod tests {
         assert!(!Topology::Interval.in_arc(k(0.1), k(0.1), k(0.3)));
         assert!(Topology::Interval.in_arc(k(0.1), k(0.3), k(0.3)));
         assert!(!Topology::Interval.in_arc(k(0.1), k(0.4), k(0.3)));
-    }
-
-    #[test]
-    fn max_distance_values() {
-        assert_eq!(Topology::Interval.max_distance(), 1.0);
-        assert_eq!(Topology::Ring.max_distance(), 0.5);
     }
 }

@@ -73,7 +73,7 @@ impl OnlineStats {
     }
 
     /// Unbiased sample variance.
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -82,12 +82,12 @@ impl OnlineStats {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Standard error of the mean.
-    pub fn sem(&self) -> f64 {
+    fn sem(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {

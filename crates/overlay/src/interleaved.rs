@@ -103,7 +103,7 @@ pub const DEFAULT_INTERLEAVE: usize = 8;
 
 /// Hard cap on the interleave width: beyond this the per-walk state no
 /// longer fits the L1 working set and wider pipelines only add misses.
-pub const MAX_INTERLEAVE: usize = 64;
+const MAX_INTERLEAVE: usize = 64;
 
 /// Stage of one in-flight walk (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -138,7 +138,7 @@ struct Walk {
 
 /// Routes a batch of independent greedy lookups through the interleaved
 /// kernel, keeping up to `width` walks in flight (clamped to
-/// `1..=`[`MAX_INTERLEAVE`]). Results come back in input order and are
+/// `1..=64`). Results come back in input order and are
 /// bit-identical to a sequential [`crate::route::greedy_route`] loop for
 /// every width.
 ///

@@ -86,11 +86,6 @@ impl Mercury {
             sample_size,
         }
     }
-
-    /// The per-peer sample budget used for density estimation.
-    pub fn sample_size(&self) -> usize {
-        self.sample_size
-    }
 }
 
 impl Overlay for Mercury {

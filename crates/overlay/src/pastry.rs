@@ -104,13 +104,8 @@ impl PastryLike {
         }
     }
 
-    /// Total number of empty routing-table cells — grows sharply with key
+    /// Fraction of routing cells that are empty — grows sharply with key
     /// skew since cells partition key space, not peers.
-    pub fn empty_cells(&self) -> usize {
-        self.empty_cells
-    }
-
-    /// Fraction of routing cells that are empty.
     pub fn empty_cell_fraction(&self) -> f64 {
         let base = 1usize << self.bits_per_digit;
         let total = self.p.len() * self.rows * (base - 1);
@@ -206,7 +201,7 @@ mod tests {
         for o in [&uni, &skew] {
             let f = o.empty_cell_fraction();
             assert!((0.0..1.0).contains(&f), "fraction {f}");
-            assert!(o.empty_cells() > 0, "finest rows always have gaps");
+            assert!(o.empty_cells > 0, "finest rows always have gaps");
         }
         assert!(
             skew.empty_cell_fraction() < uni.empty_cell_fraction(),

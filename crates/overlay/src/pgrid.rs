@@ -121,23 +121,9 @@ impl PGridLike {
         }
     }
 
-    /// Trie depth of each peer's leaf.
-    pub fn depths(&self) -> &[usize] {
-        &self.depths
-    }
-
     /// Largest leaf depth (worst-case path length).
     pub fn max_depth(&self) -> usize {
         self.depths.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean leaf depth.
-    pub fn avg_depth(&self) -> f64 {
-        if self.depths.is_empty() {
-            0.0
-        } else {
-            self.depths.iter().sum::<usize>() as f64 / self.depths.len() as f64
-        }
     }
 }
 
@@ -177,6 +163,17 @@ mod tests {
     use crate::route::{RoutingSurvey, TargetModel};
     use sw_keyspace::distribution::{TruncatedPareto, Uniform};
     use sw_keyspace::Topology;
+
+    impl PGridLike {
+        /// Mean leaf depth.
+        fn avg_depth(&self) -> f64 {
+            if self.depths.is_empty() {
+                0.0
+            } else {
+                self.depths.iter().sum::<usize>() as f64 / self.depths.len() as f64
+            }
+        }
+    }
 
     fn uniform_placement(n: usize, seed: u64) -> Placement {
         let mut rng = Rng::new(seed);

@@ -264,7 +264,7 @@ impl Placement {
 
     /// Interval neighbours: `(left, right)` without wrap; `None` at the
     /// boundary peers.
-    pub fn interval_neighbors(&self, id: NodeId) -> (Option<NodeId>, Option<NodeId>) {
+    fn interval_neighbors(&self, id: NodeId) -> (Option<NodeId>, Option<NodeId>) {
         let left = if id == 0 { None } else { Some(id - 1) };
         let right = if (id as usize) + 1 >= self.keys.len() {
             None

@@ -43,7 +43,7 @@
 //!    `overlay.route_single.ns_per_hop` in `BENCHMARK.json` is the
 //!    measure). Its per-hop decision is
 //!    [`greedy_step_soa`]: the row's key-aligned position lane scanned
-//!    in fixed-width [`LANES`]-wide chunks (constant-trip-count inner
+//!    in fixed-width 8-wide chunks (constant-trip-count inner
 //!    loops, no bounds checks, distance arithmetic branch-free on the
 //!    data), the strict-`<` left-to-right fold preserving the reference
 //!    tie-break exactly. The same primitive is
@@ -220,7 +220,7 @@ pub fn greedy_candidates_into(
 /// Lane width of the chunked SoA row scan: 8 `f64`s — one 64-byte cache
 /// line per chunk, and wide enough for the autovectorizer to use full
 /// vector registers on the distance arithmetic.
-pub const LANES: usize = 8;
+const LANES: usize = 8;
 
 /// One lane distance — the *same expression*
 /// [`sw_keyspace::Topology::distance`] evaluates (`|t − p|`, ring-folded
@@ -241,7 +241,7 @@ fn lane_distance(metric: sw_keyspace::Topology, t: f64, p: f64) -> f64 {
 ///
 /// `pos[i]` must be the ring position (`Key::get`) of `ids[i]` — the
 /// invariant the SoA routing table maintains. The lane is scanned in
-/// fixed-width [`LANES`]-wide chunks (`chunks_exact`, so the inner loop
+/// fixed-width `LANES`-wide chunks (`chunks_exact`, so the inner loop
 /// has a constant trip count and no bounds checks — the form LLVM
 /// unrolls and keeps in registers), with the distance arithmetic
 /// branch-free on the data; the strict-`<` fold keeps the earliest

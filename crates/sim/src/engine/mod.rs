@@ -1006,12 +1006,6 @@ impl Simulator {
         census
     }
 
-    /// Live copies of `key` across all peers (ground-truth bookkeeping;
-    /// `0` for unknown or lost keys).
-    pub fn live_copies(&self, key: Key) -> u32 {
-        self.world.live_copies(key)
-    }
-
     /// Replaces the churn configuration mid-run. Lowering a rate takes
     /// effect at that generator's next tick, and zero ends the process
     /// there. **Raising a rate from zero has no effect**: a process that
@@ -1080,6 +1074,14 @@ mod tests {
     use sw_graph::LinkTable;
     use sw_keyspace::distribution::{TruncatedPareto, Uniform};
     use sw_overlay::Overlay;
+
+    impl Simulator {
+        /// Live copies of `key` across all peers (ground-truth
+        /// bookkeeping; `0` for unknown or lost keys).
+        fn live_copies(&self, key: Key) -> u32 {
+            self.world.live_copies(key)
+        }
+    }
 
     fn quiet_config(seed: u64, n: usize) -> SimConfig {
         SimConfig {

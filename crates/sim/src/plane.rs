@@ -185,7 +185,6 @@ pub struct MessagePlane<M> {
     clock: SimTime,
     seq: u64,
     delivered: u64,
-    in_flight: usize,
     /// Sends that joined a lane after the boot sort.
     #[cfg(test)]
     pub(crate) laned: u64,
@@ -225,7 +224,6 @@ impl<M> MessagePlane<M> {
             clock: SimTime::ZERO,
             seq: 0,
             delivered: 0,
-            in_flight: 0,
             #[cfg(test)]
             laned: 0,
         }
@@ -245,11 +243,6 @@ impl<M> MessagePlane<M> {
     /// Messages delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// Messages currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
     }
 
     /// Sends `msg` for delivery `delay` after now.
@@ -295,7 +288,6 @@ impl<M> MessagePlane<M> {
             msg,
         };
         self.seq += 1;
-        self.in_flight += 1;
         match lane {
             Some(i) => {
                 #[cfg(test)]
@@ -349,7 +341,6 @@ impl<M> MessagePlane<M> {
         debug_assert!(env.at >= self.clock, "plane clock must be monotone");
         self.clock = env.at;
         self.delivered += 1;
-        self.in_flight -= 1;
         Some(env)
     }
 
@@ -414,6 +405,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use sw_keyspace::Rng;
+
+    impl<M> MessagePlane<M> {
+        /// Messages currently in flight: every envelope in a lane or
+        /// the heap.
+        fn in_flight(&self) -> usize {
+            self.lanes
+                .iter()
+                .map(|lane| lane.queue.len())
+                .sum::<usize>()
+                + self.heap.len()
+        }
+    }
 
     /// The reference model: the `BinaryHeap` plane the lanes sit
     /// beside. `(at, seq)` order is the heap's own, so there is nothing

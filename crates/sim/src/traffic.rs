@@ -165,12 +165,6 @@ impl ZipfSampler {
     pub fn sample(&self, rng: &mut Rng) -> usize {
         rng.sample_cumulative(&self.cum)
     }
-
-    /// Probability mass of the single most popular rank — the analytic
-    /// ceiling on how much load one owner absorbs.
-    pub fn top_share(&self) -> f64 {
-        self.cum[0] / self.cum[self.cum.len() - 1]
-    }
 }
 
 /// Analytic single-server FIFO queue: the entire queue state is one
@@ -371,6 +365,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
+
+    impl ZipfSampler {
+        /// Probability mass of the single most popular rank — the
+        /// analytic ceiling on how much load one owner absorbs.
+        fn top_share(&self) -> f64 {
+            self.cum[0] / self.cum[self.cum.len() - 1]
+        }
+    }
 
     #[test]
     fn zipf_zero_is_uniform_and_s_skews() {

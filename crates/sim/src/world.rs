@@ -28,7 +28,7 @@ use sw_overlay::Placement;
 /// preload and the link-probe targets.
 pub(crate) mod stream {
     /// Join, fail, lookup, put, get, range, traffic: indexed by `Source`.
-    pub const GENERATORS: [u64; 7] = [0x101, 0x102, 0x103, 0x104, 0x105, 0x106, 0x10B];
+    pub(super) const GENERATORS: [u64; 7] = [0x101, 0x102, 0x103, 0x104, 0x105, 0x106, 0x10B];
     pub const TIMER: u64 = 0x107;
     pub const PRELOAD: u64 = 0x108;
     pub const LINK: u64 = 0x109;
@@ -268,10 +268,6 @@ impl World {
             metrics.keys_under_replicated += 1;
         }
     }
-
-    pub(crate) fn live_copies(&self, key: Key) -> u32 {
-        self.copies.get(&key).map_or(0, |c| c.copies)
-    }
 }
 
 /// The world's answers to what a handler asks but its peer could not
@@ -348,6 +344,11 @@ mod tests {
         /// check them against a model.
         pub(crate) fn index(&self) -> (&BTreeMap<Key, u32>, &[u32], &[u32]) {
             (&self.alive, &self.alive_ids, &self.alive_pos)
+        }
+
+        /// Distinct live peers holding a copy of `key`.
+        pub(crate) fn live_copies(&self, key: Key) -> u32 {
+            self.copies.get(&key).map_or(0, |c| c.copies)
         }
     }
 
