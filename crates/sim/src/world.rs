@@ -275,7 +275,6 @@ impl World {
 /// ping is up, and f and n. Every call is one read a message-passing
 /// peer replaces with what it learns, so each method names the ROADMAP
 /// item that deletes it.
-#[derive(Clone, Copy)]
 pub(crate) struct Oracle<'w> {
     world: &'w World,
 }
@@ -301,8 +300,9 @@ impl Oracle<'_> {
 
     /// Item 5: whether `v` is up, read as the outcome of a ping or a
     /// reply that was never sent: stabilization's round trips and its
-    /// prune of dead long links, the owner shift past a dead successor,
-    /// read repair's check of the owner, and a link probe's endpoint.
+    /// prune of dead long links, the owner shift past a dead successor
+    /// and read repair's check of the owner. Item 11 deletes the last
+    /// reader, a link probe's check of its endpoint.
     #[inline]
     pub(crate) fn is_alive(&self, v: u32) -> bool {
         self.world.is_alive(v)
