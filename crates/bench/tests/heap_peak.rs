@@ -1,6 +1,7 @@
 //! Heap peaks of the builder's long-link draw, in a mapped build and as
 //! the simulator's t = 0 overlay, of a mapped reopen, and of the
-//! simulator's boot, read off a counting global allocator. The
+//! simulator's boot, and the live heap of a `DeltaStore` that owns
+//! every row, read off a counting global allocator. The
 //! allocator is process-wide, so this binary holds a single test:
 //! another test running beside it would land in its counts.
 //!
@@ -16,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use sw_core::{LinkSampler, SmallWorldBuilder, SmallWorldNetwork};
+use sw_graph::{DeltaStore, NodeId};
 use sw_keyspace::distribution::TruncatedPareto;
 use sw_keyspace::{Key, KeyDistribution, Rng};
 use sw_sim::{SimConfig, Simulator};
@@ -92,6 +94,15 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// 8.0 read. A reopen that reads the images onto the heap breaks it
 /// with the contact image alone (≈ 12 B per contact plus 12 B per peer).
 ///
+/// A `DeltaStore` over the t = 0 draw's long image, after every row has
+/// been owned once through `set_row` (as one refresh period leaves it),
+/// must hold at most 16 B of lane entry plus 4 B per link per peer
+/// beyond its base, with an eighth of lane headroom: ≤ 78 B/peer at the
+/// draw's 15 links per peer, 76.0 read. Its base is moved in, not
+/// copied. A slot lane of `u32` indices into a `Vec` of owned `Vec`
+/// rows reads 88.0 B/peer (4 B of slot and 24 B of `Vec` header per
+/// peer).
+///
 /// Booting a simulator over that draw (`Simulator::with_store`, storage
 /// off, default maintenance timers) must peak at ≤ 284 B/peer beyond the
 /// keys and image it is handed: 257.8 B/peer read, plus a 10 % margin.
@@ -132,6 +143,22 @@ fn long_link_draws_hold_no_copy_of_their_rows() {
     assert!(
         ratio <= 1.5,
         "the t = 0 draw (converged_overlay) peaked at {ratio:.2}x the {returned} bytes it returns"
+    );
+
+    let mut store = DeltaStore::new(links.clone());
+    let before = LIVE.load(Relaxed);
+    for u in 0..n as NodeId {
+        let row = store.row_slice(u).to_vec();
+        store.set_row(u, row);
+    }
+    let held = LIVE.load(Relaxed) - before;
+    let bound = n * 18 + store.edge_count() * 4;
+    drop(store);
+    assert!(
+        held <= bound,
+        "a DeltaStore owning every row holds {:.1} B/peer beyond its base, bound {:.1}",
+        held as f64 / n as f64,
+        bound as f64 / n as f64
     );
 
     let cfg = SimConfig {

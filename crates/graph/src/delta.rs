@@ -2,15 +2,17 @@
 //! an immutable [`Topology`] base, LSM-style.
 //!
 //! A [`DeltaStore`] answers row reads exactly like the base topology
-//! until a peer's row is touched; a touched row is copied whole into an
-//! owned row, named by the peer's entry in a per-peer slot lane, and
-//! edited there, so every read ([`DeltaStore::row_slice`]) is one
-//! index load and a contiguous `&[NodeId]` to hand to the routing
-//! kernels. This is what lets the simulator preload a 10⁶–10⁷-peer
-//! overlay straight from a frozen image — zero per-peer allocations at
-//! load, and no lane at all until the first write. The delta is not
-//! small for long: churn and joins copy each row they touch, and a
-//! neighbour refresh rewrites every live peer's row once per refresh
+//! until a peer's row is touched. A touched row is copied whole, edited
+//! and stored as the peer's entry in a lane indexed by peer, so every
+//! read ([`DeltaStore::row_slice`]) is one load of the lane entry (or
+//! of the base's offset pair) and a contiguous `&[NodeId]` to hand to
+//! the routing kernels: an owned row is the same two-link address chain
+//! as a base row. This is what lets the simulator preload a
+//! 10⁶–10⁷-peer overlay straight from a frozen image — zero per-peer
+//! allocations at load, and no lane at all until the first write. The
+//! lane then costs 16 B per peer, and each owned row its ids. The delta
+//! is not small for long: churn and joins copy each row they touch, and
+//! a neighbour refresh rewrites every live peer's row once per refresh
 //! interval, so a run that refreshes ends up holding a copy of every
 //! row.
 //!
@@ -20,50 +22,46 @@
 use crate::csr::{NodeId, Topology};
 use crate::prefetch::prefetch_read;
 
-/// `slot` entry of a peer whose row is the base's.
-const BASE: u32 = u32::MAX;
-
 /// Per-peer edge mutations layered over an immutable base topology.
 #[derive(Debug)]
 pub struct DeltaStore {
     base: Topology,
-    /// `slot[u]` indexes `u`'s owned row in `rows`, or is [`BASE`]. Empty
-    /// until the first write, then one entry per peer.
-    slot: Vec<u32>,
-    /// The owned rows, in the order their peers were first written.
-    rows: Vec<Vec<NodeId>>,
-    n: usize,
+    /// `owned[u]` is `u`'s row when the delta owns it, `None` when `u`
+    /// reads the base. Empty until the first write, then exactly one
+    /// entry per peer; a join that finds it full grows it by an eighth.
+    owned: Vec<Option<Box<[NodeId]>>>,
 }
 
 impl DeltaStore {
     /// Wraps a base topology with an empty delta.
     pub fn new(base: Topology) -> Self {
-        let n = base.len();
         DeltaStore {
             base,
-            slot: Vec::new(),
-            rows: Vec::new(),
-            n,
+            owned: Vec::new(),
         }
     }
 
     /// Number of peers (base peers plus joined ones).
     #[inline]
     pub fn len(&self) -> usize {
-        self.n
+        if self.owned.is_empty() {
+            self.base.len()
+        } else {
+            self.owned.len()
+        }
     }
 
     /// True if the store covers no peers.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
     /// Total directed edges across all effective rows.
     pub fn edge_count(&self) -> usize {
         let mut m = self.base.edge_count();
-        for (u, &s) in (0..).zip(&self.slot) {
-            if s != BASE {
-                m = m - self.base_row(u).len() + self.rows[s as usize].len();
+        for (u, row) in (0..).zip(&self.owned) {
+            if let Some(row) = row {
+                m = m - self.base_row(u).len() + row.len();
             }
         }
         m
@@ -88,20 +86,20 @@ impl DeltaStore {
     /// delta, or an implicit empty join row.
     #[inline]
     pub fn row_slice(&self, u: NodeId) -> &[NodeId] {
-        match self.slot.get(u as usize) {
-            Some(&s) if s != BASE => &self.rows[s as usize],
+        match self.owned.get(u as usize) {
+            Some(Some(row)) => row,
             _ => self.base_row(u),
         }
     }
 
-    /// Hints the cache toward `u`'s delta slot and the base image's
-    /// offset pair for `u`: the first link of the address chain
-    /// [`DeltaStore::row_slice`] walks. A hint only — reads nothing,
-    /// any `u` is fine.
+    /// Hints the cache toward `u`'s entry in the delta's lane and the
+    /// base image's offset pair for `u`: the first link of the address
+    /// chain [`DeltaStore::row_slice`] walks, whichever of the two holds
+    /// the row. A hint only — reads nothing, any `u` is fine.
     #[inline]
     pub fn prefetch_row_bounds(&self, u: NodeId) {
-        if !self.slot.is_empty() {
-            prefetch_read(self.slot.as_ptr().wrapping_add(u as usize));
+        if !self.owned.is_empty() {
+            prefetch_read(self.owned.as_ptr().wrapping_add(u as usize));
         }
         prefetch_read(self.base.offsets().as_ptr().wrapping_add(u as usize));
     }
@@ -114,64 +112,61 @@ impl DeltaStore {
 
     /// Replaces peer `u`'s row outright. `row` must be duplicate-free
     /// (the link samplers never draw duplicates): nothing dedups it.
+    /// An empty `row` is owned too: `u` reads it, not the base.
     ///
     /// # Panics
     ///
     /// Panics if `u` is outside the store.
     pub fn set_row(&mut self, u: NodeId, row: Vec<NodeId>) {
-        assert!((u as usize) < self.n, "peer outside the store");
-        match self.slot.get(u as usize) {
-            Some(&s) if s != BASE => self.rows[s as usize] = row,
-            _ => self.own(u, row),
-        }
+        assert!((u as usize) < self.len(), "peer outside the store");
+        self.lane()[u as usize] = Some(row.into_boxed_slice());
     }
 
     /// Keeps only the targets of `u`'s row accepted by `keep`,
     /// preserving order. A row that `keep` accepts whole is left as it
     /// is (an untouched base row stays a base read); otherwise the row
-    /// is copied into the delta if needed. `keep` must be a pure
-    /// predicate: it may see a target twice.
+    /// is copied, filtered and stored. `keep` must be a pure predicate:
+    /// it may see a target twice.
     pub fn retain_row(&mut self, u: NodeId, mut keep: impl FnMut(&NodeId) -> bool) {
-        assert!((u as usize) < self.n, "peer outside the store");
+        assert!((u as usize) < self.len(), "peer outside the store");
         if self.row_slice(u).iter().all(&mut keep) {
             return;
         }
-        self.owned_row(u).retain(keep);
+        self.edit_row(u, |row| row.retain(keep));
     }
 
-    /// Gives `u` (whose row is the base's) `row` as its owned row,
-    /// allocating the slot lane on the first write.
-    fn own(&mut self, u: NodeId, row: Vec<NodeId>) {
-        if self.slot.is_empty() {
-            self.slot = vec![BASE; self.n];
-        }
-        // One row per peer at most, and peer ids are below `BASE`.
-        let s = self.rows.len() as u32;
-        self.slot[u as usize] = s;
-        self.rows.push(row);
+    /// Stores a copy of `u`'s effective row after `edit`. The copy has
+    /// room for the one target [`DeltaStore::add_edge`] appends, so an
+    /// add allocates once.
+    fn edit_row(&mut self, u: NodeId, edit: impl FnOnce(&mut Vec<NodeId>)) {
+        let old = self.row_slice(u);
+        let mut row = Vec::with_capacity(old.len() + 1);
+        row.extend_from_slice(old);
+        edit(&mut row);
+        self.set_row(u, row);
     }
 
-    /// `u`'s row in the delta, copied from the base on first touch.
-    fn owned_row(&mut self, u: NodeId) -> &mut Vec<NodeId> {
-        if self.slot.get(u as usize).is_none_or(|&s| s == BASE) {
-            self.own(u, self.base_row(u).to_vec());
+    /// The lane, allocated with one `None` per peer on the first write.
+    fn lane(&mut self) -> &mut Vec<Option<Box<[NodeId]>>> {
+        if self.owned.is_empty() {
+            self.owned = vec![None; self.base.len()];
         }
-        &mut self.rows[self.slot[u as usize] as usize]
+        &mut self.owned
     }
 
     /// Adds the edge `u -> v` unless already present, appending it to
-    /// the row. Returns whether the edge was added. The first edit of
-    /// an untouched row copies it into the delta.
+    /// the row. Returns whether the edge was added. Each edit copies the
+    /// row and stores the copy.
     ///
     /// # Panics
     ///
     /// Panics if `u` is outside the store.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        assert!((u as usize) < self.n, "peer outside the store");
+        assert!((u as usize) < self.len(), "peer outside the store");
         if self.row_slice(u).contains(&v) {
             return false;
         }
-        self.owned_row(u).push(v);
+        self.edit_row(u, |row| row.push(v));
         true
     }
 
@@ -181,21 +176,25 @@ impl DeltaStore {
         let Some(i) = self.row_slice(u).iter().position(|&x| x == v) else {
             return false;
         };
-        self.owned_row(u).remove(i);
+        self.edit_row(u, |row| {
+            row.remove(i);
+        });
         true
     }
 
     /// Appends a joined peer with the given row and returns its id. The
     /// base is untouched; the new row lives in the delta.
     pub fn push_node(&mut self, row: Vec<NodeId>) -> NodeId {
-        assert!(self.n < u32::MAX as usize, "peer count exceeds u32 ids");
-        let u = self.n as NodeId;
-        self.n += 1;
-        if !self.slot.is_empty() {
-            self.slot.push(BASE);
+        let u = self.len();
+        assert!(u < u32::MAX as usize, "peer count exceeds u32 ids");
+        let owned = self.lane();
+        // A full lane grows by an eighth, not double: at 10⁶ peers a
+        // doubling would hold 16 MB of entries no peer uses.
+        if owned.len() == owned.capacity() {
+            owned.reserve_exact(owned.len() / 8 + 1);
         }
-        self.own(u, row);
-        u
+        owned.push(Some(row.into_boxed_slice()));
+        u as NodeId
     }
 }
 
@@ -207,7 +206,7 @@ mod tests {
     impl DeltaStore {
         /// Number of touched rows in the delta layer.
         fn delta_rows(&self) -> usize {
-            self.rows.len()
+            self.owned.iter().filter(|row| row.is_some()).count()
         }
     }
 
@@ -228,14 +227,14 @@ mod tests {
         assert_eq!(store.row_slice(2), &[] as &[NodeId]);
         assert_eq!(store.edge_count(), 10);
         assert_eq!(store.delta_rows(), 0);
-        assert!(store.slot.is_empty(), "reads allocate no slot lane");
+        assert!(store.owned.is_empty(), "reads allocate no lane");
     }
 
     #[test]
     fn a_join_can_be_the_first_write() {
         let mut store = DeltaStore::new(base_store());
         assert_eq!(store.push_node(vec![1]), 5);
-        assert_eq!(store.slot.len(), 6, "the lane covers the joined peer");
+        assert_eq!(store.owned.len(), 6, "the lane covers the joined peer");
         assert_eq!(store.push_node(vec![]), 6);
         assert!(store.add_edge(6, 0));
         assert_eq!(store.row_slice(5), &[1]);
@@ -267,7 +266,7 @@ mod tests {
         }
         store.retain_row(3, |&v| v != 1); // 1 is not in row 3
         assert_eq!(store.delta_rows(), 0, "no-op retains stay base reads");
-        assert!(store.slot.is_empty(), "and allocate no slot lane");
+        assert!(store.owned.is_empty(), "and allocate no lane");
 
         // A removing retain still reads like the `LinkTable` rebuild.
         store.retain_row(4, |&v| v != 2);

@@ -29,8 +29,9 @@
 //! * [`store`] — the `SWTOPO` image format: header, section layout,
 //!   validation, and the owned-or-mapped buffer.
 //! * [`delta`] — [`DeltaStore`]: per-peer edge mutations layered over an
-//!   immutable base topology (LSM-style); what lets the simulator churn
-//!   a frozen 10⁷-peer image.
+//!   immutable base topology (LSM-style), a touched row owned whole in a
+//!   lane indexed by peer; what lets the simulator churn a frozen
+//!   10⁷-peer image.
 //! * [`writer`] — count-then-fill construction: [`ArenaWriter`], the
 //!   one producer of images, fills the final image in place (disjoint
 //!   peer-range shards concurrently), in a heap buffer or inside a

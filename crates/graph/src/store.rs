@@ -27,11 +27,13 @@
 //! Frozen does not mean static: [`crate::delta::DeltaStore`] layers
 //! per-peer edge mutations over an immutable base topology, LSM-style —
 //! untouched rows read straight out of the image, and a touched row is
-//! copied whole into a side table. That lifecycle — `build_frozen` image
-//! → `open` → wrap in a `DeltaStore` → churn mutates the delta — is how
-//! the simulator loads a 10⁶–10⁷-peer overlay with no per-peer link
-//! `Vec`; the side table grows with every row churn, joins and
-//! refreshes touch (a refresh touches every row once per interval).
+//! copied whole into an owned row, held in a lane indexed by peer
+//! (16 B per peer from the first write). That lifecycle —
+//! `build_frozen` image → `open` → wrap in a `DeltaStore` → churn
+//! mutates the delta — is how the simulator loads a 10⁶–10⁷-peer
+//! overlay with no per-peer link `Vec`; the owned rows grow with every
+//! row churn, joins and refreshes touch (a refresh touches every row
+//! once per interval).
 
 use crate::csr::Topology;
 use crate::par;

@@ -222,9 +222,14 @@ proptest! {
         prop_assert_eq!(c, d);
     }
 
-    /// Delta-overlay contract: a `DeltaStore` driven through an
-    /// arbitrary add/remove/replace/join sequence tracks a set-of-edges
-    /// reference model exactly.
+    /// Delta-overlay contract: a `DeltaStore` tracks a reference model
+    /// of every row, order included, after each write. A scripted
+    /// prelude walks one base peer through every transition a row can
+    /// make — base → owned, owned → longer and shorter, owned → empty
+    /// by `retain_row` and by an empty `set_row`, empty → refilled —
+    /// with a join as the first write (before the lane exists) in one
+    /// pass and after the lane exists in the other; an arbitrary
+    /// add/remove/replace/retain/join sequence follows.
     #[test]
     fn delta_store_matches_final_edge_set(n in 2usize..40, max_row in 0usize..8, seed in any::<u64>()) {
         use std::collections::BTreeSet;
@@ -235,59 +240,125 @@ proptest! {
         for (u, row) in rows.iter().enumerate() {
             lt.add_all(u as NodeId, row.iter().copied());
         }
-        let mut store = DeltaStore::new(lt.build());
-        let mut model: Vec<BTreeSet<NodeId>> = (0..n as NodeId)
-            .map(|u| store.row_slice(u).iter().copied().collect())
-            .collect();
-        // No self-loops anywhere (the link samplers never draw them,
-        // and `LinkTable::add_all` filters them), so every op keeps the
-        // model loop-free.
-        for _ in 0..200 {
-            let u = rng.index(model.len());
-            match rng.index(8) {
-                0..=2 => {
-                    let v = rng.index(model.len()) as NodeId;
-                    if v as usize != u {
-                        prop_assert_eq!(store.add_edge(u as NodeId, v), model[u].insert(v));
-                    }
-                }
-                3..=5 => {
-                    let v = rng.index(model.len()) as NodeId;
-                    prop_assert_eq!(store.remove_edge(u as NodeId, v), model[u].remove(&v));
-                }
-                6 => {
-                    let row: BTreeSet<NodeId> = (0..rng.index(max_row + 1))
-                        .map(|_| rng.index(model.len()) as NodeId)
-                        .filter(|&v| v as usize != u)
-                        .collect();
-                    store.set_row(u as NodeId, row.iter().copied().collect());
-                    model[u] = row;
-                }
-                _ => {
-                    if model.len() < 48 {
-                        let row: BTreeSet<NodeId> = (0..rng.index(max_row + 1))
-                            .map(|_| rng.index(model.len()) as NodeId)
-                            .collect();
-                        let id = store.push_node(row.iter().copied().collect());
-                        prop_assert_eq!(id as usize, model.len());
-                        model.push(row);
-                    }
-                }
+        let base = lt.build();
+        // Every read of every row, and the totals, against the model.
+        let check = |store: &DeltaStore, model: &[Vec<NodeId>]| -> Result<(), TestCaseError> {
+            prop_assert_eq!(store.len(), model.len());
+            prop_assert_eq!(store.edge_count(), model.iter().map(Vec::len).sum::<usize>());
+            let mut buf = Vec::new();
+            for (u, expect) in model.iter().enumerate() {
+                prop_assert_eq!(store.row_slice(u as NodeId), &expect[..], "row {}", u);
+                prop_assert_eq!(store.degree(u as NodeId), expect.len());
+                store.row_into(u as NodeId, &mut buf);
+                prop_assert_eq!(&buf, expect);
             }
-        }
-        // Reads agree with the model (as edge sets).
-        prop_assert_eq!(store.len(), model.len());
-        prop_assert_eq!(
-            store.edge_count(),
-            model.iter().map(BTreeSet::len).sum::<usize>()
-        );
-        let mut buf = Vec::new();
-        for (u, expect) in model.iter().enumerate() {
-            prop_assert_eq!(store.degree(u as NodeId), expect.len());
-            store.row_into(u as NodeId, &mut buf);
-            let got: BTreeSet<NodeId> = buf.iter().copied().collect();
-            prop_assert_eq!(got.len(), buf.len(), "row holds duplicates");
-            prop_assert_eq!(&got, expect);
+            Ok(())
+        };
+        // A joined peer's row: distinct earlier peers, so no self-loop.
+        let join = |store: &mut DeltaStore, model: &mut Vec<Vec<NodeId>>, rng: &mut Rng| {
+            let row: Vec<NodeId> = (0..rng.index(max_row + 1))
+                .map(|_| rng.index(model.len()) as NodeId)
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let id = store.push_node(row.clone());
+            prop_assert_eq!(id as usize, model.len());
+            model.push(row);
+            check(store, model)
+        };
+        for join_first in [true, false] {
+            let mut store = DeltaStore::new(base.clone());
+            let mut model: Vec<Vec<NodeId>> =
+                (0..n as NodeId).map(|u| store.row_slice(u).to_vec()).collect();
+            check(&store, &model)?;
+            let u = rng.index(n) as NodeId;
+            let ui = u as usize;
+            if join_first {
+                join(&mut store, &mut model, &mut rng)?;
+            }
+            store.retain_row(u, |_| true);
+            check(&store, &model)?;
+            // base → owned.
+            let w = ((ui + 1) % n) as NodeId;
+            store.set_row(u, vec![w]);
+            model[ui] = vec![w];
+            check(&store, &model)?;
+            if !join_first {
+                join(&mut store, &mut model, &mut rng)?;
+            }
+            // At least three peers now, so two targets besides `u`.
+            let others: Vec<NodeId> =
+                (0..model.len() as NodeId).rev().filter(|&v| v != u).collect();
+            // owned → longer, then shorter.
+            store.set_row(u, others.clone());
+            model[ui] = others.clone();
+            check(&store, &model)?;
+            prop_assert!(store.remove_edge(u, others[0]));
+            model[ui].remove(0);
+            check(&store, &model)?;
+            // owned → empty by `retain_row`, refilled by `add_edge`.
+            store.retain_row(u, |_| false);
+            model[ui].clear();
+            check(&store, &model)?;
+            prop_assert!(store.add_edge(u, others[1]));
+            model[ui].push(others[1]);
+            check(&store, &model)?;
+            // owned → empty by `set_row`, refilled by `set_row`.
+            store.set_row(u, vec![]);
+            model[ui].clear();
+            check(&store, &model)?;
+            store.set_row(u, others.clone());
+            model[ui] = others;
+            check(&store, &model)?;
+            join(&mut store, &mut model, &mut rng)?;
+
+            // No self-loops anywhere (the link samplers never draw them,
+            // and `LinkTable::add_all` filters them), so every op keeps
+            // the model loop-free.
+            for _ in 0..200 {
+                let u = rng.index(model.len());
+                match rng.index(10) {
+                    0..=2 => {
+                        let v = rng.index(model.len()) as NodeId;
+                        if v as usize != u {
+                            let fresh = !model[u].contains(&v);
+                            prop_assert_eq!(store.add_edge(u as NodeId, v), fresh);
+                            if fresh {
+                                model[u].push(v);
+                            }
+                        }
+                    }
+                    3..=5 => {
+                        let v = rng.index(model.len()) as NodeId;
+                        let at = model[u].iter().position(|&x| x == v);
+                        prop_assert_eq!(store.remove_edge(u as NodeId, v), at.is_some());
+                        if let Some(i) = at {
+                            model[u].remove(i);
+                        }
+                    }
+                    6 => {
+                        let row: Vec<NodeId> = (0..rng.index(max_row + 1))
+                            .map(|_| rng.index(model.len()) as NodeId)
+                            .filter(|&v| v as usize != u)
+                            .collect::<BTreeSet<_>>()
+                            .into_iter()
+                            .collect();
+                        store.set_row(u as NodeId, row.clone());
+                        model[u] = row;
+                    }
+                    7 | 8 => {
+                        let m = rng.index(4) as NodeId + 1;
+                        store.retain_row(u as NodeId, |&v| v % m != 0);
+                        model[u].retain(|&v| v % m != 0);
+                    }
+                    _ => {
+                        if model.len() < 48 {
+                            join(&mut store, &mut model, &mut rng)?;
+                        }
+                    }
+                }
+                check(&store, &model)?;
+            }
         }
     }
 

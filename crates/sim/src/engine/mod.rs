@@ -1019,16 +1019,16 @@ impl Simulator {
 /// The two prefetch stages of a simulated hop, driven by the plane's
 /// lane lookahead (`plane`'s "lanes as lookahead"). A step at peer `to`
 /// walks the walk's slot, then `to`'s liveness entry / `nodes[to]` /
-/// `keys[to]` / the delta's `slot[to]` and the base's `offsets[to]` →
+/// `keys[to]` / the delta's `owned[to]` and the base's `offsets[to]` →
 /// the long-link row → the row's contact keys, on state untouched for
-/// thousands of events; the address chain has two links, so there are
-/// two stages:
+/// thousands of events; the address chain has two links, whether the
+/// row is the base's or owned, so there are two stages:
 ///
 /// * the far stage, [`FAR_AHEAD`] pops of the message's lane ahead of
 ///   its delivery: the loads addressable from the message alone — the
 ///   walk's slot, the receiver's liveness entry in the world, its node
-///   record, its key, the row's delta slot and the base store's row
-///   bounds;
+///   record, its key, the row's entry in the delta's lane and the base
+///   store's row bounds;
 /// * the near stage, [`NEAR_AHEAD`](crate::plane::NEAR_AHEAD) pops
 ///   ahead: those are resident by now, so read them and prefetch the
 ///   row itself.

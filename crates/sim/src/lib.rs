@@ -77,9 +77,9 @@
 //!   is the builder's long stage, [`sw_core::builder::long_image`], over
 //!   a ring placement, so the t = 0 rows are those of a ring, harmonic
 //!   [`sw_core::SmallWorldBuilder`] on the same generator state. A row
-//!   the run touches is copied whole into an owned row, which the
-//!   peer's entry in a slot lane names, so a hop reads either row with
-//!   one index and no hash probe; a refresh rewrites every live peer's
+//!   the run touches is copied whole into an owned row, which is the
+//!   peer's entry in a lane indexed by peer, so a hop reads either row
+//!   with one load and no hash probe; a refresh rewrites every live peer's
 //!   row each interval, so a run with refresh on soon owns a copy of
 //!   every row, and only a run without it keeps reading the base (and
 //!   allocates no lane).
@@ -103,8 +103,8 @@
 //!    loads addressable from the message alone: its walk's slot (the
 //!    query id names it), the destination's liveness entry, node record
 //!    (with its inline successor list) and key, and its entry in the
-//!    delta's slot lane beside its row bounds in the base link store
-//!    ([`sw_graph::DeltaStore::prefetch_row_bounds`]);
+//!    delta's owned-row lane beside its row bounds in the base link
+//!    store ([`sw_graph::DeltaStore::prefetch_row_bounds`]);
 //! 2. at the near stage, 4 pops ahead, those are resident, so the hook
 //!    reads them and prefetches the long-link row itself.
 //!
