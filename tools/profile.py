@@ -5,10 +5,13 @@ Runs a command (normally the benchmark binary) as a child, samples its
 main thread with perf_event_open(PERF_TYPE_SOFTWARE,
 PERF_COUNT_SW_TASK_CLOCK) at about 4 kHz with the user-space callchain,
 symbolizes every sampled address with `addr2line -f -i -C`, and prints
-the shares of the samples under a root frame (`run_until` by default):
-self time by the innermost frame in the repository's own code (an
-inlined std helper is charged to its caller), self time by the
-innermost frame, and inclusive time by function up to the root.
+the shares of the samples under `run_until`: self time by the
+innermost frame in the repository's own code (an inlined std helper is
+charged to its caller), self time by the innermost frame, and inclusive
+time by function up to `run_until`. It runs on x86_64 Linux, whose
+syscall number it calls.
+It exits non-zero, after printing what it sampled, if the command
+failed or was killed: a short run's profile is not a full run's.
 
 This is a hint tool. It says where to look; a performance claim still
 comes from ten paired `compare` runs (see the verify skill). It needs no
@@ -31,7 +34,6 @@ left as it is, then profile one workload:
       --workload churn_storage --seed 21 --out /tmp/sw-prof/out
 """
 
-import argparse
 import collections
 import ctypes
 import mmap
@@ -53,7 +55,10 @@ PERF_RECORD_LOST = 2
 DISABLED, EXCLUDE_KERNEL, EXCLUDE_HV, FREQ, ENABLE_ON_EXEC = 0, 5, 6, 10, 12
 EXCLUDE_CALLCHAIN_KERNEL = 21
 ATTR_SIZE = 112  # PERF_ATTR_SIZE_VER5
-SYS_PERF_EVENT_OPEN = {"x86_64": 298, "aarch64": 241}
+SYS_PERF_EVENT_OPEN = 298  # x86_64
+FREQ_HZ = 4000  # samples per second
+ROOT = "run_until"  # shares are of the samples with a frame naming this
+TOP = 25  # rows per table
 CONTEXT_MARKER = 0xFFFFFFFFFFFFF000  # PERF_CONTEXT_* values sit above this
 DATA_PAGES = 256
 
@@ -61,18 +66,17 @@ libc = ctypes.CDLL(None, use_errno=True)
 libc.syscall.restype = ctypes.c_long
 
 
-def perf_event_open(pid, freq):
+def perf_event_open(pid):
     attr = bytearray(ATTR_SIZE)
     flags = 0
     for bit in (DISABLED, EXCLUDE_KERNEL, EXCLUDE_HV, FREQ, ENABLE_ON_EXEC,
                 EXCLUDE_CALLCHAIN_KERNEL):
         flags |= 1 << bit
     struct.pack_into("IIQQQQQ", attr, 0, PERF_TYPE_SOFTWARE, ATTR_SIZE,
-                     PERF_COUNT_SW_TASK_CLOCK, freq,
+                     PERF_COUNT_SW_TASK_CLOCK, FREQ_HZ,
                      PERF_SAMPLE_IP | PERF_SAMPLE_CALLCHAIN, 0, flags)
     buf = ctypes.create_string_buffer(bytes(attr), ATTR_SIZE)
-    nr = SYS_PERF_EVENT_OPEN[os.uname().machine]
-    fd = libc.syscall(ctypes.c_long(nr), buf, ctypes.c_int(pid),
+    fd = libc.syscall(ctypes.c_long(SYS_PERF_EVENT_OPEN), buf, ctypes.c_int(pid),
                       ctypes.c_int(-1), ctypes.c_int(-1), ctypes.c_ulong(0))
     if fd < 0:
         err = ctypes.get_errno()
@@ -207,16 +211,10 @@ def tail(where):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--freq", type=int, default=4000, help="samples per second")
-    ap.add_argument("--root", default="run_until",
-                    help="report shares of samples with a frame naming this")
-    ap.add_argument("--top", type=int, default=25, help="rows per table")
-    ap.add_argument("cmd", nargs=argparse.REMAINDER, help="-- command ...")
-    args = ap.parse_args()
-    cmd = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
+    cmd = sys.argv[1:]
+    cmd = cmd[1:] if cmd[:1] == ["--"] else cmd
     if not cmd:
-        ap.error("no command")
+        sys.exit("usage: profile.py -- command [args ...]")
 
     gate_r, gate_w = os.pipe()
     pid = os.fork()
@@ -228,14 +226,14 @@ def main():
         finally:
             os._exit(127)
     os.close(gate_r)
-    fd = perf_event_open(pid, args.freq)
+    fd = perf_event_open(pid)
     ring = Ring(fd)
     os.write(gate_w, b"x")
     os.close(gate_w)
 
     samples, lost, maps = [], 0, []
     while True:
-        done, _status = os.waitpid(pid, os.WNOHANG)
+        done, status = os.waitpid(pid, os.WNOHANG)
         try:  # an exited child has no maps left to read
             maps = exe_mappings(pid) or maps
         except OSError:
@@ -257,7 +255,7 @@ def main():
         named = []
         for a in stack:
             named += frames.get(a, []) if isinstance(a, int) else [(a, "")]
-        root = next((i for i, (fn, _) in enumerate(named) if args.root in fn), None)
+        root = next((i for i, (fn, _) in enumerate(named) if ROOT in fn), None)
         if root is None:
             continue
         named = named[:root + 1]
@@ -272,15 +270,19 @@ def main():
         for name in {short(f) for f, _ in named}:
             incl[name] += 1
 
-    print(f"{len(samples)} samples, {lost} lost, {under} under `{args.root}`")
-    if not under:
-        return
+    print(f"{len(samples)} samples, {lost} lost, {under} under `{ROOT}`")
     for title, table in (("self, by innermost frame in the repository", own),
                          ("self, by innermost frame", leaf),
-                         (f"inclusive, by function up to `{args.root}`", incl)):
-        print(f"\n== {title} (share of samples under `{args.root}`)")
-        for name, n in table.most_common(args.top):
+                         (f"inclusive, by function up to `{ROOT}`", incl)):
+        if not under:
+            break
+        print(f"\n== {title} (share of samples under `{ROOT}`)")
+        for name, n in table.most_common(TOP):
             print(f"{100 * n / under:6.1f} %  {name}")
+    if os.WIFSIGNALED(status):
+        sys.exit(f"{cmd[0]} was killed by signal {os.WTERMSIG(status)}")
+    if os.WEXITSTATUS(status):
+        sys.exit(f"{cmd[0]} exited with status {os.WEXITSTATUS(status)}")
 
 
 if __name__ == "__main__":
